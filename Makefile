@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-check cover verify race fuzz loadtest replicatest metriclint monitortest vantagetest
+.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint monitortest vantagetest
 
 build:
 	$(GO) build ./...
@@ -15,16 +15,29 @@ bench:
 # runs the full-sweep benchmark plus the history-store, rdnsd query and
 # replica benchmarks, writes the results to BENCH_scan.json, and fails when
 # ns/op regressed >15% against the checked-in baseline. The concurrent
-# serving benchmark additionally gates its p99-ns/op tail latency.
+# serving benchmark additionally gates its p99-ns/op tail latency, and the
+# engine-8-workers sweep its allocs/op and B/op (the probe round trip's
+# allocation budget). The sweep runs at -cpu 1: go test names a row by its
+# GOMAXPROCS, and the baseline's sweep rows are GOMAXPROCS=1 rows.
 # After an intentional perf change: cp BENCH_scan.json BENCH_baseline.json
 bench-check:
 	$(GO) build -o /tmp/benchcheck ./cmd/benchcheck
-	{ $(GO) test -run '^$$' -bench 'BenchmarkScanEngineFullSweep|BenchmarkHistStoreAt' -count=1 . \
+	{ $(GO) test -run '^$$' -bench 'BenchmarkScanEngineFullSweep' -cpu 1 -count=1 . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAt' -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad' -count=1 ./internal/rdnsserve \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -count=4 ./internal/replica \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkVantageMerge' -count=1 ./internal/vantage ; } \
-		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op
+		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op,allocs/op,B/op
+
+# perf runs one workload of the end-to-end harness (bench/README.md) the way
+# the benchmark driver does: make perf W=sweep-wire, or TRACE=1 for the
+# per-layer budget table. Every perf claim in a PR is a before/after pair
+# of these.
+W ?= sweep-wire
+TRACE ?= 0
+perf:
+	bash bench/run.sh --workload $(W) --seed 1 --seconds 10 --trace $(TRACE)
 
 # cover gates per-package test coverage: every internal package must stay
 # at or above its floor in COVERAGE_baseline.txt. covercheck also fails on
@@ -53,6 +66,8 @@ loadtest:
 # fuzz gives each fuzz target a short exploratory run beyond its checked-in
 # seed corpus (plain `go test` already replays the seeds).
 fuzz:
+	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/dnswire
+	$(GO) test -fuzz=FuzzDecodeName -fuzztime=30s ./internal/dnswire
 	$(GO) test -fuzz=FuzzParseOptions -fuzztime=30s ./internal/dhcpwire
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/histstore
 	$(GO) test -fuzz=FuzzSegmentManifest -fuzztime=30s ./internal/histstore

@@ -317,8 +317,9 @@ func (r *Resolver) start(ctx context.Context, q dnswire.Question, done func(Resp
 	r.mu.Lock()
 	r.nextID++
 	id := r.nextID
-	msg := dnswire.NewQuery(id, q.Name, q.Type)
-	wire, err := msg.Marshal()
+	// The wire form outlives this call (retransmissions resend it), so it is
+	// an allocation of its own, sized to the query.
+	wire, err := dnswire.AppendQuery(make([]byte, 0, len(q.Name)+queryOverhead), id, q.Name, q.Type)
 	if err != nil {
 		r.mu.Unlock()
 		resp := Response{Question: q, Outcome: OutcomeMalformed, When: r.clock.Now()}
@@ -555,7 +556,7 @@ func (r *Resolver) transmit(id uint16, p *pendingQuery) {
 }
 
 func (r *Resolver) handleResponse(dg fabric.Datagram) {
-	msg, err := dnswire.Unmarshal(dg.Payload)
+	msg, err := dnswire.Parse(dg.Payload)
 	if err != nil || !msg.Header.Response {
 		return
 	}
@@ -565,7 +566,8 @@ func (r *Resolver) handleResponse(dg fabric.Datagram) {
 		r.mu.Unlock()
 		return
 	}
-	resp := r.classify(p, msg)
+	now := r.clock.Now()
+	resp := responseFrom(p.question, &msg, p.attempts, now.Sub(p.started), now)
 	// Typed-error-aware retry: a SERVFAIL is a transient server fault and
 	// — when the policy says so — is retried like a timeout, with the same
 	// attempt budget and backoff. Authoritative answers (NXDOMAIN, NODATA,
@@ -609,50 +611,62 @@ func (r *Resolver) handleResponse(dg fabric.Datagram) {
 	r.finish(p, resp)
 }
 
-func (r *Resolver) classify(p *pendingQuery, msg *dnswire.Message) Response {
-	now := r.clock.Now()
-	return classify(p.question, msg, p.attempts, now.Sub(p.started), now)
+// classify maps a parsed reply onto the paper's outcome taxonomy, reading
+// it in place: nothing is decoded into a Name except, for a found PTR
+// answer, the target that outlives the reply. name is the question asked, in
+// canonical presentation form — a Name, or the bytes a probe formatted on
+// its stack. It is shared by the fabric resolver, the synchronous UDP and
+// TCP clients, and the in-process ServerSource.
+func classify[S ~string | ~[]byte](reply *dnswire.View, name S, qtype dnswire.Type) (Outcome, dnswire.Name) {
+	var nb [dnswire.MaxNameLen + 1]byte
+	// The response must echo our question.
+	if reply.Count(dnswire.SectionQuestion) != 1 {
+		return OutcomeMalformed, ""
+	}
+	if asked, t, _ := reply.Question(nb[:0]); string(asked) != string(name) || t != qtype {
+		return OutcomeMalformed, ""
+	}
+	switch reply.Header.RCode {
+	case dnswire.RCodeNoError:
+		for answers := reply.Records(dnswire.SectionAnswer); ; {
+			rr, ok := answers.Next()
+			if !ok {
+				return OutcomeNoData, ""
+			}
+			if rr.Type != qtype || string(rr.Owner(nb[:0])) != string(name) {
+				continue
+			}
+			if rr.Type == dnswire.TypePTR {
+				if target, ok := rr.Target(nb[:0]); ok {
+					return OutcomeSuccess, dnswire.Name(target)
+				}
+			}
+			return OutcomeSuccess, ""
+		}
+	case dnswire.RCodeNXDomain:
+		return OutcomeNXDomain, ""
+	case dnswire.RCodeServFail:
+		return OutcomeServFail, ""
+	case dnswire.RCodeRefused:
+		return OutcomeRefused, ""
+	default:
+		return OutcomeMalformed, ""
+	}
 }
 
-// classify maps a parsed response message onto the paper's outcome
-// taxonomy. It is shared by the fabric resolver, the synchronous UDP
-// client, and the in-process ServerSource.
-func classify(q dnswire.Question, msg *dnswire.Message, attempts int, rtt time.Duration, when time.Time) Response {
-	resp := Response{
+// responseFrom is classify for callers that report every lookup as a
+// Response.
+func responseFrom(q dnswire.Question, reply *dnswire.View, attempts int, rtt time.Duration, when time.Time) Response {
+	outcome, ptr := classify(reply, q.Name, q.Type)
+	return Response{
 		Question: q,
-		RCode:    msg.Header.RCode,
+		Outcome:  outcome,
+		PTR:      ptr,
+		RCode:    reply.Header.RCode,
 		Attempts: attempts,
 		RTT:      rtt,
 		When:     when,
 	}
-	// The response must echo our question.
-	if len(msg.Questions) != 1 || msg.Questions[0].Name != q.Name ||
-		msg.Questions[0].Type != q.Type {
-		resp.Outcome = OutcomeMalformed
-		return resp
-	}
-	switch msg.Header.RCode {
-	case dnswire.RCodeNoError:
-		for _, rr := range msg.Answers {
-			if rr.Type == q.Type && rr.Name == q.Name {
-				resp.Outcome = OutcomeSuccess
-				if ptr, ok := rr.Data.(dnswire.PTRData); ok {
-					resp.PTR = ptr.Target
-				}
-				return resp
-			}
-		}
-		resp.Outcome = OutcomeNoData
-	case dnswire.RCodeNXDomain:
-		resp.Outcome = OutcomeNXDomain
-	case dnswire.RCodeServFail:
-		resp.Outcome = OutcomeServFail
-	case dnswire.RCodeRefused:
-		resp.Outcome = OutcomeRefused
-	default:
-		resp.Outcome = OutcomeMalformed
-	}
-	return resp
 }
 
 func (r *Resolver) finish(p *pendingQuery, resp Response) {

@@ -2,6 +2,7 @@ package dnsclient
 
 import (
 	"context"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -13,7 +14,8 @@ import (
 // resultFromResponse maps a lookup response onto the engine's probe
 // taxonomy: success is a found record, NXDOMAIN and NODATA are
 // authoritative absences, everything else is an error. The full Response
-// rides along in Meta.
+// rides along in Meta: the socket and fabric clients report RTT, attempts
+// and the NXDOMAIN/NODATA distinction through it for every probe.
 func resultFromResponse(ip dnswire.IPv4, resp Response) scanengine.Result {
 	res := scanengine.Result{IP: ip, Meta: resp}
 	switch resp.Outcome {
@@ -68,7 +70,9 @@ func (s UDPSource) LookupPTR(ctx context.Context, ip dnswire.IPv4) scanengine.Re
 }
 
 // QueryHandler is the message-level server interface ServerSource drives —
-// dnsserver.Server implements it.
+// dnsserver.Server implements it. The query is lent for the call: a handler
+// may read it until it returns and must not keep it (ServerSource reuses the
+// buffer for its next probe). The reply belongs to the caller.
 type QueryHandler interface {
 	HandleQuery(query []byte) []byte
 }
@@ -80,12 +84,33 @@ type CorrQueryHandler interface {
 	HandleQueryCorr(query []byte, corr uint64) []byte
 }
 
+// scratch is one lookup's working memory: the query it sends and, for the
+// socket client, the datagram it reads the reply into. A lookup borrows one
+// for its duration; nothing it returns aliases it.
+type scratch struct {
+	query [dnswire.MaxNameLen + queryOverhead]byte
+	reply [4096]byte
+}
+
+// queryOverhead is what a single-question query adds to its name's
+// presentation length: the header (12), the root octet, type and class (4),
+// and one octet for a Name written without its trailing dot.
+const queryOverhead = 18
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // ServerSource probes an in-process authoritative server directly at the
-// DNS message level: each lookup marshals a query, hands the wire form to
-// the server, and classifies the wire response. It performs the same
-// per-query encode/decode work as a network client without socket or
-// fabric scheduling, which makes it the natural source for parallel
-// full-sweep snapshots of a simulated deployment. Safe for concurrent use.
+// DNS message level: each lookup writes a query, hands the wire form to the
+// server, and classifies the wire response in place. It performs the same
+// per-query encode/decode work as a network client without socket or fabric
+// scheduling, which makes it the natural source for parallel full-sweep
+// snapshots of a simulated deployment. Safe for concurrent use.
+//
+// A probe allocates only what outlives it. Result.Meta carries the full
+// Response for found answers and for answers that are errors (SERVFAIL,
+// REFUSED, a mismatched reply); a plain absence — NXDOMAIN or NODATA on the
+// source's single attempt — says everything in Found=false, Err=nil, and
+// carries no Meta.
 type ServerSource struct {
 	Server QueryHandler
 
@@ -102,24 +127,29 @@ type ServerSource struct {
 
 // LookupPTR implements scanengine.Source.
 func (s *ServerSource) LookupPTR(ctx context.Context, ip dnswire.IPv4) scanengine.Result {
-	q := dnswire.Question{
-		Name:  dnswire.ReverseName(ip),
-		Type:  dnswire.TypePTR,
-		Class: dnswire.ClassIN,
+	// The reverse name stays on this frame; a Name is built from it only for
+	// the Response or Error of a probe that has one.
+	var nb [32]byte
+	name := dnswire.AppendReverseName(nb[:0], ip)
+	question := func() dnswire.Question {
+		return dnswire.Question{Name: dnswire.Name(name), Type: dnswire.TypePTR, Class: dnswire.ClassIN}
 	}
 	if err := ctx.Err(); err != nil {
-		return scanengine.Result{IP: ip, Err: &Error{Kind: KindCanceled, Question: q, wrapped: err}}
+		return scanengine.Result{IP: ip, Err: &Error{Kind: KindCanceled, Question: question(), wrapped: err}}
 	}
 	id := uint16(s.nextID.Add(1))
-	wire, err := dnswire.NewQuery(id, q.Name, q.Type).Marshal()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	var b dnswire.Builder
+	wire, err := b.Finish(b.Question(b.Begin(sc.query[:0]), name, dnswire.TypePTR, dnswire.ClassIN), dnswire.Header{ID: id})
 	if err != nil {
-		return scanengine.Result{IP: ip, Err: &Error{Kind: KindMalformed, Question: q, wrapped: err}}
+		return scanengine.Result{IP: ip, Err: &Error{Kind: KindMalformed, Question: question(), wrapped: err}}
 	}
 	var corr uint64
 	var sp *telemetry.Span
 	if s.Tracer != nil {
-		corr = telemetry.CorrID(s.Seed, string(q.Name), 1)
-		sp = s.Tracer.StartSpanCorr("attempt", string(q.Name), corr)
+		corr = telemetry.CorrID(s.Seed, string(name), 1)
+		sp = s.Tracer.StartSpanCorr("attempt", string(name), corr)
 		sp.Event("tx", 1)
 	}
 	started := time.Now()
@@ -131,21 +161,28 @@ func (s *ServerSource) LookupPTR(ctx context.Context, ip dnswire.IPv4) scanengin
 	}
 	if reply == nil {
 		endAttempt(sp, OutcomeTimeout)
-		res := scanengine.Result{IP: ip, Err: &Error{Kind: KindTimeout, Question: q, Attempts: 1}}
-		res.Corr = corr
-		return res
+		return scanengine.Result{IP: ip, Corr: corr, Err: &Error{Kind: KindTimeout, Question: question(), Attempts: 1}}
 	}
-	msg, err := dnswire.Unmarshal(reply)
+	msg, err := dnswire.Parse(reply)
 	if err != nil || !msg.Header.Response || msg.Header.ID != id {
 		endAttempt(sp, OutcomeMalformed)
-		res := scanengine.Result{IP: ip, Err: &Error{Kind: KindMalformed, Question: q, Attempts: 1, wrapped: err}}
-		res.Corr = corr
-		return res
+		return scanengine.Result{IP: ip, Corr: corr, Err: &Error{Kind: KindMalformed, Question: question(), Attempts: 1, wrapped: err}}
+	}
+	outcome, ptr := classify(&msg, name, dnswire.TypePTR)
+	endAttempt(sp, outcome)
+	if outcome == OutcomeNXDomain || outcome == OutcomeNoData {
+		return scanengine.Result{IP: ip, Corr: corr}
 	}
 	now := time.Now()
-	resp := classify(q, msg, 1, now.Sub(started), now)
-	endAttempt(sp, resp.Outcome)
-	res := resultFromResponse(ip, resp)
+	res := resultFromResponse(ip, Response{
+		Question: question(),
+		Outcome:  outcome,
+		PTR:      ptr,
+		RCode:    msg.Header.RCode,
+		Attempts: 1,
+		RTT:      now.Sub(started),
+		When:     now,
+	})
 	res.Corr = corr
 	return res
 }

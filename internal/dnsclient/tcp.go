@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
-	"rdnsprivacy/internal/simclock"
 )
 
 // This file gives the synchronous client its stream capabilities: TCP
@@ -32,7 +31,7 @@ func (c *UDPClient) LookupTCP(q dnswire.Question) (Response, error) {
 	conn.SetDeadline(time.Now().Add(timeout))
 
 	id := uint16(rand.Intn(1 << 16))
-	wire, err := dnswire.NewQuery(id, q.Name, q.Type).Marshal()
+	wire, err := dnswire.AppendQuery(nil, id, q.Name, q.Type)
 	if err != nil {
 		return Response{}, err
 	}
@@ -44,16 +43,15 @@ func (c *UDPClient) LookupTCP(q dnswire.Question) (Response, error) {
 	if err != nil {
 		return Response{}, fmt.Errorf("dnsclient: read: %w", err)
 	}
-	msg, err := dnswire.Unmarshal(respWire)
+	msg, err := dnswire.Parse(respWire)
 	if err != nil || !msg.Header.Response || msg.Header.ID != id {
 		return Response{
 			Question: q, Outcome: OutcomeMalformed,
 			Attempts: 1, RTT: time.Since(started), When: time.Now(),
 		}, nil
 	}
-	p := &pendingQuery{question: q, started: started, attempts: 1}
-	fake := &Resolver{clock: simclock.Real{}}
-	return fake.classify(p, msg), nil
+	now := time.Now()
+	return responseFrom(q, &msg, 1, now.Sub(started), now), nil
 }
 
 // LookupAuto performs a UDP lookup and transparently retries over TCP when
@@ -86,7 +84,7 @@ func (c *UDPClient) TransferZone(zone dnswire.Name) ([]dnswire.Record, error) {
 	conn.SetDeadline(time.Now().Add(timeout))
 
 	id := uint16(rand.Intn(1 << 16))
-	wire, err := dnswire.NewQuery(id, zone, dnswire.TypeAXFR).Marshal()
+	wire, err := dnswire.AppendQuery(nil, id, zone, dnswire.TypeAXFR)
 	if err != nil {
 		return nil, err
 	}
@@ -143,7 +141,7 @@ func (c *UDPClient) lookupRaw(q dnswire.Question) (rawResponse, error) {
 	defer conn.Close()
 
 	id := uint16(rand.Intn(1 << 16))
-	wire, err := dnswire.NewQuery(id, q.Name, q.Type).Marshal()
+	wire, err := dnswire.AppendQuery(nil, id, q.Name, q.Type)
 	if err != nil {
 		return rawResponse{}, err
 	}
@@ -163,17 +161,16 @@ func (c *UDPClient) lookupRaw(q dnswire.Question) (rawResponse, error) {
 			}
 			return rawResponse{}, fmt.Errorf("dnsclient: read: %w", err)
 		}
-		msg, err := dnswire.Unmarshal(buf[:n])
+		msg, err := dnswire.Parse(buf[:n])
 		if err != nil || !msg.Header.Response || msg.Header.ID != id {
 			return rawResponse{Response: Response{
 				Question: q, Outcome: OutcomeMalformed,
 				Attempts: attempts, RTT: time.Since(started), When: time.Now(),
 			}}, nil
 		}
-		p := &pendingQuery{question: q, started: started, attempts: attempts}
-		fake := &Resolver{clock: simclock.Real{}}
+		now := time.Now()
 		return rawResponse{
-			Response:  fake.classify(p, msg),
+			Response:  responseFrom(q, &msg, attempts, now.Sub(started), now),
 			truncated: msg.Header.Truncated,
 		}, nil
 	}

@@ -72,13 +72,15 @@ func (c *UDPClient) LookupContext(ctx context.Context, q dnswire.Question) (Resp
 	}
 
 	id := uint16(rand.Intn(1 << 16))
-	wire, err := dnswire.NewQuery(id, q.Name, q.Type).Marshal()
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	wire, err := dnswire.AppendQuery(sc.query[:0], id, q.Name, q.Type)
 	if err != nil {
 		return Response{}, fmt.Errorf("dnsclient: marshal: %w", err)
 	}
 	started := time.Now()
 	attempts := 0
-	buf := make([]byte, 4096)
+	buf := sc.reply[:]
 	for attempts <= c.Retries {
 		attempts++
 		if _, err := conn.Write(wire); err != nil {
@@ -99,7 +101,7 @@ func (c *UDPClient) LookupContext(ctx context.Context, q dnswire.Question) (Resp
 			}
 			return Response{}, fmt.Errorf("dnsclient: read: %w", err)
 		}
-		msg, err := dnswire.Unmarshal(buf[:n])
+		msg, err := dnswire.Parse(buf[:n])
 		if err != nil || !msg.Header.Response || msg.Header.ID != id {
 			return Response{
 				Question: q, Outcome: OutcomeMalformed,
@@ -107,7 +109,7 @@ func (c *UDPClient) LookupContext(ctx context.Context, q dnswire.Question) (Resp
 			}, nil
 		}
 		now := time.Now()
-		return classify(q, msg, attempts, now.Sub(started), now), nil
+		return responseFrom(q, &msg, attempts, now.Sub(started), now), nil
 	}
 	return Response{
 		Question: q, Outcome: OutcomeTimeout,

@@ -1,9 +1,10 @@
 package dnsserver
 
 import (
+	"bytes"
 	"errors"
+	"maps"
 	"net"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -99,11 +100,17 @@ func unitFloat(h uint64) float64 {
 // zero value is not usable; create one with NewServer.
 //
 // HandleQuery is safe for concurrent callers and — unless failure injection
-// is enabled — lock-free outside the zone lookups, so a sharded scanner can
-// drive one server from many workers without convoying on a global mutex.
+// is enabled — takes no server-wide lock: queries read the zone table through
+// a copy-on-write snapshot (one atomic load), so a sharded scanner can drive
+// one server from many workers and the only lock a query touches is the read
+// lock of the one zone that answers it.
 type Server struct {
-	mu            sync.RWMutex
-	zones         map[dnswire.Name]*Zone
+	mu    sync.RWMutex // guards zones, updatePolicy and allowTransfer
+	zones map[dnswire.Name]*Zone
+	// table is the read-only copy of zones that queries use. AddZone clears
+	// it and the next query republishes it, so attaching n zones costs one
+	// copy, not n.
+	table         atomic.Pointer[map[dnswire.Name]*Zone]
 	failure       atomic.Pointer[failureState]
 	met           atomic.Pointer[serverMetrics]
 	tracer        atomic.Pointer[telemetry.Tracer]
@@ -135,8 +142,10 @@ type ServerStats struct {
 
 // counters is the live, atomically-updated form of ServerStats.
 type counters struct {
-	queries, noError, nxDomain, servFail, refused, formErr,
-	dropped, notImp, malformed, updates, transfers atomic.Uint64
+	queries, dropped, malformed, updates, transfers atomic.Uint64
+	// answers counts replies by RCODE; the six this server sends are the
+	// first six code points.
+	answers [dnswire.RCodeRefused + 1]atomic.Uint64
 }
 
 // NewServer creates a server with no zones.
@@ -162,13 +171,27 @@ func (s *Server) AddZone(z *Zone) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.zones[z.Origin()] = z
+	s.table.Store(nil)
+}
+
+// zoneTable returns the current read-only zone table.
+func (s *Server) zoneTable() map[dnswire.Name]*Zone {
+	if t := s.table.Load(); t != nil {
+		return *t
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if t := s.table.Load(); t != nil {
+		return *t // another query republished it first
+	}
+	t := maps.Clone(s.zones)
+	s.table.Store(&t)
+	return t
 }
 
 // Zone returns the zone with the given origin, if attached.
 func (s *Server) Zone(origin dnswire.Name) (*Zone, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	z, ok := s.zones[origin]
+	z, ok := s.zoneTable()[origin]
 	return z, ok
 }
 
@@ -176,56 +199,53 @@ func (s *Server) Zone(origin dnswire.Name) (*Zone, bool) {
 func (s *Server) Stats() ServerStats {
 	return ServerStats{
 		Queries:   s.stats.queries.Load(),
-		NoError:   s.stats.noError.Load(),
-		NXDomain:  s.stats.nxDomain.Load(),
-		ServFail:  s.stats.servFail.Load(),
-		Refused:   s.stats.refused.Load(),
-		FormErr:   s.stats.formErr.Load(),
+		NoError:   s.stats.answers[dnswire.RCodeNoError].Load(),
+		NXDomain:  s.stats.answers[dnswire.RCodeNXDomain].Load(),
+		ServFail:  s.stats.answers[dnswire.RCodeServFail].Load(),
+		Refused:   s.stats.answers[dnswire.RCodeRefused].Load(),
+		FormErr:   s.stats.answers[dnswire.RCodeFormErr].Load(),
 		Dropped:   s.stats.dropped.Load(),
-		NotImp:    s.stats.notImp.Load(),
+		NotImp:    s.stats.answers[dnswire.RCodeNotImp].Load(),
 		Malformed: s.stats.malformed.Load(),
 		Updates:   s.stats.updates.Load(),
 		Transfers: s.stats.transfers.Load(),
 	}
 }
 
-// findZone returns the most-specific zone containing name. Zone origins are
-// map keys, so the walk probes each suffix of name directly — left to right,
-// longest (most specific) first — instead of iterating every zone. When met
-// is non-nil the number of suffix probes is recorded as the zone-walk depth.
-func (s *Server) findZone(name dnswire.Name, met *serverMetrics) *Zone {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	ns := string(name)
+// findZone returns the most-specific zone containing name, which is in
+// canonical presentation form. Zone origins are map keys, so the walk probes
+// each suffix of name directly — left to right, longest (most specific)
+// first — instead of iterating every zone. When met is non-nil the number of
+// suffix probes is recorded as the zone-walk depth.
+func (s *Server) findZone(name []byte, met *serverMetrics) *Zone {
+	zones := s.zoneTable()
+	var found *Zone
 	depth := 0
-	defer func() {
-		if met != nil {
-			met.zoneWalkDepth.Observe(float64(depth))
-		}
-	}()
-	for start := 0; start < len(ns); {
+	for start := 0; start < len(name) && found == nil; {
 		depth++
-		if z, ok := s.zones[dnswire.Name(ns[start:])]; ok {
-			return z
-		}
-		dot := strings.IndexByte(ns[start:], '.')
+		found = zones[dnswire.Name(name[start:])]
+		dot := bytes.IndexByte(name[start:], '.')
 		if dot < 0 {
 			break
 		}
 		start += dot + 1
 	}
-	depth++
-	if z, ok := s.zones[dnswire.Root]; ok {
-		return z
+	if found == nil {
+		depth++
+		found = zones[dnswire.Root]
 	}
-	return nil
+	if met != nil {
+		met.zoneWalkDepth.Observe(float64(depth))
+	}
+	return found
 }
 
 // HandleQuery processes one wire-format query and returns the wire-format
 // response, or nil if the query must be silently dropped (malformed packets
-// and injected drops).
+// and injected drops). It only reads query and does not retain it; the
+// response is a fresh slice the caller owns.
 func (s *Server) HandleQuery(query []byte) []byte {
-	return s.HandleQueryCorr(query, 0)
+	return s.handle(query, 0, false)
 }
 
 // HandleQueryCorr is HandleQuery for a query that belongs to the causal
@@ -236,6 +256,15 @@ func (s *Server) HandleQuery(query []byte) []byte {
 // joins the server's verdict to the client attempt and fabric hops that
 // delivered it. corr zero behaves exactly like HandleQuery.
 func (s *Server) HandleQueryCorr(query []byte, corr uint64) []byte {
+	return s.handle(query, corr, false)
+}
+
+// handle is the one responder: it reads the query in place, and writes
+// header, echoed question and the answering zone's records straight into
+// the reply. udp adds the datagram transport's discipline: AXFR is refused
+// outright (RFC 5936 §4.2) and a reply larger than MaxUDPResponse is cut
+// back to header and question with the TC bit set.
+func (s *Server) handle(query []byte, corr uint64, udp bool) []byte {
 	var sp *telemetry.Span
 	if corr != 0 {
 		if tr := s.tracer.Load(); tr != nil {
@@ -248,94 +277,126 @@ func (s *Server) HandleQueryCorr(query []byte, corr uint64) []byte {
 	if met != nil {
 		met.queries.Inc()
 	}
-	msg, err := dnswire.Unmarshal(query)
-	if err != nil || msg.Header.Response {
-		s.stats.malformed.Add(1)
-		if met != nil {
-			met.dropped.Inc()
-		}
+	reply, rcode := s.respond(query, met, sp, udp)
+	if reply == nil {
 		sp.Event("server", ServerDropped)
 		return nil
 	}
-	if sp != nil && len(msg.Questions) > 0 {
-		sp.Attr = string(msg.Questions[0].Name)
+	sp.Event("server", uint64(rcode))
+	return reply
+}
+
+// respond builds the reply to query, or returns nil when there is none to
+// send. The reply is assembled in a buffer on this frame (only its size is
+// unknown until it is written) and returned as an exact-size copy, the one
+// allocation an answered query costs; nothing returned aliases the frame.
+func (s *Server) respond(query []byte, met *serverMetrics, sp *telemetry.Span, udp bool) ([]byte, dnswire.RCode) {
+	v, err := dnswire.Parse(query)
+	if err != nil {
+		return s.drop(met, &s.stats.malformed)
 	}
-	var injectServFail bool
-	if fs := s.failure.Load(); fs != nil && len(msg.Questions) > 0 {
-		drop, servFail := fs.decide(msg.Questions[0].Name)
+	var nb [dnswire.MaxNameLen + 1]byte
+	var qname []byte
+	var qtype dnswire.Type
+	var qclass dnswire.Class
+	questions := v.Count(dnswire.SectionQuestion)
+	if questions > 0 {
+		qname, qtype, qclass = v.Question(nb[:0])
+	}
+	axfrOverUDP := udp && questions == 1 && qtype == dnswire.TypeAXFR
+	if v.Header.Response && !axfrOverUDP {
+		return s.drop(met, &s.stats.malformed)
+	}
+	if sp != nil && questions > 0 {
+		sp.Attr = string(qname)
+	}
+	injectServFail := false
+	if fs := s.failure.Load(); fs != nil && questions > 0 && !axfrOverUDP {
+		drop, servFail := fs.decide(dnswire.Name(qname))
 		if drop {
-			s.stats.dropped.Add(1)
-			if met != nil {
-				met.dropped.Inc()
-			}
-			sp.Event("server", ServerDropped)
-			return nil
+			return s.drop(met, &s.stats.dropped)
 		}
 		injectServFail = servFail
 	}
-	var resp *dnswire.Message
-	switch {
-	case injectServFail:
-		resp = dnswire.NewResponse(msg, dnswire.RCodeServFail)
-		s.stats.servFail.Add(1)
-		if met != nil {
-			met.servFail.Inc()
+
+	var scratch [512]byte
+	var wire []byte
+	var rcode dnswire.RCode
+	if v.Header.OpCode == dnswire.OpUpdate && !injectServFail && !axfrOverUDP {
+		// UPDATEs change zones and are rare next to queries: they keep the
+		// materialized message, and applyUpdate keeps their tallies.
+		msg, err := dnswire.Unmarshal(query)
+		if err != nil {
+			return s.drop(met, &s.stats.malformed)
 		}
-	case msg.Header.OpCode == dnswire.OpUpdate:
-		resp = s.applyUpdate(msg)
-	case msg.Header.OpCode != dnswire.OpQuery:
-		resp = dnswire.NewResponse(msg, dnswire.RCodeNotImp)
-		s.stats.notImp.Add(1)
-		if met != nil {
-			met.notImp.Inc()
+		resp := s.applyUpdate(msg)
+		rcode = resp.Header.RCode
+		wire, err = resp.AppendTo(scratch[:0])
+		if err != nil {
+			return nil, 0
 		}
-	case len(msg.Questions) != 1:
-		resp = dnswire.NewResponse(msg, dnswire.RCodeFormErr)
-		s.stats.formErr.Add(1)
-		if met != nil {
-			met.formErr.Inc()
+	} else {
+		var b dnswire.Builder
+		buf := b.Begin(scratch[:0])
+		if questions == 1 {
+			buf = b.Question(buf, qname, qtype, qclass) // already decoded
+		} else {
+			buf = b.Questions(buf, &v)
 		}
-	default:
-		resp = s.resolve(msg)
+		authoritative := false
+		switch {
+		case axfrOverUDP:
+			rcode = dnswire.RCodeRefused
+		case injectServFail:
+			rcode = dnswire.RCodeServFail
+		case v.Header.OpCode != dnswire.OpQuery:
+			rcode = dnswire.RCodeNotImp
+		case questions != 1:
+			rcode = dnswire.RCodeFormErr
+		default:
+			if zone := s.findZone(qname, met); zone == nil {
+				rcode = dnswire.RCodeRefused
+			} else {
+				buf, rcode = zone.answer(&b, buf, qname, qtype)
+				authoritative = true
+			}
+		}
+		s.countAnswer(met, rcode)
+		if udp && len(buf) > MaxUDPResponse {
+			buf = b.Truncate(buf)
+		}
+		wire, err = b.Finish(buf, dnswire.Header{
+			ID:               v.Header.ID,
+			Response:         true,
+			OpCode:           v.Header.OpCode,
+			Authoritative:    authoritative,
+			RecursionDesired: v.Header.RecursionDesired,
+			RCode:            rcode,
+		})
+		if err != nil {
+			return nil, 0
+		}
 	}
-	wire, err := resp.Marshal()
-	if err != nil {
-		sp.Event("server", ServerDropped)
-		return nil
-	}
-	sp.Event("server", uint64(resp.Header.RCode))
-	return wire
+	return append(make([]byte, 0, len(wire)), wire...), rcode
 }
 
-func (s *Server) resolve(msg *dnswire.Message) *dnswire.Message {
-	q := msg.Questions[0]
-	met := s.met.Load()
-	zone := s.findZone(q.Name, met)
-	if zone == nil {
-		s.stats.refused.Add(1)
-		if met != nil {
-			met.refused.Inc()
-		}
-		return dnswire.NewResponse(msg, dnswire.RCodeRefused)
+// drop tallies a query that gets no reply.
+func (s *Server) drop(met *serverMetrics, tally *atomic.Uint64) ([]byte, dnswire.RCode) {
+	tally.Add(1)
+	if met != nil {
+		met.dropped.Inc()
 	}
-	answers, authority, rcode := zone.answer(q)
-	resp := dnswire.NewResponse(msg, rcode)
-	resp.Header.Authoritative = true
-	resp.Answers = answers
-	resp.Authorities = authority
-	switch rcode {
-	case dnswire.RCodeNXDomain:
-		s.stats.nxDomain.Add(1)
-		if met != nil {
-			met.nxDomain.Inc()
-		}
-	default:
-		s.stats.noError.Add(1)
-		if met != nil {
-			met.noError.Inc()
-		}
+	return nil, 0
+}
+
+// countAnswer tallies one answered query in both ledgers — the Stats
+// counters and, when attached, the dnsserver_* telemetry — which therefore
+// agree on every branch.
+func (s *Server) countAnswer(met *serverMetrics, rcode dnswire.RCode) {
+	s.stats.answers[rcode].Add(1)
+	if met != nil {
+		met.answers[rcode].Inc()
 	}
-	return resp
 }
 
 // AttachFabric binds the server to addr on a simulation fabric and answers

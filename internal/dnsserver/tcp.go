@@ -33,34 +33,10 @@ func (s *Server) SetTransferPolicy(allow bool) {
 // HandleQueryUDP is HandleQuery plus UDP size discipline: responses larger
 // than MaxUDPResponse are truncated to a header-and-question-only reply
 // with the TC bit set, telling the client to retry over TCP. AXFR over UDP
-// is refused outright (RFC 5936 §4.2).
+// is refused outright (RFC 5936 §4.2). Both are decided in the responder's
+// one parse of the datagram.
 func (s *Server) HandleQueryUDP(query []byte) []byte {
-	if msg, err := dnswire.Unmarshal(query); err == nil &&
-		len(msg.Questions) == 1 && msg.Questions[0].Type == dnswire.TypeAXFR {
-		s.stats.queries.Add(1)
-		s.stats.refused.Add(1)
-		resp := dnswire.NewResponse(msg, dnswire.RCodeRefused)
-		wire, err := resp.Marshal()
-		if err != nil {
-			return nil
-		}
-		return wire
-	}
-	resp := s.HandleQuery(query)
-	if resp == nil || len(resp) <= MaxUDPResponse {
-		return resp
-	}
-	msg, err := dnswire.Unmarshal(resp)
-	if err != nil {
-		return nil
-	}
-	truncated := &dnswire.Message{Header: msg.Header, Questions: msg.Questions}
-	truncated.Header.Truncated = true
-	wire, err := truncated.Marshal()
-	if err != nil {
-		return nil
-	}
-	return wire
+	return s.handle(query, 0, true)
 }
 
 // ServeTCP answers length-framed DNS queries on a stream listener until
@@ -119,7 +95,7 @@ func (s *Server) handleAXFR(msg *dnswire.Message) [][]byte {
 	s.mu.RUnlock()
 	zone, ok := s.Zone(msg.Questions[0].Name)
 	if !allow || !ok {
-		s.stats.refused.Add(1)
+		s.stats.answers[dnswire.RCodeRefused].Add(1)
 		resp := dnswire.NewResponse(msg, dnswire.RCodeRefused)
 		wire, err := resp.Marshal()
 		if err != nil {

@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/telemetry"
 )
 
@@ -30,9 +31,8 @@ func MetricAnswer(rcode string) string {
 // serverMetrics holds the server's pre-resolved instrument handles.
 type serverMetrics struct {
 	queries, dropped *telemetry.Counter
-	noError, nxDomain, servFail,
-	refused, formErr, notImp *telemetry.Counter
-	zoneWalkDepth *telemetry.Histogram
+	answers          [dnswire.RCodeRefused + 1]*telemetry.Counter // by RCODE
+	zoneWalkDepth    *telemetry.Histogram
 }
 
 // SetTelemetry registers the server's instruments in sink: query volume,
@@ -52,15 +52,13 @@ func (s *Server) SetTelemetry(sink telemetry.Sink) {
 		s.met.Store(nil)
 		return
 	}
-	s.met.Store(&serverMetrics{
+	met := &serverMetrics{
 		queries:       sink.Counter(MetricQueries),
 		dropped:       sink.Counter(MetricDropped),
-		noError:       sink.Counter(MetricAnswer("NOERROR")),
-		nxDomain:      sink.Counter(MetricAnswer("NXDOMAIN")),
-		servFail:      sink.Counter(MetricAnswer("SERVFAIL")),
-		refused:       sink.Counter(MetricAnswer("REFUSED")),
-		formErr:       sink.Counter(MetricAnswer("FORMERR")),
-		notImp:        sink.Counter(MetricAnswer("NOTIMP")),
 		zoneWalkDepth: sink.Histogram(MetricZoneWalkDepth, telemetry.DepthBuckets(8)),
-	})
+	}
+	for rcode := range met.answers {
+		met.answers[rcode] = sink.Counter(MetricAnswer(dnswire.RCode(rcode).String()))
+	}
+	s.met.Store(met)
 }

@@ -32,6 +32,13 @@ func (s *Server) SetUpdatePolicy(p UpdatePolicy) {
 	s.updatePolicy = p
 }
 
+// updateFailed tallies and builds the reply to an UPDATE that was not
+// applied.
+func (s *Server) updateFailed(msg *dnswire.Message, rcode dnswire.RCode) *dnswire.Message {
+	s.stats.answers[rcode].Add(1)
+	return dnswire.NewResponse(msg, rcode)
+}
+
 // applyUpdate processes an RFC 2136 UPDATE message and returns the
 // response. Supported operations: add PTR (class IN), delete RRset
 // (class ANY + type), delete name (class ANY + type ANY), delete specific
@@ -41,52 +48,43 @@ func (s *Server) applyUpdate(msg *dnswire.Message) *dnswire.Message {
 	refused := s.updatePolicy == UpdatesRefused
 	s.mu.RUnlock()
 	if refused {
-		s.stats.refused.Add(1)
-		return dnswire.NewResponse(msg, dnswire.RCodeRefused)
+		return s.updateFailed(msg, dnswire.RCodeRefused)
 	}
 	zoneName, err := msg.UpdateZone()
 	if err != nil {
-		s.stats.formErr.Add(1)
-		return dnswire.NewResponse(msg, dnswire.RCodeFormErr)
+		return s.updateFailed(msg, dnswire.RCodeFormErr)
 	}
 	zone, ok := s.Zone(zoneName)
 	if !ok {
 		// RFC 2136 §3.1.2: NOTAUTH would be precise; REFUSED keeps the
 		// supported RCode set small and is what clients treat
 		// equivalently.
-		s.stats.refused.Add(1)
-		return dnswire.NewResponse(msg, dnswire.RCodeRefused)
+		return s.updateFailed(msg, dnswire.RCodeRefused)
 	}
 	if len(msg.Answers) != 0 {
 		// Prerequisites are not supported.
-		s.stats.notImp.Add(1)
-		return dnswire.NewResponse(msg, dnswire.RCodeNotImp)
+		return s.updateFailed(msg, dnswire.RCodeNotImp)
 	}
 	// Validate every operation before applying any (updates are atomic,
 	// RFC 2136 §3.4).
 	for _, rr := range msg.Authorities {
 		if !rr.Name.HasSuffix(zoneName) {
-			s.stats.formErr.Add(1)
-			return dnswire.NewResponse(msg, dnswire.RCodeFormErr)
+			return s.updateFailed(msg, dnswire.RCodeFormErr)
 		}
 		switch rr.Class {
 		case dnswire.ClassIN:
 			if rr.Type != dnswire.TypePTR {
-				s.stats.notImp.Add(1)
-				return dnswire.NewResponse(msg, dnswire.RCodeNotImp)
+				return s.updateFailed(msg, dnswire.RCodeNotImp)
 			}
 			if _, ok := rr.Data.(dnswire.PTRData); !ok {
-				s.stats.formErr.Add(1)
-				return dnswire.NewResponse(msg, dnswire.RCodeFormErr)
+				return s.updateFailed(msg, dnswire.RCodeFormErr)
 			}
 		case dnswire.ClassANY, dnswire.ClassNONE:
 			if rr.Type != dnswire.TypePTR && rr.Type != dnswire.TypeANY {
-				s.stats.notImp.Add(1)
-				return dnswire.NewResponse(msg, dnswire.RCodeNotImp)
+				return s.updateFailed(msg, dnswire.RCodeNotImp)
 			}
 		default:
-			s.stats.formErr.Add(1)
-			return dnswire.NewResponse(msg, dnswire.RCodeFormErr)
+			return s.updateFailed(msg, dnswire.RCodeFormErr)
 		}
 	}
 	for _, rr := range msg.Authorities {
@@ -94,8 +92,7 @@ func (s *Server) applyUpdate(msg *dnswire.Message) *dnswire.Message {
 		case dnswire.ClassIN:
 			ptr := rr.Data.(dnswire.PTRData)
 			if err := zone.SetPTR(rr.Name, ptr.Target); err != nil {
-				s.stats.servFail.Add(1)
-				return dnswire.NewResponse(msg, dnswire.RCodeServFail)
+				return s.updateFailed(msg, dnswire.RCodeServFail)
 			}
 		case dnswire.ClassANY, dnswire.ClassNONE:
 			zone.RemovePTR(rr.Name)

@@ -27,13 +27,16 @@ import (
 // safe for concurrent use.
 type Zone struct {
 	origin dnswire.Name
-	soa    dnswire.SOAData
-	ns     []dnswire.Name
+	ns     []dnswire.Record // the apex NS RRset
 	ttl    uint32
 
 	mu      sync.RWMutex
 	records map[dnswire.Name][]dnswire.Record
 	serial  uint32
+	soa     dnswire.SOAData
+	// soaRR is the SOA as the record replies carry, its data boxed once per
+	// change of serial rather than once per negative answer.
+	soaRR dnswire.Record
 }
 
 // ZoneConfig configures a new zone.
@@ -61,22 +64,38 @@ func NewZone(cfg ZoneConfig) *Zone {
 		cfg.NegativeTTL = 60
 	}
 	z := &Zone{
-		origin:  cfg.Origin,
-		ns:      []dnswire.Name{cfg.PrimaryNS},
+		origin: cfg.Origin,
+		ns: []dnswire.Record{{
+			Name: cfg.Origin, Type: dnswire.TypeNS, Class: dnswire.ClassIN,
+			TTL: cfg.TTL, Data: dnswire.NSData{Target: cfg.PrimaryNS},
+		}},
 		ttl:     cfg.TTL,
 		records: make(map[dnswire.Name][]dnswire.Record),
-		serial:  1,
+		soa: dnswire.SOAData{
+			MName:   cfg.PrimaryNS,
+			RName:   cfg.Mbox,
+			Refresh: 7200,
+			Retry:   900,
+			Expire:  1209600,
+			Minimum: cfg.NegativeTTL,
+		},
 	}
-	z.soa = dnswire.SOAData{
-		MName:   cfg.PrimaryNS,
-		RName:   cfg.Mbox,
-		Serial:  z.serial,
-		Refresh: 7200,
-		Retry:   900,
-		Expire:  1209600,
-		Minimum: cfg.NegativeTTL,
-	}
+	z.bumpSerial()
 	return z
+}
+
+// bumpSerial advances the SOA serial after a change. Callers hold z.mu
+// (or own the zone outright, as NewZone does).
+func (z *Zone) bumpSerial() {
+	z.serial++
+	z.soa.Serial = z.serial
+	z.soaRR = dnswire.Record{
+		Name:  z.origin,
+		Type:  dnswire.TypeSOA,
+		Class: dnswire.ClassIN,
+		TTL:   z.ttl,
+		Data:  z.soa,
+	}
 }
 
 // Origin returns the zone apex.
@@ -120,8 +139,7 @@ func (z *Zone) SetPTR(name dnswire.Name, target dnswire.Name) error {
 		rrs = append(rrs, rr)
 	}
 	z.records[name] = rrs
-	z.serial++
-	z.soa.Serial = z.serial
+	z.bumpSerial()
 	return nil
 }
 
@@ -152,8 +170,7 @@ func (z *Zone) RemovePTR(name dnswire.Name) bool {
 	} else {
 		z.records[name] = kept
 	}
-	z.serial++
-	z.soa.Serial = z.serial
+	z.bumpSerial()
 	return true
 }
 
@@ -186,8 +203,7 @@ func (z *Zone) SetA(name dnswire.Name, addr dnswire.IPv4) error {
 		rrs = append(rrs, rr)
 	}
 	z.records[name] = rrs
-	z.serial++
-	z.soa.Serial = z.serial
+	z.bumpSerial()
 	return nil
 }
 
@@ -216,8 +232,7 @@ func (z *Zone) RemoveA(name dnswire.Name) bool {
 	} else {
 		z.records[name] = kept
 	}
-	z.serial++
-	z.soa.Serial = z.serial
+	z.bumpSerial()
 	return true
 }
 
@@ -263,52 +278,49 @@ func (z *Zone) Names() []dnswire.Name {
 	return out
 }
 
-// soaRecord returns the zone's SOA as a record for authority sections.
+// soaRecord returns the zone's SOA as a record.
 func (z *Zone) soaRecord() dnswire.Record {
-	return dnswire.Record{
-		Name:  z.origin,
-		Type:  dnswire.TypeSOA,
-		Class: dnswire.ClassIN,
-		TTL:   z.ttl,
-		Data:  z.soa,
-	}
-}
-
-// answer resolves a question within the zone. It must be called with at
-// least a read lock NOT held (it takes its own).
-func (z *Zone) answer(q dnswire.Question) (answers []dnswire.Record, authority []dnswire.Record, rcode dnswire.RCode) {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
-	if q.Name == z.origin {
-		switch q.Type {
+	return z.soaRR
+}
+
+// answer resolves a question within the zone, appending the answer and
+// authority records straight to the reply b is building in buf, and returns
+// the grown reply with the response code. name is the question name in
+// canonical presentation form; it is only read. It must be called with at
+// least a read lock NOT held (it takes its own, and holds it while it
+// writes: SetPTR replaces records in place).
+func (z *Zone) answer(b *dnswire.Builder, buf, name []byte, qtype dnswire.Type) ([]byte, dnswire.RCode) {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	if string(name) == string(z.origin) {
+		switch qtype {
 		case dnswire.TypeSOA, dnswire.TypeANY:
-			return []dnswire.Record{z.soaRecord()}, nil, dnswire.RCodeNoError
+			buf = b.Record(buf, dnswire.SectionAnswer, z.soaRR)
 		case dnswire.TypeNS:
-			var rrs []dnswire.Record
-			for _, ns := range z.ns {
-				rrs = append(rrs, dnswire.Record{
-					Name: z.origin, Type: dnswire.TypeNS, Class: dnswire.ClassIN,
-					TTL: z.ttl, Data: dnswire.NSData{Target: ns},
-				})
+			for _, rr := range z.ns {
+				buf = b.Record(buf, dnswire.SectionAnswer, rr)
 			}
-			return rrs, nil, dnswire.RCodeNoError
 		default:
-			return nil, []dnswire.Record{z.soaRecord()}, dnswire.RCodeNoError
+			buf = b.Record(buf, dnswire.SectionAuthority, z.soaRR)
 		}
+		return buf, dnswire.RCodeNoError
 	}
-	rrs, ok := z.records[q.Name]
+	rrs, ok := z.records[dnswire.Name(name)]
 	if !ok {
-		return nil, []dnswire.Record{z.soaRecord()}, dnswire.RCodeNXDomain
+		return b.Record(buf, dnswire.SectionAuthority, z.soaRR), dnswire.RCodeNXDomain
 	}
-	var out []dnswire.Record
+	matched := false
 	for _, rr := range rrs {
-		if q.Type == dnswire.TypeANY || rr.Type == q.Type {
-			out = append(out, rr)
+		if qtype == dnswire.TypeANY || rr.Type == qtype {
+			buf = b.Record(buf, dnswire.SectionAnswer, rr)
+			matched = true
 		}
 	}
-	if len(out) == 0 {
+	if !matched {
 		// Name exists but not with this type: NODATA.
-		return nil, []dnswire.Record{z.soaRecord()}, dnswire.RCodeNoError
+		buf = b.Record(buf, dnswire.SectionAuthority, z.soaRR)
 	}
-	return out, nil, dnswire.RCodeNoError
+	return buf, dnswire.RCodeNoError
 }

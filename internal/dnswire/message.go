@@ -1,10 +1,6 @@
 package dnswire
 
-import (
-	"encoding/binary"
-	"errors"
-	"fmt"
-)
+import "fmt"
 
 // Type is a DNS RR or question type (RFC 1035 §3.2.2).
 type Type uint16
@@ -160,20 +156,17 @@ func (r Record) String() string {
 	return fmt.Sprintf("%s %d %s %s %s", r.Name, r.TTL, r.Class, r.Type, r.Data)
 }
 
-// RData is decoded resource-record data.
+// RData is decoded resource-record data: one of the *Data types below.
+// Builder.Record holds the one encoder, a switch over them.
 type RData interface {
-	// append encodes the RDATA (without the length prefix) into buf,
-	// using cmap for name compression when permitted by RFC 3597.
-	append(buf []byte, cmap *compressionMap) ([]byte, error)
 	fmt.Stringer
+	isRData()
 }
 
 // PTRData is the RDATA of a PTR record: the hostname an address maps to.
 type PTRData struct{ Target Name }
 
-func (d PTRData) append(buf []byte, cmap *compressionMap) ([]byte, error) {
-	return appendCompressedName(buf, d.Target, cmap)
-}
+func (PTRData) isRData() {}
 
 // String returns the target name.
 func (d PTRData) String() string { return string(d.Target) }
@@ -181,9 +174,7 @@ func (d PTRData) String() string { return string(d.Target) }
 // AData is the RDATA of an A record.
 type AData struct{ Addr [4]byte }
 
-func (d AData) append(buf []byte, _ *compressionMap) ([]byte, error) {
-	return append(buf, d.Addr[:]...), nil
-}
+func (AData) isRData() {}
 
 // String returns the dotted-quad form.
 func (d AData) String() string {
@@ -193,9 +184,7 @@ func (d AData) String() string {
 // NSData is the RDATA of an NS record.
 type NSData struct{ Target Name }
 
-func (d NSData) append(buf []byte, cmap *compressionMap) ([]byte, error) {
-	return appendCompressedName(buf, d.Target, cmap)
-}
+func (NSData) isRData() {}
 
 // String returns the name-server name.
 func (d NSData) String() string { return string(d.Target) }
@@ -203,9 +192,7 @@ func (d NSData) String() string { return string(d.Target) }
 // CNAMEData is the RDATA of a CNAME record.
 type CNAMEData struct{ Target Name }
 
-func (d CNAMEData) append(buf []byte, cmap *compressionMap) ([]byte, error) {
-	return appendCompressedName(buf, d.Target, cmap)
-}
+func (CNAMEData) isRData() {}
 
 // String returns the canonical name.
 func (d CNAMEData) String() string { return string(d.Target) }
@@ -221,23 +208,7 @@ type SOAData struct {
 	Minimum uint32
 }
 
-func (d SOAData) append(buf []byte, cmap *compressionMap) ([]byte, error) {
-	var err error
-	buf, err = appendCompressedName(buf, d.MName, cmap)
-	if err != nil {
-		return nil, err
-	}
-	buf, err = appendCompressedName(buf, d.RName, cmap)
-	if err != nil {
-		return nil, err
-	}
-	buf = binary.BigEndian.AppendUint32(buf, d.Serial)
-	buf = binary.BigEndian.AppendUint32(buf, d.Refresh)
-	buf = binary.BigEndian.AppendUint32(buf, d.Retry)
-	buf = binary.BigEndian.AppendUint32(buf, d.Expire)
-	buf = binary.BigEndian.AppendUint32(buf, d.Minimum)
-	return buf, nil
-}
+func (SOAData) isRData() {}
 
 // String summarizes the SOA fields.
 func (d SOAData) String() string {
@@ -248,19 +219,7 @@ func (d SOAData) String() string {
 // TXTData is the RDATA of a TXT record: one or more character strings.
 type TXTData struct{ Strings []string }
 
-func (d TXTData) append(buf []byte, _ *compressionMap) ([]byte, error) {
-	if len(d.Strings) == 0 {
-		return nil, errors.New("dnswire: TXT record with no strings")
-	}
-	for _, s := range d.Strings {
-		if len(s) > 255 {
-			return nil, errors.New("dnswire: TXT string exceeds 255 octets")
-		}
-		buf = append(buf, byte(len(s)))
-		buf = append(buf, s...)
-	}
-	return buf, nil
-}
+func (TXTData) isRData() {}
 
 // String joins the character strings.
 func (d TXTData) String() string {
@@ -280,9 +239,7 @@ type RawData struct {
 	Bytes []byte
 }
 
-func (d RawData) append(buf []byte, _ *compressionMap) ([]byte, error) {
-	return append(buf, d.Bytes...), nil
-}
+func (RawData) isRData() {}
 
 // String hex-summarizes the raw data.
 func (d RawData) String() string { return fmt.Sprintf("\\# %d %x", len(d.Bytes), d.Bytes) }
@@ -296,13 +253,6 @@ type Message struct {
 	Additionals []Record
 }
 
-// Errors returned by message decoding.
-var (
-	ErrShortMessage = errors.New("dnswire: message shorter than header")
-	ErrTrailingData = errors.New("dnswire: trailing bytes after message")
-	ErrCountBounds  = errors.New("dnswire: section count exceeds message size")
-)
-
 // flag bit positions within the 16-bit flags word.
 const (
 	flagQR = 1 << 15
@@ -312,254 +262,95 @@ const (
 	flagRA = 1 << 7
 )
 
+// flags packs h into the header's flags word.
+func (h Header) flags() uint16 {
+	flags := uint16(h.OpCode&0xF)<<11 | uint16(h.RCode&0xF)
+	if h.Response {
+		flags |= flagQR
+	}
+	if h.Authoritative {
+		flags |= flagAA
+	}
+	if h.Truncated {
+		flags |= flagTC
+	}
+	if h.RecursionDesired {
+		flags |= flagRD
+	}
+	if h.RecursionAvailable {
+		flags |= flagRA
+	}
+	return flags
+}
+
+// headerFrom unpacks an ID and a flags word.
+func headerFrom(id, flags uint16) Header {
+	return Header{
+		ID:                 id,
+		Response:           flags&flagQR != 0,
+		OpCode:             OpCode(flags >> 11 & 0xF),
+		Authoritative:      flags&flagAA != 0,
+		Truncated:          flags&flagTC != 0,
+		RecursionDesired:   flags&flagRD != 0,
+		RecursionAvailable: flags&flagRA != 0,
+		RCode:              RCode(flags & 0xF),
+	}
+}
+
 // Marshal encodes m into wire format with name compression.
 func (m *Message) Marshal() ([]byte, error) {
 	return m.AppendTo(make([]byte, 0, 512))
 }
 
-// AppendTo encodes m into wire format, appending to buf. The message must
-// begin at offset 0 of the final buffer for compression pointers to be valid,
-// so buf should normally be empty (it exists to allow buffer reuse).
+// AppendTo encodes m into wire format, reusing buf's storage. Compression
+// pointers count from the start of the message, so the message always begins
+// at offset 0 of the result: whatever buf held is overwritten.
 func (m *Message) AppendTo(buf []byte) ([]byte, error) {
-	if len(buf) != 0 {
-		buf = buf[:0]
-	}
-	var flags uint16
-	if m.Header.Response {
-		flags |= flagQR
-	}
-	flags |= uint16(m.Header.OpCode&0xF) << 11
-	if m.Header.Authoritative {
-		flags |= flagAA
-	}
-	if m.Header.Truncated {
-		flags |= flagTC
-	}
-	if m.Header.RecursionDesired {
-		flags |= flagRD
-	}
-	if m.Header.RecursionAvailable {
-		flags |= flagRA
-	}
-	flags |= uint16(m.Header.RCode & 0xF)
-
-	buf = binary.BigEndian.AppendUint16(buf, m.Header.ID)
-	buf = binary.BigEndian.AppendUint16(buf, flags)
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Questions)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Answers)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Authorities)))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(len(m.Additionals)))
-
-	var cmap compressionMap
-	var err error
+	var b Builder
+	buf = b.Begin(buf)
 	for _, q := range m.Questions {
-		buf, err = appendCompressedName(buf, q.Name, &cmap)
-		if err != nil {
-			return nil, fmt.Errorf("question %s: %w", q.Name, err)
+		if buf = addQuestion(&b, buf, q.Name, q.Type, q.Class); b.err != nil {
+			return nil, fmt.Errorf("question %s: %w", q.Name, b.err)
 		}
-		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Type))
-		buf = binary.BigEndian.AppendUint16(buf, uint16(q.Class))
 	}
-	for _, section := range [][]Record{m.Answers, m.Authorities, m.Additionals} {
-		for _, rr := range section {
-			buf, err = appendRecord(buf, rr, &cmap)
-			if err != nil {
-				return nil, fmt.Errorf("record %s: %w", rr.Name, err)
+	for sec := SectionAnswer; sec <= SectionAdditional; sec++ {
+		for _, rr := range *m.section(sec) {
+			if buf = b.Record(buf, sec, rr); b.err != nil {
+				return nil, fmt.Errorf("record %s: %w", rr.Name, b.err)
 			}
 		}
 	}
-	return buf, nil
+	return b.Finish(buf, m.Header)
 }
 
-func appendRecord(buf []byte, rr Record, cmap *compressionMap) ([]byte, error) {
-	var err error
-	buf, err = appendCompressedName(buf, rr.Name, cmap)
-	if err != nil {
-		return nil, err
+// section returns the record list that holds section s of m.
+func (m *Message) section(s Section) *[]Record {
+	switch s {
+	case SectionAnswer:
+		return &m.Answers
+	case SectionAuthority:
+		return &m.Authorities
+	default:
+		return &m.Additionals
 	}
-	buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Type))
-	buf = binary.BigEndian.AppendUint16(buf, uint16(rr.Class))
-	buf = binary.BigEndian.AppendUint32(buf, rr.TTL)
-	// Reserve the RDLENGTH slot, fill after encoding.
-	lenAt := len(buf)
-	buf = append(buf, 0, 0)
-	if rr.Data == nil {
-		return nil, errors.New("dnswire: record has nil data")
-	}
-	buf, err = rr.Data.append(buf, cmap)
-	if err != nil {
-		return nil, err
-	}
-	rdlen := len(buf) - lenAt - 2
-	if rdlen > 0xFFFF {
-		return nil, errors.New("dnswire: RDATA exceeds 65535 octets")
-	}
-	binary.BigEndian.PutUint16(buf[lenAt:], uint16(rdlen))
-	return buf, nil
 }
 
-// Unmarshal decodes a wire-format message.
+// Unmarshal decodes a wire-format message. It is Parse plus materialization,
+// done in the same single walk.
 func Unmarshal(msg []byte) (*Message, error) {
-	if len(msg) < 12 {
-		return nil, ErrShortMessage
-	}
 	var m Message
-	m.Header.ID = binary.BigEndian.Uint16(msg[0:2])
-	flags := binary.BigEndian.Uint16(msg[2:4])
-	m.Header.Response = flags&flagQR != 0
-	m.Header.OpCode = OpCode(flags >> 11 & 0xF)
-	m.Header.Authoritative = flags&flagAA != 0
-	m.Header.Truncated = flags&flagTC != 0
-	m.Header.RecursionDesired = flags&flagRD != 0
-	m.Header.RecursionAvailable = flags&flagRA != 0
-	m.Header.RCode = RCode(flags & 0xF)
-
-	qd := int(binary.BigEndian.Uint16(msg[4:6]))
-	an := int(binary.BigEndian.Uint16(msg[6:8]))
-	ns := int(binary.BigEndian.Uint16(msg[8:10]))
-	ar := int(binary.BigEndian.Uint16(msg[10:12]))
-	// A question needs at least 5 octets, a record at least 11.
-	if 12+qd*5+(an+ns+ar)*11 > len(msg) {
-		return nil, ErrCountBounds
-	}
-
-	off := 12
-	var err error
-	for i := 0; i < qd; i++ {
-		var q Question
-		q.Name, off, err = decodeName(msg, off)
-		if err != nil {
-			return nil, fmt.Errorf("question %d: %w", i, err)
-		}
-		if off+4 > len(msg) {
-			return nil, ErrTruncatedName
-		}
-		q.Type = Type(binary.BigEndian.Uint16(msg[off:]))
-		q.Class = Class(binary.BigEndian.Uint16(msg[off+2:]))
-		off += 4
-		m.Questions = append(m.Questions, q)
-	}
-	for _, sec := range []struct {
-		count int
-		dst   *[]Record
-	}{{an, &m.Answers}, {ns, &m.Authorities}, {ar, &m.Additionals}} {
-		for i := 0; i < sec.count; i++ {
-			var rr Record
-			rr, off, err = decodeRecord(msg, off)
-			if err != nil {
-				return nil, fmt.Errorf("record %d: %w", i, err)
-			}
-			*sec.dst = append(*sec.dst, rr)
-		}
-	}
-	if off != len(msg) {
-		return nil, ErrTrailingData
+	if _, err := parse(msg, &m); err != nil {
+		return nil, err
 	}
 	return &m, nil
 }
 
-func decodeRecord(msg []byte, off int) (Record, int, error) {
-	var rr Record
-	var err error
-	rr.Name, off, err = decodeName(msg, off)
-	if err != nil {
-		return rr, 0, err
-	}
-	if off+10 > len(msg) {
-		return rr, 0, ErrTruncatedName
-	}
-	rr.Type = Type(binary.BigEndian.Uint16(msg[off:]))
-	rr.Class = Class(binary.BigEndian.Uint16(msg[off+2:]))
-	rr.TTL = binary.BigEndian.Uint32(msg[off+4:])
-	rdlen := int(binary.BigEndian.Uint16(msg[off+8:]))
-	off += 10
-	if off+rdlen > len(msg) {
-		return rr, 0, fmt.Errorf("dnswire: RDATA length %d overruns message", rdlen)
-	}
-	rdata := msg[off : off+rdlen]
-	rdEnd := off + rdlen
-	// UPDATE deletion operations (class ANY/NONE) carry empty RDATA even
-	// for types that otherwise require one (RFC 2136 §2.5.2).
-	if rdlen == 0 && rr.Class != ClassIN {
-		rr.Data = RawData{RType: rr.Type}
-		return rr, rdEnd, nil
-	}
-	switch rr.Type {
-	case TypePTR:
-		target, n, err := decodeName(msg, off)
-		if err != nil {
-			return rr, 0, err
-		}
-		if n != rdEnd {
-			return rr, 0, fmt.Errorf("dnswire: PTR RDATA length mismatch")
-		}
-		rr.Data = PTRData{Target: target}
-	case TypeNS:
-		target, n, err := decodeName(msg, off)
-		if err != nil {
-			return rr, 0, err
-		}
-		if n != rdEnd {
-			return rr, 0, fmt.Errorf("dnswire: NS RDATA length mismatch")
-		}
-		rr.Data = NSData{Target: target}
-	case TypeCNAME:
-		target, n, err := decodeName(msg, off)
-		if err != nil {
-			return rr, 0, err
-		}
-		if n != rdEnd {
-			return rr, 0, fmt.Errorf("dnswire: CNAME RDATA length mismatch")
-		}
-		rr.Data = CNAMEData{Target: target}
-	case TypeA:
-		if rdlen != 4 {
-			return rr, 0, fmt.Errorf("dnswire: A RDATA length %d, want 4", rdlen)
-		}
-		var d AData
-		copy(d.Addr[:], rdata)
-		rr.Data = d
-	case TypeSOA:
-		var d SOAData
-		pos := off
-		d.MName, pos, err = decodeName(msg, pos)
-		if err != nil {
-			return rr, 0, err
-		}
-		d.RName, pos, err = decodeName(msg, pos)
-		if err != nil {
-			return rr, 0, err
-		}
-		if pos+20 != rdEnd {
-			return rr, 0, fmt.Errorf("dnswire: SOA RDATA length mismatch")
-		}
-		d.Serial = binary.BigEndian.Uint32(msg[pos:])
-		d.Refresh = binary.BigEndian.Uint32(msg[pos+4:])
-		d.Retry = binary.BigEndian.Uint32(msg[pos+8:])
-		d.Expire = binary.BigEndian.Uint32(msg[pos+12:])
-		d.Minimum = binary.BigEndian.Uint32(msg[pos+16:])
-		rr.Data = d
-	case TypeTXT:
-		var d TXTData
-		pos := 0
-		for pos < len(rdata) {
-			l := int(rdata[pos])
-			if pos+1+l > len(rdata) {
-				return rr, 0, fmt.Errorf("dnswire: TXT string overruns RDATA")
-			}
-			d.Strings = append(d.Strings, string(rdata[pos+1:pos+1+l]))
-			pos += 1 + l
-		}
-		if len(d.Strings) == 0 {
-			return rr, 0, fmt.Errorf("dnswire: empty TXT RDATA")
-		}
-		rr.Data = d
-	default:
-		cp := make([]byte, rdlen)
-		copy(cp, rdata)
-		rr.Data = RawData{RType: rr.Type, Bytes: cp}
-	}
-	return rr, rdEnd, nil
+// AppendQuery encodes a single-question IN query into buf's storage: the
+// bytes NewQuery(id, name, qtype).Marshal() produces, without the Message.
+func AppendQuery(buf []byte, id uint16, name Name, qtype Type) ([]byte, error) {
+	var b Builder
+	buf = addQuestion(&b, b.Begin(buf), name, qtype, ClassIN)
+	return b.Finish(buf, Header{ID: id})
 }
 
 // NewQuery builds a single-question query message.

@@ -160,92 +160,147 @@ func AppendName(buf []byte, n Name) ([]byte, error) {
 	return append(buf, 0), nil
 }
 
+// nameText is a name in presentation form, held either as a Name or as the
+// bytes a reader decoded into its caller's buffer. The writers below are
+// generic over it so that echoing a question read in place costs no
+// conversion; they only index and measure s, which neither form allocates
+// for.
+type nameText interface{ ~string | ~[]byte }
+
 // compressionMap tracks names already emitted into a message so later
-// occurrences can be replaced by pointers (RFC 1035 §4.1.4). It is a small
-// inline table rather than a map: a typical message carries a handful of
-// suffixes, and a linear scan over an array that lives on the caller's stack
-// beats per-message map allocation and hashing on the PTR-sweep hot path.
+// occurrences can be replaced by pointers (RFC 1035 §4.1.4). It records
+// where each suffix starts in the message and how long it is in
+// presentation form, and answers lookups by comparing the candidate
+// against the wire bytes at the recorded offsets: no text is retained, so
+// the source of a name may be a buffer that is reused straight after. It is
+// a small inline table rather than a map: a typical message carries a
+// handful of suffixes, and a length check over an array that lives on the
+// caller's stack rejects almost every entry before any bytes are compared.
 // When the table fills, later names are simply emitted uncompressed —
 // compression is an optimization the wire format never requires.
 type compressionMap struct {
-	n     int
-	names [24]string
-	offs  [24]uint16
+	n    int
+	offs [24]uint16
+	lens [24]uint16
 }
 
-// lookup returns the recorded offset of suffix.
-func (c *compressionMap) lookup(suffix string) (int, bool) {
+// presentationLen is len(s) counting the trailing dot a sloppily built Name
+// may lack.
+func presentationLen[S nameText](s S) int {
+	if n := len(s); n > 0 && s[n-1] != '.' {
+		return n + 1
+	}
+	return len(s)
+}
+
+// lookup returns the offset at which the suffix s[start:], of presentation
+// length plen, was emitted into msg, if it was.
+func lookup[S nameText](c *compressionMap, msg []byte, s S, start, plen int) (int, bool) {
 	for i := 0; i < c.n; i++ {
-		if c.names[i] == suffix {
+		if c.lens[i] == uint16(plen) && wireNameIs(msg, int(c.offs[i]), s, start) {
 			return int(c.offs[i]), true
 		}
 	}
 	return 0, false
 }
 
-// record remembers that suffix was emitted at off, if there is room.
-// Offsets at or past 0x4000 are unusable as pointer targets and are not
-// recorded.
-func (c *compressionMap) record(suffix string, off int) {
-	if c.n < len(c.names) && off < 0x4000 {
-		c.names[c.n] = suffix
+// wireNameIs reports whether the name this package wrote at msg[off:] is
+// s[pos:]. Labels it wrote hold no dots and its pointers are valid, so the
+// walk needs none of the reader's checks.
+func wireNameIs[S nameText](msg []byte, off int, s S, pos int) bool {
+	for {
+		b := int(msg[off])
+		switch {
+		case b == 0:
+			return pos >= len(s)
+		case b >= 0xC0:
+			off = (b&0x3F)<<8 | int(msg[off+1])
+		default:
+			end := pos + b
+			if end > len(s) || (end < len(s) && s[end] != '.') {
+				return false
+			}
+			for i := 0; i < b; i++ {
+				if msg[off+1+i] != s[pos+i] {
+					return false
+				}
+			}
+			off += 1 + b
+			pos = end + 1
+		}
+	}
+}
+
+// record remembers that a suffix of presentation length plen was emitted
+// at off, if there is room. Offsets at or past 0x4000 are unusable as
+// pointer targets and are not recorded.
+func (c *compressionMap) record(off, plen int) {
+	if c.n < len(c.offs) && off < 0x4000 {
 		c.offs[c.n] = uint16(off)
+		c.lens[c.n] = uint16(plen)
 		c.n++
 	}
 }
 
-// appendCompressedName appends n to buf using msgStart-relative compression
-// pointers recorded in cmap. Compression pointers can only address the first
-// 16384 octets of a message; names beyond that are emitted uncompressed.
+// appendCompressedName appends s to buf, which holds the message from its
+// first octet, using the compression pointers recorded in cmap. Pointers
+// can only address the first 16384 octets of a message; names beyond that
+// are emitted uncompressed.
 //
-// Names are stored in presentation form with a trailing dot, so every suffix
-// of a name is a plain substring: the left-to-right walk below checks, emits
+// Names are in presentation form with a trailing dot, so every suffix of a
+// name starts at an index of s: the left-to-right walk below checks, emits
 // and records suffixes without materializing label slices or joined strings
 // (this is the hottest function of a full PTR sweep).
-func appendCompressedName(buf []byte, n Name, cmap *compressionMap) ([]byte, error) {
-	if n.IsRoot() {
+func appendCompressedName[S nameText](buf []byte, s S, cmap *compressionMap) ([]byte, error) {
+	if len(s) == 0 || (len(s) == 1 && s[0] == '.') {
 		return append(buf, 0), nil
 	}
-	s := string(n)
-	if !strings.HasSuffix(s, ".") {
-		s += "."
-	}
+	full := presentationLen(s)
 	for start := 0; start < len(s); {
-		suffix := s[start:]
-		if off, known := cmap.lookup(suffix); known {
+		if off, known := lookup(cmap, buf, s, start, full-start); known {
 			return append(buf, byte(0xC0|off>>8), byte(off)), nil
 		}
-		dot := strings.IndexByte(suffix, '.')
-		if dot == 0 {
+		cmap.record(len(buf), full-start)
+		// One pass finds the label's end and copies it; the length octet is
+		// filled in behind it.
+		lenAt := len(buf)
+		buf = append(buf, 0)
+		dot := start
+		for ; dot < len(s) && s[dot] != '.'; dot++ {
+			buf = append(buf, s[dot])
+		}
+		if dot == start {
 			return nil, ErrEmptyLabel
 		}
-		if dot > MaxLabelLen {
+		if dot-start > MaxLabelLen {
 			return nil, ErrLabelTooLong
 		}
-		cmap.record(suffix, len(buf))
-		buf = append(buf, byte(dot))
-		buf = append(buf, s[start:start+dot]...)
-		start += dot + 1
+		buf[lenAt] = byte(dot - start)
+		start = dot + 1
 	}
 	return append(buf, 0), nil
 }
 
-// decodeName decodes a possibly-compressed name from msg starting at off.
-// It returns the name and the offset just past the name's encoding at its
-// original position (pointers do not advance the outer offset past their two
-// octets).
-func decodeName(msg []byte, off int) (Name, int, error) {
-	// Decode into a fixed stack buffer: names are capped at MaxNameLen, so
-	// this avoids the builder's incremental growth on the sweep hot path.
-	var nb [MaxNameLen + 1]byte
-	out := nb[:0]
+// appendNameAt is the one name reader: it walks the possibly-compressed name
+// in msg at off, enforcing the label, name, pointer-direction and hop limits,
+// and appends its canonical presentation form — labels each followed by a
+// dot, lowercased, the root as a lone dot — to dst. It returns the extended
+// dst and the offset just past the name's encoding at its original position
+// (pointers do not advance the outer offset past their two octets).
+//
+// A name is at most MaxNameLen octets of labels and dots, so a dst with that
+// much room (a [MaxNameLen+1]byte on the caller's stack) is never outgrown
+// by a name of ASCII labels, and reading one allocates nothing.
+func appendNameAt(dst, msg []byte, off int) ([]byte, int, error) {
+	mark := len(dst)
 	ptrBudget := maxPointerHops
 	pos := off
 	end := -1 // offset after the name at the original position
 	total := 0
+	var high byte
 	for {
 		if pos >= len(msg) {
-			return "", 0, ErrTruncatedName
+			return dst, 0, ErrTruncatedName
 		}
 		b := msg[pos]
 		switch {
@@ -253,41 +308,62 @@ func decodeName(msg []byte, off int) (Name, int, error) {
 			if end < 0 {
 				end = pos + 1
 			}
-			if len(out) == 0 {
-				return Root, end, nil
+			if len(dst) == mark {
+				return append(dst, '.'), end, nil
 			}
-			name := Name(strings.ToLower(string(out)))
-			return name, end, nil
+			if high >= 0x80 {
+				// Octets outside ASCII fold the way they always have here:
+				// as UTF-8 where they form it, as U+FFFD where they do not.
+				dst = append(dst[:mark], strings.ToLower(string(dst[mark:]))...)
+			}
+			return dst, end, nil
 		case b&0xC0 == 0xC0:
 			if pos+1 >= len(msg) {
-				return "", 0, ErrTruncatedName
+				return dst, 0, ErrTruncatedName
 			}
 			target := int(b&0x3F)<<8 | int(msg[pos+1])
 			if end < 0 {
 				end = pos + 2
 			}
 			if target >= pos {
-				return "", 0, ErrForwardPointer
+				return dst, 0, ErrForwardPointer
 			}
 			ptrBudget--
 			if ptrBudget <= 0 {
-				return "", 0, ErrPointerLoop
+				return dst, 0, ErrPointerLoop
 			}
 			pos = target
 		case b&0xC0 != 0:
-			return "", 0, ErrReservedLabel
+			return dst, 0, ErrReservedLabel
 		default:
 			length := int(b)
 			if pos+1+length > len(msg) {
-				return "", 0, ErrTruncatedName
+				return dst, 0, ErrTruncatedName
 			}
 			total += length + 1
 			if total > MaxNameLen {
-				return "", 0, ErrNameTooLong
+				return dst, 0, ErrNameTooLong
 			}
-			out = append(out, msg[pos+1:pos+1+length]...)
-			out = append(out, '.')
+			at := len(dst)
+			dst = append(append(dst, msg[pos+1:pos+1+length]...), '.')
+			label := dst[at : at+length]
+			for i, c := range label {
+				high |= c
+				if 'A' <= c && c <= 'Z' {
+					label[i] = c + ('a' - 'A')
+				}
+			}
 			pos += 1 + length
 		}
 	}
+}
+
+// decodeName materializes the name in msg at off.
+func decodeName(msg []byte, off int) (Name, int, error) {
+	var nb [MaxNameLen + 1]byte
+	name, end, err := appendNameAt(nb[:0], msg, off)
+	if err != nil {
+		return "", 0, err
+	}
+	return Name(name), end, nil
 }

@@ -154,17 +154,22 @@ func (p Prefix) Slash24s() []Prefix {
 // inAddrArpa is the IPv4 reverse-mapping zone (RFC 1035 §3.5).
 const inAddrArpa = "in-addr.arpa."
 
-// ReverseName returns the in-addr.arpa name for an IPv4 address, e.g.
-// 93.184.216.34 -> 34.216.184.93.in-addr.arpa. (Example 1 of the paper).
-func ReverseName(ip IPv4) Name {
-	var b strings.Builder
-	b.Grow(len(inAddrArpa) + 16)
+// AppendReverseName appends the in-addr.arpa name for an IPv4 address to
+// dst in presentation form, e.g. 93.184.216.34 ->
+// 34.216.184.93.in-addr.arpa. (Example 1 of the paper). It is at most 29
+// octets, so a probe can hold the name it asks about on its stack.
+func AppendReverseName(dst []byte, ip IPv4) []byte {
 	for i := 3; i >= 0; i-- {
-		b.WriteString(strconv.Itoa(int(ip[i])))
-		b.WriteByte('.')
+		dst = strconv.AppendUint(dst, uint64(ip[i]), 10)
+		dst = append(dst, '.')
 	}
-	b.WriteString(inAddrArpa)
-	return Name(b.String())
+	return append(dst, inAddrArpa...)
+}
+
+// ReverseName returns the in-addr.arpa name for an IPv4 address.
+func ReverseName(ip IPv4) Name {
+	var b [32]byte
+	return Name(AppendReverseName(b[:0], ip))
 }
 
 // ReverseZoneFor24 returns the reverse zone name for a /24 prefix, e.g.
