@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint monitortest vantagetest
+.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint deadcheck monitortest vantagetest
 
 build:
 	$(GO) build ./...
@@ -14,20 +14,21 @@ bench:
 # bench-check guards the hot paths against performance regressions: it
 # runs the full-sweep benchmark plus the history-store, rdnsd query and
 # replica benchmarks, writes the results to BENCH_scan.json, and fails when
-# ns/op regressed >15% against the checked-in baseline. The concurrent
-# serving benchmark additionally gates its p99-ns/op tail latency, and the
-# engine-8-workers sweep its allocs/op and B/op (the probe round trip's
-# allocation budget). The sweep runs at -cpu 1: go test names a row by its
-# GOMAXPROCS, and the baseline's sweep rows are GOMAXPROCS=1 rows.
+# ns/op regressed >15% against the checked-in baseline or a baseline row was
+# not measured (delete or rename a benchmark and its baseline row together).
+# The concurrent serving benchmark additionally gates its p99-ns/op tail
+# latency, and the engine-8-workers sweep its allocs/op and B/op (the probe
+# round trip's allocation budget). Every stage runs at -cpu 1: go test names
+# a row by its GOMAXPROCS, and the baseline's rows are GOMAXPROCS=1 rows.
 # After an intentional perf change: cp BENCH_scan.json BENCH_baseline.json
 bench-check:
 	$(GO) build -o /tmp/benchcheck ./cmd/benchcheck
 	{ $(GO) test -run '^$$' -bench 'BenchmarkScanEngineFullSweep' -cpu 1 -count=1 . \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAt' -count=1 . \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -count=4 . \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad' -count=1 ./internal/rdnsserve \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -count=4 ./internal/replica \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkVantageMerge' -count=1 ./internal/vantage ; } \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAt' -cpu 1 -count=1 . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -cpu 1 -count=4 . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad' -cpu 1 -count=1 ./internal/rdnsserve \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkVantageMerge' -cpu 1 -count=1 ./internal/vantage ; } \
 		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op,allocs/op,B/op
 
 # perf runs one workload of the end-to-end harness (bench/README.md) the way
@@ -82,6 +83,12 @@ metriclint:
 	$(GO) build -o /tmp/metriclint ./cmd/metriclint
 	/tmp/metriclint ./internal ./cmd
 
+# deadcheck keeps deleted code deleted: code with no production caller is
+# removed, not marked, so a Deprecated: marker in non-test Go fails the gate.
+deadcheck:
+	@if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal cmd examples; then \
+		echo "deadcheck: delete the code instead of deprecating it"; exit 1; fi
+
 # monitortest is the observability e2e gate: a primary and a snapshot
 # replica serve traced queries, rdnsmon judges the two-daemon fleet
 # against the SLO rules, and the p99 exemplar from /v1/stats must
@@ -111,13 +118,14 @@ replicatest:
 	$(GO) test -count=1 -run 'Fuzz' ./internal/replica
 
 # verify is the pre-merge gate: vet everything, lint the metric names,
-# run the full test suite with the coverage floors, race-test the
-# internal packages and the query daemon, run the replication chaos
-# battery, the observability e2e and the multi-vantage campaign gate,
-# and smoke the serving path under 10k-worker load.
+# refuse deprecation markers, run the full test suite with the coverage
+# floors, race-test the internal packages and the query daemon, run the
+# replication chaos battery, the observability e2e and the multi-vantage
+# campaign gate, and smoke the serving path under 10k-worker load.
 verify:
 	$(GO) vet ./...
 	$(MAKE) metriclint
+	$(MAKE) deadcheck
 	$(GO) test ./...
 	$(MAKE) cover
 	$(GO) test -race ./internal/... ./cmd/rdnsd

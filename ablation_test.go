@@ -1,6 +1,7 @@
 package rdnsprivacy_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -304,18 +305,21 @@ func BenchmarkAblationLeakWindow(b *testing.B) {
 				seen := map[string]bool{}
 				for d := 0; d < window; d++ {
 					at := s.Cfg.DynamicityEnd.AddDate(0, 0, d-6).Add(13 * time.Hour)
-					scan.SnapshotRecords(scan.Campaign{Universe: s.Universe}, at,
-						func(r netsim.Record) {
-							key := r.IP.String() + "|" + string(r.HostName)
-							if seen[key] {
-								return
-							}
-							seen[key] = true
-							a.Observe(privleak.RecordObservation{
-								IP: r.IP, HostName: r.HostName,
-								Dynamic: dynSet[r.IP.Slash24().String()],
-							})
+					snap, err := scan.Snapshot(context.Background(), scan.Campaign{Universe: s.Universe}, at)
+					if err != nil {
+						b.Fatal(err)
+					}
+					for ip, name := range snap.Records {
+						key := ip.String() + "|" + string(name)
+						if seen[key] {
+							continue
+						}
+						seen[key] = true
+						a.Observe(privleak.RecordObservation{
+							IP: ip, HostName: name,
+							Dynamic: dynSet[ip.Slash24().String()],
 						})
+					}
 				}
 				identified = len(a.Finish().Identified)
 			}

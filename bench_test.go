@@ -13,8 +13,8 @@ package rdnsprivacy_test
 import (
 	"context"
 	"fmt"
-	"os"
 	"io"
+	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -27,14 +27,12 @@ import (
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/dynamicity"
-	"rdnsprivacy/internal/fabric"
 	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/privleak"
 	"rdnsprivacy/internal/reactive"
 	"rdnsprivacy/internal/scan"
 	"rdnsprivacy/internal/scanengine"
-	"rdnsprivacy/internal/simclock"
 	"rdnsprivacy/internal/telemetry"
 )
 
@@ -128,7 +126,7 @@ func BenchmarkTable2BackoffSchedule(b *testing.B) {
 }
 
 // observeLeakWindow replays the section-5 input into a fresh analyzer.
-func observeLeakWindow(s *core.Study, cfg privleak.Config) *privleak.Result {
+func observeLeakWindow(b *testing.B, s *core.Study, cfg privleak.Config) *privleak.Result {
 	dyn := s.Dynamicity()
 	dynSet := make(map[string]bool, len(dyn.DynamicPrefixes))
 	for _, p := range dyn.DynamicPrefixes {
@@ -136,12 +134,16 @@ func observeLeakWindow(s *core.Study, cfg privleak.Config) *privleak.Result {
 	}
 	a := privleak.NewAnalyzer(cfg)
 	at := s.Cfg.DynamicityEnd.Add(13 * time.Hour)
-	scan.SnapshotRecords(scan.Campaign{Universe: s.Universe}, at, func(r netsim.Record) {
+	snap, err := scan.Snapshot(context.Background(), scan.Campaign{Universe: s.Universe}, at)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for ip, name := range snap.Records {
 		a.Observe(privleak.RecordObservation{
-			IP: r.IP, HostName: r.HostName,
-			Dynamic: dynSet[r.IP.Slash24().String()],
+			IP: ip, HostName: name,
+			Dynamic: dynSet[ip.Slash24().String()],
 		})
-	})
+	}
 	return a.Finish()
 }
 
@@ -151,7 +153,7 @@ func BenchmarkFigure2GivenNames(b *testing.B) {
 	b.ResetTimer()
 	matches := 0
 	for i := 0; i < b.N; i++ {
-		res := observeLeakWindow(s, s.Cfg.LeakThresholds)
+		res := observeLeakWindow(b, s, s.Cfg.LeakThresholds)
 		matches = 0
 		for _, c := range res.AllNameMatches {
 			matches += c
@@ -166,7 +168,7 @@ func BenchmarkFigure3DeviceTerms(b *testing.B) {
 	b.ResetTimer()
 	terms := 0
 	for i := 0; i < b.N; i++ {
-		res := observeLeakWindow(s, s.Cfg.LeakThresholds)
+		res := observeLeakWindow(b, s, s.Cfg.LeakThresholds)
 		terms = 0
 		for _, c := range res.AllDeviceTerms {
 			terms += c
@@ -181,7 +183,7 @@ func BenchmarkFigure4NetworkTypes(b *testing.B) {
 	b.ResetTimer()
 	identified := 0
 	for i := 0; i < b.N; i++ {
-		res := observeLeakWindow(s, s.Cfg.LeakThresholds)
+		res := observeLeakWindow(b, s, s.Cfg.LeakThresholds)
 		identified = len(res.Identified)
 		_ = res.TypeBreakdown()
 	}
@@ -362,11 +364,10 @@ func sweepServer(b *testing.B, slash24s []dnswire.Prefix) *dnsserver.Server {
 	return srv
 }
 
-// BenchmarkScanEngineFullSweep compares a full PTR sweep through the sharded
-// snapshot engine against the legacy single-threaded callback scanner, over
-// an identical record set. Both sides do the same per-query wire work
-// (marshal, authoritative lookup, unmarshal, outcome classification); the
-// engine fans it out over a worker pool.
+// BenchmarkScanEngineFullSweep times a full PTR sweep through the sharded
+// snapshot engine: per query the wire work of a network client (marshal,
+// authoritative lookup, unmarshal, outcome classification), fanned out over
+// a worker pool.
 func BenchmarkScanEngineFullSweep(b *testing.B) {
 	targets := []dnswire.Prefix{dnswire.MustPrefix("10.50.0.0/20")}
 	var slash24s []dnswire.Prefix
@@ -377,40 +378,6 @@ func BenchmarkScanEngineFullSweep(b *testing.B) {
 	for _, t := range targets {
 		addrs += t.NumAddresses()
 	}
-
-	b.Run("legacy-scanptr", func(b *testing.B) {
-		clock := simclock.NewSimulated(date(2021, time.November, 8))
-		fab := fabric.New(clock, fabric.Config{})
-		srv := sweepServer(b, slash24s)
-		if _, err := srv.AttachFabric(fab, fabric.Addr{IP: dnswire.MustIPv4("192.0.2.53"), Port: 53}); err != nil {
-			b.Fatal(err)
-		}
-		res, err := dnsclient.NewResolver(fab,
-			dnsclient.WithBind(fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40001}),
-			dnsclient.WithServer(fabric.Addr{IP: dnswire.MustIPv4("192.0.2.53"), Port: 53}))
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		records := 0
-		for i := 0; i < b.N; i++ {
-			records = 0
-			finished := false
-			res.ScanPrefixPTR(context.Background(), targets[0], func(r dnsclient.ScanResult) {
-				if r.Response.Outcome == dnsclient.OutcomeSuccess {
-					records++
-				}
-			}, func() { finished = true })
-			for !finished {
-				clock.Advance(50 * time.Millisecond)
-			}
-		}
-		b.StopTimer()
-		if records != addrs/2 {
-			b.Fatalf("legacy sweep found %d records, want %d", records, addrs/2)
-		}
-		b.ReportMetric(float64(addrs*b.N)/b.Elapsed().Seconds(), "queries/s")
-	})
 
 	b.Run("engine-8-workers", func(b *testing.B) {
 		srv := sweepServer(b, slash24s)

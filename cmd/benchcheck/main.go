@@ -2,7 +2,8 @@
 // performance regressions. It reads `go test -bench` output on stdin,
 // extracts every benchmark result into a JSON report, and compares ns/op
 // against a checked-in baseline, failing (exit 1) when any shared
-// benchmark regressed by more than the allowed fraction.
+// benchmark regressed by more than the allowed fraction or a baseline
+// benchmark was not measured at all.
 //
 // Usage (wired up as `make bench-check`):
 //
@@ -163,9 +164,11 @@ func mergeRepeats(results []Result) []Result {
 }
 
 // compare prints a per-benchmark verdict and reports whether any shared
-// benchmark regressed past the threshold. Benchmarks present on only one
-// side are noted but never fail the check (the suite grows over time).
-// Extra metrics whose unit appears in gateExtras are gated the same way,
+// benchmark regressed past the threshold or any baseline benchmark is gone
+// from the fresh run: a deleted or renamed benchmark must leave the baseline
+// in the same change, or it would drop out of the gate unnoticed. Benchmarks
+// only in the fresh run are noted and pass (the suite grows over time).
+// Extra metrics whose unit appears in gateExtras are gated like ns/op,
 // but only when both sides report them.
 func compare(w io.Writer, baseline, fresh *Report, maxRegress float64, gateExtras []string) bool {
 	base := make(map[string]Result, len(baseline.Benchmarks))
@@ -173,7 +176,9 @@ func compare(w io.Writer, baseline, fresh *Report, maxRegress float64, gateExtra
 		base[b.Name] = b
 	}
 	failed := false
+	measured := make(map[string]bool, len(fresh.Benchmarks))
 	for _, f := range fresh.Benchmarks {
+		measured[f.Name] = true
 		b, ok := base[f.Name]
 		if !ok {
 			fmt.Fprintf(w, "  new   %-50s %12.0f ns/op (no baseline)\n", f.Name, f.NsOp)
@@ -203,8 +208,14 @@ func compare(w io.Writer, baseline, fresh *Report, maxRegress float64, gateExtra
 				verdict, f.Name, fv, unit, bv, 100*delta)
 		}
 	}
+	for _, b := range baseline.Benchmarks {
+		if !measured[b.Name] {
+			failed = true
+			fmt.Fprintf(w, "  gone  %-50s %12.0f ns/op baseline, not measured\n", b.Name, b.NsOp)
+		}
+	}
 	if failed {
-		fmt.Fprintf(w, "benchcheck: regression beyond %.0f%% — investigate, or re-baseline if intentional\n", 100*maxRegress)
+		fmt.Fprintf(w, "benchcheck: regression beyond %.0f%% or a baseline row gone — investigate, or re-baseline if intentional\n", 100*maxRegress)
 	}
 	return failed
 }

@@ -72,3 +72,27 @@ func TestCompareGatesExtras(t *testing.T) {
 		t.Fatal("splitUnits(\"\") should be nil")
 	}
 }
+
+func TestCompareFailsOnGoneBaselineRow(t *testing.T) {
+	baseline := &Report{Benchmarks: []Result{
+		{Name: "BenchmarkKept", NsOp: 1000},
+		{Name: "BenchmarkRenamed/old", NsOp: 1000},
+	}}
+	fresh := &Report{Benchmarks: []Result{
+		{Name: "BenchmarkKept", NsOp: 1000},
+		{Name: "BenchmarkRenamed/new", NsOp: 1000},
+	}}
+	var sb strings.Builder
+	if !compare(&sb, baseline, fresh, 0.15, nil) {
+		t.Fatalf("a baseline row with no fresh measurement passed:\n%s", sb.String())
+	}
+	if !strings.Contains(sb.String(), "gone  BenchmarkRenamed/old") {
+		t.Fatalf("gone row not reported:\n%s", sb.String())
+	}
+
+	// A row only the fresh run has is new, not a failure.
+	sb.Reset()
+	if compare(&sb, &Report{Benchmarks: baseline.Benchmarks[:1]}, fresh, 0.15, nil) {
+		t.Fatalf("a new benchmark failed the check:\n%s", sb.String())
+	}
+}

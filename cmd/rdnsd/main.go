@@ -16,9 +16,7 @@
 //	curl 'http://127.0.0.1:8077/v1/days'
 //	curl 'http://127.0.0.1:8077/v1/stats'
 //
-// The unversioned paths (/at, /range, ...) remain as deprecated aliases
-// with their original response shapes; see docs/api.md for the v1
-// contract, the error envelope, and the deprecation window.
+// See docs/api.md for the v1 contract and the error envelope.
 //
 // Production controls:
 //
@@ -290,7 +288,7 @@ func main() {
 		os.Exit(2)
 	}
 	srv := rdnsserve.New(st, cfg) // srv owns st from here on
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 
 	var exporter *telemetry.Exporter
 	if *metricsAddr != "" {
@@ -409,5 +407,32 @@ func main() {
 	if err := srv.Close(); err != nil {
 		fmt.Fprintf(os.Stderr, "rdnsd: closing store: %v\n", err)
 		os.Exit(1)
+	}
+}
+
+// Bounds on what one connection to the public listener may hold open. A
+// request is a short GET (or a bodyless admin POST), so its header gets
+// seconds and kilobytes; the write deadline covers the store query plus the
+// largest reply, a 1 MiB /v1/repl/segment chunk, down to ~17 kB/s.
+const (
+	readHeaderTimeout = 5 * time.Second
+	readTimeout       = 10 * time.Second
+	writeTimeout      = 60 * time.Second
+	idleTimeout       = 2 * time.Minute
+	maxHeaderBytes    = 16 << 10
+)
+
+// newHTTPServer builds the public listener's server around h with those
+// bounds, so a slow or oversized request costs a connection slot for a
+// bounded time instead of for as long as the peer likes.
+func newHTTPServer(addr string, h http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           h,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
+		MaxHeaderBytes:    maxHeaderBytes,
 	}
 }

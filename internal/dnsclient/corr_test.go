@@ -24,7 +24,7 @@ func chainFor(tr *telemetry.Tracer, corr uint64) map[string]int {
 
 func TestResolverTracerEmitsCausalChain(t *testing.T) {
 	const seed = int64(77)
-	env := newEnv(t, Config{Seed: seed}, fabric.Config{Latency: 5 * time.Millisecond})
+	env := newEnv(t, fabric.Config{Latency: 5 * time.Millisecond}, WithSeed(seed))
 	tr := telemetry.NewTracer(seed, 256)
 	env.res.cfg.Tracer = tr
 	env.fab.SetTracer(tr)
@@ -61,8 +61,7 @@ func TestResolverTracerPerAttemptCorr(t *testing.T) {
 	const seed = int64(3)
 	// Server drops everything: each attempt times out and retries draw
 	// fresh correlation IDs.
-	env := newEnv(t, Config{Seed: seed, Timeout: 100 * time.Millisecond, Retries: 2},
-		fabric.Config{})
+	env := newEnv(t, fabric.Config{}, WithSeed(seed), WithTimeout(100*time.Millisecond), WithRetries(2))
 	env.server.SetFailureMode(dnsserver.FailureMode{DropRate: 1.0, Seed: 1})
 	tr := telemetry.NewTracer(seed, 256)
 	env.res.cfg.Tracer = tr

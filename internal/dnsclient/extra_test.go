@@ -12,12 +12,12 @@ import (
 )
 
 func TestResolverClose(t *testing.T) {
-	env := newEnv(t, Config{}, fabric.Config{})
+	env := newEnv(t, fabric.Config{})
 	if err := env.res.Close(); err != nil {
 		t.Fatal(err)
 	}
 	// The bind address is reusable after close.
-	if _, err := New(env.fab, Config{Bind: clientAddr, Server: serverAddr}); err != nil {
+	if _, err := NewResolver(env.fab, WithBind(clientAddr), WithServer(serverAddr)); err != nil {
 		t.Fatalf("rebind after close: %v", err)
 	}
 }
@@ -68,10 +68,10 @@ func TestLookupAutoFallsBackToTCPOnTruncation(t *testing.T) {
 	}
 }
 
-func TestScanPTRAfterDisplacement(t *testing.T) {
+func TestLookupPTRAfterDisplacement(t *testing.T) {
 	// Saturate the 16-bit ID space so wraps occur; every lookup must
 	// still complete exactly once (the displaced ones as timeouts).
-	env := newEnv(t, Config{Timeout: time.Hour}, fabric.Config{LossRate: 1.0, Seed: 3})
+	env := newEnv(t, fabric.Config{LossRate: 1.0, Seed: 3}, WithTimeout(time.Hour))
 	const n = 70000
 	done := 0
 	for i := 0; i < n; i++ {

@@ -31,7 +31,7 @@ func waitResponse(t *testing.T, ch <-chan Response) Response {
 // it must complete with OutcomeCanceled wrapping ctx.Err() right away, not
 // burn through the remaining retry budget and report OutcomeTimeout.
 func TestCancellationDuringRetryReturnsImmediately(t *testing.T) {
-	env := newEnv(t, Config{Timeout: 100 * time.Millisecond, Retries: 8}, fabric.Config{})
+	env := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond), WithRetries(8))
 	env.server.SetFailureMode(dnsserver.FailureMode{DropRate: 1.0, Seed: 1})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -79,7 +79,7 @@ func TestCancellationDuringRetryReturnsImmediately(t *testing.T) {
 // path: done must fire with the wrapped context error without any
 // transmission.
 func TestCancellationBeforeStartReturnsWrappedErr(t *testing.T) {
-	env := newEnv(t, Config{Timeout: 100 * time.Millisecond}, fabric.Config{})
+	env := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	ch := make(chan Response, 1)
@@ -101,12 +101,8 @@ func TestCancellationBeforeStartReturnsWrappedErr(t *testing.T) {
 // instant; it happens within the backoff window, and the lookup still
 // exhausts its full attempt budget.
 func TestBackoffSpacesRetransmissions(t *testing.T) {
-	env := newEnv(t, Config{
-		Timeout:     50 * time.Millisecond,
-		Retries:     2,
-		BackoffBase: 80 * time.Millisecond,
-		Seed:        7,
-	}, fabric.Config{})
+	env := newEnv(t, fabric.Config{}, WithTimeout(50*time.Millisecond), WithRetries(2),
+		WithBackoff(80*time.Millisecond, 0), WithSeed(7))
 	env.server.SetFailureMode(dnsserver.FailureMode{DropRate: 1.0, Seed: 1})
 
 	ch := make(chan Response, 1)
@@ -140,12 +136,8 @@ func TestBackoffSpacesRetransmissions(t *testing.T) {
 // identical completion times; the schedule replays bit-identically.
 func TestBackoffScheduleDeterministicAcrossSeeds(t *testing.T) {
 	run := func() time.Duration {
-		env := newEnv(t, Config{
-			Timeout:     50 * time.Millisecond,
-			Retries:     3,
-			BackoffBase: 40 * time.Millisecond,
-			Seed:        99,
-		}, fabric.Config{})
+		env := newEnv(t, fabric.Config{}, WithTimeout(50*time.Millisecond), WithRetries(3),
+			WithBackoff(40*time.Millisecond, 0), WithSeed(99))
 		env.server.SetFailureMode(dnsserver.FailureMode{DropRate: 1.0, Seed: 1})
 		ch := make(chan Response, 1)
 		env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.10"), func(r Response) { ch <- r })
@@ -162,11 +154,7 @@ func TestBackoffScheduleDeterministicAcrossSeeds(t *testing.T) {
 // consume the retry budget like timeouts and the final outcome is still
 // SERVFAIL when the server never recovers.
 func TestServFailRetryExhaustsBudget(t *testing.T) {
-	env := newEnv(t, Config{
-		Timeout:       100 * time.Millisecond,
-		Retries:       2,
-		RetryServFail: true,
-	}, fabric.Config{})
+	env := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond), WithRetries(2), WithServFailRetry())
 	env.server.SetFailureMode(dnsserver.FailureMode{ServFailRate: 1.0, Seed: 3})
 	ch := make(chan Response, 1)
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.10"), func(r Response) { ch <- r })
@@ -179,7 +167,7 @@ func TestServFailRetryExhaustsBudget(t *testing.T) {
 		t.Fatalf("attempts = %d, want 3 (retries consumed)", got.Attempts)
 	}
 	// Policy off: a SERVFAIL completes on the first attempt.
-	env2 := newEnv(t, Config{Timeout: 100 * time.Millisecond, Retries: 2}, fabric.Config{})
+	env2 := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond), WithRetries(2))
 	env2.server.SetFailureMode(dnsserver.FailureMode{ServFailRate: 1.0, Seed: 3})
 	ch2 := make(chan Response, 1)
 	env2.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.10"), func(r Response) { ch2 <- r })
@@ -197,11 +185,7 @@ func TestServFailRetryExhaustsBudget(t *testing.T) {
 func TestServFailRetryRecovers(t *testing.T) {
 	ip := dnswire.MustIPv4("192.0.2.10")
 	for seed := int64(0); seed < 64; seed++ {
-		env := newEnv(t, Config{
-			Timeout:       100 * time.Millisecond,
-			Retries:       3,
-			RetryServFail: true,
-		}, fabric.Config{})
+		env := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond), WithRetries(3), WithServFailRetry())
 		env.zone.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("host.example.edu"))
 		env.server.SetFailureMode(dnsserver.FailureMode{ServFailRate: 0.5, Seed: seed})
 		ch := make(chan Response, 1)

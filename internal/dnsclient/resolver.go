@@ -5,10 +5,10 @@
 // from a cache)" (Section 6.1), and rate-limits those queries. This package
 // reproduces that client: single lookups with retry and timeout handling,
 // classification of outcomes (NOERROR, NXDOMAIN, server failure, timeout) —
-// the error classes of Figure 6 — and a high-throughput concurrent scan
-// engine used to take full-universe snapshots at OpenINTEL/Rapid7 cadence.
+// the error classes of Figure 6. Sweeps are internal/scanengine's job; this
+// package supplies its per-address sources (ServerSource, UDPSource).
 //
-// The asynchronous engine runs against the simulation fabric; a small
+// The asynchronous Resolver runs against the simulation fabric; a small
 // synchronous client over real UDP sockets (see UDPClient) serves the
 // command-line tools.
 package dnsclient
@@ -109,50 +109,20 @@ type Response struct {
 	Cause error
 }
 
-// Config tunes a Resolver.
-//
-// Deprecated: construct resolvers with NewResolver and functional options
-// (WithBind, WithServer, WithTimeout, WithRetries, WithRate,
-// WithConcurrency). Config survives as a shim for older call sites.
-type Config struct {
-	// Bind is the local fabric address for queries.
-	Bind fabric.Addr
-	// Server is the name server queried.
-	Server fabric.Addr
-	// Timeout is the per-attempt wait. Default 2s.
-	Timeout time.Duration
-	// Retries is how many additional attempts follow a timeout.
-	// Default 2.
-	Retries int
-	// QueriesPerSecond caps transmission rate (token bucket); zero means
-	// unlimited. The paper rate-limits "to reduce the impact of our
-	// measurement on the DNS name servers" (Section 6.1).
+// config is what the Options set; see each With* for the meaning and
+// default of its field.
+type config struct {
+	Bind             fabric.Addr
+	Server           fabric.Addr
+	Timeout          time.Duration
+	Retries          int
 	QueriesPerSecond int
-	// Concurrency bounds the in-flight window of the deprecated ScanPTR
-	// wrappers. Zero means the default (512).
-	Concurrency int
-	// BackoffBase, when positive, spaces retransmissions by exponential
-	// backoff with full jitter: attempt k waits a uniformly random delay
-	// in [0, min(BackoffMax, BackoffBase<<k)) after its timeout, instead
-	// of retransmitting immediately. Zero keeps immediate retransmission.
-	BackoffBase time.Duration
-	// BackoffMax caps the backoff window. Zero means 16x BackoffBase.
-	BackoffMax time.Duration
-	// RetryServFail extends the retry policy to SERVFAIL responses: a
-	// server-side failure is retried (with backoff) like a timeout, up to
-	// the same Retries budget. NXDOMAIN/NODATA/REFUSED are never retried —
-	// they are authoritative answers, not transient faults.
-	RetryServFail bool
-	// Seed seeds the backoff jitter PRNG, for reproducible schedules.
-	Seed int64
-	// Telemetry, when non-nil, receives the resolver's metrics (see
-	// telemetry.go for the names). Usually set via WithTelemetry.
-	Telemetry telemetry.Sink
-	// Tracer, when non-nil, emits one "attempt" span per transmission,
-	// correlated across layers via telemetry.CorrID(Seed, name, attempt);
-	// the same ID rides the datagram so fabric hops and the server join
-	// the chain. Usually set via WithTracer.
-	Tracer *telemetry.Tracer
+	BackoffBase      time.Duration
+	BackoffMax       time.Duration
+	RetryServFail    bool
+	Seed             int64
+	Telemetry        telemetry.Sink
+	Tracer           *telemetry.Tracer
 }
 
 // Client-span event kinds and codes: each "attempt" span carries a "tx"
@@ -162,11 +132,11 @@ type Config struct {
 // server failures, and the lookup's final Outcome otherwise).
 
 // Resolver sends queries over a fabric and matches responses, handling
-// retries and rate limiting. Create one with New.
+// retries and rate limiting. Create one with NewResolver.
 type Resolver struct {
 	fab   *fabric.Fabric
 	clock simclock.Clock
-	cfg   Config
+	cfg   config
 	ep    *fabric.Endpoint
 	met   *clientMetrics // nil when telemetry is off
 
@@ -221,37 +191,6 @@ func endAttempt(sp *telemetry.Span, o Outcome) {
 	}
 	sp.Event("client", uint64(o))
 	sp.End()
-}
-
-// New creates a resolver bound to cfg.Bind on fab.
-//
-// Deprecated: use NewResolver with functional options.
-func New(fab *fabric.Fabric, cfg Config) (*Resolver, error) {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = 2 * time.Second
-	}
-	if cfg.Retries < 0 {
-		cfg.Retries = 0
-	}
-	if cfg.BackoffBase > 0 && cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 16 * cfg.BackoffBase
-	}
-	r := &Resolver{
-		fab:      fab,
-		clock:    fab.Clock(),
-		cfg:      cfg,
-		inflight: make(map[uint16]*pendingQuery),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if cfg.Telemetry != nil {
-		r.met = newClientMetrics(cfg.Telemetry)
-	}
-	ep, err := fab.Bind(cfg.Bind, r.handleResponse)
-	if err != nil {
-		return nil, fmt.Errorf("dnsclient: %w", err)
-	}
-	r.ep = ep
-	return r, nil
 }
 
 // Close releases the resolver's fabric endpoint.

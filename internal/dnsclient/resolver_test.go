@@ -9,6 +9,7 @@ import (
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/simclock"
 )
 
@@ -26,7 +27,7 @@ type testEnv struct {
 	res    *Resolver
 }
 
-func newEnv(t *testing.T, cfg Config, fcfg fabric.Config) *testEnv {
+func newEnv(t *testing.T, fcfg fabric.Config, opts ...Option) *testEnv {
 	t.Helper()
 	clock := simclock.NewSimulated(epoch)
 	fab := fabric.New(clock, fcfg)
@@ -40,9 +41,7 @@ func newEnv(t *testing.T, cfg Config, fcfg fabric.Config) *testEnv {
 	if _, err := srv.AttachFabric(fab, serverAddr); err != nil {
 		t.Fatal(err)
 	}
-	cfg.Bind = clientAddr
-	cfg.Server = serverAddr
-	res, err := New(fab, cfg)
+	res, err := NewResolver(fab, append([]Option{WithBind(clientAddr), WithServer(serverAddr)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +49,7 @@ func newEnv(t *testing.T, cfg Config, fcfg fabric.Config) *testEnv {
 }
 
 func TestLookupPTRSuccess(t *testing.T) {
-	env := newEnv(t, Config{}, fabric.Config{Latency: 5 * time.Millisecond})
+	env := newEnv(t, fabric.Config{Latency: 5 * time.Millisecond})
 	ip := dnswire.MustIPv4("192.0.2.10")
 	env.zone.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("brians-iphone.dyn.example.edu"))
 
@@ -75,7 +74,7 @@ func TestLookupPTRSuccess(t *testing.T) {
 }
 
 func TestLookupPTRNXDomain(t *testing.T) {
-	env := newEnv(t, Config{}, fabric.Config{})
+	env := newEnv(t, fabric.Config{})
 	var got *Response
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.77"), func(r Response) { got = &r })
 	env.clock.Advance(time.Second)
@@ -88,7 +87,7 @@ func TestLookupPTRNXDomain(t *testing.T) {
 }
 
 func TestLookupTimeoutAfterRetries(t *testing.T) {
-	env := newEnv(t, Config{Timeout: time.Second, Retries: 2}, fabric.Config{LossRate: 1.0, Seed: 9})
+	env := newEnv(t, fabric.Config{LossRate: 1.0, Seed: 9}, WithTimeout(time.Second), WithRetries(2))
 	var got *Response
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.10"), func(r Response) { got = &r })
 	env.clock.Advance(2 * time.Second)
@@ -109,8 +108,7 @@ func TestLookupTimeoutAfterRetries(t *testing.T) {
 
 func TestRetryRecoversFromLoss(t *testing.T) {
 	// 50% loss: with 4 retries the query should almost surely complete.
-	env := newEnv(t, Config{Timeout: 500 * time.Millisecond, Retries: 4},
-		fabric.Config{LossRate: 0.5, Seed: 7})
+	env := newEnv(t, fabric.Config{LossRate: 0.5, Seed: 7}, WithTimeout(500*time.Millisecond), WithRetries(4))
 	ip := dnswire.MustIPv4("192.0.2.10")
 	env.zone.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("h.example.edu"))
 	var got *Response
@@ -125,7 +123,7 @@ func TestRetryRecoversFromLoss(t *testing.T) {
 }
 
 func TestLookupServFail(t *testing.T) {
-	env := newEnv(t, Config{}, fabric.Config{})
+	env := newEnv(t, fabric.Config{})
 	env.server.SetFailureMode(dnsserver.FailureMode{ServFailRate: 1.0})
 	var got *Response
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.10"), func(r Response) { got = &r })
@@ -136,7 +134,7 @@ func TestLookupServFail(t *testing.T) {
 }
 
 func TestLookupRefusedOutOfZone(t *testing.T) {
-	env := newEnv(t, Config{}, fabric.Config{})
+	env := newEnv(t, fabric.Config{})
 	var got *Response
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("203.0.113.5"), func(r Response) { got = &r })
 	env.clock.Advance(time.Second)
@@ -145,34 +143,42 @@ func TestLookupRefusedOutOfZone(t *testing.T) {
 	}
 }
 
-func TestScanPTRCompleteAndClassified(t *testing.T) {
-	env := newEnv(t, Config{}, fabric.Config{Latency: time.Millisecond})
+func TestLookupPTRCompleteAndClassified(t *testing.T) {
+	env := newEnv(t, fabric.Config{Latency: time.Millisecond})
 	prefix := dnswire.MustPrefix("192.0.2.0/24")
 	// Populate every tenth address.
 	for i := 0; i < 256; i += 10 {
 		ip := prefix.Nth(i)
 		env.zone.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("h.example.edu"))
 	}
-	var results []ScanResult
-	doneCalled := false
-	env.res.ScanPrefixPTR(context.Background(), prefix, func(sr ScanResult) { results = append(results, sr) },
-		func() { doneCalled = true })
-	env.clock.Advance(time.Minute)
-	if !doneCalled {
-		t.Fatal("scan never completed")
+	// The whole /24 in flight at once: every lookup completes exactly once,
+	// matched to its own question.
+	outcomes := make(map[dnswire.IPv4]Outcome)
+	for i := 0; i < prefix.NumAddresses(); i++ {
+		ip := prefix.Nth(i)
+		env.res.LookupPTR(context.Background(), ip, func(r Response) {
+			if _, dup := outcomes[ip]; dup {
+				t.Errorf("%v completed twice", ip)
+			}
+			if r.Question.Name != dnswire.ReverseName(ip) {
+				t.Errorf("%v completed with the answer for %q", ip, r.Question.Name)
+			}
+			outcomes[ip] = r.Outcome
+		})
 	}
-	if len(results) != 256 {
-		t.Fatalf("results = %d, want 256", len(results))
+	env.clock.Advance(time.Minute)
+	if len(outcomes) != 256 {
+		t.Fatalf("results = %d, want 256", len(outcomes))
 	}
 	success, nx := 0, 0
-	for _, sr := range results {
-		switch sr.Response.Outcome {
+	for ip, o := range outcomes {
+		switch o {
 		case OutcomeSuccess:
 			success++
 		case OutcomeNXDomain:
 			nx++
 		default:
-			t.Fatalf("unexpected outcome %v for %v", sr.Response.Outcome, sr.IP)
+			t.Fatalf("unexpected outcome %v for %v", o, ip)
 		}
 	}
 	if success != 26 || nx != 230 {
@@ -180,17 +186,22 @@ func TestScanPTRCompleteAndClassified(t *testing.T) {
 	}
 }
 
+// An empty target set is a complete sweep: Scan returning is the done signal,
+// with an empty snapshot that is not partial and no query sent.
 func TestScanEmptySetCallsDone(t *testing.T) {
-	env := newEnv(t, Config{}, fabric.Config{})
-	done := false
-	env.res.ScanPTR(context.Background(), nil, nil, func() { done = true })
-	if !done {
-		t.Fatal("done not called for empty scan")
+	srv := dnsserver.NewServer()
+	sc := scanengine.New(&ServerSource{Server: srv})
+	snap, err := sc.Scan(context.Background(), scanengine.Request{})
+	if err != nil || snap.Partial || len(snap.Records) != 0 {
+		t.Fatalf("empty scan: snapshot %+v, err %v", snap, err)
+	}
+	if q := srv.Stats().Queries; q != 0 {
+		t.Fatalf("empty scan sent %d queries", q)
 	}
 }
 
 func TestRateLimiting(t *testing.T) {
-	env := newEnv(t, Config{QueriesPerSecond: 10, Timeout: 100 * time.Millisecond}, fabric.Config{})
+	env := newEnv(t, fabric.Config{}, WithRate(10), WithTimeout(100*time.Millisecond))
 	ip := dnswire.MustIPv4("192.0.2.10")
 	env.zone.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("h.example.edu"))
 	done := 0
@@ -208,7 +219,7 @@ func TestRateLimiting(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	env := newEnv(t, Config{}, fabric.Config{})
+	env := newEnv(t, fabric.Config{})
 	ip := dnswire.MustIPv4("192.0.2.10")
 	env.zone.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("h.example.edu"))
 	env.res.LookupPTR(context.Background(), ip, func(Response) {})

@@ -30,29 +30,6 @@ func resultFromResponse(ip dnswire.IPv4, resp Response) scanengine.Result {
 	return res
 }
 
-// asyncSource adapts a fabric Resolver to scanengine.AsyncSource, pinning
-// a context for the sweep.
-type asyncSource struct {
-	r   *Resolver
-	ctx context.Context
-}
-
-// StartPTR implements scanengine.AsyncSource.
-func (s asyncSource) StartPTR(ip dnswire.IPv4, done func(scanengine.Result)) {
-	s.r.LookupPTR(s.ctx, ip, func(resp Response) {
-		done(resultFromResponse(ip, resp))
-	})
-}
-
-// AsyncSource adapts the resolver to the engine's callback shape for use
-// with scanengine.SweepAsync. ctx cancels probes started under it.
-func (r *Resolver) AsyncSource(ctx context.Context) scanengine.AsyncSource {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	return asyncSource{r: r, ctx: ctx}
-}
-
 // UDPSource adapts the synchronous UDP client to scanengine.Source, for
 // sharded parallel sweeps against real name servers. UDPClient carries no
 // per-call state, so one source serves all engine workers.

@@ -66,7 +66,7 @@ func (m *clientMetrics) countOutcome(resp Response) {
 // paper's taxonomy, backoff sleeps, and completed-lookup latency. Without
 // it the resolver records nothing at zero cost.
 func WithTelemetry(sink telemetry.Sink) Option {
-	return func(c *Config) { c.Telemetry = sink }
+	return func(c *config) { c.Telemetry = sink }
 }
 
 // WithTracer makes the resolver emit one "attempt" span per transmission,
@@ -75,5 +75,5 @@ func WithTelemetry(sink telemetry.Sink) Option {
 // server extend the chain (see docs/observability.md). Pair with WithSeed
 // for replayable IDs. Without it correlation costs nothing.
 func WithTracer(tr *telemetry.Tracer) Option {
-	return func(c *Config) { c.Tracer = tr }
+	return func(c *config) { c.Tracer = tr }
 }

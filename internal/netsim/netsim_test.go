@@ -342,10 +342,9 @@ func TestLiveModeEndToEnd(t *testing.T) {
 	}
 	defer n.Stop()
 
-	res, err := dnsclient.New(fab, dnsclient.Config{
-		Bind:   fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40000},
-		Server: n.DNSAddr(),
-	})
+	res, err := dnsclient.NewResolver(fab,
+		dnsclient.WithBind(fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40000}),
+		dnsclient.WithServer(n.DNSAddr()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,10 +450,9 @@ func TestLiveModeBlockedICMP(t *testing.T) {
 
 	// But the PTR record is still there for anyone to query — the
 	// paper's key point about ICMP blocking being insufficient.
-	res, err := dnsclient.New(fab, dnsclient.Config{
-		Bind:   fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40000},
-		Server: n.DNSAddr(),
-	})
+	res, err := dnsclient.NewResolver(fab,
+		dnsclient.WithBind(fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40000}),
+		dnsclient.WithServer(n.DNSAddr()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,12 +44,11 @@ func TestSetDNSTracerLiveAndConfigured(t *testing.T) {
 	}
 	defer n.Stop()
 
-	res, err := dnsclient.New(fab, dnsclient.Config{
-		Bind:   fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40000},
-		Server: n.DNSAddr(),
-		Seed:   seed,
-		Tracer: tr,
-	})
+	res, err := dnsclient.NewResolver(fab,
+		dnsclient.WithBind(fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40000}),
+		dnsclient.WithServer(n.DNSAddr()),
+		dnsclient.WithSeed(seed),
+		dnsclient.WithTracer(tr))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package privleak
 
 import (
+	"context"
 	"fmt"
 	"testing"
 	"time"
@@ -175,17 +176,18 @@ func TestEndToEndOnUniverse(t *testing.T) {
 	// Union of one week of snapshots.
 	seen := make(map[string]bool)
 	for d := 0; d < 7; d++ {
-		scan.SnapshotRecords(scan.Campaign{Universe: u}, start.AddDate(0, 0, d).Add(13*time.Hour),
-			func(r netsim.Record) {
-				key := r.IP.String() + "|" + string(r.HostName)
-				if seen[key] {
-					return
-				}
-				seen[key] = true
-				a.Observe(RecordObservation{
-					IP: r.IP, HostName: r.HostName, Dynamic: dynSet[r.IP.Slash24()],
-				})
-			})
+		snap, err := scan.Snapshot(context.Background(), scan.Campaign{Universe: u}, start.AddDate(0, 0, d).Add(13*time.Hour))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for ip, name := range snap.Records {
+			key := ip.String() + "|" + string(name)
+			if seen[key] {
+				continue
+			}
+			seen[key] = true
+			a.Observe(RecordObservation{IP: ip, HostName: name, Dynamic: dynSet[ip.Slash24()]})
+		}
 	}
 	res := a.Finish()
 	if len(res.Identified) == 0 {

@@ -62,7 +62,7 @@ func TestACL(t *testing.T) {
 	if rec := doAs(h, "/v1/days", "10.9.4.4:555", ""); rec.Code != 403 {
 		t.Fatalf("denied client: %d %s", rec.Code, rec.Body)
 	}
-	// The ACL also guards the admin surface and the legacy aliases.
+	// The ACL also guards the admin surface.
 	req := httptest.NewRequest("POST", "/v1/admin/reload", nil)
 	req.RemoteAddr = "192.168.1.1:555"
 	rec := httptest.NewRecorder()
@@ -70,11 +70,8 @@ func TestACL(t *testing.T) {
 	if rec.Code != 403 {
 		t.Fatalf("admin from outside allow list: %d %s", rec.Code, rec.Body)
 	}
-	if rec := doAs(h, "/days", "10.9.4.4:555", ""); rec.Code != 403 {
-		t.Fatalf("legacy path skipped the ACL: %d %s", rec.Code, rec.Body)
-	}
-	if got := reg.Counter("rdnsd_admission_denied_total").Value(); got != 4 {
-		t.Fatalf("denied counter %d, want 4", got)
+	if got := reg.Counter("rdnsd_admission_denied_total").Value(); got != 3 {
+		t.Fatalf("denied counter %d, want 3", got)
 	}
 }
 

@@ -13,8 +13,7 @@ import (
 const statusClientClosedRequest = 499
 
 // apiError pairs an envelope code with its HTTP status. Handlers return
-// these; the serving layer writes them in the caller's dialect (v1
-// envelope or legacy string).
+// these; the serving layer writes them as the v1 envelope.
 type apiError struct {
 	status int
 	code   string

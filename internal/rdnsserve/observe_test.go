@@ -91,15 +91,15 @@ func TestOutcomeCountersConsistency(t *testing.T) {
 	expect("/v1/at?ip=10.0.1.7&t=2020-03-08", nil, 200)
 	expect("/v1/days", nil, 200)
 	expect("/v1/stats", nil, 200)
-	expect("/v1/at?ip=bogus&t=2020-03-08", nil, 400)   // validation error
-	expect("/v1/at?ip=10.0.1.7&frob=1", nil, 400)      // unknown parameter
+	expect("/v1/at?ip=bogus&t=2020-03-08", nil, 400) // validation error
+	expect("/v1/at?ip=10.0.1.7&frob=1", nil, 400)    // unknown parameter
 	expect("/v1/name?token=brian", nil, 200)
 	expect("/v1/at?ip=10.0.1.7&t=2020-03-08", canceledCtx, 499)
 	expect("/v1/churn?prefix=10.0.0.0/16&from=2020-03-02&to=2020-03-09", canceledCtx, 499)
-	expect("/at?ip=10.0.1.7&t=2020-03-08", nil, 200)   // legacy alias
-	expect("/at?ip=bogus&t=2020-03-08", nil, 400)      // legacy error
-	expect("/days", nil, 200)
-	expect("/at?ip=10.0.1.7&t=2020-03-08", canceledCtx, 499)
+	expect("/v1/at?ip=10.0.1.8&t=2020-03-08", nil, 200)
+	expect("/v1/range?prefix=bogus", nil, 400)
+	expect("/v1/days", nil, 200)
+	expect("/v1/name?token=brian", canceledCtx, 499)
 	expect("/v1/range?prefix=10.0.1.0/24&from=2020-03-01&to=2020-03-05", nil, 200)
 
 	// The bucket is empty now: five more queries, all shed as 429.

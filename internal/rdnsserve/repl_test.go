@@ -322,46 +322,3 @@ func TestReplStatsReplicaField(t *testing.T) {
 		t.Fatalf("replica lag report: %+v", sr.Replica)
 	}
 }
-
-// TestLegacyAliasCancellation is TestContextCancellation's twin for the
-// deprecated unversioned routes: a hung-up client is accounted as
-// 499/canceled there too — the alias pipeline threads the request
-// context just like /v1 — and never as a query error.
-func TestLegacyAliasCancellation(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
-	reg := telemetry.NewRegistry()
-	srv, _ := newTestServer(t, 6, Config{Sink: reg})
-	h := srv.Handler()
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-
-	paths := []string{
-		"/at?ip=10.0.1.7",
-		"/range?prefix=0.0.0.0/0",
-		"/churn?prefix=10.0.0.0/16",
-		"/name?token=brian",
-		"/days",
-		"/stats",
-	}
-	for _, path := range paths {
-		req := httptest.NewRequest("GET", path, nil).WithContext(ctx)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		if rec.Code != statusClientClosedRequest {
-			t.Errorf("%s: status %d, want %d: %s", path, rec.Code, statusClientClosedRequest, rec.Body)
-		}
-		// Legacy errors keep the old flat string shape even for 499s.
-		var legacyErr struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(rec.Body.Bytes(), &legacyErr); err != nil || legacyErr.Error == "" {
-			t.Errorf("%s: body %s", path, rec.Body)
-		}
-	}
-	if got := reg.Counter(metricQueryCanceled).Value(); got != uint64(len(paths)) {
-		t.Fatalf("canceled counter %d, want %d", got, len(paths))
-	}
-	if got := reg.Counter(metricQueryErrors).Value(); got != 0 {
-		t.Fatalf("canceled alias requests counted as errors: %d", got)
-	}
-}

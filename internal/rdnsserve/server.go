@@ -1,8 +1,7 @@
 // Package rdnsserve is rdnsd's serving layer: the versioned /v1 query API
 // over a histstore, with admission control (per-client token buckets,
-// ACLs, in-flight load shedding), hot reload onto a freshly opened store
-// without dropping in-flight queries, and the legacy unversioned
-// endpoints kept as deprecated aliases. cmd/rdnsd wires it to flags and
+// ACLs, in-flight load shedding) and hot reload onto a freshly opened store
+// without dropping in-flight queries. cmd/rdnsd wires it to flags and
 // signals; cmd/rdnsload drives it in-process; the wire contract lives in
 // internal/rdnsclient. See docs/api.md.
 package rdnsserve
@@ -36,7 +35,6 @@ const (
 	metricQueryCanceled = "rdnsd_query_canceled_total"
 	metricQuerySeconds  = "rdnsd_query_seconds"
 	metricRowsServed    = "rdnsd_rows_served_total"
-	metricLegacyQueries = "rdnsd_legacy_queries_total"
 	metricReloads       = "rdnsd_reloads_total"
 	metricGeneration    = "rdnsd_store_generation"
 	metricRequests      = "rdnsd_requests_total"
@@ -95,7 +93,6 @@ type Server struct {
 	queryErrors   *telemetry.Counter
 	queryCanceled *telemetry.Counter
 	rowsServed    *telemetry.Counter
-	legacyQueries *telemetry.Counter
 	reloads       *telemetry.Counter
 	querySeconds  *telemetry.Histogram
 	genGauge      *telemetry.Gauge
@@ -200,7 +197,6 @@ func New(st *histstore.Store, cfg Config) *Server {
 		queryErrors:   sink.Counter(metricQueryErrors),
 		queryCanceled: sink.Counter(metricQueryCanceled),
 		rowsServed:    sink.Counter(metricRowsServed),
-		legacyQueries: sink.Counter(metricLegacyQueries),
 		reloads:       sink.Counter(metricReloads),
 		querySeconds:  sink.Histogram(metricQuerySeconds, telemetry.DefaultLatencyBuckets()),
 		genGauge:      sink.Gauge(metricGeneration),
@@ -372,8 +368,9 @@ func (s *Server) StatsSnapshot() rdnsclient.StatsResponse {
 // handlerFunc is one v1 endpoint's logic: pure store work, no HTTP.
 type handlerFunc func(ctx context.Context, st *histstore.Store, q url.Values) (any, *apiError)
 
-// Handler builds the daemon's route table: /v1 endpoints, the admin
-// surface, and the deprecated legacy aliases.
+// Handler builds the daemon's route table: the /v1 endpoints, the admin
+// surface and the replication feed. Every other path answers the v1
+// not_found envelope.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/at", s.route("at", []string{"ip", "t"}, s.handleAt))
@@ -387,7 +384,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("/v1/repl/manifest", s.replManifest())
 	mux.HandleFunc("/v1/repl/segment/", s.replSegment())
 	mux.HandleFunc("/v1/repl/tail/", s.replTail())
-	s.legacyRoutes(mux)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		writeV1Error(w, errNotFound(r.URL.Path))
 	})
@@ -431,6 +427,9 @@ func (s *Server) countOutcome(oc *outcomeCounters, aerr *apiError, rec *reqRec) 
 // correlated span continuing the client's X-Rdns-Corr trace, latency
 // exemplars, the query log), and envelope rendering.
 func (s *Server) route(name string, allowed []string, h handlerFunc) http.HandlerFunc {
+	// Sorted once, here: requests only read the slice, and checkParams
+	// lists it in its error message.
+	sort.Strings(allowed)
 	lat := s.sink.Histogram(metricQuerySeconds+`{endpoint="`+name+`"}`, telemetry.DefaultLatencyBuckets())
 	outcomes := s.outcomesFor(name)
 	return func(w http.ResponseWriter, r *http.Request) {
@@ -452,37 +451,45 @@ func (s *Server) route(name string, allowed []string, h handlerFunc) http.Handle
 		s.querySeconds.ObserveExemplar(el, corr)
 		lat.ObserveExemplar(el, corr)
 		s.countOutcome(outcomes, aerr, &rec)
-		status, bytes := http.StatusOK, 0
-		code := ""
 		if aerr != nil {
 			span.Event("error", uint64(aerr.status))
-			span.End()
-			bytes = writeV1Error(w, aerr)
-			status, code = aerr.status, aerr.code
-		} else {
-			span.End()
-			w.Header().Set("Content-Type", "application/json")
-			cw := &countWriter{w: w}
-			json.NewEncoder(cw).Encode(out)
-			bytes = cw.n
 		}
-		if s.qlog != nil {
-			s.qlog.record(QueryLogEntry{
-				Corr:       fmt.Sprintf("%016x", corr),
-				Endpoint:   name,
-				Client:     rec.client,
-				Params:     paramsFingerprint(r.URL.Query()),
-				Status:     status,
-				Code:       code,
-				Admission:  rec.admission,
-				Generation: rec.gen,
-				ParseNS:    rec.parseNS,
-				StoreNS:    rec.storeNS,
-				TotalNS:    time.Since(start).Nanoseconds(),
-				Bytes:      bytes,
-			})
-		}
+		span.End()
+		s.finish(w, r, name, start, out, aerr, &rec)
 	}
+}
+
+// finish is every instrumented endpoint's epilogue: it renders the verdict
+// (the v1 error envelope for aerr, out as JSON otherwise) and, with a query
+// log configured, records the request's wide event.
+func (s *Server) finish(w http.ResponseWriter, r *http.Request, name string, start time.Time, out any, aerr *apiError, rec *reqRec) {
+	status, code, bytes := http.StatusOK, "", 0
+	if aerr != nil {
+		bytes = writeV1Error(w, aerr)
+		status, code = aerr.status, aerr.code
+	} else {
+		w.Header().Set("Content-Type", "application/json")
+		cw := &countWriter{w: w}
+		json.NewEncoder(cw).Encode(out)
+		bytes = cw.n
+	}
+	if s.qlog == nil {
+		return
+	}
+	s.qlog.record(QueryLogEntry{
+		Corr:       fmt.Sprintf("%016x", rec.corr),
+		Endpoint:   name,
+		Client:     rec.client,
+		Params:     paramsFingerprint(r.URL.Query()),
+		Status:     status,
+		Code:       code,
+		Admission:  rec.admission,
+		Generation: rec.gen,
+		ParseNS:    rec.parseNS,
+		StoreNS:    rec.storeNS,
+		TotalNS:    time.Since(start).Nanoseconds(),
+		Bytes:      bytes,
+	})
 }
 
 // serveOne runs admission, validation, and the handler against a pinned
@@ -554,7 +561,8 @@ func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, method string,
 }
 
 // checkParams rejects unknown query parameters — typos like "prefx="
-// fail loudly instead of silently querying all of history.
+// fail loudly instead of silently querying all of history. allowed is
+// shared by every request of a route and must not be modified.
 func checkParams(q url.Values, allowed []string) *apiError {
 	for k := range q {
 		found := false
@@ -565,7 +573,6 @@ func checkParams(q url.Values, allowed []string) *apiError {
 			}
 		}
 		if !found {
-			sort.Strings(allowed)
 			return errBadParam("unknown parameter %q (allowed: %s)", k, strings.Join(allowed, ", "))
 		}
 	}
@@ -581,35 +588,10 @@ func (s *Server) adminRoute(name string, h func(w http.ResponseWriter, r *http.R
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		s.queries.Inc()
-		rec := reqRec{gen: -1}
+		rec := reqRec{corr: corrFromHeader(r.Header.Get(rdnsclient.CorrHeader)), gen: -1}
 		out, aerr := h(w, r, &rec)
 		s.countOutcome(outcomes, aerr, &rec)
-		status, bytes := http.StatusOK, 0
-		code := ""
-		if aerr != nil {
-			bytes = writeV1Error(w, aerr)
-			status, code = aerr.status, aerr.code
-		} else {
-			w.Header().Set("Content-Type", "application/json")
-			if b, err := json.Marshal(out); err == nil {
-				b = append(b, '\n')
-				w.Write(b)
-				bytes = len(b)
-			}
-		}
-		if s.qlog != nil {
-			s.qlog.record(QueryLogEntry{
-				Corr:       fmt.Sprintf("%016x", corrFromHeader(r.Header.Get(rdnsclient.CorrHeader))),
-				Endpoint:   name,
-				Client:     rec.client,
-				Status:     status,
-				Code:       code,
-				Admission:  rec.admission,
-				Generation: rec.gen,
-				TotalNS:    time.Since(start).Nanoseconds(),
-				Bytes:      bytes,
-			})
-		}
+		s.finish(w, r, name, start, out, aerr, &rec)
 	}
 }
 
@@ -756,8 +738,8 @@ func prefixParam(q url.Values) (dnswire.Prefix, *apiError) {
 }
 
 // pageLimit parses limit with the v1 bounds: 1..maxPageLimit, default
-// defaultPageLimit. Unlike the legacy endpoints, 0 is rejected — "no
-// limit" is exactly the resource exhaustion pagination exists to prevent.
+// defaultPageLimit. 0 is rejected — "no limit" is exactly the resource
+// exhaustion pagination exists to prevent.
 func pageLimit(q url.Values) (int, *apiError) {
 	v := q.Get("limit")
 	if v == "" {

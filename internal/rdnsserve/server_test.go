@@ -178,9 +178,9 @@ func TestErrorEnvelope(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"GET", "/v1/at", 400, rdnsclient.CodeBadParam},                           // missing ip
-		{"GET", "/v1/at?ip=banana", 400, rdnsclient.CodeBadParam},                 // bad ip
-		{"GET", "/v1/at?ip=1.2.3.4&t=yesterday", 400, rdnsclient.CodeBadParam},    // bad instant
+		{"GET", "/v1/at", 400, rdnsclient.CodeBadParam},                        // missing ip
+		{"GET", "/v1/at?ip=banana", 400, rdnsclient.CodeBadParam},              // bad ip
+		{"GET", "/v1/at?ip=1.2.3.4&t=yesterday", 400, rdnsclient.CodeBadParam}, // bad instant
 		{"GET", "/v1/at?ip=1.2.3.4&t=2019-01-01", 400, rdnsclient.CodeBeforeHistory},
 		{"GET", "/v1/at?ip=1.2.3.4&time=2020-03-01", 400, rdnsclient.CodeBadParam}, // unknown param
 		{"GET", "/v1/range", 400, rdnsclient.CodeBadParam},                         // missing prefix
@@ -375,12 +375,14 @@ func TestV1RangeConcatProperty(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases: the unversioned endpoints still answer with their
-// original shapes (string dates, string error bodies) plus the
-// deprecation headers pointing at /v1.
+// TestLegacyAliases: the unversioned paths that once aliased /v1 are not
+// routes. They fall through to the catch-all and answer the v1 not_found
+// envelope like any unknown path, with nothing announcing a deprecation
+// window.
 func TestLegacyAliases(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
-	srv, times := newTestServer(t, 6, Config{})
+	reg := telemetry.NewRegistry()
+	srv, _ := newTestServer(t, 6, Config{Sink: reg})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
@@ -392,47 +394,20 @@ func TestLegacyAliases(t *testing.T) {
 		"/days",
 		"/stats",
 	} {
-		resp := getJSON(t, ts.URL+path, nil)
-		if resp.StatusCode != 200 {
-			t.Errorf("%s: status %d", path, resp.StatusCode)
+		var env rdnsclient.ErrorEnvelope
+		resp := getJSON(t, ts.URL+path, &env)
+		if resp.StatusCode != 404 || env.Error.Code != rdnsclient.CodeNotFound {
+			t.Errorf("%s: status %d envelope %+v, want 404 %s", path, resp.StatusCode, env, rdnsclient.CodeNotFound)
 		}
-		if resp.Header.Get("Deprecation") != "true" || resp.Header.Get("Sunset") == "" {
-			t.Errorf("%s: missing deprecation headers: %v", path, resp.Header)
+		for _, h := range []string{"Deprecation", "Sunset", "Link"} {
+			if v := resp.Header.Get(h); v != "" {
+				t.Errorf("%s: %s header %q on a path that is not an API", path, h, v)
+			}
 		}
-		if link := resp.Header.Get("Link"); link == "" {
-			t.Errorf("%s: no successor-version link", path)
-		}
 	}
-
-	// Old shapes intact: /days serves formatted strings, /range still does
-	// total-count-plus-truncated, /at formats instants.
-	var dr struct {
-		Count int      `json:"count"`
-		Days  []string `json:"days"`
-	}
-	getJSON(t, ts.URL+"/days", &dr)
-	if dr.Count != 6 || dr.Days[0] != times[0].Format(time.RFC3339) {
-		t.Fatalf("legacy days: %+v", dr)
-	}
-	var rr struct {
-		Count     int  `json:"count"`
-		Truncated bool `json:"truncated"`
-		Rows      []struct {
-			Date string `json:"date"`
-		} `json:"rows"`
-	}
-	getJSON(t, ts.URL+"/range?prefix=10.0.1.0/24&limit=1", &rr)
-	if rr.Count != 12 || !rr.Truncated || len(rr.Rows) != 1 {
-		t.Fatalf("legacy range: %+v", rr)
-	}
-
-	// Legacy errors are the old flat string shape, not the v1 envelope.
-	var legacyErr struct {
-		Error string `json:"error"`
-	}
-	resp := getJSON(t, ts.URL+"/at?ip=banana", &legacyErr)
-	if resp.StatusCode != 400 || legacyErr.Error == "" {
-		t.Fatalf("legacy error: status %d body %+v", resp.StatusCode, legacyErr)
+	// Not queries either: nothing was admitted, counted or timed.
+	if got := reg.Counter(metricQueries).Value(); got != 0 {
+		t.Errorf("%s = %d after requests to unrouted paths only", metricQueries, got)
 	}
 }
 

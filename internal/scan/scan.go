@@ -4,17 +4,14 @@
 // weekly (Rapid7-like) cadence and produces the per-/24 count series and
 // summary statistics the paper's analyses consume.
 //
-// Two scan paths exist:
-//
-//   - The wire path drives a real resolver (internal/dnsclient) against
-//     live networks over the fabric, one PTR query per address — exactly
-//     what the measurement platforms do. It is used for the supplemental
-//     windows and for validating the fast path.
-//   - The fast path evaluates network record state directly via
-//     netsim.Network.RecordsAt. It produces byte-identical hostnames (both
-//     paths share internal/ipam's name derivation) and is what makes
-//     two-year daily campaigns over tens of thousands of /24s tractable.
-//     TestWireAndFastPathsAgree pins the equivalence.
+// Campaigns sweep through internal/scanengine over a ShardSource that
+// evaluates network record state directly (netsim.Network.RecordsAt); that
+// is what makes two-year daily campaigns over tens of thousands of /24s
+// tractable. One PTR query per address through a real resolver
+// (dnsclient.Resolver.LookupPTR over the fabric) is what the measurement
+// platforms do and what internal/reactive uses for the supplemental windows;
+// both derive hostnames from internal/ipam, and TestWireAndFastPathsAgree
+// pins that they see the same records.
 package scan
 
 import (
@@ -22,7 +19,6 @@ import (
 	"time"
 
 	"rdnsprivacy/internal/dataset"
-	"rdnsprivacy/internal/dnsclient"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/netsim"
@@ -232,42 +228,4 @@ func Snapshot(ctx context.Context, c Campaign, at time.Time) (*scanengine.Snapsh
 	src := NewSource(c)
 	sc := scanengine.New(src, c.engineOptions()...)
 	return sc.Scan(ctx, scanengine.Request{Targets: src.Targets(), At: at})
-}
-
-// SnapshotRecords evaluates the full record set of the campaign's networks
-// (and filler unless skipped) at one instant.
-//
-// Deprecated: use Snapshot, which sweeps through the sharded engine and
-// supports cancellation.
-func SnapshotRecords(c Campaign, at time.Time, emit func(netsim.Record)) {
-	if len(c.Networks) == 0 && !c.SkipFiller {
-		for _, f := range c.Universe.Filler {
-			f.Records(emit)
-		}
-	}
-	for _, n := range c.networks() {
-		n.RecordsAt(at, emit)
-	}
-}
-
-// WireSnapshot takes a snapshot of a set of prefixes by issuing one PTR
-// query per address through a resolver — the platform-faithful path. The
-// caller drives the simulated clock; done is invoked once every query has
-// completed.
-//
-// Deprecated: use scanengine.New with Resolver.AsyncSource, or a
-// synchronous source with the Scanner API.
-func WireSnapshot(ctx context.Context, res *dnsclient.Resolver, prefixes []dnswire.Prefix, each func(dnswire.IPv4, dnsclient.Response), done func()) {
-	var ips []dnswire.IPv4
-	for _, p := range prefixes {
-		n := p.NumAddresses()
-		for i := 0; i < n; i++ {
-			ips = append(ips, p.Nth(i))
-		}
-	}
-	res.ScanPTR(ctx, ips, func(sr dnsclient.ScanResult) {
-		if each != nil {
-			each(sr.IP, sr.Response)
-		}
-	}, done)
 }

@@ -179,32 +179,34 @@ func TestWireAndFastPathsAgree(t *testing.T) {
 	defer n.Stop()
 	clock.AdvanceTo(at)
 
-	res, err := dnsclient.New(fab, dnsclient.Config{
-		Bind:   fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40000},
-		Server: n.DNSAddr(),
-	})
+	res, err := dnsclient.NewResolver(fab,
+		dnsclient.WithBind(fabric.Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: 40000}),
+		dnsclient.WithServer(n.DNSAddr()))
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Wire-scan only the dynamic /24s (plus one static /24) to keep the
-	// query count modest.
-	var prefixes []dnswire.Prefix
-	for _, b := range n.Config().Blocks {
-		prefixes = append(prefixes, b.Prefix.Slash24s()...)
-	}
+	// One PTR lookup per address of the network's blocks, all in flight on
+	// the simulated clock.
 	wire := make(map[dnswire.IPv4]dnswire.Name)
-	doneAll := false
-	WireSnapshot(context.Background(), res, prefixes, func(ip dnswire.IPv4, r dnsclient.Response) {
-		if r.Outcome == dnsclient.OutcomeSuccess {
-			wire[ip] = r.PTR
-		} else if r.Outcome.IsError() {
-			t.Errorf("wire scan error for %v: %v", ip, r.Outcome)
+	asked, answered := 0, 0
+	for _, b := range n.Config().Blocks {
+		for i := 0; i < b.Prefix.NumAddresses(); i++ {
+			ip := b.Prefix.Nth(i)
+			asked++
+			res.LookupPTR(context.Background(), ip, func(r dnsclient.Response) {
+				answered++
+				if r.Outcome == dnsclient.OutcomeSuccess {
+					wire[ip] = r.PTR
+				} else if r.Outcome.IsError() {
+					t.Errorf("wire scan error for %v: %v", ip, r.Outcome)
+				}
+			})
 		}
-	}, func() { doneAll = true })
+	}
 	clock.Advance(5 * time.Minute)
-	if !doneAll {
-		t.Fatal("wire scan did not complete")
+	if answered != asked {
+		t.Fatalf("wire scan completed %d of %d lookups", answered, asked)
 	}
 
 	fast := make(map[dnswire.IPv4]dnswire.Name)

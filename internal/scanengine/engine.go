@@ -24,7 +24,6 @@ type Scanner struct {
 	shardBits   int
 	negTTL      time.Duration
 	clock       simclock.Clock
-	buffer      int
 	probeEvents bool
 	rate        *rateGate
 	resil       *ResilienceConfig
@@ -39,6 +38,12 @@ type Scanner struct {
 	mu   sync.Mutex // guards subs
 	subs []*subscriber
 }
+
+// bufferSize is the capacity of the bounded channel between the lookup and
+// merge stages, and of each event subscription channel. Lookups stall when
+// the merge stage falls this far behind: backpressure, not unbounded
+// queueing.
+const bufferSize = 1024
 
 // Option tunes a Scanner.
 type Option func(*Scanner)
@@ -84,18 +89,6 @@ func WithClock(c simclock.Clock) Option {
 	}
 }
 
-// WithBuffer sets the capacity of the bounded channel between the lookup
-// and merge stages (and of event subscription channels). Lookups stall
-// when the merge stage falls this far behind — backpressure, not unbounded
-// queueing. Default 1024.
-func WithBuffer(n int) Option {
-	return func(s *Scanner) {
-		if n > 0 {
-			s.buffer = n
-		}
-	}
-}
-
 // WithResultEvents streams every probe result (including absences and
 // errors) to event subscribers, not just record deltas and shard
 // progress. Full-sweep consumers that print per-address output want this;
@@ -124,7 +117,6 @@ func New(src Source, opts ...Option) *Scanner {
 		workers:   runtime.GOMAXPROCS(0),
 		shardBits: 16,
 		clock:     simclock.Real{},
-		buffer:    1024,
 	}
 	if ss, ok := src.(ShardSource); ok {
 		s.shardSc = ss
@@ -261,7 +253,7 @@ type subscriber struct {
 // ctx is cancelled, at which point it is dropped and its channel closed
 // at the next emission.
 func (s *Scanner) Events(ctx context.Context) <-chan Event {
-	sub := &subscriber{ch: make(chan Event, s.buffer), ctx: ctx}
+	sub := &subscriber{ch: make(chan Event, bufferSize), ctx: ctx}
 	s.mu.Lock()
 	s.subs = append(s.subs, sub)
 	s.mu.Unlock()
@@ -344,7 +336,7 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 		shardCh <- i
 	}
 	close(shardCh)
-	out := make(chan mergeMsg, s.buffer)
+	out := make(chan mergeMsg, bufferSize)
 	var wg sync.WaitGroup
 	for w := 0; w < s.workers; w++ {
 		wg.Add(1)

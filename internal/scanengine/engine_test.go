@@ -184,6 +184,50 @@ func TestCancelledSweepReturnsPartialSnapshot(t *testing.T) {
 	}
 }
 
+// TestRateSpacesProbesAcrossWorkers: WithRate is one gate shared by every
+// worker, so n probes take at least n-1 intervals however many workers run
+// them, and a sweep cancelled while a probe waits for its slot ends partial
+// instead of sitting the wait out.
+func TestRateSpacesProbesAcrossWorkers(t *testing.T) {
+	var probes atomic.Int32
+	src := SourceFunc(func(ctx context.Context, ip dnswire.IPv4) Result {
+		probes.Add(1)
+		return Result{IP: ip}
+	})
+	targets := []dnswire.Prefix{dnswire.MustPrefix("10.0.0.0/30"), dnswire.MustPrefix("10.0.1.0/30")}
+	const qps = 200
+	start := time.Now()
+	if _, err := New(src, WithWorkers(4), WithRate(qps)).Scan(context.Background(), Request{Targets: targets}); err != nil {
+		t.Fatal(err)
+	}
+	if min := 7 * time.Second / qps; probes.Load() != 8 || time.Since(start) < min {
+		t.Fatalf("%d probes in %v at %d qps, want 8 in at least %v", probes.Load(), time.Since(start), qps, min)
+	}
+
+	// One probe a second: the first goes out at once, the second waits for
+	// its slot. Sitting that wait out would end in a second probe.
+	probes.Store(0)
+	ctx, cancel := context.WithCancel(context.Background())
+	first := make(chan struct{})
+	slow := SourceFunc(func(ctx context.Context, ip dnswire.IPv4) Result {
+		if probes.Add(1) == 1 {
+			close(first)
+		}
+		return Result{IP: ip}
+	})
+	go func() {
+		<-first
+		cancel()
+	}()
+	snap, err := New(slow, WithWorkers(1), WithRate(1)).Scan(ctx, Request{Targets: targets[:1]})
+	if err == nil || snap == nil || !snap.Partial {
+		t.Fatalf("cancelled rate-limited sweep: snapshot %+v, err %v", snap, err)
+	}
+	if probes.Load() != 1 {
+		t.Fatalf("%d probes went out, want only the first", probes.Load())
+	}
+}
+
 func TestNegativeCacheTTLExpiry(t *testing.T) {
 	clock := simclock.NewSimulated(time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC))
 	ip := dnswire.MustIPv4("203.0.113.7")
@@ -365,102 +409,6 @@ func (s *bulkSource) LookupPTR(ctx context.Context, ip dnswire.IPv4) Result {
 func (s *bulkSource) ScanShard(ctx context.Context, shard dnswire.Prefix, at time.Time, emit func(Result)) error {
 	s.scan(shard, emit)
 	return ctx.Err()
-}
-
-// chanAsync completes probes when the test pumps them, to exercise the
-// bounded window.
-type chanAsync struct {
-	mu      sync.Mutex
-	pending []func(Result)
-	started int
-}
-
-func (a *chanAsync) StartPTR(ip dnswire.IPv4, done func(Result)) {
-	a.mu.Lock()
-	a.started++
-	a.pending = append(a.pending, func(res Result) {
-		res.IP = ip
-		done(res)
-	})
-	a.mu.Unlock()
-}
-
-func (a *chanAsync) completeOne() bool {
-	a.mu.Lock()
-	if len(a.pending) == 0 {
-		a.mu.Unlock()
-		return false
-	}
-	next := a.pending[0]
-	a.pending = a.pending[1:]
-	a.mu.Unlock()
-	next(Result{Found: true, Name: "h.example.org."})
-	return true
-}
-
-func (a *chanAsync) inFlight() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.pending)
-}
-
-func TestSweepAsyncWindowBound(t *testing.T) {
-	var ips []dnswire.IPv4
-	p := dnswire.MustPrefix("10.0.0.0/24")
-	for i := 0; i < p.NumAddresses(); i++ {
-		ips = append(ips, p.Nth(i))
-	}
-	src := &chanAsync{}
-	var results int
-	doneCalled := 0
-	SweepAsync(src, ips, 16, func(Result) { results++ }, func() { doneCalled++ })
-	if got := src.inFlight(); got != 16 {
-		t.Fatalf("in flight = %d, want window of 16", got)
-	}
-	for src.completeOne() {
-	}
-	if results != 256 {
-		t.Fatalf("results = %d, want 256", results)
-	}
-	if doneCalled != 1 {
-		t.Fatalf("done called %d times, want exactly 1", doneCalled)
-	}
-	src.mu.Lock()
-	started := src.started
-	src.mu.Unlock()
-	if started != 256 {
-		t.Fatalf("started = %d, want 256", started)
-	}
-}
-
-func TestSweepAsyncSynchronousCompletions(t *testing.T) {
-	// A source that completes synchronously inside StartPTR must not
-	// overflow the stack or double-fire done.
-	src := syncAsyncSource{}
-	var ips []dnswire.IPv4
-	p := dnswire.MustPrefix("10.0.0.0/16")
-	for i := 0; i < p.NumAddresses(); i++ {
-		ips = append(ips, p.Nth(i))
-	}
-	results, doneCalled := 0, 0
-	SweepAsync(src, ips, 8, func(Result) { results++ }, func() { doneCalled++ })
-	if results != len(ips) || doneCalled != 1 {
-		t.Fatalf("results=%d done=%d, want %d/1", results, doneCalled, len(ips))
-	}
-}
-
-type syncAsyncSource struct{}
-
-func (syncAsyncSource) StartPTR(ip dnswire.IPv4, done func(Result)) {
-	done(Result{IP: ip, Found: true, Name: "sync.example.org."})
-}
-
-func TestSweepAsyncEmptyInput(t *testing.T) {
-	doneCalled := 0
-	SweepAsync(syncAsyncSource{}, nil, 4, nil, func() { doneCalled++ })
-	if doneCalled != 1 {
-		t.Fatalf("done called %d times for empty input, want 1", doneCalled)
-	}
 }
 
 func TestDiffRecords(t *testing.T) {

@@ -20,13 +20,10 @@
 //
 //	for ev := range sc.Events(ctx) { ... }
 //
-// Sources come in three shapes. A Source resolves one PTR probe
+// Sources come in two shapes. A Source resolves one PTR probe
 // synchronously (a UDP client, an in-process authoritative server). A
 // ShardSource additionally enumerates a whole shard at once — the fast
-// path used by bulk snapshotters that already hold record state. An
-// AsyncSource is callback-based (the simulation-fabric resolver); the
-// goroutine-free SweepAsync drives it with a bounded in-flight window and
-// is what the deprecated dnsclient callback scanners wrap.
+// path used by bulk snapshotters that already hold record state.
 //
 // The engine also keeps a negative-response cache with TTL-based
 // invalidation: NXDOMAIN-heavy static ranges (the vast majority of the

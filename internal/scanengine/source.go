@@ -60,13 +60,3 @@ func (f SourceFunc) LookupPTR(ctx context.Context, ip dnswire.IPv4) Result { ret
 type ShardSource interface {
 	ScanShard(ctx context.Context, shard dnswire.Prefix, at time.Time, emit func(Result)) error
 }
-
-// AsyncSource is a callback-based probe launcher — the shape of the
-// simulation-fabric resolver, whose completions are driven by a
-// (possibly simulated) clock and therefore cannot block. SweepAsync
-// drives one with a bounded in-flight window.
-type AsyncSource interface {
-	// StartPTR begins resolving ip and invokes done exactly once when
-	// the probe completes. done may be invoked synchronously.
-	StartPTR(ip dnswire.IPv4, done func(Result))
-}
