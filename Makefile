@@ -17,14 +17,18 @@ bench:
 # ns/op regressed >15% against the checked-in baseline or a baseline row was
 # not measured (delete or rename a benchmark and its baseline row together).
 # The concurrent serving benchmark additionally gates its p99-ns/op tail
-# latency, and the engine-8-workers sweep its allocs/op and B/op (the probe
-# round trip's allocation budget). Every stage runs at -cpu 1: go test names
-# a row by its GOMAXPROCS, and the baseline's rows are GOMAXPROCS=1 rows.
+# latency, and the engine-8-workers sweep and the history-store window
+# queries (churn, range) their allocs/op and B/op — the probe round trip's
+# and the block walk's allocation budgets; the window queries run a fixed
+# 5000 iterations so those two are exact. Every stage runs at -cpu 1: go
+# test names a row by its GOMAXPROCS, and the baseline's rows are
+# GOMAXPROCS=1 rows.
 # After an intentional perf change: cp BENCH_scan.json BENCH_baseline.json
 bench-check:
 	$(GO) build -o /tmp/benchcheck ./cmd/benchcheck
 	{ $(GO) test -run '^$$' -bench 'BenchmarkScanEngineFullSweep' -cpu 1 -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAt' -cpu 1 -count=1 . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreChurn|BenchmarkHistStoreRange' -cpu 1 -benchtime 5000x -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -cpu 1 -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad' -cpu 1 -count=1 ./internal/rdnsserve \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \

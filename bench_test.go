@@ -701,3 +701,115 @@ func BenchmarkHistStoreAtCompacted(b *testing.B) {
 	}
 	b.ReportMetric(float64(s.Reconstructions)/float64(b.N), "reconstructions/op")
 }
+
+// buildCampaignStore writes the history the window benchmarks query: 120
+// days of 64 /24s — 40 stable hosts, eight leases that rename on a
+// four-day beat and one that rotates daily per block — sealed into a
+// segment every 10 days as a campaign does, so the history is 12 segments
+// against a hot tier of 8 and queries spread uniformly over it reload
+// segment indexes the way rdnsd's cold path does.
+func buildCampaignStore(b *testing.B, path string) []time.Time {
+	b.Helper()
+	st, err := histstore.Open(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	start := date(2021, time.January, 1)
+	var times []time.Time
+	for day := 0; day < 120; day++ {
+		recs := scanengine.RecordSet{}
+		for k := 0; k < 64; k++ {
+			for o := 1; o <= 40; o++ {
+				recs[dnswire.IPv4{10, 62, byte(k), byte(o)}] =
+					dnswire.MustName(fmt.Sprintf("host-%d-%d.dyn.bench.example", k, o))
+			}
+			for o := 0; o < 8; o++ {
+				recs[dnswire.IPv4{10, 62, byte(k), byte(100 + o)}] =
+					dnswire.MustName(fmt.Sprintf("lease-%d-%d.dyn.bench.example", k, (day+o)/4))
+			}
+			recs[dnswire.IPv4{10, 62, byte(k), byte(200 + day%8)}] =
+				dnswire.MustName(fmt.Sprintf("guest-%d-%d.dyn.bench.example", k, day))
+		}
+		d := start.AddDate(0, 0, day)
+		if err := st.Append(d, recs); err != nil {
+			b.Fatal(err)
+		}
+		times = append(times, d)
+		if day%10 == 9 {
+			if _, err := st.CompactWriter(context.Background(), histstore.DefaultWriter, histstore.CompactOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	return times
+}
+
+// openCampaignStore opens the campaign store the way rdnsd serves one.
+func openCampaignStore(b *testing.B, path string) *histstore.Store {
+	b.Helper()
+	st, err := histstore.Open(path, histstore.WithCache(4096), histstore.WithReadOnly())
+	if err != nil {
+		b.Fatal(err)
+	}
+	return st
+}
+
+// BenchmarkHistStoreChurn measures a 30-day churn of one /24, block and
+// window drawn uniformly from the campaign store: one walk seed plus the
+// frames of 30 days, across three or four segments of which some reload.
+// bench-check gates ns/op, allocs/op and B/op.
+func BenchmarkHistStoreChurn(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "campaign.hist")
+	times := buildCampaignStore(b, path)
+	st := openCampaignStore(b, path)
+	defer st.Close()
+	before := st.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := dnswire.Prefix{Addr: dnswire.IPv4{10, 62, byte(i * 7 % 64), 0}, Bits: 24}
+		from := (i * 13) % 90
+		days, err := st.Churn(p, times[from], times[from+29])
+		if err != nil {
+			b.Fatal(err)
+		}
+		if (from > 0 && len(days) != 30) || (from == 0 && len(days) != 29) || days[len(days)-1].Added != 1 {
+			b.Fatalf("churn of %s from day %d: %d days, last %+v", p, from, len(days), days[len(days)-1])
+		}
+	}
+	b.StopTimer()
+	after := st.Stats()
+	b.ReportMetric(float64(after.Reconstructions-before.Reconstructions)/float64(b.N), "reconstructions/op")
+	b.ReportMetric(float64(after.TierLoads-before.TierLoads)/float64(b.N), "tier-loads/op")
+}
+
+// BenchmarkHistStoreRange measures one page of a 7-day range over one
+// /24 on the same store and key spread: a seed, a week of frames, ~340
+// rows. bench-check gates ns/op, allocs/op and B/op.
+func BenchmarkHistStoreRange(b *testing.B) {
+	path := filepath.Join(b.TempDir(), "campaign.hist")
+	times := buildCampaignStore(b, path)
+	st := openCampaignStore(b, path)
+	defer st.Close()
+	before := st.Stats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := dnswire.Prefix{Addr: dnswire.IPv4{10, 62, byte(i * 7 % 64), 0}, Bits: 24}
+		from := (i * 13) % 113
+		rows, _, more, err := st.RangePage(context.Background(), p, times[from], times[from+6], histstore.RangeCursor{}, 1000)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(rows) != 7*49 || more {
+			b.Fatalf("range of %s from day %d: %d rows, more=%v", p, from, len(rows), more)
+		}
+	}
+	b.StopTimer()
+	after := st.Stats()
+	b.ReportMetric(float64(after.Reconstructions-before.Reconstructions)/float64(b.N), "reconstructions/op")
+	b.ReportMetric(float64(after.TierLoads-before.TierLoads)/float64(b.N), "tier-loads/op")
+}

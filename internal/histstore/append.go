@@ -2,6 +2,7 @@ package histstore
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -33,17 +34,18 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 	}
 	local := len(w.times)
 	gi := len(s.times)
+	if gi >= maxSnapshots {
+		return fmt.Errorf("histstore: timeline is full at %d snapshots", gi)
+	}
 
 	// Group the snapshot by /24.
 	newStates := make(map[dnswire.Prefix]blockState)
 	for ip, name := range recs {
 		p := ip.Slash24()
-		st := newStates[p]
-		if st == nil {
-			st = make(blockState)
-			newStates[p] = st
-		}
-		st[ip[3]] = name
+		newStates[p] = append(newStates[p], baseEntry{octet: ip[3], name: name})
+	}
+	for _, st := range newStates {
+		st.sortByOctet()
 	}
 
 	// The union of the writer's currently-live and newly-seen blocks,
@@ -65,6 +67,7 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 		p       dnswire.Prefix
 		kind    byte
 		changes []deltaEntry
+		state   blockState
 		off     int64 // relative to the buffer start
 		length  int
 	}
@@ -72,8 +75,8 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 	var plan []pending
 	for _, p := range order {
 		newState := newStates[p]
-		changes := diffBlock(w.cur[p], newState)
-		known := w.known[p]
+		changes := diffBlock(nil, w.cur[p], newState)
+		known := w.known.has(p)
 		var kind byte
 		switch {
 		case !known && len(newState) > 0:
@@ -89,17 +92,13 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 		}
 		start := int64(len(buf))
 		if kind == frameBase {
-			entries := make([]baseEntry, 0, len(newState))
-			for octet := 0; octet < 256; octet++ {
-				if name, ok := newState[byte(octet)]; ok {
-					entries = append(entries, baseEntry{octet: byte(octet), name: name})
-				}
-			}
-			buf = appendFrame(buf, frameBase, encodeBaseBody(local, p, entries))
+			buf = appendFrame(buf, frameBase, encodeBaseBody(local, p, newState))
 		} else {
 			buf = appendFrame(buf, frameDelta, encodeDeltaBody(local, p, changes))
 		}
-		plan = append(plan, pending{p: p, kind: kind, changes: changes, off: start, length: int(int64(len(buf)) - start)})
+		// The state outlives the append as the block's live state: keep it
+		// without the slack its gathering left behind.
+		plan = append(plan, pending{p: p, kind: kind, changes: changes, state: slices.Clone(newState), off: start, length: int(int64(len(buf)) - start)})
 	}
 
 	if _, err := w.tailF.WriteAt(buf, w.tailSize); err != nil {
@@ -126,9 +125,9 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 		w.tailBlocks[pd.p] = append(w.tailBlocks[pd.p], blockRef{
 			snap: local, kind: pd.kind, off: base + pd.off, length: pd.length,
 		})
-		w.known[pd.p] = true
-		s.blockSet[pd.p] = true
-		s.applyFrameChanges(w, gi, pd.p, pd.changes)
+		w.known.add(pd.p)
+		s.blocks.add(pd.p)
+		s.applyFrame(w, gi, pd.p, pd.changes, pd.state)
 		if pd.kind == frameBase {
 			w.lastBase[pd.p] = local
 			w.deltasSince[pd.p] = 0

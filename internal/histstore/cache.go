@@ -14,11 +14,12 @@ import (
 //
 // The cache is sharded 16 ways by prefix so concurrent rdnsd queries do
 // not serialize on one mutex, and size-bounded per shard. Cached states
-// are shared read-only — reconstruction never mutates a returned state.
+// are shared read-only — block states are immutable.
 type blockCache struct {
-	shards [cacheShards]cacheShard
-	hits   atomic.Uint64
-	misses atomic.Uint64
+	shards  [cacheShards]cacheShard
+	hits    atomic.Uint64
+	misses  atomic.Uint64
+	entries atomic.Int64 // across shards, so len takes no shard lock
 }
 
 const cacheShards = 16
@@ -106,7 +107,9 @@ func (c *blockCache) put(key cacheKey, state blockState) {
 		oldest := s.tail
 		s.unlink(oldest)
 		delete(s.m, oldest.key)
+		return
 	}
+	c.entries.Add(1)
 }
 
 // len returns the total number of cached entries. Safe on nil.
@@ -114,14 +117,7 @@ func (c *blockCache) len() int {
 	if c == nil {
 		return 0
 	}
-	total := 0
-	for i := range c.shards {
-		s := &c.shards[i]
-		s.mu.Lock()
-		total += len(s.m)
-		s.mu.Unlock()
-	}
-	return total
+	return int(c.entries.Load())
 }
 
 // counters returns the lifetime hit and miss counts. Safe on nil.

@@ -104,8 +104,14 @@ func appendFrame(dst []byte, kind byte, body []byte) []byte {
 	dst = append(dst, kind)
 	dst = binary.AppendUvarint(dst, uint64(len(body)))
 	dst = append(dst, body...)
-	crc := crc32.ChecksumIEEE(append([]byte{kind}, body...))
-	return binary.LittleEndian.AppendUint32(dst, crc)
+	return binary.LittleEndian.AppendUint32(dst, frameCRC(kind, body))
+}
+
+// frameCRC is the frame checksum: IEEE CRC32 over the kind byte then the
+// body, computed in place.
+func frameCRC(kind byte, body []byte) uint32 {
+	k := [1]byte{kind}
+	return crc32.Update(crc32.Update(0, crc32.IEEETable, k[:]), crc32.IEEETable, body)
 }
 
 // decodeFrame decodes one frame from the front of data and returns it
@@ -135,12 +141,17 @@ func decodeFrame(data []byte) (frame, []byte, error) {
 	if len(rest) < 4 {
 		return frame{}, nil, errTruncated
 	}
-	want := binary.LittleEndian.Uint32(rest[:4])
-	got := crc32.ChecksumIEEE(append([]byte{kind}, body...))
-	if got != want {
-		return frame{}, nil, corruptf("frame CRC mismatch: stored %08x, computed %08x", want, got)
+	if err := checkFrameCRC(kind, body, binary.LittleEndian.Uint32(rest[:4])); err != nil {
+		return frame{}, nil, err
 	}
 	return frame{kind: kind, body: body}, rest[4:], nil
+}
+
+func checkFrameCRC(kind byte, body []byte, want uint32) error {
+	if got := frameCRC(kind, body); got != want {
+		return corruptf("frame CRC mismatch: stored %08x, computed %08x", want, got)
+	}
+	return nil
 }
 
 // byteReader walks a frame body with bounds checking.
@@ -292,8 +303,9 @@ func encodeBaseBody(snap int, p dnswire.Prefix, entries []baseEntry) []byte {
 	return body
 }
 
-// decodeBaseBody decodes a base block body.
-func decodeBaseBody(body []byte) (snap int, p dnswire.Prefix, entries []baseEntry, err error) {
+// decodeBaseBody decodes a base block body. Its entries — a packed block
+// state — are built in dst's storage when that is large enough.
+func decodeBaseBody(body []byte, dst []baseEntry) (snap int, p dnswire.Prefix, entries []baseEntry, err error) {
 	r := &byteReader{b: body}
 	s, err := r.uvarint()
 	if err != nil {
@@ -311,7 +323,9 @@ func decodeBaseBody(body []byte) (snap int, p dnswire.Prefix, entries []baseEntr
 	if count > maxBlockEntries {
 		return 0, p, nil, corruptf("base block claims %d entries", count)
 	}
-	entries = make([]baseEntry, 0, count)
+	if entries = dst[:0]; uint64(cap(entries)) < count {
+		entries = make([]baseEntry, 0, count)
+	}
 	var prevOctet byte
 	var prevName dnswire.Name
 	for i := uint64(0); i < count; i++ {
@@ -356,8 +370,9 @@ func encodeDeltaBody(snap int, p dnswire.Prefix, entries []deltaEntry) []byte {
 	return body
 }
 
-// decodeDeltaBody decodes a delta block body.
-func decodeDeltaBody(body []byte) (snap int, p dnswire.Prefix, entries []deltaEntry, err error) {
+// decodeDeltaBody decodes a delta block body, building its entries in
+// dst's storage when that is large enough.
+func decodeDeltaBody(body []byte, dst []deltaEntry) (snap int, p dnswire.Prefix, entries []deltaEntry, err error) {
 	r := &byteReader{b: body}
 	s, err := r.uvarint()
 	if err != nil {
@@ -375,7 +390,9 @@ func decodeDeltaBody(body []byte) (snap int, p dnswire.Prefix, entries []deltaEn
 	if count > maxBlockEntries {
 		return 0, p, nil, corruptf("delta block claims %d entries", count)
 	}
-	entries = make([]deltaEntry, 0, count)
+	if entries = dst[:0]; uint64(cap(entries)) < count {
+		entries = make([]deltaEntry, 0, count)
+	}
 	var prevOctet byte
 	var prevName dnswire.Name
 	for i := uint64(0); i < count; i++ {

@@ -93,7 +93,7 @@ func TestBaseBodyRoundTrip(t *testing.T) {
 		{octet: 255, name: dnswire.MustName("broadcast.example.net")},
 	}
 	body := encodeBaseBody(42, p, entries)
-	snap, gp, got, err := decodeBaseBody(body)
+	snap, gp, got, err := decodeBaseBody(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func TestDeltaBodyRoundTrip(t *testing.T) {
 		{kind: scanengine.RecordRemoved, octet: 200, old: dnswire.MustName("gone.example.net")},
 	}
 	body := encodeDeltaBody(7, p, entries)
-	snap, gp, got, err := decodeDeltaBody(body)
+	snap, gp, got, err := decodeDeltaBody(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +143,7 @@ func TestDecodeBaseBodyRejects(t *testing.T) {
 		{octet: 5, name: dnswire.MustName("a.example.net")},
 		{octet: 6, name: dnswire.MustName("b.example.net")},
 	})
-	if _, _, _, err := decodeBaseBody(good); err != nil {
+	if _, _, _, err := decodeBaseBody(good, nil); err != nil {
 		t.Fatalf("control: %v", err)
 	}
 	cases := map[string][]byte{
@@ -156,7 +156,7 @@ func TestDecodeBaseBodyRejects(t *testing.T) {
 	huge[len(huge)-1] = 0xff // count uvarint -> would continue; malformed
 	cases["bad count varint"] = huge
 	for name, body := range cases {
-		if _, _, _, err := decodeBaseBody(body); err == nil {
+		if _, _, _, err := decodeBaseBody(body, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -169,7 +169,7 @@ func TestDecodeDeltaBodyRejectsKind(t *testing.T) {
 	})
 	// The kind byte is right after snap(1)+prefix(3)+count(1).
 	body[5] = 9
-	if _, _, _, err := decodeDeltaBody(body); err == nil {
+	if _, _, _, err := decodeDeltaBody(body, nil); err == nil {
 		t.Fatal("unknown change kind accepted")
 	}
 }
@@ -190,7 +190,7 @@ func TestNamePrefixCompression(t *testing.T) {
 	if len(body) > naive/2 {
 		t.Fatalf("compressed body %d bytes vs %d naive — compression ineffective", len(body), naive)
 	}
-	_, _, got, err := decodeBaseBody(body)
+	_, _, got, err := decodeBaseBody(body, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,7 +13,6 @@ import (
 	"sort"
 
 	"rdnsprivacy/internal/dnswire"
-	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/testutil"
 )
 
@@ -319,7 +318,7 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 		count:     sealCount,
 		size:      int64(len(build.data)),
 		f:         segF,
-		refs:      build.refs,
+		idx:       build.idx,
 	}
 	w.segs = append(w.segs, newSeg)
 	s.noteSegmentLoaded(newSeg)
@@ -347,7 +346,7 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 		offs = append(offs, off+shift)
 	}
 	w.tailSnapOffsets = offs
-	s.recomputeCadence(w, newSeg)
+	s.recomputeCadence(w, build.refs)
 	s.baseFrames += build.baseFrames - build.sealedBases
 	s.deltaFrames += build.deltaFrames - build.sealedDeltas
 	s.bytes += newSeg.size + w.tailSize - oldKnownTail
@@ -378,17 +377,10 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 // compaction re-laid, so the in-memory append schedule matches what a
 // reopen would replay — keeping the stayed-open and reopened stores
 // byte-identical for all future appends.
-func (s *Store) recomputeCadence(w *writerState, newSeg *segment) {
-	affected := make(map[dnswire.Prefix]bool, len(newSeg.refs))
-	for p := range newSeg.refs {
-		affected[p] = true
-	}
-	for p := range w.tailBlocks {
-		affected[p] = true
-	}
-	for p := range affected {
+func (s *Store) recomputeCadence(w *writerState, sealedRefs map[dnswire.Prefix][]blockRef) {
+	cadence := func(p dnswire.Prefix, sealed []blockRef) {
 		lastBase, deltas := -1, 0
-		walk := func(rs []blockRef) {
+		for _, rs := range [2][]blockRef{sealed, w.tailBlocks[p]} {
 			for _, r := range rs {
 				if r.kind == frameBase {
 					lastBase, deltas = r.snap, 0
@@ -397,19 +389,26 @@ func (s *Store) recomputeCadence(w *writerState, newSeg *segment) {
 				}
 			}
 		}
-		walk(newSeg.refs[p])
-		walk(w.tailBlocks[p])
 		if lastBase >= 0 {
 			w.lastBase[p] = lastBase
 		}
 		w.deltasSince[p] = deltas
+	}
+	for p, sealed := range sealedRefs {
+		cadence(p, sealed)
+	}
+	for p := range w.tailBlocks {
+		if _, sealed := sealedRefs[p]; !sealed {
+			cadence(p, nil)
+		}
 	}
 }
 
 // segBuild is the in-memory image of a segment under construction.
 type segBuild struct {
 	data []byte
-	refs map[dnswire.Prefix][]blockRef
+	refs map[dnswire.Prefix][]blockRef // gathered frame by frame
+	idx  *segIndex                     // the index a reload of the image would build
 	// Frames emitted into the segment vs the original frames sealed out
 	// of the tail — the difference adjusts the store's frame counters.
 	baseFrames, deltaFrames   int
@@ -423,19 +422,16 @@ type segBuild struct {
 func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK int) (*segBuild, error) {
 	// Carried-over states: every block live just before the cut span.
 	running := make(map[dnswire.Prefix]blockState)
-	for p := range w.known {
-		st, err := s.writerStateAt(w.idx, p, first-1)
-		if err != nil {
+	r := reader{s: s}
+	defer r.release()
+	for _, p := range w.known {
+		seed := writerWalk{w: w, p: p}
+		if err := seed.seed(&r, first-1); err != nil {
 			return nil, err
 		}
-		if len(st) == 0 {
-			continue
+		if len(seed.state.cur) > 0 {
+			running[p] = seed.state.cur
 		}
-		cp := make(blockState, len(st))
-		for o, name := range st {
-			cp[o] = name
-		}
-		running[p] = cp
 	}
 
 	count := cut - first + 1
@@ -443,18 +439,13 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 		data: encodeSegmentHeader(w.id, first, count),
 		refs: make(map[dnswire.Prefix][]blockRef),
 	}
+	frameStart := int64(len(b.data))
 	lastBaseSeg := make(map[dnswire.Prefix]int)
 	deltasSeg := make(map[dnswire.Prefix]int)
 
 	emitBase := func(snap int, p dnswire.Prefix, st blockState) {
-		entries := make([]baseEntry, 0, len(st))
-		for octet := 0; octet < 256; octet++ {
-			if name, ok := st[byte(octet)]; ok {
-				entries = append(entries, baseEntry{octet: byte(octet), name: name})
-			}
-		}
 		start := int64(len(b.data))
-		b.data = appendFrame(b.data, frameBase, encodeBaseBody(snap, p, entries))
+		b.data = appendFrame(b.data, frameBase, encodeBaseBody(snap, p, st))
 		b.refs[p] = append(b.refs[p], blockRef{snap: snap, kind: frameBase, off: start, length: int(int64(len(b.data)) - start)})
 		lastBaseSeg[p] = snap
 		deltasSeg[p] = 0
@@ -477,42 +468,20 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 	applyOriginal := func(fr frame) (frameEffect, error) {
 		switch fr.kind {
 		case frameBase:
-			_, p, entries, err := decodeBaseBody(fr.body)
+			_, p, newState, err := decodeBaseBody(fr.body, nil)
 			if err != nil {
 				return frameEffect{}, err
 			}
-			newState := make(blockState, len(entries))
-			for _, e := range entries {
-				newState[e.octet] = e.name
-			}
-			changes := diffBlock(running[p], newState)
-			if len(newState) == 0 {
-				delete(running, p)
-			} else {
-				running[p] = newState
-			}
+			changes := diffBlock(nil, running[p], newState)
+			setState(running, p, newState)
 			b.sealedBases++
 			return frameEffect{p: p, changes: changes}, nil
 		case frameDelta:
-			_, p, entries, err := decodeDeltaBody(fr.body)
+			_, p, entries, err := decodeDeltaBody(fr.body, nil)
 			if err != nil {
 				return frameEffect{}, err
 			}
-			st := running[p]
-			if st == nil {
-				st = make(blockState)
-				running[p] = st
-			}
-			for _, e := range entries {
-				if e.kind == scanengine.RecordRemoved {
-					delete(st, e.octet)
-				} else {
-					st[e.octet] = e.new
-				}
-			}
-			if len(st) == 0 {
-				delete(running, p)
-			}
+			setState(running, p, applyDelta(nil, running[p], entries))
 			b.sealedDeltas++
 			return frameEffect{p: p, changes: entries}, nil
 		}
@@ -584,7 +553,7 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 		switch {
 		case !seen:
 			// A block's first in-segment frame must be a base — the
-			// invariant segStateAt's absence-means-dead shortcut needs.
+			// invariant the walk's absence-means-dead rule needs.
 			emitBase(snap, p, running[p])
 		case snap-lastBaseSeg[p] >= segK && deltasSeg[p] > 0:
 			emitBase(snap, p, running[p])
@@ -601,6 +570,10 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 
 	footerOff := int64(len(b.data))
 	footer := encodeSegmentFooter(b.refs, first)
+	var err error
+	if b.idx, err = decodeSegmentFooter(footer, first, count, frameStart, footerOff); err != nil {
+		return nil, fmt.Errorf("histstore: sealing %s: built an invalid footer: %w", w.tailFile, err)
+	}
 	b.data = append(b.data, footer...)
 	b.data = binary.LittleEndian.AppendUint64(b.data, uint64(footerOff))
 	b.data = binary.LittleEndian.AppendUint32(b.data, crc32.ChecksumIEEE(footer))

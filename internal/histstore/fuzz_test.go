@@ -1,6 +1,7 @@
 package histstore
 
 import (
+	"slices"
 	"testing"
 
 	"rdnsprivacy/internal/dnswire"
@@ -75,7 +76,7 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("negative snapshot index %d accepted", snap)
 			}
 		case frameBase:
-			if _, _, entries, err := decodeBaseBody(fr.body); err == nil {
+			if _, _, entries, err := decodeBaseBody(fr.body, nil); err == nil {
 				checkOctetOrder(t, len(entries), func(i int) byte { return entries[i].octet })
 				for _, e := range entries {
 					if len(e.name) > maxNameBytes {
@@ -84,7 +85,7 @@ func FuzzDecodeBlock(f *testing.F) {
 				}
 			}
 		case frameDelta:
-			if _, _, entries, err := decodeDeltaBody(fr.body); err == nil {
+			if _, _, entries, err := decodeDeltaBody(fr.body, nil); err == nil {
 				checkOctetOrder(t, len(entries), func(i int) byte { return entries[i].octet })
 				for _, e := range entries {
 					if len(e.old) > maxNameBytes || len(e.new) > maxNameBytes {
@@ -200,10 +201,97 @@ func FuzzSegmentManifest(f *testing.F) {
 	})
 }
 
+// strictDecodeSegmentFooter is the footer decoder the flat index replaced,
+// kept as FuzzSegmentFooter's reference: one map entry and one slice per
+// block, every check in the order it was written.
+func strictDecodeSegmentFooter(footer []byte, firstSnap, count int, frameStart, footerOff int64) (map[dnswire.Prefix][]blockRef, error) {
+	r := &byteReader{b: footer}
+	nBlocks, err := r.uvarint()
+	if err != nil {
+		return nil, err
+	}
+	if nBlocks > 1<<24 {
+		return nil, corruptf("segment footer claims %d blocks", nBlocks)
+	}
+	refs := make(map[dnswire.Prefix][]blockRef)
+	var prevAddr uint32
+	for bi := uint64(0); bi < nBlocks; bi++ {
+		hi, err := r.bytes(3)
+		if err != nil {
+			return nil, err
+		}
+		p := dnswire.Prefix{Addr: dnswire.IPv4{hi[0], hi[1], hi[2], 0}, Bits: 24}
+		if addr := p.Addr.Uint32(); bi > 0 && addr <= prevAddr {
+			return nil, corruptf("segment footer blocks out of order at %s", p)
+		} else {
+			prevAddr = addr
+		}
+		nRefs, err := r.uvarint()
+		if err != nil {
+			return nil, err
+		}
+		if nRefs == 0 || nRefs > uint64(count) {
+			return nil, corruptf("segment footer block %s claims %d refs over %d snapshots", p, nRefs, count)
+		}
+		var rs []blockRef
+		snap, off := firstSnap, int64(0)
+		for ri := uint64(0); ri < nRefs; ri++ {
+			gap, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			if ri > 0 && gap == 0 {
+				return nil, corruptf("segment footer block %s has a zero snapshot gap", p)
+			}
+			snap += int(gap)
+			if snap < firstSnap || snap > firstSnap+count-1 {
+				return nil, corruptf("segment footer block %s ref at snapshot %d outside [%d,%d]", p, snap, firstSnap, firstSnap+count-1)
+			}
+			kind, err := r.byte()
+			if err != nil {
+				return nil, err
+			}
+			if kind != frameBase && kind != frameDelta {
+				return nil, corruptf("segment footer block %s has frame kind 0x%02x", p, kind)
+			}
+			offGap, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			if ri == 0 {
+				off = int64(offGap)
+			} else {
+				if offGap == 0 {
+					return nil, corruptf("segment footer block %s has a zero offset gap", p)
+				}
+				off += int64(offGap)
+			}
+			length, err := r.uvarint()
+			if err != nil {
+				return nil, err
+			}
+			if off < frameStart || length == 0 || length > 1<<24 || off+int64(length) > footerOff {
+				return nil, corruptf("segment footer block %s ref [%d,+%d) outside frame region", p, off, length)
+			}
+			rs = append(rs, blockRef{snap: snap, kind: kind, off: off, length: int(length)})
+		}
+		if rs[0].kind != frameBase {
+			return nil, corruptf("segment block %s does not open with a base frame", p)
+		}
+		refs[p] = rs
+	}
+	if err := r.done(); err != nil {
+		return nil, err
+	}
+	return refs, nil
+}
+
 // FuzzSegmentFooter fuzzes the sealed-segment footer index decoder with
 // arbitrary bytes against a fixed geometry: rejected or accepted, never
-// a panic, and accepted indexes must stay inside the frame region with
-// every block opening on a base frame.
+// a panic; the flat decoder must accept exactly what the strict reference
+// accepts and hold the same refs; accepted indexes must stay inside the
+// frame region with every block opening on a base frame, and must survive
+// a trip through encodeSegmentFooter unchanged.
 func FuzzSegmentFooter(f *testing.F) {
 	const (
 		firstSnap  = 10
@@ -229,13 +317,39 @@ func FuzzSegmentFooter(f *testing.F) {
 		bad[off] ^= 0xff
 		f.Add(bad)
 	}
+	// A block count the bytes cannot back, a block opening on a delta, and
+	// an empty directory.
+	f.Add([]byte{0xff, 0xff, 0xff, 0x07})
+	f.Add(encodeSegmentFooter(map[dnswire.Prefix][]blockRef{
+		dnswire.MustPrefix("192.0.2.0/24"): {{snap: 10, kind: frameDelta, off: 40, length: 120}},
+	}, firstSnap))
+	f.Add([]byte{0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		decoded, err := decodeSegmentFooter(data, firstSnap, count, frameStart, footerOff)
+		want, wantErr := strictDecodeSegmentFooter(data, firstSnap, count, frameStart, footerOff)
+		ix, err := decodeSegmentFooter(data, firstSnap, count, frameStart, footerOff)
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("flat decoder says %v, strict decoder says %v", err, wantErr)
+		}
 		if err != nil {
 			return
 		}
-		for p, rs := range decoded {
+		if !ix.matches(want) {
+			t.Fatalf("flat decoder holds %+v, strict decoder read %v", ix.dir, want)
+		}
+		held := make(map[dnswire.Prefix][]blockRef)
+		for i := range ix.dir {
+			p, rs, err := ix.block(i, nil)
+			if err != nil {
+				t.Fatalf("block %d of an accepted footer: %v", i, err)
+			}
+			held[p] = rs
+			if got, err := ix.lookup(p, nil); err != nil || !slices.Equal(got, rs) {
+				t.Fatalf("lookup(%s) = %v, %v; block %d is %v", p, got, err, i, rs)
+			}
+			if i > 0 && ix.dir[i].addr <= ix.dir[i-1].addr {
+				t.Fatalf("accepted unsorted blocks %v", ix.dir)
+			}
 			if len(rs) == 0 || rs[0].kind != frameBase {
 				t.Fatalf("accepted block %s without an opening base", p)
 			}
@@ -250,6 +364,15 @@ func FuzzSegmentFooter(f *testing.F) {
 					t.Fatalf("accepted non-monotonic refs %+v", rs)
 				}
 			}
+		}
+		if absent := dnswire.MustPrefix("203.0.113.0/24"); held[absent] == nil {
+			if got, err := ix.lookup(absent, nil); got != nil || err != nil {
+				t.Fatalf("lookup of an absent block = %v, %v", got, err)
+			}
+		}
+		again, err := decodeSegmentFooter(encodeSegmentFooter(held, firstSnap), firstSnap, count, frameStart, footerOff)
+		if err != nil || !again.matches(held) {
+			t.Fatalf("round trip drifted: %v", err)
 		}
 	})
 }

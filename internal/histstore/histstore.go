@@ -31,9 +31,10 @@
 // compressed with CRC framing (see codec.go for the wire layout). Two
 // in-memory indexes ride on top: a per-/24 block index (prefix -> frame
 // refs per snapshot) and an inverted hostname-token index (token ->
-// (/24, interval) postings). Any snapshot of any block reconstructs in
-// O(deltas since the nearest base), optionally through a sharded LRU
-// reconstruction cache.
+// (/24, interval) postings). Every read is a forward block walk
+// (walk.go): any snapshot of any block is seeded in O(deltas since the
+// nearest base), optionally through a sharded LRU reconstruction cache,
+// and a window then costs one frame decode per frame inside it.
 //
 //	st, _ := histstore.Open(dir, histstore.WithCache(4096))
 //	defer st.Close()
@@ -105,9 +106,6 @@ const DefaultHotSegments = 8
 // deletes a file between our manifest read and opening it.
 const openRetries = 3
 
-// blockState is the record set of one /24 keyed by last octet.
-type blockState map[byte]dnswire.Name
-
 // blockRef locates one block frame in a tail or segment file. snap is
 // writer-local.
 type blockRef struct {
@@ -141,7 +139,7 @@ type writerState struct {
 	tailSnapOffsets []int64
 	tornAt          int64 // torn-tail boundary found at replay, -1 if none
 
-	known map[dnswire.Prefix]bool
+	known blockList // every /24 the writer has ever recorded
 	times []time.Time
 	// globalIdx maps local snapshot index -> global snapshot index.
 	globalIdx []int
@@ -180,9 +178,9 @@ type Store struct {
 
 	// The merged global view.
 	times      []time.Time
-	snapWriter []int // global snapshot -> writer index
-	snapLocal  []int // global snapshot -> writer-local snapshot index
-	blockSet   map[dnswire.Prefix]bool
+	snapWriter []int     // global snapshot -> writer index
+	snapLocal  []int     // global snapshot -> writer-local snapshot index
+	blocks     blockList // every /24 any writer has ever recorded
 	cur        map[dnswire.Prefix]blockState
 	names      *nameIndex
 
@@ -291,7 +289,6 @@ func openStore(path string, opts []Option) (s *Store, err error) {
 		baseEvery: DefaultBaseInterval,
 		writerID:  DefaultWriter,
 		hotCap:    DefaultHotSegments,
-		blockSet:  make(map[dnswire.Prefix]bool),
 		cur:       make(map[dnswire.Prefix]blockState),
 		names:     newNameIndex(),
 	}
@@ -465,7 +462,6 @@ func (s *Store) loadWriters(m *storeManifest) error {
 			tailFirst:   mw.tailFirst,
 			tornAt:      -1,
 			tailBlocks:  make(map[dnswire.Prefix][]blockRef),
-			known:       make(map[dnswire.Prefix]bool),
 			cur:         make(map[dnswire.Prefix]blockState),
 			lastBase:    make(map[dnswire.Prefix]int),
 			deltasSince: make(map[dnswire.Prefix]int),
@@ -499,8 +495,8 @@ func (s *Store) loadWriters(m *storeManifest) error {
 	s.solo = len(s.writers) == 1
 	if s.solo {
 		// Single writer: the merged view IS the writer's view. Aliasing
-		// the maps keeps the original single-writer hot path (one state
-		// transition per frame, shared cache entries).
+		// the maps keeps the single-writer hot path at one state
+		// transition per frame.
 		s.writers[0].cur = s.cur
 	}
 	return nil
@@ -570,102 +566,46 @@ func readUvarint(r io.ByteReader) (uint64, int, error) {
 	return 0, 0, corruptError("uvarint overflow")
 }
 
-// diffBlock computes the octet-sorted changes turning old into new.
-func diffBlock(old, new blockState) []deltaEntry {
-	var out []deltaEntry
-	for octet := 0; octet < 256; octet++ {
-		o := byte(octet)
-		oldName, hadOld := old[o]
-		newName, hasNew := new[o]
-		switch {
-		case hadOld && hasNew && oldName != newName:
-			out = append(out, deltaEntry{kind: scanengine.RecordChanged, octet: o, old: oldName, new: newName})
-		case hadOld && !hasNew:
-			out = append(out, deltaEntry{kind: scanengine.RecordRemoved, octet: o, old: oldName})
-		case !hadOld && hasNew:
-			out = append(out, deltaEntry{kind: scanengine.RecordAdded, octet: o, new: newName})
-		}
+// setState installs a block's new state in a live map, dropping the
+// entry once the block is empty.
+func setState(cur map[dnswire.Prefix]blockState, p dnswire.Prefix, st blockState) {
+	if len(st) == 0 {
+		delete(cur, p)
+	} else {
+		cur[p] = st
 	}
-	return out
 }
 
-// applyChanges advances the merged current state and the name index
-// through one global snapshot's changes to one block. It is the single
-// transition function Append, replay, and the merge layer all run, which
-// is what makes reopen bit-identical.
-func (s *Store) applyChanges(snap int, p dnswire.Prefix, changes []deltaEntry) {
-	st := s.cur[p]
-	if st == nil {
-		st = make(blockState)
-		s.cur[p] = st
+// applyFrame folds one frame of writer w — block p at global snapshot gi
+// became wState through wChanges — into the writer's live state, the
+// merged view and the name index. It is the single transition Append and
+// replay both run, which is what makes reopen bit-identical.
+func (s *Store) applyFrame(w *writerState, gi int, p dnswire.Prefix, wChanges []deltaEntry, wState blockState) {
+	changes := wChanges
+	if s.solo {
+		// writers[0].cur aliases s.cur: one transition covers both.
+		setState(s.cur, p, wState)
+	} else {
+		setState(w.cur, p, wState)
+		states := make([]blockState, len(s.writers))
+		for i, o := range s.writers {
+			states[i] = o.cur[p]
+		}
+		merged := mergeStates(nil, states)
+		changes = diffBlock(nil, s.cur[p], merged)
+		setState(s.cur, p, merged)
 	}
 	for _, ch := range changes {
 		switch ch.kind {
 		case scanengine.RecordAdded:
-			st[ch.octet] = ch.new
-			s.names.add(ch.new, p, snap)
+			s.names.add(ch.new, p, gi)
 		case scanengine.RecordRemoved:
-			delete(st, ch.octet)
-			s.names.remove(ch.old, p, snap)
+			s.names.remove(ch.old, p, gi)
 		case scanengine.RecordChanged:
-			st[ch.octet] = ch.new
-			s.names.remove(ch.old, p, snap)
-			s.names.add(ch.new, p, snap)
+			s.names.remove(ch.old, p, gi)
+			s.names.add(ch.new, p, gi)
 		}
 	}
-	if len(st) == 0 {
-		delete(s.cur, p)
-	}
-}
-
-// applyWriterChanges advances one writer's private state (no name-index
-// side effects — those belong to the merged view).
-func applyWriterChanges(w *writerState, p dnswire.Prefix, changes []deltaEntry) {
-	st := w.cur[p]
-	if st == nil {
-		st = make(blockState)
-		w.cur[p] = st
-	}
-	for _, ch := range changes {
-		switch ch.kind {
-		case scanengine.RecordAdded, scanengine.RecordChanged:
-			st[ch.octet] = ch.new
-		case scanengine.RecordRemoved:
-			delete(st, ch.octet)
-		}
-	}
-	if len(st) == 0 {
-		delete(w.cur, p)
-	}
-}
-
-// mergeLive computes the merged live state of one block across writers:
-// iterating in ascending id order, the first writer claiming an octet
-// wins. Callers hold the lock.
-func (s *Store) mergeLive(p dnswire.Prefix) blockState {
-	merged := make(blockState)
-	for _, w := range s.writers {
-		for o, name := range w.cur[p] {
-			if _, taken := merged[o]; !taken {
-				merged[o] = name
-			}
-		}
-	}
-	return merged
-}
-
-// applyFrameChanges folds one writer's frame changes for block p at
-// global snapshot gi into both the writer's state and the merged view.
-func (s *Store) applyFrameChanges(w *writerState, gi int, p dnswire.Prefix, wChanges []deltaEntry) {
-	if s.solo {
-		// writers[0].cur aliases s.cur: one transition covers both.
-		s.applyChanges(gi, p, wChanges)
-		return
-	}
-	applyWriterChanges(w, p, wChanges)
-	merged := s.mergeLive(p)
-	mc := diffBlock(s.cur[p], merged)
-	s.applyChanges(gi, p, mc)
 }
 
 // Times returns the merged snapshot instants in timeline order.
@@ -732,7 +672,7 @@ func (s *Store) snapAtOrBefore(t time.Time) (int, bool) {
 func (s *Store) publishGauges() {
 	m := s.met
 	m.snapshots.Set(int64(len(s.times)))
-	m.blocks.Set(int64(len(s.blockSet)))
+	m.blocks.Set(int64(len(s.blocks)))
 	m.bytes.Set(s.bytes)
 	m.cacheEntries.Set(int64(s.cache.len()))
 	segs, sealed := 0, int64(0)

@@ -1,6 +1,7 @@
 package histstore
 
 import (
+	"math"
 	"sort"
 	"strings"
 	"time"
@@ -30,16 +31,22 @@ type Posting struct {
 	Last   time.Time
 }
 
+// maxSnapshots bounds the merged timeline so a snapshot index fits the 32
+// bits a posting keeps of it. Closed postings are most of what a long
+// campaign's store holds in memory, and the timeline itself (resident, 24
+// bytes a snapshot) runs out of memory long before it runs out of indexes.
+const maxSnapshots = math.MaxInt32
+
 // interval is a closed snapshot-index range.
 type interval struct {
-	first, last int
+	first, last int32
 }
 
 // tokenPostings tracks one (token, /24) pair.
 type tokenPostings struct {
 	closed []interval
-	open   int // first snapshot of the open interval, -1 when none
-	active int // records in the /24 currently carrying the token
+	open   int32 // first snapshot of the open interval, -1 when none
+	active int32 // records in the /24 currently carrying the token
 }
 
 // nameIndex is the full inverted index. Not safe for concurrent use; the
@@ -97,11 +104,11 @@ func (ix *nameIndex) add(name dnswire.Name, p dnswire.Prefix, snap int) {
 		if tp.active == 1 && tp.open < 0 {
 			// Seamless re-appearance: a record removed at snap (present
 			// through snap-1) and re-added at snap keeps one interval.
-			if n := len(tp.closed); n > 0 && tp.closed[n-1].last == snap-1 {
+			if n := len(tp.closed); n > 0 && int(tp.closed[n-1].last) == snap-1 {
 				tp.open = tp.closed[n-1].first
 				tp.closed = tp.closed[:n-1]
 			} else {
-				tp.open = snap
+				tp.open = int32(snap)
 			}
 		}
 	}
@@ -114,7 +121,7 @@ func (ix *nameIndex) remove(name dnswire.Name, p dnswire.Prefix, snap int) {
 		tp := ix.get(token, p)
 		tp.active--
 		if tp.active == 0 && tp.open >= 0 {
-			tp.closed = append(tp.closed, interval{first: tp.open, last: snap - 1})
+			tp.closed = append(tp.closed, interval{first: tp.open, last: int32(snap - 1)})
 			tp.open = -1
 		}
 	}

@@ -3,7 +3,8 @@ package histstore
 import (
 	"context"
 	"fmt"
-	"os"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -17,229 +18,16 @@ import (
 // when the address had no record then; ErrBeforeHistory when t precedes
 // the first snapshot.
 func (s *Store) At(ip dnswire.IPv4, t time.Time) (dnswire.Name, bool, error) {
-	name, _, ok, err := s.atLocked(ip, t)
+	name, _, ok, err := s.AtWriter(ip, t)
 	return name, ok, err
 }
 
 // AtWriter is At with provenance: which writer's record answered. A
 // conflicted address reports the winning (smallest-id) writer.
 func (s *Store) AtWriter(ip dnswire.IPv4, t time.Time) (dnswire.Name, string, bool, error) {
-	return s.atLocked(ip, t)
-}
-
-func (s *Store) atLocked(ip dnswire.IPv4, t time.Time) (dnswire.Name, string, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
-		return "", "", false, ErrClosed
-	}
-	snap, ok := s.snapAtOrBefore(t)
-	if !ok {
-		return "", "", false, ErrBeforeHistory
-	}
-	p := ip.Slash24()
-	// Merge priority: writers ascending by id, first holder of the octet
-	// wins — the same rule mergeLive applies to whole blocks.
-	for wi, w := range s.writers {
-		ls := localAtOrBefore(w, snap)
-		st, err := s.writerStateAt(wi, p, ls)
-		if err != nil {
-			return "", "", false, err
-		}
-		if name, ok := st[ip[3]]; ok {
-			return name, w.id, true, nil
-		}
-	}
-	return "", "", false, nil
-}
-
-// localAtOrBefore maps a global snapshot index to the writer's newest
-// local snapshot at or before it (-1 when the writer has none yet).
-// Callers hold the lock.
-func localAtOrBefore(w *writerState, g int) int {
-	return sort.Search(len(w.globalIdx), func(i int) bool { return w.globalIdx[i] > g }) - 1
-}
-
-// stateAtGlobal reconstructs the merged record set of one /24 at a
-// global snapshot index. In solo mode it is the writer's (shared,
-// cached) state; with several writers it is a fresh priority merge.
-// Callers hold at least the read lock; solo results are shared and must
-// not be mutated.
-func (s *Store) stateAtGlobal(p dnswire.Prefix, g int) (blockState, error) {
-	if s.solo {
-		return s.writerStateAt(0, p, g)
-	}
-	var merged blockState
-	for wi, w := range s.writers {
-		ls := localAtOrBefore(w, g)
-		st, err := s.writerStateAt(wi, p, ls)
-		if err != nil {
-			return nil, err
-		}
-		if len(st) == 0 {
-			continue
-		}
-		if merged == nil {
-			merged = make(blockState, len(st))
-		}
-		for o, name := range st {
-			if _, taken := merged[o]; !taken {
-				merged[o] = name
-			}
-		}
-	}
-	return merged, nil
-}
-
-// writerStateAt reconstructs one writer's view of a block at its local
-// snapshot ls: from the tail when ls is in the tail's range (chaining
-// into the last segment when the tail run opens with deltas), otherwise
-// from the owning segment.
-func (s *Store) writerStateAt(wi int, p dnswire.Prefix, ls int) (blockState, error) {
-	if ls < 0 {
-		return nil, nil
-	}
-	w := s.writers[wi]
-	if ls >= w.tailFirst {
-		refs := w.tailBlocks[p]
-		i := sort.Search(len(refs), func(k int) bool { return refs[k].snap > ls }) - 1
-		if i >= 0 {
-			return s.reconstruct(wi, p, refs, i, w.tailF, func() (blockState, error) {
-				return s.segStateAt(wi, p, w.tailFirst-1)
-			})
-		}
-		ls = w.tailFirst - 1
-	}
-	return s.segStateAt(wi, p, ls)
-}
-
-// segStateAt reconstructs a block from the sealed segment owning local
-// snapshot ls. Every block live at a segment's start opens with a base
-// inside it, so a block absent from the owning segment's index was dead
-// through ls.
-func (s *Store) segStateAt(wi int, p dnswire.Prefix, ls int) (blockState, error) {
-	if ls < 0 {
-		return nil, nil
-	}
-	w := s.writers[wi]
-	gi := sort.Search(len(w.segs), func(k int) bool { return w.segs[k].firstSnap > ls }) - 1
-	if gi < 0 {
-		return nil, nil
-	}
-	g := w.segs[gi]
-	refs, f, release, err := g.pin(s)
-	if err != nil {
-		return nil, err
-	}
-	defer release()
-	rs := refs[p]
-	i := sort.Search(len(rs), func(k int) bool { return rs[k].snap > ls }) - 1
-	if i < 0 {
-		return nil, nil
-	}
-	return s.reconstruct(wi, p, rs, i, f, nil)
-}
-
-// reconstruct rebuilds a block state from refs[..i] read out of f:
-// nearest base at or before i, plus the deltas in between. When the run
-// has no base (a tail run continuing a segment), prior supplies the
-// carried-over state. Results are cached under (writer, block, version
-// snapshot) — the block's newest frame at or before the query — so every
-// query between two writes of a block shares one entry, and entries
-// survive compaction because a snapshot's reconstructed state is
-// bit-identical across it.
-func (s *Store) reconstruct(wi int, p dnswire.Prefix, refs []blockRef, i int, f *os.File, prior func() (blockState, error)) (blockState, error) {
-	key := cacheKey{w: wi, p: p, snap: refs[i].snap}
-	if st, ok := s.cache.get(key); ok {
-		s.met.cacheHits.Inc()
-		return st, nil
-	}
-	if s.cache != nil {
-		s.met.cacheMisses.Inc()
-	}
-	b := i
-	for b >= 0 && refs[b].kind != frameBase {
-		b--
-	}
-	var st blockState
-	start := b
-	if b < 0 {
-		if prior == nil {
-			return nil, corruptf("block %s has no base frame", p)
-		}
-		carried, err := prior()
-		if err != nil {
-			return nil, err
-		}
-		st = make(blockState, len(carried))
-		for o, name := range carried {
-			st[o] = name
-		}
-		start = 0
-	} else {
-		st = make(blockState)
-	}
-	s.reconstructions.Add(1)
-	s.met.reconstructions.Inc()
-	for j := start; j <= i; j++ {
-		fr, err := readFrameAt(f, refs[j])
-		if err != nil {
-			return nil, err
-		}
-		switch fr.kind {
-		case frameBase:
-			fsnap, fp, entries, err := decodeBaseBody(fr.body)
-			if err != nil {
-				return nil, err
-			}
-			if fsnap != refs[j].snap || fp != p {
-				return nil, corruptf("frame at %d is for %s@%d, expected %s@%d",
-					refs[j].off, fp, fsnap, p, refs[j].snap)
-			}
-			st = make(blockState, len(entries))
-			for _, e := range entries {
-				st[e.octet] = e.name
-			}
-		case frameDelta:
-			fsnap, fp, entries, err := decodeDeltaBody(fr.body)
-			if err != nil {
-				return nil, err
-			}
-			if fsnap != refs[j].snap || fp != p {
-				return nil, corruptf("frame at %d is for %s@%d, expected %s@%d",
-					refs[j].off, fp, fsnap, p, refs[j].snap)
-			}
-			for _, e := range entries {
-				switch e.kind {
-				case scanengine.RecordAdded, scanengine.RecordChanged:
-					st[e.octet] = e.new
-				case scanengine.RecordRemoved:
-					delete(st, e.octet)
-				}
-			}
-		}
-	}
-	s.cache.put(key, st)
-	if s.cache != nil {
-		s.met.cacheEntries.Set(int64(s.cache.len()))
-	}
-	return st, nil
-}
-
-// readFrameAt reads and CRC-verifies one frame from f.
-func readFrameAt(f *os.File, ref blockRef) (frame, error) {
-	buf := make([]byte, ref.length)
-	if _, err := f.ReadAt(buf, ref.off); err != nil {
-		return frame{}, fmt.Errorf("histstore: reading frame at %d: %w", ref.off, err)
-	}
-	fr, rest, err := decodeFrame(buf)
-	if err != nil {
-		return frame{}, err
-	}
-	if len(rest) != 0 {
-		return frame{}, corruptf("frame at %d shorter than indexed", ref.off)
-	}
-	return fr, nil
+	return view{s: s}.at(ip, t)
 }
 
 // Range returns every observation (snapshot, address, name) within prefix
@@ -250,43 +38,13 @@ func (s *Store) Range(p dnswire.Prefix, from, to time.Time) ([]dataset.Row, erro
 }
 
 // RangeContext is Range with cancellation: a query serving a disconnected
-// client stops reconstructing blocks as soon as ctx is done and returns
+// client stops walking blocks as soon as ctx is done and returns
 // ctx.Err().
 func (s *Store) RangeContext(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]dataset.Row, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	lo, hi, ok := s.snapRange(from, to)
-	if !ok {
-		return nil, nil
-	}
-	blocks := s.overlappingBlocks(p)
-	var rows []dataset.Row
-	for i := lo; i <= hi; i++ {
-		for _, q := range blocks {
-			if err := ctx.Err(); err != nil {
-				return rows, err
-			}
-			st, err := s.stateAtGlobal(q, i)
-			if err != nil {
-				return rows, err
-			}
-			for octet := 0; octet < 256; octet++ {
-				name, ok := st[byte(octet)]
-				if !ok {
-					continue
-				}
-				ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], byte(octet)}
-				if p.Bits > 24 && !p.Contains(ip) {
-					continue
-				}
-				rows = append(rows, dataset.Row{Date: s.times[i], IP: ip, PTR: name})
-			}
-		}
-	}
-	return rows, nil
+	rows, _, _, err := view{s: s}.rangePage(ctx, p, from, to, RangeCursor{}, math.MaxInt)
+	return rows, err
 }
 
 // RangeCursor is the resume position of a paginated Range scan: the next
@@ -312,59 +70,7 @@ func (s *Store) RangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, cur, false, ErrClosed
-	}
-	lo, hi, ok := s.snapRange(from, to)
-	if !ok {
-		return nil, cur, false, nil
-	}
-	if cur.Snap > lo {
-		lo = cur.Snap
-	}
-	if lo > hi {
-		return nil, cur, false, nil
-	}
-	blocks := s.overlappingBlocks(p)
-	for i := lo; i <= hi; i++ {
-		for _, q := range blocks {
-			addr := q.Addr.Uint32()
-			startOctet := 0
-			if i == cur.Snap {
-				if addr < cur.Block {
-					continue // consumed by an earlier page
-				}
-				if addr == cur.Block {
-					startOctet = cur.Octet
-					if startOctet > 255 {
-						continue // block fully consumed at this snapshot
-					}
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return rows, next, false, err
-			}
-			st, err := s.stateAtGlobal(q, i)
-			if err != nil {
-				return rows, next, false, err
-			}
-			for octet := startOctet; octet < 256; octet++ {
-				name, ok := st[byte(octet)]
-				if !ok {
-					continue
-				}
-				ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], byte(octet)}
-				if p.Bits > 24 && !p.Contains(ip) {
-					continue
-				}
-				if len(rows) == limit {
-					return rows, RangeCursor{Snap: i, Block: addr, Octet: octet}, true, nil
-				}
-				rows = append(rows, dataset.Row{Date: s.times[i], IP: ip, PTR: name})
-			}
-		}
-	}
-	return rows, RangeCursor{}, false, nil
+	return view{s: s}.rangePage(ctx, p, from, to, cur, limit)
 }
 
 // ChurnDay is one snapshot's record-set delta counts within a prefix.
@@ -387,38 +93,167 @@ func (s *Store) Churn(p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) 
 func (s *Store) ChurnContext(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if s.closed {
+	return view{s: s}.churn(ctx, p, from, to)
+}
+
+// The three queries, over either view. Callers hold the store's read
+// lock, which keeps every writer's segment list and tail index still for
+// the length of the walk.
+
+// at answers the point query and names the writer whose record won.
+// Merge priority: writers ascending by id, first holder of the octet wins
+// — the rule mergeStates applies to whole blocks.
+func (v view) at(ip dnswire.IPv4, t time.Time) (dnswire.Name, string, bool, error) {
+	if v.s.closed {
+		return "", "", false, ErrClosed
+	}
+	times := v.times()
+	n := sort.Search(len(times), func(i int) bool { return times[i].After(t) })
+	if n == 0 {
+		return "", "", false, ErrBeforeHistory
+	}
+	r := reader{s: v.s}
+	defer r.release()
+	var b writerWalk // seeded afresh for each writer in turn
+	b.p = ip.Slash24()
+	for _, w := range v.writers() {
+		b.w = w
+		if err := b.seed(&r, v.localAt(w, n-1)); err != nil {
+			return "", "", false, err
+		}
+		if name, ok := b.state.cur.lookup(ip[3]); ok {
+			return name, w.id, true, nil
+		}
+	}
+	return "", "", false, nil
+}
+
+// rangePage is the one range scan: snapshot by snapshot, block by block,
+// octet by octet from cur's position, until limit rows are out. A block's
+// walk is seeded the first time the scan visits it — a page that fills up
+// inside the first snapshot never touches the blocks behind it.
+func (v view) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.Time, cur RangeCursor, limit int) (rows []dataset.Row, next RangeCursor, more bool, err error) {
+	if v.s.closed {
+		return nil, cur, false, ErrClosed
+	}
+	times := v.times()
+	lo, hi, ok := clipRange(times, from, to)
+	if !ok {
+		return nil, cur, false, nil
+	}
+	if cur.Snap > lo {
+		lo = cur.Snap
+	}
+	if lo > hi {
+		return nil, cur, false, nil
+	}
+	blocks := v.blocks().overlapping(p)
+	r := reader{s: v.s}
+	defer r.release()
+	nw := len(v.writers())
+	walks := make([]blockWalk, len(blocks))
+	ws := make([]writerWalk, len(blocks)*nw)
+	for bi, q := range blocks {
+		walks[bi].init(v, &r, q, ws[bi*nw:(bi+1)*nw])
+	}
+	for i := lo; i <= hi; i++ {
+		for bi, q := range blocks {
+			addr := q.Addr.Uint32()
+			startOctet := 0
+			if i == cur.Snap {
+				if addr < cur.Block {
+					continue // consumed by an earlier page
+				}
+				if addr == cur.Block {
+					startOctet = cur.Octet
+					if startOctet > 255 {
+						continue // block fully consumed at this snapshot
+					}
+				}
+			}
+			if err := ctx.Err(); err != nil {
+				return rows, next, false, err
+			}
+			st, err := walks[bi].to(i)
+			if err != nil {
+				return rows, next, false, err
+			}
+			for _, e := range st {
+				if int(e.octet) < startOctet {
+					continue
+				}
+				ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], e.octet}
+				if p.Bits > 24 && !p.Contains(ip) {
+					continue
+				}
+				if len(rows) == limit {
+					return rows, RangeCursor{Snap: i, Block: addr, Octet: int(e.octet)}, true, nil
+				}
+				rows = append(rows, dataset.Row{Date: times[i], IP: ip, PTR: e.name})
+			}
+		}
+		if i == lo && i < hi {
+			// A window's snapshots hold about as many rows each: size the
+			// result once instead of doubling into it.
+			rows = slices.Grow(rows, min(limit-len(rows), len(rows)*(hi-i)))
+		}
+	}
+	return rows, RangeCursor{}, false, nil
+}
+
+// churn counts each snapshot's changes within p. Every block is one
+// forward walk from the snapshot before the window: where a delta frame
+// carried the view from one snapshot to the next its entries are the
+// changes; where a base frame, a segment boundary or another writer's
+// claim did, the states on either side are diffed.
+func (v view) churn(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
+	if v.s.closed {
 		return nil, ErrClosed
 	}
-	lo, hi, ok := s.snapRange(from, to)
+	times := v.times()
+	lo, hi, ok := clipRange(times, from, to)
 	if !ok {
 		return nil, nil
 	}
 	if lo == 0 {
-		lo = 1
+		lo = 1 // the first snapshot has no baseline
 	}
-	blocks := s.overlappingBlocks(p)
-	var out []ChurnDay
-	for i := lo; i <= hi; i++ {
-		day := ChurnDay{Date: s.times[i]}
-		for _, q := range blocks {
+	if lo > hi {
+		return nil, nil
+	}
+	out := make([]ChurnDay, hi-lo+1)
+	for i := range out {
+		out[i].Date = times[lo+i]
+	}
+	r := reader{s: v.s}
+	defer r.release()
+	var b blockWalk
+	ws := make([]writerWalk, len(v.writers()))
+	var diff []deltaEntry
+	for _, q := range v.blocks().overlapping(p) {
+		b.init(v, &r, q, ws)
+		if err := b.seed(lo - 1); err != nil {
+			return nil, err
+		}
+		for i := lo; i <= hi; i++ {
 			if err := ctx.Err(); err != nil {
-				return out, err
+				return nil, err
 			}
-			prev, err := s.stateAtGlobal(q, i-1)
+			how, prev, changes, err := b.step()
 			if err != nil {
-				return out, err
+				return nil, err
 			}
-			cur, err := s.stateAtGlobal(q, i)
-			if err != nil {
-				return out, err
+			switch how {
+			case stepNone:
+				continue
+			case stepReplaced:
+				diff = diffBlock(diff[:0], prev, b.state())
+				changes = diff
 			}
-			for _, ch := range diffBlock(prev, cur) {
-				if p.Bits > 24 {
-					ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], ch.octet}
-					if !p.Contains(ip) {
-						continue
-					}
+			day := &out[i-lo]
+			for _, ch := range changes {
+				if p.Bits > 24 && !p.Contains(dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], ch.octet}) {
+					continue
 				}
 				switch ch.kind {
 				case scanengine.RecordAdded:
@@ -430,7 +265,6 @@ func (s *Store) ChurnContext(ctx context.Context, p dnswire.Prefix, from, to tim
 				}
 			}
 		}
-		out = append(out, day)
 	}
 	return out, nil
 }
@@ -448,30 +282,17 @@ func (s *Store) FindName(token string) []Posting {
 	return s.names.find(token, len(s.times)-1, s.times)
 }
 
-// snapRange clips [from, to] to snapshot indices. Callers hold the lock.
-func (s *Store) snapRange(from, to time.Time) (lo, hi int, ok bool) {
-	if len(s.times) == 0 || to.Before(from) {
+// clipRange clips [from, to] to indices of a sorted instant slice.
+func clipRange(times []time.Time, from, to time.Time) (lo, hi int, ok bool) {
+	if len(times) == 0 || to.Before(from) {
 		return 0, 0, false
 	}
-	lo = sort.Search(len(s.times), func(i int) bool { return !s.times[i].Before(from) })
-	hi = sort.Search(len(s.times), func(i int) bool { return s.times[i].After(to) }) - 1
+	lo = sort.Search(len(times), func(i int) bool { return !times[i].Before(from) })
+	hi = sort.Search(len(times), func(i int) bool { return times[i].After(to) }) - 1
 	if lo > hi {
 		return 0, 0, false
 	}
 	return lo, hi, true
-}
-
-// overlappingBlocks lists the indexed /24s overlapping p, sorted by
-// address. Callers hold the lock.
-func (s *Store) overlappingBlocks(p dnswire.Prefix) []dnswire.Prefix {
-	var out []dnswire.Prefix
-	for q := range s.blockSet {
-		if p.Overlaps(q) {
-			out = append(out, q)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Uint32() < out[j].Addr.Uint32() })
-	return out
 }
 
 // WriterStats summarizes one writer within Stats.
@@ -515,10 +336,12 @@ type Stats struct {
 	Bytes       int64 `json:"bytes"`
 	TailBytes   int64 `json:"tail_bytes"`
 	SealedBytes int64 `json:"sealed_bytes"`
-	// Reconstructions counts block states rebuilt from frames.
+	// Reconstructions counts walk seeds that had to rebuild a block
+	// state from frames (frames a walk then advances through are not
+	// reconstructions).
 	Reconstructions uint64 `json:"reconstructions"`
 	// CacheHits/CacheMisses/CacheEntries describe the reconstruction
-	// cache (zero when disabled).
+	// cache (zero when disabled); it is probed once per walk seed.
 	CacheHits    uint64 `json:"cache_hits"`
 	CacheMisses  uint64 `json:"cache_misses"`
 	CacheEntries int    `json:"cache_entries"`
@@ -541,7 +364,7 @@ func (s *Store) Stats() Stats {
 	hits, misses := s.cache.counters()
 	st := Stats{
 		Snapshots:       len(s.times),
-		Blocks:          len(s.blockSet),
+		Blocks:          len(s.blocks),
 		BaseFrames:      s.baseFrames,
 		DeltaFrames:     s.deltaFrames,
 		Bytes:           s.bytes,

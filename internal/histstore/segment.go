@@ -1,11 +1,13 @@
 package histstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"sync"
 
@@ -61,9 +63,11 @@ const segTrailerLen = 8 + 4 + 8
 const maxSegFooterBytes = 1 << 30
 
 // segment is one sealed segment of a writer. firstSnap/count/size are
-// immutable after construction; f and refs are the tier-managed hot
-// state, guarded by mu (readers hold mu across their ReadAt calls, so
-// eviction never closes a file mid-read).
+// immutable after construction; f and idx are the tier-managed hot state.
+// mu guards them and is only ever held briefly (a load is the longest):
+// readers take a pin, copy f and idx out, and read without the lock, so
+// any number of queries share a hot segment. Unloading — eviction, Close —
+// happens only while no pin is out, so a file never closes mid-read.
 type segment struct {
 	path      string
 	writerID  string
@@ -73,8 +77,9 @@ type segment struct {
 
 	mu   sync.Mutex
 	f    *os.File
-	refs map[dnswire.Prefix][]blockRef
-	hot  bool // tracked in the tier's LRU list
+	idx  *segIndex
+	pins int  // readers holding f and idx
+	hot  bool // tracked in the tier's LRU list (guarded by the tier's mutex)
 	// crc caches the trailer's footer CRC — the replication feed's
 	// content address — after the first read (replfeed.go).
 	crc      uint32
@@ -83,16 +88,15 @@ type segment struct {
 
 func (g *segment) lastSnap() int { return g.firstSnap + g.count - 1 }
 
-// pin returns the segment's index and file, loading them if cold, and a
-// release func the caller must invoke when done reading. The segment
-// mutex is held until release, serializing reads per segment; the tier
-// is notified so occupancy and LRU order stay current.
-func (g *segment) pin(s *Store) (map[dnswire.Prefix][]blockRef, *os.File, func(), error) {
+// pin returns the segment's index and file, loading them if cold, and
+// keeps both resident until the matching unpin. The tier is notified so
+// occupancy and LRU order stay current.
+func (g *segment) pin(s *Store) (*segIndex, *os.File, error) {
 	g.mu.Lock()
-	if g.refs == nil {
+	defer g.mu.Unlock()
+	if g.idx == nil {
 		if err := g.load(); err != nil {
-			g.mu.Unlock()
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		s.tierLoads.Add(1)
 		s.met.tierLoads.Inc()
@@ -100,7 +104,14 @@ func (g *segment) pin(s *Store) (map[dnswire.Prefix][]blockRef, *os.File, func()
 	} else {
 		s.tier.touch(g)
 	}
-	return g.refs, g.f, g.mu.Unlock, nil
+	g.pins++
+	return g.idx, g.f, nil
+}
+
+func (g *segment) unpin() {
+	g.mu.Lock()
+	g.pins--
+	g.mu.Unlock()
 }
 
 // load opens the segment file and rebuilds its index from the footer.
@@ -115,22 +126,80 @@ func (g *segment) load() error {
 		f.Close()
 		return fmt.Errorf("histstore: %w", err)
 	}
-	refs, _, _, err := readSegmentIndex(f, fi.Size(), g.writerID, g.firstSnap, g.count)
+	idx, _, _, err := readSegmentIndex(f, fi.Size(), g.writerID, g.firstSnap, g.count)
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("histstore: segment %s: %w", g.path, err)
 	}
-	g.f, g.refs, g.size = f, refs, fi.Size()
+	g.f, g.idx, g.size = f, idx, fi.Size()
 	return nil
 }
 
-// unload drops the hot state. Callers hold g.mu.
+// unload drops the hot state. Callers hold g.mu with no pin out.
 func (g *segment) unload() {
 	if g.f != nil {
 		g.f.Close()
 		g.f = nil
 	}
-	g.refs = nil
+	g.idx = nil
+}
+
+// segIndex is a sealed segment's per-block frame index, flat: the footer
+// bytes themselves — validated once, whole, when the index is built — and
+// a directory of where each block's refs start in them, sorted by /24
+// address. A reload is two allocations however many blocks the segment
+// holds; a lookup is a binary search plus a decode of that one block's
+// refs into the caller's buffer.
+type segIndex struct {
+	dir    []segDirEntry
+	footer []byte
+	// The geometry the footer was validated against.
+	firstSnap, count      int
+	frameStart, footerOff int64
+}
+
+// segDirEntry locates one block's ref list (its count, then its refs)
+// inside the footer.
+type segDirEntry struct {
+	addr uint32
+	off  uint32
+}
+
+// block returns the i-th block of the directory and its refs in snapshot
+// order, decoded into dst's storage.
+func (ix *segIndex) block(i int, dst []blockRef) (dnswire.Prefix, []blockRef, error) {
+	p := dnswire.Prefix{Addr: dnswire.IPv4FromUint32(ix.dir[i].addr), Bits: 24}
+	refs, _, err := ix.blockRefs(int(ix.dir[i].off), p, dst[:0], true)
+	return p, refs, err
+}
+
+// lookup returns p's refs in the segment, decoded into dst's storage (nil
+// when the block has none).
+func (ix *segIndex) lookup(p dnswire.Prefix, dst []blockRef) ([]blockRef, error) {
+	addr := p.Addr.Uint32()
+	i := sort.Search(len(ix.dir), func(k int) bool { return ix.dir[k].addr >= addr })
+	if i == len(ix.dir) || ix.dir[i].addr != addr {
+		return nil, nil
+	}
+	_, refs, err := ix.block(i, dst)
+	return refs, err
+}
+
+// matches reports whether the index holds exactly the refs gathered frame
+// by frame in scanned.
+func (ix *segIndex) matches(scanned map[dnswire.Prefix][]blockRef) bool {
+	if len(ix.dir) != len(scanned) {
+		return false
+	}
+	var buf []blockRef
+	for i := range ix.dir {
+		p, refs, err := ix.block(i, buf)
+		if err != nil || !slices.Equal(refs, scanned[p]) {
+			return false
+		}
+		buf = refs
+	}
+	return true
 }
 
 // readSegmentHeader parses the fixed header, returning the writer id,
@@ -187,11 +256,11 @@ func encodeSegmentHeader(id string, first, count int) []byte {
 	return binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(body))
 }
 
-// readSegmentIndex validates the trailer and decodes the footer into a
-// refs map, cross-checking the header identity against the manifest's
-// view of the segment. It returns the frame region bounds [frameStart,
-// footerOff) alongside the refs.
-func readSegmentIndex(f *os.File, size int64, wantID string, wantFirst, wantCount int) (map[dnswire.Prefix][]blockRef, int64, int64, error) {
+// readSegmentIndex validates the trailer and decodes the footer into the
+// segment's index, cross-checking the header identity against the
+// manifest's view of the segment. It returns the frame region bounds
+// [frameStart, footerOff) alongside the index.
+func readSegmentIndex(f *os.File, size int64, wantID string, wantFirst, wantCount int) (*segIndex, int64, int64, error) {
 	id, first, count, frameStart, err := readSegmentHeader(f, size)
 	if err != nil {
 		return nil, 0, 0, err
@@ -223,21 +292,22 @@ func readSegmentIndex(f *os.File, size int64, wantID string, wantFirst, wantCoun
 	if got := crc32.ChecksumIEEE(footer); got != footerCRC {
 		return nil, 0, 0, corruptf("segment footer CRC mismatch: stored %08x, computed %08x", footerCRC, got)
 	}
-	refs, err := decodeSegmentFooter(footer, first, count, frameStart, footerOff)
+	idx, err := decodeSegmentFooter(footer, first, count, frameStart, footerOff)
 	if err != nil {
 		return nil, 0, 0, err
 	}
-	return refs, frameStart, footerOff, nil
+	return idx, frameStart, footerOff, nil
 }
 
-// encodeSegmentFooter serializes the per-block refs index. Blocks are
-// emitted in address order; refs must already be in snapshot order.
+// encodeSegmentFooter serializes per-block refs gathered in snapshot
+// order — what compaction accumulates frame by frame. Blocks are emitted
+// in address order.
 func encodeSegmentFooter(refs map[dnswire.Prefix][]blockRef, firstSnap int) []byte {
 	blocks := make([]dnswire.Prefix, 0, len(refs))
 	for p := range refs {
 		blocks = append(blocks, p)
 	}
-	sort.Slice(blocks, func(i, j int) bool { return blocks[i].Addr.Uint32() < blocks[j].Addr.Uint32() })
+	slices.SortFunc(blocks, func(a, b dnswire.Prefix) int { return cmp.Compare(a.Addr.Uint32(), b.Addr.Uint32()) })
 	out := binary.AppendUvarint(nil, uint64(len(blocks)))
 	for _, p := range blocks {
 		out = append(out, p.Addr[0], p.Addr[1], p.Addr[2])
@@ -259,88 +329,124 @@ func encodeSegmentFooter(refs map[dnswire.Prefix][]blockRef, firstSnap int) []by
 	return out
 }
 
-// decodeSegmentFooter parses the footer bytes into a refs map, strictly
-// validating monotonicity and bounds against the frame region.
-func decodeSegmentFooter(footer []byte, firstSnap, count int, frameStart, footerOff int64) (map[dnswire.Prefix][]blockRef, error) {
-	r := &byteReader{b: footer}
-	nBlocks, err := r.uvarint()
-	if err != nil {
-		return nil, err
+// footerUvarint reads the uvarint at b[i:] and returns the position after
+// it (negative when the bytes end or overflow first).
+func footerUvarint(b []byte, i int) (uint64, int) {
+	if i < len(b) && b[i] < 0x80 {
+		return uint64(b[i]), i + 1
+	}
+	v, n := binary.Uvarint(b[i:])
+	if n <= 0 {
+		return 0, -1
+	}
+	return v, i + n
+}
+
+// minFooterBlockBytes is what a directory entry costs at least: the
+// prefix, a ref count, and one ref's gap, kind, offset and length.
+const minFooterBlockBytes = 3 + 1 + 4
+
+// decodeSegmentFooter builds the index over footer, strictly validating
+// every block and ref — ordering, gaps, bounds against the frame region,
+// an opening base — before any lookup can trust the bytes.
+func decodeSegmentFooter(footer []byte, firstSnap, count int, frameStart, footerOff int64) (*segIndex, error) {
+	nBlocks, at := footerUvarint(footer, 0)
+	if at < 0 {
+		return nil, corruptError("bad uvarint")
 	}
 	if nBlocks > 1<<24 {
 		return nil, corruptf("segment footer claims %d blocks", nBlocks)
 	}
-	refs := make(map[dnswire.Prefix][]blockRef, nBlocks)
+	ix := &segIndex{
+		// A lying count must not size an allocation: the bytes bound it.
+		dir:       make([]segDirEntry, 0, min(int(nBlocks), len(footer)/minFooterBlockBytes)),
+		footer:    footer,
+		firstSnap: firstSnap, count: count, frameStart: frameStart, footerOff: footerOff,
+	}
 	var prevAddr uint32
 	for bi := uint64(0); bi < nBlocks; bi++ {
-		hi, err := r.bytes(3)
-		if err != nil {
-			return nil, err
+		if len(footer)-at < 3 {
+			return nil, corruptError("truncated body")
 		}
-		p := dnswire.Prefix{Addr: dnswire.IPv4{hi[0], hi[1], hi[2], 0}, Bits: 24}
-		if addr := p.Addr.Uint32(); bi > 0 && addr <= prevAddr {
+		p := dnswire.Prefix{Addr: dnswire.IPv4{footer[at], footer[at+1], footer[at+2], 0}, Bits: 24}
+		at += 3
+		addr := p.Addr.Uint32()
+		if bi > 0 && addr <= prevAddr {
 			return nil, corruptf("segment footer blocks out of order at %s", p)
-		} else {
-			prevAddr = addr
 		}
-		nRefs, err := r.uvarint()
-		if err != nil {
+		prevAddr = addr
+		ix.dir = append(ix.dir, segDirEntry{addr: addr, off: uint32(at)})
+		var err error
+		if _, at, err = ix.blockRefs(at, p, nil, false); err != nil {
 			return nil, err
 		}
-		if nRefs == 0 || nRefs > uint64(count) {
-			return nil, corruptf("segment footer block %s claims %d refs over %d snapshots", p, nRefs, count)
-		}
-		rs := make([]blockRef, 0, nRefs)
-		snap, off := firstSnap, int64(0)
-		for ri := uint64(0); ri < nRefs; ri++ {
-			gap, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if ri > 0 && gap == 0 {
-				return nil, corruptf("segment footer block %s has a zero snapshot gap", p)
-			}
-			snap += int(gap)
-			if snap < firstSnap || snap > firstSnap+count-1 {
-				return nil, corruptf("segment footer block %s ref at snapshot %d outside [%d,%d]", p, snap, firstSnap, firstSnap+count-1)
-			}
-			kind, err := r.byte()
-			if err != nil {
-				return nil, err
-			}
-			if kind != frameBase && kind != frameDelta {
-				return nil, corruptf("segment footer block %s has frame kind 0x%02x", p, kind)
-			}
-			offGap, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if ri == 0 {
-				off = int64(offGap)
-			} else {
-				if offGap == 0 {
-					return nil, corruptf("segment footer block %s has a zero offset gap", p)
-				}
-				off += int64(offGap)
-			}
-			length, err := r.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			if off < frameStart || length == 0 || length > 1<<24 || off+int64(length) > footerOff {
-				return nil, corruptf("segment footer block %s ref [%d,+%d) outside frame region", p, off, length)
-			}
-			rs = append(rs, blockRef{snap: snap, kind: kind, off: off, length: int(length)})
-		}
-		if rs[0].kind != frameBase {
-			return nil, corruptf("segment block %s does not open with a base frame", p)
-		}
-		refs[p] = rs
 	}
-	if err := r.done(); err != nil {
-		return nil, err
+	if at != len(footer) {
+		return nil, corruptf("%d trailing bytes in frame body", len(footer)-at)
 	}
-	return refs, nil
+	return ix, nil
+}
+
+// blockRefs validates block p's ref list, which starts at footer[at], and
+// returns the position after it; with collect, the refs too, appended to
+// dst.
+func (ix *segIndex) blockRefs(at int, p dnswire.Prefix, dst []blockRef, collect bool) ([]blockRef, int, error) {
+	b := ix.footer
+	bad := func() ([]blockRef, int, error) { return nil, 0, corruptError("bad uvarint") }
+	nRefs, at := footerUvarint(b, at)
+	if at < 0 {
+		return bad()
+	}
+	lastSnap := ix.firstSnap + ix.count - 1
+	if nRefs == 0 || nRefs > uint64(ix.count) {
+		return nil, 0, corruptf("segment footer block %s claims %d refs over %d snapshots", p, nRefs, ix.count)
+	}
+	snap, off := ix.firstSnap, int64(0)
+	for ri := uint64(0); ri < nRefs; ri++ {
+		var gap, offGap, length uint64
+		if gap, at = footerUvarint(b, at); at < 0 {
+			return bad()
+		}
+		if ri > 0 && gap == 0 {
+			return nil, 0, corruptf("segment footer block %s has a zero snapshot gap", p)
+		}
+		snap += int(gap)
+		if snap < ix.firstSnap || snap > lastSnap {
+			return nil, 0, corruptf("segment footer block %s ref at snapshot %d outside [%d,%d]", p, snap, ix.firstSnap, lastSnap)
+		}
+		if at == len(b) {
+			return nil, 0, corruptError("truncated body")
+		}
+		kind := b[at]
+		at++
+		if kind != frameBase && kind != frameDelta {
+			return nil, 0, corruptf("segment footer block %s has frame kind 0x%02x", p, kind)
+		}
+		if ri == 0 && kind != frameBase {
+			return nil, 0, corruptf("segment block %s does not open with a base frame", p)
+		}
+		if offGap, at = footerUvarint(b, at); at < 0 {
+			return bad()
+		}
+		if ri == 0 {
+			off = int64(offGap)
+		} else {
+			if offGap == 0 {
+				return nil, 0, corruptf("segment footer block %s has a zero offset gap", p)
+			}
+			off += int64(offGap)
+		}
+		if length, at = footerUvarint(b, at); at < 0 {
+			return bad()
+		}
+		if off < ix.frameStart || length == 0 || length > 1<<24 || off+int64(length) > ix.footerOff {
+			return nil, 0, corruptf("segment footer block %s ref [%d,+%d) outside frame region", p, off, length)
+		}
+		if collect {
+			dst = append(dst, blockRef{snap: snap, kind: kind, off: off, length: int(length)})
+		}
+	}
+	return dst, at, nil
 }
 
 // tier is the hot-segment LRU: at most cap segments keep their index and
@@ -356,8 +462,7 @@ type tier struct {
 func newTier(capacity int) *tier { return &tier{cap: capacity} }
 
 // touch moves g to the MRU position (re-linking it if an eviction
-// attempt found it busy and dropped it from the list). Callers hold
-// g.mu.
+// attempt found it busy and dropped it from the list).
 func (t *tier) touch(g *segment) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -375,14 +480,15 @@ func (t *tier) touch(g *segment) {
 	t.lru = append(t.lru, g)
 }
 
-// admit registers a just-loaded segment and returns any LRU victims that
-// must be unloaded to respect the capacity. Callers hold g.mu; victims
-// are returned rather than unloaded here so the caller can TryLock them
-// (never blocking on, or deadlocking with, a concurrent reader).
+// admit registers a just-loaded segment (nil: none, just re-check the
+// capacity) and returns any LRU victims that must be unloaded to respect
+// it. Callers hold g.mu; victims are returned rather than unloaded here so
+// the caller can TryLock them (never blocking on, or deadlocking with, a
+// concurrent pin).
 func (t *tier) admit(g *segment) []*segment {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if !g.hot {
+	if g != nil && !g.hot {
 		g.hot = true
 		t.lru = append(t.lru, g)
 	}
@@ -428,18 +534,30 @@ func (t *tier) drop(g *segment) {
 	}
 }
 
-// noteSegmentLoaded admits g to the tier and evicts any victims whose
-// locks are free; busy victims stay hot and re-enter the LRU on their
-// next touch.
-func (s *Store) noteSegmentLoaded(g *segment) {
-	for _, v := range s.tier.admit(g) {
+// noteSegmentLoaded admits g to the tier and evicts what no longer fits.
+func (s *Store) noteSegmentLoaded(g *segment) { s.evict(s.tier.admit(g)) }
+
+// trimTier evicts what the tier holds beyond its capacity: the segments an
+// admission had to leave hot because a query still had them pinned.
+func (s *Store) trimTier() { s.evict(s.tier.admit(nil)) }
+
+// evict unloads the victims nobody is reading; a pinned (or momentarily
+// locked) victim stays hot and goes back on the LRU, to be trimmed when
+// its reader is done. Eviction never waits on a reader.
+func (s *Store) evict(victims []*segment) {
+	for _, v := range victims {
+		evicted := false
 		if v.mu.TryLock() {
-			v.unload()
+			if evicted = v.pins == 0; evicted {
+				v.unload()
+			}
 			v.mu.Unlock()
+		}
+		if evicted {
 			s.tierEvictions.Add(1)
 			s.met.tierEvictions.Inc()
 		} else {
-			s.tier.touch(v) // in use by a reader: keep it hot
+			s.tier.touch(v)
 		}
 	}
 	s.met.tierHot.Set(int64(s.tier.len()))

@@ -92,17 +92,12 @@ func (fs *frameScanner) next() (frame, int64, int, error) {
 	if _, err := io.ReadFull(fs.r, crcBuf[:]); err != nil {
 		return frame{}, start, 0, errTruncated
 	}
-	full := make([]byte, 0, 1+sz+len(body)+4)
-	full = append(full, kind)
-	full = appendUvarintByte(full, n)
-	full = append(full, body...)
-	full = append(full, crcBuf[:]...)
-	fr, _, err := decodeFrame(full)
-	if err != nil {
+	if err := checkFrameCRC(kind, body, binary.LittleEndian.Uint32(crcBuf[:])); err != nil {
 		return frame{}, start, 0, err
 	}
-	fs.off = start + int64(len(full))
-	return fr, start, len(full), nil
+	length := 1 + sz + len(body) + len(crcBuf)
+	fs.off = start + int64(length)
+	return frame{kind: kind, body: body}, start, length, nil
 }
 
 // replayFrameRec is one block frame of a snapshot group with its file
@@ -153,8 +148,9 @@ type writerCursor struct {
 	// accumulates the refs actually observed in its frames. The two must
 	// agree (finishReplay), making a footer that lies about its frames —
 	// or vice versa — loud corruption rather than silent wrong answers.
-	footer  map[*segment]map[dnswire.Prefix][]blockRef
+	footer  map[*segment]*segIndex
 	segScan map[*segment]map[dnswire.Prefix][]blockRef
+	deltas  []deltaEntry // decode scratch: a delta's entries die with its frame
 }
 
 func newWriterCursor(s *Store, w *writerState) *writerCursor {
@@ -162,7 +158,7 @@ func newWriterCursor(s *Store, w *writerState) *writerCursor {
 		s:       s,
 		w:       w,
 		src:     -1,
-		footer:  make(map[*segment]map[dnswire.Prefix][]blockRef),
+		footer:  make(map[*segment]*segIndex),
 		segScan: make(map[*segment]map[dnswire.Prefix][]blockRef),
 	}
 }
@@ -364,6 +360,9 @@ func (s *Store) applyGroup(c *writerCursor, g *snapGroup) error {
 			corruptf("snapshot %d not after its predecessor", local))
 	}
 	gi := len(s.times)
+	if gi >= maxSnapshots {
+		return fmt.Errorf("histstore: timeline exceeds %d snapshots", maxSnapshots)
+	}
 	s.times = append(s.times, g.when)
 	s.snapWriter = append(s.snapWriter, w.idx)
 	s.snapLocal = append(s.snapLocal, local)
@@ -375,9 +374,10 @@ func (s *Store) applyGroup(c *writerCursor, g *snapGroup) error {
 	for _, rf := range g.frames {
 		var p dnswire.Prefix
 		var wChanges []deltaEntry
+		var wState blockState
 		switch rf.fr.kind {
 		case frameBase:
-			snap, bp, entries, err := decodeBaseBody(rf.fr.body)
+			snap, bp, entries, err := decodeBaseBody(rf.fr.body, nil)
 			if err != nil {
 				return fmt.Errorf("histstore: writer %q: %w", w.id, err)
 			}
@@ -385,30 +385,28 @@ func (s *Store) applyGroup(c *writerCursor, g *snapGroup) error {
 				return fmt.Errorf("histstore: writer %q: %w", w.id,
 					corruptf("block frame for snapshot %d under header %d", snap, local))
 			}
-			p = bp
-			newState := make(blockState, len(entries))
-			for _, e := range entries {
-				newState[e.octet] = e.name
-			}
-			wChanges = diffBlock(w.cur[p], newState)
+			p, wState = bp, entries
+			wChanges = diffBlock(nil, w.cur[p], wState)
 			w.lastBase[p] = local
 			w.deltasSince[p] = 0
 			s.baseFrames++
 		case frameDelta:
-			snap, dp, entries, err := decodeDeltaBody(rf.fr.body)
+			snap, dp, entries, err := decodeDeltaBody(rf.fr.body, c.deltas)
 			if err != nil {
 				return fmt.Errorf("histstore: writer %q: %w", w.id, err)
 			}
+			c.deltas = entries
 			if snap != local {
 				return fmt.Errorf("histstore: writer %q: %w", w.id,
 					corruptf("block frame for snapshot %d under header %d", snap, local))
 			}
 			p = dp
-			if !w.known[p] {
+			if !w.known.has(p) {
 				return fmt.Errorf("histstore: writer %q: %w", w.id,
 					corruptf("delta for unknown block %s", p))
 			}
 			wChanges = entries
+			wState = applyDelta(nil, w.cur[p], entries)
 			w.deltasSince[p]++
 			s.deltaFrames++
 		}
@@ -419,9 +417,9 @@ func (s *Store) applyGroup(c *writerCursor, g *snapGroup) error {
 		} else {
 			w.tailBlocks[p] = append(w.tailBlocks[p], ref)
 		}
-		w.known[p] = true
-		s.blockSet[p] = true
-		s.applyFrameChanges(w, gi, p, wChanges)
+		w.known.add(p)
+		s.blocks.add(p)
+		s.applyFrame(w, gi, p, wChanges, wState)
 	}
 	return nil
 }
@@ -434,11 +432,12 @@ func (s *Store) finishReplay(curs []*writerCursor) error {
 	for _, c := range curs {
 		w := c.w
 		for _, g := range w.segs {
-			if err := compareSegRefs(g, c.segScan[g], c.footer[g]); err != nil {
-				return err
+			if !c.footer[g].matches(c.segScan[g]) {
+				return fmt.Errorf("histstore: segment %s: %w", g.path,
+					corruptError("footer index does not match frame contents"))
 			}
 			g.mu.Lock()
-			g.refs = c.footer[g]
+			g.idx = c.footer[g]
 			g.mu.Unlock()
 		}
 		if w.tornAt >= 0 {
@@ -456,30 +455,6 @@ func (s *Store) finishReplay(curs []*writerCursor) error {
 		for _, g := range w.segs {
 			s.bytes += g.size
 			s.noteSegmentLoaded(g)
-		}
-	}
-	return nil
-}
-
-// compareSegRefs verifies a segment's footer index against the refs its
-// frames actually produced.
-func compareSegRefs(g *segment, scanned, footer map[dnswire.Prefix][]blockRef) error {
-	mismatch := func() error {
-		return fmt.Errorf("histstore: segment %s: %w", g.path,
-			corruptError("footer index does not match frame contents"))
-	}
-	if len(scanned) != len(footer) {
-		return mismatch()
-	}
-	for p, sr := range scanned {
-		fr, ok := footer[p]
-		if !ok || len(fr) != len(sr) {
-			return mismatch()
-		}
-		for i := range sr {
-			if sr[i] != fr[i] {
-				return mismatch()
-			}
 		}
 	}
 	return nil

@@ -1,0 +1,463 @@
+package histstore
+
+import (
+	"fmt"
+	"os"
+	"sort"
+	"time"
+
+	"rdnsprivacy/internal/dnswire"
+)
+
+// The block walk is the store's one read primitive. A /24's history is a
+// run of frames per writer — a base, the deltas after it, the next base —
+// spread over the writer's sealed segments and its tail. A walk seeds the
+// block's state once, at the first snapshot a query needs (from the
+// reconstruction cache, or by replaying from the nearest base), and then
+// moves forward snapshot by snapshot, decoding each frame it passes
+// exactly once. At is a seed alone; Range, Churn and compaction's
+// carried-state pass are a seed plus the frames of their window. Several
+// writers are several walks of the same block, merged by writer priority.
+//
+// Everything a query reads goes through one reader, which pins each
+// segment it touches once and holds the pin to the end of the query, and
+// owns the buffers frames are read and decoded into.
+
+// reader is one query's I/O state.
+type reader struct {
+	s    *Store
+	pins []pinnedSegment
+	buf  []byte       // the frame being decoded
+	ents []deltaEntry // the delta being applied, or a diff being counted
+}
+
+type pinnedSegment struct {
+	g   *segment
+	idx *segIndex
+	f   *os.File
+}
+
+// pin returns g's index and file, pinning the segment on first use.
+func (r *reader) pin(g *segment) (*segIndex, *os.File, error) {
+	for i := range r.pins {
+		if r.pins[i].g == g {
+			return r.pins[i].idx, r.pins[i].f, nil
+		}
+	}
+	idx, f, err := g.pin(r.s)
+	if err != nil {
+		return nil, nil, err
+	}
+	r.pins = append(r.pins, pinnedSegment{g: g, idx: idx, f: f})
+	return idx, f, nil
+}
+
+// release drops every pin, and with them whatever kept the hot tier from
+// evicting down to its capacity. The reader is spent afterwards.
+func (r *reader) release() {
+	if len(r.pins) == 0 {
+		return
+	}
+	for _, pn := range r.pins {
+		pn.g.unpin()
+	}
+	r.pins = nil
+	r.s.trimTier()
+}
+
+// readFrame reads the frame ref locates into the reader's buffer,
+// verifies its CRC, and checks it is the frame the index says it is: the
+// right kind, and nothing but that frame.
+func (r *reader) readFrame(f *os.File, ref blockRef) (frame, error) {
+	if cap(r.buf) < ref.length {
+		r.buf = make([]byte, ref.length)
+	}
+	buf := r.buf[:ref.length]
+	if _, err := f.ReadAt(buf, ref.off); err != nil {
+		return frame{}, fmt.Errorf("histstore: reading frame at %d: %w", ref.off, err)
+	}
+	fr, rest, err := decodeFrame(buf)
+	if err != nil {
+		return frame{}, err
+	}
+	if len(rest) != 0 {
+		return frame{}, corruptf("frame at %d shorter than indexed", ref.off)
+	}
+	if fr.kind != ref.kind {
+		return frame{}, corruptf("frame at %d is kind 0x%02x, indexed as 0x%02x", ref.off, fr.kind, ref.kind)
+	}
+	return fr, nil
+}
+
+// checkFrameIdentity is the (snapshot, /24) check of a decoded block
+// frame against the index entry that led to it.
+func checkFrameIdentity(ref blockRef, p dnswire.Prefix, fsnap int, fp dnswire.Prefix) error {
+	if fsnap != ref.snap || fp != p {
+		return corruptf("frame at %d is for %s@%d, expected %s@%d", ref.off, fp, fsnap, p, ref.snap)
+	}
+	return nil
+}
+
+// apply advances st through the block frame at ref: a base replaces the
+// state, a delta patches it. For a delta it returns the decoded entries,
+// valid until the reader decodes another frame.
+func (r *reader) apply(st *evolving, f *os.File, ref blockRef, p dnswire.Prefix) ([]deltaEntry, error) {
+	fr, err := r.readFrame(f, ref)
+	if err != nil {
+		return nil, err
+	}
+	if fr.kind == frameBase {
+		fsnap, fp, entries, err := decodeBaseBody(fr.body, st.scratch())
+		if err != nil {
+			return nil, err
+		}
+		if err := checkFrameIdentity(ref, p, fsnap, fp); err != nil {
+			return nil, err
+		}
+		st.replace(entries)
+		return nil, nil
+	}
+	fsnap, fp, entries, err := decodeDeltaBody(fr.body, r.ents)
+	if err != nil {
+		return nil, err
+	}
+	r.ents = entries
+	if err := checkFrameIdentity(ref, p, fsnap, fp); err != nil {
+		return nil, err
+	}
+	st.replace(applyDelta(st.scratch(), st.cur, entries))
+	return entries, nil
+}
+
+// lastRefAtOrBefore finds the newest of a block's refs at or before local
+// snapshot ls (-1 when every ref is later).
+func lastRefAtOrBefore(refs []blockRef, ls int) int {
+	return sort.Search(len(refs), func(k int) bool { return refs[k].snap > ls }) - 1
+}
+
+// reconstruct rebuilds a block state from refs[..i] read out of f: the
+// nearest base at or before i plus the deltas in between. A tail run may
+// have no base (it continues the last segment); inTail says refs is one,
+// and the replay then starts from the state the sealed history ends in.
+// Results are cached under (writer, block, version snapshot) — the block's
+// newest frame at or before the query — so every seed between two writes
+// of a block shares one entry, and entries survive compaction because a
+// snapshot's reconstructed state is bit-identical across it.
+func (r *reader) reconstruct(w *writerState, p dnswire.Prefix, refs []blockRef, i int, f *os.File, inTail bool) (blockState, error) {
+	s := r.s
+	key := cacheKey{w: w.idx, p: p, snap: refs[i].snap}
+	if st, ok := s.cache.get(key); ok {
+		s.met.cacheHits.Inc()
+		return st, nil
+	}
+	if s.cache != nil {
+		s.met.cacheMisses.Inc()
+	}
+	b := i
+	for b >= 0 && refs[b].kind != frameBase {
+		b--
+	}
+	var st evolving
+	start := b
+	if b < 0 {
+		if !inTail {
+			return nil, corruptf("block %s has no base frame", p)
+		}
+		prior, err := r.sealedEnd(w, p)
+		if err != nil {
+			return nil, err
+		}
+		st.share(prior)
+		start = 0
+	}
+	s.reconstructions.Add(1)
+	s.met.reconstructions.Inc()
+	for j := start; j <= i; j++ {
+		if _, err := r.apply(&st, f, refs[j], p); err != nil {
+			return nil, err
+		}
+	}
+	if s.cache != nil {
+		s.cache.put(key, st.cur)
+		s.met.cacheEntries.Set(int64(s.cache.len()))
+	}
+	return st.cur, nil
+}
+
+// sealedEnd is the state of w's block p at the end of w's sealed history:
+// what the tail's frames continue from.
+func (r *reader) sealedEnd(w *writerState, p dnswire.Prefix) (blockState, error) {
+	b := writerWalk{w: w, p: p}
+	err := b.seedSealed(r, w.tailFirst-1)
+	return b.state.cur, err
+}
+
+// writerWalk is one writer's view of one /24 moving forward through the
+// writer's local snapshots. The query's reader is handed to each method
+// rather than held, so a point query's reader can live on its stack.
+type writerWalk struct {
+	w     *writerState
+	p     dnswire.Prefix
+	at    int      // the local snapshot state holds at; -1 before the writer's history
+	state evolving // shared with the cache until the first frame is applied
+	// The block's frames in the source the walk stands in: src indexes
+	// w.segs, len(w.segs) is the tail, -1 is before any source.
+	src    int
+	refs   []blockRef
+	next   int // refs[next] is the block's first frame after at
+	f      *os.File
+	refBuf []blockRef // storage of refs decoded out of a segment index
+}
+
+// enter moves the walk into source src and looks the block up there.
+func (b *writerWalk) enter(r *reader, src int) error {
+	w := b.w
+	b.src, b.next = src, 0
+	if src == len(w.segs) {
+		b.refs, b.f = w.tailBlocks[b.p], w.tailF
+		return nil
+	}
+	idx, f, err := r.pin(w.segs[src])
+	if err != nil {
+		return err
+	}
+	b.refs, err = idx.lookup(b.p, b.refBuf)
+	if b.refs != nil {
+		b.refBuf = b.refs
+	}
+	b.f = f
+	return err
+}
+
+// seed places the walk at local snapshot ls: the block's state there, and
+// the cursor behind the last frame at or before it. A tail run may open
+// with deltas that continue the last segment, so a seed in the tail may
+// have to start from the state the sealed history ends in.
+func (b *writerWalk) seed(r *reader, ls int) error {
+	w := b.w
+	if ls < w.tailFirst {
+		return b.seedSealed(r, ls)
+	}
+	if err := b.enter(r, len(w.segs)); err != nil {
+		return err
+	}
+	b.at = ls
+	i := lastRefAtOrBefore(b.refs, ls)
+	b.next = i + 1
+	var st blockState
+	var err error
+	if i < 0 {
+		st, err = r.sealedEnd(w, b.p)
+	} else {
+		st, err = r.reconstruct(w, b.p, b.refs, i, b.f, true)
+	}
+	b.state.share(st)
+	return err
+}
+
+// seedSealed is seed for a snapshot of the sealed history (or -1, before
+// any). The owning segment alone decides: every block live at a segment's
+// start opens with a base inside it, so a block with no frame yet in the
+// owning segment is dead.
+func (b *writerWalk) seedSealed(r *reader, ls int) error {
+	b.at = ls
+	if ls < 0 {
+		b.src, b.refs, b.next, b.f = -1, nil, 0, nil
+		b.state.share(nil)
+		return nil
+	}
+	w := b.w
+	if err := b.enter(r, sort.Search(len(w.segs), func(k int) bool { return w.segs[k].firstSnap > ls })-1); err != nil {
+		return err
+	}
+	i := lastRefAtOrBefore(b.refs, ls)
+	b.next = i + 1
+	if i < 0 {
+		b.state.share(nil)
+		return nil
+	}
+	st, err := r.reconstruct(w, b.p, b.refs, i, b.f, false)
+	b.state.share(st)
+	return err
+}
+
+// How one step changed a walk's state.
+const (
+	stepNone     = iota // the snapshot left the block alone
+	stepPatched         // a delta frame patched the state
+	stepReplaced        // a base frame (or a segment's start) replaced it
+)
+
+// step advances the walk one local snapshot, applying the block's frame
+// there if it has one. It reports how the state changed and the state
+// before; after stepPatched delta holds the frame's entries. prev and
+// delta stay valid until the next step.
+func (b *writerWalk) step(r *reader) (how int, prev blockState, delta []deltaEntry, err error) {
+	w := b.w
+	ls := b.at + 1
+	b.at = ls
+	prev = b.state.cur
+	opened := false
+	if b.src < len(w.segs) && (b.src < 0 || ls > w.segs[b.src].lastSnap()) {
+		if err := b.enter(r, b.src+1); err != nil {
+			return 0, nil, nil, err
+		}
+		// A segment stands alone, for a walk as for a seed: the block
+		// starts it dead unless a base says otherwise (compaction writes
+		// one for every block live there). The tail, in contrast,
+		// continues whatever precedes it.
+		opened = b.src < len(w.segs)
+	}
+	if b.next == len(b.refs) || b.refs[b.next].snap != ls {
+		if opened && len(prev) > 0 {
+			b.state.replace(nil)
+			return stepReplaced, prev, nil, nil
+		}
+		return stepNone, prev, nil, nil
+	}
+	ref := b.refs[b.next]
+	b.next++
+	delta, err = r.apply(&b.state, b.f, ref, b.p)
+	if err != nil {
+		return 0, nil, nil, err
+	}
+	if ref.kind == frameBase {
+		return stepReplaced, prev, nil, nil
+	}
+	return stepPatched, prev, delta, nil
+}
+
+// view is whose history a query walks: every writer merged by priority
+// (the Store's own surface) or one writer alone (a WriterView). It exists
+// so both surfaces run the same three queries over the same walk.
+type view struct {
+	s    *Store
+	only *writerState // nil: the merged view
+}
+
+// times is the view's timeline.
+func (v view) times() []time.Time {
+	if v.only != nil {
+		return v.only.times
+	}
+	return v.s.times
+}
+
+// blocks lists the /24s the view has ever recorded.
+func (v view) blocks() blockList {
+	if v.only != nil {
+		return v.only.known
+	}
+	return v.s.blocks
+}
+
+// writers lists the view's writers in merge-priority order.
+func (v view) writers() []*writerState {
+	if v.only != nil {
+		return v.s.writers[v.only.idx : v.only.idx+1]
+	}
+	return v.s.writers
+}
+
+// owner names the writer that appended timeline snapshot i and the
+// snapshot's writer-local index.
+func (v view) owner(i int) (*writerState, int) {
+	if v.only != nil {
+		return v.only, i
+	}
+	return v.s.writers[v.s.snapWriter[i]], v.s.snapLocal[i]
+}
+
+// localAt maps timeline snapshot i to w's newest local snapshot at or
+// before it (-1 when the writer has none yet).
+func (v view) localAt(w *writerState, i int) int {
+	if v.only != nil || v.s.solo {
+		return i
+	}
+	return sort.Search(len(w.globalIdx), func(k int) bool { return w.globalIdx[k] > i }) - 1
+}
+
+// blockWalk is one /24 moving forward through a view's timeline: one
+// writerWalk per writer of the view, and their priority merge.
+type blockWalk struct {
+	v      view
+	r      *reader
+	ws     []writerWalk
+	at     int
+	seeded bool
+	merged evolving // the merge of ws; unused when there is one writer
+	states []blockState
+}
+
+// init readies the walk for block p; ws is its storage, one per writer of
+// the view.
+func (b *blockWalk) init(v view, r *reader, p dnswire.Prefix, ws []writerWalk) {
+	b.v, b.r, b.ws, b.seeded = v, r, ws, false
+	for k, w := range v.writers() {
+		ws[k].w, ws[k].p = w, p
+	}
+}
+
+// state is the view's state of the block at the walk's snapshot.
+func (b *blockWalk) state() blockState {
+	if len(b.ws) == 1 {
+		return b.ws[0].state.cur
+	}
+	return b.merged.cur
+}
+
+// remerge recomputes the priority merge after a writer's state moved.
+func (b *blockWalk) remerge() (prev blockState) {
+	b.states = b.states[:0]
+	for k := range b.ws {
+		b.states = append(b.states, b.ws[k].state.cur)
+	}
+	return b.merged.replace(mergeStates(b.merged.scratch(), b.states))
+}
+
+// seed places the walk at timeline snapshot i.
+func (b *blockWalk) seed(i int) error {
+	for k := range b.ws {
+		if err := b.ws[k].seed(b.r, b.v.localAt(b.ws[k].w, i)); err != nil {
+			return err
+		}
+	}
+	if len(b.ws) > 1 {
+		b.remerge()
+	}
+	b.at, b.seeded = i, true
+	return nil
+}
+
+// step advances the walk one timeline snapshot — one local snapshot of
+// the writer that appended it — with writerWalk.step's contract, over the
+// view's state.
+func (b *blockWalk) step() (how int, prev blockState, delta []deltaEntry, err error) {
+	b.at++
+	w, _ := b.v.owner(b.at)
+	k := 0
+	if b.v.only == nil {
+		k = w.idx
+	}
+	how, prev, delta, err = b.ws[k].step(b.r)
+	if err != nil || how == stepNone || len(b.ws) == 1 {
+		return how, prev, delta, err
+	}
+	return stepReplaced, b.remerge(), nil, nil
+}
+
+// to brings the walk to timeline snapshot i (at or after where it
+// stands), seeding it there if it has not started, and returns the state.
+func (b *blockWalk) to(i int) (blockState, error) {
+	if !b.seeded {
+		if err := b.seed(i); err != nil {
+			return nil, err
+		}
+	}
+	for b.at < i {
+		if _, _, _, err := b.step(); err != nil {
+			return nil, err
+		}
+	}
+	return b.state(), nil
+}

@@ -1,13 +1,15 @@
 package histstore
 
 import (
+	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"time"
 
 	"rdnsprivacy/internal/dataset"
 	"rdnsprivacy/internal/dnswire"
-	"rdnsprivacy/internal/scanengine"
 )
 
 // WriterView is a read-only single-writer lens over a shared store: the
@@ -56,22 +58,12 @@ func (v *WriterView) Times() []time.Time {
 func (v *WriterView) Blocks() []dnswire.Prefix {
 	v.s.mu.RLock()
 	defer v.s.mu.RUnlock()
-	w := v.s.writers[v.wi]
-	out := make([]dnswire.Prefix, 0, len(w.known))
-	for p := range w.known {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Uint32() < out[j].Addr.Uint32() })
-	return out
+	return slices.Clone(v.s.writers[v.wi].known)
 }
 
-// localAtOrBefore maps an instant to the writer's newest local snapshot
-// at or before it (-1 when t precedes the writer's history). Callers
-// hold the lock.
-func (v *WriterView) localAtOrBefore(t time.Time) int {
-	w := v.s.writers[v.wi]
-	return sort.Search(len(w.times), func(i int) bool { return w.times[i].After(t) }) - 1
-}
+// view is the writer's single-writer lens for the shared query code.
+// Callers hold the lock.
+func (v *WriterView) view() view { return view{s: v.s, only: v.s.writers[v.wi]} }
 
 // At answers the point query from this writer's view alone: the name the
 // writer held for ip at its newest snapshot at or before t. ok is false
@@ -80,19 +72,8 @@ func (v *WriterView) localAtOrBefore(t time.Time) int {
 func (v *WriterView) At(ip dnswire.IPv4, t time.Time) (dnswire.Name, bool, error) {
 	v.s.mu.RLock()
 	defer v.s.mu.RUnlock()
-	if v.s.closed {
-		return "", false, ErrClosed
-	}
-	ls := v.localAtOrBefore(t)
-	if ls < 0 {
-		return "", false, ErrBeforeHistory
-	}
-	st, err := v.s.writerStateAt(v.wi, ip.Slash24(), ls)
-	if err != nil {
-		return "", false, err
-	}
-	name, ok := st[ip[3]]
-	return name, ok, nil
+	name, _, ok, err := v.view().at(ip, t)
+	return name, ok, err
 }
 
 // BlockAt returns the writer's full /24 state at its newest snapshot at
@@ -104,21 +85,15 @@ func (v *WriterView) BlockAt(p dnswire.Prefix, t time.Time) (map[byte]dnswire.Na
 	if v.s.closed {
 		return nil, ErrClosed
 	}
-	ls := v.localAtOrBefore(t)
-	if ls < 0 {
-		return nil, nil
-	}
-	st, err := v.s.writerStateAt(v.wi, p, ls)
-	if err != nil || len(st) == 0 {
+	w := v.s.writers[v.wi]
+	ls := sort.Search(len(w.times), func(i int) bool { return w.times[i].After(t) }) - 1
+	r := reader{s: v.s}
+	defer r.release()
+	b := writerWalk{w: w, p: p}
+	if err := b.seed(&r, ls); err != nil || len(b.state.cur) == 0 {
 		return nil, err
 	}
-	// writerStateAt shares cached state (and in solo mode the live map):
-	// copy before handing out.
-	out := make(map[byte]dnswire.Name, len(st))
-	for o, name := range st {
-		out[o] = name
-	}
-	return out, nil
+	return b.state.cur.toMap(), nil
 }
 
 // Range returns the writer's observations within prefix and [from, to],
@@ -127,36 +102,8 @@ func (v *WriterView) BlockAt(p dnswire.Prefix, t time.Time) (map[byte]dnswire.Na
 func (v *WriterView) Range(p dnswire.Prefix, from, to time.Time) ([]dataset.Row, error) {
 	v.s.mu.RLock()
 	defer v.s.mu.RUnlock()
-	if v.s.closed {
-		return nil, ErrClosed
-	}
-	w := v.s.writers[v.wi]
-	lo, hi, ok := clipRange(w.times, from, to)
-	if !ok {
-		return nil, nil
-	}
-	blocks := v.overlappingBlocksLocked(p)
-	var rows []dataset.Row
-	for ls := lo; ls <= hi; ls++ {
-		for _, q := range blocks {
-			st, err := v.s.writerStateAt(v.wi, q, ls)
-			if err != nil {
-				return rows, err
-			}
-			for octet := 0; octet < 256; octet++ {
-				name, ok := st[byte(octet)]
-				if !ok {
-					continue
-				}
-				ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], byte(octet)}
-				if p.Bits > 24 && !p.Contains(ip) {
-					continue
-				}
-				rows = append(rows, dataset.Row{Date: w.times[ls], IP: ip, PTR: name})
-			}
-		}
-	}
-	return rows, nil
+	rows, _, _, err := v.view().rangePage(context.Background(), p, from, to, RangeCursor{}, math.MaxInt)
+	return rows, err
 }
 
 // Churn returns the writer's per-snapshot delta counts within prefix over
@@ -165,77 +112,7 @@ func (v *WriterView) Range(p dnswire.Prefix, from, to time.Time) ([]dataset.Row,
 func (v *WriterView) Churn(p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
 	v.s.mu.RLock()
 	defer v.s.mu.RUnlock()
-	if v.s.closed {
-		return nil, ErrClosed
-	}
-	w := v.s.writers[v.wi]
-	lo, hi, ok := clipRange(w.times, from, to)
-	if !ok {
-		return nil, nil
-	}
-	if lo == 0 {
-		lo = 1
-	}
-	blocks := v.overlappingBlocksLocked(p)
-	var out []ChurnDay
-	for ls := lo; ls <= hi; ls++ {
-		day := ChurnDay{Date: w.times[ls]}
-		for _, q := range blocks {
-			prev, err := v.s.writerStateAt(v.wi, q, ls-1)
-			if err != nil {
-				return out, err
-			}
-			cur, err := v.s.writerStateAt(v.wi, q, ls)
-			if err != nil {
-				return out, err
-			}
-			for _, ch := range diffBlock(prev, cur) {
-				if p.Bits > 24 {
-					ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], ch.octet}
-					if !p.Contains(ip) {
-						continue
-					}
-				}
-				switch ch.kind {
-				case scanengine.RecordAdded:
-					day.Added++
-				case scanengine.RecordRemoved:
-					day.Removed++
-				case scanengine.RecordChanged:
-					day.Changed++
-				}
-			}
-		}
-		out = append(out, day)
-	}
-	return out, nil
-}
-
-// overlappingBlocksLocked lists the writer's known /24s overlapping p,
-// sorted by address. Callers hold the lock.
-func (v *WriterView) overlappingBlocksLocked(p dnswire.Prefix) []dnswire.Prefix {
-	w := v.s.writers[v.wi]
-	var out []dnswire.Prefix
-	for q := range w.known {
-		if p.Overlaps(q) {
-			out = append(out, q)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Uint32() < out[j].Addr.Uint32() })
-	return out
-}
-
-// clipRange clips [from, to] to indices of a sorted instant slice.
-func clipRange(times []time.Time, from, to time.Time) (lo, hi int, ok bool) {
-	if len(times) == 0 || to.Before(from) {
-		return 0, 0, false
-	}
-	lo = sort.Search(len(times), func(i int) bool { return !times[i].Before(from) })
-	hi = sort.Search(len(times), func(i int) bool { return times[i].After(to) }) - 1
-	if lo > hi {
-		return 0, 0, false
-	}
-	return lo, hi, true
+	return v.view().churn(context.Background(), p, from, to)
 }
 
 // Blocks lists every /24 the store indexes across writers, sorted by
@@ -243,12 +120,7 @@ func clipRange(times []time.Time, from, to time.Time) (lo, hi int, ok bool) {
 func (s *Store) Blocks() []dnswire.Prefix {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	out := make([]dnswire.Prefix, 0, len(s.blockSet))
-	for p := range s.blockSet {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Uint32() < out[j].Addr.Uint32() })
-	return out
+	return slices.Clone(s.blocks)
 }
 
 // WriterDivergence summarizes how one writer's live state relates to the
@@ -284,31 +156,27 @@ func (s *Store) Divergence() DivergenceStats {
 	for i, w := range s.writers {
 		out.Writers[i].ID = w.id
 	}
-	for p := range s.blockSet {
+	for _, p := range s.blocks {
 		merged := s.cur[p]
 		out.Addresses += len(merged)
-		for o, mname := range merged {
+		for _, m := range merged {
 			holders := 0
 			holder := -1
 			for wi, w := range s.writers {
-				if _, ok := w.cur[p][o]; ok {
-					holders++
-					holder = wi
-				}
-			}
-			for wi, w := range s.writers {
 				d := &out.Writers[wi]
-				name, ok := w.cur[p][o]
+				name, ok := w.cur[p].lookup(m.octet)
 				switch {
 				case !ok:
 					d.Missing++
-				case name == mname:
-					d.Records++
+					continue
+				case name == m.name:
 					d.Agreements++
 				default:
-					d.Records++
 					d.Conflicts++
 				}
+				d.Records++
+				holders++
+				holder = wi
 			}
 			if holders == 1 && len(s.writers) > 1 {
 				out.Writers[holder].Exclusive++
