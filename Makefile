@@ -17,10 +17,11 @@ bench:
 # ns/op regressed >15% against the checked-in baseline or a baseline row was
 # not measured (delete or rename a benchmark and its baseline row together).
 # The concurrent serving benchmark additionally gates its p99-ns/op tail
-# latency, and the engine-8-workers sweep and the history-store window
-# queries (churn, range) their allocs/op and B/op — the probe round trip's
-# and the block walk's allocation budgets; the window queries run a fixed
-# 5000 iterations so those two are exact. Every stage runs at -cpu 1: go
+# latency, and the engine-8-workers sweep, the history-store window
+# queries (churn, range) and the rdnsd /v1/at rows (plain and observed)
+# their allocs/op and B/op — the probe round trip's, the block walk's and
+# the serving path's allocation budgets, which hold on any host; the window
+# queries run a fixed 5000 iterations so those two are exact. Every stage runs at -cpu 1: go
 # test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
 # After an intentional perf change: cp BENCH_scan.json BENCH_baseline.json

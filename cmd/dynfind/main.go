@@ -34,7 +34,7 @@ func main() {
 	demo := flag.Bool("demo", false, "run the ground-truth validation demo instead")
 	seed := flag.Uint64("seed", 7, "demo seed")
 	workers := flag.Int("workers", 0, "snapshot engine workers for -demo (0 = GOMAXPROCS)")
-	metricsAddr := flag.String("metrics-addr", "", "serve the -demo campaign's telemetry over HTTP on this address (/metrics, /debug/vars, /debug/pprof/; see docs/telemetry.md)")
+	metricsAddr := flag.String("metrics-addr", "", "serve the -demo campaign's telemetry over HTTP on this address (/metrics, /debug/vars, /debug/pprof/; see docs/observability.md)")
 	flag.Parse()
 
 	cfg := dynamicity.Config{MinAddresses: *minAddr, ChangePercent: *x, MinChangeDays: *y}

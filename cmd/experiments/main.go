@@ -14,7 +14,7 @@
 // `rdnsscan -trace-out` or `experiments -trace-out` (probe outcome mix,
 // breaker transitions, slowest shards, and — when the log carries
 // correlated spans — the stitched client→fabric→server causal chains; see
-// docs/telemetry.md and docs/observability.md):
+// docs/observability.md):
 //
 //	experiments -trace sweep.jsonl
 //
@@ -53,7 +53,7 @@ func main() {
 		strings.Join(core.ExperimentIDs(), ", "))
 	trace := flag.String("trace", "", "summarize a span log written by `rdnsscan -trace-out` or `experiments -trace-out` instead of running experiments")
 	obsIn := flag.String("obs", "", "summarize a campaign frame dump written by `rdnsscan -obs-out` or `experiments -obs-out` instead of running experiments")
-	metricsAddr := flag.String("metrics-addr", "", "serve the study's telemetry over HTTP on this address while experiments run (see docs/telemetry.md)")
+	metricsAddr := flag.String("metrics-addr", "", "serve the study's telemetry over HTTP on this address while experiments run (see docs/observability.md)")
 	traceOut := flag.String("trace-out", "", "write the supplemental run's correlated span log to this file as JSONL")
 	obsOut := flag.String("obs-out", "", "write one observability frame per campaign snapshot to this file as JSONL")
 	flag.Parse()

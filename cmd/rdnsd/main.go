@@ -162,9 +162,20 @@ func replicaCatchup(ctx context.Context, sync func(context.Context) (bool, error
 	}
 }
 
+// openStore is the daemon's one way to open its store, first open and
+// every reload alike. The daemon is a pure reader: it never registers a
+// writer, so campaign appenders keep exclusive ownership of their tails and
+// a daemon crash can never tear one.
+func openStore(o options, reg *telemetry.Registry) (*histstore.Store, error) {
+	return histstore.Open(o.storePath,
+		histstore.WithCache(o.cacheSize),
+		histstore.WithTelemetry(reg),
+		histstore.WithHotSegments(o.hotSegments),
+		histstore.WithReadOnly())
+}
+
 // buildConfig translates flags into the serving config. The returned
-// Reopen (nil unless -reload) reopens the store with the same cache and
-// telemetry wiring the initial open used.
+// Reopen (nil unless -reload) is openStore.
 func buildConfig(o options, reg *telemetry.Registry, tracer *telemetry.Tracer) (rdnsserve.Config, error) {
 	allow, err := parsePrefixList(o.aclAllow)
 	if err != nil {
@@ -194,14 +205,7 @@ func buildConfig(o options, reg *telemetry.Registry, tracer *telemetry.Tracer) (
 		})
 	}
 	if o.reload {
-		path, cache, hot := o.storePath, o.cacheSize, o.hotSegments
-		cfg.Reopen = func() (*histstore.Store, error) {
-			return histstore.Open(path,
-				histstore.WithCache(cache),
-				histstore.WithTelemetry(reg),
-				histstore.WithHotSegments(hot),
-				histstore.WithReadOnly())
-		}
+		cfg.Reopen = func() (*histstore.Store, error) { return openStore(o, reg) }
 	}
 	return cfg, nil
 }
@@ -268,14 +272,7 @@ func main() {
 		}
 	}
 
-	// The daemon is a pure reader: it never registers a writer, so
-	// campaign appenders keep exclusive ownership of their tails and a
-	// daemon crash can never tear one.
-	st, err := histstore.Open(o.storePath,
-		histstore.WithCache(o.cacheSize),
-		histstore.WithTelemetry(reg),
-		histstore.WithHotSegments(o.hotSegments),
-		histstore.WithReadOnly())
+	st, err := openStore(o, reg)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "rdnsd: %v\n", err)
 		os.Exit(1)

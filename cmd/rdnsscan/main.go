@@ -50,7 +50,7 @@
 //	rdnsscan -server 127.0.0.1:5353 -prefix 10.0.0.0/24 -watch -obs-out frames.jsonl
 //	experiments -obs frames.jsonl
 //
-// See docs/telemetry.md for metric names and the trace schema, and
+// See docs/observability.md for metric names and the trace schema, and
 // docs/observability.md for the frame schema.
 //
 // -store appends each sweep's merged record set to a longitudinal
@@ -108,7 +108,7 @@ func main() {
 	axfr := flag.String("axfr", "", "attempt an AXFR of the given zone over TCP instead of scanning")
 	watch := flag.Bool("watch", false, "poll the prefix and print record-set changes")
 	interval := flag.Duration("interval", 30*time.Second, "polling interval for -watch")
-	metricsAddr := flag.String("metrics-addr", "", "serve telemetry over HTTP on this address: /metrics (Prometheus), /debug/vars (JSON), /debug/pprof/, /health, /trace (see docs/telemetry.md)")
+	metricsAddr := flag.String("metrics-addr", "", "serve telemetry over HTTP on this address: /metrics (Prometheus), /debug/vars (JSON), /debug/pprof/, /health, /trace (see docs/observability.md)")
 	traceOut := flag.String("trace-out", "", "write the sweep span log to this file as JSONL for `experiments -trace`")
 	obsOut := flag.String("obs-out", "", "write one observability frame per sweep to this file as JSONL for `experiments -obs` (see docs/observability.md)")
 	storeOut := flag.String("store", "", "append each sweep's record set to this longitudinal history store, queryable with cmd/rdnsd (see docs/storage.md)")

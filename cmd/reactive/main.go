@@ -29,7 +29,7 @@ func main() {
 	days := flag.Int("days", 7, "measurement window in days")
 	people := flag.Int("people", 16, "people per dynamic /24 (population scale)")
 	seed := flag.Uint64("seed", 42, "simulation seed")
-	metricsAddr := flag.String("metrics-addr", "", "serve telemetry over HTTP on this address while the measurement runs (see docs/telemetry.md)")
+	metricsAddr := flag.String("metrics-addr", "", "serve telemetry over HTTP on this address while the measurement runs (see docs/observability.md)")
 	flag.Parse()
 
 	start := time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)

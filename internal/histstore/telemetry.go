@@ -3,7 +3,7 @@ package histstore
 import "rdnsprivacy/internal/telemetry"
 
 // Metric names the store registers when a telemetry sink is attached (see
-// docs/storage.md and docs/telemetry.md).
+// docs/storage.md and docs/observability.md).
 const (
 	// MetricAppends counts appended snapshots.
 	MetricAppends = "hist_appends_total"

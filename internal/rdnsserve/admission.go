@@ -49,9 +49,8 @@ type bucket struct {
 }
 
 // admission implements the request front door. Decisions in order:
-// method, ACL (403), token bucket (429), in-flight slot (503). Each
-// rejection increments its own counter so operators can tell pushback
-// from failure.
+// ACL (403), token bucket (429), in-flight slot (503). Each verdict has its
+// own counter so operators can tell pushback from failure.
 type admission struct {
 	cfg  AdmissionConfig
 	now  func() time.Time
@@ -64,13 +63,10 @@ type admission struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	admitted    *telemetry.Counter
-	rateLimited *telemetry.Counter
-	denied      *telemetry.Counter
-	shed        *telemetry.Counter
-	inFlightG   *telemetry.Gauge
-	peakG       *telemetry.Gauge
-	clientsG    *telemetry.Gauge
+	verdicts  map[string]*telemetry.Counter // by verdict; written by Server.observe
+	inFlightG *telemetry.Gauge
+	peakG     *telemetry.Gauge
+	clientsG  *telemetry.Gauge
 }
 
 func newAdmission(cfg AdmissionConfig, sink telemetry.Sink) *admission {
@@ -81,13 +77,15 @@ func newAdmission(cfg AdmissionConfig, sink telemetry.Sink) *admission {
 		cap:     cfg.Burst,
 		buckets: make(map[string]*bucket),
 
-		admitted:    sink.Counter("rdnsd_admission_admitted_total"),
-		rateLimited: sink.Counter("rdnsd_admission_rate_limited_total"),
-		denied:      sink.Counter("rdnsd_admission_denied_total"),
-		shed:        sink.Counter("rdnsd_admission_shed_total"),
-		inFlightG:   sink.Gauge("rdnsd_admission_inflight"),
-		peakG:       sink.Gauge("rdnsd_admission_peak_inflight"),
-		clientsG:    sink.Gauge("rdnsd_admission_clients"),
+		verdicts: map[string]*telemetry.Counter{
+			verdictAdmitted:    sink.Counter("rdnsd_admission_admitted_total"),
+			verdictRateLimited: sink.Counter("rdnsd_admission_rate_limited_total"),
+			verdictDenied:      sink.Counter("rdnsd_admission_denied_total"),
+			verdictShed:        sink.Counter("rdnsd_admission_shed_total"),
+		},
+		inFlightG: sink.Gauge("rdnsd_admission_inflight"),
+		peakG:     sink.Gauge("rdnsd_admission_peak_inflight"),
+		clientsG:  sink.Gauge("rdnsd_admission_clients"),
 	}
 	if a.now == nil {
 		a.now = time.Now
@@ -199,13 +197,13 @@ func (a *admission) evictLocked(now time.Time) {
 	}
 }
 
-// enter claims an in-flight slot, returning its release func, or false
-// when the daemon is at MaxInFlight and this request must shed.
-func (a *admission) enter() (release func(), ok bool) {
+// enter claims an in-flight slot, to be given back with leave, or reports
+// false when the daemon is at MaxInFlight and this request must shed.
+func (a *admission) enter() bool {
 	n := a.inFlight.Add(1)
 	if a.cfg.MaxInFlight > 0 && n > int64(a.cfg.MaxInFlight) {
 		a.inFlight.Add(-1)
-		return nil, false
+		return false
 	}
 	a.inFlightG.Set(n)
 	for {
@@ -218,45 +216,47 @@ func (a *admission) enter() (release func(), ok bool) {
 			break
 		}
 	}
-	return func() {
-		a.inFlightG.Set(a.inFlight.Add(-1))
-	}, true
+	return true
 }
 
-// admit runs the full front door for one request. On success it returns
-// a non-nil release func the caller must defer; on refusal it returns the
-// apiError to write (Retry-After and rate-limit headers already applied
-// to w). adminPath requests skip the token bucket and in-flight bound —
-// an operator must be able to reload a daemon that is busy shedding —
-// but still pass the ACL.
-func (a *admission) admit(w http.ResponseWriter, r *http.Request, adminPath bool) (release func(), errA *apiError) {
+func (a *admission) leave() { a.inFlightG.Set(a.inFlight.Add(-1)) }
+
+// The front door's verdicts, as the query log spells them.
+const (
+	verdictAdmitted    = "admitted"
+	verdictRateLimited = "ratelimited"
+	verdictDenied      = "denied"
+	verdictShed        = "shed"
+)
+
+// admit runs the front door for one request of client (its clientKey) and
+// returns the verdict, with the apiError to write on a refusal (Retry-After
+// and rate-limit headers already applied to w). An admitted request that is
+// not exempt holds an in-flight slot the caller must leave. Exempt requests
+// — the admin surface and the replication feed — skip the token bucket and
+// the in-flight bound but still pass the ACL.
+func (a *admission) admit(w http.ResponseWriter, r *http.Request, client string, exempt bool) (string, *apiError) {
 	if err := a.checkACL(r); err != nil {
-		a.denied.Inc()
-		return nil, err
+		return verdictDenied, err
 	}
-	if adminPath {
-		a.admitted.Inc()
-		return func() {}, nil
+	if exempt {
+		return verdictAdmitted, nil
 	}
 	if a.cfg.limiting() {
-		ok, retryAfter, remaining := a.take(clientKey(r))
+		ok, retryAfter, remaining := a.take(client)
 		w.Header().Set("X-RateLimit-Limit", strconv.FormatFloat(a.rate, 'f', -1, 64))
 		if !ok {
 			w.Header().Set("X-RateLimit-Remaining", "0")
 			w.Header().Set("Retry-After", strconv.Itoa(retryAfter))
-			a.rateLimited.Inc()
-			return nil, errRateLimited()
+			return verdictRateLimited, errRateLimited()
 		}
 		w.Header().Set("X-RateLimit-Remaining", strconv.Itoa(remaining))
 	}
-	rel, ok := a.enter()
-	if !ok {
+	if !a.enter() {
 		w.Header().Set("Retry-After", "1")
-		a.shed.Inc()
-		return nil, errOverloaded()
+		return verdictShed, errOverloaded()
 	}
-	a.admitted.Inc()
-	return rel, nil
+	return verdictAdmitted, nil
 }
 
 // clients reports the bucket-table size.

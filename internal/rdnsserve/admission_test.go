@@ -39,7 +39,8 @@ func envelopeCode(t *testing.T, rec *httptest.ResponseRecorder) string {
 }
 
 // TestACL: deny beats allow, allow-list membership is required when one
-// is configured, and denials are 403 forbidden on both API dialects.
+// is configured, and denials are 403 forbidden (every route sits behind it:
+// TestRouteTableContract).
 func TestACL(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
@@ -62,16 +63,8 @@ func TestACL(t *testing.T) {
 	if rec := doAs(h, "/v1/days", "10.9.4.4:555", ""); rec.Code != 403 {
 		t.Fatalf("denied client: %d %s", rec.Code, rec.Body)
 	}
-	// The ACL also guards the admin surface.
-	req := httptest.NewRequest("POST", "/v1/admin/reload", nil)
-	req.RemoteAddr = "192.168.1.1:555"
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, req)
-	if rec.Code != 403 {
-		t.Fatalf("admin from outside allow list: %d %s", rec.Code, rec.Body)
-	}
-	if got := reg.Counter("rdnsd_admission_denied_total").Value(); got != 3 {
-		t.Fatalf("denied counter %d, want 3", got)
+	if got := reg.Counter("rdnsd_admission_denied_total").Value(); got != 2 {
+		t.Fatalf("denied counter %d, want 2", got)
 	}
 }
 
@@ -167,9 +160,7 @@ func TestLoadShedding(t *testing.T) {
 	h := srv.Handler()
 
 	// Occupy both slots directly, then observe the front door shed.
-	rel1, ok1 := srv.adm.enter()
-	rel2, ok2 := srv.adm.enter()
-	if !ok1 || !ok2 {
+	if !srv.adm.enter() || !srv.adm.enter() {
 		t.Fatal("could not occupy in-flight slots")
 	}
 	rec := doAs(h, "/v1/days", "", "")
@@ -179,11 +170,11 @@ func TestLoadShedding(t *testing.T) {
 	if rec.Header().Get("Retry-After") != "1" {
 		t.Fatalf("shed without Retry-After: %v", rec.Header())
 	}
-	rel1()
+	srv.adm.leave()
 	if rec := doAs(h, "/v1/days", "", ""); rec.Code != 200 {
 		t.Fatalf("slot freed but still shedding: %d", rec.Code)
 	}
-	rel2()
+	srv.adm.leave()
 
 	if reg.Counter("rdnsd_admission_shed_total").Value() != 1 {
 		t.Fatalf("shed counter %d, want 1", reg.Counter("rdnsd_admission_shed_total").Value())

@@ -299,8 +299,7 @@ func TestHotReloadDuringCompaction(t *testing.T) {
 }
 
 // TestAdminCompactEndpoint covers the admin surface around the happy
-// path the load test takes: wrong method, a sweep already in flight
-// (409 compact_busy), and the skipped-writer response once there is
+// path the load test takes: a sweep already in flight (409 compact_busy), and the skipped-writer response once there is
 // nothing left to seal.
 func TestAdminCompactEndpoint(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
@@ -315,12 +314,6 @@ func TestAdminCompactEndpoint(t *testing.T) {
 	srv := New(serving, Config{})
 	defer srv.Close()
 	h := srv.Handler()
-
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/admin/compact", nil))
-	if rec.Code != 405 {
-		t.Fatalf("GET compact: %d", rec.Code)
-	}
 
 	// Park a sweep at its mid-protocol fault point; a second POST while
 	// it hangs must answer 409 without touching the store.
@@ -340,7 +333,7 @@ func TestAdminCompactEndpoint(t *testing.T) {
 		firstDone <- err
 	}()
 	<-parked
-	rec = httptest.NewRecorder()
+	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/admin/compact", nil))
 	if rec.Code != 409 || !strings.Contains(rec.Body.String(), rdnsclient.CodeCompactBusy) {
 		t.Fatalf("busy compact: %d %s", rec.Code, rec.Body)
@@ -402,10 +395,10 @@ func TestAdminCompactHonorsConfigOptions(t *testing.T) {
 	if len(out.Results) != 1 || out.Results[0].Sealed != 2 || out.Results[0].Skipped != "" {
 		t.Fatalf("compact results = %+v, want 2 snapshots sealed", out.Results)
 	}
-	// An explicit per-call override still wins over the configured default.
-	if res, err := srv.Compact(context.Background(), histstore.CompactOptions{MinSeal: 100}); err != nil ||
-		len(res) != 1 || res[0].Skipped == "" {
-		t.Fatalf("override sweep = %+v err=%v, want skip under MinSeal 100", res, err)
+	// The background loop's entry point runs under the same options: with
+	// the tail sealed there is nothing left for it to do.
+	if res, err := srv.Compact(context.Background()); err != nil || len(res) != 1 || res[0].Skipped == "" {
+		t.Fatalf("second sweep = %+v err=%v, want the empty tail skipped", res, err)
 	}
 }
 

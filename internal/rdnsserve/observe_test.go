@@ -41,7 +41,7 @@ func outcomeOf(name string) string {
 //	outcome=canceled                     == rdnsd_query_canceled_total
 //
 // and that /v1/stats' Endpoints block reports the same numbers as the
-// labeled counters (the two views are derived independently).
+// labeled counters (it reads the very counters observe writes).
 func TestOutcomeCountersConsistency(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	path, st, _ := fixture(t, 10)

@@ -15,7 +15,9 @@ import (
 
 // QueryLogEntry is one canonical "wide event": everything the daemon
 // knows about one request, in one record, keyed by the same correlation
-// ID the trace spans and latency exemplars carry. The schema is part of
+// ID the trace spans and latency exemplars carry. The pipeline fills one
+// in as the request proceeds (it is the core of its event) and every other
+// view is derived from the same values. The schema is part of
 // the observability contract (docs/observability.md); fields are
 // snake_case on the wire to match the metrics surface.
 type QueryLogEntry struct {
@@ -113,13 +115,18 @@ func SlowBound(secs float64) float64 {
 	return secs
 }
 
+// seconds is the one conversion from a measured duration to the value the
+// latency histograms bucket and the slow log thresholds.
+func seconds(ns int64) float64 { return float64(ns) / 1e9 }
+
 // record appends e, marking and retaining it as slow when its total
-// latency reaches the threshold. Safe on a nil receiver.
+// latency lands in a histogram bucket past the threshold's. Safe on a nil
+// receiver.
 func (l *QueryLog) record(e QueryLogEntry) {
 	if l == nil {
 		return
 	}
-	slow := l.slowSecs > 0 && float64(e.TotalNS) > l.slowSecs*1e9
+	slow := l.slowSecs > 0 && seconds(e.TotalNS) > l.slowSecs
 	e.Slow = slow
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -283,7 +290,7 @@ func paramsFingerprint(q map[string][]string) string {
 }
 
 // corrFromHeader parses an X-Rdns-Corr value (16 hex digits); malformed
-// or absent headers return 0, which the route replaces with a
+// or absent headers return 0, which a query route replaces with a
 // server-derived ID — a bad header degrades to uncorrelated, never to
 // an error.
 func corrFromHeader(v string) uint64 {

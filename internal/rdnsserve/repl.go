@@ -4,15 +4,16 @@ package rdnsserve
 // /v1/repl/tail/{writer}. A replica daemon (cmd/rdnsd -replica-of) pulls
 // these to mirror the primary's histstore file set locally, then swaps
 // generations through the same refcounted store-handle path hot reload
-// uses. Like the admin surface, the feed is exempt from the per-client
+// uses. The three endpoints are the route table's classFeed rows (see
+// pipeline.go): like the admin surface they are exempt from the per-client
 // token bucket (a replica must be able to catch up on a primary that is
-// busy shedding query traffic) but stays behind the ACL. See
+// busy shedding query traffic) but stay behind the ACL. See
 // docs/replication.md for the protocol and failure matrix.
 
 import (
-	"encoding/json"
 	"errors"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 
@@ -60,9 +61,8 @@ func replError(err error) *apiError {
 	}
 }
 
-// replParams parses the off/n feed window parameters.
-func replParams(r *http.Request) (off int64, n int, aerr *apiError) {
-	q := r.URL.Query()
+// replWindow parses the off/n feed window parameters.
+func replWindow(q url.Values) (off int64, n int, aerr *apiError) {
 	if v := q.Get("off"); v != "" {
 		var err error
 		if off, err = strconv.ParseInt(v, 10, 64); err != nil || off < 0 {
@@ -82,125 +82,76 @@ func replParams(r *http.Request) (off int64, n int, aerr *apiError) {
 	return off, n, nil
 }
 
-// replRoute wraps one feed endpoint with the shared pipeline: GET check,
-// bucket-exempt admission, store-handle pinning, and error accounting.
-func (s *Server) replRoute(h func(w http.ResponseWriter, r *http.Request, hd *storeHandle) *apiError) http.HandlerFunc {
-	fetches := s.sink.Counter(metricReplFetches)
-	fetchErrors := s.sink.Counter(metricReplErrors)
-	return func(w http.ResponseWriter, r *http.Request) {
-		fetches.Inc()
-		fail := func(aerr *apiError) {
-			fetchErrors.Inc()
-			writeV1Error(w, aerr)
-		}
-		if r.Method != http.MethodGet {
-			fail(errMethodNotAllowed(r.Method))
-			return
-		}
-		release, aerr := s.adm.admit(w, r, true)
-		if aerr != nil {
-			fail(aerr)
-			return
-		}
-		defer release()
-		hd := s.acquireHandle()
-		if hd == nil {
-			fail(errOverloaded())
-			return
-		}
-		defer hd.release()
-		if aerr := h(w, r, hd); aerr != nil {
-			fail(aerr)
-		}
-	}
-}
-
 // replManifest is GET /v1/repl/manifest: the served store's replicable
 // file set plus this daemon's generation and snapshot horizon.
-func (s *Server) replManifest() http.HandlerFunc {
-	return s.replRoute(func(w http.ResponseWriter, r *http.Request, hd *storeHandle) *apiError {
-		fm, err := hd.st.FeedManifest()
-		if err != nil {
-			return replError(err)
+func (s *Server) replManifest(rq request) (reply, *apiError) {
+	fm, err := rq.hd.st.FeedManifest()
+	if err != nil {
+		return reply{}, replError(err)
+	}
+	resp := rdnsclient.ReplManifest{
+		Generation:   s.gen.Load(),
+		BaseInterval: fm.BaseInterval,
+		Snapshots:    fm.Snapshots,
+		LastSnap:     fm.LastSnap,
+		TotalBytes:   fm.TotalBytes,
+	}
+	for _, fw := range fm.Writers {
+		rw := rdnsclient.ReplWriter{
+			ID:        fw.ID,
+			FileSeq:   fw.FileSeq,
+			TailFile:  fw.TailFile,
+			TailFirst: fw.TailFirst,
+			TailSize:  fw.TailSize,
 		}
-		resp := rdnsclient.ReplManifest{
-			Generation:   s.gen.Load(),
-			BaseInterval: fm.BaseInterval,
-			Snapshots:    fm.Snapshots,
-			LastSnap:     fm.LastSnap,
-			TotalBytes:   fm.TotalBytes,
+		for _, g := range fw.Segments {
+			rw.Segments = append(rw.Segments, rdnsclient.ReplSegment{
+				File: g.File, First: g.First, Count: g.Count, Size: g.Size, CRC: g.CRC,
+			})
 		}
-		for _, fw := range fm.Writers {
-			rw := rdnsclient.ReplWriter{
-				ID:        fw.ID,
-				FileSeq:   fw.FileSeq,
-				TailFile:  fw.TailFile,
-				TailFirst: fw.TailFirst,
-				TailSize:  fw.TailSize,
-			}
-			for _, g := range fw.Segments {
-				rw.Segments = append(rw.Segments, rdnsclient.ReplSegment{
-					File: g.File, First: g.First, Count: g.Count, Size: g.Size, CRC: g.CRC,
-				})
-			}
-			resp.Writers = append(resp.Writers, rw)
-		}
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(resp)
-		return nil
-	})
+		resp.Writers = append(resp.Writers, rw)
+	}
+	return reply{body: resp}, nil
 }
 
 // replSegment is GET /v1/repl/segment/{name}?off=&n=: one chunk of a
 // sealed segment, X-Repl-Size carrying the total.
-func (s *Server) replSegment() http.HandlerFunc {
-	bytesOut := s.sink.Counter(metricReplBytes)
-	return s.replRoute(func(w http.ResponseWriter, r *http.Request, hd *storeHandle) *apiError {
-		name := strings.TrimPrefix(r.URL.Path, "/v1/repl/segment/")
-		if name == "" || strings.Contains(name, "/") {
-			return errBadParam("segment name missing or malformed")
-		}
-		off, n, aerr := replParams(r)
-		if aerr != nil {
-			return aerr
-		}
-		data, size, err := hd.st.FeedReadSegment(name, off, n)
-		if err != nil {
-			return replError(err)
-		}
-		bytesOut.Add(uint64(len(data)))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Header().Set("X-Repl-Size", strconv.FormatInt(size, 10))
-		w.Write(data)
-		return nil
-	})
+func replSegment(rq request) (reply, *apiError) {
+	name := strings.TrimPrefix(rq.path, "/v1/repl/segment/")
+	if name == "" || strings.Contains(name, "/") {
+		return reply{}, errBadParam("segment name missing or malformed")
+	}
+	off, n, aerr := replWindow(rq.q)
+	if aerr != nil {
+		return reply{}, aerr
+	}
+	data, size, err := rq.hd.st.FeedReadSegment(name, off, n)
+	if err != nil {
+		return reply{}, replError(err)
+	}
+	rq.hdr.Set("X-Repl-Size", strconv.FormatInt(size, 10))
+	return reply{raw: data}, nil
 }
 
 // replTail is GET /v1/repl/tail/{writer}?off=&n=&file=: one chunk of the
 // writer's committed tail, X-Repl-Tail-* carrying the tail's identity.
 // file pins the expected tail; 409 repl_changed when compaction swapped
 // it (the identity headers then point at the successor).
-func (s *Server) replTail() http.HandlerFunc {
-	bytesOut := s.sink.Counter(metricReplBytes)
-	return s.replRoute(func(w http.ResponseWriter, r *http.Request, hd *storeHandle) *apiError {
-		writer := strings.TrimPrefix(r.URL.Path, "/v1/repl/tail/")
-		if writer == "" || strings.Contains(writer, "/") {
-			return errBadParam("writer id missing or malformed")
-		}
-		off, n, aerr := replParams(r)
-		if aerr != nil {
-			return aerr
-		}
-		data, info, err := hd.st.FeedReadTail(writer, r.URL.Query().Get("file"), off, n)
-		w.Header().Set("X-Repl-Tail-File", info.File)
-		w.Header().Set("X-Repl-Tail-First", strconv.Itoa(info.First))
-		w.Header().Set("X-Repl-Tail-Size", strconv.FormatInt(info.Size, 10))
-		if err != nil {
-			return replError(err)
-		}
-		bytesOut.Add(uint64(len(data)))
-		w.Header().Set("Content-Type", "application/octet-stream")
-		w.Write(data)
-		return nil
-	})
+func replTail(rq request) (reply, *apiError) {
+	writer := strings.TrimPrefix(rq.path, "/v1/repl/tail/")
+	if writer == "" || strings.Contains(writer, "/") {
+		return reply{}, errBadParam("writer id missing or malformed")
+	}
+	off, n, aerr := replWindow(rq.q)
+	if aerr != nil {
+		return reply{}, aerr
+	}
+	data, info, err := rq.hd.st.FeedReadTail(writer, rq.q.Get("file"), off, n)
+	rq.hdr.Set("X-Repl-Tail-File", info.File)
+	rq.hdr.Set("X-Repl-Tail-First", strconv.Itoa(info.First))
+	rq.hdr.Set("X-Repl-Tail-Size", strconv.FormatInt(info.Size, 10))
+	if err != nil {
+		return reply{}, replError(err)
+	}
+	return reply{raw: data}, nil
 }

@@ -1,21 +1,20 @@
 // Package rdnsserve is rdnsd's serving layer: the versioned /v1 query API
 // over a histstore, with admission control (per-client token buckets,
 // ACLs, in-flight load shedding) and hot reload onto a freshly opened store
-// without dropping in-flight queries. cmd/rdnsd wires it to flags and
-// signals; cmd/rdnsload drives it in-process; the wire contract lives in
-// internal/rdnsclient. See docs/api.md.
+// without dropping in-flight queries. Every route is a row of one table and
+// every request one event, from which all telemetry is derived
+// (pipeline.go). cmd/rdnsd wires it to flags and signals; cmd/rdnsload
+// drives it in-process; the wire contract lives in internal/rdnsclient. See
+// docs/api.md.
 package rdnsserve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"net/url"
-	"sort"
 	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -94,87 +93,15 @@ type Server struct {
 	queryCanceled *telemetry.Counter
 	rowsServed    *telemetry.Counter
 	reloads       *telemetry.Counter
+	replFetches   *telemetry.Counter
+	replErrors    *telemetry.Counter
+	replBytes     *telemetry.Counter
 	querySeconds  *telemetry.Histogram
 	genGauge      *telemetry.Gauge
 
 	qlog *QueryLog
-	// endpoints maps route name -> per-outcome request counters; built
-	// as routes register, read by StatsSnapshot.
-	epMu      sync.Mutex
-	endpoints map[string]*outcomeCounters
-}
-
-// outcomeCounters is one endpoint's rdnsd_requests_total{endpoint,outcome}
-// family. The four outcomes partition the endpoint's requests, so their
-// sum equals the endpoint's share of rdnsd_queries_total — asserted by
-// the consistency test.
-type outcomeCounters struct {
-	ok       *telemetry.Counter
-	errc     *telemetry.Counter
-	canceled *telemetry.Counter
-	rejected *telemetry.Counter
-}
-
-// outcomesFor registers (or returns) the outcome family for endpoint.
-func (s *Server) outcomesFor(endpoint string) *outcomeCounters {
-	s.epMu.Lock()
-	defer s.epMu.Unlock()
-	if oc, ok := s.endpoints[endpoint]; ok {
-		return oc
-	}
-	label := func(outcome string) string {
-		return metricRequests + `{endpoint="` + endpoint + `",outcome="` + outcome + `"}`
-	}
-	oc := &outcomeCounters{
-		ok:       s.sink.Counter(label("ok")),
-		errc:     s.sink.Counter(label("error")),
-		canceled: s.sink.Counter(label("canceled")),
-		rejected: s.sink.Counter(label("rejected")),
-	}
-	s.endpoints[endpoint] = oc
-	return oc
-}
-
-// reqRec accumulates one request's observability record as it moves
-// through the pipeline: route fills corr, serveOne fills the admission
-// verdict, pinned generation, and phase latencies. fromWire marks a
-// correlation ID that arrived in X-Rdns-Corr — only those requests get
-// per-phase child spans, so local uncorrelated traffic pays one span
-// exactly as before this layer existed.
-type reqRec struct {
-	corr      uint64
-	fromWire  bool
-	client    string
-	admission string
-	gen       int64
-	parseNS   int64
-	storeNS   int64
-}
-
-// countWriter counts bytes on their way to the response, so the query
-// log can record body sizes without buffering a second copy.
-type countWriter struct {
-	w http.ResponseWriter
-	n int
-}
-
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += n
-	return n, err
-}
-
-// admissionOutcome maps an admission refusal onto the query-log
-// vocabulary by its HTTP status.
-func admissionOutcome(aerr *apiError) string {
-	switch aerr.status {
-	case http.StatusTooManyRequests:
-		return "ratelimited"
-	case http.StatusForbidden:
-		return "denied"
-	default:
-		return "shed"
-	}
+	// routes is the route table (pipeline.go), fixed by New.
+	routes []*endpoint
 }
 
 // New creates a Server over st, taking ownership of it: the store is
@@ -198,12 +125,15 @@ func New(st *histstore.Store, cfg Config) *Server {
 		queryCanceled: sink.Counter(metricQueryCanceled),
 		rowsServed:    sink.Counter(metricRowsServed),
 		reloads:       sink.Counter(metricReloads),
+		replFetches:   sink.Counter(metricReplFetches),
+		replErrors:    sink.Counter(metricReplErrors),
+		replBytes:     sink.Counter(metricReplBytes),
 		querySeconds:  sink.Histogram(metricQuerySeconds, telemetry.DefaultLatencyBuckets()),
 		genGauge:      sink.Gauge(metricGeneration),
 
-		qlog:      cfg.QueryLog,
-		endpoints: make(map[string]*outcomeCounters),
+		qlog: cfg.QueryLog,
 	}
+	s.routes = s.routeTable()
 	s.cur.Store(newStoreHandle(st, 0))
 	return s
 }
@@ -272,16 +202,26 @@ func (s *Server) acquireHandle() *storeHandle {
 	}
 }
 
-// StatsSnapshot assembles the v1 stats body (also the exporter's health
-// payload).
+// StatsSnapshot assembles the v1 stats body for the exporter's health
+// payload, on a generation it pins for the duration.
 func (s *Server) StatsSnapshot() rdnsclient.StatsResponse {
+	h := s.acquireHandle()
+	if h != nil {
+		defer h.release()
+	}
+	return s.stats(h)
+}
+
+// stats assembles the v1 stats body; its store block describes h, the
+// generation the caller pinned (nil on a closed server: no store block).
+func (s *Server) stats(h *storeHandle) rdnsclient.StatsResponse {
 	resp := rdnsclient.StatsResponse{
 		Generation: s.gen.Load(),
 		Admission: rdnsclient.AdmissionStats{
-			Admitted:     s.adm.admitted.Value(),
-			RateLimited:  s.adm.rateLimited.Value(),
-			Denied:       s.adm.denied.Value(),
-			Shed:         s.adm.shed.Value(),
+			Admitted:     s.adm.verdicts[verdictAdmitted].Value(),
+			RateLimited:  s.adm.verdicts[verdictRateLimited].Value(),
+			Denied:       s.adm.verdicts[verdictDenied].Value(),
+			Shed:         s.adm.verdicts[verdictShed].Value(),
 			InFlight:     s.adm.inFlight.Load(),
 			PeakInFlight: s.adm.peak.Load(),
 			Clients:      s.adm.clients(),
@@ -300,13 +240,12 @@ func (s *Server) StatsSnapshot() rdnsclient.StatsResponse {
 			resp.Latency.P99Value = ex.Value
 		}
 	}
-	s.epMu.Lock()
-	for name, oc := range s.endpoints {
+	for _, ep := range s.routes {
 		es := rdnsclient.EndpointStats{
-			OK:       oc.ok.Value(),
-			Errors:   oc.errc.Value(),
-			Canceled: oc.canceled.Value(),
-			Rejected: oc.rejected.Value(),
+			OK:       ep.outcomes[outcomeOK].Value(),
+			Errors:   ep.outcomes[outcomeError].Value(),
+			Canceled: ep.outcomes[outcomeCanceled].Value(),
+			Rejected: ep.outcomes[outcomeRejected].Value(),
 		}
 		if es == (rdnsclient.EndpointStats{}) {
 			continue
@@ -314,9 +253,8 @@ func (s *Server) StatsSnapshot() rdnsclient.StatsResponse {
 		if resp.Endpoints == nil {
 			resp.Endpoints = make(map[string]rdnsclient.EndpointStats)
 		}
-		resp.Endpoints[name] = es
+		resp.Endpoints[ep.name] = es
 	}
-	s.epMu.Unlock()
 	if s.qlog != nil {
 		resp.QueryLog = rdnsclient.QueryLogStats{
 			Total:    s.qlog.Total(),
@@ -324,7 +262,7 @@ func (s *Server) StatsSnapshot() rdnsclient.StatsResponse {
 			Slow:     s.qlog.SlowLen(),
 		}
 	}
-	if h := s.acquireHandle(); h != nil {
+	if h != nil {
 		st := h.st.Stats()
 		resp.Store = rdnsclient.StoreStats{
 			Snapshots:       st.Snapshots,
@@ -360,325 +298,60 @@ func (s *Server) StatsSnapshot() rdnsclient.StatsResponse {
 		if total := st.CacheHits + st.CacheMisses; total > 0 {
 			resp.CacheHitRate = float64(st.CacheHits) / float64(total)
 		}
-		h.release()
 	}
 	return resp
 }
 
-// handlerFunc is one v1 endpoint's logic: pure store work, no HTTP.
-type handlerFunc func(ctx context.Context, st *histstore.Store, q url.Values) (any, *apiError)
-
-// Handler builds the daemon's route table: the /v1 endpoints, the admin
-// surface and the replication feed. Every other path answers the v1
-// not_found envelope.
-func (s *Server) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/at", s.route("at", []string{"ip", "t"}, s.handleAt))
-	mux.HandleFunc("/v1/range", s.route("range", []string{"prefix", "from", "to", "limit", "cursor"}, s.handleRange))
-	mux.HandleFunc("/v1/churn", s.route("churn", []string{"prefix", "from", "to"}, s.handleChurn))
-	mux.HandleFunc("/v1/name", s.route("name", []string{"token", "limit", "cursor"}, s.handleName))
-	mux.HandleFunc("/v1/days", s.route("days", nil, s.handleDays))
-	mux.HandleFunc("/v1/stats", s.route("stats", []string{"divergence"}, s.handleStats))
-	mux.HandleFunc("/v1/admin/reload", s.adminReload())
-	mux.HandleFunc("/v1/admin/compact", s.adminCompact())
-	mux.HandleFunc("/v1/repl/manifest", s.replManifest())
-	mux.HandleFunc("/v1/repl/segment/", s.replSegment())
-	mux.HandleFunc("/v1/repl/tail/", s.replTail())
-	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
-		writeV1Error(w, errNotFound(r.URL.Path))
-	})
-	return mux
-}
-
-// writeV1Error renders the envelope and reports the body size written.
-func writeV1Error(w http.ResponseWriter, aerr *apiError) int {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(aerr.status)
-	cw := &countWriter{w: w}
-	json.NewEncoder(cw).Encode(rdnsclient.ErrorEnvelope{
-		Error: rdnsclient.ErrorDetail{Code: aerr.code, Message: aerr.msg},
-	})
-	return cw.n
-}
-
-// countOutcome splits one request verdict into the aggregate counters
-// and its endpoint's outcome family. Admission refusals count as
-// "rejected" (they are still queryErrors in the aggregate, preserving
-// the pre-existing meaning of rdnsd_query_errors_total).
-func (s *Server) countOutcome(oc *outcomeCounters, aerr *apiError, rec *reqRec) {
-	switch {
-	case aerr == nil:
-		oc.ok.Inc()
-	case aerr.status == statusClientClosedRequest:
-		s.queryCanceled.Inc()
-		oc.canceled.Inc()
-	case rec != nil && rec.admission != "" && rec.admission != "admitted":
-		s.queryErrors.Inc()
-		oc.rejected.Inc()
-	default:
-		s.queryErrors.Inc()
-		oc.errc.Inc()
+// adminReload is POST /v1/admin/reload; 403 when no Reopen is configured.
+// Its log entry names the generation it produced, not the one it replaced.
+func (s *Server) adminReload(request) (reply, *apiError) {
+	if s.reopen == nil {
+		return reply{}, errForbidden("reload is not enabled on this daemon")
 	}
-}
-
-// route wraps a v1 endpoint with the full pipeline: method check,
-// admission, strict parameter validation, store-handle pinning,
-// instrumentation (aggregate + per-endpoint latency and outcomes, a
-// correlated span continuing the client's X-Rdns-Corr trace, latency
-// exemplars, the query log), and envelope rendering.
-func (s *Server) route(name string, allowed []string, h handlerFunc) http.HandlerFunc {
-	// Sorted once, here: requests only read the slice, and checkParams
-	// lists it in its error message.
-	sort.Strings(allowed)
-	lat := s.sink.Histogram(metricQuerySeconds+`{endpoint="`+name+`"}`, telemetry.DefaultLatencyBuckets())
-	outcomes := s.outcomesFor(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		qn := int(s.nextQ.Add(1))
-		// Continue the caller's trace when the request carries a
-		// correlation header; otherwise mint a server-side ID so the
-		// span, exemplar, and query-log entry still chain together.
-		corr := corrFromHeader(r.Header.Get(rdnsclient.CorrHeader))
-		fromWire := corr != 0
-		if corr == 0 {
-			corr = telemetry.CorrID(s.seed, "rdnsd."+name, qn)
-		}
-		span := s.tracer.StartSpanCorr("rdnsd.query", name, corr)
-		s.queries.Inc()
-		rec := reqRec{corr: corr, fromWire: fromWire, gen: -1}
-		out, aerr := s.serveOne(w, r, http.MethodGet, allowed, h, &rec)
-		el := time.Since(start).Seconds()
-		s.querySeconds.ObserveExemplar(el, corr)
-		lat.ObserveExemplar(el, corr)
-		s.countOutcome(outcomes, aerr, &rec)
-		if aerr != nil {
-			span.Event("error", uint64(aerr.status))
-		}
-		span.End()
-		s.finish(w, r, name, start, out, aerr, &rec)
+	resp, err := s.Reload()
+	if err != nil {
+		return reply{}, errInternal(err)
 	}
-}
-
-// finish is every instrumented endpoint's epilogue: it renders the verdict
-// (the v1 error envelope for aerr, out as JSON otherwise) and, with a query
-// log configured, records the request's wide event.
-func (s *Server) finish(w http.ResponseWriter, r *http.Request, name string, start time.Time, out any, aerr *apiError, rec *reqRec) {
-	status, code, bytes := http.StatusOK, "", 0
-	if aerr != nil {
-		bytes = writeV1Error(w, aerr)
-		status, code = aerr.status, aerr.code
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-		cw := &countWriter{w: w}
-		json.NewEncoder(cw).Encode(out)
-		bytes = cw.n
-	}
-	if s.qlog == nil {
-		return
-	}
-	s.qlog.record(QueryLogEntry{
-		Corr:       fmt.Sprintf("%016x", rec.corr),
-		Endpoint:   name,
-		Client:     rec.client,
-		Params:     paramsFingerprint(r.URL.Query()),
-		Status:     status,
-		Code:       code,
-		Admission:  rec.admission,
-		Generation: rec.gen,
-		ParseNS:    rec.parseNS,
-		StoreNS:    rec.storeNS,
-		TotalNS:    time.Since(start).Nanoseconds(),
-		Bytes:      bytes,
-	})
-}
-
-// serveOne runs admission, validation, and the handler against a pinned
-// store handle, recording the admission verdict, phase latencies, and
-// pinned generation into rec. The validation and store phases run under
-// child spans sharing the request's correlation ID, so a stitched trace
-// shows where a slow request spent its time.
-func (s *Server) serveOne(w http.ResponseWriter, r *http.Request, method string, allowed []string, h handlerFunc, rec *reqRec) (any, *apiError) {
-	if r.Method != method {
-		return nil, errMethodNotAllowed(r.Method)
-	}
-	timed := s.qlog != nil
-	if timed {
-		rec.client = clientKey(r)
-	}
-	release, aerr := s.adm.admit(w, r, strings.HasPrefix(r.URL.Path, "/v1/admin/"))
-	if aerr != nil {
-		rec.admission = admissionOutcome(aerr)
-		return nil, aerr
-	}
-	rec.admission = "admitted"
-	defer release()
-	// Per-phase child spans only for wire-propagated traces: local
-	// uncorrelated traffic keeps its single root span (and single ring
-	// slot) exactly as before phase tracing existed.
-	phased := rec.fromWire && s.tracer != nil
-	var phaseStart time.Time
-	if timed {
-		phaseStart = time.Now()
-	}
-	var pspan *telemetry.Span
-	if phased {
-		pspan = s.tracer.StartSpanCorr("rdnsd.parse", r.URL.Path, rec.corr)
-	}
-	q := r.URL.Query()
-	aerr = checkParams(q, allowed)
-	pspan.End()
-	if timed {
-		rec.parseNS = time.Since(phaseStart).Nanoseconds()
-	}
-	if aerr != nil {
-		return nil, aerr
-	}
-	hd := s.acquireHandle()
-	if hd == nil {
-		return nil, errOverloaded()
-	}
-	defer hd.release()
-	rec.gen = hd.gen
-	if timed {
-		phaseStart = time.Now()
-	}
-	var sspan *telemetry.Span
-	if phased {
-		sspan = s.tracer.StartSpanCorr("rdnsd.store", r.URL.Path, rec.corr)
-		// The generation event is the stitch key: on a replica it names
-		// the catch-up sync that delivered the data this request read.
-		sspan.Event("gen", uint64(hd.gen))
-	}
-	out, aerr := h(r.Context(), hd.st, q)
-	if aerr != nil {
-		sspan.Event("error", uint64(aerr.status))
-	}
-	sspan.End()
-	if timed {
-		rec.storeNS = time.Since(phaseStart).Nanoseconds()
-	}
-	return out, aerr
-}
-
-// checkParams rejects unknown query parameters — typos like "prefx="
-// fail loudly instead of silently querying all of history. allowed is
-// shared by every request of a route and must not be modified.
-func checkParams(q url.Values, allowed []string) *apiError {
-	for k := range q {
-		found := false
-		for _, a := range allowed {
-			if k == a {
-				found = true
-				break
-			}
-		}
-		if !found {
-			return errBadParam("unknown parameter %q (allowed: %s)", k, strings.Join(allowed, ", "))
-		}
-	}
-	return nil
-}
-
-// adminRoute wraps an admin endpoint with the shared accounting: the
-// aggregate counter, the endpoint's outcome family, and the query log.
-// Admin endpoints skip spans and latency histograms — they are rare
-// operator actions, not query traffic.
-func (s *Server) adminRoute(name string, h func(w http.ResponseWriter, r *http.Request, rec *reqRec) (any, *apiError)) http.HandlerFunc {
-	outcomes := s.outcomesFor(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		s.queries.Inc()
-		rec := reqRec{corr: corrFromHeader(r.Header.Get(rdnsclient.CorrHeader)), gen: -1}
-		out, aerr := h(w, r, &rec)
-		s.countOutcome(outcomes, aerr, &rec)
-		s.finish(w, r, name, start, out, aerr, &rec)
-	}
-}
-
-// adminReload is POST /v1/admin/reload. Exempt from the token bucket (an
-// operator must be able to reload a daemon that is busy shedding) but
-// still behind the ACL; 403 when no Reopen is configured.
-func (s *Server) adminReload() http.HandlerFunc {
-	return s.adminRoute("admin_reload", func(w http.ResponseWriter, r *http.Request, rec *reqRec) (any, *apiError) {
-		if r.Method != http.MethodPost {
-			return nil, errMethodNotAllowed(r.Method)
-		}
-		rec.client = clientKey(r)
-		release, aerr := s.adm.admit(w, r, true)
-		if aerr != nil {
-			rec.admission = admissionOutcome(aerr)
-			return nil, aerr
-		}
-		rec.admission = "admitted"
-		defer release()
-		if s.reopen == nil {
-			return nil, errForbidden("reload is not enabled on this daemon")
-		}
-		resp, err := s.Reload()
-		if err != nil {
-			return nil, errInternal(err)
-		}
-		rec.gen = resp.Generation
-		return resp, nil
-	})
+	return reply{body: resp, gen: resp.Generation}, nil
 }
 
 // adminCompact is POST /v1/admin/compact: seal every idle writer's tail
 // into segments, in place, while queries keep flowing on this same
-// handle. Like reload it is exempt from the token bucket but behind the
-// ACL. A compaction already in flight answers 409.
-func (s *Server) adminCompact() http.HandlerFunc {
-	return s.adminRoute("admin_compact", func(w http.ResponseWriter, r *http.Request, rec *reqRec) (any, *apiError) {
-		if r.Method != http.MethodPost {
-			return nil, errMethodNotAllowed(r.Method)
+// handle. A compaction already in flight answers 409.
+func (s *Server) adminCompact(rq request) (reply, *apiError) {
+	results, err := rq.hd.st.Compact(rq.ctx, s.compact)
+	if err != nil {
+		if errors.Is(err, histstore.ErrCompactBusy) {
+			return reply{}, &apiError{status: http.StatusConflict, code: rdnsclient.CodeCompactBusy, msg: err.Error()}
 		}
-		rec.client = clientKey(r)
-		release, aerr := s.adm.admit(w, r, true)
-		if aerr != nil {
-			rec.admission = admissionOutcome(aerr)
-			return nil, aerr
-		}
-		rec.admission = "admitted"
-		defer release()
-		results, err := s.Compact(r.Context())
-		if err != nil {
-			if errors.Is(err, histstore.ErrCompactBusy) {
-				return nil, &apiError{status: http.StatusConflict, code: rdnsclient.CodeCompactBusy, msg: err.Error()}
-			}
-			return nil, errInternal(err)
-		}
-		resp := rdnsclient.CompactResponse{}
-		for _, res := range results {
-			resp.Results = append(resp.Results, rdnsclient.CompactWriterResult{
-				Writer:       res.Writer,
-				Sealed:       res.Sealed,
-				Segment:      res.Segment,
-				TailBytes:    res.TailBytes,
-				SegmentBytes: res.SegmentBytes,
-				Skipped:      res.Skipped,
-			})
-		}
-		return resp, nil
-	})
+		return reply{}, errInternal(err)
+	}
+	resp := rdnsclient.CompactResponse{}
+	for _, res := range results {
+		resp.Results = append(resp.Results, rdnsclient.CompactWriterResult{
+			Writer:       res.Writer,
+			Sealed:       res.Sealed,
+			Segment:      res.Segment,
+			TailBytes:    res.TailBytes,
+			SegmentBytes: res.SegmentBytes,
+			Skipped:      res.Skipped,
+		})
+	}
+	return reply{body: resp}, nil
 }
 
 // Compact seals every idle writer's tail of the currently served store
-// into segments, in place — queries keep answering bit-identically on
-// this same handle throughout. Writers owned by a live campaign process
-// are skipped with a per-writer reason. Exposed for the daemon's
-// -compact-interval background loop; POST /v1/admin/compact routes here
-// too. Without an explicit override, Config.Compact applies.
-func (s *Server) Compact(ctx context.Context, opts ...histstore.CompactOptions) ([]histstore.CompactResult, error) {
-	o := s.compact
-	if len(opts) > 0 {
-		o = opts[0]
-	}
+// into segments, in place, under Config.Compact — queries keep answering
+// bit-identically on this same handle throughout. Writers owned by a live
+// campaign process are skipped with a per-writer reason. It is the daemon's
+// -compact-interval background loop's entry point.
+func (s *Server) Compact(ctx context.Context) ([]histstore.CompactResult, error) {
 	hd := s.acquireHandle()
 	if hd == nil {
 		return nil, errors.New("rdnsserve: server is closed")
 	}
 	defer hd.release()
-	return hd.st.Compact(ctx, o)
+	return hd.st.Compact(ctx, s.compact)
 }
 
 // storeErr maps a store failure onto the envelope vocabulary. A canceled
@@ -752,51 +425,53 @@ func pageLimit(q url.Values) (int, *apiError) {
 	return n, nil
 }
 
-func (s *Server) handleAt(ctx context.Context, st *histstore.Store, q url.Values) (any, *apiError) {
+func handleAt(rq request) (reply, *apiError) {
+	ctx, st, q := rq.ctx, rq.hd.st, rq.q
 	if ctx.Err() != nil {
-		return nil, errCanceled()
+		return reply{}, errCanceled()
 	}
 	ipStr := q.Get("ip")
 	if ipStr == "" {
-		return nil, errBadParam("missing ip parameter")
+		return reply{}, errBadParam("missing ip parameter")
 	}
 	ip, err := dnswire.ParseIPv4(ipStr)
 	if err != nil {
-		return nil, errBadParam("ip: %v", err)
+		return reply{}, errBadParam("ip: %v", err)
 	}
 	when := time.Now().UTC()
 	if v := q.Get("t"); v != "" {
 		if when, err = parseInstant(v); err != nil {
-			return nil, errBadParam("t: not an RFC 3339 instant or %s date: %q", dataset.DateFormat, v)
+			return reply{}, errBadParam("t: not an RFC 3339 instant or %s date: %q", dataset.DateFormat, v)
 		}
 	}
 	name, found, err := st.At(ip, when)
 	if errors.Is(err, histstore.ErrBeforeHistory) {
-		return nil, errBeforeHistory(when.UTC().Format(time.RFC3339) + " precedes the store's history")
+		return reply{}, errBeforeHistory(when.UTC().Format(time.RFC3339) + " precedes the store's history")
 	}
 	if err != nil {
-		return nil, storeErr(ctx, err)
+		return reply{}, storeErr(ctx, err)
 	}
 	resolved, _ := st.Resolve(when)
 	resp := rdnsclient.AtResponse{IP: ip.String(), T: when.UTC(), Resolved: resolved, Found: found}
 	if found {
 		resp.Name = name.String()
 	}
-	return resp, nil
+	return reply{body: resp}, nil
 }
 
-func (s *Server) handleRange(ctx context.Context, st *histstore.Store, q url.Values) (any, *apiError) {
+func handleRange(rq request) (reply, *apiError) {
+	ctx, st, q := rq.ctx, rq.hd.st, rq.q
 	p, aerr := prefixParam(q)
 	if aerr != nil {
-		return nil, aerr
+		return reply{}, aerr
 	}
 	from, to, aerr := window(st, q)
 	if aerr != nil {
-		return nil, aerr
+		return reply{}, aerr
 	}
 	limit, aerr := pageLimit(q)
 	if aerr != nil {
-		return nil, aerr
+		return reply{}, aerr
 	}
 	bind := cursorBind("range", q.Get("prefix"), q.Get("from"), q.Get("to"))
 	// Pin the window's upper bound at the resolved snapshot instant so
@@ -806,24 +481,24 @@ func (s *Server) handleRange(ctx context.Context, st *histstore.Store, q url.Val
 	if c := q.Get("cursor"); c != "" {
 		cur, toUnix, aerr := decodeRangeCursor(c, bind)
 		if aerr != nil {
-			return nil, aerr
+			return reply{}, aerr
 		}
 		resolvedTo, ok = time.Unix(toUnix, 0).UTC(), true
-		return s.rangePage(ctx, st, p, from, resolvedTo, cur, limit, bind)
+		return rangePage(ctx, st, p, from, resolvedTo, cur, limit, bind)
 	}
 	if !ok {
 		// The whole window precedes history: an empty, cursorless page.
-		return rdnsclient.RangeResponse{
+		return reply{body: rdnsclient.RangeResponse{
 			Prefix: p.String(), From: from.UTC(), To: to.UTC(), Rows: []rdnsclient.RangeRow{},
-		}, nil
+		}}, nil
 	}
-	return s.rangePage(ctx, st, p, from, resolvedTo, histstore.RangeCursor{}, limit, bind)
+	return rangePage(ctx, st, p, from, resolvedTo, histstore.RangeCursor{}, limit, bind)
 }
 
-func (s *Server) rangePage(ctx context.Context, st *histstore.Store, p dnswire.Prefix, from, to time.Time, cur histstore.RangeCursor, limit int, bind uint64) (any, *apiError) {
+func rangePage(ctx context.Context, st *histstore.Store, p dnswire.Prefix, from, to time.Time, cur histstore.RangeCursor, limit int, bind uint64) (reply, *apiError) {
 	rows, next, more, err := st.RangePage(ctx, p, from, to, cur, limit)
 	if err != nil {
-		return nil, storeErr(ctx, err)
+		return reply{}, storeErr(ctx, err)
 	}
 	resp := rdnsclient.RangeResponse{
 		Prefix: p.String(),
@@ -838,22 +513,22 @@ func (s *Server) rangePage(ctx context.Context, st *histstore.Store, p dnswire.P
 	if more {
 		resp.NextCursor = encodeRangeCursor(bind, next, to.Unix())
 	}
-	s.rowsServed.Add(uint64(len(resp.Rows)))
-	return resp, nil
+	return reply{body: resp, rows: len(resp.Rows)}, nil
 }
 
-func (s *Server) handleChurn(ctx context.Context, st *histstore.Store, q url.Values) (any, *apiError) {
+func handleChurn(rq request) (reply, *apiError) {
+	ctx, st, q := rq.ctx, rq.hd.st, rq.q
 	p, aerr := prefixParam(q)
 	if aerr != nil {
-		return nil, aerr
+		return reply{}, aerr
 	}
 	from, to, aerr := window(st, q)
 	if aerr != nil {
-		return nil, aerr
+		return reply{}, aerr
 	}
 	days, err := st.ChurnContext(ctx, p, from, to)
 	if err != nil {
-		return nil, storeErr(ctx, err)
+		return reply{}, storeErr(ctx, err)
 	}
 	resp := rdnsclient.ChurnResponse{
 		Prefix: p.String(), From: from.UTC(), To: to.UTC(), Days: make([]rdnsclient.ChurnDay, 0, len(days)),
@@ -861,26 +536,27 @@ func (s *Server) handleChurn(ctx context.Context, st *histstore.Store, q url.Val
 	for _, d := range days {
 		resp.Days = append(resp.Days, rdnsclient.ChurnDay{Date: d.Date, Added: d.Added, Removed: d.Removed, Changed: d.Changed})
 	}
-	return resp, nil
+	return reply{body: resp}, nil
 }
 
-func (s *Server) handleName(ctx context.Context, st *histstore.Store, q url.Values) (any, *apiError) {
+func handleName(rq request) (reply, *apiError) {
+	ctx, st, q := rq.ctx, rq.hd.st, rq.q
 	if ctx.Err() != nil {
-		return nil, errCanceled()
+		return reply{}, errCanceled()
 	}
 	token := q.Get("token")
 	if token == "" {
-		return nil, errBadParam("missing token parameter")
+		return reply{}, errBadParam("missing token parameter")
 	}
 	limit, aerr := pageLimit(q)
 	if aerr != nil {
-		return nil, aerr
+		return reply{}, aerr
 	}
 	bind := cursorBind("name", token)
 	off := 0
 	if c := q.Get("cursor"); c != "" {
 		if off, aerr = decodeOffsetCursor(c, bind); aerr != nil {
-			return nil, aerr
+			return reply{}, aerr
 		}
 	}
 	postings := st.FindName(token)
@@ -899,30 +575,30 @@ func (s *Server) handleName(ctx context.Context, st *histstore.Store, q url.Valu
 	if end < len(postings) {
 		resp.NextCursor = encodeOffsetCursor(bind, end)
 	}
-	return resp, nil
+	return reply{body: resp}, nil
 }
 
-func (s *Server) handleDays(ctx context.Context, st *histstore.Store, _ url.Values) (any, *apiError) {
-	if ctx.Err() != nil {
-		return nil, errCanceled()
+func handleDays(rq request) (reply, *apiError) {
+	if rq.ctx.Err() != nil {
+		return reply{}, errCanceled()
 	}
-	times := st.Times()
+	times := rq.hd.st.Times()
 	resp := rdnsclient.DaysResponse{Count: len(times), Days: times}
 	if resp.Days == nil {
 		resp.Days = []time.Time{}
 	}
-	return resp, nil
+	return reply{body: resp}, nil
 }
 
-func (s *Server) handleStats(ctx context.Context, st *histstore.Store, q url.Values) (any, *apiError) {
-	if ctx.Err() != nil {
-		return nil, errCanceled()
+func (s *Server) handleStats(rq request) (reply, *apiError) {
+	if rq.ctx.Err() != nil {
+		return reply{}, errCanceled()
 	}
-	resp := s.StatsSnapshot()
+	resp := s.stats(rq.hd)
 	// The divergence block walks every live record across writers, so it
 	// is opt-in: any non-empty value of ?divergence enables it.
-	if q.Get("divergence") != "" {
-		div := st.Divergence()
+	if rq.q.Get("divergence") != "" {
+		div := rq.hd.st.Divergence()
 		out := &rdnsclient.DivergenceStats{Addresses: div.Addresses}
 		for _, w := range div.Writers {
 			out.Writers = append(out.Writers, rdnsclient.WriterDivergence{
@@ -936,5 +612,5 @@ func (s *Server) handleStats(ctx context.Context, st *histstore.Store, q url.Val
 		}
 		resp.Divergence = out
 	}
-	return resp, nil
+	return reply{body: resp}, nil
 }

@@ -196,8 +196,6 @@ func TestErrorEnvelope(t *testing.T) {
 		{"GET", "/v1/name?token=brian&cursor=bogus", 400, rdnsclient.CodeInvalidCursor},
 		{"GET", "/v1/nope", 404, rdnsclient.CodeNotFound},
 		{"GET", "/nope", 404, rdnsclient.CodeNotFound},
-		{"POST", "/v1/at?ip=1.2.3.4", 405, rdnsclient.CodeMethodNotAllowed},
-		{"GET", "/v1/admin/reload", 405, rdnsclient.CodeMethodNotAllowed},
 		{"POST", "/v1/admin/reload", 403, rdnsclient.CodeForbidden}, // no Reopen configured
 	}
 	for _, tc := range cases {
@@ -375,11 +373,11 @@ func TestV1RangeConcatProperty(t *testing.T) {
 	}
 }
 
-// TestLegacyAliases: the unversioned paths that once aliased /v1 are not
-// routes. They fall through to the catch-all and answer the v1 not_found
-// envelope like any unknown path, with nothing announcing a deprecation
-// window.
-func TestLegacyAliases(t *testing.T) {
+// TestUnroutedPathsAnswerNotFoundUncounted: a path outside the route table
+// — the unversioned spellings included — answers the v1 not_found envelope
+// with nothing announcing a deprecation window, and is not a request as
+// far as any view is concerned.
+func TestUnroutedPathsAnswerNotFoundUncounted(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, _ := newTestServer(t, 6, Config{Sink: reg})

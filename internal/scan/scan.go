@@ -75,7 +75,7 @@ type Campaign struct {
 	// engine default (GOMAXPROCS).
 	Workers int
 	// Telemetry, when set, receives the snapshot engine's metrics
-	// (the scan_* instruments; see docs/telemetry.md). Nil keeps the
+	// (the scan_* instruments; see docs/observability.md). Nil keeps the
 	// engine on its zero-overhead path.
 	Telemetry telemetry.Sink
 	// Observer, when set, captures one obs.Frame per snapshot date —

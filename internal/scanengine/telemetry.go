@@ -5,7 +5,7 @@ import (
 )
 
 // Metric names the engine registers when WithTelemetry is configured.
-// docs/telemetry.md documents each one.
+// docs/observability.md documents each one.
 const (
 	// MetricProbes counts every address probed, including negative-cache
 	// hits. Equals Stats.Probes summed across sweeps.

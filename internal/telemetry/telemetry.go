@@ -22,7 +22,7 @@
 //	addr, _ := exp.Start("127.0.0.1:9090") // /metrics, /debug/vars, /debug/pprof/, /health, /trace
 //	defer exp.Close()
 //
-// See docs/telemetry.md for the metric names each package exports and for
+// See docs/observability.md for the metric names each package exports and for
 // the JSONL trace schema.
 package telemetry
 

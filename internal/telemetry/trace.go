@@ -146,14 +146,17 @@ func (s *Span) Event(kind string, code uint64) {
 	})
 }
 
-// End closes the span and publishes it to the tracer ring. Safe on a nil
-// span.
+// End closes the span and publishes it to the tracer ring. A caller
+// recording work it has already timed sets StartAt and EndAt first; End
+// stamps EndAt only when it is still unset. Safe on a nil span.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
 	t := s.tracer
-	s.EndAt = t.now()
+	if s.EndAt.IsZero() {
+		s.EndAt = t.now()
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	// O(1) eviction: once the buffer reaches capacity, overwrite in place

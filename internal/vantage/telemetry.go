@@ -3,7 +3,7 @@ package vantage
 import "rdnsprivacy/internal/telemetry"
 
 // Metric names the orchestrator registers when Campaign.Telemetry is set
-// (see docs/campaigns.md and docs/telemetry.md).
+// (see docs/campaigns.md and docs/observability.md).
 const (
 	// MetricSweeps counts completed per-vantage daily sweeps.
 	MetricSweeps = "vantage_sweeps_total"
