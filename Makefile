@@ -18,11 +18,13 @@ bench:
 # not measured (delete or rename a benchmark and its baseline row together).
 # The concurrent serving benchmark additionally gates its p99-ns/op tail
 # latency, and the engine-8-workers sweep, the history-store window
-# queries (churn, range) and the rdnsd /v1/at rows (plain and observed)
-# their allocs/op and B/op — the probe round trip's, the block walk's and
-# the serving path's allocation budgets, which hold on any host; the window
-# queries run a fixed 5000 iterations so those two are exact. Every stage runs at -cpu 1: go
-# test names a row by its GOMAXPROCS, and the baseline's rows are
+# queries (churn, range), the rdnsd /v1/at rows (plain and observed), the
+# full-page rows (range-page, name-page: end to end, and render alone) and
+# the client's decode rows their allocs/op and B/op — the probe round
+# trip's, the block walk's, the serving path's and the wire codec's
+# allocation budgets, which hold on any host; the window queries run a
+# fixed 5000 iterations so those two are exact. Every stage runs at -cpu 1:
+# go test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
 # After an intentional perf change: cp BENCH_scan.json BENCH_baseline.json
 bench-check:
@@ -31,7 +33,8 @@ bench-check:
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAt' -cpu 1 -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreChurn|BenchmarkHistStoreRange' -cpu 1 -benchtime 5000x -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -cpu 1 -count=4 . \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad' -cpu 1 -count=1 ./internal/rdnsserve \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad|BenchmarkRender' -cpu 1 -count=1 ./internal/rdnsserve \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkClientDecode' -cpu 1 -count=1 ./internal/rdnsclient \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkVantageMerge' -cpu 1 -count=1 ./internal/vantage ; } \
 		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op,allocs/op,B/op
@@ -80,6 +83,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzSegmentFooter -fuzztime=30s ./internal/histstore
 	$(GO) test -fuzz=FuzzReplManifest -fuzztime=30s ./internal/replica
 	$(GO) test -fuzz=FuzzSegmentFetch -fuzztime=30s ./internal/replica
+	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s ./internal/rdnsclient
+	$(GO) test -fuzz=FuzzWireEncodeString -fuzztime=30s ./internal/rdnsclient
+	$(GO) test -fuzz=FuzzCursor -fuzztime=30s ./internal/rdnsserve
 
 # metriclint statically enforces the metric-name conventions (subsystem
 # prefixes, _total on counters, unit suffixes on histograms, no kind

@@ -131,7 +131,9 @@ func (g *segment) load() error {
 		f.Close()
 		return fmt.Errorf("histstore: segment %s: %w", g.path, err)
 	}
-	g.f, g.idx, g.size = f, idx, fi.Size()
+	// size is set once, at Open or when compaction builds the segment, and
+	// read without the lock (FeedManifest, Stats): a reload must not write it.
+	g.f, g.idx = f, idx
 	return nil
 }
 

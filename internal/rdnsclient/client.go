@@ -10,6 +10,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -166,16 +167,12 @@ func sleepCtx(ctx context.Context, d time.Duration) error {
 	}
 }
 
-// do issues one request with 429/503 retries and decodes a 200 into out.
+// do issues one request and decodes a 200 into out, with the span and the
+// hook of a traced client around it.
 func (c *Client) do(ctx context.Context, method, path string, q url.Values, out any) error {
-	u := c.base + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
 	var corr uint64
 	var span *telemetry.Span
 	var start time.Time
-	attempts := 0
 	if c.traced {
 		// The ID keys on the client identity and a per-client sequence, so
 		// two requests to the same path stay distinguishable while a seeded
@@ -186,69 +183,137 @@ func (c *Client) do(ctx context.Context, method, path string, q url.Values, out 
 	if c.traced || c.hook != nil {
 		start = time.Now()
 	}
-	finish := func(err error) error {
-		if span != nil {
-			status := uint64(http.StatusOK)
-			var ae *APIError
-			if errors.As(err, &ae) {
-				status = uint64(ae.Status)
-			} else if err != nil {
-				status = 0 // transport failure: no HTTP verdict
-			}
-			span.Event("status", status)
-			span.End()
+	// The body is read into a pooled buffer: everything decoded out of it
+	// is a copy, so nothing refers to it once decode returns.
+	bp := bodyPool.Get().(*[]byte)
+	body, _, attempts, err := c.roundTrip(ctx, method, path, q, corr, span, *bp)
+	if err == nil && out != nil {
+		if derr := decode(body, out); derr != nil {
+			err = fmt.Errorf("rdnsclient: decoding %s: %w", path, derr)
 		}
-		if c.hook != nil {
-			c.hook(RequestInfo{Corr: corr, Path: path, Attempts: attempts, Elapsed: time.Since(start), Err: err})
-		}
-		return err
 	}
-	for attempt := 0; ; attempt++ {
+	if cap(body) <= maxPooledBody {
+		*bp = body
+		bodyPool.Put(bp)
+	}
+	if span != nil {
+		status := uint64(http.StatusOK)
+		var ae *APIError
+		if errors.As(err, &ae) {
+			status = uint64(ae.Status)
+		} else if err != nil {
+			status = 0 // transport failure: no HTTP verdict
+		}
+		span.Event("status", status)
+		span.End()
+	}
+	if c.hook != nil {
+		c.hook(RequestInfo{Corr: corr, Path: path, Attempts: attempts, Elapsed: time.Since(start), Err: err})
+	}
+	return err
+}
+
+// roundTrip is the one request loop: it sends method path?q — with the API
+// key, and corr as X-Rdns-Corr when non-zero — retries a 429 or 503 as the
+// server's Retry-After asks, and returns the 200's body, read into buf,
+// with its headers and the number of transmissions. Every other verdict is
+// an *APIError.
+func (c *Client) roundTrip(ctx context.Context, method, path string, q url.Values, corr uint64, span *telemetry.Span, buf []byte) (body []byte, hdr http.Header, attempts int, err error) {
+	u := c.base + path
+	if len(q) > 0 {
+		u += "?" + q.Encode()
+	}
+	for {
 		req, err := http.NewRequestWithContext(ctx, method, u, nil)
 		if err != nil {
-			return finish(fmt.Errorf("rdnsclient: %w", err))
+			return buf, nil, attempts, fmt.Errorf("rdnsclient: %w", err)
 		}
 		if c.apiKey != "" {
 			req.Header.Set("X-API-Key", c.apiKey)
 		}
 		if corr != 0 {
-			req.Header.Set(CorrHeader, fmt.Sprintf("%016x", corr))
+			req.Header.Set(CorrHeader, telemetry.CorrHex(corr))
 		}
 		attempts++
 		span.Event("tx", uint64(attempts))
 		resp, err := c.hc.Do(req)
 		if err != nil {
-			return finish(fmt.Errorf("rdnsclient: %s %s: %w", method, path, err))
+			return buf, nil, attempts, fmt.Errorf("rdnsclient: %s %s: %w", method, path, err)
 		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		resp.Body.Close()
+		buf, err = readBody(resp, path, buf)
 		if err != nil {
-			return finish(fmt.Errorf("rdnsclient: reading %s: %w", path, err))
+			return buf, nil, attempts, err
 		}
 		if resp.StatusCode == http.StatusOK {
-			if out == nil {
-				return finish(nil)
-			}
-			if err := json.Unmarshal(body, out); err != nil {
-				return finish(fmt.Errorf("rdnsclient: decoding %s: %w", path, err))
-			}
-			return finish(nil)
+			return buf, resp.Header, attempts, nil
 		}
-		apiErr := decodeError(resp, body)
+		apiErr := decodeError(resp, buf)
 		retryable := resp.StatusCode == http.StatusTooManyRequests ||
 			resp.StatusCode == http.StatusServiceUnavailable
-		if !retryable || attempt >= c.retries {
-			return finish(apiErr)
+		if !retryable || attempts > c.retries {
+			return buf, nil, attempts, apiErr
 		}
 		wait := apiErr.RetryAfter
 		if wait <= 0 {
-			wait = 50 * time.Millisecond << attempt // no hint: modest backoff
+			wait = 50 * time.Millisecond << (attempts - 1) // no hint: modest backoff
 		}
 		if wait > c.maxWait {
 			wait = c.maxWait
 		}
 		if err := c.sleep(ctx, wait); err != nil {
-			return finish(err)
+			return buf, nil, attempts, err
+		}
+	}
+}
+
+// maxBody caps one response body. A daemon of ours pages its answers and
+// caps a feed chunk at 1 MiB, so only a hostile or broken peer gets near it.
+const maxBody = 16 << 20
+
+// bodyPool recycles the buffers JSON bodies are read into; one that grew
+// past maxPooledBody is dropped instead, so a single huge page does not
+// stay resident.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledBody = 1 << 20
+
+// readBody reads resp's whole body into buf's storage — grown once, from
+// Content-Length, when the server sent one — and closes it. A body over
+// maxBody is an error, never a silently shortened page or feed chunk.
+func readBody(resp *http.Response, path string, buf []byte) ([]byte, error) {
+	defer resp.Body.Close()
+	tooBig := func() error {
+		return fmt.Errorf("rdnsclient: %s: response exceeds %d MiB", path, maxBody>>20)
+	}
+	if resp.ContentLength > maxBody {
+		return buf, tooBig()
+	}
+	buf = buf[:0]
+	// The declared length is a hint, trusted up to the largest body a daemon
+	// of ours sends; past that the buffer grows as bytes actually arrive.
+	// One byte beyond it lets a reader that reports EOF on its own, after
+	// the last byte, do so without growing the buffer.
+	need := 512
+	if resp.ContentLength >= 0 {
+		need = int(min(resp.ContentLength, maxPooledBody)) + 1
+	}
+	if need > cap(buf) {
+		buf = make([]byte, 0, need)
+	}
+	for {
+		if len(buf) == cap(buf) {
+			buf = append(buf, 0)[:len(buf)]
+		}
+		n, err := resp.Body.Read(buf[len(buf):cap(buf)])
+		buf = buf[:len(buf)+n]
+		if len(buf) > maxBody {
+			return buf, tooBig()
+		}
+		if err == io.EOF {
+			return buf, nil
+		}
+		if err != nil {
+			return buf, fmt.Errorf("rdnsclient: reading %s: %w", path, err)
 		}
 	}
 }

@@ -3,7 +3,6 @@ package rdnsclient
 import (
 	"context"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -132,48 +131,9 @@ func (c *Client) ReplTail(ctx context.Context, writer, file string, off int64, n
 	return body, info, nil
 }
 
-// doRaw issues one GET for a binary feed payload with the same 429/503
-// Retry-After retry loop as do, returning the body bytes and headers.
+// doRaw GETs one binary feed payload. The chunk is the caller's to keep, so
+// it is read into a buffer of its own rather than a pooled one.
 func (c *Client) doRaw(ctx context.Context, path string, q url.Values) ([]byte, http.Header, error) {
-	u := c.base + path
-	if len(q) > 0 {
-		u += "?" + q.Encode()
-	}
-	for attempt := 0; ; attempt++ {
-		req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
-		if err != nil {
-			return nil, nil, fmt.Errorf("rdnsclient: %w", err)
-		}
-		if c.apiKey != "" {
-			req.Header.Set("X-API-Key", c.apiKey)
-		}
-		resp, err := c.hc.Do(req)
-		if err != nil {
-			return nil, nil, fmt.Errorf("rdnsclient: GET %s: %w", path, err)
-		}
-		body, err := io.ReadAll(io.LimitReader(resp.Body, 16<<20))
-		resp.Body.Close()
-		if err != nil {
-			return nil, nil, fmt.Errorf("rdnsclient: reading %s: %w", path, err)
-		}
-		if resp.StatusCode == http.StatusOK {
-			return body, resp.Header, nil
-		}
-		apiErr := decodeError(resp, body)
-		retryable := resp.StatusCode == http.StatusTooManyRequests ||
-			resp.StatusCode == http.StatusServiceUnavailable
-		if !retryable || attempt >= c.retries {
-			return nil, nil, apiErr
-		}
-		wait := apiErr.RetryAfter
-		if wait <= 0 {
-			wait = 50 * time.Millisecond << attempt
-		}
-		if wait > c.maxWait {
-			wait = c.maxWait
-		}
-		if err := c.sleep(ctx, wait); err != nil {
-			return nil, nil, err
-		}
-	}
+	body, hdr, _, err := c.roundTrip(ctx, http.MethodGet, path, q, 0, nil, nil)
+	return body, hdr, err
 }

@@ -11,11 +11,12 @@ package rdnsserve
 import (
 	"context"
 	"encoding/json"
-	"fmt"
 	"net/http"
 	"net/url"
 	"slices"
+	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"rdnsprivacy/internal/rdnsclient"
@@ -224,39 +225,64 @@ func checkParams(q url.Values, allowed []string) *apiError {
 	return nil
 }
 
-// countWriter counts bytes on their way to the response, so the event
-// can record body sizes without buffering a second copy.
-type countWriter struct {
-	w http.ResponseWriter
-	n int
+// wireBody is a reply body the wire contract encodes itself: the five query
+// shapes of rdnsclient, and this package's row-typed forms of them
+// (bodies.go). Every other body — stats, the admin and feed documents, the
+// error envelope — is cold and goes through encoding/json.
+type wireBody interface {
+	AppendJSON(dst []byte) []byte
 }
 
-func (cw *countWriter) Write(p []byte) (int, error) {
-	n, err := cw.w.Write(p)
-	cw.n += n
-	return n, err
-}
+// renderPool recycles the buffers responses are encoded into; one that grew
+// past maxPooledRender is dropped instead, so a single 10000-row page does
+// not stay resident.
+var renderPool = sync.Pool{New: func() any { return new([]byte) }}
+
+const maxPooledRender = 256 << 10
+
+// The two Content-Type values, as the one-element slices a header map
+// holds: every response shares them instead of allocating its own. Nothing
+// writes through a header value (Set and Add replace or copy), so sharing
+// is safe.
+var (
+	typeJSON  = []string{"application/json"}
+	typeOctet = []string{"application/octet-stream"}
+)
 
 // render writes the verdict — the v1 error envelope, a feed chunk, or the
-// JSON body — and reports the body size written.
+// JSON body — with its Content-Length, in one Write, and reports the body
+// size written. It is the one place a response is encoded.
 func render(w http.ResponseWriter, rep reply, aerr *apiError) int {
-	switch {
-	case aerr != nil:
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(aerr.status)
+	hdr := w.Header()
+	if aerr == nil && rep.raw != nil {
+		hdr["Content-Type"] = typeOctet
+		hdr.Set("Content-Length", strconv.Itoa(len(rep.raw)))
+		n, _ := w.Write(rep.raw)
+		return n
+	}
+	bp := renderPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	if aerr != nil {
 		rep.body = rdnsclient.ErrorEnvelope{
 			Error: rdnsclient.ErrorDetail{Code: aerr.code, Message: aerr.msg},
 		}
-	case rep.raw != nil:
-		w.Header().Set("Content-Type", "application/octet-stream")
-		n, _ := w.Write(rep.raw)
-		return n
-	default:
-		w.Header().Set("Content-Type", "application/json")
 	}
-	cw := &countWriter{w: w}
-	json.NewEncoder(cw).Encode(rep.body)
-	return cw.n
+	if body, ok := rep.body.(wireBody); ok {
+		buf = body.AppendJSON(buf)
+	} else if doc, err := json.Marshal(rep.body); err == nil {
+		buf = append(append(buf, doc...), '\n') // what Encoder.Encode writes
+	}
+	hdr["Content-Type"] = typeJSON
+	hdr.Set("Content-Length", strconv.Itoa(len(buf)))
+	if aerr != nil {
+		w.WriteHeader(aerr.status)
+	}
+	n, _ := w.Write(buf)
+	if cap(buf) <= maxPooledRender {
+		*bp = buf
+		renderPool.Put(bp)
+	}
+	return n
 }
 
 // observe derives every view of a finished request from its event, and is
@@ -320,7 +346,7 @@ func (s *Server) observe(ev *event) {
 	}
 
 	if s.qlog != nil {
-		ev.Corr = fmt.Sprintf("%016x", ev.corr)
+		ev.Corr = telemetry.CorrHex(ev.corr)
 		ev.Params = paramsFingerprint(ev.q)
 		s.qlog.record(ev.QueryLogEntry)
 	}

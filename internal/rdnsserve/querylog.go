@@ -2,7 +2,6 @@ package rdnsserve
 
 import (
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"sort"
@@ -286,7 +285,7 @@ func paramsFingerprint(q map[string][]string) string {
 			h.Write([]byte{'&'})
 		}
 	}
-	return fmt.Sprintf("%016x", h.Sum64())
+	return telemetry.CorrHex(h.Sum64())
 }
 
 // corrFromHeader parses an X-Rdns-Corr value (16 hex digits); malformed

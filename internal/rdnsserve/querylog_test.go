@@ -131,4 +131,10 @@ func TestCorrFromHeader(t *testing.T) {
 			t.Errorf("corrFromHeader(%q) = %#x, want %#x", hdr, got, want)
 		}
 	}
+	// What a client stamps on a request is what the daemon reads back.
+	for _, id := range []uint64{1, 0xff, 0x6a38418e52828837, ^uint64(0)} {
+		if got := corrFromHeader(telemetry.CorrHex(id)); got != id {
+			t.Errorf("corrFromHeader(CorrHex(%#x)) = %#x", id, got)
+		}
+	}
 }

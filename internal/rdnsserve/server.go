@@ -11,7 +11,6 @@ package rdnsserve
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -236,7 +235,7 @@ func (s *Server) stats(h *storeHandle) rdnsclient.StatsResponse {
 			P99:   hs.Quantile(0.99),
 		}
 		if ex, ok := hs.QuantileExemplar(0.99); ok {
-			resp.Latency.P99Corr = fmt.Sprintf("%016x", ex.Corr)
+			resp.Latency.P99Corr = telemetry.CorrHex(ex.Corr)
 			resp.Latency.P99Value = ex.Value
 		}
 	}
@@ -488,9 +487,7 @@ func handleRange(rq request) (reply, *apiError) {
 	}
 	if !ok {
 		// The whole window precedes history: an empty, cursorless page.
-		return reply{body: rdnsclient.RangeResponse{
-			Prefix: p.String(), From: from.UTC(), To: to.UTC(), Rows: []rdnsclient.RangeRow{},
-		}}, nil
+		return reply{body: &rangeBody{prefix: p.String(), from: from.UTC(), to: to.UTC()}}, nil
 	}
 	return rangePage(ctx, st, p, from, resolvedTo, histstore.RangeCursor{}, limit, bind)
 }
@@ -500,20 +497,11 @@ func rangePage(ctx context.Context, st *histstore.Store, p dnswire.Prefix, from,
 	if err != nil {
 		return reply{}, storeErr(ctx, err)
 	}
-	resp := rdnsclient.RangeResponse{
-		Prefix: p.String(),
-		From:   from.UTC(),
-		To:     to.UTC(),
-		Count:  len(rows),
-		Rows:   make([]rdnsclient.RangeRow, 0, len(rows)),
-	}
-	for _, row := range rows {
-		resp.Rows = append(resp.Rows, rdnsclient.RangeRow{Date: row.Date, IP: row.IP.String(), PTR: row.PTR.String()})
-	}
+	body := &rangeBody{prefix: p.String(), from: from.UTC(), to: to.UTC(), rows: rows}
 	if more {
-		resp.NextCursor = encodeRangeCursor(bind, next, to.Unix())
+		body.next = encodeRangeCursor(bind, next, to.Unix())
 	}
-	return reply{body: resp, rows: len(resp.Rows)}, nil
+	return reply{body: body, rows: len(rows)}, nil
 }
 
 func handleChurn(rq request) (reply, *apiError) {
@@ -530,13 +518,7 @@ func handleChurn(rq request) (reply, *apiError) {
 	if err != nil {
 		return reply{}, storeErr(ctx, err)
 	}
-	resp := rdnsclient.ChurnResponse{
-		Prefix: p.String(), From: from.UTC(), To: to.UTC(), Days: make([]rdnsclient.ChurnDay, 0, len(days)),
-	}
-	for _, d := range days {
-		resp.Days = append(resp.Days, rdnsclient.ChurnDay{Date: d.Date, Added: d.Added, Removed: d.Removed, Changed: d.Changed})
-	}
-	return reply{body: resp}, nil
+	return reply{body: &churnBody{prefix: p.String(), from: from.UTC(), to: to.UTC(), days: days}}, nil
 }
 
 func handleName(rq request) (reply, *apiError) {
@@ -567,15 +549,11 @@ func handleName(rq request) (reply, *apiError) {
 	if end > len(postings) {
 		end = len(postings)
 	}
-	resp := rdnsclient.NameResponse{Token: token, Postings: make([]rdnsclient.NamePosting, 0, end-off)}
-	for _, p := range postings[off:end] {
-		resp.Postings = append(resp.Postings, rdnsclient.NamePosting{Prefix: p.Prefix.String(), First: p.First, Last: p.Last})
-	}
-	resp.Count = len(resp.Postings)
+	body := &nameBody{token: token, postings: postings[off:end]}
 	if end < len(postings) {
-		resp.NextCursor = encodeOffsetCursor(bind, end)
+		body.next = encodeOffsetCursor(bind, end)
 	}
-	return reply{body: resp}, nil
+	return reply{body: body}, nil
 }
 
 func handleDays(rq request) (reply, *apiError) {

@@ -35,3 +35,16 @@ func CorrID(seed int64, name string, attempt int) uint64 {
 	}
 	return id
 }
+
+// CorrHex renders id as it travels between processes — the 16 lowercase hex
+// digits of the X-Rdns-Corr header, the query log and the span dumps — from
+// a stack buffer: it runs once per traced or logged request.
+func CorrHex(id uint64) string {
+	const digits = "0123456789abcdef"
+	var b [16]byte
+	for i := len(b) - 1; i >= 0; i-- {
+		b[i] = digits[id&0xf]
+		id >>= 4
+	}
+	return string(b[:])
+}

@@ -2,6 +2,7 @@ package telemetry_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -85,5 +86,16 @@ func TestSpanCorrJSONLRoundTrip(t *testing.T) {
 	}
 	if recs[1].Corr != "" || recs[1].CorrID() != 0 {
 		t.Errorf("uncorrelated record must omit corr, got %q", recs[1].Corr)
+	}
+}
+
+func TestCorrHexIsSixteenPaddedDigits(t *testing.T) {
+	for _, id := range []uint64{0, 1, 0xff, 0x6a38418e52828837, 1 << 63, ^uint64(0), telemetry.CorrID(7, "rdnsd.at", 3)} {
+		if got, want := telemetry.CorrHex(id), fmt.Sprintf("%016x", id); got != want {
+			t.Errorf("CorrHex(%#x) = %q, want %q", id, got, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = telemetry.CorrHex(0x6a38418e52828837) }); n > 1 {
+		t.Errorf("CorrHex allocates %v times, want at most the string", n)
 	}
 }
