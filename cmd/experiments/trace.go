@@ -13,8 +13,9 @@ import (
 )
 
 // runTraceSummary reads a span log written by `rdnsscan -trace-out` (or any
-// telemetry.Tracer JSONL dump) and prints a post-hoc sweep analysis: per-shard
-// probe outcome mix, breaker activity, and the slowest shards.
+// telemetry.Tracer JSONL dump) and prints a post-hoc sweep analysis: the probe
+// outcome mix summed from the shard spans' closing counts, breaker activity,
+// and the slowest shards.
 func runTraceSummary(path string, w io.Writer) error {
 	f, err := os.Open(path)
 	if err != nil {
@@ -38,7 +39,7 @@ func runTraceSummary(path string, w io.Writer) error {
 		rows        []shardRow
 		events      int
 		dropped     int
-		probeCounts = map[uint64]int{}
+		probeCounts = map[string]uint64{}
 		breakerEvs  = map[uint64]int{}
 		otherKinds  = map[string]int{}
 	)
@@ -48,9 +49,9 @@ func runTraceSummary(path string, w io.Writer) error {
 		dropped += s.Dropped
 		for _, ev := range s.Events {
 			switch ev.Kind {
-			case "probe":
-				probeCounts[ev.Code]++
-			case "breaker":
+			case scanengine.TraceFound, scanengine.TraceAbsent, scanengine.TraceErrors, scanengine.TraceCached:
+				probeCounts[ev.Kind] += ev.Code
+			case scanengine.TraceBreaker:
 				breakerEvs[ev.Code]++
 			default:
 				otherKinds[ev.Kind]++
@@ -60,14 +61,14 @@ func runTraceSummary(path string, w io.Writer) error {
 
 	fmt.Fprintf(w, "trace: %d spans, %d events (%d dropped past the per-span cap)\n",
 		len(spans), events, dropped)
-	if n := probeCounts[scanengine.TraceProbeAbsent] + probeCounts[scanengine.TraceProbeFound] +
-		probeCounts[scanengine.TraceProbeError] + probeCounts[scanengine.TraceProbeCached]; n > 0 {
+	if n := probeCounts[scanengine.TraceFound] + probeCounts[scanengine.TraceAbsent] +
+		probeCounts[scanengine.TraceErrors] + probeCounts[scanengine.TraceCached]; n > 0 {
 		fmt.Fprintf(w, "probes: %d total — %d found, %d absent, %d errors, %d cached\n",
 			n,
-			probeCounts[scanengine.TraceProbeFound],
-			probeCounts[scanengine.TraceProbeAbsent],
-			probeCounts[scanengine.TraceProbeError],
-			probeCounts[scanengine.TraceProbeCached])
+			probeCounts[scanengine.TraceFound],
+			probeCounts[scanengine.TraceAbsent],
+			probeCounts[scanengine.TraceErrors],
+			probeCounts[scanengine.TraceCached])
 	}
 	if len(breakerEvs) > 0 {
 		fmt.Fprint(w, "breaker transitions:")

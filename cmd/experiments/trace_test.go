@@ -2,6 +2,8 @@ package main
 
 import (
 	"bytes"
+	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -9,11 +11,48 @@ import (
 	"time"
 
 	"rdnsprivacy/internal/core"
+	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/obs"
 	"rdnsprivacy/internal/privleak"
+	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/telemetry"
 )
+
+// TestTraceSummaryCountsEveryProbe dumps the span log of a one-shard /18
+// sweep — 16384 probes, twice what a span can hold as events — and checks
+// the -trace summary reports the sweep's own tally, read from the counts
+// a shard span closes with.
+func TestTraceSummaryCountsEveryProbe(t *testing.T) {
+	tracer := telemetry.NewTracer(9, 0)
+	src := scanengine.SourceFunc(func(_ context.Context, ip dnswire.IPv4) scanengine.Result {
+		return scanengine.Result{IP: ip, Name: "h.example.org.", Found: ip[3] == 7}
+	})
+	snap, err := scanengine.New(src, scanengine.WithTracer(tracer)).Scan(context.Background(),
+		scanengine.Request{Targets: []dnswire.Prefix{dnswire.MustPrefix("10.64.0.0/18")}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "spans.jsonl")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tracer.WriteJSONL(f); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	var out bytes.Buffer
+	if err := runTraceSummary(path, &out); err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("probes: %d total — %d found, %d absent, 0 errors, 0 cached\n",
+		snap.Stats.Probes, snap.Stats.Found, snap.Stats.Absent)
+	if snap.Stats.Probes != 16384 || !strings.Contains(out.String(), want) ||
+		!strings.Contains(out.String(), "(0 dropped past the per-span cap)") {
+		t.Fatalf("summary of a %d-probe sweep lacks %q:\n%s", snap.Stats.Probes, want, out.String())
+	}
+}
 
 func date(y int, m time.Month, d int) time.Time {
 	return time.Date(y, m, d, 0, 0, 0, 0, time.UTC)

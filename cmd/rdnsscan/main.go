@@ -37,8 +37,8 @@
 //	curl -s http://127.0.0.1:9090/metrics
 //
 // And -trace-out writes the sweep's span log (one JSON object per shard
-// span, with per-probe events) for post-hoc analysis with
-// `experiments -trace`:
+// span, closing with the shard's outcome counts) for post-hoc analysis
+// with `experiments -trace`:
 //
 //	rdnsscan -server 127.0.0.1:5353 -prefix 10.0.0.0/20 -trace-out sweep.jsonl
 //	experiments -trace sweep.jsonl
@@ -70,6 +70,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"sync/atomic"
@@ -79,6 +80,7 @@ import (
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/obs"
+	"rdnsprivacy/internal/scan"
 	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/telemetry"
 )
@@ -201,19 +203,7 @@ func main() {
 		tracer = telemetry.NewTracer(*seed, 0)
 		opts = append(opts, scanengine.WithTelemetry(reg), scanengine.WithTracer(tracer))
 		if *obsOut != "" {
-			recorder = obs.NewRecorder(reg)
-			if store != nil {
-				recorder.SetStoreStats(func() obs.StoreStats {
-					s := store.Stats()
-					return obs.StoreStats{
-						Snapshots:   s.Snapshots,
-						Blocks:      s.Blocks,
-						BaseFrames:  s.BaseFrames,
-						DeltaFrames: s.DeltaFrames,
-						Bytes:       s.Bytes,
-					}
-				})
-			}
+			recorder = newRecorder(reg, store)
 		}
 		if *metricsAddr != "" {
 			exp := telemetry.NewExporter(reg,
@@ -239,33 +229,10 @@ func main() {
 		return
 	}
 
-	sc := scanengine.New(dnsclient.UDPSource{Client: client}, append(opts, scanengine.WithResultEvents())...)
+	sc := scanengine.New(dnsclient.UDPSource{Client: client},
+		append(opts, scanengine.WithResultFunc(csvPrinter(os.Stdout, os.Stderr, *onlyFound)))...)
 	fmt.Println("ip,outcome,ptr,rtt_ms")
-	printDone := make(chan struct{})
-	go func() {
-		defer close(printDone)
-		for ev := range sc.Events(ctx) {
-			if ev.Kind != scanengine.EventResult {
-				if ev.Kind == scanengine.EventSweepDone {
-					return
-				}
-				continue
-			}
-			resp, ok := ev.Result.Meta.(dnsclient.Response)
-			if !ok {
-				if ev.Result.Err != nil {
-					fmt.Fprintf(os.Stderr, "%s: %v\n", ev.Result.IP, ev.Result.Err)
-				}
-				continue
-			}
-			if !*onlyFound || resp.Outcome == dnsclient.OutcomeSuccess {
-				fmt.Printf("%s,%s,%s,%.1f\n", ev.Result.IP, resp.Outcome, resp.PTR,
-					float64(resp.RTT.Microseconds())/1000)
-			}
-		}
-	}()
 	snap, err := sc.Scan(ctx, scanengine.Request{Targets: targets})
-	<-printDone
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep interrupted: %v\n", err)
 	}
@@ -284,6 +251,35 @@ func main() {
 	if err != nil {
 		os.Exit(1)
 	}
+}
+
+// csvPrinter is the sweep's result func: it writes one CSV row per answered
+// probe to out as the results arrive (only the found ones with onlyFound),
+// and the probes that failed without an answer to errOut.
+func csvPrinter(out, errOut io.Writer, onlyFound bool) func(scanengine.Result) {
+	return func(res scanengine.Result) {
+		resp, ok := res.Meta.(dnsclient.Response)
+		if !ok {
+			if res.Err != nil {
+				fmt.Fprintf(errOut, "%s: %v\n", res.IP, res.Err)
+			}
+			return
+		}
+		if !onlyFound || resp.Outcome == dnsclient.OutcomeSuccess {
+			fmt.Fprintf(out, "%s,%s,%s,%.1f\n", res.IP, resp.Outcome, resp.PTR,
+				float64(resp.RTT.Microseconds())/1000)
+		}
+	}
+}
+
+// newRecorder is the -obs-out frame recorder over the sweep's registry;
+// with -store its frames also carry the store's state.
+func newRecorder(reg *telemetry.Registry, store *histstore.Store) *obs.Recorder {
+	rec := obs.NewRecorder(reg)
+	if store != nil {
+		rec.SetStoreStats(func() obs.StoreStats { return scan.StoreStats(store) })
+	}
+	return rec
 }
 
 // appendStore persists one sweep's record set as a history-store

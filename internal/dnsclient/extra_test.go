@@ -22,6 +22,9 @@ func TestResolverClose(t *testing.T) {
 	}
 }
 
+// TestLookupAutoFallsBackToTCPOnTruncation runs the fallback against the
+// real server: a UDP size limit the PTR answer does not fit makes it set
+// TC, and the client's ordinary lookup comes back with the full answer.
 func TestLookupAutoFallsBackToTCPOnTruncation(t *testing.T) {
 	old := dnsserver.MaxUDPResponse
 	dnsserver.MaxUDPResponse = 60
@@ -53,14 +56,12 @@ func TestLookupAutoFallsBackToTCPOnTruncation(t *testing.T) {
 	go srv.ServeTCP(tcpLn)
 
 	client := &UDPClient{Server: addr.String(), Timeout: 2 * time.Second, Retries: 1}
-	resp, viaTCP, err := client.LookupAuto(dnswire.Question{
-		Name: dnswire.ReverseName(ip), Type: dnswire.TypePTR, Class: dnswire.ClassIN,
-	})
+	resp, err := client.LookupPTR(ip)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !viaTCP {
-		t.Fatal("truncated answer did not trigger TCP fallback")
+	if got := srv.Stats().Queries; got != 2 || resp.Attempts != 2 {
+		t.Fatalf("server answered %d queries and the client counted %d attempts, want the datagram and the stream", got, resp.Attempts)
 	}
 	if resp.Outcome != OutcomeSuccess ||
 		resp.PTR != dnswire.MustName("quite-a-long-device-hostname-label.dyn.campus-a.edu") {

@@ -9,6 +9,7 @@ import (
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/telemetry"
 )
 
 // waitResponse waits (in real time) for the async done callback, advancing
@@ -31,7 +32,8 @@ func waitResponse(t *testing.T, ch <-chan Response) Response {
 // it must complete with OutcomeCanceled wrapping ctx.Err() right away, not
 // burn through the remaining retry budget and report OutcomeTimeout.
 func TestCancellationDuringRetryReturnsImmediately(t *testing.T) {
-	env := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond), WithRetries(8))
+	reg := telemetry.NewRegistry()
+	env := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond), WithRetries(8), WithTelemetry(reg))
 	env.server.SetFailureMode(dnsserver.FailureMode{DropRate: 1.0, Seed: 1})
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -61,17 +63,17 @@ func TestCancellationDuringRetryReturnsImmediately(t *testing.T) {
 	}
 
 	// No further retransmissions after cancellation.
-	before := env.res.Stats()
+	retransmits := reg.Counter(MetricRetransmits)
+	before := retransmits.Value()
 	env.clock.Advance(5 * time.Second)
-	after := env.res.Stats()
-	if after.Retransmit != before.Retransmit {
-		t.Fatalf("retransmitted after cancel: %d -> %d", before.Retransmit, after.Retransmit)
+	if after := retransmits.Value(); after != before {
+		t.Fatalf("retransmitted after cancel: %d -> %d", before, after)
 	}
-	if after.Timeout != 0 {
-		t.Fatalf("cancellation counted as timeout: %d", after.Timeout)
+	if got := reg.Counter(MetricOutcome(OutcomeTimeout)).Value(); got != 0 {
+		t.Fatalf("cancellation counted as timeout: %d", got)
 	}
-	if after.Canceled != 1 {
-		t.Fatalf("Canceled = %d, want 1", after.Canceled)
+	if got := reg.Counter(MetricOutcome(OutcomeCanceled)).Value(); got != 1 {
+		t.Fatalf("%s = %d, want 1", MetricOutcome(OutcomeCanceled), got)
 	}
 }
 
@@ -101,25 +103,27 @@ func TestCancellationBeforeStartReturnsWrappedErr(t *testing.T) {
 // instant; it happens within the backoff window, and the lookup still
 // exhausts its full attempt budget.
 func TestBackoffSpacesRetransmissions(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	retransmits := reg.Counter(MetricRetransmits)
 	env := newEnv(t, fabric.Config{}, WithTimeout(50*time.Millisecond), WithRetries(2),
-		WithBackoff(80*time.Millisecond, 0), WithSeed(7))
+		WithBackoff(80*time.Millisecond, 0), WithSeed(7), WithTelemetry(reg))
 	env.server.SetFailureMode(dnsserver.FailureMode{DropRate: 1.0, Seed: 1})
 
 	ch := make(chan Response, 1)
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.10"), func(r Response) { ch <- r })
 
 	// Immediately after the first timeout no retransmission may have
-	// happened yet — with immediate-retry semantics Retransmit would
+	// happened yet — with immediate-retry semantics the counter would
 	// already be 1 here.
 	env.clock.Advance(50 * time.Millisecond)
-	if got := env.res.Stats().Retransmit; got != 0 {
-		t.Fatalf("retransmitted at the timeout instant despite backoff (Retransmit=%d)", got)
+	if got := retransmits.Value(); got != 0 {
+		t.Fatalf("retransmitted at the timeout instant despite backoff (%s=%d)", MetricRetransmits, got)
 	}
 	// Window for attempt 1 is [0, 160ms): after advancing past it the
 	// retry must have gone out.
 	env.clock.Advance(160 * time.Millisecond)
-	if got := env.res.Stats().Retransmit; got != 1 {
-		t.Fatalf("Retransmit = %d after first backoff window, want 1", got)
+	if got := retransmits.Value(); got != 1 {
+		t.Fatalf("%s = %d after first backoff window, want 1", MetricRetransmits, got)
 	}
 	// Let the rest of the schedule play out.
 	env.clock.Advance(5 * time.Second)

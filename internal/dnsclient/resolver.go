@@ -145,21 +145,6 @@ type Resolver struct {
 	inflight map[uint16]*pendingQuery
 	nextSlot time.Time
 	rng      *rand.Rand // backoff jitter; guarded by mu
-	stats    Stats
-}
-
-// Stats counts resolver activity by outcome.
-type Stats struct {
-	Queries    uint64
-	Retransmit uint64
-	Success    uint64
-	NXDomain   uint64
-	NoData     uint64
-	ServFail   uint64
-	Refused    uint64
-	Timeout    uint64
-	Malformed  uint64
-	Canceled   uint64
 }
 
 type pendingQuery struct {
@@ -195,13 +180,6 @@ func endAttempt(sp *telemetry.Span, o Outcome) {
 
 // Close releases the resolver's fabric endpoint.
 func (r *Resolver) Close() error { return r.ep.Close() }
-
-// Stats returns a snapshot of resolver counters.
-func (r *Resolver) Stats() Stats {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.stats
-}
 
 // LookupPTR resolves the PTR record for ip, calling done exactly once.
 // Cancelling ctx completes the lookup promptly with OutcomeCanceled.
@@ -245,9 +223,6 @@ func (r *Resolver) reserveSlot() time.Duration {
 
 func (r *Resolver) start(ctx context.Context, q dnswire.Question, done func(Response)) {
 	if err := ctx.Err(); err != nil {
-		r.mu.Lock()
-		r.stats.Canceled++
-		r.mu.Unlock()
 		resp := Response{Question: q, Outcome: OutcomeCanceled, When: r.clock.Now(), Cause: err}
 		r.met.countOutcome(resp)
 		done(resp)
@@ -277,7 +252,6 @@ func (r *Resolver) start(ctx context.Context, q dnswire.Question, done func(Resp
 	// displaced query as timed out rather than leaking its callback.
 	displaced := r.inflight[id]
 	r.inflight[id] = pending
-	r.stats.Queries++
 	if m := r.met; m != nil {
 		m.queries.Inc()
 	}
@@ -327,7 +301,6 @@ func (r *Resolver) cancel(id uint16, p *pendingQuery) {
 		return
 	}
 	delete(r.inflight, id)
-	r.stats.Canceled++
 	timer := p.timer
 	p.timer = nil
 	attempts := p.attempts
@@ -351,7 +324,6 @@ func (r *Resolver) cancel(id uint16, p *pendingQuery) {
 // caller holds r.mu with p still in the inflight table.
 func (r *Resolver) cancelLocked(id uint16, p *pendingQuery) {
 	delete(r.inflight, id)
-	r.stats.Canceled++
 	timer := p.timer
 	p.timer = nil
 	attempts := p.attempts
@@ -426,11 +398,8 @@ func (r *Resolver) transmit(id uint16, p *pendingQuery) {
 	}
 	p.attempts++
 	epoch := p.attempts
-	if epoch > 1 {
-		r.stats.Retransmit++
-		if m := r.met; m != nil {
-			m.retransmits.Inc()
-		}
+	if m := r.met; m != nil && epoch > 1 {
+		m.retransmits.Inc()
 	}
 	corr := uint64(0)
 	if r.cfg.Tracer != nil {
@@ -471,7 +440,6 @@ func (r *Resolver) transmit(id uint16, p *pendingQuery) {
 			return
 		}
 		delete(r.inflight, id)
-		r.stats.Timeout++
 		span := p.takeSpanLocked()
 		r.mu.Unlock()
 		endAttempt(span, OutcomeTimeout)
@@ -528,20 +496,6 @@ func (r *Resolver) handleResponse(dg fabric.Datagram) {
 	timer := p.timer
 	p.timer = nil
 	span := p.takeSpanLocked()
-	switch resp.Outcome {
-	case OutcomeSuccess:
-		r.stats.Success++
-	case OutcomeNXDomain:
-		r.stats.NXDomain++
-	case OutcomeNoData:
-		r.stats.NoData++
-	case OutcomeServFail:
-		r.stats.ServFail++
-	case OutcomeRefused:
-		r.stats.Refused++
-	case OutcomeMalformed:
-		r.stats.Malformed++
-	}
 	r.mu.Unlock()
 	if timer != nil {
 		timer.Stop()

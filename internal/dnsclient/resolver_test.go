@@ -11,6 +11,7 @@ import (
 	"rdnsprivacy/internal/fabric"
 	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/simclock"
+	"rdnsprivacy/internal/telemetry"
 )
 
 var (
@@ -219,15 +220,16 @@ func TestRateLimiting(t *testing.T) {
 }
 
 func TestStatsAccounting(t *testing.T) {
-	env := newEnv(t, fabric.Config{})
+	reg := telemetry.NewRegistry()
+	env := newEnv(t, fabric.Config{}, WithTelemetry(reg))
 	ip := dnswire.MustIPv4("192.0.2.10")
 	env.zone.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("h.example.edu"))
 	env.res.LookupPTR(context.Background(), ip, func(Response) {})
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.11"), func(Response) {})
 	env.clock.Advance(time.Second)
-	st := env.res.Stats()
-	if st.Queries != 2 || st.Success != 1 || st.NXDomain != 1 {
-		t.Fatalf("stats = %+v", st)
+	st := reg.Snapshot().Counters
+	if st[MetricQueries] != 2 || st[MetricOutcome(OutcomeSuccess)] != 1 || st[MetricOutcome(OutcomeNXDomain)] != 1 {
+		t.Fatalf("counters = %+v", st)
 	}
 }
 

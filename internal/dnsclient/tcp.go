@@ -17,7 +17,8 @@ import (
 // all — in a single query; TransferZone is the attacker's (and auditor's)
 // tool for checking that.
 
-// LookupTCP performs one query over TCP (length-framed).
+// LookupTCP performs one query over TCP (length-framed). LookupContext
+// falls back to it when a UDP answer arrives truncated.
 func (c *UDPClient) LookupTCP(q dnswire.Question) (Response, error) {
 	timeout := c.Timeout
 	if timeout <= 0 {
@@ -52,20 +53,6 @@ func (c *UDPClient) LookupTCP(q dnswire.Question) (Response, error) {
 	}
 	now := time.Now()
 	return responseFrom(q, &msg, 1, now.Sub(started), now), nil
-}
-
-// LookupAuto performs a UDP lookup and transparently retries over TCP when
-// the server sets the TC (truncated) bit — standard resolver behaviour.
-func (c *UDPClient) LookupAuto(q dnswire.Question) (Response, bool, error) {
-	resp, err := c.lookupRaw(q)
-	if err != nil {
-		return Response{}, false, err
-	}
-	if !resp.truncated {
-		return resp.Response, false, nil
-	}
-	full, err := c.LookupTCP(q)
-	return full, true, err
 }
 
 // TransferZone performs an AXFR of the zone and returns every record
@@ -121,63 +108,6 @@ func (c *UDPClient) TransferZone(zone dnswire.Name) ([]dnswire.Record, error) {
 		}
 	}
 	return records, nil
-}
-
-// lookupRaw is Lookup plus truncation visibility.
-type rawResponse struct {
-	Response
-	truncated bool
-}
-
-func (c *UDPClient) lookupRaw(q dnswire.Question) (rawResponse, error) {
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
-	}
-	conn, err := net.Dial("udp", c.Server)
-	if err != nil {
-		return rawResponse{}, fmt.Errorf("dnsclient: dial: %w", err)
-	}
-	defer conn.Close()
-
-	id := uint16(rand.Intn(1 << 16))
-	wire, err := dnswire.AppendQuery(nil, id, q.Name, q.Type)
-	if err != nil {
-		return rawResponse{}, err
-	}
-	started := time.Now()
-	attempts := 0
-	buf := make([]byte, 4096)
-	for attempts <= c.Retries {
-		attempts++
-		if _, err := conn.Write(wire); err != nil {
-			return rawResponse{}, fmt.Errorf("dnsclient: write: %w", err)
-		}
-		conn.SetReadDeadline(time.Now().Add(timeout))
-		n, err := conn.Read(buf)
-		if err != nil {
-			if ne, ok := err.(net.Error); ok && ne.Timeout() {
-				continue
-			}
-			return rawResponse{}, fmt.Errorf("dnsclient: read: %w", err)
-		}
-		msg, err := dnswire.Parse(buf[:n])
-		if err != nil || !msg.Header.Response || msg.Header.ID != id {
-			return rawResponse{Response: Response{
-				Question: q, Outcome: OutcomeMalformed,
-				Attempts: attempts, RTT: time.Since(started), When: time.Now(),
-			}}, nil
-		}
-		now := time.Now()
-		return rawResponse{
-			Response:  responseFrom(q, &msg, attempts, now.Sub(started), now),
-			truncated: msg.Header.Truncated,
-		}, nil
-	}
-	return rawResponse{Response: Response{
-		Question: q, Outcome: OutcomeTimeout,
-		Attempts: attempts, RTT: time.Since(started), When: time.Now(),
-	}}, nil
 }
 
 // readFramed and writeFramed implement RFC 1035 §4.2.2 stream framing.

@@ -1,8 +1,10 @@
 package dnsclient
 
 import (
+	"context"
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -71,30 +73,88 @@ func TestLookupTCP(t *testing.T) {
 	}
 }
 
+// TestTruncationAndTCPFallback puts the sweep's source in front of a name
+// server whose UDP side answers every query truncated, with the answer
+// section cut — the reply that classifies as NODATA if the TC bit goes
+// unread — and whose TCP side answers in full. Through UDPSource the
+// address must come back found, not absent: a truncated datagram is a
+// reason to ask again, never evidence that a record is gone.
 func TestTruncationAndTCPFallback(t *testing.T) {
-	// An ANY query over a name with... simpler: craft a zone whose apex
-	// NS answer fits but whose PTR name is long; single PTR answers fit
-	// in 512 bytes easily, so exercise truncation through AXFR-sized
-	// synthetic data instead: query type ANY at a name holding a PTR
-	// whose message stays small — instead verify TC behaviour directly
-	// with a large TXT record.
-	client, zone, _ := tcpTestServer(t, 1, false)
-	_ = zone
-	// Direct check of HandleQueryUDP truncation is in the dnsserver
-	// tests; here check LookupAuto end-to-end on a normal answer (no
-	// truncation -> no TCP retry).
-	ip := dnswire.MustPrefix("192.0.2.0/24").Nth(1)
-	resp, viaTCP, err := client.LookupAuto(dnswire.Question{
-		Name: dnswire.ReverseName(ip), Type: dnswire.TypePTR, Class: dnswire.ClassIN,
-	})
+	target := dnswire.MustName("laptop-of-brian.dyn.campus.edu")
+	// answer builds the stub's reply to one wire query.
+	answer := func(query []byte, truncated bool) []byte {
+		q, err := dnswire.Unmarshal(query)
+		if err != nil {
+			t.Errorf("stub server got an unparsable query: %v", err)
+			return nil
+		}
+		resp := dnswire.NewResponse(q, dnswire.RCodeNoError)
+		resp.Header.Truncated = truncated
+		if !truncated {
+			resp.Answers = []dnswire.Record{{
+				Name: q.Questions[0].Name, Type: dnswire.TypePTR, Class: dnswire.ClassIN,
+				TTL: 300, Data: dnswire.PTRData{Target: target},
+			}}
+		}
+		wire, err := resp.Marshal()
+		if err != nil {
+			t.Errorf("stub server: %v", err)
+		}
+		return wire
+	}
+
+	udp, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {
-		t.Fatal(err)
+		t.Skipf("no loopback UDP: %v", err)
 	}
-	if viaTCP {
-		t.Fatal("small answer took the TCP path")
+	defer udp.Close()
+	tcp, err := net.Listen("tcp", udp.LocalAddr().String())
+	if err != nil {
+		t.Skipf("no loopback TCP on %v: %v", udp.LocalAddr(), err)
 	}
-	if resp.Outcome != OutcomeSuccess {
-		t.Fatalf("outcome = %v", resp.Outcome)
+	defer tcp.Close()
+	var datagrams, streams atomic.Int32
+	go func() {
+		buf := make([]byte, 4096)
+		for {
+			n, from, err := udp.ReadFrom(buf)
+			if err != nil {
+				return
+			}
+			datagrams.Add(1)
+			udp.WriteTo(answer(buf[:n], true), from)
+		}
+	}()
+	go func() {
+		for {
+			conn, err := tcp.Accept()
+			if err != nil {
+				return
+			}
+			streams.Add(1)
+			if query, err := readFramed(conn); err == nil {
+				writeFramed(conn, answer(query, false))
+			}
+			conn.Close()
+		}
+	}()
+
+	src := UDPSource{Client: &UDPClient{Server: udp.LocalAddr().String(), Timeout: 2 * time.Second, Retries: 1}}
+	ip := dnswire.MustIPv4("192.0.2.10")
+	res := src.LookupPTR(context.Background(), ip)
+	if res.Err != nil {
+		t.Fatal(res.Err)
+	}
+	if !res.Found || res.Name != target {
+		t.Fatalf("result = %+v, want %s found: a truncated answer was taken for an absence", res, target)
+	}
+	if datagrams.Load() != 1 || streams.Load() != 1 {
+		t.Fatalf("server saw %d datagrams and %d streams, want one of each", datagrams.Load(), streams.Load())
+	}
+	// The response accounts for both transports.
+	resp := res.Meta.(Response)
+	if resp.Outcome != OutcomeSuccess || resp.Attempts != 2 || resp.RTT <= 0 {
+		t.Fatalf("response = %+v, want NOERROR after 2 attempts", resp)
 	}
 }
 

@@ -48,7 +48,9 @@ func (c *UDPClient) Lookup(q dnswire.Question) (Response, error) {
 // LookupContext performs a synchronous lookup of q against c.Server. A
 // cancelled ctx ends the retry loop immediately — cancellation is never
 // counted as one more retryable timeout — and the returned error wraps
-// ctx.Err().
+// ctx.Err(). An answer the server truncated to fit a datagram (TC) is
+// asked again over TCP, standard resolver behaviour; the response then
+// counts the datagram attempts too and its RTT runs from the first of them.
 func (c *UDPClient) LookupContext(ctx context.Context, q dnswire.Question) (Response, error) {
 	timeout := c.Timeout
 	if timeout <= 0 {
@@ -107,6 +109,18 @@ func (c *UDPClient) LookupContext(ctx context.Context, q dnswire.Question) (Resp
 				Question: q, Outcome: OutcomeMalformed,
 				Attempts: attempts, RTT: time.Since(started), When: time.Now(),
 			}, nil
+		}
+		if msg.Header.Truncated {
+			// What fit the datagram says nothing about the name: a TC reply
+			// with its answer section cut reads as NODATA — an authoritative
+			// absence for an address that has a record.
+			full, err := c.LookupTCP(q)
+			if err != nil {
+				return Response{}, err
+			}
+			full.Attempts += attempts
+			full.RTT = full.When.Sub(started)
+			return full, nil
 		}
 		now := time.Now()
 		return responseFrom(q, &msg, attempts, now.Sub(started), now), nil

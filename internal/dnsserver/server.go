@@ -10,6 +10,7 @@ import (
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/telemetry"
 )
 
@@ -51,49 +52,22 @@ type failureState struct {
 }
 
 // decide classifies one query deterministically. It returns whether to
-// drop it and whether to answer SERVFAIL.
+// drop it and whether to answer SERVFAIL. The draw is faultsim's — the one
+// fault model of the tree — so a server failing at these rates and an
+// Injector with the equivalent Profile fail the same queries.
 func (fs *failureState) decide(name dnswire.Name) (drop, servFail bool) {
 	fs.mu.Lock()
 	n := fs.seq[name]
 	fs.seq[name] = n + 1
 	fs.mu.Unlock()
-	h := failureHash(uint64(fs.mode.Seed), hashName(name), n)
-	if fs.mode.DropRate > 0 && unitFloat(h) < fs.mode.DropRate {
+	p := faultsim.Profile{Loss: fs.mode.DropRate, ServFailRate: fs.mode.ServFailRate}
+	switch p.Sample(fs.mode.Seed, name, n) {
+	case faultsim.OutcomeDrop:
 		return true, false
-	}
-	h = failureHash(h, 0x5EC0)
-	if fs.mode.ServFailRate > 0 && unitFloat(h) < fs.mode.ServFailRate {
+	case faultsim.OutcomeServFail:
 		return false, true
 	}
 	return false, false
-}
-
-// failureHash mixes words with the splitmix64 finalizer.
-func failureHash(words ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
-}
-
-// hashName is FNV-1a over the name bytes.
-func hashName(n dnswire.Name) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(n); i++ {
-		h ^= uint64(n[i])
-		h *= 1099511628211
-	}
-	return h
-}
-
-// unitFloat maps a hash to [0,1).
-func unitFloat(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
 }
 
 // Server is an authoritative DNS server holding any number of zones. The

@@ -7,8 +7,8 @@
 //
 // Determinism is the point. Every probabilistic decision is a pure
 // function of (seed, question name, per-name attempt number), computed
-// with the same splitmix64/FNV-1a construction dnsserver.FailureMode
-// uses; outage windows are matched against per-profile query counters,
+// with telemetry.Mix64 over the name's FNV-1a hash (dnsserver.FailureMode
+// is Profile.Sample under another name); outage windows are matched against per-profile query counters,
 // not wall-clock time. Replaying the same query sequence against the same
 // seed therefore reproduces the same faults bit-identically, regardless
 // of goroutine scheduling — the property the scenario harness asserts by
@@ -37,6 +37,7 @@ import (
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/simclock"
+	"rdnsprivacy/internal/telemetry"
 )
 
 // Handler is the message-level server interface the injector wraps and
@@ -189,23 +190,6 @@ func (inj *Injector) Stats(prefix dnswire.Prefix) Stats {
 	return Stats{}
 }
 
-// TotalStats sums the counters across all profiles.
-func (inj *Injector) TotalStats() Stats {
-	var out Stats
-	for _, ps := range inj.profiles {
-		ps.mu.Lock()
-		st := ps.stats
-		ps.mu.Unlock()
-		out.Queries += st.Queries
-		out.Dropped += st.Dropped
-		out.ServFails += st.ServFails
-		out.Refused += st.Refused
-		out.Spiked += st.Spiked
-		out.Throttled += st.Throttled
-	}
-	return out
-}
-
 // Wrap returns a Handler that injects faults in front of inner.
 // Injectors compose: Wrap the result of another injector's Wrap to stack
 // independent fault layers.
@@ -292,7 +276,7 @@ func (ps *profileState) decide(inj *Injector, name dnswire.Name) (action, time.D
 		return actDrop, 0
 	}
 
-	out, h := ps.p.sampleHash(faultHash(uint64(inj.seed), nameHash(name), attempt))
+	out, h := ps.p.sampleHash(telemetry.Mix64(uint64(inj.seed), nameHash(name), attempt))
 	switch out {
 	case OutcomeDrop:
 		ps.stats.Dropped++
@@ -305,8 +289,8 @@ func (ps *profileState) decide(inj *Injector, name dnswire.Name) (action, time.D
 		return actRefused, ps.p.Latency
 	}
 	delay := ps.p.Latency
-	h = faultHash(h, 0x51CE)
-	if ps.p.SpikeRate > 0 && unitFloat(h) < ps.p.SpikeRate {
+	h = telemetry.Mix64(h, 0x51CE)
+	if ps.p.SpikeRate > 0 && telemetry.UnitFloat(h) < ps.p.SpikeRate {
 		ps.stats.Spiked++
 		delay += ps.p.SpikeLatency
 	}
@@ -361,21 +345,6 @@ func marshalRCode(query *dnswire.Message, rcode dnswire.RCode) []byte {
 	return wire
 }
 
-// faultHash mixes words with the splitmix64 finalizer — the same
-// construction as dnsserver's per-query failure hash, so both layers
-// share one reproducibility story.
-func faultHash(words ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
-}
-
 // nameHash is FNV-1a over the name bytes.
 func nameHash(n dnswire.Name) uint64 {
 	h := uint64(14695981039346656037)
@@ -384,9 +353,4 @@ func nameHash(n dnswire.Name) uint64 {
 		h *= 1099511628211
 	}
 	return h
-}
-
-// unitFloat maps a hash to [0,1).
-func unitFloat(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
 }

@@ -1,6 +1,9 @@
 package faultsim
 
-import "rdnsprivacy/internal/dnswire"
+import (
+	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/telemetry"
+)
 
 // Outcome is a profile's steady-state verdict on one query: the
 // hash-rate portion of the injector's decision (Loss, ServFailRate,
@@ -43,7 +46,7 @@ func (o Outcome) String() string {
 // goroutine-safe; the profile's Prefix is not consulted (callers route
 // queries to profiles themselves).
 func (p Profile) Sample(seed int64, name dnswire.Name, attempt uint64) Outcome {
-	out, _ := p.sampleHash(faultHash(uint64(seed), nameHash(name), attempt))
+	out, _ := p.sampleHash(telemetry.Mix64(uint64(seed), nameHash(name), attempt))
 	return out
 }
 
@@ -51,15 +54,15 @@ func (p Profile) Sample(seed int64, name dnswire.Name, attempt uint64) Outcome {
 // returns the verdict plus the hash state after the chain — decide
 // continues from it for the spike roll.
 func (p Profile) sampleHash(h uint64) (Outcome, uint64) {
-	if p.Loss > 0 && unitFloat(h) < p.Loss {
+	if p.Loss > 0 && telemetry.UnitFloat(h) < p.Loss {
 		return OutcomeDrop, h
 	}
-	h = faultHash(h, 0x5EC0)
-	if p.ServFailRate > 0 && unitFloat(h) < p.ServFailRate {
+	h = telemetry.Mix64(h, 0x5EC0)
+	if p.ServFailRate > 0 && telemetry.UnitFloat(h) < p.ServFailRate {
 		return OutcomeServFail, h
 	}
-	h = faultHash(h, 0xEF01)
-	if p.RefusedRate > 0 && unitFloat(h) < p.RefusedRate {
+	h = telemetry.Mix64(h, 0xEF01)
+	if p.RefusedRate > 0 && telemetry.UnitFloat(h) < p.RefusedRate {
 		return OutcomeRefused, h
 	}
 	return OutcomePass, h
@@ -71,11 +74,11 @@ func (p Profile) sampleHash(h uint64) (Outcome, uint64) {
 // randomness (internal/vantage's stale-view decisions) without inventing
 // a second hash scheme. Distinct salt words give independent rolls.
 func Roll(seed int64, name dnswire.Name, words ...uint64) float64 {
-	h := faultHash(uint64(seed), nameHash(name))
+	h := telemetry.Mix64(uint64(seed), nameHash(name))
 	for _, w := range words {
-		h = faultHash(h, w)
+		h = telemetry.Mix64(h, w)
 	}
-	return unitFloat(h)
+	return telemetry.UnitFloat(h)
 }
 
 // ProfileFor returns the most specific profile whose prefix contains ip,

@@ -441,33 +441,8 @@ func (s *switchableHandler) HandleQuery(query []byte) []byte {
 func TestScenarioCorrelatedShardOutage(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	prefixes := []string{"10.55.0.0/24", "10.55.1.0/24", "10.55.2.0/24", "10.55.3.0/24"}
-	run := func() (*campus, *scanengine.Snapshot) {
-		c := buildCampus(t, 20, prefixes...)
-		sw := &switchableHandler{h: c.srv}
-		src := &dnsclient.ServerSource{Server: sw}
-		sc := newResilientScanner(src, scanengine.ResilienceConfig{
-			Retry:   scanengine.RetryPolicy{MaxAttempts: 2},
-			Breaker: scanengine.BreakerConfig{Threshold: 3, OpenFor: time.Millisecond, MaxOpens: 2},
-			Seed:    17,
-		})
-		// Sweep 1: clean baseline.
-		base := resilientSweep(t, sc, c.prefixes)
-		if digestRecords(base.Records) != digestRecords(c.want) {
-			t.Fatalf("clean baseline incomplete: %d/%d", len(base.Records), len(c.want))
-		}
-		// Outage on prefixes 1 and 2; one genuine release in prefix 0.
-		inj := faultsim.New(simclock.Real{}, 17,
-			faultsim.Profile{Prefix: c.prefixes[1], Drop: &faultsim.Window{For: 1 << 30}},
-			faultsim.Profile{Prefix: c.prefixes[2], Drop: &faultsim.Window{For: 1 << 30}},
-		)
-		sw.set(inj.Wrap(c.srv))
-		if err := c.clients[0].Leave(); err != nil {
-			t.Fatal(err)
-		}
-		return c, resilientSweep(t, sc, c.prefixes)
-	}
-	c1, s1 := run()
-	_, s2 := run()
+	c1, s1 := runShardOutage(t)
+	_, s2 := runShardOutage(t)
 	if digestRecords(s1.Records) != digestRecords(s2.Records) ||
 		s1.Health.Fingerprint() != s2.Health.Fingerprint() {
 		t.Fatal("same seed, different outcomes across runs")

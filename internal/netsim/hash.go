@@ -16,6 +16,8 @@ package netsim
 
 import (
 	"time"
+
+	"rdnsprivacy/internal/telemetry"
 )
 
 // FNV-1a constants.
@@ -48,11 +50,6 @@ func hashString(s string) uint64 {
 	return h
 }
 
-// unitFloat maps a hash to [0, 1).
-func unitFloat(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
-}
-
 // dayNumber numbers days since the simulation epoch so that hash inputs
 // are stable integers. Times are interpreted in the study's local timezone
 // (see Universe.Location).
@@ -68,7 +65,7 @@ func chance(p float64, parts ...uint64) bool {
 	if p >= 1 {
 		return true
 	}
-	return unitFloat(hash64(parts...)) < p
+	return telemetry.UnitFloat(hash64(parts...)) < p
 }
 
 // spread maps a hash to a duration in [0, span).
@@ -76,5 +73,5 @@ func spread(span time.Duration, parts ...uint64) time.Duration {
 	if span <= 0 {
 		return 0
 	}
-	return time.Duration(unitFloat(hash64(parts...)) * float64(span))
+	return time.Duration(telemetry.UnitFloat(hash64(parts...)) * float64(span))
 }

@@ -489,7 +489,7 @@ func (n *Network) buildInfraRecords(bi int, b Block) {
 	for i := 1; i < count-1; i++ {
 		ip := b.Prefix.Nth(i)
 		h := hash64(n.cfg.Seed, hashString(n.cfg.Name), uint64(bi), uint64(i), 0x1F)
-		if unitFloat(h) >= density {
+		if telemetry.UnitFloat(h) >= density {
 			continue
 		}
 		role := roles[h>>8%uint64(len(roles))]
@@ -516,7 +516,7 @@ func (n *Network) buildPoolRecords(bi int, b Block) {
 	for i := 1; i < count-1; i++ {
 		ip := b.Prefix.Nth(i)
 		h := hash64(n.cfg.Seed, hashString(n.cfg.Name), uint64(bi), uint64(i), 0x2F)
-		if unitFloat(h) >= density {
+		if telemetry.UnitFloat(h) >= density {
 			continue
 		}
 		label := fmt.Sprintf("static-%d-%d-%d-%d", ip[0], ip[1], ip[2], ip[3])

@@ -7,6 +7,7 @@ import (
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/ipam"
 	"rdnsprivacy/internal/names"
+	"rdnsprivacy/internal/telemetry"
 )
 
 // FillerKind selects the record style of a filler /24.
@@ -44,7 +45,7 @@ func (f *FillerBlock) Records(emit func(Record)) {
 	for i := 1; i < n-1; i++ {
 		ip := f.Prefix.Nth(i)
 		h := hash64(f.Seed, uint64(ip.Uint32()), 0xF1)
-		if unitFloat(h) >= f.Density {
+		if telemetry.UnitFloat(h) >= f.Density {
 			continue
 		}
 		var label string
@@ -56,7 +57,7 @@ func (f *FillerBlock) Records(emit func(Record)) {
 			label = fmt.Sprintf("ge-%d-%d.core%d.%s", h>>8%4, h>>12%8, h>>16%4+1,
 				cities[h>>20%uint64(len(cities))])
 		case FillerVanity:
-			if unitFloat(hash64(h, 1)) < 0.3 {
+			if telemetry.UnitFloat(hash64(h, 1)) < 0.3 {
 				owner := vanityNames[h>>24%uint64(len(vanityNames))]
 				label = fmt.Sprintf("%s.home", owner)
 			} else {
@@ -210,7 +211,7 @@ func BuildStudyUniverse(cfg UniverseConfig) (*Universe, error) {
 	for i := 0; used+i < cfg.FillerSlash24s; i++ {
 		p := alloc.nextSlash24()
 		kind := kinds[hash64(cfg.Seed, uint64(i), 0xFB)%uint64(len(kinds))]
-		density := 0.12 + unitFloat(hash64(cfg.Seed, uint64(i), 0xFC))*0.5
+		density := 0.12 + telemetry.UnitFloat(hash64(cfg.Seed, uint64(i), 0xFC))*0.5
 		suffix := fillerSuffix(kind, i)
 		u.Filler = append(u.Filler, &FillerBlock{
 			Prefix:  p,

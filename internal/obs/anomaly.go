@@ -3,6 +3,8 @@ package obs
 import (
 	"math"
 	"sort"
+
+	"rdnsprivacy/internal/telemetry"
 )
 
 // Detector flags campaign days whose counter deltas diverge from the
@@ -48,14 +50,14 @@ func (d Detector) zThreshold() float64 {
 	if d.ZThreshold > 0 {
 		return d.ZThreshold
 	}
-	return 3.5 + float64(mix64(uint64(d.Seed), 0x7a)%512)/1024
+	return 3.5 + float64(telemetry.Mix64(uint64(d.Seed), 0x7a)%512)/1024
 }
 
 func (d Detector) ewmaDeviation() float64 {
 	if d.EWMADeviation > 0 {
 		return d.EWMADeviation
 	}
-	return 2 + float64(mix64(uint64(d.Seed), 0xe3)%512)/1024
+	return 2 + float64(telemetry.Mix64(uint64(d.Seed), 0xe3)%512)/1024
 }
 
 func (d Detector) alpha() float64 {
@@ -192,18 +194,4 @@ func median(xs []float64) float64 {
 		return xs[n/2]
 	}
 	return (xs[n/2-1] + xs[n/2]) / 2
-}
-
-// mix64 is the splitmix64 finalizer over each word — the same derivation
-// chain telemetry and faultsim use.
-func mix64(words ...uint64) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xbf58476d1ce4e5b9
-		h ^= h >> 27
-		h *= 0x94d049bb133111eb
-		h ^= h >> 31
-	}
-	return h
 }

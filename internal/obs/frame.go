@@ -203,6 +203,18 @@ func (f Frame) Corroboration() float64 {
 	return f.Vantage.MeanCorroboration
 }
 
+// SetStats copies a sweep tally — one sweep's, or a day's summed across
+// vantages — into the frame's Probes..CacheHits fields.
+func (f *Frame) SetStats(st scanengine.Stats) {
+	f.Probes = st.Probes
+	f.Found = st.Found
+	f.Absent = st.Absent
+	f.Errors = st.Errors
+	f.Retries = st.Retries
+	f.Skipped = st.Skipped
+	f.CacheHits = st.CacheHits
+}
+
 // frameFromSnapshot summarizes one sweep into frame fields (everything
 // except the metric digest and deltas, which the Recorder owns).
 func frameFromSnapshot(index int, date time.Time, snap *scanengine.Snapshot) Frame {
@@ -211,13 +223,7 @@ func frameFromSnapshot(index int, date time.Time, snap *scanengine.Snapshot) Fra
 		return f
 	}
 	f.Records = len(snap.Records)
-	f.Probes = snap.Stats.Probes
-	f.Found = snap.Stats.Found
-	f.Absent = snap.Stats.Absent
-	f.Errors = snap.Stats.Errors
-	f.Retries = snap.Stats.Retries
-	f.Skipped = snap.Stats.Skipped
-	f.CacheHits = snap.Stats.CacheHits
+	f.SetStats(snap.Stats)
 	for _, ch := range snap.Changes {
 		switch ch.Kind {
 		case scanengine.RecordAdded:

@@ -257,6 +257,11 @@ func TestDetectorDeterministicThresholds(t *testing.T) {
 		t.Fatalf("derived z threshold %v outside [3.5, 4)", a.zThreshold())
 	}
 	_ = c // distinct seeds may collide; only the range and determinism are contractual
+	// Explicit parameters override the seeded ones.
+	set := Detector{Seed: 7, ZThreshold: 5, EWMADeviation: 3, EWMAAlpha: 0.5, MinFrames: 4}
+	if set.zThreshold() != 5 || set.ewmaDeviation() != 3 || set.alpha() != 0.5 || set.minFrames() != 4 {
+		t.Fatalf("explicit detector parameters not honoured: %+v", set)
+	}
 }
 
 // spanRecords dumps and reparses a tracer's spans — the same JSONL path

@@ -41,7 +41,9 @@ func TestRetryOn429HonorsRetryAfter(t *testing.T) {
 	defer ts.Close()
 
 	var slept []time.Duration
-	c := New(ts.URL, WithAPIKey("brian"), WithRetries(3, 10*time.Second))
+	var hooked []RequestInfo
+	c := New(ts.URL, WithAPIKey("brian"), WithRetries(3, 10*time.Second),
+		WithTrace(7, nil), WithRequestHook(func(ri RequestInfo) { hooked = append(hooked, ri) }))
 	c.sleep = func(ctx context.Context, d time.Duration) error {
 		slept = append(slept, d)
 		return nil
@@ -52,6 +54,11 @@ func TestRetryOn429HonorsRetryAfter(t *testing.T) {
 	}
 	if days.Count != 1 || calls.Load() != 3 {
 		t.Fatalf("days=%+v calls=%d", days, calls.Load())
+	}
+	// The request hook sees the request once, retries and all.
+	if len(hooked) != 1 || hooked[0].Attempts != 3 || hooked[0].Path != "/v1/days" ||
+		hooked[0].Corr == 0 || hooked[0].Err != nil {
+		t.Fatalf("request hook saw %+v, want one /v1/days request of 3 attempts", hooked)
 	}
 	if len(slept) != 2 || slept[0] != 2*time.Second || slept[1] != 2*time.Second {
 		t.Fatalf("slept %v, want two 2s waits from Retry-After", slept)

@@ -173,7 +173,7 @@ func Run(c Campaign) *Result {
 	targets := src.Targets()
 	sc := scanengine.New(src, c.engineOptions()...)
 	if c.Store != nil {
-		c.Observer.SetStoreStats(func() obs.StoreStats { return storeStats(c.Store) })
+		c.Observer.SetStoreStats(func() obs.StoreStats { return StoreStats(c.Store) })
 	}
 	var storeErr error
 	ctx := context.Background()
@@ -201,9 +201,10 @@ func Run(c Campaign) *Result {
 	return r
 }
 
-// storeStats converts the store's summary to the obs-local mirror (obs
-// does not import the storage layer).
-func storeStats(st *histstore.Store) obs.StoreStats {
+// StoreStats converts the store's summary to the obs-local mirror (obs
+// does not import the storage layer). Every producer of frames over a
+// store — this package, internal/vantage, cmd/rdnsscan — converts here.
+func StoreStats(st *histstore.Store) obs.StoreStats {
 	s := st.Stats()
 	return obs.StoreStats{
 		Snapshots:       s.Snapshots,

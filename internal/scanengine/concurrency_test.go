@@ -89,11 +89,12 @@ func TestNegativeCacheTTLExpiryTable(t *testing.T) {
 }
 
 // TestMidShardCancellationConcurrentConsumers cancels a sweep mid-shard
-// while event subscribers drain the stream and a second Scan call is
-// queued behind the first. The cancelled sweep must return a partial
-// snapshot without inferring changes, the queued sweep must run to
-// completion unaffected, every subscriber must observe both sweeps, and
-// nothing may leak. Run with -race.
+// while consumer goroutines take its results off the result func one at a
+// time — an unbuffered hand-off, so the sweep runs at the consumers' pace —
+// and a second Scan call is queued behind the first. The cancelled sweep
+// must return a partial snapshot without inferring changes, the queued
+// sweep must run to completion unaffected, no result may be delivered
+// twice within a sweep, and nothing may leak. Run with -race.
 func TestMidShardCancellationConcurrentConsumers(t *testing.T) {
 	cases := []struct {
 		name      string
@@ -111,8 +112,6 @@ func TestMidShardCancellationConcurrentConsumers(t *testing.T) {
 			testutil.VerifyNoLeaks(t)
 			scanCtx, cancelScan := context.WithCancel(context.Background())
 			defer cancelScan()
-			consCtx, cancelCons := context.WithCancel(context.Background())
-			defer cancelCons()
 
 			var probes atomic.Int32
 			src := SourceFunc(func(ctx context.Context, ip dnswire.IPv4) Result {
@@ -121,31 +120,22 @@ func TestMidShardCancellationConcurrentConsumers(t *testing.T) {
 				}
 				return Result{IP: ip, Name: "h.example.org.", Found: true}
 			})
+			results := make(chan Result)
 			// /24 target at /26 shards: 4 shards of 64 addresses.
-			sc := New(src, WithWorkers(tc.workers), WithShardBits(26))
+			sc := New(src, WithWorkers(tc.workers), WithShardBits(26),
+				WithResultFunc(func(res Result) { results <- res }))
 
 			var wg sync.WaitGroup
-			var starts, dones atomic.Int32
+			var mu sync.Mutex
+			seen := map[dnswire.IPv4]int{}
 			for i := 0; i < tc.consumers; i++ {
-				ch := sc.Events(consCtx)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					for {
-						select {
-						case ev, ok := <-ch:
-							if !ok {
-								return
-							}
-							switch ev.Kind {
-							case EventSweepStart:
-								starts.Add(1)
-							case EventSweepDone:
-								dones.Add(1)
-							}
-						case <-consCtx.Done():
-							return
-						}
+					for res := range results {
+						mu.Lock()
+						seen[res.IP]++
+						mu.Unlock()
 					}
 				}()
 			}
@@ -195,20 +185,26 @@ func TestMidShardCancellationConcurrentConsumers(t *testing.T) {
 				t.Fatal("complete queued sweep must become the diff baseline")
 			}
 
-			// Both sweeps were announced to every subscriber. The events
-			// are buffered at emit time, so poll for the consumers to
-			// drain them before asserting the exact counts.
-			want := int32(2 * tc.consumers)
-			deadline := time.Now().Add(5 * time.Second)
-			for (starts.Load() != want || dones.Load() != want) && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
-			}
-			if starts.Load() != want || dones.Load() != want {
-				t.Fatalf("subscribers saw %d starts / %d dones, want %d each",
-					starts.Load(), dones.Load(), want)
-			}
-			cancelCons()
+			// Both Scans have returned, so every result has been handed
+			// over. The queued sweep delivered each address once; the
+			// cancelled one delivered each record it kept once, and
+			// nothing else more than once.
+			close(results)
 			wg.Wait()
+			delivered := 0
+			for ip, n := range seen {
+				if n < 1 || n > 2 {
+					t.Fatalf("address %s delivered %d times over two sweeps", ip, n)
+				}
+				delivered += n
+			}
+			if len(seen) != 256 {
+				t.Fatalf("consumers saw %d addresses, want all 256", len(seen))
+			}
+			if want := len(out1.snap.Records) + 256; delivered != want {
+				t.Fatalf("consumers took %d results, want %d (partial sweep's %d records + 256)",
+					delivered, want, len(out1.snap.Records))
+			}
 		})
 	}
 }

@@ -21,61 +21,35 @@ func (s corrSource) LookupPTR(_ context.Context, ip dnswire.IPv4) Result {
 	}
 }
 
-// TestShardSpansCarryCorrEvents checks the engine copies per-probe
-// correlation IDs onto its shard spans, the link that lets experiments
-// -trace join shard timing to client/fabric/server chains.
-func TestShardSpansCarryCorrEvents(t *testing.T) {
+// TestResultsCarryCorr checks a probe's correlation ID reaches the result
+// func untouched — the handle that joins a result to its client, fabric
+// and server spans — and that the shard span does not repeat it: the span
+// summarizes the shard, it does not list its probes.
+func TestResultsCarryCorr(t *testing.T) {
 	tr := telemetry.NewTracer(3, 64)
-	sc := New(corrSource{seed: 3}, WithWorkers(2), WithTracer(tr))
-	snap, err := sc.Scan(context.Background(), Request{Targets: []dnswire.Prefix{
-		dnswire.MustPrefix("10.71.0.0/30"),
-	}})
+	p := dnswire.MustPrefix("10.71.0.0/30")
+	got := make(map[uint64]bool)
+	sc := New(corrSource{seed: 3}, WithWorkers(2), WithTracer(tr),
+		WithResultFunc(func(res Result) { got[res.Corr] = true }))
+	snap, err := sc.Scan(context.Background(), Request{Targets: []dnswire.Prefix{p}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if snap.Stats.Probes != 4 {
 		t.Fatalf("probes = %d, want 4", snap.Stats.Probes)
 	}
-	want := make(map[uint64]bool)
-	p := dnswire.MustPrefix("10.71.0.0/30")
 	for i := 0; i < p.NumAddresses(); i++ {
-		want[telemetry.CorrID(3, p.Nth(i).String(), 1)] = true
-	}
-	got := make(map[uint64]bool)
-	for _, sp := range tr.Snapshot() {
-		for _, ev := range sp.Events {
-			if ev.Kind == "corr" {
-				got[ev.Code] = true
-			}
+		if c := telemetry.CorrID(3, p.Nth(i).String(), 1); !got[c] {
+			t.Fatalf("no result carried corr %016x", c)
 		}
 	}
-	if len(got) != len(want) {
-		t.Fatalf("corr events = %d, want %d", len(got), len(want))
-	}
-	for c := range want {
-		if !got[c] {
-			t.Fatalf("missing corr event %016x", c)
-		}
-	}
-}
-
-// TestUncorrelatedProbesEmitNoCorrEvents pins the zero-corr fast path:
-// sources that do not correlate add no events beyond the probe outcomes.
-func TestUncorrelatedProbesEmitNoCorrEvents(t *testing.T) {
-	tr := telemetry.NewTracer(3, 64)
-	records := map[dnswire.IPv4]dnswire.Name{
-		dnswire.MustIPv4("10.71.0.1"): dnswire.MustName("a.example.org"),
-	}
-	sc := New(newCountingSource(records), WithWorkers(1), WithTracer(tr))
-	if _, err := sc.Scan(context.Background(), Request{Targets: []dnswire.Prefix{
-		dnswire.MustPrefix("10.71.0.0/30"),
-	}}); err != nil {
-		t.Fatal(err)
+	if len(got) != 4 {
+		t.Fatalf("results carried %d distinct corr IDs, want 4", len(got))
 	}
 	for _, sp := range tr.Snapshot() {
 		for _, ev := range sp.Events {
-			if ev.Kind == "corr" {
-				t.Fatalf("uncorrelated sweep emitted corr event %016x", ev.Code)
+			if ev.Kind != TraceFound && ev.Kind != TraceAbsent && ev.Kind != TraceErrors && ev.Kind != TraceCached {
+				t.Fatalf("shard span carries a per-probe event: %+v", ev)
 			}
 		}
 	}

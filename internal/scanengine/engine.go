@@ -20,29 +20,25 @@ type Scanner struct {
 	src     Source
 	shardSc ShardSource // non-nil when src enumerates shards in bulk
 
-	workers     int
-	shardBits   int
-	negTTL      time.Duration
-	clock       simclock.Clock
-	probeEvents bool
-	rate        *rateGate
-	resil       *ResilienceConfig
-	met         *engineMetrics
-	tracer      *telemetry.Tracer
+	workers   int
+	shardBits int
+	negTTL    time.Duration
+	clock     simclock.Clock
+	onResult  func(Result)
+	rate      *rateGate
+	resil     *ResilienceConfig
+	met       *engineMetrics
+	tracer    *telemetry.Tracer
 
 	cache *negCache
 
 	scanMu sync.Mutex // serializes sweeps
 	prev   RecordSet  // records of the last complete sweep
-
-	mu   sync.Mutex // guards subs
-	subs []*subscriber
 }
 
 // bufferSize is the capacity of the bounded channel between the lookup and
-// merge stages, and of each event subscription channel. Lookups stall when
-// the merge stage falls this far behind: backpressure, not unbounded
-// queueing.
+// merge stages. Lookups stall when the merge stage falls this far behind:
+// backpressure, not unbounded queueing.
 const bufferSize = 1024
 
 // Option tunes a Scanner.
@@ -89,12 +85,16 @@ func WithClock(c simclock.Clock) Option {
 	}
 }
 
-// WithResultEvents streams every probe result (including absences and
-// errors) to event subscribers, not just record deltas and shard
-// progress. Full-sweep consumers that print per-address output want this;
-// it is off by default because a /16 sweep emits 65k events.
-func WithResultEvents() Option {
-	return func(s *Scanner) { s.probeEvents = true }
+// WithResultFunc streams every probe result — absences, errors and
+// negative-cache hits included — to fn as the sweep runs, for consumers
+// that print per-address output. Scan calls fn from its own goroutine,
+// once per probed address, in the order results reach the merge stage; a
+// slow fn stalls the sweep (backpressure), and Scan does not return before
+// the last call has; fn must not call back into the Scanner, which holds
+// its sweep lock meanwhile. Without it only found records cross the merge
+// channel: a /16 sweep is 65k results.
+func WithResultFunc(fn func(Result)) Option {
+	return func(s *Scanner) { s.onResult = fn }
 }
 
 // WithRate caps aggregate probe transmission across all workers, in
@@ -142,6 +142,46 @@ type Request struct {
 	Baseline RecordSet
 }
 
+// ShardRow is the ledger of one shard: everything the sweep knows about
+// what it probed there, retried, skipped and gave up on. It is the one
+// account the engine keeps — the worker running the shard fills it, and
+// Stats, HealthReport.Totals, the scan_* metrics and the shard span are
+// all derived from it — so Snapshot.Shards[i] and, under WithResilience,
+// HealthReport.Shards[i] are this same row.
+type ShardRow struct {
+	// Shard is the address range.
+	Shard dnswire.Prefix
+	// Probes counts addresses resolved (enumeration sources count emitted
+	// records), split into Found, Absent (authoritative absences,
+	// negative-cache hits included) and Errors. A failed bulk enumeration
+	// adds one error without a probe.
+	Probes, Found, Absent, Errors int
+	// CacheHits counts probes the negative cache answered, CacheMisses
+	// those it was asked about and passed on (both zero without
+	// WithNegativeTTL), Queries the probes that reached the source.
+	CacheHits, CacheMisses, Queries int
+	// Skipped counts addresses abandoned unprobed when the shard degraded.
+	Skipped int
+	// Attempts counts source lookups including retries and half-open
+	// probes; Retries counts scan-level retries; Throttled counts probes
+	// paced by adaptive rate control (resilience layer only, like the
+	// fields below).
+	Attempts, Retries, Throttled int
+	// Hedges counts hedge lookups launched, HedgeWins those that beat the
+	// primary. Both depend on real timing and are excluded from
+	// HealthReport.Fingerprint.
+	Hedges, HedgeWins int
+	// Breaker is the circuit breaker's transition history, in probe order.
+	Breaker []BreakerEvent
+	// Degraded reports the breaker exhausted MaxOpens and the shard's
+	// remaining addresses were skipped.
+	Degraded bool
+	// Done reports the shard ran to its end — all of it probed or, once
+	// degraded, accounted for as Skipped — rather than being cut short by
+	// cancellation.
+	Done bool
+}
+
 // Stats tallies a sweep.
 type Stats struct {
 	// Probes is the number of addresses resolved (enumeration sources
@@ -166,16 +206,17 @@ type Stats struct {
 	Skipped uint64
 }
 
-// ShardStatus is the progress of one shard.
-type ShardStatus struct {
-	Shard  dnswire.Prefix
-	Probes int
-	Found  int
-	Errors int
-	// Skipped counts addresses abandoned unprobed when the shard
-	// degraded (resilience layer only).
-	Skipped int
-	Done    bool
+// Add sums another tally into s: a sweep's Stats is its rows' added up,
+// and a campaign day's is its vantages'.
+func (s *Stats) Add(o Stats) {
+	s.Probes += o.Probes
+	s.Found += o.Found
+	s.Absent += o.Absent
+	s.Errors += o.Errors
+	s.CacheHits += o.CacheHits
+	s.Retries += o.Retries
+	s.Hedges += o.Hedges
+	s.Skipped += o.Skipped
 }
 
 // Snapshot is the product of one sweep.
@@ -186,10 +227,10 @@ type Snapshot struct {
 	Elapsed time.Duration
 	// Records is the merged record set.
 	Records RecordSet
-	// Stats tallies the sweep.
+	// Stats tallies the sweep: the sum of Shards.
 	Stats Stats
-	// Shards is per-shard progress, in plan order.
-	Shards []ShardStatus
+	// Shards is the per-shard ledger, in plan order.
+	Shards []ShardRow
 	// Changes are the deltas against the baseline (the previous complete
 	// sweep unless Request.Baseline overrode it), sorted by address. Nil
 	// when there was no baseline or the sweep was cancelled before
@@ -208,93 +249,38 @@ type Snapshot struct {
 	Degraded bool
 }
 
-// EventKind classifies a stream event.
-type EventKind int
-
-// Event kinds.
-const (
-	// EventSweepStart opens a sweep.
-	EventSweepStart EventKind = iota
-	// EventResult is one probe result (only with WithResultEvents).
-	EventResult
-	// EventChange is one incremental delta against the baseline.
-	EventChange
-	// EventShardDone reports a completed shard with progress.
-	EventShardDone
-	// EventSweepDone closes a sweep and carries the snapshot.
-	EventSweepDone
-)
-
-// Event is one entry in the Events stream.
-type Event struct {
-	Kind  EventKind
-	At    time.Time
-	Shard dnswire.Prefix // EventShardDone
-	// Result is set for EventResult.
-	Result Result
-	// Change is set for EventChange.
-	Change Change
-	// ShardsDone/ShardsTotal report sweep progress (EventShardDone,
-	// EventSweepDone).
-	ShardsDone, ShardsTotal int
-	// Snapshot is set for EventSweepDone.
-	Snapshot *Snapshot
-}
-
-type subscriber struct {
-	ch  chan Event
-	ctx context.Context
-}
-
-// Events subscribes to the scanner's event stream: sweep lifecycle, shard
-// progress, incremental record deltas, and (with WithResultEvents) every
-// probe result. The channel is buffered to the scanner's buffer size; a
-// subscriber that stops draining stalls sweeps (backpressure) until its
-// ctx is cancelled, at which point it is dropped and its channel closed
-// at the next emission.
-func (s *Scanner) Events(ctx context.Context) <-chan Event {
-	sub := &subscriber{ch: make(chan Event, bufferSize), ctx: ctx}
-	s.mu.Lock()
-	s.subs = append(s.subs, sub)
-	s.mu.Unlock()
-	return sub.ch
-}
-
-func (s *Scanner) emit(ev Event) {
-	s.mu.Lock()
-	subs := make([]*subscriber, len(s.subs))
-	copy(subs, s.subs)
-	s.mu.Unlock()
-	for _, sub := range subs {
-		select {
-		case sub.ch <- ev:
-		case <-sub.ctx.Done():
-			s.dropSub(sub)
+// add folds one shard's row into the sweep-level views. It is the only
+// place Stats, HealthReport.Totals and the degraded list are produced.
+func (snap *Snapshot) add(r *ShardRow) {
+	snap.Stats.Add(Stats{
+		Probes:    uint64(r.Probes),
+		Found:     uint64(r.Found),
+		Absent:    uint64(r.Absent),
+		Errors:    uint64(r.Errors),
+		CacheHits: uint64(r.CacheHits),
+		Retries:   uint64(r.Retries),
+		Hedges:    uint64(r.Hedges),
+		Skipped:   uint64(r.Skipped),
+	})
+	h := snap.Health
+	if h == nil {
+		return
+	}
+	h.Totals.Attempts += r.Attempts
+	h.Totals.Retries += r.Retries
+	h.Totals.Throttled += r.Throttled
+	h.Totals.Hedges += r.Hedges
+	h.Totals.HedgeWins += r.HedgeWins
+	h.Totals.Skipped += r.Skipped
+	for _, ev := range r.Breaker {
+		if ev.State == BreakerOpen {
+			h.Totals.BreakerOpens++
 		}
 	}
-}
-
-func (s *Scanner) dropSub(sub *subscriber) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for i, x := range s.subs {
-		if x == sub {
-			s.subs = append(s.subs[:i], s.subs[i+1:]...)
-			close(sub.ch)
-			return
-		}
+	if r.Degraded {
+		h.Degraded = append(h.Degraded, r.Shard)
+		snap.Degraded = true
 	}
-}
-
-// mergeMsg travels the bounded channel between the lookup and merge
-// stages.
-type mergeMsg struct {
-	shard   int
-	res     Result
-	done    bool // shard finished; tally below is authoritative
-	tally   ShardStatus
-	scanErr error        // bulk enumeration failure
-	health  *ShardHealth // resilience ledger, when the layer is on
 }
 
 // Scan executes one sweep and returns its snapshot. On context
@@ -315,35 +301,37 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 	snap := &Snapshot{
 		At:      at,
 		Records: make(RecordSet),
-		Shards:  make([]ShardStatus, len(shards)),
+		Shards:  make([]ShardRow, len(shards)),
 	}
 	for i, sh := range shards {
 		snap.Shards[i].Shard = sh
+	}
+	if s.resil != nil {
+		snap.Health = &HealthReport{Shards: snap.Shards}
 	}
 	baseline := req.Baseline
 	if baseline == nil {
 		baseline = s.prev
 	}
-
 	if m := s.met; m != nil {
 		m.sweeps.Inc()
 	}
-	s.emit(Event{Kind: EventSweepStart, At: at, ShardsTotal: len(shards)})
 
-	// Lookup stage: a bounded pool of workers draining the shard queue.
+	// Lookup stage: a bounded pool of workers draining the shard queue,
+	// each filling the row of the shard it runs.
 	shardCh := make(chan int, len(shards))
 	for i := range shards {
 		shardCh <- i
 	}
 	close(shardCh)
-	out := make(chan mergeMsg, bufferSize)
+	out := make(chan Result, bufferSize)
 	var wg sync.WaitGroup
 	for w := 0; w < s.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for si := range shardCh {
-				s.runShard(ctx, si, shards[si], at, out)
+				s.runShard(ctx, &snap.Shards[si], at, out)
 			}
 		}()
 	}
@@ -355,69 +343,9 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 	// Merge stage: single consumer; always drains until the workers
 	// close the channel, so cancellation cannot leak goroutines.
 	var changes []Change
-	var healths []ShardHealth
-	var totals ResilienceTotals
-	var degraded []dnswire.Prefix
-	if s.resil != nil {
-		healths = make([]ShardHealth, len(shards))
-		for i, sh := range shards {
-			healths[i].Shard = sh
-		}
-	}
-	shardsDone := 0
-	for msg := range out {
-		if msg.done {
-			st := &snap.Shards[msg.shard]
-			st.Probes = msg.tally.Probes
-			st.Found = msg.tally.Found
-			st.Errors = msg.tally.Errors
-			st.Skipped = msg.tally.Skipped
-			st.Done = msg.scanErr == nil
-			snap.Stats.Probes += uint64(msg.tally.Probes)
-			snap.Stats.Found += uint64(msg.tally.Found)
-			snap.Stats.Errors += uint64(msg.tally.Errors)
-			snap.Stats.Absent += uint64(msg.tally.Probes - msg.tally.Found - msg.tally.Errors)
-			snap.Stats.Skipped += uint64(msg.tally.Skipped)
-			if msg.health != nil && healths != nil {
-				// One accumulation here feeds Stats, HealthReport.Totals
-				// and the degraded list; the exported telemetry counters
-				// tick at the event sites themselves, so the report and
-				// /metrics agree by construction, not by parallel
-				// bookkeeping.
-				h := *msg.health
-				h.Probes = msg.tally.Probes
-				h.Found = msg.tally.Found
-				h.Errors = msg.tally.Errors
-				h.Skipped = msg.tally.Skipped
-				healths[msg.shard] = h
-				totals.Attempts += h.Attempts
-				totals.Retries += h.Retries
-				totals.Throttled += h.Throttled
-				totals.Hedges += h.Hedges
-				totals.HedgeWins += h.HedgeWins
-				totals.Skipped += h.Skipped
-				for _, ev := range h.Breaker {
-					if ev.State == BreakerOpen {
-						totals.BreakerOpens++
-					}
-				}
-				if h.Degraded {
-					degraded = append(degraded, h.Shard)
-				}
-			}
-			shardsDone++
-			s.emit(Event{
-				Kind: EventShardDone, At: s.clock.Now(), Shard: shards[msg.shard],
-				ShardsDone: shardsDone, ShardsTotal: len(shards),
-			})
-			continue
-		}
-		res := msg.res
-		if res.Cached {
-			snap.Stats.CacheHits++
-		}
-		if s.probeEvents {
-			s.emit(Event{Kind: EventResult, At: s.clock.Now(), Result: res})
+	for res := range out {
+		if s.onResult != nil {
+			s.onResult(res)
 		}
 		if !res.Found {
 			continue
@@ -425,61 +353,25 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 		snap.Records[res.IP] = res.Name
 		if baseline != nil {
 			if old, ok := baseline[res.IP]; !ok {
-				ch := Change{Kind: RecordAdded, IP: res.IP, New: res.Name}
-				changes = append(changes, ch)
-				s.emit(Event{Kind: EventChange, At: s.clock.Now(), Change: ch})
+				changes = append(changes, Change{Kind: RecordAdded, IP: res.IP, New: res.Name})
 			} else if old != res.Name {
-				ch := Change{Kind: RecordChanged, IP: res.IP, Old: old, New: res.Name}
-				changes = append(changes, ch)
-				s.emit(Event{Kind: EventChange, At: s.clock.Now(), Change: ch})
+				changes = append(changes, Change{Kind: RecordChanged, IP: res.IP, Old: old, New: res.Name})
 			}
+		}
+	}
+	// The workers have exited, so every row is final. Folding them in
+	// plan order keeps the degraded list independent of scheduling.
+	shardsDone := 0
+	for i := range snap.Shards {
+		snap.add(&snap.Shards[i])
+		if snap.Shards[i].Done {
+			shardsDone++
 		}
 	}
 
 	snap.Partial = ctx.Err() != nil
-	var degradedIdx *shardIndex
-	if healths != nil {
-		// Stats and the report share the totals accumulated in the merge
-		// loop — there is no second tally to drift from.
-		snap.Stats.Retries = uint64(totals.Retries)
-		snap.Stats.Hedges = uint64(totals.Hedges)
-		snap.Health = &HealthReport{Shards: healths, Degraded: degraded, Totals: totals}
-		snap.Degraded = len(degraded) > 0
-		if snap.Degraded {
-			if m := s.met; m != nil {
-				m.shardsDegraded.Add(uint64(len(degraded)))
-			}
-			degradedIdx = newShardIndex(degraded)
-		}
-	}
 	if !snap.Partial && baseline != nil {
-		// Complete coverage: every baseline record under the targets
-		// that was not re-observed has been removed. Degraded shards were
-		// not fully probed, so absence there proves nothing and is
-		// excluded.
-		index := newShardIndex(shards)
-		excluded := 0
-		for ip, old := range baseline {
-			if _, ok := snap.Records[ip]; ok || !index.contains(ip) {
-				continue
-			}
-			if degradedIdx != nil && degradedIdx.contains(ip) {
-				excluded++
-				continue
-			}
-			ch := Change{Kind: RecordRemoved, IP: ip, Old: old}
-			changes = append(changes, ch)
-			s.emit(Event{Kind: EventChange, At: s.clock.Now(), Change: ch})
-		}
-		if excluded > 0 {
-			// degradedIdx is only built when snap.Health exists.
-			snap.Health.RemovalsExcluded = excluded
-			if m := s.met; m != nil {
-				m.removalsExcluded.Add(uint64(excluded))
-			}
-		}
-	}
-	if baseline != nil && !snap.Partial {
+		changes = s.appendRemovals(changes, snap, baseline, shards)
 		sortChanges(changes)
 		snap.Changes = changes
 	}
@@ -490,16 +382,41 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 	if m := s.met; m != nil {
 		m.sweepSeconds.Observe(snap.Elapsed.Seconds())
 	}
-
-	s.emit(Event{
-		Kind: EventSweepDone, At: s.clock.Now(), Snapshot: snap,
-		ShardsDone: shardsDone, ShardsTotal: len(shards),
-	})
 	if err := ctx.Err(); err != nil {
 		return snap, fmt.Errorf("scanengine: sweep cancelled after %d/%d shards: %w",
 			shardsDone, len(shards), err)
 	}
 	return snap, nil
+}
+
+// appendRemovals adds to changes the baseline records a complete sweep
+// proved gone: every one under the targets that was not re-observed.
+// Degraded shards were not fully probed, so absence there proves nothing;
+// those records are counted in Health.RemovalsExcluded instead.
+func (s *Scanner) appendRemovals(changes []Change, snap *Snapshot, baseline RecordSet, shards []dnswire.Prefix) []Change {
+	index := newShardIndex(shards)
+	var degraded *shardIndex
+	if snap.Degraded {
+		degraded = newShardIndex(snap.Health.Degraded)
+	}
+	excluded := 0
+	for ip, old := range baseline {
+		if _, ok := snap.Records[ip]; ok || !index.contains(ip) {
+			continue
+		}
+		if degraded != nil && degraded.contains(ip) {
+			excluded++
+			continue
+		}
+		changes = append(changes, Change{Kind: RecordRemoved, IP: ip, Old: old})
+	}
+	if excluded > 0 {
+		snap.Health.RemovalsExcluded = excluded
+		if m := s.met; m != nil {
+			m.removalsExcluded.Add(uint64(excluded))
+		}
+	}
+	return changes
 }
 
 // Previous returns the record set of the last complete sweep (nil before
@@ -510,173 +427,120 @@ func (s *Scanner) Previous() RecordSet {
 	return s.prev
 }
 
-// runShard resolves one shard and reports results plus a closing tally.
-func (s *Scanner) runShard(ctx context.Context, si int, shard dnswire.Prefix, at time.Time, out chan<- mergeMsg) {
-	var tally ShardStatus
-	resil := s.newShardResil(shard)
-	met := s.met
-	var sp *telemetry.Span
-	if s.tracer != nil {
-		// The span ID derives from the tracer seed and the shard address,
-		// never from scheduling, so replayed sweeps trace identically.
-		sp = s.tracer.StartSpan("shard", shard.String(), uint64(shard.Addr.Uint32()), uint64(shard.Bits))
-		defer sp.End()
-	}
-	if resil != nil {
-		resil.met = met
-		resil.span = sp
-	}
-	if met != nil {
-		met.shardsInflight.Add(1)
-		defer met.shardsInflight.Add(-1)
-	}
-	send := func(msg mergeMsg) bool {
-		if met != nil {
-			// Backpressure visibility: note sends that would block on the
-			// merge stage before waiting on it. Off the instrumented path
-			// this extra select does not exist.
-			select {
-			case out <- msg:
-				return true
-			default:
-				met.mergeStalls.Inc()
-			}
-		}
-		select {
-		case out <- msg:
-			return true
-		case <-ctx.Done():
-			return false
-		}
-	}
+// flushEvery is how many probes a shard books between flushes of its row
+// to the registry: the /24 boundary, so /metrics stays live inside a /16
+// shard without the hot path touching a shared counter per probe.
+const flushEvery = 256
+
+// runShard resolves one shard. The row is all it writes; what the merge
+// stage has a use for — found records, and every result when a result
+// func is attached — it sends on out.
+func (s *Scanner) runShard(ctx context.Context, row *ShardRow, at time.Time, out chan<- Result) {
+	var view shardView
+	s.observeShard(&view, row, shardOpen)
 	defer func() {
-		// The closing tally must not be lost even under cancellation:
-		// the merger drains until workers exit.
-		msg := mergeMsg{shard: si, done: true, tally: tally, scanErr: ctx.Err()}
-		if resil != nil {
-			msg.health = &resil.health
-		}
-		out <- msg
+		row.Done = ctx.Err() == nil
+		s.observeShard(&view, row, shardClose)
 	}()
+	record := func(res Result) bool {
+		row.Probes++
+		switch {
+		case res.Found:
+			row.Found++
+		case res.Err != nil:
+			row.Errors++
+		default:
+			row.Absent++
+		}
+		if row.Probes%flushEvery == 0 {
+			s.observeShard(&view, row, shardFlush)
+		}
+		if !res.Found && s.onResult == nil {
+			return true
+		}
+		return s.send(ctx, out, res)
+	}
 
 	if s.shardSc != nil {
-		err := s.shardSc.ScanShard(ctx, shard, at, func(res Result) {
-			tally.Probes++
-			code := TraceProbeAbsent
-			if res.Found {
-				tally.Found++
-				code = TraceProbeFound
-			} else if res.Err != nil {
-				tally.Errors++
-				code = TraceProbeError
-			}
-			if met != nil {
-				met.probes.Inc()
-				countOutcome(met, code)
-			}
-			sp.Event("probe", code)
-			if res.Corr != 0 {
-				sp.Event("corr", res.Corr)
-			}
-			if res.Found || res.Err != nil || s.probeEvents {
-				send(mergeMsg{shard: si, res: res})
-			}
-		})
+		err := s.shardSc.ScanShard(ctx, row.Shard, at, func(res Result) { record(res) })
 		if err != nil && ctx.Err() == nil {
-			tally.Errors++
-			if met != nil {
-				met.errs.Inc()
-			}
+			row.Errors++
 		}
 		return
 	}
 
-	n := shard.NumAddresses()
+	resil := s.newShardResil(row)
+	n := row.Shard.NumAddresses()
 	for i := 0; i < n; i++ {
 		if ctx.Err() != nil {
 			return
 		}
-		ip := shard.Nth(i)
+		ip := row.Shard.Nth(i)
 		var res Result
 		if s.cache.hit(ip) {
+			row.CacheHits++
 			res = Result{IP: ip, Cached: true}
-			if met != nil {
-				met.cacheHits.Inc()
-			}
 		} else {
-			if met != nil && s.cache != nil {
-				met.cacheMisses.Inc()
+			if s.cache != nil {
+				row.CacheMisses++
 			}
 			if err := s.rate.wait(ctx); err != nil {
 				return
 			}
-			var t0 time.Time
-			if met != nil {
-				t0 = s.clock.Now()
-			}
-			if resil != nil {
-				res = resil.lookup(ctx, s, ip, i)
-			} else {
-				res = s.src.LookupPTR(ctx, ip)
-				res.IP = ip
-			}
-			if met != nil {
-				met.queries.Inc()
-				met.probeSeconds.Observe(s.clock.Now().Sub(t0).Seconds())
-			}
+			res = s.lookup(ctx, resil, ip, i)
+			row.Queries++
 			if res.Absent() {
 				s.cache.put(ip)
 			}
 		}
-		tally.Probes++
-		code := TraceProbeAbsent
-		switch {
-		case res.Found:
-			tally.Found++
-			code = TraceProbeFound
-		case res.Err != nil:
-			tally.Errors++
-			code = TraceProbeError
-		case res.Cached:
-			code = TraceProbeCached
+		if !record(res) {
+			return
 		}
-		if met != nil {
-			met.probes.Inc()
-			countOutcome(met, code)
-		}
-		sp.Event("probe", code)
-		if res.Corr != 0 {
-			sp.Event("corr", res.Corr)
-		}
-		if res.Found || res.Err != nil || res.Cached || s.probeEvents {
-			if !send(mergeMsg{shard: si, res: res}) {
-				return
-			}
-		}
-		if resil != nil && resil.degraded {
+		if row.Degraded {
 			// Graceful degradation: the breaker budget for this shard is
 			// exhausted; abandon its remaining addresses and account for
 			// them instead of grinding through more open/probe cycles.
-			tally.Skipped = n - i - 1
-			if met != nil {
-				met.skipped.Add(uint64(tally.Skipped))
-			}
+			row.Skipped = n - i - 1
 			return
 		}
 	}
 }
 
-// countOutcome buckets one probe outcome into the found/error/absent
-// counters; cached hits are authoritative absences, so they count absent,
-// keeping scan_absent_total equal to Stats.Absent.
-func countOutcome(met *engineMetrics, code uint64) {
-	switch code {
-	case TraceProbeFound:
-		met.found.Inc()
-	case TraceProbeError:
-		met.errs.Inc()
-	default:
-		met.absent.Inc()
+// lookup resolves one address at the source, through the resilience
+// layer when it is on, and times it when a sink is attached.
+func (s *Scanner) lookup(ctx context.Context, resil *shardResil, ip dnswire.IPv4, probe int) Result {
+	if m := s.met; m != nil {
+		defer func(t0 time.Time) {
+			m.probeSeconds.Observe(s.clock.Now().Sub(t0).Seconds())
+		}(s.clock.Now())
+	}
+	if resil != nil {
+		return resil.lookup(ctx, s, ip, probe)
+	}
+	res := s.src.LookupPTR(ctx, ip)
+	res.IP = ip
+	return res
+}
+
+// send hands one result to the merge stage, or gives up when ctx ends
+// first.
+func (s *Scanner) send(ctx context.Context, out chan<- Result, res Result) bool {
+	if m := s.met; m != nil {
+		// Backpressure visibility: note sends that would block on the
+		// merge stage before waiting on it. Off the instrumented path
+		// this extra select does not exist.
+		select {
+		case out <- res:
+			return true
+		default:
+			m.mergeStalls.Inc()
+		}
+	}
+	select {
+	case out <- res:
+		return true
+	case <-ctx.Done():
+		return false
 	}
 }
 

@@ -313,52 +313,57 @@ func TestIncrementalDiffAcrossSweeps(t *testing.T) {
 	}
 }
 
+// TestEventsStreamLifecycle follows the result stream across a scanner's
+// life: every sweep streams its own results, all of them before Scan
+// returns, and the negative cache's hits are results like any other even
+// though they never reach the source.
 func TestEventsStreamLifecycle(t *testing.T) {
 	records := map[dnswire.IPv4]dnswire.Name{
 		dnswire.MustIPv4("10.0.0.1"): dnswire.MustName("a.example.org"),
 	}
 	src := newCountingSource(records)
-	sc := New(src, WithWorkers(2), WithShardBits(24))
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	events := sc.Events(ctx)
+	var got []Result
+	sc := New(src, WithWorkers(2), WithShardBits(24), WithNegativeTTL(time.Hour),
+		WithResultFunc(func(res Result) { got = append(got, res) }))
+	req := Request{Targets: []dnswire.Prefix{dnswire.MustPrefix("10.0.0.0/22")}}
 
-	var got []Event
-	collected := make(chan struct{})
-	go func() {
-		defer close(collected)
-		for ev := range events {
-			got = append(got, ev)
-			if ev.Kind == EventSweepDone {
-				return
-			}
-		}
-	}()
-	snap, err := sc.Scan(context.Background(), Request{
-		Targets:  []dnswire.Prefix{dnswire.MustPrefix("10.0.0.0/22")},
-		Baseline: RecordSet{},
-	})
+	snap, err := sc.Scan(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-collected
+	if len(got) != 1024 || snap.Stats.Probes != 1024 {
+		t.Fatalf("first sweep streamed %d results for %d probes, want 1024", len(got), snap.Stats.Probes)
+	}
+	found := 0
+	for _, res := range got {
+		if res.Cached {
+			t.Fatalf("first sweep served %s from an empty cache", res.IP)
+		}
+		if res.Found {
+			found++
+		}
+	}
+	if found != 1 {
+		t.Fatalf("found results = %d, want 1", found)
+	}
 
-	kinds := make(map[EventKind]int)
-	for _, ev := range got {
-		kinds[ev.Kind]++
+	got = got[:0]
+	snap, err = sc.Scan(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if kinds[EventSweepStart] != 1 || kinds[EventSweepDone] != 1 {
-		t.Fatalf("lifecycle events = %v", kinds)
+	cached := 0
+	for _, res := range got {
+		if res.Cached {
+			cached++
+		}
 	}
-	if kinds[EventShardDone] != 4 {
-		t.Fatalf("shard-done events = %d, want 4", kinds[EventShardDone])
+	if len(got) != 1024 || cached != 1023 || snap.Stats.CacheHits != 1023 {
+		t.Fatalf("second sweep streamed %d results, %d cached (Stats.CacheHits %d), want 1024 and 1023",
+			len(got), cached, snap.Stats.CacheHits)
 	}
-	if kinds[EventChange] != 1 {
-		t.Fatalf("change events = %d, want 1 (empty baseline, one record)", kinds[EventChange])
-	}
-	last := got[len(got)-1]
-	if last.Kind != EventSweepDone || last.Snapshot == nil || len(last.Snapshot.Records) != len(snap.Records) {
-		t.Fatalf("final event = %+v", last)
+	if src.totalProbes() != 1024+1 {
+		t.Fatalf("source saw %d probes, want 1025: cached results must not reach it", src.totalProbes())
 	}
 }
 

@@ -177,29 +177,7 @@ type BreakerEvent struct {
 	AtProbe int
 }
 
-// ShardHealth is the resilience ledger of one shard.
-type ShardHealth struct {
-	// Shard is the address range.
-	Shard dnswire.Prefix
-	// Probes/Found/Errors mirror the shard tally; Skipped counts
-	// addresses abandoned by graceful degradation (never probed).
-	Probes, Found, Errors, Skipped int
-	// Attempts counts source lookups including retries and half-open
-	// probes; Retries counts scan-level retries; Throttled counts probes
-	// paced by adaptive rate control.
-	Attempts, Retries, Throttled int
-	// Hedges counts hedge lookups launched, HedgeWins those that beat
-	// the primary. Both depend on real timing and are excluded from
-	// Fingerprint.
-	Hedges, HedgeWins int
-	// Breaker is the transition history, in probe order.
-	Breaker []BreakerEvent
-	// Degraded reports the breaker exhausted MaxOpens and the shard's
-	// remaining addresses were skipped.
-	Degraded bool
-}
-
-// ResilienceTotals aggregates ShardHealth counters across a sweep.
+// ResilienceTotals aggregates the rows' resilience counters across a sweep.
 type ResilienceTotals struct {
 	Attempts, Retries, Throttled, Hedges, HedgeWins, Skipped, BreakerOpens int
 }
@@ -208,8 +186,8 @@ type ResilienceTotals struct {
 // failed, what was retried, which ranges degraded. A degraded sweep still
 // yields a usable snapshot; the report says which parts of it to trust.
 type HealthReport struct {
-	// Shards is per-shard health, in plan order.
-	Shards []ShardHealth
+	// Shards is the per-shard ledger, in plan order: Snapshot.Shards.
+	Shards []ShardRow
 	// Degraded lists the address ranges whose shards degraded. Records
 	// under these prefixes are incomplete and removal inference skips
 	// them.
@@ -261,40 +239,35 @@ func (h *HealthReport) Fingerprint() uint64 {
 }
 
 // shardResil is the per-shard resilience state. It lives entirely inside
-// one worker's sequential shard loop, so it needs no locking; its health
-// ledger is handed to the merge stage over the results channel when the
-// shard closes.
+// one worker's sequential shard loop, so it needs no locking, and what it
+// has to report — attempts, retries, pacing, hedges, breaker history — it
+// books in the shard's row.
 type shardResil struct {
-	cfg    *ResilienceConfig
-	health ShardHealth
-	seed   uint64
-	// met and span are set by runShard when telemetry/tracing is on: the
-	// same event sites that write the health ledger tick the exported
-	// counters and the shard span, so the two views cannot drift.
-	met  *engineMetrics
-	span *telemetry.Span
+	cfg  *ResilienceConfig
+	row  *ShardRow
+	seed uint64
 
 	breaker     BreakerState
 	consecutive int // consecutive final faults while closed
 	opens       int
-	degraded    bool
 	throttle    time.Duration
 }
 
-func (s *Scanner) newShardResil(shard dnswire.Prefix) *shardResil {
+func (s *Scanner) newShardResil(row *ShardRow) *shardResil {
 	if s.resil == nil {
 		return nil
 	}
+	shard := row.Shard
 	return &shardResil{
-		cfg:    s.resil,
-		health: ShardHealth{Shard: shard},
-		seed:   resilMix(uint64(s.resil.Seed), uint64(shard.Addr.Uint32()), uint64(shard.Bits)),
+		cfg:  s.resil,
+		row:  row,
+		seed: telemetry.Mix64(uint64(s.resil.Seed), uint64(shard.Addr.Uint32()), uint64(shard.Bits)),
 	}
 }
 
 // lookup resolves one address through the resilience stack. probe is the
 // address's index within the shard, used to locate breaker transitions.
-// After a return with st.degraded set, the caller must stop probing the
+// After a return with the row Degraded, the caller must stop probing the
 // shard.
 func (st *shardResil) lookup(ctx context.Context, s *Scanner, ip dnswire.IPv4, probe int) Result {
 	cfg := st.cfg
@@ -305,10 +278,7 @@ func (st *shardResil) lookup(ctx context.Context, s *Scanner, ip dnswire.IPv4, p
 		st.transition(BreakerHalfOpen, probe)
 	}
 	if st.throttle > 0 {
-		st.health.Throttled++
-		if m := st.met; m != nil {
-			m.throttled.Inc()
-		}
+		st.row.Throttled++
 		if err := s.sleepClock(ctx, st.throttle); err != nil {
 			return Result{IP: ip, Err: err}
 		}
@@ -357,10 +327,7 @@ func (st *shardResil) withRetries(ctx context.Context, s *Scanner, ip dnswire.IP
 	}
 	var res Result
 	for attempt := 1; ; attempt++ {
-		st.health.Attempts++
-		if m := st.met; m != nil {
-			m.attempts.Inc()
-		}
+		st.row.Attempts++
 		res = st.probeOnce(ctx, s, ip)
 		if res.Err == nil || attempt >= max || ctx.Err() != nil {
 			return res
@@ -373,10 +340,7 @@ func (st *shardResil) withRetries(ctx context.Context, s *Scanner, ip dnswire.IP
 				return res
 			}
 			st.bumpThrottle()
-			st.health.Retries++
-			if m := st.met; m != nil {
-				m.retries.Inc()
-			}
+			st.row.Retries++
 			if err := s.sleepClock(ctx, st.throttle); err != nil {
 				return res
 			}
@@ -385,10 +349,7 @@ func (st *shardResil) withRetries(ctx context.Context, s *Scanner, ip dnswire.IP
 		if !isRetryable(res.Err) {
 			return res
 		}
-		st.health.Retries++
-		if m := st.met; m != nil {
-			m.retries.Inc()
-		}
+		st.row.Retries++
 		if d := st.backoff(ip, attempt); d > 0 {
 			if err := s.sleepClock(ctx, d); err != nil {
 				return res
@@ -423,10 +384,7 @@ func (st *shardResil) probeOnce(ctx context.Context, s *Scanner, ip dnswire.IPv4
 		return Result{IP: ip, Err: ctx.Err()}
 	case <-hedgeAt:
 	}
-	st.health.Hedges++
-	if m := st.met; m != nil {
-		m.hedges.Inc()
-	}
+	st.row.Hedges++
 	hedge := make(chan Result, 1)
 	go func() {
 		r := s.src.LookupPTR(ctx, ip)
@@ -437,10 +395,7 @@ func (st *shardResil) probeOnce(ctx context.Context, s *Scanner, ip dnswire.IPv4
 	case r := <-primary:
 		return r
 	case r := <-hedge:
-		st.health.HedgeWins++
-		if m := st.met; m != nil {
-			m.hedgeWins.Inc()
-		}
+		st.row.HedgeWins++
 		return r
 	case <-ctx.Done():
 		return Result{IP: ip, Err: ctx.Err()}
@@ -454,25 +409,13 @@ func (st *shardResil) open(probe int) {
 	st.consecutive = 0
 	st.transition(BreakerOpen, probe)
 	if st.opens > st.cfg.Breaker.MaxOpens {
-		st.degraded = true
-		st.health.Degraded = true
+		st.row.Degraded = true
 	}
 }
 
 func (st *shardResil) transition(to BreakerState, probe int) {
 	st.breaker = to
-	st.health.Breaker = append(st.health.Breaker, BreakerEvent{State: to, AtProbe: probe})
-	st.span.Event("breaker", uint64(to))
-	if m := st.met; m != nil {
-		switch to {
-		case BreakerOpen:
-			m.breakerOpens.Inc()
-		case BreakerHalfOpen:
-			m.breakerHalf.Inc()
-		case BreakerClosed:
-			m.breakerCl.Inc()
-		}
-	}
+	st.row.Breaker = append(st.row.Breaker, BreakerEvent{State: to, AtProbe: probe})
 }
 
 func (st *shardResil) bumpThrottle() {
@@ -508,8 +451,8 @@ func (st *shardResil) backoff(ip dnswire.IPv4, attempt int) time.Duration {
 	if window <= 0 || window > p.MaxDelay {
 		window = p.MaxDelay
 	}
-	h := resilMix(st.seed, uint64(ip.Uint32()), uint64(attempt))
-	return time.Duration(float64(window) * resilUnit(h))
+	h := telemetry.Mix64(st.seed, uint64(ip.Uint32()), uint64(attempt))
+	return time.Duration(float64(window) * telemetry.UnitFloat(h))
 }
 
 // sleepClock blocks for d on the scanner's clock or until ctx ends.
@@ -529,22 +472,4 @@ func (s *Scanner) sleepClock(ctx context.Context, d time.Duration) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// resilMix mixes words with the splitmix64 finalizer.
-func resilMix(words ...uint64) uint64 {
-	h := uint64(0x9E3779B97F4A7C15)
-	for _, w := range words {
-		h ^= w
-		h *= 0xBF58476D1CE4E5B9
-		h ^= h >> 27
-		h *= 0x94D049BB133111EB
-		h ^= h >> 31
-	}
-	return h
-}
-
-// resilUnit maps a hash to [0,1).
-func resilUnit(h uint64) float64 {
-	return float64(h>>11) / float64(1<<53)
 }

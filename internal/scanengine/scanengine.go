@@ -15,10 +15,10 @@
 //	snap, err := sc.Scan(ctx, scanengine.Request{Targets: prefixes})
 //	for _, ch := range snap.Changes { ... } // deltas vs. the previous sweep
 //
-// plus a streaming Events iterator for consumers that want progress and
-// deltas as they happen:
+// plus a result callback for consumers that want every probe's outcome as
+// it completes (a CSV printer, say):
 //
-//	for ev := range sc.Events(ctx) { ... }
+//	scanengine.New(src, scanengine.WithResultFunc(func(r scanengine.Result) { ... }))
 //
 // Sources come in two shapes. A Source resolves one PTR probe
 // synchronously (a UDP client, an in-process authoritative server). A

@@ -28,9 +28,8 @@ type Result struct {
 	// engine's taxonomy.
 	Meta any
 	// Corr is the probe's cross-layer correlation ID (telemetry.CorrID),
-	// zero when the source does not correlate. The engine copies it onto
-	// the shard span as a "corr" event, linking the shard trace to the
-	// client/fabric/server spans of the same probe.
+	// zero when the source does not correlate. It names the
+	// client/fabric/server spans of this probe in the trace.
 	Corr uint64
 }
 

@@ -64,20 +64,22 @@ const (
 	MetricSweepSeconds = "scan_sweep_seconds"
 )
 
-// Trace event codes for the per-probe "probe" span events.
+// Kinds of the events a shard span closes with: one per outcome class,
+// Code the number of the shard's probes that ended that way (TraceAbsent
+// leaves out the negative-cache hits TraceCached counts, so the four sum
+// to the row's Probes), then a "breaker" event per circuit-breaker
+// transition, Code the BreakerState.
 const (
-	// TraceProbeAbsent..TraceProbeCached are the Code values of "probe"
-	// span events, one per probed address in shard order.
-	TraceProbeAbsent uint64 = iota
-	TraceProbeFound
-	TraceProbeError
-	TraceProbeCached
+	TraceFound   = "found"
+	TraceAbsent  = "absent"
+	TraceErrors  = "errors"
+	TraceCached  = "cached"
+	TraceBreaker = "breaker"
 )
 
-// engineMetrics holds the engine's pre-resolved instrument handles.
-// Instrument methods are nil-receiver safe; the struct pointer itself is
-// nil when telemetry is off, so hot paths pay a single pointer test and
-// skip clock reads entirely.
+// engineMetrics holds the engine's pre-resolved instrument handles. The
+// struct pointer is nil when telemetry is off, so the probe loop skips its
+// clock reads entirely; the counters are written by observeShard alone.
 type engineMetrics struct {
 	probes, queries, found, absent, errs *telemetry.Counter
 	cacheHits, cacheMisses               *telemetry.Counter
@@ -121,10 +123,10 @@ func newEngineMetrics(sink telemetry.Sink) *engineMetrics {
 
 // WithTelemetry registers the engine's instruments in sink and counts
 // queries, outcomes, cache traffic, resilience events, and probe/sweep
-// latency as sweeps run. The same counters feed Snapshot.Stats and
-// HealthReport.Totals, so exported metrics and the structured report
-// cannot drift apart. Without this option the engine records nothing and
-// the hot path pays one nil test per site.
+// latency as sweeps run. The counters are each shard row's fields, flushed
+// every 256 probes and at shard close, so exported metrics cannot drift
+// from Snapshot.Stats and HealthReport.Totals, which are sums of the same
+// rows. Without this option the engine records nothing.
 func WithTelemetry(sink telemetry.Sink) Option {
 	return func(s *Scanner) {
 		if sink != nil {
@@ -134,11 +136,89 @@ func WithTelemetry(sink telemetry.Sink) Option {
 }
 
 // WithTracer records one span per shard (name "shard", attr the prefix,
-// ID derived from the tracer seed and the shard address) carrying a
-// "probe" event per address in probe order (Code: TraceProbe*) and a
-// "breaker" event per circuit-breaker transition (Code: the BreakerState).
-// Span digests are time-independent, so two runs of the same seeded
-// scenario trace identically — see telemetry.Tracer.Digest.
+// ID derived from the tracer seed and the shard address) that closes with
+// the shard's outcome counts (TraceFound, TraceAbsent, TraceErrors,
+// TraceCached) and a TraceBreaker event per circuit-breaker transition: a
+// fixed handful of events however large the shard. Span digests are
+// time-independent, so two runs of the same seeded scenario trace
+// identically — see telemetry.Tracer.Digest.
 func WithTracer(tr *telemetry.Tracer) Option {
 	return func(s *Scanner) { s.tracer = tr }
+}
+
+// shardView is what observeShard keeps for one shard between calls: the
+// span it opened and the row as of its last flush to the registry.
+type shardView struct {
+	span    *telemetry.Span
+	flushed ShardRow
+}
+
+// shardPhase tells observeShard where in the shard's life it is called.
+type shardPhase int
+
+const (
+	shardOpen shardPhase = iota
+	shardFlush
+	shardClose
+)
+
+// observeShard derives the engine's metrics and the shard span from a
+// row; nothing else writes either. It adds to each counter what the row
+// gained since the last flush, so the registry trails the row by at most
+// flushEvery probes while the shard runs and equals it once closed, and
+// it closes the span with a summary of the row — its size does not grow
+// with the shard.
+func (s *Scanner) observeShard(v *shardView, row *ShardRow, phase shardPhase) {
+	if m := s.met; m != nil {
+		last := &v.flushed
+		add := func(c *telemetry.Counter, now, was int) { c.Add(uint64(now - was)) }
+		add(m.probes, row.Probes, last.Probes)
+		add(m.queries, row.Queries, last.Queries)
+		add(m.found, row.Found, last.Found)
+		add(m.absent, row.Absent, last.Absent)
+		add(m.errs, row.Errors, last.Errors)
+		add(m.cacheHits, row.CacheHits, last.CacheHits)
+		add(m.cacheMisses, row.CacheMisses, last.CacheMisses)
+		add(m.attempts, row.Attempts, last.Attempts)
+		add(m.retries, row.Retries, last.Retries)
+		add(m.throttled, row.Throttled, last.Throttled)
+		add(m.hedges, row.Hedges, last.Hedges)
+		add(m.hedgeWins, row.HedgeWins, last.HedgeWins)
+		add(m.skipped, row.Skipped, last.Skipped)
+		for _, ev := range row.Breaker[len(last.Breaker):] {
+			switch ev.State {
+			case BreakerOpen:
+				m.breakerOpens.Inc()
+			case BreakerHalfOpen:
+				m.breakerHalf.Inc()
+			case BreakerClosed:
+				m.breakerCl.Inc()
+			}
+		}
+		*last = *row
+		switch phase {
+		case shardOpen:
+			m.shardsInflight.Add(1)
+		case shardClose:
+			m.shardsInflight.Add(-1)
+			if row.Degraded {
+				m.shardsDegraded.Inc()
+			}
+		}
+	}
+	switch phase {
+	case shardOpen:
+		// The span ID derives from the tracer seed and the shard address,
+		// never from scheduling, so replayed sweeps trace identically.
+		v.span = s.tracer.StartSpan("shard", row.Shard.String(), uint64(row.Shard.Addr.Uint32()), uint64(row.Shard.Bits))
+	case shardClose:
+		v.span.Event(TraceFound, uint64(row.Found))
+		v.span.Event(TraceAbsent, uint64(row.Absent-row.CacheHits))
+		v.span.Event(TraceErrors, uint64(row.Errors))
+		v.span.Event(TraceCached, uint64(row.CacheHits))
+		for _, ev := range row.Breaker {
+			v.span.Event(TraceBreaker, uint64(ev.State))
+		}
+		v.span.End()
+	}
 }

@@ -27,9 +27,9 @@ import "hash/fnv"
 func CorrID(seed int64, name string, attempt int) uint64 {
 	f := fnv.New64a()
 	f.Write([]byte(name))
-	id := mix64(uint64(seed), f.Sum64(), uint64(attempt))
+	id := Mix64(uint64(seed), f.Sum64(), uint64(attempt))
 	if id == 0 {
-		// mix64 output is effectively uniform; reserve 0 as the "no
+		// Mix64 output is effectively uniform; reserve 0 as the "no
 		// correlation" sentinel without biasing anything measurable.
 		return 1
 	}

@@ -9,6 +9,26 @@ import (
 	"rdnsprivacy/internal/telemetry"
 )
 
+// TestMix64AndUnitFloat pins the shared mixer: a fixed output (every
+// seeded report in the tree hangs off it), sensitivity to each word and to
+// their order, and UnitFloat's range.
+func TestMix64AndUnitFloat(t *testing.T) {
+	if got := telemetry.Mix64(42, 7, 1); got != 0xc8693415a3699120 {
+		t.Fatalf("Mix64(42, 7, 1) = %#x: the mixer's constants moved", got)
+	}
+	if telemetry.Mix64(1, 2) == telemetry.Mix64(2, 1) || telemetry.Mix64(1) == telemetry.Mix64(1, 0) {
+		t.Fatal("Mix64 ignores word order or count")
+	}
+	for i := uint64(0); i < 1000; i++ {
+		if u := telemetry.UnitFloat(telemetry.Mix64(i)); u < 0 || u >= 1 {
+			t.Fatalf("UnitFloat(Mix64(%d)) = %v outside [0,1)", i, u)
+		}
+	}
+	if telemetry.UnitFloat(0) != 0 || telemetry.UnitFloat(^uint64(0)) >= 1 {
+		t.Fatal("UnitFloat endpoints outside [0,1)")
+	}
+}
+
 func TestCorrIDDeterministicAndNonZero(t *testing.T) {
 	seen := make(map[uint64][3]any)
 	for seed := int64(0); seed < 20; seed++ {

@@ -13,7 +13,8 @@ import (
 
 // Tracer records sweep spans into a bounded ring: one span per unit of
 // work (the engine opens one per shard), each carrying a sequence of
-// compact events (one per probe). Span identifiers derive from the
+// compact events (the engine closes a shard span with one per outcome
+// class). Span identifiers derive from the
 // tracer's seed and the span's name and keys — never from time or
 // allocation order — so two runs of the same seeded scenario produce the
 // same span IDs and the same Digest, which is what makes traces
@@ -61,9 +62,9 @@ func NewTracer(seed int64, capacity int, opts ...TracerOption) *Tracer {
 	return t
 }
 
-// maxEventsPerSpan bounds a span's event log; a /16 shard probed
-// per-address would otherwise pin 65k events in memory per span. The cap
-// cuts by sequence number, so it is deterministic.
+// maxEventsPerSpan bounds a span's event log, so an instrumented loop
+// that logs per item cannot pin memory without limit. The cap cuts by
+// sequence number, so it is deterministic.
 const maxEventsPerSpan = 8192
 
 // Span is one traced unit of work. Events must be appended from a single
@@ -88,8 +89,9 @@ type Span struct {
 
 // SpanEvent is one compact event inside a span. Seq is the event's index
 // in append order; Kind and Code carry the instrumented package's
-// taxonomy (the engine emits kind "probe" with an outcome code per
-// address). At is informational and excluded from digests.
+// taxonomy (the engine closes a shard span with one event per outcome
+// class, the class's probe count as its code). At is informational and
+// excluded from digests.
 type SpanEvent struct {
 	Seq  int       `json:"i"`
 	Kind string    `json:"kind"`
@@ -120,7 +122,7 @@ func (t *Tracer) StartSpanCorr(name, attr string, corr uint64, keys ...uint64) *
 	}
 	words = append(words, keys...)
 	return &Span{
-		ID:      mix64(words...),
+		ID:      Mix64(words...),
 		Name:    name,
 		Attr:    attr,
 		Corr:    corr,
@@ -302,9 +304,11 @@ func ReadSpans(r io.Reader) ([]SpanRecord, error) {
 	}
 }
 
-// mix64 mixes words with the splitmix64 finalizer — the same construction
-// scanengine and faultsim use for their deterministic schedules.
-func mix64(words ...uint64) uint64 {
+// Mix64 mixes words with the splitmix64 finalizer. It is the one mixer
+// behind every seeded, schedule-independent decision in the tree: span and
+// correlation IDs here, faultsim's fault draws (and through them
+// dnsserver's), scanengine's backoff jitter, obs's anomaly thresholds.
+func Mix64(words ...uint64) uint64 {
 	h := uint64(0x9E3779B97F4A7C15)
 	for _, w := range words {
 		h ^= w
@@ -314,4 +318,9 @@ func mix64(words ...uint64) uint64 {
 		h ^= h >> 31
 	}
 	return h
+}
+
+// UnitFloat maps a hash to [0,1), for comparing against a rate.
+func UnitFloat(h uint64) float64 {
+	return float64(h>>11) / float64(1<<53)
 }

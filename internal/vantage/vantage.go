@@ -23,7 +23,6 @@ package vantage
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -311,55 +310,21 @@ func (c *Campaign) captureFrames(ro *histstore.Store, res *Result) {
 	if c.Observer == nil || res.Report == nil {
 		return
 	}
-	c.Observer.SetStoreStats(func() obs.StoreStats { return storeStats(ro) })
+	c.Observer.SetStoreStats(func() obs.StoreStats { return scan.StoreStats(ro) })
 	defer c.Observer.SetStoreStats(nil)
 	for i, day := range res.Report.Days {
 		f := obs.Frame{Index: i, Date: day.Date}
+		var stats scanengine.Stats
 		for _, vr := range res.Vantages {
 			if i < len(vr.Days) {
-				f.Probes += vr.Days[i].Probes
-				f.Found += vr.Days[i].Found
-				f.Absent += vr.Days[i].Absent
-				f.Errors += vr.Days[i].Errors
-				f.Retries += vr.Days[i].Retries
-				f.Skipped += vr.Days[i].Skipped
-				f.CacheHits += vr.Days[i].CacheHits
+				stats.Add(vr.Days[i])
 			}
 		}
+		f.SetStats(stats)
 		f.Records = day.Addresses
 		f.Added, f.Removed, f.Changed = day.Added, day.Removed, day.Changed
 		vs := day.Stats(len(res.Report.Vantages))
 		f.Vantage = &vs
 		c.Observer.Capture(f)
 	}
-}
-
-// storeStats converts the store's summary to the obs-local mirror.
-func storeStats(st *histstore.Store) obs.StoreStats {
-	s := st.Stats()
-	return obs.StoreStats{
-		Snapshots:       s.Snapshots,
-		Blocks:          s.Blocks,
-		BaseFrames:      s.BaseFrames,
-		DeltaFrames:     s.DeltaFrames,
-		Bytes:           s.Bytes,
-		Segments:        s.Segments,
-		SealedBytes:     s.SealedBytes,
-		HotSegments:     s.HotSegments,
-		Writers:         len(s.Writers),
-		Compactions:     s.Compaction.Runs,
-		SealedSnapshots: s.Compaction.SealedSnapshots,
-		ReclaimedBytes:  s.Compaction.ReclaimedBytes,
-	}
-}
-
-// Names returns the campaign's vantage names sorted — the analyzer's
-// writer order.
-func (c *Campaign) Names() []string {
-	out := make([]string, len(c.Vantages))
-	for i, v := range c.Vantages {
-		out[i] = v.Name
-	}
-	sort.Strings(out)
-	return out
 }
