@@ -14,6 +14,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"path/filepath"
 	"sync"
@@ -457,6 +458,46 @@ func BenchmarkScanEngineFullSweep(b *testing.B) {
 		}
 		b.ReportMetric(float64(addrs*b.N)/b.Elapsed().Seconds(), "queries/s")
 	})
+}
+
+// BenchmarkUDPSweep is one rdnsscan sweep of a /24 over a loopback socket:
+// a fresh client, the engine, UDPSource's windows, the server's Serve loop.
+// What make bench-check holds it to is host-independent — allocs/op and
+// B/op of both ends together, and dials/op: one shard is one worker is one
+// socket, where a dial per probe would read 256. Its ns/op is the host's
+// loopback, so it reports none.
+func BenchmarkUDPSweep(b *testing.B) {
+	target := dnswire.MustPrefix("10.50.0.0/24")
+	srv := sweepServer(b, []dnswire.Prefix{target})
+	conn, err := net.ListenPacket("udp", "127.0.0.1:0")
+	if err != nil {
+		b.Skipf("no loopback UDP: %v", err)
+	}
+	served := make(chan error, 1)
+	go func() { served <- srv.Serve(conn) }()
+	defer func() {
+		conn.Close()
+		<-served
+	}()
+
+	b.ReportAllocs()
+	b.ResetTimer()
+	var dials uint64
+	for i := 0; i < b.N; i++ {
+		client := &dnsclient.UDPClient{Server: conn.LocalAddr().String(), Timeout: 2 * time.Second, Retries: 1}
+		snap, err := scanengine.New(dnsclient.UDPSource{Client: client}).
+			Scan(context.Background(), scanengine.Request{Targets: []dnswire.Prefix{target}})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(snap.Records) != 128 || snap.Stats.Errors != 0 {
+			b.Fatalf("sweep found %d records with %d errors, want 128 and none", len(snap.Records), snap.Stats.Errors)
+		}
+		dials += client.Dials()
+		client.Close()
+	}
+	b.ReportMetric(float64(dials)/float64(b.N), "dials/op")
+	b.ReportMetric(0, "ns/op")
 }
 
 // renderAll exercises every Render path (kept out of the numbers above).

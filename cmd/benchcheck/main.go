@@ -3,7 +3,9 @@
 // extracts every benchmark result into a JSON report, and compares ns/op
 // against a checked-in baseline, failing (exit 1) when any shared
 // benchmark regressed by more than the allowed fraction or a baseline
-// benchmark was not measured at all.
+// benchmark was not measured at all. A benchmark that reports no ns/op
+// (b.ReportMetric(0, "ns/op"): its time is the host's, not the code's) is
+// held to its gated extras only.
 //
 // Usage (wired up as `make bench-check`):
 //
@@ -30,9 +32,9 @@ import (
 
 // Result is one benchmark line, normalized.
 type Result struct {
-	Name string  `json:"name"` // full name including sub-benchmark and GOMAXPROCS suffix
-	Runs int     `json:"runs"` // iteration count go test settled on
-	NsOp float64 `json:"ns_per_op"`
+	Name string  `json:"name"`                // full name including sub-benchmark and GOMAXPROCS suffix
+	Runs int     `json:"runs"`                // iteration count go test settled on
+	NsOp float64 `json:"ns_per_op,omitempty"` // absent (zero) when the benchmark suppresses it
 	// Extra carries any further "value unit" pairs from the line
 	// (B/op, allocs/op, custom metrics like queries/s or p99-ns/op).
 	// Besides ns/op, only units named in -gate-extras are gated.
@@ -123,10 +125,10 @@ func parseBench(r io.Reader) (*Report, error) {
 				res.Extra[fields[i+1]] = v
 			}
 		}
-		if res.NsOp == 0 {
-			return nil, fmt.Errorf("no ns/op metric in line %q", line)
-		}
 		if len(res.Extra) == 0 {
+			if res.NsOp == 0 {
+				return nil, fmt.Errorf("no metric in line %q", line)
+			}
 			res.Extra = nil
 		}
 		rep.Benchmarks = append(rep.Benchmarks, res)
@@ -184,14 +186,16 @@ func compare(w io.Writer, baseline, fresh *Report, maxRegress float64, gateExtra
 			fmt.Fprintf(w, "  new   %-50s %12.0f ns/op (no baseline)\n", f.Name, f.NsOp)
 			continue
 		}
-		delta := (f.NsOp - b.NsOp) / b.NsOp
-		verdict := "ok"
-		if delta > maxRegress {
-			verdict = "FAIL"
-			failed = true
+		if f.NsOp != 0 && b.NsOp != 0 { // both sides timed
+			delta := (f.NsOp - b.NsOp) / b.NsOp
+			verdict := "ok"
+			if delta > maxRegress {
+				verdict = "FAIL"
+				failed = true
+			}
+			fmt.Fprintf(w, "  %-5s %-50s %12.0f ns/op vs %12.0f baseline (%+.1f%%)\n",
+				verdict, f.Name, f.NsOp, b.NsOp, 100*delta)
 		}
-		fmt.Fprintf(w, "  %-5s %-50s %12.0f ns/op vs %12.0f baseline (%+.1f%%)\n",
-			verdict, f.Name, f.NsOp, b.NsOp, 100*delta)
 		for _, unit := range gateExtras {
 			fv, fok := f.Extra[unit]
 			bv, bok := b.Extra[unit]

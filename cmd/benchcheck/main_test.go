@@ -96,3 +96,38 @@ func TestCompareFailsOnGoneBaselineRow(t *testing.T) {
 		t.Fatalf("a new benchmark failed the check:\n%s", sb.String())
 	}
 }
+
+// A benchmark that suppresses its ns/op — a socket's time is the host's —
+// is held to its gated extras alone; a line with no metric at all is an error.
+func TestUntimedRowsAreGatedOnExtrasOnly(t *testing.T) {
+	fresh, err := parseBench(strings.NewReader(
+		"BenchmarkUDPSweep \t 100\t 1.000 dials/op\t 70000 B/op\t 1500 allocs/op\n" +
+			"BenchmarkOther \t 100\t 1000 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fresh.Benchmarks[1].Name != "BenchmarkUDPSweep" || fresh.Benchmarks[1].NsOp != 0 || fresh.Benchmarks[0].NsOp != 1000 {
+		t.Fatalf("parsed: %+v", fresh.Benchmarks)
+	}
+	if _, err := parseBench(strings.NewReader("BenchmarkEmpty \t 100\t 0 ns/op\n")); err == nil {
+		t.Fatal("a line with no metric was accepted")
+	}
+	baseline := &Report{Benchmarks: []Result{
+		{Name: "BenchmarkOther", NsOp: 1000},
+		// A baseline that still carries a time for it: not compared.
+		{Name: "BenchmarkUDPSweep", NsOp: 900000, Extra: map[string]float64{"dials/op": 1, "B/op": 70000, "allocs/op": 1500}},
+	}}
+	gated := []string{"allocs/op", "B/op", "dials/op"}
+	var sb strings.Builder
+	if compare(&sb, baseline, fresh, 0.15, gated) {
+		t.Fatalf("an unchanged untimed row failed:\n%s", sb.String())
+	}
+	if strings.Contains(sb.String(), "900000") {
+		t.Fatalf("a missing time was compared:\n%s", sb.String())
+	}
+	fresh.Benchmarks[1].Extra["dials/op"] = 256 // a dial per probe again
+	sb.Reset()
+	if !compare(&sb, baseline, fresh, 0.15, gated) {
+		t.Fatalf("a dial per probe slipped through:\n%s", sb.String())
+	}
+}

@@ -118,6 +118,7 @@ func main() {
 	flag.Parse()
 
 	client := &dnsclient.UDPClient{Server: *server, Timeout: *timeout, Retries: *retries}
+	defer client.Close()
 
 	if *axfr != "" {
 		zone, err := dnswire.ParseName(*axfr)

@@ -96,6 +96,7 @@ func main() {
 
 	// ── The auditor's side: one query, whole zone ──────────────────
 	client := &dnsclient.UDPClient{Server: addr, Timeout: 3 * time.Second}
+	defer client.Close()
 	records, err := client.TransferZone(origin)
 	if err != nil {
 		log.Fatal(err)

@@ -154,9 +154,9 @@ func TestServerSourceSharedUnderMutation(t *testing.T) {
 	}
 }
 
-// The socket client borrows its query and its 4 KiB read buffer from the
-// same scratch pool: a lookup over loopback allocates the socket machinery
-// and the Response's names, not buffers.
+// The socket client's query and 4 KiB read buffers belong to its pooled
+// sockets, and a lookup borrows a socket: over loopback it allocates the
+// question's name and the server's reply, not buffers and not a socket.
 func TestUDPClientLookupBorrowsItsBuffers(t *testing.T) {
 	srv := dnsserver.NewServer()
 	zone := hotPathZone(2)
@@ -172,6 +172,7 @@ func TestUDPClientLookupBorrowsItsBuffers(t *testing.T) {
 		<-served
 	}()
 	client := &UDPClient{Server: conn.LocalAddr().String(), Timeout: 2 * time.Second, Retries: 1}
+	defer client.Close()
 	ip := dnswire.MustIPv4("192.0.2.99")
 	resp, err := client.LookupPTR(ip)
 	if err != nil || resp.Outcome != OutcomeNXDomain {
@@ -189,11 +190,14 @@ func TestUDPClientLookupBorrowsItsBuffers(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Both ends run in this process; before the pool the client alone spent
-	// 4 KiB a lookup on its read buffer.
+	// Both ends run in this process. Dialling a socket per lookup cost some
+	// 840 B here; a read buffer per lookup, before that, 4 KiB more.
 	perLookup := (totalAlloc() - before) / lookups
 	t.Logf("a UDP lookup allocates %d B, client and server together", perLookup)
-	if perLookup > 2500 {
-		t.Errorf("that is not well under the old 4 KiB read buffer")
+	if perLookup > 300 {
+		t.Errorf("budget 300 B: is every lookup dialling a socket again?")
+	}
+	if dials := client.Dials(); dials != 1 {
+		t.Errorf("%d lookups in a row dialled %d sockets, want 1", lookups+1, dials)
 	}
 }

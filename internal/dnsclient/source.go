@@ -31,8 +31,10 @@ func resultFromResponse(ip dnswire.IPv4, resp Response) scanengine.Result {
 }
 
 // UDPSource adapts the synchronous UDP client to scanengine.Source, for
-// sharded parallel sweeps against real name servers. UDPClient carries no
-// per-call state, so one source serves all engine workers.
+// sharded parallel sweeps against real name servers. The client lends each
+// lookup a socket of its own, so one source serves all engine workers. It
+// is also a scanengine.WindowSource: a worker's run of addresses goes out
+// on one socket together.
 type UDPSource struct {
 	Client *UDPClient
 }
@@ -40,10 +42,31 @@ type UDPSource struct {
 // LookupPTR implements scanengine.Source.
 func (s UDPSource) LookupPTR(ctx context.Context, ip dnswire.IPv4) scanengine.Result {
 	resp, err := s.Client.LookupPTRContext(ctx, ip)
+	return socketResult(ip, resp, err)
+}
+
+// socketResult maps what a socket lookup for ip returned onto a Result: a
+// lookup that ended in an error carries only that.
+func socketResult(ip dnswire.IPv4, resp Response, err error) scanengine.Result {
 	if err != nil {
 		return scanengine.Result{IP: ip, Err: err}
 	}
 	return resultFromResponse(ip, resp)
+}
+
+// LookupPTRs implements scanengine.WindowSource: out[i] is what LookupPTR
+// would return for ips[i], with all of the probes — at most
+// scanengine.Window, by that contract — in flight at once.
+func (s UDPSource) LookupPTRs(ctx context.Context, ips []dnswire.IPv4, out []scanengine.Result) {
+	var window [scanengine.Window]probe
+	probes := window[:len(ips)]
+	for i, ip := range ips {
+		probes[i] = probe{q: ptrQuestion(ip)}
+	}
+	s.Client.exchange(ctx, probes)
+	for i, ip := range ips {
+		out[i] = socketResult(ip, probes[i].resp, probes[i].err)
+	}
 }
 
 // QueryHandler is the message-level server interface ServerSource drives —
@@ -61,12 +84,11 @@ type CorrQueryHandler interface {
 	HandleQueryCorr(query []byte, corr uint64) []byte
 }
 
-// scratch is one lookup's working memory: the query it sends and, for the
-// socket client, the datagram it reads the reply into. A lookup borrows one
-// for its duration; nothing it returns aliases it.
+// scratch is one in-process lookup's working memory: the query it hands the
+// server. A lookup borrows one for its duration; nothing it returns aliases
+// it. (The socket client's buffers live with its pooled sockets.)
 type scratch struct {
 	query [dnswire.MaxNameLen + queryOverhead]byte
-	reply [4096]byte
 }
 
 // queryOverhead is what a single-question query adds to its name's

@@ -1,10 +1,11 @@
 package dnsclient
 
 import (
+	"context"
+	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"time"
 
@@ -18,34 +19,58 @@ import (
 // tool for checking that.
 
 // LookupTCP performs one query over TCP (length-framed). LookupContext
-// falls back to it when a UDP answer arrives truncated.
-func (c *UDPClient) LookupTCP(q dnswire.Question) (Response, error) {
-	timeout := c.Timeout
-	if timeout <= 0 {
-		timeout = 2 * time.Second
+// falls back to it when a UDP answer arrives truncated. A cancelled ctx
+// ends the dial or the read it interrupts, and the returned error wraps
+// ctx.Err(). A reply that still carries TC has nowhere further to go: it is
+// OutcomeMalformed, never read as the absence its empty answer section
+// would spell.
+func (c *UDPClient) LookupTCP(ctx context.Context, q dnswire.Question) (Response, error) {
+	if err := ctx.Err(); err != nil {
+		return canceled(q, 0, time.Time{}, err)
 	}
-	conn, err := net.DialTimeout("tcp", c.Server, timeout)
+	timeout := c.timeout()
+	dialer := net.Dialer{Timeout: timeout}
+	conn, err := dialer.DialContext(ctx, "tcp", c.Server)
 	if err != nil {
+		if cerr := ctx.Err(); cerr != nil {
+			return canceled(q, 0, time.Time{}, cerr)
+		}
 		return Response{}, fmt.Errorf("dnsclient: dial tcp: %w", err)
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
+	// As on the datagram path, a cancellation unblocks the socket by moving
+	// its deadline.
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, func() { conn.SetDeadline(time.Unix(0, 0)) })
+		defer stop()
+	}
 
-	id := uint16(rand.Intn(1 << 16))
+	id, err := streamID()
+	if err != nil {
+		return Response{}, err
+	}
 	wire, err := dnswire.AppendQuery(nil, id, q.Name, q.Type)
 	if err != nil {
 		return Response{}, err
 	}
 	started := time.Now()
+	// failed reports a stream error, or the cancellation that caused it.
+	failed := func(op string, err error) (Response, error) {
+		if cerr := ctx.Err(); cerr != nil {
+			return canceled(q, 1, started, cerr)
+		}
+		return Response{}, fmt.Errorf("dnsclient: %s: %w", op, err)
+	}
 	if err := writeFramed(conn, wire); err != nil {
-		return Response{}, fmt.Errorf("dnsclient: write: %w", err)
+		return failed("write", err)
 	}
 	respWire, err := readFramed(conn)
 	if err != nil {
-		return Response{}, fmt.Errorf("dnsclient: read: %w", err)
+		return failed("read", err)
 	}
 	msg, err := dnswire.Parse(respWire)
-	if err != nil || !msg.Header.Response || msg.Header.ID != id {
+	if err != nil || !msg.Header.Response || msg.Header.ID != id || msg.Header.Truncated {
 		return Response{
 			Question: q, Outcome: OutcomeMalformed,
 			Attempts: 1, RTT: time.Since(started), When: time.Now(),
@@ -53,6 +78,15 @@ func (c *UDPClient) LookupTCP(q dnswire.Question) (Response, error) {
 	}
 	now := time.Now()
 	return responseFrom(q, &msg, 1, now.Sub(started), now), nil
+}
+
+// streamID draws the query ID of a one-query stream from the OS generator.
+func streamID() (uint16, error) {
+	var b [2]byte
+	if _, err := crand.Read(b[:]); err != nil {
+		return 0, fmt.Errorf("dnsclient: query ID: %w", err)
+	}
+	return binary.BigEndian.Uint16(b[:]), nil
 }
 
 // TransferZone performs an AXFR of the zone and returns every record
@@ -70,7 +104,10 @@ func (c *UDPClient) TransferZone(zone dnswire.Name) ([]dnswire.Record, error) {
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(timeout))
 
-	id := uint16(rand.Intn(1 << 16))
+	id, err := streamID()
+	if err != nil {
+		return nil, err
+	}
 	wire, err := dnswire.AppendQuery(nil, id, zone, dnswire.TypeAXFR)
 	if err != nil {
 		return nil, err

@@ -59,7 +59,7 @@ func tcpTestServer(t *testing.T, records int, allowTransfer bool) (*UDPClient, *
 func TestLookupTCP(t *testing.T) {
 	client, zone, _ := tcpTestServer(t, 1, false)
 	ip := dnswire.MustPrefix("192.0.2.0/24").Nth(1)
-	resp, err := client.LookupTCP(dnswire.Question{
+	resp, err := client.LookupTCP(context.Background(), dnswire.Question{
 		Name: dnswire.ReverseName(ip), Type: dnswire.TypePTR, Class: dnswire.ClassIN,
 	})
 	if err != nil {

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"maps"
 	"net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -390,20 +391,40 @@ func (s *Server) AttachFabric(f *fabric.Fabric, addr fabric.Addr) (*fabric.Endpo
 // Serve answers queries on a real packet connection (e.g. a loopback UDP
 // socket) until reading fails. It is used by cmd/simnet to expose simulated
 // networks to real DNS clients such as dig.
+//
+// On a *net.UDPConn the peer travels as a netip.AddrPort value, so the loop
+// allocates nothing per datagram beyond the reply; any other PacketConn is
+// served through the interface's net.Addr calls.
 func (s *Server) Serve(conn net.PacketConn) error {
 	buf := make([]byte, 4096)
+	udp, _ := conn.(*net.UDPConn)
 	for {
-		n, src, err := conn.ReadFrom(buf)
+		var (
+			n    int
+			peer netip.AddrPort
+			src  net.Addr
+			err  error
+		)
+		if udp != nil {
+			n, peer, err = udp.ReadFromUDPAddrPort(buf)
+		} else {
+			n, src, err = conn.ReadFrom(buf)
+		}
+		if err == nil {
+			resp := s.HandleQueryUDP(buf[:n])
+			switch {
+			case resp == nil:
+			case udp != nil:
+				_, err = udp.WriteToUDPAddrPort(resp, peer)
+			default:
+				_, err = conn.WriteTo(resp, src)
+			}
+		}
 		if err != nil {
 			if isClosed(err) {
 				return nil
 			}
 			return err
-		}
-		if resp := s.HandleQueryUDP(buf[:n]); resp != nil {
-			if _, err := conn.WriteTo(resp, src); err != nil && !isClosed(err) {
-				return err
-			}
 		}
 	}
 }

@@ -17,8 +17,9 @@ import (
 // to reuse across sweeps (successive sweeps diff against each other) but
 // runs one sweep at a time — concurrent Scan calls serialize.
 type Scanner struct {
-	src     Source
-	shardSc ShardSource // non-nil when src enumerates shards in bulk
+	src      Source
+	shardSc  ShardSource  // non-nil when src enumerates shards in bulk
+	windowSc WindowSource // non-nil when src resolves a run of addresses together
 
 	workers   int
 	shardBits int
@@ -123,6 +124,9 @@ func New(src Source, opts ...Option) *Scanner {
 	}
 	for _, o := range opts {
 		o(s)
+	}
+	if ws, ok := src.(WindowSource); ok && s.resil == nil && s.rate == nil {
+		s.windowSc = ws
 	}
 	if s.negTTL > 0 {
 		s.cache = newNegCache(s.clock, s.negTTL)
@@ -469,39 +473,68 @@ func (s *Scanner) runShard(ctx context.Context, row *ShardRow, at time.Time, out
 		return
 	}
 
+	// The shard goes by in windows: the addresses of one that miss the
+	// cache are resolved — together at a WindowSource, otherwise the window
+	// is a single address — and then all of it is booked, in address order.
 	resil := s.newShardResil(row)
+	width := 1
+	if s.windowSc != nil {
+		width = Window
+	}
+	var (
+		ips [Window]dnswire.IPv4
+		got [Window]Result
+	)
 	n := row.Shard.NumAddresses()
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; {
 		if ctx.Err() != nil {
 			return
 		}
-		ip := row.Shard.Nth(i)
-		var res Result
-		if s.cache.hit(ip) {
-			row.CacheHits++
-			res = Result{IP: ip, Cached: true}
-		} else {
-			if s.cache != nil {
-				row.CacheMisses++
+		end := min(i+width, n)
+		misses, cached := 0, uint32(0) // cached: bit k is address i+k
+		for k := i; k < end; k++ {
+			if ip := row.Shard.Nth(k); s.cache.hit(ip) {
+				cached |= 1 << (k - i)
+			} else {
+				ips[misses] = ip
+				misses++
 			}
+		}
+		if s.windowSc != nil {
+			s.lookupWindow(ctx, ips[:misses], got[:misses])
+		} else if misses > 0 {
 			if err := s.rate.wait(ctx); err != nil {
 				return
 			}
-			res = s.lookup(ctx, resil, ip, i)
-			row.Queries++
-			if res.Absent() {
-				s.cache.put(ip)
+			got[0] = s.lookup(ctx, resil, ips[0], i)
+		}
+		for next := 0; i < end; i++ {
+			var res Result
+			if cached&1 != 0 {
+				row.CacheHits++
+				res = Result{IP: row.Shard.Nth(i), Cached: true}
+			} else {
+				if s.cache != nil {
+					row.CacheMisses++
+				}
+				res = got[next]
+				next++
+				row.Queries++
+				if res.Absent() {
+					s.cache.put(res.IP)
+				}
 			}
-		}
-		if !record(res) {
-			return
-		}
-		if row.Degraded {
-			// Graceful degradation: the breaker budget for this shard is
-			// exhausted; abandon its remaining addresses and account for
-			// them instead of grinding through more open/probe cycles.
-			row.Skipped = n - i - 1
-			return
+			cached >>= 1
+			if !record(res) {
+				return
+			}
+			if row.Degraded {
+				// Graceful degradation: the breaker budget for this shard is
+				// exhausted; abandon its remaining addresses and account for
+				// them instead of grinding through more open/probe cycles.
+				row.Skipped = n - i - 1
+				return
+			}
 		}
 	}
 }
@@ -520,6 +553,27 @@ func (s *Scanner) lookup(ctx context.Context, resil *shardResil, ip dnswire.IPv4
 	res := s.src.LookupPTR(ctx, ip)
 	res.IP = ip
 	return res
+}
+
+// lookupWindow resolves ips together at the WindowSource. A probe of a
+// window is done when its window is, so with a sink attached each is timed
+// as that long.
+func (s *Scanner) lookupWindow(ctx context.Context, ips []dnswire.IPv4, out []Result) {
+	if len(ips) == 0 {
+		return
+	}
+	if m := s.met; m != nil {
+		defer func(t0 time.Time) {
+			took := s.clock.Now().Sub(t0).Seconds()
+			for range ips {
+				m.probeSeconds.Observe(took)
+			}
+		}(s.clock.Now())
+	}
+	s.windowSc.LookupPTRs(ctx, ips, out)
+	for i, ip := range ips {
+		out[i].IP = ip
+	}
 }
 
 // send hands one result to the merge stage, or gives up when ctx ends

@@ -20,10 +20,12 @@
 //
 //	scanengine.New(src, scanengine.WithResultFunc(func(r scanengine.Result) { ... }))
 //
-// Sources come in two shapes. A Source resolves one PTR probe
-// synchronously (a UDP client, an in-process authoritative server). A
-// ShardSource additionally enumerates a whole shard at once — the fast
-// path used by bulk snapshotters that already hold record state.
+// Sources come in three shapes. A Source resolves one PTR probe
+// synchronously (an in-process authoritative server). A WindowSource
+// additionally resolves a worker's next run of addresses together (a socket
+// client keeping a window of queries in flight). A ShardSource enumerates a
+// whole shard at once — the fast path used by bulk snapshotters that
+// already hold record state.
 //
 // The engine also keeps a negative-response cache with TTL-based
 // invalidation: NXDOMAIN-heavy static ranges (the vast majority of the

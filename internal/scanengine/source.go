@@ -59,3 +59,22 @@ func (f SourceFunc) LookupPTR(ctx context.Context, ip dnswire.IPv4) Result { ret
 type ShardSource interface {
 	ScanShard(ctx context.Context, shard dnswire.Prefix, at time.Time, emit func(Result)) error
 }
+
+// WindowSource is an optional fast path for sources that can keep several
+// probes in flight at once (a socket client with an in-flight table). When
+// a Source also implements it the engine hands each worker's next run of
+// addresses over together: LookupPTRs fills out[i] with exactly what
+// LookupPTR(ctx, ips[i]) would return, len(out) == len(ips) <= Window, and
+// returns when every one is resolved, or cancelled. The engine still probes
+// address by address when resilience or a rate limit is on: the breaker's
+// state after one probe decides whether the next is sent, and a rate is a
+// spacing, not a burst size.
+type WindowSource interface {
+	LookupPTRs(ctx context.Context, ips []dnswire.IPv4, out []Result)
+}
+
+// Window is how many addresses a WindowSource is handed at once. It is a
+// constant, not an option: eight workers with sixteen small datagrams each
+// in flight stay well inside a default 208 KB socket receive buffer on the
+// server's side, and wider windows measured no faster.
+const Window = 16
