@@ -26,6 +26,10 @@ bench:
 # fixed 5000 iterations so those two are exact. BenchmarkUDPSweep, one /24
 # over a loopback socket, is held to its allocs/op, B/op and dials/op only:
 # a socket's ns/op is the host's, so the benchmark reports none.
+# BenchmarkSimclockChurn (the simulated clock at 16384 pending calls) and
+# BenchmarkProberSweep (one /20 over the study's fabric) are held the same
+# way — allocs/op and B/op, and for the sweep events/op, calls put on the
+# clock per probed address: ~1, where 2 means a timer per probe again.
 # Every stage runs at -cpu 1:
 # go test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
@@ -39,8 +43,9 @@ bench-check:
 		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad|BenchmarkRender' -cpu 1 -count=1 ./internal/rdnsserve \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkClientDecode' -cpu 1 -count=1 ./internal/rdnsclient \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkVantageMerge' -cpu 1 -count=1 ./internal/vantage ; } \
-		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op,allocs/op,B/op,dials/op
+		&& $(GO) test -run '^$$' -bench 'BenchmarkVantageMerge' -cpu 1 -count=1 ./internal/vantage \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkSimclockChurn|BenchmarkProberSweep' -cpu 1 -count=1 ./internal/simclock ./internal/icmp ; } \
+		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op,allocs/op,B/op,dials/op,events/op
 
 # perf runs one workload of the end-to-end harness (bench/README.md) the way
 # the benchmark driver does: make perf W=sweep-wire, or TRACE=1 for the
@@ -81,6 +86,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/dnswire
 	$(GO) test -fuzz=FuzzDecodeName -fuzztime=30s ./internal/dnswire
 	$(GO) test -fuzz=FuzzParseOptions -fuzztime=30s ./internal/dhcpwire
+	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/icmp
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/histstore
 	$(GO) test -fuzz=FuzzSegmentManifest -fuzztime=30s ./internal/histstore
 	$(GO) test -fuzz=FuzzSegmentFooter -fuzztime=30s ./internal/histstore

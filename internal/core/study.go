@@ -20,6 +20,7 @@ import (
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/dynamicity"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/icmp"
 	"rdnsprivacy/internal/ipam"
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/obs"
@@ -360,6 +361,17 @@ func (s *Study) Supplemental() *reactive.Results {
 	}
 	s.mu.Unlock()
 
+	res, _, _ := s.runSupplemental()
+	s.mu.Lock()
+	s.supplemental = res
+	s.mu.Unlock()
+	return res
+}
+
+// runSupplemental wires and runs the supplemental measurement once,
+// returning the engine's results with the fabric's and the prober's own
+// traffic counters.
+func (s *Study) runSupplemental() (*reactive.Results, fabric.Stats, icmp.ProberStats) {
 	clock := simclock.NewSimulated(s.Cfg.SupplementalStart)
 	fab := fabric.New(clock, fabric.Config{
 		Latency: 20 * time.Millisecond,
@@ -395,7 +407,7 @@ func (s *Study) Supplemental() *reactive.Results {
 		for _, n := range started {
 			n.Stop()
 		}
-		return &reactive.Results{}
+		return &reactive.Results{}, fabric.Stats{}, icmp.ProberStats{}
 	}
 	engine.Start()
 	clock.AdvanceTo(s.Cfg.SupplementalEnd)
@@ -403,9 +415,5 @@ func (s *Study) Supplemental() *reactive.Results {
 	for _, n := range started {
 		n.Stop()
 	}
-	res := engine.Results()
-	s.mu.Lock()
-	s.supplemental = res
-	s.mu.Unlock()
-	return res
+	return engine.Results(), fab.Stats(), engine.ProberStats()
 }

@@ -42,41 +42,42 @@ var (
 	ErrNonZeroCode = errors.New("icmp: nonzero code in echo message")
 )
 
-// Marshal encodes e into wire format with a valid checksum.
-func (e *Echo) Marshal() []byte {
-	buf := make([]byte, 8+len(e.Payload))
+// AppendTo appends e's wire format, with a valid checksum, to dst and
+// returns the extended slice. A message without payload is eight bytes, so
+// a caller sending one can marshal into a buffer on its stack.
+func (e Echo) AppendTo(dst []byte) []byte {
+	start := len(dst)
+	typ := byte(TypeEchoRequest)
 	if e.Reply {
-		buf[0] = TypeEchoReply
-	} else {
-		buf[0] = TypeEchoRequest
+		typ = TypeEchoReply
 	}
-	// buf[1] (code) and buf[2:4] (checksum) start zero.
-	binary.BigEndian.PutUint16(buf[4:6], e.ID)
-	binary.BigEndian.PutUint16(buf[6:8], e.Seq)
-	copy(buf[8:], e.Payload)
-	binary.BigEndian.PutUint16(buf[2:4], Checksum(buf))
-	return buf
+	// Code and checksum start zero.
+	dst = append(dst, typ, 0, 0, 0, byte(e.ID>>8), byte(e.ID), byte(e.Seq>>8), byte(e.Seq))
+	dst = append(dst, e.Payload...)
+	binary.BigEndian.PutUint16(dst[start+2:], Checksum(dst[start:]))
+	return dst
 }
 
-// Parse decodes and checksum-verifies an ICMP echo message.
-func Parse(buf []byte) (*Echo, error) {
+// Parse decodes and checksum-verifies an ICMP echo message. The payload is
+// copied: the result does not alias buf.
+func Parse(buf []byte) (Echo, error) {
 	if len(buf) < 8 {
-		return nil, ErrShortPacket
+		return Echo{}, ErrShortPacket
 	}
 	if Checksum(buf) != 0 {
 		// The internet checksum of a packet that includes its own
 		// correct checksum is zero.
-		return nil, ErrBadChecksum
+		return Echo{}, ErrBadChecksum
 	}
 	switch buf[0] {
 	case TypeEchoRequest, TypeEchoReply:
 	default:
-		return nil, fmt.Errorf("%w: type %d", ErrNotEcho, buf[0])
+		return Echo{}, fmt.Errorf("%w: type %d", ErrNotEcho, buf[0])
 	}
 	if buf[1] != 0 {
-		return nil, ErrNonZeroCode
+		return Echo{}, ErrNonZeroCode
 	}
-	e := &Echo{
+	e := Echo{
 		Reply: buf[0] == TypeEchoReply,
 		ID:    binary.BigEndian.Uint16(buf[4:6]),
 		Seq:   binary.BigEndian.Uint16(buf[6:8]),
@@ -89,8 +90,8 @@ func Parse(buf []byte) (*Echo, error) {
 
 // ReplyTo constructs the echo reply for a request, echoing ID, Seq and
 // payload as RFC 792 requires.
-func ReplyTo(req *Echo) *Echo {
-	return &Echo{Reply: true, ID: req.ID, Seq: req.Seq, Payload: req.Payload}
+func ReplyTo(req Echo) Echo {
+	return Echo{Reply: true, ID: req.ID, Seq: req.Seq, Payload: req.Payload}
 }
 
 // Checksum computes the RFC 1071 internet checksum over buf. Computing it

@@ -7,8 +7,8 @@ import (
 )
 
 func TestEchoRoundTrip(t *testing.T) {
-	req := &Echo{ID: 0xBEEF, Seq: 42, Payload: []byte("probe-data")}
-	wire := req.Marshal()
+	req := Echo{ID: 0xBEEF, Seq: 42, Payload: []byte("probe-data")}
+	wire := req.AppendTo(nil)
 	got, err := Parse(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -22,12 +22,12 @@ func TestEchoRoundTrip(t *testing.T) {
 }
 
 func TestReplyRoundTrip(t *testing.T) {
-	req := &Echo{ID: 7, Seq: 9, Payload: []byte{1, 2, 3}}
+	req := Echo{ID: 7, Seq: 9, Payload: []byte{1, 2, 3}}
 	reply := ReplyTo(req)
 	if !reply.Reply {
 		t.Fatal("ReplyTo did not set Reply")
 	}
-	got, err := Parse(reply.Marshal())
+	got, err := Parse(reply.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestReplyRoundTrip(t *testing.T) {
 }
 
 func TestParseRejectsCorruptChecksum(t *testing.T) {
-	wire := (&Echo{ID: 1, Seq: 2}).Marshal()
+	wire := Echo{ID: 1, Seq: 2}.AppendTo(nil)
 	wire[4] ^= 0xFF // corrupt the ID without fixing the checksum
 	if _, err := Parse(wire); !errors.Is(err, ErrBadChecksum) {
 		t.Fatalf("err = %v, want ErrBadChecksum", err)
@@ -94,8 +94,8 @@ func TestChecksumOddLength(t *testing.T) {
 
 func TestMarshalParseProperty(t *testing.T) {
 	f := func(id, seq uint16, payload []byte, reply bool) bool {
-		e := &Echo{Reply: reply, ID: id, Seq: seq, Payload: payload}
-		got, err := Parse(e.Marshal())
+		e := Echo{Reply: reply, ID: id, Seq: seq, Payload: payload}
+		got, err := Parse(e.AppendTo(nil))
 		if err != nil {
 			return false
 		}
@@ -121,7 +121,7 @@ func TestChecksumSelfVerifyProperty(t *testing.T) {
 	// The checksum of any marshaled packet (which embeds its own
 	// checksum) must be zero.
 	f := func(id, seq uint16, payload []byte) bool {
-		wire := (&Echo{ID: id, Seq: seq, Payload: payload}).Marshal()
+		wire := Echo{ID: id, Seq: seq, Payload: payload}.AppendTo(nil)
 		return Checksum(wire) == 0
 	}
 	if err := quick.Check(f, nil); err != nil {

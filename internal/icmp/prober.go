@@ -41,14 +41,29 @@ type ProberConfig struct {
 // Prober sends ICMP echo probes over a fabric and matches replies to
 // requests, zmap-style. Create one with NewProber; it binds the vantage
 // address for ICMP delivery.
+//
+// Probes in flight sit in one window ordered by transmission. Timeout is
+// the same for every probe and the clock never runs backwards, so that is
+// also the order their deadlines fall in: one clock timer, armed for the
+// oldest probe still waiting, times all of them out.
 type Prober struct {
 	fab   *fabric.Fabric
 	clock simclock.Clock
 	cfg   ProberConfig
+	fire  func() // p.onTimer
 
-	mu        sync.Mutex
-	seq       uint16
-	inflight  map[uint16]*pendingProbe
+	mu sync.Mutex
+	// The window holds the probes numbered [head, next) by transmission,
+	// each in ring[number & (len(ring)-1)]; a probe's wire sequence number
+	// is the low 16 bits of its number, so the window never spans more
+	// than seqSpace of them. live counts those still waiting for a reply
+	// or their deadline; the ones before head have all completed.
+	ring       []inflight
+	head, next uint64
+	live       int
+	// timer is armed whenever live > 0, for the deadline of a probe at or
+	// before the oldest one waiting — never later.
+	timer     simclock.Timer
 	nextSlot  time.Time
 	sent      uint64
 	received  uint64
@@ -56,11 +71,16 @@ type Prober struct {
 	malformed uint64
 }
 
-type pendingProbe struct {
-	target dnswire.IPv4
-	sent   time.Time
-	timer  simclock.Timer
-	done   func(ProbeResult)
+// seqSpace is how many probes the 16-bit wire sequence number tells apart.
+const seqSpace = 1 << 16
+
+// inflight is one transmitted probe, waiting until a reply, its deadline or
+// a newer probe taking its sequence number completes it.
+type inflight struct {
+	target  dnswire.IPv4
+	waiting bool
+	sent    time.Time
+	done    func(ProbeResult)
 }
 
 // ProberStats counts prober activity.
@@ -77,11 +97,15 @@ func NewProber(fab *fabric.Fabric, cfg ProberConfig) (*Prober, error) {
 		cfg.Timeout = 2 * time.Second
 	}
 	p := &Prober{
-		fab:      fab,
-		clock:    fab.Clock(),
-		cfg:      cfg,
-		inflight: make(map[uint16]*pendingProbe),
+		fab:   fab,
+		clock: fab.Clock(),
+		cfg:   cfg,
+		ring:  make([]inflight, 64),
+		// Numbering starts at 1 so the first wire sequence number is 1.
+		head: 1,
+		next: 1,
 	}
+	p.fire = p.onTimer
 	if err := fab.BindICMP(cfg.Vantage, p.handleICMP); err != nil {
 		return nil, fmt.Errorf("icmp: binding vantage: %w", err)
 	}
@@ -160,42 +184,114 @@ func (p *Prober) reserveSlot() time.Duration {
 	return wait
 }
 
+func (p *Prober) slot(n uint64) *inflight { return &p.ring[n&uint64(len(p.ring)-1)] }
+
+// complete takes probe n out of the set still waiting and returns it. The
+// caller holds p.mu and calls the probe's done after releasing it.
+func (p *Prober) complete(n uint64) inflight {
+	s := p.slot(n)
+	probe := *s
+	s.waiting, s.done = false, nil
+	p.live--
+	return probe
+}
+
 func (p *Prober) transmit(target dnswire.IPv4, done func(ProbeResult)) {
 	p.mu.Lock()
-	p.seq++
-	seq := p.seq
+	// The wire sequence space is 16 bits; with seqSpace probes in the
+	// window the new one takes the oldest one's number. Fail the displaced
+	// probe as lost rather than leaking its completion callback.
+	var displaced inflight
+	if p.next-p.head == seqSpace {
+		if p.slot(p.head).waiting {
+			displaced = p.complete(p.head)
+		}
+		p.head++
+	}
+	if int(p.next-p.head) == len(p.ring) {
+		grown := make([]inflight, 2*len(p.ring))
+		for n := p.head; n < p.next; n++ {
+			grown[n&uint64(len(grown)-1)] = *p.slot(n)
+		}
+		p.ring = grown
+	}
+	seq := uint16(p.next)
 	now := p.clock.Now()
-	pending := &pendingProbe{target: target, sent: now, done: done}
-	// The wire sequence space is 16 bits; with more than 65535 probes in
-	// flight the space wraps. Fail the displaced probe as lost rather
-	// than leaking its completion callback.
-	displaced := p.inflight[seq]
-	p.inflight[seq] = pending
+	*p.slot(p.next) = inflight{target: target, waiting: true, sent: now, done: done}
+	p.next++
+	p.live++
 	p.sent++
 	p.mu.Unlock()
-	if displaced != nil {
-		if displaced.timer != nil {
-			displaced.timer.Stop()
-		}
+	if displaced.waiting {
 		displaced.done(ProbeResult{Target: displaced.target, Alive: false, Sent: displaced.sent})
 	}
 
-	req := Echo{ID: p.cfg.ID, Seq: seq}
-	p.fab.SendICMP(p.cfg.Vantage, target, req.Marshal())
+	var buf [8]byte
+	p.fab.SendICMP(p.cfg.Vantage, target, Echo{ID: p.cfg.ID, Seq: seq}.AppendTo(buf[:0]))
 
-	pending.timer = p.clock.AfterFunc(p.cfg.Timeout, func() {
+	// The timer goes on the clock after the request: the clock runs what
+	// falls on one instant in scheduling order, and the seeded runs are
+	// pinned to the request's delivery coming first.
+	p.mu.Lock()
+	if p.timer == nil && p.live > 0 {
+		p.armLocked(now)
+	}
+	p.mu.Unlock()
+}
+
+// oldestDeadline returns when the oldest probe still waiting times out,
+// moving head up to it. The caller holds p.mu and has checked p.live > 0.
+func (p *Prober) oldestDeadline() time.Time {
+	for !p.slot(p.head).waiting {
+		p.head++
+	}
+	return p.slot(p.head).sent.Add(p.cfg.Timeout)
+}
+
+// armLocked arms the timer for the oldest probe still waiting. The caller
+// holds p.mu and has checked p.live > 0.
+func (p *Prober) armLocked(now time.Time) {
+	p.timer = p.clock.AfterFunc(p.oldestDeadline().Sub(now), p.fire)
+}
+
+// expire fails, oldest first, every probe whose deadline is at or before
+// now.
+func (p *Prober) expire(now time.Time) {
+	for {
 		p.mu.Lock()
-		cur, ok := p.inflight[seq]
-		if ok && cur == pending {
-			delete(p.inflight, seq)
-		} else {
-			ok = false
+		if p.live == 0 {
+			p.head = p.next
+			p.mu.Unlock()
+			return
 		}
+		if p.oldestDeadline().After(now) {
+			p.mu.Unlock()
+			return
+		}
+		probe := p.complete(p.head)
 		p.mu.Unlock()
-		if ok {
-			done(ProbeResult{Target: target, Alive: false, Sent: pending.sent})
-		}
-	})
+		probe.done(ProbeResult{Target: probe.target, Alive: false, Sent: probe.sent})
+	}
+}
+
+func (p *Prober) onTimer() {
+	now := p.clock.Now()
+	p.expire(now)
+	p.mu.Lock()
+	// On a real clock a newer timer may have been armed while this one
+	// waited for p.mu; keep one.
+	p.disarmLocked()
+	if p.live > 0 {
+		p.armLocked(now)
+	}
+	p.mu.Unlock()
+}
+
+func (p *Prober) disarmLocked() {
+	if p.timer != nil {
+		p.timer.Stop()
+		p.timer = nil
+	}
 }
 
 func (p *Prober) handleICMP(src, _ dnswire.IPv4, payload []byte) {
@@ -206,23 +302,25 @@ func (p *Prober) handleICMP(src, _ dnswire.IPv4, payload []byte) {
 		p.mu.Unlock()
 		return
 	}
+	// A reply that arrives at the very instant of its probe's deadline has
+	// lost: the deadline was set first. Expiring here keeps that true
+	// whichever of this delivery and the timer the clock runs first.
+	now := p.clock.Now()
+	p.expire(now)
 	p.mu.Lock()
-	pending, ok := p.inflight[echo.Seq]
-	if ok && pending.target == src {
-		delete(p.inflight, echo.Seq)
-		p.received++
-	} else {
-		ok = false
-	}
-	p.mu.Unlock()
-	if !ok {
+	n := p.head + uint64(echo.Seq-uint16(p.head))
+	if n >= p.next || !p.slot(n).waiting || p.slot(n).target != src {
+		p.mu.Unlock()
 		return
 	}
-	if pending.timer != nil {
-		pending.timer.Stop()
+	probe := p.complete(n)
+	p.received++
+	if p.live == 0 {
+		p.disarmLocked()
+		p.head = p.next
 	}
-	now := p.clock.Now()
-	pending.done(ProbeResult{Target: src, Alive: true, RTT: now.Sub(pending.sent), Sent: pending.sent})
+	p.mu.Unlock()
+	probe.done(ProbeResult{Target: src, Alive: true, RTT: now.Sub(probe.sent), Sent: probe.sent})
 }
 
 // Responder answers echo requests for hosts that an AliveFunc reports as
@@ -256,5 +354,6 @@ func (r *Responder) handle(src, dst dnswire.IPv4, payload []byte) {
 	if r.Alive == nil || !r.Alive(dst) {
 		return
 	}
-	r.fab.SendICMP(dst, src, ReplyTo(echo).Marshal())
+	var buf [8]byte
+	r.fab.SendICMP(dst, src, ReplyTo(echo).AppendTo(buf[:0]))
 }

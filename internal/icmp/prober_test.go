@@ -163,8 +163,8 @@ func TestProbeIgnoresForeignReplies(t *testing.T) {
 		if err != nil {
 			return
 		}
-		fake := &Echo{Reply: true, ID: req.ID + 1, Seq: req.Seq}
-		fab.SendICMP(dst, src, fake.Marshal())
+		fake := Echo{Reply: true, ID: req.ID + 1, Seq: req.Seq}
+		fab.SendICMP(dst, src, fake.AppendTo(nil))
 	})
 	var got *ProbeResult
 	p.Probe(dnswire.MustIPv4("192.0.2.55"), func(r ProbeResult) { got = &r })
@@ -189,7 +189,7 @@ func TestProbeIgnoresSpoofedSource(t *testing.T) {
 		if err != nil {
 			return
 		}
-		fab.SendICMP(spoof, src, ReplyTo(req).Marshal())
+		fab.SendICMP(spoof, src, ReplyTo(req).AppendTo(nil))
 	})
 	var got *ProbeResult
 	p.Probe(dnswire.MustIPv4("192.0.2.55"), func(r ProbeResult) { got = &r })

@@ -47,7 +47,9 @@ func (n *Network) SetDNSTracer(tr *telemetry.Tracer) {
 // builds per-/24 reverse zones on an authoritative server reachable at
 // DNSAddr(), a DHCP server and IPAM updater per dynamic block, an ICMP
 // responder for the announced prefix, and schedules every device's joins
-// and leaves on the clock, day by day, until Stop is called.
+// and leaves on the clock, day by day, until Stop is called. No handle to
+// those timers is kept: each carries the run it was scheduled for and does
+// nothing once that run is over.
 //
 // In this mode the network is observable exactly as the paper's targets
 // were: PTR queries against the authoritative server and ICMP probes are
@@ -173,25 +175,25 @@ func (n *Network) Start(fab *fabric.Fabric) error {
 	start := clock.Now().In(n.cfg.Location)
 	n.scheduleDayLocked(midnight(start), start)
 	untilMidnight := midnight(start).AddDate(0, 0, 1).Sub(start)
-	live.timers = append(live.timers, clock.AfterFunc(untilMidnight, n.midnightTick))
+	clock.AfterFunc(untilMidnight, func() { n.midnightTick(live) })
 	return nil
 }
 
 // midnightTick schedules each new day's sessions and re-arms itself.
-func (n *Network) midnightTick() {
+func (n *Network) midnightTick(live *liveState) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	if n.live == nil {
+	if n.live != live {
 		return
 	}
-	now := n.live.clock.Now().In(n.cfg.Location)
+	now := live.clock.Now().In(n.cfg.Location)
 	day := midnight(now)
 	n.scheduleDayLocked(day, now)
 	next := day.AddDate(0, 0, 1).Sub(now)
 	if next <= 0 {
 		next = 24 * time.Hour
 	}
-	n.live.timers = append(n.live.timers, n.live.clock.AfterFunc(next, n.midnightTick))
+	live.clock.AfterFunc(next, func() { n.midnightTick(live) })
 }
 
 // scheduleDayLocked schedules joins and leaves for every device for the day
@@ -214,29 +216,28 @@ func (n *Network) scheduleDayLocked(day, from time.Time) {
 				dev := d
 				if startAt.After(from) {
 					delay := startAt.Sub(from)
-					live.timers = append(live.timers, live.clock.AfterFunc(delay, func() {
-						n.deviceJoin(dev)
-					}))
+					live.clock.AfterFunc(delay, func() { n.deviceJoin(live, dev) })
 				} else {
 					// Session already underway: join on the next
 					// clock step.
-					live.timers = append(live.timers, live.clock.AfterFunc(0, func() {
-						n.deviceJoin(dev)
-					}))
+					live.clock.AfterFunc(0, func() { n.deviceJoin(live, dev) })
 				}
-				live.timers = append(live.timers, live.clock.AfterFunc(endAt.Sub(from), func() {
-					n.deviceLeave(dev)
-				}))
+				live.clock.AfterFunc(endAt.Sub(from), func() { n.deviceLeave(live, dev) })
 			}
 		}
 	}
 }
 
-func (n *Network) deviceJoin(d *Device) {
+// current reports whether live is still the network's run: a timer left
+// over from before a Stop must not act on the run a later Start began.
+func (n *Network) current(live *liveState) bool {
 	n.mu.Lock()
-	live := n.live
-	n.mu.Unlock()
-	if live == nil {
+	defer n.mu.Unlock()
+	return n.live == live
+}
+
+func (n *Network) deviceJoin(live *liveState, d *Device) {
+	if !n.current(live) {
 		return
 	}
 	client := live.clients[d.ID]
@@ -256,11 +257,8 @@ func (n *Network) deviceJoin(d *Device) {
 	n.onlineIP[ip] = true
 }
 
-func (n *Network) deviceLeave(d *Device) {
-	n.mu.Lock()
-	live := n.live
-	n.mu.Unlock()
-	if live == nil {
+func (n *Network) deviceLeave(live *liveState, d *Device) {
+	if !n.current(live) {
 		return
 	}
 	client := live.clients[d.ID]
@@ -291,18 +289,13 @@ func (n *Network) wrapSink(u *ipam.Updater) dhcp.EventSink {
 	})
 }
 
-// Stop leaves live mode: timers are cancelled and the DNS endpoint closes.
+// Stop leaves live mode: the DNS endpoint closes, and the joins, leaves and
+// midnight tick still on the clock find their run over when they fire.
 func (n *Network) Stop() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if n.live == nil {
 		return
-	}
-	for _, t := range n.live.timers {
-		t.Stop()
-	}
-	for _, tk := range n.live.tickers {
-		tk.Stop()
 	}
 	if n.live.dnsEP != nil {
 		n.live.dnsEP.Close()

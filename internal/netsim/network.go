@@ -152,8 +152,6 @@ type liveState struct {
 	zones    map[dnswire.Name]*dnsserver.Zone
 	servers  []*dhcp.Server
 	clients  map[uint64]*dhcp.Client
-	tickers  []*simclock.Ticker
-	timers   []simclock.Timer
 	joinFail uint64
 }
 

@@ -328,6 +328,9 @@ func (e *Engine) Results() *Results {
 	return r
 }
 
+// ProberStats returns the ICMP prober's own counters.
+func (e *Engine) ProberStats() icmp.ProberStats { return e.prober.Stats() }
+
 // sweepAll probes every targeted address once.
 func (e *Engine) sweepAll(now time.Time) {
 	if m := e.met; m != nil {

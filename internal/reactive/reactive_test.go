@@ -274,6 +274,10 @@ func TestResultsAccounting(t *testing.T) {
 	if res.ICMPUniqueIPs != 1 || res.RDNSUniqueIPs != 1 || res.RDNSUniquePTRs != 1 {
 		t.Fatalf("unique: %d/%d/%d", res.ICMPUniqueIPs, res.RDNSUniqueIPs, res.RDNSUniquePTRs)
 	}
+	// Every alive result is one reply the prober matched, and nothing else.
+	if ps := tb.engine.ProberStats(); ps.Received != res.ICMPResponses || ps.Sent <= ps.Received || ps.Malformed != 0 {
+		t.Fatalf("prober %+v, engine counted %d icmp responses", ps, res.ICMPResponses)
+	}
 	if res.PerNetworkAlive["Academic-T"] != 1 {
 		t.Fatalf("alive = %d", res.PerNetworkAlive["Academic-T"])
 	}

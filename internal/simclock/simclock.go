@@ -10,7 +10,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"sync"
 	"time"
 )
@@ -52,17 +51,39 @@ func (r realTimer) Stop() bool { return r.t.Stop() }
 // Simulated is a Clock whose time only moves when Advance or Run is called.
 // Scheduled functions run synchronously, in timestamp order, on the
 // goroutine that advances the clock. Create one with NewSimulated.
+//
+// Pending calls live in one 4-ary min-heap of value entries ordered by
+// (key, seq): key is the deadline's offset from the instant the clock was
+// created at, seq the order AfterFunc was called in. Deadlines only ever
+// come from Now().Add(d), so comparing offsets is comparing instants, and
+// the pop order is the (deadline, scheduling order) total order. The clock
+// therefore spans the 292 years either side of its start instant that a
+// time.Duration holds; deadlines beyond that compare equal.
 type Simulated struct {
 	mu      sync.Mutex
+	start   time.Time
 	now     time.Time
-	queue   eventQueue
+	nowKey  time.Duration // now's offset from start
+	queue   []entry
 	nextSeq uint64
 	running bool
 }
 
+// entry is one pending call in the heap. Everything a comparison needs is
+// in the entry itself; ev is followed only to keep its index current.
+type entry struct {
+	key time.Duration
+	seq uint64
+	ev  *event
+}
+
+func (a entry) before(b entry) bool {
+	return a.key < b.key || (a.key == b.key && a.seq < b.seq)
+}
+
 // NewSimulated returns a Simulated clock whose current time is start.
 func NewSimulated(start time.Time) *Simulated {
-	return &Simulated{now: start}
+	return &Simulated{start: start, now: start}
 }
 
 // Now implements Clock.
@@ -80,14 +101,9 @@ func (s *Simulated) AfterFunc(d time.Duration, f func()) Timer {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ev := &event{
-		when: s.now.Add(d),
-		seq:  s.nextSeq,
-		fn:   f,
-		sim:  s,
-	}
+	ev := &event{when: s.now.Add(d), fn: f, sim: s}
+	s.push(entry{key: ev.when.Sub(s.start), seq: s.nextSeq, ev: ev})
 	s.nextSeq++
-	heap.Push(&s.queue, ev)
 	return ev
 }
 
@@ -111,25 +127,19 @@ func (s *Simulated) AdvanceTo(target time.Time) {
 		panic("simclock: re-entrant Advance")
 	}
 	s.running = true
-	for {
-		if len(s.queue) == 0 || s.queue[0].when.After(target) {
-			break
+	targetKey := target.Sub(s.start)
+	for len(s.queue) > 0 && s.queue[0].key <= targetKey {
+		e := s.popMin()
+		if e.key > s.nowKey {
+			s.now, s.nowKey = e.ev.when, e.key
 		}
-		ev := heap.Pop(&s.queue).(*event)
-		if ev.stopped {
-			continue
-		}
-		if ev.when.After(s.now) {
-			s.now = ev.when
-		}
-		ev.fired = true
-		fn := ev.fn
+		fn := e.ev.fn
 		s.mu.Unlock()
 		fn()
 		s.mu.Lock()
 	}
-	if target.After(s.now) {
-		s.now = target
+	if targetKey > s.nowKey {
+		s.now, s.nowKey = target, targetKey
 	}
 	s.running = false
 	s.mu.Unlock()
@@ -146,7 +156,7 @@ func (s *Simulated) RunUntilIdle() time.Time {
 			s.mu.Unlock()
 			return now
 		}
-		next := s.queue[0].when
+		next := s.queue[0].ev.when
 		s.mu.Unlock()
 		s.AdvanceTo(next)
 	}
@@ -156,69 +166,107 @@ func (s *Simulated) RunUntilIdle() time.Time {
 func (s *Simulated) Pending() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, ev := range s.queue {
-		if !ev.stopped {
-			n++
-		}
-	}
-	return n
+	return len(s.queue)
 }
 
-// event is a scheduled function call on a Simulated clock. It implements
-// Timer.
+// event is a scheduled function call on a Simulated clock, and the Timer
+// AfterFunc hands out. index is its position in the heap, -1 once it has
+// fired or been stopped.
 type event struct {
-	when    time.Time
-	seq     uint64
-	fn      func()
-	sim     *Simulated
-	index   int
-	stopped bool
-	fired   bool
+	when  time.Time
+	fn    func()
+	sim   *Simulated
+	index int
 }
 
-// Stop implements Timer.
+// Stop implements Timer. It takes the call out of the queue at once.
 func (e *event) Stop() bool {
-	e.sim.mu.Lock()
-	defer e.sim.mu.Unlock()
-	if e.stopped || e.fired {
+	s := e.sim
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if e.index < 0 {
 		return false
 	}
-	e.stopped = true
+	s.remove(e.index)
 	return true
 }
 
-// eventQueue is a min-heap of events ordered by (when, seq).
-type eventQueue []*event
+// heapArity is the heap's fan-out. Four children sit in 96 contiguous
+// bytes, so picking the least costs about what one binary level does, and
+// the tree is half as deep.
+const heapArity = 4
 
-func (q eventQueue) Len() int { return len(q) }
+// push adds e to the heap. The caller holds s.mu, as for every heap
+// operation below.
+func (s *Simulated) push(e entry) {
+	s.queue = append(s.queue, e)
+	s.up(len(s.queue)-1, e)
+}
 
-func (q eventQueue) Less(i, j int) bool {
-	if !q[i].when.Equal(q[j].when) {
-		return q[i].when.Before(q[j].when)
+// popMin removes and returns the least entry of a non-empty heap.
+func (s *Simulated) popMin() entry {
+	top := s.queue[0]
+	s.remove(0)
+	return top
+}
+
+// remove takes the entry at index i out of the heap.
+func (s *Simulated) remove(i int) {
+	q := s.queue
+	q[i].ev.index = -1
+	n := len(q) - 1
+	last := q[n]
+	q[n] = entry{}
+	s.queue = q[:n]
+	if i == n {
+		return
 	}
-	return q[i].seq < q[j].seq
+	if i > 0 && last.before(q[(i-1)/heapArity]) {
+		s.up(i, last)
+	} else {
+		s.down(i, last)
+	}
 }
 
-func (q eventQueue) Swap(i, j int) {
-	q[i], q[j] = q[j], q[i]
-	q[i].index = i
-	q[j].index = j
+// up places e at or above the hole at index i.
+func (s *Simulated) up(i int, e entry) {
+	q := s.queue
+	for i > 0 {
+		parent := (i - 1) / heapArity
+		if !e.before(q[parent]) {
+			break
+		}
+		q[i] = q[parent]
+		q[i].ev.index = i
+		i = parent
+	}
+	q[i] = e
+	e.ev.index = i
 }
 
-func (q *eventQueue) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*q)
-	*q = append(*q, ev)
-}
-
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	return ev
+// down places e at or below the hole at index i.
+func (s *Simulated) down(i int, e entry) {
+	q := s.queue
+	for {
+		first := heapArity*i + 1
+		if first >= len(q) {
+			break
+		}
+		least := first
+		for c := first + 1; c < first+heapArity && c < len(q); c++ {
+			if q[c].before(q[least]) {
+				least = c
+			}
+		}
+		if !q[least].before(e) {
+			break
+		}
+		q[i] = q[least]
+		q[i].ev.index = i
+		i = least
+	}
+	q[i] = e
+	e.ev.index = i
 }
 
 // Ticker repeatedly invokes a function at a fixed interval on a Clock until
