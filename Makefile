@@ -30,6 +30,9 @@ bench:
 # BenchmarkProberSweep (one /20 over the study's fabric) are held the same
 # way — allocs/op and B/op, and for the sweep events/op, calls put on the
 # clock per probed address: ~1, where 2 means a timer per probe again.
+# BenchmarkHistStoreOpen (a read-only Open of the 120-day log, tail-only
+# and compacted) likewise: allocs/op, B/op and frames/op, the block frames
+# one Open replays — the budget of the store's replay.
 # Every stage runs at -cpu 1:
 # go test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
@@ -40,12 +43,13 @@ bench-check:
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAt' -cpu 1 -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreChurn|BenchmarkHistStoreRange' -cpu 1 -benchtime 5000x -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -cpu 1 -count=4 . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreOpen' -cpu 1 -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad|BenchmarkRender' -cpu 1 -count=1 ./internal/rdnsserve \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkClientDecode' -cpu 1 -count=1 ./internal/rdnsclient \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkVantageMerge' -cpu 1 -count=1 ./internal/vantage \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkSimclockChurn|BenchmarkProberSweep' -cpu 1 -count=1 ./internal/simclock ./internal/icmp ; } \
-		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op,allocs/op,B/op,dials/op,events/op
+		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op,allocs/op,B/op,dials/op,events/op,frames/op
 
 # perf runs one workload of the end-to-end harness (bench/README.md) the way
 # the benchmark driver does: make perf W=sweep-wire, or TRACE=1 for the

@@ -697,6 +697,51 @@ func BenchmarkHistStoreCompact(b *testing.B) {
 	b.ReportMetric(float64(reclaimed)/float64(b.N), "reclaimed-B/op")
 }
 
+// BenchmarkHistStoreOpen measures what becoming able to answer costs: a
+// read-only Open of the 120-day log replays every frame ever written —
+// once with all of them in the tail, once sealed into a segment.
+// bench-check holds its allocs/op, B/op and frames/op (block frames
+// replayed per open) only: an open's time is the host's file cache and
+// disk, so the benchmark reports no ns/op.
+func BenchmarkHistStoreOpen(b *testing.B) {
+	for _, layout := range []string{"tail", "compacted"} {
+		b.Run(layout, func(b *testing.B) {
+			path := filepath.Join(b.TempDir(), "bench.hist")
+			buildHistStoreLog(b, path)
+			if layout == "compacted" {
+				st, err := histstore.Open(path)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if res, err := st.CompactWriter(context.Background(), histstore.DefaultWriter, histstore.CompactOptions{}); err != nil || res.Sealed != 120 {
+					b.Fatalf("compact: %+v, %v", res, err)
+				}
+				if err := st.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			frames := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := histstore.Open(path, histstore.WithReadOnly())
+				if err != nil {
+					b.Fatal(err)
+				}
+				s := st.Stats()
+				if s.Snapshots != 120 {
+					b.Fatalf("opened %d snapshots, want 120", s.Snapshots)
+				}
+				frames += s.BaseFrames + s.DeltaFrames
+				st.Close()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(frames)/float64(b.N), "frames/op")
+			b.ReportMetric(0, "ns/op")
+		})
+	}
+}
+
 // BenchmarkHistStoreAtCompacted is BenchmarkHistStoreAt's cold variant
 // over a fully compacted store: every reconstruction walks a fresh
 // in-segment base chain through the tier, the steady state of a

@@ -197,11 +197,22 @@ func TestReplicaCatchup(t *testing.T) {
 		close(done)
 		return rdnsclient.ReloadResponse{Generation: 4, Snapshots: 12}, nil
 	}
-	go replicaCatchup(ctx, syncFn, reload, time.Millisecond, logs.logf)
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("reload never fired")
+	// The loop logs the new generation after reload returns: wait for the
+	// line, not only for the reload.
+	logged := make(chan struct{})
+	logf := func(format string, args ...any) {
+		logs.logf(format, args...)
+		if strings.Contains(format, "generation") {
+			close(logged)
+		}
+	}
+	go replicaCatchup(ctx, syncFn, reload, time.Millisecond, logf)
+	for _, ev := range []chan struct{}{done, logged} {
+		select {
+		case <-ev:
+		case <-time.After(5 * time.Second):
+			t.Fatal("reload never fired")
+		}
 	}
 	cancel()
 	if reloads != 1 {

@@ -182,10 +182,10 @@ func fleetSamples(cfg *monConfig, rounds []pollRound) []obs.LoadSample {
 				badm := base.Admission
 				breq = badm.Admitted + badm.RateLimited + badm.Denied + badm.Shed
 			}
-			s.Requests -= minU64(breq, s.Requests)
-			s.Errors -= minU64(berrs, s.Errors)
-			s.RateLimited -= minU64(base.Admission.RateLimited, s.RateLimited)
-			s.Shed -= minU64(base.Admission.Shed, s.Shed)
+			s.Requests -= min(breq, s.Requests)
+			s.Errors -= min(berrs, s.Errors)
+			s.RateLimited -= min(base.Admission.RateLimited, s.RateLimited)
+			s.Shed -= min(base.Admission.Shed, s.Shed)
 		}
 		s.P50, s.P95, s.P99 = cur.Latency.P50, cur.Latency.P95, cur.Latency.P99
 		s.P99Corr = cur.Latency.P99Corr
@@ -210,13 +210,6 @@ func fleetSamples(cfg *monConfig, rounds []pollRound) []obs.LoadSample {
 	}
 	out = append(out, fleet)
 	return out
-}
-
-func minU64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // dashboard renders the fleet state: a legend mapping the short daemon

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -84,6 +85,18 @@ func TestRunUsageErrors(t *testing.T) {
 		if code := run(&cfg, &out, &errb); code != 2 {
 			t.Errorf("case %d: exit %d, want 2 (stderr %q)", i, code, errb.String())
 		}
+	}
+}
+
+// TestSplitList: the -targets/-metrics flags tolerate spaces, empty items
+// and trailing slashes (a target is joined with "/v1/..." later).
+func TestSplitList(t *testing.T) {
+	got := splitList(" http://a:8077/ ,,http://b:8078 , ")
+	if want := []string{"http://a:8077", "http://b:8078"}; !slices.Equal(got, want) {
+		t.Fatalf("splitList = %q, want %q", got, want)
+	}
+	if got := splitList(""); got != nil {
+		t.Fatalf("splitList of nothing = %q", got)
 	}
 }
 

@@ -686,10 +686,3 @@ func indent(s, prefix string) string {
 	}
 	return out
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -201,16 +201,6 @@ func (s *Server) ActiveLeases() []Lease {
 	return out
 }
 
-// LeaseFor returns the active lease for a hardware address, if any.
-func (s *Server) LeaseFor(ch dhcpwire.HardwareAddr) (Lease, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ls, ok := s.byCH[ch]; ok {
-		return ls.lease, true
-	}
-	return Lease{}, false
-}
-
 // Receive processes one wire-format client message and returns the
 // wire-format reply, or nil when the protocol calls for no reply (RELEASE).
 func (s *Server) Receive(buf []byte) ([]byte, error) {

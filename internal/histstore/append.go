@@ -8,6 +8,7 @@ import (
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/scanengine"
+	"rdnsprivacy/internal/testutil"
 )
 
 // Append adds one snapshot to this store's writer tail: the record set
@@ -32,10 +33,8 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 		return fmt.Errorf("%w: %s is not after %s", ErrOutOfOrder,
 			date.Format(time.RFC3339), s.times[len(s.times)-1].Format(time.RFC3339))
 	}
-	local := len(w.times)
-	gi := len(s.times)
-	if gi >= maxSnapshots {
-		return fmt.Errorf("histstore: timeline is full at %d snapshots", gi)
+	if len(s.times) >= maxSnapshots {
+		return fmt.Errorf("histstore: timeline is full at %d snapshots", len(s.times))
 	}
 
 	// Group the snapshot by /24.
@@ -63,16 +62,11 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 	}
 	sort.Slice(order, func(i, j int) bool { return order[i].Addr.Uint32() < order[j].Addr.Uint32() })
 
-	type pending struct {
-		p       dnswire.Prefix
-		kind    byte
-		changes []deltaEntry
-		state   blockState
-		off     int64 // relative to the buffer start
-		length  int
-	}
+	local := len(w.times)
+	base := w.tailSize
 	buf := appendFrame(nil, frameSnap, encodeSnapBody(local, date.Unix()))
-	var plan []pending
+	var plan []frameEffect
+	bases := 0
 	for _, p := range order {
 		newState := newStates[p]
 		changes := diffBlock(nil, w.cur[p], newState)
@@ -83,65 +77,56 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 			kind = frameBase
 		case !known:
 			continue // never materialized and still empty
-		case local-w.lastBase[p] >= s.baseEvery && w.deltasSince[p] > 0:
+		case w.cadence.due(p, local, s.baseEvery):
 			kind = frameBase // compact the delta chain
 		case len(changes) > 0:
 			kind = frameDelta
 		default:
 			continue // unchanged
 		}
-		start := int64(len(buf))
+		start := len(buf)
 		if kind == frameBase {
 			buf = appendFrame(buf, frameBase, encodeBaseBody(local, p, newState))
+			bases++
 		} else {
 			buf = appendFrame(buf, frameDelta, encodeDeltaBody(local, p, changes))
 		}
 		// The state outlives the append as the block's live state: keep it
 		// without the slack its gathering left behind.
-		plan = append(plan, pending{p: p, kind: kind, changes: changes, state: slices.Clone(newState), off: start, length: int(int64(len(buf)) - start)})
+		plan = append(plan, frameEffect{
+			p:       p,
+			ref:     blockRef{snap: local, kind: kind, off: base + int64(start), length: len(buf) - start},
+			changes: changes,
+			state:   slices.Clone(newState),
+		})
 	}
 
-	if _, err := w.tailF.WriteAt(buf, w.tailSize); err != nil {
-		w.tailF.Truncate(w.tailSize) // keep the tail at the last good boundary
+	err := testutil.Fault("histstore.append.write")
+	if err == nil {
+		_, err = w.tailF.WriteAt(buf, base)
+	}
+	if err == nil && s.syncEach {
+		if err = testutil.Fault("histstore.append.sync"); err == nil {
+			err = w.tailF.Sync()
+		}
+	}
+	if err != nil {
+		// Keep the tail at the last good boundary: whatever reached the file
+		// is in no index, and the next append starts where this one did.
+		if terr := w.tailF.Truncate(base); terr != nil {
+			return fmt.Errorf("histstore: append: %w (and the tail could not be cut back to %d bytes: %v)", err, base, terr)
+		}
 		return fmt.Errorf("histstore: append: %w", err)
 	}
-	if s.syncEach {
-		if err := w.tailF.Sync(); err != nil {
-			return fmt.Errorf("histstore: append: %w", err)
-		}
-	}
 
-	// Commit: indexes, state, stats. Mirrors applyGroup exactly.
-	base := w.tailSize
-	w.tailSnapOffsets = append(w.tailSnapOffsets, base)
+	s.commitGroup(w, date, true, plan)
 	w.tailSize += int64(len(buf))
 	s.bytes += int64(len(buf))
-	s.times = append(s.times, date)
-	s.snapWriter = append(s.snapWriter, w.idx)
-	s.snapLocal = append(s.snapLocal, local)
-	w.times = append(w.times, date)
-	w.globalIdx = append(w.globalIdx, gi)
-	for _, pd := range plan {
-		w.tailBlocks[pd.p] = append(w.tailBlocks[pd.p], blockRef{
-			snap: local, kind: pd.kind, off: base + pd.off, length: pd.length,
-		})
-		w.known.add(pd.p)
-		s.blocks.add(pd.p)
-		s.applyFrame(w, gi, pd.p, pd.changes, pd.state)
-		if pd.kind == frameBase {
-			w.lastBase[pd.p] = local
-			w.deltasSince[pd.p] = 0
-			s.baseFrames++
-			s.met.baseFrames.Inc()
-		} else {
-			w.deltasSince[pd.p]++
-			s.deltaFrames++
-			s.met.deltaFrames.Inc()
-		}
-	}
 	m := s.met
 	m.appends.Inc()
 	m.appendBytes.Add(uint64(len(buf)))
+	m.baseFrames.Add(uint64(bases))
+	m.deltaFrames.Add(uint64(len(plan) - bases))
 	s.publishGauges()
 	return nil
 }

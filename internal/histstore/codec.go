@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"slices"
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/scanengine"
@@ -202,6 +203,28 @@ func (r *byteReader) done() error {
 	return nil
 }
 
+// blockHead reads what opens every block frame body: the snapshot, the
+// /24, and the entry count.
+func (r *byteReader) blockHead() (snap int, p dnswire.Prefix, count int, err error) {
+	s, err := r.uvarint()
+	if err != nil {
+		return 0, p, 0, err
+	}
+	hi, err := r.bytes(3)
+	if err != nil {
+		return 0, p, 0, err
+	}
+	p = dnswire.Prefix{Addr: dnswire.IPv4{hi[0], hi[1], hi[2], 0}, Bits: 24}
+	n, err := r.uvarint()
+	if err != nil {
+		return 0, p, 0, err
+	}
+	if n > maxBlockEntries {
+		return 0, p, 0, corruptf("block claims %d entries", n)
+	}
+	return int(s), p, int(n), nil
+}
+
 // appendName appends a prefix-compressed name and returns the new prev.
 func appendName(dst []byte, prev, name dnswire.Name) ([]byte, dnswire.Name) {
 	shared := 0
@@ -307,28 +330,16 @@ func encodeBaseBody(snap int, p dnswire.Prefix, entries []baseEntry) []byte {
 // state — are built in dst's storage when that is large enough.
 func decodeBaseBody(body []byte, dst []baseEntry) (snap int, p dnswire.Prefix, entries []baseEntry, err error) {
 	r := &byteReader{b: body}
-	s, err := r.uvarint()
+	snap, p, count, err := r.blockHead()
 	if err != nil {
 		return 0, p, nil, err
 	}
-	hi, err := r.bytes(3)
-	if err != nil {
-		return 0, p, nil, err
-	}
-	p = dnswire.Prefix{Addr: dnswire.IPv4{hi[0], hi[1], hi[2], 0}, Bits: 24}
-	count, err := r.uvarint()
-	if err != nil {
-		return 0, p, nil, err
-	}
-	if count > maxBlockEntries {
-		return 0, p, nil, corruptf("base block claims %d entries", count)
-	}
-	if entries = dst[:0]; uint64(cap(entries)) < count {
+	if entries = dst[:0]; cap(entries) < count {
 		entries = make([]baseEntry, 0, count)
 	}
 	var prevOctet byte
 	var prevName dnswire.Name
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		octet, err := readOctet(r, i == 0, prevOctet)
 		if err != nil {
 			return 0, p, nil, err
@@ -343,7 +354,7 @@ func decodeBaseBody(body []byte, dst []baseEntry) (snap int, p dnswire.Prefix, e
 	if err := r.done(); err != nil {
 		return 0, p, nil, err
 	}
-	return int(s), p, entries, nil
+	return snap, p, entries, nil
 }
 
 // encodeDeltaBody encodes a delta block body. Entries must be sorted by
@@ -370,32 +381,18 @@ func encodeDeltaBody(snap int, p dnswire.Prefix, entries []deltaEntry) []byte {
 	return body
 }
 
-// decodeDeltaBody decodes a delta block body, building its entries in
-// dst's storage when that is large enough.
+// decodeDeltaBody decodes a delta block body, appending its entries to
+// dst.
 func decodeDeltaBody(body []byte, dst []deltaEntry) (snap int, p dnswire.Prefix, entries []deltaEntry, err error) {
 	r := &byteReader{b: body}
-	s, err := r.uvarint()
+	snap, p, count, err := r.blockHead()
 	if err != nil {
 		return 0, p, nil, err
 	}
-	hi, err := r.bytes(3)
-	if err != nil {
-		return 0, p, nil, err
-	}
-	p = dnswire.Prefix{Addr: dnswire.IPv4{hi[0], hi[1], hi[2], 0}, Bits: 24}
-	count, err := r.uvarint()
-	if err != nil {
-		return 0, p, nil, err
-	}
-	if count > maxBlockEntries {
-		return 0, p, nil, corruptf("delta block claims %d entries", count)
-	}
-	if entries = dst[:0]; uint64(cap(entries)) < count {
-		entries = make([]deltaEntry, 0, count)
-	}
+	entries = slices.Grow(dst, count)
 	var prevOctet byte
 	var prevName dnswire.Name
-	for i := uint64(0); i < count; i++ {
+	for i := 0; i < count; i++ {
 		kindByte, err := r.byte()
 		if err != nil {
 			return 0, p, nil, err
@@ -429,5 +426,5 @@ func decodeDeltaBody(body []byte, dst []deltaEntry) (snap int, p dnswire.Prefix,
 	if err := r.done(); err != nil {
 		return 0, p, nil, err
 	}
-	return int(s), p, entries, nil
+	return snap, p, entries, nil
 }

@@ -1,7 +1,6 @@
 package histstore
 
 import (
-	"bufio"
 	"context"
 	"encoding/binary"
 	"errors"
@@ -195,21 +194,9 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 	res.TailBytes = cutOff - oldTailHeaderLen
 	res.SegmentBytes = int64(len(build.data))
 
-	// Stage the segment: tmp + fsync + rename. Nothing references it yet.
-	if err := testutil.Fault("histstore.compact.segment.write"); err != nil {
-		return res, err
-	}
+	// Stage the segment. Nothing references it yet.
 	segPath := s.filePath(segName)
-	if err := writeFileSync(segPath+".tmp", build.data); err != nil {
-		return res, err
-	}
-	if err := testutil.Fault("histstore.compact.segment.rename"); err != nil {
-		return res, err
-	}
-	if err := os.Rename(segPath+".tmp", segPath); err != nil {
-		return res, fmt.Errorf("histstore: staging segment: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := stageFile(segPath, build.data, "histstore.compact.segment"); err != nil {
 		return res, err
 	}
 
@@ -245,20 +232,8 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 			return res, fmt.Errorf("histstore: copying tail remainder: %w", err)
 		}
 	}
-	if err := testutil.Fault("histstore.compact.tail.write"); err != nil {
-		return res, err
-	}
 	newTailPath := s.filePath(newTailName)
-	if err := writeFileSync(newTailPath+".tmp", newTailBuf); err != nil {
-		return res, err
-	}
-	if err := testutil.Fault("histstore.compact.tail.rename"); err != nil {
-		return res, err
-	}
-	if err := os.Rename(newTailPath+".tmp", newTailPath); err != nil {
-		return res, fmt.Errorf("histstore: staging tail: %w", err)
-	}
-	if err := syncDir(s.dir); err != nil {
+	if err := stageFile(newTailPath, newTailBuf, "histstore.compact.tail"); err != nil {
 		return res, err
 	}
 
@@ -302,7 +277,7 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 		mw.tailFirst = cut + 1
 		mw.fileSeq = w.fileSeq + 2
 		m.writers[i] = mw
-		return writeManifest(s.dir, m, testutil.Fault)
+		return writeManifest(s.dir, m, "histstore.compact.manifest")
 	}()
 	if err != nil {
 		newF.Close()
@@ -341,12 +316,15 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 		}
 	}
 	w.tailBlocks = surviving
-	offs := make([]int64, 0, len(w.tailSnapOffsets)-sealCount)
-	for _, off := range w.tailSnapOffsets[sealCount:] {
-		offs = append(offs, off+shift)
+	// The append schedule of every block the segment re-laid is now what a
+	// reopen would replay: the segment's own cadence, then the frames that
+	// survive in the tail.
+	for p := range build.refs {
+		w.cadence[p] = build.cadence[p]
+		for _, r := range surviving[p] {
+			w.cadence.note(p, r.snap, r.kind)
+		}
 	}
-	w.tailSnapOffsets = offs
-	s.recomputeCadence(w, build.refs)
 	s.baseFrames += build.baseFrames - build.sealedBases
 	s.deltaFrames += build.deltaFrames - build.sealedDeltas
 	s.bytes += newSeg.size + w.tailSize - oldKnownTail
@@ -373,46 +351,31 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 	return res, nil
 }
 
-// recomputeCadence rebuilds lastBase/deltasSince for every block the
-// compaction re-laid, so the in-memory append schedule matches what a
-// reopen would replay — keeping the stayed-open and reopened stores
-// byte-identical for all future appends.
-func (s *Store) recomputeCadence(w *writerState, sealedRefs map[dnswire.Prefix][]blockRef) {
-	cadence := func(p dnswire.Prefix, sealed []blockRef) {
-		lastBase, deltas := -1, 0
-		for _, rs := range [2][]blockRef{sealed, w.tailBlocks[p]} {
-			for _, r := range rs {
-				if r.kind == frameBase {
-					lastBase, deltas = r.snap, 0
-				} else {
-					deltas++
-				}
-			}
-		}
-		if lastBase >= 0 {
-			w.lastBase[p] = lastBase
-		}
-		w.deltasSince[p] = deltas
-	}
-	for p, sealed := range sealedRefs {
-		cadence(p, sealed)
-	}
-	for p := range w.tailBlocks {
-		if _, sealed := sealedRefs[p]; !sealed {
-			cadence(p, nil)
-		}
-	}
-}
-
 // segBuild is the in-memory image of a segment under construction.
 type segBuild struct {
-	data []byte
-	refs map[dnswire.Prefix][]blockRef // gathered frame by frame
-	idx  *segIndex                     // the index a reload of the image would build
+	data    []byte
+	refs    map[dnswire.Prefix][]blockRef // gathered frame by frame
+	cadence cadence                       // the segment's own rebase schedule
+	idx     *segIndex                     // the index a reload of the image would build
 	// Frames emitted into the segment vs the original frames sealed out
 	// of the tail — the difference adjusts the store's frame counters.
 	baseFrames, deltaFrames   int
 	sealedBases, sealedDeltas int
+}
+
+// emit appends a frame of the given kind at snapshot snap to the image —
+// fe's state as a base, or its changes as a delta — and indexes it.
+func (b *segBuild) emit(kind byte, snap int, fe frameEffect) {
+	start := len(b.data)
+	if kind == frameBase {
+		b.data = appendFrame(b.data, frameBase, encodeBaseBody(snap, fe.p, fe.state))
+		b.baseFrames++
+	} else {
+		b.data = appendFrame(b.data, frameDelta, encodeDeltaBody(snap, fe.p, fe.changes))
+		b.deltaFrames++
+	}
+	b.refs[fe.p] = append(b.refs[fe.p], blockRef{snap: snap, kind: kind, off: int64(start), length: len(b.data) - start})
+	b.cadence.note(fe.p, snap, kind)
 }
 
 // buildSegment streams the tail span [first, cut] into a segment image:
@@ -436,136 +399,80 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 
 	count := cut - first + 1
 	b := &segBuild{
-		data: encodeSegmentHeader(w.id, first, count),
-		refs: make(map[dnswire.Prefix][]blockRef),
+		data:    encodeSegmentHeader(w.id, first, count),
+		refs:    make(map[dnswire.Prefix][]blockRef),
+		cadence: make(cadence),
 	}
 	frameStart := int64(len(b.data))
-	lastBaseSeg := make(map[dnswire.Prefix]int)
-	deltasSeg := make(map[dnswire.Prefix]int)
 
-	emitBase := func(snap int, p dnswire.Prefix, st blockState) {
-		start := int64(len(b.data))
-		b.data = appendFrame(b.data, frameBase, encodeBaseBody(snap, p, st))
-		b.refs[p] = append(b.refs[p], blockRef{snap: snap, kind: frameBase, off: start, length: int(int64(len(b.data)) - start)})
-		lastBaseSeg[p] = snap
-		deltasSeg[p] = 0
-		b.baseFrames++
-	}
-	emitDelta := func(snap int, p dnswire.Prefix, changes []deltaEntry) {
-		start := int64(len(b.data))
-		b.data = appendFrame(b.data, frameDelta, encodeDeltaBody(snap, p, changes))
-		b.refs[p] = append(b.refs[p], blockRef{snap: snap, kind: frameDelta, off: start, length: int(int64(len(b.data)) - start)})
-		deltasSeg[p]++
-		b.deltaFrames++
-	}
-
-	// One original frame's effect: the changes at this snapshot and the
-	// block's resulting state.
-	type frameEffect struct {
-		p       dnswire.Prefix
-		changes []deltaEntry
-	}
-	applyOriginal := func(fr frame) (frameEffect, error) {
-		switch fr.kind {
-		case frameBase:
-			_, p, newState, err := decodeBaseBody(fr.body, nil)
-			if err != nil {
-				return frameEffect{}, err
-			}
-			changes := diffBlock(nil, running[p], newState)
-			setState(running, p, newState)
-			b.sealedBases++
-			return frameEffect{p: p, changes: changes}, nil
-		case frameDelta:
-			_, p, entries, err := decodeDeltaBody(fr.body, nil)
-			if err != nil {
-				return frameEffect{}, err
-			}
-			setState(running, p, applyDelta(nil, running[p], entries))
-			b.sealedDeltas++
-			return frameEffect{p: p, changes: entries}, nil
-		}
-		return frameEffect{}, corruptf("unknown frame kind 0x%02x", fr.kind)
-	}
-
-	sc := &frameScanner{
-		r:   bufio.NewReaderSize(io.NewSectionReader(w.tailF, w.tailHeaderLen, cutOff-w.tailHeaderLen), 1<<16),
-		off: w.tailHeaderLen,
-	}
-	snap := first - 1
-	var firstGroup []frameEffect
+	// The opening snapshot: every live block gets a fresh base, in address
+	// order, whether or not the tail touched it there.
+	var firstGroup []dnswire.Prefix // the blocks the tail did touch there
 	flushFirst := func() {
-		if snap != first {
-			return
-		}
-		// The opening snapshot: every live block gets a fresh base, in
-		// address order, whether or not the tail touched it here.
-		touched := make(map[dnswire.Prefix]bool, len(firstGroup))
-		for _, fe := range firstGroup {
-			touched[fe.p] = true
-		}
 		order := make([]dnswire.Prefix, 0, len(running)+len(firstGroup))
 		for p := range running {
 			order = append(order, p)
 		}
-		for p := range touched {
+		for _, p := range firstGroup {
 			if _, live := running[p]; !live {
 				order = append(order, p)
 			}
 		}
 		sort.Slice(order, func(i, j int) bool { return order[i].Addr.Uint32() < order[j].Addr.Uint32() })
 		for _, p := range order {
-			emitBase(first, p, running[p])
+			b.emit(frameBase, first, frameEffect{p: p, state: running[p]})
 		}
-		firstGroup = nil
 	}
+
+	seq := newSequencer(w.tailF, w.tailHeaderLen, cutOff, first)
+	var changes []deltaEntry
 	for {
-		fr, start, _, err := sc.next()
+		fr, err := seq.next()
 		if err == io.EOF {
 			break
 		}
 		if err != nil {
-			return nil, fmt.Errorf("histstore: sealing %s at offset %d: %w", w.tailFile, start, err)
+			return nil, fmt.Errorf("histstore: sealing %s at offset %d: %w", w.tailFile, seq.offset(), err)
 		}
-		if fr.kind == frameSnap {
-			flushFirst()
-			ls, unixSec, err := decodeSnapBody(fr.body)
-			if err != nil {
-				return nil, err
+		snap := fr.ref.snap
+		if fr.ref.kind == frameSnap {
+			if snap == first+1 {
+				flushFirst()
 			}
-			if ls != snap+1 {
-				return nil, corruptf("sealing %s: snapshot header %d, expected %d", w.tailFile, ls, snap+1)
-			}
-			snap = ls
-			b.data = appendFrame(b.data, frameSnap, encodeSnapBody(ls, unixSec))
+			b.data = appendFrame(b.data, frameSnap, encodeSnapBody(snap, fr.unix))
 			continue
 		}
-		fe, err := applyOriginal(fr)
-		if err != nil {
-			return nil, err
-		}
-		if snap == first {
-			firstGroup = append(firstGroup, fe)
-			continue
+		fe := frameEffect{ref: fr.ref}
+		if changes, err = fe.decode(fr.body, running, changes[:0]); err != nil {
+			return nil, fmt.Errorf("histstore: sealing %s: %w", w.tailFile, err)
 		}
 		p := fe.p
-		seen := len(b.refs[p]) > 0
+		setState(running, p, fe.state)
+		if fr.ref.kind == frameBase {
+			b.sealedBases++
+		} else {
+			b.sealedDeltas++
+		}
 		switch {
-		case !seen:
+		case snap == first:
+			firstGroup = append(firstGroup, p)
+		case len(b.refs[p]) == 0:
 			// A block's first in-segment frame must be a base — the
 			// invariant the walk's absence-means-dead rule needs.
-			emitBase(snap, p, running[p])
-		case snap-lastBaseSeg[p] >= segK && deltasSeg[p] > 0:
-			emitBase(snap, p, running[p])
+			b.emit(frameBase, snap, fe)
+		case b.cadence.due(p, snap, segK):
+			b.emit(frameBase, snap, fe)
 		case len(fe.changes) > 0:
-			emitDelta(snap, p, fe.changes)
+			b.emit(frameDelta, snap, fe)
 		default:
 			// A rebase that changed nothing: reclaimed.
 		}
 	}
-	flushFirst()
-	if snap != cut {
-		return nil, corruptf("sealing %s: span ends at snapshot %d, expected %d", w.tailFile, snap, cut)
+	if seq.snapshots() != count {
+		return nil, corruptf("sealing %s: span holds %d snapshots, expected %d", w.tailFile, seq.snapshots(), count)
+	}
+	if count == 1 {
+		flushFirst()
 	}
 
 	footerOff := int64(len(b.data))

@@ -134,20 +134,16 @@ type writerState struct {
 	tailHeaderLen int64
 	tailSize      int64
 	tailBlocks    map[dnswire.Prefix][]blockRef
-	// tailSnapOffsets[i] is the file offset of local snapshot
-	// (tailFirst+i)'s snapshot frame — compaction's cut points.
-	tailSnapOffsets []int64
-	tornAt          int64 // torn-tail boundary found at replay, -1 if none
+	tornAt        int64 // torn-tail boundary found at replay, -1 if none
 
 	known blockList // every /24 the writer has ever recorded
 	times []time.Time
 	// globalIdx maps local snapshot index -> global snapshot index.
 	globalIdx []int
 	cur       map[dnswire.Prefix]blockState
-	// lastBase and deltasSince drive the per-block compaction schedule
+	// cadence drives the per-block rebase schedule of the writer's appends
 	// (writer-local snapshot indexes).
-	lastBase    map[dnswire.Prefix]int
-	deltasSince map[dnswire.Prefix]int
+	cadence cadence
 }
 
 // Store is the history store. Open creates or loads one; methods are safe
@@ -399,7 +395,7 @@ func (s *Store) registerWriter() (*storeManifest, error) {
 			return nil, err
 		}
 		m.setWriter(w)
-		if err := writeManifest(s.dir, m, nil); err != nil {
+		if err := writeManifest(s.dir, m, ""); err != nil {
 			releaseFileLock(lock)
 			return nil, err
 		}
@@ -455,16 +451,15 @@ func (s *Store) loadWriters(m *storeManifest) error {
 	for wi := range m.writers {
 		mw := m.writers[wi]
 		w := &writerState{
-			id:          mw.id,
-			idx:         wi,
-			fileSeq:     mw.fileSeq,
-			tailFile:    mw.tailFile,
-			tailFirst:   mw.tailFirst,
-			tornAt:      -1,
-			tailBlocks:  make(map[dnswire.Prefix][]blockRef),
-			cur:         make(map[dnswire.Prefix]blockState),
-			lastBase:    make(map[dnswire.Prefix]int),
-			deltasSince: make(map[dnswire.Prefix]int),
+			id:         mw.id,
+			idx:        wi,
+			fileSeq:    mw.fileSeq,
+			tailFile:   mw.tailFile,
+			tailFirst:  mw.tailFirst,
+			tornAt:     -1,
+			tailBlocks: make(map[dnswire.Prefix][]blockRef),
+			cur:        make(map[dnswire.Prefix]blockState),
+			cadence:    make(cadence),
 		}
 		for _, g := range mw.segs {
 			w.segs = append(w.segs, &segment{
@@ -578,8 +573,8 @@ func setState(cur map[dnswire.Prefix]blockState, p dnswire.Prefix, st blockState
 
 // applyFrame folds one frame of writer w — block p at global snapshot gi
 // became wState through wChanges — into the writer's live state, the
-// merged view and the name index. It is the single transition Append and
-// replay both run, which is what makes reopen bit-identical.
+// merged view and the name index. It is the transition inside commitGroup,
+// which Append and replay both run: what makes reopen bit-identical.
 func (s *Store) applyFrame(w *writerState, gi int, p dnswire.Prefix, wChanges []deltaEntry, wState blockState) {
 	changes := wChanges
 	if s.solo {

@@ -8,6 +8,8 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+
+	"rdnsprivacy/internal/testutil"
 )
 
 // The manifest is the store directory's single commit point: a small
@@ -285,31 +287,39 @@ func readManifest(dir string) (*storeManifest, error) {
 	return m, nil
 }
 
-// writeManifest atomically replaces dir's manifest with m: staged to a
-// temp file, fsynced, renamed over MANIFEST, directory fsynced. The
-// rename is the commit point of every store mutation protocol. fault,
-// when non-nil, is invoked before the stage and before the rename so
-// crash tests can kill the protocol at either step; registration passes
-// nil (only compaction is crash-injected).
-func writeManifest(dir string, m *storeManifest, fault func(string) error) error {
-	if fault != nil {
-		if err := fault("histstore.compact.manifest.write"); err != nil {
-			return err
+// writeManifest atomically replaces dir's manifest with m. The rename
+// inside stageFile is the commit point of every store mutation protocol.
+func writeManifest(dir string, m *storeManifest, point string) error {
+	return stageFile(filepath.Join(dir, manifestName), encodeManifest(m), point)
+}
+
+// stageFile brings a file into being under its name crash-atomically:
+// data is written to path.tmp and fsynced, renamed over path, and the
+// directory fsynced — how a segment, a replacement tail and a manifest
+// all come to exist. A non-empty point names the step for crash tests:
+// point.write fires before the stage and point.rename before the rename.
+// Registration and replica commits pass "": only compaction is
+// crash-injected.
+func stageFile(path string, data []byte, point string) error {
+	fault := func(step string) error {
+		if point == "" {
+			return nil
 		}
+		return testutil.Fault(point + step)
 	}
-	tmp := filepath.Join(dir, manifestName+".tmp")
-	if err := writeFileSync(tmp, encodeManifest(m)); err != nil {
+	if err := fault(".write"); err != nil {
 		return err
 	}
-	if fault != nil {
-		if err := fault("histstore.compact.manifest.rename"); err != nil {
-			return err
-		}
+	if err := writeFileSync(path+".tmp", data); err != nil {
+		return err
 	}
-	if err := os.Rename(tmp, filepath.Join(dir, manifestName)); err != nil {
-		return fmt.Errorf("histstore: committing manifest: %w", err)
+	if err := fault(".rename"); err != nil {
+		return err
 	}
-	return syncDir(dir)
+	if err := os.Rename(path+".tmp", path); err != nil {
+		return fmt.Errorf("histstore: staging %s: %w", filepath.Base(path), err)
+	}
+	return syncDir(filepath.Dir(path))
 }
 
 // writeFileSync writes data to path and fsyncs it before closing.

@@ -89,7 +89,7 @@ func (s *Store) Churn(p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) 
 	return s.ChurnContext(context.Background(), p, from, to)
 }
 
-// ChurnContext is Churn with cancellation, mirroring RangeContext.
+// ChurnContext is Churn with cancellation, as RangeContext is Range with it.
 func (s *Store) ChurnContext(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

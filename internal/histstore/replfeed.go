@@ -1,7 +1,6 @@
 package histstore
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/binary"
 	"errors"
@@ -252,10 +251,13 @@ func (s *Store) FeedReadTail(writer, wantFile string, off int64, max int) ([]byt
 
 // VerifySegmentFile fully validates a downloaded segment file against
 // its manifest identity: header, trailer, footer CRC, footer index
-// decode, and a CRC scan of every frame in the data region — together
-// the checks cover every byte of the file. It returns the file size and
-// the trailer's footer CRC so callers can match the feed's content
-// address. Any truncation or bit flip is a loud error.
+// decode, and a sequenced scan of the data region — every frame's CRC,
+// snapshot headers counting first..first+count-1, and the footer's refs
+// matching the frames exactly. Together the checks cover every byte of
+// the file, and they are the ones Open applies: a segment that passes
+// here replays. It returns the file size and the trailer's footer CRC so
+// callers can match the feed's content address. Any truncation, bit flip
+// or internally inconsistent segment is a loud error.
 func VerifySegmentFile(path, writerID string, first, count int) (int64, uint32, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -267,26 +269,12 @@ func VerifySegmentFile(path, writerID string, first, count int) (int64, uint32, 
 		return 0, 0, fmt.Errorf("histstore: %w", err)
 	}
 	size := fi.Size()
-	_, frameStart, footerOff, err := readSegmentIndex(f, size, writerID, first, count)
+	seq, err := openSegmentSequencer(f, size, writerID, first, count)
 	if err != nil {
 		return 0, 0, fmt.Errorf("histstore: segment %s: %w", path, err)
 	}
-	sc := &frameScanner{
-		r:   bufio.NewReaderSize(io.NewSectionReader(f, frameStart, footerOff-frameStart), 1<<16),
-		off: frameStart,
-	}
-	for {
-		_, off, _, err := sc.next()
-		if err == io.EOF {
-			break
-		}
-		if errors.Is(err, errTruncated) {
-			return 0, 0, fmt.Errorf("histstore: segment %s: %w", path,
-				corruptf("frame region ends inside a frame at offset %d", off))
-		}
-		if err != nil {
-			return 0, 0, fmt.Errorf("histstore: segment %s at offset %d: %w", path, off, err)
-		}
+	if err := seq.drain(); err != nil {
+		return 0, 0, fmt.Errorf("histstore: segment %s: %w", path, err)
 	}
 	var trailer [segTrailerLen]byte
 	if _, err := f.ReadAt(trailer[:], size-segTrailerLen); err != nil {
@@ -295,14 +283,31 @@ func VerifySegmentFile(path, writerID string, first, count int) (int64, uint32, 
 	return size, binary.LittleEndian.Uint32(trailer[8:12]), nil
 }
 
+// drain reads the stream to its end for the sake of the sequencer's
+// checks. A replica never commits bytes it cannot prove frame-aligned, so
+// a region that ends inside a frame is an error here.
+func (q *sequencer) drain() error {
+	for {
+		_, err := q.next()
+		if err == io.EOF {
+			return nil
+		}
+		if errors.Is(err, errTruncated) {
+			return corruptf("truncated inside a frame at offset %d", q.offset())
+		}
+		if err != nil {
+			return fmt.Errorf("at offset %d: %w", q.offset(), err)
+		}
+	}
+}
+
 // VerifyTailFile validates the first size bytes of a downloaded tail
-// file: magic, header first-snapshot == first, and a full frame scan of
+// file: magic, header first-snapshot == first, and a sequenced scan of
 // [header, size) with every frame CRC checked and snapshot headers
 // counting up contiguously from first. It returns the number of
 // snapshots in the verified region. A scan that ends inside a frame is
-// an error — a replica never commits a tail prefix it cannot prove
-// frame-aligned, so a truncated or bit-flipped delta pull fails loudly
-// instead of quietly serving fewer (or wrong) snapshots.
+// an error, so a truncated or bit-flipped delta pull fails loudly instead
+// of quietly serving fewer (or wrong) snapshots.
 func VerifyTailFile(path string, first int, size int64) (int, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -329,44 +334,11 @@ func VerifyTailFile(path string, first int, size int64) (int, error) {
 		return 0, fmt.Errorf("histstore: tail %s: %w", path,
 			corruptf("verified size %d is inside the %d-byte header", size, hdrLen))
 	}
-	sc := &frameScanner{
-		r:   bufio.NewReaderSize(io.NewSectionReader(f, hdrLen, size-hdrLen), 1<<16),
-		off: hdrLen,
+	seq := newSequencer(f, hdrLen, size, first)
+	if err := seq.drain(); err != nil {
+		return 0, fmt.Errorf("histstore: tail %s: %w", path, err)
 	}
-	snaps, expect := 0, first
-	sawSnap := false
-	for {
-		fr, off, _, err := sc.next()
-		if err == io.EOF {
-			return snaps, nil
-		}
-		if errors.Is(err, errTruncated) {
-			return 0, fmt.Errorf("histstore: tail %s: %w", path,
-				corruptf("truncated inside a frame at offset %d", off))
-		}
-		if err != nil {
-			return 0, fmt.Errorf("histstore: tail %s at offset %d: %w", path, off, err)
-		}
-		switch fr.kind {
-		case frameSnap:
-			snap, _, err := decodeSnapBody(fr.body)
-			if err != nil {
-				return 0, fmt.Errorf("histstore: tail %s at offset %d: %w", path, off, err)
-			}
-			if snap != expect {
-				return 0, fmt.Errorf("histstore: tail %s: %w", path,
-					corruptf("snapshot header %d at offset %d, expected %d", snap, off, expect))
-			}
-			expect++
-			snaps++
-			sawSnap = true
-		default:
-			if !sawSnap {
-				return 0, fmt.Errorf("histstore: tail %s: %w", path,
-					corruptf("block frame at offset %d before any snapshot header", off))
-			}
-		}
-	}
+	return seq.snapshots(), nil
 }
 
 // ValidStoreFileName reports whether name is safe as a basename inside a
@@ -413,7 +385,7 @@ func WriteFeedManifest(dir string, fm FeedManifest) (bool, error) {
 	if cur, err := readManifest(dir); err == nil && cur != nil && bytes.Equal(encodeManifest(cur), enc) {
 		return false, nil
 	}
-	if err := writeManifest(dir, m, nil); err != nil {
+	if err := writeManifest(dir, m, ""); err != nil {
 		return false, err
 	}
 	return true, nil

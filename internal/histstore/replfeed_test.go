@@ -1,11 +1,16 @@
 package histstore
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"rdnsprivacy/internal/dnswire"
 )
 
 // feedFixture builds a store with one sealed segment and a live tail:
@@ -252,6 +257,115 @@ func TestVerifySegmentFile(t *testing.T) {
 	if _, _, err := VerifySegmentFile(cp, id, g.First, g.Count); err == nil {
 		t.Fatal("truncated segment accepted")
 	}
+
+	// A lying segment: every CRC valid, the content address (the footer's
+	// CRC) untouched or recomputed, but the file disagrees with itself.
+	// Open would refuse it; so must the verifier a replica runs before it
+	// commits the manifest that names it.
+	lies := []struct {
+		name string
+		lie  func(frames []frame, refs map[dnswire.Prefix][]blockRef)
+	}{
+		{"faithful", func([]frame, map[dnswire.Prefix][]blockRef) {}},
+		{"renumbered snapshot headers", func(frames []frame, _ map[dnswire.Prefix][]blockRef) {
+			seen := 0
+			for i, fr := range frames {
+				if fr.kind != frameSnap {
+					continue
+				}
+				if seen++; seen > 1 { // every header after the first skips one ahead
+					snap, unix, err := decodeSnapBody(fr.body)
+					if err != nil {
+						t.Fatal(err)
+					}
+					frames[i].body = encodeSnapBody(snap+1, unix)
+				}
+			}
+		}},
+		{"footer ref pointing at a neighbouring frame", func(_ []frame, refs map[dnswire.Prefix][]blockRef) {
+			// Two blocks with a frame under the same snapshot header: one's
+			// ref now locates the other's frame.
+			at := map[int]*blockRef{}
+			for _, rs := range refs {
+				for i := range rs {
+					if other, ok := at[rs[i].snap]; ok {
+						rs[i].off, rs[i].length = other.off, other.length
+						return
+					}
+				}
+				for i := range rs {
+					at[rs[i].snap] = &rs[i]
+				}
+			}
+			t.Fatal("fixture segment never writes two blocks in one snapshot")
+		}},
+	}
+	for _, tc := range lies {
+		lying := filepath.Join(t.TempDir(), "seg")
+		if err := os.WriteFile(lying, rebuildSegment(t, path, id, g.First, g.Count, tc.lie), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, _, err := VerifySegmentFile(lying, id, g.First, g.Count)
+		if tc.name == "faithful" {
+			// The control: reassembly itself changes nothing.
+			if rebuilt, _ := os.ReadFile(lying); err != nil || !bytes.Equal(rebuilt, data) {
+				t.Fatalf("faithful reassembly differs from the segment or fails to verify: %v", err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("segment with %s accepted", tc.name)
+		}
+	}
+}
+
+// rebuildSegment takes the segment at path apart — its frames and the
+// refs its footer indexes them by — lets lie edit both, and reassembles
+// the file with every CRC recomputed.
+func rebuildSegment(t *testing.T, path, id string, first, count int, lie func([]frame, map[dnswire.Prefix][]blockRef)) []byte {
+	t.Helper()
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	fi, err := f.Stat()
+	if err != nil {
+		t.Fatal(err)
+	}
+	idx, frameStart, footerOff, err := readSegmentIndex(f, fi.Size(), id, first, count)
+	if err != nil {
+		t.Fatal(err)
+	}
+	region := make([]byte, footerOff-frameStart)
+	if _, err := f.ReadAt(region, frameStart); err != nil {
+		t.Fatal(err)
+	}
+	var frames []frame
+	for len(region) > 0 {
+		var fr frame
+		if fr, region, err = decodeFrame(region); err != nil {
+			t.Fatal(err)
+		}
+		frames = append(frames, fr)
+	}
+	refs := make(map[dnswire.Prefix][]blockRef)
+	for i := range idx.dir {
+		p, rs, err := idx.block(i, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[p] = rs
+	}
+	lie(frames, refs)
+	out := encodeSegmentHeader(id, first, count)
+	for _, fr := range frames {
+		out = appendFrame(out, fr.kind, fr.body)
+	}
+	footer, end := encodeSegmentFooter(refs, first), len(out)
+	out = binary.LittleEndian.AppendUint64(append(out, footer...), uint64(end))
+	out = binary.LittleEndian.AppendUint32(out, crc32.ChecksumIEEE(footer))
+	return append(out, segTrailerMagic[:]...)
 }
 
 func TestVerifyTailFile(t *testing.T) {

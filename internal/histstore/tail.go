@@ -57,14 +57,18 @@ func readTailHeader(f *os.File) (firstSnap int, headerLen, size int64, err error
 	return int(v), int64(8 + vn), fi.Size(), nil
 }
 
-// frameScanner walks frames off a buffered reader, tracking offsets.
+// frameScanner walks frames off a buffered reader, tracking offsets. It
+// knows the framing and nothing of what the frames mean; nothing but a
+// sequencer reads one.
 type frameScanner struct {
 	r   *bufio.Reader
 	off int64
+	buf []byte // the latest frame's body
 }
 
-// next reads one frame. It returns io.EOF cleanly at a frame boundary and
-// errTruncated when the region ends inside a frame.
+// next reads one frame, whose body stays valid until the call after. It
+// returns io.EOF cleanly at a frame boundary and errTruncated when the
+// region ends inside a frame; off then still names the frame's start.
 func (fs *frameScanner) next() (frame, int64, int, error) {
 	start := fs.off
 	kind, err := fs.r.ReadByte()
@@ -84,7 +88,10 @@ func (fs *frameScanner) next() (frame, int64, int, error) {
 	if n > 1<<24 {
 		return frame{}, start, 0, corruptf("frame body of %d bytes", n)
 	}
-	body := make([]byte, n)
+	if uint64(cap(fs.buf)) < n {
+		fs.buf = make([]byte, n)
+	}
+	body := fs.buf[:n]
 	if _, err := io.ReadFull(fs.r, body); err != nil {
 		return frame{}, start, 0, errTruncated
 	}
@@ -100,67 +107,138 @@ func (fs *frameScanner) next() (frame, int64, int, error) {
 	return frame{kind: kind, body: body}, start, length, nil
 }
 
-// replayFrameRec is one block frame of a snapshot group with its file
-// location.
-type replayFrameRec struct {
-	fr  frame
-	ref blockRef
+// seqFrame is one frame as a sequencer yields it. For a snapshot header
+// ref.snap is the snapshot it opens and unix its instant; for a block
+// frame ref.snap is the snapshot it belongs to and p its /24. body is
+// valid until the sequencer reads another frame.
+type seqFrame struct {
+	ref  blockRef
+	unix int64
+	p    dnswire.Prefix
+	body []byte
 }
 
-// snapGroup is one snapshot's frames from one source file: the snapshot
-// header plus the block frames under it.
-type snapGroup struct {
-	local  int
-	when   time.Time
-	off    int64 // snapshot frame offset (a compaction cut point in tails)
-	frames []replayFrameRec
-	seg    *segment // source segment; nil when the group came from the tail
+// sequencer reads a frame region as what every tail and segment is: a run
+// of snapshot groups. It is the one place that knows a well-formed stream
+// — snapshot headers count up from the region's first snapshot, no block
+// frame comes before a header, a block frame names the snapshot of the
+// header above it, and the block frames of one group ascend by /24 (so a
+// block has at most one) — and every reader of a frame stream goes through
+// it: replay, compaction's sealing pass, and the two replica-side
+// verifiers. What a torn frame means is the caller's policy: next hands
+// errTruncated up with offset at the frame's start.
+//
+// Over a segment (openSegmentSequencer) it also gathers the refs of the
+// frames it passes, and a clean end of the stream then proves the segment
+// whole: as many snapshots as its header claims, and a footer index that
+// matches the frames exactly — a footer that lies about its frames, or
+// vice versa, is loud corruption rather than silent wrong answers.
+type sequencer struct {
+	sc       frameScanner
+	first    int   // the region's first snapshot
+	expect   int   // the index the next snapshot header must carry
+	lastAddr int64 // the /24 of the current group's latest block frame, -1 before any
+
+	idx  *segIndex // a segment's decoded footer; nil over a tail
+	refs map[dnswire.Prefix][]blockRef
 }
 
-// Cursor control-flow sentinels.
-var (
-	errSourceEnd  = errors.New("histstore: source end")
-	errCursorDone = errors.New("histstore: cursor done")
-)
+// newSequencer reads f's bytes [from, to) as snapshot groups starting at
+// snapshot first.
+func newSequencer(f io.ReaderAt, from, to int64, first int) *sequencer {
+	return &sequencer{
+		sc:     frameScanner{r: bufio.NewReaderSize(io.NewSectionReader(f, from, to-from), 1<<16), off: from},
+		first:  first,
+		expect: first,
+	}
+}
 
-// pendedFrame is the cursor's one-frame lookahead (a snapshot header
-// that terminated the previous group).
-type pendedFrame struct {
-	fr     frame
-	start  int64
-	length int
-	seg    *segment
+// openSegmentSequencer validates a segment file's header, trailer and
+// footer against the identity the manifest gives it and returns the
+// sequencer over its frame region.
+func openSegmentSequencer(f *os.File, size int64, id string, first, count int) (*sequencer, error) {
+	idx, frameStart, footerOff, err := readSegmentIndex(f, size, id, first, count)
+	if err != nil {
+		return nil, err
+	}
+	q := newSequencer(f, frameStart, footerOff, first)
+	q.idx, q.refs = idx, make(map[dnswire.Prefix][]blockRef)
+	return q, nil
+}
+
+// offset is where the next frame starts — after errTruncated, the torn
+// frame.
+func (q *sequencer) offset() int64 { return q.sc.off }
+
+// snapshots is how many snapshot headers the sequencer has passed.
+func (q *sequencer) snapshots() int { return q.expect - q.first }
+
+// next yields the stream's next frame, io.EOF at its clean end.
+func (q *sequencer) next() (seqFrame, error) {
+	fr, off, length, err := q.sc.next()
+	if err == io.EOF && q.idx != nil {
+		if q.snapshots() != q.idx.count {
+			return seqFrame{}, corruptf("frames hold %d snapshots, header says %d", q.snapshots(), q.idx.count)
+		}
+		if !q.idx.matches(q.refs) {
+			return seqFrame{}, corruptError("footer index does not match frame contents")
+		}
+	}
+	if err != nil {
+		return seqFrame{}, err
+	}
+	out := seqFrame{ref: blockRef{kind: fr.kind, off: off, length: length}, body: fr.body}
+	if fr.kind == frameSnap {
+		if out.ref.snap, out.unix, err = decodeSnapBody(fr.body); err != nil {
+			return seqFrame{}, err
+		}
+		if out.ref.snap != q.expect {
+			return seqFrame{}, corruptf("snapshot header %d at offset %d, expected %d", out.ref.snap, off, q.expect)
+		}
+		q.expect++
+		q.lastAddr = -1
+		return out, nil
+	}
+	if q.expect == q.first {
+		return seqFrame{}, corruptf("block frame at offset %d before any snapshot header", off)
+	}
+	if out.ref.snap, out.p, _, err = (&byteReader{b: fr.body}).blockHead(); err != nil {
+		return seqFrame{}, err
+	}
+	if out.ref.snap != q.expect-1 {
+		return seqFrame{}, corruptf("block frame for snapshot %d under header %d", out.ref.snap, q.expect-1)
+	}
+	addr := int64(out.p.Addr.Uint32())
+	if addr <= q.lastAddr {
+		return seqFrame{}, corruptf("block frame for %s at offset %d out of address order", out.p, off)
+	}
+	q.lastAddr = addr
+	if q.refs != nil {
+		q.refs[out.p] = append(q.refs[out.p], out.ref)
+	}
+	return out, nil
 }
 
 // writerCursor streams one writer's snapshot groups across its sources —
 // sealed segments in manifest order, then the tail — so the store-level
 // merge can interleave writers without materializing anyone's history.
+// Each group arrives decoded against the writer's live states, ready for
+// commitGroup; a cursor is replay's whole position in a writer.
 type writerCursor struct {
-	s    *Store
-	w    *writerState
-	src  int
-	sc   *frameScanner
-	seg  *segment // segment being scanned; nil while on the tail
-	pend *pendedFrame
-	// group is the next group to apply (nil once exhausted).
-	group *snapGroup
-	// footer holds each segment's decoded footer index; segScan
-	// accumulates the refs actually observed in its frames. The two must
-	// agree (finishReplay), making a footer that lies about its frames —
-	// or vice versa — loud corruption rather than silent wrong answers.
-	footer  map[*segment]*segIndex
-	segScan map[*segment]map[dnswire.Prefix][]blockRef
-	deltas  []deltaEntry // decode scratch: a delta's entries die with its frame
-}
+	w   *writerState
+	src int        // the source seq reads: an index into w.segs, len(w.segs) for the tail
+	seq *sequencer // nil between sources
+	seg *segment   // the segment seq reads; nil over the tail
 
-func newWriterCursor(s *Store, w *writerState) *writerCursor {
-	return &writerCursor{
-		s:       s,
-		w:       w,
-		src:     -1,
-		footer:  make(map[*segment]*segIndex),
-		segScan: make(map[*segment]map[dnswire.Prefix][]blockRef),
-	}
+	// The next group to commit, when pending.
+	pending bool
+	when    time.Time
+	inTail  bool
+	effects []frameEffect
+	changes []deltaEntry // the effects' changes: they die with the group
+
+	head     seqFrame // the header that ended the group before, when haveHead
+	haveHead bool
 }
 
 // openNextSource advances to the writer's next file, returning false
@@ -182,24 +260,13 @@ func (c *writerCursor) openNextSource() (bool, error) {
 			f.Close()
 			return false, fmt.Errorf("histstore: %w", err)
 		}
-		refs, frameStart, footerOff, err := readSegmentIndex(f, fi.Size(), g.writerID, g.firstSnap, g.count)
+		seq, err := openSegmentSequencer(f, fi.Size(), g.writerID, g.firstSnap, g.count)
 		if err != nil {
 			f.Close()
 			return false, fmt.Errorf("histstore: segment %s: %w", g.path, err)
 		}
-		if len(w.times) != g.firstSnap {
-			f.Close()
-			return false, fmt.Errorf("histstore: segment %s: %w", g.path,
-				corruptf("starts at snapshot %d, predecessors delivered %d", g.firstSnap, len(w.times)))
-		}
-		g.f, g.size = f, fi.Size()
-		c.footer[g] = refs
-		c.segScan[g] = make(map[dnswire.Prefix][]blockRef)
-		c.seg = g
-		c.sc = &frameScanner{
-			r:   bufio.NewReaderSize(io.NewSectionReader(f, frameStart, footerOff-frameStart), 1<<16),
-			off: frameStart,
-		}
+		g.f, g.size, g.idx = f, fi.Size(), seq.idx
+		c.seq, c.seg = seq, g
 		return true, nil
 	}
 	if c.src == len(w.segs) {
@@ -211,235 +278,127 @@ func (c *writerCursor) openNextSource() (bool, error) {
 			return false, fmt.Errorf("histstore: tail %s: %w", w.tailFile,
 				corruptf("header says first snapshot %d, manifest says %d", first, w.tailFirst))
 		}
-		if len(w.times) != w.tailFirst {
-			return false, fmt.Errorf("histstore: tail %s: %w", w.tailFile,
-				corruptf("starts at snapshot %d, segments delivered %d", w.tailFirst, len(w.times)))
-		}
 		w.tailHeaderLen = hdrLen
 		w.tailSize = size
-		c.seg = nil
-		c.sc = &frameScanner{
-			r:   bufio.NewReaderSize(io.NewSectionReader(w.tailF, hdrLen, size-hdrLen), 1<<16),
-			off: hdrLen,
-		}
+		c.seq, c.seg = newSequencer(w.tailF, hdrLen, size, first), nil
 		return true, nil
 	}
 	return false, nil
 }
 
-// nextFrame yields the writer's next frame, errSourceEnd at each source
-// boundary, and errCursorDone after the last. A torn tail quietly ends
-// the stream (recorded for truncation); a torn segment is corruption.
-func (c *writerCursor) nextFrame() (frame, int64, int, *segment, error) {
-	if p := c.pend; p != nil {
-		c.pend = nil
-		return p.fr, p.start, p.length, p.seg, nil
-	}
-	if c.sc == nil {
-		ok, err := c.openNextSource()
-		if err != nil {
-			return frame{}, 0, 0, nil, err
+// frame yields the writer's next frame across its sources, ok false after
+// the last. A torn tail quietly ends the stream (recorded for truncation);
+// a torn segment is corruption.
+func (c *writerCursor) frame() (seqFrame, bool, error) {
+	for {
+		if c.seq == nil {
+			if ok, err := c.openNextSource(); err != nil || !ok {
+				return seqFrame{}, false, err
+			}
 		}
-		if !ok {
-			return frame{}, 0, 0, nil, errCursorDone
+		fr, err := c.seq.next()
+		switch {
+		case err == nil:
+			return fr, true, nil
+		case err == io.EOF:
+		case c.seg != nil:
+			if errors.Is(err, errTruncated) {
+				err = corruptError("truncated inside a frame")
+			}
+			return seqFrame{}, false, fmt.Errorf("histstore: segment %s at offset %d: %w", c.seg.path, c.seq.offset(), err)
+		case errors.Is(err, errTruncated):
+			c.w.tornAt = c.seq.offset()
+		default:
+			return seqFrame{}, false, fmt.Errorf("histstore: replaying %s at offset %d: %w", c.w.tailFile, c.seq.offset(), err)
 		}
+		c.seq = nil // the source is spent; the tail is the last
 	}
-	fr, start, length, err := c.sc.next()
-	if err == io.EOF {
-		c.sc = nil
-		return frame{}, 0, 0, nil, errSourceEnd
-	}
-	if errors.Is(err, errTruncated) {
-		if c.seg != nil {
-			return frame{}, 0, 0, nil, fmt.Errorf("histstore: segment %s: %w", c.seg.path,
-				corruptError("truncated inside a frame"))
-		}
-		c.w.tornAt = start
-		c.src = len(c.w.segs) + 1 // tail consumed; no further sources
-		c.sc = nil
-		return frame{}, 0, 0, nil, errSourceEnd
-	}
-	if err != nil {
-		name := c.w.tailFile
-		if c.seg != nil {
-			name = c.seg.path
-		}
-		return frame{}, 0, 0, nil, fmt.Errorf("histstore: replaying %s at offset %d: %w", name, start, err)
-	}
-	return fr, start, length, c.seg, nil
 }
 
-// next assembles the writer's next snapshot group into c.group (nil when
-// the writer is exhausted).
+// next reads the writer's next snapshot group and decodes it; pending is
+// false once the writer is exhausted. The group before must be committed:
+// frames decode against the states it left.
 func (c *writerCursor) next() error {
-	c.group = nil
-	var g *snapGroup
+	c.pending = false
+	head, ok := c.head, c.haveHead
+	if !ok {
+		var err error
+		if head, ok, err = c.frame(); err != nil || !ok {
+			return err
+		}
+	}
+	w := c.w
+	c.haveHead = false
+	c.when, c.inTail = time.Unix(head.unix, 0).UTC(), c.seg == nil
+	c.effects, c.changes = c.effects[:0], c.changes[:0]
 	for {
-		fr, start, length, seg, err := c.nextFrame()
-		if err == errCursorDone {
-			c.group = g
-			return nil
-		}
-		if err == errSourceEnd {
-			if g != nil {
-				c.group = g
-				return nil
-			}
-			continue
-		}
+		fr, ok, err := c.frame()
 		if err != nil {
 			return err
 		}
-		if fr.kind == frameSnap {
-			if g != nil {
-				c.pend = &pendedFrame{fr: fr, start: start, length: length, seg: seg}
-				c.group = g
-				return nil
-			}
-			snap, unixSec, err := decodeSnapBody(fr.body)
-			if err != nil {
-				return fmt.Errorf("histstore: writer %q at offset %d: %w", c.w.id, start, err)
-			}
-			g = &snapGroup{local: snap, when: time.Unix(unixSec, 0).UTC(), off: start, seg: seg}
-			continue
+		if !ok {
+			break
 		}
-		if g == nil {
-			return fmt.Errorf("histstore: writer %q: %w", c.w.id,
-				corruptf("block frame at offset %d before any snapshot header", start))
+		if fr.ref.kind == frameSnap {
+			c.head, c.haveHead = fr, true
+			break
 		}
-		g.frames = append(g.frames, replayFrameRec{fr: fr, ref: blockRef{kind: fr.kind, off: start, length: length}})
+		if fr.ref.kind == frameDelta && !w.known.has(fr.p) {
+			return fmt.Errorf("histstore: writer %q: %w", w.id, corruptf("delta for unknown block %s", fr.p))
+		}
+		fe := frameEffect{ref: fr.ref}
+		if c.changes, err = fe.decode(fr.body, w.cur, c.changes); err != nil {
+			return fmt.Errorf("histstore: writer %q: %w", w.id, err)
+		}
+		c.effects = append(c.effects, fe)
 	}
+	c.pending = true
+	return nil
 }
 
 // replayAll rebuilds the merged in-memory state from every writer's
 // files: a k-way merge of the writers' snapshot streams ordered by
-// (time, writer id), running the same transition function Append uses.
+// (time, writer id), each group committed the way Append commits one.
 func (s *Store) replayAll() error {
 	curs := make([]*writerCursor, len(s.writers))
 	for i, w := range s.writers {
-		curs[i] = newWriterCursor(s, w)
+		curs[i] = &writerCursor{w: w, src: -1}
 		if err := curs[i].next(); err != nil {
 			return err
 		}
 	}
 	for {
-		pick := -1
-		for i, c := range curs {
-			if c.group == nil {
-				continue
-			}
-			if pick < 0 || c.group.when.Before(curs[pick].group.when) {
-				pick = i
+		var c *writerCursor
+		for _, o := range curs {
+			if o.pending && (c == nil || o.when.Before(c.when)) {
+				c = o
 			}
 		}
-		if pick < 0 {
+		if c == nil {
 			break
 		}
-		c := curs[pick]
-		if err := s.applyGroup(c, c.group); err != nil {
-			return err
+		w := c.w
+		if n := len(w.times); n > 0 && !c.when.After(w.times[n-1]) {
+			return fmt.Errorf("histstore: writer %q: %w", w.id,
+				corruptf("snapshot %d not after its predecessor", n))
 		}
+		if len(s.times) >= maxSnapshots {
+			return fmt.Errorf("histstore: timeline exceeds %d snapshots", maxSnapshots)
+		}
+		s.commitGroup(w, c.when, c.inTail, c.effects)
 		if err := c.next(); err != nil {
 			return err
 		}
 	}
-	return s.finishReplay(curs)
+	return s.finishReplay()
 }
 
-// applyGroup folds one snapshot group into the writer's and the merged
-// state, mirroring Append's commit exactly.
-func (s *Store) applyGroup(c *writerCursor, g *snapGroup) error {
-	w := c.w
-	local := len(w.times)
-	if g.local != local {
-		return fmt.Errorf("histstore: writer %q: %w", w.id,
-			corruptf("snapshot header %d, expected %d", g.local, local))
-	}
-	if local > 0 && !g.when.After(w.times[local-1]) {
-		return fmt.Errorf("histstore: writer %q: %w", w.id,
-			corruptf("snapshot %d not after its predecessor", local))
-	}
-	gi := len(s.times)
-	if gi >= maxSnapshots {
-		return fmt.Errorf("histstore: timeline exceeds %d snapshots", maxSnapshots)
-	}
-	s.times = append(s.times, g.when)
-	s.snapWriter = append(s.snapWriter, w.idx)
-	s.snapLocal = append(s.snapLocal, local)
-	w.times = append(w.times, g.when)
-	w.globalIdx = append(w.globalIdx, gi)
-	if g.seg == nil {
-		w.tailSnapOffsets = append(w.tailSnapOffsets, g.off)
-	}
-	for _, rf := range g.frames {
-		var p dnswire.Prefix
-		var wChanges []deltaEntry
-		var wState blockState
-		switch rf.fr.kind {
-		case frameBase:
-			snap, bp, entries, err := decodeBaseBody(rf.fr.body, nil)
-			if err != nil {
-				return fmt.Errorf("histstore: writer %q: %w", w.id, err)
-			}
-			if snap != local {
-				return fmt.Errorf("histstore: writer %q: %w", w.id,
-					corruptf("block frame for snapshot %d under header %d", snap, local))
-			}
-			p, wState = bp, entries
-			wChanges = diffBlock(nil, w.cur[p], wState)
-			w.lastBase[p] = local
-			w.deltasSince[p] = 0
-			s.baseFrames++
-		case frameDelta:
-			snap, dp, entries, err := decodeDeltaBody(rf.fr.body, c.deltas)
-			if err != nil {
-				return fmt.Errorf("histstore: writer %q: %w", w.id, err)
-			}
-			c.deltas = entries
-			if snap != local {
-				return fmt.Errorf("histstore: writer %q: %w", w.id,
-					corruptf("block frame for snapshot %d under header %d", snap, local))
-			}
-			p = dp
-			if !w.known.has(p) {
-				return fmt.Errorf("histstore: writer %q: %w", w.id,
-					corruptf("delta for unknown block %s", p))
-			}
-			wChanges = entries
-			wState = applyDelta(nil, w.cur[p], entries)
-			w.deltasSince[p]++
-			s.deltaFrames++
-		}
-		ref := rf.ref
-		ref.snap = local
-		if g.seg != nil {
-			c.segScan[g.seg][p] = append(c.segScan[g.seg][p], ref)
-		} else {
-			w.tailBlocks[p] = append(w.tailBlocks[p], ref)
-		}
-		w.known.add(p)
-		s.blocks.add(p)
-		s.applyFrame(w, gi, p, wChanges, wState)
-	}
-	return nil
-}
-
-// finishReplay runs the post-merge invariants: every segment's footer
-// must match its frames, torn tails are truncated (owned writers only),
-// segments enter the hot tier newest-last, and the byte totals are
-// recomputed from file sizes.
-func (s *Store) finishReplay(curs []*writerCursor) error {
-	for _, c := range curs {
-		w := c.w
-		for _, g := range w.segs {
-			if !c.footer[g].matches(c.segScan[g]) {
-				return fmt.Errorf("histstore: segment %s: %w", g.path,
-					corruptError("footer index does not match frame contents"))
-			}
-			g.mu.Lock()
-			g.idx = c.footer[g]
-			g.mu.Unlock()
-		}
+// finishReplay settles what the merge leaves open: torn tails are
+// truncated (owned writers only), segments enter the hot tier
+// newest-last, and the byte totals are recomputed from file sizes.
+func (s *Store) finishReplay() error {
+	s.bytes = 0
+	for _, w := range s.writers {
 		if w.tornAt >= 0 {
 			if w.owned {
 				if err := w.tailF.Truncate(w.tornAt); err != nil {
@@ -448,9 +407,6 @@ func (s *Store) finishReplay(curs []*writerCursor) error {
 			}
 			w.tailSize = w.tornAt
 		}
-	}
-	s.bytes = 0
-	for _, w := range s.writers {
 		s.bytes += w.tailSize
 		for _, g := range w.segs {
 			s.bytes += g.size

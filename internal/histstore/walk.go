@@ -117,7 +117,7 @@ func (r *reader) apply(st *evolving, f *os.File, ref blockRef, p dnswire.Prefix)
 		st.replace(entries)
 		return nil, nil
 	}
-	fsnap, fp, entries, err := decodeDeltaBody(fr.body, r.ents)
+	fsnap, fp, entries, err := decodeDeltaBody(fr.body, r.ents[:0])
 	if err != nil {
 		return nil, err
 	}

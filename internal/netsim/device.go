@@ -29,7 +29,6 @@ const (
 	KindChromebook
 	KindRoku
 	KindGenericPhone
-	numDeviceKinds
 )
 
 // String returns a mnemonic.

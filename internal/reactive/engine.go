@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"rdnsprivacy/internal/analysis"
 	"rdnsprivacy/internal/dnsclient"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
@@ -379,7 +380,7 @@ func (e *Engine) onProbe(t *Target, r icmp.ProbeResult) {
 		e.scheduleReactiveProbe(hs, r.Target)
 	case phaseActive:
 		if r.Alive {
-			hs.group.LastAlive = truncate5(now)
+			hs.group.LastAlive = analysis.TruncateTo5Min(now)
 			hs.lastAliveAt = now
 			e.mu.Unlock()
 			return
@@ -425,8 +426,8 @@ func (e *Engine) openGroupLocked(hs *hostState, ip dnswire.IPv4, now time.Time) 
 		ID:        e.groupID,
 		Network:   hs.target.Name,
 		IP:        ip,
-		Start:     truncate5(now),
-		LastAlive: truncate5(now),
+		Start:     analysis.TruncateTo5Min(now),
+		LastAlive: analysis.TruncateTo5Min(now),
 	}
 }
 
@@ -569,7 +570,7 @@ func (e *Engine) followUpPTR(hs *hostState, ip dnswire.IPv4, g *Group, started t
 					g.PTRSeen = true
 				}
 			case dnsclient.OutcomeNXDomain:
-				g.PTRRemovedAt = truncate5(now)
+				g.PTRRemovedAt = analysis.TruncateTo5Min(now)
 				if m := e.met; m != nil {
 					m.ptrRemovals.Inc()
 				}
@@ -685,9 +686,6 @@ func (e *Engine) hourCountLocked(network string, now time.Time) *HourCount {
 	}
 	return h
 }
-
-// truncate5 truncates to the five-minute bucket the paper merges on.
-func truncate5(t time.Time) time.Time { return t.Truncate(5 * time.Minute) }
 
 // Funnel is the Table 5 breakdown: all groups, down to those with complete
 // phase coverage, those whose PTR was observed to revert, and those whose

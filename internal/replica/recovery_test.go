@@ -1,9 +1,12 @@
 package replica
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
+	"hash/crc32"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -272,4 +275,86 @@ func TestCleanupSupersededTail(t *testing.T) {
 	rep := openReplica(t, y)
 	defer rep.Close()
 	compareStores(t, primary, rep, 2)
+}
+
+// renumberSnapshotHeaders rewrites the segment at path in place so that
+// every snapshot header after the first claims the index one ahead of its
+// own, with the frame's CRC recomputed. Sizes, the footer and its CRC —
+// the segment's content address — are untouched: this is a file a lying
+// or damaged primary can serve under a manifest that looks right.
+func renumberSnapshotHeaders(t *testing.T, path string) {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// magic, header length, header, header CRC; then frames up to the
+	// footer offset the 20-byte trailer opens with.
+	hdrLen, n := binary.Uvarint(data[8:])
+	at := 8 + n + int(hdrLen) + 4
+	end := int(binary.LittleEndian.Uint64(data[len(data)-20:]))
+	headers := 0
+	for at < end {
+		kind := data[at]
+		bodyLen, n := binary.Uvarint(data[at+1:])
+		body := data[at+1+n : at+1+n+int(bodyLen)]
+		if kind == 'S' {
+			if headers++; headers > 1 {
+				if body[0] >= 0x7f {
+					t.Fatalf("snapshot index %d does not fit the one byte this helper edits", body[0])
+				}
+				body[0]++
+				crc := crc32.Update(crc32.ChecksumIEEE([]byte{kind}), crc32.IEEETable, body)
+				binary.LittleEndian.PutUint32(data[at+1+n+len(body):], crc)
+			}
+		}
+		at += 1 + n + len(body) + 4
+	}
+	if headers < 2 {
+		t.Fatalf("segment %s holds %d snapshot headers, need two to renumber", path, headers)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestLyingSegmentDoesNotCommit: a fetched segment whose frames all pass
+// their CRCs and whose content address matches the manifest, but whose
+// snapshot headers do not count up from its first snapshot, is refused at
+// the fetch. The local manifest stays on the last good generation, which
+// still opens — not advanced to one the replica's next Open would reject.
+func TestLyingSegmentDoesNotCommit(t *testing.T) {
+	primary, dir, fresh := recoveryFixture(t)
+	y := fresh()
+	committed, err := os.ReadFile(filepath.Join(dir, "MANIFEST"))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := primary.Compact(context.Background(), histstore.CompactOptions{MinSeal: 1}); err != nil {
+		t.Fatal(err)
+	}
+	appendDays(t, primary, 12, 1, 2)
+	m, err := y.c.ReplManifest(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sealed := m.Writers[0].Segments[1].File
+	// FeedReadSegment serves the file's bytes as they are now.
+	renumberSnapshotHeaders(t, filepath.Join(filepath.Dir(dir), "primary", sealed))
+
+	if changed, err := y.Sync(context.Background()); err == nil {
+		t.Fatalf("synced a segment with renumbered snapshot headers (changed=%v)", changed)
+	}
+	if now, err := os.ReadFile(filepath.Join(dir, "MANIFEST")); err != nil || !bytes.Equal(now, committed) {
+		t.Fatalf("local manifest advanced past the refused segment (err %v)", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, sealed)); !os.IsNotExist(err) {
+		t.Fatalf("refused segment %s was kept: %v", sealed, err)
+	}
+	rep := openReplica(t, y)
+	defer rep.Close()
+	if got := rep.Len(); got != 12 {
+		t.Fatalf("replica serves %d snapshots from its last good generation, want 12", got)
+	}
 }

@@ -193,14 +193,6 @@ func (y *Syncer) Sync(ctx context.Context) (bool, error) {
 	return false, lastErr
 }
 
-// Applied reports how many committed syncs changed the local file set —
-// on a replica daemon, one more than the current serving generation.
-func (y *Syncer) Applied() int {
-	y.mu.Lock()
-	defer y.mu.Unlock()
-	return y.applied
-}
-
 // rdnsChanged reports a 409 repl_changed API error.
 func rdnsChanged(err error) bool {
 	var ae *rdnsclient.APIError
@@ -527,17 +519,17 @@ func (y *Syncer) noteRemote(m rdnsclient.ReplManifest) {
 		for _, g := range w.Segments {
 			p := filepath.Join(y.dir, g.File)
 			if fi, err := os.Stat(p); err == nil {
-				localBytes += min64(fi.Size(), g.Size)
+				localBytes += min(fi.Size(), g.Size)
 			} else if fi, err := os.Stat(p + ".part"); err == nil {
 				// A staged partial download resumes from its size, so those
 				// bytes are local too — without this, a restart mid-segment
 				// reports the whole segment behind and the resumed fetch
 				// double-decrements through noteFetched.
-				localBytes += min64(fi.Size(), g.Size)
+				localBytes += min(fi.Size(), g.Size)
 			}
 		}
 		if fi, err := os.Stat(filepath.Join(y.dir, w.TailFile)); err == nil {
-			localBytes += min64(fi.Size(), w.TailSize)
+			localBytes += min(fi.Size(), w.TailSize)
 		}
 	}
 	y.statMu.Lock()
@@ -579,13 +571,6 @@ func (y *Syncer) noteError() {
 	y.statMu.Lock()
 	y.stats.SyncErrors++
 	y.statMu.Unlock()
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // syncDir fsyncs the directory so a just-renamed entry is durable.
