@@ -32,7 +32,11 @@ bench:
 # clock per probed address: ~1, where 2 means a timer per probe again.
 # BenchmarkHistStoreOpen (a read-only Open of the 120-day log, tail-only
 # and compacted) likewise: allocs/op, B/op and frames/op, the block frames
-# one Open replays — the budget of the store's replay.
+# one Open replays — the budget of the store's replay. BenchmarkCampaignDay
+# (20 days of the bench-scale universe's dynamic networks through scan.Run
+# into a fresh store, compacting every 10) is held to allocs/op and B/op:
+# the campaign overlaps its sweep with its appends, so its time is the
+# host's core count.
 # Every stage runs at -cpu 1:
 # go test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
@@ -44,6 +48,7 @@ bench-check:
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreChurn|BenchmarkHistStoreRange' -cpu 1 -benchtime 5000x -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -cpu 1 -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreOpen' -cpu 1 -count=1 . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkCampaignDay' -cpu 1 -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad|BenchmarkRender' -cpu 1 -count=1 ./internal/rdnsserve \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkClientDecode' -cpu 1 -count=1 ./internal/rdnsclient \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \

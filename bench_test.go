@@ -742,6 +742,46 @@ func BenchmarkHistStoreOpen(b *testing.B) {
 	}
 }
 
+// BenchmarkCampaignDay is one 20-day campaign of the bench-scale
+// universe's dynamic networks through scan.Run into a fresh store,
+// compacting every 10 days: netsim evaluation, the engine's merge, Append,
+// compaction and the count-series fold, per op. bench-check holds it to
+// its allocs/op and B/op only: the campaign overlaps sweeping with
+// appending, so its time is the host's core count, and it reports no
+// ns/op.
+func BenchmarkCampaignDay(b *testing.B) {
+	u := benchStudy(b).Universe
+	start := date(2021, time.March, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		st, err := histstore.Open(filepath.Join(b.TempDir(), "campaign"))
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res := scan.Run(scan.Campaign{
+			Universe:     u,
+			Start:        start,
+			End:          start.AddDate(0, 0, 19),
+			Cadence:      scan.Daily,
+			SkipFiller:   true,
+			Store:        st,
+			CompactEvery: 10,
+		})
+		b.StopTimer()
+		if res.StoreErr != nil || st.Len() != 20 {
+			b.Fatalf("campaign stored %d of 20 days: %v", st.Len(), res.StoreErr)
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(0, "ns/op")
+}
+
 // BenchmarkHistStoreAtCompacted is BenchmarkHistStoreAt's cold variant
 // over a fully compacted store: every reconstruction walks a fresh
 // in-segment base chain through the tier, the steady state of a

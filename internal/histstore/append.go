@@ -37,8 +37,18 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 		return fmt.Errorf("histstore: timeline is full at %d snapshots", len(s.times))
 	}
 
-	// Group the snapshot by /24.
-	newStates := make(map[dnswire.Prefix]blockState)
+	// Group the snapshot by /24, every block's entries carved from one
+	// array: the states below are working copies, and what outlives the
+	// append is cloned into the plan.
+	counts := make(map[dnswire.Prefix]int, len(w.cur))
+	for ip := range recs {
+		counts[ip.Slash24()]++
+	}
+	entries := make([]baseEntry, len(recs))
+	newStates := make(map[dnswire.Prefix]blockState, len(counts))
+	for p, n := range counts {
+		newStates[p], entries = entries[:0:n], entries[n:]
+	}
 	for ip, name := range recs {
 		p := ip.Slash24()
 		newStates[p] = append(newStates[p], baseEntry{octet: ip[3], name: name})

@@ -213,14 +213,14 @@ func TestTokensOf(t *testing.T) {
 		{"printer.example.net", []string{"printer"}},
 	}
 	for _, tc := range cases {
-		got := tokensOf(dnswire.MustName(tc.name))
+		got := appendTokens(nil, dnswire.MustName(tc.name))
 		if len(got) != len(tc.want) {
-			t.Errorf("tokensOf(%s) = %v, want %v", tc.name, got, tc.want)
+			t.Errorf("appendTokens(%s) = %v, want %v", tc.name, got, tc.want)
 			continue
 		}
 		for i := range got {
 			if got[i] != tc.want[i] {
-				t.Errorf("tokensOf(%s) = %v, want %v", tc.name, got, tc.want)
+				t.Errorf("appendTokens(%s) = %v, want %v", tc.name, got, tc.want)
 				break
 			}
 		}

@@ -399,7 +399,8 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 
 	count := cut - first + 1
 	b := &segBuild{
-		data:    encodeSegmentHeader(w.id, first, count),
+		// The span's tail bytes are about what the image will hold.
+		data:    append(make([]byte, 0, cutOff), encodeSegmentHeader(w.id, first, count)...),
 		refs:    make(map[dnswire.Prefix][]blockRef),
 		cadence: make(cadence),
 	}

@@ -1,6 +1,7 @@
 package histstore
 
 import (
+	"encoding/binary"
 	"math"
 	"sort"
 	"strings"
@@ -42,44 +43,61 @@ type interval struct {
 	first, last int32
 }
 
-// tokenPostings tracks one (token, /24) pair.
+// tokenPostings tracks one (token, /24) pair. Closed intervals are most of
+// what a long campaign's store holds in memory, so all but the newest are
+// packed: a uvarint stream of (first − previous last, last − first) pairs,
+// oldest first, where the first pair's "previous last" is 0. That is two
+// bytes per interval for gaps and lengths under 128 snapshots, against
+// eight unpacked. The newest closed interval stays unpacked because add
+// may reopen it (a seamless re-appearance).
 type tokenPostings struct {
-	closed []interval
-	open   int32 // first snapshot of the open interval, -1 when none
-	active int32 // records in the /24 currently carrying the token
+	packed     []byte
+	packedLast int32    // last of the newest packed interval, 0 while none
+	newest     interval // newest closed interval; first < 0 when none
+	open       int32    // first snapshot of the open interval, -1 when none
+	active     int32    // records in the /24 currently carrying the token
 }
 
 // nameIndex is the full inverted index. Not safe for concurrent use; the
 // Store's lock covers it.
 type nameIndex struct {
-	tokens map[string]map[dnswire.Prefix]*tokenPostings
+	tokens  map[string]map[dnswire.Prefix]*tokenPostings
+	scratch []string // add's and remove's token buffer
 }
 
 func newNameIndex() *nameIndex {
 	return &nameIndex{tokens: make(map[string]map[dnswire.Prefix]*tokenPostings)}
 }
 
-// tokensOf extracts the index tokens of a hostname: the first label's
-// '-'-separated tokens, plus the stem of any token with a possessive
-// trailing "s". Names are already lowercase (dnswire.ParseName
-// normalizes).
-func tokensOf(name dnswire.Name) []string {
-	labels := name.Labels()
-	if len(labels) == 0 {
-		return nil
+// appendTokens appends the index tokens of a hostname to dst: the first
+// label's '-'-separated tokens, plus the stem of any token with a
+// possessive trailing "s". Names are already lowercase (dnswire.ParseName
+// normalizes). Tokens are substrings of name, so with a reused dst it
+// allocates nothing: Append indexes every changed record of every block.
+func appendTokens(dst []string, name dnswire.Name) []string {
+	if name.IsRoot() {
+		return dst
 	}
-	parts := strings.Split(labels[0], "-")
-	out := make([]string, 0, len(parts)+1)
-	for _, t := range parts {
+	label := string(name)
+	if i := strings.IndexByte(label, '.'); i >= 0 {
+		label = label[:i]
+	}
+	for label != "" {
+		t := label
+		if i := strings.IndexByte(label, '-'); i >= 0 {
+			t, label = label[:i], label[i+1:]
+		} else {
+			label = ""
+		}
 		if t == "" {
 			continue
 		}
-		out = append(out, t)
+		dst = append(dst, t)
 		if len(t) > 2 && strings.HasSuffix(t, "s") {
-			out = append(out, t[:len(t)-1])
+			dst = append(dst, t[:len(t)-1])
 		}
 	}
-	return out
+	return dst
 }
 
 func (ix *nameIndex) get(token string, p dnswire.Prefix) *tokenPostings {
@@ -90,7 +108,7 @@ func (ix *nameIndex) get(token string, p dnswire.Prefix) *tokenPostings {
 	}
 	tp, ok := byPrefix[p]
 	if !ok {
-		tp = &tokenPostings{open: -1}
+		tp = &tokenPostings{newest: interval{first: -1}, open: -1}
 		byPrefix[p] = tp
 	}
 	return tp
@@ -98,15 +116,16 @@ func (ix *nameIndex) get(token string, p dnswire.Prefix) *tokenPostings {
 
 // add records that a hostname carrying the tokens appeared in p at snap.
 func (ix *nameIndex) add(name dnswire.Name, p dnswire.Prefix, snap int) {
-	for _, token := range tokensOf(name) {
+	ix.scratch = appendTokens(ix.scratch[:0], name)
+	for _, token := range ix.scratch {
 		tp := ix.get(token, p)
 		tp.active++
 		if tp.active == 1 && tp.open < 0 {
 			// Seamless re-appearance: a record removed at snap (present
 			// through snap-1) and re-added at snap keeps one interval.
-			if n := len(tp.closed); n > 0 && int(tp.closed[n-1].last) == snap-1 {
-				tp.open = tp.closed[n-1].first
-				tp.closed = tp.closed[:n-1]
+			if tp.newest.first >= 0 && int(tp.newest.last) == snap-1 {
+				tp.open = tp.newest.first
+				tp.newest.first = -1
 			} else {
 				tp.open = int32(snap)
 			}
@@ -117,14 +136,42 @@ func (ix *nameIndex) add(name dnswire.Name, p dnswire.Prefix, snap int) {
 // remove records that a hostname carrying the tokens vanished from p at
 // snap (it was last present on snap-1).
 func (ix *nameIndex) remove(name dnswire.Name, p dnswire.Prefix, snap int) {
-	for _, token := range tokensOf(name) {
+	ix.scratch = appendTokens(ix.scratch[:0], name)
+	for _, token := range ix.scratch {
 		tp := ix.get(token, p)
 		tp.active--
 		if tp.active == 0 && tp.open >= 0 {
-			tp.closed = append(tp.closed, interval{first: tp.open, last: int32(snap - 1)})
+			tp.close(interval{first: tp.open, last: int32(snap - 1)})
 			tp.open = -1
 		}
 	}
+}
+
+// close makes iv the newest closed interval, packing the one it succeeds.
+func (tp *tokenPostings) close(iv interval) {
+	if prev := tp.newest; prev.first >= 0 {
+		tp.packed = binary.AppendUvarint(tp.packed, uint64(uint32(prev.first-tp.packedLast)))
+		tp.packed = binary.AppendUvarint(tp.packed, uint64(uint32(prev.last-prev.first)))
+		tp.packedLast = prev.last
+	}
+	tp.newest = iv
+}
+
+// closed appends the closed intervals, oldest first, to dst.
+func (tp *tokenPostings) closed(dst []interval) []interval {
+	var last int32
+	for b := tp.packed; len(b) > 0; {
+		gap, n := binary.Uvarint(b)
+		length, m := binary.Uvarint(b[n:])
+		b = b[n+m:]
+		first := last + int32(uint32(gap))
+		last = first + int32(uint32(length))
+		dst = append(dst, interval{first: first, last: last})
+	}
+	if tp.newest.first >= 0 {
+		dst = append(dst, tp.newest)
+	}
+	return dst
 }
 
 // find returns the postings of a token, sorted by prefix address then
@@ -143,9 +190,11 @@ func (ix *nameIndex) find(token string, lastSnap int, times []time.Time) []Posti
 		return prefixes[i].Addr.Uint32() < prefixes[j].Addr.Uint32()
 	})
 	var out []Posting
+	var closed []interval
 	for _, p := range prefixes {
 		tp := byPrefix[p]
-		for _, iv := range tp.closed {
+		closed = tp.closed(closed[:0])
+		for _, iv := range closed {
 			out = append(out, Posting{Prefix: p, First: times[iv.first], Last: times[iv.last]})
 		}
 		if tp.open >= 0 {

@@ -159,7 +159,7 @@ func (c *campaign) bruteFind(token string) []Posting {
 	present := map[dnswire.Prefix][]bool{}
 	for i, snap := range c.snaps {
 		for ip, name := range snap {
-			for _, tok := range tokensOf(name) {
+			for _, tok := range appendTokens(nil, name) {
 				if tok != token {
 					continue
 				}

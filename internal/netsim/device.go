@@ -188,6 +188,12 @@ type Device struct {
 // given the occupancy factor for that day. Sessions may cross midnight, so
 // the previous day's schedule is consulted for spill-over (a student online
 // until 02:30 is present on the new day under the old day's session).
+//
+// The spill-over check evaluates yesterday's schedule at today's occupancy,
+// not yesterday's: on a day the occupancy changes (a holiday begins, a
+// COVID phase starts) yesterday's late sessions are redrawn under today's
+// regime. That is a quirk, kept because every seeded report and golden
+// was produced with it; Network.RecordsAt reproduces it.
 func (d *Device) PresentAt(t time.Time, occupancy float64) bool {
 	date := midnight(t)
 	off := t.Sub(date)

@@ -30,7 +30,13 @@ const (
 // allocation-free: presence evaluation calls it hundreds of millions of
 // times across a longitudinal campaign.
 func hash64(parts ...uint64) uint64 {
-	h := uint64(fnvOffset)
+	return hashMore(fnvOffset, parts...)
+}
+
+// hashMore extends the FNV-1a state h by more values. FNV-1a consumes its
+// input in order, so hashMore(hash64(a, b), c, d) == hash64(a, b, c, d): a
+// caller drawing many hashes that share a prefix hashes the prefix once.
+func hashMore(h uint64, parts ...uint64) uint64 {
 	for _, p := range parts {
 		for shift := 56; shift >= 0; shift -= 8 {
 			h ^= p >> shift & 0xFF
@@ -57,21 +63,21 @@ func dayNumber(t time.Time) uint64 {
 	return uint64(t.Unix()/86400) + 1<<20
 }
 
-// chance draws a deterministic Bernoulli decision from hash parts.
-func chance(p float64, parts ...uint64) bool {
+// chance draws a deterministic Bernoulli decision from a hash.
+func chance(p float64, h uint64) bool {
 	if p <= 0 {
 		return false
 	}
 	if p >= 1 {
 		return true
 	}
-	return telemetry.UnitFloat(hash64(parts...)) < p
+	return telemetry.UnitFloat(h) < p
 }
 
 // spread maps a hash to a duration in [0, span).
-func spread(span time.Duration, parts ...uint64) time.Duration {
+func spread(span time.Duration, h uint64) time.Duration {
 	if span <= 0 {
 		return 0
 	}
-	return time.Duration(telemetry.UnitFloat(hash64(parts...)) * float64(span))
+	return time.Duration(telemetry.UnitFloat(h) * float64(span))
 }

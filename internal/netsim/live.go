@@ -205,8 +205,9 @@ func (n *Network) scheduleDayLocked(day, from time.Time) {
 		if b.Kind != BlockDynamic || b.Policy == ipam.PolicyStaticForm {
 			continue
 		}
-		for _, d := range n.blockDev[bi] {
-			occ := n.occupancyFor(day, n.arch[d.ID])
+		for _, dd := range n.blockDev[bi] {
+			d := dd.dev
+			occ := n.occupancyFor(day, dd.arch)
 			for _, s := range d.SessionsOn(day, occ) {
 				startAt := day.Add(s.Start)
 				endAt := day.Add(s.End)

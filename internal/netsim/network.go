@@ -133,8 +133,7 @@ type Network struct {
 	arch      map[uint64]Archetype
 	deviceIP  map[uint64]dnswire.IPv4
 	ipDevice  map[dnswire.IPv4]*Device
-	blockDev  map[int][]*Device // block index -> devices
-	devBlock  map[uint64]int
+	blockDev  [][]dynDevice // block index -> devices
 	rng       *rand.Rand
 	staticRec map[dnswire.IPv4]dnswire.Name // cached static records
 
@@ -173,8 +172,7 @@ func NewNetwork(cfg Config) (*Network, error) {
 		arch:      make(map[uint64]Archetype),
 		deviceIP:  make(map[uint64]dnswire.IPv4),
 		ipDevice:  make(map[dnswire.IPv4]*Device),
-		blockDev:  make(map[int][]*Device),
-		devBlock:  make(map[uint64]int),
+		blockDev:  make([][]dynDevice, len(cfg.Blocks)),
 		rng:       rand.New(rand.NewSource(int64(cfg.Seed))),
 		staticRec: make(map[dnswire.IPv4]dnswire.Name),
 		onlineIP:  make(map[dnswire.IPv4]bool),
@@ -232,14 +230,27 @@ func (n *Network) blockSuffix(b Block) dnswire.Name {
 // AddDevice places a device in the numbering plan's blockIdx-th block with
 // the given archetype. The address is assigned deterministically.
 func (n *Network) AddDevice(d *Device, blockIdx int, arch Archetype) error {
+	if err := n.checkDynamic(blockIdx); err != nil {
+		return err
+	}
+	return n.addDevice(d, blockIdx, arch, n.usableIPs(blockIdx))
+}
+
+// checkDynamic reports an error unless blockIdx names a dynamic block.
+func (n *Network) checkDynamic(blockIdx int) error {
 	if blockIdx < 0 || blockIdx >= len(n.cfg.Blocks) {
 		return fmt.Errorf("netsim: block index %d out of range", blockIdx)
 	}
-	b := n.cfg.Blocks[blockIdx]
-	if b.Kind != BlockDynamic {
+	if n.cfg.Blocks[blockIdx].Kind != BlockDynamic {
 		return fmt.Errorf("netsim: block %d is not dynamic", blockIdx)
 	}
-	usable := n.usableIPs(blockIdx)
+	return nil
+}
+
+// addDevice is AddDevice given the block's usableIPs, which Populate
+// shuffles once per block rather than once per device.
+func (n *Network) addDevice(d *Device, blockIdx int, arch Archetype, usable []dnswire.IPv4) error {
+	b := n.cfg.Blocks[blockIdx]
 	idx := len(n.blockDev[blockIdx])
 	if idx >= len(usable) {
 		return fmt.Errorf("netsim: block %d full (%d devices)", blockIdx, idx)
@@ -249,9 +260,24 @@ func (n *Network) AddDevice(d *Device, blockIdx int, arch Archetype) error {
 	n.arch[d.ID] = arch
 	n.deviceIP[d.ID] = ip
 	n.ipDevice[ip] = d
-	n.blockDev[blockIdx] = append(n.blockDev[blockIdx], d)
-	n.devBlock[d.ID] = blockIdx
+	target, err := ipam.Target(b.Policy, n.blockSuffix(b), leaseEventFor(d, ip))
+	n.blockDev[blockIdx] = append(n.blockDev[blockIdx], dynDevice{
+		dev: d, arch: arch, ip: ip, target: target, publishes: err == nil,
+	})
 	return nil
+}
+
+// dynDevice is a dynamic block's device as snapshot evaluation reads it:
+// the archetype and address AddDevice assigned, and the PTR target the
+// block's policy publishes for the device's lease. The target is a pure
+// function of the device's HostName, MAC and address and the block's
+// policy, so it is computed once here rather than for every snapshot.
+type dynDevice struct {
+	dev       *Device
+	arch      Archetype
+	ip        dnswire.IPv4
+	target    dnswire.Name
+	publishes bool // false under PolicyStaticForm and PolicyNone, which publish no lease's name
 }
 
 // usableIPs enumerates the assignable addresses of a dynamic block in a
@@ -296,6 +322,10 @@ type PopulateSpec struct {
 // Populate fills a block with randomly generated people and devices,
 // deterministically under the network seed.
 func (n *Network) Populate(spec PopulateSpec) error {
+	if err := n.checkDynamic(spec.Block); err != nil {
+		return err
+	}
+	usable := n.usableIPs(spec.Block)
 	pool := spec.NamePool
 	if len(pool) == 0 {
 		pool = defaultNamePool()
@@ -328,7 +358,7 @@ func (n *Network) Populate(spec PopulateSpec) error {
 				SendRelease: n.rng.Float64() < spec.ReleaseFraction,
 				Schedule:    NewArchetypeScheduler(spec.Archetype, id, n.cfg.Seed),
 			}
-			if err := n.AddDevice(dev, spec.Block, spec.Archetype); err != nil {
+			if err := n.addDevice(dev, spec.Block, spec.Archetype, usable); err != nil {
 				return err
 			}
 		}
@@ -364,21 +394,13 @@ func (n *Network) RecordsAt(t time.Time, emit func(Record)) {
 	for ip, name := range n.staticRec {
 		emit(Record{IP: ip, HostName: name})
 	}
-	local := t.In(n.cfg.Location)
-	for bi, b := range n.cfg.Blocks {
-		if b.Kind != BlockDynamic || b.Policy == ipam.PolicyStaticForm || b.Policy == ipam.PolicyNone {
-			continue
-		}
-		suffix := n.blockSuffix(b)
-		for _, d := range n.blockDev[bi] {
-			if !n.recordVisible(d, local) {
-				continue
+	at := n.instantAt(t)
+	for _, block := range n.blockDev {
+		for i := range block {
+			dd := &block[i]
+			if dd.publishes && at.visible(n, dd) {
+				emit(Record{IP: dd.ip, HostName: dd.target})
 			}
-			target, err := ipam.Target(b.Policy, suffix, leaseEventFor(d, n.deviceIP[d.ID]))
-			if err != nil {
-				continue
-			}
-			emit(Record{IP: n.deviceIP[d.ID], HostName: target})
 		}
 	}
 }
@@ -391,30 +413,85 @@ func (n *Network) CountRecordsAt(t time.Time) map[dnswire.Prefix]int {
 	return counts
 }
 
-// recordVisible decides whether a device's PTR exists at local time t:
-// the device is online now, or it left silently within one lease time.
-func (n *Network) recordVisible(d *Device, t time.Time) bool {
-	occ := n.occupancyFor(midnight(t), n.arch[d.ID])
-	if d.PresentAt(t, occ) {
-		return true
+// instant is one evaluation time resolved once for every device of a
+// network: its local day boundaries, its offset into today, and each
+// archetype's occupancy today and yesterday.
+type instant struct {
+	t, today, yesterday time.Time
+	off, lease          time.Duration
+	occ                 [Infra + 1][2]float64
+}
+
+func (n *Network) instantAt(t time.Time) *instant {
+	local := t.In(n.cfg.Location)
+	today := midnight(local)
+	at := &instant{
+		t:         local,
+		today:     today,
+		yesterday: today.AddDate(0, 0, -1),
+		off:       local.Sub(today),
+		lease:     n.cfg.LeaseTime,
+	}
+	for a := range at.occ {
+		at.occ[a] = [2]float64{n.occupancyFor(at.today, Archetype(a)), n.occupancyFor(at.yesterday, Archetype(a))}
+	}
+	return at
+}
+
+// occupancy returns an archetype's occupancy today and yesterday.
+func (at *instant) occupancy(n *Network, a Archetype) (today, yesterday float64) {
+	if a < 0 || int(a) >= len(at.occ) {
+		return n.occupancyFor(at.today, a), n.occupancyFor(at.yesterday, a)
+	}
+	return at.occ[a][0], at.occ[a][1]
+}
+
+// visible decides whether a device's PTR exists at the instant: the device
+// is online now (Device.PresentAt), or it left silently within one lease
+// time, on today's or yesterday's schedule. Each day's sessions are
+// evaluated once and serve both questions. PresentAt checks yesterday's
+// spill-over at today's occupancy while the lease check reads yesterday at
+// its own, so yesterday is evaluated a second time only on the days the
+// two occupancies differ.
+func (at *instant) visible(n *Network, dd *dynDevice) bool {
+	d := dd.dev
+	occ, occPrev := at.occupancy(n, dd.arch)
+	today := d.Schedule.SessionsOn(at.today, occ)
+	for _, s := range today {
+		if at.off >= s.Start && at.off < s.End {
+			return true
+		}
+	}
+	prev := d.Schedule.SessionsOn(at.yesterday, occ)
+	offPrev := at.off + 24*time.Hour
+	for _, s := range prev {
+		if offPrev >= s.Start && offPrev < s.End {
+			return true
+		}
 	}
 	if d.SendRelease {
 		return false
 	}
-	// Look for a session end within the lease window before t, on
-	// today's or yesterday's schedule.
-	lease := n.cfg.LeaseTime
-	for _, dayDelta := range []int{0, -1} {
-		day := midnight(t).AddDate(0, 0, dayDelta)
-		dayOcc := n.occupancyFor(day, n.arch[d.ID])
-		for _, s := range d.SessionsOn(day, dayOcc) {
-			end := day.Add(s.End)
-			if end.Before(t) && t.Sub(end) < lease {
-				return true
-			}
+	for _, s := range today {
+		if at.lingers(at.today.Add(s.End)) {
+			return true
+		}
+	}
+	if occPrev != occ {
+		prev = d.Schedule.SessionsOn(at.yesterday, occPrev)
+	}
+	for _, s := range prev {
+		if at.lingers(at.yesterday.Add(s.End)) {
+			return true
 		}
 	}
 	return false
+}
+
+// lingers reports whether a session that ended at end still holds its
+// lease, and so its record, at the instant.
+func (at *instant) lingers(end time.Time) bool {
+	return end.Before(at.t) && at.t.Sub(end) < at.lease
 }
 
 // OnlineAt reports whether the host at ip answers pings at t: in live mode
@@ -565,7 +642,10 @@ func (n *Network) StaticRecordCount() int { return len(n.staticRec) }
 
 // sortedBlockDevices returns the devices of a block in a stable order.
 func (n *Network) sortedBlockDevices(bi int) []*Device {
-	devs := append([]*Device(nil), n.blockDev[bi]...)
+	devs := make([]*Device, len(n.blockDev[bi]))
+	for i, dd := range n.blockDev[bi] {
+		devs[i] = dd.dev
+	}
 	sort.Slice(devs, func(i, j int) bool { return devs[i].ID < devs[j].ID })
 	return devs
 }

@@ -1,7 +1,8 @@
 package netsim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"time"
 )
 
@@ -66,17 +67,18 @@ type Scheduler interface {
 }
 
 // archetypeScheduler derives presence from an archetype plus per-device
-// jitter.
+// jitter. Every draw hashes (seed, id, day, salt) or (seed, id, salt); the
+// scheduler keeps the FNV-1a state after (seed, id), and SessionsOn extends
+// it once by the day and then once per draw.
 type archetypeScheduler struct {
 	arch Archetype
-	id   uint64 // device identity hash
-	seed uint64
+	h    uint64 // hash64(seed, id)
 }
 
 // NewArchetypeScheduler builds the standard scheduler for an archetype.
 // id must be unique per device; seed is the universe seed.
 func NewArchetypeScheduler(arch Archetype, id, seed uint64) Scheduler {
-	return &archetypeScheduler{arch: arch, id: id, seed: seed}
+	return &archetypeScheduler{arch: arch, h: hash64(seed, id)}
 }
 
 const (
@@ -93,7 +95,7 @@ const (
 )
 
 func (s *archetypeScheduler) SessionsOn(date time.Time, occupancy float64) []Session {
-	day := dayNumber(date)
+	dh := hashMore(s.h, dayNumber(date)) // (seed, id, day): each draw adds its salt
 	weekend := isWeekend(date)
 
 	// Probability the device appears at all today.
@@ -102,7 +104,7 @@ func (s *archetypeScheduler) SessionsOn(date time.Time, occupancy float64) []Ses
 	if s.arch == Infra {
 		p = 1 // infrastructure ignores occupancy
 	}
-	if !chance(p, s.seed, s.id, day, saltShowUp) {
+	if !chance(p, hashMore(dh, saltShowUp)) {
 		return nil
 	}
 
@@ -110,13 +112,13 @@ func (s *archetypeScheduler) SessionsOn(date time.Time, occupancy float64) []Ses
 	case Infra:
 		return []Session{{0, 24 * time.Hour}}
 	case Staff, Employee:
-		return s.workday(day, weekend)
+		return s.workday(dh, weekend)
 	case Student:
-		return s.studentDay(day, weekend)
+		return s.studentDay(dh, weekend)
 	case Resident:
-		return s.residentDay(day, weekend, occupancy)
+		return s.residentDay(dh, weekend, occupancy)
 	case HomeUser:
-		return s.homeDay(day, weekend)
+		return s.homeDay(dh, weekend)
 	}
 	return nil
 }
@@ -150,17 +152,17 @@ func (s *archetypeScheduler) showUpProbability(weekend bool) float64 {
 }
 
 // workday: arrive 7:30-9:30, depart 16:00-19:00, occasionally a lunch gap.
-func (s *archetypeScheduler) workday(day uint64, weekend bool) []Session {
-	arrive := 7*time.Hour + 30*time.Minute + spread(2*time.Hour, s.seed, s.id, day, saltArrive)
-	depart := 16*time.Hour + spread(3*time.Hour, s.seed, s.id, day, saltDepart)
+func (s *archetypeScheduler) workday(dh uint64, weekend bool) []Session {
+	arrive := 7*time.Hour + 30*time.Minute + spread(2*time.Hour, hashMore(dh, saltArrive))
+	depart := 16*time.Hour + spread(3*time.Hour, hashMore(dh, saltDepart))
 	if weekend {
 		// A short weekend visit.
-		arrive = 10*time.Hour + spread(4*time.Hour, s.seed, s.id, day, saltArrive)
-		depart = arrive + time.Hour + spread(3*time.Hour, s.seed, s.id, day, saltDepart)
+		arrive = 10*time.Hour + spread(4*time.Hour, hashMore(dh, saltArrive))
+		depart = arrive + time.Hour + spread(3*time.Hour, hashMore(dh, saltDepart))
 		return clipDay([]Session{{arrive, depart}})
 	}
-	if chance(0.3, s.seed, s.id, day, saltLunch) {
-		lunchAt := 12*time.Hour + spread(time.Hour, s.seed, s.id, day, saltLunch+100)
+	if chance(0.3, hashMore(dh, saltLunch)) {
+		lunchAt := 12*time.Hour + spread(time.Hour, hashMore(dh, saltLunch+100))
 		return clipDay([]Session{
 			{arrive, lunchAt},
 			{lunchAt + 30*time.Minute, depart},
@@ -170,17 +172,17 @@ func (s *archetypeScheduler) workday(day uint64, weekend bool) []Session {
 }
 
 // studentDay: one or two lecture-block sessions between 8 and 18.
-func (s *archetypeScheduler) studentDay(day uint64, weekend bool) []Session {
+func (s *archetypeScheduler) studentDay(dh uint64, weekend bool) []Session {
 	if weekend {
-		start := 11*time.Hour + spread(6*time.Hour, s.seed, s.id, day, saltArrive)
-		return clipDay([]Session{{start, start + 30*time.Minute + spread(2*time.Hour, s.seed, s.id, day, saltDepart)}})
+		start := 11*time.Hour + spread(6*time.Hour, hashMore(dh, saltArrive))
+		return clipDay([]Session{{start, start + 30*time.Minute + spread(2*time.Hour, hashMore(dh, saltDepart))}})
 	}
-	first := 8*time.Hour + spread(3*time.Hour, s.seed, s.id, day, saltArrive)
-	length := time.Hour + spread(3*time.Hour, s.seed, s.id, day, saltDepart)
+	first := 8*time.Hour + spread(3*time.Hour, hashMore(dh, saltArrive))
+	length := time.Hour + spread(3*time.Hour, hashMore(dh, saltDepart))
 	sessions := []Session{{first, first + length}}
-	if chance(0.55, s.seed, s.id, day, saltSession2) {
-		second := first + length + 30*time.Minute + spread(2*time.Hour, s.seed, s.id, day, saltSession2+100)
-		sessions = append(sessions, Session{second, second + time.Hour + spread(2*time.Hour, s.seed, s.id, day, saltSession2+200)})
+	if chance(0.55, hashMore(dh, saltSession2)) {
+		second := first + length + 30*time.Minute + spread(2*time.Hour, hashMore(dh, saltSession2+100))
+		sessions = append(sessions, Session{second, second + time.Hour + spread(2*time.Hour, hashMore(dh, saltSession2+200))})
 	}
 	return clipDay(sessions)
 }
@@ -191,20 +193,20 @@ func (s *archetypeScheduler) studentDay(day uint64, weekend bool) []Session {
 // smart TVs — that stay connected all day whenever their owner is around,
 // which is what keeps campus-housing subnets populated at midday even
 // outside lockdowns.
-func (s *archetypeScheduler) residentDay(day uint64, weekend bool, occupancy float64) []Session {
-	wake := 6*time.Hour + spread(3*time.Hour, s.seed, s.id, day, saltWake)
+func (s *archetypeScheduler) residentDay(dh uint64, weekend bool, occupancy float64) []Session {
+	wake := 6*time.Hour + spread(3*time.Hour, hashMore(dh, saltWake))
 	// Students keep long and varied hours: the long tail past midnight
 	// is what makes ~6 AM the campus's quietest moment (Figure 11).
-	night := 21*time.Hour + spread(8*time.Hour, s.seed, s.id, day, saltNight)
-	homebody := chance(0.45, s.seed, s.id, saltHomebody)
+	night := 21*time.Hour + spread(8*time.Hour, hashMore(dh, saltNight))
+	homebody := chance(0.45, hashMore(s.h, saltHomebody))
 	if weekend || homebody || occupancy > 1.05 {
 		// Home most of the day (weekends, homebody devices, or
 		// lockdown regimes where the timeline pushes housing
 		// occupancy above its normal level).
 		return clipDay([]Session{{wake, night}})
 	}
-	leave := 8*time.Hour + 30*time.Minute + spread(90*time.Minute, s.seed, s.id, day, saltArrive)
-	back := 16*time.Hour + spread(3*time.Hour, s.seed, s.id, day, saltDepart)
+	leave := 8*time.Hour + 30*time.Minute + spread(90*time.Minute, hashMore(dh, saltArrive))
+	back := 16*time.Hour + spread(3*time.Hour, hashMore(dh, saltDepart))
 	if leave <= wake {
 		leave = wake + 15*time.Minute
 	}
@@ -213,14 +215,14 @@ func (s *archetypeScheduler) residentDay(day uint64, weekend bool, occupancy flo
 
 // homeDay: an evening block, plus a daytime block on weekends or for the
 // fraction who are home during the day.
-func (s *archetypeScheduler) homeDay(day uint64, weekend bool) []Session {
-	evening := 17*time.Hour + spread(3*time.Hour, s.seed, s.id, day, saltEvening)
-	night := 21*time.Hour + spread(6*time.Hour, s.seed, s.id, day, saltNight)
+func (s *archetypeScheduler) homeDay(dh uint64, weekend bool) []Session {
+	evening := 17*time.Hour + spread(3*time.Hour, hashMore(dh, saltEvening))
+	night := 21*time.Hour + spread(6*time.Hour, hashMore(dh, saltNight))
 	sessions := []Session{{evening, night}}
-	daytime := weekend || chance(0.25, s.seed, s.id, day, saltWeekend)
+	daytime := weekend || chance(0.25, hashMore(dh, saltWeekend))
 	if daytime {
-		start := 9*time.Hour + spread(2*time.Hour, s.seed, s.id, day, saltWake)
-		sessions = append(sessions, Session{start, start + 3*time.Hour + spread(5*time.Hour, s.seed, s.id, day, saltWeekend+100)})
+		start := 9*time.Hour + spread(2*time.Hour, hashMore(dh, saltWake))
+		sessions = append(sessions, Session{start, start + 3*time.Hour + spread(5*time.Hour, hashMore(dh, saltWeekend+100))})
 	}
 	return clipDay(mergeSessions(sessions))
 }
@@ -257,7 +259,7 @@ func mergeSessions(in []Session) []Session {
 	if len(in) <= 1 {
 		return in
 	}
-	sort.Slice(in, func(i, j int) bool { return in[i].Start < in[j].Start })
+	slices.SortFunc(in, func(a, b Session) int { return cmp.Compare(a.Start, b.Start) })
 	out := in[:1]
 	for _, s := range in[1:] {
 		last := &out[len(out)-1]

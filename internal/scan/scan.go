@@ -145,8 +145,25 @@ type Result struct {
 	StoreErr error
 }
 
+// pipelineDepth is how many swept snapshots may wait for the consumer
+// stage. One lets the sweep of day D+1 run while day D is appended, and
+// bounds the snapshots alive at once to three: one being swept, one
+// waiting, one being consumed.
+const pipelineDepth = 1
+
+// sweptDay is one snapshot handed from the sweep to the consumer stage.
+type sweptDay struct {
+	i    int
+	date time.Time
+	snap *scanengine.Snapshot
+}
+
 // Run executes the campaign through the sharded snapshot engine and
-// returns its result.
+// returns its result. It runs in two stages: the calling goroutine sweeps
+// the dates in order, and one consumer goroutine takes each snapshot, in
+// the same order, through the store append and compaction, the observer
+// frame and the count-series and statistics fold. Run returns once the
+// consumer has finished the last date.
 func Run(c Campaign) *Result {
 	dates := dataset.DateRange(c.Start, c.End, c.Cadence.IntervalDays())
 	series := dataset.NewCountSeries(dates)
@@ -175,26 +192,50 @@ func Run(c Campaign) *Result {
 	if c.Store != nil {
 		c.Observer.SetStoreStats(func() obs.StoreStats { return StoreStats(c.Store) })
 	}
-	var storeErr error
 	ctx := context.Background()
+
+	// A frame digests the registry the engine counts into, so while one is
+	// captured the next sweep must not be counting: with both attached,
+	// the sweep of D+1 waits for frame D. The fold still overlaps it.
+	var captured chan struct{}
+	if c.Observer != nil && c.Telemetry != nil {
+		captured = make(chan struct{})
+	}
+	swept := make(chan sweptDay, pipelineDepth)
+	var storeErr error
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for d := range swept {
+			if c.Store != nil && storeErr == nil {
+				storeErr = c.Store.Append(d.snap.At, d.snap.Records)
+				if storeErr == nil && c.CompactEvery > 0 && (d.i+1)%c.CompactEvery == 0 {
+					_, storeErr = c.Store.CompactWriter(ctx, c.Store.WriterID(), histstore.CompactOptions{MinSeal: c.CompactEvery})
+				}
+			}
+			c.Observer.CaptureFrame(d.i, d.date, d.snap)
+			if captured != nil {
+				captured <- struct{}{}
+			}
+			for ip, name := range d.snap.Records {
+				collector.Observe(d.date, ip, name)
+				series.Add(ip.Slash24(), d.i, 1)
+			}
+		}
+	}()
 	for i, d := range dates {
-		at := d.Add(c.timeOfDay())
-		snap, err := sc.Scan(ctx, scanengine.Request{Targets: targets, At: at})
+		snap, err := sc.Scan(ctx, scanengine.Request{Targets: targets, At: d.Add(c.timeOfDay())})
 		if err != nil {
 			break // background context: unreachable, but do not loop on a dead sweep
 		}
-		if c.Store != nil && storeErr == nil {
-			storeErr = c.Store.Append(at, snap.Records)
-			if storeErr == nil && c.CompactEvery > 0 && (i+1)%c.CompactEvery == 0 {
-				_, storeErr = c.Store.CompactWriter(ctx, c.Store.WriterID(), histstore.CompactOptions{MinSeal: c.CompactEvery})
-			}
-		}
-		c.Observer.CaptureFrame(i, d, snap)
-		for ip, name := range snap.Records {
-			collector.Observe(d, ip, name)
-			series.Add(ip.Slash24(), i, 1)
+		swept <- sweptDay{i: i, date: d, snap: snap}
+		if captured != nil {
+			<-captured
 		}
 	}
+	close(swept)
+	<-consumed
+
 	r := &Result{Series: series, Stats: collector.Stats(), StoreErr: storeErr}
 	r.Stats.Start = c.Start
 	r.Stats.End = c.End

@@ -302,9 +302,15 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 	}
 	started := s.clock.Now()
 
+	baseline := req.Baseline
+	if baseline == nil {
+		baseline = s.prev
+	}
 	snap := &Snapshot{
-		At:      at,
-		Records: make(RecordSet),
+		At: at,
+		// Successive sweeps of one target set hold about as many records:
+		// size the set for the baseline's rather than growing it to that.
+		Records: make(RecordSet, len(baseline)),
 		Shards:  make([]ShardRow, len(shards)),
 	}
 	for i, sh := range shards {
@@ -312,10 +318,6 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 	}
 	if s.resil != nil {
 		snap.Health = &HealthReport{Shards: snap.Shards}
-	}
-	baseline := req.Baseline
-	if baseline == nil {
-		baseline = s.prev
 	}
 	if m := s.met; m != nil {
 		m.sweeps.Inc()
