@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint deadcheck monitortest vantagetest
+.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint deadcheck monitortest vantagetest reportcheck
 
 build:
 	$(GO) build ./...
@@ -118,6 +118,14 @@ deadcheck:
 	@if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal cmd examples; then \
 		echo "deadcheck: delete the code instead of deprecating it"; exit 1; fi
 
+# reportcheck holds the study to its committed oracle: the small-scale
+# report must be byte-identical to docs/report-small-scale.txt apart from
+# the "computed in" timing lines. Regenerate the file only on purpose.
+reportcheck:
+	$(GO) build -o /tmp/experiments ./cmd/experiments
+	/tmp/experiments -scale small | grep -v 'computed in' > /tmp/report-small-scale.txt
+	grep -v 'computed in' docs/report-small-scale.txt | diff -u - /tmp/report-small-scale.txt
+
 # monitortest is the observability e2e gate: a primary and a snapshot
 # replica serve traced queries, rdnsmon judges the two-daemon fleet
 # against the SLO rules, and the p99 exemplar from /v1/stats must
@@ -148,7 +156,8 @@ replicatest:
 
 # verify is the pre-merge gate: vet everything, lint the metric names,
 # refuse deprecation markers, run the full test suite with the coverage
-# floors, race-test the internal packages and the query daemon, run the
+# floors, diff the small-scale report against its committed copy,
+# race-test the internal packages and the query daemon, run the
 # replication chaos battery, the observability e2e and the multi-vantage
 # campaign gate, and smoke the serving path under 10k-worker load.
 verify:
@@ -157,6 +166,7 @@ verify:
 	$(MAKE) deadcheck
 	$(GO) test ./...
 	$(MAKE) cover
+	$(MAKE) reportcheck
 	$(GO) test -race ./internal/... ./cmd/rdnsd
 	$(MAKE) replicatest
 	$(MAKE) monitortest

@@ -274,11 +274,13 @@ func BenchmarkFigure8LifeOfBrian(b *testing.B) {
 
 func BenchmarkFigure9WorkFromHome(b *testing.B) {
 	s := benchStudy(b)
-	res := s.NetworkDaily("Academic-A") // campaign cached outside the timer
+	daily := s.Series(scan.Daily) // campaign cached outside the timer
+	n, _ := s.Universe.NetworkByName("Academic-A")
+	announced := []dnswire.Prefix{n.Config().Announced}
 	b.ResetTimer()
 	drop := 0.0
 	for i := 0; i < b.N; i++ {
-		totals := casestudy.EntrySeries(res.Series, nil)
+		totals := casestudy.EntrySeries(daily, announced)
 		rep := casestudy.WFH("Academic-A", totals, date(2020, time.March, 16))
 		drop = rep.PrePandemicMean - rep.LockdownMean
 	}
@@ -289,13 +291,13 @@ func BenchmarkFigure10CampusCrossover(b *testing.B) {
 	s := benchStudy(b)
 	n, _ := s.Universe.NetworkByName("Academic-C")
 	edu, housing := netsim.EducationHousingSplit(n)
-	daily := s.NetworkDaily("Academic-C")
+	daily := s.Series(scan.Daily)
 	b.ResetTimer()
 	var crossed float64
 	for i := 0; i < b.N; i++ {
 		rep := casestudy.Crossover(
-			casestudy.EntrySeries(daily.Series, edu),
-			casestudy.EntrySeries(daily.Series, housing),
+			casestudy.EntrySeries(daily, edu),
+			casestudy.EntrySeries(daily, housing),
 			date(2020, time.February, 1), 7)
 		if !rep.Crossover.IsZero() {
 			crossed = 1

@@ -15,8 +15,10 @@ import (
 
 	"rdnsprivacy/internal/casestudy"
 	"rdnsprivacy/internal/core"
+	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/privleak"
+	"rdnsprivacy/internal/scan"
 	"rdnsprivacy/internal/textplot"
 )
 
@@ -46,8 +48,8 @@ func main() {
 
 	// And the same drop measured directly for one enterprise, with raw
 	// counts, to show the analysis is just daily record counting.
-	res := study.NetworkDaily("Enterprise-C")
-	totals := casestudy.EntrySeries(res.Series, nil)
+	n, _ := study.Universe.NetworkByName("Enterprise-C")
+	totals := casestudy.EntrySeries(study.Series(scan.Daily), []dnswire.Prefix{n.Config().Announced})
 	rep := casestudy.WFH("Enterprise-C", totals, time.Date(2021, 3, 15, 0, 0, 0, 0, time.UTC))
 	textplot.Table(os.Stdout, "Enterprise-C: daily PTR-count means around its WFH mandate",
 		[]string{"Window", "Mean (percent of max)"},

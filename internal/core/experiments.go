@@ -25,12 +25,9 @@ type Table1Result struct {
 	OpenINTEL dataset.Stats
 }
 
-// Table1 runs both full-universe campaigns and summarizes them.
+// Table1 summarizes the study's campaign over both platforms' dates.
 func (s *Study) Table1() Table1Result {
-	return Table1Result{
-		Rapid7:    s.WeeklyCampaign().Stats,
-		OpenINTEL: s.DailyCampaign().Stats,
-	}
+	return s.campaign().table1
 }
 
 // Render writes the table.
@@ -496,10 +493,11 @@ func (s *Study) Figure9() Figure9Result {
 		{"Enterprise-B", date(2021, time.March, 15)},
 		{"Enterprise-C", date(2021, time.March, 15)},
 	}
+	daily := s.Series(scan.Daily)
 	var out Figure9Result
 	for _, sel := range selection {
-		res := s.NetworkDaily(sel.name)
-		totals := casestudy.EntrySeries(res.Series, nil)
+		n, _ := s.Universe.NetworkByName(sel.name)
+		totals := casestudy.EntrySeries(daily, []dnswire.Prefix{n.Config().Announced})
 		out.Reports = append(out.Reports, casestudy.WFH(sel.name, totals, sel.lockdown))
 	}
 	return out
@@ -539,15 +537,14 @@ func (s *Study) Figure10() Figure10Result {
 	edu, housing := netsim.EducationHousingSplit(n)
 	searchFrom := date(2020, time.February, 1)
 
-	daily := s.NetworkDaily("Academic-C")
-	weekly := s.NetworkWeekly("Academic-C")
+	daily, weekly := s.Series(scan.Daily), s.Series(scan.Weekly)
 	return Figure10Result{
 		Daily: casestudy.Crossover(
-			casestudy.EntrySeries(daily.Series, edu),
-			casestudy.EntrySeries(daily.Series, housing), searchFrom, 7),
+			casestudy.EntrySeries(daily, edu),
+			casestudy.EntrySeries(daily, housing), searchFrom, 7),
 		Weekly: casestudy.Crossover(
-			casestudy.EntrySeries(weekly.Series, edu),
-			casestudy.EntrySeries(weekly.Series, housing), searchFrom, 2),
+			casestudy.EntrySeries(weekly, edu),
+			casestudy.EntrySeries(weekly, housing), searchFrom, 2),
 	}
 }
 

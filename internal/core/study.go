@@ -1,17 +1,16 @@
 // Package core orchestrates the complete reproduction study: it owns the
-// simulated universe, runs the longitudinal scanning campaigns
-// (OpenINTEL-like daily, Rapid7-like weekly), the Section 4 dynamicity
-// analysis, the Section 5 privacy-leak identification, and the Section 6
-// supplemental (ICMP + reactive rDNS) measurement, and exposes one method
-// per table and figure of the paper's evaluation.
+// simulated universe, runs the longitudinal scanning campaign, the Section
+// 4 dynamicity analysis, the Section 5 privacy-leak identification, and the
+// Section 6 supplemental (ICMP + reactive rDNS) measurement, and exposes one
+// method per table and figure of the paper's evaluation.
 //
-// Everything is lazy and cached: experiments share the expensive campaign
-// results, and a Study at reduced scale runs in seconds for tests and
-// benchmarks while the default scale reproduces the full evaluation.
+// One campaign sweeps the dynamic networks daily over the span covering
+// every window the Config names. One fold per instant derives Table 1 and
+// the Section 5 union, the Section 4 and Figure 9/10 series are cuts of its
+// count series, and filler is folded once per window, never swept.
 package core
 
 import (
-	"context"
 	"sync"
 	"time"
 
@@ -27,6 +26,7 @@ import (
 	"rdnsprivacy/internal/privleak"
 	"rdnsprivacy/internal/reactive"
 	"rdnsprivacy/internal/scan"
+	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/simclock"
 	"rdnsprivacy/internal/telemetry"
 )
@@ -39,10 +39,9 @@ type Config struct {
 	// Universe scales the simulated address space.
 	Universe netsim.UniverseConfig
 
-	// Rapid7Start/End delimit the weekly campaign (paper: 2019-10-01 to
-	// 2021-01-01).
+	// Rapid7Start/End delimit the weekly grid (paper: 2019-10-01 to 2021-01-01).
 	Rapid7Start, Rapid7End time.Time
-	// OpenINTELStart/End delimit the daily campaign (paper: 2020-02-17
+	// OpenINTELStart/End delimit the daily data set (paper: 2020-02-17
 	// to 2021-12-01).
 	OpenINTELStart, OpenINTELEnd time.Time
 	// DynamicityStart/End delimit the Section 4 window (paper: 2021-01
@@ -63,11 +62,11 @@ type Config struct {
 	// 0.3% drops.
 	DNSFailure dnsserver.FailureMode
 
-	// Telemetry, when set, receives engine metrics from every campaign
-	// the study runs. Nil keeps the engines on their zero-overhead path.
+	// Telemetry, when set, receives engine metrics from the study's
+	// campaign. Nil keeps the engines on their zero-overhead path.
 	Telemetry telemetry.Sink
-	// Observer, when set, captures one obs.Frame per campaign snapshot
-	// across the study's longitudinal runs (see docs/observability.md).
+	// Observer, when set, captures one obs.Frame per day of the study's
+	// campaign, indexed over its span (see docs/observability.md).
 	Observer *obs.Recorder
 	// Tracer, when set, is threaded through the supplemental run's
 	// client, fabric, and server layers so probe attempts emit the
@@ -126,14 +125,10 @@ type Study struct {
 	Universe *netsim.Universe
 
 	mu           sync.Mutex
-	dynSeries    *dataset.CountSeries
+	camp         *campaign
 	dynResult    *dynamicity.Result
 	leakResult   *privleak.Result
 	supplemental *reactive.Results
-	dailyAll     *scan.Result
-	weeklyAll    *scan.Result
-	perNetDaily  map[string]*scan.Result
-	perNetWeekly map[string]*scan.Result
 }
 
 // NewStudy builds the universe and returns a study ready to run
@@ -144,31 +139,127 @@ func NewStudy(cfg Config) (*Study, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Study{
-		Cfg:          cfg,
-		Universe:     u,
-		perNetDaily:  make(map[string]*scan.Result),
-		perNetWeekly: make(map[string]*scan.Result),
-	}, nil
+	return &Study{Cfg: cfg, Universe: u}, nil
 }
 
-// DynamicitySeries returns (cached) the 90-day whole-universe daily count
-// series of the Section 4 window.
-func (s *Study) DynamicitySeries() *dataset.CountSeries {
+// windows are the dates of the timeline the study reads.
+type windows struct {
+	daily, weekly, dyn []time.Time
+	// leak is the LAST days of the dynamicity window: its first days can
+	// sit inside the winter break, when campuses are empty and academic
+	// networks would be under-counted.
+	leak []time.Time
+}
+
+func (c *Config) windows() windows {
+	return windows{
+		daily:  dataset.DateRange(c.OpenINTELStart, c.OpenINTELEnd, scan.Daily.IntervalDays()),
+		weekly: dataset.DateRange(c.Rapid7Start, c.Rapid7End, scan.Weekly.IntervalDays()),
+		dyn:    dataset.DateRange(c.DynamicityStart, c.DynamicityEnd, 1),
+		leak:   dataset.DateRange(c.DynamicityEnd.AddDate(0, 0, 1-c.LeakWindowDays), c.DynamicityEnd, 1),
+	}
+}
+
+// campaign is what the study's one longitudinal sweep leaves behind.
+type campaign struct {
+	windows
+	// series counts the dynamic networks' records per /24 on every day
+	// of the span; filler is never a row.
+	series *dataset.CountSeries
+	table1 Table1Result
+	// dynSeries is the Section 4 series, filler included.
+	dynSeries *dataset.CountSeries
+	// union is the deduplicated union of the swept records over the leak
+	// window; filler joins it when the Section 5 analysis runs.
+	union []privleak.RecordObservation
+}
+
+// campaign runs (once) the study's one longitudinal sweep and its fold.
+func (s *Study) campaign() *campaign {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.dynSeries == nil {
-		res := scan.Run(scan.Campaign{
-			Universe:  s.Universe,
-			Start:     s.Cfg.DynamicityStart,
-			End:       s.Cfg.DynamicityEnd,
-			Cadence:   scan.Daily,
-			Telemetry: s.Cfg.Telemetry,
-			Observer:  s.Cfg.Observer,
-		})
-		s.dynSeries = res.Series
+	if s.camp != nil {
+		return s.camp
 	}
-	return s.dynSeries
+	c := &campaign{windows: s.Cfg.windows()}
+	const inDaily, inWeekly, inLeak = 1, 2, 4
+	var first, last time.Time
+	roles := make(map[int64]uint8)
+	for role, dates := range map[uint8][]time.Time{inDaily: c.daily, inWeekly: c.weekly, 0: c.dyn, inLeak: c.leak} {
+		for _, d := range dates {
+			roles[d.Unix()] |= role
+			if first.IsZero() || d.Before(first) {
+				first = d
+			}
+			if d.After(last) {
+				last = d
+			}
+		}
+	}
+	daily := dataset.NewStatsCollector(scan.Daily.String())
+	weekly := dataset.NewStatsCollector(scan.Weekly.String())
+	seen := make(map[uint64]bool)
+	res := scan.Run(scan.Campaign{
+		Universe:   s.Universe,
+		Start:      first,
+		End:        last,
+		Cadence:    scan.Daily,
+		SkipFiller: true,
+		Telemetry:  s.Cfg.Telemetry,
+		Observer:   s.Cfg.Observer,
+		OnSnapshot: func(_ int, d time.Time, records scanengine.RecordSet) {
+			role := roles[d.Unix()]
+			if role == 0 {
+				return
+			}
+			for ip, name := range records {
+				if role&inDaily != 0 {
+					daily.Observe(d, ip, name)
+				}
+				if role&inWeekly != 0 {
+					weekly.Observe(d, ip, name)
+				}
+				if role&inLeak == 0 {
+					continue
+				}
+				if key := recordKey(ip, name); !seen[key] {
+					seen[key] = true
+					c.union = append(c.union, privleak.RecordObservation{IP: ip, HostName: name})
+				}
+			}
+		},
+	})
+	// Filler joins the statistics after the sweep: the collectors' sets
+	// stay small, and cheap to probe, while the swept records go in.
+	scan.FoldFiller(s.Universe, c.daily, daily, nil, nil)
+	scan.FoldFiller(s.Universe, c.weekly, weekly, nil, nil)
+	c.table1 = Table1Result{Rapid7: weekly.Stats(), OpenINTEL: daily.Stats()}
+	c.table1.Rapid7.Start, c.table1.Rapid7.End = s.Cfg.Rapid7Start, s.Cfg.Rapid7End
+	c.table1.OpenINTEL.Start, c.table1.OpenINTEL.End = s.Cfg.OpenINTELStart, s.Cfg.OpenINTELEnd
+	c.series = res.Series
+	c.dynSeries = res.Series.Cut(c.dyn)
+	scan.FoldFiller(s.Universe, c.dyn, nil, c.dynSeries, nil)
+	s.camp = c
+	return c
+}
+
+// DynamicitySeries returns the whole-universe daily count series of the
+// Section 4 window.
+func (s *Study) DynamicitySeries() *dataset.CountSeries {
+	return s.campaign().dynSeries
+}
+
+// Series returns the dynamic networks' per-/24 count series on one
+// platform's dates: every day of the OpenINTEL window, or the Rapid7 weekly
+// grid. Only /24s holding a record on one of those dates are rows, and
+// filler never is. A network's series is casestudy.EntrySeries over its
+// announced prefix.
+func (s *Study) Series(cadence scan.Cadence) *dataset.CountSeries {
+	c := s.campaign()
+	if cadence == scan.Weekly {
+		return c.series.Cut(c.weekly)
+	}
+	return c.series.Cut(c.daily)
 }
 
 // Dynamicity returns (cached) the Section 4 heuristic result.
@@ -196,10 +287,11 @@ func (s *Study) AnnouncedPrefixes() []dnswire.Prefix {
 }
 
 // PrivLeak returns (cached) the Section 5 identification result, computed
-// over a union of LeakWindowDays daily snapshots with the scaled
-// thresholds.
+// over the union of the last LeakWindowDays daily snapshots of the
+// dynamicity window with the scaled thresholds.
 func (s *Study) PrivLeak() *privleak.Result {
 	dyn := s.Dynamicity()
+	c := s.campaign()
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.leakResult != nil {
@@ -210,29 +302,13 @@ func (s *Study) PrivLeak() *privleak.Result {
 		dynSet[p] = true
 	}
 	a := privleak.NewAnalyzer(s.Cfg.LeakThresholds)
-	seen := make(map[uint64]struct{}, 1<<20)
-	// Union the LAST days of the dynamicity window: its first days can
-	// sit inside the winter break, when campuses are empty and academic
-	// networks would be under-counted. Each day is one sharded engine
-	// sweep over the whole universe.
-	ctx := context.Background()
-	for d := 0; d < s.Cfg.LeakWindowDays; d++ {
-		at := s.Cfg.DynamicityEnd.AddDate(0, 0, d+1-s.Cfg.LeakWindowDays).Add(13 * time.Hour)
-		snap, err := scan.Snapshot(ctx, scan.Campaign{Universe: s.Universe}, at)
-		if err != nil {
-			break
-		}
-		for ip, name := range snap.Records {
-			key := recordKey(ip, name)
-			if _, ok := seen[key]; ok {
-				continue
-			}
-			seen[key] = struct{}{}
-			a.Observe(privleak.RecordObservation{
-				IP: ip, HostName: name, Dynamic: dynSet[ip.Slash24()],
-			})
-		}
+	for _, r := range c.union {
+		r.Dynamic = dynSet[r.IP.Slash24()]
+		a.Observe(r)
 	}
+	scan.FoldFiller(s.Universe, c.leak, nil, nil, func(r netsim.Record) {
+		a.Observe(privleak.RecordObservation{IP: r.IP, HostName: r.HostName, Dynamic: dynSet[r.IP.Slash24()]})
+	})
 	s.leakResult = a.Finish()
 	return s.leakResult
 }
@@ -248,80 +324,6 @@ func recordKey(ip dnswire.IPv4, name dnswire.Name) uint64 {
 		h *= prime
 	}
 	return h
-}
-
-// DailyCampaign returns (cached) the full-universe OpenINTEL-like campaign.
-// This is the heaviest longitudinal computation of the study.
-func (s *Study) DailyCampaign() *scan.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.dailyAll == nil {
-		s.dailyAll = scan.Run(scan.Campaign{
-			Universe:  s.Universe,
-			Start:     s.Cfg.OpenINTELStart,
-			End:       s.Cfg.OpenINTELEnd,
-			Cadence:   scan.Daily,
-			Telemetry: s.Cfg.Telemetry,
-			Observer:  s.Cfg.Observer,
-		})
-	}
-	return s.dailyAll
-}
-
-// WeeklyCampaign returns (cached) the full-universe Rapid7-like campaign.
-func (s *Study) WeeklyCampaign() *scan.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.weeklyAll == nil {
-		s.weeklyAll = scan.Run(scan.Campaign{
-			Universe:  s.Universe,
-			Start:     s.Cfg.Rapid7Start,
-			End:       s.Cfg.Rapid7End,
-			Cadence:   scan.Weekly,
-			Telemetry: s.Cfg.Telemetry,
-			Observer:  s.Cfg.Observer,
-		})
-	}
-	return s.weeklyAll
-}
-
-// NetworkDaily returns (cached) a network-restricted daily campaign over
-// the OpenINTEL window (used by Figures 9 and 10 — far cheaper than the
-// whole-universe campaign).
-func (s *Study) NetworkDaily(name string) *scan.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.perNetDaily[name]; ok {
-		return r
-	}
-	r := scan.Run(scan.Campaign{
-		Universe: s.Universe,
-		Start:    s.Cfg.OpenINTELStart,
-		End:      s.Cfg.OpenINTELEnd,
-		Cadence:  scan.Daily,
-		Networks: []string{name},
-	})
-	s.perNetDaily[name] = r
-	return r
-}
-
-// NetworkWeekly returns (cached) a network-restricted weekly campaign over
-// the Rapid7 window.
-func (s *Study) NetworkWeekly(name string) *scan.Result {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if r, ok := s.perNetWeekly[name]; ok {
-		return r
-	}
-	r := scan.Run(scan.Campaign{
-		Universe: s.Universe,
-		Start:    s.Cfg.Rapid7Start,
-		End:      s.Cfg.Rapid7End,
-		Cadence:  scan.Weekly,
-		Networks: []string{name},
-	})
-	s.perNetWeekly[name] = r
-	return r
 }
 
 // SupplementalTargets derives each supplemental network's targeted address

@@ -11,7 +11,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
@@ -143,23 +142,39 @@ func (s *CountSeries) SetConstant(p dnswire.Prefix, count int) {
 	s.Counts[p] = row
 }
 
-// Prefixes returns all /24s in the series, sorted by address.
-func (s *CountSeries) Prefixes() []dnswire.Prefix {
-	out := make([]dnswire.Prefix, 0, len(s.Counts))
-	for p := range s.Counts {
-		out = append(out, p)
+// Cut returns the series on a subset of its dates, keeping only the /24s
+// with a count on one of them, so that absent still means never seen. A
+// date the series does not cover reads as zero.
+func (s *CountSeries) Cut(dates []time.Time) *CountSeries {
+	index := make(map[int64]int, len(s.Dates))
+	for i, d := range s.Dates {
+		index[d.Unix()] = i
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Addr.Uint32() < out[j].Addr.Uint32() })
+	cols := make([]int, len(dates))
+	for j, d := range dates {
+		i, ok := index[d.Unix()]
+		if !ok {
+			i = -1
+		}
+		cols[j] = i
+	}
+	out := NewCountSeries(dates)
+	for p, row := range s.Counts {
+		var cut []int
+		for j, i := range cols {
+			if i < 0 || row[i] == 0 {
+				continue
+			}
+			if cut == nil {
+				cut = make([]int, len(dates))
+			}
+			cut[j] = row[i]
+		}
+		if cut != nil {
+			out.Counts[p] = cut
+		}
+	}
 	return out
-}
-
-// TotalOn returns the total record count over all prefixes on day index i.
-func (s *CountSeries) TotalOn(i int) int {
-	total := 0
-	for _, row := range s.Counts {
-		total += row[i]
-	}
-	return total
 }
 
 // Stats summarizes a measurement campaign the way Table 1 and Table 3 do.

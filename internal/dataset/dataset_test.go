@@ -57,12 +57,19 @@ func TestCountSeries(t *testing.T) {
 	}
 	q := dnswire.MustPrefix("198.51.100.0/24")
 	s.SetConstant(q, 7)
-	if s.TotalOn(2) != 7 {
-		t.Fatalf("TotalOn(2) = %d", s.TotalOn(2))
+	if got := s.Counts[q]; len(got) != 3 || got[2] != 7 {
+		t.Fatalf("constant row = %v", got)
 	}
-	prefixes := s.Prefixes()
-	if len(prefixes) != 2 || prefixes[0] != p || prefixes[1] != q {
-		t.Fatalf("Prefixes = %v", prefixes)
+
+	// A cut keeps the chosen dates' columns and only the /24s counted on
+	// one of them; a date outside the series reads as zero.
+	cut := s.Cut([]time.Time{dates[2], dates[0].AddDate(0, 0, -1)})
+	want := map[dnswire.Prefix][]int{q: {7, 0}}
+	if !reflect.DeepEqual(cut.Counts, want) || len(cut.Dates) != 2 || !cut.Dates[0].Equal(dates[2]) {
+		t.Fatalf("cut = %v over %v", cut.Counts, cut.Dates)
+	}
+	if got := s.Cut(dates[:2]).Counts; !reflect.DeepEqual(got, map[dnswire.Prefix][]int{p: {5, 5}, q: {7, 7}}) {
+		t.Fatalf("cut of the first two days = %v", got)
 	}
 }
 

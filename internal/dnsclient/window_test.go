@@ -54,6 +54,9 @@ func sparseZone(t *testing.T) *dnsserver.Server {
 // one probe at a time: records, tallies and changes must be equal, timeouts
 // and all. The timeout is generous: the losses are scripted, so it changes
 // no verdict, and a reply that is merely slow on a loaded host stays a reply.
+// A sweep spends most of its time waiting out those timeouts, so all twenty
+// run at once, each against a server of its own, before the per-seed
+// subtests compare them.
 func TestWindowAndPerProbeSweepsAgree(t *testing.T) {
 	// Two full windows, one, and half of one.
 	targets := []dnswire.Prefix{dnswire.MustPrefix("192.0.2.0/27"), dnswire.MustPrefix("192.0.2.64/28"), dnswire.MustPrefix("192.0.2.128/29")}
@@ -63,29 +66,49 @@ func TestWindowAndPerProbeSweepsAgree(t *testing.T) {
 		dnswire.MustIPv4("192.0.2.7"):  "gone.dyn.example.edu.",                 // removed
 		dnswire.MustIPv4("192.0.2.70"): "gone-too.dyn.example.edu.",             // removed
 	}
-	for seed := int64(1); seed <= 10; seed++ {
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
-			t.Parallel()
-			sweep := func(windowed bool) (*scanengine.Snapshot, *UDPClient) {
-				// A server of its own per path: the loss verdicts count how often
-				// each name has been asked.
-				srv := sparseZone(t)
-				srv.SetFailureMode(dnsserver.FailureMode{DropRate: 0.25, Seed: seed})
-				client := &UDPClient{Server: serveLoopback(t, srv), Timeout: 500 * time.Millisecond, Retries: 1}
-				t.Cleanup(func() { client.Close() })
-				var src scanengine.Source = UDPSource{Client: client}
-				if !windowed {
-					src = scanengine.SourceFunc(UDPSource{Client: client}.LookupPTR)
-				}
-				snap, err := scanengine.New(src, scanengine.WithWorkers(3)).
-					Scan(context.Background(), scanengine.Request{Targets: targets, Baseline: baseline})
-				if err != nil {
-					t.Fatal(err)
-				}
-				return snap, client
+	type sweep struct {
+		client *UDPClient
+		src    scanengine.Source
+		snap   *scanengine.Snapshot
+		err    error
+	}
+	var sweeps [10][2]sweep // per seed: the window path, then the per-probe path
+	for i := range sweeps {
+		for path := range sweeps[i] {
+			// A server of its own per path: the loss verdicts count how often
+			// each name has been asked.
+			srv := sparseZone(t)
+			srv.SetFailureMode(dnsserver.FailureMode{DropRate: 0.25, Seed: int64(i + 1)})
+			client := &UDPClient{Server: serveLoopback(t, srv), Timeout: 500 * time.Millisecond, Retries: 1}
+			t.Cleanup(func() { client.Close() })
+			var src scanengine.Source = UDPSource{Client: client}
+			if path == 1 {
+				src = scanengine.SourceFunc(UDPSource{Client: client}.LookupPTR)
 			}
-			win, winClient := sweep(true)
-			one, _ := sweep(false)
+			sweeps[i][path] = sweep{client: client, src: src}
+		}
+	}
+	var wg sync.WaitGroup
+	for i := range sweeps {
+		for path := range sweeps[i] {
+			sw := &sweeps[i][path]
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				sw.snap, sw.err = scanengine.New(sw.src, scanengine.WithWorkers(3)).
+					Scan(context.Background(), scanengine.Request{Targets: targets, Baseline: baseline})
+			}()
+		}
+	}
+	wg.Wait()
+	for i := range sweeps {
+		t.Run(fmt.Sprintf("seed-%d", i+1), func(t *testing.T) {
+			for _, sw := range sweeps[i] {
+				if sw.err != nil {
+					t.Fatal(sw.err)
+				}
+			}
+			win, one, winClient := sweeps[i][0].snap, sweeps[i][1].snap, sweeps[i][0].client
 			if !reflect.DeepEqual(win.Records, one.Records) {
 				t.Errorf("records differ:\n window    %v\n per-probe %v", win.Records, one.Records)
 			}

@@ -28,15 +28,7 @@ func sequentialRun(c Campaign) *Result {
 	series := dataset.NewCountSeries(dates)
 	collector := dataset.NewStatsCollector(c.Cadence.String())
 	if len(c.Networks) == 0 && !c.SkipFiller {
-		for _, f := range c.Universe.Filler {
-			f.Records(func(r netsim.Record) {
-				collector.Observe(dates[0], r.IP, r.HostName)
-			})
-			series.SetConstant(f.Prefix, f.Count())
-			if len(dates) > 1 {
-				collector.ObserveRepeat(uint64((len(dates) - 1) * f.Count()))
-			}
-		}
+		FoldFiller(c.Universe, dates, collector, series, nil)
 	}
 	netsOnly := c
 	netsOnly.SkipFiller = true
@@ -96,6 +88,15 @@ type campaignRun struct {
 	snapshots int // the store's length when the campaign returned
 	files     map[string][]byte
 	frames    []obs.Frame
+	hooked    []hookCall // the OnSnapshot calls, in call order
+}
+
+// hookCall is one OnSnapshot call: the date's index, the date, and how
+// many records the set held.
+type hookCall struct {
+	i       int
+	date    time.Time
+	records int
 }
 
 // runInto runs a 12-day, two-network campaign compacting every 3 days into
@@ -130,12 +131,16 @@ func runInto(t *testing.T, u *netsim.Universe, observed bool, run func(Campaign)
 		c.Telemetry = reg
 		c.Observer = obs.NewRecorder(reg)
 	}
+	var hooked []hookCall
+	c.OnSnapshot = func(i int, date time.Time, records scanengine.RecordSet) {
+		hooked = append(hooked, hookCall{i, date, len(records)})
+	}
 	res := run(c)
 	n := st.Len()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return campaignRun{res: res, snapshots: n, files: storeFiles(t, dir), frames: c.Observer.Frames()}
+	return campaignRun{res: res, snapshots: n, files: storeFiles(t, dir), frames: c.Observer.Frames(), hooked: hooked}
 }
 
 // TestPipelineMatchesSequentialLoop requires the two-stage Run to leave
@@ -173,6 +178,20 @@ func TestPipelineMatchesSequentialLoop(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got.frames, want.frames) {
 			t.Fatalf("observed=%v: frames differ\n got  %+v\n want %+v", observed, got.frames, want.frames)
+		}
+		// The hook sees every date once, in order, after the fold that
+		// counted the same records.
+		if len(got.hooked) != len(got.res.Series.Dates) {
+			t.Fatalf("observed=%v: OnSnapshot called %d times over %d dates", observed, len(got.hooked), len(got.res.Series.Dates))
+		}
+		for j, h := range got.hooked {
+			total := 0
+			for _, row := range got.res.Series.Counts {
+				total += row[j]
+			}
+			if h.i != j || !h.date.Equal(got.res.Series.Dates[j]) || h.records != total {
+				t.Fatalf("observed=%v: call %d = %+v, want index %d, %v, %d records", observed, j, h, j, got.res.Series.Dates[j], total)
+			}
 		}
 	}
 

@@ -93,6 +93,11 @@ type Campaign struct {
 	// tail a crash can tear and keeping reconstruction chains short over
 	// long campaigns. Compaction failures surface in Result.StoreErr.
 	CompactEvery int
+	// OnSnapshot, when set, receives every snapshot's record set on Run's
+	// consumer goroutine, in date order, after the built-in fold. i is the
+	// date's index in the campaign. The hook must not retain the record
+	// set past the call.
+	OnSnapshot func(i int, date time.Time, records scanengine.RecordSet)
 }
 
 // Targets returns the campaign's sweep coverage, for scanengine.Request.
@@ -158,29 +163,47 @@ type sweptDay struct {
 	snap *scanengine.Snapshot
 }
 
+// FoldFiller folds the universe's filler blocks into a window of snapshot
+// dates without sweeping them: filler never changes, so each record is
+// enumerated once. stats observes it on the window's first date and counts
+// it again for every other date, each sees it once, and series gets one
+// constant row per filler /24. Any of stats, series and each may be nil.
+func FoldFiller(u *netsim.Universe, dates []time.Time, stats *dataset.StatsCollector, series *dataset.CountSeries, each func(netsim.Record)) {
+	if len(dates) == 0 {
+		return
+	}
+	for _, f := range u.Filler {
+		if stats != nil || each != nil {
+			f.Records(func(r netsim.Record) {
+				if stats != nil {
+					stats.Observe(dates[0], r.IP, r.HostName)
+				}
+				if each != nil {
+					each(r)
+				}
+			})
+		}
+		if stats != nil {
+			stats.ObserveRepeat(uint64((len(dates) - 1) * f.Count()))
+		}
+		if series != nil {
+			series.SetConstant(f.Prefix, f.Count())
+		}
+	}
+}
+
 // Run executes the campaign through the sharded snapshot engine and
 // returns its result. It runs in two stages: the calling goroutine sweeps
 // the dates in order, and one consumer goroutine takes each snapshot, in
 // the same order, through the store append and compaction, the observer
-// frame and the count-series and statistics fold. Run returns once the
-// consumer has finished the last date.
+// frame, the count-series and statistics fold and the OnSnapshot hook.
+// Run returns once the consumer has finished the last date.
 func Run(c Campaign) *Result {
 	dates := dataset.DateRange(c.Start, c.End, c.Cadence.IntervalDays())
 	series := dataset.NewCountSeries(dates)
 	collector := dataset.NewStatsCollector(c.Cadence.String())
-
-	// Filler blocks never change: record their counts once and replicate
-	// instead of re-sweeping them every snapshot date.
 	if len(c.Networks) == 0 && !c.SkipFiller {
-		for _, f := range c.Universe.Filler {
-			f.Records(func(r netsim.Record) {
-				collector.Observe(dates[0], r.IP, r.HostName)
-			})
-			series.SetConstant(f.Prefix, f.Count())
-			if len(dates) > 1 {
-				collector.ObserveRepeat(uint64((len(dates) - 1) * f.Count()))
-			}
-		}
+		FoldFiller(c.Universe, dates, collector, series, nil)
 	}
 
 	// The dynamic networks are re-swept at every date through the engine.
@@ -220,6 +243,9 @@ func Run(c Campaign) *Result {
 			for ip, name := range d.snap.Records {
 				collector.Observe(d.date, ip, name)
 				series.Add(ip.Slash24(), d.i, 1)
+			}
+			if c.OnSnapshot != nil {
+				c.OnSnapshot(d.i, d.date, d.snap.Records)
 			}
 		}
 	}()
