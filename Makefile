@@ -112,11 +112,15 @@ metriclint:
 	$(GO) build -o /tmp/metriclint ./cmd/metriclint
 	/tmp/metriclint ./internal ./cmd
 
-# deadcheck keeps deleted code deleted: code with no production caller is
-# removed, not marked, so a Deprecated: marker in non-test Go fails the gate.
+# deadcheck keeps code with no production caller out of the tree: a
+# Deprecated: marker in non-test Go fails the gate, and so does any non-test
+# declaration that no non-test file references, per the type checker
+# (cmd/deadcheck; the few kept on purpose are listed with their reasons in
+# cmd/deadcheck/keep.txt, and a stale entry there fails too).
 deadcheck:
 	@if grep -rn 'Deprecated:' --include='*.go' --exclude='*_test.go' internal cmd examples; then \
 		echo "deadcheck: delete the code instead of deprecating it"; exit 1; fi
+	$(GO) run ./cmd/deadcheck
 
 # reportcheck holds the study to its committed oracle: the small-scale
 # report must be byte-identical to docs/report-small-scale.txt apart from
@@ -155,11 +159,12 @@ replicatest:
 	$(GO) test -count=1 -run 'Fuzz' ./internal/replica
 
 # verify is the pre-merge gate: vet everything, lint the metric names,
-# refuse deprecation markers, run the full test suite with the coverage
-# floors, diff the small-scale report against its committed copy,
-# race-test the internal packages and the query daemon, run the
-# replication chaos battery, the observability e2e and the multi-vantage
-# campaign gate, and smoke the serving path under 10k-worker load.
+# refuse deprecation markers and code no program reaches, run the full
+# test suite with the coverage floors, diff the small-scale report against
+# its committed copy, race-test the internal packages and the query
+# daemon, run the replication chaos battery, the observability e2e and the
+# multi-vantage campaign gate, and smoke the serving path under 10k-worker
+# load.
 verify:
 	$(GO) vet ./...
 	$(MAKE) metriclint

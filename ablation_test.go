@@ -80,8 +80,8 @@ func namesLeakedUnder(b *testing.B, policy ipam.Policy) int {
 	}
 	matcher := names.NewMatcher(names.Top50)
 	distinct := map[string]bool{}
-	for _, n := range zone.Names() {
-		target, ok := zone.LookupPTR(n)
+	for i := 0; i < prefix.NumAddresses(); i++ {
+		target, ok := zone.LookupPTR(dnswire.ReverseName(prefix.Nth(i)))
 		if !ok {
 			continue
 		}

@@ -900,7 +900,7 @@ func BenchmarkHistStoreChurn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := dnswire.Prefix{Addr: dnswire.IPv4{10, 62, byte(i * 7 % 64), 0}, Bits: 24}
 		from := (i * 13) % 90
-		days, err := st.Churn(p, times[from], times[from+29])
+		days, err := st.ChurnContext(context.Background(), p, times[from], times[from+29])
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -1,7 +1,8 @@
 // Command dynfind runs the Section 4 dynamicity heuristic over a CSV of
-// reverse-DNS observations (date,ip,ptr — the format cmd/rdnsscan and the
-// dataset package produce) and reports which /24 prefixes expose dynamic
-// client behaviour.
+// reverse-DNS observations and reports which /24 prefixes expose dynamic
+// client behaviour. The input is external OpenINTEL-shaped data, one
+// date,ip,ptr row per observation (dataset.ScanRows); no tool here writes
+// it, and cmd/rdnsscan's ip,outcome,ptr,rtt_ms output is not it.
 //
 //	dynfind -input observations.csv [-x 10] [-y 7] [-min 10]
 //

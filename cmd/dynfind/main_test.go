@@ -48,8 +48,13 @@ func TestSeriesFromCSVEmpty(t *testing.T) {
 }
 
 func TestSeriesFromCSVBadRow(t *testing.T) {
-	_, err := seriesFromCSV(strings.NewReader("date,ip,ptr\n2021-01-01,not-an-ip,h.example.edu\n"))
-	if err == nil {
-		t.Fatal("bad address accepted")
+	for _, in := range []string{
+		"date,ip,ptr\n2021-01-01,not-an-ip,h.example.edu\n",
+		// cmd/rdnsscan's ip,outcome,ptr,rtt_ms output is not dynfind's input.
+		"ip,outcome,ptr,rtt_ms\n192.0.2.1,found,h.example.edu,3\n",
+	} {
+		if _, err := seriesFromCSV(strings.NewReader(in)); err == nil {
+			t.Errorf("bad input accepted: %q", in)
+		}
 	}
 }

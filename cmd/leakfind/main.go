@@ -1,8 +1,9 @@
 // Command leakfind runs the Section 5 privacy-leak identification over a
-// CSV of reverse-DNS observations (date,ip,ptr): it excludes router-level
-// records, matches given names, aggregates per hostname suffix, applies the
-// unique-name and ratio thresholds, and prints the identified networks with
-// their type breakdown.
+// CSV of reverse-DNS observations — external OpenINTEL-shaped date,ip,ptr
+// data, the input cmd/dynfind takes too (dataset.ScanRows): it excludes
+// router-level records, matches given names, aggregates per hostname
+// suffix, applies the unique-name and ratio thresholds, and prints the
+// identified networks with their type breakdown.
 //
 //	leakfind -input observations.csv [-dynamic dynprefixes.txt] \
 //	         [-min-names 18] [-min-ratio 0.03]

@@ -1,7 +1,8 @@
 // Command rdnsscan is a zdns-style reverse DNS scanner: it issues PTR
 // queries for every address of a prefix against a name server over UDP and
-// prints the results as CSV (the output format of the paper's custom
-// measurement tooling, Section 6.1). Sweeps run through the sharded
+// prints the results as ip,outcome,ptr,rtt_ms CSV (the output format of the
+// paper's custom measurement tooling, Section 6.1). That is a per-probe
+// log, not the date,ip,ptr observations cmd/dynfind and cmd/leakfind read. Sweeps run through the sharded
 // snapshot engine (internal/scanengine): the prefix is split into per-/16
 // shards and fanned out over a bounded worker pool.
 //

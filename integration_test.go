@@ -85,7 +85,7 @@ func TestRealSocketsEndToEnd(t *testing.T) {
 	scanner := &dnsclient.UDPClient{Server: addr.String(), Timeout: 2 * time.Second, Retries: 1}
 
 	// The scanner sees all three, names intact.
-	resp, err := scanner.LookupPTR(ips[0])
+	resp, err := scanner.LookupPTRContext(context.Background(), ips[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestRealSocketsEndToEnd(t *testing.T) {
 	if err := clients[0].Leave(); err != nil {
 		t.Fatal(err)
 	}
-	resp, err = scanner.LookupPTR(ips[0])
+	resp, err = scanner.LookupPTRContext(context.Background(), ips[0])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +126,7 @@ func TestRealSocketsEndToEnd(t *testing.T) {
 		t.Fatalf("after release: %v, want NXDOMAIN", resp.Outcome)
 	}
 	// The others remain.
-	resp, err = scanner.LookupPTR(ips[1])
+	resp, err = scanner.LookupPTRContext(context.Background(), ips[1])
 	if err != nil {
 		t.Fatal(err)
 	}

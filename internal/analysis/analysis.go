@@ -4,7 +4,6 @@
 package analysis
 
 import (
-	"fmt"
 	"math"
 	"sort"
 	"time"
@@ -109,24 +108,6 @@ func (c *CDF) At(v float64) float64 {
 	return float64(idx) / float64(len(c.sorted))
 }
 
-// Quantile returns the q-th quantile (0 <= q <= 1).
-func (c *CDF) Quantile(q float64) float64 {
-	if len(c.sorted) == 0 {
-		return math.NaN()
-	}
-	if q <= 0 {
-		return c.sorted[0]
-	}
-	if q >= 1 {
-		return c.sorted[len(c.sorted)-1]
-	}
-	idx := int(q * float64(len(c.sorted)))
-	if idx >= len(c.sorted) {
-		idx = len(c.sorted) - 1
-	}
-	return c.sorted[idx]
-}
-
 // Series is a time series of values.
 type Series struct {
 	Dates  []time.Time
@@ -150,34 +131,6 @@ func (s Series) PercentOfMax() Series {
 		out.Values[i] = 100 * v / max
 	}
 	return out
-}
-
-// Min returns the smallest value and its date.
-func (s Series) Min() (time.Time, float64) {
-	if len(s.Values) == 0 {
-		return time.Time{}, math.NaN()
-	}
-	bi := 0
-	for i, v := range s.Values {
-		if v < s.Values[bi] {
-			bi = i
-		}
-	}
-	return s.Dates[bi], s.Values[bi]
-}
-
-// Max returns the largest value and its date.
-func (s Series) Max() (time.Time, float64) {
-	if len(s.Values) == 0 {
-		return time.Time{}, math.NaN()
-	}
-	bi := 0
-	for i, v := range s.Values {
-		if v > s.Values[bi] {
-			bi = i
-		}
-	}
-	return s.Dates[bi], s.Values[bi]
 }
 
 // MeanBetween averages values with dates in [from, to).
@@ -233,13 +186,4 @@ func CrossoverAfter(a, b Series, from time.Time, minRun int) time.Time {
 // original timestamp, a truncated timestamp per five minutes", Section 6.1).
 func TruncateTo5Min(t time.Time) time.Time {
 	return t.Truncate(5 * time.Minute)
-}
-
-// FormatDuration renders a duration in compact minutes form for reports.
-func FormatDuration(d time.Duration) string {
-	m := d.Minutes()
-	if m == math.Trunc(m) {
-		return fmt.Sprintf("%dm", int(m))
-	}
-	return fmt.Sprintf("%.1fm", m)
 }

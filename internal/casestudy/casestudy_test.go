@@ -89,6 +89,13 @@ func TestTrackNameFindsBrianDevices(t *testing.T) {
 	if tracks[0].UniqueIPs != 1 {
 		t.Fatalf("iphone unique IPs = %d", tracks[0].UniqueIPs)
 	}
+	// First seen once the 09:00 session was probed: before the MBP's 11:00.
+	if first := tracks[0].FirstSeen(); first.Before(epoch.Add(9*time.Hour)) || !first.Before(tracks[1].FirstSeen()) {
+		t.Fatalf("first seen: iphone %v, mbp %v", first, tracks[1].FirstSeen())
+	}
+	if !(&DeviceTrack{}).FirstSeen().IsZero() {
+		t.Fatal("an empty track was seen")
+	}
 	// Emma must not appear in Brian's tracks.
 	for _, tr := range tracks {
 		if tr.Device == "emmas-ipad" {
@@ -108,7 +115,7 @@ func TestEntrySeriesAndWFH(t *testing.T) {
 		if d.After(lockdown) {
 			v = 30
 		}
-		s.Set(p, i, v)
+		s.Add(p, i, v)
 	}
 	// A prefix outside the filter must not contribute.
 	s.SetConstant(dnswire.MustPrefix("10.9.1.0/24"), 500)
@@ -116,6 +123,9 @@ func TestEntrySeriesAndWFH(t *testing.T) {
 	totals := EntrySeries(s, []dnswire.Prefix{dnswire.MustPrefix("10.0.0.0/16")})
 	if totals.Values[0] != 100 {
 		t.Fatalf("day 0 total = %v", totals.Values[0])
+	}
+	if all := EntrySeries(s, nil); all.Values[0] != 600 {
+		t.Fatalf("day 0 total over every prefix = %v", all.Values[0])
 	}
 	rep := WFH("Academic-X", totals, lockdown)
 	if rep.PrePandemicMean < 99 {

@@ -1,11 +1,17 @@
 package core
 
 import (
+	"fmt"
+	"slices"
+	"sort"
 	"testing"
 	"time"
 
+	"rdnsprivacy/internal/dnsclient"
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/privleak"
+	"rdnsprivacy/internal/reactive"
+	"rdnsprivacy/internal/telemetry"
 )
 
 // Determinism is load-bearing: the paper-vs-measured comparison in
@@ -47,22 +53,30 @@ func TestSameSeedSameUniverse(t *testing.T) {
 		if na.Name() != nb.Name() {
 			t.Fatalf("network %d: %s vs %s", i, na.Name(), nb.Name())
 		}
-		da, db := na.Devices(), nb.Devices()
-		if len(da) != len(db) {
-			t.Fatalf("%s: device counts differ: %d vs %d", na.Name(), len(da), len(db))
+		ra, rb := observed(na), observed(nb)
+		if len(ra) != len(rb) {
+			t.Fatalf("%s: record counts differ: %d vs %d", na.Name(), len(ra), len(rb))
 		}
-		for j := range da {
-			if da[j].HostName != db[j].HostName || da[j].MAC != db[j].MAC {
-				t.Fatalf("%s device %d differs: %q/%v vs %q/%v", na.Name(), j,
-					da[j].HostName, da[j].MAC, db[j].HostName, db[j].MAC)
-			}
-			ipa, _ := na.DeviceIP(da[j])
-			ipb, _ := nb.DeviceIP(db[j])
-			if ipa != ipb {
-				t.Fatalf("%s device %d address differs: %v vs %v", na.Name(), j, ipa, ipb)
+		for j := range ra {
+			if ra[j] != rb[j] {
+				t.Fatalf("%s record %d differs: %q vs %q", na.Name(), j, ra[j], rb[j])
 			}
 		}
 	}
+}
+
+// observed lists what n publishes in reverse DNS every six hours of one
+// week, sorted: the visible face of its seeded population.
+func observed(n *netsim.Network) []string {
+	var out []string
+	start := date(2021, time.November, 1)
+	for h := 0; h < 7*24; h += 6 {
+		n.RecordsAt(start.Add(time.Duration(h)*time.Hour), func(r netsim.Record) {
+			out = append(out, fmt.Sprintf("%03d %s %s", h, r.IP, r.HostName))
+		})
+	}
+	sort.Strings(out)
+	return out
 }
 
 func TestSameSeedSameMeasurements(t *testing.T) {
@@ -86,6 +100,27 @@ func TestSameSeedSameMeasurements(t *testing.T) {
 	}
 }
 
+// TestSupplementalExportsMetrics: a study given a registry hands it to the
+// Section 6 run too, so `reactive -metrics-addr` exports the engine's
+// reactive_* and its resolver's dnsclient_* counters.
+func TestSupplementalExportsMetrics(t *testing.T) {
+	cfg := microConfig(9)
+	cfg.SupplementalEnd = cfg.SupplementalStart.AddDate(0, 0, 1)
+	reg := telemetry.NewRegistry()
+	cfg.Telemetry = reg
+	s, err := NewStudy(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Supplemental()
+	counters := reg.Snapshot().Counters
+	for _, name := range []string{reactive.MetricSweeps, dnsclient.MetricQueries} {
+		if counters[name] == 0 {
+			t.Errorf("%s = 0 after a supplemental day", name)
+		}
+	}
+}
+
 func TestDifferentSeedDifferentUniverse(t *testing.T) {
 	a, err := NewStudy(microConfig(9))
 	if err != nil {
@@ -95,21 +130,9 @@ func TestDifferentSeedDifferentUniverse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Some device somewhere must differ (hostnames are seed-derived).
-	na, nb := a.Universe.Networks[0], b.Universe.Networks[0]
-	da, db := na.Devices(), nb.Devices()
-	n := len(da)
-	if len(db) < n {
-		n = len(db)
-	}
-	same := true
-	for j := 0; j < n; j++ {
-		if da[j].HostName != db[j].HostName {
-			same = false
-			break
-		}
-	}
-	if same && len(da) == len(db) {
+	// Some record somewhere must differ (hostnames are seed-derived).
+	ra, rb := observed(a.Universe.Networks[0]), observed(b.Universe.Networks[0])
+	if slices.Equal(ra, rb) {
 		t.Fatal("different seeds produced identical populations")
 	}
 }

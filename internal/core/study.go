@@ -402,6 +402,7 @@ func (s *Study) runSupplemental() (*reactive.Results, fabric.Stats, icmp.ProberS
 		VantageICMP: dnswire.MustIPv4("198.51.100.10"),
 		VantageDNS:  dnswire.MustIPv4("198.51.100.11"),
 		DNSRetries:  1,
+		Telemetry:   s.Cfg.Telemetry,
 		Tracer:      s.Cfg.Tracer,
 		TracerSeed:  int64(s.Cfg.Seed),
 	})

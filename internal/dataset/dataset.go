@@ -2,8 +2,10 @@
 // reverse-DNS snapshots in the shape that OpenINTEL and Rapid7 publish
 // (date, IP address, PTR hostname), per-/24 daily aggregates, and the
 // summary statistics reported in the paper's Table 1 and Table 3. It also
-// provides the CSV encoding the command-line tools exchange (the paper's
-// own tooling "write[s] the results as CSV files to disk", Section 6.1).
+// reads the CSV the analysis tools (cmd/dynfind, cmd/leakfind) take as
+// input: external OpenINTEL-shaped date,ip,ptr data. Nothing in this
+// repository writes that format; cmd/rdnsscan prints its own
+// ip,outcome,ptr,rtt_ms rows.
 package dataset
 
 import (
@@ -26,28 +28,11 @@ type Row struct {
 	PTR  dnswire.Name
 }
 
-// WriteRows encodes rows as CSV (date,ip,ptr).
-func WriteRows(w io.Writer, rows []Row) error {
-	cw := csv.NewWriter(w)
-	if err := cw.Write([]string{"date", "ip", "ptr"}); err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := cw.Write([]string{
-			r.Date.Format(DateFormat), r.IP.String(), string(r.PTR),
-		}); err != nil {
-			return err
-		}
-	}
-	cw.Flush()
-	return cw.Error()
-}
-
-// ScanRows streams CSV written by WriteRows, calling fn for each row in
-// file order. Unlike ReadRows it never materializes the file: the reader
-// reuses one record buffer per line (csv.Reader.ReuseRecord) and enforces
-// exactly three fields per record, so campaign-scale dumps stream in
-// constant memory. fn returning an error stops the scan and returns that
+// ScanRows streams date,ip,ptr CSV (an optional "date,ip,ptr" header
+// first), calling fn for each row in file order. It never materializes the
+// file: the reader reuses one record buffer per line
+// (csv.Reader.ReuseRecord) and enforces exactly three fields per record,
+// so campaign-scale dumps stream in constant memory. fn returning an error stops the scan and returns that
 // error.
 func ScanRows(r io.Reader, fn func(Row) error) error {
 	cr := csv.NewReader(bufio.NewReader(r))
@@ -82,19 +67,6 @@ func ScanRows(r io.Reader, fn func(Row) error) error {
 	}
 }
 
-// ReadRows decodes CSV written by WriteRows into memory. Prefer ScanRows
-// for consumers that only iterate.
-func ReadRows(r io.Reader) ([]Row, error) {
-	var rows []Row
-	if err := ScanRows(r, func(row Row) error {
-		rows = append(rows, row)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // CountSeries is the per-/24 daily unique-address counts a longitudinal
 // measurement yields — the input of the Section 4 dynamicity analysis.
 type CountSeries struct {
@@ -111,16 +83,6 @@ func NewCountSeries(dates []time.Time) *CountSeries {
 		Dates:  append([]time.Time(nil), dates...),
 		Counts: make(map[dnswire.Prefix][]int),
 	}
-}
-
-// Set records the count for a prefix on day index i.
-func (s *CountSeries) Set(p dnswire.Prefix, i, count int) {
-	row, ok := s.Counts[p]
-	if !ok {
-		row = make([]int, len(s.Dates))
-		s.Counts[p] = row
-	}
-	row[i] = count
 }
 
 // Add increments the count for a prefix on day index i.

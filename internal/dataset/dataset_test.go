@@ -11,35 +11,45 @@ import (
 
 var day = time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
 
-func TestRowsCSVRoundTrip(t *testing.T) {
-	rows := []Row{
-		{Date: day, IP: dnswire.MustIPv4("192.0.2.10"), PTR: dnswire.MustName("brians-iphone.dyn.example.edu")},
-		{Date: day.AddDate(0, 0, 1), IP: dnswire.MustIPv4("192.0.2.11"), PTR: dnswire.MustName("emma-laptop.dyn.example.edu")},
-	}
-	var buf bytes.Buffer
-	if err := WriteRows(&buf, rows); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ReadRows(&buf)
+// scanAll collects every row ScanRows yields from csv.
+func scanAll(csv string) ([]Row, error) {
+	var rows []Row
+	err := ScanRows(bytes.NewBufferString(csv), func(r Row) error {
+		rows = append(rows, r)
+		return nil
+	})
+	return rows, err
+}
+
+func TestScanRows(t *testing.T) {
+	got, err := scanAll("date,ip,ptr\n2021-11-01,192.0.2.10,brians-iphone.dyn.example.edu.\n" +
+		"2021-11-02,192.0.2.11,emma-laptop.dyn.example.edu\n")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(got, rows) {
-		t.Fatalf("round trip mismatch:\n got %v\nwant %v", got, rows)
+	want := []Row{
+		{Date: day, IP: dnswire.MustIPv4("192.0.2.10"), PTR: dnswire.MustName("brians-iphone.dyn.example.edu")},
+		{Date: day.AddDate(0, 0, 1), IP: dnswire.MustIPv4("192.0.2.11"), PTR: dnswire.MustName("emma-laptop.dyn.example.edu")},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("rows mismatch:\n got %v\nwant %v", got, want)
 	}
 }
 
-func TestReadRowsRejectsGarbage(t *testing.T) {
-	if _, err := ReadRows(bytes.NewBufferString("date,ip,ptr\nnot-a-date,192.0.2.1,x.example.\n")); err == nil {
-		t.Fatal("bad date accepted")
-	}
-	if _, err := ReadRows(bytes.NewBufferString("2021-01-01,999.0.2.1,x.example.\n")); err == nil {
-		t.Fatal("bad IP accepted")
+func TestScanRowsRejectsGarbage(t *testing.T) {
+	for _, bad := range []string{
+		"date,ip,ptr\nnot-a-date,192.0.2.1,x.example.\n",
+		"2021-01-01,999.0.2.1,x.example.\n",
+		"192.0.2.1,found,x.example.,12\n", // cmd/rdnsscan's ip,outcome,ptr,rtt_ms
+	} {
+		if _, err := scanAll(bad); err == nil {
+			t.Errorf("accepted %q", bad)
+		}
 	}
 }
 
-func TestReadRowsEmpty(t *testing.T) {
-	rows, err := ReadRows(bytes.NewBufferString(""))
+func TestScanRowsEmpty(t *testing.T) {
+	rows, err := scanAll("")
 	if err != nil || rows != nil {
 		t.Fatalf("rows=%v err=%v", rows, err)
 	}
@@ -49,7 +59,7 @@ func TestCountSeries(t *testing.T) {
 	dates := DateRange(day, day.AddDate(0, 0, 2), 1)
 	s := NewCountSeries(dates)
 	p := dnswire.MustPrefix("192.0.2.0/24")
-	s.Set(p, 0, 5)
+	s.Add(p, 0, 5)
 	s.Add(p, 1, 3)
 	s.Add(p, 1, 2)
 	if got := s.Counts[p]; got[0] != 5 || got[1] != 5 || got[2] != 0 {

@@ -340,3 +340,21 @@ func TestHourlyExpiryTiming(t *testing.T) {
 		t.Fatalf("expired after %v, want exactly 1h", got)
 	}
 }
+
+// Stats returns a snapshot of server counters.
+func (s *Server) Stats() ServerStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
+}
+
+// ActiveLeases returns a snapshot of current leases.
+func (s *Server) ActiveLeases() []Lease {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]Lease, 0, len(s.byIP))
+	for _, ls := range s.byIP {
+		out = append(out, ls.lease)
+	}
+	return out
+}

@@ -183,24 +183,6 @@ func (s *Server) Prebind(ch dhcpwire.HardwareAddr, ip dnswire.IPv4) {
 	s.sticky[ch] = ip
 }
 
-// Stats returns a snapshot of server counters.
-func (s *Server) Stats() ServerStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.stats
-}
-
-// ActiveLeases returns a snapshot of current leases.
-func (s *Server) ActiveLeases() []Lease {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Lease, 0, len(s.byIP))
-	for _, ls := range s.byIP {
-		out = append(out, ls.lease)
-	}
-	return out
-}
-
 // Receive processes one wire-format client message and returns the
 // wire-format reply, or nil when the protocol calls for no reply (RELEASE).
 func (s *Server) Receive(buf []byte) ([]byte, error) {

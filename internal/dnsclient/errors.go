@@ -51,21 +51,13 @@ func (k ErrorKind) String() string {
 	}
 }
 
-// Sentinel errors for errors.Is matching. Each carries only a kind;
-// errors.Is(err, ErrTimeout) holds for any *Error of that kind.
-var (
-	ErrTimeout   = &Error{Kind: KindTimeout}
-	ErrServFail  = &Error{Kind: KindServFail}
-	ErrNXDomain  = &Error{Kind: KindNXDomain}
-	ErrNoData    = &Error{Kind: KindNoData}
-	ErrRefused   = &Error{Kind: KindRefused}
-	ErrMalformed = &Error{Kind: KindMalformed}
-	ErrCanceled  = &Error{Kind: KindCanceled}
-)
+// ErrTimeout is the sentinel for errors.Is matching: it carries only a
+// kind, and errors.Is(err, ErrTimeout) holds for any timed-out *Error.
+var ErrTimeout = &Error{Kind: KindTimeout}
 
 // Error is a typed resolution error. It replaces positional status-field
-// checks: callers match kinds with errors.Is (against the sentinels above)
-// or unpack details with errors.As.
+// checks: callers match kinds with errors.Is (against ErrTimeout, or an
+// *Error carrying the kind) or unpack details with errors.As.
 type Error struct {
 	// Kind classifies the failure.
 	Kind ErrorKind

@@ -56,7 +56,7 @@ func TestLookupAutoFallsBackToTCPOnTruncation(t *testing.T) {
 	go srv.ServeTCP(tcpLn)
 
 	client := &UDPClient{Server: addr.String(), Timeout: 2 * time.Second, Retries: 1}
-	resp, err := client.LookupPTR(ip)
+	resp, err := client.LookupPTRContext(context.Background(), ip)
 	if err != nil {
 		t.Fatal(err)
 	}

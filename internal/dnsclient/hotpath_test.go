@@ -78,7 +78,7 @@ func TestServerSourceMetaByOutcome(t *testing.T) {
 	}
 	res := src.LookupPTR(ctx, dnswire.MustIPv4("192.0.3.1")) // no such zone
 	resp, ok := res.Meta.(Response)
-	if !errors.Is(res.Err, ErrRefused) || !ok || resp.Outcome != OutcomeRefused || resp.RCode != dnswire.RCodeRefused {
+	if !errors.Is(res.Err, &Error{Kind: KindRefused}) || !ok || resp.Outcome != OutcomeRefused || resp.RCode != dnswire.RCodeRefused {
 		t.Fatalf("REFUSED probe = %+v", res)
 	}
 	srv.SetFailureMode(dnsserver.FailureMode{DropRate: 1})
@@ -121,7 +121,7 @@ func TestServerSourceSharedUnderMutation(t *testing.T) {
 					}
 				case res.Err != nil:
 					// Zones 3..5 are attached mid-run: REFUSED until then.
-					if !errors.Is(res.Err, ErrRefused) || ip[2] == 2 {
+					if !errors.Is(res.Err, &Error{Kind: KindRefused}) || ip[2] == 2 {
 						errs <- fmt.Errorf("%s: %v", ip, res.Err)
 						return
 					}
@@ -174,7 +174,7 @@ func TestUDPClientLookupBorrowsItsBuffers(t *testing.T) {
 	client := &UDPClient{Server: conn.LocalAddr().String(), Timeout: 2 * time.Second, Retries: 1}
 	defer client.Close()
 	ip := dnswire.MustIPv4("192.0.2.99")
-	resp, err := client.LookupPTR(ip)
+	resp, err := client.LookupPTRContext(context.Background(), ip)
 	if err != nil || resp.Outcome != OutcomeNXDomain {
 		t.Fatalf("lookup = %+v, %v", resp, err)
 	}
@@ -186,7 +186,7 @@ func TestUDPClientLookupBorrowsItsBuffers(t *testing.T) {
 	before := totalAlloc()
 	const lookups = 200
 	for i := 0; i < lookups; i++ {
-		if _, err := client.LookupPTR(ip); err != nil {
+		if _, err := client.LookupPTRContext(context.Background(), ip); err != nil {
 			t.Fatal(err)
 		}
 	}

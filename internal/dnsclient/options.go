@@ -2,7 +2,6 @@ package dnsclient
 
 import (
 	"fmt"
-	"math/rand"
 	"time"
 
 	"rdnsprivacy/internal/fabric"
@@ -40,43 +39,8 @@ func WithRetries(n int) Option {
 	}
 }
 
-// WithRate caps transmission rate in queries per second (token bucket);
-// zero means unlimited. The paper rate-limits "to reduce the impact of our
-// measurement on the DNS name servers" (Section 6.1).
-func WithRate(qps int) Option {
-	return func(c *config) {
-		if qps >= 0 {
-			c.QueriesPerSecond = qps
-		}
-	}
-}
-
-// WithBackoff enables exponential backoff with full jitter between retry
-// attempts: the nth retry waits uniform[0, min(max, base<<n)). A max of zero
-// or less defaults to 16x base. Without this option retries retransmit
-// immediately after each timeout, which against an overloaded server
-// synchronizes the retry storm with the failure.
-func WithBackoff(base, max time.Duration) Option {
-	return func(c *config) {
-		if base > 0 {
-			c.BackoffBase = base
-			c.BackoffMax = max
-		}
-	}
-}
-
-// WithServFailRetry makes SERVFAIL responses retryable like timeouts (with
-// backoff), consuming the same retry budget. SERVFAIL is usually transient
-// (the paper's supplemental measurement observes name-server failures
-// clearing between sweeps), so sweeps aiming for completeness want this on.
-// NXDOMAIN/NODATA/REFUSED are never retried: they are authoritative answers,
-// not transient faults.
-func WithServFailRetry() Option {
-	return func(c *config) { c.RetryServFail = true }
-}
-
-// WithSeed fixes the backoff-jitter PRNG seed so delay schedules replay
-// deterministically under the simulated clock.
+// WithSeed fixes the seed the correlation IDs of traced attempts are
+// derived from (see WithTracer), so they replay deterministically.
 func WithSeed(seed int64) Option {
 	return func(c *config) { c.Seed = seed }
 }
@@ -88,15 +52,11 @@ func NewResolver(fab *fabric.Fabric, opts ...Option) (*Resolver, error) {
 	for _, o := range opts {
 		o(&cfg)
 	}
-	if cfg.BackoffBase > 0 && cfg.BackoffMax <= 0 {
-		cfg.BackoffMax = 16 * cfg.BackoffBase
-	}
 	r := &Resolver{
 		fab:      fab,
 		clock:    fab.Clock(),
 		cfg:      cfg,
 		inflight: make(map[uint16]*pendingQuery),
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 	}
 	if cfg.Telemetry != nil {
 		r.met = newClientMetrics(cfg.Telemetry)

@@ -5,8 +5,9 @@
 // from a cache)" (Section 6.1), and rate-limits those queries. This package
 // reproduces that client: single lookups with retry and timeout handling,
 // classification of outcomes (NOERROR, NXDOMAIN, server failure, timeout) —
-// the error classes of Figure 6. Sweeps are internal/scanengine's job; this
-// package supplies its per-address sources (ServerSource, UDPSource).
+// the error classes of Figure 6. Sweeps are internal/scanengine's job,
+// rate limiting and retry policy included; this package supplies its
+// per-address sources (ServerSource, UDPSource).
 //
 // The asynchronous Resolver runs against the simulation fabric; a small
 // synchronous client over real UDP sockets (see UDPClient) serves the
@@ -16,7 +17,6 @@ package dnsclient
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"sync"
 	"time"
 
@@ -77,17 +77,6 @@ func (o Outcome) String() string {
 	}
 }
 
-// IsError reports whether the outcome is a resolution error in the paper's
-// sense (Figure 6): server failure, timeout, or malformed. NXDOMAIN is NOT
-// an error for reverse measurement — it is the record-absent signal.
-func (o Outcome) IsError() bool {
-	switch o {
-	case OutcomeServFail, OutcomeTimeout, OutcomeMalformed, OutcomeRefused, OutcomeCanceled:
-		return true
-	}
-	return false
-}
-
 // Response is the result of one lookup.
 type Response struct {
 	// Question is what was asked.
@@ -112,27 +101,23 @@ type Response struct {
 // config is what the Options set; see each With* for the meaning and
 // default of its field.
 type config struct {
-	Bind             fabric.Addr
-	Server           fabric.Addr
-	Timeout          time.Duration
-	Retries          int
-	QueriesPerSecond int
-	BackoffBase      time.Duration
-	BackoffMax       time.Duration
-	RetryServFail    bool
-	Seed             int64
-	Telemetry        telemetry.Sink
-	Tracer           *telemetry.Tracer
+	Bind      fabric.Addr
+	Server    fabric.Addr
+	Timeout   time.Duration
+	Retries   int
+	Seed      int64
+	Telemetry telemetry.Sink
+	Tracer    *telemetry.Tracer
 }
 
 // Client-span event kinds and codes: each "attempt" span carries a "tx"
 // event whose code is the 1-based attempt number, then one terminal
 // "client" event whose code is the attempt's Outcome (OutcomeTimeout for
-// attempts that timed out into a retry, OutcomeServFail for retried
-// server failures, and the lookup's final Outcome otherwise).
+// attempts that timed out into a retry, and the lookup's final Outcome
+// otherwise).
 
-// Resolver sends queries over a fabric and matches responses, handling
-// retries and rate limiting. Create one with NewResolver.
+// Resolver sends queries over a fabric and matches responses, retrying
+// after timeouts. Create one with NewResolver.
 type Resolver struct {
 	fab   *fabric.Fabric
 	clock simclock.Clock
@@ -143,8 +128,6 @@ type Resolver struct {
 	mu       sync.Mutex
 	nextID   uint16
 	inflight map[uint16]*pendingQuery
-	nextSlot time.Time
-	rng      *rand.Rand // backoff jitter; guarded by mu
 }
 
 type pendingQuery struct {
@@ -197,31 +180,6 @@ func (r *Resolver) Lookup(ctx context.Context, q dnswire.Question, done func(Res
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	delay := r.reserveSlot()
-	if delay <= 0 {
-		r.start(ctx, q, done)
-		return
-	}
-	r.clock.AfterFunc(delay, func() { r.start(ctx, q, done) })
-}
-
-func (r *Resolver) reserveSlot() time.Duration {
-	if r.cfg.QueriesPerSecond <= 0 {
-		return 0
-	}
-	interval := time.Second / time.Duration(r.cfg.QueriesPerSecond)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	now := r.clock.Now()
-	if r.nextSlot.Before(now) {
-		r.nextSlot = now
-	}
-	wait := r.nextSlot.Sub(now)
-	r.nextSlot = r.nextSlot.Add(interval)
-	return wait
-}
-
-func (r *Resolver) start(ctx context.Context, q dnswire.Question, done func(Response)) {
 	if err := ctx.Err(); err != nil {
 		resp := Response{Question: q, Outcome: OutcomeCanceled, When: r.clock.Now(), Cause: err}
 		r.met.countOutcome(resp)
@@ -343,47 +301,6 @@ func (r *Resolver) cancelLocked(id uint16, p *pendingQuery) {
 	})
 }
 
-// backoffDelay returns the full-jitter backoff before retransmission
-// number attempt (1-based over completed attempts): a uniform draw from
-// [0, min(BackoffMax, BackoffBase<<attempt)). Zero when backoff is off.
-func (r *Resolver) backoffDelay(attempt int) time.Duration {
-	if r.cfg.BackoffBase <= 0 {
-		return 0
-	}
-	window := r.cfg.BackoffBase << uint(attempt)
-	if window <= 0 || window > r.cfg.BackoffMax {
-		window = r.cfg.BackoffMax
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return time.Duration(r.rng.Int63n(int64(window)))
-}
-
-// retry schedules the next transmission of p after the backoff delay for
-// its current attempt count. With backoff disabled it retransmits
-// immediately.
-func (r *Resolver) retry(id uint16, p *pendingQuery) {
-	delay := r.backoffDelay(p.attempts)
-	if delay <= 0 {
-		r.transmit(id, p)
-		return
-	}
-	if m := r.met; m != nil {
-		m.backoffSleeps.Inc()
-	}
-	r.clock.AfterFunc(delay, func() {
-		r.mu.Lock()
-		cur, ok := r.inflight[id]
-		if !ok || cur != p {
-			// Completed (answer or cancellation) while backing off.
-			r.mu.Unlock()
-			return
-		}
-		r.mu.Unlock()
-		r.transmit(id, p)
-	})
-}
-
 func (r *Resolver) transmit(id uint16, p *pendingQuery) {
 	r.mu.Lock()
 	if cur, ok := r.inflight[id]; !ok || cur != p {
@@ -418,9 +335,8 @@ func (r *Resolver) transmit(id uint16, p *pendingQuery) {
 	timer := r.clock.AfterFunc(r.cfg.Timeout, func() {
 		r.mu.Lock()
 		cur, ok := r.inflight[id]
-		// The epoch check retires stale timers: a timer that fired while a
-		// SERVFAIL-triggered retry was already retransmitting must not spend
-		// a second attempt.
+		// The epoch check retires stale timers: a timer that fired after
+		// its attempt was superseded must not spend a second attempt.
 		if !ok || cur != p || p.attempts != epoch {
 			r.mu.Unlock()
 			return
@@ -436,7 +352,7 @@ func (r *Resolver) transmit(id uint16, p *pendingQuery) {
 			span := p.takeSpanLocked()
 			r.mu.Unlock()
 			endAttempt(span, OutcomeTimeout)
-			r.retry(id, p)
+			r.transmit(id, p)
 			return
 		}
 		delete(r.inflight, id)
@@ -475,23 +391,6 @@ func (r *Resolver) handleResponse(dg fabric.Datagram) {
 	}
 	now := r.clock.Now()
 	resp := responseFrom(p.question, &msg, p.attempts, now.Sub(p.started), now)
-	// Typed-error-aware retry: a SERVFAIL is a transient server fault and
-	// — when the policy says so — is retried like a timeout, with the same
-	// attempt budget and backoff. Authoritative answers (NXDOMAIN, NODATA,
-	// REFUSED) are never retried.
-	if resp.Outcome == OutcomeServFail && r.cfg.RetryServFail &&
-		p.attempts <= r.cfg.Retries && p.ctx.Err() == nil {
-		timer := p.timer
-		p.timer = nil
-		span := p.takeSpanLocked()
-		r.mu.Unlock()
-		if timer != nil {
-			timer.Stop()
-		}
-		endAttempt(span, OutcomeServFail)
-		r.retry(msg.Header.ID, p)
-		return
-	}
 	delete(r.inflight, msg.Header.ID)
 	timer := p.timer
 	p.timer = nil

@@ -82,9 +82,6 @@ func TestLookupPTRNXDomain(t *testing.T) {
 	if got == nil || got.Outcome != OutcomeNXDomain {
 		t.Fatalf("got %+v, want NXDOMAIN", got)
 	}
-	if got.Outcome.IsError() {
-		t.Fatal("NXDOMAIN must not classify as an error (it is the record-absent signal)")
-	}
 }
 
 func TestLookupTimeoutAfterRetries(t *testing.T) {
@@ -101,9 +98,6 @@ func TestLookupTimeoutAfterRetries(t *testing.T) {
 	}
 	if got.Outcome != OutcomeTimeout || got.Attempts != 3 {
 		t.Fatalf("got %+v, want timeout after 3 attempts", got)
-	}
-	if !got.Outcome.IsError() {
-		t.Fatal("timeout must classify as an error")
 	}
 }
 
@@ -201,24 +195,6 @@ func TestScanEmptySetCallsDone(t *testing.T) {
 	}
 }
 
-func TestRateLimiting(t *testing.T) {
-	env := newEnv(t, fabric.Config{}, WithRate(10), WithTimeout(100*time.Millisecond))
-	ip := dnswire.MustIPv4("192.0.2.10")
-	env.zone.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("h.example.edu"))
-	done := 0
-	for i := 0; i < 20; i++ {
-		env.res.LookupPTR(context.Background(), ip, func(Response) { done++ })
-	}
-	env.clock.Advance(time.Second)
-	if done >= 20 {
-		t.Fatalf("all %d lookups done after 1s at 10 qps", done)
-	}
-	env.clock.Advance(2 * time.Second)
-	if done != 20 {
-		t.Fatalf("done = %d, want 20", done)
-	}
-}
-
 func TestStatsAccounting(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	env := newEnv(t, fabric.Config{}, WithTelemetry(reg))
@@ -270,7 +246,7 @@ func TestUDPClientAgainstRealServer(t *testing.T) {
 	go srv.Serve(conn)
 
 	client := &UDPClient{Server: conn.LocalAddr().String(), Timeout: 2 * time.Second, Retries: 1}
-	resp, err := client.LookupPTR(ip)
+	resp, err := client.LookupPTRContext(context.Background(), ip)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +254,7 @@ func TestUDPClientAgainstRealServer(t *testing.T) {
 		t.Fatalf("resp = %+v", resp)
 	}
 	// An absent record yields NXDOMAIN.
-	resp, err = client.LookupPTR(dnswire.MustIPv4("192.0.2.11"))
+	resp, err = client.LookupPTRContext(context.Background(), dnswire.MustIPv4("192.0.2.11"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -193,7 +193,7 @@ func TestZoneTransferUnknownZone(t *testing.T) {
 
 func TestAXFROverUDPRefused(t *testing.T) {
 	client, _, _ := tcpTestServer(t, 5, true)
-	resp, err := client.Lookup(dnswire.Question{
+	resp, err := client.LookupContext(context.Background(), dnswire.Question{
 		Name: dnswire.MustName("2.0.192.in-addr.arpa"), Type: dnswire.TypeAXFR,
 		Class: dnswire.ClassIN,
 	})

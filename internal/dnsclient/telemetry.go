@@ -8,13 +8,10 @@ import (
 // per-outcome counters carry the outcome mnemonic as an inline label, so
 // the Prometheus exposition groups them as one family.
 const (
-	// MetricQueries counts lookups started (rate-limit delay included).
+	// MetricQueries counts lookups started.
 	MetricQueries = "dnsclient_queries_total"
 	// MetricRetransmits counts retransmissions (attempts after the first).
 	MetricRetransmits = "dnsclient_retransmits_total"
-	// MetricBackoffSleeps counts retries that waited a backoff delay
-	// instead of retransmitting immediately.
-	MetricBackoffSleeps = "dnsclient_backoff_sleeps_total"
 	// MetricAttemptSeconds is the completed-lookup latency histogram
 	// (first transmission to completion, i.e. Response.RTT).
 	MetricAttemptSeconds = "dnsclient_attempt_seconds"
@@ -31,16 +28,15 @@ func MetricOutcome(o Outcome) string {
 // clientMetrics holds the resolver's pre-resolved instrument handles;
 // the pointer is nil when telemetry is off.
 type clientMetrics struct {
-	queries, retransmits, backoffSleeps *telemetry.Counter
-	outcomes                            [OutcomeCanceled + 1]*telemetry.Counter
-	attemptSeconds                      *telemetry.Histogram
+	queries, retransmits *telemetry.Counter
+	outcomes             [OutcomeCanceled + 1]*telemetry.Counter
+	attemptSeconds       *telemetry.Histogram
 }
 
 func newClientMetrics(sink telemetry.Sink) *clientMetrics {
 	m := &clientMetrics{
 		queries:        sink.Counter(MetricQueries),
 		retransmits:    sink.Counter(MetricRetransmits),
-		backoffSleeps:  sink.Counter(MetricBackoffSleeps),
 		attemptSeconds: sink.Histogram(MetricAttemptSeconds, telemetry.DefaultLatencyBuckets()),
 	}
 	for o := OutcomeSuccess; o <= OutcomeCanceled; o++ {
@@ -63,7 +59,7 @@ func (m *clientMetrics) countOutcome(resp Response) {
 
 // WithTelemetry registers the resolver's instruments in sink: query and
 // retransmission counts, per-outcome fault-class counters matching the
-// paper's taxonomy, backoff sleeps, and completed-lookup latency. Without
+// paper's taxonomy, and completed-lookup latency. Without
 // it the resolver records nothing at zero cost.
 func WithTelemetry(sink telemetry.Sink) Option {
 	return func(c *config) { c.Telemetry = sink }

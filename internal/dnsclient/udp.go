@@ -78,11 +78,6 @@ type probe struct {
 	truncated bool // answered TC: asked again over TCP once the window is read
 }
 
-// LookupPTR performs a synchronous PTR lookup for ip.
-func (c *UDPClient) LookupPTR(ip dnswire.IPv4) (Response, error) {
-	return c.LookupPTRContext(context.Background(), ip)
-}
-
 // LookupPTRContext is LookupPTR honoring ctx between attempts.
 func (c *UDPClient) LookupPTRContext(ctx context.Context, ip dnswire.IPv4) (Response, error) {
 	return c.LookupContext(ctx, ptrQuestion(ip))
@@ -90,11 +85,6 @@ func (c *UDPClient) LookupPTRContext(ctx context.Context, ip dnswire.IPv4) (Resp
 
 func ptrQuestion(ip dnswire.IPv4) dnswire.Question {
 	return dnswire.Question{Name: dnswire.ReverseName(ip), Type: dnswire.TypePTR, Class: dnswire.ClassIN}
-}
-
-// Lookup performs a synchronous lookup of q against c.Server.
-func (c *UDPClient) Lookup(q dnswire.Question) (Response, error) {
-	return c.LookupContext(context.Background(), q)
 }
 
 // LookupContext performs a synchronous lookup of q against c.Server. A

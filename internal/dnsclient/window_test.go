@@ -185,7 +185,7 @@ func TestCancelMidWindow(t *testing.T) {
 			if !res.Found || res.Name != trueName(ips[i]) {
 				t.Errorf("slot %d was answered before the cancel, got %+v", i, res)
 			}
-		case !errors.Is(res.Err, ErrCanceled) || !errors.Is(res.Err, context.Canceled) || res.Found:
+		case !errors.Is(res.Err, &Error{Kind: KindCanceled}) || !errors.Is(res.Err, context.Canceled) || res.Found:
 			t.Errorf("slot %d = %+v, want KindCanceled wrapping context.Canceled", i, res)
 		}
 	}
@@ -193,7 +193,7 @@ func TestCancelMidWindow(t *testing.T) {
 	before := l.Datagrams()
 	UDPSource{Client: client}.LookupPTRs(ctx, ips, out)
 	for i, res := range out {
-		if !errors.Is(res.Err, ErrCanceled) {
+		if !errors.Is(res.Err, &Error{Kind: KindCanceled}) {
 			t.Errorf("slot %d of a window under a dead context = %+v", i, res)
 		}
 	}
@@ -238,7 +238,7 @@ func TestCancelDuringWritesDoesNotWaitOutTheTimeout(t *testing.T) {
 		t.Fatalf("a window cancelled during its writes took %v", took)
 	}
 	for i, res := range out {
-		if !errors.Is(res.Err, ErrCanceled) || !errors.Is(res.Err, context.Canceled) {
+		if !errors.Is(res.Err, &Error{Kind: KindCanceled}) || !errors.Is(res.Err, context.Canceled) {
 			t.Errorf("slot %d = %+v, want KindCanceled wrapping context.Canceled", i, res)
 		}
 	}
@@ -346,7 +346,7 @@ func TestTCPFallbackHonoursContext(t *testing.T) {
 		if took := time.Since(began); took > 5*time.Second {
 			t.Errorf("%s: a cancelled stream lookup took %v", name, took)
 		}
-		if resp.Outcome != OutcomeCanceled || !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
+		if resp.Outcome != OutcomeCanceled || !errors.Is(err, &Error{Kind: KindCanceled}) || !errors.Is(err, context.Canceled) {
 			t.Errorf("%s = %+v, %v, want OutcomeCanceled wrapping context.Canceled", name, resp, err)
 		}
 		cancel()

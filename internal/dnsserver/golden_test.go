@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"rdnsprivacy/internal/dnswire"
-	"rdnsprivacy/internal/telemetry"
 )
 
 // updateGolden re-records testdata/golden_replies.txt from whatever server
@@ -135,7 +135,7 @@ func goldenSteps(t *testing.T) (*Server, []goldenStep) {
 		{name: "after-update-serial", query: ask(22, "2.0.192.in-addr.arpa", dnswire.TypeSOA)},
 		{name: "update-delete-rrset", query: upd(23, func(m *dnswire.Message) { m.DeleteRRset(name20, dnswire.TypePTR) })},
 		{name: "after-delete-nxdomain", query: ask(24, "20.2.0.192.in-addr.arpa", dnswire.TypePTR)},
-		{name: "update-delete-name-absent", query: upd(25, func(m *dnswire.Message) { m.DeleteName(name20) })},
+		{name: "update-delete-name-absent", query: upd(25, func(m *dnswire.Message) { m.DeleteRRset(name20, dnswire.TypeANY) })},
 		{name: "update-out-of-zone-formerr", query: upd(26, func(m *dnswire.Message) {
 			m.AddRR(dnswire.Record{Name: dnswire.MustName("1.3.0.192.in-addr.arpa"), Type: dnswire.TypePTR, Class: dnswire.ClassIN, TTL: 300,
 				Data: dnswire.PTRData{Target: dnswire.MustName("h.example.edu")}})
@@ -152,7 +152,7 @@ func goldenSteps(t *testing.T) (*Server, []goldenStep) {
 		{name: "update-zone-section-not-soa-formerr", query: patched(wire(dnswire.NewUpdate(30, dnswire.MustName("2.0.192.in-addr.arpa"))),
 			func(w []byte) []byte { w[len(w)-3] = byte(dnswire.TypeA); return w })},
 		{name: "update-policy-refused", setup: func(s *Server) { s.SetUpdatePolicy(UpdatesRefused) },
-			query: upd(31, func(m *dnswire.Message) { m.DeleteName(name20) })},
+			query: upd(31, func(m *dnswire.Message) { m.DeleteRRset(name20, dnswire.TypeANY) })},
 
 		{name: "udp-small-untouched", udp: true, query: ptr10},
 		{name: "udp-truncated-over-512", udp: true, query: ask(40, "77.9.0.192.in-addr.arpa", dnswire.TypePTR)},
@@ -161,7 +161,7 @@ func goldenSteps(t *testing.T) (*Server, []goldenStep) {
 		{name: "udp-garbage-dropped", udp: true, query: []byte{0xFF}},
 
 		{name: "injected-servfail", setup: func(s *Server) { s.SetFailureMode(FailureMode{ServFailRate: 1, Seed: 7}) }, query: ptr10},
-		{name: "injected-servfail-update", query: upd(50, func(m *dnswire.Message) { m.DeleteName(name20) })},
+		{name: "injected-servfail-update", query: upd(50, func(m *dnswire.Message) { m.DeleteRRset(name20, dnswire.TypeANY) })},
 		{name: "injected-drop", setup: func(s *Server) { s.SetFailureMode(FailureMode{DropRate: 1, Seed: 7}) }, query: ptr10},
 		{name: "injection-off-again", setup: func(s *Server) { s.SetFailureMode(FailureMode{}) }, query: ptr10},
 	}
@@ -232,19 +232,64 @@ func TestGoldenWireBytes(t *testing.T) {
 	}
 }
 
-// Stats() and the dnsserver_* telemetry are two views of the same queries
-// and must agree on every branch a plain query can take — including AXFR
-// over UDP, which used to tick only Stats. (UPDATE outcomes have never
-// ticked the answer counters; they are left out here.)
-func TestStatsMatchMetricsOnEveryQueryBranch(t *testing.T) {
+// TestStatsOnEveryQueryBranch pins which ServerStats counters each golden
+// step ticks: every branch a query or UPDATE can take is tallied exactly
+// once, in the counter named for its outcome — including AXFR over UDP,
+// which is answered REFUSED, and the drops, which answer nothing.
+func TestStatsOnEveryQueryBranch(t *testing.T) {
 	s, steps := goldenSteps(t)
-	reg := telemetry.NewRegistry()
-	s.SetTelemetry(reg)
-	axfr := 0
+	want := map[string]string{
+		"found-ptr":                           "Queries NoError",
+		"found-ptr-target-compresses":         "Queries NoError",
+		"found-any-two-records":               "Queries NoError",
+		"nxdomain":                            "Queries NXDomain",
+		"nxdomain-below-a-name":               "Queries NXDomain",
+		"nodata-a-at-ptr-name":                "Queries NoError",
+		"nodata-ptr-at-a-name":                "Queries NoError",
+		"apex-soa":                            "Queries NoError",
+		"apex-ns":                             "Queries NoError",
+		"apex-any":                            "Queries NoError",
+		"apex-nodata":                         "Queries NoError",
+		"refused-no-zone":                     "Queries Refused",
+		"refused-root":                        "Queries Refused",
+		"case-folded-rd-echoed":               "Queries NoError",
+		"reserved-flag-bits-dropped":          "Queries NoError",
+		"question-name-through-pointer":       "Queries Refused",
+		"question-label-with-dot-dropped":     "Queries Refused",
+		"formerr-no-question":                 "Queries FormErr",
+		"formerr-two-questions":               "Queries FormErr",
+		"notimp-opcode-2":                     "Queries NotImp",
+		"dropped-response-bit":                "Queries Malformed",
+		"dropped-garbage":                     "Queries Malformed",
+		"dropped-trailing-byte":               "Queries Malformed",
+		"non-in-class":                        "Queries NoError",
+		"update-add":                          "Queries Updates",
+		"after-update-found":                  "Queries NoError",
+		"after-update-serial":                 "Queries NoError",
+		"update-delete-rrset":                 "Queries Updates",
+		"after-delete-nxdomain":               "Queries NXDomain",
+		"update-delete-name-absent":           "Queries Updates",
+		"update-out-of-zone-formerr":          "Queries FormErr",
+		"update-non-ptr-notimp":               "Queries NotImp",
+		"update-prerequisite-notimp":          "Queries NotImp",
+		"update-unknown-zone-refused":         "Queries Refused",
+		"update-zone-section-not-soa-formerr": "Queries FormErr",
+		"update-policy-refused":               "Queries Refused",
+		"udp-small-untouched":                 "Queries NoError",
+		"udp-truncated-over-512":              "Queries NXDomain",
+		"message-level-over-512-whole":        "Queries NXDomain",
+		"udp-axfr-refused":                    "Queries Refused",
+		"udp-garbage-dropped":                 "Queries Malformed",
+		"injected-servfail":                   "Queries ServFail",
+		"injected-servfail-update":            "Queries ServFail",
+		"injected-drop":                       "Queries Dropped",
+		"injection-off-again":                 "Queries NoError",
+	}
+	if len(want) != len(steps) {
+		t.Fatalf("the table names %d steps, the step list has %d", len(want), len(steps))
+	}
+	var prev ServerStats
 	for _, st := range steps {
-		if strings.HasPrefix(st.name, "update-") || st.name == "injected-servfail-update" {
-			continue
-		}
 		if st.setup != nil {
 			st.setup(s)
 		}
@@ -253,29 +298,27 @@ func TestStatsMatchMetricsOnEveryQueryBranch(t *testing.T) {
 		} else {
 			s.HandleQuery(st.query)
 		}
-		if st.name == "udp-axfr-refused" {
-			axfr++
-			if got := reg.Counter(MetricAnswer("REFUSED")).Value(); got != s.Stats().Refused || got == 0 {
-				t.Fatalf("after AXFR over UDP: metrics count %d REFUSED, Stats %d", got, s.Stats().Refused)
-			}
+		cur := s.Stats()
+		got := statsDelta(prev, cur)
+		prev = cur
+		if w := want[st.name]; got != w {
+			t.Errorf("%s ticked %s, want %s", st.name, got, w)
 		}
 	}
-	if axfr != 1 {
-		t.Fatalf("the step list no longer refuses an AXFR over UDP")
-	}
-	st := s.Stats()
-	for name, pair := range map[string][2]uint64{
-		"queries":  {reg.Counter(MetricQueries).Value(), st.Queries},
-		"dropped":  {reg.Counter(MetricDropped).Value(), st.Dropped + st.Malformed},
-		"NOERROR":  {reg.Counter(MetricAnswer("NOERROR")).Value(), st.NoError},
-		"NXDOMAIN": {reg.Counter(MetricAnswer("NXDOMAIN")).Value(), st.NXDomain},
-		"SERVFAIL": {reg.Counter(MetricAnswer("SERVFAIL")).Value(), st.ServFail},
-		"REFUSED":  {reg.Counter(MetricAnswer("REFUSED")).Value(), st.Refused},
-		"FORMERR":  {reg.Counter(MetricAnswer("FORMERR")).Value(), st.FormErr},
-		"NOTIMP":   {reg.Counter(MetricAnswer("NOTIMP")).Value(), st.NotImp},
-	} {
-		if pair[0] != pair[1] || pair[0] == 0 {
-			t.Errorf("%s: metrics say %d, Stats says %d (both must be non-zero and equal)", name, pair[0], pair[1])
+}
+
+// statsDelta names the counters that grew from a to b, with the amount
+// when it is more than one.
+func statsDelta(a, b ServerStats) string {
+	av, bv := reflect.ValueOf(a), reflect.ValueOf(b)
+	var out []string
+	for i := 0; i < av.NumField(); i++ {
+		switch d := bv.Field(i).Uint() - av.Field(i).Uint(); {
+		case d == 1:
+			out = append(out, av.Type().Field(i).Name)
+		case d > 1:
+			out = append(out, fmt.Sprintf("%s+%d", av.Type().Field(i).Name, d))
 		}
 	}
+	return strings.Join(out, " ")
 }

@@ -87,7 +87,6 @@ type Server struct {
 	// copy, not n.
 	table         atomic.Pointer[map[dnswire.Name]*Zone]
 	failure       atomic.Pointer[failureState]
-	met           atomic.Pointer[serverMetrics]
 	tracer        atomic.Pointer[telemetry.Tracer]
 	stats         counters
 	updatePolicy  UpdatePolicy
@@ -190,14 +189,11 @@ func (s *Server) Stats() ServerStats {
 // findZone returns the most-specific zone containing name, which is in
 // canonical presentation form. Zone origins are map keys, so the walk probes
 // each suffix of name directly — left to right, longest (most specific)
-// first — instead of iterating every zone. When met is non-nil the number of
-// suffix probes is recorded as the zone-walk depth.
-func (s *Server) findZone(name []byte, met *serverMetrics) *Zone {
+// first — instead of iterating every zone.
+func (s *Server) findZone(name []byte) *Zone {
 	zones := s.zoneTable()
 	var found *Zone
-	depth := 0
 	for start := 0; start < len(name) && found == nil; {
-		depth++
 		found = zones[dnswire.Name(name[start:])]
 		dot := bytes.IndexByte(name[start:], '.')
 		if dot < 0 {
@@ -206,11 +202,7 @@ func (s *Server) findZone(name []byte, met *serverMetrics) *Zone {
 		start += dot + 1
 	}
 	if found == nil {
-		depth++
 		found = zones[dnswire.Root]
-	}
-	if met != nil {
-		met.zoneWalkDepth.Observe(float64(depth))
 	}
 	return found
 }
@@ -248,11 +240,7 @@ func (s *Server) handle(query []byte, corr uint64, udp bool) []byte {
 		}
 	}
 	s.stats.queries.Add(1)
-	met := s.met.Load()
-	if met != nil {
-		met.queries.Inc()
-	}
-	reply, rcode := s.respond(query, met, sp, udp)
+	reply, rcode := s.respond(query, sp, udp)
 	if reply == nil {
 		sp.Event("server", ServerDropped)
 		return nil
@@ -265,10 +253,10 @@ func (s *Server) handle(query []byte, corr uint64, udp bool) []byte {
 // send. The reply is assembled in a buffer on this frame (only its size is
 // unknown until it is written) and returned as an exact-size copy, the one
 // allocation an answered query costs; nothing returned aliases the frame.
-func (s *Server) respond(query []byte, met *serverMetrics, sp *telemetry.Span, udp bool) ([]byte, dnswire.RCode) {
+func (s *Server) respond(query []byte, sp *telemetry.Span, udp bool) ([]byte, dnswire.RCode) {
 	v, err := dnswire.Parse(query)
 	if err != nil {
-		return s.drop(met, &s.stats.malformed)
+		return s.drop(&s.stats.malformed)
 	}
 	var nb [dnswire.MaxNameLen + 1]byte
 	var qname []byte
@@ -280,7 +268,7 @@ func (s *Server) respond(query []byte, met *serverMetrics, sp *telemetry.Span, u
 	}
 	axfrOverUDP := udp && questions == 1 && qtype == dnswire.TypeAXFR
 	if v.Header.Response && !axfrOverUDP {
-		return s.drop(met, &s.stats.malformed)
+		return s.drop(&s.stats.malformed)
 	}
 	if sp != nil && questions > 0 {
 		sp.Attr = string(qname)
@@ -289,7 +277,7 @@ func (s *Server) respond(query []byte, met *serverMetrics, sp *telemetry.Span, u
 	if fs := s.failure.Load(); fs != nil && questions > 0 && !axfrOverUDP {
 		drop, servFail := fs.decide(dnswire.Name(qname))
 		if drop {
-			return s.drop(met, &s.stats.dropped)
+			return s.drop(&s.stats.dropped)
 		}
 		injectServFail = servFail
 	}
@@ -302,7 +290,7 @@ func (s *Server) respond(query []byte, met *serverMetrics, sp *telemetry.Span, u
 		// materialized message, and applyUpdate keeps their tallies.
 		msg, err := dnswire.Unmarshal(query)
 		if err != nil {
-			return s.drop(met, &s.stats.malformed)
+			return s.drop(&s.stats.malformed)
 		}
 		resp := s.applyUpdate(msg)
 		rcode = resp.Header.RCode
@@ -329,14 +317,14 @@ func (s *Server) respond(query []byte, met *serverMetrics, sp *telemetry.Span, u
 		case questions != 1:
 			rcode = dnswire.RCodeFormErr
 		default:
-			if zone := s.findZone(qname, met); zone == nil {
+			if zone := s.findZone(qname); zone == nil {
 				rcode = dnswire.RCodeRefused
 			} else {
 				buf, rcode = zone.answer(&b, buf, qname, qtype)
 				authoritative = true
 			}
 		}
-		s.countAnswer(met, rcode)
+		s.stats.answers[rcode].Add(1)
 		if udp && len(buf) > MaxUDPResponse {
 			buf = b.Truncate(buf)
 		}
@@ -356,22 +344,9 @@ func (s *Server) respond(query []byte, met *serverMetrics, sp *telemetry.Span, u
 }
 
 // drop tallies a query that gets no reply.
-func (s *Server) drop(met *serverMetrics, tally *atomic.Uint64) ([]byte, dnswire.RCode) {
+func (s *Server) drop(tally *atomic.Uint64) ([]byte, dnswire.RCode) {
 	tally.Add(1)
-	if met != nil {
-		met.dropped.Inc()
-	}
 	return nil, 0
-}
-
-// countAnswer tallies one answered query in both ledgers — the Stats
-// counters and, when attached, the dnsserver_* telemetry — which therefore
-// agree on every branch.
-func (s *Server) countAnswer(met *serverMetrics, rcode dnswire.RCode) {
-	s.stats.answers[rcode].Add(1)
-	if met != nil {
-		met.answers[rcode].Inc()
-	}
 }
 
 // AttachFabric binds the server to addr on a simulation fabric and answers

@@ -59,15 +59,15 @@ func TestZoneSetLookupRemovePTR(t *testing.T) {
 
 func TestZoneSerialAdvancesOnChange(t *testing.T) {
 	z := testZone(t)
-	s0 := z.Serial()
+	s0 := serial(z)
 	name := dnswire.ReverseName(dnswire.MustIPv4("192.0.2.10"))
 	z.SetPTR(name, dnswire.MustName("h.example.edu"))
-	s1 := z.Serial()
+	s1 := serial(z)
 	if s1 <= s0 {
 		t.Fatalf("serial did not advance: %d -> %d", s0, s1)
 	}
 	z.RemovePTR(name)
-	if z.Serial() <= s1 {
+	if serial(z) <= s1 {
 		t.Fatal("serial did not advance on removal")
 	}
 }
@@ -293,7 +293,7 @@ func TestUpdateDeleteName(t *testing.T) {
 	ip := dnswire.MustIPv4("192.0.2.43")
 	z.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("h.example.edu"))
 	upd := dnswire.NewUpdate(11, z.Origin())
-	upd.DeleteName(dnswire.ReverseName(ip))
+	upd.DeleteRRset(dnswire.ReverseName(ip), dnswire.TypeANY)
 	if resp := sendUpdate(t, s, upd); resp.Header.RCode != dnswire.RCodeNoError {
 		t.Fatalf("RCode = %v", resp.Header.RCode)
 	}
@@ -332,7 +332,7 @@ func TestUpdateUnknownZoneRefused(t *testing.T) {
 	s := NewServer()
 	s.AddZone(testZone(t))
 	upd := dnswire.NewUpdate(13, dnswire.MustName("9.9.9.in-addr.arpa"))
-	upd.DeleteName(dnswire.MustName("1.9.9.9.in-addr.arpa"))
+	upd.DeleteRRset(dnswire.MustName("1.9.9.9.in-addr.arpa"), dnswire.TypeANY)
 	if resp := sendUpdate(t, s, upd); resp.Header.RCode != dnswire.RCodeRefused {
 		t.Fatalf("RCode = %v, want REFUSED", resp.Header.RCode)
 	}
@@ -344,7 +344,7 @@ func TestUpdatePolicyRefused(t *testing.T) {
 	s.AddZone(z)
 	s.SetUpdatePolicy(UpdatesRefused)
 	upd := dnswire.NewUpdate(14, z.Origin())
-	upd.DeleteName(dnswire.ReverseName(dnswire.MustIPv4("192.0.2.42")))
+	upd.DeleteRRset(dnswire.ReverseName(dnswire.MustIPv4("192.0.2.42")), dnswire.TypeANY)
 	if resp := sendUpdate(t, s, upd); resp.Header.RCode != dnswire.RCodeRefused {
 		t.Fatalf("RCode = %v, want REFUSED", resp.Header.RCode)
 	}
@@ -457,4 +457,11 @@ func TestServerOverRealUDP(t *testing.T) {
 	if err := <-done; err != nil {
 		t.Fatalf("Serve returned %v", err)
 	}
+}
+
+// serial returns the zone's current SOA serial.
+func serial(z *Zone) uint32 {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	return z.serial
 }

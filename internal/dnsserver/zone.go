@@ -101,13 +101,6 @@ func (z *Zone) bumpSerial() {
 // Origin returns the zone apex.
 func (z *Zone) Origin() dnswire.Name { return z.origin }
 
-// Serial returns the current SOA serial, which increments on every change.
-func (z *Zone) Serial() uint32 {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	return z.serial
-}
-
 // ErrOutOfZone reports an attempt to store a name outside the zone.
 var ErrOutOfZone = errors.New("dnsserver: name out of zone")
 
@@ -207,47 +200,6 @@ func (z *Zone) SetA(name dnswire.Name, addr dnswire.IPv4) error {
 	return nil
 }
 
-// RemoveA deletes the A record at name, reporting whether one existed.
-func (z *Zone) RemoveA(name dnswire.Name) bool {
-	z.mu.Lock()
-	defer z.mu.Unlock()
-	rrs, ok := z.records[name]
-	if !ok {
-		return false
-	}
-	kept := rrs[:0]
-	removed := false
-	for _, rr := range rrs {
-		if rr.Type == dnswire.TypeA {
-			removed = true
-			continue
-		}
-		kept = append(kept, rr)
-	}
-	if !removed {
-		return false
-	}
-	if len(kept) == 0 {
-		delete(z.records, name)
-	} else {
-		z.records[name] = kept
-	}
-	z.bumpSerial()
-	return true
-}
-
-// LookupA returns the A record address at name, if any.
-func (z *Zone) LookupA(name dnswire.Name) (dnswire.IPv4, bool) {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	for _, rr := range z.records[name] {
-		if rr.Type == dnswire.TypeA {
-			return dnswire.IPv4(rr.Data.(dnswire.AData).Addr), true
-		}
-	}
-	return dnswire.IPv4{}, false
-}
-
 // LookupPTR returns the PTR target at name, if any.
 func (z *Zone) LookupPTR(name dnswire.Name) (dnswire.Name, bool) {
 	z.mu.RLock()
@@ -265,17 +217,6 @@ func (z *Zone) Len() int {
 	z.mu.RLock()
 	defer z.mu.RUnlock()
 	return len(z.records)
-}
-
-// Names returns all names holding records, in no particular order.
-func (z *Zone) Names() []dnswire.Name {
-	z.mu.RLock()
-	defer z.mu.RUnlock()
-	out := make([]dnswire.Name, 0, len(z.records))
-	for n := range z.records {
-		out = append(out, n)
-	}
-	return out
 }
 
 // soaRecord returns the zone's SOA as a record.

@@ -1,7 +1,6 @@
 package dnsserver
 
 import (
-	"sort"
 	"testing"
 
 	"rdnsprivacy/internal/dnswire"
@@ -15,13 +14,13 @@ func TestZoneARecords(t *testing.T) {
 	})
 	name := dnswire.MustName("brians-iphone.dyn.campus-a.edu")
 	addr := dnswire.MustIPv4("10.0.0.7")
-	if _, ok := z.LookupA(name); ok {
+	if _, ok := lookupA(z, name); ok {
 		t.Fatal("empty zone returned an A record")
 	}
 	if err := z.SetA(name, addr); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := z.LookupA(name)
+	got, ok := lookupA(z, name)
 	if !ok || got != addr {
 		t.Fatalf("LookupA = %v, %v", got, ok)
 	}
@@ -30,20 +29,11 @@ func TestZoneARecords(t *testing.T) {
 	if err := z.SetA(name, addr2); err != nil {
 		t.Fatal(err)
 	}
-	if got, _ := z.LookupA(name); got != addr2 {
+	if got, _ := lookupA(z, name); got != addr2 {
 		t.Fatalf("after replace = %v", got)
 	}
 	if z.Len() != 1 {
 		t.Fatalf("Len = %d", z.Len())
-	}
-	if !z.RemoveA(name) {
-		t.Fatal("RemoveA = false")
-	}
-	if z.RemoveA(name) {
-		t.Fatal("double RemoveA = true")
-	}
-	if _, ok := z.LookupA(name); ok {
-		t.Fatal("A record survived removal")
 	}
 }
 
@@ -70,43 +60,15 @@ func TestZoneMixedRecordsAtOneName(t *testing.T) {
 	if !z.RemovePTR(name) {
 		t.Fatal("RemovePTR failed")
 	}
-	if _, ok := z.LookupA(name); !ok {
+	if _, ok := lookupA(z, name); !ok {
 		t.Fatal("A record lost when PTR removed")
 	}
 	// RemovePTR again reports nothing to do.
 	if z.RemovePTR(name) {
 		t.Fatal("RemovePTR removed something twice")
 	}
-	if !z.RemoveA(name) {
-		t.Fatal("RemoveA failed")
-	}
-	if z.Len() != 0 {
-		t.Fatalf("Len = %d after removing everything", z.Len())
-	}
-}
-
-func TestZoneNames(t *testing.T) {
-	z := testZone(t)
-	want := []string{}
-	for i := 1; i <= 3; i++ {
-		ip := dnswire.MustPrefix("192.0.2.0/24").Nth(i)
-		z.SetPTR(dnswire.ReverseName(ip), dnswire.MustName("h.example.edu"))
-		want = append(want, string(dnswire.ReverseName(ip)))
-	}
-	got := z.Names()
-	if len(got) != 3 {
-		t.Fatalf("Names = %v", got)
-	}
-	var gotStr []string
-	for _, n := range got {
-		gotStr = append(gotStr, string(n))
-	}
-	sort.Strings(gotStr)
-	sort.Strings(want)
-	for i := range want {
-		if gotStr[i] != want[i] {
-			t.Fatalf("Names = %v, want %v", gotStr, want)
-		}
+	if z.Len() != 1 {
+		t.Fatalf("Len = %d with the A record left", z.Len())
 	}
 }
 
@@ -174,4 +136,16 @@ func TestUpdateRejectsNonPTRAdd(t *testing.T) {
 	if resp := sendUpdate(t, s, upd); resp.Header.RCode != dnswire.RCodeNotImp {
 		t.Fatalf("RCode = %v, want NOTIMP", resp.Header.RCode)
 	}
+}
+
+// lookupA returns the A record address at name, if any.
+func lookupA(z *Zone, name dnswire.Name) (dnswire.IPv4, bool) {
+	z.mu.RLock()
+	defer z.mu.RUnlock()
+	for _, rr := range z.records[name] {
+		if rr.Type == dnswire.TypeA {
+			return dnswire.IPv4(rr.Data.(dnswire.AData).Addr), true
+		}
+	}
+	return dnswire.IPv4{}, false
 }

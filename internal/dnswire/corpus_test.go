@@ -52,7 +52,7 @@ func hostileSeeds(t testing.TB) [][]byte {
 	upd := NewUpdate(10, MustName("2.0.192.in-addr.arpa"))
 	upd.AddRR(Record{Name: rev, Type: TypePTR, Class: ClassIN, TTL: 300, Data: PTRData{Target: MustName("h.example.edu")}})
 	upd.DeleteRRset(rev, TypePTR)
-	upd.DeleteName(rev)
+	upd.DeleteRRset(rev, TypeANY)
 
 	hdr := func(qd, an, ns, ar uint16) []byte {
 		return []byte{0, 1, 0x80, 0, byte(qd >> 8), byte(qd), byte(an >> 8), byte(an), byte(ns >> 8), byte(ns), byte(ar >> 8), byte(ar)}

@@ -89,16 +89,6 @@ func (n Name) Labels() []string {
 	return strings.Split(s, ".")
 }
 
-// Parent returns the name with the leftmost label removed. The parent of a
-// single-label name is the root; the parent of the root is the root.
-func (n Name) Parent() Name {
-	labels := n.Labels()
-	if len(labels) <= 1 {
-		return Root
-	}
-	return Name(strings.Join(labels[1:], ".") + ".")
-}
-
 // HasSuffix reports whether n is equal to zone or falls within it.
 func (n Name) HasSuffix(zone Name) bool {
 	if zone.IsRoot() {
@@ -356,14 +346,4 @@ func appendNameAt(dst, msg []byte, off int) ([]byte, int, error) {
 			pos += 1 + length
 		}
 	}
-}
-
-// decodeName materializes the name in msg at off.
-func decodeName(msg []byte, off int) (Name, int, error) {
-	var nb [MaxNameLen + 1]byte
-	name, end, err := appendNameAt(nb[:0], msg, off)
-	if err != nil {
-		return "", 0, err
-	}
-	return Name(name), end, nil
 }

@@ -65,19 +65,6 @@ func TestNameLabels(t *testing.T) {
 	}
 }
 
-func TestNameParent(t *testing.T) {
-	tests := []struct{ in, want Name }{
-		{MustName("a.b.c."), MustName("b.c.")},
-		{MustName("c."), Root},
-		{Root, Root},
-	}
-	for _, tc := range tests {
-		if got := tc.in.Parent(); got != tc.want {
-			t.Errorf("%q.Parent() = %q, want %q", tc.in, got, tc.want)
-		}
-	}
-}
-
 func TestNameHasSuffix(t *testing.T) {
 	tests := []struct {
 		name, zone Name
@@ -233,4 +220,14 @@ func TestCompressedNameReuse(t *testing.T) {
 	if got != MustName("host1.example.com") {
 		t.Fatalf("decoded %q", got)
 	}
+}
+
+// decodeName materializes the name in msg at off.
+func decodeName(msg []byte, off int) (Name, int, error) {
+	var nb [MaxNameLen + 1]byte
+	name, end, err := appendNameAt(nb[:0], msg, off)
+	if err != nil {
+		return "", 0, err
+	}
+	return Name(name), end, nil
 }

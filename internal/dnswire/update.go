@@ -59,15 +59,3 @@ func (m *Message) DeleteRRset(name Name, t Type) {
 		Data:  RawData{RType: t},
 	})
 }
-
-// DeleteName appends a delete-everything-at-this-name operation: type ANY,
-// class ANY, empty RDATA (RFC 2136 §2.5.3).
-func (m *Message) DeleteName(name Name) {
-	m.Authorities = append(m.Authorities, Record{
-		Name:  name,
-		Type:  TypeANY,
-		Class: ClassANY,
-		TTL:   0,
-		Data:  RawData{RType: TypeANY},
-	})
-}

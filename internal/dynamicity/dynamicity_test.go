@@ -23,7 +23,7 @@ func makeSeries(t *testing.T, counts map[string][]int, days int) *dataset.CountS
 			t.Fatalf("row for %s has %d days, want %d", pfx, len(row), days)
 		}
 		for i, c := range row {
-			s.Set(p, i, c)
+			s.Add(p, i, c)
 		}
 	}
 	return s

@@ -19,11 +19,11 @@ func ExampleAnalyze() {
 	static := dnswire.MustPrefix("198.51.100.0/24")
 	for i, d := range series.Dates {
 		if d.Weekday() == time.Saturday || d.Weekday() == time.Sunday {
-			series.Set(office, i, 35)
+			series.Add(office, i, 35)
 		} else {
-			series.Set(office, i, 120)
+			series.Add(office, i, 120)
 		}
-		series.Set(static, i, 200)
+		series.Add(static, i, 200)
 	}
 	res := dynamicity.Analyze(series, dynamicity.PaperConfig())
 	for _, p := range res.DynamicPrefixes {

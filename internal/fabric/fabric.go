@@ -170,13 +170,6 @@ func (f *Fabric) BindICMP(ip dnswire.IPv4, h ICMPHandler) error {
 	return nil
 }
 
-// UnbindICMP removes an exact ICMP binding.
-func (f *Fabric) UnbindICMP(ip dnswire.IPv4) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	delete(f.icmpExact, ip)
-}
-
 // RegisterICMPPrefix routes ICMP for every address in prefix to h (e.g. a
 // simulated network deciding which of its hosts answer pings). The
 // longest matching prefix wins; exact BindICMP bindings take precedence.
@@ -308,9 +301,6 @@ type Endpoint struct {
 	mu     sync.Mutex
 	closed bool
 }
-
-// Addr returns the bound address.
-func (ep *Endpoint) Addr() Addr { return ep.addr }
 
 // Send transmits payload to dst with ep's address as the source.
 func (ep *Endpoint) Send(dst Addr, payload []byte) error {

@@ -27,7 +27,7 @@ func (s *Store) At(ip dnswire.IPv4, t time.Time) (dnswire.Name, bool, error) {
 func (s *Store) AtWriter(ip dnswire.IPv4, t time.Time) (dnswire.Name, string, bool, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return view{s: s}.at(ip, t)
+	return s.at(ip, t)
 }
 
 // Range returns every observation (snapshot, address, name) within prefix
@@ -43,7 +43,7 @@ func (s *Store) Range(p dnswire.Prefix, from, to time.Time) ([]dataset.Row, erro
 func (s *Store) RangeContext(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]dataset.Row, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	rows, _, _, err := view{s: s}.rangePage(ctx, p, from, to, RangeCursor{}, math.MaxInt)
+	rows, _, _, err := s.rangePage(ctx, p, from, to, RangeCursor{}, math.MaxInt)
 	return rows, err
 }
 
@@ -70,7 +70,7 @@ func (s *Store) RangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 	}
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return view{s: s}.rangePage(ctx, p, from, to, cur, limit)
+	return s.rangePage(ctx, p, from, to, cur, limit)
 }
 
 // ChurnDay is one snapshot's record-set delta counts within a prefix.
@@ -81,44 +81,35 @@ type ChurnDay struct {
 	Changed int       `json:"changed"`
 }
 
-// Churn returns the per-snapshot join/leave/reallocation counts within
-// prefix over [from, to]: exactly the deltas a consumer diffing
-// successive raw snapshots would compute. The store's first snapshot has
-// no baseline and yields no entry.
-func (s *Store) Churn(p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
-	return s.ChurnContext(context.Background(), p, from, to)
-}
-
 // ChurnContext is Churn with cancellation, as RangeContext is Range with it.
 func (s *Store) ChurnContext(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return view{s: s}.churn(ctx, p, from, to)
+	return s.churn(ctx, p, from, to)
 }
 
-// The three queries, over either view. Callers hold the store's read
-// lock, which keeps every writer's segment list and tail index still for
-// the length of the walk.
+// The three queries. Callers hold the store's read lock, which keeps every
+// writer's segment list and tail index still for the length of the walk.
 
 // at answers the point query and names the writer whose record won.
 // Merge priority: writers ascending by id, first holder of the octet wins
 // — the rule mergeStates applies to whole blocks.
-func (v view) at(ip dnswire.IPv4, t time.Time) (dnswire.Name, string, bool, error) {
-	if v.s.closed {
+func (s *Store) at(ip dnswire.IPv4, t time.Time) (dnswire.Name, string, bool, error) {
+	if s.closed {
 		return "", "", false, ErrClosed
 	}
-	times := v.times()
+	times := s.times
 	n := sort.Search(len(times), func(i int) bool { return times[i].After(t) })
 	if n == 0 {
 		return "", "", false, ErrBeforeHistory
 	}
-	r := reader{s: v.s}
+	r := reader{s: s}
 	defer r.release()
 	var b writerWalk // seeded afresh for each writer in turn
 	b.p = ip.Slash24()
-	for _, w := range v.writers() {
+	for _, w := range s.writers {
 		b.w = w
-		if err := b.seed(&r, v.localAt(w, n-1)); err != nil {
+		if err := b.seed(&r, s.localAt(w, n-1)); err != nil {
 			return "", "", false, err
 		}
 		if name, ok := b.state.cur.lookup(ip[3]); ok {
@@ -132,11 +123,11 @@ func (v view) at(ip dnswire.IPv4, t time.Time) (dnswire.Name, string, bool, erro
 // octet by octet from cur's position, until limit rows are out. A block's
 // walk is seeded the first time the scan visits it — a page that fills up
 // inside the first snapshot never touches the blocks behind it.
-func (v view) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.Time, cur RangeCursor, limit int) (rows []dataset.Row, next RangeCursor, more bool, err error) {
-	if v.s.closed {
+func (s *Store) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.Time, cur RangeCursor, limit int) (rows []dataset.Row, next RangeCursor, more bool, err error) {
+	if s.closed {
 		return nil, cur, false, ErrClosed
 	}
-	times := v.times()
+	times := s.times
 	lo, hi, ok := clipRange(times, from, to)
 	if !ok {
 		return nil, cur, false, nil
@@ -147,14 +138,14 @@ func (v view) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.Tim
 	if lo > hi {
 		return nil, cur, false, nil
 	}
-	blocks := v.blocks().overlapping(p)
-	r := reader{s: v.s}
+	blocks := s.blocks.overlapping(p)
+	r := reader{s: s}
 	defer r.release()
-	nw := len(v.writers())
+	nw := len(s.writers)
 	walks := make([]blockWalk, len(blocks))
 	ws := make([]writerWalk, len(blocks)*nw)
 	for bi, q := range blocks {
-		walks[bi].init(v, &r, q, ws[bi*nw:(bi+1)*nw])
+		walks[bi].init(&r, q, ws[bi*nw:(bi+1)*nw])
 	}
 	for i := lo; i <= hi; i++ {
 		for bi, q := range blocks {
@@ -203,14 +194,14 @@ func (v view) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.Tim
 
 // churn counts each snapshot's changes within p. Every block is one
 // forward walk from the snapshot before the window: where a delta frame
-// carried the view from one snapshot to the next its entries are the
+// carried the block from one snapshot to the next its entries are the
 // changes; where a base frame, a segment boundary or another writer's
 // claim did, the states on either side are diffed.
-func (v view) churn(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
-	if v.s.closed {
+func (s *Store) churn(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
+	if s.closed {
 		return nil, ErrClosed
 	}
-	times := v.times()
+	times := s.times
 	lo, hi, ok := clipRange(times, from, to)
 	if !ok {
 		return nil, nil
@@ -225,13 +216,13 @@ func (v view) churn(ctx context.Context, p dnswire.Prefix, from, to time.Time) (
 	for i := range out {
 		out[i].Date = times[lo+i]
 	}
-	r := reader{s: v.s}
+	r := reader{s: s}
 	defer r.release()
 	var b blockWalk
-	ws := make([]writerWalk, len(v.writers()))
+	ws := make([]writerWalk, len(s.writers))
 	var diff []deltaEntry
-	for _, q := range v.blocks().overlapping(p) {
-		b.init(v, &r, q, ws)
+	for _, q := range s.blocks.overlapping(p) {
+		b.init(&r, q, ws)
 		if err := b.seed(lo - 1); err != nil {
 			return nil, err
 		}

@@ -520,22 +520,6 @@ func (t *tier) len() int {
 	return len(t.lru)
 }
 
-// drop removes g from the LRU without unloading (caller does that).
-func (t *tier) drop(g *segment) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !g.hot {
-		return
-	}
-	g.hot = false
-	for i, h := range t.lru {
-		if h == g {
-			t.lru = append(t.lru[:i], t.lru[i+1:]...)
-			return
-		}
-	}
-}
-
 // noteSegmentLoaded admits g to the tier and evicts what no longer fits.
 func (s *Store) noteSegmentLoaded(g *segment) { s.evict(s.tier.admit(g)) }
 

@@ -261,7 +261,7 @@ func verifyStore(t *testing.T, st *Store, c *campaign, rng func() uint64) {
 	// Churn over the same windows.
 	for _, p := range queryPrefixes {
 		for _, w := range windows {
-			got, err := st.Churn(p, w[0], w[1])
+			got, err := st.ChurnContext(context.Background(), p, w[0], w[1])
 			if err != nil {
 				t.Fatalf("Churn(%s): %v", p, err)
 			}

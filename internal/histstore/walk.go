@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"os"
 	"sort"
-	"time"
 
 	"rdnsprivacy/internal/dnswire"
 )
@@ -327,60 +326,24 @@ func (b *writerWalk) step(r *reader) (how int, prev blockState, delta []deltaEnt
 	return stepPatched, prev, delta, nil
 }
 
-// view is whose history a query walks: every writer merged by priority
-// (the Store's own surface) or one writer alone (a WriterView). It exists
-// so both surfaces run the same three queries over the same walk.
-type view struct {
-	s    *Store
-	only *writerState // nil: the merged view
-}
-
-// times is the view's timeline.
-func (v view) times() []time.Time {
-	if v.only != nil {
-		return v.only.times
-	}
-	return v.s.times
-}
-
-// blocks lists the /24s the view has ever recorded.
-func (v view) blocks() blockList {
-	if v.only != nil {
-		return v.only.known
-	}
-	return v.s.blocks
-}
-
-// writers lists the view's writers in merge-priority order.
-func (v view) writers() []*writerState {
-	if v.only != nil {
-		return v.s.writers[v.only.idx : v.only.idx+1]
-	}
-	return v.s.writers
-}
-
 // owner names the writer that appended timeline snapshot i and the
 // snapshot's writer-local index.
-func (v view) owner(i int) (*writerState, int) {
-	if v.only != nil {
-		return v.only, i
-	}
-	return v.s.writers[v.s.snapWriter[i]], v.s.snapLocal[i]
+func (s *Store) owner(i int) (*writerState, int) {
+	return s.writers[s.snapWriter[i]], s.snapLocal[i]
 }
 
 // localAt maps timeline snapshot i to w's newest local snapshot at or
 // before it (-1 when the writer has none yet).
-func (v view) localAt(w *writerState, i int) int {
-	if v.only != nil || v.s.solo {
+func (s *Store) localAt(w *writerState, i int) int {
+	if s.solo {
 		return i
 	}
 	return sort.Search(len(w.globalIdx), func(k int) bool { return w.globalIdx[k] > i }) - 1
 }
 
-// blockWalk is one /24 moving forward through a view's timeline: one
-// writerWalk per writer of the view, and their priority merge.
+// blockWalk is one /24 moving forward through the store's timeline: one
+// writerWalk per writer, and their priority merge.
 type blockWalk struct {
-	v      view
 	r      *reader
 	ws     []writerWalk
 	at     int
@@ -389,16 +352,15 @@ type blockWalk struct {
 	states []blockState
 }
 
-// init readies the walk for block p; ws is its storage, one per writer of
-// the view.
-func (b *blockWalk) init(v view, r *reader, p dnswire.Prefix, ws []writerWalk) {
-	b.v, b.r, b.ws, b.seeded = v, r, ws, false
-	for k, w := range v.writers() {
+// init readies the walk for block p; ws is its storage, one per writer.
+func (b *blockWalk) init(r *reader, p dnswire.Prefix, ws []writerWalk) {
+	b.r, b.ws, b.seeded = r, ws, false
+	for k, w := range r.s.writers {
 		ws[k].w, ws[k].p = w, p
 	}
 }
 
-// state is the view's state of the block at the walk's snapshot.
+// state is the merged state of the block at the walk's snapshot.
 func (b *blockWalk) state() blockState {
 	if len(b.ws) == 1 {
 		return b.ws[0].state.cur
@@ -418,7 +380,7 @@ func (b *blockWalk) remerge() (prev blockState) {
 // seed places the walk at timeline snapshot i.
 func (b *blockWalk) seed(i int) error {
 	for k := range b.ws {
-		if err := b.ws[k].seed(b.r, b.v.localAt(b.ws[k].w, i)); err != nil {
+		if err := b.ws[k].seed(b.r, b.r.s.localAt(b.ws[k].w, i)); err != nil {
 			return err
 		}
 	}
@@ -431,15 +393,11 @@ func (b *blockWalk) seed(i int) error {
 
 // step advances the walk one timeline snapshot — one local snapshot of
 // the writer that appended it — with writerWalk.step's contract, over the
-// view's state.
+// merged state.
 func (b *blockWalk) step() (how int, prev blockState, delta []deltaEntry, err error) {
 	b.at++
-	w, _ := b.v.owner(b.at)
-	k := 0
-	if b.v.only == nil {
-		k = w.idx
-	}
-	how, prev, delta, err = b.ws[k].step(b.r)
+	w, _ := b.r.s.owner(b.at)
+	how, prev, delta, err = b.ws[w.idx].step(b.r)
 	if err != nil || how == stepNone || len(b.ws) == 1 {
 		return how, prev, delta, err
 	}

@@ -175,13 +175,6 @@ func (c *walkCampaign) build(t *testing.T, dir string, l walkLayout) []*Store {
 	return handles
 }
 
-// querySurface is the read API shared by Store and WriterView.
-type querySurface interface {
-	At(dnswire.IPv4, time.Time) (dnswire.Name, bool, error)
-	Range(dnswire.Prefix, time.Time, time.Time) ([]dataset.Row, error)
-	Churn(dnswire.Prefix, time.Time, time.Time) ([]ChurnDay, error)
-}
-
 func rowStrings(rows []dataset.Row) []string {
 	out := make([]string, len(rows))
 	for i, r := range rows {
@@ -194,7 +187,7 @@ func rowStrings(rows []dataset.Row) []string {
 // every RangePage pagination — against the oracle, for a /16, /24s and
 // sub-/24 prefixes over windows that start and end inside segments, on
 // segment boundaries, in the tail, and off the snapshot grid.
-func verifyWalk(t *testing.T, what string, q querySurface, o *campaign, rng func() uint64) {
+func verifyWalk(t *testing.T, what string, q *Store, o *campaign, rng func() uint64) {
 	t.Helper()
 	n := len(o.times)
 	b0 := o.blocks[0]
@@ -232,7 +225,6 @@ func verifyWalk(t *testing.T, what string, q querySurface, o *campaign, rng func
 		}
 	}
 
-	st, paged := q.(*Store)
 	for _, p := range prefixes {
 		for wi, w := range windows {
 			label := fmt.Sprintf("%s: %s window %d", what, p, wi)
@@ -244,7 +236,7 @@ func verifyWalk(t *testing.T, what string, q querySurface, o *campaign, rng func
 			if got := rowStrings(rows); !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
 				t.Fatalf("%s: Range returned %d rows, oracle %d\n got  %v\n want %v", label, len(got), len(want), got, want)
 			}
-			churn, err := q.Churn(p, w[0], w[1])
+			churn, err := q.ChurnContext(context.Background(), p, w[0], w[1])
 			if err != nil {
 				t.Fatalf("%s: Churn: %v", label, err)
 			}
@@ -258,9 +250,6 @@ func verifyWalk(t *testing.T, what string, q querySurface, o *campaign, rng func
 					t.Fatalf("%s: Churn day %d = %+v, oracle %+v", label, i, churn[i], wantChurn[i])
 				}
 			}
-			if !paged {
-				continue
-			}
 			for _, limit := range []int{1, 7, 1000} {
 				if limit == 1 && len(want) > 300 {
 					continue // one row a page over the whole /16 proves nothing the /24s do not
@@ -268,7 +257,7 @@ func verifyWalk(t *testing.T, what string, q querySurface, o *campaign, rng func
 				var got []string
 				var cur RangeCursor
 				for pages := 0; ; pages++ {
-					page, next, more, err := st.RangePage(context.Background(), p, w[0], w[1], cur, limit)
+					page, next, more, err := q.RangePage(context.Background(), p, w[0], w[1], cur, limit)
 					if err != nil {
 						t.Fatalf("%s: RangePage(limit %d) page %d: %v", label, limit, pages, err)
 					}
@@ -284,6 +273,28 @@ func verifyWalk(t *testing.T, what string, q querySurface, o *campaign, rng func
 				if !reflect.DeepEqual(got, want) && (len(got) != 0 || len(want) != 0) {
 					t.Fatalf("%s: pages of %d concatenate to %d rows, oracle %d", label, limit, len(got), len(want))
 				}
+			}
+		}
+	}
+}
+
+// verifyWriterView checks a writer's BlockAt, the walk of one writer
+// alone, against a brute-force replay of that writer's raw snapshots.
+func verifyWriterView(t *testing.T, v *WriterView, o *campaign, rng func() uint64) {
+	t.Helper()
+	n := len(o.times)
+	for i := 0; i < 40; i++ {
+		p := o.blocks[rng()%uint64(len(o.blocks))]
+		when := o.times[rng()%uint64(n)].Add(time.Duration(rng()%30) * time.Minute)
+		got, err := v.BlockAt(p, when)
+		if err != nil {
+			t.Fatalf("view %s: BlockAt(%s, %s): %v", v.id, p, when, err)
+		}
+		for oct := 0; oct < 256; oct++ {
+			ip := dnswire.IPv4{p.Addr[0], p.Addr[1], p.Addr[2], byte(oct)}
+			wantName, wantOK, _ := o.bruteAt(ip, when)
+			if name, ok := got[byte(oct)]; ok != wantOK || name != wantName {
+				t.Fatalf("view %s: BlockAt(%s, %s)[%d] = (%q, %v), oracle (%q, %v)", v.id, p, when, oct, name, ok, wantName, wantOK)
 			}
 		}
 	}
@@ -332,7 +343,7 @@ func TestWalkDifferential(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					verifyWalk(t, "view "+id, v, c.writerOracle(w), splitmix(seed+200))
+					verifyWriterView(t, v, c.writerOracle(w), splitmix(seed+200))
 				}
 				reader.Close()
 				for _, st := range handles {
@@ -398,7 +409,7 @@ func TestSharedSegmentPins(t *testing.T) {
 		go func(g int) {
 			for n := 0; n < 40; n++ {
 				i := (g + n) % len(windows)
-				churn, err := st.Churn(p, windows[i].from, windows[i].to)
+				churn, err := st.ChurnContext(context.Background(), p, windows[i].from, windows[i].to)
 				if err != nil || !reflect.DeepEqual(churn, wantChurn[i]) {
 					errs <- fmt.Errorf("walker %d: churn of window %d = %v, %v", g, i, churn, err)
 					return
@@ -450,7 +461,7 @@ func TestWarmChurnAllocationCeiling(t *testing.T) {
 		}
 	}
 	p, from, to := c.blockOf(0), c.times[8], c.times[37]
-	days, err := st.Churn(p, from, to)
+	days, err := st.ChurnContext(context.Background(), p, from, to)
 	if err != nil || len(days) != 30 {
 		t.Fatalf("churn: %d days, %v", len(days), err)
 	}
@@ -461,7 +472,7 @@ func TestWarmChurnAllocationCeiling(t *testing.T) {
 		}
 	}
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := st.Churn(p, from, to); err != nil {
+		if _, err := st.ChurnContext(context.Background(), p, from, to); err != nil {
 			t.Fatal(err)
 		}
 	})

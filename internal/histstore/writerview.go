@@ -1,14 +1,11 @@
 package histstore
 
 import (
-	"context"
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"time"
 
-	"rdnsprivacy/internal/dataset"
 	"rdnsprivacy/internal/dnswire"
 )
 
@@ -16,9 +13,8 @@ import (
 // same queries the merged surface answers, restricted to what one writer
 // (one vantage point, one campaign) actually observed — no merge, no
 // other writer's records shadowing or filling in. It is the read side of
-// per-writer tails: internal/vantage's disagreement analyzer and the
-// writer-filtered case studies reconstruct each vantage's view through
-// it. Views are cheap handles; they share the store's files, cache, and
+// per-writer tails: internal/vantage's disagreement analyzer
+// reconstructs each vantage's view through it. Views are cheap handles; they share the store's files, cache, and
 // locks and stay valid across appends and compactions.
 type WriterView struct {
 	s  *Store
@@ -42,9 +38,6 @@ func (s *Store) WriterView(id string) (*WriterView, error) {
 	return nil, fmt.Errorf("histstore: unknown writer %q", id)
 }
 
-// ID returns the writer identity the view answers for.
-func (v *WriterView) ID() string { return v.id }
-
 // Times returns the writer's own snapshot instants in append order — a
 // subset of the store's merged timeline.
 func (v *WriterView) Times() []time.Time {
@@ -52,28 +45,6 @@ func (v *WriterView) Times() []time.Time {
 	defer v.s.mu.RUnlock()
 	w := v.s.writers[v.wi]
 	return append([]time.Time(nil), w.times...)
-}
-
-// Blocks lists the /24s the writer has ever recorded, sorted by address.
-func (v *WriterView) Blocks() []dnswire.Prefix {
-	v.s.mu.RLock()
-	defer v.s.mu.RUnlock()
-	return slices.Clone(v.s.writers[v.wi].known)
-}
-
-// view is the writer's single-writer lens for the shared query code.
-// Callers hold the lock.
-func (v *WriterView) view() view { return view{s: v.s, only: v.s.writers[v.wi]} }
-
-// At answers the point query from this writer's view alone: the name the
-// writer held for ip at its newest snapshot at or before t. ok is false
-// when the writer saw no record then; ErrBeforeHistory when t precedes
-// the writer's first snapshot.
-func (v *WriterView) At(ip dnswire.IPv4, t time.Time) (dnswire.Name, bool, error) {
-	v.s.mu.RLock()
-	defer v.s.mu.RUnlock()
-	name, _, ok, err := v.view().at(ip, t)
-	return name, ok, err
 }
 
 // BlockAt returns the writer's full /24 state at its newest snapshot at
@@ -94,25 +65,6 @@ func (v *WriterView) BlockAt(p dnswire.Prefix, t time.Time) (map[byte]dnswire.Na
 		return nil, err
 	}
 	return b.state.cur.toMap(), nil
-}
-
-// Range returns the writer's observations within prefix and [from, to],
-// ordered by date then address — Store.Range restricted to one writer's
-// snapshots and records.
-func (v *WriterView) Range(p dnswire.Prefix, from, to time.Time) ([]dataset.Row, error) {
-	v.s.mu.RLock()
-	defer v.s.mu.RUnlock()
-	rows, _, _, err := v.view().rangePage(context.Background(), p, from, to, RangeCursor{}, math.MaxInt)
-	return rows, err
-}
-
-// Churn returns the writer's per-snapshot delta counts within prefix over
-// [from, to] — Store.Churn against this writer's own baseline, so a
-// record another vantage flickered does not show up as churn here.
-func (v *WriterView) Churn(p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
-	v.s.mu.RLock()
-	defer v.s.mu.RUnlock()
-	return v.view().churn(context.Background(), p, from, to)
 }
 
 // Blocks lists every /24 the store indexes across writers, sorted by

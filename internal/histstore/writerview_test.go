@@ -1,8 +1,6 @@
 package histstore
 
 import (
-	"errors"
-	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -13,8 +11,8 @@ import (
 
 // TestWriterViewMatchesOwnCampaign pins the single-writer lens against
 // the raw campaign oracle: with two writers interleaved in one store,
-// each writer's view answers exactly its own campaign — point queries,
-// ranges, churn, and instants — never the merged truth.
+// each writer's view answers exactly its own campaign — block states
+// and instants — never the merged truth.
 func TestWriterViewMatchesOwnCampaign(t *testing.T) {
 	ca := genCampaign(21, 30)
 	cb := genCampaign(221, 30)
@@ -68,9 +66,6 @@ func TestWriterViewMatchesOwnCampaign(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if v.ID() != tc.id {
-			t.Fatalf("ID() = %q", v.ID())
-		}
 		times := v.Times()
 		if len(times) != len(tc.c.times) {
 			t.Fatalf("%s: %d instants, want %d", tc.id, len(times), len(tc.c.times))
@@ -82,79 +77,10 @@ func TestWriterViewMatchesOwnCampaign(t *testing.T) {
 		}
 
 		// Before the writer's history.
-		if _, _, err := v.At(dnswire.IPv4{10, 1, 1, 1}, tc.c.times[0].Add(-time.Hour)); !errors.Is(err, ErrBeforeHistory) {
-			t.Fatalf("%s: pre-history At err = %v", tc.id, err)
+		if m, err := v.BlockAt(tc.c.blocks[0], tc.c.times[0].Add(-time.Hour)); err != nil || m != nil {
+			t.Fatalf("%s: pre-history BlockAt = (%v, %v)", tc.id, m, err)
 		}
-
-		rng := splitmix(uint64(len(tc.id)) + 5)
-		for i := 0; i < 300; i++ {
-			b := tc.c.blocks[rng()%uint64(len(tc.c.blocks))]
-			ip := dnswire.IPv4{b.Addr[0], b.Addr[1], b.Addr[2], byte(rng() % 40)}
-			when := tc.c.times[rng()%uint64(len(tc.c.times))].Add(time.Duration(rng()%7) * time.Minute)
-			name, ok, err := v.At(ip, when)
-			if err != nil {
-				t.Fatal(err)
-			}
-			wantName, wantOK, _ := tc.c.bruteAt(ip, when)
-			if ok != wantOK || name != wantName {
-				t.Fatalf("%s: At(%s, %s) = (%q, %v), oracle (%q, %v)", tc.id, ip, when, name, ok, wantName, wantOK)
-			}
-		}
-
-		for _, b := range tc.c.blocks {
-			rows, err := v.Range(b, times[0], times[len(times)-1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for _, r := range rows {
-				got = append(got, fmt.Sprintf("%s %s %s", r.Date.Format(time.RFC3339), r.IP, r.PTR))
-			}
-			want := tc.c.bruteRange(b, times[0], times[len(times)-1])
-			if len(got) != len(want) {
-				t.Fatalf("%s: Range(%s) %d rows, oracle %d", tc.id, b, len(got), len(want))
-			}
-			for i := range got {
-				if got[i] != want[i] {
-					t.Fatalf("%s: Range row %d = %q, want %q", tc.id, i, got[i], want[i])
-				}
-			}
-
-			// Churn against the writer's own baseline: replay the raw
-			// snapshots and diff.
-			days, err := v.Churn(b, times[0], times[len(times)-1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(days) != len(times)-1 {
-				t.Fatalf("%s: churn %d days, want %d", tc.id, len(days), len(times)-1)
-			}
-			for i, d := range days {
-				var add, rem, chg int
-				prev, cur := tc.c.snaps[i], tc.c.snaps[i+1]
-				for ip, name := range cur {
-					if !b.Contains(ip) {
-						continue
-					}
-					if old, ok := prev[ip]; !ok {
-						add++
-					} else if old != name {
-						chg++
-					}
-				}
-				for ip := range prev {
-					if !b.Contains(ip) {
-						continue
-					}
-					if _, ok := cur[ip]; !ok {
-						rem++
-					}
-				}
-				if d.Added != add || d.Removed != rem || d.Changed != chg {
-					t.Fatalf("%s: churn day %d = %+v, want +%d -%d ~%d", tc.id, i, d, add, rem, chg)
-				}
-			}
-		}
+		verifyWriterView(t, v, tc.c, splitmix(uint64(len(tc.id))+5))
 	}
 }
 
@@ -177,10 +103,6 @@ func TestWriterViewCopies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	blocks := v.Blocks()
-	if len(blocks) != 1 || blocks[0] != ip.Slash24() {
-		t.Fatalf("Blocks() = %v", blocks)
-	}
 	m, err := v.BlockAt(ip.Slash24(), day)
 	if err != nil {
 		t.Fatal(err)
@@ -190,9 +112,6 @@ func TestWriterViewCopies(t *testing.T) {
 	}
 	m[ip[3]] = "tampered.example.net"
 	delete(m, ip[3])
-	if name, ok, err := v.At(ip, day); err != nil || !ok || name != dnswire.MustName("a.example.net") {
-		t.Fatalf("after mutating copy: At = (%q, %v, %v)", name, ok, err)
-	}
 	if name, ok, err := st.At(ip, day); err != nil || !ok || name != dnswire.MustName("a.example.net") {
 		t.Fatalf("after mutating copy: store At = (%q, %v, %v)", name, ok, err)
 	}
@@ -271,8 +190,8 @@ func TestDivergence(t *testing.T) {
 }
 
 // TestBlocksAndEmptyWindows: Blocks lists the block universe sorted by
-// address across writers, and view queries over windows outside a
-// writer's history come back empty rather than erroring.
+// address across writers, and a view's BlockAt outside the writer's
+// history or blocks comes back empty rather than erroring.
 func TestBlocksAndEmptyWindows(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hist")
 	wa, err := Open(path, WithWriter("wa"))
@@ -317,32 +236,8 @@ func TestBlocksAndEmptyWindows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Windows that miss the writer's single instant: inverted, before,
-	// and after.
-	for _, w := range [][2]time.Time{
-		{at.AddDate(0, 0, 1), at},
-		{at.AddDate(0, 0, -2), at.AddDate(0, 0, -1)},
-		{at.AddDate(0, 0, 1), at.AddDate(0, 0, 2)},
-	} {
-		rows, err := v.Range(blocks[1], w[0], w[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rows) != 0 {
-			t.Fatalf("window %v rows = %v, want none", w, rows)
-		}
-		days, err := v.Churn(blocks[1], w[0], w[1])
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(days) != 0 {
-			t.Fatalf("window %v churn = %v, want none", w, days)
-		}
-	}
-	// A block the writer never touched yields nothing; one instant means
-	// no churn days at all.
-	if rows, err := v.Range(blocks[0], at, at); err != nil || len(rows) != 0 {
-		t.Fatalf("foreign block rows = %v err = %v", rows, err)
+	if st, err := v.BlockAt(blocks[1], at.AddDate(0, 0, -1)); err != nil || st != nil {
+		t.Fatalf("pre-history BlockAt = %v err = %v", st, err)
 	}
 	if st, err := v.BlockAt(blocks[0], at); err != nil || len(st) != 0 {
 		t.Fatalf("foreign BlockAt = %v err = %v", st, err)

@@ -46,7 +46,7 @@ func BenchmarkProberSweep(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		p.Sweep(sweep, done)
+		sweepAll(p, sweep, done)
 		clock.Advance(time.Hour)
 	}
 	b.StopTimer()

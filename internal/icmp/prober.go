@@ -112,9 +112,6 @@ func NewProber(fab *fabric.Fabric, cfg ProberConfig) (*Prober, error) {
 	return p, nil
 }
 
-// Close unbinds the vantage address.
-func (p *Prober) Close() { p.fab.UnbindICMP(p.cfg.Vantage) }
-
 // Stats returns a snapshot of prober counters.
 func (p *Prober) Stats() ProberStats {
 	p.mu.Lock()
@@ -141,29 +138,6 @@ func (p *Prober) Probe(target dnswire.IPv4, done func(ProbeResult)) {
 		return
 	}
 	p.clock.AfterFunc(delay, func() { p.transmit(target, done) })
-}
-
-// Sweep probes every address in prefix and calls done once with all results
-// (order matches address order). It is the building block for the hourly
-// scans of Section 6.1.
-func (p *Prober) Sweep(prefix dnswire.Prefix, done func([]ProbeResult)) {
-	n := prefix.NumAddresses()
-	results := make([]ProbeResult, n)
-	remaining := n
-	var mu sync.Mutex
-	for i := 0; i < n; i++ {
-		i := i
-		p.Probe(prefix.Nth(i), func(r ProbeResult) {
-			mu.Lock()
-			results[i] = r
-			remaining--
-			last := remaining == 0
-			mu.Unlock()
-			if last {
-				done(results)
-			}
-		})
-	}
 }
 
 // reserveSlot implements the token bucket: it returns how long the caller

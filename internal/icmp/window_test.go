@@ -135,7 +135,7 @@ func TestAnsweredProbesLeaveNoTimer(t *testing.T) {
 	NewResponder(fab, testNet, func(dnswire.IPv4) bool { return true }, false)
 	idle := clock.Pending()
 	alive := 0
-	p.Sweep(testNet, func(rs []ProbeResult) {
+	sweepAll(p, testNet, func(rs []ProbeResult) {
 		for _, r := range rs {
 			if r.Alive {
 				alive++
@@ -221,7 +221,6 @@ func TestRealClockProbers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer p.Close()
 	const workers, each = 4, 32
 	var (
 		wg    sync.WaitGroup

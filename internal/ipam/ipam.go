@@ -122,13 +122,6 @@ func NewUpdater(cfg Config) *Updater {
 	return &Updater{cfg: cfg}
 }
 
-// Stats returns a snapshot of updater counters.
-func (u *Updater) Stats() Stats {
-	u.mu.Lock()
-	defer u.mu.Unlock()
-	return u.stats
-}
-
 // AttachZone registers a reverse zone the updater may write to. Under
 // PolicyStaticForm the zone is immediately pre-populated for every attached
 // static pool it covers.

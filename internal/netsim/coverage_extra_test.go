@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -78,76 +77,6 @@ func TestMergeSessions(t *testing.T) {
 	}
 }
 
-func TestTimelineAndCalendarLabels(t *testing.T) {
-	loc := time.UTC
-	tl := USCampusCOVIDTimeline(loc)
-	if tl.PhaseLabel(date(loc, 2018, time.June, 1)) != "" {
-		t.Fatal("label before first phase")
-	}
-	if tl.PhaseLabel(date(loc, 2020, time.April, 1)) != "campus-closure" {
-		t.Fatal("lockdown label wrong")
-	}
-	cal := USAcademicCalendar(loc)
-	labels := cal.LabelsOn(date(loc, 2021, time.November, 26))
-	found := false
-	for _, l := range labels {
-		if l == "thanksgiving" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("labels = %v, want thanksgiving", labels)
-	}
-	if got := cal.LabelsOn(date(loc, 2021, time.June, 15)); got != nil {
-		t.Fatalf("labels on a plain day = %v", got)
-	}
-	var nilCal *Calendar
-	if nilCal.FactorOn(date(loc, 2021, time.June, 15), Staff) != 1 {
-		t.Fatal("nil calendar factor != 1")
-	}
-	if nilCal.LabelsOn(date(loc, 2021, time.June, 15)) != nil {
-		t.Fatal("nil calendar labels != nil")
-	}
-	var nilTL *Timeline
-	if nilTL.At(date(loc, 2021, time.June, 15)) != nil {
-		t.Fatal("nil timeline occupancy != nil")
-	}
-	if nilTL.PhaseLabel(date(loc, 2021, time.June, 15)) != "" {
-		t.Fatal("nil timeline label != empty")
-	}
-}
-
-func TestOccupancyForAndOnlineAt(t *testing.T) {
-	cfg := testNetworkConfig()
-	cfg.Timeline = USCampusCOVIDTimeline(time.UTC)
-	n, err := NewNetwork(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Lockdown-era staff occupancy is well below 1.
-	at := time.Date(2020, 4, 15, 0, 0, 0, 0, time.UTC)
-	if f := n.OccupancyFor(at, Staff); f >= 0.5 {
-		t.Fatalf("lockdown staff occupancy = %v", f)
-	}
-	// OnlineAt in snapshot mode: static record addresses are always up;
-	// absent addresses are not.
-	var staticIP dnswire.IPv4
-	n.RecordsAt(at, func(r Record) {
-		if strings.Contains(string(r.HostName), ".srv.") {
-			staticIP = r.IP
-		}
-	})
-	if staticIP == (dnswire.IPv4{}) {
-		t.Fatal("no server record found")
-	}
-	if !n.OnlineAt(staticIP, at) {
-		t.Fatal("static host not online")
-	}
-	if n.OnlineAt(dnswire.MustIPv4("10.50.9.77"), at) {
-		t.Fatal("empty address online")
-	}
-}
-
 func TestLiveModeAcrossMidnight(t *testing.T) {
 	// The midnight tick must schedule the new day: a device with a
 	// Tuesday-only session joins after the simulation crosses midnight.
@@ -173,11 +102,14 @@ func TestLiveModeAcrossMidnight(t *testing.T) {
 	}
 	defer n.Stop()
 	clock.AdvanceTo(time.Date(2021, 11, 2, 9, 30, 0, 0, time.UTC))
-	if n.LiveRecordCount() == 0 {
+	if liveRecordCount(n) == 0 {
 		t.Fatal("no live records at all")
 	}
 	devIP, _ := n.DeviceIP(dev)
-	if !n.OnlineAt(devIP, clock.Now()) {
+	n.mu.Lock()
+	online := n.onlineIP[devIP]
+	n.mu.Unlock()
+	if !online {
 		t.Fatal("Tuesday device not online after midnight tick")
 	}
 	if n.JoinFailures() != 0 {

@@ -184,34 +184,6 @@ type Device struct {
 	Schedule Scheduler
 }
 
-// PresentAt reports whether the device is on the network at t (local time),
-// given the occupancy factor for that day. Sessions may cross midnight, so
-// the previous day's schedule is consulted for spill-over (a student online
-// until 02:30 is present on the new day under the old day's session).
-//
-// The spill-over check evaluates yesterday's schedule at today's occupancy,
-// not yesterday's: on a day the occupancy changes (a holiday begins, a
-// COVID phase starts) yesterday's late sessions are redrawn under today's
-// regime. That is a quirk, kept because every seeded report and golden
-// was produced with it; Network.RecordsAt reproduces it.
-func (d *Device) PresentAt(t time.Time, occupancy float64) bool {
-	date := midnight(t)
-	off := t.Sub(date)
-	for _, s := range d.Schedule.SessionsOn(date, occupancy) {
-		if off >= s.Start && off < s.End {
-			return true
-		}
-	}
-	prev := date.AddDate(0, 0, -1)
-	offPrev := off + 24*time.Hour
-	for _, s := range d.Schedule.SessionsOn(prev, occupancy) {
-		if offPrev >= s.Start && offPrev < s.End {
-			return true
-		}
-	}
-	return false
-}
-
 // SessionsOn exposes the device's sessions for a date.
 func (d *Device) SessionsOn(date time.Time, occupancy float64) []Session {
 	return d.Schedule.SessionsOn(date, occupancy)

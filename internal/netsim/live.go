@@ -305,30 +305,6 @@ func (n *Network) Stop() {
 	n.onlineIP = make(map[dnswire.IPv4]bool)
 }
 
-// Zones returns the live reverse zones (live mode only), for test
-// inspection.
-func (n *Network) Zones() []*dnsserver.Zone {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if n.live == nil {
-		return nil
-	}
-	out := make([]*dnsserver.Zone, 0, len(n.live.zones))
-	for _, z := range n.live.zones {
-		out = append(out, z)
-	}
-	return out
-}
-
-// LiveRecordCount sums the names across live zones.
-func (n *Network) LiveRecordCount() int {
-	total := 0
-	for _, z := range n.Zones() {
-		total += z.Len()
-	}
-	return total
-}
-
 // JoinFailures reports how many device joins failed (pool exhaustion).
 func (n *Network) JoinFailures() uint64 {
 	n.mu.Lock()

@@ -77,11 +77,11 @@ func TestStopThenStartDeliversNoStaleJoin(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer n.Stop()
-	before := n.LiveRecordCount()
+	before := liveRecordCount(n)
 
 	// The first run's whole Monday, and its midnight tick, fire now.
 	first.Advance(48 * time.Hour)
-	if got := n.LiveRecordCount(); got != before {
+	if got := liveRecordCount(n); got != before {
 		t.Fatalf("records went from %d to %d: a stopped run's join reached the new run", before, got)
 	}
 	if n.JoinFailures() != 0 {
@@ -93,7 +93,7 @@ func TestStopThenStartDeliversNoStaleJoin(t *testing.T) {
 
 	// The new run itself is live.
 	second.Advance(6 * time.Hour)
-	if got := n.LiveRecordCount(); got <= before {
+	if got := liveRecordCount(n); got <= before {
 		t.Fatalf("records stayed at %d at noon: the new run's own joins did not happen", got)
 	}
 }

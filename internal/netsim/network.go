@@ -124,15 +124,13 @@ type Config struct {
 // Network is a simulated network: a population of devices plus the operator
 // infrastructure that exposes (or hides) them in reverse DNS. Create one
 // with NewNetwork, add devices with Populate or AddDevice, then either
-// evaluate snapshots with RecordsAt / OnlineAt, or run it live on a fabric
+// evaluate snapshots with RecordsAt, or run it live on a fabric
 // with Start.
 type Network struct {
 	cfg Config
 
-	devices   []*Device
 	arch      map[uint64]Archetype
 	deviceIP  map[uint64]dnswire.IPv4
-	ipDevice  map[dnswire.IPv4]*Device
 	blockDev  [][]dynDevice // block index -> devices
 	rng       *rand.Rand
 	staticRec map[dnswire.IPv4]dnswire.Name // cached static records
@@ -171,7 +169,6 @@ func NewNetwork(cfg Config) (*Network, error) {
 		cfg:       cfg,
 		arch:      make(map[uint64]Archetype),
 		deviceIP:  make(map[uint64]dnswire.IPv4),
-		ipDevice:  make(map[dnswire.IPv4]*Device),
 		blockDev:  make([][]dynDevice, len(cfg.Blocks)),
 		rng:       rand.New(rand.NewSource(int64(cfg.Seed))),
 		staticRec: make(map[dnswire.IPv4]dnswire.Name),
@@ -188,9 +185,6 @@ func (n *Network) Config() Config { return n.cfg }
 
 // Name returns the network's report name.
 func (n *Network) Name() string { return n.cfg.Name }
-
-// Devices returns the network's devices.
-func (n *Network) Devices() []*Device { return n.devices }
 
 // DeviceIP returns the planned address of a device.
 func (n *Network) DeviceIP(d *Device) (dnswire.IPv4, bool) {
@@ -256,10 +250,8 @@ func (n *Network) addDevice(d *Device, blockIdx int, arch Archetype, usable []dn
 		return fmt.Errorf("netsim: block %d full (%d devices)", blockIdx, idx)
 	}
 	ip := usable[idx]
-	n.devices = append(n.devices, d)
 	n.arch[d.ID] = arch
 	n.deviceIP[d.ID] = ip
-	n.ipDevice[ip] = d
 	target, err := ipam.Target(b.Policy, n.blockSuffix(b), leaseEventFor(d, ip))
 	n.blockDev[blockIdx] = append(n.blockDev[blockIdx], dynDevice{
 		dev: d, arch: arch, ip: ip, target: target, publishes: err == nil,
@@ -373,12 +365,6 @@ func (n *Network) occupancyFor(d time.Time, a Archetype) float64 {
 	return f * n.cfg.Calendar.FactorOn(d, a)
 }
 
-// OccupancyFor exposes the combined occupancy factor (used by experiments
-// to annotate plots).
-func (n *Network) OccupancyFor(d time.Time, a Archetype) float64 {
-	return n.occupancyFor(d, a)
-}
-
 // Record is one (address, hostname) pair visible in reverse DNS.
 type Record struct {
 	IP       dnswire.IPv4
@@ -403,14 +389,6 @@ func (n *Network) RecordsAt(t time.Time, emit func(Record)) {
 			}
 		}
 	}
-}
-
-// CountRecordsAt returns the number of records visible at t, grouped by
-// /24 prefix.
-func (n *Network) CountRecordsAt(t time.Time) map[dnswire.Prefix]int {
-	counts := make(map[dnswire.Prefix]int)
-	n.RecordsAt(t, func(r Record) { counts[r.IP.Slash24()]++ })
-	return counts
 }
 
 // instant is one evaluation time resolved once for every device of a
@@ -447,12 +425,14 @@ func (at *instant) occupancy(n *Network, a Archetype) (today, yesterday float64)
 }
 
 // visible decides whether a device's PTR exists at the instant: the device
-// is online now (Device.PresentAt), or it left silently within one lease
-// time, on today's or yesterday's schedule. Each day's sessions are
-// evaluated once and serve both questions. PresentAt checks yesterday's
-// spill-over at today's occupancy while the lease check reads yesterday at
-// its own, so yesterday is evaluated a second time only on the days the
-// two occupancies differ.
+// is online now (in one of today's sessions, or yesterday's running past
+// midnight), or it left silently within one lease time, on today's or
+// yesterday's schedule. Each day's sessions are evaluated once and serve
+// both questions. The online check reads yesterday's spill-over at today's
+// occupancy — a quirk, kept because every seeded report and golden was
+// produced with it — while the lease check reads yesterday at its own, so
+// yesterday is evaluated a second time only on the days the two
+// occupancies differ.
 func (at *instant) visible(n *Network, dd *dynDevice) bool {
 	d := dd.dev
 	occ, occPrev := at.occupancy(n, dd.arch)
@@ -492,28 +472,6 @@ func (at *instant) visible(n *Network, dd *dynDevice) bool {
 // lease, and so its record, at the instant.
 func (at *instant) lingers(end time.Time) bool {
 	return end.Before(at.t) && at.t.Sub(end) < at.lease
-}
-
-// OnlineAt reports whether the host at ip answers pings at t: in live mode
-// this tracks actual DHCP state; in snapshot mode it evaluates the schedule.
-// Static-block addresses with records count as always online.
-func (n *Network) OnlineAt(ip dnswire.IPv4, t time.Time) bool {
-	n.mu.Lock()
-	live := n.live != nil
-	online := n.onlineIP[ip]
-	n.mu.Unlock()
-	if live {
-		return online
-	}
-	if _, ok := n.staticRec[ip]; ok {
-		return true
-	}
-	d, ok := n.ipDevice[ip]
-	if !ok {
-		return false
-	}
-	local := t.In(n.cfg.Location)
-	return d.PresentAt(local, n.occupancyFor(midnight(local), n.arch[d.ID]))
 }
 
 // leaseEventFor fabricates the lease event a device's join produces, for
@@ -635,10 +593,6 @@ func (n *Network) buildStaticFormRecords(b Block) error {
 	}
 	return nil
 }
-
-// StaticRecordCount returns the number of static records (constant over
-// time).
-func (n *Network) StaticRecordCount() int { return len(n.staticRec) }
 
 // sortedBlockDevices returns the devices of a block in a stable order.
 func (n *Network) sortedBlockDevices(bi int) []*Device {

@@ -123,7 +123,7 @@ func TestRecordsAtMatchesPerDeviceReference(t *testing.T) {
 	}
 	var scripted, silent, releasing, occChanges, lingering int
 	for _, n := range u.Networks {
-		for _, d := range n.devices {
+		for _, d := range devices(n) {
 			if _, ok := d.Schedule.(*ScriptedScheduler); ok {
 				scripted++
 			}

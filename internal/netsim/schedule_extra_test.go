@@ -99,7 +99,7 @@ func TestRoamingBrianPlacement(t *testing.T) {
 	var ips []dnswire.IPv4
 	macs := map[string]bool{}
 	buildings := map[string]bool{}
-	for _, d := range n.Devices() {
+	for _, d := range devices(n) {
 		if d.HostName != "Brians-Galaxy-S10" {
 			continue
 		}
@@ -131,7 +131,7 @@ func TestHomeMBPOnISPA(t *testing.T) {
 	}
 	isp, _ := u.NetworkByName("ISP-A")
 	found := false
-	for _, d := range isp.Devices() {
+	for _, d := range devices(isp) {
 		if d.HostName == "Brians-MBP" {
 			found = true
 			// Present in the evening, absent at noon.
@@ -148,7 +148,7 @@ func TestHomeMBPOnISPA(t *testing.T) {
 		t.Fatal("Brians-MBP not planted on ISP-A")
 	}
 	// And no OTHER random Brian devices shadow it on ISP-A.
-	for _, d := range isp.Devices() {
+	for _, d := range devices(isp) {
 		if d.Owner == "brian" && d.HostName != "Brians-MBP" {
 			t.Fatalf("random brian device %q on ISP-A", d.HostName)
 		}
@@ -175,4 +175,31 @@ func TestCampusBlocksCarryBuildings(t *testing.T) {
 			t.Errorf("%s: no buildings in the numbering plan", name)
 		}
 	}
+}
+
+// PresentAt reports whether the device is on the network at t (local time),
+// given the occupancy factor for that day. Sessions may cross midnight, so
+// the previous day's schedule is consulted for spill-over (a student online
+// until 02:30 is present on the new day under the old day's session).
+//
+// The spill-over check evaluates yesterday's schedule at today's occupancy,
+// not yesterday's: on a day the occupancy changes (a holiday begins, a
+// COVID phase starts) yesterday's late sessions are redrawn under today's
+// regime, the quirk Network.RecordsAt keeps.
+func (d *Device) PresentAt(t time.Time, occupancy float64) bool {
+	date := midnight(t)
+	off := t.Sub(date)
+	for _, s := range d.Schedule.SessionsOn(date, occupancy) {
+		if off >= s.Start && off < s.End {
+			return true
+		}
+	}
+	prev := date.AddDate(0, 0, -1)
+	offPrev := off + 24*time.Hour
+	for _, s := range d.Schedule.SessionsOn(prev, occupancy) {
+		if offPrev >= s.Start && offPrev < s.End {
+			return true
+		}
+	}
+	return false
 }

@@ -64,21 +64,6 @@ func (t *Timeline) At(date time.Time) Occupancy {
 	return cur
 }
 
-// PhaseLabel returns the label of the phase active at date, "" if none.
-func (t *Timeline) PhaseLabel(date time.Time) string {
-	if t == nil {
-		return ""
-	}
-	label := ""
-	for _, p := range t.phases {
-		if p.Start.After(date) {
-			break
-		}
-		label = p.Label
-	}
-	return label
-}
-
 // Calendar marks days on which an archetype's presence is scaled (holiday
 // breaks, long weekends). Factors multiply with the timeline's.
 type Calendar struct {
@@ -109,20 +94,6 @@ func (c *Calendar) FactorOn(date time.Time, a Archetype) float64 {
 		}
 	}
 	return f
-}
-
-// LabelsOn returns the labels of calendar ranges covering date.
-func (c *Calendar) LabelsOn(date time.Time) []string {
-	if c == nil {
-		return nil
-	}
-	var out []string
-	for _, r := range c.ranges {
-		if !date.Before(r.from) && date.Before(r.to) {
-			out = append(out, r.label)
-		}
-	}
-	return out
 }
 
 // date is shorthand for a local-midnight time.

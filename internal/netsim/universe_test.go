@@ -227,7 +227,7 @@ func TestValidationCampusGroundTruth(t *testing.T) {
 		t.Fatalf("empty prefixes = %d, want 10", len(truth["empty"]))
 	}
 	// The dhcp-static prefixes must be fully populated with fixed names.
-	counts := n.CountRecordsAt(time.Date(2021, 1, 15, 13, 0, 0, 0, time.UTC))
+	counts := countRecordsAt(n, time.Date(2021, 1, 15, 13, 0, 0, 0, time.UTC))
 	for _, p := range truth["dhcp-static"] {
 		if counts[p] < 250 {
 			t.Fatalf("dhcp-static %v has %d records, want full pool", p, counts[p])
@@ -245,8 +245,8 @@ func TestUniverseCountsVaryDayToDayOnlyInDynamicBlocks(t *testing.T) {
 	n, _ := u.NetworkByName("Academic-A")
 	day1 := time.Date(2021, 2, 1, 13, 0, 0, 0, time.UTC) // Monday
 	day2 := time.Date(2021, 2, 6, 13, 0, 0, 0, time.UTC) // Saturday
-	c1 := n.CountRecordsAt(day1)
-	c2 := n.CountRecordsAt(day2)
+	c1 := countRecordsAt(n, day1)
+	c2 := countRecordsAt(n, day2)
 	edu, _ := EducationHousingSplit(n)
 	changed := false
 	for _, p := range edu {

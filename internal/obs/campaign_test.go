@@ -159,7 +159,7 @@ func TestConcurrentCaptureDuringSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry()
-	rec := obs.NewRecorder(reg, obs.WithCapacity(8))
+	rec := obs.NewRecorder(reg)
 	start := time.Date(2021, 1, 4, 0, 0, 0, 0, time.UTC)
 
 	done := make(chan struct{})
@@ -176,7 +176,6 @@ func TestConcurrentCaptureDuringSweep(t *testing.T) {
 				}
 				_ = rec.Frames()
 				_ = rec.Store().WriteJSONL(io.Discard)
-				_ = rec.Store().Dropped()
 			}
 		}()
 	}
@@ -191,10 +190,7 @@ func TestConcurrentCaptureDuringSweep(t *testing.T) {
 	close(done)
 	wg.Wait()
 
-	if got := rec.Store().Len(); got != 8 {
-		t.Fatalf("retained frames = %d, want ring cap 8", got)
-	}
-	if got := rec.Store().Dropped(); got != 4 {
-		t.Fatalf("dropped frames = %d, want 4 of 12", got)
+	if got := rec.Store().Len(); got != 12 {
+		t.Fatalf("retained frames = %d, want all 12", got)
 	}
 }

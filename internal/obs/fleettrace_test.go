@@ -96,7 +96,7 @@ func TestStitchFleetChains(t *testing.T) {
 
 	// The replica-served query joins the sync chain via the shared gen.
 	rc := chainFor(t, chains, corrs["replica-served"])
-	if !rc.QueryComplete() || !rc.ReplicaServed() {
+	if rc.Query == nil || rc.Daemon == nil || rc.Sync == nil {
 		t.Fatalf("replica-served chain incomplete: %+v", rc)
 	}
 	if g, ok := rc.Generation(); !ok || g != 2 {
@@ -114,8 +114,8 @@ func TestStitchFleetChains(t *testing.T) {
 
 	// The generation-1 query has no matching sync — still complete.
 	pc := chainFor(t, chains, corrs["primary-served"])
-	if !pc.QueryComplete() || pc.ReplicaServed() {
-		t.Fatalf("primary-served chain wrong: complete=%v replica=%v", pc.QueryComplete(), pc.ReplicaServed())
+	if pc.Query == nil || pc.Daemon == nil || pc.Sync != nil {
+		t.Fatalf("primary-served chain wrong: complete=%v sync=%v", pc.Query != nil && pc.Daemon != nil, pc.Sync != nil)
 	}
 	if g, ok := pc.Generation(); !ok || g != 1 {
 		t.Fatalf("primary-served generation = %d,%v, want 1", g, ok)
@@ -135,7 +135,7 @@ func TestStitchFleetChains(t *testing.T) {
 
 	// The sync chain itself stays in the output under its own corr.
 	sc := chainFor(t, chains, corrs["sync"])
-	if sc.Sync == nil || len(sc.Fetches) != 2 || sc.QueryComplete() {
+	if sc.Sync == nil || len(sc.Fetches) != 2 || (sc.Query != nil && sc.Daemon != nil) {
 		t.Fatalf("sync chain wrong: %+v", sc)
 	}
 	if line := sc.Render(); !strings.Contains(line, "sync via") {

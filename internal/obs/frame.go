@@ -79,14 +79,9 @@ type Frame struct {
 	// Recorder.SetStoreStats).
 	Store *StoreStats `json:"store,omitempty"`
 
-	// Replica carries a read replica's lag against its primary at capture
-	// time, when the process serves a snapshot-shipped store (see
-	// Recorder.SetReplicaStatus). Primaries leave it nil.
-	Replica *ReplicaStatus `json:"replica,omitempty"`
-
 	// Vantage carries the day's cross-vantage disagreement summary when
 	// the campaign ran several vantage points over the same universe
-	// (see Recorder.SetVantageStats and internal/vantage). Single-vantage
+	// (internal/vantage builds those frames). Single-vantage
 	// campaigns leave it nil.
 	Vantage *VantageStats `json:"vantage,omitempty"`
 }
@@ -118,23 +113,6 @@ type VantageStats struct {
 	// MeanCorroboration is the day's mean per-change corroboration
 	// score in [0,1] (1 when the day had no changes).
 	MeanCorroboration float64 `json:"mean_corroboration"`
-}
-
-// ReplicaStatus mirrors a replica daemon's lag report inside a frame —
-// a local copy (not rdnsclient.ReplicaStats) so obs stays import-free of
-// the serving layer; cmd/rdnsd converts between the two.
-type ReplicaStatus struct {
-	// Source is the primary's base URL.
-	Source string `json:"source"`
-	// BytesBehind is the feed bytes not yet synced locally; 0 means
-	// caught up as of the last sync.
-	BytesBehind int64 `json:"bytes_behind"`
-	// SnapshotsBehind is the snapshot-count gap against the primary's
-	// last advertised manifest.
-	SnapshotsBehind int `json:"snapshots_behind"`
-	// Syncs and SyncErrors count catch-up attempts.
-	Syncs      uint64 `json:"syncs"`
-	SyncErrors uint64 `json:"sync_errors,omitempty"`
 }
 
 // StoreStats mirrors the history store's summary inside a frame. It is a

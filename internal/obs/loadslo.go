@@ -77,17 +77,6 @@ type LoadRules struct {
 	MaxReplicaLagBytes int64 `json:"max_replica_lag_bytes,omitempty"`
 }
 
-// DefaultLoadRules is the shape cmd/rdnsload starts from: no hard
-// failures, 1% admission pushback, p95 within 1s and p99 within 2.5s.
-func DefaultLoadRules() LoadRules {
-	return LoadRules{
-		MaxErrorRate:  0,
-		MaxShedRate:   0.01,
-		MaxP95Seconds: 1.0,
-		MaxP99Seconds: 2.5,
-	}
-}
-
 // LoadVerdict is one sample's SLO evaluation.
 type LoadVerdict struct {
 	Label      string      `json:"label"`

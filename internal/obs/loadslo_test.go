@@ -14,10 +14,10 @@ func TestLoadRulesEvaluate(t *testing.T) {
 	}
 	samples := []LoadSample{
 		{Label: "at", Requests: 1000, Errors: 0, P50: 0.001, P95: 0.01, P99: 0.05},
-		{Label: "range", Requests: 1000, Errors: 50, P95: 0.1, P99: 0.2},           // error_rate 5%
-		{Label: "churn", Requests: 200, RateLimited: 20, Shed: 5, P99: 0.1},        // shed_rate 12.5%
-		{Label: "name", Requests: 100, P95: 0.9, P99: 3.0},                         // p95 + p99
-		{Label: "total", Requests: 2300, Errors: 50, RateLimited: 20, P99: 1.9},    // error_rate only
+		{Label: "range", Requests: 1000, Errors: 50, P95: 0.1, P99: 0.2},        // error_rate 5%
+		{Label: "churn", Requests: 200, RateLimited: 20, Shed: 5, P99: 0.1},     // shed_rate 12.5%
+		{Label: "name", Requests: 100, P95: 0.9, P99: 3.0},                      // p95 + p99
+		{Label: "total", Requests: 2300, Errors: 50, RateLimited: 20, P99: 1.9}, // error_rate only
 	}
 	rep := rules.EvaluateLoad(samples)
 	if rep.OK || rep.ViolatingSamples != 4 {
@@ -63,22 +63,8 @@ func TestLoadRulesDisabledAndZero(t *testing.T) {
 		t.Fatalf("zero MaxErrorRate did not gate: %+v", rep.Verdicts)
 	}
 	// No requests: rates are zero, nothing to violate.
-	empty := DefaultLoadRules()
+	empty := LoadRules{MaxShedRate: 0.01, MaxP95Seconds: 1, MaxP99Seconds: 2.5}
 	if rep := empty.EvaluateLoad([]LoadSample{{Label: "idle"}}); !rep.OK {
 		t.Fatalf("idle sample violated: %+v", rep.Verdicts)
-	}
-}
-
-func TestDefaultLoadRulesShape(t *testing.T) {
-	r := DefaultLoadRules()
-	if r.MaxErrorRate != 0 || r.MaxShedRate <= 0 || r.MaxP99Seconds <= r.MaxP95Seconds {
-		t.Fatalf("surprising defaults: %+v", r)
-	}
-	ok := LoadSample{Label: "total", Requests: 100, P95: 0.2, P99: 0.9}
-	if rep := r.EvaluateLoad([]LoadSample{ok}); !rep.OK {
-		t.Fatalf("healthy sample out of default SLO: %+v", rep.Verdicts)
-	}
-	if !strings.Contains(r.EvaluateLoad([]LoadSample{ok}).Summary(), "within SLO") {
-		t.Fatal("summary verdict missing")
 	}
 }

@@ -38,39 +38,17 @@ type Recorder struct {
 	// storeStats, when set, snapshots the campaign's history store for
 	// each frame (see SetStoreStats).
 	storeStats func() StoreStats
-	// replicaStatus, when set, snapshots the process's replication lag
-	// for each frame (see SetReplicaStatus).
-	replicaStatus func() *ReplicaStatus
-	// vantageStats, when set, supplies the cross-vantage disagreement
-	// summary for each frame (see SetVantageStats).
-	vantageStats func() *VantageStats
-}
-
-// RecorderOption tunes a Recorder.
-type RecorderOption func(*Recorder)
-
-// WithCapacity bounds the frame ring (default 4096).
-func WithCapacity(n int) RecorderOption {
-	return func(r *Recorder) { r.store = NewStore(n) }
-}
-
-// WithExcludedMetrics replaces the excluded-counter list (default
-// DefaultExcludedMetrics).
-func WithExcludedMetrics(names ...string) RecorderOption {
-	return func(r *Recorder) { r.exclude = names }
 }
 
 // NewRecorder creates a recorder over reg (which may be nil: frames then
-// carry snapshot fields only, no digests or deltas).
-func NewRecorder(reg *telemetry.Registry, opts ...RecorderOption) *Recorder {
+// carry snapshot fields only, no digests or deltas). Its ring holds 4096
+// frames and its digests and deltas leave out DefaultExcludedMetrics.
+func NewRecorder(reg *telemetry.Registry) *Recorder {
 	r := &Recorder{
 		reg:     reg,
 		store:   NewStore(0),
 		exclude: DefaultExcludedMetrics(),
 		prev:    make(map[string]uint64),
-	}
-	for _, o := range opts {
-		o(r)
 	}
 	r.skip = make(map[string]bool, len(r.exclude))
 	for _, n := range r.exclude {
@@ -94,34 +72,6 @@ func (r *Recorder) SetStoreStats(fn func() StoreStats) {
 	r.mu.Unlock()
 }
 
-// SetReplicaStatus attaches a replication-lag source: every frame
-// captured afterwards carries Frame.Replica with fn's result at capture
-// time (nil results leave the field unset, so primaries can attach a
-// source unconditionally). Safe on a nil recorder; fn nil detaches.
-func (r *Recorder) SetReplicaStatus(fn func() *ReplicaStatus) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.replicaStatus = fn
-	r.mu.Unlock()
-}
-
-// SetVantageStats attaches a cross-vantage disagreement source: every
-// frame captured afterwards carries Frame.Vantage with fn's result at
-// capture time (nil results, and frames that already carry vantage
-// stats, are left alone). internal/vantage sets this — or builds frames
-// directly and records them through Capture. Safe on a nil recorder; fn
-// nil detaches.
-func (r *Recorder) SetVantageStats(fn func() *VantageStats) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.vantageStats = fn
-	r.mu.Unlock()
-}
-
 // CaptureFrame records one campaign day: the snapshot summary plus the
 // registry digest and counter deltas since the previous capture. It
 // returns the captured frame. Safe on a nil recorder (returns the zero
@@ -131,8 +81,8 @@ func (r *Recorder) CaptureFrame(index int, date time.Time, snap *scanengine.Snap
 	return r.Capture(frameFromSnapshot(index, date, snap))
 }
 
-// Capture records a pre-built frame: the attached store/replica/vantage
-// sources fill their fields (where still unset), then the registry
+// Capture records a pre-built frame: the attached store source fills
+// Frame.Store (where still unset), then the registry
 // digest and counter deltas are stamped and the frame enters the ring.
 // It is the capture path for producers that assemble frame fields
 // themselves — internal/vantage's post-run day frames — and the body of
@@ -145,12 +95,6 @@ func (r *Recorder) Capture(f Frame) Frame {
 	if r.storeStats != nil && f.Store == nil {
 		ss := r.storeStats()
 		f.Store = &ss
-	}
-	if r.replicaStatus != nil && f.Replica == nil {
-		f.Replica = r.replicaStatus()
-	}
-	if r.vantageStats != nil && f.Vantage == nil {
-		f.Vantage = r.vantageStats()
 	}
 	r.mu.Unlock()
 	if r.reg != nil {

@@ -7,44 +7,6 @@ import (
 	"rdnsprivacy/internal/scanengine"
 )
 
-func TestReplicaStatusCapture(t *testing.T) {
-	r := NewRecorder(nil)
-	// No source attached: frames omit the replica block.
-	if f := r.CaptureFrame(0, day(0), nil); f.Replica != nil {
-		t.Fatalf("replica status without a source: %+v", f.Replica)
-	}
-	// A source returning nil (a primary with nothing to report) leaves
-	// the field unset, so daemons can attach one unconditionally.
-	r.SetReplicaStatus(func() *ReplicaStatus { return nil })
-	if f := r.CaptureFrame(1, day(1), nil); f.Replica != nil {
-		t.Fatalf("nil status captured: %+v", f.Replica)
-	}
-	calls := 0
-	r.SetReplicaStatus(func() *ReplicaStatus {
-		calls++
-		return &ReplicaStatus{Source: "http://primary:8077", BytesBehind: int64(calls), Syncs: 3}
-	})
-	f1 := r.CaptureFrame(2, day(2), nil)
-	f2 := r.CaptureFrame(3, day(3), nil)
-	if f1.Replica == nil || f2.Replica == nil {
-		t.Fatal("frames missing replica status")
-	}
-	// Each capture re-queries the source; the reports are independent.
-	if f1.Replica.BytesBehind != 1 || f2.Replica.BytesBehind != 2 || f1.Replica == f2.Replica {
-		t.Fatalf("replica reports: %+v then %+v", f1.Replica, f2.Replica)
-	}
-	if f1.Replica.Source != "http://primary:8077" || f1.Replica.Syncs != 3 {
-		t.Fatalf("replica fields: %+v", f1.Replica)
-	}
-	// Detaching stops the captures; a nil recorder accepts the call.
-	r.SetReplicaStatus(nil)
-	if f := r.CaptureFrame(4, day(4), nil); f.Replica != nil {
-		t.Fatalf("replica status after detach: %+v", f.Replica)
-	}
-	var nilRec *Recorder
-	nilRec.SetReplicaStatus(func() *ReplicaStatus { return &ReplicaStatus{} })
-}
-
 func TestFrameFromSnapshotHealth(t *testing.T) {
 	degraded := dnswire.MustPrefix("10.9.0.0/24")
 	snap := &scanengine.Snapshot{

@@ -13,13 +13,12 @@ import (
 func Hex16(v uint64) string { return fmt.Sprintf("%016x", v) }
 
 // Store is a ring-bounded frame series: one Frame per campaign day,
-// oldest evicted (and counted) past capacity. Safe for concurrent use —
+// oldest evicted past capacity. Safe for concurrent use —
 // a live sweep can capture frames while an exporter or test reads them.
 type Store struct {
-	mu      sync.Mutex
-	cap     int
-	frames  []Frame
-	dropped uint64
+	mu     sync.Mutex
+	cap    int
+	frames []Frame
 }
 
 // NewStore creates a store holding at most capacity frames (<= 0 means
@@ -38,7 +37,6 @@ func (s *Store) Add(f Frame) {
 	s.frames = append(s.frames, f)
 	if over := len(s.frames) - s.cap; over > 0 {
 		s.frames = append(s.frames[:0], s.frames[over:]...)
-		s.dropped += uint64(over)
 	}
 }
 
@@ -54,13 +52,6 @@ func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.frames)
-}
-
-// Dropped returns how many frames the ring has evicted.
-func (s *Store) Dropped() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dropped
 }
 
 // WriteJSONL dumps the retained frames as one JSON object per line — the

@@ -65,18 +65,6 @@ func (c Chain) Complete() bool {
 	return c.Client != nil && len(c.Hops) > 0 && c.Server != nil
 }
 
-// QueryComplete reports a stitched client→daemon API chain: the
-// originating rdnsclient span and the daemon span that answered it.
-func (c Chain) QueryComplete() bool {
-	return c.Query != nil && c.Daemon != nil
-}
-
-// ReplicaServed reports whether the chain continues through the
-// replication sync that delivered the data the query read.
-func (c Chain) ReplicaServed() bool {
-	return c.QueryComplete() && c.Sync != nil
-}
-
 // Generation returns the store generation stamped on the chain's daemon
 // spans ("gen" events; ok false when none — a rejected request, or an
 // untraced store phase).

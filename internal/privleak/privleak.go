@@ -39,12 +39,8 @@ type Config struct {
 	GivenNames []string
 }
 
-// PaperConfig returns the thresholds of the paper, for full-scale data.
-func PaperConfig() Config {
-	return Config{MinUniqueNames: 50, MinRatio: 0.1, GivenNames: names.Top50}
-}
-
-// ScaledConfig returns thresholds adjusted for the 1/100-scale universe:
+// ScaledConfig returns the paper's thresholds (50 unique names, ratio 0.1,
+// for full-scale data) adjusted for the 1/100-scale universe:
 // populations are 100x smaller, so the unique-name floor shrinks
 // proportionally in spirit (not strictly linearly — name collisions do not
 // scale linearly; 18 distinct top-50 names in a small network is already

@@ -286,8 +286,8 @@ func TestReloadScrapeRace(t *testing.T) {
 	close(stop)
 	wg.Wait()
 
-	if srv.Generation() != 10 {
-		t.Fatalf("generation %d, want 10", srv.Generation())
+	if srv.StatsSnapshot().Generation != 10 {
+		t.Fatalf("generation %d, want 10", srv.StatsSnapshot().Generation)
 	}
 	if e := reg.Counter(metricQueryErrors).Value(); e != 0 {
 		t.Fatalf("%s = %d after reload churn, want 0", metricQueryErrors, e)

@@ -154,16 +154,6 @@ func (l *QueryLog) Snapshot() []QueryLogEntry {
 	return snapshotRing(l.ring, l.next, l.full)
 }
 
-// SlowSnapshot copies the buffered slow entries, oldest first.
-func (l *QueryLog) SlowSnapshot() []QueryLogEntry {
-	if l == nil {
-		return nil
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return snapshotRing(l.slow, l.snext, l.sfull)
-}
-
 func snapshotRing(ring []QueryLogEntry, next int, full bool) []QueryLogEntry {
 	if ring == nil {
 		return nil

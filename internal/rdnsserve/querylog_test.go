@@ -138,3 +138,13 @@ func TestCorrFromHeader(t *testing.T) {
 		}
 	}
 }
+
+// SlowSnapshot copies the buffered slow entries, oldest first.
+func (l *QueryLog) SlowSnapshot() []QueryLogEntry {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return snapshotRing(l.slow, l.snext, l.sfull)
+}

@@ -112,8 +112,8 @@ func TestHotReloadNoDroppedQueries(t *testing.T) {
 	if err := json.Unmarshal(rec.Body.Bytes(), &dr); err != nil || dr.Count != 10+reloads {
 		t.Fatalf("final days: %s (err %v), want count %d", rec.Body, err, 10+reloads)
 	}
-	if srv.Generation() != reloads {
-		t.Fatalf("generation %d, want %d", srv.Generation(), reloads)
+	if srv.StatsSnapshot().Generation != reloads {
+		t.Fatalf("generation %d, want %d", srv.StatsSnapshot().Generation, reloads)
 	}
 
 	// Zero errors, zero cancellations: nothing was dropped by the swaps.

@@ -71,8 +71,8 @@ func TestReplManifestEndpoint(t *testing.T) {
 	srv, st := replFixture(t, Config{})
 	fm := replManifestOf(t, srv.Handler())
 
-	if fm.Generation != srv.Generation() {
-		t.Fatalf("manifest generation %d, server says %d", fm.Generation, srv.Generation())
+	if fm.Generation != srv.StatsSnapshot().Generation {
+		t.Fatalf("manifest generation %d, server says %d", fm.Generation, srv.StatsSnapshot().Generation)
 	}
 	if fm.Snapshots != 6 || fm.BaseInterval != 4 {
 		t.Fatalf("manifest shape: %+v", fm)

@@ -141,9 +141,6 @@ func New(st *histstore.Store, cfg Config) *Server {
 // daemon to expose at /querylog and dump at shutdown.
 func (s *Server) QueryLog() *QueryLog { return s.qlog }
 
-// Generation reports how many reloads have completed.
-func (s *Server) Generation() int64 { return s.gen.Load() }
-
 // Reload opens a fresh store via the configured Reopen and swaps it in.
 // In-flight queries finish on the old handle, which closes when the last
 // of them releases it; no query is dropped or errored by the swap.

@@ -154,11 +154,11 @@ func TestV1Endpoints(t *testing.T) {
 		if queries == 0 {
 			t.Fatal("query counter did not move")
 		}
-		if reg.Histogram(metricQuerySeconds, nil).Count() != queries {
+		if reg.Histogram(metricQuerySeconds, nil).Snapshot().Count != queries {
 			t.Fatalf("latency histogram count %d != queries %d",
-				reg.Histogram(metricQuerySeconds, nil).Count(), queries)
+				reg.Histogram(metricQuerySeconds, nil).Snapshot().Count, queries)
 		}
-		if reg.Histogram(metricQuerySeconds+`{endpoint="at"}`, nil).Count() == 0 {
+		if reg.Histogram(metricQuerySeconds+`{endpoint="at"}`, nil).Snapshot().Count == 0 {
 			t.Fatal("per-endpoint histogram dead")
 		}
 	})

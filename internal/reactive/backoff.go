@@ -66,9 +66,6 @@ func (b *Backoff) Next() (time.Duration, bool) {
 	return 0, false
 }
 
-// Reset rewinds the walk to the start of the schedule.
-func (b *Backoff) Reset() { b.step, b.used = 0, 0 }
-
 // ScheduleString renders the schedule in Table 2's shape, for reports.
 func ScheduleString(steps []BackoffStep) string {
 	var sb strings.Builder

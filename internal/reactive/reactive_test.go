@@ -321,3 +321,6 @@ func TestHourlyActivityTracksDiurnalPattern(t *testing.T) {
 		t.Fatalf("activity at 10:00 (%d) not above 04:00 (%d)", at(10), at(4))
 	}
 }
+
+// Reset rewinds the walk to the start of the schedule.
+func (b *Backoff) Reset() { b.step, b.used = 0, 0 }

@@ -145,14 +145,6 @@ func (y *Syncer) Status() *rdnsclient.ReplicaStats {
 	return &st
 }
 
-// Synced reports whether at least one sync has committed, i.e. the local
-// directory holds an openable store generation.
-func (y *Syncer) Synced() bool {
-	y.statMu.Lock()
-	defer y.statMu.Unlock()
-	return y.synced
-}
-
 // Sync pulls the primary's current file set into the local directory and
 // commits it, returning whether anything changed (the caller should swap
 // its serving handle onto the new generation when it did). A primary
@@ -501,14 +493,6 @@ func (y *Syncer) cleanup(m rdnsclient.ReplManifest) {
 			os.Remove(filepath.Join(y.dir, name))
 		}
 	}
-}
-
-// Open opens the synced local store read-only, with opts applied after
-// the read-only default — the store a replica daemon serves. It fails
-// with histstore.ErrNoStore before the first committed sync.
-func (y *Syncer) Open(opts ...histstore.Option) (*histstore.Store, error) {
-	all := append([]histstore.Option{histstore.WithReadOnly()}, opts...)
-	return histstore.Open(y.dir, all...)
 }
 
 // Status bookkeeping.

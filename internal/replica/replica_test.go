@@ -148,8 +148,8 @@ func compareStores(tb testing.TB, p, r *histstore.Store, blocks int) {
 		}
 		jsonEq(tb, fmt.Sprintf("range %s", p24), rowsP, rowsR)
 
-		churnP, errP := p.Churn(p24, from, to)
-		churnR, errR := r.Churn(p24, from, to)
+		churnP, errP := p.ChurnContext(context.Background(), p24, from, to)
+		churnR, errR := r.ChurnContext(context.Background(), p24, from, to)
 		if errP != nil || errR != nil {
 			tb.Fatalf("churn %s: primary err %v, replica err %v", p24, errP, errR)
 		}
@@ -654,4 +654,20 @@ func TestReplicaConfig(t *testing.T) {
 	if _, err := y.Open(); err == nil {
 		t.Fatal("Open succeeded before any committed sync")
 	}
+}
+
+// Synced reports whether at least one sync has committed, i.e. the local
+// directory holds an openable store generation.
+func (y *Syncer) Synced() bool {
+	y.statMu.Lock()
+	defer y.statMu.Unlock()
+	return y.synced
+}
+
+// Open opens the synced local store read-only, with opts applied after
+// the read-only default — the store a replica daemon serves. It fails
+// with histstore.ErrNoStore before the first committed sync.
+func (y *Syncer) Open(opts ...histstore.Option) (*histstore.Store, error) {
+	all := append([]histstore.Option{histstore.WithReadOnly()}, opts...)
+	return histstore.Open(y.dir, all...)
 }

@@ -210,7 +210,7 @@ func TestReplicaSoakRace(t *testing.T) {
 	if p := firstErr.Load(); p != nil {
 		t.Fatalf("soak failed: %v", *p)
 	}
-	if rs.srv.Generation() == 0 {
+	if rs.srv.StatsSnapshot().Generation == 0 {
 		t.Fatal("replica never swapped a generation during the soak")
 	}
 
@@ -332,7 +332,7 @@ func TestReplicaChaosConvergence(t *testing.T) {
 		rep := openReplica(t, rs.y)
 		compareStores(t, primary, rep, blocks)
 		rep.Close()
-		if rs.srv.Generation() == 0 {
+		if rs.srv.StatsSnapshot().Generation == 0 {
 			t.Fatalf("replica %d never swapped a generation", i)
 		}
 	}

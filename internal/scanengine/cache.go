@@ -80,24 +80,3 @@ func (c *negCache) put(ip dnswire.IPv4) {
 		}
 	}
 }
-
-// Len reports the number of live entries (test hook; counts expired
-// entries that have not been swept yet as dead).
-func (c *negCache) Len() int {
-	if c == nil {
-		return 0
-	}
-	now := c.clock.Now()
-	n := 0
-	for i := range c.shard {
-		s := &c.shard[i]
-		s.mu.Lock()
-		for _, v := range s.until {
-			if !now.After(v) {
-				n++
-			}
-		}
-		s.mu.Unlock()
-	}
-	return n
-}

@@ -181,7 +181,7 @@ func TestMidShardCancellationConcurrentConsumers(t *testing.T) {
 			if got := len(out2.snap.Records); got != 256 {
 				t.Fatalf("queued sweep found %d records, want 256", got)
 			}
-			if sc.Previous() == nil {
+			if sc.prev == nil {
 				t.Fatal("complete queued sweep must become the diff baseline")
 			}
 

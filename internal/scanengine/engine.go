@@ -425,14 +425,6 @@ func (s *Scanner) appendRemovals(changes []Change, snap *Snapshot, baseline Reco
 	return changes
 }
 
-// Previous returns the record set of the last complete sweep (nil before
-// the first), the baseline for the next sweep's incremental diff.
-func (s *Scanner) Previous() RecordSet {
-	s.scanMu.Lock()
-	defer s.scanMu.Unlock()
-	return s.prev
-}
-
 // flushEvery is how many probes a shard books between flushes of its row
 // to the registry: the /24 boundary, so /metrics stays live inside a /16
 // shard without the hot path touching a shared counter per probe.

@@ -179,7 +179,7 @@ func TestCancelledSweepReturnsPartialSnapshot(t *testing.T) {
 	if snap.Changes != nil {
 		t.Fatal("partial sweep must not infer changes")
 	}
-	if sc.Previous() != nil {
+	if sc.prev != nil {
 		t.Fatal("partial sweep must not become the diff baseline")
 	}
 }
@@ -416,27 +416,23 @@ func (s *bulkSource) ScanShard(ctx context.Context, shard dnswire.Prefix, at tim
 	return ctx.Err()
 }
 
-func TestDiffRecords(t *testing.T) {
-	prev := RecordSet{
-		dnswire.MustIPv4("10.0.0.1"): dnswire.MustName("a.example.org"),
-		dnswire.MustIPv4("10.0.0.2"): dnswire.MustName("b.example.org"),
+// Len reports the number of live entries (counts expired
+// entries that have not been swept yet as dead).
+func (c *negCache) Len() int {
+	if c == nil {
+		return 0
 	}
-	cur := RecordSet{
-		dnswire.MustIPv4("10.0.0.2"): dnswire.MustName("b2.example.org"),
-		dnswire.MustIPv4("10.0.0.3"): dnswire.MustName("c.example.org"),
-	}
-	got := DiffRecords(prev, cur)
-	want := []Change{
-		{Kind: RecordRemoved, IP: dnswire.MustIPv4("10.0.0.1"), Old: dnswire.MustName("a.example.org")},
-		{Kind: RecordChanged, IP: dnswire.MustIPv4("10.0.0.2"), Old: dnswire.MustName("b.example.org"), New: dnswire.MustName("b2.example.org")},
-		{Kind: RecordAdded, IP: dnswire.MustIPv4("10.0.0.3"), New: dnswire.MustName("c.example.org")},
-	}
-	if len(got) != len(want) {
-		t.Fatalf("diff = %+v", got)
-	}
-	for i, w := range want {
-		if got[i] != w {
-			t.Errorf("diff[%d] = %+v, want %+v", i, got[i], w)
+	now := c.clock.Now()
+	n := 0
+	for i := range c.shard {
+		s := &c.shard[i]
+		s.mu.Lock()
+		for _, v := range s.until {
+			if !now.After(v) {
+				n++
+			}
 		}
+		s.mu.Unlock()
 	}
+	return n
 }

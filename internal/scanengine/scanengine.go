@@ -80,29 +80,6 @@ type Change struct {
 	New dnswire.Name
 }
 
-// DiffRecords compares two snapshots and returns the deltas, sorted by
-// address. The Scanner computes the same deltas incrementally during a
-// sweep; this function serves consumers that hold two materialized sets.
-func DiffRecords(prev, cur RecordSet) []Change {
-	var out []Change
-	for ip, oldName := range prev {
-		newName, ok := cur[ip]
-		switch {
-		case !ok:
-			out = append(out, Change{Kind: RecordRemoved, IP: ip, Old: oldName})
-		case newName != oldName:
-			out = append(out, Change{Kind: RecordChanged, IP: ip, Old: oldName, New: newName})
-		}
-	}
-	for ip, newName := range cur {
-		if _, ok := prev[ip]; !ok {
-			out = append(out, Change{Kind: RecordAdded, IP: ip, New: newName})
-		}
-	}
-	sortChanges(out)
-	return out
-}
-
 func sortChanges(out []Change) {
 	sort.Slice(out, func(i, j int) bool {
 		if out[i].IP != out[j].IP {

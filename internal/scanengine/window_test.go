@@ -132,7 +132,7 @@ func TestWindowPathTimesEveryProbe(t *testing.T) {
 	if len(src.windows) != 128/Window {
 		t.Fatalf("%d windows, want %d", len(src.windows), 128/Window)
 	}
-	if got := reg.Histogram(MetricProbeSeconds, telemetry.DefaultLatencyBuckets()).Count(); got != snap.Stats.Probes {
+	if got := reg.Histogram(MetricProbeSeconds, telemetry.DefaultLatencyBuckets()).Snapshot().Count; got != snap.Stats.Probes {
 		t.Errorf("scan_probe_seconds holds %d observations for %d probes", got, snap.Stats.Probes)
 	}
 }

@@ -114,7 +114,14 @@ func TestQuantileExemplarFallback(t *testing.T) {
 	if ex, ok := s.QuantileExemplar(0.99); !ok || ex.Corr != 13 {
 		t.Fatalf("overflow quantile exemplar = %+v, %v; want corr 13", ex, ok)
 	}
-	if h4.Count() != 1 || h4.Sum() != 100 {
-		t.Fatalf("count %d sum %g, want 1 and 100", h4.Count(), h4.Sum())
+	if h4.Snapshot().Count != 1 || h4.Sum() != 100 {
+		t.Fatalf("count %d sum %g, want 1 and 100", h4.Snapshot().Count, h4.Sum())
 	}
+}
+
+// Addr returns the bound address ("" before Start).
+func (e *Exporter) Addr() string {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.addr
 }

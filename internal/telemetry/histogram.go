@@ -54,16 +54,6 @@ func DefaultLatencyBuckets() []float64 {
 	}
 }
 
-// DepthBuckets is a small linear bucket set for discrete depth-like values
-// (zone-walk label depth, attempt counts).
-func DepthBuckets(max int) []float64 {
-	out := make([]float64, 0, max)
-	for i := 1; i <= max; i++ {
-		out = append(out, float64(i))
-	}
-	return out
-}
-
 func newHistogram(bounds []float64) *Histogram {
 	if len(bounds) == 0 {
 		bounds = DefaultLatencyBuckets()
@@ -135,18 +125,6 @@ func (h *Histogram) addSum(v float64) {
 			return
 		}
 	}
-}
-
-// Count returns the number of observations, derived from the buckets.
-func (h *Histogram) Count() uint64 {
-	if h == nil {
-		return 0
-	}
-	n := uint64(0)
-	for i := range h.counts {
-		n += h.counts[i].Load()
-	}
-	return n + h.over.Load()
 }
 
 // Sum returns the running sum of observed values.

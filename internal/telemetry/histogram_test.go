@@ -137,16 +137,3 @@ func TestQuantileEdgeCases(t *testing.T) {
 		t.Errorf("q=2 must clamp to the max estimate, got %g", got)
 	}
 }
-
-func TestDepthBuckets(t *testing.T) {
-	b := DepthBuckets(4)
-	want := []float64{1, 2, 3, 4}
-	if len(b) != len(want) {
-		t.Fatalf("len = %d, want %d", len(b), len(want))
-	}
-	for i := range want {
-		if b[i] != want[i] {
-			t.Errorf("bucket %d = %g, want %g", i, b[i], want[i])
-		}
-	}
-}

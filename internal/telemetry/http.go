@@ -185,13 +185,6 @@ func (e *Exporter) Start(addr string) (string, error) {
 	return e.addr, nil
 }
 
-// Addr returns the bound address ("" before Start).
-func (e *Exporter) Addr() string {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.addr
-}
-
 // Close shuts the server down and waits for the serve goroutine to exit.
 // Safe to call without Start, and safe to call twice.
 func (e *Exporter) Close() error {

@@ -36,7 +36,7 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	g.Set(3)
 	g.Add(-1)
 	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
+	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
 		t.Fatal("nil instruments must read zero")
 	}
 	if h.Quantile(0.5) != 0 {

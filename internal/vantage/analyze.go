@@ -136,25 +136,6 @@ func (r *Report) Digest() string {
 	return obs.Hex16(h.Sum64())
 }
 
-// Transition is one reference-view PTR change annotated with which
-// vantages corroborated it — the casestudy surface: an entry-series
-// transition a single lossy vantage saw is an artifact, one every
-// vantage confirms is churn.
-type Transition struct {
-	Date time.Time    `json:"date"`
-	IP   dnswire.IPv4 `json:"ip"`
-	// Kind is "added", "removed", or "changed".
-	Kind string `json:"kind"`
-	// Old and New are the names before and after (empty on add/remove).
-	Old dnswire.Name `json:"old,omitempty"`
-	New dnswire.Name `json:"new,omitempty"`
-	// CorroboratedBy lists the vantages whose own views confirmed the
-	// post-change state within the lag window, sorted; Score is that
-	// fraction of all vantages.
-	CorroboratedBy []string `json:"corroborated_by,omitempty"`
-	Score          float64  `json:"score"`
-}
-
 // analyzer carries the per-writer views and the day axis through a run.
 type analyzer struct {
 	names []string
@@ -221,7 +202,7 @@ func Analyze(st *histstore.Store, cfg Config) (*Report, error) {
 	}
 	corroSum := make([]float64, len(a.days))
 	for _, p := range st.Blocks() {
-		if err := a.analyzeBlock(p, rep, corroSum, nil); err != nil {
+		if err := a.analyzeBlock(p, rep, corroSum); err != nil {
 			return nil, err
 		}
 	}
@@ -229,45 +210,8 @@ func Analyze(st *histstore.Store, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// Transitions lists the reference view's PTR changes within prefix p
-// (the zero Prefix means everywhere), each annotated with its
-// corroborating vantages — the input casestudy uses to annotate entry
-// series. Order is day-major, then address.
-func Transitions(st *histstore.Store, p dnswire.Prefix, cfg Config) ([]Transition, error) {
-	a, err := newAnalyzer(st, cfg)
-	if err != nil {
-		return nil, err
-	}
-	rep := &Report{Days: make([]DayReport, len(a.days))}
-	for k := range a.days {
-		rep.Days[k].Vantages = make([]VantageTally, len(a.names))
-	}
-	corroSum := make([]float64, len(a.days))
-	perDay := make([][]Transition, len(a.days))
-	for _, block := range st.Blocks() {
-		if p != (dnswire.Prefix{}) && !p.Overlaps(block) {
-			continue
-		}
-		err := a.analyzeBlock(block, rep, corroSum, func(k int, tr Transition) {
-			if p == (dnswire.Prefix{}) || p.Contains(tr.IP) {
-				perDay[k] = append(perDay[k], tr)
-			}
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	var out []Transition
-	for _, trs := range perDay {
-		sort.Slice(trs, func(i, j int) bool { return trs[i].IP.Uint32() < trs[j].IP.Uint32() })
-		out = append(out, trs...)
-	}
-	return out, nil
-}
-
-// analyzeBlock folds one /24's classifications into the report. The
-// emit hook, when set, receives every reference transition in the block.
-func (a *analyzer) analyzeBlock(p dnswire.Prefix, rep *Report, corroSum []float64, emit func(int, Transition)) error {
+// analyzeBlock folds one /24's classifications into the report.
+func (a *analyzer) analyzeBlock(p dnswire.Prefix, rep *Report, corroSum []float64) error {
 	W, D := len(a.views), len(a.days)
 
 	// Every writer's block state on every day. BlockAt returns a private
@@ -419,19 +363,16 @@ func (a *analyzer) analyzeBlock(p dnswire.Prefix, rep *Report, corroSum []float6
 			if hadOld == hasNew && oldName == newName {
 				continue
 			}
-			kind := "changed"
 			switch {
 			case !hadOld:
-				kind = "added"
 				day.Added++
 			case !hasNew:
-				kind = "removed"
 				day.Removed++
 			default:
 				day.Changed++
 			}
 			day.Changes++
-			var by []string
+			by := 0
 			for i := 0; i < W; i++ {
 				confirmed := false
 				for j := k; j <= k+a.lag && j < D; j++ {
@@ -442,22 +383,13 @@ func (a *analyzer) analyzeBlock(p dnswire.Prefix, rep *Report, corroSum []float6
 					}
 				}
 				if confirmed {
-					by = append(by, a.names[i])
+					by++
 					day.Vantages[i].Corroborated++
 				}
 			}
-			score := float64(len(by)) / float64(W)
-			corroSum[k] += score
-			if len(by) == W {
+			corroSum[k] += float64(by) / float64(W)
+			if by == W {
 				day.FullyCorroborated++
-			}
-			if emit != nil {
-				ip := dnswire.IPv4{p.Addr[0], p.Addr[1], p.Addr[2], oct}
-				emit(k, Transition{
-					Date: a.days[k], IP: ip, Kind: kind,
-					Old: oldName, New: newName,
-					CorroboratedBy: by, Score: score,
-				})
 			}
 		}
 	}

@@ -295,7 +295,7 @@ func TestVantageCampaignRace(t *testing.T) {
 					t.Errorf("writer %s: %d snapshots, want 8", w, len(times))
 					return
 				}
-				for _, p := range v.Blocks() {
+				for _, p := range ro.Blocks() {
 					if _, err := v.BlockAt(p, times[len(times)-1]); err != nil {
 						t.Error(err)
 						return
@@ -313,70 +313,6 @@ func TestVantageCampaignRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-}
-
-// TestTransitions checks the casestudy surface: transitions are in
-// day-then-address order, scores match the vantage sets, and restricting
-// by prefix filters rows.
-func TestTransitions(t *testing.T) {
-	dir := t.TempDir()
-	start := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
-	res, err := vantage.Run(t.Context(), vantage.Campaign{
-		Universe:  testUniverse(t, 11),
-		Start:     start,
-		End:       start.AddDate(0, 0, 4),
-		Cadence:   scan.Daily,
-		Workers:   4,
-		Vantages:  threeVantages(11),
-		StoreDir:  dir,
-		LagWindow: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ro, err := histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	trs, err := vantage.Transitions(ro, dnswire.Prefix{}, vantage.Config{LagWindow: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(trs) != res.Report.Totals.Changes {
-		t.Fatalf("transitions = %d, want report total %d", len(trs), res.Report.Totals.Changes)
-	}
-	for i, tr := range trs {
-		if tr.Score < 0 || tr.Score > 1 {
-			t.Fatalf("transition %d score %v out of range", i, tr.Score)
-		}
-		if float64(len(tr.CorroboratedBy))/3 != tr.Score {
-			t.Fatalf("transition %d: score %v does not match %d corroborators",
-				i, tr.Score, len(tr.CorroboratedBy))
-		}
-		if i > 0 && trs[i-1].Date.After(tr.Date) {
-			t.Fatalf("transition %d out of date order", i)
-		}
-		if i > 0 && trs[i-1].Date.Equal(tr.Date) && trs[i-1].IP.Uint32() >= tr.IP.Uint32() {
-			t.Fatalf("transition %d out of address order", i)
-		}
-	}
-	// Prefix restriction: one /24's transitions are exactly the full
-	// list filtered to it.
-	p := trs[0].IP.Slash24()
-	sub, err := vantage.Transitions(ro, p, vantage.Config{LagWindow: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int
-	for _, tr := range trs {
-		if p.Contains(tr.IP) {
-			want++
-		}
-	}
-	if len(sub) != want {
-		t.Fatalf("prefix transitions = %d, want %d", len(sub), want)
-	}
 }
 
 // TestCampaignValidation covers the orchestrator's rejection paths.
