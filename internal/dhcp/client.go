@@ -147,12 +147,13 @@ func (c *Client) Leave() error {
 			Type:     dhcpwire.Release,
 			ServerID: c.server.cfg.ServerIP,
 		}
-		wire, err := release.Marshal()
+		var req [maxMessage]byte
+		wire, err := release.AppendTo(req[:0])
 		if err != nil {
 			return err
 		}
 		// RELEASE gets no reply.
-		if _, err := c.server.Receive(wire); err != nil {
+		if _, err := c.server.Receive(wire, nil); err != nil {
 			return err
 		}
 	}
@@ -206,13 +207,20 @@ func (c *Client) scheduleRenewalLocked() {
 	c.renewal = c.clock.AfterFunc(c.lease/2, c.renew)
 }
 
-// exchange marshals a request, hands it to the server, and parses the reply.
+// maxMessage is the DHCP message every client must accept (RFC 2131
+// §2), and the size of the buffers exchange encodes into.
+const maxMessage = 576
+
+// exchange marshals a request, hands it to the server, and parses the
+// reply. Both are encoded into buffers on this stack: the server keeps
+// neither, and Parse copies out what it returns.
 func (c *Client) exchange(msg *dhcpwire.Message) (*dhcpwire.Message, error) {
-	wire, err := msg.Marshal()
+	var req, rep [maxMessage]byte
+	wire, err := msg.AppendTo(req[:0])
 	if err != nil {
 		return nil, err
 	}
-	reply, err := c.server.Receive(wire)
+	reply, err := c.server.Receive(wire, rep[:0])
 	if err != nil {
 		return nil, err
 	}

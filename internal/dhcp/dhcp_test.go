@@ -264,7 +264,7 @@ func TestRejoinAfterExpiry(t *testing.T) {
 
 func TestServerRejectsMalformed(t *testing.T) {
 	srv, _, _ := newServerEnv(t, time.Hour)
-	if _, err := srv.Receive([]byte{1, 2, 3}); !errors.Is(err, ErrMalformed) {
+	if _, err := srv.Receive([]byte{1, 2, 3}, nil); !errors.Is(err, ErrMalformed) {
 		t.Fatalf("err = %v, want ErrMalformed", err)
 	}
 }
@@ -276,8 +276,8 @@ func TestRequestForForeignServerIgnored(t *testing.T) {
 		RequestedIP: dnswire.MustIPv4("192.0.2.10"),
 		ServerID:    dnswire.MustIPv4("203.0.113.1"),
 	}
-	wire, _ := req.Marshal()
-	if _, err := srv.Receive(wire); !errors.Is(err, ErrNotForUs) {
+	wire, _ := req.AppendTo(nil)
+	if _, err := srv.Receive(wire, nil); !errors.Is(err, ErrNotForUs) {
 		t.Fatalf("err = %v, want ErrNotForUs", err)
 	}
 }
@@ -293,8 +293,8 @@ func TestNAKForTakenAddress(t *testing.T) {
 		XID: 5, CHAddr: mac(2), Type: dhcpwire.Request,
 		RequestedIP: ip, ServerID: dnswire.MustIPv4("192.0.2.1"),
 	}
-	wire, _ := req.Marshal()
-	reply, err := srv.Receive(wire)
+	wire, _ := req.AppendTo(nil)
+	reply, err := srv.Receive(wire, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

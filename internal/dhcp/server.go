@@ -183,9 +183,10 @@ func (s *Server) Prebind(ch dhcpwire.HardwareAddr, ip dnswire.IPv4) {
 	s.sticky[ch] = ip
 }
 
-// Receive processes one wire-format client message and returns the
-// wire-format reply, or nil when the protocol calls for no reply (RELEASE).
-func (s *Server) Receive(buf []byte) ([]byte, error) {
+// Receive processes one wire-format client message and appends the
+// wire-format reply to reply, returning nil when the protocol calls for no
+// reply (RELEASE). The server keeps neither buffer.
+func (s *Server) Receive(buf, reply []byte) ([]byte, error) {
 	msg, err := dhcpwire.Parse(buf)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrMalformed, err)
@@ -195,9 +196,9 @@ func (s *Server) Receive(buf []byte) ([]byte, error) {
 	}
 	switch msg.Type {
 	case dhcpwire.Discover:
-		return s.handleDiscover(msg)
+		return s.handleDiscover(msg, reply)
 	case dhcpwire.Request:
-		return s.handleRequest(msg)
+		return s.handleRequest(msg, reply)
 	case dhcpwire.Release:
 		s.handleRelease(msg)
 		return nil, nil
@@ -206,7 +207,7 @@ func (s *Server) Receive(buf []byte) ([]byte, error) {
 	}
 }
 
-func (s *Server) handleDiscover(msg *dhcpwire.Message) ([]byte, error) {
+func (s *Server) handleDiscover(msg *dhcpwire.Message, reply []byte) ([]byte, error) {
 	s.mu.Lock()
 	s.stats.Discovers++
 	ip, ok := s.pickAddressLocked(msg.CHAddr, msg.RequestedIP)
@@ -226,10 +227,10 @@ func (s *Server) handleDiscover(msg *dhcpwire.Message) ([]byte, error) {
 		LeaseTime: s.cfg.LeaseTime,
 		ServerID:  s.cfg.ServerIP,
 	}
-	return offer.Marshal()
+	return offer.AppendTo(reply)
 }
 
-func (s *Server) handleRequest(msg *dhcpwire.Message) ([]byte, error) {
+func (s *Server) handleRequest(msg *dhcpwire.Message, reply []byte) ([]byte, error) {
 	if msg.ServerID != (dnswire.IPv4{}) && msg.ServerID != s.cfg.ServerIP {
 		return nil, ErrNotForUs
 	}
@@ -254,7 +255,7 @@ func (s *Server) handleRequest(msg *dhcpwire.Message) ([]byte, error) {
 				BootReply: true, XID: msg.XID, CHAddr: msg.CHAddr,
 				Type: dhcpwire.NAK, ServerID: s.cfg.ServerIP,
 			}
-			return nak.Marshal()
+			return nak.AppendTo(reply)
 		}
 	}
 
@@ -309,7 +310,7 @@ func (s *Server) handleRequest(msg *dhcpwire.Message) ([]byte, error) {
 		LeaseTime: s.cfg.LeaseTime,
 		ServerID:  s.cfg.ServerIP,
 	}
-	return ack.Marshal()
+	return ack.AppendTo(reply)
 }
 
 func (s *Server) handleRelease(msg *dhcpwire.Message) {

@@ -167,26 +167,31 @@ var (
 // fixedHeaderLength is the size of the RFC 2131 fixed-format section.
 const fixedHeaderLength = 236
 
-// Marshal encodes m into wire format.
-func (m *Message) Marshal() ([]byte, error) {
-	buf := make([]byte, fixedHeaderLength, fixedHeaderLength+64)
+// zeroHeader is the fixed-format section AppendTo starts from.
+var zeroHeader [fixedHeaderLength]byte
+
+// AppendTo appends m's wire format to buf and returns the extended buffer.
+func (m *Message) AppendTo(buf []byte) ([]byte, error) {
+	start := len(buf)
+	buf = append(buf, zeroHeader[:]...)
+	h := buf[start:]
 	if m.BootReply {
-		buf[0] = opBootReply
+		h[0] = opBootReply
 	} else {
-		buf[0] = opBootRequest
+		h[0] = opBootRequest
 	}
-	buf[1] = 1 // htype: Ethernet
-	buf[2] = 6 // hlen
-	binary.BigEndian.PutUint32(buf[4:8], m.XID)
-	binary.BigEndian.PutUint16(buf[8:10], m.Secs)
+	h[1] = 1 // htype: Ethernet
+	h[2] = 6 // hlen
+	binary.BigEndian.PutUint32(h[4:8], m.XID)
+	binary.BigEndian.PutUint16(h[8:10], m.Secs)
 	if m.Broadcast {
-		binary.BigEndian.PutUint16(buf[10:12], 0x8000)
+		binary.BigEndian.PutUint16(h[10:12], 0x8000)
 	}
-	copy(buf[12:16], m.CIAddr[:])
-	copy(buf[16:20], m.YIAddr[:])
-	copy(buf[20:24], m.SIAddr[:])
-	copy(buf[24:28], m.GIAddr[:])
-	copy(buf[28:34], m.CHAddr[:])
+	copy(h[12:16], m.CIAddr[:])
+	copy(h[16:20], m.YIAddr[:])
+	copy(h[20:24], m.SIAddr[:])
+	copy(h[24:28], m.GIAddr[:])
+	copy(h[28:34], m.CHAddr[:])
 	// sname (64) and file (128) stay zero.
 	buf = append(buf, magicCookie[:]...)
 
@@ -304,7 +309,7 @@ func (m *Message) parseOptions(opts []byte) error {
 			}
 			if data[0] == 0 {
 				// Type 0 is unassigned; accepting it would break the
-				// Marshal/Parse symmetry (Marshal refuses Type 0).
+				// AppendTo/Parse symmetry (AppendTo refuses Type 0).
 				return fmt.Errorf("%w: message type 0", ErrBadOption)
 			}
 			m.Type = MessageType(data[0])

@@ -19,7 +19,7 @@ func TestDiscoverRoundTrip(t *testing.T) {
 		HostName: "Brians-iPhone",
 		ClientID: []byte{1, 0x02, 0x42, 0xac, 0x11, 0x00, 0x02},
 	}
-	wire, err := msg.Marshal()
+	wire, err := msg.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +57,7 @@ func TestACKRoundTrip(t *testing.T) {
 		LeaseTime: time.Hour,
 		ServerID:  dnswire.MustIPv4("192.0.2.1"),
 	}
-	wire, err := msg.Marshal()
+	wire, err := msg.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestClientFQDNRoundTrip(t *testing.T) {
 		},
 		RequestedIP: dnswire.MustIPv4("192.0.2.10"),
 	}
-	wire, err := msg.Marshal()
+	wire, err := msg.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestFQDNNoUpdateFlag(t *testing.T) {
 		Type:       Request,
 		ClientFQDN: &ClientFQDN{Flags: FQDNNoUpdate, Name: "host"},
 	}
-	wire, err := msg.Marshal()
+	wire, err := msg.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +136,7 @@ func TestReleaseRoundTrip(t *testing.T) {
 		Type:     Release,
 		ServerID: dnswire.MustIPv4("192.0.2.1"),
 	}
-	wire, err := msg.Marshal()
+	wire, err := msg.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +151,7 @@ func TestReleaseRoundTrip(t *testing.T) {
 
 func TestBroadcastFlag(t *testing.T) {
 	msg := &Message{XID: 1, Type: Discover, Broadcast: true}
-	wire, _ := msg.Marshal()
+	wire, _ := msg.AppendTo(nil)
 	got, err := Parse(wire)
 	if err != nil {
 		t.Fatal(err)
@@ -162,14 +162,14 @@ func TestBroadcastFlag(t *testing.T) {
 }
 
 func TestMarshalRequiresMessageType(t *testing.T) {
-	if _, err := (&Message{XID: 1}).Marshal(); !errors.Is(err, ErrNoMessageType) {
+	if _, err := (&Message{XID: 1}).AppendTo(nil); !errors.Is(err, ErrNoMessageType) {
 		t.Fatalf("err = %v, want ErrNoMessageType", err)
 	}
 }
 
 func TestMarshalRejectsOverlongHostName(t *testing.T) {
 	msg := &Message{XID: 1, Type: Discover, HostName: strings.Repeat("x", 256)}
-	if _, err := msg.Marshal(); !errors.Is(err, ErrOptionTooLong) {
+	if _, err := msg.AppendTo(nil); !errors.Is(err, ErrOptionTooLong) {
 		t.Fatalf("err = %v, want ErrOptionTooLong", err)
 	}
 }
@@ -182,7 +182,7 @@ func TestParseRejectsShort(t *testing.T) {
 
 func TestParseRejectsBadMagic(t *testing.T) {
 	msg := &Message{XID: 1, Type: Discover}
-	wire, _ := msg.Marshal()
+	wire, _ := msg.AppendTo(nil)
 	wire[fixedHeaderLength] = 0
 	if _, err := Parse(wire); !errors.Is(err, ErrBadMagic) {
 		t.Fatalf("err = %v, want ErrBadMagic", err)
@@ -191,7 +191,7 @@ func TestParseRejectsBadMagic(t *testing.T) {
 
 func TestParseRejectsBadOp(t *testing.T) {
 	msg := &Message{XID: 1, Type: Discover}
-	wire, _ := msg.Marshal()
+	wire, _ := msg.AppendTo(nil)
 	wire[0] = 9
 	if _, err := Parse(wire); !errors.Is(err, ErrBadOp) {
 		t.Fatalf("err = %v, want ErrBadOp", err)
@@ -200,7 +200,7 @@ func TestParseRejectsBadOp(t *testing.T) {
 
 func TestParseRejectsTruncatedOption(t *testing.T) {
 	msg := &Message{XID: 1, Type: Discover, HostName: "host"}
-	wire, _ := msg.Marshal()
+	wire, _ := msg.AppendTo(nil)
 	// Chop inside the host name option (drop the end marker and two
 	// data octets).
 	wire = wire[:len(wire)-3]
@@ -211,7 +211,7 @@ func TestParseRejectsTruncatedOption(t *testing.T) {
 
 func TestParseRejectsMissingType(t *testing.T) {
 	msg := &Message{XID: 1, Type: Discover}
-	wire, _ := msg.Marshal()
+	wire, _ := msg.AppendTo(nil)
 	// Blank out the message-type option (53, len 1, value) with pads.
 	at := fixedHeaderLength + 4
 	wire[at], wire[at+1], wire[at+2] = OptPad, OptPad, OptPad
@@ -222,7 +222,7 @@ func TestParseRejectsMissingType(t *testing.T) {
 
 func TestParseSkipsUnknownOptions(t *testing.T) {
 	msg := &Message{XID: 1, Type: Discover}
-	wire, _ := msg.Marshal()
+	wire, _ := msg.AppendTo(nil)
 	// Replace the end marker with an unknown option then a new end.
 	wire = wire[:len(wire)-1]
 	wire = append(wire, 120, 2, 0xAA, 0xBB, OptEnd)
@@ -264,7 +264,7 @@ func TestRoundTripProperty(t *testing.T) {
 			HostName:  host,
 			LeaseTime: time.Duration(lease) * time.Second,
 		}
-		wire, err := msg.Marshal()
+		wire, err := msg.AppendTo(nil)
 		if err != nil {
 			return false
 		}

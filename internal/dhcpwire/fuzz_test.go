@@ -31,7 +31,7 @@ func TestParseNeverPanicsOnMutatedMessages(t *testing.T) {
 		},
 		LeaseTime: time.Hour,
 	}
-	wire, err := base.Marshal()
+	wire, err := base.AppendTo(nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +100,7 @@ func FuzzParseOptions(f *testing.F) {
 		// Anything Parse accepts must survive a marshal/re-parse round
 		// trip with the tracked identifier fields intact — the leak-path
 		// fields may never be silently altered by the codec.
-		wire, err := m.Marshal()
+		wire, err := m.AppendTo(nil)
 		if err != nil {
 			t.Fatalf("re-marshal of parsed message failed: %v", err)
 		}

@@ -13,12 +13,21 @@
 // is a real encoded wire message (see internal/dnswire, internal/dhcpwire,
 // internal/icmp); the fabric itself only moves opaque payloads, exactly like
 // the IP layer underneath the authors' scanners.
+//
+// A packet in flight is a slot in the fabric's slab and one AfterDeliver
+// call on the clock, with the fabric as the sink and the slot as the
+// argument: sending copies the payload into the slot's reused buffer, and
+// delivery lends the handler that buffer. Handlers therefore must not keep
+// a payload, or anything sliced from it, past their return: once it has
+// returned the slot goes back to the slab, and a later packet overwrites
+// its bytes.
 package fabric
 
 import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -50,10 +59,12 @@ type Datagram struct {
 }
 
 // Handler receives datagrams delivered to an endpoint. Handlers run on the
-// clock's callback goroutine; they must not block on future clock time.
+// clock's callback goroutine; they must not block on future clock time,
+// and must not keep dg.Payload past their return.
 type Handler func(dg Datagram)
 
-// ICMPHandler receives ICMP payloads delivered to an address or prefix.
+// ICMPHandler receives ICMP payloads delivered to an address or prefix. It
+// must not keep payload past its return.
 type ICMPHandler func(src, dst dnswire.IPv4, payload []byte)
 
 // Config tunes fabric behaviour.
@@ -79,9 +90,24 @@ type Fabric struct {
 	rng       *rand.Rand
 	endpoints map[Addr]*Endpoint
 	icmpExact map[dnswire.IPv4]ICMPHandler
-	icmpPfx   []prefixHandler // sorted longest-prefix-first
+	icmpPfx   []*prefixHandler       // sorted longest-prefix-first
+	icmp24    map[uint32]ICMPHandler // see rebuildICMP24Locked
+	slab      []packet               // by slot; see scheduleLocked
+	free      []uint32               // free slots below fresh
+	fresh     uint32                 // slots from fresh up are free
+	flying    int                    // slots not free
 	stats     Stats
 	tracer    *telemetry.Tracer
+}
+
+// packet is one slab slot: a packet in flight, or a free slot keeping its
+// payload buffer for the next packet.
+type packet struct {
+	icmp     bool
+	src, dst Addr // Port is zero for ICMP
+	corr     uint64
+	span     *telemetry.Span // a traced datagram's hop span
+	payload  []byte
 }
 
 // Hop-span event codes (kind "hop"): what the fabric did with one
@@ -117,6 +143,7 @@ func New(clock simclock.Clock, cfg Config) *Fabric {
 		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		endpoints: make(map[Addr]*Endpoint),
 		icmpExact: make(map[dnswire.IPv4]ICMPHandler),
+		icmp24:    make(map[uint32]ICMPHandler),
 	}
 }
 
@@ -171,48 +198,81 @@ func (f *Fabric) BindICMP(ip dnswire.IPv4, h ICMPHandler) error {
 }
 
 // RegisterICMPPrefix routes ICMP for every address in prefix to h (e.g. a
-// simulated network deciding which of its hosts answer pings). The
-// longest matching prefix wins; exact BindICMP bindings take precedence.
-func (f *Fabric) RegisterICMPPrefix(prefix dnswire.Prefix, h ICMPHandler) {
+// simulated network deciding which of its hosts answer pings) until the
+// returned func unregisters it. The longest matching prefix wins, the
+// earlier registration among equal ones; exact BindICMP bindings take
+// precedence.
+func (f *Fabric) RegisterICMPPrefix(prefix dnswire.Prefix, h ICMPHandler) (unregister func()) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	f.icmpPfx = append(f.icmpPfx, prefixHandler{prefix, h})
+	ph := &prefixHandler{prefix, h}
+	f.icmpPfx = append(f.icmpPfx, ph)
 	sort.SliceStable(f.icmpPfx, func(i, j int) bool {
 		return f.icmpPfx[i].prefix.Bits > f.icmpPfx[j].prefix.Bits
 	})
+	f.rebuildICMP24Locked()
+	return func() {
+		f.mu.Lock()
+		defer f.mu.Unlock()
+		f.icmpPfx = slices.DeleteFunc(f.icmpPfx, func(q *prefixHandler) bool { return q == ph })
+		f.rebuildICMP24Locked()
+	}
+}
+
+// minTableBits is the shortest prefix icmp24 takes: a /16 is 256 rows, and
+// anything shorter is left to the walk over icmpPfx.
+const minTableBits = 16
+
+func slash24(ip dnswire.IPv4) uint32 {
+	return uint32(ip[0])<<16 | uint32(ip[1])<<8 | uint32(ip[2])
+}
+
+// rebuildICMP24Locked maps each /24 inside a registered /16 to /24 to the
+// handler of the longest such prefix covering it. Shorter prefixes are
+// shorter than any of those, so they cannot beat a row; a prefix longer
+// than /24 can, for part of its /24, so that /24 gets no row. An address
+// without a row takes the walk over icmpPfx, which is always right.
+func (f *Fabric) rebuildICMP24Locked() {
+	clear(f.icmp24)
+	for _, ph := range f.icmpPfx { // longest first
+		p := ph.prefix
+		if p.Bits < minTableBits || p.Bits > 24 {
+			continue
+		}
+		first := slash24(p.Addr)
+		for k := first; k < first+1<<(24-p.Bits); k++ {
+			if _, ok := f.icmp24[k]; !ok {
+				f.icmp24[k] = ph.handler
+			}
+		}
+	}
+	for _, ph := range f.icmpPfx {
+		if ph.prefix.Bits > 24 {
+			delete(f.icmp24, slash24(ph.prefix.Addr))
+		}
+	}
 }
 
 // SendICMP injects an ICMP payload from src toward dst. Delivery is subject
 // to the fabric's latency and loss model. Undeliverable packets (no handler
-// for dst) vanish, as on the real Internet.
+// for dst when they arrive) vanish, as on the real Internet.
 func (f *Fabric) SendICMP(src, dst dnswire.IPv4, payload []byte) {
 	f.mu.Lock()
 	f.stats.ICMPSent++
 	if f.dropLocked() {
 		f.stats.ICMPDropped++
-		f.mu.Unlock()
-		return
+	} else {
+		f.scheduleLocked(packet{icmp: true, src: Addr{IP: src}, dst: Addr{IP: dst}}, payload)
 	}
-	delay := f.delayLocked()
 	f.mu.Unlock()
-
-	p := append([]byte(nil), payload...)
-	f.clock.AfterFunc(delay, func() {
-		h := f.lookupICMP(dst)
-		if h == nil {
-			return
-		}
-		f.mu.Lock()
-		f.stats.ICMPDelivered++
-		f.mu.Unlock()
-		h(src, dst, p)
-	})
 }
 
-func (f *Fabric) lookupICMP(dst dnswire.IPv4) ICMPHandler {
-	f.mu.Lock()
-	defer f.mu.Unlock()
+// lookupICMPLocked resolves the handler for an ICMP packet to dst.
+func (f *Fabric) lookupICMPLocked(dst dnswire.IPv4) ICMPHandler {
 	if h, ok := f.icmpExact[dst]; ok {
+		return h
+	}
+	if h, ok := f.icmp24[slash24(dst)]; ok {
 		return h
 	}
 	for _, ph := range f.icmpPfx {
@@ -236,60 +296,123 @@ func (f *Fabric) delayLocked() time.Duration {
 	return d
 }
 
+// scheduleLocked draws p's delay, puts it in a free slot with a copy of
+// payload, and schedules its delivery. Whenever nothing is in flight the
+// slots are taken in slab order again, so a burst of packets sent together
+// (a sweep) fills the slab front to back rather than in the order the last
+// burst arrived.
+func (f *Fabric) scheduleLocked(p packet, payload []byte) {
+	delay := f.delayLocked()
+	var slot uint32
+	if n := len(f.free); n > 0 {
+		slot = f.free[n-1]
+		f.free = f.free[:n-1]
+	} else {
+		slot = f.fresh
+		f.fresh++
+		if int(slot) == len(f.slab) {
+			f.slab = append(f.slab, packet{})
+		}
+	}
+	f.flying++
+	s := &f.slab[slot]
+	// Field by field: a whole-struct copy is a typed memmove.
+	s.icmp, s.src, s.dst, s.corr, s.span = p.icmp, p.src, p.dst, p.corr, p.span
+	s.payload = append(s.payload[:0], payload...)
+	f.clock.AfterDeliver(delay, f, uint64(slot))
+}
+
+// releaseLocked returns slot to the slab, keeping its buffer.
+func (f *Fabric) releaseLocked(slot uint32) {
+	f.slab[slot].span = nil
+	if f.flying--; f.flying == 0 {
+		f.free, f.fresh = f.free[:0], 0
+	} else {
+		f.free = append(f.free, slot)
+	}
+}
+
+// Deliver implements simclock.Sink: the packet in the slot arrives. The
+// destination is resolved now, so a packet to an endpoint closed or a
+// prefix unregistered while it was in flight vanishes. The handler runs
+// outside the lock on the slot's buffer, and the slot goes back to the
+// slab when it returns: on a real clock deliveries run concurrently with
+// each other and with sends, so the slot cannot be freed any earlier.
+func (f *Fabric) Deliver(arg uint64) {
+	slot := uint32(arg)
+	f.mu.Lock()
+	p := f.slab[slot]
+	var (
+		h  ICMPHandler
+		ep *Endpoint
+	)
+	if p.icmp {
+		if h = f.lookupICMPLocked(p.dst.IP); h != nil {
+			f.stats.ICMPDelivered++
+		}
+	} else if ep = f.endpoints[p.dst]; ep != nil {
+		f.stats.DatagramsDelivered++
+	}
+	if h == nil && ep == nil {
+		f.releaseLocked(slot)
+		f.mu.Unlock()
+		p.span.Event("hop", HopVanish)
+		p.span.End()
+		return
+	}
+	f.mu.Unlock()
+
+	if p.icmp {
+		h(p.src.IP, p.dst.IP, p.payload)
+	} else {
+		p.span.Event("hop", HopDeliver)
+		p.span.End()
+		if ep.handler != nil {
+			ep.handler(Datagram{Src: p.src, Dst: p.dst, Payload: p.payload, Corr: p.corr})
+		}
+	}
+	f.mu.Lock()
+	f.releaseLocked(slot)
+	f.mu.Unlock()
+}
+
 // addrKey folds an address into one span-ID key word.
 func addrKey(a Addr) uint64 {
 	return uint64(a.IP[0])<<40 | uint64(a.IP[1])<<32 | uint64(a.IP[2])<<24 |
 		uint64(a.IP[3])<<16 | uint64(a.Port)
 }
 
-// send routes a datagram. Packets to unbound addresses vanish.
-func (f *Fabric) send(dg Datagram) {
+// send routes a datagram from ep. Packets to unbound addresses vanish.
+func (f *Fabric) send(ep *Endpoint, dst Addr, payload []byte, corr uint64) error {
 	f.mu.Lock()
+	if ep.closed {
+		f.mu.Unlock()
+		return ErrClosed
+	}
 	f.stats.DatagramsSent++
-	tr := f.tracer
 	dropped := f.dropLocked()
 	if dropped {
 		f.stats.DatagramsDropped++
 	}
-	var delay time.Duration
-	if !dropped {
-		delay = f.delayLocked()
-	}
-	f.mu.Unlock()
-
 	// One hop span per correlated packet: ID keyed by (corr, src, dst) so
 	// the query leg and the reply leg of the same probe get distinct but
 	// deterministic spans sharing Corr. Nil span when untraced — all calls
-	// below no-op.
+	// on it no-op.
 	var sp *telemetry.Span
-	if tr != nil && dg.Corr != 0 {
-		sp = tr.StartSpanCorr("hop", dg.Src.String()+">"+dg.Dst.String(),
-			dg.Corr, addrKey(dg.Src), addrKey(dg.Dst))
+	if f.tracer != nil && corr != 0 {
+		sp = f.tracer.StartSpanCorr("hop", ep.addr.String()+">"+dst.String(),
+			corr, addrKey(ep.addr), addrKey(dst))
 		sp.Event("hop", HopSend)
 	}
+	if !dropped {
+		f.scheduleLocked(packet{src: ep.addr, dst: dst, corr: corr, span: sp}, payload)
+	}
+	f.mu.Unlock()
 	if dropped {
 		sp.Event("hop", HopDrop)
 		sp.End()
-		return
 	}
-
-	payload := append([]byte(nil), dg.Payload...)
-	f.clock.AfterFunc(delay, func() {
-		f.mu.Lock()
-		ep, ok := f.endpoints[dg.Dst]
-		if ok {
-			f.stats.DatagramsDelivered++
-		}
-		f.mu.Unlock()
-		if !ok {
-			sp.Event("hop", HopVanish)
-			sp.End()
-			return
-		}
-		sp.Event("hop", HopDeliver)
-		sp.End()
-		ep.deliver(Datagram{Src: dg.Src, Dst: dg.Dst, Payload: payload, Corr: dg.Corr})
-	})
+	return nil
 }
 
 // Endpoint is a bound UDP-like socket on the fabric.
@@ -297,9 +420,7 @@ type Endpoint struct {
 	fabric  *Fabric
 	addr    Addr
 	handler Handler
-
-	mu     sync.Mutex
-	closed bool
+	closed  bool // guarded by fabric.mu
 }
 
 // Send transmits payload to dst with ep's address as the source.
@@ -311,39 +432,19 @@ func (ep *Endpoint) Send(dst Addr, payload []byte) error {
 // belongs to, so the fabric's hop spans and the receiver can join this
 // packet to its client attempt. corr zero sends uncorrelated.
 func (ep *Endpoint) SendCorr(dst Addr, payload []byte, corr uint64) error {
-	ep.mu.Lock()
-	closed := ep.closed
-	ep.mu.Unlock()
-	if closed {
-		return ErrClosed
-	}
-	ep.fabric.send(Datagram{Src: ep.addr, Dst: dst, Payload: payload, Corr: corr})
-	return nil
+	return ep.fabric.send(ep, dst, payload, corr)
 }
 
 // Close unbinds the endpoint. In-flight packets to it are dropped on
 // delivery.
 func (ep *Endpoint) Close() error {
-	ep.mu.Lock()
+	f := ep.fabric
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if ep.closed {
-		ep.mu.Unlock()
 		return ErrClosed
 	}
 	ep.closed = true
-	ep.mu.Unlock()
-	ep.fabric.mu.Lock()
-	delete(ep.fabric.endpoints, ep.addr)
-	ep.fabric.mu.Unlock()
+	delete(f.endpoints, ep.addr)
 	return nil
-}
-
-func (ep *Endpoint) deliver(dg Datagram) {
-	ep.mu.Lock()
-	closed := ep.closed
-	h := ep.handler
-	ep.mu.Unlock()
-	if closed || h == nil {
-		return
-	}
-	h(dg)
 }

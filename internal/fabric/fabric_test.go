@@ -1,7 +1,11 @@
 package fabric
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -248,5 +252,181 @@ func TestRoundTripRequestResponse(t *testing.T) {
 	clock.Advance(20 * time.Millisecond)
 	if got != "re:ping" {
 		t.Fatalf("got %q, want re:ping", got)
+	}
+}
+
+// TestKeptPayloadIsOverwritten documents the handler rule: a payload is a
+// slab slot's buffer, lent to the handler, and a handler that keeps it sees
+// a later packet through the same slot overwrite it.
+func TestKeptPayloadIsOverwritten(t *testing.T) {
+	f, clock := newTestFabric(Config{Latency: time.Millisecond})
+	dst := Addr{IP: dnswire.MustIPv4("192.0.2.1"), Port: 53}
+	var kept [][]byte
+	if _, err := f.Bind(dst, func(dg Datagram) { kept = append(kept, dg.Payload) }); err != nil {
+		t.Fatal(err)
+	}
+	src, _ := f.Bind(Addr{IP: dnswire.MustIPv4("192.0.2.2"), Port: 1}, nil)
+	for _, p := range []string{"pkt-1", "pkt-2", "pkt-3"} {
+		if err := src.Send(dst, []byte(p)); err != nil {
+			t.Fatal(err)
+		}
+		clock.Advance(time.Millisecond)
+	}
+	if len(kept) != 3 || string(kept[2]) != "pkt-3" {
+		t.Fatalf("kept %q, want three deliveries ending in pkt-3", kept)
+	}
+	if string(kept[0]) != "pkt-3" {
+		t.Fatalf("first kept payload reads %q: its slot was not reused", kept[0])
+	}
+}
+
+// TestICMP24TableMatchesWalk: routing through the /24 table gives the
+// handler the walk over every registered prefix gives — longest prefix,
+// the earlier registration among equal ones — for nested and overlapping
+// prefixes, prefixes too short for the table or longer than a /24, and
+// after registrations are removed.
+func TestICMP24TableMatchesWalk(t *testing.T) {
+	f, _ := newTestFabric(Config{})
+	type reg struct {
+		p          dnswire.Prefix
+		unregister func()
+		live       bool
+	}
+	var (
+		regs []*reg
+		got  int
+	)
+	register := func(s string) *reg {
+		id := len(regs)
+		r := &reg{p: dnswire.MustPrefix(s), live: true}
+		r.unregister = f.RegisterICMPPrefix(r.p, func(_, _ dnswire.IPv4, _ []byte) { got = id })
+		regs = append(regs, r)
+		return r
+	}
+	walk := func(ip dnswire.IPv4) int {
+		best, bits := -1, -1
+		for id, r := range regs {
+			if r.live && r.p.Contains(ip) && r.p.Bits > bits {
+				best, bits = id, r.p.Bits
+			}
+		}
+		return best
+	}
+	rng := rand.New(rand.NewSource(1))
+	check := func(stage string) {
+		t.Helper()
+		var ips []dnswire.IPv4
+		for _, r := range regs {
+			first, last := r.p.First(), r.p.Last()
+			ips = append(ips, first, last, r.p.Nth(r.p.NumAddresses()/2),
+				dnswire.IPv4FromUint32(first.Uint32()-1), dnswire.IPv4FromUint32(last.Uint32()+1))
+		}
+		for i := 0; i < 4000; i++ {
+			ips = append(ips, dnswire.IPv4FromUint32(10<<24|rng.Uint32()&0x03ffffff))
+		}
+		for _, ip := range ips {
+			f.mu.Lock()
+			h := f.lookupICMPLocked(ip)
+			f.mu.Unlock()
+			got = -1
+			if h != nil {
+				h(ip, ip, nil)
+			}
+			if want := walk(ip); got != want {
+				t.Fatalf("%s: %s routes to registration %d, the walk gives %d", stage, ip, got, want)
+			}
+		}
+	}
+
+	register("10.0.0.0/12") // shorter than the table takes
+	wide := register("10.1.0.0/16")
+	mid := register("10.1.16.0/20")
+	register("10.1.17.0/24")
+	first26 := register("10.1.17.64/26") // a /24 with a longer prefix inside
+	register("10.1.17.64/26")            // the same again: the first one wins
+	register("10.1.18.0/23")
+	register("10.1.0.0/16") // the /16 again
+	register("10.2.5.128/25")
+	register("10.2.5.0/24")
+	register("10.3.0.0/17")
+	register("10.3.0.0/18")
+	check("registered")
+	if _, ok := f.icmp24[slash24(dnswire.MustIPv4("10.1.17.0"))]; ok {
+		t.Fatal("10.1.17.0/24 has a table row, but a /26 inside it routes apart")
+	}
+	if len(f.icmp24) < 256 {
+		t.Fatalf("table has %d rows, want at least the /16's 256", len(f.icmp24))
+	}
+
+	for _, r := range []*reg{mid, wide, first26} {
+		r.unregister()
+		r.live = false
+	}
+	check("after removals")
+	for _, r := range regs {
+		if r.live {
+			r.unregister()
+			r.live = false
+		}
+	}
+	check("all removed")
+	if len(f.icmp24) != 0 || len(f.icmpPfx) != 0 {
+		t.Fatalf("%d rows and %d prefixes left with nothing registered", len(f.icmp24), len(f.icmpPfx))
+	}
+	register("10.1.17.0/24")
+	register("10.0.0.0/8")
+	check("registered again")
+}
+
+// TestRealClockPayloadsStayIntact: on the real clock deliveries run on
+// timer goroutines, concurrently with each other and with senders. Every
+// handler must still read its own packet's bytes, unchanged, for as long
+// as it runs — no sender may be handed its slot before it returns (the
+// race detector, make race, sees any overlap).
+func TestRealClockPayloadsStayIntact(t *testing.T) {
+	f := New(simclock.Real{}, Config{})
+	dst := Addr{IP: dnswire.MustIPv4("192.0.2.1"), Port: 53}
+	const senders, each = 4, 200
+	var (
+		wg      sync.WaitGroup
+		torn    atomic.Int64
+		arrived atomic.Int64
+	)
+	wg.Add(senders * each)
+	if _, err := f.Bind(dst, func(dg Datagram) {
+		defer wg.Done()
+		arrived.Add(1)
+		for i := 0; i < 100; i++ { // read the bytes repeatedly while others send
+			for _, b := range dg.Payload {
+				if b != dg.Payload[0] {
+					torn.Add(1)
+					return
+				}
+			}
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	var send sync.WaitGroup
+	for s := 0; s < senders; s++ {
+		src, err := f.Bind(Addr{IP: dnswire.MustIPv4("198.51.100.1"), Port: uint16(1000 + s)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		send.Add(1)
+		go func(s int) {
+			defer send.Done()
+			for i := 0; i < each; i++ {
+				payload := bytes.Repeat([]byte{byte(s*each + i)}, 64)
+				if err := src.Send(dst, payload); err != nil {
+					t.Error(err)
+				}
+			}
+		}(s)
+	}
+	send.Wait()
+	wg.Wait()
+	if torn.Load() != 0 || arrived.Load() != senders*each {
+		t.Fatalf("%d of %d payloads changed under their handler", torn.Load(), arrived.Load())
 	}
 }

@@ -195,6 +195,7 @@ func (p *Prober) transmit(target dnswire.IPv4, done func(ProbeResult)) {
 	p.next++
 	p.live++
 	p.sent++
+	arm := p.timer == nil
 	p.mu.Unlock()
 	if displaced.waiting {
 		displaced.done(ProbeResult{Target: displaced.target, Alive: false, Sent: displaced.sent})
@@ -205,7 +206,11 @@ func (p *Prober) transmit(target dnswire.IPv4, done func(ProbeResult)) {
 
 	// The timer goes on the clock after the request: the clock runs what
 	// falls on one instant in scheduling order, and the seeded runs are
-	// pinned to the request's delivery coming first.
+	// pinned to the request's delivery coming first. With a timer already
+	// armed, for an older probe, there is nothing to do.
+	if !arm {
+		return
+	}
 	p.mu.Lock()
 	if p.timer == nil && p.live > 0 {
 		p.armLocked(now)
@@ -228,30 +233,39 @@ func (p *Prober) armLocked(now time.Time) {
 	p.timer = p.clock.AfterFunc(p.oldestDeadline().Sub(now), p.fire)
 }
 
-// expire fails, oldest first, every probe whose deadline is at or before
-// now.
-func (p *Prober) expire(now time.Time) {
+// expireBatch is how many expired probes expireLocked completes per hold
+// of p.mu.
+const expireBatch = 64
+
+// expireLocked fails, oldest first, every probe whose deadline is at or
+// before now. The caller holds p.mu; it is released around the done
+// callbacks, a batch of probes at a time, and held again on return.
+func (p *Prober) expireLocked(now time.Time) {
+	var batch [expireBatch]inflight
 	for {
-		p.mu.Lock()
+		n := 0
+		for n < len(batch) && p.live > 0 && !p.oldestDeadline().After(now) {
+			batch[n] = p.complete(p.head)
+			n++
+		}
 		if p.live == 0 {
 			p.head = p.next
-			p.mu.Unlock()
+		}
+		if n == 0 {
 			return
 		}
-		if p.oldestDeadline().After(now) {
-			p.mu.Unlock()
-			return
-		}
-		probe := p.complete(p.head)
 		p.mu.Unlock()
-		probe.done(ProbeResult{Target: probe.target, Alive: false, Sent: probe.sent})
+		for _, probe := range batch[:n] {
+			probe.done(ProbeResult{Target: probe.target, Alive: false, Sent: probe.sent})
+		}
+		p.mu.Lock()
 	}
 }
 
 func (p *Prober) onTimer() {
 	now := p.clock.Now()
-	p.expire(now)
 	p.mu.Lock()
+	p.expireLocked(now)
 	// On a real clock a newer timer may have been armed while this one
 	// waited for p.mu; keep one.
 	p.disarmLocked()
@@ -280,8 +294,8 @@ func (p *Prober) handleICMP(src, _ dnswire.IPv4, payload []byte) {
 	// lost: the deadline was set first. Expiring here keeps that true
 	// whichever of this delivery and the timer the clock runs first.
 	now := p.clock.Now()
-	p.expire(now)
 	p.mu.Lock()
+	p.expireLocked(now)
 	n := p.head + uint64(echo.Seq-uint16(p.head))
 	if n >= p.next || !p.slot(n).waiting || p.slot(n).target != src {
 		p.mu.Unlock()
@@ -308,14 +322,20 @@ type Responder struct {
 	// BlockIngress simulates an operator dropping all inbound ICMP, as
 	// two of the nine networks in the paper do (Section 6.2).
 	BlockIngress bool
+
+	unregister func()
 }
 
 // NewResponder registers a Responder for prefix on fab.
 func NewResponder(fab *fabric.Fabric, prefix dnswire.Prefix, alive func(dnswire.IPv4) bool, blockIngress bool) *Responder {
 	r := &Responder{fab: fab, Alive: alive, BlockIngress: blockIngress}
-	fab.RegisterICMPPrefix(prefix, r.handle)
+	r.unregister = fab.RegisterICMPPrefix(prefix, r.handle)
 	return r
 }
+
+// Close unregisters the responder: pings to its prefix, including those
+// already in flight, vanish from then on.
+func (r *Responder) Close() { r.unregister() }
 
 func (r *Responder) handle(src, dst dnswire.IPv4, payload []byte) {
 	if r.BlockIngress {

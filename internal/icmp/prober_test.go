@@ -52,6 +52,25 @@ func TestProbeAliveHost(t *testing.T) {
 	}
 }
 
+// TestClosedResponderStopsAnswering: after Close, the prefix's hosts
+// answer nothing — not even the echo requests already on the wire.
+func TestClosedResponderStopsAnswering(t *testing.T) {
+	p, fab, clock := newProbeEnv(t, ProberConfig{})
+	target := dnswire.MustIPv4("192.0.2.55")
+	r := NewResponder(fab, dnswire.MustPrefix("192.0.2.0/24"), func(dnswire.IPv4) bool { return true }, false)
+	var results []ProbeResult
+	probe := func() { p.Probe(target, func(r ProbeResult) { results = append(results, r) }) }
+	probe()
+	clock.Advance(5 * time.Millisecond) // the request is halfway there
+	r.Close()
+	clock.Advance(3 * time.Second)
+	probe()
+	clock.Advance(3 * time.Second)
+	if len(results) != 2 || results[0].Alive || results[1].Alive {
+		t.Fatalf("results %+v, want two probes, neither answered", results)
+	}
+}
+
 func TestProbeDeadHostTimesOut(t *testing.T) {
 	p, fab, clock := newProbeEnv(t, ProberConfig{Timeout: 2 * time.Second})
 	NewResponder(fab, dnswire.MustPrefix("192.0.2.0/24"), func(dnswire.IPv4) bool { return false }, false)

@@ -158,7 +158,7 @@ func (n *Network) Start(fab *fabric.Fabric) error {
 	live.dnsEP = ep
 
 	// ICMP: hosts answer pings when online, unless the edge blocks them.
-	icmp.NewResponder(fab, n.cfg.Announced, func(ip dnswire.IPv4) bool {
+	live.pings = icmp.NewResponder(fab, n.cfg.Announced, func(ip dnswire.IPv4) bool {
 		n.mu.Lock()
 		defer n.mu.Unlock()
 		if n.onlineIP[ip] {
@@ -290,8 +290,9 @@ func (n *Network) wrapSink(u *ipam.Updater) dhcp.EventSink {
 	})
 }
 
-// Stop leaves live mode: the DNS endpoint closes, and the joins, leaves and
-// midnight tick still on the clock find their run over when they fire.
+// Stop leaves live mode: the DNS endpoint closes, the hosts stop answering
+// pings, and the joins, leaves and midnight tick still on the clock find
+// their run over when they fire.
 func (n *Network) Stop() {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -301,6 +302,7 @@ func (n *Network) Stop() {
 	if n.live.dnsEP != nil {
 		n.live.dnsEP.Close()
 	}
+	n.live.pings.Close()
 	n.live = nil
 	n.onlineIP = make(map[dnswire.IPv4]bool)
 }

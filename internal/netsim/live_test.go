@@ -5,7 +5,9 @@ import (
 	"testing"
 	"time"
 
+	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/icmp"
 	"rdnsprivacy/internal/simclock"
 )
 
@@ -95,5 +97,44 @@ func TestStopThenStartDeliversNoStaleJoin(t *testing.T) {
 	second.Advance(6 * time.Hour)
 	if got := liveRecordCount(n); got <= before {
 		t.Fatalf("records stayed at %d at noon: the new run's own joins did not happen", got)
+	}
+}
+
+// TestStopSilencesPings: a stopped network's hosts answer no pings, and a
+// second run on the same fabric answers them again — and stops answering
+// when it stops, so no responder of the first run is left behind.
+func TestStopSilencesPings(t *testing.T) {
+	n := populatedNetwork(t)
+	var host dnswire.IPv4 // a static host: it answers whenever the network runs
+	for ip := range n.staticRec {
+		if host == (dnswire.IPv4{}) || ip.Uint32() < host.Uint32() {
+			host = ip
+		}
+	}
+	clock := simclock.NewSimulated(epoch)
+	fab := fabric.New(clock, fabric.Config{Latency: time.Millisecond})
+	vantage := dnswire.MustIPv4("198.51.100.10")
+	replies := 0
+	if err := fab.BindICMP(vantage, func(_, _ dnswire.IPv4, _ []byte) { replies++ }); err != nil {
+		t.Fatal(err)
+	}
+	ping := func() int {
+		before := replies
+		var buf [8]byte
+		fab.SendICMP(vantage, host, icmp.Echo{ID: 1, Seq: 1}.AppendTo(buf[:0]))
+		clock.Advance(time.Second)
+		return replies - before
+	}
+	for run := 1; run <= 2; run++ {
+		if err := n.Start(fab); err != nil {
+			t.Fatal(err)
+		}
+		if got := ping(); got != 1 {
+			t.Fatalf("run %d: %s answered %d pings of 1", run, host, got)
+		}
+		n.Stop()
+		if got := ping(); got != 0 {
+			t.Fatalf("run %d: %s answered %d pings after Stop", run, host, got)
+		}
 	}
 }

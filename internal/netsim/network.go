@@ -11,6 +11,7 @@ import (
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/icmp"
 	"rdnsprivacy/internal/ipam"
 	"rdnsprivacy/internal/simclock"
 	"rdnsprivacy/internal/telemetry"
@@ -146,6 +147,7 @@ type liveState struct {
 	fab      *fabric.Fabric
 	dns      *dnsserver.Server
 	dnsEP    *fabric.Endpoint
+	pings    *icmp.Responder
 	zones    map[dnswire.Name]*dnsserver.Zone
 	servers  []*dhcp.Server
 	clients  map[uint64]*dhcp.Client

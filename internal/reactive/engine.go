@@ -339,16 +339,14 @@ func (e *Engine) sweepAll(now time.Time) {
 	}
 	for i := range e.cfg.Targets {
 		t := &e.cfg.Targets[i]
+		done := func(r icmp.ProbeResult) { e.onProbe(t, r) }
 		for _, p := range t.Prefixes {
 			n := p.NumAddresses()
 			if m := e.met; m != nil {
 				m.icmpProbes.Add(uint64(n))
 			}
 			for a := 0; a < n; a++ {
-				ip := p.Nth(a)
-				e.prober.Probe(ip, func(r icmp.ProbeResult) {
-					e.onProbe(t, r)
-				})
+				e.prober.Probe(p.Nth(a), done)
 			}
 		}
 	}

@@ -52,6 +52,12 @@ func (c *refClock) AfterFunc(d time.Duration, f func()) Timer {
 	return ev
 }
 
+// AfterDeliver is, in the model, what the interface promises it is: an
+// AfterFunc call nobody stops.
+func (c *refClock) AfterDeliver(d time.Duration, sink Sink, arg uint64) {
+	c.AfterFunc(d, func() { sink.Deliver(arg) })
+}
+
 func (e *refEvent) Stop() bool {
 	if e.done {
 		return false
@@ -105,12 +111,24 @@ type scriptStep struct {
 	pending int
 }
 
+// sinkFunc adapts a function to Sink.
+type sinkFunc func(arg uint64)
+
+func (f sinkFunc) Deliver(arg uint64) { f(arg) }
+
 // runScript drives c through ops seeded random operations and returns
 // everything it observed: each callback with the Now() it saw, each Stop
 // result, Pending() and Now() after every top-level operation. All
 // randomness is drawn from one generator, so two clocks that behave alike
 // see the same script and a divergence shows in the log.
 func runScript(c scriptClock, seed int64, ops int) []scriptStep {
+	return runMixedScript(c, seed, ops, false)
+}
+
+// runMixedScript is runScript, and with deliveries set it schedules half
+// its calls with AfterDeliver instead of AfterFunc: those run the same
+// callback, log "deliver" rather than "fire", and have no Timer to stop.
+func runMixedScript(c scriptClock, seed int64, ops int, deliveries bool) []scriptStep {
 	rng := rand.New(rand.NewSource(seed))
 	var (
 		log    []scriptStep
@@ -129,6 +147,9 @@ func runScript(c scriptClock, seed int64, ops int) []scriptStep {
 		if rng.Intn(4) != 0 && len(timers) > 200 {
 			// Mostly a recent one, which is likely still pending.
 			id = len(timers) - 1 - rng.Intn(200)
+		}
+		if timers[id] == nil {
+			return // a delivery
 		}
 		observe("stop", id, timers[id].Stop())
 		if rng.Intn(4) == 0 {
@@ -154,23 +175,32 @@ func runScript(c scriptClock, seed int64, ops int) []scriptStep {
 		}
 	}
 	var schedule func()
+	fire := func(what string, id int) {
+		inside = true
+		observe(what, id, false)
+		switch rng.Intn(10) {
+		case 0, 1, 2:
+			schedule()
+		case 3:
+			stopOne()
+		case 4:
+			// Its own timer, from inside its own callback.
+			if timers[id] != nil {
+				observe("stop-self", id, timers[id].Stop())
+			}
+		}
+		inside = false
+	}
+	deliver := sinkFunc(func(arg uint64) { fire("deliver", int(arg)) })
 	schedule = func() {
 		id := len(timers)
 		timers = append(timers, nil)
-		timers[id] = c.AfterFunc(duration(), func() {
-			inside = true
-			observe("fire", id, false)
-			switch rng.Intn(10) {
-			case 0, 1, 2:
-				schedule()
-			case 3:
-				stopOne()
-			case 4:
-				// Its own timer, from inside its own callback.
-				observe("stop-self", id, timers[id].Stop())
-			}
-			inside = false
-		})
+		d := duration()
+		if deliveries && rng.Intn(2) == 0 {
+			c.AfterDeliver(d, deliver, uint64(id))
+			return
+		}
+		timers[id] = c.AfterFunc(d, func() { fire("fire", id) })
 	}
 	for i := 0; i < ops; i++ {
 		switch r := rng.Intn(100); {
@@ -239,6 +269,70 @@ func TestSimulatedMatchesReferenceModel(t *testing.T) {
 	}
 	if fired < seeds*ops/4 {
 		t.Fatalf("only %d callbacks fired over %d operations: the script is not exercising the queue", fired, seeds*ops)
+	}
+}
+
+// TestDeliveriesMatchReferenceModel runs the differential script with half
+// its calls scheduled by AfterDeliver. The model's AfterDeliver is an
+// AfterFunc call, so every delivery must run in the order, and see a Now()
+// == to the one, that AfterFunc would have given it — while the clock
+// recycles the events of the deliveries that have fired.
+func TestDeliveriesMatchReferenceModel(t *testing.T) {
+	starts := []time.Time{
+		epoch,
+		time.Date(2021, 11, 1, 9, 0, 0, 0, time.FixedZone("CET", 3600)),
+		time.Now(),
+	}
+	seeds, ops := 30, 10000
+	if testing.Short() {
+		seeds = 6
+	}
+	delivered := 0
+	for seed := 0; seed < seeds; seed++ {
+		start := starts[seed%len(starts)]
+		sim := NewSimulated(start)
+		got := runMixedScript(sim, int64(seed), ops, true)
+		want := runMixedScript(&refClock{now: start}, int64(seed), ops, true)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: %d observations, model made %d", seed, len(got), len(want))
+		}
+		n := 0
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d, observation %d:\n got %+v\nwant %+v", seed, i, got[i], want[i])
+			}
+			if got[i].what == "deliver" {
+				n++
+			}
+		}
+		if made := len(sim.deliveries) * deliveryChunk; made >= n {
+			t.Fatalf("seed %d: %d delivery events made for %d deliveries: none recycled", seed, made, n)
+		}
+		delivered += n
+	}
+	if delivered < seeds*ops/8 {
+		t.Fatalf("only %d deliveries over %d operations: the script is not exercising them", delivered, seeds*ops)
+	}
+}
+
+// TestAfterDeliverAllocatesNothing: once the clock has as many delivery
+// events as there are deliveries pending, scheduling one allocates nothing.
+func TestAfterDeliverAllocatesNothing(t *testing.T) {
+	c := NewSimulated(epoch)
+	var sum uint64
+	sink := sinkFunc(func(arg uint64) { sum += arg })
+	for i := 0; i < 4096; i++ {
+		c.AfterDeliver(time.Hour, sink, 1)
+	}
+	c.Advance(time.Hour)
+	if avg := testing.AllocsPerRun(2000, func() {
+		c.AfterDeliver(time.Minute, sink, 1)
+		c.Advance(time.Minute)
+	}); avg != 0 {
+		t.Fatalf("AfterDeliver allocates %.1f times, want 0", avg)
+	}
+	if sum != 4096+2001 {
+		t.Fatalf("deliveries summed to %d, want %d", sum, 4096+2001)
 	}
 }
 

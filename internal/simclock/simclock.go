@@ -23,6 +23,17 @@ type Clock interface {
 	// AfterFunc schedules f to run when d has elapsed on this clock and
 	// returns a Timer that can cancel the call.
 	AfterFunc(d time.Duration, f func()) Timer
+	// AfterDeliver schedules sink.Deliver(arg) to run when d has elapsed on
+	// this clock. It is AfterFunc for a call that is never cancelled and
+	// carries its argument by value, so a caller that schedules one call
+	// per packet needs no closure for it. It orders with AfterFunc calls
+	// exactly as an AfterFunc made at the same moment would.
+	AfterDeliver(d time.Duration, sink Sink, arg uint64)
+}
+
+// Sink receives the calls AfterDeliver schedules.
+type Sink interface {
+	Deliver(arg uint64)
 }
 
 // Timer is a handle to a scheduled function call.
@@ -44,6 +55,11 @@ func (Real) AfterFunc(d time.Duration, f func()) Timer {
 	return realTimer{time.AfterFunc(d, f)}
 }
 
+// AfterDeliver implements Clock.
+func (Real) AfterDeliver(d time.Duration, sink Sink, arg uint64) {
+	time.AfterFunc(d, func() { sink.Deliver(arg) })
+}
+
 type realTimer struct{ t *time.Timer }
 
 func (r realTimer) Stop() bool { return r.t.Stop() }
@@ -59,6 +75,13 @@ func (r realTimer) Stop() bool { return r.t.Stop() }
 // the pop order is the (deadline, scheduling order) total order. The clock
 // therefore spans the 292 years either side of its start instant that a
 // time.Duration holds; deadlines beyond that compare equal.
+//
+// AfterDeliver calls share the heap and the sequence with AfterFunc calls.
+// No Timer of theirs escapes, so the clock recycles their events: once the
+// recycled events cover the most calls ever pending, a delivery allocates
+// nothing. Whenever no delivery is pending, the events are reused in the
+// order they were made, so a burst of deliveries scheduled together walks
+// them in memory order rather than in the order the last burst fired.
 type Simulated struct {
 	mu      sync.Mutex
 	start   time.Time
@@ -67,14 +90,48 @@ type Simulated struct {
 	queue   []entry
 	nextSeq uint64
 	running bool
+	// Delivery events by slot, in chunks that never move. The free ones
+	// are those in spare and every slot from fresh up; flying counts the
+	// rest.
+	deliveries []*[deliveryChunk]delivery
+	spare      []int32
+	fresh      int32
+	flying     int
+}
+
+// delivery is a delivery event and, while it is pending, what it calls:
+// one block of memory, so firing it reads one place.
+type delivery struct {
+	ev   event
+	sink Sink
+	arg  uint64
+}
+
+// deliveryChunk is how many deliveries are allocated together.
+const deliveryChunk = 256
+
+func (s *Simulated) delivery(slot int32) *delivery {
+	return &s.deliveries[slot/deliveryChunk][slot%deliveryChunk]
 }
 
 // entry is one pending call in the heap. Everything a comparison needs is
-// in the entry itself; ev is followed only to keep its index current.
+// in the entry itself; ev is followed only to keep its index current. seq
+// is the scheduling order shifted up one bit, the low bit set for an
+// AfterDeliver call: with no Timer to stop it, its event keeps no index,
+// and moving it in the heap does not touch the event at all.
 type entry struct {
 	key time.Duration
 	seq uint64
 	ev  *event
+}
+
+const deliveryBit = 1
+
+// placed records that e now sits at index i of the heap.
+func (e entry) placed(i int) {
+	if e.seq&deliveryBit == 0 {
+		e.ev.index = int32(i)
+	}
 }
 
 func (a entry) before(b entry) bool {
@@ -102,9 +159,41 @@ func (s *Simulated) AfterFunc(d time.Duration, f func()) Timer {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ev := &event{when: s.now.Add(d), fn: f, sim: s}
-	s.push(entry{key: ev.when.Sub(s.start), seq: s.nextSeq, ev: ev})
+	s.push(entry{key: ev.when.Sub(s.start), seq: s.nextSeq << 1, ev: ev})
 	s.nextSeq++
 	return ev
+}
+
+// AfterDeliver implements Clock. A non-positive duration schedules the call
+// at the current instant, as for AfterFunc.
+func (s *Simulated) AfterDeliver(d time.Duration, sink Sink, arg uint64) {
+	if d < 0 {
+		d = 0
+	}
+	s.mu.Lock()
+	var slot int32
+	if n := len(s.spare); n > 0 {
+		slot = s.spare[n-1]
+		s.spare = s.spare[:n-1]
+	} else {
+		slot = s.fresh
+		s.fresh++
+		if int(slot) == len(s.deliveries)*deliveryChunk {
+			chunk := new([deliveryChunk]delivery)
+			for i := range chunk {
+				chunk[i].ev.slot = slot + int32(i)
+			}
+			s.deliveries = append(s.deliveries, chunk)
+		}
+	}
+	s.flying++
+	dv := s.delivery(slot)
+	dv.sink, dv.arg = sink, arg
+	ev := &dv.ev
+	ev.when = s.now.Add(d)
+	s.push(entry{key: ev.when.Sub(s.start), seq: s.nextSeq<<1 | deliveryBit, ev: ev})
+	s.nextSeq++
+	s.mu.Unlock()
 }
 
 // Advance moves the clock forward by d, running every scheduled function
@@ -133,9 +222,22 @@ func (s *Simulated) AdvanceTo(target time.Time) {
 		if e.key > s.nowKey {
 			s.now, s.nowKey = e.ev.when, e.key
 		}
-		fn := e.ev.fn
-		s.mu.Unlock()
-		fn()
+		if e.seq&deliveryBit == 0 {
+			fn := e.ev.fn
+			s.mu.Unlock()
+			fn()
+		} else {
+			dv := s.delivery(e.ev.slot)
+			sink, arg := dv.sink, dv.arg
+			dv.sink = nil
+			if s.flying--; s.flying == 0 {
+				s.spare, s.fresh = s.spare[:0], 0
+			} else {
+				s.spare = append(s.spare, e.ev.slot)
+			}
+			s.mu.Unlock()
+			sink.Deliver(arg)
+		}
 		s.mu.Lock()
 	}
 	if targetKey > s.nowKey {
@@ -169,14 +271,17 @@ func (s *Simulated) Pending() int {
 	return len(s.queue)
 }
 
-// event is a scheduled function call on a Simulated clock, and the Timer
-// AfterFunc hands out. index is its position in the heap, -1 once it has
-// fired or been stopped.
+// event is a scheduled call on a Simulated clock: an AfterFunc call, and
+// the Timer AfterFunc hands out, or an AfterDeliver call, whose sink and
+// argument sit beside it in s.delivery(slot). index is an AfterFunc event's
+// position in the heap, -1 once it has fired or been stopped. Both indexes
+// are 32 bits so the event stays in a 48-byte allocation.
 type event struct {
 	when  time.Time
 	fn    func()
 	sim   *Simulated
-	index int
+	index int32
+	slot  int32
 }
 
 // Stop implements Timer. It takes the call out of the queue at once.
@@ -187,7 +292,7 @@ func (e *event) Stop() bool {
 	if e.index < 0 {
 		return false
 	}
-	s.remove(e.index)
+	s.remove(int(e.index))
 	return true
 }
 
@@ -213,7 +318,7 @@ func (s *Simulated) popMin() entry {
 // remove takes the entry at index i out of the heap.
 func (s *Simulated) remove(i int) {
 	q := s.queue
-	q[i].ev.index = -1
+	q[i].placed(-1)
 	n := len(q) - 1
 	last := q[n]
 	q[n] = entry{}
@@ -237,11 +342,11 @@ func (s *Simulated) up(i int, e entry) {
 			break
 		}
 		q[i] = q[parent]
-		q[i].ev.index = i
+		q[i].placed(i)
 		i = parent
 	}
 	q[i] = e
-	e.ev.index = i
+	e.placed(i)
 }
 
 // down places e at or below the hole at index i.
@@ -262,11 +367,11 @@ func (s *Simulated) down(i int, e entry) {
 			break
 		}
 		q[i] = q[least]
-		q[i].ev.index = i
+		q[i].placed(i)
 		i = least
 	}
 	q[i] = e
-	e.ev.index = i
+	e.placed(i)
 }
 
 // Ticker repeatedly invokes a function at a fixed interval on a Clock until

@@ -247,3 +247,18 @@ func TestRealTimerStop(t *testing.T) {
 		t.Fatal("Stop() = false, want true")
 	}
 }
+
+// TestRealAfterDeliver: the real clock delivers too, after the delay.
+func TestRealAfterDeliver(t *testing.T) {
+	got := make(chan uint64, 1)
+	start := time.Now()
+	Real{}.AfterDeliver(5*time.Millisecond, sinkFunc(func(arg uint64) { got <- arg }), 7)
+	select {
+	case arg := <-got:
+		if arg != 7 || time.Since(start) < 5*time.Millisecond {
+			t.Fatalf("delivered %d after %v, want 7 after 5ms", arg, time.Since(start))
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no delivery")
+	}
+}
