@@ -36,7 +36,9 @@ bench:
 # (20 days of the bench-scale universe's dynamic networks through scan.Run
 # into a fresh store, compacting every 10) is held to allocs/op and B/op:
 # the campaign overlaps its sweep with its appends, so its time is the
-# host's core count.
+# host's core count. BenchmarkHistStoreAppend (one small-scale day, packed,
+# appended onto a 20-day store; 20 iterations, each on a fresh copy of the
+# store, so the row is exact) likewise.
 # Every stage runs at -cpu 1:
 # go test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
@@ -49,6 +51,7 @@ bench-check:
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -cpu 1 -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreOpen' -cpu 1 -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkCampaignDay' -cpu 1 -count=1 . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAppend' -cpu 1 -benchtime 20x -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad|BenchmarkRender' -cpu 1 -count=1 ./internal/rdnsserve \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkClientDecode' -cpu 1 -count=1 ./internal/rdnsclient \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \

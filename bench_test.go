@@ -784,6 +784,89 @@ func BenchmarkCampaignDay(b *testing.B) {
 	b.ReportMetric(0, "ns/op")
 }
 
+// BenchmarkHistStoreAppend is one day of the small-scale universe's
+// dynamic networks (cmd/experiments -scale small, ~11 k records in ~260
+// /24s) appended, in the packed form a sweep hands over, onto a store
+// holding the 20 days before it: every iteration appends the same day to
+// a fresh copy of the same store, so its allocs/op and B/op — which make
+// bench-check holds — are exact. An append's time is the host's file
+// system, so the benchmark reports no ns/op.
+func BenchmarkHistStoreAppend(b *testing.B) {
+	u, err := netsim.BuildStudyUniverse(netsim.UniverseConfig{
+		Seed:                  42,
+		FillerSlash24s:        6000,
+		LeakyNetworks:         60,
+		NonLeakyDynamic:       16,
+		PeoplePerDynamicBlock: 30,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	camp := scan.Campaign{Universe: u, SkipFiller: true}
+	start := date(2021, time.March, 1).Add(13 * time.Hour)
+	days := make([]scanengine.Blocks, 21)
+	for i := range days {
+		snap, err := scan.Snapshot(context.Background(), camp, start.AddDate(0, 0, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		days[i] = snap.Blocks
+	}
+	tmpl := filepath.Join(b.TempDir(), "template")
+	st, err := histstore.Open(tmpl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, blocks := range days[:20] {
+		if err := st.AppendBlocks(start.AddDate(0, 0, i), blocks); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	files, err := os.ReadDir(tmpl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "store")
+		if err := os.Mkdir(dir, 0o755); err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range files {
+			if filepath.Ext(f.Name()) == ".lock" {
+				continue
+			}
+			data, err := os.ReadFile(filepath.Join(tmpl, f.Name()))
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
+				b.Fatal(err)
+			}
+		}
+		st, err := histstore.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		err = st.AppendBlocks(start.AddDate(0, 0, 20), days[20])
+		b.StopTimer()
+		if err != nil || st.Len() != 21 {
+			b.Fatalf("append onto the 20-day store: %v (%d snapshots)", err, st.Len())
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(0, "ns/op")
+}
+
 // BenchmarkHistStoreAtCompacted is BenchmarkHistStoreAt's cold variant
 // over a fully compacted store: every reconstruction walks a fresh
 // in-segment base chain through the tier, the steady state of a

@@ -238,12 +238,12 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep interrupted: %v\n", err)
 	}
-	fmt.Fprintf(os.Stderr, "scanned %d addresses: %d records, %d errors\n",
-		snap.Stats.Probes, snap.Stats.Found, snap.Stats.Errors)
-	if snap != nil && snap.Health != nil {
-		lastHealth.Store(snap.Health)
-	}
 	if snap != nil {
+		fmt.Fprintf(os.Stderr, "scanned %d addresses: %d records, %d errors\n",
+			snap.Stats.Probes, snap.Stats.Found, snap.Stats.Errors)
+		if snap.Health != nil {
+			lastHealth.Store(snap.Health)
+		}
 		appendStore(store, snap)
 		recorder.CaptureFrame(0, time.Now().UTC(), snap)
 	}
@@ -287,12 +287,17 @@ func newRecorder(reg *telemetry.Registry, store *histstore.Store) *obs.Recorder 
 // appendStore persists one sweep's record set as a history-store
 // snapshot stamped with the wall clock. No-op without -store; a failed
 // append (e.g. two polls within the store's one-second granularity) is
-// reported but does not stop the scan.
+// reported but does not stop the scan. A cancelled sweep is not archived:
+// the store would read every address it never reached as removed.
 func appendStore(store *histstore.Store, snap *scanengine.Snapshot) {
 	if store == nil || snap == nil {
 		return
 	}
-	if err := store.Append(time.Now().UTC(), snap.Records); err != nil {
+	if snap.Partial {
+		fmt.Fprintln(os.Stderr, "store: sweep incomplete, not archived")
+		return
+	}
+	if err := store.AppendBlocks(time.Now().UTC(), snap.Blocks); err != nil {
 		fmt.Fprintf(os.Stderr, "store: %v\n", err)
 	}
 }

@@ -15,6 +15,29 @@ import (
 	"rdnsprivacy/internal/telemetry"
 )
 
+// TestPartialSweepIsNotArchived pins that -store keeps a cancelled sweep
+// out of the history: archiving it would record a removal for every
+// address the sweep never reached. A complete sweep of the same records
+// is archived.
+func TestPartialSweepIsNotArchived(t *testing.T) {
+	store, err := histstore.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer store.Close()
+	recs := scanengine.RecordSet{dnswire.IPv4{10, 0, 0, 1}: dnswire.MustName("h1.example.org")}
+	snap := &scanengine.Snapshot{Blocks: scanengine.Pack(recs), Records: recs, Partial: true}
+	appendStore(store, snap)
+	if store.Len() != 0 {
+		t.Fatalf("a partial sweep was archived: store holds %d snapshots", store.Len())
+	}
+	snap.Partial = false
+	appendStore(store, snap)
+	if store.Len() != 1 {
+		t.Fatalf("a complete sweep was not archived: store holds %d snapshots", store.Len())
+	}
+}
+
 // TestObsFramesCarryCompactedStoreState pins the -store -obs-out wiring:
 // a frame captured over a store that has compacted reports its segments,
 // writers and compaction runs — the whole of scan.StoreStats, not a

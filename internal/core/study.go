@@ -207,24 +207,28 @@ func (s *Study) campaign() *campaign {
 		SkipFiller: true,
 		Telemetry:  s.Cfg.Telemetry,
 		Observer:   s.Cfg.Observer,
-		OnSnapshot: func(_ int, d time.Time, records scanengine.RecordSet) {
+		OnSnapshot: func(_ int, d time.Time, blocks scanengine.Blocks) {
 			role := roles[d.Unix()]
 			if role == 0 {
 				return
 			}
-			for ip, name := range records {
-				if role&inDaily != 0 {
-					daily.Observe(d, ip, name)
-				}
-				if role&inWeekly != 0 {
-					weekly.Observe(d, ip, name)
-				}
-				if role&inLeak == 0 {
-					continue
-				}
-				if key := recordKey(ip, name); !seen[key] {
-					seen[key] = true
-					c.union = append(c.union, privleak.RecordObservation{IP: ip, HostName: name})
+			for _, b := range blocks {
+				ip := b.Prefix.Addr
+				for _, e := range b.Entries {
+					ip[3] = e.Octet
+					if role&inDaily != 0 {
+						daily.Observe(d, ip, e.Name)
+					}
+					if role&inWeekly != 0 {
+						weekly.Observe(d, ip, e.Name)
+					}
+					if role&inLeak == 0 {
+						continue
+					}
+					if key := recordKey(ip, e.Name); !seen[key] {
+						seen[key] = true
+						c.union = append(c.union, privleak.RecordObservation{IP: ip, HostName: e.Name})
+					}
 				}
 			}
 		},

@@ -181,6 +181,17 @@ func NewStatsCollector(name string) *StatsCollector {
 
 // Observe records one (date, ip, ptr) observation.
 func (c *StatsCollector) Observe(date time.Time, ip dnswire.IPv4, ptr dnswire.Name) {
+	c.ObserveDay(date, 1)
+	c.See(ip, ptr)
+}
+
+// ObserveDay counts n observations made on date without adding to the
+// distinct sets. A campaign day whose records mostly repeat the day
+// before's passes only what changed to See.
+func (c *StatsCollector) ObserveDay(date time.Time, n uint64) {
+	if n == 0 {
+		return
+	}
 	if !c.startSeen || date.Before(c.stats.Start) {
 		c.stats.Start = date
 		c.startSeen = true
@@ -188,7 +199,12 @@ func (c *StatsCollector) Observe(date time.Time, ip dnswire.IPv4, ptr dnswire.Na
 	if date.After(c.stats.End) {
 		c.stats.End = date
 	}
-	c.stats.TotalResponses++
+	c.stats.TotalResponses += n
+}
+
+// See adds an address and a name to the distinct sets without counting an
+// observation.
+func (c *StatsCollector) See(ip dnswire.IPv4, ptr dnswire.Name) {
 	c.seenIPs[ip.Uint32()] = struct{}{}
 	c.seenPTRs[hashName(ptr)] = struct{}{}
 }

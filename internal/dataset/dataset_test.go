@@ -103,6 +103,16 @@ func TestStatsCollector(t *testing.T) {
 	if c.Stats().TotalResponses != 13 {
 		t.Fatalf("after repeat = %d", c.Stats().TotalResponses)
 	}
+	// A day counted apart from its distinct records: an empty day moves
+	// nothing, a later one extends the range, and See adds only what is new.
+	c.ObserveDay(day.AddDate(0, 0, 9), 0)
+	c.ObserveDay(day.AddDate(0, 0, 3), 4)
+	c.See(dnswire.MustIPv4("192.0.2.1"), name)
+	c.See(dnswire.MustIPv4("192.0.2.3"), dnswire.MustName("f.example.edu"))
+	st = c.Stats()
+	if st.TotalResponses != 17 || st.UniqueIPs != 3 || st.UniquePTRs != 3 || !st.End.Equal(day.AddDate(0, 0, 3)) {
+		t.Fatalf("after ObserveDay and See: %+v", st)
+	}
 }
 
 func TestStatsString(t *testing.T) {

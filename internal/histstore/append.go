@@ -3,7 +3,6 @@ package histstore
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
@@ -12,13 +11,25 @@ import (
 )
 
 // Append adds one snapshot to this store's writer tail: the record set
-// the campaign's sweep produced at date. Dates must be strictly
-// increasing across the merged timeline. Blocks are written as deltas
-// against the writer's previous snapshot, or as fresh bases on first
-// appearance and whenever a delta chain has spanned the base interval
-// (the within-tail compaction mechanism; segment compaction later
-// rewrites these runs sparser).
+// the campaign's sweep produced at date. It is AppendBlocks of the set
+// packed.
 func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
+	return s.AppendBlocks(date, scanengine.Pack(recs))
+}
+
+// AppendBlocks adds one snapshot, in the packed form a sweep produces, to
+// this store's writer tail. Dates must be strictly increasing across the
+// merged timeline; blocks must be /24s in address order, each one's
+// entries in octet order with no octet twice (what scanengine.Pack and a
+// sweep's Snapshot.Blocks hold). Blocks are written as deltas against the
+// writer's previous snapshot, or as fresh bases on first appearance and
+// whenever a delta chain has spanned the base interval (the within-tail
+// compaction mechanism; segment compaction later rewrites these runs
+// sparser).
+func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
+	if err := checkBlocks(blocks); err != nil {
+		return err
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
@@ -37,56 +48,45 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 		return fmt.Errorf("histstore: timeline is full at %d snapshots", len(s.times))
 	}
 
-	// Group the snapshot by /24, every block's entries carved from one
-	// array: the states below are working copies, and what outlives the
-	// append is cloned into the plan.
-	counts := make(map[dnswire.Prefix]int, len(w.cur))
-	for ip := range recs {
-		counts[ip.Slash24()]++
-	}
-	entries := make([]baseEntry, len(recs))
-	newStates := make(map[dnswire.Prefix]blockState, len(counts))
-	for p, n := range counts {
-		newStates[p], entries = entries[:0:n], entries[n:]
-	}
-	for ip, name := range recs {
-		p := ip.Slash24()
-		newStates[p] = append(newStates[p], baseEntry{octet: ip[3], name: name})
-	}
-	for _, st := range newStates {
-		st.sortByOctet()
-	}
-
-	// The union of the writer's currently-live and newly-seen blocks,
-	// sorted so the log layout (and thus the file bytes) is deterministic.
-	prefixes := make(map[dnswire.Prefix]bool, len(newStates)+len(w.cur))
-	for p := range newStates {
-		prefixes[p] = true
-	}
-	for p := range w.cur {
-		prefixes[p] = true
-	}
-	order := make([]dnswire.Prefix, 0, len(prefixes))
-	for p := range prefixes {
-		order = append(order, p)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i].Addr.Uint32() < order[j].Addr.Uint32() })
-
 	local := len(w.times)
 	base := w.tailSize
-	buf := appendFrame(nil, frameSnap, encodeSnapBody(local, date.Unix()))
+	sc := &w.scratch
+	sc.body = appendSnapBody(sc.body[:0], local, date.Unix())
+	buf := appendFrame(sc.buf[:0], frameSnap, sc.body)
+	changesArena := sc.changes[:0]
 	var plan []frameEffect
 	bases := 0
-	for _, p := range order {
-		newState := newStates[p]
-		changes := diffBlock(nil, w.cur[p], newState)
-		known := w.known.has(p)
+	// One walk in address order over the union of the blocks the writer
+	// has ever recorded (a superset of its live ones) and the snapshot's:
+	// the log layout, and thus the file bytes, follows it.
+	known := w.known
+	for i, j := 0, 0; i < len(known) || j < len(blocks); {
+		var (
+			p        dnswire.Prefix
+			newState blockState
+			isKnown  bool
+		)
+		if j == len(blocks) || (i < len(known) && known[i].Addr.Uint32() < blocks[j].Prefix.Addr.Uint32()) {
+			p, isKnown = known[i], true
+			i++
+		} else {
+			p, newState = blocks[j].Prefix, blocks[j].Entries
+			if isKnown = i < len(known) && known[i] == p; isKnown {
+				i++
+			}
+			j++
+		}
+		old := w.cur[p]
+		if len(old) == 0 && len(newState) == 0 {
+			continue // empty before and after
+		}
+		start := len(changesArena)
+		changesArena = diffBlock(changesArena, old, newState)
+		changes := changesArena[start:]
 		var kind byte
 		switch {
-		case !known && len(newState) > 0:
+		case !isKnown:
 			kind = frameBase
-		case !known:
-			continue // never materialized and still empty
 		case w.cadence.due(p, local, s.baseEvery):
 			kind = frameBase // compact the delta chain
 		case len(changes) > 0:
@@ -94,18 +94,19 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 		default:
 			continue // unchanged
 		}
-		start := len(buf)
+		at := len(buf)
 		if kind == frameBase {
-			buf = appendFrame(buf, frameBase, encodeBaseBody(local, p, newState))
+			sc.body = appendBaseBody(sc.body[:0], local, p, newState)
 			bases++
 		} else {
-			buf = appendFrame(buf, frameDelta, encodeDeltaBody(local, p, changes))
+			sc.body = appendDeltaBody(sc.body[:0], local, p, changes)
 		}
-		// The state outlives the append as the block's live state: keep it
-		// without the slack its gathering left behind.
+		buf = appendFrame(buf, kind, sc.body)
+		// The state outlives the append as the block's live state: keep a
+		// copy of its own, not the caller's.
 		plan = append(plan, frameEffect{
 			p:       p,
-			ref:     blockRef{snap: local, kind: kind, off: base + int64(start), length: len(buf) - start},
+			ref:     blockRef{snap: local, kind: kind, off: base + int64(at), length: len(buf) - at},
 			changes: changes,
 			state:   slices.Clone(newState),
 		})
@@ -130,6 +131,7 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 	}
 
 	s.commitGroup(w, date, true, plan)
+	sc.buf, sc.changes = buf[:0], changesArena[:0]
 	w.tailSize += int64(len(buf))
 	s.bytes += int64(len(buf))
 	m := s.met
@@ -139,4 +141,34 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 	m.deltaFrames.Add(uint64(len(plan) - bases))
 	s.publishGauges()
 	return nil
+}
+
+// checkBlocks rejects a snapshot that is not in packed form, before any of
+// it is encoded: frames are written in the order given and a block's
+// entries are gap-coded as they stand, so a misordered input would write a
+// log that cannot be read back.
+func checkBlocks(blocks scanengine.Blocks) error {
+	for i, b := range blocks {
+		if b.Prefix.Bits != 24 || b.Prefix.Addr[3] != 0 {
+			return fmt.Errorf("histstore: append: block %s is not a /24", b.Prefix)
+		}
+		if i > 0 && blocks[i-1].Prefix.Addr.Uint32() >= b.Prefix.Addr.Uint32() {
+			return fmt.Errorf("histstore: append: block %s does not follow %s", b.Prefix, blocks[i-1].Prefix)
+		}
+		for k := 1; k < len(b.Entries); k++ {
+			if b.Entries[k-1].Octet >= b.Entries[k].Octet {
+				return fmt.Errorf("histstore: append: block %s: octet %d does not follow %d", b.Prefix, b.Entries[k].Octet, b.Entries[k-1].Octet)
+			}
+		}
+	}
+	return nil
+}
+
+// appendScratch is the buffers a writer's appends reuse, kept between
+// them: the group's encoded bytes (written to the tail, then no longer
+// needed), one frame body at a time, and the blocks' changes, which the
+// commit reads and does not keep.
+type appendScratch struct {
+	buf, body []byte
+	changes   []deltaEntry
 }

@@ -8,7 +8,9 @@ import (
 )
 
 // blockState is the record set of one /24, packed: its entries sorted by
-// last octet, no octet twice — the shape a base frame decodes to. States
+// last octet, no octet twice — the shape a base frame decodes to, and the
+// one a sweep's scanengine.Block carries, so a snapshot arrives as block
+// states. States
 // are immutable once built: the live view, the reconstruction cache and
 // every walk share them, so a transition always writes a new slice.
 type blockState []baseEntry
@@ -18,14 +20,14 @@ func (st blockState) lookup(octet byte) (dnswire.Name, bool) {
 	lo, hi := 0, len(st)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if st[mid].octet < octet {
+		if st[mid].Octet < octet {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	if lo < len(st) && st[lo].octet == octet {
-		return st[lo].name, true
+	if lo < len(st) && st[lo].Octet == octet {
+		return st[lo].Name, true
 	}
 	return "", false
 }
@@ -34,14 +36,9 @@ func (st blockState) lookup(octet byte) (dnswire.Name, bool) {
 func (st blockState) toMap() map[byte]dnswire.Name {
 	out := make(map[byte]dnswire.Name, len(st))
 	for _, e := range st {
-		out[e.octet] = e.name
+		out[e.Octet] = e.Name
 	}
 	return out
-}
-
-// sortByOctet orders a freshly gathered state.
-func (st blockState) sortByOctet() {
-	slices.SortFunc(st, func(a, b baseEntry) int { return int(a.octet) - int(b.octet) })
 }
 
 // diffBlock appends to dst the octet-sorted changes turning old into new.
@@ -49,15 +46,15 @@ func diffBlock(dst []deltaEntry, old, new blockState) []deltaEntry {
 	i, j := 0, 0
 	for i < len(old) || j < len(new) {
 		switch {
-		case j == len(new) || (i < len(old) && old[i].octet < new[j].octet):
-			dst = append(dst, deltaEntry{kind: scanengine.RecordRemoved, octet: old[i].octet, old: old[i].name})
+		case j == len(new) || (i < len(old) && old[i].Octet < new[j].Octet):
+			dst = append(dst, deltaEntry{kind: scanengine.RecordRemoved, octet: old[i].Octet, old: old[i].Name})
 			i++
-		case i == len(old) || new[j].octet < old[i].octet:
-			dst = append(dst, deltaEntry{kind: scanengine.RecordAdded, octet: new[j].octet, new: new[j].name})
+		case i == len(old) || new[j].Octet < old[i].Octet:
+			dst = append(dst, deltaEntry{kind: scanengine.RecordAdded, octet: new[j].Octet, new: new[j].Name})
 			j++
 		default:
-			if old[i].name != new[j].name {
-				dst = append(dst, deltaEntry{kind: scanengine.RecordChanged, octet: old[i].octet, old: old[i].name, new: new[j].name})
+			if old[i].Name != new[j].Name {
+				dst = append(dst, deltaEntry{kind: scanengine.RecordChanged, octet: old[i].Octet, old: old[i].Name, new: new[j].Name})
 			}
 			i++
 			j++
@@ -75,15 +72,15 @@ func applyDelta(dst, st blockState, entries []deltaEntry) blockState {
 	}
 	i := 0
 	for _, e := range entries {
-		for i < len(st) && st[i].octet < e.octet {
+		for i < len(st) && st[i].Octet < e.octet {
 			dst = append(dst, st[i])
 			i++
 		}
-		if i < len(st) && st[i].octet == e.octet {
+		if i < len(st) && st[i].Octet == e.octet {
 			i++
 		}
 		if e.kind != scanengine.RecordRemoved {
-			dst = append(dst, baseEntry{octet: e.octet, name: e.new})
+			dst = append(dst, baseEntry{Octet: e.octet, Name: e.new})
 		}
 	}
 	return append(dst, st[i:]...)
@@ -109,8 +106,8 @@ func mergeStates(dst blockState, states []blockState) blockState {
 		best := -1
 		var octet byte
 		for k, st := range states {
-			if pos[k] < len(st) && (best < 0 || st[pos[k]].octet < octet) {
-				best, octet = k, st[pos[k]].octet
+			if pos[k] < len(st) && (best < 0 || st[pos[k]].Octet < octet) {
+				best, octet = k, st[pos[k]].Octet
 			}
 		}
 		if best < 0 {
@@ -118,7 +115,7 @@ func mergeStates(dst blockState, states []blockState) blockState {
 		}
 		dst = append(dst, states[best][pos[best]])
 		for k, st := range states {
-			if pos[k] < len(st) && st[pos[k]].octet == octet {
+			if pos[k] < len(st) && st[pos[k]].Octet == octet {
 				pos[k]++
 			}
 		}

@@ -70,11 +70,10 @@ const maxBlockEntries = 256
 // 255 octets on the wire; the presentation form stays within that here).
 const maxNameBytes = 255
 
-// baseEntry is one record of a base block, in last-octet order.
-type baseEntry struct {
-	octet byte
-	name  dnswire.Name
-}
+// baseEntry is one record of a base block, in last-octet order: the
+// packed entry the sweep hands the store, so a snapshot's blocks are
+// block states as they arrive.
+type baseEntry = scanengine.Entry
 
 // deltaEntry is one change of a delta block, in last-octet order.
 type deltaEntry struct {
@@ -285,9 +284,9 @@ func readOctet(r *byteReader, first bool, prev byte) (byte, error) {
 	return byte(next), nil
 }
 
-// encodeSnapBody encodes a snapshot header body.
-func encodeSnapBody(snap int, unixSec int64) []byte {
-	body := binary.AppendUvarint(nil, uint64(snap))
+// appendSnapBody appends a snapshot header body to dst.
+func appendSnapBody(dst []byte, snap int, unixSec int64) []byte {
+	body := binary.AppendUvarint(dst, uint64(snap))
 	return binary.AppendVarint(body, unixSec)
 }
 
@@ -308,20 +307,20 @@ func decodeSnapBody(body []byte) (snap int, unixSec int64, err error) {
 	return int(s), u, nil
 }
 
-// encodeBaseBody encodes a base block body. Entries must be sorted by
-// octet ascending with no duplicates.
-func encodeBaseBody(snap int, p dnswire.Prefix, entries []baseEntry) []byte {
-	body := binary.AppendUvarint(nil, uint64(snap))
+// appendBaseBody appends a base block body to dst. Entries must be sorted
+// by octet ascending with no duplicates.
+func appendBaseBody(dst []byte, snap int, p dnswire.Prefix, entries []baseEntry) []byte {
+	body := binary.AppendUvarint(dst, uint64(snap))
 	body = append(body, p.Addr[0], p.Addr[1], p.Addr[2])
 	body = binary.AppendUvarint(body, uint64(len(entries)))
 	var prevName dnswire.Name
 	for i, e := range entries {
 		if i == 0 {
-			body = binary.AppendUvarint(body, uint64(e.octet))
+			body = binary.AppendUvarint(body, uint64(e.Octet))
 		} else {
-			body = binary.AppendUvarint(body, uint64(e.octet)-uint64(entries[i-1].octet))
+			body = binary.AppendUvarint(body, uint64(e.Octet)-uint64(entries[i-1].Octet))
 		}
-		body, prevName = appendName(body, prevName, e.name)
+		body, prevName = appendName(body, prevName, e.Name)
 	}
 	return body
 }
@@ -348,7 +347,7 @@ func decodeBaseBody(body []byte, dst []baseEntry) (snap int, p dnswire.Prefix, e
 		if err != nil {
 			return 0, p, nil, err
 		}
-		entries = append(entries, baseEntry{octet: octet, name: name})
+		entries = append(entries, baseEntry{Octet: octet, Name: name})
 		prevOctet, prevName = octet, name
 	}
 	if err := r.done(); err != nil {
@@ -357,10 +356,10 @@ func decodeBaseBody(body []byte, dst []baseEntry) (snap int, p dnswire.Prefix, e
 	return snap, p, entries, nil
 }
 
-// encodeDeltaBody encodes a delta block body. Entries must be sorted by
-// octet ascending with no duplicates.
-func encodeDeltaBody(snap int, p dnswire.Prefix, entries []deltaEntry) []byte {
-	body := binary.AppendUvarint(nil, uint64(snap))
+// appendDeltaBody appends a delta block body to dst. Entries must be
+// sorted by octet ascending with no duplicates.
+func appendDeltaBody(dst []byte, snap int, p dnswire.Prefix, entries []deltaEntry) []byte {
+	body := binary.AppendUvarint(dst, uint64(snap))
 	body = append(body, p.Addr[0], p.Addr[1], p.Addr[2])
 	body = binary.AppendUvarint(body, uint64(len(entries)))
 	var prevName dnswire.Name

@@ -74,7 +74,7 @@ func TestSnapBodyRoundTrip(t *testing.T) {
 		snap int
 		unix int64
 	}{{0, 0}, {1, 1577836800}, {365, -62135596800}, {100000, 1<<40 + 7}} {
-		snap, unix, err := decodeSnapBody(encodeSnapBody(tc.snap, tc.unix))
+		snap, unix, err := decodeSnapBody(appendSnapBody(nil, tc.snap, tc.unix))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,12 +87,12 @@ func TestSnapBodyRoundTrip(t *testing.T) {
 func TestBaseBodyRoundTrip(t *testing.T) {
 	p := dnswire.MustPrefix("192.0.2.0/24")
 	entries := []baseEntry{
-		{octet: 0, name: dnswire.MustName("brians-iphone.lan.example.net")},
-		{octet: 1, name: dnswire.MustName("brians-ipad.lan.example.net")},
-		{octet: 17, name: dnswire.MustName("printer.example.net")},
-		{octet: 255, name: dnswire.MustName("broadcast.example.net")},
+		{Octet: 0, Name: dnswire.MustName("brians-iphone.lan.example.net")},
+		{Octet: 1, Name: dnswire.MustName("brians-ipad.lan.example.net")},
+		{Octet: 17, Name: dnswire.MustName("printer.example.net")},
+		{Octet: 255, Name: dnswire.MustName("broadcast.example.net")},
 	}
-	body := encodeBaseBody(42, p, entries)
+	body := appendBaseBody(nil, 42, p, entries)
 	snap, gp, got, err := decodeBaseBody(body, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -119,7 +119,7 @@ func TestDeltaBodyRoundTrip(t *testing.T) {
 			new: dnswire.MustName("host-9b.dyn.example.net")},
 		{kind: scanengine.RecordRemoved, octet: 200, old: dnswire.MustName("gone.example.net")},
 	}
-	body := encodeDeltaBody(7, p, entries)
+	body := appendDeltaBody(nil, 7, p, entries)
 	snap, gp, got, err := decodeDeltaBody(body, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -139,9 +139,9 @@ func TestDeltaBodyRoundTrip(t *testing.T) {
 
 func TestDecodeBaseBodyRejects(t *testing.T) {
 	p := dnswire.MustPrefix("192.0.2.0/24")
-	good := encodeBaseBody(1, p, []baseEntry{
-		{octet: 5, name: dnswire.MustName("a.example.net")},
-		{octet: 6, name: dnswire.MustName("b.example.net")},
+	good := appendBaseBody(nil, 1, p, []baseEntry{
+		{Octet: 5, Name: dnswire.MustName("a.example.net")},
+		{Octet: 6, Name: dnswire.MustName("b.example.net")},
 	})
 	if _, _, _, err := decodeBaseBody(good, nil); err != nil {
 		t.Fatalf("control: %v", err)
@@ -152,7 +152,7 @@ func TestDecodeBaseBodyRejects(t *testing.T) {
 		"truncated":      good[:len(good)-3],
 	}
 	// An absurd count with no entries behind it.
-	huge := encodeBaseBody(1, p, nil)
+	huge := appendBaseBody(nil, 1, p, nil)
 	huge[len(huge)-1] = 0xff // count uvarint -> would continue; malformed
 	cases["bad count varint"] = huge
 	for name, body := range cases {
@@ -164,7 +164,7 @@ func TestDecodeBaseBodyRejects(t *testing.T) {
 
 func TestDecodeDeltaBodyRejectsKind(t *testing.T) {
 	p := dnswire.MustPrefix("192.0.2.0/24")
-	body := encodeDeltaBody(1, p, []deltaEntry{
+	body := appendDeltaBody(nil, 1, p, []deltaEntry{
 		{kind: scanengine.RecordAdded, octet: 5, new: dnswire.MustName("a.example.net")},
 	})
 	// The kind byte is right after snap(1)+prefix(3)+count(1).
@@ -183,10 +183,10 @@ func TestNamePrefixCompression(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		name := dnswire.MustName(
 			"host-" + strings.Repeat("x", 40) + "-" + string(rune('a'+i%26)) + ".dsl.example.net")
-		entries = append(entries, baseEntry{octet: byte(i), name: name})
+		entries = append(entries, baseEntry{Octet: byte(i), Name: name})
 		naive += len(name)
 	}
-	body := encodeBaseBody(0, p, entries)
+	body := appendBaseBody(nil, 0, p, entries)
 	if len(body) > naive/2 {
 		t.Fatalf("compressed body %d bytes vs %d naive — compression ineffective", len(body), naive)
 	}

@@ -354,6 +354,7 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 // segBuild is the in-memory image of a segment under construction.
 type segBuild struct {
 	data    []byte
+	body    []byte                        // one frame body at a time
 	refs    map[dnswire.Prefix][]blockRef // gathered frame by frame
 	cadence cadence                       // the segment's own rebase schedule
 	idx     *segIndex                     // the index a reload of the image would build
@@ -368,12 +369,13 @@ type segBuild struct {
 func (b *segBuild) emit(kind byte, snap int, fe frameEffect) {
 	start := len(b.data)
 	if kind == frameBase {
-		b.data = appendFrame(b.data, frameBase, encodeBaseBody(snap, fe.p, fe.state))
+		b.body = appendBaseBody(b.body[:0], snap, fe.p, fe.state)
 		b.baseFrames++
 	} else {
-		b.data = appendFrame(b.data, frameDelta, encodeDeltaBody(snap, fe.p, fe.changes))
+		b.body = appendDeltaBody(b.body[:0], snap, fe.p, fe.changes)
 		b.deltaFrames++
 	}
+	b.data = appendFrame(b.data, kind, b.body)
 	b.refs[fe.p] = append(b.refs[fe.p], blockRef{snap: snap, kind: kind, off: int64(start), length: len(b.data) - start})
 	b.cadence.note(fe.p, snap, kind)
 }
@@ -440,7 +442,8 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 			if snap == first+1 {
 				flushFirst()
 			}
-			b.data = appendFrame(b.data, frameSnap, encodeSnapBody(snap, fr.unix))
+			b.body = appendSnapBody(b.body[:0], snap, fr.unix)
+			b.data = appendFrame(b.data, frameSnap, b.body)
 			continue
 		}
 		fe := frameEffect{ref: fr.ref}

@@ -18,12 +18,12 @@ import (
 // further.
 func FuzzDecodeBlock(f *testing.F) {
 	p := dnswire.MustPrefix("192.0.2.0/24")
-	base := encodeBaseBody(3, p, []baseEntry{
-		{octet: 1, name: dnswire.MustName("brians-iphone.lan.example.net")},
-		{octet: 2, name: dnswire.MustName("brians-ipad.lan.example.net")},
-		{octet: 250, name: dnswire.MustName("printer.example.net")},
+	base := appendBaseBody(nil, 3, p, []baseEntry{
+		{Octet: 1, Name: dnswire.MustName("brians-iphone.lan.example.net")},
+		{Octet: 2, Name: dnswire.MustName("brians-ipad.lan.example.net")},
+		{Octet: 250, Name: dnswire.MustName("printer.example.net")},
 	})
-	delta := encodeDeltaBody(4, p, []deltaEntry{
+	delta := appendDeltaBody(nil, 4, p, []deltaEntry{
 		{kind: scanengine.RecordChanged, octet: 1,
 			old: dnswire.MustName("brians-iphone.lan.example.net"),
 			new: dnswire.MustName("brians-iphone-2.lan.example.net")},
@@ -31,15 +31,15 @@ func FuzzDecodeBlock(f *testing.F) {
 	})
 
 	// Well-formed frames of every kind.
-	f.Add(appendFrame(nil, frameSnap, encodeSnapBody(0, 1583038800)))
+	f.Add(appendFrame(nil, frameSnap, appendSnapBody(nil, 0, 1583038800)))
 	f.Add(appendFrame(nil, frameBase, base))
 	f.Add(appendFrame(nil, frameDelta, delta))
 	// Shapes compaction writes that the append path never does: an empty
 	// base (a block dying in-snapshot inside a sealed segment) and a
 	// single-entry rebase from the sparse in-segment cadence.
-	f.Add(appendFrame(nil, frameBase, encodeBaseBody(9, p, nil)))
-	f.Add(appendFrame(nil, frameBase, encodeBaseBody(28, p, []baseEntry{
-		{octet: 250, name: dnswire.MustName("printer.example.net")},
+	f.Add(appendFrame(nil, frameBase, appendBaseBody(nil, 9, p, nil)))
+	f.Add(appendFrame(nil, frameBase, appendBaseBody(nil, 28, p, []baseEntry{
+		{Octet: 250, Name: dnswire.MustName("printer.example.net")},
 	})))
 	// Truncations at interesting depths.
 	fr := appendFrame(nil, frameBase, base)
@@ -77,10 +77,10 @@ func FuzzDecodeBlock(f *testing.F) {
 			}
 		case frameBase:
 			if _, _, entries, err := decodeBaseBody(fr.body, nil); err == nil {
-				checkOctetOrder(t, len(entries), func(i int) byte { return entries[i].octet })
+				checkOctetOrder(t, len(entries), func(i int) byte { return entries[i].Octet })
 				for _, e := range entries {
-					if len(e.name) > maxNameBytes {
-						t.Fatalf("decoded %d-byte name", len(e.name))
+					if len(e.Name) > maxNameBytes {
+						t.Fatalf("decoded %d-byte name", len(e.Name))
 					}
 				}
 			}

@@ -38,7 +38,7 @@
 //
 //	st, _ := histstore.Open(dir, histstore.WithCache(4096))
 //	defer st.Close()
-//	st.Append(day1, snapshot1.Records)
+//	st.AppendBlocks(day1, snapshot1.Blocks)         // a sweep's packed form
 //	name, ok, _ := st.At(ip, day1)                  // time travel
 //	rows, _ := st.Range(prefix, day1, day30)        // every observation
 //	churn, _ := st.Churn(prefix, day1, day30)       // join/leave counts
@@ -144,6 +144,7 @@ type writerState struct {
 	// cadence drives the per-block rebase schedule of the writer's appends
 	// (writer-local snapshot indexes).
 	cadence cadence
+	scratch appendScratch // owned writers only
 }
 
 // Store is the history store. Open creates or loads one; methods are safe

@@ -170,17 +170,17 @@ func (s *Store) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 				return rows, next, false, err
 			}
 			for _, e := range st {
-				if int(e.octet) < startOctet {
+				if int(e.Octet) < startOctet {
 					continue
 				}
-				ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], e.octet}
+				ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], e.Octet}
 				if p.Bits > 24 && !p.Contains(ip) {
 					continue
 				}
 				if len(rows) == limit {
-					return rows, RangeCursor{Snap: i, Block: addr, Octet: int(e.octet)}, true, nil
+					return rows, RangeCursor{Snap: i, Block: addr, Octet: int(e.Octet)}, true, nil
 				}
-				rows = append(rows, dataset.Row{Date: times[i], IP: ip, PTR: e.name})
+				rows = append(rows, dataset.Row{Date: times[i], IP: ip, PTR: e.Name})
 			}
 		}
 		if i == lo && i < hi {

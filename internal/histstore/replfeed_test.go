@@ -278,7 +278,7 @@ func TestVerifySegmentFile(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					frames[i].body = encodeSnapBody(snap+1, unix)
+					frames[i].body = appendSnapBody(nil, snap+1, unix)
 				}
 			}
 		}},

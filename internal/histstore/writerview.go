@@ -116,12 +116,12 @@ func (s *Store) Divergence() DivergenceStats {
 			holder := -1
 			for wi, w := range s.writers {
 				d := &out.Writers[wi]
-				name, ok := w.cur[p].lookup(m.octet)
+				name, ok := w.cur[p].lookup(m.Octet)
 				switch {
 				case !ok:
 					d.Missing++
 					continue
-				case name == m.name:
+				case name == m.Name:
 					d.Agreements++
 				default:
 					d.Conflicts++

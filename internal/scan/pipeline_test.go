@@ -132,8 +132,8 @@ func runInto(t *testing.T, u *netsim.Universe, observed bool, run func(Campaign)
 		c.Observer = obs.NewRecorder(reg)
 	}
 	var hooked []hookCall
-	c.OnSnapshot = func(i int, date time.Time, records scanengine.RecordSet) {
-		hooked = append(hooked, hookCall{i, date, len(records)})
+	c.OnSnapshot = func(i int, date time.Time, blocks scanengine.Blocks) {
+		hooked = append(hooked, hookCall{i, date, blocks.Len()})
 	}
 	res := run(c)
 	n := st.Len()

@@ -93,11 +93,11 @@ type Campaign struct {
 	// tail a crash can tear and keeping reconstruction chains short over
 	// long campaigns. Compaction failures surface in Result.StoreErr.
 	CompactEvery int
-	// OnSnapshot, when set, receives every snapshot's record set on Run's
-	// consumer goroutine, in date order, after the built-in fold. i is the
-	// date's index in the campaign. The hook must not retain the record
-	// set past the call.
-	OnSnapshot func(i int, date time.Time, records scanengine.RecordSet)
+	// OnSnapshot, when set, receives every snapshot's records, packed and
+	// in address order, on Run's consumer goroutine, in date order, after
+	// the built-in fold. i is the date's index in the campaign. The hook
+	// must not retain or modify the blocks past the call.
+	OnSnapshot func(i int, date time.Time, blocks scanengine.Blocks)
 }
 
 // Targets returns the campaign's sweep coverage, for scanengine.Request.
@@ -231,7 +231,7 @@ func Run(c Campaign) *Result {
 		defer close(consumed)
 		for d := range swept {
 			if c.Store != nil && storeErr == nil {
-				storeErr = c.Store.Append(d.snap.At, d.snap.Records)
+				storeErr = c.Store.AppendBlocks(d.snap.At, d.snap.Blocks)
 				if storeErr == nil && c.CompactEvery > 0 && (d.i+1)%c.CompactEvery == 0 {
 					_, storeErr = c.Store.CompactWriter(ctx, c.Store.WriterID(), histstore.CompactOptions{MinSeal: c.CompactEvery})
 				}
@@ -240,12 +240,9 @@ func Run(c Campaign) *Result {
 			if captured != nil {
 				captured <- struct{}{}
 			}
-			for ip, name := range d.snap.Records {
-				collector.Observe(d.date, ip, name)
-				series.Add(ip.Slash24(), d.i, 1)
-			}
+			fold(collector, series, d)
 			if c.OnSnapshot != nil {
-				c.OnSnapshot(d.i, d.date, d.snap.Records)
+				c.OnSnapshot(d.i, d.date, d.snap.Blocks)
 			}
 		}
 	}()
@@ -266,6 +263,35 @@ func Run(c Campaign) *Result {
 	r.Stats.Start = c.Start
 	r.Stats.End = c.End
 	return r
+}
+
+// fold adds one swept day to the campaign's statistics and count series
+// in O(blocks + changes): a count per /24, and to the distinct sets only
+// the records the sweep's diff says are new or renamed — every other
+// record the collector saw the day before. A sweep without a diff (the
+// first of a run) folds every record.
+func fold(collector *dataset.StatsCollector, series *dataset.CountSeries, d sweptDay) {
+	n := 0
+	for _, b := range d.snap.Blocks {
+		series.Add(b.Prefix, d.i, len(b.Entries))
+		n += len(b.Entries)
+	}
+	collector.ObserveDay(d.date, uint64(n))
+	if d.snap.Changes != nil {
+		for _, ch := range d.snap.Changes {
+			if ch.Kind != scanengine.RecordRemoved {
+				collector.See(ch.IP, ch.New)
+			}
+		}
+		return
+	}
+	for _, b := range d.snap.Blocks {
+		ip := b.Prefix.Addr
+		for _, e := range b.Entries {
+			ip[3] = e.Octet
+			collector.See(ip, e.Name)
+		}
+	}
 }
 
 // StoreStats converts the store's summary to the obs-local mirror (obs

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -34,13 +35,16 @@ type Scanner struct {
 	cache *negCache
 
 	scanMu sync.Mutex // serializes sweeps
-	prev   RecordSet  // records of the last complete sweep
+	prev   Blocks     // records of the last complete sweep
+	swept  bool       // a sweep has completed: prev is a diff base
+	churn  int        // how many changes the last diff found: the next one's capacity
 }
 
-// bufferSize is the capacity of the bounded channel between the lookup and
-// merge stages. Lookups stall when the merge stage falls this far behind:
-// backpressure, not unbounded queueing.
-const bufferSize = 1024
+// bufferSize is the capacity, in batches, of the bounded channel between
+// the lookup and merge stages. A batch holds at most one /24, so this is
+// 1024 addresses' worth. Lookups stall when the merge stage falls this far
+// behind: backpressure, not unbounded queueing.
+const bufferSize = 4
 
 // Option tunes a Scanner.
 type Option func(*Scanner)
@@ -89,11 +93,11 @@ func WithClock(c simclock.Clock) Option {
 // WithResultFunc streams every probe result — absences, errors and
 // negative-cache hits included — to fn as the sweep runs, for consumers
 // that print per-address output. Scan calls fn from its own goroutine,
-// once per probed address, in the order results reach the merge stage; a
-// slow fn stalls the sweep (backpressure), and Scan does not return before
-// the last call has; fn must not call back into the Scanner, which holds
-// its sweep lock meanwhile. Without it only found records cross the merge
-// channel: a /16 sweep is 65k results.
+// once per probed address, as each shard's /24 batches reach the merge
+// stage (a shard's results in address order); a slow fn stalls the sweep
+// (backpressure), and Scan does not return before the last call has; fn
+// must not call back into the Scanner, which holds its sweep lock
+// meanwhile. Without it only found records cross the merge channel.
 func WithResultFunc(fn func(Result)) Option {
 	return func(s *Scanner) { s.onResult = fn }
 }
@@ -142,7 +146,7 @@ type Request struct {
 	// snapshot sources). Zero means the scanner clock's now.
 	At time.Time
 	// Baseline overrides the diff base for this sweep. Nil means the
-	// previous complete sweep's records.
+	// previous complete sweep's records. It is packed once per sweep.
 	Baseline RecordSet
 }
 
@@ -229,17 +233,20 @@ type Snapshot struct {
 	At time.Time
 	// Elapsed is the sweep duration on the scanner's clock.
 	Elapsed time.Duration
-	// Records is the merged record set.
+	// Blocks is the merged record set in packed form, the one the sweep
+	// builds; the store, the campaign fold and the diff read it.
+	Blocks Blocks
+	// Records is Blocks as a map, for consumers that look addresses up.
 	Records RecordSet
 	// Stats tallies the sweep: the sum of Shards.
 	Stats Stats
 	// Shards is the per-shard ledger, in plan order.
 	Shards []ShardRow
 	// Changes are the deltas against the baseline (the previous complete
-	// sweep unless Request.Baseline overrode it), sorted by address. Nil
-	// when there was no baseline or the sweep was cancelled before
-	// completing (a partial sweep cannot distinguish "removed" from
-	// "not yet probed").
+	// sweep unless Request.Baseline overrode it), sorted by address, and
+	// empty rather than nil when nothing changed. Nil when there was no
+	// baseline or the sweep was cancelled before completing (a partial
+	// sweep cannot distinguish "removed" from "not yet probed").
 	Changes []Change
 	// Partial reports the sweep was cancelled before covering every
 	// shard.
@@ -302,16 +309,13 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 	}
 	started := s.clock.Now()
 
-	baseline := req.Baseline
-	if baseline == nil {
-		baseline = s.prev
+	base, diff := s.prev, s.swept
+	if req.Baseline != nil {
+		base, diff = Pack(req.Baseline), true
 	}
 	snap := &Snapshot{
-		At: at,
-		// Successive sweeps of one target set hold about as many records:
-		// size the set for the baseline's rather than growing it to that.
-		Records: make(RecordSet, len(baseline)),
-		Shards:  make([]ShardRow, len(shards)),
+		At:     at,
+		Shards: make([]ShardRow, len(shards)),
 	}
 	for i, sh := range shards {
 		snap.Shards[i].Shard = sh
@@ -330,14 +334,15 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 		shardCh <- i
 	}
 	close(shardCh)
-	out := make(chan Result, bufferSize)
+	out := make(chan batch, bufferSize)
 	var wg sync.WaitGroup
 	for w := 0; w < s.workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var scratch shardScratch
 			for si := range shardCh {
-				s.runShard(ctx, &snap.Shards[si], at, out)
+				s.runShard(ctx, &snap.Shards[si], at, &scratch, out)
 			}
 		}()
 	}
@@ -348,23 +353,17 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 
 	// Merge stage: single consumer; always drains until the workers
 	// close the channel, so cancellation cannot leak goroutines.
-	var changes []Change
-	for res := range out {
-		if s.onResult != nil {
+	blocks := make(Blocks, 0, len(base))
+	for b := range out {
+		for _, res := range b.results {
 			s.onResult(res)
 		}
-		if !res.Found {
-			continue
-		}
-		snap.Records[res.IP] = res.Name
-		if baseline != nil {
-			if old, ok := baseline[res.IP]; !ok {
-				changes = append(changes, Change{Kind: RecordAdded, IP: res.IP, New: res.Name})
-			} else if old != res.Name {
-				changes = append(changes, Change{Kind: RecordChanged, IP: res.IP, Old: old, New: res.Name})
-			}
+		if len(b.block.Entries) > 0 {
+			blocks = append(blocks, b.block)
 		}
 	}
+	snap.Blocks = joinPieces(blocks)
+	snap.Records = snap.Blocks.Records()
 	// The workers have exited, so every row is final. Folding them in
 	// plan order keeps the degraded list independent of scheduling.
 	shardsDone := 0
@@ -376,13 +375,11 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 	}
 
 	snap.Partial = ctx.Err() != nil
-	if !snap.Partial && baseline != nil {
-		changes = s.appendRemovals(changes, snap, baseline, shards)
-		sortChanges(changes)
-		snap.Changes = changes
-	}
 	if !snap.Partial {
-		s.prev = snap.Records
+		if diff {
+			snap.Changes = s.diff(snap, base, shards)
+		}
+		s.prev, s.swept = snap.Blocks, true
 	}
 	snap.Elapsed = s.clock.Now().Sub(started)
 	if m := s.met; m != nil {
@@ -395,27 +392,69 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 	return snap, nil
 }
 
-// appendRemovals adds to changes the baseline records a complete sweep
-// proved gone: every one under the targets that was not re-observed.
-// Degraded shards were not fully probed, so absence there proves nothing;
-// those records are counted in Health.RemovalsExcluded instead.
-func (s *Scanner) appendRemovals(changes []Change, snap *Snapshot, baseline RecordSet, shards []dnswire.Prefix) []Change {
-	index := newShardIndex(shards)
+// diff derives a complete sweep's changes against base in one linear
+// merge of the two packed snapshots, in address order: every record of the
+// sweep that base lacks or names differently, and every record of base
+// under the sweep's targets that the sweep did not re-observe. Degraded
+// shards were not fully probed, so absence there proves nothing; those
+// records are counted in Health.RemovalsExcluded instead.
+func (s *Scanner) diff(snap *Snapshot, base Blocks, shards []dnswire.Prefix) []Change {
+	covered := newShardIndex(shards)
 	var degraded *shardIndex
 	if snap.Degraded {
 		degraded = newShardIndex(snap.Health.Degraded)
 	}
+	// Successive sweeps of one target set change about as much: size the
+	// list for the last diff's count with a quarter to spare.
+	changes := make([]Change, 0, s.churn+s.churn/4)
 	excluded := 0
-	for ip, old := range baseline {
-		if _, ok := snap.Records[ip]; ok || !index.contains(ip) {
-			continue
-		}
-		if degraded != nil && degraded.contains(ip) {
+	removed := func(ip dnswire.IPv4, old dnswire.Name) {
+		switch {
+		case !covered.contains(ip):
+		case degraded != nil && degraded.contains(ip):
 			excluded++
-			continue
+		default:
+			changes = append(changes, Change{Kind: RecordRemoved, IP: ip, Old: old})
 		}
-		changes = append(changes, Change{Kind: RecordRemoved, IP: ip, Old: old})
 	}
+	cur := snap.Blocks
+	for i, j := 0, 0; i < len(base) || j < len(cur); {
+		var was, now []Entry
+		var addr dnswire.IPv4
+		switch {
+		case j == len(cur) || (i < len(base) && base[i].Prefix.Addr.Uint32() < cur[j].Prefix.Addr.Uint32()):
+			addr, was = base[i].Prefix.Addr, base[i].Entries
+			i++
+		case i == len(base) || cur[j].Prefix.Addr.Uint32() < base[i].Prefix.Addr.Uint32():
+			addr, now = cur[j].Prefix.Addr, cur[j].Entries
+			j++
+		default:
+			addr, was, now = cur[j].Prefix.Addr, base[i].Entries, cur[j].Entries
+			i++
+			j++
+		}
+		for a, b := 0, 0; a < len(was) || b < len(now); {
+			ip := addr
+			switch {
+			case b == len(now) || (a < len(was) && was[a].Octet < now[b].Octet):
+				ip[3] = was[a].Octet
+				removed(ip, was[a].Name)
+				a++
+			case a == len(was) || now[b].Octet < was[a].Octet:
+				ip[3] = now[b].Octet
+				changes = append(changes, Change{Kind: RecordAdded, IP: ip, New: now[b].Name})
+				b++
+			default:
+				if was[a].Name != now[b].Name {
+					ip[3] = now[b].Octet
+					changes = append(changes, Change{Kind: RecordChanged, IP: ip, Old: was[a].Name, New: now[b].Name})
+				}
+				a++
+				b++
+			}
+		}
+	}
+	s.churn = len(changes)
 	if excluded > 0 {
 		snap.Health.RemovalsExcluded = excluded
 		if m := s.met; m != nil {
@@ -430,17 +469,30 @@ func (s *Scanner) appendRemovals(changes []Change, snap *Snapshot, baseline Reco
 // shard without the hot path touching a shared counter per probe.
 const flushEvery = 256
 
+// batch is what a worker hands the merge stage: one /24's found records,
+// packed, and — when a result func is attached — the results behind them.
+type batch struct {
+	block   Block
+	results []Result
+}
+
+// shardScratch is a worker's reusable buffers, kept across its shards.
+type shardScratch struct {
+	entries   []Entry  // the /24 a per-address shard is gathering
+	recs, tmp []packed // an enumerated shard's records, and the sort's second buffer
+}
+
 // runShard resolves one shard. The row is all it writes; what the merge
 // stage has a use for — found records, and every result when a result
-// func is attached — it sends on out.
-func (s *Scanner) runShard(ctx context.Context, row *ShardRow, at time.Time, out chan<- Result) {
+// func is attached — it hands over a /24 at a time.
+func (s *Scanner) runShard(ctx context.Context, row *ShardRow, at time.Time, sc *shardScratch, out chan<- batch) {
 	var view shardView
 	s.observeShard(&view, row, shardOpen)
 	defer func() {
 		row.Done = ctx.Err() == nil
 		s.observeShard(&view, row, shardClose)
 	}()
-	record := func(res Result) bool {
+	tally := func(res Result) {
 		row.Probes++
 		switch {
 		case res.Found:
@@ -453,23 +505,18 @@ func (s *Scanner) runShard(ctx context.Context, row *ShardRow, at time.Time, out
 		if row.Probes%flushEvery == 0 {
 			s.observeShard(&view, row, shardFlush)
 		}
-		if !res.Found && s.onResult == nil {
-			return true
-		}
-		return s.send(ctx, out, res)
 	}
 
 	if s.shardSc != nil {
-		err := s.shardSc.ScanShard(ctx, row.Shard, at, func(res Result) { record(res) })
-		if err != nil && ctx.Err() == nil {
-			row.Errors++
-		}
+		s.enumerate(ctx, row, at, sc, out, tally)
 		return
 	}
 
 	// The shard goes by in windows: the addresses of one that miss the
 	// cache are resolved — together at a WindowSource, otherwise the window
 	// is a single address — and then all of it is booked, in address order.
+	// What the merge stage needs is gathered a /24 at a time and handed
+	// over when the /24, or the shard, ends.
 	resil := s.newShardResil(row)
 	width := 1
 	if s.windowSc != nil {
@@ -480,6 +527,23 @@ func (s *Scanner) runShard(ctx context.Context, row *ShardRow, at time.Time, out
 		got [Window]Result
 	)
 	n := row.Shard.NumAddresses()
+	pending := batch{block: Block{Prefix: row.Shard.Addr.Slash24()}}
+	gathered := sc.entries[:0]
+	if cap(gathered) == 0 {
+		gathered = make([]Entry, 0, min(n, flushEvery))
+	}
+	flush := func() bool {
+		if len(gathered) > 0 {
+			pending.block.Entries = slices.Clone(gathered)
+		}
+		ok := len(gathered) == 0 && pending.results == nil || s.send(ctx, out, pending)
+		gathered, pending.results = gathered[:0], nil
+		return ok
+	}
+	defer func() {
+		flush()
+		sc.entries = gathered[:0]
+	}()
 	for i := 0; i < n; {
 		if ctx.Err() != nil {
 			return
@@ -519,8 +583,15 @@ func (s *Scanner) runShard(ctx context.Context, row *ShardRow, at time.Time, out
 				}
 			}
 			cached >>= 1
-			if !record(res) {
-				return
+			tally(res)
+			if res.Found {
+				gathered = append(gathered, Entry{Octet: res.IP[3], Name: res.Name})
+			}
+			if s.onResult != nil {
+				if pending.results == nil {
+					pending.results = make([]Result, 0, min(n-i, flushEvery))
+				}
+				pending.results = append(pending.results, res)
 			}
 			if row.Degraded {
 				// Graceful degradation: the breaker budget for this shard is
@@ -529,7 +600,48 @@ func (s *Scanner) runShard(ctx context.Context, row *ShardRow, at time.Time, out
 				row.Skipped = n - i - 1
 				return
 			}
+			if res.IP[3] == 255 && i+1 < n {
+				if !flush() {
+					return
+				}
+				pending.block = Block{Prefix: row.Shard.Nth(i + 1).Slash24()}
+			}
 		}
+	}
+}
+
+// enumerate runs one shard at a ShardSource: its records are gathered as
+// they are emitted, packed once, and handed over a /24 at a time.
+func (s *Scanner) enumerate(ctx context.Context, row *ShardRow, at time.Time, sc *shardScratch, out chan<- batch, tally func(Result)) {
+	recs := sc.recs[:0]
+	var results []Result
+	err := s.shardSc.ScanShard(ctx, row.Shard, at, func(res Result) {
+		tally(res)
+		if res.Found {
+			recs = append(recs, packed{ip: res.IP.Uint32(), name: res.Name})
+		}
+		if s.onResult != nil {
+			results = append(results, res)
+		}
+	})
+	if err != nil && ctx.Err() == nil {
+		row.Errors++
+	}
+	if len(sc.tmp) < len(recs) {
+		sc.tmp = make([]packed, cap(recs))
+	}
+	blocks := packRecords(recs, sc.tmp)
+	sc.recs = recs
+	b := batch{results: results}
+	for _, blk := range blocks {
+		b.block = blk
+		if !s.send(ctx, out, b) {
+			return
+		}
+		b.results = nil
+	}
+	if b.results != nil {
+		s.send(ctx, out, b)
 	}
 }
 
@@ -570,9 +682,9 @@ func (s *Scanner) lookupWindow(ctx context.Context, ips []dnswire.IPv4, out []Re
 	}
 }
 
-// send hands one result to the merge stage, or gives up when ctx ends
+// send hands one batch to the merge stage, or gives up when ctx ends
 // first.
-func (s *Scanner) send(ctx context.Context, out chan<- Result, res Result) bool {
+func (s *Scanner) send(ctx context.Context, out chan<- batch, res batch) bool {
 	if m := s.met; m != nil {
 		// Backpressure visibility: note sends that would block on the
 		// merge stage before waiting on it. Off the instrumented path

@@ -5,9 +5,10 @@
 // to infer joins and leaves (Section 2.1, Section 3). This package
 // industrializes that hot path: it partitions the target address space
 // into per-/16 shards, fans the shards out over a bounded pool of resolver
-// workers, merges the results into a RecordSet snapshot with per-shard
-// progress, and feeds incremental diffs to downstream consumers without
-// materializing the sweep twice.
+// workers, merges the results into a snapshot in the packed per-/24 form
+// the history store keeps (Blocks) with per-shard progress, and feeds
+// incremental diffs — one linear merge against the previous sweep's
+// blocks — to downstream consumers.
 //
 // The public surface is the context-aware Scanner API:
 //
@@ -34,8 +35,6 @@
 package scanengine
 
 import (
-	"sort"
-
 	"rdnsprivacy/internal/dnswire"
 )
 
@@ -78,13 +77,4 @@ type Change struct {
 	Old dnswire.Name
 	// New is the current name (Added/Changed).
 	New dnswire.Name
-}
-
-func sortChanges(out []Change) {
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].IP != out[j].IP {
-			return out[i].IP.Uint32() < out[j].IP.Uint32()
-		}
-		return out[i].Kind < out[j].Kind
-	})
 }

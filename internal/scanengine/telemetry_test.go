@@ -331,7 +331,8 @@ func TestMetricsStayLiveInsideAShard(t *testing.T) {
 // send: the result func holds the merge stage until the sweep is cancelled
 // and every worker has closed its shard, so the workers fill the bounded
 // channel, block on it, and can only leave through ctx.Done — never by
-// the merge stage happening to make room first.
+// the merge stage happening to make room first. Workers hand over a /24 at
+// a time, so every count here is in batches of 256 addresses.
 func TestCancelWhileMergeStageIsFull(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -349,9 +350,9 @@ func TestCancelWhileMergeStageIsFull(t *testing.T) {
 			if held++; held > 1 {
 				return
 			}
-			// One result taken, the channel full, both workers holding one
+			// One batch taken, the channel full, both workers holding one
 			// more: nothing moves until the context ends.
-			for probes.Load() < bufferSize+3 {
+			for probes.Load() < (bufferSize+3)*flushEvery {
 				time.Sleep(time.Millisecond)
 			}
 			cancel()
@@ -363,11 +364,11 @@ func TestCancelWhileMergeStageIsFull(t *testing.T) {
 	if !errors.Is(err, context.Canceled) || !snap.Partial {
 		t.Fatalf("err = %v, partial = %v, want a cancelled partial sweep", err, snap.Partial)
 	}
-	// Everything sent before the cancel was merged; the two results the
+	// Everything sent before the cancel was merged; the two batches the
 	// workers were holding were counted in their rows and then let go.
-	if len(snap.Records) != bufferSize+1 || snap.Stats.Probes != bufferSize+3 {
+	if len(snap.Records) != (bufferSize+1)*flushEvery || snap.Stats.Probes != (bufferSize+3)*flushEvery {
 		t.Fatalf("merged %d records of %d probes, want %d of %d",
-			len(snap.Records), snap.Stats.Probes, bufferSize+1, bufferSize+3)
+			len(snap.Records), snap.Stats.Probes, (bufferSize+1)*flushEvery, (bufferSize+3)*flushEvery)
 	}
 	if counterVal(reg, MetricMergeStalls) == 0 {
 		t.Errorf("%s = 0 after workers blocked on a full merge channel", MetricMergeStalls)
@@ -375,12 +376,12 @@ func TestCancelWhileMergeStageIsFull(t *testing.T) {
 }
 
 // TestMergeChannelCarriesResultsOnly pins the size of what crosses the
-// lookup/merge channel, once per found record: the Result alone. Rows stay
-// where the merge stage reads them, so no closing tally, error or health
-// pointer rides along with every result.
+// lookup/merge channel, once per /24: a block's header and a result slice.
+// Rows stay where the merge stage reads them, so no closing tally, error
+// or health pointer rides along with every batch.
 func TestMergeChannelCarriesResultsOnly(t *testing.T) {
-	if got := unsafe.Sizeof(Result{}); got > 104 {
-		t.Fatalf("a merge-channel message is %d bytes, want at most 104", got)
+	if got := unsafe.Sizeof(batch{}); got > 64 {
+		t.Fatalf("a merge-channel message is %d bytes, want at most 64", got)
 	}
 }
 

@@ -291,7 +291,7 @@ func (c *Campaign) runVantage(ctx context.Context, vi int, st *histstore.Store, 
 		out.Days = append(out.Days, snap.Stats)
 		met.sweeps.Inc()
 		if out.Err == nil {
-			if out.Err = st.Append(at, snap.Records); out.Err == nil {
+			if out.Err = st.AppendBlocks(at, snap.Blocks); out.Err == nil {
 				met.appends.Inc()
 				if c.CompactEvery > 0 && (i+1)%c.CompactEvery == 0 {
 					_, out.Err = st.CompactWriter(ctx, v.Name, histstore.CompactOptions{MinSeal: c.CompactEvery})
