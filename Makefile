@@ -145,11 +145,12 @@ monitortest:
 
 # vantagetest is the multi-vantage measurement gate: the seeded
 # three-vantage campaign race test (concurrent appenders with live
-# compaction, disagreement reads mid-flight, goroutine-leak check) plus
-# the 50-seed replay-determinism battery proving reports and obs frame
-# digests are bit-identical across runs.
+# compaction, disagreement reads mid-flight, goroutine-leak check) and the
+# cancellation tests of a vantage campaign and of the scan.RunContext loop
+# it runs on, plus the 50-seed replay-determinism battery proving reports
+# and obs frame digests are bit-identical across runs.
 vantagetest:
-	$(GO) test -race -count=1 -run 'TestVantageCampaignRace' ./internal/vantage
+	$(GO) test -race -count=1 -run 'TestVantageCampaignRace|TestVantageRunCancelled|TestRunContextCancelled' ./internal/vantage ./internal/scan
 	$(GO) test -count=1 -run 'TestVantageReplayDeterminism' ./internal/vantage
 
 # replicatest is the replication gate: the chaos battery (a primary with

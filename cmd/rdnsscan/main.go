@@ -367,7 +367,7 @@ func watchLoop(ctx context.Context, client *dnsclient.UDPClient, targets []dnswi
 	}
 	appendStore(store, snap)
 	recorder.CaptureFrame(0, time.Now().UTC(), snap)
-	fmt.Fprintf(os.Stderr, "baseline: %d records; watching every %s\n", len(snap.Records), interval)
+	fmt.Fprintf(os.Stderr, "baseline: %d records; watching every %s\n", snap.Blocks.Len(), interval)
 	for sweep := 1; ; sweep++ {
 		select {
 		case <-ctx.Done():

@@ -31,6 +31,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"time"
@@ -40,7 +41,6 @@ import (
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/obs"
 	"rdnsprivacy/internal/scan"
-	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/telemetry"
 	"rdnsprivacy/internal/vantage"
 )
@@ -65,7 +65,7 @@ func main() {
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
-	if err := run(ctx, campaignFlags{
+	if err := run(ctx, os.Stdout, campaignFlags{
 		seed: *seed, days: *days, loss: *loss, servfail: *servfail,
 		retries: *retries, lagRate: *lagRate, lagDays: *lagDays,
 		lagWindow: *lagWindow, filler: *filler, workers: *workers,
@@ -88,7 +88,8 @@ type campaignFlags struct {
 	jsonOut                    bool
 }
 
-func run(ctx context.Context, f campaignFlags) error {
+// run runs the campaign the flags describe and writes its report to w.
+func run(ctx context.Context, w io.Writer, f campaignFlags) error {
 	if f.days < 1 {
 		return fmt.Errorf("-days must be at least 1")
 	}
@@ -129,9 +130,7 @@ func run(ctx context.Context, f campaignFlags) error {
 					Prefix: dnswire.Prefix{}, // everywhere
 					Loss:   f.loss, ServFailRate: f.servfail,
 				}},
-				Resilience: &scanengine.ResilienceConfig{
-					Retry: scanengine.RetryPolicy{MaxAttempts: f.retries},
-				},
+				Attempts: f.retries,
 			},
 			{Name: "charlie", Seed: f.seed + 3, LagRate: f.lagRate, LagDays: f.lagDays},
 		},
@@ -151,13 +150,13 @@ func run(ctx context.Context, f campaignFlags) error {
 	}
 
 	if f.jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
 		return enc.Encode(res.Report)
 	}
-	res.Report.Render(os.Stdout)
+	res.Report.Render(w)
 	if f.storeDir != "" {
-		fmt.Printf("\nstore kept at %s (serve with: rdnsd -store %s)\n", dir, dir)
+		fmt.Fprintf(w, "\nstore kept at %s (serve with: rdnsd -store %s)\n", dir, dir)
 	}
 
 	if f.minCorro > 0 {
@@ -171,7 +170,7 @@ func run(ctx context.Context, f campaignFlags) error {
 			ErrorBudget:      f.budget,
 		}
 		slo := rules.Evaluate(rec.Frames())
-		fmt.Printf("\nSLO: min corroboration %.2f, budget %.0f%%\n%s",
+		fmt.Fprintf(w, "\nSLO: min corroboration %.2f, budget %.0f%%\n%s",
 			f.minCorro, f.budget*100, slo.Summary())
 		if !slo.BudgetOK {
 			return fmt.Errorf("corroboration SLO budget exceeded")

@@ -134,10 +134,14 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("auditor: sharded PTR sweep covered %d addresses in %s: %d records\n\n",
-		snap.Stats.Probes, snap.Elapsed.Round(time.Millisecond), len(snap.Records))
+		snap.Stats.Probes, snap.Elapsed.Round(time.Millisecond), snap.Blocks.Len())
 	res = analyze(func(observe func(dnswire.IPv4, dnswire.Name)) {
-		for ip, name := range snap.Records {
-			observe(ip, name)
+		for _, b := range snap.Blocks {
+			ip := b.Prefix.Addr
+			for _, e := range b.Entries {
+				ip[3] = e.Octet
+				observe(ip, e.Name)
+			}
 		}
 	})
 	printFindings("via PTR sweep", res)

@@ -155,6 +155,16 @@ func (s *fiveCampaigns) WeeklyCampaign() *scan.Result {
 	return s.weeklyAll
 }
 
+// network returns a universe holding the named network alone, without
+// filler (empty when the study has no such network).
+func (s *fiveCampaigns) network(name string) *netsim.Universe {
+	u := &netsim.Universe{}
+	if n, ok := s.Universe.NetworkByName(name); ok {
+		u.Networks = append(u.Networks, n)
+	}
+	return u
+}
+
 // NetworkDaily returns (cached) a network-restricted daily campaign over
 // the OpenINTEL window (used by Figures 9 and 10 — far cheaper than the
 // whole-universe campaign).
@@ -165,11 +175,10 @@ func (s *fiveCampaigns) NetworkDaily(name string) *scan.Result {
 		return r
 	}
 	r := scan.Run(scan.Campaign{
-		Universe: s.Universe,
+		Universe: s.network(name),
 		Start:    s.Cfg.OpenINTELStart,
 		End:      s.Cfg.OpenINTELEnd,
 		Cadence:  scan.Daily,
-		Networks: []string{name},
 	})
 	s.perNetDaily[name] = r
 	return r
@@ -184,11 +193,10 @@ func (s *fiveCampaigns) NetworkWeekly(name string) *scan.Result {
 		return r
 	}
 	r := scan.Run(scan.Campaign{
-		Universe: s.Universe,
+		Universe: s.network(name),
 		Start:    s.Cfg.Rapid7Start,
 		End:      s.Cfg.Rapid7End,
 		Cadence:  scan.Weekly,
-		Networks: []string{name},
 	})
 	s.perNetWeekly[name] = r
 	return r

@@ -207,12 +207,12 @@ func (s *Study) campaign() *campaign {
 		SkipFiller: true,
 		Telemetry:  s.Cfg.Telemetry,
 		Observer:   s.Cfg.Observer,
-		OnSnapshot: func(_ int, d time.Time, blocks scanengine.Blocks) {
+		OnSnapshot: func(_ int, d time.Time, snap *scanengine.Snapshot) {
 			role := roles[d.Unix()]
 			if role == 0 {
 				return
 			}
-			for _, b := range blocks {
+			for _, b := range snap.Blocks {
 				ip := b.Prefix.Addr
 				for _, e := range b.Entries {
 					ip[3] = e.Octet

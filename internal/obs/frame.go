@@ -200,7 +200,7 @@ func frameFromSnapshot(index int, date time.Time, snap *scanengine.Snapshot) Fra
 	if snap == nil {
 		return f
 	}
-	f.Records = len(snap.Records)
+	f.Records = snap.Blocks.Len()
 	f.SetStats(snap.Stats)
 	for _, ch := range snap.Changes {
 		switch ch.Kind {

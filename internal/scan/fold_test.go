@@ -22,13 +22,13 @@ func fullFold(t *testing.T, c Campaign) *Result {
 	dates := dataset.DateRange(c.Start, c.End, c.Cadence.IntervalDays())
 	series := dataset.NewCountSeries(dates)
 	collector := dataset.NewStatsCollector(c.Cadence.String())
-	if len(c.Networks) == 0 && !c.SkipFiller {
+	if !c.SkipFiller {
 		FoldFiller(c.Universe, dates, collector, series, nil)
 	}
 	nets := c
 	nets.SkipFiller = true
 	for i, d := range dates {
-		snap, err := Snapshot(context.Background(), nets, d.Add(c.timeOfDay()))
+		snap, err := Snapshot(context.Background(), nets, d.Add(timeOfDay))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -27,7 +27,7 @@ func sequentialRun(c Campaign) *Result {
 	dates := dataset.DateRange(c.Start, c.End, c.Cadence.IntervalDays())
 	series := dataset.NewCountSeries(dates)
 	collector := dataset.NewStatsCollector(c.Cadence.String())
-	if len(c.Networks) == 0 && !c.SkipFiller {
+	if !c.SkipFiller {
 		FoldFiller(c.Universe, dates, collector, series, nil)
 	}
 	netsOnly := c
@@ -41,7 +41,7 @@ func sequentialRun(c Campaign) *Result {
 	var storeErr error
 	ctx := context.Background()
 	for i, d := range dates {
-		at := d.Add(c.timeOfDay())
+		at := d.Add(timeOfDay)
 		snap, err := sc.Scan(ctx, scanengine.Request{Targets: targets, At: at})
 		if err != nil {
 			break
@@ -118,11 +118,10 @@ func runInto(t *testing.T, u *netsim.Universe, observed bool, run func(Campaign)
 	}
 	start := time.Date(2021, 11, 19, 0, 0, 0, 0, time.UTC)
 	c := Campaign{
-		Universe:     u,
+		Universe:     &netsim.Universe{Networks: u.Networks[:2]},
 		Start:        start,
 		End:          start.AddDate(0, 0, 11),
 		Cadence:      Daily,
-		Networks:     []string{u.Networks[0].Name(), u.Networks[1].Name()},
 		SkipFiller:   true,
 		Store:        st,
 		CompactEvery: 3,
@@ -132,8 +131,8 @@ func runInto(t *testing.T, u *netsim.Universe, observed bool, run func(Campaign)
 		c.Observer = obs.NewRecorder(reg)
 	}
 	var hooked []hookCall
-	c.OnSnapshot = func(i int, date time.Time, blocks scanengine.Blocks) {
-		hooked = append(hooked, hookCall{i, date, blocks.Len()})
+	c.OnSnapshot = func(i int, date time.Time, snap *scanengine.Snapshot) {
+		hooked = append(hooked, hookCall{i, date, snap.Blocks.Len()})
 	}
 	res := run(c)
 	n := st.Len()
@@ -221,5 +220,75 @@ func TestPipelineMatchesSequentialLoop(t *testing.T) {
 	}
 	if len(failed.res.Series.Dates) != 12 {
 		t.Fatalf("series covers %d dates, want 12", len(failed.res.Series.Dates))
+	}
+}
+
+// TestRunContextCancelled cancels a campaign from its hook on day k (or
+// before it starts, k = 0) and requires RunContext to return the
+// cancellation with exactly k days stored, hooked, captured and folded:
+// days swept in full before the cancel reached the consumer go no further.
+func TestRunContextCancelled(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	u := smallUniverse(t)
+	start := time.Date(2021, 11, 19, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		k        int
+		observed bool
+	}{{0, false}, {4, false}, {4, true}} {
+		st, err := histstore.Open(filepath.Join(t.TempDir(), "campaign"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancel(t.Context())
+		c := Campaign{
+			Universe:     &netsim.Universe{Networks: u.Networks[:2]},
+			Start:        start,
+			End:          start.AddDate(0, 0, 11),
+			Cadence:      Daily,
+			Store:        st,
+			CompactEvery: 3,
+		}
+		if tc.observed {
+			reg := telemetry.NewRegistry()
+			c.Telemetry = reg
+			c.Observer = obs.NewRecorder(reg)
+		}
+		calls := 0
+		c.OnSnapshot = func(int, time.Time, *scanengine.Snapshot) {
+			if calls++; calls == tc.k {
+				cancel()
+			}
+		}
+		if tc.k == 0 {
+			cancel()
+		}
+		res, err := RunContext(ctx, c)
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("%+v: err = %v, want context.Canceled", tc, err)
+		}
+		if calls != tc.k || st.Len() != tc.k {
+			t.Fatalf("%+v: hook ran %d times and the store holds %d snapshots, want %d each", tc, calls, st.Len(), tc.k)
+		}
+		if res.StoreErr != nil {
+			t.Fatalf("%+v: store error %v", tc, res.StoreErr)
+		}
+		folded := 0
+		for _, row := range res.Series.Counts {
+			for j, n := range row {
+				if n > 0 && j+1 > folded {
+					folded = j + 1
+				}
+			}
+		}
+		if folded != tc.k {
+			t.Fatalf("%+v: the series counts records through day %d, want %d", tc, folded, tc.k)
+		}
+		if tc.observed && len(c.Observer.Frames()) != tc.k {
+			t.Fatalf("%+v: %d frames captured, want %d", tc, len(c.Observer.Frames()), tc.k)
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

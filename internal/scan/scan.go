@@ -12,6 +12,12 @@
 // platforms do and what internal/reactive uses for the supplemental windows;
 // both derive hostnames from internal/ipam, and TestWireAndFastPathsAgree
 // pins that they see the same records.
+//
+// RunContext is the one campaign loop (Run is RunContext under a
+// background context). By default it sweeps the universe's dynamic
+// networks and folds the never-changing filler unswept; Campaign.Source
+// brings a source with its own coverage instead — internal/vantage runs
+// each vantage point as one RunContext over its fault lens.
 package scan
 
 import (
@@ -62,15 +68,14 @@ type Campaign struct {
 	Start, End time.Time
 	// Cadence selects daily or weekly snapshots.
 	Cadence Cadence
-	// TimeOfDay is when each snapshot is taken (offset from local
-	// midnight). OpenINTEL measures once a day; 13:00 is used here.
-	TimeOfDay time.Duration
-	// Networks restricts the campaign to the named networks (nil scans
-	// the whole universe including filler).
-	Networks []string
-	// SkipFiller omits filler blocks even in whole-universe scans
-	// (useful when only dynamic behaviour matters).
+	// SkipFiller omits filler blocks (useful when only dynamic behaviour
+	// matters).
 	SkipFiller bool
+	// Source, when set, is what every date sweeps, and its Targets are the
+	// whole coverage: no source is built from Universe and no filler is
+	// folded. Nil sweeps the universe's dynamic networks through NewSource
+	// and folds its filler with FoldFiller.
+	Source Source
 	// Workers bounds the snapshot engine's worker pool. Zero means the
 	// engine default (GOMAXPROCS).
 	Workers int
@@ -93,12 +98,23 @@ type Campaign struct {
 	// tail a crash can tear and keeping reconstruction chains short over
 	// long campaigns. Compaction failures surface in Result.StoreErr.
 	CompactEvery int
-	// OnSnapshot, when set, receives every snapshot's records, packed and
-	// in address order, on Run's consumer goroutine, in date order, after
-	// the built-in fold. i is the date's index in the campaign. The hook
-	// must not retain or modify the blocks past the call.
-	OnSnapshot func(i int, date time.Time, blocks scanengine.Blocks)
+	// OnSnapshot, when set, receives every stored and folded snapshot on
+	// Run's consumer goroutine, in date order, after the built-in fold.
+	// i is the date's index in the campaign. The hook must not retain or
+	// modify the snapshot past the call.
+	OnSnapshot func(i int, date time.Time, snap *scanengine.Snapshot)
 }
+
+// Source is what a campaign sweeps: a snapshot-engine source that knows
+// its own coverage. *UniverseSource is one.
+type Source interface {
+	scanengine.Source
+	Targets() []dnswire.Prefix
+}
+
+// timeOfDay is when each snapshot is taken, as an offset from midnight.
+// OpenINTEL measures once a day; 13:00 is used here.
+const timeOfDay = 13 * time.Hour
 
 // Targets returns the campaign's sweep coverage, for scanengine.Request.
 func (c *Campaign) Targets() []dnswire.Prefix {
@@ -115,27 +131,6 @@ func (c *Campaign) engineOptions() []scanengine.Option {
 		opts = append(opts, scanengine.WithTelemetry(c.Telemetry))
 	}
 	return opts
-}
-
-func (c *Campaign) timeOfDay() time.Duration {
-	if c.TimeOfDay == 0 {
-		return 13 * time.Hour
-	}
-	return c.TimeOfDay
-}
-
-// networks resolves the campaign's network set.
-func (c *Campaign) networks() []*netsim.Network {
-	if len(c.Networks) == 0 {
-		return c.Universe.Networks
-	}
-	var out []*netsim.Network
-	for _, name := range c.Networks {
-		if n, ok := c.Universe.NetworkByName(name); ok {
-			out = append(out, n)
-		}
-	}
-	return out
 }
 
 // Result is the product of a campaign.
@@ -192,30 +187,44 @@ func FoldFiller(u *netsim.Universe, dates []time.Time, stats *dataset.StatsColle
 	}
 }
 
-// Run executes the campaign through the sharded snapshot engine and
-// returns its result. It runs in two stages: the calling goroutine sweeps
-// the dates in order, and one consumer goroutine takes each snapshot, in
-// the same order, through the store append and compaction, the observer
-// frame, the count-series and statistics fold and the OnSnapshot hook.
-// Run returns once the consumer has finished the last date.
+// Run is RunContext under a background context, which cannot cancel.
 func Run(c Campaign) *Result {
+	r, _ := RunContext(context.Background(), c)
+	return r
+}
+
+// RunContext executes the campaign through the sharded snapshot engine
+// and returns its result. It runs in two stages: the calling goroutine
+// sweeps the dates in order, and one consumer goroutine takes each
+// snapshot, in the same order, through the store append and compaction,
+// the observer frame, the count-series and statistics fold and the
+// OnSnapshot hook. It returns once the consumer has finished the last
+// date.
+//
+// Once ctx is cancelled no further snapshot is stored or folded, not even
+// one already swept in full: the store, the result and the hook all end on
+// the same date. RunContext then returns the partial result with the
+// cancellation error, after the consumer has drained.
+func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	dates := dataset.DateRange(c.Start, c.End, c.Cadence.IntervalDays())
 	series := dataset.NewCountSeries(dates)
 	collector := dataset.NewStatsCollector(c.Cadence.String())
-	if len(c.Networks) == 0 && !c.SkipFiller {
-		FoldFiller(c.Universe, dates, collector, series, nil)
+	src := c.Source
+	if src == nil {
+		// Filler never changes: it is folded once, and only the dynamic
+		// networks are re-swept at every date.
+		if !c.SkipFiller {
+			FoldFiller(c.Universe, dates, collector, series, nil)
+		}
+		netsOnly := c
+		netsOnly.SkipFiller = true
+		src = NewSource(netsOnly)
 	}
-
-	// The dynamic networks are re-swept at every date through the engine.
-	netsOnly := c
-	netsOnly.SkipFiller = true
-	src := NewSource(netsOnly)
 	targets := src.Targets()
 	sc := scanengine.New(src, c.engineOptions()...)
 	if c.Store != nil {
 		c.Observer.SetStoreStats(func() obs.StoreStats { return StoreStats(c.Store) })
 	}
-	ctx := context.Background()
 
 	// A frame digests the registry the engine counts into, so while one is
 	// captured the next sweep must not be counting: with both attached,
@@ -225,11 +234,17 @@ func Run(c Campaign) *Result {
 		captured = make(chan struct{})
 	}
 	swept := make(chan sweptDay, pipelineDepth)
-	var storeErr error
+	var storeErr, dropped error
 	consumed := make(chan struct{})
 	go func() {
 		defer close(consumed)
 		for d := range swept {
+			if dropped = ctx.Err(); dropped != nil {
+				if captured != nil {
+					captured <- struct{}{}
+				}
+				continue
+			}
 			if c.Store != nil && storeErr == nil {
 				storeErr = c.Store.AppendBlocks(d.snap.At, d.snap.Blocks)
 				if storeErr == nil && c.CompactEvery > 0 && (d.i+1)%c.CompactEvery == 0 {
@@ -242,14 +257,15 @@ func Run(c Campaign) *Result {
 			}
 			fold(collector, series, d)
 			if c.OnSnapshot != nil {
-				c.OnSnapshot(d.i, d.date, d.snap.Blocks)
+				c.OnSnapshot(d.i, d.date, d.snap)
 			}
 		}
 	}()
+	var err error
 	for i, d := range dates {
-		snap, err := sc.Scan(ctx, scanengine.Request{Targets: targets, At: d.Add(c.timeOfDay())})
-		if err != nil {
-			break // background context: unreachable, but do not loop on a dead sweep
+		var snap *scanengine.Snapshot
+		if snap, err = sc.Scan(ctx, scanengine.Request{Targets: targets, At: d.Add(timeOfDay)}); err != nil {
+			break // a cancelled sweep is partial: it goes no further
 		}
 		swept <- sweptDay{i: i, date: d, snap: snap}
 		if captured != nil {
@@ -258,11 +274,14 @@ func Run(c Campaign) *Result {
 	}
 	close(swept)
 	<-consumed
+	if err == nil {
+		err = dropped
+	}
 
 	r := &Result{Series: series, Stats: collector.Stats(), StoreErr: storeErr}
 	r.Stats.Start = c.Start
 	r.Stats.End = c.End
-	return r
+	return r, err
 }
 
 // fold adds one swept day to the campaign's statistics and count series

@@ -64,24 +64,39 @@ func TestWeeklyCadence(t *testing.T) {
 	u := smallUniverse(t)
 	start := time.Date(2021, 1, 4, 0, 0, 0, 0, time.UTC)
 	res := Run(Campaign{
-		Universe: u,
+		Universe: only(t, u, "Academic-A"),
 		Start:    start,
 		End:      start.AddDate(0, 0, 27),
 		Cadence:  Weekly,
-		Networks: []string{"Academic-A"},
 	})
 	if len(res.Series.Dates) != 4 {
 		t.Fatalf("dates = %d, want 4 weekly snapshots over 28 days", len(res.Series.Dates))
 	}
 }
 
+// only returns a universe holding u's named network alone, without filler.
+func only(t *testing.T, u *netsim.Universe, name string) *netsim.Universe {
+	t.Helper()
+	n, ok := u.NetworkByName(name)
+	if !ok {
+		t.Fatalf("no network %q", name)
+	}
+	return &netsim.Universe{Networks: []*netsim.Network{n}}
+}
+
+// TestNetworkRestrictedCampaignSkipsFiller pins Campaign.Source: a source
+// over one network fixes the coverage, so a campaign over a universe with
+// filler folds none of it.
 func TestNetworkRestrictedCampaignSkipsFiller(t *testing.T) {
 	u := smallUniverse(t)
 	start := time.Date(2021, 1, 4, 0, 0, 0, 0, time.UTC)
 	res := Run(Campaign{
 		Universe: u, Start: start, End: start, Cadence: Daily,
-		Networks: []string{"Academic-A"},
+		Source: NewSource(Campaign{Universe: only(t, u, "Academic-A")}),
 	})
+	if len(res.Series.Counts) == 0 {
+		t.Fatal("the source's network left no series rows")
+	}
 	n, _ := u.NetworkByName("Academic-A")
 	for p := range res.Series.Counts {
 		if !n.Config().Announced.Contains(p.Addr) {
@@ -112,8 +127,8 @@ func TestDynamicPrefixVaries(t *testing.T) {
 	u := smallUniverse(t)
 	start := time.Date(2021, 1, 4, 0, 0, 0, 0, time.UTC) // Monday
 	res := Run(Campaign{
-		Universe: u, Start: start, End: start.AddDate(0, 0, 13),
-		Cadence: Daily, Networks: []string{"Enterprise-A"},
+		Universe: only(t, u, "Enterprise-A"), Start: start, End: start.AddDate(0, 0, 13),
+		Cadence: Daily,
 	})
 	n, _ := u.NetworkByName("Enterprise-A")
 	varies := false
@@ -284,11 +299,10 @@ func TestCampaignPersistsToStore(t *testing.T) {
 	defer st.Close()
 	rec := obs.NewRecorder(nil)
 	res := Run(Campaign{
-		Universe:   u,
+		Universe:   &netsim.Universe{Networks: u.Networks[:1]},
 		Start:      start,
 		End:        start.AddDate(0, 0, 6),
 		Cadence:    Daily,
-		Networks:   []string{u.Networks[0].Name()},
 		SkipFiller: true,
 		Observer:   rec,
 		Store:      st,
@@ -347,11 +361,10 @@ func TestCampaignStoreAppendFailure(t *testing.T) {
 	}
 	st.Close()
 	res := Run(Campaign{
-		Universe:   u,
+		Universe:   &netsim.Universe{Networks: u.Networks[:1]},
 		Start:      start,
 		End:        start.AddDate(0, 0, 2),
 		Cadence:    Daily,
-		Networks:   []string{u.Networks[0].Name()},
 		SkipFiller: true,
 		Store:      st,
 	})
@@ -377,11 +390,10 @@ func TestCampaignCompactEvery(t *testing.T) {
 	defer st.Close()
 	rec := obs.NewRecorder(nil)
 	res := Run(Campaign{
-		Universe:     u,
+		Universe:     &netsim.Universe{Networks: u.Networks[:1]},
 		Start:        start,
 		End:          start.AddDate(0, 0, 6),
 		Cadence:      Daily,
-		Networks:     []string{u.Networks[0].Name()},
 		SkipFiller:   true,
 		Observer:     rec,
 		Store:        st,

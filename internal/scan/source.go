@@ -25,15 +25,15 @@ type UniverseSource struct {
 	fillerFor map[dnswire.Prefix]*netsim.FillerBlock
 }
 
-// NewSource builds a UniverseSource over the campaign's network selection
-// (honoring Networks and SkipFiller).
+// NewSource builds a UniverseSource over the campaign universe's networks
+// and, unless SkipFiller is set, its filler.
 func NewSource(c Campaign) *UniverseSource {
 	s := &UniverseSource{
-		networks:  c.networks(),
+		networks:  c.Universe.Networks,
 		netFor:    make(map[dnswire.Prefix]*netsim.Network),
 		fillerFor: make(map[dnswire.Prefix]*netsim.FillerBlock),
 	}
-	if len(c.Networks) == 0 && !c.SkipFiller {
+	if !c.SkipFiller {
 		s.filler = c.Universe.Filler
 	}
 	for _, n := range s.networks {

@@ -17,8 +17,7 @@ import (
 const lagSalt = 0x1A66
 
 // FaultError is the terminal error a vantage's lens reports for a record
-// every attempt lost — it surfaces in the sweep's Stats.Errors and, when
-// the resilience layer is active, in the day's HealthReport.
+// every attempt lost — it surfaces in the sweep's Stats.Errors.
 type FaultError struct {
 	// IP is the affected address; Outcome the last attempt's verdict.
 	IP      dnswire.IPv4
@@ -33,12 +32,11 @@ func (e *FaultError) Error() string {
 // campaign's UniverseSource that loses, corrupts-to-error, and time-lags
 // records per the vantage's profile before the engine sees them.
 //
-// The engine's bulk path bypasses its own resilience retries (see
-// scanengine.ShardSource), so the lens applies the vantage's
-// Retry.MaxAttempts itself: a record dropped on attempt 0 may pass on
-// attempt 1, exactly like a wire-path retry through the injector —
-// attempt numbers advance per day so retries never replay a prior day's
-// verdict. Everything is a pure function of (vantage seed, reverse
+// The engine's bulk path has no per-address retries (see
+// scanengine.ShardSource), so the lens makes the vantage's Attempts
+// itself: a record dropped on attempt 0 may pass on attempt 1, exactly
+// like a wire-path retry through the injector — attempt numbers advance
+// per day so retries never replay a prior day's verdict. Everything is a pure function of (vantage seed, reverse
 // question name, day, attempt), so sweeps replay bit-identically
 // regardless of worker scheduling.
 type lens struct {

@@ -7,7 +7,7 @@ import "rdnsprivacy/internal/telemetry"
 const (
 	// MetricSweeps counts completed per-vantage daily sweeps.
 	MetricSweeps = "vantage_sweeps_total"
-	// MetricAppends counts per-vantage store appends.
+	// MetricAppends counts successful per-vantage store appends.
 	MetricAppends = "vantage_appends_total"
 	// MetricFaults counts attempt-level injected fault verdicts across
 	// every vantage's lens (a record retried twice then lost counts 3).

@@ -52,12 +52,11 @@ type Vantage struct {
 	// apply on the enumeration fast path; the most specific prefix
 	// containing an address governs it.
 	Faults []faultsim.Profile
-	// Resilience is the vantage's scan resilience config. Its
-	// Retry.MaxAttempts re-rolls injected faults deterministically (a
-	// drop on attempt 0 may pass on attempt 1 — scan-level retries
-	// really do recover records), and the whole config is handed to the
-	// snapshot engine for wire-path sweeps. Nil means one attempt.
-	Resilience *scanengine.ResilienceConfig
+	// Attempts is how many lookups the vantage's lens makes per record.
+	// Each attempt re-rolls the injected faults deterministically (a drop
+	// on attempt 0 may pass on attempt 1 — scan-level retries really do
+	// recover records). Below 1 means one attempt.
+	Attempts int
 	// LagRate is the fraction of addresses whose answer this vantage
 	// serves from a stale view — a slow secondary, a caching resolver —
 	// chosen per (seed, address, day). LagDays is how stale (min 1 when
@@ -66,8 +65,11 @@ type Vantage struct {
 	LagDays int
 }
 
-// Campaign is a multi-vantage longitudinal scan: scan.Campaign's
-// coverage knobs plus the vantage set and the shared store directory.
+// Campaign is a multi-vantage longitudinal scan of a whole universe,
+// filler included: the vantage set and the shared store directory. All
+// vantages snapshot the same instant of each date, so the merged timeline
+// carries one entry per (date, vantage) at equal instants, resolved
+// deterministically by writer id.
 type Campaign struct {
 	// Universe is the address space under measurement.
 	Universe *netsim.Universe
@@ -75,15 +77,6 @@ type Campaign struct {
 	Start, End time.Time
 	// Cadence selects daily or weekly snapshots.
 	Cadence scan.Cadence
-	// TimeOfDay is when each snapshot is taken (default 13:00, matching
-	// scan.Campaign). All vantages snapshot the same instant: the merged
-	// timeline carries one entry per (day, vantage) at equal instants,
-	// resolved deterministically by writer id.
-	TimeOfDay time.Duration
-	// Networks restricts the campaign to the named networks; SkipFiller
-	// omits filler blocks in whole-universe scans.
-	Networks   []string
-	SkipFiller bool
 	// Workers bounds each vantage's snapshot engine pool.
 	Workers int
 	// Vantages are the vantage points; at least one, names unique.
@@ -92,10 +85,6 @@ type Campaign struct {
 	// appends under its own writer id; the analyzer reads the merged
 	// store back with provenance.
 	StoreDir string
-	// StoreOptions are extra per-vantage store options (base interval,
-	// cache size). Writer identity is set per vantage; do not pass
-	// WithWriter here.
-	StoreOptions []histstore.Option
 	// CompactEvery, when > 0, seals each vantage's tail into a segment
 	// after every N appends — the live-compaction regime the race
 	// battery exercises.
@@ -119,8 +108,9 @@ type VantageRun struct {
 	Name string
 	// Days holds one engine tally per campaign date, in date order.
 	Days []scanengine.Stats
-	// Err is the vantage's first store failure (append or compaction);
-	// nil when every snapshot persisted.
+	// Err is the vantage's first store failure (append or compaction), or
+	// the cancellation that cut its campaign short; nil when every date
+	// was swept and persisted.
 	Err error
 }
 
@@ -132,13 +122,6 @@ type Result struct {
 	Vantages []VantageRun
 	// Report is the disagreement analysis over the merged store.
 	Report *Report
-}
-
-func (c *Campaign) timeOfDay() time.Duration {
-	if c.TimeOfDay == 0 {
-		return 13 * time.Hour
-	}
-	return c.TimeOfDay
 }
 
 func (c *Campaign) lagWindow() int {
@@ -162,10 +145,10 @@ func (v *Vantage) lagDays() int {
 }
 
 func (v *Vantage) attempts() int {
-	if v.Resilience == nil || v.Resilience.Retry.MaxAttempts < 1 {
+	if v.Attempts < 1 {
 		return 1
 	}
-	return v.Resilience.Retry.MaxAttempts
+	return v.Attempts
 }
 
 // validate rejects campaigns the orchestrator cannot run deterministically.
@@ -192,9 +175,12 @@ func (c *Campaign) validate() error {
 	return nil
 }
 
-// Run executes the campaign: one goroutine per vantage sweeps every
-// date through its fault lens and appends to the shared store under its
-// writer id, then the merged store is reopened read-only and analyzed.
+// Run executes the campaign: one goroutine per vantage runs it as one
+// scan.RunContext over the vantage's fault lens, appending each date to
+// the shared store under the vantage's writer id while it sweeps the
+// next; then the merged store is reopened read-only and analyzed. A
+// cancelled ctx stops every vantage before its next append, and Run
+// returns the cancellation.
 //
 // Every vantage's store handle opens before any append starts — a
 // store's append-monotonicity floor is the latest instant visible at its
@@ -211,8 +197,7 @@ func Run(ctx context.Context, c Campaign) (*Result, error) {
 
 	stores := make([]*histstore.Store, len(c.Vantages))
 	for i, v := range c.Vantages {
-		opts := append([]histstore.Option{histstore.WithWriter(v.Name)}, c.StoreOptions...)
-		st, err := histstore.Open(c.StoreDir, opts...)
+		st, err := histstore.Open(c.StoreDir, histstore.WithWriter(v.Name))
 		if err != nil {
 			for _, open := range stores[:i] {
 				open.Close()
@@ -227,7 +212,7 @@ func Run(ctx context.Context, c Campaign) (*Result, error) {
 		wg.Add(1)
 		go func(vi int) {
 			defer wg.Done()
-			c.runVantage(ctx, vi, stores[vi], dates, &res.Vantages[vi], met)
+			c.runVantage(ctx, &c.Vantages[vi], stores[vi], &res.Vantages[vi], met)
 		}(i)
 	}
 	wg.Wait()
@@ -259,45 +244,33 @@ func Run(ctx context.Context, c Campaign) (*Result, error) {
 	return res, nil
 }
 
-// runVantage sweeps every date through one vantage's lens.
-func (c *Campaign) runVantage(ctx context.Context, vi int, st *histstore.Store, dates []time.Time, out *VantageRun, met *metrics) {
-	v := c.Vantages[vi]
+// runVantage runs one vantage as a scan campaign over its fault lens,
+// appending to the vantage's own store handle.
+func (c *Campaign) runVantage(ctx context.Context, v *Vantage, st *histstore.Store, out *VantageRun, met *metrics) {
 	out.Name = v.Name
-	base := scan.Campaign{
-		Universe:   c.Universe,
-		Networks:   c.Networks,
-		SkipFiller: c.SkipFiller,
-	}
-	lens := newLens(scan.NewSource(base), &v, met)
-	opts := []scanengine.Option{}
-	if c.Workers > 0 {
-		opts = append(opts, scanengine.WithWorkers(c.Workers))
-	}
-	if c.Telemetry != nil {
-		opts = append(opts, scanengine.WithTelemetry(c.Telemetry))
-	}
-	if v.Resilience != nil {
-		opts = append(opts, scanengine.WithResilience(*v.Resilience))
-	}
-	sc := scanengine.New(lens, opts...)
-	targets := lens.Targets()
-	for i, d := range dates {
-		at := d.Add(c.timeOfDay())
-		snap, err := sc.Scan(ctx, scanengine.Request{Targets: targets, At: at})
-		if err != nil {
-			out.Err = err
-			return
-		}
-		out.Days = append(out.Days, snap.Stats)
-		met.sweeps.Inc()
-		if out.Err == nil {
-			if out.Err = st.AppendBlocks(at, snap.Blocks); out.Err == nil {
-				met.appends.Inc()
-				if c.CompactEvery > 0 && (i+1)%c.CompactEvery == 0 {
-					_, out.Err = st.CompactWriter(ctx, v.Name, histstore.CompactOptions{MinSeal: c.CompactEvery})
-				}
-			}
-		}
+	// The handle's length moves only with its own appends: its siblings'
+	// land in the directory, not in this handle's timeline.
+	stored := st.Len()
+	res, err := scan.RunContext(ctx, scan.Campaign{
+		Start:        c.Start,
+		End:          c.End,
+		Cadence:      c.Cadence,
+		Source:       newLens(scan.NewSource(scan.Campaign{Universe: c.Universe}), v, met),
+		Workers:      c.Workers,
+		Telemetry:    c.Telemetry,
+		Store:        st,
+		CompactEvery: c.CompactEvery,
+		OnSnapshot: func(_ int, _ time.Time, snap *scanengine.Snapshot) {
+			out.Days = append(out.Days, snap.Stats)
+			met.sweeps.Inc()
+			n := st.Len()
+			met.appends.Add(uint64(n - stored))
+			stored = n
+		},
+	})
+	out.Err = res.StoreErr
+	if err != nil {
+		out.Err = err
 	}
 }
 

@@ -2,11 +2,15 @@ package vantage_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +20,6 @@ import (
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/obs"
 	"rdnsprivacy/internal/scan"
-	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/telemetry"
 	"rdnsprivacy/internal/testutil"
 	"rdnsprivacy/internal/vantage"
@@ -48,10 +51,8 @@ func threeVantages(seed int64) []vantage.Vantage {
 		{Name: "alpha", Seed: seed + 1},
 		{
 			Name: "bravo", Seed: seed + 2,
-			Faults: []faultsim.Profile{{Prefix: everywhere, Loss: 0.05, ServFailRate: 0.02}},
-			Resilience: &scanengine.ResilienceConfig{
-				Retry: scanengine.RetryPolicy{MaxAttempts: 2},
-			},
+			Faults:   []faultsim.Profile{{Prefix: everywhere, Loss: 0.05, ServFailRate: 0.02}},
+			Attempts: 2,
 		},
 		{Name: "charlie", Seed: seed + 3, LagRate: 0.3, LagDays: 1},
 	}
@@ -313,6 +314,152 @@ func TestVantageCampaignRace(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// storedDays reads one writer's history back from a store directory:
+// for each of the writer's snapshot instants (Unix seconds), every
+// non-empty block it held then. A writer that never appended has none.
+func storedDays(t *testing.T, dir, writer string) map[int64]map[dnswire.Prefix]map[byte]dnswire.Name {
+	t.Helper()
+	ro, err := histstore.Open(dir, histstore.WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ro.Close()
+	out := make(map[int64]map[dnswire.Prefix]map[byte]dnswire.Name)
+	v, err := ro.WriterView(writer)
+	if err != nil {
+		return out
+	}
+	for _, at := range v.Times() {
+		day := make(map[dnswire.Prefix]map[byte]dnswire.Name)
+		for _, p := range ro.Blocks() {
+			b, err := v.BlockAt(p, at)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b != nil {
+				day[p] = b
+			}
+		}
+		out[at.Unix()] = day
+	}
+	return out
+}
+
+// sixDays is the seed-7 three-vantage campaign over six days, compacting
+// every two appends, into dir.
+func sixDays(t *testing.T, dir string, reg *telemetry.Registry) vantage.Campaign {
+	start := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
+	return vantage.Campaign{
+		Universe:     testUniverse(t, 7),
+		Start:        start,
+		End:          start.AddDate(0, 0, 5),
+		Cadence:      scan.Daily,
+		Workers:      2,
+		Vantages:     threeVantages(7),
+		StoreDir:     dir,
+		CompactEvery: 2,
+		Telemetry:    reg,
+	}
+}
+
+// TestVantageRunCancelled cancels a campaign before it starts and again
+// once four sweeps have finished. Run must return the cancellation, and
+// no vantage may hold a partial day: each writer stores exactly the days
+// its run reports, each equal to the same day of an uncancelled campaign,
+// and vantage_appends_total counts exactly the days stored.
+func TestVantageRunCancelled(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	refDir := t.TempDir()
+	if _, err := vantage.Run(t.Context(), sixDays(t, refDir, nil)); err != nil {
+		t.Fatal(err)
+	}
+	for _, cut := range []uint64{0, 4} {
+		dir := t.TempDir()
+		reg := telemetry.NewRegistry()
+		ctx, cancel := context.WithCancel(t.Context())
+		watched := make(chan struct{})
+		if cut == 0 {
+			cancel()
+			close(watched)
+		} else {
+			go func() {
+				defer close(watched)
+				for reg.Counter(vantage.MetricSweeps).Value() < cut && ctx.Err() == nil {
+					time.Sleep(100 * time.Microsecond)
+				}
+				cancel()
+			}()
+		}
+		res, err := vantage.Run(ctx, sixDays(t, dir, reg))
+		cancel()
+		<-watched
+		if (cut == 0 || err != nil) && !errors.Is(err, context.Canceled) {
+			t.Fatalf("cut %d: err = %v, want context.Canceled", cut, err)
+		}
+		stored := 0
+		for _, vr := range res.Vantages {
+			if cut == 0 && (!errors.Is(vr.Err, context.Canceled) || len(vr.Days) != 0) {
+				t.Fatalf("pre-cancelled vantage %s: err %v after %d days", vr.Name, vr.Err, len(vr.Days))
+			}
+			got, want := storedDays(t, dir, vr.Name), storedDays(t, refDir, vr.Name)
+			if len(got) != len(vr.Days) {
+				t.Fatalf("cut %d: vantage %s stored %d days but swept %d", cut, vr.Name, len(got), len(vr.Days))
+			}
+			for day, blocks := range got {
+				if !reflect.DeepEqual(blocks, want[day]) {
+					t.Fatalf("cut %d: vantage %s stored a day %d unlike the uncancelled campaign's", cut, vr.Name, day)
+				}
+			}
+			stored += len(got)
+		}
+		if n := reg.Counter(vantage.MetricAppends).Value(); n != uint64(stored) {
+			t.Fatalf("cut %d: %s = %d, %d days stored", cut, vantage.MetricAppends, n, stored)
+		}
+		t.Logf("cut after %d sweeps: %d of 18 days stored, err %v", cut, stored, err)
+	}
+}
+
+// TestVantageAppendsCountStored fails one append of the fleet and
+// requires the failing vantage to report it, persistence to stop there,
+// and vantage_appends_total to count exactly the snapshots stored.
+func TestVantageAppendsCountStored(t *testing.T) {
+	injected := errors.New("injected append failure")
+	var writes atomic.Int32
+	testutil.SetFaultHook(func(point string) error {
+		if point == "histstore.append.write" && writes.Add(1) == 5 {
+			return injected
+		}
+		return nil
+	})
+	defer testutil.SetFaultHook(nil)
+	dir := t.TempDir()
+	reg := telemetry.NewRegistry()
+	res, err := vantage.Run(t.Context(), sixDays(t, dir, reg))
+	testutil.SetFaultHook(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stored, failed := 0, 0
+	for _, vr := range res.Vantages {
+		if vr.Err != nil {
+			if !errors.Is(vr.Err, injected) {
+				t.Fatalf("vantage %s: %v", vr.Name, vr.Err)
+			}
+			failed++
+		}
+		if len(vr.Days) != 6 {
+			t.Fatalf("vantage %s swept %d days, want 6", vr.Name, len(vr.Days))
+		}
+		stored += len(storedDays(t, dir, vr.Name))
+	}
+	if failed != 1 || stored >= 18 {
+		t.Fatalf("%d vantages failed and %d of 18 days stored, want 1 and fewer", failed, stored)
+	}
+	if n := reg.Counter(vantage.MetricAppends).Value(); n != uint64(stored) {
+		t.Fatalf("%s = %d, %d days stored", vantage.MetricAppends, n, stored)
+	}
 }
 
 // TestCampaignValidation covers the orchestrator's rejection paths.
