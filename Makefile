@@ -30,9 +30,11 @@ bench:
 # BenchmarkProberSweep (one /20 over the study's fabric) are held the same
 # way — allocs/op and B/op, and for the sweep events/op, calls put on the
 # clock per probed address: ~1, where 2 means a timer per probe again.
-# BenchmarkHistStoreOpen (a read-only Open of the 120-day log, tail-only
-# and compacted) likewise: allocs/op, B/op and frames/op, the block frames
-# one Open replays — the budget of the store's replay. BenchmarkCampaignDay
+# BenchmarkHistStoreOpen (a read-only Open of the 120-day log: tail-only,
+# compacted into one segment, and sealed every 10 snapshots into 12)
+# likewise: allocs/op, B/op and frames/op, the block frames the store
+# holds — the budget of replaying a tail and of verifying sealed segments
+# and joining their sidecars. BenchmarkCampaignDay
 # (20 days of the bench-scale universe's dynamic networks through scan.Run
 # into a fresh store, compacting every 10) is held to allocs/op and B/op:
 # the campaign overlaps its sweep with its appends, so its time is the
@@ -102,6 +104,9 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/histstore
 	$(GO) test -fuzz=FuzzSegmentManifest -fuzztime=30s ./internal/histstore
 	$(GO) test -fuzz=FuzzSegmentFooter -fuzztime=30s ./internal/histstore
+	$(GO) test -fuzz=FuzzDecodeSidecar -fuzztime=30s ./internal/histstore
+	$(GO) test -fuzz=FuzzHandleUpdate -fuzztime=30s ./internal/dnsserver
+	$(GO) test -fuzz=FuzzHandleTCP -fuzztime=30s ./internal/dnsserver
 	$(GO) test -fuzz=FuzzReplManifest -fuzztime=30s ./internal/replica
 	$(GO) test -fuzz=FuzzSegmentFetch -fuzztime=30s ./internal/replica
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s ./internal/rdnsclient

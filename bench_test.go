@@ -527,6 +527,13 @@ func BenchmarkRenderAllExperiments(b *testing.B) {
 // day, so every day past the first is a delta frame with real churn.
 func buildHistStoreLog(b *testing.B, path string) []time.Time {
 	b.Helper()
+	return buildSealedHistStoreLog(b, path, 0)
+}
+
+// buildSealedHistStoreLog is buildHistStoreLog compacting the tail every
+// sealEvery days (never when zero).
+func buildSealedHistStoreLog(b *testing.B, path string, sealEvery int) []time.Time {
+	b.Helper()
 	st, err := histstore.Open(path)
 	if err != nil {
 		b.Fatal(err)
@@ -548,6 +555,11 @@ func buildHistStoreLog(b *testing.B, path string) []time.Time {
 			b.Fatal(err)
 		}
 		times = append(times, d)
+		if sealEvery > 0 && (day+1)%sealEvery == 0 {
+			if res, err := st.CompactWriter(context.Background(), histstore.DefaultWriter, histstore.CompactOptions{MinSeal: sealEvery}); err != nil || res.Sealed != sealEvery {
+				b.Fatalf("compact: %+v, %v", res, err)
+			}
+		}
 	}
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
@@ -700,17 +712,23 @@ func BenchmarkHistStoreCompact(b *testing.B) {
 }
 
 // BenchmarkHistStoreOpen measures what becoming able to answer costs: a
-// read-only Open of the 120-day log replays every frame ever written —
-// once with all of them in the tail, once sealed into a segment.
-// bench-check holds its allocs/op, B/op and frames/op (block frames
-// replayed per open) only: an open's time is the host's file cache and
-// disk, so the benchmark reports no ns/op.
+// read-only Open of the 120-day log — once with every frame in the tail,
+// once sealed into one segment, and once sealed every 10 snapshots into 12
+// (the serving benchmark store's layout). A tail replays; sealed segments
+// are verified frame by frame, the last one decoded, and the name index
+// joined from their sidecars. bench-check holds its allocs/op, B/op and
+// frames/op (block frames stored, whether replayed or verified) only: an
+// open's time is the host's file cache and disk, so the benchmark reports
+// no ns/op.
 func BenchmarkHistStoreOpen(b *testing.B) {
-	for _, layout := range []string{"tail", "compacted"} {
+	for _, layout := range []string{"tail", "compacted", "segments"} {
 		b.Run(layout, func(b *testing.B) {
 			path := filepath.Join(b.TempDir(), "bench.hist")
-			buildHistStoreLog(b, path)
-			if layout == "compacted" {
+			switch layout {
+			case "tail":
+				buildHistStoreLog(b, path)
+			case "compacted":
+				buildHistStoreLog(b, path)
 				st, err := histstore.Open(path)
 				if err != nil {
 					b.Fatal(err)
@@ -721,6 +739,8 @@ func BenchmarkHistStoreOpen(b *testing.B) {
 				if err := st.Close(); err != nil {
 					b.Fatal(err)
 				}
+			case "segments":
+				buildSealedHistStoreLog(b, path, 10)
 			}
 			frames := 0
 			b.ReportAllocs()

@@ -29,7 +29,7 @@ type goldenStep struct {
 	query []byte
 }
 
-func goldenSteps(t *testing.T) (*Server, []goldenStep) {
+func goldenSteps(t testing.TB) (*Server, []goldenStep) {
 	wire := func(m *dnswire.Message) []byte {
 		w, err := m.Marshal()
 		if err != nil {

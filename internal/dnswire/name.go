@@ -246,6 +246,9 @@ func appendCompressedName[S nameText](buf []byte, s S, cmap *compressionMap) ([]
 		return append(buf, 0), nil
 	}
 	full := presentationLen(s)
+	if full+1 > MaxNameLen { // labels, their length octets and the root, as AppendWire counts them
+		return nil, ErrNameTooLong
+	}
 	for start := 0; start < len(s); {
 		if off, known := lookup(cmap, buf, s, start, full-start); known {
 			return append(buf, byte(0xC0|off>>8), byte(off)), nil

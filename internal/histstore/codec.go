@@ -110,9 +110,18 @@ func appendFrame(dst []byte, kind byte, body []byte) []byte {
 // frameCRC is the frame checksum: IEEE CRC32 over the kind byte then the
 // body, computed in place.
 func frameCRC(kind byte, body []byte) uint32 {
-	k := [1]byte{kind}
-	return crc32.Update(crc32.Update(0, crc32.IEEETable, k[:]), crc32.IEEETable, body)
+	return crc32.Update(kindCRC[kind], crc32.IEEETable, body)
 }
+
+// kindCRC holds the CRC of each one-byte frame kind, where every frame's
+// checksum starts: computed once rather than from a byte that would have
+// to escape to the heap on every frame.
+var kindCRC = func() (t [256]uint32) {
+	for k := range t {
+		t[k] = crc32.Update(0, crc32.IEEETable, []byte{byte(k)})
+	}
+	return t
+}()
 
 // decodeFrame decodes one frame from the front of data and returns it
 // with the remaining bytes. io.ErrUnexpectedEOF-like truncation is

@@ -23,8 +23,11 @@ import (
 //	phase A (shared lock)   stream the tail's sealed range into a segment
 //	                        image: every block live at the cut gets an
 //	                        opening base, deltas are re-based every
-//	                        BaseInterval snapshots, no-op rebases vanish
-//	stage                   write segment to *.tmp, fsync, rename
+//	                        BaseInterval snapshots, no-op rebases vanish;
+//	                        a single-writer store also clips its name
+//	                        index to the span: the segment's sidecar
+//	stage                   write segment to *.tmp, fsync, rename; the
+//	                        same for the sidecar (sidecar.go)
 //	phase C (write lock)    write the replacement tail (header + the
 //	                        bytes past the cut), rename it, then swap the
 //	                        manifest under STORE.lock — the one commit
@@ -43,6 +46,8 @@ import (
 //
 //	histstore.compact.segment.write
 //	histstore.compact.segment.rename
+//	histstore.compact.sidecar.write
+//	histstore.compact.sidecar.rename
 //	histstore.compact.sealed
 //	histstore.compact.tail.write
 //	histstore.compact.tail.rename
@@ -184,7 +189,26 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 	newTailName := tailFileName(id, w.fileSeq+1)
 	oldTailName := w.tailFile
 	oldTailHeaderLen := w.tailHeaderLen
+	// The index stands at the cut: its postings clipped to the span are
+	// the segment's sidecar, and no later append can reach them. They need
+	// only the index and the segment only the tail, so the two are built
+	// side by side.
+	var names *segNames
+	clipped := make(chan struct{})
+	if s.solo {
+		go func() {
+			defer close(clipped)
+			names = s.names.sealSpan(first, cut)
+		}()
+	} else {
+		close(clipped)
+	}
 	build, err := s.buildSegment(w, first, cut, cutOff, segK)
+	<-clipped
+	var sidecar []byte
+	if err == nil && names != nil {
+		sidecar = names.encode(segIdentity{writer: id, first: first, count: sealCount, size: int64(len(build.data)), crc: build.idx.crc})
+	}
 	s.mu.RUnlock()
 	if err != nil {
 		return res, err
@@ -198,6 +222,11 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 	segPath := s.filePath(segName)
 	if err := stageFile(segPath, build.data, "histstore.compact.segment"); err != nil {
 		return res, err
+	}
+	if sidecar != nil {
+		if err := stageFile(SidecarName(segPath), sidecar, "histstore.compact.sidecar"); err != nil {
+			return res, err
+		}
 	}
 
 	// The sealed pause point: tests park here to prove queries answer
@@ -294,6 +323,8 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 		size:      int64(len(build.data)),
 		f:         segF,
 		idx:       build.idx,
+		crc:       build.idx.crc,
+		crcKnown:  true,
 	}
 	w.segs = append(w.segs, newSeg)
 	s.noteSegmentLoaded(newSeg)
@@ -324,6 +355,9 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 		for _, r := range surviving[p] {
 			w.cadence.note(p, r.snap, r.kind)
 		}
+	}
+	if s.solo {
+		s.names.sealed(cut)
 	}
 	s.baseFrames += build.baseFrames - build.sealedBases
 	s.deltaFrames += build.deltaFrames - build.sealedDeltas
@@ -485,9 +519,10 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 	if b.idx, err = decodeSegmentFooter(footer, first, count, frameStart, footerOff); err != nil {
 		return nil, fmt.Errorf("histstore: sealing %s: built an invalid footer: %w", w.tailFile, err)
 	}
+	b.idx.crc = crc32.ChecksumIEEE(footer)
 	b.data = append(b.data, footer...)
 	b.data = binary.LittleEndian.AppendUint64(b.data, uint64(footerOff))
-	b.data = binary.LittleEndian.AppendUint32(b.data, crc32.ChecksumIEEE(footer))
+	b.data = binary.LittleEndian.AppendUint32(b.data, b.idx.crc)
 	b.data = append(b.data, segTrailerMagic[:]...)
 	return b, nil
 }

@@ -61,7 +61,8 @@ func mergeCampaigns(blocks []dnswire.Prefix, byID ...*campaign) *campaign {
 
 // assertCleanDir checks that every file in the store directory is either
 // store metadata or referenced by the manifest — no leaked temp files or
-// orphaned tails/segments survive a recovery.
+// orphaned tails/segments survive a recovery. A referenced segment's
+// sidecar counts as referenced.
 func assertCleanDir(t *testing.T, dir string) {
 	t.Helper()
 	m, err := readManifest(dir)
@@ -77,6 +78,7 @@ func assertCleanDir(t *testing.T, dir string) {
 		referenced["tail-"+w.id+".lock"] = true
 		for _, g := range w.segs {
 			referenced[g.file] = true
+			referenced[SidecarName(g.file)] = true
 		}
 	}
 	ents, err := os.ReadDir(dir)
@@ -246,6 +248,8 @@ func TestCompactionCrashPoints(t *testing.T) {
 	}{
 		{"histstore.compact.segment.write", false},
 		{"histstore.compact.segment.rename", false},
+		{"histstore.compact.sidecar.write", false},
+		{"histstore.compact.sidecar.rename", false},
 		{"histstore.compact.sealed", false},
 		{"histstore.compact.tail.write", false},
 		{"histstore.compact.tail.rename", false},

@@ -1,6 +1,13 @@
 package histstore
 
 import (
+	"bytes"
+	"context"
+	"encoding/binary"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -373,6 +380,103 @@ func FuzzSegmentFooter(f *testing.F) {
 		again, err := decodeSegmentFooter(encodeSegmentFooter(held, firstSnap), firstSnap, count, frameStart, footerOff)
 		if err != nil || !again.matches(held) {
 			t.Fatalf("round trip drifted: %v", err)
+		}
+	})
+}
+
+// FuzzDecodeSidecar fuzzes the given-name sidecar decoder, seeded with a
+// sidecar a compaction wrote. A sidecar is read from disk at every Open,
+// so arbitrary bytes must be refused, never panic; each input is also
+// tried with its CRC made right, so the fuzzer reaches the structure
+// behind it. Whatever is accepted keeps every invariant the join relies
+// on, survives an encode/decode round trip unchanged, and is refused
+// under any other segment's identity.
+func FuzzDecodeSidecar(f *testing.F) {
+	dir := filepath.Join(f.TempDir(), "hist")
+	st, err := Open(dir, WithBaseInterval(3))
+	if err != nil {
+		f.Fatal(err)
+	}
+	c := genCampaign(91, 12)
+	for i := range c.snaps {
+		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{MinSeal: 1}); err != nil {
+		f.Fatal(err)
+	}
+	g := st.writers[0].segs[0]
+	id := g.identity()
+	st.Close()
+	real, err := os.ReadFile(SidecarName(g.path))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if _, err := decodeSidecar(real, id); err != nil {
+		f.Fatalf("the seed does not decode: %v", err)
+	}
+	f.Add(real)
+	f.Add(real[:len(real)/2])
+	f.Add((&segNames{}).encode(id))
+	bad := append([]byte(nil), real...)
+	bad[len(bad)/2] ^= 0x40
+	f.Add(bad)
+
+	others := []segIdentity{id, id, id, id, id}
+	others[0].writer = "other"
+	others[1].first++
+	others[2].count++
+	others[3].size++
+	others[4].crc ^= 1
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		fixed := append([]byte(nil), data...)
+		if len(fixed) >= 4 {
+			body := fixed[:len(fixed)-4]
+			binary.LittleEndian.PutUint32(fixed[len(body):], crc32.ChecksumIEEE(body))
+		}
+		for _, in := range [][]byte{data, fixed} {
+			sn, err := decodeSidecar(in, id)
+			if err != nil {
+				continue
+			}
+			last := int32(id.first + id.count - 1)
+			for i, ps := range sn.posts {
+				if i > 0 {
+					prev := sn.posts[i-1]
+					if ps.token < prev.token || (ps.token == prev.token && ps.addr <= prev.addr) {
+						t.Fatalf("accepted postings out of order: %+v after %+v", ps, prev)
+					}
+				}
+				runs := sn.runs[ps.lo:ps.hi]
+				if len(runs) == 0 || ps.addr&0xff != 0 {
+					t.Fatalf("accepted posting %+v", ps)
+				}
+				for k, r := range runs {
+					if r.first < int32(id.first) || r.last > last || r.first > r.last || (k > 0 && r.first <= runs[k-1].last+1) {
+						t.Fatalf("accepted runs %v in [%d, %d]", runs, id.first, last)
+					}
+				}
+			}
+			for i := 1; i < len(sn.tokens); i++ {
+				if tokenOrder(sn.keys[i-1], sn.tokens[i-1], sn.keys[i], sn.tokens[i]) >= 0 {
+					t.Fatalf("accepted tokens out of order: %q, %q", sn.tokens[i-1], sn.tokens[i])
+				}
+			}
+			enc := sn.encode(id)
+			again, err := decodeSidecar(enc, id)
+			if err != nil {
+				t.Fatalf("re-encoded sidecar refused: %v", err)
+			}
+			if !reflect.DeepEqual(again, sn) || !bytes.Equal(again.encode(id), enc) {
+				t.Fatal("encode/decode round trip drifted")
+			}
+			for _, other := range others {
+				if _, err := decodeSidecar(in, other); err == nil {
+					t.Fatalf("a sidecar of %+v accepted as one of %+v", id, other)
+				}
+			}
 		}
 	})
 }

@@ -50,8 +50,10 @@
 // the writer with the smallest id. AtWriter exposes the provenance.
 //
 // Reopening a store replays the files through the same transition code
-// the writer used, so the rebuilt indexes — and therefore every query
-// answer — are bit-identical across a close/reopen cycle. Concurrent
+// the writer used — a single writer's sealed segments are verified and
+// their name sidecars joined instead (adoptSealed), only its tail
+// replayed — so the rebuilt indexes, and therefore every query answer,
+// are bit-identical across a close/reopen cycle. Concurrent
 // readers and one appender within a process are safe (cmd/rdnsd serves
 // queries mid-append and mid-compaction).
 package histstore
@@ -70,7 +72,6 @@ import (
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
-	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/telemetry"
 )
 
@@ -250,14 +251,15 @@ func WithHotSegments(n int) Option {
 }
 
 // Open creates or loads the history store rooted at the directory path.
-// Existing files are replayed to rebuild the indexes; a torn final
+// Existing files rebuild the indexes (replayed, or for a single writer's
+// sealed segments verified and joined from their sidecars); a torn final
 // append (crash mid-write) on an owned tail is truncated away, while
 // mid-file corruption — anywhere in a sealed segment, or before the
 // final append of a tail — is a loud error.
 func Open(path string, opts ...Option) (*Store, error) {
 	var lastErr error
 	for attempt := 0; attempt < openRetries; attempt++ {
-		s, err := openStore(path, opts)
+		s, err := openStore(path, opts, false)
 		if err == nil {
 			return s, nil
 		}
@@ -279,8 +281,10 @@ type retryableOpenError struct{ err error }
 func (e *retryableOpenError) Error() string { return e.err.Error() }
 func (e *retryableOpenError) Unwrap() error { return e.err }
 
-// openStore is one open attempt.
-func openStore(path string, opts []Option) (s *Store, err error) {
+// openStore is one open attempt. A single-writer store adopts its sealed
+// segments (adoptSealed) and replays only its tail, unless replayAll asks
+// for every frame to be replayed, the way a multi-writer store always is.
+func openStore(path string, opts []Option, replayAll bool) (s *Store, err error) {
 	s = &Store{
 		dir:       path,
 		baseEvery: DefaultBaseInterval,
@@ -330,7 +334,13 @@ func openStore(path string, opts []Option) (s *Store, err error) {
 	if err := s.loadWriters(m); err != nil {
 		return nil, err
 	}
-	if err := s.replayAll(); err != nil {
+	adopt := s.solo && !replayAll
+	if adopt {
+		if err := s.adoptSealed(s.writers[0]); err != nil {
+			return nil, err
+		}
+	}
+	if err := s.replay(adopt); err != nil {
 		return nil, err
 	}
 	s.publishGauges()
@@ -407,9 +417,10 @@ func (s *Store) registerWriter() (*storeManifest, error) {
 }
 
 // sweepOrphans removes files a crashed compaction or registration left
-// staged for this store's writer: unreferenced tails or segments and
-// manifest temp files. Callers hold STORE.lock. Errors are ignored —
-// a sweep that loses a race with another opener is harmless.
+// staged for this store's writer: unreferenced tails, segments and
+// segment sidecars, staged or not, and manifest temp files. Callers hold
+// STORE.lock. Errors are ignored — a sweep that loses a race with another
+// opener is harmless.
 func (s *Store) sweepOrphans(m *storeManifest) {
 	referenced := make(map[string]bool)
 	if i := m.findWriter(s.writerID); i >= 0 {
@@ -417,6 +428,7 @@ func (s *Store) sweepOrphans(m *storeManifest) {
 		referenced[w.tailFile] = true
 		for _, g := range w.segs {
 			referenced[g.file] = true
+			referenced[SidecarName(g.file)] = true
 		}
 	}
 	entries, err := os.ReadDir(s.dir)
@@ -489,6 +501,9 @@ func (s *Store) loadWriters(m *storeManifest) error {
 		s.writers = append(s.writers, w)
 	}
 	s.solo = len(s.writers) == 1
+	// Only a single writer's index is its own, per segment: the merged
+	// view of several is not a union of theirs, so they keep no sidecars.
+	s.names.track = s.solo
 	if s.solo {
 		// Single writer: the merged view IS the writer's view. Aliasing
 		// the maps keeps the single-writer hot path at one state
@@ -591,17 +606,7 @@ func (s *Store) applyFrame(w *writerState, gi int, p dnswire.Prefix, wChanges []
 		changes = diffBlock(nil, s.cur[p], merged)
 		setState(s.cur, p, merged)
 	}
-	for _, ch := range changes {
-		switch ch.kind {
-		case scanengine.RecordAdded:
-			s.names.add(ch.new, p, gi)
-		case scanengine.RecordRemoved:
-			s.names.remove(ch.old, p, gi)
-		case scanengine.RecordChanged:
-			s.names.remove(ch.old, p, gi)
-			s.names.add(ch.new, p, gi)
-		}
-	}
+	s.names.apply(changes, p, gi)
 }
 
 // Times returns the merged snapshot instants in timeline order.

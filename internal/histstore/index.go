@@ -3,11 +3,12 @@ package histstore
 import (
 	"encoding/binary"
 	"math"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/scanengine"
 )
 
 // The inverted given-name index: hostname tokens map to (/24, snapshot
@@ -21,8 +22,10 @@ import (
 // transitions that feed the log: a token's interval opens the first
 // snapshot a record carrying it appears in a /24 and closes the snapshot
 // before the last such record vanishes. Reopening a store replays the
-// log through the identical transition code, so the rebuilt index is
-// bit-identical to the one the writer held.
+// log through the identical transition code — or, for a single writer's
+// sealed segments, joins the per-segment sidecars that code produced
+// (sidecar.go) — so the rebuilt index is bit-identical to the one the
+// writer held.
 
 // Posting is one FindName result: the token was present in Prefix on
 // every snapshot from First through Last inclusive.
@@ -56,17 +59,39 @@ type tokenPostings struct {
 	newest     interval // newest closed interval; first < 0 when none
 	open       int32    // first snapshot of the open interval, -1 when none
 	active     int32    // records in the /24 currently carrying the token
+	// sealOff is where, in packed, the intervals that can reach past the
+	// last seal begin, and sealLast the last of the interval before them:
+	// the sealing pass decodes from there, not from the start. listed
+	// marks the posting as on its index's touched list.
+	sealOff, sealLast int32
+	listed            bool
 }
 
 // nameIndex is the full inverted index. Not safe for concurrent use; the
 // Store's lock covers it.
 type nameIndex struct {
-	tokens  map[string]map[dnswire.Prefix]*tokenPostings
+	// tokens maps a token to its postings by /24 address.
+	tokens  map[string]map[uint32]*tokenPostings
 	scratch []string // add's and remove's token buffer
+	// With track set, touched lists every posting a segment sealed now
+	// could reach: each one changed since the last seal, and each one open
+	// at it. A single-writer store tracks them to write its sidecars
+	// (sidecar.go) in O(segment).
+	track   bool
+	touched []touchedPosting
+}
+
+// touchedPosting is one entry of the touched list: the posting of token,
+// whose tokenKey is key, in the /24 at addr.
+type touchedPosting struct {
+	key   uint64
+	token string
+	addr  uint32
+	tp    *tokenPostings
 }
 
 func newNameIndex() *nameIndex {
-	return &nameIndex{tokens: make(map[string]map[dnswire.Prefix]*tokenPostings)}
+	return &nameIndex{tokens: make(map[string]map[uint32]*tokenPostings)}
 }
 
 // appendTokens appends the index tokens of a hostname to dst: the first
@@ -103,15 +128,40 @@ func appendTokens(dst []string, name dnswire.Name) []string {
 func (ix *nameIndex) get(token string, p dnswire.Prefix) *tokenPostings {
 	byPrefix, ok := ix.tokens[token]
 	if !ok {
-		byPrefix = make(map[dnswire.Prefix]*tokenPostings)
+		byPrefix = make(map[uint32]*tokenPostings)
 		ix.tokens[token] = byPrefix
 	}
-	tp, ok := byPrefix[p]
+	tp, ok := byPrefix[p.Addr.Uint32()]
 	if !ok {
 		tp = &tokenPostings{newest: interval{first: -1}, open: -1}
-		byPrefix[p] = tp
+		byPrefix[p.Addr.Uint32()] = tp
+	}
+	if ix.track && !tp.listed {
+		ix.list(token, p, tp)
 	}
 	return tp
+}
+
+// list puts the posting of token in p on the touched list.
+func (ix *nameIndex) list(token string, p dnswire.Prefix, tp *tokenPostings) {
+	tp.listed = true
+	ix.touched = append(ix.touched, touchedPosting{key: tokenKey(token), token: token, addr: p.Addr.Uint32(), tp: tp})
+}
+
+// apply feeds one frame's changes — block p at snapshot snap — to the
+// index: the one place record transitions become postings.
+func (ix *nameIndex) apply(changes []deltaEntry, p dnswire.Prefix, snap int) {
+	for _, ch := range changes {
+		switch ch.kind {
+		case scanengine.RecordAdded:
+			ix.add(ch.new, p, snap)
+		case scanengine.RecordRemoved:
+			ix.remove(ch.old, p, snap)
+		case scanengine.RecordChanged:
+			ix.remove(ch.old, p, snap)
+			ix.add(ch.new, p, snap)
+		}
+	}
 }
 
 // add records that a hostname carrying the tokens appeared in p at snap.
@@ -157,21 +207,84 @@ func (tp *tokenPostings) close(iv interval) {
 	tp.newest = iv
 }
 
+// packedAt decodes the packed interval at packed[off:], whose predecessor
+// ended at prev, and returns it with the offset after it.
+func (tp *tokenPostings) packedAt(off int, prev int32) (interval, int) {
+	gap, n := binary.Uvarint(tp.packed[off:])
+	length, m := binary.Uvarint(tp.packed[off+n:])
+	first := prev + int32(uint32(gap))
+	return interval{first: first, last: first + int32(uint32(length))}, off + n + m
+}
+
 // closed appends the closed intervals, oldest first, to dst.
 func (tp *tokenPostings) closed(dst []interval) []interval {
 	var last int32
-	for b := tp.packed; len(b) > 0; {
-		gap, n := binary.Uvarint(b)
-		length, m := binary.Uvarint(b[n:])
-		b = b[n+m:]
-		first := last + int32(uint32(gap))
-		last = first + int32(uint32(length))
-		dst = append(dst, interval{first: first, last: last})
+	for off := 0; off < len(tp.packed); {
+		var iv interval
+		iv, off = tp.packedAt(off, last)
+		last = iv.last
+		dst = append(dst, iv)
 	}
 	if tp.newest.first >= 0 {
 		dst = append(dst, tp.newest)
 	}
 	return dst
+}
+
+// clip appends to dst the intervals overlapping [first, last], cut to it;
+// the open one runs through last, the store's newest snapshot. Only the
+// intervals past sealOff are decoded: first lies past the last seal.
+func (tp *tokenPostings) clip(dst []interval, first, last int32) []interval {
+	prev := tp.sealLast
+	for off := int(tp.sealOff); off < len(tp.packed); {
+		var iv interval
+		iv, off = tp.packedAt(off, prev)
+		prev = iv.last
+		dst = iv.clipTo(dst, first, last)
+	}
+	if tp.newest.first >= 0 {
+		dst = tp.newest.clipTo(dst, first, last)
+	}
+	if tp.open >= 0 {
+		dst = interval{first: tp.open, last: last}.clipTo(dst, first, last)
+	}
+	return dst
+}
+
+// clipTo appends to dst what of iv lies inside [first, last], if any.
+func (iv interval) clipTo(dst []interval, first, last int32) []interval {
+	if iv.last < first || iv.first > last {
+		return dst
+	}
+	return append(dst, interval{first: max(iv.first, first), last: min(iv.last, last)})
+}
+
+// sealed records that the snapshots through cut are sealed: each touched
+// posting skips the packed intervals that end by cut, and stays listed
+// only while it can still reach past it — open, or closed after it.
+func (ix *nameIndex) sealed(cut int) {
+	c := int32(cut)
+	kept := ix.touched[:0]
+	for _, t := range ix.touched {
+		tp := t.tp
+		if tp.packedLast <= c { // as usual: every packed interval ends by cut
+			tp.sealOff, tp.sealLast = int32(len(tp.packed)), tp.packedLast
+		}
+		for off := int(tp.sealOff); off < len(tp.packed); {
+			iv, next := tp.packedAt(off, tp.sealLast)
+			if iv.last > c {
+				break
+			}
+			tp.sealOff, tp.sealLast, off = int32(next), iv.last, next
+		}
+		if tp.open >= 0 || (tp.newest.first >= 0 && tp.newest.last > c) {
+			kept = append(kept, t)
+		} else {
+			tp.listed = false
+		}
+	}
+	clear(ix.touched[len(kept):])
+	ix.touched = kept
 }
 
 // find returns the postings of a token, sorted by prefix address then
@@ -182,17 +295,16 @@ func (ix *nameIndex) find(token string, lastSnap int, times []time.Time) []Posti
 	if !ok {
 		return nil
 	}
-	prefixes := make([]dnswire.Prefix, 0, len(byPrefix))
-	for p := range byPrefix {
-		prefixes = append(prefixes, p)
+	addrs := make([]uint32, 0, len(byPrefix))
+	for a := range byPrefix {
+		addrs = append(addrs, a)
 	}
-	sort.Slice(prefixes, func(i, j int) bool {
-		return prefixes[i].Addr.Uint32() < prefixes[j].Addr.Uint32()
-	})
+	slices.Sort(addrs)
 	var out []Posting
 	var closed []interval
-	for _, p := range prefixes {
-		tp := byPrefix[p]
+	for _, a := range addrs {
+		tp := byPrefix[a]
+		p := dnswire.Prefix{Addr: dnswire.IPv4FromUint32(a), Bits: 24}
 		closed = tp.closed(closed[:0])
 		for _, iv := range closed {
 			out = append(out, Posting{Prefix: p, First: times[iv.first], Last: times[iv.last]})

@@ -129,7 +129,7 @@ func TestPackedPostingsMatchNaiveModel(t *testing.T) {
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr.Uint32() < sorted[j].Addr.Uint32() })
 			for _, p := range sorted {
 				m := byPrefix[p]
-				tp := ix.tokens[tok][p]
+				tp := ix.tokens[tok][p.Addr.Uint32()]
 				if got := tp.closed(nil); !reflect.DeepEqual(got, m.closed) && len(got)+len(m.closed) > 0 {
 					t.Fatalf("seed %d %q %v: closed %v, model %v", seed, tok, p, got, m.closed)
 				}

@@ -125,7 +125,7 @@ func validStoreFileName(name string) bool {
 	if len(name) == 0 || len(name) > maxManifestFileName {
 		return false
 	}
-	if name == "." || name == ".." || name == manifestName || name == storeLockName {
+	if name == "." || name == ".." || name == manifestName || name == storeLockName || strings.HasSuffix(name, SidecarSuffix) {
 		return false
 	}
 	return !strings.ContainsAny(name, "/\\\x00")

@@ -259,44 +259,38 @@ func (s *Store) FeedReadTail(writer, wantFile string, off int64, max int) ([]byt
 // callers can match the feed's content address. Any truncation, bit flip
 // or internally inconsistent segment is a loud error.
 func VerifySegmentFile(path, writerID string, first, count int) (int64, uint32, error) {
-	f, err := os.Open(path)
+	f, size, seq, err := openSegmentFile(path, writerID, first, count)
 	if err != nil {
-		return 0, 0, fmt.Errorf("histstore: %w", err)
+		return 0, 0, err
 	}
 	defer f.Close()
-	fi, err := f.Stat()
-	if err != nil {
-		return 0, 0, fmt.Errorf("histstore: %w", err)
-	}
-	size := fi.Size()
-	seq, err := openSegmentSequencer(f, size, writerID, first, count)
-	if err != nil {
+	if err := seq.each(nil); err != nil {
 		return 0, 0, fmt.Errorf("histstore: segment %s: %w", path, err)
 	}
-	if err := seq.drain(); err != nil {
-		return 0, 0, fmt.Errorf("histstore: segment %s: %w", path, err)
-	}
-	var trailer [segTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], size-segTrailerLen); err != nil {
-		return 0, 0, fmt.Errorf("histstore: segment %s trailer: %w", path, err)
-	}
-	return size, binary.LittleEndian.Uint32(trailer[8:12]), nil
+	return size, seq.idx.crc, nil
 }
 
-// drain reads the stream to its end for the sake of the sequencer's
-// checks. A replica never commits bytes it cannot prove frame-aligned, so
-// a region that ends inside a frame is an error here.
-func (q *sequencer) drain() error {
+// each reads the stream to its end, handing every frame to fn (when not
+// nil) and stopping at its first error; the sequencer's own checks run
+// either way. A region that ends inside a frame is an error here: a
+// replica never commits bytes it cannot prove frame-aligned, and a sealed
+// segment is whole.
+func (q *sequencer) each(fn func(seqFrame) error) error {
 	for {
-		_, err := q.next()
-		if err == io.EOF {
+		fr, err := q.next()
+		switch {
+		case err == nil:
+		case err == io.EOF:
 			return nil
-		}
-		if errors.Is(err, errTruncated) {
+		case errors.Is(err, errTruncated):
 			return corruptf("truncated inside a frame at offset %d", q.offset())
-		}
-		if err != nil {
+		default:
 			return fmt.Errorf("at offset %d: %w", q.offset(), err)
+		}
+		if fn != nil {
+			if err := fn(fr); err != nil {
+				return fmt.Errorf("at offset %d: %w", q.offset(), err)
+			}
 		}
 	}
 }
@@ -335,7 +329,7 @@ func VerifyTailFile(path string, first int, size int64) (int, error) {
 			corruptf("verified size %d is inside the %d-byte header", size, hdrLen))
 	}
 	seq := newSequencer(f, hdrLen, size, first)
-	if err := seq.drain(); err != nil {
+	if err := seq.each(nil); err != nil {
 		return 0, fmt.Errorf("histstore: tail %s: %w", path, err)
 	}
 	return seq.snapshots(), nil

@@ -137,6 +137,19 @@ func (g *segment) load() error {
 	return nil
 }
 
+// open opens the segment for a read of all of it, as Open makes: its file
+// and index become the hot state, and the sequencer over its frames is
+// returned.
+func (g *segment) open() (*sequencer, error) {
+	f, size, seq, err := openSegmentFile(g.path, g.writerID, g.firstSnap, g.count)
+	if err != nil {
+		return nil, err
+	}
+	g.f, g.size, g.idx = f, size, seq.idx
+	g.crc, g.crcKnown = seq.idx.crc, true
+	return seq, nil
+}
+
 // unload drops the hot state. Callers hold g.mu with no pin out.
 func (g *segment) unload() {
 	if g.f != nil {
@@ -155,9 +168,10 @@ func (g *segment) unload() {
 type segIndex struct {
 	dir    []segDirEntry
 	footer []byte
-	// The geometry the footer was validated against.
+	// The geometry the footer was validated against, and its CRC.
 	firstSnap, count      int
 	frameStart, footerOff int64
+	crc                   uint32
 }
 
 // segDirEntry locates one block's ref list (its count, then its refs)
@@ -298,6 +312,7 @@ func readSegmentIndex(f *os.File, size int64, wantID string, wantFirst, wantCoun
 	if err != nil {
 		return nil, 0, 0, err
 	}
+	idx.crc = footerCRC
 	return idx, frameStart, footerOff, nil
 }
 

@@ -2,12 +2,14 @@ package histstore
 
 import (
 	"bufio"
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"io/fs"
 	"os"
+	"slices"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
@@ -88,21 +90,17 @@ func (fs *frameScanner) next() (frame, int64, int, error) {
 	if n > 1<<24 {
 		return frame{}, start, 0, corruptf("frame body of %d bytes", n)
 	}
-	if uint64(cap(fs.buf)) < n {
-		fs.buf = make([]byte, n)
-	}
-	body := fs.buf[:n]
-	if _, err := io.ReadFull(fs.r, body); err != nil {
+	// The body and its CRC, read in one go.
+	fs.buf = slices.Grow(fs.buf[:0], int(n)+4)
+	framed := fs.buf[:n+4]
+	if _, err := io.ReadFull(fs.r, framed); err != nil {
 		return frame{}, start, 0, errTruncated
 	}
-	var crcBuf [4]byte
-	if _, err := io.ReadFull(fs.r, crcBuf[:]); err != nil {
-		return frame{}, start, 0, errTruncated
-	}
-	if err := checkFrameCRC(kind, body, binary.LittleEndian.Uint32(crcBuf[:])); err != nil {
+	body := framed[:n]
+	if err := checkFrameCRC(kind, body, binary.LittleEndian.Uint32(framed[n:])); err != nil {
 		return frame{}, start, 0, err
 	}
-	length := 1 + sz + len(body) + len(crcBuf)
+	length := 1 + sz + len(framed)
 	fs.off = start + int64(length)
 	return frame{kind: kind, body: body}, start, length, nil
 }
@@ -153,6 +151,30 @@ func newSequencer(f io.ReaderAt, from, to int64, first int) *sequencer {
 	}
 }
 
+// openSegmentFile opens the sealed segment at path and validates its
+// header, trailer and footer against the identity the manifest gives it,
+// returning the file, its size and the sequencer over its frames.
+func openSegmentFile(path, id string, first, count int) (*os.File, int64, *sequencer, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		if errors.Is(err, fs.ErrNotExist) {
+			return nil, 0, nil, &retryableOpenError{fmt.Errorf("histstore: %w", err)}
+		}
+		return nil, 0, nil, fmt.Errorf("histstore: %w", err)
+	}
+	fi, err := f.Stat()
+	if err != nil {
+		f.Close()
+		return nil, 0, nil, fmt.Errorf("histstore: %w", err)
+	}
+	seq, err := openSegmentSequencer(f, fi.Size(), id, first, count)
+	if err != nil {
+		f.Close()
+		return nil, 0, nil, fmt.Errorf("histstore: segment %s: %w", path, err)
+	}
+	return f, fi.Size(), seq, nil
+}
+
 // openSegmentSequencer validates a segment file's header, trailer and
 // footer against the identity the manifest gives it and returns the
 // sequencer over its frame region.
@@ -162,7 +184,22 @@ func openSegmentSequencer(f *os.File, size int64, id string, first, count int) (
 		return nil, err
 	}
 	q := newSequencer(f, frameStart, footerOff, first)
-	q.idx, q.refs = idx, make(map[dnswire.Prefix][]blockRef)
+	q.idx, q.refs = idx, make(map[dnswire.Prefix][]blockRef, len(idx.dir))
+	// The validated footer says how many frames each block has: gathering
+	// their refs fills room cut from one slab for each. Frames that
+	// disagree with the footer outgrow their room or find none, and fail
+	// the match at the end.
+	total := 0
+	for _, d := range idx.dir {
+		n, _ := footerUvarint(idx.footer, int(d.off))
+		total += int(n)
+	}
+	slab := make([]blockRef, total)
+	for _, d := range idx.dir {
+		n, _ := footerUvarint(idx.footer, int(d.off))
+		p := dnswire.Prefix{Addr: dnswire.IPv4FromUint32(d.addr), Bits: 24}
+		q.refs[p], slab = slab[:0:n], slab[n:]
+	}
 	return q, nil
 }
 
@@ -248,24 +285,10 @@ func (c *writerCursor) openNextSource() (bool, error) {
 	w := c.w
 	if c.src < len(w.segs) {
 		g := w.segs[c.src]
-		f, err := os.Open(g.path)
+		seq, err := g.open()
 		if err != nil {
-			if errors.Is(err, fs.ErrNotExist) {
-				return false, &retryableOpenError{fmt.Errorf("histstore: %w", err)}
-			}
-			return false, fmt.Errorf("histstore: %w", err)
+			return false, err
 		}
-		fi, err := f.Stat()
-		if err != nil {
-			f.Close()
-			return false, fmt.Errorf("histstore: %w", err)
-		}
-		seq, err := openSegmentSequencer(f, fi.Size(), g.writerID, g.firstSnap, g.count)
-		if err != nil {
-			f.Close()
-			return false, fmt.Errorf("histstore: segment %s: %w", g.path, err)
-		}
-		g.f, g.size, g.idx = f, fi.Size(), seq.idx
 		c.seq, c.seg = seq, g
 		return true, nil
 	}
@@ -356,13 +379,17 @@ func (c *writerCursor) next() error {
 	return nil
 }
 
-// replayAll rebuilds the merged in-memory state from every writer's
-// files: a k-way merge of the writers' snapshot streams ordered by
-// (time, writer id), each group committed the way Append commits one.
-func (s *Store) replayAll() error {
+// replay rebuilds the merged in-memory state from every writer's files —
+// only the tails, when the sealed segments were adopted: a k-way merge of
+// the writers' snapshot streams ordered by (time, writer id), each group
+// committed the way Append commits one.
+func (s *Store) replay(tailsOnly bool) error {
 	curs := make([]*writerCursor, len(s.writers))
 	for i, w := range s.writers {
 		curs[i] = &writerCursor{w: w, src: -1}
+		if tailsOnly {
+			curs[i].src = len(w.segs) - 1
+		}
 		if err := curs[i].next(); err != nil {
 			return err
 		}
@@ -391,6 +418,123 @@ func (s *Store) replayAll() error {
 		}
 	}
 	return s.finishReplay()
+}
+
+// adoptSealed brings a single-writer store's sealed segments in without
+// replaying them. Each segment gets every check replay would give it —
+// header, trailer, footer CRC, every frame's CRC, the snapshot sequence,
+// the footer's refs against the frames — and yields its instants and its
+// block refs, which give the block lists, the cadence and the frame
+// counts. Only the last segment's frames are decoded: it opens with a
+// base of every block live at its start, so it alone holds the states the
+// tail continues from. The name index is joined from the segments'
+// sidecars (sidecar.go); a segment without a usable one is folded from
+// its frames instead, and an owned writer stores the rebuilt sidecar. The
+// tail then replays as it always has.
+func (s *Store) adoptSealed(w *writerState) error {
+	if len(w.segs) == 0 {
+		return nil
+	}
+	n := w.segs[len(w.segs)-1].lastSnap() + 1
+	if n > maxSnapshots {
+		return fmt.Errorf("histstore: timeline exceeds %d snapshots", maxSnapshots)
+	}
+	s.times, s.snapWriter, s.snapLocal = make([]time.Time, 0, n), make([]int, 0, n), make([]int, 0, n)
+	w.times, w.globalIdx = make([]time.Time, 0, n), make([]int, 0, n)
+	blocks := make(map[dnswire.Prefix]bool)
+	var changes []deltaEntry
+	for i, g := range w.segs {
+		seq, err := g.open()
+		if err != nil {
+			return err
+		}
+		decode := i == len(w.segs)-1
+		err = seq.each(func(fr seqFrame) error {
+			if fr.ref.kind == frameSnap {
+				k, when := len(w.times), time.Unix(fr.unix, 0).UTC()
+				if k > 0 && !when.After(w.times[k-1]) {
+					return corruptf("snapshot %d not after its predecessor", k)
+				}
+				s.times, s.snapWriter, s.snapLocal = append(s.times, when), append(s.snapWriter, 0), append(s.snapLocal, k)
+				w.times, w.globalIdx = append(w.times, when), append(w.globalIdx, k)
+				return nil
+			}
+			if !decode {
+				return nil
+			}
+			fe := frameEffect{ref: fr.ref}
+			var err error
+			if changes, err = fe.decode(fr.body, s.cur, changes[:0]); err != nil {
+				return err
+			}
+			setState(s.cur, fe.p, fe.state)
+			return nil
+		})
+		if err != nil {
+			return fmt.Errorf("histstore: segment %s: %w", g.path, err)
+		}
+		for p, refs := range seq.refs {
+			blocks[p] = true
+			for _, r := range refs {
+				w.cadence.note(p, r.snap, r.kind)
+				if r.kind == frameBase {
+					s.baseFrames++
+				} else {
+					s.deltaFrames++
+				}
+			}
+		}
+	}
+	for p := range blocks {
+		w.known = append(w.known, p)
+	}
+	slices.SortFunc(w.known, func(a, b dnswire.Prefix) int { return cmp.Compare(a.Addr.Uint32(), b.Addr.Uint32()) })
+	s.blocks = slices.Clone(w.known)
+
+	parts := make([]*segNames, len(w.segs))
+	for i, g := range w.segs {
+		if parts[i] = readSidecar(g); parts[i] == nil {
+			var err error
+			if parts[i], err = s.foldSidecar(w, g); err != nil {
+				return err
+			}
+		}
+	}
+	if s.names.join(parts, s.cur, n-1) {
+		return nil
+	}
+	// The sidecars and the states the segments end in disagree: rebuild
+	// every sidecar from its segment.
+	for i, g := range w.segs {
+		var err error
+		if parts[i], err = s.foldSidecar(w, g); err != nil {
+			return err
+		}
+	}
+	s.names = newNameIndex()
+	s.names.track = true
+	if !s.names.join(parts, s.cur, n-1) {
+		return fmt.Errorf("histstore: writer %q: %w", w.id, corruptError("segments' name postings disagree with their end states"))
+	}
+	return nil
+}
+
+// foldSidecar rebuilds segment g's sidecar from its frames (foldSegment);
+// when the store owns the writer it also stores it, best effort — a
+// read-only open writes nothing.
+func (s *Store) foldSidecar(w *writerState, g *segment) (*segNames, error) {
+	seq, err := openSegmentSequencer(g.f, g.size, g.writerID, g.firstSnap, g.count)
+	if err != nil {
+		return nil, fmt.Errorf("histstore: segment %s: %w", g.path, err)
+	}
+	sn, err := foldSegment(seq, g.firstSnap, g.count)
+	if err != nil {
+		return nil, fmt.Errorf("histstore: segment %s: %w", g.path, err)
+	}
+	if w.owned {
+		stageFile(SidecarName(g.path), sn.encode(g.identity()), "")
+	}
+	return sn, nil
 }
 
 // finishReplay settles what the merge leaves open: torn tails are

@@ -24,8 +24,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"rdnsprivacy/internal/histstore"
@@ -92,8 +94,10 @@ type Syncer struct {
 	syncN   int
 	applied int
 	// verified caches segment files already validated against their
-	// content address, so steady-state syncs stat nothing but tails.
+	// content address, so steady-state syncs stat nothing but tails;
+	// sidecars the segments whose sidecar this process built or found.
 	verified map[string]bool
+	sidecars map[string]bool
 	// tailOK caches the verified size per tail file, so a caught-up sync
 	// skips the frame scan but a fresh process re-proves local bytes it
 	// never pulled itself.
@@ -128,6 +132,7 @@ func New(cfg Config) (*Syncer, error) {
 		tracer:   cfg.Tracer,
 		seed:     cfg.Seed,
 		verified: make(map[string]bool),
+		sidecars: make(map[string]bool),
 		tailOK:   make(map[string]int64),
 	}, nil
 }
@@ -219,6 +224,11 @@ func (y *Syncer) syncOnce(ctx context.Context, corr uint64) (bool, error) {
 			return false, err
 		}
 		changed = changed || fetched
+	}
+	if len(m.Writers) == 1 {
+		if err := y.buildSidecars(m.Writers[0]); err != nil {
+			return false, err
+		}
 	}
 	committed, err := y.commit(m)
 	if err != nil {
@@ -339,6 +349,40 @@ func (y *Syncer) syncSegment(ctx context.Context, writerID string, g rdnsclient.
 	y.verified[g.File] = true
 	y.noteSegmentDone()
 	return true, nil
+}
+
+// buildSidecars gives every segment of a single-writer store the
+// given-name sidecar the replica builds itself, by folding the verified
+// segment's own frames (histstore.WriteSegmentSidecar); it never fetches
+// one. The folds are independent, so a bootstrap's many run one per core.
+func (y *Syncer) buildSidecars(w rdnsclient.ReplWriter) error {
+	var todo []rdnsclient.ReplSegment
+	for _, g := range w.Segments {
+		if !y.sidecars[g.File] {
+			todo = append(todo, g)
+		}
+	}
+	errs := make([]error, len(todo))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for k := 0; k < min(len(todo), runtime.GOMAXPROCS(0)); k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int(next.Add(1)) - 1; i < len(todo); i = int(next.Add(1)) - 1 {
+				g := todo[i]
+				errs[i] = histstore.WriteSegmentSidecar(filepath.Join(y.dir, g.File), w.ID, g.First, g.Count)
+			}
+		}()
+	}
+	wg.Wait()
+	for i, g := range todo {
+		if errs[i] != nil {
+			return fmt.Errorf("replica: segment %s: building its sidecar: %w", g.File, errs[i])
+		}
+		y.sidecars[g.File] = true
+	}
+	return nil
 }
 
 // verifySegment runs the full structural validation plus the manifest's
@@ -468,15 +512,17 @@ func (y *Syncer) commit(m rdnsclient.ReplManifest) (bool, error) {
 }
 
 // cleanup removes local tail files the committed manifest no longer
-// references (compaction superseded them on the primary) and stale
-// .part stages for segments that are already final. Failures are
-// ignored: leftovers cost disk, not correctness.
+// references (compaction superseded them on the primary), sidecars of
+// segments it does not reference and staged sidecars, and stale .part
+// stages for segments that are already final. Failures are ignored:
+// leftovers cost disk, not correctness.
 func (y *Syncer) cleanup(m rdnsclient.ReplManifest) {
 	live := make(map[string]bool)
 	for _, w := range m.Writers {
 		live[w.TailFile] = true
 		for _, g := range w.Segments {
 			live[g.File] = true
+			live[histstore.SidecarName(g.File)] = true
 		}
 	}
 	entries, err := os.ReadDir(y.dir)
@@ -487,6 +533,9 @@ func (y *Syncer) cleanup(m rdnsclient.ReplManifest) {
 		name := e.Name()
 		switch {
 		case strings.HasPrefix(name, "tail-") && strings.HasSuffix(name, ".log") && !live[name]:
+			os.Remove(filepath.Join(y.dir, name))
+		case strings.HasSuffix(name, histstore.SidecarSuffix) && !live[name],
+			strings.HasSuffix(name, histstore.SidecarSuffix+".tmp"):
 			os.Remove(filepath.Join(y.dir, name))
 		case strings.HasSuffix(name, ".part") && live[strings.TrimSuffix(name, ".part")] &&
 			y.verified[strings.TrimSuffix(name, ".part")]:

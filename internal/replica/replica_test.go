@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -670,4 +671,103 @@ func (y *Syncer) Synced() bool {
 func (y *Syncer) Open(opts ...histstore.Option) (*histstore.Store, error) {
 	all := append([]histstore.Option{histstore.WithReadOnly()}, opts...)
 	return histstore.Open(y.dir, all...)
+}
+
+// TestReplicaBuildsItsOwnSidecars: a replica of a single-writer store
+// gives every segment it accepts a given-name sidecar built from the
+// verified bytes — the same bytes the primary's compaction wrote — and
+// never asks the feed for one. A damaged local sidecar is rebuilt by the
+// next process's first sync, and sidecars no segment owns are swept.
+func TestReplicaBuildsItsOwnSidecars(t *testing.T) {
+	const blocks = 3
+	dir := t.TempDir()
+	pdir, rdir := filepath.Join(dir, "primary"), filepath.Join(dir, "replica")
+	primary := seedPrimary(t, pdir, 11, blocks)
+	for _, days := range []int{5, 6} {
+		if _, err := primary.Compact(context.Background(), histstore.CompactOptions{}); err != nil {
+			t.Fatalf("compact: %v", err)
+		}
+		appendDays(t, primary, primary.Len(), days, blocks)
+	}
+	srv := rdnsserve.New(primary, rdnsserve.Config{Seed: 1})
+	defer srv.Close()
+	var asked []string
+	var askedMu sync.Mutex
+	h := srv.Handler()
+	newSyncer := func() *Syncer {
+		y, err := New(Config{
+			Source: "http://primary.inproc",
+			Dir:    rdir,
+			Client: feedClient(roundTripFunc(func(r *http.Request) (*http.Response, error) {
+				askedMu.Lock()
+				asked = append(asked, r.URL.String())
+				askedMu.Unlock()
+				return inprocTransport{h}.RoundTrip(r)
+			})),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return y
+	}
+	fm, err := primary.FeedManifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := fm.Writers[0].Segments
+	if len(segs) != 2 {
+		t.Fatalf("primary holds %d segments, want 2", len(segs))
+	}
+	sameSidecars := func(what string) {
+		t.Helper()
+		for _, g := range segs {
+			name := histstore.SidecarName(g.File)
+			want, err := os.ReadFile(filepath.Join(pdir, name))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, err := os.ReadFile(filepath.Join(rdir, name)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("%s: replica sidecar %s is not the primary's (%d vs %d bytes, %v)", what, name, len(got), len(want), err)
+			}
+		}
+	}
+
+	mustSync(t, newSyncer())
+	sameSidecars("first sync")
+	for _, u := range asked {
+		if strings.Contains(u, histstore.SidecarSuffix) {
+			t.Fatalf("the replica fetched a sidecar: %s", u)
+		}
+	}
+
+	// A new process finds one sidecar damaged and strays around it.
+	damaged := filepath.Join(rdir, histstore.SidecarName(segs[1].File))
+	data, err := os.ReadFile(damaged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[len(data)/2] ^= 0xff
+	strays := []string{"seg-main-99" + histstore.SidecarSuffix, histstore.SidecarName(segs[0].File) + ".tmp"}
+	for _, f := range append(strays, "") {
+		path, body := filepath.Join(rdir, f), []byte("stray")
+		if f == "" {
+			path, body = damaged, data
+		}
+		if err := os.WriteFile(path, body, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSync(t, newSyncer())
+	sameSidecars("after a restart over a damaged sidecar")
+	for _, f := range strays {
+		if _, err := os.Stat(filepath.Join(rdir, f)); !os.IsNotExist(err) {
+			t.Errorf("stray %s survived the sync (%v)", f, err)
+		}
+	}
+	rep, err := histstore.Open(rdir, histstore.WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	compareStores(t, primary, rep, blocks)
 }
