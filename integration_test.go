@@ -12,6 +12,7 @@ import (
 	"rdnsprivacy/internal/dnsclient"
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/ipam"
 	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/simclock"
@@ -227,7 +228,7 @@ func TestResilientSweepOverRealSockets(t *testing.T) {
 
 	// A quarter of all queries vanish; decisions are per (name, attempt),
 	// so retransmitted queries draw fresh luck.
-	srv.SetFailureMode(dnsserver.FailureMode{DropRate: 0.25, Seed: 11})
+	srv.SetInjector(faultsim.New(nil, 11, faultsim.Profile{Loss: 0.25}))
 
 	udpConn, err := net.ListenPacket("udp", "127.0.0.1:0")
 	if err != nil {

@@ -15,10 +15,10 @@ import (
 	"time"
 
 	"rdnsprivacy/internal/dataset"
-	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/dynamicity"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/icmp"
 	"rdnsprivacy/internal/ipam"
 	"rdnsprivacy/internal/netsim"
@@ -57,10 +57,10 @@ type Config struct {
 	// LeakThresholds are the Section 5 thresholds (default the
 	// 1/100-scale-adjusted ones; see privleak.ScaledConfig).
 	LeakThresholds privleak.Config
-	// DNSFailure injects name-server failures during the supplemental
-	// run (Figure 6 error mix). The default injects 0.5% SERVFAIL and
-	// 0.3% drops.
-	DNSFailure dnsserver.FailureMode
+	// DNSFailure is the fault plan the supplemental run's name servers
+	// draw their failures from (Figure 6 error mix). The default is one
+	// profile over every address: 0.5% SERVFAIL and 0.3% drops.
+	DNSFailure faultsim.Plan
 
 	// Telemetry, when set, receives engine metrics from the study's
 	// campaign. Nil keeps the engines on their zero-overhead path.
@@ -110,11 +110,10 @@ func (c *Config) fillDefaults() {
 	if c.LeakThresholds.MinUniqueNames == 0 {
 		c.LeakThresholds = privleak.ScaledConfig()
 	}
-	if c.DNSFailure == (dnsserver.FailureMode{}) {
-		c.DNSFailure = dnsserver.FailureMode{
-			ServFailRate: 0.005,
-			DropRate:     0.003,
-			Seed:         int64(c.Seed) + 77,
+	if len(c.DNSFailure.Profiles) == 0 {
+		c.DNSFailure = faultsim.Plan{
+			Seed:     int64(c.Seed) + 77,
+			Profiles: []faultsim.Profile{{ServFailRate: 0.005, Loss: 0.003}},
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/telemetry"
 )
 
@@ -62,7 +63,7 @@ func TestResolverTracerPerAttemptCorr(t *testing.T) {
 	// Server drops everything: each attempt times out and retries draw
 	// fresh correlation IDs.
 	env := newEnv(t, fabric.Config{}, WithSeed(seed), WithTimeout(100*time.Millisecond), WithRetries(2))
-	env.server.SetFailureMode(dnsserver.FailureMode{DropRate: 1.0, Seed: 1})
+	env.server.SetInjector(faultsim.New(nil, 1, faultsim.Profile{Loss: 1.0}))
 	tr := telemetry.NewTracer(seed, 256)
 	env.res.cfg.Tracer = tr
 

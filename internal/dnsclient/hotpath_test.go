@@ -12,6 +12,7 @@ import (
 
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/faultsim"
 )
 
 func hotPathZone(third byte) *dnsserver.Zone {
@@ -81,7 +82,7 @@ func TestServerSourceMetaByOutcome(t *testing.T) {
 	if !errors.Is(res.Err, &Error{Kind: KindRefused}) || !ok || resp.Outcome != OutcomeRefused || resp.RCode != dnswire.RCodeRefused {
 		t.Fatalf("REFUSED probe = %+v", res)
 	}
-	srv.SetFailureMode(dnsserver.FailureMode{DropRate: 1})
+	srv.SetInjector(faultsim.New(nil, 0, faultsim.Profile{Loss: 1}))
 	if res := src.LookupPTR(ctx, nodata); !errors.Is(res.Err, ErrTimeout) {
 		t.Fatalf("dropped probe = %+v, want a timeout", res)
 	}

@@ -6,9 +6,9 @@ import (
 	"testing"
 	"time"
 
-	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/telemetry"
 )
 
@@ -34,7 +34,7 @@ func waitResponse(t *testing.T, ch <-chan Response) Response {
 func TestCancellationDuringRetryReturnsImmediately(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	env := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond), WithRetries(8), WithTelemetry(reg))
-	env.server.SetFailureMode(dnsserver.FailureMode{DropRate: 1.0, Seed: 1})
+	env.server.SetInjector(faultsim.New(nil, 1, faultsim.Profile{Loss: 1.0}))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	ch := make(chan Response, 1)
@@ -103,7 +103,7 @@ func TestCancellationBeforeStartReturnsWrappedErr(t *testing.T) {
 // the scan engine's resilience layer's call (Error.RetryableFault).
 func TestServFailCompletesOnFirstAttempt(t *testing.T) {
 	env := newEnv(t, fabric.Config{}, WithTimeout(100*time.Millisecond), WithRetries(2))
-	env.server.SetFailureMode(dnsserver.FailureMode{ServFailRate: 1.0, Seed: 3})
+	env.server.SetInjector(faultsim.New(nil, 3, faultsim.Profile{ServFailRate: 1.0}))
 	ch := make(chan Response, 1)
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.10"), func(r Response) { ch <- r })
 	env.clock.Advance(time.Second)

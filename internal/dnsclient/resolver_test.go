@@ -9,6 +9,7 @@ import (
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/simclock"
 	"rdnsprivacy/internal/telemetry"
@@ -119,7 +120,7 @@ func TestRetryRecoversFromLoss(t *testing.T) {
 
 func TestLookupServFail(t *testing.T) {
 	env := newEnv(t, fabric.Config{})
-	env.server.SetFailureMode(dnsserver.FailureMode{ServFailRate: 1.0})
+	env.server.SetInjector(faultsim.New(nil, 0, faultsim.Profile{ServFailRate: 1.0}))
 	var got *Response
 	env.res.LookupPTR(context.Background(), dnswire.MustIPv4("192.0.2.10"), func(r Response) { got = &r })
 	env.clock.Advance(time.Second)

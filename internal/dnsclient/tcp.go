@@ -5,7 +5,6 @@ import (
 	crand "crypto/rand"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net"
 	"time"
 
@@ -62,10 +61,10 @@ func (c *UDPClient) LookupTCP(ctx context.Context, q dnswire.Question) (Response
 		}
 		return Response{}, fmt.Errorf("dnsclient: %s: %w", op, err)
 	}
-	if err := writeFramed(conn, wire); err != nil {
+	if err := dnswire.WriteFramed(conn, wire); err != nil {
 		return failed("write", err)
 	}
-	respWire, err := readFramed(conn)
+	respWire, err := dnswire.ReadFramed(conn)
 	if err != nil {
 		return failed("read", err)
 	}
@@ -112,14 +111,14 @@ func (c *UDPClient) TransferZone(zone dnswire.Name) ([]dnswire.Record, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := writeFramed(conn, wire); err != nil {
+	if err := dnswire.WriteFramed(conn, wire); err != nil {
 		return nil, fmt.Errorf("dnsclient: write: %w", err)
 	}
 
 	var records []dnswire.Record
 	soaSeen := 0
 	for soaSeen < 2 {
-		respWire, err := readFramed(conn)
+		respWire, err := dnswire.ReadFramed(conn)
 		if err != nil {
 			return nil, fmt.Errorf("dnsclient: read: %w", err)
 		}
@@ -145,34 +144,4 @@ func (c *UDPClient) TransferZone(zone dnswire.Name) ([]dnswire.Record, error) {
 		}
 	}
 	return records, nil
-}
-
-// readFramed and writeFramed implement RFC 1035 §4.2.2 stream framing.
-func readFramed(r io.Reader) ([]byte, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint16(lenBuf[:])
-	if n == 0 {
-		return nil, fmt.Errorf("dnsclient: zero-length frame")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-func writeFramed(w io.Writer, msg []byte) error {
-	if len(msg) > 0xFFFF {
-		return fmt.Errorf("dnsclient: message exceeds frame limit")
-	}
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(msg)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
-	return err
 }

@@ -132,8 +132,8 @@ func TestTruncationAndTCPFallback(t *testing.T) {
 				return
 			}
 			streams.Add(1)
-			if query, err := readFramed(conn); err == nil {
-				writeFramed(conn, answer(query, false))
+			if query, err := dnswire.ReadFramed(conn); err == nil {
+				dnswire.WriteFramed(conn, answer(query, false))
 			}
 			conn.Close()
 		}

@@ -12,6 +12,7 @@ import (
 
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/testutil"
 )
@@ -78,7 +79,7 @@ func TestWindowAndPerProbeSweepsAgree(t *testing.T) {
 			// A server of its own per path: the loss verdicts count how often
 			// each name has been asked.
 			srv := sparseZone(t)
-			srv.SetFailureMode(dnsserver.FailureMode{DropRate: 0.25, Seed: int64(i + 1)})
+			srv.SetInjector(faultsim.New(nil, int64(i+1), faultsim.Profile{Loss: 0.25}))
 			client := &UDPClient{Server: serveLoopback(t, srv), Timeout: 500 * time.Millisecond, Retries: 1}
 			t.Cleanup(func() { client.Close() })
 			var src scanengine.Source = UDPSource{Client: client}

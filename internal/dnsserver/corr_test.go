@@ -65,11 +65,11 @@ func TestHandleQueryCorrDroppedEvents(t *testing.T) {
 		t.Fatal("malformed packet answered")
 	}
 	// Injected drop.
-	s.SetFailureMode(FailureMode{DropRate: 1.0})
+	s.SetInjector(dropping(1.0, 0))
 	name := dnswire.ReverseName(dnswire.MustIPv4("192.0.2.1"))
 	qw, _ := dnswire.NewQuery(1, name, dnswire.TypePTR).Marshal()
 	if resp := s.HandleQueryCorr(qw, 43); resp != nil {
-		t.Fatal("DropRate=1 still answered")
+		t.Fatal("Loss=1 still answered")
 	}
 
 	spans := tr.Snapshot()

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/faultsim"
 )
 
 func failureTestServer(t *testing.T) (*Server, []dnswire.IPv4) {
@@ -35,7 +36,14 @@ func failureTestServer(t *testing.T) (*Server, []dnswire.IPv4) {
 
 func queryOutcome(t *testing.T, srv *Server, ip dnswire.IPv4, id uint16) (dropped bool, rcode dnswire.RCode) {
 	t.Helper()
-	wire, err := dnswire.NewQuery(id, dnswire.ReverseName(ip), dnswire.TypePTR).Marshal()
+	return askName(t, srv, dnswire.ReverseName(ip), id)
+}
+
+// askName sends one PTR query for name and reports whether the server
+// dropped it, or else the reply's RCode.
+func askName(t *testing.T, srv *Server, name dnswire.Name, id uint16) (dropped bool, rcode dnswire.RCode) {
+	t.Helper()
+	wire, err := dnswire.NewQuery(id, name, dnswire.TypePTR).Marshal()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,14 +58,20 @@ func queryOutcome(t *testing.T, srv *Server, ip dnswire.IPv4, id uint16) (droppe
 	return false, msg.Header.RCode
 }
 
-// TestFailureModeDeterministicPerQuery drives the same query sequence
+// dropping returns an injector that drops rate of the queries, over every
+// address.
+func dropping(rate float64, seed int64) *faultsim.Injector {
+	return faultsim.New(nil, seed, faultsim.Profile{Loss: rate})
+}
+
+// TestInjectorDeterministicPerQuery drives the same query sequence
 // through two identically seeded servers and requires identical
 // decisions, plus different decisions across retransmissions of the same
 // name (so client retries can recover from partial drop rates).
-func TestFailureModeDeterministicPerQuery(t *testing.T) {
+func TestInjectorDeterministicPerQuery(t *testing.T) {
 	run := func() []bool {
 		srv, ips := failureTestServer(t)
-		srv.SetFailureMode(FailureMode{DropRate: 0.5, Seed: 42})
+		srv.SetInjector(dropping(0.5, 42))
 		var out []bool
 		for attempt := 0; attempt < 4; attempt++ {
 			for _, ip := range ips {
@@ -88,12 +102,12 @@ func TestFailureModeDeterministicPerQuery(t *testing.T) {
 	}
 }
 
-// TestFailureModeOrderIndependent interleaves two names' queries in two
+// TestInjectorOrderIndependent interleaves two names' queries in two
 // different orders; each name's decision sequence must not change.
-func TestFailureModeOrderIndependent(t *testing.T) {
+func TestInjectorOrderIndependent(t *testing.T) {
 	seqFor := func(first, second int) (a, b []bool) {
 		srv, ips := failureTestServer(t)
-		srv.SetFailureMode(FailureMode{DropRate: 0.5, Seed: 7})
+		srv.SetInjector(dropping(0.5, 7))
 		// Interleave 8 queries for each of two addresses, order varying.
 		for i := 0; i < 8; i++ {
 			if first == 0 {
@@ -117,10 +131,10 @@ func TestFailureModeOrderIndependent(t *testing.T) {
 	}
 }
 
-// TestSetFailureModeConcurrentWithQueries toggles injection while many
+// TestSetInjectorConcurrentWithQueries toggles injection while many
 // goroutines hammer HandleQuery; run under -race this is the regression
-// test for the unsynchronized FailureMode read.
-func TestSetFailureModeConcurrentWithQueries(t *testing.T) {
+// test for an unsynchronized read of the server's fault hook.
+func TestSetInjectorConcurrentWithQueries(t *testing.T) {
 	srv, ips := failureTestServer(t)
 	wires := make([][]byte, len(ips))
 	for i, ip := range ips {
@@ -147,8 +161,8 @@ func TestSetFailureModeConcurrentWithQueries(t *testing.T) {
 		}(w)
 	}
 	for i := 0; i < 200; i++ {
-		srv.SetFailureMode(FailureMode{DropRate: 0.3, ServFailRate: 0.3, Seed: int64(i)})
-		srv.SetFailureMode(FailureMode{})
+		srv.SetInjector(faultsim.New(nil, int64(i), faultsim.Profile{Loss: 0.3, ServFailRate: 0.3}))
+		srv.SetInjector(nil)
 	}
 	close(stop)
 	wg.Wait()

@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/faultsim"
 )
 
 // updateGolden re-records testdata/golden_replies.txt from whatever server
@@ -160,10 +161,10 @@ func goldenSteps(t testing.TB) (*Server, []goldenStep) {
 		{name: "udp-axfr-refused", udp: true, query: ask(42, "2.0.192.in-addr.arpa", dnswire.TypeAXFR)},
 		{name: "udp-garbage-dropped", udp: true, query: []byte{0xFF}},
 
-		{name: "injected-servfail", setup: func(s *Server) { s.SetFailureMode(FailureMode{ServFailRate: 1, Seed: 7}) }, query: ptr10},
+		{name: "injected-servfail", setup: func(s *Server) { s.SetInjector(faultsim.New(nil, 7, faultsim.Profile{ServFailRate: 1})) }, query: ptr10},
 		{name: "injected-servfail-update", query: upd(50, func(m *dnswire.Message) { m.DeleteRRset(name20, dnswire.TypeANY) })},
-		{name: "injected-drop", setup: func(s *Server) { s.SetFailureMode(FailureMode{DropRate: 1, Seed: 7}) }, query: ptr10},
-		{name: "injection-off-again", setup: func(s *Server) { s.SetFailureMode(FailureMode{}) }, query: ptr10},
+		{name: "injected-drop", setup: func(s *Server) { s.SetInjector(dropping(1, 7)) }, query: ptr10},
+		{name: "injection-off-again", setup: func(s *Server) { s.SetInjector(nil) }, query: ptr10},
 	}
 	return s, steps
 }

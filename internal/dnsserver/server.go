@@ -15,67 +15,11 @@ import (
 	"rdnsprivacy/internal/telemetry"
 )
 
-// FailureMode injects server-side failures, modelling the name-server
-// failures and timeouts the paper observes during its supplemental
-// measurement (Figure 6).
-//
-// Decisions are deterministic per query: whether an individual query is
-// dropped or SERVFAILed is a pure function of the seed, the question name,
-// and how many times that name has been asked — never of the interleaving
-// of unrelated queries. Concurrent sweeps therefore fail the same
-// addresses regardless of worker scheduling, and a retransmission of a
-// previously dropped query draws a fresh decision, so client retries can
-// succeed against partial failure rates.
-type FailureMode struct {
-	// ServFailRate is the fraction of queries answered with SERVFAIL.
-	ServFailRate float64
-	// DropRate is the fraction of queries silently dropped (the client
-	// observes a timeout).
-	DropRate float64
-	// Seed seeds the per-query failure hash.
-	Seed int64
-}
-
-// enabled reports whether any injection is configured.
-func (fm FailureMode) enabled() bool {
-	return fm.DropRate > 0 || fm.ServFailRate > 0
-}
-
-// failureState is the installed failure configuration plus the per-name
-// attempt counters that make decisions independent of call order across
-// names. A fresh state (and fresh counters) is installed on every
-// SetFailureMode, so reconfiguring a live server restarts the sequence.
-type failureState struct {
-	mode FailureMode
-
-	mu  sync.Mutex
-	seq map[dnswire.Name]uint64
-}
-
-// decide classifies one query deterministically. It returns whether to
-// drop it and whether to answer SERVFAIL. The draw is faultsim's — the one
-// fault model of the tree — so a server failing at these rates and an
-// Injector with the equivalent Profile fail the same queries.
-func (fs *failureState) decide(name dnswire.Name) (drop, servFail bool) {
-	fs.mu.Lock()
-	n := fs.seq[name]
-	fs.seq[name] = n + 1
-	fs.mu.Unlock()
-	p := faultsim.Profile{Loss: fs.mode.DropRate, ServFailRate: fs.mode.ServFailRate}
-	switch p.Sample(fs.mode.Seed, name, n) {
-	case faultsim.OutcomeDrop:
-		return true, false
-	case faultsim.OutcomeServFail:
-		return false, true
-	}
-	return false, false
-}
-
 // Server is an authoritative DNS server holding any number of zones. The
 // zero value is not usable; create one with NewServer.
 //
-// HandleQuery is safe for concurrent callers and — unless failure injection
-// is enabled — takes no server-wide lock: queries read the zone table through
+// HandleQuery is safe for concurrent callers and — unless a fault injector
+// is installed — takes no server-wide lock: queries read the zone table through
 // a copy-on-write snapshot (one atomic load), so a sharded scanner can drive
 // one server from many workers and the only lock a query touches is the read
 // lock of the one zone that answers it.
@@ -86,7 +30,7 @@ type Server struct {
 	// it and the next query republishes it, so attaching n zones costs one
 	// copy, not n.
 	table         atomic.Pointer[map[dnswire.Name]*Zone]
-	failure       atomic.Pointer[failureState]
+	injector      atomic.Pointer[faultsim.Injector]
 	tracer        atomic.Pointer[telemetry.Tracer]
 	stats         counters
 	updatePolicy  UpdatePolicy
@@ -127,17 +71,15 @@ func NewServer() *Server {
 	return &Server{zones: make(map[dnswire.Name]*Zone)}
 }
 
-// SetFailureMode installs failure injection. Pass the zero value to
-// disable. It is safe to call while the server is answering queries
-// (including after Serve has started): the new mode applies atomically to
-// queries that begin after the call, and per-name decision sequences
-// restart from zero.
-func (s *Server) SetFailureMode(fm FailureMode) {
-	if !fm.enabled() {
-		s.failure.Store(nil)
-		return
-	}
-	s.failure.Store(&failureState{mode: fm, seq: make(map[dnswire.Name]uint64)})
+// SetInjector installs inj as the server's fault model: every query that
+// carries a question takes its verdict from inj.Decide on the first
+// question's name — dropped, answered SERVFAIL or REFUSED, or answered —
+// after the server's one parse of it. The server delays nothing, so a
+// profile's latency does not apply here. Pass nil to remove it. It is safe
+// to call while the server is answering queries: the injector applies to
+// queries that begin after the call.
+func (s *Server) SetInjector(inj *faultsim.Injector) {
+	s.injector.Store(inj)
 }
 
 // AddZone attaches a zone to the server.
@@ -273,19 +215,23 @@ func (s *Server) respond(query []byte, sp *telemetry.Span, udp bool) ([]byte, dn
 	if sp != nil && questions > 0 {
 		sp.Attr = string(qname)
 	}
-	injectServFail := false
-	if fs := s.failure.Load(); fs != nil && questions > 0 && !axfrOverUDP {
-		drop, servFail := fs.decide(dnswire.Name(qname))
-		if drop {
+	// injected is the injector's answer, if any; NOERROR is never one.
+	var injected dnswire.RCode
+	if inj := s.injector.Load(); inj != nil && questions > 0 && !axfrOverUDP {
+		switch out, _ := inj.Decide(dnswire.Name(qname)); out {
+		case faultsim.OutcomeDrop:
 			return s.drop(&s.stats.dropped)
+		case faultsim.OutcomeServFail:
+			injected = dnswire.RCodeServFail
+		case faultsim.OutcomeRefused:
+			injected = dnswire.RCodeRefused
 		}
-		injectServFail = servFail
 	}
 
 	var scratch [512]byte
 	var wire []byte
 	var rcode dnswire.RCode
-	if v.Header.OpCode == dnswire.OpUpdate && !injectServFail && !axfrOverUDP {
+	if v.Header.OpCode == dnswire.OpUpdate && injected == 0 && !axfrOverUDP {
 		// UPDATEs change zones and are rare next to queries: they keep the
 		// materialized message, and applyUpdate keeps their tallies.
 		msg, err := dnswire.Unmarshal(query)
@@ -310,8 +256,8 @@ func (s *Server) respond(query []byte, sp *telemetry.Span, udp bool) ([]byte, dn
 		switch {
 		case axfrOverUDP:
 			rcode = dnswire.RCodeRefused
-		case injectServFail:
-			rcode = dnswire.RCodeServFail
+		case injected != 0:
+			rcode = injected
 		case v.Header.OpCode != dnswire.OpQuery:
 			rcode = dnswire.RCodeNotImp
 		case questions != 1:

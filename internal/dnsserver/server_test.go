@@ -8,6 +8,7 @@ import (
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/simclock"
 )
 
@@ -367,16 +368,24 @@ func TestUpdatePrerequisitesNotImplemented(t *testing.T) {
 func TestServerFailureInjection(t *testing.T) {
 	s := NewServer()
 	s.AddZone(testZone(t))
-	s.SetFailureMode(FailureMode{ServFailRate: 1.0})
+	s.SetInjector(faultsim.New(nil, 0, faultsim.Profile{ServFailRate: 1.0}))
 	resp := query(t, s, dnswire.ReverseName(dnswire.MustIPv4("192.0.2.1")), dnswire.TypePTR)
 	if resp.Header.RCode != dnswire.RCodeServFail {
 		t.Fatalf("RCode = %v, want SERVFAIL", resp.Header.RCode)
 	}
-	s.SetFailureMode(FailureMode{DropRate: 1.0})
+	s.SetInjector(faultsim.New(nil, 0, faultsim.Profile{RefusedRate: 1.0}))
+	resp = query(t, s, dnswire.ReverseName(dnswire.MustIPv4("192.0.2.1")), dnswire.TypePTR)
+	if resp.Header.RCode != dnswire.RCodeRefused || resp.Header.Authoritative {
+		t.Fatalf("RCode = %v (AA %v), want a non-authoritative REFUSED", resp.Header.RCode, resp.Header.Authoritative)
+	}
+	s.SetInjector(dropping(1.0, 0))
 	q := dnswire.NewQuery(1, dnswire.ReverseName(dnswire.MustIPv4("192.0.2.1")), dnswire.TypePTR)
 	wire, _ := q.Marshal()
 	if got := s.HandleQuery(wire); got != nil {
-		t.Fatal("DropRate=1 still answered")
+		t.Fatal("Loss=1 still answered")
+	}
+	if st := s.Stats(); st.ServFail != 1 || st.Refused != 1 || st.Dropped != 1 {
+		t.Fatalf("stats %+v, want one SERVFAIL, one REFUSED and one drop", st)
 	}
 }
 

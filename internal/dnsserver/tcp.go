@@ -1,9 +1,6 @@
 package dnsserver
 
 import (
-	"encoding/binary"
-	"fmt"
-	"io"
 	"net"
 	"sort"
 
@@ -58,12 +55,12 @@ func (s *Server) ServeTCP(l net.Listener) error {
 func (s *Server) serveTCPConn(conn net.Conn) {
 	defer conn.Close()
 	for {
-		query, err := readFramed(conn)
+		query, err := dnswire.ReadFramed(conn)
 		if err != nil {
 			return
 		}
 		for _, resp := range s.handleTCP(query) {
-			if err := writeFramed(conn, resp); err != nil {
+			if err := dnswire.WriteFramed(conn, resp); err != nil {
 				return
 			}
 		}
@@ -151,35 +148,4 @@ func (z *Zone) allRecords() []dnswire.Record {
 		out = append(out, rrs...)
 	}
 	return out
-}
-
-// readFramed reads one length-prefixed DNS message from a stream.
-func readFramed(r io.Reader) ([]byte, error) {
-	var lenBuf [2]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
-	}
-	n := binary.BigEndian.Uint16(lenBuf[:])
-	if n == 0 {
-		return nil, fmt.Errorf("dnsserver: zero-length TCP frame")
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
-// writeFramed writes one length-prefixed DNS message to a stream.
-func writeFramed(w io.Writer, msg []byte) error {
-	if len(msg) > 0xFFFF {
-		return fmt.Errorf("dnsserver: message exceeds TCP frame limit")
-	}
-	var lenBuf [2]byte
-	binary.BigEndian.PutUint16(lenBuf[:], uint16(len(msg)))
-	if _, err := w.Write(lenBuf[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(msg)
-	return err
 }

@@ -158,10 +158,10 @@ func TestServeTCPOverLoopback(t *testing.T) {
 	defer conn.Close()
 	q := dnswire.NewQuery(5, dnswire.ReverseName(ip), dnswire.TypePTR)
 	wire, _ := q.Marshal()
-	if err := writeFramed(conn, wire); err != nil {
+	if err := dnswire.WriteFramed(conn, wire); err != nil {
 		t.Fatal(err)
 	}
-	respWire, err := readFramed(conn)
+	respWire, err := dnswire.ReadFramed(conn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,7 +78,7 @@ func TestHandleQueryUDPPassesNilThrough(t *testing.T) {
 		t.Fatal("malformed query answered")
 	}
 	// Injected drop must also pass through as nil.
-	s.SetFailureMode(FailureMode{DropRate: 1.0})
+	s.SetInjector(dropping(1.0, 0))
 	z := testZone(t)
 	s.AddZone(z)
 	q := dnswire.NewQuery(1, dnswire.ReverseName(dnswire.MustIPv4("192.0.2.1")), dnswire.TypePTR)

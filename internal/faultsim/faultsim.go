@@ -1,17 +1,19 @@
-// Package faultsim is a seeded, deterministic fault-injection layer for
-// the simulated rDNS universe. It wraps any message-level DNS handler
-// (dnsserver.Server, or another injector) and perturbs the traffic
-// according to per-network fault profiles: packet loss, latency and
-// latency spikes, SERVFAIL/REFUSED bursts, truncation-style outage
-// windows (server flaps and restarts), and rate-limit throttling.
+// Package faultsim is the one seeded, deterministic fault model of the
+// simulated rDNS universe. An Injector holds per-network fault profiles:
+// packet loss, latency and latency spikes, SERVFAIL/REFUSED bursts,
+// truncation-style outage windows (server flaps and restarts), and
+// rate-limit throttling. dnsserver.Server consults an installed injector
+// for its verdict on every query it parses (the Study's live networks
+// fail this way), and Wrap puts the same decision in front of any other
+// message-level handler.
 //
 // Determinism is the point. Every probabilistic decision is a pure
 // function of (seed, question name, per-name attempt number), computed
-// with telemetry.Mix64 over the name's FNV-1a hash (dnsserver.FailureMode
-// is Profile.Sample under another name); outage windows are matched against per-profile query counters,
-// not wall-clock time. Replaying the same query sequence against the same
-// seed therefore reproduces the same faults bit-identically, regardless
-// of goroutine scheduling — the property the scenario harness asserts by
+// with telemetry.Mix64 over the name's FNV-1a hash; outage windows are
+// matched against per-profile query counters, not wall-clock time.
+// Replaying the same query sequence against the same seed therefore
+// reproduces the same faults bit-identically, regardless of goroutine
+// scheduling — the property the scenario harness asserts by
 // running every pipeline twice and comparing digests.
 //
 // Two caveats follow from the design:
@@ -23,9 +25,10 @@
 //   - Injected latency blocks the calling goroutine on the injector's
 //     clock; with a simclock.Simulated nobody advances mid-call, so
 //     latency profiles are for real-clock pipelines (scan-side tests use
-//     small real delays).
+//     small real delays). A server that consults the injector delays
+//     nothing: latency is Wrap's alone.
 //
-// Rate limits are wall-clock token buckets and intentionally
+// Rate limits are token buckets on the injector's clock and intentionally
 // nondeterministic in fault counts (they model a server's view of probe
 // timing); scenarios exercising them compare record sets, not fault
 // tallies.
@@ -119,6 +122,15 @@ type Profile struct {
 	Limit *RateLimit
 }
 
+// Plan is an injector's seed and profiles as one value, the form a config
+// carries. Each live network builds its own Injector from the plan at
+// start, so networks on one plan draw the same verdicts from their own
+// per-name counters.
+type Plan struct {
+	Seed     int64
+	Profiles []Profile
+}
+
 // Stats counts one profile's injections.
 type Stats struct {
 	Queries   uint64
@@ -143,18 +155,8 @@ type profileState struct {
 	primedLim bool
 }
 
-// action is the injector's verdict on one query.
-type action int
-
-const (
-	actPass action = iota
-	actDrop
-	actServFail
-	actRefused
-)
-
-// Injector wraps a Handler with fault profiles. Create one with New; it
-// is safe for concurrent use.
+// Injector decides, per query, which fault the profiles inject. Create
+// one with New; it is safe for concurrent use.
 type Injector struct {
 	clock    simclock.Clock
 	seed     int64
@@ -176,20 +178,6 @@ func New(clock simclock.Clock, seed int64, profiles ...Profile) *Injector {
 	return inj
 }
 
-// Stats returns the injection counters for the profile with the given
-// prefix (zero Stats when no profile matches).
-func (inj *Injector) Stats(prefix dnswire.Prefix) Stats {
-	for _, ps := range inj.profiles {
-		if ps.p.Prefix == prefix {
-			ps.mu.Lock()
-			st := ps.stats
-			ps.mu.Unlock()
-			return st
-		}
-	}
-	return Stats{}
-}
-
 // Wrap returns a Handler that injects faults in front of inner.
 // Injectors compose: Wrap the result of another injector's Wrap to stack
 // independent fault layers.
@@ -209,39 +197,55 @@ func (w *wrapped) HandleQuery(query []byte) []byte {
 		// Not a query the injector understands: pass through untouched.
 		return w.inner.HandleQuery(query)
 	}
-	name := msg.Questions[0].Name
-	ps := w.inj.profileFor(name)
-	if ps == nil {
-		return w.inner.HandleQuery(query)
-	}
-	act, delay := ps.decide(w.inj, name)
+	out, delay := w.inj.Decide(msg.Questions[0].Name)
 	w.inj.sleep(delay)
-	switch act {
-	case actDrop:
+	switch out {
+	case OutcomeDrop:
 		return nil
-	case actServFail:
+	case OutcomeServFail:
 		return marshalRCode(msg, dnswire.RCodeServFail)
-	case actRefused:
+	case OutcomeRefused:
 		return marshalRCode(msg, dnswire.RCodeRefused)
 	}
 	return w.inner.HandleQuery(query)
 }
 
-// profileFor returns the most specific profile whose prefix contains the
-// IP encoded in the (reverse) question name, or nil.
-func (inj *Injector) profileFor(name dnswire.Name) *profileState {
-	ip, err := dnswire.ParseReverseName(name)
-	if err != nil {
-		return nil
+// Decide is the injector's verdict on one query for name, plus the delay
+// to put before answering it. The most specific profile governing name
+// draws the verdict and counts the query; a name no profile governs
+// passes.
+func (inj *Injector) Decide(name dnswire.Name) (Outcome, time.Duration) {
+	ps := inj.profileFor(name)
+	if ps == nil {
+		return OutcomePass, 0
 	}
+	return ps.decide(inj, name)
+}
+
+// profileFor returns the most specific profile whose prefix contains the
+// IP encoded in the (reverse) question name, or nil. A profile over every
+// address (a /0) governs every name, zone apexes and the other names that
+// encode no address among them; the name is parsed only when a narrower
+// profile could govern it.
+func (inj *Injector) profileFor(name dnswire.Name) *profileState {
 	var best *profileState
+	var ip dnswire.IPv4
+	var err error
+	parsed := false
 	for _, ps := range inj.profiles {
-		if !ps.p.Prefix.Contains(ip) {
+		if best != nil && ps.p.Prefix.Bits <= best.p.Prefix.Bits {
 			continue
 		}
-		if best == nil || ps.p.Prefix.Bits > best.p.Prefix.Bits {
-			best = ps
+		if ps.p.Prefix.Bits > 0 {
+			if !parsed {
+				ip, err = dnswire.ParseReverseName(name)
+				parsed = true
+			}
+			if err != nil || !ps.p.Prefix.Contains(ip) {
+				continue
+			}
 		}
+		best = ps
 	}
 	return best
 }
@@ -249,7 +253,7 @@ func (inj *Injector) profileFor(name dnswire.Name) *profileState {
 // decide classifies one query under the profile. Window checks run before
 // hash-based rates, and drops before answer rewrites, so a flap window
 // masks the steady-state loss rate rather than compounding with it.
-func (ps *profileState) decide(inj *Injector, name dnswire.Name) (action, time.Duration) {
+func (ps *profileState) decide(inj *Injector, name dnswire.Name) (Outcome, time.Duration) {
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	n := ps.count
@@ -260,33 +264,33 @@ func (ps *profileState) decide(inj *Injector, name dnswire.Name) (action, time.D
 
 	if ps.p.Drop.match(n) {
 		ps.stats.Dropped++
-		return actDrop, 0
+		return OutcomeDrop, 0
 	}
 	if ps.p.ServFail.match(n) {
 		ps.stats.ServFails++
-		return actServFail, 0
+		return OutcomeServFail, 0
 	}
-	if ps.throttledLocked(inj.clock.Now()) {
+	if ps.throttledLocked(inj.clock) {
 		ps.stats.Throttled++
 		if ps.p.Limit.Refuse {
 			ps.stats.Refused++
-			return actRefused, 0
+			return OutcomeRefused, 0
 		}
 		ps.stats.Dropped++
-		return actDrop, 0
+		return OutcomeDrop, 0
 	}
 
 	out, h := ps.p.sampleHash(telemetry.Mix64(uint64(inj.seed), nameHash(name), attempt))
 	switch out {
 	case OutcomeDrop:
 		ps.stats.Dropped++
-		return actDrop, 0
+		return out, 0
 	case OutcomeServFail:
 		ps.stats.ServFails++
-		return actServFail, ps.p.Latency
+		return out, ps.p.Latency
 	case OutcomeRefused:
 		ps.stats.Refused++
-		return actRefused, ps.p.Latency
+		return out, ps.p.Latency
 	}
 	delay := ps.p.Latency
 	h = telemetry.Mix64(h, 0x51CE)
@@ -294,15 +298,16 @@ func (ps *profileState) decide(inj *Injector, name dnswire.Name) (action, time.D
 		ps.stats.Spiked++
 		delay += ps.p.SpikeLatency
 	}
-	return actPass, delay
+	return OutcomePass, delay
 }
 
 // throttledLocked consults the token bucket; caller holds ps.mu.
-func (ps *profileState) throttledLocked(now time.Time) bool {
+func (ps *profileState) throttledLocked(clock simclock.Clock) bool {
 	l := ps.p.Limit
 	if l == nil || l.QPS <= 0 {
 		return false
 	}
+	now := clock.Now()
 	burst := float64(l.Burst)
 	if burst < 1 {
 		burst = 1

@@ -8,6 +8,20 @@ import (
 	"rdnsprivacy/internal/simclock"
 )
 
+// Stats returns the injection counters for the profile with the given
+// prefix (zero Stats when no profile matches).
+func (inj *Injector) Stats(prefix dnswire.Prefix) Stats {
+	for _, ps := range inj.profiles {
+		if ps.p.Prefix == prefix {
+			ps.mu.Lock()
+			st := ps.stats
+			ps.mu.Unlock()
+			return st
+		}
+	}
+	return Stats{}
+}
+
 // echoHandler answers every parsable query NOERROR with no records — just
 // enough server to observe which queries reach it.
 type echoHandler struct {

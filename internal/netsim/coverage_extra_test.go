@@ -4,9 +4,9 @@ import (
 	"testing"
 	"time"
 
-	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/simclock"
 )
 
@@ -123,7 +123,7 @@ func TestLiveModeDNSFailureInjection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.SetDNSFailure(dnsserver.FailureMode{ServFailRate: 1.0, Seed: 1})
+	n.SetDNSFailure(faultsim.Plan{Seed: 1, Profiles: []faultsim.Profile{{ServFailRate: 1.0}}})
 	clock := simclock.NewSimulated(time.Date(2021, 11, 1, 8, 0, 0, 0, time.UTC))
 	fab := fabric.New(clock, fabric.Config{Latency: time.Millisecond})
 	if err := n.Start(fab); err != nil {

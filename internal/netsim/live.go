@@ -8,6 +8,7 @@ import (
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/icmp"
 	"rdnsprivacy/internal/ipam"
 	"rdnsprivacy/internal/names"
@@ -23,12 +24,12 @@ func defaultNamePool() []string {
 	return pool
 }
 
-// SetDNSFailure configures live-mode name-server failure injection. It
-// must be called before Start.
-func (n *Network) SetDNSFailure(fm dnsserver.FailureMode) {
+// SetDNSFailure sets the fault plan the live-mode name server draws its
+// failures from. It must be called before Start.
+func (n *Network) SetDNSFailure(plan faultsim.Plan) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	n.cfg.DNSFailure = fm
+	n.cfg.DNSFailure = plan
 }
 
 // SetDNSTracer attaches tr to the live-mode authoritative server so
@@ -143,8 +144,9 @@ func (n *Network) Start(fab *fabric.Fabric) error {
 		}
 	}
 
-	if n.cfg.DNSFailure != (dnsserver.FailureMode{}) {
-		live.dns.SetFailureMode(n.cfg.DNSFailure)
+	if plan := n.cfg.DNSFailure; len(plan.Profiles) > 0 {
+		// One injector per run: its per-name counters are this server's.
+		live.dns.SetInjector(faultsim.New(clock, plan.Seed, plan.Profiles...))
 	}
 	if n.cfg.DNSTracer != nil {
 		live.dns.SetTracer(n.cfg.DNSTracer)

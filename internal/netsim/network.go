@@ -11,6 +11,7 @@ import (
 	"rdnsprivacy/internal/dnsserver"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/fabric"
+	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/icmp"
 	"rdnsprivacy/internal/ipam"
 	"rdnsprivacy/internal/simclock"
@@ -112,10 +113,10 @@ type Config struct {
 	Location *time.Location
 	// Seed drives all randomness for this network.
 	Seed uint64
-	// DNSFailure injects name-server failures in live mode, modelling
-	// the errors the paper observes during supplemental measurement
-	// (Figure 6).
-	DNSFailure dnsserver.FailureMode
+	// DNSFailure is the fault plan the live-mode name server draws its
+	// failures from, modelling the errors the paper observes during
+	// supplemental measurement (Figure 6). No profiles, no faults.
+	DNSFailure faultsim.Plan
 	// DNSTracer, when set, makes the live-mode authoritative server emit
 	// one "server" span per correlated query, joining the network's side
 	// of each probe to the scanner's causal chain (telemetry.CorrID).

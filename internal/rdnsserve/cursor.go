@@ -2,8 +2,11 @@ package rdnsserve
 
 import (
 	"encoding/base64"
+	"errors"
 	"fmt"
 	"hash/fnv"
+	"strconv"
+	"strings"
 
 	"rdnsprivacy/internal/histstore"
 )
@@ -33,14 +36,18 @@ func encodeRangeCursor(bind uint64, cur histstore.RangeCursor, toUnix int64) str
 }
 
 func decodeRangeCursor(s string, bind uint64) (cur histstore.RangeCursor, toUnix int64, err *apiError) {
-	raw, derr := base64.RawURLEncoding.DecodeString(s)
-	if derr != nil {
+	f, ok := cursorFields(s, "r1", 6)
+	if !ok {
 		return cur, 0, errInvalidCursor()
 	}
-	var gotBind uint64
-	n, serr := fmt.Sscanf(string(raw), "r1:%016x:%d:%d:%d:%d", &gotBind, &cur.Snap, &cur.Block, &cur.Octet, &toUnix)
-	if serr != nil || n != 5 {
-		return cur, 0, errInvalidCursor()
+	gotBind, e1 := strconv.ParseUint(f[1], 16, 64)
+	snap, e2 := strconv.Atoi(f[2])
+	block, e3 := strconv.ParseUint(f[3], 10, 32)
+	octet, e4 := strconv.Atoi(f[4])
+	toUnix, e5 := strconv.ParseInt(f[5], 10, 64)
+	cur = histstore.RangeCursor{Snap: snap, Block: uint32(block), Octet: octet}
+	if errors.Join(e1, e2, e3, e4, e5) != nil || encodeRangeCursor(gotBind, cur, toUnix) != s {
+		return histstore.RangeCursor{}, 0, errInvalidCursor()
 	}
 	if gotBind != bind {
 		return cur, 0, errCursorMismatch()
@@ -51,6 +58,21 @@ func decodeRangeCursor(s string, bind uint64) (cur histstore.RangeCursor, toUnix
 	return cur, toUnix, nil
 }
 
+// cursorFields splits the decoded token s into its colon-separated
+// fields, and reports whether there are n of them behind the tag kind.
+// The caller parses the fields and accepts them only if they re-encode to
+// s: the daemon mints one spelling per cursor, so a sign, a leading zero,
+// an upper-case hex digit or trailing bytes make a token invalid, not a
+// second name for the same position.
+func cursorFields(s, kind string, n int) ([]string, bool) {
+	raw, err := base64.RawURLEncoding.DecodeString(s)
+	if err != nil {
+		return nil, false
+	}
+	f := strings.Split(string(raw), ":")
+	return f, len(f) == n && f[0] == kind
+}
+
 // encodeOffsetCursor packs a plain offset (used by /v1/name, whose
 // postings list is a stable slice per index generation).
 func encodeOffsetCursor(bind uint64, off int) string {
@@ -59,14 +81,13 @@ func encodeOffsetCursor(bind uint64, off int) string {
 }
 
 func decodeOffsetCursor(s string, bind uint64) (int, *apiError) {
-	raw, derr := base64.RawURLEncoding.DecodeString(s)
-	if derr != nil {
+	f, ok := cursorFields(s, "n1", 3)
+	if !ok {
 		return 0, errInvalidCursor()
 	}
-	var gotBind uint64
-	var off int
-	n, serr := fmt.Sscanf(string(raw), "n1:%016x:%d", &gotBind, &off)
-	if serr != nil || n != 2 {
+	gotBind, e1 := strconv.ParseUint(f[1], 16, 64)
+	off, e2 := strconv.Atoi(f[2])
+	if errors.Join(e1, e2) != nil || encodeOffsetCursor(gotBind, off) != s {
 		return 0, errInvalidCursor()
 	}
 	if gotBind != bind {

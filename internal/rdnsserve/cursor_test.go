@@ -21,15 +21,21 @@ func FuzzCursor(f *testing.F) {
 	for _, raw := range []string{
 		"r1:zz:0:0:0:0", "r1:0000000000000000:-1:0:0:0", "r1:0000000000000000:0:0:256:0", "r1:0000000000000000:0:4294967296:0:0",
 		"r1:0000000000000000:99999999999999999999:0:0:0", "r1:0000000000000000:0:0:0", "r1:0000000000000000:0:0:0:0 trailing",
-		"n1:0000000000000000:-5", "n1:0000000000000000:+5", "n1:0000000000000000:", "n1::1", "n2:0000000000000000:1", "r1:\n",
+		"r1:0000000000000000:+3:0:0:0", "r1:0000000000000000:03:0:0:0", "r1:0000000000000000:0:0:0:-0",
+		"r1:000000000000000A:0:0:0:0", "r1:00000000000000000:0:0:0:0", "r1:0:0:0:0:0",
+		"n1:0000000000000000:-5", "n1:0000000000000000:+5", "n1:0000000000000000:5x", "n1:0000000000000000:05", "n1:0000000000000000:", "n1::1", "n2:0000000000000000:1", "r1:\n",
 	} {
 		f.Add(base64.RawURLEncoding.EncodeToString([]byte(raw)), uint64(0), uint64(1), 0, uint32(0), 0, int64(0), 0)
 	}
 	f.Fuzz(func(t *testing.T, s string, bind, other uint64, snap int, block uint32, octet int, toUnix int64, off int) {
-		// Arbitrary bytes: an error, or a point inside the domain.
-		if cur, _, aerr := decodeRangeCursor(s, bind); aerr == nil {
+		// Arbitrary bytes: an error, or a point inside the domain that the
+		// daemon mints as exactly s.
+		if cur, to, aerr := decodeRangeCursor(s, bind); aerr == nil {
 			if cur.Snap < 0 || cur.Octet < 0 || cur.Octet > 255 {
 				t.Fatalf("decodeRangeCursor(%q) accepted %+v", s, cur)
+			}
+			if again := encodeRangeCursor(bind, cur, to); again != s {
+				t.Fatalf("decodeRangeCursor(%q) accepted a cursor the daemon mints as %q", s, again)
 			}
 		} else if aerr.code != rdnsclient.CodeInvalidCursor {
 			t.Fatalf("decodeRangeCursor(%q): code %q", s, aerr.code)
@@ -37,6 +43,9 @@ func FuzzCursor(f *testing.F) {
 		if got, aerr := decodeOffsetCursor(s, bind); aerr == nil {
 			if got < 0 {
 				t.Fatalf("decodeOffsetCursor(%q) accepted %d", s, got)
+			}
+			if again := encodeOffsetCursor(bind, got); again != s {
+				t.Fatalf("decodeOffsetCursor(%q) accepted a cursor the daemon mints as %q", s, again)
 			}
 		} else if aerr.code != rdnsclient.CodeInvalidCursor {
 			t.Fatalf("decodeOffsetCursor(%q): code %q", s, aerr.code)
