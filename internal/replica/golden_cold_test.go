@@ -1,0 +1,190 @@
+package replica
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"encoding/json"
+	"flag"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"net/url"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
+	"testing"
+	"time"
+
+	"rdnsprivacy/internal/histstore"
+	"rdnsprivacy/internal/rdnsserve"
+	"rdnsprivacy/internal/scanengine"
+	"rdnsprivacy/internal/testutil"
+)
+
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_cold.txt from the current tree")
+
+const goldenColdFile = "testdata/golden_cold.txt"
+
+// bravoRecords is writer bravo's view of day: alpha's records three days
+// ahead, minus every seventh octet, so the two writers agree on some
+// addresses, conflict on some and each hold some alone.
+func bravoRecords(day int) scanengine.RecordSet {
+	recs := goldenRecords(day + 3)
+	for ip := range recs {
+		if ip[3]%7 == 0 {
+			delete(recs, ip)
+		}
+	}
+	return recs
+}
+
+// goldenColdStore builds the fixed two-writer store: alpha and bravo
+// append 18 interleaved days each, and alpha seals its first ten into a
+// segment on the way. Both writers are closed, so the returned read-only
+// handle can compact either of them.
+func goldenColdStore(t *testing.T, dir string) *histstore.Store {
+	t.Helper()
+	alpha, err := histstore.Open(dir, histstore.WithWriter("alpha"), histstore.WithBaseInterval(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bravo, err := histstore.Open(dir, histstore.WithWriter("bravo"), histstore.WithBaseInterval(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d := 0; d < 18; d++ {
+		at := campaignStart.AddDate(0, 0, d)
+		if err := alpha.Append(at, goldenRecords(d)); err != nil {
+			t.Fatalf("alpha day %d: %v", d, err)
+		}
+		if err := bravo.Append(at.Add(2*time.Hour), bravoRecords(d)); err != nil {
+			t.Fatalf("bravo day %d: %v", d, err)
+		}
+		if d == 9 {
+			if _, err := alpha.CompactWriter(context.Background(), "alpha", histstore.CompactOptions{}); err != nil {
+				t.Fatalf("compact alpha at day %d: %v", d, err)
+			}
+		}
+	}
+	for _, st := range []*histstore.Store{alpha, bravo} {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	serving, err := histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(64), histstore.WithHotSegments(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return serving
+}
+
+// coldScript runs the fixed script of store documents — stats, the
+// divergence block, the feed manifest, compaction results — and one
+// segment and three tail fetches through h. It returns one record per
+// request: the request line, the status, Content-Type and every X-Repl-*
+// header, then the JSON body as served, or the length and SHA-256 of a
+// binary feed chunk.
+func coldScript(t *testing.T, h http.Handler) []byte {
+	t.Helper()
+	var out bytes.Buffer
+	do := func(method, path string, q url.Values) []byte {
+		t.Helper()
+		target := path
+		if len(q) > 0 {
+			target += "?" + q.Encode()
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(method, target, nil))
+		fmt.Fprintf(&out, "> %s %s\n< %d\n", method, target, rec.Code)
+		var keys []string
+		for k := range rec.Header() {
+			if k == "Content-Type" || strings.HasPrefix(k, "X-Repl-") {
+				keys = append(keys, k)
+			}
+		}
+		sort.Strings(keys)
+		for _, k := range keys {
+			fmt.Fprintf(&out, "< %s: %s\n", k, rec.Header().Get(k))
+		}
+		body := rec.Body.Bytes()
+		if strings.HasPrefix(rec.Header().Get("Content-Type"), "application/json") {
+			out.Write(body)
+		} else {
+			fmt.Fprintf(&out, "%d bytes sha256 %x\n", len(body), sha256.Sum256(body))
+		}
+		out.WriteString("\n")
+		return body
+	}
+	get := func(path string, q url.Values) []byte { return do(http.MethodGet, path, q) }
+	day := func(d int) string { return campaignStart.AddDate(0, 0, d).Format(time.RFC3339) }
+
+	type manifest struct {
+		Writers []struct {
+			ID       string `json:"id"`
+			TailFile string `json:"tail_file"`
+			Segments []struct {
+				File string `json:"file"`
+			} `json:"segments"`
+		} `json:"writers"`
+	}
+	readManifest := func() manifest {
+		t.Helper()
+		var m manifest
+		if err := json.Unmarshal(get("/v1/repl/manifest", nil), &m); err != nil {
+			t.Fatal(err)
+		}
+		if len(m.Writers) != 2 || len(m.Writers[0].Segments) == 0 {
+			t.Fatalf("manifest has %d writers, want alpha with a segment and bravo", len(m.Writers))
+		}
+		return m
+	}
+
+	get("/v1/at", url.Values{"ip": {"10.0.1.15"}, "t": {day(5)}})
+	get("/v1/churn", url.Values{"prefix": {"10.0.0.0/16"}, "from": {day(0)}, "to": {day(17)}})
+	get("/v1/stats", nil)
+	get("/v1/stats", url.Values{"divergence": {"1"}})
+	before := readManifest()
+	get("/v1/repl/segment/"+before.Writers[0].Segments[0].File, url.Values{"off": {"0"}, "n": {"100"}})
+	get("/v1/repl/tail/bravo", url.Values{"off": {"0"}, "n": {"100"}})
+	get("/v1/repl/tail/alpha", url.Values{"off": {"0"}, "file": {before.Writers[0].TailFile}})
+	do(http.MethodPost, "/v1/admin/compact", nil)
+	readManifest()
+	get("/v1/repl/tail/alpha", url.Values{"off": {"0"}, "file": {before.Writers[0].TailFile}})
+	get("/v1/stats", url.Values{"divergence": {"1"}})
+	do(http.MethodPost, "/v1/admin/compact", nil)
+	return out.Bytes()
+}
+
+// TestGoldenColdDocuments pins the bytes of the documents the store
+// produces about itself, as rdnsd serves them: /v1/stats with and without
+// the divergence block, /v1/repl/manifest before and after a compaction,
+// POST /v1/admin/compact, and the X-Repl-* headers of segment and tail
+// fetches, including a 409 for a tail compaction replaced. Refresh the
+// file with -update-golden, and only on purpose.
+func TestGoldenColdDocuments(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	srv := rdnsserve.New(goldenColdStore(t, filepath.Join(t.TempDir(), "primary")), rdnsserve.Config{Seed: 1})
+	defer srv.Close()
+	got := coldScript(t, srv.Handler())
+	if *updateGolden {
+		if err := os.WriteFile(goldenColdFile, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(goldenColdFile)
+	if err != nil {
+		t.Fatalf("%v (record it with -update-golden)", err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
+		for i := range min(len(gl), len(wl)) {
+			if gl[i] != wl[i] {
+				t.Fatalf("%s line %d drifted:\n got %s\nwant %s", goldenColdFile, i+1, gl[i], wl[i])
+			}
+		}
+		t.Fatalf("%s drifted: %d lines, recorded %d", goldenColdFile, len(gl), len(wl))
+	}
+}
