@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint deadcheck monitortest vantagetest reportcheck reportcheck-full
+.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint deadcheck fmtcheck monitortest vantagetest reportcheck reportcheck-full
 
 build:
 	$(GO) build ./...
@@ -131,6 +131,12 @@ deadcheck:
 		echo "deadcheck: delete the code instead of deprecating it"; exit 1; fi
 	$(GO) run ./cmd/deadcheck
 
+# fmtcheck keeps the module gofmt-clean: it fails, naming the files, when
+# gofmt would rewrite any Go file under the module root.
+fmtcheck:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "$$out"; \
+		echo "fmtcheck: gofmt -w the files above"; exit 1; fi
+
 # reportcheck holds the study to its committed oracle: the small-scale
 # report must be byte-identical to docs/report-small-scale.txt apart from
 # the "computed in" timing lines. Regenerate the file only on purpose.
@@ -177,8 +183,9 @@ replicatest:
 	$(GO) test -race -count=1 -run 'TestReplicaSoakRace|TestReplicaChaosConvergence' ./internal/replica
 	$(GO) test -count=1 -run 'Fuzz' ./internal/replica
 
-# verify is the pre-merge gate: vet everything, lint the metric names,
-# refuse deprecation markers and code no program reaches, run the full
+# verify is the pre-merge gate: vet everything, refuse Go files gofmt
+# would rewrite, lint the metric names, refuse deprecation markers and
+# code no program reaches, run the full
 # test suite with the coverage floors, diff the small-scale report against
 # its committed copy, race-test the internal packages and the query
 # daemon, run the replication chaos battery, the observability e2e and the
@@ -186,6 +193,7 @@ replicatest:
 # load.
 verify:
 	$(GO) vet ./...
+	$(MAKE) fmtcheck
 	$(MAKE) metriclint
 	$(MAKE) deadcheck
 	$(GO) test ./...

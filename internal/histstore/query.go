@@ -296,8 +296,9 @@ type WriterStats struct {
 	TailSnapshots int `json:"tail_snapshots"`
 	// Segments is the writer's sealed segment count.
 	Segments int `json:"segments"`
-	// Owned reports whether this Store appends as the writer.
-	Owned bool `json:"owned"`
+	// Owned reports whether this Store appends as the writer; it is
+	// this handle's, not the store's, so it stays off the wire.
+	Owned bool `json:"-"`
 }
 
 // CompactionStats summarizes compaction activity within Stats.
@@ -312,7 +313,9 @@ type CompactionStats struct {
 	Running bool `json:"running"`
 }
 
-// Stats is a point-in-time summary of the store.
+// Stats is a point-in-time summary of the store, and the "store" block
+// of rdnsd's /v1/stats: the key order and the omitempty set are the
+// wire's.
 type Stats struct {
 	// Snapshots is the number of snapshots in the merged timeline.
 	Snapshots int `json:"snapshots"`
@@ -322,11 +325,8 @@ type Stats struct {
 	// tail and segment.
 	BaseFrames  int `json:"base_frames"`
 	DeltaFrames int `json:"delta_frames"`
-	// Bytes is the total store size (tails plus segments); TailBytes and
-	// SealedBytes split it.
-	Bytes       int64 `json:"bytes"`
-	TailBytes   int64 `json:"tail_bytes"`
-	SealedBytes int64 `json:"sealed_bytes"`
+	// Bytes is the total store size (tails plus segments).
+	Bytes int64 `json:"bytes"`
 	// Reconstructions counts walk seeds that had to rebuild a block
 	// state from frames (frames a walk then advances through are not
 	// reconstructions).
@@ -336,14 +336,17 @@ type Stats struct {
 	CacheHits    uint64 `json:"cache_hits"`
 	CacheMisses  uint64 `json:"cache_misses"`
 	CacheEntries int    `json:"cache_entries"`
-	// Writers describes each writer in merge-priority order.
-	Writers []WriterStats `json:"writers,omitempty"`
+	// TailBytes and SealedBytes split Bytes.
+	TailBytes   int64 `json:"tail_bytes,omitempty"`
+	SealedBytes int64 `json:"sealed_bytes,omitempty"`
 	// Segments counts sealed segments; HotSegments how many are resident
 	// in the tier; TierLoads/TierEvictions its lifetime churn.
-	Segments      int    `json:"segments"`
-	HotSegments   int    `json:"hot_segments"`
-	TierLoads     uint64 `json:"tier_loads"`
-	TierEvictions uint64 `json:"tier_evictions"`
+	Segments      int    `json:"segments,omitempty"`
+	HotSegments   int    `json:"hot_segments,omitempty"`
+	TierLoads     uint64 `json:"tier_loads,omitempty"`
+	TierEvictions uint64 `json:"tier_evictions,omitempty"`
+	// Writers describes each writer in merge-priority order.
+	Writers []WriterStats `json:"writers,omitempty"`
 	// Compaction summarizes compaction activity.
 	Compaction CompactionStats `json:"compaction"`
 }

@@ -335,26 +335,41 @@ func VerifyTailFile(path string, first int, size int64) (int, error) {
 	return seq.snapshots(), nil
 }
 
-// ValidStoreFileName reports whether name is safe as a basename inside a
-// store directory: non-empty, bounded, free of path separators and NULs,
-// and not "."/".." or a reserved store name. Replication clients must
-// check every feed-supplied file name against it before joining it into
-// a local path — WriteFeedManifest re-validates at commit time, but by
+// CheckNames rejects the first feed-supplied name in fm that could
+// escape a store directory: a writer id outside 1..64 bytes of
+// [a-z0-9_-], or a tail or segment file name that is not a plain,
+// non-reserved basename. A replica calls it before it joins any of them
+// into a local path. WriteFeedManifest re-validates at commit time, but by
 // then a hostile name would already have been touched on disk.
-func ValidStoreFileName(name string) bool { return validStoreFileName(name) }
-
-// ValidWriterID reports whether id is a legal writer identity: 1..64
-// bytes of [a-z0-9_-].
-func ValidWriterID(id string) bool { return validWriterID(id) }
+func (fm FeedManifest) CheckNames() error {
+	for _, w := range fm.Writers {
+		if !validWriterID(w.ID) {
+			return fmt.Errorf("histstore: feed manifest carries invalid writer id %q", w.ID)
+		}
+		if !validStoreFileName(w.TailFile) {
+			return fmt.Errorf("histstore: feed manifest carries unsafe tail file name %q for writer %s", w.TailFile, w.ID)
+		}
+		for _, g := range w.Segments {
+			if !validStoreFileName(g.File) {
+				return fmt.Errorf("histstore: feed manifest carries unsafe segment file name %q for writer %s", g.File, w.ID)
+			}
+		}
+	}
+	return nil
+}
 
 // WriteFeedManifest commits a replica's synced file set as the store
 // directory's manifest, using the same atomic tmp+fsync+rename protocol
 // every primary-side mutation uses. The manifest is validated by an
 // encode/decode round trip first — the same strict checks Open applies —
 // so an inconsistent feed (segments not tiling [0, tailFirst), bad
-// names) fails before anything is committed. It reports whether the
-// directory's manifest actually advanced: a byte-identical re-commit is
-// skipped, so a caught-up replica's sync is a no-op.
+// names) fails before anything is committed. A feed older than the
+// committed manifest fails too: one that lacks a committed writer, or
+// puts any writer's file sequence below the committed one, comes from a
+// primary served from an older copy of its store, and committing it
+// would silently shrink the history the directory serves. It reports
+// whether the directory's manifest actually advanced: a byte-identical
+// re-commit is skipped, so a caught-up replica's sync is a no-op.
 func WriteFeedManifest(dir string, fm FeedManifest) (bool, error) {
 	if fm.BaseInterval <= 0 {
 		return false, fmt.Errorf("histstore: feed manifest base interval %d", fm.BaseInterval)
@@ -376,8 +391,20 @@ func WriteFeedManifest(dir string, fm FeedManifest) (bool, error) {
 	if _, err := decodeManifest(enc); err != nil {
 		return false, fmt.Errorf("histstore: feed manifest invalid: %w", err)
 	}
-	if cur, err := readManifest(dir); err == nil && cur != nil && bytes.Equal(encodeManifest(cur), enc) {
-		return false, nil
+	if cur, err := readManifest(dir); err == nil && cur != nil {
+		if bytes.Equal(encodeManifest(cur), enc) {
+			return false, nil
+		}
+		for _, cw := range cur.writers {
+			i := m.findWriter(cw.id)
+			if i < 0 {
+				return false, fmt.Errorf("histstore: feed manifest lacks committed writer %q: refusing to move backwards", cw.id)
+			}
+			if seq := m.writers[i].fileSeq; seq < cw.fileSeq {
+				return false, fmt.Errorf("histstore: feed manifest puts writer %q at file sequence %d, committed %d: refusing to move backwards",
+					cw.id, seq, cw.fileSeq)
+			}
+		}
 	}
 	if err := writeManifest(dir, m, ""); err != nil {
 		return false, err

@@ -1,9 +1,13 @@
 // Package rdnsclient is the Go client for rdnsd's versioned v1 query API
-// and the single definition of that API's wire contract: every request
-// and response type, the JSON error envelope, and the error-code
-// vocabulary live here, imported by both the server (internal/rdnsserve)
-// and every consumer (cmd/rdnsload, tests), so the contract cannot drift
-// between the two sides.
+// and the definition of that API's wire contract: the query request and
+// response envelopes, the JSON error envelope, the error-code vocabulary
+// and the feed's header names live here, imported by both the server
+// (internal/rdnsserve) and every consumer (cmd/rdnsload, tests), so the
+// contract cannot drift between the two sides. The documents the history
+// store produces about itself — its summary, churn days, compaction
+// results, writer divergence and the replication feed's manifest and tail
+// identity — are histstore's own types, which the envelopes here name
+// directly.
 //
 //	c := rdnsclient.New("http://127.0.0.1:8077")
 //	at, err := c.At(ctx, "10.0.1.7", day)
@@ -19,7 +23,11 @@
 // the endpoint reference.
 package rdnsclient
 
-import "time"
+import (
+	"time"
+
+	"rdnsprivacy/internal/histstore"
+)
 
 // Error codes the v1 API returns inside the error envelope. The HTTP
 // status is derivable from the code (see docs/api.md); clients should
@@ -103,21 +111,12 @@ type RangeResponse struct {
 	NextCursor string     `json:"next_cursor,omitempty"`
 }
 
-// ChurnDay is one snapshot's added/removed/changed counts within the
-// queried prefix (mirrors histstore.ChurnDay).
-type ChurnDay struct {
-	Date    time.Time `json:"date"`
-	Added   int       `json:"added"`
-	Removed int       `json:"removed"`
-	Changed int       `json:"changed"`
-}
-
 // ChurnResponse is /v1/churn.
 type ChurnResponse struct {
-	Prefix string     `json:"prefix"`
-	From   time.Time  `json:"from"`
-	To     time.Time  `json:"to"`
-	Days   []ChurnDay `json:"days"`
+	Prefix string               `json:"prefix"`
+	From   time.Time            `json:"from"`
+	To     time.Time            `json:"to"`
+	Days   []histstore.ChurnDay `json:"days"`
 }
 
 // NamePosting is one /v1/name result: the token was present in Prefix on
@@ -142,60 +141,9 @@ type DaysResponse struct {
 	Days  []time.Time `json:"days"`
 }
 
-// StoreStats mirrors histstore.Stats on the wire. The segment-tiering
-// and compaction fields are additive: daemons serving a pre-segmentation
-// store report them as zero values.
-type StoreStats struct {
-	Snapshots       int    `json:"snapshots"`
-	Blocks          int    `json:"blocks"`
-	BaseFrames      int    `json:"base_frames"`
-	DeltaFrames     int    `json:"delta_frames"`
-	Bytes           int64  `json:"bytes"`
-	Reconstructions uint64 `json:"reconstructions"`
-	CacheHits       uint64 `json:"cache_hits"`
-	CacheMisses     uint64 `json:"cache_misses"`
-	CacheEntries    int    `json:"cache_entries"`
-
-	TailBytes     int64           `json:"tail_bytes,omitempty"`
-	SealedBytes   int64           `json:"sealed_bytes,omitempty"`
-	Segments      int             `json:"segments,omitempty"`
-	HotSegments   int             `json:"hot_segments,omitempty"`
-	TierLoads     uint64          `json:"tier_loads,omitempty"`
-	TierEvictions uint64          `json:"tier_evictions,omitempty"`
-	Writers       []WriterStats   `json:"writers,omitempty"`
-	Compaction    CompactionStats `json:"compaction"`
-}
-
-// WriterStats is one campaign writer's share of a served store.
-type WriterStats struct {
-	ID            string `json:"id"`
-	Snapshots     int    `json:"snapshots"`
-	TailSnapshots int    `json:"tail_snapshots"`
-	Segments      int    `json:"segments"`
-}
-
-// CompactionStats summarizes the daemon store's compaction history and
-// whether a run is in flight right now.
-type CompactionStats struct {
-	Runs            uint64 `json:"runs"`
-	SealedSnapshots uint64 `json:"sealed_snapshots"`
-	ReclaimedBytes  int64  `json:"reclaimed_bytes"`
-	Running         bool   `json:"running"`
-}
-
-// CompactWriterResult is one writer's outcome in a CompactResponse.
-type CompactWriterResult struct {
-	Writer       string `json:"writer"`
-	Sealed       int    `json:"sealed"`
-	Segment      string `json:"segment,omitempty"`
-	TailBytes    int64  `json:"tail_bytes"`
-	SegmentBytes int64  `json:"segment_bytes"`
-	Skipped      string `json:"skipped,omitempty"`
-}
-
 // CompactResponse is POST /v1/admin/compact: per-writer seal outcomes.
 type CompactResponse struct {
-	Results []CompactWriterResult `json:"results"`
+	Results []histstore.CompactResult `json:"results"`
 }
 
 // AdmissionStats is the daemon's admission-control summary: cumulative
@@ -254,7 +202,7 @@ type QueryLogStats struct {
 // telemetry, and QueryLog only with -query-log.
 type StatsResponse struct {
 	Generation   int64                    `json:"generation"`
-	Store        StoreStats               `json:"store"`
+	Store        histstore.Stats          `json:"store"`
 	CacheHitRate float64                  `json:"cache_hit_rate"`
 	Admission    AdmissionStats           `json:"admission"`
 	Latency      LatencyStats             `json:"latency"`
@@ -265,30 +213,7 @@ type StatsResponse struct {
 	// merged view, present only when the request asked for it
 	// (GET /v1/stats?divergence=1) — it walks every live record, so it
 	// is opt-in rather than part of the cheap default body.
-	Divergence *DivergenceStats `json:"divergence,omitempty"`
-}
-
-// DivergenceStats mirrors histstore.DivergenceStats on the wire: the
-// live cross-writer disagreement summary of a multi-vantage store.
-type DivergenceStats struct {
-	// Addresses is the merged live record count.
-	Addresses int                `json:"addresses"`
-	Writers   []WriterDivergence `json:"writers"`
-}
-
-// WriterDivergence is one writer's live relation to the merged view.
-type WriterDivergence struct {
-	ID string `json:"id"`
-	// Records is the writer's live total (Agreements + Conflicts).
-	Records int `json:"records"`
-	// Agreements hold the merged winner's name; Conflicts a different
-	// one (the writer is shadowed by a lower-id winner); Missing are
-	// merged records the writer lacks; Exclusive records only this
-	// writer holds.
-	Agreements int `json:"agreements"`
-	Conflicts  int `json:"conflicts"`
-	Missing    int `json:"missing"`
-	Exclusive  int `json:"exclusive"`
+	Divergence *histstore.DivergenceStats `json:"divergence,omitempty"`
 }
 
 // ReloadResponse is POST /v1/admin/reload: the freshly opened store's

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"testing"
 	"time"
+
+	"rdnsprivacy/internal/histstore"
 )
 
 // decodeBodies are 200 bodies of the sizes the harness's serve-scan-cold
@@ -17,7 +19,7 @@ func decodeBodies() map[string][]byte {
 	}
 	churn := ChurnResponse{Prefix: "10.0.1.0/24", From: day(0), To: day(119)}
 	for d := 1; d < 120; d++ {
-		churn.Days = append(churn.Days, ChurnDay{Date: day(d), Added: d % 7, Removed: d % 5, Changed: d % 3})
+		churn.Days = append(churn.Days, histstore.ChurnDay{Date: day(d), Added: d % 7, Removed: d % 5, Changed: d % 3})
 	}
 	name := NameResponse{Token: "kiosk", Count: 750}
 	for k := 0; k < 750; k++ {

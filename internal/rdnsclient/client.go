@@ -49,6 +49,18 @@ func IsOverloaded(err error) bool {
 // back into one causal chain (obs.Stitch). See docs/observability.md.
 const CorrHeader = "X-Rdns-Corr"
 
+// The replication feed's headers. A segment chunk carries its segment's
+// total size; a tail chunk, and a 409 repl_changed answer to a tail
+// fetch, carry the identity of the writer's active tail
+// (histstore.FeedTailInfo): its file name, first writer-local snapshot
+// and committed size. See docs/replication.md.
+const (
+	ReplSizeHeader      = "X-Repl-Size"
+	ReplTailFileHeader  = "X-Repl-Tail-File"
+	ReplTailFirstHeader = "X-Repl-Tail-First"
+	ReplTailSizeHeader  = "X-Repl-Tail-Size"
+)
+
 // RequestInfo describes one completed request (including failed ones)
 // to a WithRequestHook observer.
 type RequestInfo struct {

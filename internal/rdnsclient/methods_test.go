@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/testutil"
 )
 
@@ -112,9 +113,9 @@ func TestStatsDivergence(t *testing.T) {
 		}
 		json.NewEncoder(w).Encode(StatsResponse{
 			Generation: 4,
-			Divergence: &DivergenceStats{
+			Divergence: &histstore.DivergenceStats{
 				Addresses: 3,
-				Writers: []WriterDivergence{
+				Writers: []histstore.WriterDivergence{
 					{ID: "wa", Records: 2, Agreements: 2, Missing: 1},
 					{ID: "wb", Records: 3, Agreements: 2, Conflicts: 1, Exclusive: 1},
 				},

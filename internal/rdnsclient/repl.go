@@ -7,57 +7,25 @@ import (
 	"net/url"
 	"strconv"
 	"time"
+
+	"rdnsprivacy/internal/histstore"
 )
 
 // Replication feed wire contract (see docs/replication.md). A primary
 // exposes its histstore file set under /v1/repl/*; replicas pull sealed
 // segments once (resumable range fetches, content-addressed by trailer
 // CRC), tail deltas incrementally, and commit generations locally. The
-// feed types mirror histstore's FeedManifest — defined here, like every
-// other wire type, so the contract cannot drift between the two sides.
+// manifest and the tail identity are histstore's FeedManifest and
+// FeedTailInfo, the documents the store produces about its own file set;
+// the envelope adds the serving generation, and the headers carrying a
+// chunk's identity are the constants beside CorrHeader.
 
-// ReplSegment is one sealed segment in a replication manifest. CRC is
-// the segment trailer's footer CRC: the content address a replica
-// verifies its download against before committing.
-type ReplSegment struct {
-	File  string `json:"file"`
-	First int    `json:"first"`
-	Count int    `json:"count"`
-	Size  int64  `json:"size"`
-	CRC   uint32 `json:"crc"`
-}
-
-// ReplWriter is one writer's share of a replication manifest. TailSize
-// counts the committed bytes of the active tail; the feed never serves
-// past it.
-type ReplWriter struct {
-	ID        string        `json:"id"`
-	FileSeq   int           `json:"file_seq"`
-	TailFile  string        `json:"tail_file"`
-	TailFirst int           `json:"tail_first"`
-	TailSize  int64         `json:"tail_size"`
-	Segments  []ReplSegment `json:"segments,omitempty"`
-}
-
-// ReplManifest is GET /v1/repl/manifest: a self-consistent point-in-time
-// description of the primary's replicable file set, plus the primary's
-// serving generation and snapshot horizon so replicas can report lag.
+// ReplManifest is GET /v1/repl/manifest: the primary's serving
+// generation, then the store's replicable file set and snapshot horizon,
+// so replicas can report lag.
 type ReplManifest struct {
-	Generation   int64        `json:"generation"`
-	BaseInterval int          `json:"base_interval"`
-	Snapshots    int          `json:"snapshots"`
-	LastSnap     time.Time    `json:"last_snap,omitzero"`
-	TotalBytes   int64        `json:"total_bytes"`
-	Writers      []ReplWriter `json:"writers"`
-}
-
-// ReplTailInfo is the tail identity a /v1/repl/tail response carries in
-// its X-Repl-Tail-* headers: which file the writer is appending to, its
-// first writer-local snapshot, and the committed size.
-type ReplTailInfo struct {
-	File  string
-	First int
-	Size  int64
+	Generation int64 `json:"generation"`
+	histstore.FeedManifest
 }
 
 // ReplicaStats is a replica daemon's lag report inside /v1/stats: how
@@ -96,9 +64,9 @@ func (c *Client) ReplSegment(ctx context.Context, name string, off int64, n int)
 	if err != nil {
 		return nil, 0, err
 	}
-	size, err := strconv.ParseInt(hdr.Get("X-Repl-Size"), 10, 64)
+	size, err := strconv.ParseInt(hdr.Get(ReplSizeHeader), 10, 64)
 	if err != nil {
-		return nil, 0, fmt.Errorf("rdnsclient: repl segment %q: bad X-Repl-Size %q", name, hdr.Get("X-Repl-Size"))
+		return nil, 0, fmt.Errorf("rdnsclient: repl segment %q: bad %s %q", name, ReplSizeHeader, hdr.Get(ReplSizeHeader))
 	}
 	return body, size, nil
 }
@@ -108,7 +76,7 @@ func (c *Client) ReplSegment(ctx context.Context, name string, off int64, n int)
 // file name: if compaction has since started a fresh tail the server
 // answers 409 repl_changed (surfaced as *APIError) and the replica must
 // refetch the manifest. off == committed size returns an empty chunk.
-func (c *Client) ReplTail(ctx context.Context, writer, file string, off int64, n int) ([]byte, ReplTailInfo, error) {
+func (c *Client) ReplTail(ctx context.Context, writer, file string, off int64, n int) ([]byte, histstore.FeedTailInfo, error) {
 	q := url.Values{"off": {strconv.FormatInt(off, 10)}}
 	if file != "" {
 		q.Set("file", file)
@@ -116,17 +84,17 @@ func (c *Client) ReplTail(ctx context.Context, writer, file string, off int64, n
 	if n > 0 {
 		q.Set("n", strconv.Itoa(n))
 	}
-	var info ReplTailInfo
+	var info histstore.FeedTailInfo
 	body, hdr, err := c.doRaw(ctx, "/v1/repl/tail/"+url.PathEscape(writer), q)
 	if err != nil {
 		return nil, info, err
 	}
-	info.File = hdr.Get("X-Repl-Tail-File")
-	if info.First, err = strconv.Atoi(hdr.Get("X-Repl-Tail-First")); err != nil {
-		return nil, info, fmt.Errorf("rdnsclient: repl tail %q: bad X-Repl-Tail-First %q", writer, hdr.Get("X-Repl-Tail-First"))
+	info.File = hdr.Get(ReplTailFileHeader)
+	if info.First, err = strconv.Atoi(hdr.Get(ReplTailFirstHeader)); err != nil {
+		return nil, info, fmt.Errorf("rdnsclient: repl tail %q: bad %s %q", writer, ReplTailFirstHeader, hdr.Get(ReplTailFirstHeader))
 	}
-	if info.Size, err = strconv.ParseInt(hdr.Get("X-Repl-Tail-Size"), 10, 64); err != nil {
-		return nil, info, fmt.Errorf("rdnsclient: repl tail %q: bad X-Repl-Tail-Size %q", writer, hdr.Get("X-Repl-Tail-Size"))
+	if info.Size, err = strconv.ParseInt(hdr.Get(ReplTailSizeHeader), 10, 64); err != nil {
+		return nil, info, fmt.Errorf("rdnsclient: repl tail %q: bad %s %q", writer, ReplTailSizeHeader, hdr.Get(ReplTailSizeHeader))
 	}
 	return body, info, nil
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/testutil"
 )
 
@@ -54,14 +55,14 @@ func (f *fakeFeed) handler() http.Handler {
 		}
 		switch {
 		case r.URL.Path == "/v1/repl/manifest":
-			json.NewEncoder(w).Encode(ReplManifest{
-				Generation: 4, BaseInterval: 4, Snapshots: 6,
+			json.NewEncoder(w).Encode(ReplManifest{Generation: 4, FeedManifest: histstore.FeedManifest{
+				BaseInterval: 4, Snapshots: 6,
 				LastSnap: time.Date(2020, 3, 6, 0, 0, 0, 0, time.UTC), TotalBytes: 96,
-				Writers: []ReplWriter{{
+				Writers: []histstore.FeedWriter{{
 					ID: "main", FileSeq: 3, TailFile: f.tailFile, TailFirst: 4, TailSize: int64(len(f.tail)),
-					Segments: []ReplSegment{{File: "seg-main-1.seg", First: 0, Count: 4, Size: int64(len(f.segment)), CRC: 0xdeadbeef}},
+					Segments: []histstore.FeedSegment{{File: "seg-main-1.seg", First: 0, Count: 4, Size: int64(len(f.segment)), CRC: 0xdeadbeef}},
 				}},
-			})
+			}})
 		case r.URL.Path == "/v1/repl/segment/seg-main-1.seg":
 			w.Header().Set("X-Repl-Size", strconv.Itoa(len(f.segment)))
 			w.Write(window(f.segment))

@@ -23,6 +23,8 @@ import (
 	"math"
 	"strconv"
 	"time"
+
+	"rdnsprivacy/internal/histstore"
 )
 
 // Encoder appends one /v1 response body to a caller's buffer. The daemon
@@ -577,9 +579,9 @@ func (s *scanner) churn() (r ChurnResponse, ok bool) {
 		s.lit(`,"days":[`)) {
 		return r, false
 	}
-	r.Days = make([]ChurnDay, 0, s.room(math.MaxInt, len(`{"date":"2006-01-02T15:04:05Z","added":0,"removed":0,"changed":0},`)))
+	r.Days = make([]histstore.ChurnDay, 0, s.room(math.MaxInt, len(`{"date":"2006-01-02T15:04:05Z","added":0,"removed":0,"changed":0},`)))
 	ok = s.elems(func() bool {
-		r.Days = append(r.Days, ChurnDay{})
+		r.Days = append(r.Days, histstore.ChurnDay{})
 		d := &r.Days[len(r.Days)-1]
 		return s.lit(`{"date":`) && s.instant(&d.Date) &&
 			s.lit(`,"added":`) && s.int(&d.Added) &&

@@ -7,6 +7,8 @@ import (
 	"reflect"
 	"testing"
 	"time"
+
+	"rdnsprivacy/internal/histstore"
 )
 
 // wireShape is what the codec adds to each of the five query shapes.
@@ -219,7 +221,7 @@ func canonicalBodies(t testing.TB) [][]byte {
 		RangeResponse{Prefix: "10.0.2.0/24", From: day, To: next, Count: 2, NextCursor: "cjE6MDAwMA", Rows: []RangeRow{
 			{Date: day, IP: "10.0.2.4", PTR: "printer.example.net."}, {Date: next, IP: "10.0.2.4", PTR: "printer.example.net."}}},
 		RangeResponse{Prefix: "10.0.2.0/24", From: day, To: next, Rows: []RangeRow{}},
-		ChurnResponse{Prefix: "10.0.1.0/24", From: day, To: next, Days: []ChurnDay{{Date: next, Added: 10, Removed: 0, Changed: -1}}},
+		ChurnResponse{Prefix: "10.0.1.0/24", From: day, To: next, Days: []histstore.ChurnDay{{Date: next, Added: 10, Removed: 0, Changed: -1}}},
 		NameResponse{Token: "brians", Count: 1, Postings: []NamePosting{{Prefix: "10.0.1.0/24", First: day, Last: next}}},
 		DaysResponse{Count: 2, Days: []time.Time{day, next}},
 		DaysResponse{},

@@ -477,7 +477,7 @@ func TestStatsDivergence(t *testing.T) {
 	if div.Addresses != 3 || len(div.Writers) != 2 {
 		t.Fatalf("divergence = %+v, want 3 addresses across 2 writers", div)
 	}
-	byID := map[string]rdnsclient.WriterDivergence{}
+	byID := map[string]histstore.WriterDivergence{}
 	for _, w := range div.Writers {
 		byID[w.ID] = w
 	}

@@ -89,29 +89,7 @@ func (s *Server) replManifest(rq request) (reply, *apiError) {
 	if err != nil {
 		return reply{}, replError(err)
 	}
-	resp := rdnsclient.ReplManifest{
-		Generation:   s.gen.Load(),
-		BaseInterval: fm.BaseInterval,
-		Snapshots:    fm.Snapshots,
-		LastSnap:     fm.LastSnap,
-		TotalBytes:   fm.TotalBytes,
-	}
-	for _, fw := range fm.Writers {
-		rw := rdnsclient.ReplWriter{
-			ID:        fw.ID,
-			FileSeq:   fw.FileSeq,
-			TailFile:  fw.TailFile,
-			TailFirst: fw.TailFirst,
-			TailSize:  fw.TailSize,
-		}
-		for _, g := range fw.Segments {
-			rw.Segments = append(rw.Segments, rdnsclient.ReplSegment{
-				File: g.File, First: g.First, Count: g.Count, Size: g.Size, CRC: g.CRC,
-			})
-		}
-		resp.Writers = append(resp.Writers, rw)
-	}
-	return reply{body: resp}, nil
+	return reply{body: rdnsclient.ReplManifest{Generation: s.gen.Load(), FeedManifest: fm}}, nil
 }
 
 // replSegment is GET /v1/repl/segment/{name}?off=&n=: one chunk of a
@@ -129,7 +107,7 @@ func replSegment(rq request) (reply, *apiError) {
 	if err != nil {
 		return reply{}, replError(err)
 	}
-	rq.hdr.Set("X-Repl-Size", strconv.FormatInt(size, 10))
+	rq.hdr.Set(rdnsclient.ReplSizeHeader, strconv.FormatInt(size, 10))
 	return reply{raw: data}, nil
 }
 
@@ -147,9 +125,9 @@ func replTail(rq request) (reply, *apiError) {
 		return reply{}, aerr
 	}
 	data, info, err := rq.hd.st.FeedReadTail(writer, rq.q.Get("file"), off, n)
-	rq.hdr.Set("X-Repl-Tail-File", info.File)
-	rq.hdr.Set("X-Repl-Tail-First", strconv.Itoa(info.First))
-	rq.hdr.Set("X-Repl-Tail-Size", strconv.FormatInt(info.Size, 10))
+	rq.hdr.Set(rdnsclient.ReplTailFileHeader, info.File)
+	rq.hdr.Set(rdnsclient.ReplTailFirstHeader, strconv.Itoa(info.First))
+	rq.hdr.Set(rdnsclient.ReplTailSizeHeader, strconv.FormatInt(info.Size, 10))
 	if err != nil {
 		return reply{}, replError(err)
 	}

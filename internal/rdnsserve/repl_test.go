@@ -311,3 +311,29 @@ func TestReplStatsReplicaField(t *testing.T) {
 		t.Fatalf("replica lag report: %+v", sr.Replica)
 	}
 }
+
+// TestReplWindowBounds: a window larger than the feed's chunk cap is
+// clamped to it, not refused, while a malformed window or writer id is a
+// 400 bad_param before the store is read.
+func TestReplWindowBounds(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)
+	srv, _ := replFixture(t, Config{})
+	h := srv.Handler()
+	g := replManifestOf(t, h).Writers[0].Segments[0]
+
+	rec := getRepl(t, h, fmt.Sprintf("/v1/repl/segment/%s?n=%d", g.File, 4*maxReplChunk))
+	if rec.Code != 200 || int64(rec.Body.Len()) != g.Size {
+		t.Fatalf("oversized window: status %d, %d bytes, want 200 and the whole %d-byte segment", rec.Code, rec.Body.Len(), g.Size)
+	}
+	for _, path := range []string{
+		"/v1/repl/tail/",
+		"/v1/repl/tail/main?off=-1",
+		"/v1/repl/tail/main?n=0",
+	} {
+		rec := getRepl(t, h, path)
+		var env rdnsclient.ErrorEnvelope
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || rec.Code != 400 || env.Error.Code != rdnsclient.CodeBadParam {
+			t.Errorf("GET %s: status %d, body %s; want 400 bad_param", path, rec.Code, rec.Body)
+		}
+	}
+}

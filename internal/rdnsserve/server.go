@@ -259,40 +259,9 @@ func (s *Server) stats(h *storeHandle) rdnsclient.StatsResponse {
 		}
 	}
 	if h != nil {
-		st := h.st.Stats()
-		resp.Store = rdnsclient.StoreStats{
-			Snapshots:       st.Snapshots,
-			Blocks:          st.Blocks,
-			BaseFrames:      st.BaseFrames,
-			DeltaFrames:     st.DeltaFrames,
-			Bytes:           st.Bytes,
-			Reconstructions: st.Reconstructions,
-			CacheHits:       st.CacheHits,
-			CacheMisses:     st.CacheMisses,
-			CacheEntries:    st.CacheEntries,
-			TailBytes:       st.TailBytes,
-			SealedBytes:     st.SealedBytes,
-			Segments:        st.Segments,
-			HotSegments:     st.HotSegments,
-			TierLoads:       st.TierLoads,
-			TierEvictions:   st.TierEvictions,
-			Compaction: rdnsclient.CompactionStats{
-				Runs:            st.Compaction.Runs,
-				SealedSnapshots: st.Compaction.SealedSnapshots,
-				ReclaimedBytes:  st.Compaction.ReclaimedBytes,
-				Running:         st.Compaction.Running,
-			},
-		}
-		for _, w := range st.Writers {
-			resp.Store.Writers = append(resp.Store.Writers, rdnsclient.WriterStats{
-				ID:            w.ID,
-				Snapshots:     w.Snapshots,
-				TailSnapshots: w.TailSnapshots,
-				Segments:      w.Segments,
-			})
-		}
-		if total := st.CacheHits + st.CacheMisses; total > 0 {
-			resp.CacheHitRate = float64(st.CacheHits) / float64(total)
+		resp.Store = h.st.Stats()
+		if total := resp.Store.CacheHits + resp.Store.CacheMisses; total > 0 {
+			resp.CacheHitRate = float64(resp.Store.CacheHits) / float64(total)
 		}
 	}
 	return resp
@@ -322,18 +291,7 @@ func (s *Server) adminCompact(rq request) (reply, *apiError) {
 		}
 		return reply{}, errInternal(err)
 	}
-	resp := rdnsclient.CompactResponse{}
-	for _, res := range results {
-		resp.Results = append(resp.Results, rdnsclient.CompactWriterResult{
-			Writer:       res.Writer,
-			Sealed:       res.Sealed,
-			Segment:      res.Segment,
-			TailBytes:    res.TailBytes,
-			SegmentBytes: res.SegmentBytes,
-			Skipped:      res.Skipped,
-		})
-	}
-	return reply{body: resp}, nil
+	return reply{body: rdnsclient.CompactResponse{Results: results}}, nil
 }
 
 // Compact seals every idle writer's tail of the currently served store
@@ -574,18 +532,7 @@ func (s *Server) handleStats(rq request) (reply, *apiError) {
 	// is opt-in: any non-empty value of ?divergence enables it.
 	if rq.q.Get("divergence") != "" {
 		div := rq.hd.st.Divergence()
-		out := &rdnsclient.DivergenceStats{Addresses: div.Addresses}
-		for _, w := range div.Writers {
-			out.Writers = append(out.Writers, rdnsclient.WriterDivergence{
-				ID:         w.ID,
-				Records:    w.Records,
-				Agreements: w.Agreements,
-				Conflicts:  w.Conflicts,
-				Missing:    w.Missing,
-				Exclusive:  w.Exclusive,
-			})
-		}
-		resp.Divergence = out
+		resp.Divergence = &div
 	}
 	return reply{body: resp}, nil
 }

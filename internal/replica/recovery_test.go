@@ -358,3 +358,184 @@ func TestLyingSegmentDoesNotCommit(t *testing.T) {
 		t.Fatalf("replica serves %d snapshots from its last good generation, want 12", got)
 	}
 }
+
+// copyStore copies the regular files of a closed store directory: the
+// older copy of a primary that a restore from backup would serve.
+func copyStore(t *testing.T, from, to string) {
+	t.Helper()
+	if err := os.MkdirAll(to, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(from)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if !e.Type().IsRegular() {
+			continue
+		}
+		data, err := os.ReadFile(filepath.Join(from, e.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(to, e.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestReplicaNeverMovesBackwards: a replica synced from a primary must
+// refuse a feed from an older copy of that primary — one taken before its
+// last compaction (a writer's file_seq went down), or before a writer
+// existed (a committed writer is missing). Either is a loud sync error,
+// and the previous generation stays committed and served.
+func TestReplicaNeverMovesBackwards(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	cases := []struct {
+		name string
+		// build grows the primary at dir, copying it to old on the way.
+		build func(t *testing.T, dir, old string)
+	}{
+		{"copy before the last compaction", func(t *testing.T, dir, old string) {
+			st := seedPrimary(t, dir, 10, 2)
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			copyStore(t, dir, old)
+			st, err := histstore.Open(dir, histstore.WithBaseInterval(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer st.Close()
+			appendDays(t, st, 10, 4, 2)
+			if _, err := st.Compact(context.Background(), histstore.CompactOptions{}); err != nil {
+				t.Fatal(err)
+			}
+			appendDays(t, st, 14, 3, 2)
+		}},
+		{"copy before a writer joined", func(t *testing.T, dir, old string) {
+			alpha, err := histstore.Open(dir, histstore.WithWriter("alpha"), histstore.WithBaseInterval(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			appendDays(t, alpha, 0, 6, 2)
+			if err := alpha.Close(); err != nil {
+				t.Fatal(err)
+			}
+			copyStore(t, dir, old)
+			bravo, err := histstore.Open(dir, histstore.WithWriter("bravo"), histstore.WithBaseInterval(4))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer bravo.Close()
+			appendDays(t, bravo, 6, 3, 2)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			root := t.TempDir()
+			dir, old := filepath.Join(root, "primary"), filepath.Join(root, "old")
+			tc.build(t, dir, old)
+			serve := func(path string) http.Handler {
+				st, err := histstore.Open(path, histstore.WithReadOnly())
+				if err != nil {
+					t.Fatal(err)
+				}
+				srv := rdnsserve.New(st, rdnsserve.Config{Seed: 1})
+				t.Cleanup(func() { srv.Close() })
+				return srv.Handler()
+			}
+			current := serve(dir)
+			primary := current
+			y, err := New(Config{Source: "http://primary.inproc", Dir: filepath.Join(root, "replica"),
+				Client: feedClient(roundTripFunc(func(r *http.Request) (*http.Response, error) {
+					return inprocTransport{primary}.RoundTrip(r)
+				}))})
+			if err != nil {
+				t.Fatal(err)
+			}
+			mustSync(t, y)
+			committed, err := os.ReadFile(filepath.Join(root, "replica", "MANIFEST"))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			primary = serve(old)
+			if _, err := y.Sync(context.Background()); err == nil {
+				t.Fatal("sync from an older copy of the primary succeeded")
+			} else {
+				t.Logf("refused: %v", err)
+			}
+			if st := y.Status(); st == nil || st.SyncErrors != 1 {
+				t.Fatalf("status after the refused sync: %+v, want one sync error", st)
+			}
+			now, err := os.ReadFile(filepath.Join(root, "replica", "MANIFEST"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(now, committed) {
+				t.Fatal("the refused sync rewrote the committed manifest")
+			}
+			want, err := histstore.Open(dir, histstore.WithReadOnly())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer want.Close()
+			rep := openReplica(t, y)
+			defer rep.Close()
+			compareStores(t, want, rep, 2)
+
+			primary = current
+			mustSync(t, y)
+		})
+	}
+}
+
+// TestCleanupStaleSegmentStage: a .part stage left beside a segment that
+// is already final and verified (a crash between the rename and the
+// cleanup, or a second process's abandoned pull) is removed by the next
+// sync, and the replica still answers like its primary.
+func TestCleanupStaleSegmentStage(t *testing.T) {
+	primary, dir, fresh := recoveryFixture(t)
+	y := fresh()
+	mustSync(t, y)
+	seg, _ := localFeedFiles(t, y)
+	if err := os.WriteFile(seg+".part", []byte("stale"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	mustSync(t, y)
+	if _, err := os.Stat(seg + ".part"); !os.IsNotExist(err) {
+		t.Fatalf("stale stage %s.part survived cleanup (stat: %v)", filepath.Base(seg), err)
+	}
+	rep, err := histstore.Open(dir, histstore.WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rep.Close()
+	compareStores(t, primary, rep, 2)
+}
+
+// TestSyncDirUnusable: a replica directory that cannot be created is a
+// loud sync error, counted in the status.
+func TestSyncDirUnusable(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	root := t.TempDir()
+	primary := seedPrimary(t, filepath.Join(root, "primary"), 3, 1)
+	srv := rdnsserve.New(primary, rdnsserve.Config{Seed: 1})
+	defer srv.Close()
+	file := filepath.Join(root, "file")
+	if err := os.WriteFile(file, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	y, err := New(Config{Source: "http://primary.inproc", Dir: filepath.Join(file, "replica"),
+		Client: feedClient(inprocTransport{srv.Handler()})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := y.Sync(context.Background()); err == nil {
+		t.Fatal("sync into a directory under a regular file succeeded")
+	}
+	if st := y.Status(); st == nil || st.SyncErrors != 1 {
+		t.Fatalf("status: %+v, want one sync error", st)
+	}
+}

@@ -203,8 +203,10 @@ func (y *Syncer) syncOnce(ctx context.Context, corr uint64) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("replica: manifest: %w", err)
 	}
-	if err := validateManifest(m); err != nil {
-		return false, err
+	// Before the first filesystem touch: a lying feed (compromised
+	// primary, MITM on the plain-HTTP transport) must not steer a path.
+	if err := m.CheckNames(); err != nil {
+		return false, fmt.Errorf("replica: %w", err)
 	}
 	if err := os.MkdirAll(y.dir, 0o755); err != nil {
 		return false, fmt.Errorf("replica: %w", err)
@@ -230,41 +232,20 @@ func (y *Syncer) syncOnce(ctx context.Context, corr uint64) (bool, error) {
 			return false, err
 		}
 	}
-	committed, err := y.commit(m)
+	// Advance the local MANIFEST to m's file set, atomically, when it
+	// differs from the committed one; a feed older than that is refused.
+	committed, err := histstore.WriteFeedManifest(y.dir, m.FeedManifest)
 	if err != nil {
-		return false, err
+		return false, fmt.Errorf("replica: committing manifest: %w", err)
 	}
 	y.cleanup(m)
 	return changed || committed, nil
 }
 
-// validateManifest rejects feed-supplied names that could escape the
-// store directory, before any of them is joined into a local path. The
-// commit-time manifest validation re-checks the same rules, but only
-// after the syncer has statted, removed, and renamed files at the joined
-// paths — a lying feed (compromised primary, MITM on the plain-HTTP
-// transport) must be a loud error before the first filesystem touch.
-func validateManifest(m rdnsclient.ReplManifest) error {
-	for _, w := range m.Writers {
-		if !histstore.ValidWriterID(w.ID) {
-			return fmt.Errorf("replica: manifest carries invalid writer id %q", w.ID)
-		}
-		if !histstore.ValidStoreFileName(w.TailFile) {
-			return fmt.Errorf("replica: manifest carries unsafe tail file name %q for writer %s", w.TailFile, w.ID)
-		}
-		for _, g := range w.Segments {
-			if !histstore.ValidStoreFileName(g.File) {
-				return fmt.Errorf("replica: manifest carries unsafe segment file name %q for writer %s", g.File, w.ID)
-			}
-		}
-	}
-	return nil
-}
-
 // syncSegment ensures one sealed segment is present, verified, and
 // matching its content address. Partial downloads resume from the staged
 // .part file's size.
-func (y *Syncer) syncSegment(ctx context.Context, writerID string, g rdnsclient.ReplSegment, corr uint64) (bool, error) {
+func (y *Syncer) syncSegment(ctx context.Context, writerID string, g histstore.FeedSegment, corr uint64) (bool, error) {
 	final := filepath.Join(y.dir, g.File)
 	if y.verified[g.File] {
 		return false, nil
@@ -355,8 +336,8 @@ func (y *Syncer) syncSegment(ctx context.Context, writerID string, g rdnsclient.
 // given-name sidecar the replica builds itself, by folding the verified
 // segment's own frames (histstore.WriteSegmentSidecar); it never fetches
 // one. The folds are independent, so a bootstrap's many run one per core.
-func (y *Syncer) buildSidecars(w rdnsclient.ReplWriter) error {
-	var todo []rdnsclient.ReplSegment
+func (y *Syncer) buildSidecars(w histstore.FeedWriter) error {
+	var todo []histstore.FeedSegment
 	for _, g := range w.Segments {
 		if !y.sidecars[g.File] {
 			todo = append(todo, g)
@@ -387,7 +368,7 @@ func (y *Syncer) buildSidecars(w rdnsclient.ReplWriter) error {
 
 // verifySegment runs the full structural validation plus the manifest's
 // content address over a downloaded segment file.
-func (y *Syncer) verifySegment(path, writerID string, g rdnsclient.ReplSegment) error {
+func (y *Syncer) verifySegment(path, writerID string, g histstore.FeedSegment) error {
 	size, crc, err := histstore.VerifySegmentFile(path, writerID, g.First, g.Count)
 	if err != nil {
 		return fmt.Errorf("replica: segment %s failed verification: %w", g.File, err)
@@ -404,7 +385,7 @@ func (y *Syncer) verifySegment(path, writerID string, g rdnsclient.ReplSegment) 
 // correct prefix of the primary's committed tail (tail files are
 // append-only and never reused), so resuming from the local file size is
 // self-healing after a crash mid-pull.
-func (y *Syncer) syncTail(ctx context.Context, w rdnsclient.ReplWriter, corr uint64) (bool, error) {
+func (y *Syncer) syncTail(ctx context.Context, w histstore.FeedWriter, corr uint64) (bool, error) {
 	if w.TailSize <= 0 {
 		// Every real tail carries at least its file header; a zero-size
 		// tail is a malformed manifest, and committing it would reference
@@ -483,32 +464,6 @@ func (y *Syncer) syncTail(ctx context.Context, w rdnsclient.ReplWriter, corr uin
 	}
 	y.tailOK[w.TailFile] = w.TailSize
 	return true, nil
-}
-
-// commit atomically advances the local MANIFEST to m's file set when it
-// differs from what is already committed.
-func (y *Syncer) commit(m rdnsclient.ReplManifest) (bool, error) {
-	fm := histstore.FeedManifest{BaseInterval: m.BaseInterval}
-	for _, w := range m.Writers {
-		fw := histstore.FeedWriter{
-			ID:        w.ID,
-			FileSeq:   w.FileSeq,
-			TailFile:  w.TailFile,
-			TailFirst: w.TailFirst,
-			TailSize:  w.TailSize,
-		}
-		for _, g := range w.Segments {
-			fw.Segments = append(fw.Segments, histstore.FeedSegment{
-				File: g.File, First: g.First, Count: g.Count, Size: g.Size, CRC: g.CRC,
-			})
-		}
-		fm.Writers = append(fm.Writers, fw)
-	}
-	advanced, err := histstore.WriteFeedManifest(y.dir, fm)
-	if err != nil {
-		return false, fmt.Errorf("replica: committing manifest: %w", err)
-	}
-	return advanced, nil
 }
 
 // cleanup removes local tail files the committed manifest no longer

@@ -603,8 +603,8 @@ func TestReplicaHostileManifestNames(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			hostile := clean
-			hostile.Writers = append([]rdnsclient.ReplWriter(nil), clean.Writers...)
-			hostile.Writers[0].Segments = append([]rdnsclient.ReplSegment(nil), clean.Writers[0].Segments...)
+			hostile.Writers = append([]histstore.FeedWriter(nil), clean.Writers...)
+			hostile.Writers[0].Segments = append([]histstore.FeedSegment(nil), clean.Writers[0].Segments...)
 			tc.mutate(&hostile)
 			data, err := json.Marshal(hostile)
 			if err != nil {
