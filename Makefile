@@ -40,7 +40,9 @@ bench:
 # the campaign overlaps its sweep with its appends, so its time is the
 # host's core count. BenchmarkHistStoreAppend (one small-scale day, packed,
 # appended onto a 20-day store; 20 iterations, each on a fresh copy of the
-# store, so the row is exact) likewise.
+# store, so the row is exact) likewise, and so BenchmarkHistStoreSeal (a
+# small-scale store of two sealed segments and a 10-day tail, opened and
+# its tail sealed into a third: the seal that starts from sealed history).
 # Every stage runs at -cpu 1:
 # go test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
@@ -53,7 +55,7 @@ bench-check:
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreCompact' -cpu 1 -count=4 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreOpen' -cpu 1 -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkCampaignDay' -cpu 1 -count=1 . \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAppend' -cpu 1 -benchtime 20x -count=1 . \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkHistStoreAppend|BenchmarkHistStoreSeal' -cpu 1 -benchtime 20x -count=1 . \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkRdnsdQuery|BenchmarkRdnsdConcurrentLoad|BenchmarkRender' -cpu 1 -count=1 ./internal/rdnsserve \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkClientDecode' -cpu 1 -count=1 ./internal/rdnsclient \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \

@@ -804,14 +804,11 @@ func BenchmarkCampaignDay(b *testing.B) {
 	b.ReportMetric(0, "ns/op")
 }
 
-// BenchmarkHistStoreAppend is one day of the small-scale universe's
+// smallScaleDays sweeps n consecutive days of the small-scale universe's
 // dynamic networks (cmd/experiments -scale small, ~11 k records in ~260
-// /24s) appended, in the packed form a sweep hands over, onto a store
-// holding the 20 days before it: every iteration appends the same day to
-// a fresh copy of the same store, so its allocs/op and B/op — which make
-// bench-check holds — are exact. An append's time is the host's file
-// system, so the benchmark reports no ns/op.
-func BenchmarkHistStoreAppend(b *testing.B) {
+// /24s), returning the first day's instant and each day's packed blocks.
+func smallScaleDays(b *testing.B, n int) (time.Time, []scanengine.Blocks) {
+	b.Helper()
 	u, err := netsim.BuildStudyUniverse(netsim.UniverseConfig{
 		Seed:                  42,
 		FillerSlash24s:        6000,
@@ -824,7 +821,7 @@ func BenchmarkHistStoreAppend(b *testing.B) {
 	}
 	camp := scan.Campaign{Universe: u, SkipFiller: true}
 	start := date(2021, time.March, 1).Add(13 * time.Hour)
-	days := make([]scanengine.Blocks, 21)
+	days := make([]scanengine.Blocks, n)
 	for i := range days {
 		snap, err := scan.Snapshot(context.Background(), camp, start.AddDate(0, 0, i))
 		if err != nil {
@@ -832,6 +829,17 @@ func BenchmarkHistStoreAppend(b *testing.B) {
 		}
 		days[i] = snap.Blocks
 	}
+	return start, days
+}
+
+// BenchmarkHistStoreAppend is one day of the small-scale universe's
+// dynamic networks appended, in the packed form a sweep hands over, onto
+// a store holding the 20 days before it: every iteration appends the
+// same day to a fresh copy of the same store, so its allocs/op and B/op —
+// which make bench-check holds — are exact. An append's time is the
+// host's file system, so the benchmark reports no ns/op.
+func BenchmarkHistStoreAppend(b *testing.B) {
+	start, days := smallScaleDays(b, 21)
 	tmpl := filepath.Join(b.TempDir(), "template")
 	st, err := histstore.Open(tmpl)
 	if err != nil {
@@ -845,30 +853,12 @@ func BenchmarkHistStoreAppend(b *testing.B) {
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
-	files, err := os.ReadDir(tmpl)
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
 		dir := filepath.Join(b.TempDir(), "store")
-		if err := os.Mkdir(dir, 0o755); err != nil {
-			b.Fatal(err)
-		}
-		for _, f := range files {
-			if filepath.Ext(f.Name()) == ".lock" {
-				continue
-			}
-			data, err := os.ReadFile(filepath.Join(tmpl, f.Name()))
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := os.WriteFile(filepath.Join(dir, f.Name()), data, 0o644); err != nil {
-				b.Fatal(err)
-			}
-		}
+		copyStoreDir(b, tmpl, dir)
 		st, err := histstore.Open(dir)
 		if err != nil {
 			b.Fatal(err)
@@ -878,6 +868,58 @@ func BenchmarkHistStoreAppend(b *testing.B) {
 		b.StopTimer()
 		if err != nil || st.Len() != 21 {
 			b.Fatalf("append onto the 20-day store: %v (%d snapshots)", err, st.Len())
+		}
+		if err := st.Close(); err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+	}
+	b.ReportMetric(0, "ns/op")
+}
+
+// BenchmarkHistStoreSeal is one campaign compaction of the small-scale
+// universe's dynamic networks: a store holding two 10-day segments and a
+// 10-day tail is opened, and CompactWriter seals the tail into a third
+// segment. Unlike BenchmarkHistStoreCompact's, this seal has sealed
+// history before it, so it starts from the states that history ends in.
+// Every iteration seals a fresh copy of the same store, so its allocs/op
+// and B/op — which make bench-check holds — are exact; a seal's time is
+// the host's file system, so the benchmark reports no ns/op.
+func BenchmarkHistStoreSeal(b *testing.B) {
+	start, days := smallScaleDays(b, 30)
+	tmpl := filepath.Join(b.TempDir(), "template")
+	st, err := histstore.Open(tmpl)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for i, blocks := range days {
+		if err := st.AppendBlocks(start.AddDate(0, 0, i), blocks); err != nil {
+			b.Fatal(err)
+		}
+		if i == 9 || i == 19 {
+			if _, err := st.CompactWriter(context.Background(), histstore.DefaultWriter, histstore.CompactOptions{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		dir := filepath.Join(b.TempDir(), "store")
+		copyStoreDir(b, tmpl, dir)
+		st, err := histstore.Open(dir)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.StartTimer()
+		res, err := st.CompactWriter(context.Background(), histstore.DefaultWriter, histstore.CompactOptions{})
+		b.StopTimer()
+		if err != nil || res.Sealed != 10 || st.Stats().Segments != 3 {
+			b.Fatalf("sealing the 10-day tail: %+v, %v", res, err)
 		}
 		if err := st.Close(); err != nil {
 			b.Fatal(err)

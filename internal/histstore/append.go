@@ -53,7 +53,16 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 	sc := &w.scratch
 	sc.body = appendSnapBody(sc.body[:0], local, date.Unix())
 	buf := appendFrame(sc.buf[:0], frameSnap, sc.body)
+	// Every block's changes share one arena. A writer's first snapshot
+	// adds every record it holds, so that one grows it once, to size.
 	changesArena := sc.changes[:0]
+	if len(w.cur) == 0 {
+		records := 0
+		for _, b := range blocks {
+			records += len(b.Entries)
+		}
+		changesArena = slices.Grow(changesArena, records)
+	}
 	var plan []frameEffect
 	bases := 0
 	// One walk in address order over the union of the blocks the writer

@@ -233,12 +233,19 @@ func (r *byteReader) blockHead() (snap int, p dnswire.Prefix, count int, err err
 	return int(s), p, int(n), nil
 }
 
-// appendName appends a prefix-compressed name and returns the new prev.
-func appendName(dst []byte, prev, name dnswire.Name) ([]byte, dnswire.Name) {
+// sharedPrefix is how many leading bytes name shares with prev: what a
+// prefix-compressed name leaves out.
+func sharedPrefix(prev, name dnswire.Name) int {
 	shared := 0
 	for shared < len(prev) && shared < len(name) && prev[shared] == name[shared] {
 		shared++
 	}
+	return shared
+}
+
+// appendName appends a prefix-compressed name and returns the new prev.
+func appendName(dst []byte, prev, name dnswire.Name) ([]byte, dnswire.Name) {
+	shared := sharedPrefix(prev, name)
 	dst = binary.AppendUvarint(dst, uint64(shared))
 	dst = binary.AppendUvarint(dst, uint64(len(name)-shared))
 	dst = append(dst, name[shared:]...)
@@ -332,6 +339,20 @@ func appendBaseBody(dst []byte, snap int, p dnswire.Prefix, entries []baseEntry)
 		body, prevName = appendName(body, prevName, e.Name)
 	}
 	return body
+}
+
+// baseFrameBound bounds the size of the base frame of a block holding
+// entries: appendBaseBody's bytes, framed. It is exact but for the
+// varints, each counted at its widest.
+func baseFrameBound(entries []baseEntry) int {
+	n := 32 // the frame's kind, length and CRC; the body's snapshot, /24 and count
+	var prev dnswire.Name
+	for _, e := range entries {
+		shared := sharedPrefix(prev, e.Name)
+		n += 2 + 2 + 2 + len(e.Name) - shared
+		prev = e.Name
+	}
+	return n
 }
 
 // decodeBaseBody decodes a base block body. Its entries — a packed block

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"maps"
 	"os"
 	"path/filepath"
 	"sort"
@@ -21,8 +22,10 @@ import (
 // on a sparser cadence. The protocol is crash-atomic:
 //
 //	phase A (shared lock)   stream the tail's sealed range into a segment
-//	                        image: every block live at the cut gets an
-//	                        opening base, deltas are re-based every
+//	                        image, starting from the states the writer's
+//	                        sealed history ends in (held, not rebuilt):
+//	                        every block live at the segment's start gets
+//	                        an opening base, deltas are re-based every
 //	                        BaseInterval snapshots, no-op rebases vanish;
 //	                        a single-writer store also clips its name
 //	                        index to the span: the segment's sidecar
@@ -31,8 +34,8 @@ import (
 //	phase C (write lock)    write the replacement tail (header + the
 //	                        bytes past the cut), rename it, then swap the
 //	                        manifest under STORE.lock — the one commit
-//	                        point — and splice the new segment and tail
-//	                        into the live store
+//	                        point — and splice the new segment, tail and
+//	                        sealed end states into the live store
 //	cleanup                 delete the old tail (best effort; a leftover
 //	                        is swept at the next open)
 //
@@ -347,6 +350,7 @@ func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOption
 		}
 	}
 	w.tailBlocks = surviving
+	w.sealedEnd = build.end
 	// The append schedule of every block the segment re-laid is now what a
 	// reopen would replay: the segment's own cadence, then the frames that
 	// survive in the tail.
@@ -392,6 +396,9 @@ type segBuild struct {
 	refs    map[dnswire.Prefix][]blockRef // gathered frame by frame
 	cadence cadence                       // the segment's own rebase schedule
 	idx     *segIndex                     // the index a reload of the image would build
+	// end is the live block states at the cut, decoded from the sealed
+	// tail bytes: the writer's sealed end once the segment commits.
+	end map[dnswire.Prefix]blockState
 	// Frames emitted into the segment vs the original frames sealed out
 	// of the tail — the difference adjusts the store's frame counters.
 	baseFrames, deltaFrames   int
@@ -417,26 +424,26 @@ func (b *segBuild) emit(kind byte, snap int, fe frameEffect) {
 // buildSegment streams the tail span [first, cut] into a segment image:
 // carried-over block states get opening bases, original frames re-encode
 // under the sparser segK cadence, and rebases that change nothing are
-// dropped. Callers hold at least the read lock.
+// dropped. first is w.tailFirst, so the carried-over states are the
+// writer's sealed end. Callers hold at least the read lock.
 func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK int) (*segBuild, error) {
-	// Carried-over states: every block live just before the cut span.
-	running := make(map[dnswire.Prefix]blockState)
-	r := reader{s: s}
-	defer r.release()
-	for _, p := range w.known {
-		seed := writerWalk{w: w, p: p}
-		if err := seed.seed(&r, first-1); err != nil {
-			return nil, err
-		}
-		if len(seed.state.cur) > 0 {
-			running[p] = seed.state.cur
-		}
-	}
+	running := make(map[dnswire.Prefix]blockState, len(w.sealedEnd))
+	maps.Copy(running, w.sealedEnd)
 
+	// The image holds about the span's tail bytes, an opening base for
+	// every block live at its start, and a footer of a few bytes a frame;
+	// a sixteenth more leaves room for the frames' re-encoding, so that
+	// the image is one allocation, not a run of growing copies.
+	size := cutOff + cutOff/16
+	for _, st := range running {
+		size += int64(baseFrameBound(st))
+	}
+	for _, refs := range w.tailBlocks {
+		size += 8 * int64(len(refs))
+	}
 	count := cut - first + 1
 	b := &segBuild{
-		// The span's tail bytes are about what the image will hold.
-		data:    append(make([]byte, 0, cutOff), encodeSegmentHeader(w.id, first, count)...),
+		data:    append(make([]byte, 0, size), encodeSegmentHeader(w.id, first, count)...),
 		refs:    make(map[dnswire.Prefix][]blockRef),
 		cadence: make(cadence),
 	}
@@ -524,5 +531,6 @@ func (s *Store) buildSegment(w *writerState, first, cut int, cutOff int64, segK 
 	b.data = binary.LittleEndian.AppendUint64(b.data, uint64(footerOff))
 	b.data = binary.LittleEndian.AppendUint32(b.data, b.idx.crc)
 	b.data = append(b.data, segTrailerMagic[:]...)
+	b.end = running
 	return b, nil
 }

@@ -142,6 +142,14 @@ type writerState struct {
 	// globalIdx maps local snapshot index -> global snapshot index.
 	globalIdx []int
 	cur       map[dnswire.Prefix]blockState
+	// sealedEnd holds the writer's live block states at local snapshot
+	// tailFirst-1, where its sealed history ends: what its tail continues
+	// from and the next compaction starts from. Open establishes it
+	// (adoptSealed, or replay as it crosses into the tail) and each
+	// compaction commit replaces it with the states its sealing pass ends
+	// in; nil before the writer's first seal. The states are shared, never
+	// modified.
+	sealedEnd map[dnswire.Prefix]blockState
 	// cadence drives the per-block rebase schedule of the writer's appends
 	// (writer-local snapshot indexes).
 	cadence cadence

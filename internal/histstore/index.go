@@ -69,9 +69,19 @@ type tokenPostings struct {
 
 // nameIndex is the full inverted index. Not safe for concurrent use; the
 // Store's lock covers it.
+//
+// Postings are keyed by /24 first: a frame's changes all fall in one /24,
+// so apply finds its block once and then probes one small map per token,
+// where keying by token first costs every token a probe into the whole
+// vocabulary and another into the token's /24s. FindName goes the other
+// way through each token's list of /24s.
 type nameIndex struct {
-	// tokens maps a token to its postings by /24 address.
-	tokens  map[string]map[uint32]*tokenPostings
+	// blocks maps a /24's address to the postings of every token ever
+	// seen in it.
+	blocks map[uint32]map[string]*tokenPostings
+	// addrs lists, per token, the /24s it has postings in, each once, in
+	// the order the postings were made.
+	addrs   map[string]*tokenAddrs
 	scratch []string // add's and remove's token buffer
 	// With track set, touched lists every posting a segment sealed now
 	// could reach: each one changed since the last seal, and each one open
@@ -79,6 +89,13 @@ type nameIndex struct {
 	// (sidecar.go) in O(segment).
 	track   bool
 	touched []touchedPosting
+}
+
+// tokenAddrs is a token's entry in addrs. token is the index's one copy
+// of the token, and keys its postings in every /24.
+type tokenAddrs struct {
+	token string
+	addrs []uint32
 }
 
 // touchedPosting is one entry of the touched list: the posting of token,
@@ -91,7 +108,7 @@ type touchedPosting struct {
 }
 
 func newNameIndex() *nameIndex {
-	return &nameIndex{tokens: make(map[string]map[uint32]*tokenPostings)}
+	return &nameIndex{blocks: make(map[uint32]map[string]*tokenPostings), addrs: make(map[string]*tokenAddrs)}
 }
 
 // appendTokens appends the index tokens of a hostname to dst: the first
@@ -125,50 +142,70 @@ func appendTokens(dst []string, name dnswire.Name) []string {
 	return dst
 }
 
-func (ix *nameIndex) get(token string, p dnswire.Prefix) *tokenPostings {
-	byPrefix, ok := ix.tokens[token]
-	if !ok {
-		byPrefix = make(map[uint32]*tokenPostings)
-		ix.tokens[token] = byPrefix
-	}
-	tp, ok := byPrefix[p.Addr.Uint32()]
-	if !ok {
+// get returns the posting of token in block, the postings of the /24 at
+// addr, making it if there is none.
+func (ix *nameIndex) get(block map[string]*tokenPostings, token string, addr uint32) *tokenPostings {
+	tp := block[token]
+	if tp == nil {
+		ta := ix.addrs[token]
+		if ta == nil {
+			ta = &tokenAddrs{token: strings.Clone(token)}
+			ix.addrs[ta.token] = ta
+		}
+		ta.addrs = append(ta.addrs, addr)
 		tp = &tokenPostings{newest: interval{first: -1}, open: -1}
-		byPrefix[p.Addr.Uint32()] = tp
+		block[ta.token] = tp
 	}
 	if ix.track && !tp.listed {
-		ix.list(token, p, tp)
+		ix.list(token, addr, tp)
 	}
 	return tp
 }
 
-// list puts the posting of token in p on the touched list.
-func (ix *nameIndex) list(token string, p dnswire.Prefix, tp *tokenPostings) {
+// list puts the posting of token in the /24 at addr on the touched list.
+func (ix *nameIndex) list(token string, addr uint32, tp *tokenPostings) {
 	tp.listed = true
-	ix.touched = append(ix.touched, touchedPosting{key: tokenKey(token), token: token, addr: p.Addr.Uint32(), tp: tp})
+	ix.touched = append(ix.touched, touchedPosting{key: tokenKey(token), token: token, addr: addr, tp: tp})
+}
+
+// block returns the postings of the /24 at addr, making the map if the
+// /24 has none yet.
+func (ix *nameIndex) block(addr uint32) map[string]*tokenPostings {
+	block := ix.blocks[addr]
+	if block == nil {
+		block = make(map[string]*tokenPostings)
+		ix.blocks[addr] = block
+	}
+	return block
 }
 
 // apply feeds one frame's changes — block p at snapshot snap — to the
 // index: the one place record transitions become postings.
 func (ix *nameIndex) apply(changes []deltaEntry, p dnswire.Prefix, snap int) {
+	if len(changes) == 0 {
+		return
+	}
+	addr := p.Addr.Uint32()
+	block := ix.block(addr)
 	for _, ch := range changes {
 		switch ch.kind {
 		case scanengine.RecordAdded:
-			ix.add(ch.new, p, snap)
+			ix.add(block, addr, ch.new, snap)
 		case scanengine.RecordRemoved:
-			ix.remove(ch.old, p, snap)
+			ix.remove(block, addr, ch.old, snap)
 		case scanengine.RecordChanged:
-			ix.remove(ch.old, p, snap)
-			ix.add(ch.new, p, snap)
+			ix.remove(block, addr, ch.old, snap)
+			ix.add(block, addr, ch.new, snap)
 		}
 	}
 }
 
-// add records that a hostname carrying the tokens appeared in p at snap.
-func (ix *nameIndex) add(name dnswire.Name, p dnswire.Prefix, snap int) {
+// add records that a hostname carrying the tokens appeared at snap in the
+// /24 at addr, whose postings are block.
+func (ix *nameIndex) add(block map[string]*tokenPostings, addr uint32, name dnswire.Name, snap int) {
 	ix.scratch = appendTokens(ix.scratch[:0], name)
 	for _, token := range ix.scratch {
-		tp := ix.get(token, p)
+		tp := ix.get(block, token, addr)
 		tp.active++
 		if tp.active == 1 && tp.open < 0 {
 			// Seamless re-appearance: a record removed at snap (present
@@ -183,12 +220,13 @@ func (ix *nameIndex) add(name dnswire.Name, p dnswire.Prefix, snap int) {
 	}
 }
 
-// remove records that a hostname carrying the tokens vanished from p at
-// snap (it was last present on snap-1).
-func (ix *nameIndex) remove(name dnswire.Name, p dnswire.Prefix, snap int) {
+// remove records that a hostname carrying the tokens vanished at snap
+// (it was last present on snap-1) from the /24 at addr, whose postings
+// are block.
+func (ix *nameIndex) remove(block map[string]*tokenPostings, addr uint32, name dnswire.Name, snap int) {
 	ix.scratch = appendTokens(ix.scratch[:0], name)
 	for _, token := range ix.scratch {
-		tp := ix.get(token, p)
+		tp := ix.get(block, token, addr)
 		tp.active--
 		if tp.active == 0 && tp.open >= 0 {
 			tp.close(interval{first: tp.open, last: int32(snap - 1)})
@@ -291,19 +329,16 @@ func (ix *nameIndex) sealed(cut int) {
 // interval start. lastSnap closes any open interval at the store's
 // newest snapshot; times translates snapshot indices to instants.
 func (ix *nameIndex) find(token string, lastSnap int, times []time.Time) []Posting {
-	byPrefix, ok := ix.tokens[strings.ToLower(token)]
-	if !ok {
+	ta := ix.addrs[strings.ToLower(token)]
+	if ta == nil {
 		return nil
 	}
-	addrs := make([]uint32, 0, len(byPrefix))
-	for a := range byPrefix {
-		addrs = append(addrs, a)
-	}
+	addrs := slices.Clone(ta.addrs)
 	slices.Sort(addrs)
 	var out []Posting
 	var closed []interval
 	for _, a := range addrs {
-		tp := byPrefix[a]
+		tp := ix.blocks[a][ta.token]
 		p := dnswire.Prefix{Addr: dnswire.IPv4FromUint32(a), Bits: 24}
 		closed = tp.closed(closed[:0])
 		for _, iv := range closed {

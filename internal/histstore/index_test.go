@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/scanengine"
 )
 
 // naivePostings is tokenPostings as it was before closed intervals were
@@ -60,9 +61,9 @@ func TestPackedPostingsMatchNaiveModel(t *testing.T) {
 		model := map[string]map[dnswire.Prefix]*naivePostings{}
 		apply := func(name dnswire.Name, p dnswire.Prefix, snap int, add bool) {
 			if add {
-				ix.add(name, p, snap)
+				ix.apply([]deltaEntry{{kind: scanengine.RecordAdded, new: name}}, p, snap)
 			} else {
-				ix.remove(name, p, snap)
+				ix.apply([]deltaEntry{{kind: scanengine.RecordRemoved, old: name}}, p, snap)
 			}
 			for _, tok := range appendTokens(nil, name) {
 				if model[tok] == nil {
@@ -129,7 +130,7 @@ func TestPackedPostingsMatchNaiveModel(t *testing.T) {
 			sort.Slice(sorted, func(i, j int) bool { return sorted[i].Addr.Uint32() < sorted[j].Addr.Uint32() })
 			for _, p := range sorted {
 				m := byPrefix[p]
-				tp := ix.tokens[tok][p.Addr.Uint32()]
+				tp := ix.blocks[p.Addr.Uint32()][tok]
 				if got := tp.closed(nil); !reflect.DeepEqual(got, m.closed) && len(got)+len(m.closed) > 0 {
 					t.Fatalf("seed %d %q %v: closed %v, model %v", seed, tok, p, got, m.closed)
 				}

@@ -475,12 +475,13 @@ func (ix *nameIndex) join(parts []*segNames, cur map[dnswire.Prefix]blockState, 
 		return ps, int(ps.token) == c.tok
 	}
 	var (
-		runs  []interval
-		posts []*tokenPostings
-		addrs []uint32
-		slab  []tokenPostings
-		bytes []byte // where the packed intervals are cut from
-		open  int    // runs left open that the states have yet to carry
+		runs     []interval
+		posts    []*tokenPostings
+		addrs    []uint32
+		slab     []tokenPostings
+		addrSlab []uint32 // where the tokens' /24 lists are cut from
+		bytes    []byte   // where the packed intervals are cut from
+		open     int      // runs left open that the states have yet to carry
 	)
 	for {
 		token, key, any := "", uint64(0), false
@@ -535,11 +536,17 @@ func (ix *nameIndex) join(parts []*segNames, cur map[dnswire.Prefix]blockState, 
 			bytes = tp.settle(runs, bytes)
 			posts, addrs = append(posts, tp), append(addrs, addr)
 		}
-		byPrefix := make(map[uint32]*tokenPostings, len(posts))
-		for i, tp := range posts {
-			byPrefix[addrs[i]] = tp
+		ta := &tokenAddrs{token: strings.Clone(token)}
+		if cap(addrSlab)-len(addrSlab) < len(addrs) {
+			addrSlab = make([]uint32, 0, max(len(addrs), 1024))
 		}
-		ix.tokens[strings.Clone(token)] = byPrefix
+		n := len(addrSlab)
+		addrSlab = append(addrSlab, addrs...)
+		ta.addrs = addrSlab[n:len(addrSlab):len(addrSlab)]
+		ix.addrs[ta.token] = ta
+		for i, tp := range posts {
+			ix.block(addrs[i])[ta.token] = tp
+		}
 		for i := range curs {
 			if c := &curs[i]; c.on {
 				c.tok++
@@ -548,17 +555,19 @@ func (ix *nameIndex) join(parts []*segNames, cur map[dnswire.Prefix]blockState, 
 	}
 
 	for p, st := range cur {
+		addr := p.Addr.Uint32()
+		block := ix.blocks[addr]
 		for _, e := range st {
 			ix.scratch = appendTokens(ix.scratch[:0], e.Name)
 			for _, token := range ix.scratch {
-				tp := ix.tokens[token][p.Addr.Uint32()]
+				tp := block[token]
 				if tp == nil || tp.open < 0 {
 					return false
 				}
 				if tp.active == 0 {
 					open--
 					if ix.track {
-						ix.list(token, p, tp)
+						ix.list(token, addr, tp)
 					}
 				}
 				tp.active++

@@ -32,12 +32,13 @@ func openReplayed(t *testing.T, dir string, opts ...Option) *Store {
 }
 
 // sameIndex fails unless two name indexes hold the same postings, field
-// by field, packed bytes included. A newest interval that was reopened
-// (first < 0) carries no meaning in its last and is not compared.
+// by field, packed bytes included, and list each token under the same
+// /24s. A newest interval that was reopened (first < 0) carries no
+// meaning in its last and is not compared.
 func sameIndex(t *testing.T, what string, a, b *nameIndex) {
 	t.Helper()
-	if len(a.tokens) != len(b.tokens) {
-		t.Fatalf("%s: %d vs %d tokens", what, len(a.tokens), len(b.tokens))
+	if len(a.blocks) != len(b.blocks) || len(a.addrs) != len(b.addrs) {
+		t.Fatalf("%s: %d vs %d /24s, %d vs %d tokens", what, len(a.blocks), len(b.blocks), len(a.addrs), len(b.addrs))
 	}
 	type view struct {
 		packed     []byte
@@ -56,19 +57,43 @@ func sameIndex(t *testing.T, what string, a, b *nameIndex) {
 		}
 		return v
 	}
-	for tok, pa := range a.tokens {
-		pb := b.tokens[tok]
+	for addr, pa := range a.blocks {
+		pb := b.blocks[addr]
 		if len(pa) != len(pb) {
-			t.Fatalf("%s: token %q in %d vs %d /24s", what, tok, len(pa), len(pb))
+			t.Fatalf("%s: %s holds %d vs %d tokens", what, dnswire.IPv4FromUint32(addr), len(pa), len(pb))
 		}
-		for p, x := range pa {
-			y, ok := pb[p]
+		for tok, x := range pa {
+			y, ok := pb[tok]
 			if !ok {
-				t.Fatalf("%s: token %q in %s on one side only", what, tok, dnswire.IPv4FromUint32(p))
+				t.Fatalf("%s: token %q in %s on one side only", what, tok, dnswire.IPv4FromUint32(addr))
 			}
 			if va, vb := see(x), see(y); !reflect.DeepEqual(va, vb) {
-				t.Fatalf("%s: postings of %q in %s differ:\n %+v\n %+v", what, tok, dnswire.IPv4FromUint32(p), va, vb)
+				t.Fatalf("%s: postings of %q in %s differ:\n %+v\n %+v", what, tok, dnswire.IPv4FromUint32(addr), va, vb)
 			}
+		}
+	}
+	for _, ix := range []*nameIndex{a, b} {
+		for tok, ta := range ix.addrs {
+			if ta.token != tok {
+				t.Fatalf("%s: token %q listed as %q", what, tok, ta.token)
+			}
+			for _, addr := range ta.addrs {
+				if ix.blocks[addr][tok] == nil {
+					t.Fatalf("%s: token %q listed in %s, which holds no posting of it", what, tok, dnswire.IPv4FromUint32(addr))
+				}
+			}
+		}
+	}
+	for tok, ta := range a.addrs {
+		tb := b.addrs[tok]
+		if tb == nil {
+			t.Fatalf("%s: token %q listed on one side only", what, tok)
+		}
+		x, y := slices.Clone(ta.addrs), slices.Clone(tb.addrs)
+		slices.Sort(x)
+		slices.Sort(y)
+		if !slices.Equal(x, y) {
+			t.Fatalf("%s: token %q listed in %d vs %d /24s", what, tok, len(x), len(y))
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"slices"
 	"time"
@@ -413,6 +414,11 @@ func (s *Store) replay(tailsOnly bool) error {
 			return fmt.Errorf("histstore: timeline exceeds %d snapshots", maxSnapshots)
 		}
 		s.commitGroup(w, c.when, c.inTail, c.effects)
+		if len(w.times) == w.tailFirst {
+			// The writer's last sealed snapshot: its states now are the
+			// ones the tail continues from.
+			w.sealedEnd = maps.Clone(w.cur)
+		}
 		if err := c.next(); err != nil {
 			return err
 		}
@@ -427,10 +433,11 @@ func (s *Store) replay(tailsOnly bool) error {
 // block refs, which give the block lists, the cadence and the frame
 // counts. Only the last segment's frames are decoded: it opens with a
 // base of every block live at its start, so it alone holds the states the
-// tail continues from. The name index is joined from the segments'
-// sidecars (sidecar.go); a segment without a usable one is folded from
-// its frames instead, and an owned writer stores the rebuilt sidecar. The
-// tail then replays as it always has.
+// tail continues from, which the writer keeps as its sealed end. The name
+// index is joined from the segments' sidecars (sidecar.go); a segment
+// without a usable one is folded from its frames instead, and an owned
+// writer stores the rebuilt sidecar. The tail then replays as it always
+// has.
 func (s *Store) adoptSealed(w *writerState) error {
 	if len(w.segs) == 0 {
 		return nil
@@ -485,6 +492,7 @@ func (s *Store) adoptSealed(w *writerState) error {
 			}
 		}
 	}
+	w.sealedEnd = maps.Clone(s.cur)
 	for p := range blocks {
 		w.known = append(w.known, p)
 	}

@@ -14,8 +14,10 @@ const (
 	MetricBaseFrames = "hist_base_frames_total"
 	// MetricDeltaFrames counts delta block frames written.
 	MetricDeltaFrames = "hist_delta_frames_total"
-	// MetricReconstructions counts block-state reconstructions that had
-	// to read and decode frames (cache misses do; hits do not).
+	// MetricReconstructions counts query walk seeds that rebuilt a block
+	// state by reading and decoding frames (cache misses do; hits do not).
+	// Compaction and a tail seed that starts where the sealed history ends
+	// read the writer's held sealed end states and count nothing.
 	MetricReconstructions = "hist_reconstructions_total"
 	// MetricCacheHits counts reconstruction-cache hits.
 	MetricCacheHits = "hist_cache_hits_total"

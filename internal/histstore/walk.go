@@ -14,9 +14,11 @@ import (
 // block's state once, at the first snapshot a query needs (from the
 // reconstruction cache, or by replaying from the nearest base), and then
 // moves forward snapshot by snapshot, decoding each frame it passes
-// exactly once. At is a seed alone; Range, Churn and compaction's
-// carried-state pass are a seed plus the frames of their window. Several
-// writers are several walks of the same block, merged by writer priority.
+// exactly once. At is a seed alone; Range and Churn are a seed plus the
+// frames of their window. Several writers are several walks of the same
+// block, merged by writer priority. A tail's frames continue the state
+// the writer's sealed history ends in, which the store holds
+// (writerState.sealedEnd): seeding there is a map read, not a walk.
 //
 // Everything a query reads goes through one reader, which pins each
 // segment it touches once and holds the pin to the end of the query, and
@@ -137,7 +139,8 @@ func lastRefAtOrBefore(refs []blockRef, ls int) int {
 // reconstruct rebuilds a block state from refs[..i] read out of f: the
 // nearest base at or before i plus the deltas in between. A tail run may
 // have no base (it continues the last segment); inTail says refs is one,
-// and the replay then starts from the state the sealed history ends in.
+// and the replay then starts from the held state the sealed history ends
+// in.
 // Results are cached under (writer, block, version snapshot) — the block's
 // newest frame at or before the query — so every seed between two writes
 // of a block shares one entry, and entries survive compaction because a
@@ -162,11 +165,7 @@ func (r *reader) reconstruct(w *writerState, p dnswire.Prefix, refs []blockRef, 
 		if !inTail {
 			return nil, corruptf("block %s has no base frame", p)
 		}
-		prior, err := r.sealedEnd(w, p)
-		if err != nil {
-			return nil, err
-		}
-		st.share(prior)
+		st.share(w.sealedEnd[p])
 		start = 0
 	}
 	s.reconstructions.Add(1)
@@ -181,14 +180,6 @@ func (r *reader) reconstruct(w *writerState, p dnswire.Prefix, refs []blockRef, 
 		s.met.cacheEntries.Set(int64(s.cache.len()))
 	}
 	return st.cur, nil
-}
-
-// sealedEnd is the state of w's block p at the end of w's sealed history:
-// what the tail's frames continue from.
-func (r *reader) sealedEnd(w *writerState, p dnswire.Prefix) (blockState, error) {
-	b := writerWalk{w: w, p: p}
-	err := b.seedSealed(r, w.tailFirst-1)
-	return b.state.cur, err
 }
 
 // writerWalk is one writer's view of one /24 moving forward through the
@@ -231,7 +222,7 @@ func (b *writerWalk) enter(r *reader, src int) error {
 // seed places the walk at local snapshot ls: the block's state there, and
 // the cursor behind the last frame at or before it. A tail run may open
 // with deltas that continue the last segment, so a seed in the tail may
-// have to start from the state the sealed history ends in.
+// start from the held state the sealed history ends in.
 func (b *writerWalk) seed(r *reader, ls int) error {
 	w := b.w
 	if ls < w.tailFirst {
@@ -243,13 +234,11 @@ func (b *writerWalk) seed(r *reader, ls int) error {
 	b.at = ls
 	i := lastRefAtOrBefore(b.refs, ls)
 	b.next = i + 1
-	var st blockState
-	var err error
 	if i < 0 {
-		st, err = r.sealedEnd(w, b.p)
-	} else {
-		st, err = r.reconstruct(w, b.p, b.refs, i, b.f, true)
+		b.state.share(w.sealedEnd[b.p])
+		return nil
 	}
+	st, err := r.reconstruct(w, b.p, b.refs, i, b.f, true)
 	b.state.share(st)
 	return err
 }

@@ -5,9 +5,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 
@@ -15,8 +17,9 @@ import (
 )
 
 // sameStore fails unless the two handles hold the same store: timeline,
-// frame and byte statistics, per-writer layout, append schedule, and the
-// postings of every token either has indexed.
+// frame and byte statistics, per-writer layout, append schedule and
+// sealed end states (a's also against their rebuild), and the postings
+// of every token either has indexed.
 func sameStore(t *testing.T, what string, a, b *Store) {
 	t.Helper()
 	if ta, tb := a.Times(), b.Times(); !reflect.DeepEqual(ta, tb) {
@@ -44,10 +47,14 @@ func sameStore(t *testing.T, what string, a, b *Store) {
 		if ca, cb := a.writers[i].cadence, b.writers[i].cadence; !reflect.DeepEqual(ca, cb) {
 			t.Fatalf("%s: writer %s append schedule differs:\n %v\n %v", what, wa.ID, ca, cb)
 		}
+		if ea, eb := a.writers[i].sealedEnd, b.writers[i].sealedEnd; !maps.EqualFunc(ea, eb, slices.Equal[blockState]) {
+			t.Fatalf("%s: writer %s holds different sealed end states", what, wa.ID)
+		}
 	}
+	checkSealedEnds(t, what, a)
 	tokens := map[string]bool{}
 	for _, st := range []*Store{a, b} {
-		for tok := range st.names.tokens {
+		for tok := range st.names.addrs {
 			tokens[tok] = true
 		}
 	}
