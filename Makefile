@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint deadcheck fmtcheck monitortest vantagetest reportcheck reportcheck-full
+.PHONY: build test bench bench-check perf cover verify race fuzz loadtest replicatest metriclint deadcheck fmtcheck crosscheck monitortest vantagetest reportcheck reportcheck-full
 
 build:
 	$(GO) build ./...
@@ -25,7 +25,10 @@ bench:
 # allocation budgets, which hold on any host; the window queries run a
 # fixed 5000 iterations so those two are exact. BenchmarkUDPSweep, one /24
 # over a loopback socket, is held to its allocs/op, B/op and dials/op only:
-# a socket's ns/op is the host's, so the benchmark reports none.
+# a socket's ns/op is the host's, so the benchmark reports none. Its bytes
+# are the client's (a fresh one per iteration: one socket with its buffers
+# and batch slabs, the windows, the records); the server's batch loop
+# answers into a reused slab and adds nothing per datagram.
 # BenchmarkSimclockChurn (the simulated clock at 16384 pending calls) and
 # BenchmarkProberSweep (one /20 over the study's fabric) are held the same
 # way — allocs/op and B/op, and for the sweep events/op, calls put on the
@@ -133,6 +136,17 @@ deadcheck:
 		echo "deadcheck: delete the code instead of deprecating it"; exit 1; fi
 	$(GO) run ./cmd/deadcheck
 
+# crosscheck type-checks the packages that split by platform, and their
+# callers, for the platforms this host does not build: the recvmmsg/sendmmsg
+# path of internal/udpbatch on linux/arm64 (its syscall numbers and struct
+# layouts) and the one-datagram-per-call fallback on linux/386 and
+# darwin/arm64. It needs no network.
+CROSS_PKGS = ./internal/udpbatch ./internal/dnsserver ./internal/dnsclient
+crosscheck:
+	GOOS=linux GOARCH=arm64 $(GO) vet $(CROSS_PKGS)
+	GOOS=linux GOARCH=386 $(GO) vet $(CROSS_PKGS)
+	GOOS=darwin GOARCH=arm64 $(GO) vet $(CROSS_PKGS)
+
 # fmtcheck keeps the module gofmt-clean: it fails, naming the files, when
 # gofmt would rewrite any Go file under the module root.
 fmtcheck:
@@ -185,8 +199,8 @@ replicatest:
 	$(GO) test -race -count=1 -run 'TestReplicaSoakRace|TestReplicaChaosConvergence' ./internal/replica
 	$(GO) test -count=1 -run 'Fuzz' ./internal/replica
 
-# verify is the pre-merge gate: vet everything, refuse Go files gofmt
-# would rewrite, lint the metric names, refuse deprecation markers and
+# verify is the pre-merge gate: vet everything (and the platform-split
+# packages for other platforms), refuse Go files gofmt would rewrite, lint the metric names, refuse deprecation markers and
 # code no program reaches, run the full
 # test suite with the coverage floors, diff the small-scale report against
 # its committed copy, race-test the internal packages and the query
@@ -195,6 +209,7 @@ replicatest:
 # load.
 verify:
 	$(GO) vet ./...
+	$(MAKE) crosscheck
 	$(MAKE) fmtcheck
 	$(MAKE) metriclint
 	$(MAKE) deadcheck

@@ -12,6 +12,8 @@ import (
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/scanengine"
+	"rdnsprivacy/internal/udpbatch"
 )
 
 // UDPClient is a small synchronous DNS client over real UDP sockets, used by
@@ -55,10 +57,12 @@ const maxIdleSockets = 64
 // udpSock is one pooled socket with the working memory of the lookup that
 // has borrowed it. Nothing a lookup returns aliases the buffers.
 type udpSock struct {
-	conn  net.Conn
+	conn  *net.UDPConn
+	batch *udpbatch.Conn // sends a window's queries in one call
 	ids   *rand.ChaCha8
 	gen   uint64
-	query [1024]byte // the window's queries, back to back
+	query [1024]byte                          // the window's queries, back to back
+	sends [scanengine.Window]udpbatch.Message // this round's queries, pointing into query
 	reply [4096]byte
 }
 
@@ -146,7 +150,13 @@ func (c *UDPClient) borrow() (*udpSock, error) {
 		return nil, fmt.Errorf("dnsclient: dial: %w", err)
 	}
 	c.dials.Add(1)
-	return &udpSock{conn: conn, ids: rand.NewChaCha8(seed), gen: gen}, nil
+	udp := conn.(*net.UDPConn)
+	batch, err := udpbatch.New(udp, scanengine.Window)
+	if err != nil {
+		conn.Close()
+		return nil, fmt.Errorf("dnsclient: dial: %w", err)
+	}
+	return &udpSock{conn: udp, batch: batch, ids: rand.NewChaCha8(seed), gen: gen}, nil
 }
 
 // release ends a borrow. Only a clean socket — every read on it answered
@@ -211,8 +221,9 @@ func (c *UDPClient) exchange(ctx context.Context, probes []probe) {
 
 // roundTrips writes every probe's query, reads replies until each is
 // answered or the deadline passes, and retransmits the unanswered ones, up
-// to retries times. It reports when the first query went out and whether
-// the socket is clean (see release).
+// to retries times. A round's queries go out in one batch; its replies are
+// read one datagram at a time. It reports when the first query went out and
+// whether the socket is clean (see release).
 func (s *udpSock) roundTrips(ctx context.Context, probes []probe, timeout time.Duration, retries int) (started time.Time, clean bool) {
 	pending, off := 0, 0
 	for i := range probes {
@@ -243,16 +254,18 @@ func (s *udpSock) roundTrips(ctx context.Context, probes []probe, timeout time.D
 	started = time.Now()
 	clean = true
 	for attempt := 0; attempt <= retries && pending > 0; attempt++ {
+		sends := s.sends[:0]
 		for i := range probes {
 			p := &probes[i]
 			if p.done {
 				continue
 			}
 			p.attempts++
-			if _, err := s.conn.Write(p.wire); err != nil {
-				fail("write", err)
-				return started, false
-			}
+			sends = append(sends, udpbatch.Message{Buf: p.wire})
+		}
+		if _, err := s.batch.WriteBatch(sends); err != nil {
+			fail("write", err)
+			return started, false
 		}
 		s.conn.SetReadDeadline(time.Now().Add(timeout))
 		if ctx.Err() != nil {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"maps"
 	"net"
-	"net/netip"
 	"sync"
 	"sync/atomic"
 
@@ -13,6 +12,7 @@ import (
 	"rdnsprivacy/internal/fabric"
 	"rdnsprivacy/internal/faultsim"
 	"rdnsprivacy/internal/telemetry"
+	"rdnsprivacy/internal/udpbatch"
 )
 
 // Server is an authoritative DNS server holding any number of zones. The
@@ -154,7 +154,7 @@ func (s *Server) findZone(name []byte) *Zone {
 // and injected drops). It only reads query and does not retain it; the
 // response is a fresh slice the caller owns.
 func (s *Server) HandleQuery(query []byte) []byte {
-	return s.handle(query, 0, false)
+	return s.handle(nil, query, 0, false)
 }
 
 // HandleQueryCorr is HandleQuery for a query that belongs to the causal
@@ -165,15 +165,16 @@ func (s *Server) HandleQuery(query []byte) []byte {
 // joins the server's verdict to the client attempt and fabric hops that
 // delivered it. corr zero behaves exactly like HandleQuery.
 func (s *Server) HandleQueryCorr(query []byte, corr uint64) []byte {
-	return s.handle(query, corr, false)
+	return s.handle(nil, query, corr, false)
 }
 
 // handle is the one responder: it reads the query in place, and writes
 // header, echoed question and the answering zone's records straight into
-// the reply. udp adds the datagram transport's discipline: AXFR is refused
-// outright (RFC 5936 §4.2) and a reply larger than MaxUDPResponse is cut
-// back to header and question with the TC bit set.
-func (s *Server) handle(query []byte, corr uint64, udp bool) []byte {
+// the reply, which it appends to dst (see respond). udp adds the datagram
+// transport's discipline: AXFR is refused outright (RFC 5936 §4.2) and a
+// reply larger than MaxUDPResponse is cut back to header and question with
+// the TC bit set.
+func (s *Server) handle(dst, query []byte, corr uint64, udp bool) []byte {
 	var sp *telemetry.Span
 	if corr != 0 {
 		if tr := s.tracer.Load(); tr != nil {
@@ -182,7 +183,7 @@ func (s *Server) handle(query []byte, corr uint64, udp bool) []byte {
 		}
 	}
 	s.stats.queries.Add(1)
-	reply, rcode := s.respond(query, sp, udp)
+	reply, rcode := s.respond(dst, query, sp, udp)
 	if reply == nil {
 		sp.Event("server", ServerDropped)
 		return nil
@@ -193,9 +194,11 @@ func (s *Server) handle(query []byte, corr uint64, udp bool) []byte {
 
 // respond builds the reply to query, or returns nil when there is none to
 // send. The reply is assembled in a buffer on this frame (only its size is
-// unknown until it is written) and returned as an exact-size copy, the one
-// allocation an answered query costs; nothing returned aliases the frame.
-func (s *Server) respond(query []byte, sp *telemetry.Span, udp bool) ([]byte, dnswire.RCode) {
+// unknown until it is written) and then appended to dst — Serve's slot in
+// its reply slab — or, when dst is nil, returned as an exact-size copy, the
+// one allocation an answered query costs. Nothing returned aliases the
+// frame.
+func (s *Server) respond(dst, query []byte, sp *telemetry.Span, udp bool) ([]byte, dnswire.RCode) {
 	v, err := dnswire.Parse(query)
 	if err != nil {
 		return s.drop(&s.stats.malformed)
@@ -286,7 +289,10 @@ func (s *Server) respond(query []byte, sp *telemetry.Span, udp bool) ([]byte, dn
 			return nil, 0
 		}
 	}
-	return append(make([]byte, 0, len(wire)), wire...), rcode
+	if dst == nil {
+		dst = make([]byte, 0, len(wire))
+	}
+	return append(dst, wire...), rcode
 }
 
 // drop tallies a query that gets no reply.
@@ -310,46 +316,85 @@ func (s *Server) AttachFabric(f *fabric.Fabric, addr fabric.Addr) (*fabric.Endpo
 }
 
 // Serve answers queries on a real packet connection (e.g. a loopback UDP
-// socket) until reading fails. It is used by cmd/simnet to expose simulated
-// networks to real DNS clients such as dig.
+// socket) until reading fails, and returns nil once conn is closed. It is
+// used by cmd/simnet to expose simulated networks to real DNS clients such
+// as dig, and by the socket sweep.
 //
-// On a *net.UDPConn the peer travels as a netip.AddrPort value, so the loop
-// allocates nothing per datagram beyond the reply; any other PacketConn is
-// served through the interface's net.Addr calls.
+// A *net.UDPConn is served in batches: one read drains up to serveBatch
+// queued queries, each is answered into its own slot of a reply slab, and
+// one write sends every reply to its own peer — recvmmsg and sendmmsg on
+// linux/amd64 and linux/arm64, a call per datagram elsewhere (package
+// udpbatch). The peer travels as a netip.AddrPort value, so a datagram
+// costs no allocation. Any other PacketConn is served a datagram at a time
+// through the interface's net.Addr calls, each reply a fresh slice.
 func (s *Server) Serve(conn net.PacketConn) error {
-	buf := make([]byte, 4096)
-	udp, _ := conn.(*net.UDPConn)
+	if udp, ok := conn.(*net.UDPConn); ok {
+		return s.serveBatches(udp)
+	}
+	buf := make([]byte, maxQueryUDP)
 	for {
-		var (
-			n    int
-			peer netip.AddrPort
-			src  net.Addr
-			err  error
-		)
-		if udp != nil {
-			n, peer, err = udp.ReadFromUDPAddrPort(buf)
-		} else {
-			n, src, err = conn.ReadFrom(buf)
-		}
+		n, src, err := conn.ReadFrom(buf)
 		if err == nil {
-			resp := s.HandleQueryUDP(buf[:n])
-			switch {
-			case resp == nil:
-			case udp != nil:
-				_, err = udp.WriteToUDPAddrPort(resp, peer)
-			default:
+			if resp := s.HandleQueryUDP(buf[:n]); resp != nil {
 				_, err = conn.WriteTo(resp, src)
 			}
 		}
 		if err != nil {
-			if isClosed(err) {
-				return nil
-			}
-			return err
+			return served(err)
 		}
 	}
 }
 
-func isClosed(err error) bool {
-	return errors.Is(err, net.ErrClosed)
+const (
+	// maxQueryUDP is the longest query Serve reads; a longer datagram is
+	// cut to it.
+	maxQueryUDP = 4096
+	// serveBatch is how many queued queries one read drains and one write
+	// answers. A loopback sweep keeps a few windows of 16 in flight, so 32
+	// takes a burst whole while the slabs stay at 32 × (4 KiB + 512 B).
+	serveBatch = 32
+	// replySlot is one reply's room in the slab, the classic datagram
+	// limit. A longer reply (an UPDATE's, or under a raised
+	// MaxUDPResponse) grows out of its slot into a slice of its own.
+	replySlot = 512
+)
+
+// serveBatches is Serve's loop on a UDP socket.
+func (s *Server) serveBatches(conn *net.UDPConn) error {
+	bc, err := udpbatch.New(conn, serveBatch)
+	if err != nil {
+		return err
+	}
+	queries := make([]byte, serveBatch*maxQueryUDP)
+	replies := make([]byte, serveBatch*replySlot)
+	in, out := make([]udpbatch.Message, serveBatch), make([]udpbatch.Message, serveBatch)
+	for i := range in {
+		in[i].Buf = queries[i*maxQueryUDP : (i+1)*maxQueryUDP : (i+1)*maxQueryUDP]
+	}
+	for {
+		n, err := bc.ReadBatch(in)
+		if err != nil {
+			return served(err)
+		}
+		m := 0
+		for _, q := range in[:n] {
+			slot := replies[m*replySlot : m*replySlot : (m+1)*replySlot]
+			if resp := s.handle(slot, q.Buf[:q.N], 0, true); resp != nil {
+				out[m] = udpbatch.Message{Buf: resp, Addr: q.Addr}
+				m++
+			}
+		}
+		if _, err := bc.WriteBatch(out[:m]); err != nil {
+			return served(err)
+		}
+	}
+}
+
+// served is what a serve loop that ended on err returns: nil when the
+// socket or listener was closed under it.
+func served(err error) error {
+	if errors.Is(err, net.ErrClosed) {
+		return nil
+	}
+	return err
 }

@@ -33,7 +33,7 @@ func (s *Server) SetTransferPolicy(allow bool) {
 // is refused outright (RFC 5936 §4.2). Both are decided in the responder's
 // one parse of the datagram.
 func (s *Server) HandleQueryUDP(query []byte) []byte {
-	return s.handle(query, 0, true)
+	return s.handle(nil, query, 0, true)
 }
 
 // ServeTCP answers length-framed DNS queries on a stream listener until
@@ -43,10 +43,7 @@ func (s *Server) ServeTCP(l net.Listener) error {
 	for {
 		conn, err := l.Accept()
 		if err != nil {
-			if isClosed(err) {
-				return nil
-			}
-			return err
+			return served(err)
 		}
 		go s.serveTCPConn(conn)
 	}
