@@ -1,8 +1,8 @@
 // Command rdnsvantage runs a seeded multi-vantage scan campaign over a
 // simulated universe and renders the disagreement dashboard: N named
 // vantage points sweep the same address space concurrently — each
-// through its own fault profile, each appending to a shared history
-// store under its own writer id — and the analyzer classifies where
+// through its own fault profile, each appending to a history store of its
+// own — and the analyzer classifies where
 // their views diverge and how well each PTR change is corroborated
 // across them (see docs/campaigns.md).
 //
@@ -12,7 +12,7 @@
 //
 //	rdnsvantage -seed 42 -days 10
 //	rdnsvantage -seed 42 -days 10 -loss 0.2 -lag 0.5
-//	rdnsvantage -days 30 -store campaign.hist   # keep the store for rdnsd
+//	rdnsvantage -days 30 -store campaign   # keep campaign/{alpha,bravo,charlie} for rdnsd
 //	rdnsvantage -json | jq .totals
 //
 // With -min-corroboration the campaign is held to the obs SLO rule: any
@@ -22,8 +22,8 @@
 //
 //	rdnsvantage -seed 42 -days 10 -min-corroboration 0.9 -budget 0.1
 //
-// Everything is deterministic: the same flags reproduce the same store,
-// report, digest, and verdicts bit-for-bit.
+// Everything is deterministic: the same flags reproduce the same
+// stores, report, digest, and verdicts bit-for-bit.
 package main
 
 import (
@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
@@ -56,7 +57,7 @@ func main() {
 	lagWindow := flag.Int("lag-window", 1, "analyzer agreement window in snapshots")
 	filler := flag.Int("filler", 30, "filler /24s in the simulated universe")
 	workers := flag.Int("workers", 4, "snapshot engine workers per vantage")
-	storeDir := flag.String("store", "", "shared history store directory (default: a temp dir, removed on exit); serve a kept store with rdnsd")
+	storeDir := flag.String("store", "", "directory of the vantages' history stores, one per vantage in <dir>/<vantage> (default: a temp dir, removed on exit); serve a kept vantage's store with rdnsd")
 	compactEvery := flag.Int("compact-every", 4, "seal each vantage's tail every N appends (0 = never)")
 	minCorro := flag.Float64("min-corroboration", 0, "SLO floor for each day's mean corroboration (0 = rule off)")
 	budget := flag.Float64("budget", 0, "fraction of days allowed to violate the SLO")
@@ -156,7 +157,7 @@ func run(ctx context.Context, w io.Writer, f campaignFlags) error {
 	}
 	res.Report.Render(w)
 	if f.storeDir != "" {
-		fmt.Fprintf(w, "\nstore kept at %s (serve with: rdnsd -store %s)\n", dir, dir)
+		fmt.Fprintf(w, "\nstores kept at %s/{alpha,bravo,charlie} (serve one with: rdnsd -store %s)\n", dir, filepath.Join(dir, "alpha"))
 	}
 
 	if f.minCorro > 0 {

@@ -19,14 +19,18 @@ import (
 // format did not change, so neither may a byte of these files.
 const goldenStoreDigest = "c79d8ad15f1614bad26bf772cb5e4006e2ca2f236a2784fef0d2bc8564b24455"
 
-// TestGoldenStoreBytes replays a fixed seeded two-writer campaign —
-// rebases every 3 snapshots, a compaction every 13 days with the segment
-// cadence relaxed to 5 — and requires every tail and segment file to be
-// byte-identical to what the recording commit wrote.
+// TestGoldenStoreBytes replays a fixed seeded campaign of two vantages,
+// each into a store of its own — rebases every 3 snapshots, a compaction
+// every 13 days, alpha's with the segment cadence relaxed to 5 — and
+// requires every tail and segment file to be byte-identical to what the
+// recording commit wrote. That commit kept both writers in one directory;
+// a writer's files never depended on the other's, so the digest over the
+// same file names holds for the split stores.
 func TestGoldenStoreBytes(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
+	root := t.TempDir()
+	alphaDir, bravoDir := filepath.Join(root, "alpha"), filepath.Join(root, "bravo")
 	ca, cb := genCampaign(7, 60), genCampaign(107, 60)
-	alpha, err := Open(dir, WithWriter("alpha"), WithBaseInterval(3))
+	alpha, err := Open(alphaDir, WithWriter("alpha"), WithBaseInterval(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,9 +39,9 @@ func TestGoldenStoreBytes(t *testing.T) {
 		if err := alpha.Append(ca.times[day], ca.snaps[day]); err != nil {
 			t.Fatalf("alpha day %d: %v", day, err)
 		}
-		// The second writer is a separate handle, as a second campaign
-		// process would be; its instants interleave with alpha's.
-		bravo, err := Open(dir, WithWriter("bravo"))
+		// bravo is a separate handle each day, as a campaign process
+		// restarted daily would be.
+		bravo, err := Open(bravoDir, WithWriter("bravo"), WithBaseInterval(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,10 +54,8 @@ func TestGoldenStoreBytes(t *testing.T) {
 			}
 		}
 		bravo.Close()
-		// alpha replays bravo's appends only at reopen; reopen so its view
-		// of the merged timeline (and the out-of-order check) keeps up.
 		alpha.Close()
-		if alpha, err = Open(dir, WithWriter("alpha")); err != nil {
+		if alpha, err = Open(alphaDir, WithWriter("alpha")); err != nil {
 			t.Fatal(err)
 		}
 		if day%13 == 12 {
@@ -66,14 +68,18 @@ func TestGoldenStoreBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var names []string
-	for _, e := range entries {
-		if n := e.Name(); strings.HasSuffix(n, ".log") || strings.HasSuffix(n, ".seg") {
-			names = append(names, n)
+	paths := make(map[string]string)
+	for _, dir := range []string{alphaDir, bravoDir} {
+		entries, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range entries {
+			if n := e.Name(); strings.HasSuffix(n, ".log") || strings.HasSuffix(n, ".seg") {
+				names = append(names, n)
+				paths[n] = filepath.Join(dir, n)
+			}
 		}
 	}
 	sort.Strings(names)
@@ -82,7 +88,7 @@ func TestGoldenStoreBytes(t *testing.T) {
 	}
 	h := sha256.New()
 	for _, n := range names {
-		data, err := os.ReadFile(filepath.Join(dir, n))
+		data, err := os.ReadFile(paths[n])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -226,10 +226,10 @@ func TestVantageReplayDeterminism(t *testing.T) {
 }
 
 // TestVantageCampaignRace is the -race battery: three vantage appenders
-// writing the same store concurrently with live per-writer compaction,
-// observer reads hammering the frame ring mid-run, then concurrent
-// disagreement reads (Divergence, per-writer views, a full Analyze) on
-// the reopened store. VerifyNoLeaks proves every goroutine drains.
+// writing their stores concurrently with live compaction, observer reads
+// hammering the frame ring mid-run, then concurrent reads (every block of
+// every vantage, a full Analyze) over the reopened per-vantage stores.
+// VerifyNoLeaks proves every goroutine drains.
 func TestVantageCampaignRace(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
@@ -271,39 +271,34 @@ func TestVantageCampaignRace(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	ro, err := histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(64))
-	if err != nil {
-		t.Fatal(err)
+	stores := make(map[string]*histstore.Store)
+	for _, w := range []string{"alpha", "bravo", "charlie"} {
+		ro, err := histstore.Open(filepath.Join(dir, w), histstore.WithReadOnly(), histstore.WithCache(64))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ro.Close()
+		stores[w] = ro
 	}
-	defer ro.Close()
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			div := ro.Divergence()
-			if len(div.Writers) != 3 {
-				t.Errorf("divergence writers = %d, want 3", len(div.Writers))
-			}
-			for _, w := range []string{"alpha", "bravo", "charlie"} {
-				v, err := ro.WriterView(w)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				times := v.Times()
+			for w, ro := range stores {
+				times := ro.Times()
 				if len(times) != 8 {
-					t.Errorf("writer %s: %d snapshots, want 8", w, len(times))
+					t.Errorf("vantage %s: %d snapshots, want 8", w, len(times))
 					return
 				}
 				for _, p := range ro.Blocks() {
-					if _, err := v.BlockAt(p, times[len(times)-1]); err != nil {
+					if _, err := ro.BlockAt(p, times[len(times)-1]); err != nil {
 						t.Error(err)
 						return
 					}
 				}
 			}
-			rep, err := vantage.Analyze(ro, vantage.Config{LagWindow: 1})
+			rep, err := vantage.Analyze(stores, vantage.Config{LagWindow: 1})
 			if err != nil {
 				t.Error(err)
 				return
@@ -316,25 +311,24 @@ func TestVantageCampaignRace(t *testing.T) {
 	wg.Wait()
 }
 
-// storedDays reads one writer's history back from a store directory:
-// for each of the writer's snapshot instants (Unix seconds), every
-// non-empty block it held then. A writer that never appended has none.
-func storedDays(t *testing.T, dir, writer string) map[int64]map[dnswire.Prefix]map[byte]dnswire.Name {
+// storedDays reads one vantage's history back from its store under dir:
+// for each of its snapshot instants (Unix seconds), every non-empty block
+// it held then. A vantage that never appended has none.
+func storedDays(t *testing.T, dir, vantage string) map[int64]map[dnswire.Prefix]map[byte]dnswire.Name {
 	t.Helper()
-	ro, err := histstore.Open(dir, histstore.WithReadOnly())
+	out := make(map[int64]map[dnswire.Prefix]map[byte]dnswire.Name)
+	ro, err := histstore.Open(filepath.Join(dir, vantage), histstore.WithReadOnly())
+	if errors.Is(err, histstore.ErrNoStore) {
+		return out
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	out := make(map[int64]map[dnswire.Prefix]map[byte]dnswire.Name)
-	v, err := ro.WriterView(writer)
-	if err != nil {
-		return out
-	}
-	for _, at := range v.Times() {
+	for _, at := range ro.Times() {
 		day := make(map[dnswire.Prefix]map[byte]dnswire.Name)
 		for _, p := range ro.Blocks() {
-			b, err := v.BlockAt(p, at)
+			b, err := ro.BlockAt(p, at)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -488,29 +482,15 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkVantageMerge measures the read-side cost of provenance: point
-// queries against a 3-writer merged store versus an equivalent
-// single-writer store over the same universe and day count.
+// BenchmarkVantageMerge measures point queries against a single-vantage
+// campaign's store: what reading one vantage's archive costs.
 func BenchmarkVantageMerge(b *testing.B) {
 	start := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
-	end := start.AddDate(0, 0, 9)
-	buildMulti := func(dir string) {
+	b.Run("solo", func(b *testing.B) {
+		dir := b.TempDir()
 		_, err := vantage.Run(b.Context(), vantage.Campaign{
 			Universe: testUniverse(b, 42),
-			Start:    start, End: end,
-			Cadence:  scan.Daily,
-			Workers:  4,
-			Vantages: threeVantages(42),
-			StoreDir: dir,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-	}
-	buildSolo := func(dir string) {
-		_, err := vantage.Run(b.Context(), vantage.Campaign{
-			Universe: testUniverse(b, 42),
-			Start:    start, End: end,
+			Start:    start, End: start.AddDate(0, 0, 9),
 			Cadence:  scan.Daily,
 			Workers:  4,
 			Vantages: []vantage.Vantage{{Name: "solo", Seed: 43}},
@@ -519,9 +499,7 @@ func BenchmarkVantageMerge(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-	}
-	bench := func(b *testing.B, dir string) {
-		ro, err := histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(4096))
+		ro, err := histstore.Open(filepath.Join(dir, "solo"), histstore.WithReadOnly(), histstore.WithCache(4096))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -537,15 +515,5 @@ func BenchmarkVantageMerge(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	}
-	b.Run("merged3", func(b *testing.B) {
-		dir := b.TempDir()
-		buildMulti(dir)
-		bench(b, dir)
-	})
-	b.Run("solo", func(b *testing.B) {
-		dir := b.TempDir()
-		buildSolo(dir)
-		bench(b, dir)
 	})
 }
