@@ -340,9 +340,9 @@ func main() {
 		go replicaCatchup(ctx, syncer.Sync, srv.Reload, o.replPoll, logf)
 	}
 
-	// Background compaction: periodically seal idle writer tails into
-	// segments while serving continues on the same handle. Writers whose
-	// campaign process is alive are skipped (they hold the tail lock).
+	// Background compaction: periodically seal the writer's tail into a
+	// segment while serving continues on the same handle. A writer whose
+	// campaign process is alive is skipped (it holds the tail lock).
 	if o.compactEvery > 0 {
 		go func() {
 			tick := time.NewTicker(o.compactEvery)
@@ -353,17 +353,14 @@ func main() {
 					return
 				case <-tick.C:
 				}
-				results, err := srv.Compact(ctx)
+				res, err := srv.Compact(ctx)
 				if err != nil {
 					if !errors.Is(err, histstore.ErrCompactBusy) && ctx.Err() == nil {
 						fmt.Fprintf(os.Stderr, "rdnsd: compact: %v\n", err)
 					}
 					continue
 				}
-				for _, res := range results {
-					if res.Skipped != "" {
-						continue
-					}
+				if res.Skipped == "" {
 					fmt.Fprintf(os.Stderr, "rdnsd: compacted writer %s: %d snapshots, %d B -> %d B\n",
 						res.Writer, res.Sealed, res.TailBytes, res.SegmentBytes)
 				}

@@ -115,7 +115,6 @@ func main() {
 	traceOut := flag.String("trace-out", "", "write the sweep span log to this file as JSONL for `experiments -trace`")
 	obsOut := flag.String("obs-out", "", "write one observability frame per sweep to this file as JSONL for `experiments -obs` (see docs/observability.md)")
 	storeOut := flag.String("store", "", "append each sweep's record set to this longitudinal history store, queryable with cmd/rdnsd (see docs/storage.md)")
-	storeWriter := flag.String("store-writer", histstore.DefaultWriter, "writer id for -store appends: each campaign/vantage point appends through its own exclusive tail, merged at read time")
 	flag.Parse()
 
 	client := &dnsclient.UDPClient{Server: *server, Timeout: *timeout, Retries: *retries}
@@ -193,7 +192,7 @@ func main() {
 	var store *histstore.Store
 	if *storeOut != "" {
 		var err error
-		store, err = histstore.Open(*storeOut, histstore.WithWriter(*storeWriter))
+		store, err = histstore.Open(*storeOut)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "store: %v\n", err)
 			os.Exit(1)

@@ -18,8 +18,7 @@ func (s *Store) Append(date time.Time, recs scanengine.RecordSet) error {
 }
 
 // AppendBlocks adds one snapshot, in the packed form a sweep produces, to
-// this store's writer tail. Dates must be strictly increasing across the
-// merged timeline; blocks must be /24s in address order, each one's
+// this store's writer tail. Dates must be strictly increasing; blocks must be /24s in address order, each one's
 // entries in octet order with no octet twice (what scanengine.Pack and a
 // sweep's Snapshot.Blocks hold). Blocks are written as deltas against the
 // writer's previous snapshot, or as fresh bases on first appearance and
@@ -35,10 +34,10 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 	if s.closed {
 		return ErrClosed
 	}
-	if s.readOnly || s.self == nil {
+	if s.readOnly {
 		return ErrReadOnly
 	}
-	w := s.self
+	w := s.w
 	date = date.UTC().Truncate(time.Second)
 	if len(s.times) > 0 && !date.After(s.times[len(s.times)-1]) {
 		return fmt.Errorf("%w: %s is not after %s", ErrOutOfOrder,
@@ -48,15 +47,15 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 		return fmt.Errorf("histstore: timeline is full at %d snapshots", len(s.times))
 	}
 
-	local := len(w.times)
+	snap := len(s.times)
 	base := w.tailSize
 	sc := &w.scratch
-	sc.body = appendSnapBody(sc.body[:0], local, date.Unix())
+	sc.body = appendSnapBody(sc.body[:0], snap, date.Unix())
 	buf := appendFrame(sc.buf[:0], frameSnap, sc.body)
-	// Every block's changes share one arena. A writer's first snapshot
+	// Every block's changes share one arena. A store's first snapshot
 	// adds every record it holds, so that one grows it once, to size.
 	changesArena := sc.changes[:0]
-	if len(w.cur) == 0 {
+	if len(s.cur) == 0 {
 		records := 0
 		for _, b := range blocks {
 			records += len(b.Entries)
@@ -65,10 +64,10 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 	}
 	var plan []frameEffect
 	bases := 0
-	// One walk in address order over the union of the blocks the writer
+	// One walk in address order over the union of the blocks the store
 	// has ever recorded (a superset of its live ones) and the snapshot's:
 	// the log layout, and thus the file bytes, follows it.
-	known := w.known
+	known := s.blocks
 	for i, j := 0, 0; i < len(known) || j < len(blocks); {
 		var (
 			p        dnswire.Prefix
@@ -85,7 +84,7 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 			}
 			j++
 		}
-		old := w.cur[p]
+		old := s.cur[p]
 		if len(old) == 0 && len(newState) == 0 {
 			continue // empty before and after
 		}
@@ -96,7 +95,7 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 		switch {
 		case !isKnown:
 			kind = frameBase
-		case w.cadence.due(p, local, s.baseEvery):
+		case w.cadence.due(p, snap, s.baseEvery):
 			kind = frameBase // compact the delta chain
 		case len(changes) > 0:
 			kind = frameDelta
@@ -105,17 +104,17 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 		}
 		at := len(buf)
 		if kind == frameBase {
-			sc.body = appendBaseBody(sc.body[:0], local, p, newState)
+			sc.body = appendBaseBody(sc.body[:0], snap, p, newState)
 			bases++
 		} else {
-			sc.body = appendDeltaBody(sc.body[:0], local, p, changes)
+			sc.body = appendDeltaBody(sc.body[:0], snap, p, changes)
 		}
 		buf = appendFrame(buf, kind, sc.body)
 		// The state outlives the append as the block's live state: keep a
 		// copy of its own, not the caller's.
 		plan = append(plan, frameEffect{
 			p:       p,
-			ref:     blockRef{snap: local, kind: kind, off: base + int64(at), length: len(buf) - at},
+			ref:     blockRef{snap: snap, kind: kind, off: base + int64(at), length: len(buf) - at},
 			changes: changes,
 			state:   slices.Clone(newState),
 		})
@@ -139,7 +138,7 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 		return fmt.Errorf("histstore: append: %w", err)
 	}
 
-	s.commitGroup(w, date, true, plan)
+	s.commitGroup(date, true, plan)
 	sc.buf, sc.changes = buf[:0], changesArena[:0]
 	w.tailSize += int64(len(buf))
 	s.bytes += int64(len(buf))
@@ -173,7 +172,7 @@ func checkBlocks(blocks scanengine.Blocks) error {
 	return nil
 }
 
-// appendScratch is the buffers a writer's appends reuse, kept between
+// appendScratch is the buffers the writer's appends reuse, kept between
 // them: the group's encoded bytes (written to the tail, then no longer
 // needed), one frame body at a time, and the blocks' changes, which the
 // commit reads and does not keep.

@@ -86,42 +86,6 @@ func applyDelta(dst, st blockState, entries []deltaEntry) blockState {
 	return append(dst, st[i:]...)
 }
 
-// mergeStates appends to dst the priority merge of states: the first state
-// holding an octet wins it. This is the one rule by which writers' claims
-// on an address resolve — live, at replay, and in every query. dst must
-// not share memory with any of states.
-func mergeStates(dst blockState, states []blockState) blockState {
-	switch len(states) {
-	case 0:
-		return dst
-	case 1:
-		return append(dst, states[0]...)
-	}
-	var few [8]int // cursors of a typical writer count stay on the stack
-	pos := few[:]
-	if len(states) > len(few) {
-		pos = make([]int, len(states))
-	}
-	for {
-		best := -1
-		var octet byte
-		for k, st := range states {
-			if pos[k] < len(st) && (best < 0 || st[pos[k]].Octet < octet) {
-				best, octet = k, st[pos[k]].Octet
-			}
-		}
-		if best < 0 {
-			return dst
-		}
-		dst = append(dst, states[best][pos[best]])
-		for k, st := range states {
-			if pos[k] < len(st) && st[pos[k]].Octet == octet {
-				pos[k]++
-			}
-		}
-	}
-}
-
 // evolving is a block state under forward replay. cur is the state; once
 // cur is a buffer the replay itself filled (not a cached or live state
 // others share) the buffer it replaces is recycled as the next

@@ -25,9 +25,8 @@ type blockCache struct {
 const cacheShards = 16
 
 type cacheKey struct {
-	w    int // writer index: states are writer-local before merging
 	p    dnswire.Prefix
-	snap int // writer-local version snapshot (the block's newest frame)
+	snap int // version snapshot (the block's newest frame)
 }
 
 type cacheEntry struct {

@@ -85,30 +85,28 @@ func (c cadence) due(p dnswire.Prefix, snap, every int) bool {
 	return snap-bc.lastBase >= every && bc.deltas > 0
 }
 
-// commitGroup makes one snapshot group of writer w part of the store. The
-// snapshot joins the writer's timeline and the merged one; each frame's
-// effect goes into the live states and the name index (applyFrame), the
-// block lists, the writer's cadence and the frame counters. inTail says
-// the frames sit in w's tail, whose block index then gains their refs — a
-// segment's index is its footer. Callers hold the write lock (or, during
-// Open, the only reference) and have checked that the snapshot follows
-// its predecessors and the timeline has room.
-func (s *Store) commitGroup(w *writerState, when time.Time, inTail bool, effects []frameEffect) {
-	local, gi := len(w.times), len(s.times)
+// commitGroup makes one snapshot group part of the store. The snapshot
+// joins the timeline; each frame's effect goes into the live states and
+// the name index — the transition Append and replay both run, which is
+// what makes reopen bit-identical — and into the block list, the writer's
+// cadence and the frame counters. inTail says the frames sit in the
+// writer's tail, whose block index then gains their refs — a segment's
+// index is its footer. Callers hold the write lock (or, during Open, the
+// only reference) and have checked that the snapshot follows its
+// predecessors and the timeline has room.
+func (s *Store) commitGroup(when time.Time, inTail bool, effects []frameEffect) {
+	w := s.w
+	snap := len(s.times)
 	s.times = append(s.times, when)
-	s.snapWriter = append(s.snapWriter, w.idx)
-	s.snapLocal = append(s.snapLocal, local)
-	w.times = append(w.times, when)
-	w.globalIdx = append(w.globalIdx, gi)
 	for i := range effects {
 		fe := &effects[i]
 		if inTail {
 			w.tailBlocks[fe.p] = append(w.tailBlocks[fe.p], fe.ref)
 		}
-		w.known.add(fe.p)
 		s.blocks.add(fe.p)
-		s.applyFrame(w, gi, fe.p, fe.changes, fe.state)
-		w.cadence.note(fe.p, local, fe.ref.kind)
+		setState(s.cur, fe.p, fe.state)
+		s.names.apply(fe.changes, fe.p, snap)
+		w.cadence.note(fe.p, snap, fe.ref.kind)
 		if fe.ref.kind == frameBase {
 			s.baseFrames++
 		} else {

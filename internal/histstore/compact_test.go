@@ -11,53 +11,8 @@ import (
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
-	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/testutil"
 )
-
-// mergeCampaigns builds the ground-truth merged view of several writers'
-// campaigns: the global timeline is every writer's instants sorted, and
-// the state at each instant is the per-IP first-setter-wins merge, in
-// writer-id order, of each writer's latest snapshot at or before it.
-// Callers pass the campaigns sorted by writer id and must use distinct
-// instants across writers (equal instants are legal in the store but
-// make the intermediate global snapshot ambiguous for Range).
-func mergeCampaigns(blocks []dnswire.Prefix, byID ...*campaign) *campaign {
-	type ev struct {
-		t time.Time
-		w int
-	}
-	var evs []ev
-	for wi, c := range byID {
-		for _, tm := range c.times {
-			evs = append(evs, ev{tm, wi})
-		}
-	}
-	sort.Slice(evs, func(i, j int) bool {
-		if !evs[i].t.Equal(evs[j].t) {
-			return evs[i].t.Before(evs[j].t)
-		}
-		return evs[i].w < evs[j].w
-	})
-	m := &campaign{blocks: blocks}
-	for _, e := range evs {
-		snap := scanengine.RecordSet{}
-		for _, c := range byID {
-			i, ok := c.snapAtOrBefore(e.t)
-			if !ok {
-				continue
-			}
-			for ip, name := range c.snaps[i] {
-				if _, taken := snap[ip]; !taken {
-					snap[ip] = name
-				}
-			}
-		}
-		m.times = append(m.times, e.t)
-		m.snaps = append(m.snaps, snap)
-	}
-	return m
-}
 
 // assertCleanDir checks that every file in the store directory is either
 // store metadata or referenced by the manifest — no leaked temp files or
@@ -72,14 +27,11 @@ func assertCleanDir(t *testing.T, dir string) {
 	if m == nil {
 		t.Fatal("store has no manifest")
 	}
-	referenced := map[string]bool{manifestName: true, storeLockName: true}
-	for _, w := range m.writers {
-		referenced[w.tailFile] = true
-		referenced["tail-"+w.id+".lock"] = true
-		for _, g := range w.segs {
-			referenced[g.file] = true
-			referenced[SidecarName(g.file)] = true
-		}
+	w := m.writer
+	referenced := map[string]bool{manifestName: true, storeLockName: true, w.tailFile: true, "tail-" + w.id + ".lock": true}
+	for _, g := range w.segs {
+		referenced[g.file] = true
+		referenced[SidecarName(g.file)] = true
 	}
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -315,133 +267,9 @@ func TestCompactionCrashPoints(t *testing.T) {
 	}
 }
 
-// TestMultiWriterMerge: two vantage-point writers interleave appends into
-// one store; the merged timeline, priority-merged states, provenance,
-// and all four query APIs match the brute-force merged oracle — before
-// and after compacting both writers, and across a reopen.
-func TestMultiWriterMerge(t *testing.T) {
-	// Seeds 21 and 221 generate identical block sets (same seed mod 100
-	// and mod 200), so the writers genuinely fight over addresses.
-	ca := genCampaign(21, 40)
-	cb := genCampaign(221, 40)
-	// Distinct instants: alpha scans at 06:00, beta at 06:30.
-	for i := range cb.times {
-		cb.times[i] = cb.times[i].Add(30 * time.Minute)
-	}
-	merged := mergeCampaigns(ca.blocks, ca, cb)
-
-	path := filepath.Join(t.TempDir(), "hist")
-	alpha, err := Open(path, WithWriter("alpha"), WithBaseInterval(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	beta, err := Open(path, WithWriter("beta"), WithBaseInterval(5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := alpha.Append(ca.times[i], ca.snaps[i]); err != nil {
-			t.Fatalf("alpha day %d: %v", i, err)
-		}
-		if err := beta.Append(cb.times[i], cb.snaps[i]); err != nil {
-			t.Fatalf("beta day %d: %v", i, err)
-		}
-	}
-
-	// Compacting a writer whose owner is alive fails loudly with the
-	// lock error; compacting one's own tail works in place.
-	if _, err := beta.CompactWriter(context.Background(), "alpha", CompactOptions{}); !errors.Is(err, ErrWriterActive) {
-		t.Fatalf("compacting a live foreign writer: %v, want ErrWriterActive", err)
-	}
-	if res, err := beta.CompactWriter(context.Background(), "beta", CompactOptions{}); err != nil || res.Sealed != 40 {
-		t.Fatalf("beta self-compact: %+v, %v", res, err)
-	}
-	if err := alpha.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := beta.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A read-only observer sees the merged truth.
-	ro, err := Open(path, WithReadOnly(), WithCache(128))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ro.Len() != 80 {
-		t.Fatalf("merged Len = %d, want 80", ro.Len())
-	}
-	if ws := ro.Writers(); len(ws) != 2 || ws[0] != "alpha" || ws[1] != "beta" {
-		t.Fatalf("writers: %+v", ws)
-	}
-	for _, w := range ro.Stats().Writers {
-		if w.Owned {
-			t.Fatalf("read-only store owns writer %q", w.ID)
-		}
-	}
-	verifyStore(t, ro, merged, splitmix(10))
-
-	// Provenance: AtWriter names the writer whose record won the merge.
-	seen := map[string]bool{}
-	for i := 0; i < 200; i++ {
-		rng := splitmix(uint64(i) + 77)
-		b := merged.blocks[rng()%3]
-		ip := dnswire.IPv4{b.Addr[0], b.Addr[1], b.Addr[2], byte(rng() % 40)}
-		when := merged.times[rng()%uint64(len(merged.times))]
-		name, writer, ok, err := ro.AtWriter(ip, when)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			continue
-		}
-		seen[writer] = true
-		wantName, wantOK, _ := merged.bruteAt(ip, when)
-		if !wantOK || name != wantName {
-			t.Fatalf("AtWriter(%s, %s) = (%q, %s), oracle (%q, %v)", ip, when, name, writer, wantName, wantOK)
-		}
-		// The claimed writer really holds that record at that instant.
-		wc := ca
-		if writer == "beta" {
-			wc = cb
-		}
-		if n, ok, _ := wc.bruteAt(ip, when); !ok || n != name {
-			t.Fatalf("AtWriter attributed %s to %s, which holds (%q, %v)", ip, writer, n, ok)
-		}
-	}
-	if !seen["alpha"] || !seen["beta"] {
-		t.Fatalf("provenance sampling never saw both writers: %v", seen)
-	}
-	if err := ro.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Re-own alpha, compact the remaining uncompacted tail, reopen, and
-	// the merged answers still hold.
-	alpha, err = Open(path, WithWriter("alpha"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := alpha.CompactWriter(context.Background(), "alpha", CompactOptions{}); err != nil || res.Sealed != 40 {
-		t.Fatalf("alpha compact: %+v, %v", res, err)
-	}
-	verifyStore(t, alpha, merged, splitmix(11))
-	if err := alpha.Close(); err != nil {
-		t.Fatal(err)
-	}
-	ro, err = Open(path, WithReadOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ro.Close()
-	verifyStore(t, ro, merged, splitmix(12))
-	assertCleanDir(t, path)
-}
-
-// TestWriterLock: the advisory tail lock makes the old latent
-// single-writer assumption loud — a second Open of the same writer id
-// fails with ErrWriterActive instead of silently corrupting the tail,
-// while distinct writers and read-only opens coexist freely.
+// TestWriterLock: the advisory tail lock makes the single-writer rule
+// loud — a second Open of the writer fails with ErrWriterActive instead
+// of silently corrupting the tail, while read-only opens coexist freely.
 func TestWriterLock(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "hist")
 	st, err := Open(path)
@@ -456,11 +284,6 @@ func TestWriterLock(t *testing.T) {
 	if _, err := Open(path); !errors.Is(err, ErrWriterActive) {
 		t.Fatalf("second open of writer %q: %v, want ErrWriterActive", DefaultWriter, err)
 	}
-	other, err := Open(path, WithWriter("other"))
-	if err != nil {
-		t.Fatalf("distinct writer blocked: %v", err)
-	}
-	other.Close()
 	ro, err := Open(path, WithReadOnly())
 	if err != nil {
 		t.Fatalf("read-only open blocked: %v", err)
@@ -705,62 +528,41 @@ func TestLegacySingleFileRejected(t *testing.T) {
 	}
 }
 
-// TestCompactAllWriters: the sweep variant compacts every idle writer
-// and records per-writer skip reasons for the rest.
-func TestCompactAllWriters(t *testing.T) {
-	ca := genCampaign(41, 12)
-	cb := genCampaign(241, 12)
-	for i := range cb.times {
-		cb.times[i] = cb.times[i].Add(30 * time.Minute)
-	}
+// TestCompactSkipsActiveWriter: Compact from a handle that is not the
+// writer records a skip while the writer's process holds the tail lock,
+// and seals in place once it is released; CompactWriter fails on the
+// lock instead, and refuses any writer but the store's own.
+func TestCompactSkipsActiveWriter(t *testing.T) {
+	c := genCampaign(41, 12)
 	path := filepath.Join(t.TempDir(), "hist")
-	alpha, err := Open(path, WithWriter("alpha"), WithBaseInterval(4))
+	st, err := Open(path, WithWriter("alpha"), WithBaseInterval(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	beta, err := Open(path, WithWriter("beta"), WithBaseInterval(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 12; i++ {
-		if err := alpha.Append(ca.times[i], ca.snaps[i]); err != nil {
-			t.Fatal(err)
-		}
-		if err := beta.Append(cb.times[i], cb.snaps[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	alpha.Close()
-
-	// beta sweeps: its own tail seals; alpha, opened before beta and
-	// already released, is visible only as of beta's open (empty) and is
-	// skipped as too small.
-	results, err := beta.Compact(context.Background(), CompactOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(results) != 2 {
-		t.Fatalf("results: %+v", results)
-	}
-	byWriter := map[string]CompactResult{}
-	for _, r := range results {
-		byWriter[r.Writer] = r
-	}
-	if r := byWriter["beta"]; r.Sealed != 12 || r.Skipped != "" {
-		t.Fatalf("beta result: %+v", r)
-	}
-	if r := byWriter["alpha"]; r.Skipped == "" {
-		t.Fatalf("alpha result: %+v, want skipped", r)
-	}
-	beta.Close()
-
-	merged := mergeCampaigns(ca.blocks, ca, cb)
+	c.append(t, st)
 	ro, err := Open(path, WithReadOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	verifyStore(t, ro, merged, splitmix(14))
+	res, err := ro.Compact(context.Background(), CompactOptions{})
+	if err != nil || res.Writer != "alpha" || res.Sealed != 0 || res.Skipped == "" {
+		t.Fatalf("compacting a live writer's store: %+v, %v; want a skip", res, err)
+	}
+	if _, err := ro.CompactWriter(context.Background(), "alpha", CompactOptions{}); !errors.Is(err, ErrWriterActive) {
+		t.Fatalf("CompactWriter of a live writer: %v, want ErrWriterActive", err)
+	}
+	var we *WriterError
+	if _, err := st.CompactWriter(context.Background(), "beta", CompactOptions{}); !errors.As(err, &we) || we.Writer != "alpha" {
+		t.Fatalf("CompactWriter of another writer: %v, want a *WriterError naming alpha", err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if res, err = ro.Compact(context.Background(), CompactOptions{}); err != nil || res.Sealed != 12 || res.Skipped != "" {
+		t.Fatalf("compacting a released writer's store: %+v, %v", res, err)
+	}
+	verifyStore(t, ro, c, splitmix(14))
 }
 
 // TestColdSegmentCorruptionAtLoad pins the lazy-load failure mode: a
@@ -831,8 +633,8 @@ func TestColdSegmentCorruptionAtLoad(t *testing.T) {
 	}
 }
 
-// TestCompactCanceledContext: the sweep checks its context between
-// writers and returns promptly once canceled, leaving the store intact.
+// TestCompactCanceledContext: a compaction checks its context before it
+// starts and returns promptly once canceled, leaving the store intact.
 func TestCompactCanceledContext(t *testing.T) {
 	dir := t.TempDir() + "/hist"
 	st, err := Open(dir, WithBaseInterval(3))
@@ -849,7 +651,7 @@ func TestCompactCanceledContext(t *testing.T) {
 	}
 	// The store is unharmed: a live context seals as usual.
 	res, err := st.Compact(context.Background(), CompactOptions{})
-	if err != nil || len(res) != 1 || res[0].Sealed != 8 {
+	if err != nil || res.Sealed != 8 {
 		t.Fatalf("post-cancel sweep: %+v err=%v", res, err)
 	}
 }

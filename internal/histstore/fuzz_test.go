@@ -122,28 +122,19 @@ func checkOctetOrder(t *testing.T, n int, octet func(int) byte) {
 // FuzzSegmentManifest fuzzes the store manifest codec: the manifest is
 // the store's single commit point, so a damaged one must be rejected
 // with an error — never a panic, never a half-trusted layout. Accepted
-// manifests must satisfy every structural invariant (sorted unique
-// writers, tiling segments, valid file names) and re-encode to the
-// exact bytes that were accepted.
+// manifests must satisfy every structural invariant (one writer, tiling
+// segments, valid file names) and re-encode to the exact bytes that
+// were accepted.
 func FuzzSegmentManifest(f *testing.F) {
-	// A store as compaction leaves it: two writers, sealed segments, a
-	// restarted tail.
-	m := &storeManifest{
-		baseEvery: 7,
-		writers: []manifestWriter{
-			{id: "alpha", fileSeq: 4, tailFile: "tail-alpha-3.log", tailFirst: 30, segs: []manifestSegment{
-				{file: "seg-alpha-1.seg", first: 0, count: 15},
-				{file: "seg-alpha-2.seg", first: 15, count: 15},
-			}},
-			{id: "beta", fileSeq: 1, tailFile: "tail-beta-0.log", tailFirst: 0},
-		},
-	}
-	good := encodeManifest(m)
+	// A store as compaction leaves it: sealed segments, a restarted tail.
+	alpha := manifestWriter{id: "alpha", fileSeq: 4, tailFile: "tail-alpha-3.log", tailFirst: 30, segs: []manifestSegment{
+		{file: "seg-alpha-1.seg", first: 0, count: 15},
+		{file: "seg-alpha-2.seg", first: 15, count: 15},
+	}}
+	good := encodeManifest(&storeManifest{baseEvery: 7, writer: alpha})
 	f.Add(good)
-	// A fresh single-writer store.
-	f.Add(encodeManifest(&storeManifest{baseEvery: 7, writers: []manifestWriter{
-		{id: "main", fileSeq: 1, tailFile: "tail-main-0.log"},
-	}}))
+	// A fresh store.
+	f.Add(encodeManifest(&storeManifest{baseEvery: 7, writer: manifestWriter{id: "main", fileSeq: 1, tailFile: "tail-main-0.log"}}))
 	// Truncations and bit flips at interesting depths.
 	f.Add(good[:8])
 	f.Add(good[:len(good)/2])
@@ -154,19 +145,17 @@ func FuzzSegmentManifest(f *testing.F) {
 		f.Add(bad)
 	}
 	// Unsorted writers and a non-tiling segment chain (CRC-valid).
-	f.Add(encodeManifest(&storeManifest{baseEvery: 7, writers: []manifestWriter{
-		{id: "zeta", fileSeq: 1, tailFile: "tail-zeta-0.log"},
-		{id: "alpha", fileSeq: 1, tailFile: "tail-alpha-0.log"},
-	}}))
-	f.Add(encodeManifest(&storeManifest{baseEvery: 7, writers: []manifestWriter{
-		{id: "a", fileSeq: 3, tailFile: "tail-a-2.log", tailFirst: 99, segs: []manifestSegment{
+	f.Add(encodeManifestOf(7,
+		manifestWriter{id: "zeta", fileSeq: 1, tailFile: "tail-zeta-0.log"},
+		manifestWriter{id: "alpha", fileSeq: 1, tailFile: "tail-alpha-0.log"}))
+	f.Add(encodeManifest(&storeManifest{baseEvery: 7, writer: manifestWriter{
+		id: "a", fileSeq: 3, tailFile: "tail-a-2.log", tailFirst: 99, segs: []manifestSegment{
 			{file: "seg-a-1.seg", first: 5, count: 10},
-		}},
-	}}))
+		}}}))
 	// A path-traversal file name (CRC-valid).
-	f.Add(encodeManifest(&storeManifest{baseEvery: 7, writers: []manifestWriter{
-		{id: "a", fileSeq: 1, tailFile: "../../etc/passwd"},
-	}}))
+	f.Add(encodeManifest(&storeManifest{baseEvery: 7, writer: manifestWriter{id: "a", fileSeq: 1, tailFile: "../../etc/passwd"}}))
+	// Two well-formed writers (CRC-valid): a second writer, refused.
+	f.Add(encodeManifestOf(7, alpha, manifestWriter{id: "beta", fileSeq: 1, tailFile: "tail-beta-0.log"}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeManifest(data)
@@ -176,29 +165,25 @@ func FuzzSegmentManifest(f *testing.F) {
 		if m.baseEvery <= 0 {
 			t.Fatalf("accepted manifest with base interval %d", m.baseEvery)
 		}
-		for i, w := range m.writers {
-			if !validWriterID(w.id) {
-				t.Fatalf("accepted invalid writer id %q", w.id)
+		w := m.writer
+		if !validWriterID(w.id) {
+			t.Fatalf("accepted invalid writer id %q", w.id)
+		}
+		if !validStoreFileName(w.tailFile) {
+			t.Fatalf("accepted tail file name %q", w.tailFile)
+		}
+		next := 0
+		for _, g := range w.segs {
+			if !validStoreFileName(g.file) {
+				t.Fatalf("accepted segment file name %q", g.file)
 			}
-			if i > 0 && m.writers[i-1].id >= w.id {
-				t.Fatalf("accepted unsorted writers %q >= %q", m.writers[i-1].id, w.id)
+			if g.first != next || g.count <= 0 {
+				t.Fatalf("accepted non-tiling segment chain: %+v", w.segs)
 			}
-			if !validStoreFileName(w.tailFile) {
-				t.Fatalf("accepted tail file name %q", w.tailFile)
-			}
-			next := 0
-			for _, g := range w.segs {
-				if !validStoreFileName(g.file) {
-					t.Fatalf("accepted segment file name %q", g.file)
-				}
-				if g.first != next || g.count <= 0 {
-					t.Fatalf("accepted non-tiling segment chain: %+v", w.segs)
-				}
-				next = g.first + g.count
-			}
-			if w.tailFirst != next {
-				t.Fatalf("accepted tail first %d after segments end at %d", w.tailFirst, next)
-			}
+			next = g.first + g.count
+		}
+		if w.tailFirst != next {
+			t.Fatalf("accepted tail first %d after segments end at %d", w.tailFirst, next)
 		}
 		// Round trip: an accepted manifest re-encodes byte-identically,
 		// so rewriting a manifest can never drift the layout.
@@ -406,7 +391,7 @@ func FuzzDecodeSidecar(f *testing.F) {
 	if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{MinSeal: 1}); err != nil {
 		f.Fatal(err)
 	}
-	g := st.writers[0].segs[0]
+	g := st.w.segs[0]
 	id := g.identity()
 	st.Close()
 	real, err := os.ReadFile(SidecarName(g.path))

@@ -21,11 +21,10 @@ import (
 // Postings are maintained incrementally from the same add/remove/change
 // transitions that feed the log: a token's interval opens the first
 // snapshot a record carrying it appears in a /24 and closes the snapshot
-// before the last such record vanishes. Reopening a store replays the
-// log through the identical transition code — or, for a single writer's
-// sealed segments, joins the per-segment sidecars that code produced
-// (sidecar.go) — so the rebuilt index is bit-identical to the one the
-// writer held.
+// before the last such record vanishes. Reopening a store joins the
+// per-segment sidecars that code produced for the sealed history
+// (sidecar.go) and replays the tail through the identical transition
+// code, so the rebuilt index is bit-identical to the one the writer held.
 
 // Posting is one FindName result: the token was present in Prefix on
 // every snapshot from First through Last inclusive.
@@ -35,7 +34,7 @@ type Posting struct {
 	Last   time.Time
 }
 
-// maxSnapshots bounds the merged timeline so a snapshot index fits the 32
+// maxSnapshots bounds the timeline so a snapshot index fits the 32
 // bits a posting keeps of it. Closed postings are most of what a long
 // campaign's store holds in memory, and the timeline itself (resident, 24
 // bytes a snapshot) runs out of memory long before it runs out of indexes.
@@ -83,11 +82,9 @@ type nameIndex struct {
 	// the order the postings were made.
 	addrs   map[string]*tokenAddrs
 	scratch []string // add's and remove's token buffer
-	// With track set, touched lists every posting a segment sealed now
-	// could reach: each one changed since the last seal, and each one open
-	// at it. A single-writer store tracks them to write its sidecars
-	// (sidecar.go) in O(segment).
-	track   bool
+	// touched lists every posting a segment sealed now could reach: each
+	// one changed since the last seal, and each one open at it, so that a
+	// sidecar (sidecar.go) is written in O(segment).
 	touched []touchedPosting
 }
 
@@ -156,7 +153,7 @@ func (ix *nameIndex) get(block map[string]*tokenPostings, token string, addr uin
 		tp = &tokenPostings{newest: interval{first: -1}, open: -1}
 		block[ta.token] = tp
 	}
-	if ix.track && !tp.listed {
+	if !tp.listed {
 		ix.list(token, addr, tp)
 	}
 	return tp

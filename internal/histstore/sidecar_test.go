@@ -184,26 +184,25 @@ func checkSidecarsFolded(t *testing.T, what, dir string) {
 	if err != nil || m == nil {
 		t.Fatalf("%s: manifest: %v", what, err)
 	}
-	for _, w := range m.writers {
-		for _, ms := range w.segs {
-			path := filepath.Join(dir, ms.file)
-			f, size, seq, err := openSegmentFile(path, w.id, ms.first, ms.count)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sn, err := foldSegment(seq, ms.first, ms.count)
-			f.Close()
-			if err != nil {
-				t.Fatalf("%s: folding %s: %v", what, ms.file, err)
-			}
-			folded := sn.encode(segIdentity{writer: w.id, first: ms.first, count: ms.count, size: size, crc: seq.idx.crc})
-			written, err := os.ReadFile(SidecarName(path))
-			if err != nil {
-				t.Fatalf("%s: %v", what, err)
-			}
-			if !bytes.Equal(written, folded) {
-				t.Fatalf("%s: sidecar of %s (%d bytes) is not its segment's fold (%d bytes)", what, ms.file, len(written), len(folded))
-			}
+	w := m.writer
+	for _, ms := range w.segs {
+		path := filepath.Join(dir, ms.file)
+		f, size, seq, err := openSegmentFile(path, w.id, ms.first, ms.count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sn, err := foldSegment(seq, ms.first, ms.count)
+		f.Close()
+		if err != nil {
+			t.Fatalf("%s: folding %s: %v", what, ms.file, err)
+		}
+		folded := sn.encode(segIdentity{writer: w.id, first: ms.first, count: ms.count, size: size, crc: seq.idx.crc})
+		written, err := os.ReadFile(SidecarName(path))
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if !bytes.Equal(written, folded) {
+			t.Fatalf("%s: sidecar of %s (%d bytes) is not its segment's fold (%d bytes)", what, ms.file, len(written), len(folded))
 		}
 	}
 }
@@ -372,10 +371,10 @@ func TestSidecarDamageFallsBack(t *testing.T) {
 				dir := filepath.Join(t.TempDir(), "hist")
 				sealedStore(t, dir, c)
 				m, err := readManifest(dir)
-				if err != nil || len(m.writers[0].segs) != 4 {
+				if err != nil || len(m.writer.segs) != 4 {
 					t.Fatalf("store layout: %v", err)
 				}
-				segs := m.writers[0].segs
+				segs := m.writer.segs
 				path := SidecarName(filepath.Join(dir, segs[which].file))
 				damage(t, path, SidecarName(filepath.Join(dir, segs[which-1].file)))
 				damaged, _ := os.ReadFile(path)
@@ -401,78 +400,6 @@ func TestSidecarDamageFallsBack(t *testing.T) {
 				st.Close()
 				checkSidecarsFolded(t, name+": after the writer's open", dir)
 			})
-		}
-	}
-}
-
-// TestSidecarsIgnoredOnceMultiWriter: a store that gains a second writer
-// after its first wrote sidecars replays every frame — the merged view's
-// index is no union of per-writer postings — so even sidecars that lie
-// are ignored, and no compaction of a multi-writer store writes one.
-func TestSidecarsIgnoredOnceMultiWriter(t *testing.T) {
-	c := genCampaign(81, 36)
-	dir := filepath.Join(t.TempDir(), "hist")
-	sealedStore(t, dir, c)
-	m, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Valid for their segments, but empty: adopted, they would lose every
-	// posting the sealed history holds.
-	lying := make(map[string]bool)
-	for _, ms := range m.writers[0].segs {
-		lying[ms.file] = true
-		path := filepath.Join(dir, ms.file)
-		f, size, seq, err := openSegmentFile(path, DefaultWriter, ms.first, ms.count)
-		if err != nil {
-			t.Fatal(err)
-		}
-		f.Close()
-		lie := (&segNames{}).encode(segIdentity{writer: DefaultWriter, first: ms.first, count: ms.count, size: size, crc: seq.idx.crc})
-		if err := os.WriteFile(SidecarName(path), lie, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	other := genCampaign(281, 10)
-	beta, err := Open(dir, WithWriter("beta"), WithBaseInterval(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range other.snaps {
-		if err := beta.Append(other.times[i].AddDate(0, 2, 0), other.snaps[i]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range []string{"beta", DefaultWriter} {
-		if res, err := beta.CompactWriter(context.Background(), id, CompactOptions{MinSeal: 1}); err != nil || res.Skipped != "" {
-			t.Fatalf("compact %s: %+v, %v", id, res, err)
-		}
-	}
-	beta.Close()
-
-	got, err := Open(dir, WithReadOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer got.Close()
-	want := openReplayed(t, dir, WithReadOnly())
-	defer want.Close()
-	sameStore(t, "two writers", got, want)
-	sameIndex(t, "two writers", got.names, want.names)
-	sameAnswers(t, "two writers", got, want)
-	if len(got.FindName("brian")) == 0 {
-		t.Fatal("FindName lost the sealed history: the lying sidecars were adopted")
-	}
-	after, err := readManifest(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, w := range after.writers {
-		for _, ms := range w.segs {
-			if _, err := os.Stat(SidecarName(filepath.Join(dir, ms.file))); !lying[ms.file] && !os.IsNotExist(err) {
-				t.Errorf("multi-writer compaction wrote a sidecar for %s (%v)", ms.file, err)
-			}
 		}
 	}
 }
@@ -555,7 +482,7 @@ func TestSidecarDisagreeingWithStatesRefolds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs := m.writers[0].segs
+	segs := m.writer.segs
 	last := segs[len(segs)-1]
 	path := filepath.Join(dir, last.file)
 	f, size, seq, err := openSegmentFile(path, DefaultWriter, last.first, last.count)
@@ -589,7 +516,7 @@ func TestWriteSegmentSidecar(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g := m.writers[0].segs[1]
+	g := m.writer.segs[1]
 	path := filepath.Join(dir, g.file)
 	written, err := os.ReadFile(SidecarName(path))
 	if err != nil {

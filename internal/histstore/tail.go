@@ -16,13 +16,13 @@ import (
 	"rdnsprivacy/internal/dnswire"
 )
 
-// A tail is one writer's active append log: a small header naming the
-// writer-local index of its first snapshot, then snapshot + block frames
+// A tail is the writer's active append log: a small header naming the
+// index of its first snapshot, then snapshot + block frames
 // (codec.go). Compaction seals a tail's snapshots into a segment and
 // starts a fresh tail whose header picks up where the segment ends.
 //
 //	magic  8 bytes "RDNSTAL1"
-//	first  uvarint (writer-local index of the first snapshot)
+//	first  uvarint (index of the first snapshot)
 //	frames ...
 //
 // A torn final append (crash mid-write) is truncated away by the owning
@@ -257,26 +257,14 @@ func (q *sequencer) next() (seqFrame, error) {
 	return out, nil
 }
 
-// writerCursor streams one writer's snapshot groups across its sources —
-// sealed segments in manifest order, then the tail — so the store-level
-// merge can interleave writers without materializing anyone's history.
-// Each group arrives decoded against the writer's live states, ready for
-// commitGroup; a cursor is replay's whole position in a writer.
+// writerCursor streams the writer's frames across its sources — sealed
+// segments in manifest order, then the tail — without materializing its
+// history: replay's whole position.
 type writerCursor struct {
 	w   *writerState
 	src int        // the source seq reads: an index into w.segs, len(w.segs) for the tail
 	seq *sequencer // nil between sources
 	seg *segment   // the segment seq reads; nil over the tail
-
-	// The next group to commit, when pending.
-	pending bool
-	when    time.Time
-	inTail  bool
-	effects []frameEffect
-	changes []deltaEntry // the effects' changes: they die with the group
-
-	head     seqFrame // the header that ended the group before, when haveHead
-	haveHead bool
 }
 
 // openNextSource advances to the writer's next file, returning false
@@ -339,95 +327,64 @@ func (c *writerCursor) frame() (seqFrame, bool, error) {
 	}
 }
 
-// next reads the writer's next snapshot group and decodes it; pending is
-// false once the writer is exhausted. The group before must be committed:
-// frames decode against the states it left.
-func (c *writerCursor) next() error {
-	c.pending = false
-	head, ok := c.head, c.haveHead
-	if !ok {
-		var err error
-		if head, ok, err = c.frame(); err != nil || !ok {
-			return err
-		}
+// replay rebuilds the in-memory state from the writer's files — only the
+// tail, when the sealed segments were adopted — committing each snapshot
+// group the way Append commits one. A group ends where the next header,
+// or the stream, does: its frames decode against the states the group
+// before left.
+func (s *Store) replay(tailOnly bool) error {
+	w := s.w
+	c := &writerCursor{w: w, src: -1}
+	if tailOnly {
+		c.src = len(w.segs) - 1
 	}
-	w := c.w
-	c.haveHead = false
-	c.when, c.inTail = time.Unix(head.unix, 0).UTC(), c.seg == nil
-	c.effects, c.changes = c.effects[:0], c.changes[:0]
+	var (
+		open    bool // a group is being read
+		when    time.Time
+		inTail  bool
+		effects []frameEffect
+		changes []deltaEntry // the effects' changes: they die with the group
+	)
 	for {
 		fr, ok, err := c.frame()
 		if err != nil {
 			return err
 		}
-		if !ok {
-			break
+		if !ok || fr.ref.kind == frameSnap {
+			if open {
+				if n := len(s.times); n > 0 && !when.After(s.times[n-1]) {
+					return fmt.Errorf("histstore: writer %q: %w", w.id, corruptf("snapshot %d not after its predecessor", n))
+				}
+				if len(s.times) >= maxSnapshots {
+					return fmt.Errorf("histstore: timeline exceeds %d snapshots", maxSnapshots)
+				}
+				s.commitGroup(when, inTail, effects)
+				if len(s.times) == w.tailFirst {
+					// The last sealed snapshot: the states now are the ones
+					// the tail continues from.
+					w.sealedEnd = maps.Clone(s.cur)
+				}
+			}
+			if !ok {
+				return s.finishReplay()
+			}
+			open, when, inTail = true, time.Unix(fr.unix, 0).UTC(), c.seg == nil
+			effects, changes = effects[:0], changes[:0]
+			continue
 		}
-		if fr.ref.kind == frameSnap {
-			c.head, c.haveHead = fr, true
-			break
-		}
-		if fr.ref.kind == frameDelta && !w.known.has(fr.p) {
+		if fr.ref.kind == frameDelta && !s.blocks.has(fr.p) {
 			return fmt.Errorf("histstore: writer %q: %w", w.id, corruptf("delta for unknown block %s", fr.p))
 		}
 		fe := frameEffect{ref: fr.ref}
-		if c.changes, err = fe.decode(fr.body, w.cur, c.changes); err != nil {
+		if changes, err = fe.decode(fr.body, s.cur, changes); err != nil {
 			return fmt.Errorf("histstore: writer %q: %w", w.id, err)
 		}
-		c.effects = append(c.effects, fe)
+		effects = append(effects, fe)
 	}
-	c.pending = true
-	return nil
 }
 
-// replay rebuilds the merged in-memory state from every writer's files —
-// only the tails, when the sealed segments were adopted: a k-way merge of
-// the writers' snapshot streams ordered by (time, writer id), each group
-// committed the way Append commits one.
-func (s *Store) replay(tailsOnly bool) error {
-	curs := make([]*writerCursor, len(s.writers))
-	for i, w := range s.writers {
-		curs[i] = &writerCursor{w: w, src: -1}
-		if tailsOnly {
-			curs[i].src = len(w.segs) - 1
-		}
-		if err := curs[i].next(); err != nil {
-			return err
-		}
-	}
-	for {
-		var c *writerCursor
-		for _, o := range curs {
-			if o.pending && (c == nil || o.when.Before(c.when)) {
-				c = o
-			}
-		}
-		if c == nil {
-			break
-		}
-		w := c.w
-		if n := len(w.times); n > 0 && !c.when.After(w.times[n-1]) {
-			return fmt.Errorf("histstore: writer %q: %w", w.id,
-				corruptf("snapshot %d not after its predecessor", n))
-		}
-		if len(s.times) >= maxSnapshots {
-			return fmt.Errorf("histstore: timeline exceeds %d snapshots", maxSnapshots)
-		}
-		s.commitGroup(w, c.when, c.inTail, c.effects)
-		if len(w.times) == w.tailFirst {
-			// The writer's last sealed snapshot: its states now are the
-			// ones the tail continues from.
-			w.sealedEnd = maps.Clone(w.cur)
-		}
-		if err := c.next(); err != nil {
-			return err
-		}
-	}
-	return s.finishReplay()
-}
-
-// adoptSealed brings a single-writer store's sealed segments in without
-// replaying them. Each segment gets every check replay would give it —
+// adoptSealed brings the store's sealed segments in without replaying
+// them. Each segment gets every check replay would give it —
 // header, trailer, footer CRC, every frame's CRC, the snapshot sequence,
 // the footer's refs against the frames — and yields its instants and its
 // block refs, which give the block lists, the cadence and the frame
@@ -435,10 +392,11 @@ func (s *Store) replay(tailsOnly bool) error {
 // base of every block live at its start, so it alone holds the states the
 // tail continues from, which the writer keeps as its sealed end. The name
 // index is joined from the segments' sidecars (sidecar.go); a segment
-// without a usable one is folded from its frames instead, and an owned
-// writer stores the rebuilt sidecar. The tail then replays as it always
+// without a usable one is folded from its frames instead, and a writable
+// Store stores the rebuilt sidecar. The tail then replays as it always
 // has.
-func (s *Store) adoptSealed(w *writerState) error {
+func (s *Store) adoptSealed() error {
+	w := s.w
 	if len(w.segs) == 0 {
 		return nil
 	}
@@ -446,8 +404,7 @@ func (s *Store) adoptSealed(w *writerState) error {
 	if n > maxSnapshots {
 		return fmt.Errorf("histstore: timeline exceeds %d snapshots", maxSnapshots)
 	}
-	s.times, s.snapWriter, s.snapLocal = make([]time.Time, 0, n), make([]int, 0, n), make([]int, 0, n)
-	w.times, w.globalIdx = make([]time.Time, 0, n), make([]int, 0, n)
+	s.times = make([]time.Time, 0, n)
 	blocks := make(map[dnswire.Prefix]bool)
 	var changes []deltaEntry
 	for i, g := range w.segs {
@@ -458,12 +415,11 @@ func (s *Store) adoptSealed(w *writerState) error {
 		decode := i == len(w.segs)-1
 		err = seq.each(func(fr seqFrame) error {
 			if fr.ref.kind == frameSnap {
-				k, when := len(w.times), time.Unix(fr.unix, 0).UTC()
-				if k > 0 && !when.After(w.times[k-1]) {
+				k, when := len(s.times), time.Unix(fr.unix, 0).UTC()
+				if k > 0 && !when.After(s.times[k-1]) {
 					return corruptf("snapshot %d not after its predecessor", k)
 				}
-				s.times, s.snapWriter, s.snapLocal = append(s.times, when), append(s.snapWriter, 0), append(s.snapLocal, k)
-				w.times, w.globalIdx = append(w.times, when), append(w.globalIdx, k)
+				s.times = append(s.times, when)
 				return nil
 			}
 			if !decode {
@@ -493,17 +449,17 @@ func (s *Store) adoptSealed(w *writerState) error {
 		}
 	}
 	w.sealedEnd = maps.Clone(s.cur)
+	s.blocks = make(blockList, 0, len(blocks))
 	for p := range blocks {
-		w.known = append(w.known, p)
+		s.blocks = append(s.blocks, p)
 	}
-	slices.SortFunc(w.known, func(a, b dnswire.Prefix) int { return cmp.Compare(a.Addr.Uint32(), b.Addr.Uint32()) })
-	s.blocks = slices.Clone(w.known)
+	slices.SortFunc(s.blocks, func(a, b dnswire.Prefix) int { return cmp.Compare(a.Addr.Uint32(), b.Addr.Uint32()) })
 
 	parts := make([]*segNames, len(w.segs))
 	for i, g := range w.segs {
 		if parts[i] = readSidecar(g); parts[i] == nil {
 			var err error
-			if parts[i], err = s.foldSidecar(w, g); err != nil {
+			if parts[i], err = s.foldSidecar(g); err != nil {
 				return err
 			}
 		}
@@ -515,12 +471,11 @@ func (s *Store) adoptSealed(w *writerState) error {
 	// every sidecar from its segment.
 	for i, g := range w.segs {
 		var err error
-		if parts[i], err = s.foldSidecar(w, g); err != nil {
+		if parts[i], err = s.foldSidecar(g); err != nil {
 			return err
 		}
 	}
 	s.names = newNameIndex()
-	s.names.track = true
 	if !s.names.join(parts, s.cur, n-1) {
 		return fmt.Errorf("histstore: writer %q: %w", w.id, corruptError("segments' name postings disagree with their end states"))
 	}
@@ -528,9 +483,9 @@ func (s *Store) adoptSealed(w *writerState) error {
 }
 
 // foldSidecar rebuilds segment g's sidecar from its frames (foldSegment);
-// when the store owns the writer it also stores it, best effort — a
-// read-only open writes nothing.
-func (s *Store) foldSidecar(w *writerState, g *segment) (*segNames, error) {
+// a writable Store also stores it, best effort — a read-only open writes
+// nothing.
+func (s *Store) foldSidecar(g *segment) (*segNames, error) {
 	seq, err := openSegmentSequencer(g.f, g.size, g.writerID, g.firstSnap, g.count)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: segment %s: %w", g.path, err)
@@ -539,31 +494,29 @@ func (s *Store) foldSidecar(w *writerState, g *segment) (*segNames, error) {
 	if err != nil {
 		return nil, fmt.Errorf("histstore: segment %s: %w", g.path, err)
 	}
-	if w.owned {
+	if s.w.owned {
 		stageFile(SidecarName(g.path), sn.encode(g.identity()), "")
 	}
 	return sn, nil
 }
 
-// finishReplay settles what the merge leaves open: torn tails are
-// truncated (owned writers only), segments enter the hot tier
-// newest-last, and the byte totals are recomputed from file sizes.
+// finishReplay settles what replay leaves open: a torn tail is truncated
+// (by the writer only), segments enter the hot tier newest-last, and the
+// byte total is recomputed from file sizes.
 func (s *Store) finishReplay() error {
-	s.bytes = 0
-	for _, w := range s.writers {
-		if w.tornAt >= 0 {
-			if w.owned {
-				if err := w.tailF.Truncate(w.tornAt); err != nil {
-					return fmt.Errorf("histstore: truncating torn tail %s: %w", w.tailFile, err)
-				}
+	w := s.w
+	if w.tornAt >= 0 {
+		if w.owned {
+			if err := w.tailF.Truncate(w.tornAt); err != nil {
+				return fmt.Errorf("histstore: truncating torn tail %s: %w", w.tailFile, err)
 			}
-			w.tailSize = w.tornAt
 		}
-		s.bytes += w.tailSize
-		for _, g := range w.segs {
-			s.bytes += g.size
-			s.noteSegmentLoaded(g)
-		}
+		w.tailSize = w.tornAt
+	}
+	s.bytes = w.tailSize
+	for _, g := range w.segs {
+		s.bytes += g.size
+		s.noteSegmentLoaded(g)
 	}
 	return nil
 }

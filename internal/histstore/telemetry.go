@@ -38,7 +38,7 @@ const (
 	MetricTierEvictions = "hist_tier_evictions_total"
 	// MetricTierHot gauges the number of segments currently hot.
 	MetricTierHot = "hist_tier_hot_segments"
-	// MetricSegments gauges the total sealed segments across writers.
+	// MetricSegments gauges the store's sealed segments.
 	MetricSegments = "hist_tier_segments"
 	// MetricSealedBytes gauges the bytes held in sealed segments.
 	MetricSealedBytes = "hist_sealed_bytes"

@@ -9,15 +9,14 @@ import (
 )
 
 // The block walk is the store's one read primitive. A /24's history is a
-// run of frames per writer — a base, the deltas after it, the next base —
-// spread over the writer's sealed segments and its tail. A walk seeds the
+// run of frames — a base, the deltas after it, the next base — spread
+// over the writer's sealed segments and its tail. A walk seeds the
 // block's state once, at the first snapshot a query needs (from the
 // reconstruction cache, or by replaying from the nearest base), and then
 // moves forward snapshot by snapshot, decoding each frame it passes
 // exactly once. At is a seed alone; Range and Churn are a seed plus the
-// frames of their window. Several writers are several walks of the same
-// block, merged by writer priority. A tail's frames continue the state
-// the writer's sealed history ends in, which the store holds
+// frames of their window. A tail's frames continue the state the
+// writer's sealed history ends in, which the store holds
 // (writerState.sealedEnd): seeding there is a map read, not a walk.
 //
 // Everything a query reads goes through one reader, which pins each
@@ -130,7 +129,7 @@ func (r *reader) apply(st *evolving, f *os.File, ref blockRef, p dnswire.Prefix)
 	return entries, nil
 }
 
-// lastRefAtOrBefore finds the newest of a block's refs at or before local
+// lastRefAtOrBefore finds the newest of a block's refs at or before
 // snapshot ls (-1 when every ref is later).
 func lastRefAtOrBefore(refs []blockRef, ls int) int {
 	return sort.Search(len(refs), func(k int) bool { return refs[k].snap > ls }) - 1
@@ -141,13 +140,13 @@ func lastRefAtOrBefore(refs []blockRef, ls int) int {
 // have no base (it continues the last segment); inTail says refs is one,
 // and the replay then starts from the held state the sealed history ends
 // in.
-// Results are cached under (writer, block, version snapshot) — the block's
-// newest frame at or before the query — so every seed between two writes
-// of a block shares one entry, and entries survive compaction because a
+// Results are cached under (block, version snapshot) — the block's newest
+// frame at or before the query — so every seed between two writes of a
+// block shares one entry, and entries survive compaction because a
 // snapshot's reconstructed state is bit-identical across it.
-func (r *reader) reconstruct(w *writerState, p dnswire.Prefix, refs []blockRef, i int, f *os.File, inTail bool) (blockState, error) {
+func (r *reader) reconstruct(p dnswire.Prefix, refs []blockRef, i int, f *os.File, inTail bool) (blockState, error) {
 	s := r.s
-	key := cacheKey{w: w.idx, p: p, snap: refs[i].snap}
+	key := cacheKey{p: p, snap: refs[i].snap}
 	if st, ok := s.cache.get(key); ok {
 		s.met.cacheHits.Inc()
 		return st, nil
@@ -165,7 +164,7 @@ func (r *reader) reconstruct(w *writerState, p dnswire.Prefix, refs []blockRef, 
 		if !inTail {
 			return nil, corruptf("block %s has no base frame", p)
 		}
-		st.share(w.sealedEnd[p])
+		st.share(s.w.sealedEnd[p])
 		start = 0
 	}
 	s.reconstructions.Add(1)
@@ -182,14 +181,16 @@ func (r *reader) reconstruct(w *writerState, p dnswire.Prefix, refs []blockRef, 
 	return st.cur, nil
 }
 
-// writerWalk is one writer's view of one /24 moving forward through the
-// writer's local snapshots. The query's reader is handed to each method
-// rather than held, so a point query's reader can live on its stack.
+// writerWalk is one /24 moving forward through the writer's snapshots.
+// The query's reader is handed to each method rather than held, so a
+// point query's reader can live on its stack. A walk is reused block
+// after block (init), keeping its buffers.
 type writerWalk struct {
-	w     *writerState
-	p     dnswire.Prefix
-	at    int      // the local snapshot state holds at; -1 before the writer's history
-	state evolving // shared with the cache until the first frame is applied
+	w      *writerState
+	p      dnswire.Prefix
+	seeded bool
+	at     int      // the snapshot state holds at; -1 before history
+	state  evolving // shared with the cache until the first frame is applied
 	// The block's frames in the source the walk stands in: src indexes
 	// w.segs, len(w.segs) is the tail, -1 is before any source.
 	src    int
@@ -197,6 +198,11 @@ type writerWalk struct {
 	next   int // refs[next] is the block's first frame after at
 	f      *os.File
 	refBuf []blockRef // storage of refs decoded out of a segment index
+}
+
+// init readies the walk for block p of the store r reads.
+func (b *writerWalk) init(r *reader, p dnswire.Prefix) {
+	b.w, b.p, b.seeded = r.s.w, p, false
 }
 
 // enter moves the walk into source src and looks the block up there.
@@ -219,12 +225,13 @@ func (b *writerWalk) enter(r *reader, src int) error {
 	return err
 }
 
-// seed places the walk at local snapshot ls: the block's state there, and
-// the cursor behind the last frame at or before it. A tail run may open
-// with deltas that continue the last segment, so a seed in the tail may
-// start from the held state the sealed history ends in.
+// seed places the walk at snapshot ls: the block's state there, and the
+// cursor behind the last frame at or before it. A tail run may open with
+// deltas that continue the last segment, so a seed in the tail may start
+// from the held state the sealed history ends in.
 func (b *writerWalk) seed(r *reader, ls int) error {
 	w := b.w
+	b.seeded = true
 	if ls < w.tailFirst {
 		return b.seedSealed(r, ls)
 	}
@@ -238,7 +245,7 @@ func (b *writerWalk) seed(r *reader, ls int) error {
 		b.state.share(w.sealedEnd[b.p])
 		return nil
 	}
-	st, err := r.reconstruct(w, b.p, b.refs, i, b.f, true)
+	st, err := r.reconstruct(b.p, b.refs, i, b.f, true)
 	b.state.share(st)
 	return err
 }
@@ -264,7 +271,7 @@ func (b *writerWalk) seedSealed(r *reader, ls int) error {
 		b.state.share(nil)
 		return nil
 	}
-	st, err := r.reconstruct(w, b.p, b.refs, i, b.f, false)
+	st, err := r.reconstruct(b.p, b.refs, i, b.f, false)
 	b.state.share(st)
 	return err
 }
@@ -276,7 +283,7 @@ const (
 	stepReplaced        // a base frame (or a segment's start) replaced it
 )
 
-// step advances the walk one local snapshot, applying the block's frame
+// step advances the walk one snapshot, applying the block's frame
 // there if it has one. It reports how the state changed and the state
 // before; after stepPatched delta holds the frame's entries. prev and
 // delta stay valid until the next step.
@@ -315,96 +322,18 @@ func (b *writerWalk) step(r *reader) (how int, prev blockState, delta []deltaEnt
 	return stepPatched, prev, delta, nil
 }
 
-// owner names the writer that appended timeline snapshot i and the
-// snapshot's writer-local index.
-func (s *Store) owner(i int) (*writerState, int) {
-	return s.writers[s.snapWriter[i]], s.snapLocal[i]
-}
-
-// localAt maps timeline snapshot i to w's newest local snapshot at or
-// before it (-1 when the writer has none yet).
-func (s *Store) localAt(w *writerState, i int) int {
-	if s.solo {
-		return i
-	}
-	return sort.Search(len(w.globalIdx), func(k int) bool { return w.globalIdx[k] > i }) - 1
-}
-
-// blockWalk is one /24 moving forward through the store's timeline: one
-// writerWalk per writer, and their priority merge.
-type blockWalk struct {
-	r      *reader
-	ws     []writerWalk
-	at     int
-	seeded bool
-	merged evolving // the merge of ws; unused when there is one writer
-	states []blockState
-}
-
-// init readies the walk for block p; ws is its storage, one per writer.
-func (b *blockWalk) init(r *reader, p dnswire.Prefix, ws []writerWalk) {
-	b.r, b.ws, b.seeded = r, ws, false
-	for k, w := range r.s.writers {
-		ws[k].w, ws[k].p = w, p
-	}
-}
-
-// state is the merged state of the block at the walk's snapshot.
-func (b *blockWalk) state() blockState {
-	if len(b.ws) == 1 {
-		return b.ws[0].state.cur
-	}
-	return b.merged.cur
-}
-
-// remerge recomputes the priority merge after a writer's state moved.
-func (b *blockWalk) remerge() (prev blockState) {
-	b.states = b.states[:0]
-	for k := range b.ws {
-		b.states = append(b.states, b.ws[k].state.cur)
-	}
-	return b.merged.replace(mergeStates(b.merged.scratch(), b.states))
-}
-
-// seed places the walk at timeline snapshot i.
-func (b *blockWalk) seed(i int) error {
-	for k := range b.ws {
-		if err := b.ws[k].seed(b.r, b.r.s.localAt(b.ws[k].w, i)); err != nil {
-			return err
-		}
-	}
-	if len(b.ws) > 1 {
-		b.remerge()
-	}
-	b.at, b.seeded = i, true
-	return nil
-}
-
-// step advances the walk one timeline snapshot — one local snapshot of
-// the writer that appended it — with writerWalk.step's contract, over the
-// merged state.
-func (b *blockWalk) step() (how int, prev blockState, delta []deltaEntry, err error) {
-	b.at++
-	w, _ := b.r.s.owner(b.at)
-	how, prev, delta, err = b.ws[w.idx].step(b.r)
-	if err != nil || how == stepNone || len(b.ws) == 1 {
-		return how, prev, delta, err
-	}
-	return stepReplaced, b.remerge(), nil, nil
-}
-
-// to brings the walk to timeline snapshot i (at or after where it
-// stands), seeding it there if it has not started, and returns the state.
-func (b *blockWalk) to(i int) (blockState, error) {
+// to brings the walk to snapshot i (at or after where it stands),
+// seeding it there if it has not started, and returns the state.
+func (b *writerWalk) to(r *reader, i int) (blockState, error) {
 	if !b.seeded {
-		if err := b.seed(i); err != nil {
+		if err := b.seed(r, i); err != nil {
 			return nil, err
 		}
 	}
 	for b.at < i {
-		if _, _, _, err := b.step(); err != nil {
+		if _, _, _, err := b.step(r); err != nil {
 			return nil, err
 		}
 	}
-	return b.state(), nil
+	return b.state.cur, nil
 }

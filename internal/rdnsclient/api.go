@@ -5,9 +5,8 @@
 // (internal/rdnsserve) and every consumer (cmd/rdnsload, tests), so the
 // contract cannot drift between the two sides. The documents the history
 // store produces about itself — its summary, churn days, compaction
-// results, writer divergence and the replication feed's manifest and tail
-// identity — are histstore's own types, which the envelopes here name
-// directly.
+// results and the replication feed's manifest and tail identity — are
+// histstore's own types, which the envelopes here name directly.
 //
 //	c := rdnsclient.New("http://127.0.0.1:8077")
 //	at, err := c.At(ctx, "10.0.1.7", day)
@@ -141,7 +140,8 @@ type DaysResponse struct {
 	Days  []time.Time `json:"days"`
 }
 
-// CompactResponse is POST /v1/admin/compact: per-writer seal outcomes.
+// CompactResponse is POST /v1/admin/compact: the seal outcome, as a list
+// of one (the store's writer).
 type CompactResponse struct {
 	Results []histstore.CompactResult `json:"results"`
 }
@@ -209,11 +209,6 @@ type StatsResponse struct {
 	Endpoints    map[string]EndpointStats `json:"endpoints,omitempty"`
 	QueryLog     QueryLogStats            `json:"query_log"`
 	Replica      *ReplicaStats            `json:"replica,omitempty"`
-	// Divergence is the per-writer disagreement summary against the
-	// merged view, present only when the request asked for it
-	// (GET /v1/stats?divergence=1) — it walks every live record, so it
-	// is opt-in rather than part of the cheap default body.
-	Divergence *histstore.DivergenceStats `json:"divergence,omitempty"`
 }
 
 // ReloadResponse is POST /v1/admin/reload: the freshly opened store's

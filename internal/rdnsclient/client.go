@@ -52,8 +52,8 @@ const CorrHeader = "X-Rdns-Corr"
 // The replication feed's headers. A segment chunk carries its segment's
 // total size; a tail chunk, and a 409 repl_changed answer to a tail
 // fetch, carry the identity of the writer's active tail
-// (histstore.FeedTailInfo): its file name, first writer-local snapshot
-// and committed size. See docs/replication.md.
+// (histstore.FeedTailInfo): its file name, first snapshot and committed
+// size. See docs/replication.md.
 const (
 	ReplSizeHeader      = "X-Repl-Size"
 	ReplTailFileHeader  = "X-Repl-Tail-File"
@@ -543,15 +543,6 @@ func (c *Client) Days(ctx context.Context) (DaysResponse, error) {
 func (c *Client) Stats(ctx context.Context) (StatsResponse, error) {
 	var out StatsResponse
 	err := c.do(ctx, http.MethodGet, "/v1/stats", nil, &out)
-	return out, err
-}
-
-// StatsDivergence GETs /v1/stats?divergence=1: the stats body plus the
-// per-writer disagreement summary of a multi-vantage store. Costlier
-// than Stats — the server walks every live record.
-func (c *Client) StatsDivergence(ctx context.Context) (StatsResponse, error) {
-	var out StatsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/stats", url.Values{"divergence": {"1"}}, &out)
 	return out, err
 }
 

@@ -8,7 +8,6 @@ import (
 	"testing"
 	"time"
 
-	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/testutil"
 )
 
@@ -99,39 +98,5 @@ func TestSleepCtx(t *testing.T) {
 	}
 	if err := sleepCtx(context.Background(), 0); err != nil {
 		t.Fatalf("zero wait: %v", err)
-	}
-}
-
-// TestStatsDivergence: the opt-in divergence query goes on the wire and
-// the per-writer breakdown decodes.
-func TestStatsDivergence(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
-	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if r.URL.Path != "/v1/stats" || r.URL.Query().Get("divergence") != "1" {
-			writeEnvelope(w, http.StatusBadRequest, CodeBadParam, r.URL.String())
-			return
-		}
-		json.NewEncoder(w).Encode(StatsResponse{
-			Generation: 4,
-			Divergence: &histstore.DivergenceStats{
-				Addresses: 3,
-				Writers: []histstore.WriterDivergence{
-					{ID: "wa", Records: 2, Agreements: 2, Missing: 1},
-					{ID: "wb", Records: 3, Agreements: 2, Conflicts: 1, Exclusive: 1},
-				},
-			},
-		})
-	}))
-	defer ts.Close()
-
-	st, err := New(ts.URL).StatsDivergence(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Divergence == nil || st.Divergence.Addresses != 3 || len(st.Divergence.Writers) != 2 {
-		t.Fatalf("divergence = %+v", st.Divergence)
-	}
-	if wb := st.Divergence.Writers[1]; wb.ID != "wb" || wb.Conflicts != 1 || wb.Exclusive != 1 {
-		t.Fatalf("writer wb = %+v", wb)
 	}
 }

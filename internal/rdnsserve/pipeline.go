@@ -100,7 +100,7 @@ func (s *Server) routeTable() []*endpoint {
 		{name: "churn", pattern: "/v1/churn", method: get, class: classQuery, allowed: []string{"prefix", "from", "to"}, handle: handleChurn},
 		{name: "name", pattern: "/v1/name", method: get, class: classQuery, allowed: []string{"token", "limit", "cursor"}, handle: handleName},
 		{name: "days", pattern: "/v1/days", method: get, class: classQuery, handle: handleDays},
-		{name: "stats", pattern: "/v1/stats", method: get, class: classQuery, allowed: []string{"divergence"}, handle: s.handleStats},
+		{name: "stats", pattern: "/v1/stats", method: get, class: classQuery, handle: s.handleStats},
 		{name: "admin_reload", pattern: "/v1/admin/reload", method: post, class: classAdmin, handle: s.adminReload},
 		{name: "admin_compact", pattern: "/v1/admin/compact", method: post, class: classAdmin, handle: s.adminCompact},
 		{name: "repl_manifest", pattern: "/v1/repl/manifest", method: get, class: classFeed, handle: s.replManifest},

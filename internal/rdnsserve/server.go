@@ -280,29 +280,29 @@ func (s *Server) adminReload(request) (reply, *apiError) {
 	return reply{body: resp, gen: resp.Generation}, nil
 }
 
-// adminCompact is POST /v1/admin/compact: seal every idle writer's tail
-// into segments, in place, while queries keep flowing on this same
-// handle. A compaction already in flight answers 409.
+// adminCompact is POST /v1/admin/compact: seal the writer's tail into a
+// segment, in place, while queries keep flowing on this same handle. A
+// compaction already in flight answers 409.
 func (s *Server) adminCompact(rq request) (reply, *apiError) {
-	results, err := rq.hd.st.Compact(rq.ctx, s.compact)
+	res, err := rq.hd.st.Compact(rq.ctx, s.compact)
 	if err != nil {
 		if errors.Is(err, histstore.ErrCompactBusy) {
 			return reply{}, &apiError{status: http.StatusConflict, code: rdnsclient.CodeCompactBusy, msg: err.Error()}
 		}
 		return reply{}, errInternal(err)
 	}
-	return reply{body: rdnsclient.CompactResponse{Results: results}}, nil
+	return reply{body: rdnsclient.CompactResponse{Results: []histstore.CompactResult{res}}}, nil
 }
 
-// Compact seals every idle writer's tail of the currently served store
-// into segments, in place, under Config.Compact — queries keep answering
-// bit-identically on this same handle throughout. Writers owned by a live
-// campaign process are skipped with a per-writer reason. It is the daemon's
+// Compact seals the writer's tail of the currently served store into a
+// segment, in place, under Config.Compact — queries keep answering
+// bit-identically on this same handle throughout. A writer owned by a live
+// campaign process is skipped with the reason. It is the daemon's
 // -compact-interval background loop's entry point.
-func (s *Server) Compact(ctx context.Context) ([]histstore.CompactResult, error) {
+func (s *Server) Compact(ctx context.Context) (histstore.CompactResult, error) {
 	hd := s.acquireHandle()
 	if hd == nil {
-		return nil, errors.New("rdnsserve: server is closed")
+		return histstore.CompactResult{}, errors.New("rdnsserve: server is closed")
 	}
 	defer hd.release()
 	return hd.st.Compact(ctx, s.compact)
@@ -527,12 +527,5 @@ func (s *Server) handleStats(rq request) (reply, *apiError) {
 	if rq.ctx.Err() != nil {
 		return reply{}, errCanceled()
 	}
-	resp := s.stats(rq.hd)
-	// The divergence block walks every live record across writers, so it
-	// is opt-in: any non-empty value of ?divergence enables it.
-	if rq.q.Get("divergence") != "" {
-		div := rq.hd.st.Divergence()
-		resp.Divergence = &div
-	}
-	return reply{body: resp}, nil
+	return reply{body: s.stats(rq.hd)}, nil
 }

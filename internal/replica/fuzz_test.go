@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"rdnsprivacy/internal/dnswire"
@@ -60,6 +61,16 @@ func FuzzReplManifest(f *testing.F) {
 	f.Add([]byte(`{"base_interval":4,"writers":[{"id":"x","tail_file":"../../evil","tail_size":64}]}`))
 	f.Add([]byte(`{"base_interval":4,"writers":[{"id":"../x","tail_file":"tail-x-0.log","tail_size":64,"segments":[{"file":"..\\evil","size":64}]}]}`))
 	f.Add([]byte(`not json`))
+	// A second, well-formed writer beside the real one: a store holds one.
+	two := fm
+	second := fm.Writers[0]
+	second.ID = "zulu"
+	two.Writers = append(slices.Clone(fm.Writers), second)
+	twoWriters, err := jsonBytes(two)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(twoWriters)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rt := roundTripFunc(func(req *http.Request) (*http.Response, error) {

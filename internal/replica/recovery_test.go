@@ -385,9 +385,9 @@ func copyStore(t *testing.T, from, to string) {
 }
 
 // TestReplicaNeverMovesBackwards: a replica synced from a primary must
-// refuse a feed from an older copy of that primary — one taken before its
-// last compaction (a writer's file_seq went down), or before a writer
-// existed (a committed writer is missing). Either is a loud sync error,
+// refuse a feed that does not follow it — from an older copy of that
+// primary, taken before its last compaction (the writer's file_seq went
+// down), or from another writer's store. Either is a loud sync error,
 // and the previous generation stays committed and served.
 func TestReplicaNeverMovesBackwards(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
@@ -413,22 +413,17 @@ func TestReplicaNeverMovesBackwards(t *testing.T) {
 			}
 			appendDays(t, st, 14, 3, 2)
 		}},
-		{"copy before a writer joined", func(t *testing.T, dir, old string) {
-			alpha, err := histstore.Open(dir, histstore.WithWriter("alpha"), histstore.WithBaseInterval(4))
-			if err != nil {
-				t.Fatal(err)
+		{"another writer's store", func(t *testing.T, dir, old string) {
+			for _, w := range []struct{ id, dir string }{{"alpha", old}, {"bravo", dir}} {
+				st, err := histstore.Open(w.dir, histstore.WithWriter(w.id), histstore.WithBaseInterval(4))
+				if err != nil {
+					t.Fatal(err)
+				}
+				appendDays(t, st, 0, 6, 2)
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
 			}
-			appendDays(t, alpha, 0, 6, 2)
-			if err := alpha.Close(); err != nil {
-				t.Fatal(err)
-			}
-			copyStore(t, dir, old)
-			bravo, err := histstore.Open(dir, histstore.WithWriter("bravo"), histstore.WithBaseInterval(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer bravo.Close()
-			appendDays(t, bravo, 6, 3, 2)
 		}},
 	}
 	for _, tc := range cases {

@@ -204,33 +204,31 @@ func (y *Syncer) syncOnce(ctx context.Context, corr uint64) (bool, error) {
 		return false, fmt.Errorf("replica: manifest: %w", err)
 	}
 	// Before the first filesystem touch: a lying feed (compromised
-	// primary, MITM on the plain-HTTP transport) must not steer a path.
-	if err := m.CheckNames(); err != nil {
+	// primary, MITM on the plain-HTTP transport) must not steer a path,
+	// and a store holds one writer.
+	w, err := m.Writer()
+	if err != nil {
 		return false, fmt.Errorf("replica: %w", err)
 	}
 	if err := os.MkdirAll(y.dir, 0o755); err != nil {
 		return false, fmt.Errorf("replica: %w", err)
 	}
-	y.noteRemote(m)
+	y.noteRemote(m.LastSnap, m.TotalBytes, w)
 	changed := false
-	for _, w := range m.Writers {
-		for _, g := range w.Segments {
-			fetched, err := y.syncSegment(ctx, w.ID, g, corr)
-			if err != nil {
-				return false, err
-			}
-			changed = changed || fetched
-		}
-		fetched, err := y.syncTail(ctx, w, corr)
+	for _, g := range w.Segments {
+		fetched, err := y.syncSegment(ctx, w.ID, g, corr)
 		if err != nil {
 			return false, err
 		}
 		changed = changed || fetched
 	}
-	if len(m.Writers) == 1 {
-		if err := y.buildSidecars(m.Writers[0]); err != nil {
-			return false, err
-		}
+	fetched, err := y.syncTail(ctx, w, corr)
+	if err != nil {
+		return false, err
+	}
+	changed = changed || fetched
+	if err := y.buildSidecars(w); err != nil {
+		return false, err
 	}
 	// Advance the local MANIFEST to m's file set, atomically, when it
 	// differs from the committed one; a feed older than that is refused.
@@ -238,7 +236,7 @@ func (y *Syncer) syncOnce(ctx context.Context, corr uint64) (bool, error) {
 	if err != nil {
 		return false, fmt.Errorf("replica: committing manifest: %w", err)
 	}
-	y.cleanup(m)
+	y.cleanup(w)
 	return changed || committed, nil
 }
 
@@ -332,8 +330,8 @@ func (y *Syncer) syncSegment(ctx context.Context, writerID string, g histstore.F
 	return true, nil
 }
 
-// buildSidecars gives every segment of a single-writer store the
-// given-name sidecar the replica builds itself, by folding the verified
+// buildSidecars gives every segment the given-name sidecar the replica
+// builds itself, by folding the verified
 // segment's own frames (histstore.WriteSegmentSidecar); it never fetches
 // one. The folds are independent, so a bootstrap's many run one per core.
 func (y *Syncer) buildSidecars(w histstore.FeedWriter) error {
@@ -471,14 +469,11 @@ func (y *Syncer) syncTail(ctx context.Context, w histstore.FeedWriter, corr uint
 // segments it does not reference and staged sidecars, and stale .part
 // stages for segments that are already final. Failures are ignored:
 // leftovers cost disk, not correctness.
-func (y *Syncer) cleanup(m rdnsclient.ReplManifest) {
-	live := make(map[string]bool)
-	for _, w := range m.Writers {
-		live[w.TailFile] = true
-		for _, g := range w.Segments {
-			live[g.File] = true
-			live[histstore.SidecarName(g.File)] = true
-		}
+func (y *Syncer) cleanup(w histstore.FeedWriter) {
+	live := map[string]bool{w.TailFile: true}
+	for _, g := range w.Segments {
+		live[g.File] = true
+		live[histstore.SidecarName(g.File)] = true
 	}
 	entries, err := os.ReadDir(y.dir)
 	if err != nil {
@@ -501,29 +496,29 @@ func (y *Syncer) cleanup(m rdnsclient.ReplManifest) {
 
 // Status bookkeeping.
 
-func (y *Syncer) noteRemote(m rdnsclient.ReplManifest) {
+// noteRemote records a fetched manifest — its newest snapshot, its total
+// bytes and its writer w — against what the directory already holds.
+func (y *Syncer) noteRemote(lastSnap time.Time, totalBytes int64, w histstore.FeedWriter) {
 	localBytes := int64(0)
-	for _, w := range m.Writers {
-		for _, g := range w.Segments {
-			p := filepath.Join(y.dir, g.File)
-			if fi, err := os.Stat(p); err == nil {
-				localBytes += min(fi.Size(), g.Size)
-			} else if fi, err := os.Stat(p + ".part"); err == nil {
-				// A staged partial download resumes from its size, so those
-				// bytes are local too — without this, a restart mid-segment
-				// reports the whole segment behind and the resumed fetch
-				// double-decrements through noteFetched.
-				localBytes += min(fi.Size(), g.Size)
-			}
+	for _, g := range w.Segments {
+		p := filepath.Join(y.dir, g.File)
+		if fi, err := os.Stat(p); err == nil {
+			localBytes += min(fi.Size(), g.Size)
+		} else if fi, err := os.Stat(p + ".part"); err == nil {
+			// A staged partial download resumes from its size, so those
+			// bytes are local too — without this, a restart mid-segment
+			// reports the whole segment behind and the resumed fetch
+			// double-decrements through noteFetched.
+			localBytes += min(fi.Size(), g.Size)
 		}
-		if fi, err := os.Stat(filepath.Join(y.dir, w.TailFile)); err == nil {
-			localBytes += min(fi.Size(), w.TailSize)
-		}
+	}
+	if fi, err := os.Stat(filepath.Join(y.dir, w.TailFile)); err == nil {
+		localBytes += min(fi.Size(), w.TailSize)
 	}
 	y.statMu.Lock()
 	y.stats.Source = y.src
-	y.stats.LastSnap = m.LastSnap
-	y.stats.BytesBehind = m.TotalBytes - localBytes
+	y.stats.LastSnap = lastSnap
+	y.stats.BytesBehind = totalBytes - localBytes
 	y.stats.SnapshotsBehind = 0 // refined at success; a failed sync keeps bytes as the signal
 	y.statMu.Unlock()
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -180,14 +181,14 @@ func compareStores(tb testing.TB, p, r *histstore.Store, blocks int) {
 		for _, p24 := range blockPrefixes(blocks) {
 			for _, last := range []byte{10, 12, 200, 250} { // stable, stable, churn, absent
 				ip := dnswire.IPv4{p24.Addr[0], p24.Addr[1], p24.Addr[2], last}
-				nameP, writerP, okP, errP := p.AtWriter(ip, tm)
-				nameR, writerR, okR, errR := r.AtWriter(ip, tm)
+				nameP, okP, errP := p.At(ip, tm)
+				nameR, okR, errR := r.At(ip, tm)
 				if errP != nil || errR != nil {
 					tb.Fatalf("at %s@%v: primary err %v, replica err %v", ip, tm, errP, errR)
 				}
-				if okP != okR || writerP != writerR || nameP.String() != nameR.String() {
-					tb.Fatalf("at %s@%v diverges: primary (%s,%s,%v), replica (%s,%s,%v)",
-						ip, tm, nameP, writerP, okP, nameR, writerR, okR)
+				if okP != okR || nameP.String() != nameR.String() {
+					tb.Fatalf("at %s@%v diverges: primary (%s,%v), replica (%s,%v)",
+						ip, tm, nameP, okP, nameR, okR)
 				}
 			}
 		}
@@ -560,10 +561,12 @@ func (*bodyCloser) Close() error { return nil }
 
 // TestReplicaHostileManifestNames proves a lying feed cannot steer the
 // syncer outside its store directory: a manifest carrying path-traversal
-// file names or a malformed writer ID fails validation before the syncer
-// touches the filesystem — nothing is statted, removed, written, or
-// renamed at the joined paths, and pre-existing files the traversal
-// points at survive untouched.
+// file names, a malformed writer ID, or a writer count other than one
+// fails validation before the syncer touches the filesystem — nothing is
+// statted, removed, written, or renamed at the joined paths, and
+// pre-existing files the traversal points at survive untouched. A count
+// other than one is refused with a *histstore.WriterError naming the
+// writer listed first.
 func TestReplicaHostileManifestNames(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
@@ -589,16 +592,24 @@ func TestReplicaHostileManifestNames(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	id := clean.Writers[0].ID
 	cases := []struct {
 		name   string
 		mutate func(m *rdnsclient.ReplManifest)
+		writer *string // the writer a *histstore.WriterError must name
 	}{
-		{"segment traversal", func(m *rdnsclient.ReplManifest) { m.Writers[0].Segments[0].File = "../victim" }},
-		{"segment backslash", func(m *rdnsclient.ReplManifest) { m.Writers[0].Segments[0].File = `..\victim` }},
-		{"segment dotdot", func(m *rdnsclient.ReplManifest) { m.Writers[0].Segments[0].File = ".." }},
-		{"tail traversal", func(m *rdnsclient.ReplManifest) { m.Writers[0].TailFile = "../victim" }},
-		{"tail reserved name", func(m *rdnsclient.ReplManifest) { m.Writers[0].TailFile = "MANIFEST" }},
-		{"writer id traversal", func(m *rdnsclient.ReplManifest) { m.Writers[0].ID = "../w" }},
+		{"segment traversal", func(m *rdnsclient.ReplManifest) { m.Writers[0].Segments[0].File = "../victim" }, nil},
+		{"segment backslash", func(m *rdnsclient.ReplManifest) { m.Writers[0].Segments[0].File = `..\victim` }, nil},
+		{"segment dotdot", func(m *rdnsclient.ReplManifest) { m.Writers[0].Segments[0].File = ".." }, nil},
+		{"tail traversal", func(m *rdnsclient.ReplManifest) { m.Writers[0].TailFile = "../victim" }, nil},
+		{"tail reserved name", func(m *rdnsclient.ReplManifest) { m.Writers[0].TailFile = "MANIFEST" }, nil},
+		{"writer id traversal", func(m *rdnsclient.ReplManifest) { m.Writers[0].ID = "../w" }, nil},
+		{"second writer", func(m *rdnsclient.ReplManifest) {
+			w := m.Writers[0]
+			w.ID = "zulu"
+			m.Writers = append(m.Writers, w)
+		}, &id},
+		{"no writer", func(m *rdnsclient.ReplManifest) { m.Writers = nil }, new(string)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -621,8 +632,13 @@ func TestReplicaHostileManifestNames(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := y.Sync(context.Background()); err == nil {
+			_, err = y.Sync(context.Background())
+			if err == nil {
 				t.Fatal("hostile manifest synced without an error")
+			}
+			var we *histstore.WriterError
+			if tc.writer != nil && (!errors.As(err, &we) || we.Writer != *tc.writer) {
+				t.Fatalf("writer count: %v, want a *histstore.WriterError naming %q", err, *tc.writer)
 			}
 			// Validation fires before MkdirAll: the replica directory must
 			// not even exist, let alone hold staged files.
