@@ -19,7 +19,6 @@ import (
 
 	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/rdnsserve"
-	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/testutil"
 )
 
@@ -27,40 +26,18 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_co
 
 const goldenColdFile = "testdata/golden_cold.txt"
 
-// bravoRecords is writer bravo's view of day: alpha's records three days
-// ahead, minus every seventh octet, so the two writers agree on some
-// addresses, conflict on some and each hold some alone.
-func bravoRecords(day int) scanengine.RecordSet {
-	recs := goldenRecords(day + 3)
-	for ip := range recs {
-		if ip[3]%7 == 0 {
-			delete(recs, ip)
-		}
-	}
-	return recs
-}
-
-// goldenColdStore builds the fixed two-writer store: alpha and bravo
-// append 18 interleaved days each, and alpha seals its first ten into a
-// segment on the way. Both writers are closed, so the returned read-only
-// handle can compact either of them.
+// goldenColdStore builds the fixed store: writer alpha appends 18 days
+// and seals its first ten into a segment on the way. The writer is
+// closed, so the returned read-only handle can compact it.
 func goldenColdStore(t *testing.T, dir string) *histstore.Store {
 	t.Helper()
 	alpha, err := histstore.Open(dir, histstore.WithWriter("alpha"), histstore.WithBaseInterval(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	bravo, err := histstore.Open(dir, histstore.WithWriter("bravo"), histstore.WithBaseInterval(4))
-	if err != nil {
-		t.Fatal(err)
-	}
 	for d := 0; d < 18; d++ {
-		at := campaignStart.AddDate(0, 0, d)
-		if err := alpha.Append(at, goldenRecords(d)); err != nil {
+		if err := alpha.Append(campaignStart.AddDate(0, 0, d), goldenRecords(d)); err != nil {
 			t.Fatalf("alpha day %d: %v", d, err)
-		}
-		if err := bravo.Append(at.Add(2*time.Hour), bravoRecords(d)); err != nil {
-			t.Fatalf("bravo day %d: %v", d, err)
 		}
 		if d == 9 {
 			if _, err := alpha.CompactWriter(context.Background(), "alpha", histstore.CompactOptions{}); err != nil {
@@ -68,10 +45,8 @@ func goldenColdStore(t *testing.T, dir string) *histstore.Store {
 			}
 		}
 	}
-	for _, st := range []*histstore.Store{alpha, bravo} {
-		if err := st.Close(); err != nil {
-			t.Fatal(err)
-		}
+	if err := alpha.Close(); err != nil {
+		t.Fatal(err)
 	}
 	serving, err := histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(64), histstore.WithHotSegments(1))
 	if err != nil {
@@ -80,9 +55,9 @@ func goldenColdStore(t *testing.T, dir string) *histstore.Store {
 	return serving
 }
 
-// coldScript runs the fixed script of store documents — stats, the
-// divergence block, the feed manifest, compaction results — and one
-// segment and three tail fetches through h. It returns one record per
+// coldScript runs the fixed script of store documents — stats, the feed
+// manifest, compaction results — and one segment and three tail fetches
+// through h. It returns one record per
 // request: the request line, the status, Content-Type and every X-Repl-*
 // header, then the JSON body as served, or the length and SHA-256 of a
 // binary feed chunk.
@@ -135,8 +110,8 @@ func coldScript(t *testing.T, h http.Handler) []byte {
 		if err := json.Unmarshal(get("/v1/repl/manifest", nil), &m); err != nil {
 			t.Fatal(err)
 		}
-		if len(m.Writers) != 2 || len(m.Writers[0].Segments) == 0 {
-			t.Fatalf("manifest has %d writers, want alpha with a segment and bravo", len(m.Writers))
+		if len(m.Writers) != 1 || len(m.Writers[0].Segments) == 0 {
+			t.Fatalf("manifest has %d writers, want alpha with a segment", len(m.Writers))
 		}
 		return m
 	}
@@ -144,22 +119,21 @@ func coldScript(t *testing.T, h http.Handler) []byte {
 	get("/v1/at", url.Values{"ip": {"10.0.1.15"}, "t": {day(5)}})
 	get("/v1/churn", url.Values{"prefix": {"10.0.0.0/16"}, "from": {day(0)}, "to": {day(17)}})
 	get("/v1/stats", nil)
-	get("/v1/stats", url.Values{"divergence": {"1"}})
 	before := readManifest()
 	get("/v1/repl/segment/"+before.Writers[0].Segments[0].File, url.Values{"off": {"0"}, "n": {"100"}})
-	get("/v1/repl/tail/bravo", url.Values{"off": {"0"}, "n": {"100"}})
+	get("/v1/repl/tail/alpha", url.Values{"off": {"0"}, "n": {"100"}})
 	get("/v1/repl/tail/alpha", url.Values{"off": {"0"}, "file": {before.Writers[0].TailFile}})
 	do(http.MethodPost, "/v1/admin/compact", nil)
 	readManifest()
 	get("/v1/repl/tail/alpha", url.Values{"off": {"0"}, "file": {before.Writers[0].TailFile}})
-	get("/v1/stats", url.Values{"divergence": {"1"}})
+	get("/v1/stats", nil)
 	do(http.MethodPost, "/v1/admin/compact", nil)
 	return out.Bytes()
 }
 
 // TestGoldenColdDocuments pins the bytes of the documents the store
-// produces about itself, as rdnsd serves them: /v1/stats with and without
-// the divergence block, /v1/repl/manifest before and after a compaction,
+// produces about itself, as rdnsd serves them: /v1/stats,
+// /v1/repl/manifest before and after a compaction,
 // POST /v1/admin/compact, and the X-Repl-* headers of segment and tail
 // fetches, including a 409 for a tail compaction replaced. Refresh the
 // file with -update-golden, and only on purpose.
