@@ -181,8 +181,10 @@ monitortest:
 	$(GO) test -race -count=1 -run 'TestMonitorE2E' ./cmd/rdnsmon
 
 # vantagetest is the multi-vantage measurement gate: the seeded
-# three-vantage campaign race test (concurrent appenders with live
-# compaction, disagreement reads mid-flight, goroutine-leak check) and the
+# three-vantage campaign race test (each vantage appending to its own
+# store with live compaction, frame reads mid-flight, then concurrent
+# reads and analyses over the per-vantage stores, goroutine-leak check)
+# and the
 # cancellation tests of a vantage campaign and of the scan.RunContext loop
 # it runs on, plus the 50-seed replay-determinism battery proving reports
 # and obs frame digests are bit-identical across runs.
