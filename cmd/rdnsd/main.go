@@ -24,10 +24,10 @@
 //     else source address) a token bucket; -max-inflight bounds
 //     concurrency, shedding the excess with 503 + Retry-After;
 //     -acl-allow/-acl-deny restrict service by source prefix.
-//   - Hot reload: SIGHUP (or POST /v1/admin/reload with -reload) reopens
-//     the store and swaps it in without dropping in-flight queries —
-//     reload after the campaign's daily append lands to serve the new
-//     snapshot.
+//   - Hot reload: SIGHUP (or POST /v1/admin/reload) reopens the store
+//     and swaps it in without dropping in-flight queries — reload after
+//     the campaign's daily append (and its compaction) lands to serve the
+//     new snapshot.
 //   - Telemetry: -metrics-addr serves Prometheus exposition with
 //     rdnsd_* query/admission metrics alongside the store's hist_*
 //     instruments.
@@ -60,23 +60,20 @@ import (
 // options collects the flag values; kept as a struct so buildConfig is
 // testable without flag juggling.
 type options struct {
-	storePath    string
-	cacheSize    int
-	hotSegments  int
-	seed         int64
-	rate         float64
-	burst        float64
-	maxInFlight  int
-	aclAllow     string
-	aclDeny      string
-	reload       bool
-	compactEvery time.Duration
-	compactMin   int
-	replicaOf    string
-	replPoll     time.Duration
-	queryLog     int
-	slowQuery    time.Duration
-	queryLogOut  string
+	storePath   string
+	cacheSize   int
+	hotSegments int
+	seed        int64
+	rate        float64
+	burst       float64
+	maxInFlight int
+	aclAllow    string
+	aclDeny     string
+	replicaOf   string
+	replPoll    time.Duration
+	queryLog    int
+	slowQuery   time.Duration
+	queryLogOut string
 }
 
 // parsePrefixList parses a comma-separated IPv4 CIDR list ("" → nil).
@@ -97,18 +94,6 @@ func parsePrefixList(s string) ([]dnswire.Prefix, error) {
 		out = append(out, p)
 	}
 	return out, nil
-}
-
-// normalizeReplicaMode forces the invariants replica mode needs: a
-// replica daemon serves a mirror it keeps rewriting underneath itself,
-// so it must hot-reload to swap generations, and it must not compact
-// the mirrored files (the primary owns compaction).
-func (o *options) normalizeReplicaMode() {
-	if o.replicaOf == "" {
-		return
-	}
-	o.reload = true
-	o.compactEvery = 0
 }
 
 // replicaBootstrap blocks until one sync lands a committed generation in
@@ -164,8 +149,9 @@ func replicaCatchup(ctx context.Context, sync func(context.Context) (bool, error
 
 // openStore is the daemon's one way to open its store, first open and
 // every reload alike. The daemon is a pure reader: it never registers a
-// writer, so campaign appenders keep exclusive ownership of their tails and
-// a daemon crash can never tear one.
+// writer and never writes a file of the store, so the campaign's writer
+// alone appends to and compacts its store, and a daemon crash can never
+// tear it.
 func openStore(o options, reg *telemetry.Registry) (*histstore.Store, error) {
 	return histstore.Open(o.storePath,
 		histstore.WithCache(o.cacheSize),
@@ -174,8 +160,8 @@ func openStore(o options, reg *telemetry.Registry) (*histstore.Store, error) {
 		histstore.WithReadOnly())
 }
 
-// buildConfig translates flags into the serving config. The returned
-// Reopen (nil unless -reload) is openStore.
+// buildConfig translates flags into the serving config. Its Reopen is
+// openStore: the daemon always hot-reloads.
 func buildConfig(o options, reg *telemetry.Registry, tracer *telemetry.Tracer) (rdnsserve.Config, error) {
 	allow, err := parsePrefixList(o.aclAllow)
 	if err != nil {
@@ -196,16 +182,13 @@ func buildConfig(o options, reg *telemetry.Registry, tracer *telemetry.Tracer) (
 			Allow:       allow,
 			Deny:        deny,
 		},
-		Compact: histstore.CompactOptions{MinSeal: o.compactMin},
+		Reopen: func() (*histstore.Store, error) { return openStore(o, reg) },
 	}
 	if o.queryLog > 0 {
 		cfg.QueryLog = rdnsserve.NewQueryLog(rdnsserve.QueryLogConfig{
 			Size:          o.queryLog,
 			SlowThreshold: o.slowQuery,
 		})
-	}
-	if o.reload {
-		cfg.Reopen = func() (*histstore.Store, error) { return openStore(o, reg) }
 	}
 	return cfg, nil
 }
@@ -219,15 +202,12 @@ func main() {
 	flag.StringVar(&o.storePath, "store", "", "history store to serve (required)")
 	flag.IntVar(&o.cacheSize, "cache", 4096, "reconstruction cache capacity in block states (0 disables)")
 	flag.IntVar(&o.hotSegments, "hot-segments", histstore.DefaultHotSegments, "sealed segments kept hot (index + fd resident); older ones load lazily and evict LRU (<=0 = unbounded)")
-	flag.DurationVar(&o.compactEvery, "compact-interval", 0, "background compaction period sealing idle writer tails into segments (0 disables; also POST /v1/admin/compact)")
-	flag.IntVar(&o.compactMin, "compact-min-seal", 0, "minimum tail snapshots before a background compaction seals a writer (0 = the store's base interval)")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for deterministic span correlation IDs")
 	flag.Float64Var(&o.rate, "rate", 0, "per-client sustained requests/second (0 disables rate limiting)")
 	flag.Float64Var(&o.burst, "burst", 0, "per-client burst capacity (default max(rate, 1))")
 	flag.IntVar(&o.maxInFlight, "max-inflight", 0, "bound on concurrent in-flight queries; excess sheds with 503 (0 = unbounded)")
 	flag.StringVar(&o.aclAllow, "acl-allow", "", "comma-separated source prefixes to allow (empty = all)")
 	flag.StringVar(&o.aclDeny, "acl-deny", "", "comma-separated source prefixes to deny (wins over allow)")
-	flag.BoolVar(&o.reload, "reload", true, "enable hot reload via SIGHUP and POST /v1/admin/reload")
 	flag.StringVar(&o.replicaOf, "replica-of", "", "run as a read replica of the primary rdnsd at this base URL; -store names the local mirror directory (see docs/replication.md)")
 	flag.DurationVar(&o.replPoll, "repl-poll", time.Second, "replica catch-up poll interval (with -replica-of)")
 	flag.IntVar(&o.queryLog, "query-log", 0, "ring-buffer this many canonical query-log entries, served at the metrics address /querylog (0 disables; see docs/observability.md)")
@@ -239,7 +219,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	o.normalizeReplicaMode()
 
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(o.seed, 4096)
@@ -319,53 +298,23 @@ func main() {
 
 	// SIGHUP → hot reload: swap onto the reopened store without dropping
 	// in-flight queries. Fire it after the campaign's daily append lands.
-	if o.reload {
-		hup := make(chan os.Signal, 1)
-		signal.Notify(hup, syscall.SIGHUP)
-		go func() {
-			for range hup {
-				resp, err := srv.Reload()
-				if err != nil {
-					fmt.Fprintf(os.Stderr, "rdnsd: reload: %v\n", err)
-					continue
-				}
-				fmt.Fprintf(os.Stderr, "rdnsd: reloaded generation %d (%d snapshots)\n",
-					resp.Generation, resp.Snapshots)
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	go func() {
+		for range hup {
+			resp, err := srv.Reload()
+			if err != nil {
+				fmt.Fprintf(os.Stderr, "rdnsd: reload: %v\n", err)
+				continue
 			}
-		}()
-	}
+			fmt.Fprintf(os.Stderr, "rdnsd: reloaded generation %d (%d snapshots)\n",
+				resp.Generation, resp.Snapshots)
+		}
+	}()
 
 	if syncer != nil {
 		srv.SetReplicaStatus(syncer.Status)
 		go replicaCatchup(ctx, syncer.Sync, srv.Reload, o.replPoll, logf)
-	}
-
-	// Background compaction: periodically seal the writer's tail into a
-	// segment while serving continues on the same handle. A writer whose
-	// campaign process is alive is skipped (it holds the tail lock).
-	if o.compactEvery > 0 {
-		go func() {
-			tick := time.NewTicker(o.compactEvery)
-			defer tick.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-				}
-				res, err := srv.Compact(ctx)
-				if err != nil {
-					if !errors.Is(err, histstore.ErrCompactBusy) && ctx.Err() == nil {
-						fmt.Fprintf(os.Stderr, "rdnsd: compact: %v\n", err)
-					}
-					continue
-				}
-				if res.Skipped == "" {
-					fmt.Fprintf(os.Stderr, "rdnsd: compacted writer %s: %d snapshots, %d B -> %d B\n",
-						res.Writer, res.Sealed, res.TailBytes, res.SegmentBytes)
-				}
-			}
-		}()
 	}
 
 	done := make(chan error, 1)

@@ -60,7 +60,6 @@ func TestBuildConfig(t *testing.T) {
 		maxInFlight: 32,
 		aclAllow:    "10.0.0.0/8",
 		aclDeny:     "10.9.0.0/16",
-		reload:      true,
 	}
 	reg := telemetry.NewRegistry()
 	cfg, err := buildConfig(o, reg, telemetry.NewTracer(7, 16))
@@ -76,7 +75,7 @@ func TestBuildConfig(t *testing.T) {
 		t.Fatalf("config: %+v", cfg)
 	}
 	if cfg.Reopen == nil {
-		t.Fatal("reload enabled but Reopen is nil")
+		t.Fatal("Reopen is nil: the daemon always hot-reloads")
 	}
 	reopened, err := cfg.Reopen()
 	if err != nil {
@@ -87,32 +86,10 @@ func TestBuildConfig(t *testing.T) {
 	}
 	reopened.Close()
 
-	// -reload=false disables the admin surface.
-	o.reload = false
-	cfg, err = buildConfig(o, reg, nil)
-	if err != nil || cfg.Reopen != nil {
-		t.Fatalf("no-reload config: Reopen set? %v err=%v", cfg.Reopen != nil, err)
-	}
-
 	// ACL parse errors surface with the flag name.
 	o.aclAllow = "nonsense"
 	if _, err := buildConfig(o, reg, nil); err == nil {
 		t.Fatal("bad -acl-allow accepted")
-	}
-}
-
-func TestNormalizeReplicaMode(t *testing.T) {
-	// Replica mode forces hot reload on and background compaction off.
-	o := options{replicaOf: "http://primary:8077", reload: false, compactEvery: time.Minute}
-	o.normalizeReplicaMode()
-	if !o.reload || o.compactEvery != 0 {
-		t.Fatalf("replica mode not normalized: %+v", o)
-	}
-	// Primary mode keeps the operator's choices.
-	o = options{reload: false, compactEvery: time.Minute}
-	o.normalizeReplicaMode()
-	if o.reload || o.compactEvery != time.Minute {
-		t.Fatalf("primary options rewritten: %+v", o)
 	}
 }
 

@@ -2,7 +2,7 @@
 // /v1/stats (and optionally their Prometheus metrics listeners), renders
 // a textplot dashboard — per-daemon qps, latency quantiles with p99
 // exemplar correlation IDs, error and shed rates, replica lag,
-// compaction/tier state — and judges the fleet against the same
+// segment tier state — and judges the fleet against the same
 // declarative SLO rules cmd/rdnsload uses (internal/obs.LoadRules).
 //
 //	rdnsmon -targets http://primary:8077,http://replica:8078 -rounds 5 -interval 2s

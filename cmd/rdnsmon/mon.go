@@ -257,12 +257,6 @@ func dashboard(w io.Writer, cfg *monConfig, rounds []pollRound, samples []obs.Lo
 		if cur.Replica != nil {
 			lag = fmt.Sprintf("%dB", cur.Replica.BytesBehind)
 		}
-		store := fmt.Sprintf("%d/%d hot", cur.Store.HotSegments, cur.Store.Segments)
-		if cur.Store.Compaction.Running {
-			store += ", compacting"
-		} else if cur.Store.Compaction.Runs > 0 {
-			store += fmt.Sprintf(", %d compactions", cur.Store.Compaction.Runs)
-		}
 		row := []string{
 			label,
 			fmt.Sprintf("%d", cur.Generation),
@@ -274,7 +268,7 @@ func dashboard(w io.Writer, cfg *monConfig, rounds []pollRound, samples []obs.Lo
 			fmt.Sprintf("%.2f", s.ErrorRate()*100),
 			fmt.Sprintf("%.2f", s.ShedRate()*100),
 			lag,
-			store,
+			fmt.Sprintf("%d/%d hot", cur.Store.HotSegments, cur.Store.Segments),
 		}
 		if len(cfg.metrics) > 0 {
 			row = append(row, metricsSeries(cfg, i))

@@ -55,8 +55,11 @@
 // docs/observability.md for the frame schema.
 //
 // -store appends each sweep's merged record set to a longitudinal
-// history store (one snapshot per sweep; one per poll with -watch),
-// which cmd/rdnsd then serves over HTTP and leakfind -store analyzes:
+// history store (one snapshot per sweep; one per poll with -watch) and
+// seals the store's tail into a segment once it holds the store's base
+// interval of snapshots. The scanner is the store's only writer; cmd/rdnsd
+// serves it over HTTP (reload it to see new snapshots) and leakfind -store
+// analyzes it:
 //
 //	rdnsscan -server 127.0.0.1:5353 -prefix 10.0.0.0/24 -watch -store campaign.hist
 //	rdnsd -store campaign.hist
@@ -288,6 +291,11 @@ func newRecorder(reg *telemetry.Registry, store *histstore.Store) *obs.Recorder 
 // append (e.g. two polls within the store's one-second granularity) is
 // reported but does not stop the scan. A cancelled sweep is not archived:
 // the store would read every address it never reached as removed.
+//
+// After each append the scanner, the store's one writer, seals its tail
+// into a segment once the tail holds the store's base interval of
+// snapshots, so a store a -watch run keeps growing is compacted without
+// anyone else writing it.
 func appendStore(store *histstore.Store, snap *scanengine.Snapshot) {
 	if store == nil || snap == nil {
 		return
@@ -298,6 +306,14 @@ func appendStore(store *histstore.Store, snap *scanengine.Snapshot) {
 	}
 	if err := store.AppendBlocks(time.Now().UTC(), snap.Blocks); err != nil {
 		fmt.Fprintf(os.Stderr, "store: %v\n", err)
+		return
+	}
+	res, err := store.Compact(context.Background(), histstore.CompactOptions{})
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "store: compact: %v\n", err)
+	} else if res.Skipped == "" {
+		fmt.Fprintf(os.Stderr, "store: sealed %d snapshots into %s, %d B -> %d B\n",
+			res.Sealed, res.Segment, res.TailBytes, res.SegmentBytes)
 	}
 }
 

@@ -38,6 +38,48 @@ func TestPartialSweepIsNotArchived(t *testing.T) {
 	}
 }
 
+// TestStoreSealsAtTheBaseInterval: -store, the store's one writer, seals
+// its tail into a segment after the append that brings the tail to the
+// store's base interval, and not before.
+func TestStoreSealsAtTheBaseInterval(t *testing.T) {
+	recs := scanengine.RecordSet{dnswire.IPv4{10, 0, 0, 1}: dnswire.MustName("h1.example.org")}
+	snap := &scanengine.Snapshot{Blocks: scanengine.Pack(recs), Records: recs}
+	day := time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
+	for _, tc := range []struct {
+		earlier, segments, tail int
+	}{
+		{earlier: 2, segments: 0, tail: 3}, // one short of the interval
+		{earlier: 3, segments: 1, tail: 0}, // the append that reaches it
+	} {
+		dir := t.TempDir()
+		st, err := histstore.Open(dir, histstore.WithBaseInterval(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.earlier; i++ {
+			if err := st.Append(day.AddDate(0, 0, i), recs); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		// Opened as rdnsscan opens it: the manifest's interval wins.
+		if st, err = histstore.Open(dir); err != nil {
+			t.Fatal(err)
+		}
+		appendStore(st, snap)
+		stats := st.Stats()
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if stats.Snapshots != tc.earlier+1 || stats.Segments != tc.segments || stats.Writers[0].TailSnapshots != tc.tail {
+			t.Errorf("after %d earlier snapshots and one sweep: %d snapshots, %d segments, %d in the tail; want %d segments, %d in the tail",
+				tc.earlier, stats.Snapshots, stats.Segments, stats.Writers[0].TailSnapshots, tc.segments, tc.tail)
+		}
+	}
+}
+
 // TestObsFramesCarryCompactedStoreState pins the -store -obs-out wiring:
 // a frame captured over a store that has compacted reports its segments,
 // writers and compaction runs — the whole of scan.StoreStats, not a

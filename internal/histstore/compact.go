@@ -19,7 +19,9 @@ import (
 // Compaction seals the writer's accumulated tail snapshots into an
 // immutable segment and restarts the tail, reclaiming the redundant
 // delta-chain rebases the append path wrote and re-basing old delta runs
-// on a sparser cadence. The protocol is crash-atomic:
+// on a sparser cadence. Only the writer compacts, on its own handle: it
+// holds the tail lock for its whole session, so a store's files are only
+// ever written by its writer's process. The protocol is crash-atomic:
 //
 //	phase A (shared lock)   stream the tail's sealed range into a segment
 //	                        image, starting from the states the writer's
@@ -94,35 +96,28 @@ type CompactResult struct {
 	Skipped string `json:"skipped,omitempty"`
 }
 
-// Compact seals the tail of the store's writer into a segment. A writer
-// whose owning process holds the tail lock, like a tail too small to
-// seal, is skipped with the reason recorded. Queries keep running
-// throughout; Append (when this Store is the writer) interleaves between
-// the seal and the commit.
-func (s *Store) Compact(ctx context.Context, opts CompactOptions) (CompactResult, error) {
-	res, err := s.compact(ctx, opts)
-	if errors.Is(err, ErrWriterActive) {
-		return CompactResult{Writer: res.Writer, Skipped: "writer active in another process"}, nil
-	}
-	return res, err
-}
-
 // CompactWriter is Compact for the writer id names, which must be the
-// store's own (a *WriterError otherwise); an active foreign appender
-// yields ErrWriterActive.
+// store's own (a *WriterError otherwise). It stays because the benchmark
+// harness (bench/) compacts through it; everything else calls Compact.
 func (s *Store) CompactWriter(ctx context.Context, id string, opts CompactOptions) (CompactResult, error) {
 	if id != s.w.id {
 		return CompactResult{Writer: id}, &WriterError{Writer: s.w.id, Refused: id}
 	}
-	return s.compact(ctx, opts)
+	return s.Compact(ctx, opts)
 }
 
-// compact is one compaction run. The writer's tail lock must be free or
-// owned by this store.
-func (s *Store) compact(ctx context.Context, opts CompactOptions) (CompactResult, error) {
+// Compact seals the writer's tail into a segment. Only the writer
+// compacts: on a WithReadOnly handle Compact returns ErrReadOnly and
+// touches nothing. A tail too small to seal is skipped with the reason
+// recorded. Queries keep running throughout, and Append interleaves
+// between the seal and the commit.
+func (s *Store) Compact(ctx context.Context, opts CompactOptions) (CompactResult, error) {
 	w := s.w
 	id := w.id
 	res := CompactResult{Writer: id}
+	if s.readOnly {
+		return res, ErrReadOnly
+	}
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
@@ -138,16 +133,6 @@ func (s *Store) compact(ctx context.Context, opts CompactOptions) (CompactResult
 	segK := opts.BaseInterval
 	if segK <= 0 {
 		segK = 4 * s.baseEvery
-	}
-
-	// Unless this Store is the writer, hold its tail lock for the
-	// duration of the run.
-	if !w.owned {
-		lock, err := acquireFileLock(filepath.Join(s.dir, "tail-"+id+".lock"))
-		if err != nil {
-			return res, err
-		}
-		defer releaseFileLock(lock)
 	}
 
 	// Phase A: build the segment image from the sealed tail span, under
@@ -243,11 +228,7 @@ func (s *Store) compact(ctx context.Context, opts CompactOptions) (CompactResult
 
 	// Open the replacement handles before committing, so a commit is
 	// never followed by a failure to serve.
-	tailFlags := os.O_RDONLY
-	if w.owned {
-		tailFlags = os.O_RDWR
-	}
-	newF, err := os.OpenFile(newTailPath, tailFlags, 0)
+	newF, err := os.OpenFile(newTailPath, os.O_RDWR, 0)
 	if err != nil {
 		return res, fmt.Errorf("histstore: %w", err)
 	}

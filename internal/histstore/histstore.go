@@ -83,7 +83,8 @@ var (
 	// ErrBeforeHistory reports a point query earlier than the first
 	// snapshot.
 	ErrBeforeHistory = errors.New("histstore: instant precedes history")
-	// ErrReadOnly reports an append through a store opened WithReadOnly.
+	// ErrReadOnly reports an append or a compaction through a store
+	// opened WithReadOnly.
 	ErrReadOnly = errors.New("histstore: store is read-only")
 	// ErrNoStore reports a read-only open of a directory holding no
 	// manifest.
@@ -119,7 +120,6 @@ type blockRef struct {
 type writerState struct {
 	id      string
 	fileSeq int
-	owned   bool     // this Store appends as the writer
 	lock    *os.File // session tail lock (writable stores only)
 
 	segs []*segment
@@ -224,9 +224,9 @@ func WithWriter(id string) Option {
 }
 
 // WithReadOnly opens the store for queries only: no writer is registered
-// or locked, no files are created or truncated, and Append returns
-// ErrReadOnly. This is how rdnsd serves a store a campaign is appending
-// to from another process.
+// or locked, no file is created, truncated or written, and Append and
+// Compact return ErrReadOnly. This is how rdnsd serves a store a campaign
+// is appending to, and compacting, from another process.
 func WithReadOnly() Option {
 	return func(s *Store) { s.readOnly = true }
 }
@@ -241,7 +241,7 @@ func WithHotSegments(n int) Option {
 // Open creates or loads the history store rooted at the directory path.
 // Existing files rebuild the indexes (sealed segments verified and joined
 // from their sidecars, the tail replayed); a torn final
-// append (crash mid-write) on an owned tail is truncated away, while
+// append (crash mid-write) on the writer's tail is truncated away, while
 // mid-file corruption — anywhere in a sealed segment, or before the
 // final append of a tail — is a loud error.
 func Open(path string, opts ...Option) (*Store, error) {
@@ -493,7 +493,6 @@ func (s *Store) loadWriter(mw manifestWriter, lock *os.File) error {
 	w := &writerState{
 		id:         mw.id,
 		fileSeq:    mw.fileSeq,
-		owned:      lock != nil,
 		lock:       lock,
 		tailFile:   mw.tailFile,
 		tailFirst:  mw.tailFirst,
@@ -510,9 +509,9 @@ func (s *Store) loadWriter(mw manifestWriter, lock *os.File) error {
 			count:     g.count,
 		})
 	}
-	flags := os.O_RDONLY
-	if w.owned {
-		flags = os.O_RDWR
+	flags := os.O_RDWR
+	if s.readOnly {
+		flags = os.O_RDONLY
 	}
 	f, err := os.OpenFile(s.filePath(mw.tailFile), flags, 0)
 	if err != nil {
@@ -553,7 +552,7 @@ func (s *Store) Close() error {
 		return nil
 	}
 	var err error
-	if s.w.owned && s.w.tailF != nil {
+	if !s.readOnly && s.w.tailF != nil {
 		err = s.w.tailF.Sync()
 	}
 	s.closeFiles()

@@ -494,7 +494,7 @@ func (s *Store) foldSidecar(g *segment) (*segNames, error) {
 	if err != nil {
 		return nil, fmt.Errorf("histstore: segment %s: %w", g.path, err)
 	}
-	if s.w.owned {
+	if !s.readOnly {
 		stageFile(SidecarName(g.path), sn.encode(g.identity()), "")
 	}
 	return sn, nil
@@ -506,7 +506,7 @@ func (s *Store) foldSidecar(g *segment) (*segNames, error) {
 func (s *Store) finishReplay() error {
 	w := s.w
 	if w.tornAt >= 0 {
-		if w.owned {
+		if !s.readOnly {
 			if err := w.tailF.Truncate(w.tornAt); err != nil {
 				return fmt.Errorf("histstore: truncating torn tail %s: %w", w.tailFile, err)
 			}

@@ -4,8 +4,8 @@
 // and the feed's header names live here, imported by both the server
 // (internal/rdnsserve) and every consumer (cmd/rdnsload, tests), so the
 // contract cannot drift between the two sides. The documents the history
-// store produces about itself — its summary, churn days, compaction
-// results and the replication feed's manifest and tail identity — are
+// store produces about itself — its summary, churn days and the
+// replication feed's manifest and tail identity — are
 // histstore's own types, which the envelopes here name directly.
 //
 //	c := rdnsclient.New("http://127.0.0.1:8077")
@@ -58,9 +58,6 @@ const (
 	// CodeCanceled: the client disconnected mid-query and the work was
 	// abandoned (HTTP 499; never seen by a live client).
 	CodeCanceled = "canceled"
-	// CodeCompactBusy: a compaction sweep is already running; retry after
-	// it finishes (HTTP 409).
-	CodeCompactBusy = "compact_busy"
 	// CodeReplChanged: a replication tail fetch named a tail file the
 	// writer no longer appends to (compaction started a fresh tail); the
 	// replica must refetch the manifest (HTTP 409).
@@ -138,12 +135,6 @@ type NameResponse struct {
 type DaysResponse struct {
 	Count int         `json:"count"`
 	Days  []time.Time `json:"days"`
-}
-
-// CompactResponse is POST /v1/admin/compact: the seal outcome, as a list
-// of one (the store's writer).
-type CompactResponse struct {
-	Results []histstore.CompactResult `json:"results"`
 }
 
 // AdmissionStats is the daemon's admission-control summary: cumulative

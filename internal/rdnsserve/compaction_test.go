@@ -4,81 +4,69 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
 	"net/http/httptest"
-	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/histstore"
-	"rdnsprivacy/internal/rdnsclient"
 	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/telemetry"
 	"rdnsprivacy/internal/testutil"
 )
 
 // TestCompactionUnderLoad is the serving-side compaction race test: four
-// query workers hammer the daemon's v1 endpoints while a compaction
-// through the admin endpoint seals the released writer's history in
-// place, and then while the writer's campaign, back at work, appends
-// beside them and a second compaction is skipped for the writer's lock —
-// all under -race (make race covers this package). Every query must
-// answer 200, and the cache/tier counters in /v1/stats must agree with
-// the hist_* metrics.
+// query workers hammer the daemon's v1 endpoints on its read-only handle
+// while the writer, a separate handle on the same store, seals its
+// history, appends more and seals again; a reload beside the workers
+// then serves the sealed layout. All of it runs under -race (make race
+// covers this package). Every query must answer 200, and the cache and
+// tier counters in /v1/stats must agree with the hist_* metrics of the
+// handle serving them.
 func TestCompactionUnderLoad(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
 	dir := t.TempDir() + "/hist"
 	start := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
+	day := func(d int) scanengine.RecordSet {
+		return scanengine.RecordSet{
+			dnswire.MustIPv4("10.0.1.7"): dnswire.MustName("brians-iphone.lan.example.net"),
+			dnswire.MustIPv4("10.0.1.9"): dnswire.MustName(fmt.Sprintf("host-9-%d.dyn.example.net", d)),
+		}
+	}
 
-	// A finished campaign: 20 days, then released. This is the tail the
-	// live compaction pass can seal.
+	// The campaign's writer: 20 days in its tail, and it stays open.
 	w0, err := histstore.Open(dir, histstore.WithWriter("w0"), histstore.WithBaseInterval(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for day := 0; day < 20; day++ {
-		recs := scanengine.RecordSet{
-			dnswire.MustIPv4("10.0.1.7"): dnswire.MustName("brians-iphone.lan.example.net"),
-			dnswire.MustIPv4("10.0.1.9"): dnswire.MustName(fmt.Sprintf("host-9-%d.dyn.example.net", day)),
-		}
-		if err := w0.Append(start.AddDate(0, 0, day), recs); err != nil {
+	defer w0.Close()
+	for d := 0; d < 20; d++ {
+		if err := w0.Append(start.AddDate(0, 0, d), day(d)); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := w0.Close(); err != nil {
-		t.Fatal(err)
-	}
 
-	// The daemon serves a read-only handle with its own telemetry; the
-	// appender runs as a separate (untelemetered) store so the registry
-	// mirrors exactly one store's counters.
-	reg := telemetry.NewRegistry()
-	serving, err := histstore.Open(dir,
-		histstore.WithReadOnly(), histstore.WithCache(256),
-		histstore.WithTelemetry(reg), histstore.WithHotSegments(1))
+	// The daemon serves read-only handles, each with its own telemetry
+	// (the writer's is untelemetered), so a registry mirrors exactly one
+	// handle's counters.
+	var reg *telemetry.Registry
+	open := func() (*histstore.Store, error) {
+		reg = telemetry.NewRegistry()
+		return histstore.Open(dir,
+			histstore.WithReadOnly(), histstore.WithCache(256),
+			histstore.WithTelemetry(reg), histstore.WithHotSegments(1))
+	}
+	serving, err := open()
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv := New(serving, Config{Sink: reg})
+	srv := New(serving, Config{Sink: telemetry.NewRegistry(), Reopen: open})
 	defer srv.Close()
 	h := srv.Handler()
-	compact := func() rdnsclient.CompactResponse {
-		t.Helper()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/admin/compact", nil))
-		if rec.Code != 200 {
-			t.Fatalf("compact: %d %s", rec.Code, rec.Body)
-		}
-		var cr rdnsclient.CompactResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
-			t.Fatal(err)
-		}
-		return cr
-	}
 
-	// Four query workers racing the appends and the compaction.
+	// Four query workers racing the writer's compactions and appends, and
+	// the reload.
 	urls := []string{
 		"/v1/at?ip=10.0.1.7&t=2020-03-08",
 		"/v1/range?prefix=10.0.1.0/24&from=2020-03-01&to=2020-03-15&limit=100",
@@ -111,56 +99,40 @@ func TestCompactionUnderLoad(t *testing.T) {
 		}()
 	}
 
-	// One live compaction pass through the admin endpoint while the
-	// query workers run: the writer is idle, so it seals in place.
-	if cr := compact(); len(cr.Results) != 1 || cr.Results[0].Writer != "w0" ||
-		cr.Results[0].Sealed != 20 || cr.Results[0].Skipped != "" {
-		t.Fatalf("compact results: %+v", cr.Results)
-	}
-
-	// The campaign comes back and appends while the queries go on; the
-	// serving handle sees none of it until a reload, and a compaction
-	// from it now skips the writer its process holds.
-	st, err := histstore.Open(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	var appenders sync.WaitGroup
-	appendErr := make(chan error, 1)
-	appenders.Add(1)
-	go func() {
-		defer appenders.Done()
-		for day := 0; day < 15; day++ {
-			recs := scanengine.RecordSet{
-				dnswire.MustIPv4("10.0.1.7"): dnswire.MustName("brians-iphone.lan.example.net"),
-				dnswire.MustIPv4("10.0.1.9"): dnswire.MustName(fmt.Sprintf("lease-%d.dyn.example.net", day)),
-			}
-			if err := st.Append(start.AddDate(0, 0, 20+day), recs); err != nil {
-				appendErr <- fmt.Errorf("append day %d: %w", day, err)
-				return
+	// The writer seals its 20 days, appends 15 more and seals those, all
+	// beside the queries; the serving handle sees none of it until a
+	// reload.
+	for _, d := range []struct{ from, to, sealed int }{{20, 20, 20}, {20, 35, 15}} {
+		for i := d.from; i < d.to; i++ {
+			if err := w0.Append(start.AddDate(0, 0, i), day(i)); err != nil {
+				t.Fatal(err)
 			}
 		}
-	}()
-	if cr := compact(); len(cr.Results) != 1 || cr.Results[0].Writer != "w0" || cr.Results[0].Skipped == "" {
-		t.Fatalf("compact results with the writer live: %+v", cr.Results)
+		res, err := w0.Compact(context.Background(), histstore.CompactOptions{})
+		if err != nil || res.Writer != "w0" || res.Sealed != d.sealed || res.Skipped != "" {
+			t.Fatalf("the writer's compaction: %+v, %v; want %d sealed", res, err, d.sealed)
+		}
 	}
-
-	appenders.Wait()
+	if resp, err := srv.Reload(); err != nil || resp.Snapshots != 35 {
+		t.Fatalf("reload onto the sealed layout: %+v, %v", resp, err)
+	}
+	for i := 0; i < 2*len(urls); i++ {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", urls[i%len(urls)], nil))
+		if rec.Code != 200 {
+			t.Fatalf("GET %s after the reload: %d %s", urls[i%len(urls)], rec.Code, rec.Body)
+		}
+	}
 	close(stop)
 	workers.Wait()
-	select {
-	case err := <-appendErr:
-		t.Fatal(err)
-	default:
-	}
 
 	// The stats surface and the hist_* instruments describe the same
-	// store: cache, tier, and compaction counters must agree exactly now
-	// that all query traffic has stopped.
+	// handle: cache, tier, and compaction counters must agree exactly now
+	// that all query traffic has stopped. The daemon's handle never
+	// compacts; it serves the writer's two segments.
 	snap := srv.StatsSnapshot().Store
-	if snap.Segments != 1 || snap.Compaction.Runs != 1 || snap.Compaction.SealedSnapshots != 20 {
-		t.Fatalf("post-compaction stats: %+v", snap)
+	if snap.Segments != 2 || snap.Snapshots != 35 || snap.Compaction.Runs != 0 || snap.Writers[0].TailSnapshots != 0 {
+		t.Fatalf("stats after the reload: %+v", snap)
 	}
 	if got := reg.Counter(histstore.MetricCacheHits).Value(); got != snap.CacheHits {
 		t.Fatalf("hist_cache_hits_total %d != stats %d", got, snap.CacheHits)
@@ -184,8 +156,8 @@ func TestCompactionUnderLoad(t *testing.T) {
 		t.Fatalf("hot segments %d over a budget of 1", snap.HotSegments)
 	}
 
-	// The serving store still answers correctly after the in-place seal:
-	// w0's history is in the segment now, bit-identical.
+	// The sealed layout answers as the tail did: w0's history is in the
+	// segments now, bit-identical.
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/at?ip=10.0.1.7&t=2020-03-08", nil))
 	if rec.Code != 200 {
@@ -281,110 +253,5 @@ func TestHotReloadDuringCompaction(t *testing.T) {
 	stats := srv.StatsSnapshot().Store
 	if stats.Segments != 1 {
 		t.Fatalf("final serving store sees %d segments, want 1", stats.Segments)
-	}
-}
-
-// TestAdminCompactEndpoint covers the admin surface around the happy
-// path the load test takes: a compaction already in flight (409
-// compact_busy), and the skipped-writer response once there is nothing
-// left to seal.
-func TestAdminCompactEndpoint(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
-	path, writer, _ := fixture(t, 10)
-	if err := writer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	serving, err := histstore.Open(path, histstore.WithReadOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(serving, Config{})
-	defer srv.Close()
-	h := srv.Handler()
-
-	// Park a sweep at its mid-protocol fault point; a second POST while
-	// it hangs must answer 409 without touching the store.
-	parked := make(chan struct{})
-	resume := make(chan struct{})
-	testutil.SetFaultHook(func(point string) error {
-		if point == "histstore.compact.sealed" {
-			close(parked)
-			<-resume
-		}
-		return nil
-	})
-	defer testutil.SetFaultHook(nil)
-	firstDone := make(chan error, 1)
-	go func() {
-		_, err := srv.Compact(context.Background())
-		firstDone <- err
-	}()
-	<-parked
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/admin/compact", nil))
-	if rec.Code != 409 || !strings.Contains(rec.Body.String(), rdnsclient.CodeCompactBusy) {
-		t.Fatalf("busy compact: %d %s", rec.Code, rec.Body)
-	}
-	close(resume)
-	if err := <-firstDone; err != nil {
-		t.Fatalf("parked compact: %v", err)
-	}
-	testutil.SetFaultHook(nil)
-
-	// Everything is sealed now: the sweep reports the writer as skipped
-	// rather than churning out empty segments.
-	rec = httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/admin/compact", nil))
-	if rec.Code != 200 {
-		t.Fatalf("idle compact: %d %s", rec.Code, rec.Body)
-	}
-	var cr rdnsclient.CompactResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &cr); err != nil {
-		t.Fatal(err)
-	}
-	if len(cr.Results) != 1 || cr.Results[0].Skipped == "" || cr.Results[0].Sealed != 0 {
-		t.Fatalf("idle compact results: %+v", cr.Results)
-	}
-}
-
-// TestAdminCompactHonorsConfigOptions pins the Config.Compact plumbing:
-// the daemon's -compact-min-seal must govern POST /v1/admin/compact, not
-// just the background loop. A 2-snapshot tail is below the store's
-// default threshold (base interval 4), so sealing proves the configured
-// MinSeal reached the sweep.
-func TestAdminCompactHonorsConfigOptions(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
-	path, writer, _ := fixture(t, 2)
-	if err := writer.Close(); err != nil {
-		t.Fatal(err)
-	}
-	serving, err := histstore.Open(path, histstore.WithReadOnly())
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := New(serving, Config{Compact: histstore.CompactOptions{MinSeal: 1}})
-	defer srv.Close()
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-
-	resp, err := http.Post(ts.URL+"/v1/admin/compact", "", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d", resp.StatusCode)
-	}
-	var out rdnsclient.CompactResponse
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != 1 || out.Results[0].Sealed != 2 || out.Results[0].Skipped != "" {
-		t.Fatalf("compact results = %+v, want 2 snapshots sealed", out.Results)
-	}
-	// The background loop's entry point runs under the same options: with
-	// the tail sealed there is nothing left for it to do.
-	if res, err := srv.Compact(context.Background()); err != nil || res.Skipped == "" {
-		t.Fatalf("second sweep = %+v err=%v, want the empty tail skipped", res, err)
 	}
 }

@@ -102,7 +102,6 @@ func (s *Server) routeTable() []*endpoint {
 		{name: "days", pattern: "/v1/days", method: get, class: classQuery, handle: handleDays},
 		{name: "stats", pattern: "/v1/stats", method: get, class: classQuery, handle: s.handleStats},
 		{name: "admin_reload", pattern: "/v1/admin/reload", method: post, class: classAdmin, handle: s.adminReload},
-		{name: "admin_compact", pattern: "/v1/admin/compact", method: post, class: classAdmin, handle: s.adminCompact},
 		{name: "repl_manifest", pattern: "/v1/repl/manifest", method: get, class: classFeed, handle: s.replManifest},
 		{name: "repl_segment", pattern: "/v1/repl/segment/", method: get, class: classFeed, allowed: []string{"off", "n"}, handle: replSegment},
 		{name: "repl_tail", pattern: "/v1/repl/tail/", method: get, class: classFeed, allowed: []string{"off", "n", "file"}, handle: replTail},

@@ -75,8 +75,8 @@ func TestRouteTableContract(t *testing.T) {
 	if err := closed.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if len(open.routes) != 11 {
-		t.Fatalf("route table has %d rows, want 11", len(open.routes))
+	if len(open.routes) != 10 {
+		t.Fatalf("route table has %d rows, want 10", len(open.routes))
 	}
 
 	for _, ep := range open.routes {

@@ -11,7 +11,6 @@ package rdnsserve
 import (
 	"context"
 	"errors"
-	"net/http"
 	"net/url"
 	"strconv"
 	"sync"
@@ -57,10 +56,6 @@ type Config struct {
 	// Reopen opens a fresh store for hot reload. nil disables Reload and
 	// makes POST /v1/admin/reload answer 403.
 	Reopen func() (*histstore.Store, error)
-	// Compact tunes every compaction this server starts — the daemon's
-	// background loop and POST /v1/admin/compact alike — so one
-	// -compact-min-seal flag governs both triggers.
-	Compact histstore.CompactOptions
 	// QueryLog, when non-nil, records one canonical wide event per
 	// request (see QueryLogEntry); nil keeps the hot path log-free.
 	QueryLog *QueryLog
@@ -71,12 +66,11 @@ type Config struct {
 // for concurrent use, including concurrently with Reload and with Append
 // on the live store.
 type Server struct {
-	sink    telemetry.Sink
-	tracer  *telemetry.Tracer
-	seed    int64
-	adm     *admission
-	reopen  func() (*histstore.Store, error)
-	compact histstore.CompactOptions
+	sink   telemetry.Sink
+	tracer *telemetry.Tracer
+	seed   int64
+	adm    *admission
+	reopen func() (*histstore.Store, error)
 
 	nextQ    atomic.Int64
 	cur      atomic.Pointer[storeHandle]
@@ -112,12 +106,11 @@ func New(st *histstore.Store, cfg Config) *Server {
 		sink = (*telemetry.Registry)(nil) // nil registry: valid no-op Sink
 	}
 	s := &Server{
-		sink:    sink,
-		tracer:  cfg.Tracer,
-		seed:    cfg.Seed,
-		adm:     newAdmission(cfg.Admission, sink),
-		reopen:  cfg.Reopen,
-		compact: cfg.Compact,
+		sink:   sink,
+		tracer: cfg.Tracer,
+		seed:   cfg.Seed,
+		adm:    newAdmission(cfg.Admission, sink),
+		reopen: cfg.Reopen,
 
 		queries:       sink.Counter(metricQueries),
 		queryErrors:   sink.Counter(metricQueryErrors),
@@ -278,34 +271,6 @@ func (s *Server) adminReload(request) (reply, *apiError) {
 		return reply{}, errInternal(err)
 	}
 	return reply{body: resp, gen: resp.Generation}, nil
-}
-
-// adminCompact is POST /v1/admin/compact: seal the writer's tail into a
-// segment, in place, while queries keep flowing on this same handle. A
-// compaction already in flight answers 409.
-func (s *Server) adminCompact(rq request) (reply, *apiError) {
-	res, err := rq.hd.st.Compact(rq.ctx, s.compact)
-	if err != nil {
-		if errors.Is(err, histstore.ErrCompactBusy) {
-			return reply{}, &apiError{status: http.StatusConflict, code: rdnsclient.CodeCompactBusy, msg: err.Error()}
-		}
-		return reply{}, errInternal(err)
-	}
-	return reply{body: rdnsclient.CompactResponse{Results: []histstore.CompactResult{res}}}, nil
-}
-
-// Compact seals the writer's tail of the currently served store into a
-// segment, in place, under Config.Compact — queries keep answering
-// bit-identically on this same handle throughout. A writer owned by a live
-// campaign process is skipped with the reason. It is the daemon's
-// -compact-interval background loop's entry point.
-func (s *Server) Compact(ctx context.Context) (histstore.CompactResult, error) {
-	hd := s.acquireHandle()
-	if hd == nil {
-		return histstore.CompactResult{}, errors.New("rdnsserve: server is closed")
-	}
-	defer hd.release()
-	return hd.st.Compact(ctx, s.compact)
 }
 
 // storeErr maps a store failure onto the envelope vocabulary. A canceled

@@ -27,9 +27,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_co
 const goldenColdFile = "testdata/golden_cold.txt"
 
 // goldenColdStore builds the fixed store: writer alpha appends 18 days
-// and seals its first ten into a segment on the way. The writer is
-// closed, so the returned read-only handle can compact it.
-func goldenColdStore(t *testing.T, dir string) *histstore.Store {
+// and seals its first ten into a segment on the way. The writer stays
+// open, to compact again during the script; the daemon serves read-only
+// handles opened by the returned func.
+func goldenColdStore(t *testing.T, dir string) (writer *histstore.Store, open func() (*histstore.Store, error)) {
 	t.Helper()
 	alpha, err := histstore.Open(dir, histstore.WithWriter("alpha"), histstore.WithBaseInterval(4))
 	if err != nil {
@@ -40,28 +41,24 @@ func goldenColdStore(t *testing.T, dir string) *histstore.Store {
 			t.Fatalf("alpha day %d: %v", d, err)
 		}
 		if d == 9 {
-			if _, err := alpha.CompactWriter(context.Background(), "alpha", histstore.CompactOptions{}); err != nil {
+			if _, err := alpha.Compact(context.Background(), histstore.CompactOptions{}); err != nil {
 				t.Fatalf("compact alpha at day %d: %v", d, err)
 			}
 		}
 	}
-	if err := alpha.Close(); err != nil {
-		t.Fatal(err)
+	return alpha, func() (*histstore.Store, error) {
+		return histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(64), histstore.WithHotSegments(1))
 	}
-	serving, err := histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(64), histstore.WithHotSegments(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	return serving
 }
 
 // coldScript runs the fixed script of store documents — stats, the feed
-// manifest, compaction results — and one segment and three tail fetches
-// through h. It returns one record per
+// manifest before and after the writer's compaction, which a reload
+// brings into view — and one segment and three tail fetches through h;
+// compact is the writer's compaction. It returns one record per
 // request: the request line, the status, Content-Type and every X-Repl-*
 // header, then the JSON body as served, or the length and SHA-256 of a
 // binary feed chunk.
-func coldScript(t *testing.T, h http.Handler) []byte {
+func coldScript(t *testing.T, h http.Handler, compact func()) []byte {
 	t.Helper()
 	var out bytes.Buffer
 	do := func(method, path string, q url.Values) []byte {
@@ -123,7 +120,8 @@ func coldScript(t *testing.T, h http.Handler) []byte {
 	get("/v1/repl/segment/"+before.Writers[0].Segments[0].File, url.Values{"off": {"0"}, "n": {"100"}})
 	get("/v1/repl/tail/alpha", url.Values{"off": {"0"}, "n": {"100"}})
 	get("/v1/repl/tail/alpha", url.Values{"off": {"0"}, "file": {before.Writers[0].TailFile}})
-	do(http.MethodPost, "/v1/admin/compact", nil)
+	compact()
+	do(http.MethodPost, "/v1/admin/reload", nil)
 	readManifest()
 	get("/v1/repl/tail/alpha", url.Values{"off": {"0"}, "file": {before.Writers[0].TailFile}})
 	get("/v1/stats", nil)
@@ -132,16 +130,28 @@ func coldScript(t *testing.T, h http.Handler) []byte {
 }
 
 // TestGoldenColdDocuments pins the bytes of the documents the store
-// produces about itself, as rdnsd serves them: /v1/stats,
-// /v1/repl/manifest before and after a compaction,
-// POST /v1/admin/compact, and the X-Repl-* headers of segment and tail
-// fetches, including a 409 for a tail compaction replaced. Refresh the
-// file with -update-golden, and only on purpose.
+// produces about itself, as rdnsd serves them: /v1/stats and
+// /v1/repl/manifest before and after the writer's compaction and the
+// reload that serves it, the X-Repl-* headers of segment and tail
+// fetches, including a 409 for a tail compaction replaced, and the
+// not_found a daemon answers to a compaction request. Refresh the file
+// with -update-golden, and only on purpose.
 func TestGoldenColdDocuments(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
-	srv := rdnsserve.New(goldenColdStore(t, filepath.Join(t.TempDir(), "primary")), rdnsserve.Config{Seed: 1})
+	writer, open := goldenColdStore(t, filepath.Join(t.TempDir(), "primary"))
+	defer writer.Close()
+	serving, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := rdnsserve.New(serving, rdnsserve.Config{Seed: 1, Reopen: open})
 	defer srv.Close()
-	got := coldScript(t, srv.Handler())
+	got := coldScript(t, srv.Handler(), func() {
+		res, err := writer.Compact(context.Background(), histstore.CompactOptions{})
+		if err != nil || res.Sealed != 8 {
+			t.Fatalf("the writer's compaction: %+v, %v; want its 8 tail snapshots sealed", res, err)
+		}
+	})
 	if *updateGolden {
 		if err := os.WriteFile(goldenColdFile, got, 0o644); err != nil {
 			t.Fatal(err)

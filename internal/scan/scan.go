@@ -248,7 +248,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 			if c.Store != nil && storeErr == nil {
 				storeErr = c.Store.AppendBlocks(d.snap.At, d.snap.Blocks)
 				if storeErr == nil && c.CompactEvery > 0 && (d.i+1)%c.CompactEvery == 0 {
-					_, storeErr = c.Store.CompactWriter(ctx, c.Store.WriterID(), histstore.CompactOptions{MinSeal: c.CompactEvery})
+					_, storeErr = c.Store.Compact(ctx, histstore.CompactOptions{MinSeal: c.CompactEvery})
 				}
 			}
 			c.Observer.CaptureFrame(d.i, d.date, d.snap)
