@@ -358,19 +358,40 @@ func (fm FeedManifest) Writer() (FeedWriter, error) {
 	return w, nil
 }
 
+// CheckFeedFollows refuses a feed writer fw that does not follow the
+// store committed in dir: one naming another writer (a *WriterError), or
+// putting the writer's file sequence below the committed one, which comes
+// from a primary served from an older copy of its store — committing it
+// would silently shrink the history the directory serves. A directory
+// with no readable manifest accepts any writer. A replica calls it before
+// it fetches anything, so a refused feed leaves no file behind;
+// WriteFeedManifest calls it again at commit.
+func CheckFeedFollows(dir string, fw FeedWriter) error {
+	cur, err := readManifest(dir)
+	if err != nil || cur == nil {
+		return nil
+	}
+	if cur.writer.id != fw.ID {
+		return fmt.Errorf("histstore: feed manifest names another writer: %w",
+			&WriterError{Writer: cur.writer.id, Refused: fw.ID})
+	}
+	if fw.FileSeq < cur.writer.fileSeq {
+		return fmt.Errorf("histstore: feed manifest puts writer %q at file sequence %d, committed %d: refusing to move backwards",
+			fw.ID, fw.FileSeq, cur.writer.fileSeq)
+	}
+	return nil
+}
+
 // WriteFeedManifest commits a replica's synced file set as the store
 // directory's manifest, using the same atomic tmp+fsync+rename protocol
 // every other store mutation uses. The manifest is validated by an
 // encode/decode round trip first — the same strict checks Open applies —
 // so an inconsistent feed (a writer count other than one, segments not
 // tiling [0, tailFirst), bad names) fails before anything is committed.
-// A feed that does not follow the committed manifest fails too: one
-// naming another writer (a *WriterError), or putting the writer's file
-// sequence below the committed one, which comes from a primary served
-// from an older copy of its store — committing it would silently shrink
-// the history the directory serves. It reports whether the directory's
-// manifest actually advanced: a byte-identical re-commit is skipped, so a
-// caught-up replica's sync is a no-op.
+// A feed that does not follow the committed manifest (CheckFeedFollows)
+// fails too. It reports whether the directory's manifest actually
+// advanced: a byte-identical re-commit is skipped, so a caught-up
+// replica's sync is a no-op.
 func WriteFeedManifest(dir string, fm FeedManifest) (bool, error) {
 	if fm.BaseInterval <= 0 {
 		return false, fmt.Errorf("histstore: feed manifest base interval %d", fm.BaseInterval)
@@ -392,18 +413,11 @@ func WriteFeedManifest(dir string, fm FeedManifest) (bool, error) {
 	if _, err := decodeManifest(enc); err != nil {
 		return false, fmt.Errorf("histstore: feed manifest invalid: %w", err)
 	}
-	if cur, err := readManifest(dir); err == nil && cur != nil {
-		if bytes.Equal(encodeManifest(cur), enc) {
-			return false, nil
-		}
-		if cur.writer.id != fw.ID {
-			return false, fmt.Errorf("histstore: feed manifest names another writer: %w",
-				&WriterError{Writer: cur.writer.id, Refused: fw.ID})
-		}
-		if fw.FileSeq < cur.writer.fileSeq {
-			return false, fmt.Errorf("histstore: feed manifest puts writer %q at file sequence %d, committed %d: refusing to move backwards",
-				fw.ID, fw.FileSeq, cur.writer.fileSeq)
-		}
+	if err := CheckFeedFollows(dir, fw); err != nil {
+		return false, err
+	}
+	if cur, err := readManifest(dir); err == nil && cur != nil && bytes.Equal(encodeManifest(cur), enc) {
+		return false, nil
 	}
 	if err := writeManifest(dir, m, ""); err != nil {
 		return false, err

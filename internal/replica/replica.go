@@ -205,8 +205,12 @@ func (y *Syncer) syncOnce(ctx context.Context, corr uint64) (bool, error) {
 	}
 	// Before the first filesystem touch: a lying feed (compromised
 	// primary, MITM on the plain-HTTP transport) must not steer a path,
-	// and a store holds one writer.
+	// a store holds one writer, and a feed that cannot follow the
+	// committed generation fetches nothing.
 	w, err := m.Writer()
+	if err == nil {
+		err = histstore.CheckFeedFollows(y.dir, w)
+	}
 	if err != nil {
 		return false, fmt.Errorf("replica: %w", err)
 	}
