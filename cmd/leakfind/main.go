@@ -18,21 +18,26 @@
 // cmd/dynfind); without it, every observation is treated as dynamic, which
 // matches running the tool on data already restricted to dynamic space.
 //
-// The CSV path streams: rows are observed as they are parsed, so memory
-// stays constant in the input size (minus the per-record dedup set).
+// Both paths stream: CSV rows are observed as they are parsed, and a store
+// is read one bounded page of rows at a time, so memory stays constant in
+// the input size (minus the per-record dedup set).
 package main
 
 import (
 	"bufio"
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"rdnsprivacy/internal/dataset"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/names"
+	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/privleak"
 )
 
@@ -65,18 +70,7 @@ func main() {
 		MinRatio:       *minRatio,
 		GivenNames:     names.Top50,
 	})
-	seen := map[string]bool{}
-	observe := func(r dataset.Row) error {
-		key := r.IP.String() + "|" + string(r.PTR)
-		if seen[key] {
-			return nil
-		}
-		seen[key] = true
-		dynamic := dynSet == nil || dynSet[r.IP.Slash24()]
-		a.Observe(privleak.RecordObservation{IP: r.IP, HostName: r.PTR, Dynamic: dynamic})
-		return nil
-	}
-
+	observe := observer(a, dynSet)
 	var err error
 	if *storePath != "" {
 		err = observeStore(*storePath, observe)
@@ -87,19 +81,44 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	res := a.Finish()
+	printReport(os.Stdout, a.Finish())
+}
 
-	fmt.Printf("identified %d leaking networks (of %d suffixes with name matches)\n\n",
-		len(res.Identified), len(res.Suffixes))
-	fmt.Println("suffix,type,records,unique_names,ratio")
-	for _, s := range res.Identified {
-		fmt.Printf("%s,%s,%d,%d,%.3f\n", s.Suffix, s.Type, s.Records, s.UniqueNames, s.Ratio())
+// observer feeds each distinct (ip, ptr) observation to a, marked dynamic
+// when it lies in dynSet (every observation when dynSet is nil).
+func observer(a *privleak.Analyzer, dynSet map[dnswire.Prefix]bool) func(dataset.Row) error {
+	seen := map[string]bool{}
+	return func(r dataset.Row) error {
+		key := r.IP.String() + "|" + string(r.PTR)
+		if seen[key] {
+			return nil
+		}
+		seen[key] = true
+		dynamic := dynSet == nil || dynSet[r.IP.Slash24()]
+		a.Observe(privleak.RecordObservation{IP: r.IP, HostName: r.PTR, Dynamic: dynamic})
+		return nil
 	}
-	fmt.Println()
+}
+
+// printReport writes the identified networks and their type breakdown,
+// types in their Figure 4 order.
+func printReport(w io.Writer, res *privleak.Result) {
+	fmt.Fprintf(w, "identified %d leaking networks (of %d suffixes with name matches)\n\n",
+		len(res.Identified), len(res.Suffixes))
+	fmt.Fprintln(w, "suffix,type,records,unique_names,ratio")
+	for _, s := range res.Identified {
+		fmt.Fprintf(w, "%s,%s,%d,%d,%.3f\n", s.Suffix, s.Type, s.Records, s.UniqueNames, s.Ratio())
+	}
+	fmt.Fprintln(w)
+	fmt.Fprintln(w, "type breakdown:")
 	byType := res.TypeBreakdown()
-	fmt.Println("type breakdown:")
-	for t, c := range byType {
-		fmt.Printf("  %-12s %d\n", t, c)
+	types := make([]netsim.NetworkType, 0, len(byType))
+	for t := range byType {
+		types = append(types, t)
+	}
+	slices.Sort(types)
+	for _, t := range types {
+		fmt.Fprintf(w, "  %-12s %d\n", t, byType[t])
 	}
 }
 
@@ -114,9 +133,12 @@ func observeCSV(path string, fn func(dataset.Row) error) error {
 	return dataset.ScanRows(f, fn)
 }
 
+// storePageRows bounds the rows observeStore holds at once.
+const storePageRows = 1024
+
 // observeStore replays every observation of a history store through fn,
-// in date-then-address order (the same stream a full-history Range
-// query serves).
+// in date-then-address order (the stream a full-history Range query
+// serves), one bounded RangePage at a time.
 func observeStore(path string, fn func(dataset.Row) error) error {
 	st, err := histstore.Open(path, histstore.WithReadOnly())
 	if err != nil {
@@ -127,16 +149,22 @@ func observeStore(path string, fn func(dataset.Row) error) error {
 	if len(times) == 0 {
 		return nil
 	}
-	rows, err := st.Range(dnswire.Prefix{}, times[0], times[len(times)-1])
-	if err != nil {
-		return err
-	}
-	for _, r := range rows {
-		if err := fn(r); err != nil {
+	var cur histstore.RangeCursor
+	for {
+		rows, next, more, err := st.RangePage(context.Background(), dnswire.Prefix{}, times[0], times[len(times)-1], cur, storePageRows)
+		if err != nil {
 			return err
 		}
+		for _, r := range rows {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		if !more {
+			return nil
+		}
+		cur = next
 	}
-	return nil
 }
 
 func readPrefixes(path string) (map[dnswire.Prefix]bool, error) {

@@ -1,11 +1,22 @@
 package main
 
 import (
+	"bytes"
+	"context"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+	"time"
 
+	"rdnsprivacy/internal/dataset"
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/histstore"
+	"rdnsprivacy/internal/names"
+	"rdnsprivacy/internal/privleak"
+	"rdnsprivacy/internal/scanengine"
 )
 
 func TestReadPrefixes(t *testing.T) {
@@ -41,5 +52,101 @@ func TestReadPrefixesRejectsGarbage(t *testing.T) {
 	}
 	if _, err := readPrefixes(path); err == nil {
 		t.Fatal("garbage prefix accepted")
+	}
+}
+
+// leakStore writes a small seeded store: three /24s of 60 leases each over
+// 20 days, the leases named after given names under a .edu, an ISP and a
+// .gov suffix and renamed as they cycle: 3 600 rows in all.
+func leakStore(t *testing.T) string {
+	t.Helper()
+	dir := filepath.Join(t.TempDir(), "hist")
+	st, err := histstore.Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	suffixes := []string{"dyn.campus.example.edu", "home.example-isp.net", "wifi.city.example.gov"}
+	day := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
+	recs := scanengine.RecordSet{}
+	for d := 0; d < 20; d++ {
+		for b, suffix := range suffixes {
+			for host := 1; host <= 60; host++ {
+				ip := dnswire.IPv4{10, 0, byte(b), byte(host)}
+				if _, ok := recs[ip]; !ok || rng.Intn(4) == 0 {
+					owner := names.Top50[rng.Intn(len(names.Top50))]
+					recs[ip] = dnswire.MustName(fmt.Sprintf("%ss-iphone-%d.%s", owner, host, suffix))
+				}
+			}
+		}
+		if err := st.Append(day.AddDate(0, 0, d), recs); err != nil {
+			t.Fatal(err)
+		}
+		if d == 9 {
+			if _, err := st.Compact(context.Background(), histstore.CompactOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// TestObserveStorePagesThroughRange: -store streams, page by page, exactly
+// the rows a full-history Range returns, in order, and the report it
+// prints is byte-identical to the report over those rows.
+func TestObserveStorePagesThroughRange(t *testing.T) {
+	dir := leakStore(t)
+	st, err := histstore.Open(dir, histstore.WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	times := st.Times()
+	want, err := st.Range(dnswire.Prefix{}, times[0], times[len(times)-1])
+	st.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(want) <= 2*storePageRows {
+		t.Fatalf("the store holds %d rows: too few to page more than twice", len(want))
+	}
+	var got []dataset.Row
+	if err := observeStore(dir, func(r dataset.Row) error { got = append(got, r); return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("observeStore streamed %d rows, Range returns %d", len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Date.Equal(want[i].Date) || got[i].IP != want[i].IP || got[i].PTR != want[i].PTR {
+			t.Fatalf("row %d: streamed %+v, Range has %+v", i, got[i], want[i])
+		}
+	}
+
+	report := func(observe func(func(dataset.Row) error) error) string {
+		a := privleak.NewAnalyzer(privleak.Config{MinUniqueNames: 18, MinRatio: 0.03, GivenNames: names.Top50})
+		if err := observe(observer(a, nil)); err != nil {
+			t.Fatal(err)
+		}
+		var out bytes.Buffer
+		printReport(&out, a.Finish())
+		return out.String()
+	}
+	fromRange := report(func(fn func(dataset.Row) error) error {
+		for _, r := range want {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	fromStore := report(func(fn func(dataset.Row) error) error { return observeStore(dir, fn) })
+	if fromStore != fromRange {
+		t.Fatalf("report over the store:\n%s\nreport over Range's rows:\n%s", fromStore, fromRange)
+	}
+	if !strings.Contains(fromStore, "identified 3 leaking networks") {
+		t.Fatalf("the seeded store should leak from all three networks:\n%s", fromStore)
 	}
 }
