@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand/v2"
 	"net"
 	"reflect"
 	"sync"
@@ -361,5 +362,18 @@ func TestTCPFallbackHonoursContext(t *testing.T) {
 	}
 	if l.Streams() != streams {
 		t.Errorf("LookupTCP under a dead context opened a stream")
+	}
+}
+
+// TestFreshIDSkipsHeldIDs: a window's query IDs key its in-flight table,
+// so freshID draws again when the socket's stream repeats an ID an
+// earlier probe of the window holds, and takes the next draw.
+func TestFreshIDSkipsHeldIDs(t *testing.T) {
+	var seed [32]byte
+	stream := rand.NewChaCha8(seed)
+	held, next := uint16(stream.Uint64()), uint16(stream.Uint64())
+	s := &udpSock{ids: rand.NewChaCha8(seed)}
+	if got := s.freshID([]probe{{id: held}}); got != next {
+		t.Fatalf("freshID with %#04x held = %#04x, want the next draw %#04x", held, got, next)
 	}
 }
