@@ -1,6 +1,7 @@
 // Command metriclint enforces the repository's metric-name conventions
 // statically: it parses every non-test Go file under the given roots,
-// finds Counter/Gauge/Histogram registration calls, resolves their name
+// finds Counter/Gauge/Histogram registration calls (a CounterView,
+// GaugeView or HistogramView registers its kind), resolves their name
 // arguments (string literals, package-level string consts, and
 // concatenations thereof — a label block like `{endpoint="at"}` is
 // stripped before checking), and fails the build on violations:
@@ -181,7 +182,7 @@ func collect(fset *token.FileSet, files []*ast.File) (regs []registration, dyn i
 			if !ok {
 				return true
 			}
-			kind := sel.Sel.Name
+			kind := strings.TrimSuffix(sel.Sel.Name, "View")
 			if kind != "Counter" && kind != "Gauge" && kind != "Histogram" {
 				return true
 			}

@@ -167,6 +167,44 @@ func f(sink Sink) {
 	}
 }
 
+// TestViewRegistrations: a view is held to the rules of the kind it
+// registers, and shares the kind table with plain registrations.
+func TestViewRegistrations(t *testing.T) {
+	fs, dyn := lintSrc(t, `package p
+const metricGeneration = "rdnsd_store_generation"
+func f(sink Sink, s *Server) {
+	sink.CounterView("rdnsd_queries_total", s.queries)
+	sink.GaugeView(metricGeneration, s.gen.Load)
+	sink.HistogramView("rdnsd_query_seconds", s.latency)
+	sink.CounterView("widget_reloads_total", s.reloads)
+	sink.CounterView("rdnsd_reloads", s.reloads)
+	sink.GaugeView("rdnsd_inflight_total", s.inFlight)
+	sink.HistogramView("rdnsd_query_latency", s.latency)
+	sink.Counter("rdnsd_store_generation_total").Add(1)
+	sink.CounterView("rdnsd_store_generation", s.gen)
+}
+`)
+	if dyn != 0 {
+		t.Fatalf("dyn = %d, want 0", dyn)
+	}
+	all := msgs(fs)
+	if len(fs) != 6 {
+		t.Fatalf("findings = %d, want 6:\n%s", len(fs), all)
+	}
+	for _, want := range []string{
+		`unknown subsystem prefix "widget"`,
+		`Counter "rdnsd_reloads": counters must end in _total`,
+		`Gauge "rdnsd_inflight_total": gauges are levels`,
+		`Histogram "rdnsd_query_latency": histograms must carry a unit suffix`,
+		`Counter "rdnsd_store_generation": counters must end in _total`,
+		`Counter "rdnsd_store_generation": already registered as Gauge`,
+	} {
+		if !strings.Contains(all, want) {
+			t.Errorf("missing %q in:\n%s", want, all)
+		}
+	}
+}
+
 func TestRepoIsClean(t *testing.T) {
 	// The linter's own acceptance test: the real tree must pass.
 	dirs, err := goDirs([]string{"../../internal", "../../cmd"})

@@ -30,7 +30,9 @@
 //     new snapshot.
 //   - Telemetry: -metrics-addr serves Prometheus exposition with
 //     rdnsd_* query/admission metrics alongside the store's hist_*
-//     instruments.
+//     instruments. The aggregates and gauges are read at scrape time
+//     from the counts /v1/stats reports; the hist_* series describe the
+//     handle serving now, so a reload restarts them from its counts.
 //
 // SIGINT/SIGTERM shut the daemon down gracefully: in-flight queries
 // drain, the exporter closes, and the store is closed cleanly.

@@ -142,12 +142,10 @@ func (s *Store) AppendBlocks(date time.Time, blocks scanengine.Blocks) error {
 	sc.buf, sc.changes = buf[:0], changesArena[:0]
 	w.tailSize += int64(len(buf))
 	s.bytes += int64(len(buf))
-	m := s.met
-	m.appends.Inc()
-	m.appendBytes.Add(uint64(len(buf)))
-	m.baseFrames.Add(uint64(bases))
-	m.deltaFrames.Add(uint64(len(plan) - bases))
-	s.publishGauges()
+	s.appends.Add(1)
+	s.appendBytes.Add(uint64(len(buf)))
+	s.wroteBases.Add(uint64(bases))
+	s.wroteDeltas.Add(uint64(len(plan) - bases))
 	return nil
 }
 

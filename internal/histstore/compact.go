@@ -315,16 +315,12 @@ func (s *Store) Compact(ctx context.Context, opts CompactOptions) (CompactResult
 	oldF.Close()
 
 	s.compactions.Add(1)
-	s.met.compactions.Inc()
 	s.compactSealed.Add(uint64(sealCount))
-	s.met.compactSealed.Add(uint64(sealCount))
-	if reclaimed := res.TailBytes - res.SegmentBytes; reclaimed > 0 {
-		s.compactReclaim.Add(reclaimed)
-		s.met.compactReclaim.Add(uint64(reclaimed))
-	} else {
-		s.compactReclaim.Add(reclaimed)
+	reclaimed := res.TailBytes - res.SegmentBytes
+	s.compactReclaim.Add(reclaimed)
+	if reclaimed > 0 {
+		s.compactGained.Add(uint64(reclaimed))
 	}
-	s.publishGauges()
 
 	// Cleanup is outside the commit: a leftover old tail is unreferenced
 	// and swept at the next open.

@@ -155,7 +155,7 @@ type Store struct {
 	writerID  string
 	hotCap    int
 	cache     *blockCache
-	met       *storeMetrics
+	sink      telemetry.Sink
 	tier      *tier
 
 	mu     sync.RWMutex
@@ -175,9 +175,13 @@ type Store struct {
 	compactions     atomic.Uint64
 	compactSealed   atomic.Uint64
 	compactReclaim  atomic.Int64
+	compactGained   atomic.Uint64 // the positive reclaims alone
 	reconstructions atomic.Uint64
 	tierLoads       atomic.Uint64
 	tierEvictions   atomic.Uint64
+	// What this handle's appends wrote: facts no Stats field keeps, since
+	// Stats describes the store, not one handle's writes.
+	appends, appendBytes, wroteBases, wroteDeltas atomic.Uint64
 }
 
 // Option tunes a Store at Open.
@@ -201,10 +205,12 @@ func WithCache(n int) Option {
 	return func(s *Store) { s.cache = newBlockCache(n) }
 }
 
-// WithTelemetry attaches a metrics sink (the hist_* instruments; see
-// docs/storage.md). Nil keeps the store on its zero-overhead path.
+// WithTelemetry registers the hist_* views of the opened store on sink
+// (see docs/storage.md), replacing those of a store opened on it before.
+// They read the store's own counts when the sink is snapshotted, so the
+// store's paths write no instrument.
 func WithTelemetry(sink telemetry.Sink) Option {
-	return func(s *Store) { s.met = newStoreMetrics(sink) }
+	return func(s *Store) { s.sink = sink }
 }
 
 // WithSync fsyncs the tail after every append. Off by default; Close
@@ -284,9 +290,6 @@ func openStore(path string, opts []Option, replayAll bool) (s *Store, err error)
 	for _, o := range opts {
 		o(s)
 	}
-	if s.met == nil {
-		s.met = newStoreMetrics(nil)
-	}
 	s.tier = newTier(s.hotCap)
 	if !s.readOnly && s.writerID != "" && !validWriterID(s.writerID) {
 		return nil, fmt.Errorf("histstore: invalid writer id %q", s.writerID)
@@ -331,7 +334,7 @@ func openStore(path string, opts []Option, replayAll bool) (s *Store, err error)
 	if err := s.replay(!replayAll); err != nil {
 		return nil, err
 	}
-	s.publishGauges()
+	s.publish()
 	return s, nil
 }
 
@@ -651,21 +654,4 @@ func (s *Store) snapAtOrBefore(t time.Time) (int, bool) {
 		return 0, false
 	}
 	return n - 1, true
-}
-
-// publishGauges refreshes the gauge instruments; callers hold at least a
-// read view of the fields they publish.
-func (s *Store) publishGauges() {
-	m := s.met
-	m.snapshots.Set(int64(len(s.times)))
-	m.blocks.Set(int64(len(s.blocks)))
-	m.bytes.Set(s.bytes)
-	m.cacheEntries.Set(int64(s.cache.len()))
-	sealed := int64(0)
-	for _, g := range s.w.segs {
-		sealed += g.size
-	}
-	m.segments.Set(int64(len(s.w.segs)))
-	m.sealedBytes.Set(sealed)
-	m.tierHot.Set(int64(s.tier.len()))
 }

@@ -99,7 +99,6 @@ func (g *segment) pin(s *Store) (*segIndex, *os.File, error) {
 			return nil, nil, err
 		}
 		s.tierLoads.Add(1)
-		s.met.tierLoads.Inc()
 		s.noteSegmentLoaded(g)
 	} else {
 		s.tier.touch(g)
@@ -556,12 +555,10 @@ func (s *Store) evict(victims []*segment) {
 		}
 		if evicted {
 			s.tierEvictions.Add(1)
-			s.met.tierEvictions.Inc()
 		} else {
 			s.tier.touch(v)
 		}
 	}
-	s.met.tierHot.Set(int64(s.tier.len()))
 }
 
 // segmentPath joins the store directory and a manifest file name.

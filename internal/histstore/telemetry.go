@@ -1,18 +1,18 @@
 package histstore
 
-import "rdnsprivacy/internal/telemetry"
-
 // Metric names the store registers when a telemetry sink is attached (see
 // docs/storage.md and docs/observability.md).
 const (
-	// MetricAppends counts appended snapshots.
+	// MetricAppends counts the snapshots this handle appended.
 	MetricAppends = "hist_appends_total"
-	// MetricAppendBytes counts bytes written to the log.
+	// MetricAppendBytes counts the bytes this handle's appends wrote.
 	MetricAppendBytes = "hist_append_bytes_total"
-	// MetricBaseFrames counts base block frames written — every one past
-	// a block's first is a delta-chain compaction.
+	// MetricBaseFrames counts the base block frames this handle's appends
+	// wrote — every one past a block's first is a delta-chain compaction.
+	// (Stats.BaseFrames counts the frames the store holds.)
 	MetricBaseFrames = "hist_base_frames_total"
-	// MetricDeltaFrames counts delta block frames written.
+	// MetricDeltaFrames counts the delta block frames this handle's
+	// appends wrote.
 	MetricDeltaFrames = "hist_delta_frames_total"
 	// MetricReconstructions counts query walk seeds that rebuilt a block
 	// state by reading and decoding frames (cache misses do; hits do not).
@@ -47,60 +47,38 @@ const (
 	// MetricCompactSealed counts snapshots sealed into segments.
 	MetricCompactSealed = "hist_compact_sealed_snapshots_total"
 	// MetricCompactReclaimed counts bytes reclaimed by compaction (tail
-	// bytes rewritten minus the segment bytes that replaced them).
+	// bytes rewritten minus the segment bytes that replaced them), summing
+	// only the runs that reclaimed; Stats.Compaction.ReclaimedBytes is the
+	// signed sum of every run.
 	MetricCompactReclaimed = "hist_compact_reclaimed_bytes_total"
 )
 
-// storeMetrics holds the pre-resolved instrument handles. With no sink
-// configured the handles stay nil and every call site no-ops through the
-// telemetry package's nil-receiver contract.
-type storeMetrics struct {
-	appends         *telemetry.Counter
-	appendBytes     *telemetry.Counter
-	baseFrames      *telemetry.Counter
-	deltaFrames     *telemetry.Counter
-	reconstructions *telemetry.Counter
-	cacheHits       *telemetry.Counter
-	cacheMisses     *telemetry.Counter
-	tierLoads       *telemetry.Counter
-	tierEvictions   *telemetry.Counter
-	compactions     *telemetry.Counter
-	compactSealed   *telemetry.Counter
-	compactReclaim  *telemetry.Counter
-	snapshots       *telemetry.Gauge
-	blocks          *telemetry.Gauge
-	bytes           *telemetry.Gauge
-	cacheEntries    *telemetry.Gauge
-	tierHot         *telemetry.Gauge
-	segments        *telemetry.Gauge
-	sealedBytes     *telemetry.Gauge
-}
-
-// newStoreMetrics resolves the instruments from sink (nil sink yields
-// nil handles, so instrumentation costs nothing).
-func newStoreMetrics(sink telemetry.Sink) *storeMetrics {
+// publish registers the hist_* views of s on its sink (a no-op without
+// one). Each reads a count s keeps anyway: Stats' own ledger, or what
+// this handle's appends wrote and its compactions reclaimed.
+func (s *Store) publish() {
+	sink := s.sink
 	if sink == nil {
-		return &storeMetrics{}
+		return
 	}
-	return &storeMetrics{
-		appends:         sink.Counter(MetricAppends),
-		appendBytes:     sink.Counter(MetricAppendBytes),
-		baseFrames:      sink.Counter(MetricBaseFrames),
-		deltaFrames:     sink.Counter(MetricDeltaFrames),
-		reconstructions: sink.Counter(MetricReconstructions),
-		cacheHits:       sink.Counter(MetricCacheHits),
-		cacheMisses:     sink.Counter(MetricCacheMisses),
-		tierLoads:       sink.Counter(MetricTierLoads),
-		tierEvictions:   sink.Counter(MetricTierEvictions),
-		compactions:     sink.Counter(MetricCompactions),
-		compactSealed:   sink.Counter(MetricCompactSealed),
-		compactReclaim:  sink.Counter(MetricCompactReclaimed),
-		snapshots:       sink.Gauge(MetricSnapshots),
-		blocks:          sink.Gauge(MetricBlocks),
-		bytes:           sink.Gauge(MetricBytes),
-		cacheEntries:    sink.Gauge(MetricCacheEntries),
-		tierHot:         sink.Gauge(MetricTierHot),
-		segments:        sink.Gauge(MetricSegments),
-		sealedBytes:     sink.Gauge(MetricSealedBytes),
-	}
+	sink.CounterView(MetricAppends, s.appends.Load)
+	sink.CounterView(MetricAppendBytes, s.appendBytes.Load)
+	sink.CounterView(MetricBaseFrames, s.wroteBases.Load)
+	sink.CounterView(MetricDeltaFrames, s.wroteDeltas.Load)
+	sink.CounterView(MetricReconstructions, s.reconstructions.Load)
+	sink.CounterView(MetricCacheHits, func() uint64 { hits, _ := s.cache.counters(); return hits })
+	sink.CounterView(MetricCacheMisses, func() uint64 { _, misses := s.cache.counters(); return misses })
+	sink.CounterView(MetricTierLoads, s.tierLoads.Load)
+	sink.CounterView(MetricTierEvictions, s.tierEvictions.Load)
+	sink.CounterView(MetricCompactions, s.compactions.Load)
+	sink.CounterView(MetricCompactSealed, s.compactSealed.Load)
+	sink.CounterView(MetricCompactReclaimed, s.compactGained.Load)
+	stat := func(f func(Stats) int) func() int64 { return func() int64 { return int64(f(s.Stats())) } }
+	sink.GaugeView(MetricSnapshots, stat(func(st Stats) int { return st.Snapshots }))
+	sink.GaugeView(MetricBlocks, stat(func(st Stats) int { return st.Blocks }))
+	sink.GaugeView(MetricBytes, func() int64 { return s.Stats().Bytes })
+	sink.GaugeView(MetricCacheEntries, stat(func(st Stats) int { return st.CacheEntries }))
+	sink.GaugeView(MetricTierHot, stat(func(st Stats) int { return st.HotSegments }))
+	sink.GaugeView(MetricSegments, stat(func(st Stats) int { return st.Segments }))
+	sink.GaugeView(MetricSealedBytes, func() int64 { return s.Stats().SealedBytes })
 }

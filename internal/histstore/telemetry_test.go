@@ -50,7 +50,7 @@ func TestStoreTelemetry(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	s := st.Stats()
+	s, snap := st.Stats(), reg.Snapshot()
 	counters := map[string]uint64{
 		MetricAppends:       12,
 		MetricCompactions:   1,
@@ -61,7 +61,7 @@ func TestStoreTelemetry(t *testing.T) {
 		MetricTierEvictions: s.TierEvictions,
 	}
 	for name, want := range counters {
-		if got := reg.Counter(name).Value(); got != want {
+		if got := snap.Counters[name]; got != want {
 			t.Errorf("%s = %d, want %d", name, got, want)
 		}
 	}
@@ -74,15 +74,15 @@ func TestStoreTelemetry(t *testing.T) {
 		MetricSealedBytes: s.SealedBytes,
 	}
 	for name, want := range gauges {
-		if got := reg.Gauge(name).Value(); got != want {
+		if got := snap.Gauges[name]; got != want {
 			t.Errorf("%s = %d, stats say %d", name, got, want)
 		}
 	}
 	if s.Snapshots != 12 || s.Segments != 1 || s.Compaction.Runs != 1 || s.Compaction.SealedSnapshots != 12 {
 		t.Fatalf("lifecycle stats: %+v", s)
 	}
-	if reg.Counter(MetricAppendBytes).Value() == 0 || reg.Counter(MetricBaseFrames).Value() == 0 ||
-		reg.Counter(MetricDeltaFrames).Value() == 0 || reg.Counter(MetricReconstructions).Value() == 0 {
+	if snap.Counters[MetricAppendBytes] == 0 || snap.Counters[MetricBaseFrames] == 0 ||
+		snap.Counters[MetricDeltaFrames] == 0 || snap.Counters[MetricReconstructions] == 0 {
 		t.Fatal("write-path counters never moved")
 	}
 }

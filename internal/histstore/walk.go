@@ -148,11 +148,7 @@ func (r *reader) reconstruct(p dnswire.Prefix, refs []blockRef, i int, f *os.Fil
 	s := r.s
 	key := cacheKey{p: p, snap: refs[i].snap}
 	if st, ok := s.cache.get(key); ok {
-		s.met.cacheHits.Inc()
 		return st, nil
-	}
-	if s.cache != nil {
-		s.met.cacheMisses.Inc()
 	}
 	b := i
 	for b >= 0 && refs[b].kind != frameBase {
@@ -168,7 +164,6 @@ func (r *reader) reconstruct(p dnswire.Prefix, refs []blockRef, i int, f *os.Fil
 		start = 0
 	}
 	s.reconstructions.Add(1)
-	s.met.reconstructions.Inc()
 	for j := start; j <= i; j++ {
 		if _, err := r.apply(&st, f, refs[j], p); err != nil {
 			return nil, err
@@ -176,7 +171,6 @@ func (r *reader) reconstruct(p dnswire.Prefix, refs []blockRef, i int, f *os.Fil
 	}
 	if s.cache != nil {
 		s.cache.put(key, st.cur)
-		s.met.cacheEntries.Set(int64(s.cache.len()))
 	}
 	return st.cur, nil
 }

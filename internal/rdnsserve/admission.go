@@ -63,10 +63,7 @@ type admission struct {
 	mu      sync.Mutex
 	buckets map[string]*bucket
 
-	verdicts  map[string]*telemetry.Counter // by verdict; written by Server.observe
-	inFlightG *telemetry.Gauge
-	peakG     *telemetry.Gauge
-	clientsG  *telemetry.Gauge
+	verdicts map[string]*telemetry.Counter // by verdict; written by Server.observe
 }
 
 func newAdmission(cfg AdmissionConfig, sink telemetry.Sink) *admission {
@@ -83,10 +80,11 @@ func newAdmission(cfg AdmissionConfig, sink telemetry.Sink) *admission {
 			verdictDenied:      sink.Counter("rdnsd_admission_denied_total"),
 			verdictShed:        sink.Counter("rdnsd_admission_shed_total"),
 		},
-		inFlightG: sink.Gauge("rdnsd_admission_inflight"),
-		peakG:     sink.Gauge("rdnsd_admission_peak_inflight"),
-		clientsG:  sink.Gauge("rdnsd_admission_clients"),
 	}
+	// The gauges read what /v1/stats reads.
+	sink.GaugeView("rdnsd_admission_inflight", a.inFlight.Load)
+	sink.GaugeView("rdnsd_admission_peak_inflight", a.peak.Load)
+	sink.GaugeView("rdnsd_admission_clients", func() int64 { return int64(a.clients()) })
 	if a.now == nil {
 		a.now = time.Now
 	}
@@ -159,7 +157,6 @@ func (a *admission) take(key string) (ok bool, retryAfter int, remaining int) {
 		}
 		b = &bucket{tokens: a.cap, last: now}
 		a.buckets[key] = b
-		a.clientsG.Set(int64(len(a.buckets)))
 	}
 	if dt := now.Sub(b.last).Seconds(); dt > 0 {
 		b.tokens = math.Min(a.cap, b.tokens+dt*a.rate)
@@ -205,21 +202,16 @@ func (a *admission) enter() bool {
 		a.inFlight.Add(-1)
 		return false
 	}
-	a.inFlightG.Set(n)
 	for {
 		p := a.peak.Load()
-		if n <= p {
-			break
-		}
-		if a.peak.CompareAndSwap(p, n) {
-			a.peakG.Set(n)
+		if n <= p || a.peak.CompareAndSwap(p, n) {
 			break
 		}
 	}
 	return true
 }
 
-func (a *admission) leave() { a.inFlightG.Set(a.inFlight.Add(-1)) }
+func (a *admission) leave() { a.inFlight.Add(-1) }
 
 // The front door's verdicts, as the query log spells them.
 const (

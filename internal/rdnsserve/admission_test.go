@@ -182,8 +182,8 @@ func TestLoadShedding(t *testing.T) {
 	if peak := srv.adm.peak.Load(); peak < 2 {
 		t.Fatalf("peak in-flight %d, want >= 2", peak)
 	}
-	if reg.Gauge("rdnsd_admission_inflight").Value() != 0 {
-		t.Fatalf("in-flight gauge stuck at %d", reg.Gauge("rdnsd_admission_inflight").Value())
+	if g := reg.Snapshot().Gauges["rdnsd_admission_inflight"]; g != 0 {
+		t.Fatalf("in-flight gauge stuck at %d", g)
 	}
 }
 

@@ -134,22 +134,23 @@ func TestCompactionUnderLoad(t *testing.T) {
 	if snap.Segments != 2 || snap.Snapshots != 35 || snap.Compaction.Runs != 0 || snap.Writers[0].TailSnapshots != 0 {
 		t.Fatalf("stats after the reload: %+v", snap)
 	}
-	if got := reg.Counter(histstore.MetricCacheHits).Value(); got != snap.CacheHits {
+	hist := reg.Snapshot().Counters
+	if got := hist[histstore.MetricCacheHits]; got != snap.CacheHits {
 		t.Fatalf("hist_cache_hits_total %d != stats %d", got, snap.CacheHits)
 	}
-	if got := reg.Counter(histstore.MetricCacheMisses).Value(); got != snap.CacheMisses {
+	if got := hist[histstore.MetricCacheMisses]; got != snap.CacheMisses {
 		t.Fatalf("hist_cache_misses_total %d != stats %d", got, snap.CacheMisses)
 	}
-	if got := reg.Counter(histstore.MetricTierLoads).Value(); got != snap.TierLoads {
+	if got := hist[histstore.MetricTierLoads]; got != snap.TierLoads {
 		t.Fatalf("hist_tier_loads_total %d != stats %d", got, snap.TierLoads)
 	}
-	if got := reg.Counter(histstore.MetricTierEvictions).Value(); got != snap.TierEvictions {
+	if got := hist[histstore.MetricTierEvictions]; got != snap.TierEvictions {
 		t.Fatalf("hist_tier_evictions_total %d != stats %d", got, snap.TierEvictions)
 	}
-	if got := reg.Counter(histstore.MetricCompactions).Value(); got != snap.Compaction.Runs {
+	if got := hist[histstore.MetricCompactions]; got != snap.Compaction.Runs {
 		t.Fatalf("hist_compactions_total %d != stats %d", got, snap.Compaction.Runs)
 	}
-	if got := reg.Counter(histstore.MetricCompactSealed).Value(); got != snap.Compaction.SealedSnapshots {
+	if got := hist[histstore.MetricCompactSealed]; got != snap.Compaction.SealedSnapshots {
 		t.Fatalf("hist_compact_sealed_snapshots_total %d != stats %d", got, snap.Compaction.SealedSnapshots)
 	}
 	if snap.HotSegments > 1 {

@@ -289,7 +289,7 @@ func TestReloadScrapeRace(t *testing.T) {
 	if srv.StatsSnapshot().Generation != 10 {
 		t.Fatalf("generation %d, want 10", srv.StatsSnapshot().Generation)
 	}
-	if e := reg.Counter(metricQueryErrors).Value(); e != 0 {
+	if e := reg.Snapshot().Counters[metricQueryErrors]; e != 0 {
 		t.Fatalf("%s = %d after reload churn, want 0", metricQueryErrors, e)
 	}
 }

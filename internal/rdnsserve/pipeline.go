@@ -32,7 +32,8 @@ const (
 )
 
 // The outcomes partition an endpoint's requests, so the four counters of
-// its rdnsd_requests_total family sum to its share of rdnsd_queries_total.
+// its rdnsd_requests_total family sum to its share of rdnsd_queries_total,
+// which is their sum over the query and admin endpoints.
 const (
 	outcomeOK = iota
 	outcomeError
@@ -118,7 +119,34 @@ func (s *Server) routeTable() []*endpoint {
 			ep.seconds = s.sink.Histogram(metricQuerySeconds+`{endpoint="`+ep.name+`"}`, telemetry.DefaultLatencyBuckets())
 		}
 	}
+	// The aggregates are views of the rows' instruments, over the table
+	// as built.
+	sum := func(outcomes ...int) func() uint64 {
+		return func() uint64 {
+			var n uint64
+			for _, ep := range routes {
+				for _, o := range outcomes {
+					n += ep.outcomes[o].Value()
+				}
+			}
+			return n
+		}
+	}
+	s.sink.CounterView(metricQueries, sum(outcomeOK, outcomeError, outcomeCanceled, outcomeRejected))
+	s.sink.CounterView(metricQueryErrors, sum(outcomeError, outcomeRejected))
+	s.sink.CounterView(metricQueryCanceled, sum(outcomeCanceled))
+	s.sink.HistogramView(metricQuerySeconds, func() telemetry.HistogramSnapshot { return latency(routes) })
 	return routes
+}
+
+// latency merges the query endpoints' rdnsd_query_seconds{endpoint}:
+// rdnsd_query_seconds, and the latency block of /v1/stats.
+func latency(routes []*endpoint) telemetry.HistogramSnapshot {
+	var hs telemetry.HistogramSnapshot
+	for _, ep := range routes {
+		hs.Merge(ep.seconds.Snapshot())
+	}
+	return hs
 }
 
 // Handler serves the route table: the /v1 endpoints, the admin surface and
@@ -301,26 +329,20 @@ func (s *Server) observe(ev *event) {
 
 	// Admission refusals count as "rejected" per endpoint and, like every
 	// other failure, as rdnsd_query_errors_total in the aggregate.
-	s.queries.Inc()
 	outcome := outcomeOK
 	switch {
 	case !failed:
 	case ev.Status == statusClientClosedRequest:
-		s.queryCanceled.Inc()
 		outcome = outcomeCanceled
 	case ev.Admission != "" && ev.Admission != verdictAdmitted:
-		s.queryErrors.Inc()
 		outcome = outcomeRejected
 	default:
-		s.queryErrors.Inc()
 		outcome = outcomeError
 	}
 	ep.outcomes[outcome].Inc()
 
 	if ep.class == classQuery {
-		secs := seconds(ev.TotalNS)
-		s.querySeconds.ObserveExemplar(secs, ev.corr)
-		ep.seconds.ObserveExemplar(secs, ev.corr)
+		ep.seconds.ObserveExemplar(seconds(ev.TotalNS), ev.corr)
 		s.rowsServed.Add(uint64(ev.rows))
 		// Child spans only for wire-propagated traces: local uncorrelated
 		// traffic keeps its single root span and single ring slot.

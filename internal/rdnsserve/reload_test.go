@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -117,14 +118,15 @@ func TestHotReloadNoDroppedQueries(t *testing.T) {
 	}
 
 	// Zero errors, zero cancellations: nothing was dropped by the swaps.
-	if e := reg.Counter(metricQueryErrors).Value(); e != 0 {
+	snap := reg.Snapshot()
+	if e := snap.Counters[metricQueryErrors]; e != 0 {
 		t.Fatalf("%d query errors during reload churn", e)
 	}
-	if c := reg.Counter(metricQueryCanceled).Value(); c != 0 {
+	if c := snap.Counters[metricQueryCanceled]; c != 0 {
 		t.Fatalf("%d canceled queries during reload churn", c)
 	}
-	if reg.Counter(metricReloads).Value() != reloads {
-		t.Fatalf("reload counter %d, want %d", reg.Counter(metricReloads).Value(), reloads)
+	if snap.Counters[metricReloads] != reloads {
+		t.Fatalf("reload counter %d, want %d", snap.Counters[metricReloads], reloads)
 	}
 
 	// The drained pre-reload handles really closed their stores: the
@@ -208,5 +210,113 @@ func TestServerClose(t *testing.T) {
 	// StatsSnapshot on a closed server: admission-only, no panic.
 	if snap := srv.StatsSnapshot(); snap.Store.Snapshots != 0 {
 		t.Fatalf("closed-server stats: %+v", snap)
+	}
+}
+
+// TestMetricsDescribeServingHandle: the hist_* series, the admission
+// gauges and the generation are views of what /v1/stats reports, so after
+// a reload they describe the serving handle and not the sum of every
+// handle the daemon opened.
+func TestMetricsDescribeServingHandle(t *testing.T) {
+	path, writer, times := fixture(t, 10)
+	defer writer.Close()
+	if _, err := writer.Compact(t.Context(), histstore.CompactOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.NewRegistry()
+	open := func() (*histstore.Store, error) {
+		return histstore.Open(path, histstore.WithCache(256), histstore.WithTelemetry(reg), histstore.WithReadOnly())
+	}
+	serving, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := New(serving, Config{Sink: reg, Reopen: open, Admission: AdmissionConfig{RatePerSec: 1000}})
+	defer srv.Close()
+	h := srv.Handler()
+	query := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			for _, u := range []string{
+				"/v1/at?ip=10.0.1.7&t=2020-03-08",
+				"/v1/range?prefix=10.0.1.0/24&from=2020-03-01&to=2020-03-11",
+				"/v1/churn?prefix=10.0.0.0/16",
+				"/v1/name?token=brian",
+			} {
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", u, nil))
+				if rec.Code != 200 {
+					t.Fatalf("GET %s: %d %s", u, rec.Code, rec.Body)
+				}
+			}
+		}
+	}
+	query(3)
+	if err := writer.Append(times[len(times)-1].AddDate(0, 0, 1), scanengine.RecordSet{
+		dnswire.MustIPv4("10.0.1.7"): dnswire.MustName("brians-iphone.lan.example.net"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.Reload(); err != nil {
+		t.Fatal(err)
+	}
+	query(1)
+
+	snap, st := reg.Snapshot(), srv.StatsSnapshot()
+	s := st.Store
+	if s.Snapshots != 11 || s.Segments != 1 || s.CacheHits == 0 {
+		t.Fatalf("the serving handle's stats: %+v", s)
+	}
+	// A read-only handle writes nothing: the write-side counters, which no
+	// Stats field carries, stay zero.
+	counters := map[string]uint64{
+		histstore.MetricReconstructions:  s.Reconstructions,
+		histstore.MetricCacheHits:        s.CacheHits,
+		histstore.MetricCacheMisses:      s.CacheMisses,
+		histstore.MetricTierLoads:        s.TierLoads,
+		histstore.MetricTierEvictions:    s.TierEvictions,
+		histstore.MetricCompactions:      s.Compaction.Runs,
+		histstore.MetricCompactSealed:    s.Compaction.SealedSnapshots,
+		histstore.MetricCompactReclaimed: 0,
+		histstore.MetricAppends:          0,
+		histstore.MetricAppendBytes:      0,
+		histstore.MetricBaseFrames:       0,
+		histstore.MetricDeltaFrames:      0,
+	}
+	gauges := map[string]int64{
+		histstore.MetricSnapshots:       int64(s.Snapshots),
+		histstore.MetricBlocks:          int64(s.Blocks),
+		histstore.MetricBytes:           s.Bytes,
+		histstore.MetricCacheEntries:    int64(s.CacheEntries),
+		histstore.MetricTierHot:         int64(s.HotSegments),
+		histstore.MetricSegments:        int64(s.Segments),
+		histstore.MetricSealedBytes:     s.SealedBytes,
+		"rdnsd_admission_inflight":      st.Admission.InFlight,
+		"rdnsd_admission_peak_inflight": st.Admission.PeakInFlight,
+		"rdnsd_admission_clients":       int64(st.Admission.Clients),
+		metricGeneration:                st.Generation,
+	}
+	for name, want := range counters {
+		if got, ok := snap.Counters[name]; !ok || got != want {
+			t.Errorf("%s = %d (registered %v), /v1/stats says %d", name, got, ok, want)
+		}
+	}
+	for name, want := range gauges {
+		if got, ok := snap.Gauges[name]; !ok || got != want {
+			t.Errorf("%s = %d (registered %v), /v1/stats says %d", name, got, ok, want)
+		}
+	}
+	for name := range snap.Counters {
+		if _, ok := counters[name]; !ok && strings.HasPrefix(name, "hist_") {
+			t.Errorf("%s is not checked against /v1/stats", name)
+		}
+	}
+	for name := range snap.Gauges {
+		if _, ok := gauges[name]; !ok && strings.HasPrefix(name, "hist_") {
+			t.Errorf("%s is not checked against /v1/stats", name)
+		}
+	}
+	if st.Generation != 1 || snap.Counters[metricReloads] != 1 || st.Admission.Clients != 1 || st.Admission.PeakInFlight != 1 {
+		t.Fatalf("generation %d, reloads %d, admission %+v", st.Generation, snap.Counters[metricReloads], st.Admission)
 	}
 }

@@ -26,6 +26,10 @@ import (
 
 // Metric names the serving layer registers (alongside the store's hist_*
 // and the admission rdnsd_admission_* instruments; see docs/api.md).
+// rdnsd_requests_total{endpoint,outcome}, rdnsd_query_seconds{endpoint}
+// and rdnsd_rows_served_total are counted; the rest are views: the
+// aggregates sum or merge the per-endpoint families (pipeline.go), and
+// the reload count and generation both read the generation counter.
 const (
 	metricQueries       = "rdnsd_queries_total"
 	metricQueryErrors   = "rdnsd_query_errors_total"
@@ -81,16 +85,10 @@ type Server struct {
 	// replica daemons (SetReplicaStatus); nil/absent on primaries.
 	replStatus atomic.Value
 
-	queries       *telemetry.Counter
-	queryErrors   *telemetry.Counter
-	queryCanceled *telemetry.Counter
-	rowsServed    *telemetry.Counter
-	reloads       *telemetry.Counter
-	replFetches   *telemetry.Counter
-	replErrors    *telemetry.Counter
-	replBytes     *telemetry.Counter
-	querySeconds  *telemetry.Histogram
-	genGauge      *telemetry.Gauge
+	rowsServed  *telemetry.Counter
+	replFetches *telemetry.Counter
+	replErrors  *telemetry.Counter
+	replBytes   *telemetry.Counter
 
 	qlog *QueryLog
 	// routes is the route table (pipeline.go), fixed by New.
@@ -112,20 +110,17 @@ func New(st *histstore.Store, cfg Config) *Server {
 		adm:    newAdmission(cfg.Admission, sink),
 		reopen: cfg.Reopen,
 
-		queries:       sink.Counter(metricQueries),
-		queryErrors:   sink.Counter(metricQueryErrors),
-		queryCanceled: sink.Counter(metricQueryCanceled),
-		rowsServed:    sink.Counter(metricRowsServed),
-		reloads:       sink.Counter(metricReloads),
-		replFetches:   sink.Counter(metricReplFetches),
-		replErrors:    sink.Counter(metricReplErrors),
-		replBytes:     sink.Counter(metricReplBytes),
-		querySeconds:  sink.Histogram(metricQuerySeconds, telemetry.DefaultLatencyBuckets()),
-		genGauge:      sink.Gauge(metricGeneration),
+		rowsServed:  sink.Counter(metricRowsServed),
+		replFetches: sink.Counter(metricReplFetches),
+		replErrors:  sink.Counter(metricReplErrors),
+		replBytes:   sink.Counter(metricReplBytes),
 
 		qlog: cfg.QueryLog,
 	}
 	s.routes = s.routeTable()
+	// Each reload adds one generation: the reload count is the generation.
+	sink.CounterView(metricReloads, func() uint64 { return uint64(s.gen.Load()) })
+	sink.GaugeView(metricGeneration, s.gen.Load)
 	s.cur.Store(newStoreHandle(st, 0))
 	return s
 }
@@ -156,8 +151,6 @@ func (s *Server) Reload() (rdnsclient.ReloadResponse, error) {
 	gen := s.gen.Add(1)
 	old := s.cur.Swap(newStoreHandle(st, gen))
 	old.release()
-	s.reloads.Inc()
-	s.genGauge.Set(gen)
 	return rdnsclient.ReloadResponse{Reloaded: true, Generation: gen, Snapshots: st.Len()}, nil
 }
 
@@ -217,7 +210,7 @@ func (s *Server) stats(h *storeHandle) rdnsclient.StatsResponse {
 		},
 		Replica: s.replicaStatus(),
 	}
-	if hs := s.querySeconds.Snapshot(); hs.Count > 0 {
+	if hs := latency(s.routes); hs.Count > 0 {
 		resp.Latency = rdnsclient.LatencyStats{
 			Count: hs.Count,
 			P50:   hs.Quantile(0.50),

@@ -150,15 +150,16 @@ func TestV1Endpoints(t *testing.T) {
 	})
 
 	t.Run("metrics", func(t *testing.T) {
-		queries := reg.Counter(metricQueries).Value()
+		snap := reg.Snapshot()
+		queries := snap.Counters[metricQueries]
 		if queries == 0 {
 			t.Fatal("query counter did not move")
 		}
-		if reg.Histogram(metricQuerySeconds, nil).Snapshot().Count != queries {
+		if snap.Histograms[metricQuerySeconds].Count != queries {
 			t.Fatalf("latency histogram count %d != queries %d",
-				reg.Histogram(metricQuerySeconds, nil).Snapshot().Count, queries)
+				snap.Histograms[metricQuerySeconds].Count, queries)
 		}
-		if reg.Histogram(metricQuerySeconds+`{endpoint="at"}`, nil).Snapshot().Count == 0 {
+		if snap.Histograms[metricQuerySeconds+`{endpoint="at"}`].Count == 0 {
 			t.Fatal("per-endpoint histogram dead")
 		}
 	})
@@ -404,7 +405,7 @@ func TestUnroutedPathsAnswerNotFoundUncounted(t *testing.T) {
 		}
 	}
 	// Not queries either: nothing was admitted, counted or timed.
-	if got := reg.Counter(metricQueries).Value(); got != 0 {
+	if got := reg.Snapshot().Counters[metricQueries]; got != 0 {
 		t.Errorf("%s = %d after requests to unrouted paths only", metricQueries, got)
 	}
 }
@@ -476,10 +477,11 @@ func TestContextCancellation(t *testing.T) {
 			t.Errorf("%s: body %s", path, rec.Body)
 		}
 	}
-	if got := reg.Counter(metricQueryCanceled).Value(); got != 6 {
+	snap := reg.Snapshot()
+	if got := snap.Counters[metricQueryCanceled]; got != 6 {
 		t.Fatalf("canceled counter %d, want 6", got)
 	}
-	if got := reg.Counter(metricQueryErrors).Value(); got != 0 {
+	if got := snap.Counters[metricQueryErrors]; got != 0 {
 		t.Fatalf("canceled requests counted as errors: %d", got)
 	}
 }
@@ -567,7 +569,7 @@ func TestConcurrentQueriesDuringAppend(t *testing.T) {
 	if st.Len() != 10+appends {
 		t.Fatalf("store has %d snapshots, want %d", st.Len(), 10+appends)
 	}
-	if reg.Counter(metricQueries).Value() == 0 {
+	if reg.Snapshot().Counters[metricQueries] == 0 {
 		t.Fatal("query counter did not move")
 	}
 }

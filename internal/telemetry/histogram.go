@@ -68,13 +68,7 @@ func newHistogram(bounds []float64) *Histogram {
 }
 
 // Observe records one value.
-func (h *Histogram) Observe(v float64) {
-	if h == nil {
-		return
-	}
-	h.bucketFor(v).Add(1)
-	h.addSum(v)
-}
+func (h *Histogram) Observe(v float64) { h.ObserveExemplar(v, 0) }
 
 // ObserveExemplar records one value and, when corr is non-zero, offers it
 // as the bucket's exemplar: the slot keeps whichever observation in that
@@ -97,24 +91,19 @@ func (h *Histogram) ObserveExemplar(v float64, corr uint64) {
 		return
 	}
 	slot := &h.exes[i]
-	ex := &Exemplar{Corr: corr, Value: v}
+	var ex *Exemplar // allocated once this observation beats the slot
 	for {
 		cur := slot.Load()
 		if cur != nil && cur.Value >= v {
 			return
 		}
+		if ex == nil {
+			ex = &Exemplar{Corr: corr, Value: v}
+		}
 		if slot.CompareAndSwap(cur, ex) {
 			return
 		}
 	}
-}
-
-// bucketFor returns the counter for the bucket admitting v.
-func (h *Histogram) bucketFor(v float64) *atomic.Uint64 {
-	if i := sort.SearchFloat64s(h.bounds, v); i < len(h.bounds) {
-		return &h.counts[i]
-	}
-	return &h.over
 }
 
 func (h *Histogram) addSum(v float64) {
@@ -189,6 +178,32 @@ type HistogramSnapshot struct {
 	// overflow slot: the worst ObserveExemplar observation each bucket has
 	// seen (zero Corr = none). Nil when no exemplar was ever offered.
 	Exemplars []Exemplar
+}
+
+// Merge adds o into s bucket by bucket; both must share their bounds (a
+// zero s takes o's). Counts, Overflow, Count and Sum add, and each bucket
+// keeps the worse of the two exemplars — ObserveExemplar's own rule — so
+// merging the histograms of a partition of the observations gives the
+// histogram of all of them.
+func (s *HistogramSnapshot) Merge(o HistogramSnapshot) {
+	if s.Buckets == nil {
+		s.Buckets = append([]float64(nil), o.Buckets...)
+		s.Counts = make([]uint64, len(o.Counts))
+	}
+	for i, c := range o.Counts {
+		s.Counts[i] += c
+	}
+	s.Overflow += o.Overflow
+	s.Count += o.Count
+	s.Sum += o.Sum
+	if s.Exemplars == nil && o.Exemplars != nil {
+		s.Exemplars = make([]Exemplar, len(o.Exemplars))
+	}
+	for i, ex := range o.Exemplars {
+		if cur := s.Exemplars[i]; ex.Corr != 0 && (cur.Corr == 0 || ex.Value > cur.Value) {
+			s.Exemplars[i] = ex
+		}
+	}
 }
 
 // BucketExemplar returns bucket i's exemplar (i == len(Buckets) is the

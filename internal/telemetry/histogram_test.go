@@ -137,3 +137,16 @@ func TestQuantileEdgeCases(t *testing.T) {
 		t.Errorf("q=2 must clamp to the max estimate, got %g", got)
 	}
 }
+
+// TestObserveExemplarLoserAllocatesNothing: an observation that does not
+// beat its bucket's kept exemplar costs no allocation.
+func TestObserveExemplarLoserAllocatesNothing(t *testing.T) {
+	h := newHistogram([]float64{1, 2})
+	h.ObserveExemplar(0.9, 1)
+	if allocs := testing.AllocsPerRun(100, func() { h.ObserveExemplar(0.5, 2) }); allocs != 0 {
+		t.Fatalf("a losing ObserveExemplar allocates %v times, want 0", allocs)
+	}
+	if ex, _ := h.Snapshot().BucketExemplar(0); ex.Corr != 1 {
+		t.Fatalf("bucket 0 keeps corr %d, want 1", ex.Corr)
+	}
+}

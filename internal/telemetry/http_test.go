@@ -30,7 +30,7 @@ func TestExporterEndpoints(t *testing.T) {
 
 	reg := telemetry.NewRegistry()
 	reg.Counter("scan_queries_total").Add(123)
-	reg.Gauge("scan_workers").Set(8)
+	reg.Gauge("scan_workers").Add(8)
 	reg.Histogram("probe_seconds", []float64{0.01, 0.1}).Observe(0.05)
 
 	tr := telemetry.NewTracer(11, 16)

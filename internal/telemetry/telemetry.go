@@ -1,6 +1,7 @@
 // Package telemetry is the scan pipeline's observability layer: a
 // dependency-free, allocation-conscious metrics registry (atomic counters,
-// gauges, fixed-bucket latency histograms with quantile estimation) plus a
+// gauges, fixed-bucket latency histograms with quantile estimation, and
+// read-time views of counts their owners already keep) plus a
 // lightweight sweep tracer whose span identifiers derive deterministically
 // from the scan seed, so traces taken from two runs of the same seeded
 // scenario are directly comparable.
@@ -30,6 +31,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"io"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -49,6 +51,13 @@ type Sink interface {
 	// Histogram returns the named histogram, creating it on first use
 	// with the given bucket upper bounds (ignored if it already exists).
 	Histogram(name string, buckets []float64) *Histogram
+	// CounterView, GaugeView and HistogramView register a view: an
+	// instrument whose value fn computes at snapshot time from a count its
+	// owner already keeps, so the fact is counted once. A later view
+	// registration under the same name replaces the earlier one.
+	CounterView(name string, fn func() uint64)
+	GaugeView(name string, fn func() int64)
+	HistogramView(name string, fn func() HistogramSnapshot)
 }
 
 // Counter is a monotonically increasing uint64. All methods are safe for
@@ -82,14 +91,6 @@ type Gauge struct {
 	v atomic.Int64
 }
 
-// Set stores v.
-func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
-	}
-	g.v.Store(v)
-}
-
 // Add adjusts the gauge by delta (may be negative).
 func (g *Gauge) Add(delta int64) {
 	if g == nil {
@@ -110,100 +111,90 @@ func (g *Gauge) Value() int64 {
 // usable; create one with NewRegistry. A nil *Registry is a valid no-op
 // Sink: its getters return nil instruments.
 type Registry struct {
-	mu     sync.Mutex
-	order  []string // registration order, for stable human-facing output
-	counts map[string]*Counter
-	gauges map[string]*Gauge
-	hists  map[string]*Histogram
+	mu    sync.Mutex
+	insts map[string]any // *Counter, *Gauge, *Histogram or a view
 }
+
+// The views: read-time instruments whose func runs at Snapshot.
+type (
+	counterView   func() uint64
+	gaugeView     func() int64
+	histogramView func() HistogramSnapshot
+)
 
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counts: make(map[string]*Counter),
-		gauges: make(map[string]*Gauge),
-		hists:  make(map[string]*Histogram),
-	}
+	return &Registry{insts: make(map[string]any)}
 }
 
 // Counter implements Sink. Safe on a nil receiver (returns nil).
 func (r *Registry) Counter(name string) *Counter {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counts[name]; ok {
-		return c
-	}
-	r.mustBeFresh(name, "counter")
-	c := &Counter{}
-	r.counts[name] = c
-	r.order = append(r.order, name)
-	return c
+	return register(r, name, false, func() *Counter { return &Counter{} })
 }
 
 // Gauge implements Sink. Safe on a nil receiver (returns nil).
 func (r *Registry) Gauge(name string) *Gauge {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	r.mustBeFresh(name, "gauge")
-	g := &Gauge{}
-	r.gauges[name] = g
-	r.order = append(r.order, name)
-	return g
+	return register(r, name, false, func() *Gauge { return &Gauge{} })
 }
 
 // Histogram implements Sink. Safe on a nil receiver (returns nil). The
 // bucket bounds apply only on first registration.
 func (r *Registry) Histogram(name string, buckets []float64) *Histogram {
+	return register(r, name, false, func() *Histogram { return newHistogram(buckets) })
+}
+
+// CounterView implements Sink. Safe on a nil receiver (a no-op).
+func (r *Registry) CounterView(name string, fn func() uint64) {
+	register(r, name, true, func() counterView { return fn })
+}
+
+// GaugeView implements Sink. Safe on a nil receiver (a no-op).
+func (r *Registry) GaugeView(name string, fn func() int64) {
+	register(r, name, true, func() gaugeView { return fn })
+}
+
+// HistogramView implements Sink. Safe on a nil receiver (a no-op).
+func (r *Registry) HistogramView(name string, fn func() HistogramSnapshot) {
+	register(r, name, true, func() histogramView { return fn })
+}
+
+// register returns the instrument of kind T named name, creating it with
+// mk when the name is free; a view (replace) is made anew and takes the
+// name over. A name registered as another kind panics — a programming
+// error worth failing loudly on.
+func register[T any](r *Registry, name string, replace bool, mk func() T) T {
+	var t T
 	if r == nil {
-		return nil
+		return t
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
+	if in, ok := r.insts[name]; ok {
+		if t, ok = in.(T); !ok {
+			panic(fmt.Sprintf("telemetry: %q already registered as %T, requested as %T", name, in, t))
+		}
+		if !replace {
+			return t
+		}
 	}
-	r.mustBeFresh(name, "histogram")
-	h := newHistogram(buckets)
-	r.hists[name] = h
-	r.order = append(r.order, name)
-	return h
-}
-
-// mustBeFresh panics when a name is re-registered as a different
-// instrument kind — a programming error worth failing loudly on. Caller
-// holds r.mu.
-func (r *Registry) mustBeFresh(name, kind string) {
-	if _, ok := r.counts[name]; ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as a counter, requested as %s", name, kind))
-	}
-	if _, ok := r.gauges[name]; ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as a gauge, requested as %s", name, kind))
-	}
-	if _, ok := r.hists[name]; ok {
-		panic(fmt.Sprintf("telemetry: %q already registered as a histogram, requested as %s", name, kind))
-	}
+	t = mk()
+	r.insts[name] = t
+	return t
 }
 
 // Snapshot is a point-in-time copy of every instrument. Each instrument is
 // read atomically; histogram counts are derived from the bucket counters
 // at read time, so Count always equals the sum of Buckets even while
-// writers race the snapshot.
+// writers race the snapshot. A view appears as the kind it registered.
 type Snapshot struct {
 	Counters   map[string]uint64
 	Gauges     map[string]int64
 	Histograms map[string]HistogramSnapshot
 }
 
-// Snapshot captures the registry. Safe on nil (returns empty maps).
+// Snapshot captures the registry. Safe on nil (returns empty maps). It
+// reads the instruments outside the registry lock: a view's func may take
+// its owner's locks, and its owner may register instruments under them.
 func (r *Registry) Snapshot() Snapshot {
 	s := Snapshot{
 		Counters:   make(map[string]uint64),
@@ -214,15 +205,23 @@ func (r *Registry) Snapshot() Snapshot {
 		return s
 	}
 	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, c := range r.counts {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
+	insts := maps.Clone(r.insts)
+	r.mu.Unlock()
+	for name, in := range insts {
+		switch in := in.(type) {
+		case *Counter:
+			s.Counters[name] = in.Value()
+		case counterView:
+			s.Counters[name] = in()
+		case *Gauge:
+			s.Gauges[name] = in.Value()
+		case gaugeView:
+			s.Gauges[name] = in()
+		case *Histogram:
+			s.Histograms[name] = in.Snapshot()
+		case histogramView:
+			s.Histograms[name] = in()
+		}
 	}
 	return s
 }

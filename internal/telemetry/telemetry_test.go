@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -33,7 +34,6 @@ func TestNilInstrumentsAreNoOps(t *testing.T) {
 	h := reg.Histogram("z", nil)
 	c.Inc()
 	c.Add(5)
-	g.Set(3)
 	g.Add(-1)
 	h.Observe(1.5)
 	if c.Value() != 0 || g.Value() != 0 || h.Snapshot().Count != 0 {
@@ -128,7 +128,7 @@ func TestDeterministicDigest(t *testing.T) {
 	build := func() *Registry {
 		reg := NewRegistry()
 		reg.Counter("q_total").Add(42)
-		reg.Gauge("g").Set(-7)
+		reg.Gauge("g").Add(-7)
 		h := reg.Histogram("lat", []float64{1, 2})
 		h.Observe(0.5)
 		h.Observe(1.5)
@@ -141,7 +141,7 @@ func TestDeterministicDigest(t *testing.T) {
 	// Histogram bucket placement must not matter, only the count.
 	c := NewRegistry()
 	c.Counter("q_total").Add(42)
-	c.Gauge("g").Set(-7)
+	c.Gauge("g").Add(-7)
 	hc := c.Histogram("lat", []float64{1, 2})
 	hc.Observe(1.9) // different bucket than b's 0.5
 	hc.Observe(0.1)
@@ -165,7 +165,7 @@ func TestWritePrometheus(t *testing.T) {
 	reg.Counter("scan_queries_total").Add(10)
 	reg.Counter(`scan_changes_total{kind="added"}`).Add(3)
 	reg.Counter(`scan_changes_total{kind="removed"}`).Add(1)
-	reg.Gauge("scan_inflight").Set(2)
+	reg.Gauge("scan_inflight").Add(2)
 	h := reg.Histogram("probe_seconds", []float64{0.1, 1})
 	h.Observe(0.05)
 	h.Observe(0.5)
@@ -202,7 +202,7 @@ func TestWritePrometheus(t *testing.T) {
 func TestWriteJSON(t *testing.T) {
 	reg := NewRegistry()
 	reg.Counter("a_total").Add(7)
-	reg.Gauge("b").Set(-2)
+	reg.Gauge("b").Add(-2)
 	h := reg.Histogram("c_seconds", []float64{1, 2})
 	h.Observe(0.5)
 	var sb strings.Builder
@@ -215,4 +215,120 @@ func TestWriteJSON(t *testing.T) {
 			t.Errorf("json output missing %q\n---\n%s", want, out)
 		}
 	}
+}
+
+// TestViews: a view reads its func at Snapshot, appears as the kind it was
+// registered as in every export, is replaced by a later registration of
+// the same kind, and collides with any other kind under its name.
+func TestViews(t *testing.T) {
+	reg := NewRegistry()
+	var n uint64
+	reg.CounterView("v_total", func() uint64 { return n })
+	reg.GaugeView("v_level", func() int64 { return -int64(n) })
+	h := reg.Histogram("v_part_seconds", []float64{1, 2})
+	reg.HistogramView("v_seconds", func() HistogramSnapshot {
+		// A view may use the registry: it runs outside the lock.
+		return reg.Histogram("v_part_seconds", nil).Snapshot()
+	})
+	n = 3
+	h.Observe(1.5)
+	snap := reg.Snapshot()
+	if snap.Counters["v_total"] != 3 || snap.Gauges["v_level"] != -3 || snap.Histograms["v_seconds"].Count != 1 {
+		t.Fatalf("views read %d, %d, %d; want 3, -3, 1", snap.Counters["v_total"], snap.Gauges["v_level"], snap.Histograms["v_seconds"].Count)
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{"# TYPE v_total counter\nv_total 3\n", "# TYPE v_level gauge\nv_level -3\n", "# TYPE v_seconds histogram\n"} {
+		if !strings.Contains(b.String(), want) {
+			t.Errorf("exposition lacks %q:\n%s", want, b.String())
+		}
+	}
+
+	reg.CounterView("v_total", func() uint64 { return 7 })
+	if got := reg.Snapshot().Counters["v_total"]; got != 7 {
+		t.Fatalf("replaced view reads %d, want 7", got)
+	}
+
+	collide := func(what string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s must panic", what)
+			}
+		}()
+		f()
+	}
+	collide("a gauge view over a counter view", func() { reg.GaugeView("v_total", func() int64 { return 0 }) })
+	collide("a plain counter over a counter view", func() { reg.Counter("v_total") })
+	collide("a counter view over a plain histogram", func() { reg.CounterView("v_part_seconds", func() uint64 { return 0 }) })
+
+	var none *Registry
+	none.CounterView("v_total", func() uint64 { return 1 })
+	if len(none.Snapshot().Counters) != 0 {
+		t.Fatal("a nil registry must ignore views")
+	}
+}
+
+// TestHistogramMerge: merging the histograms of a partition of the
+// observations gives the histogram of all of them — counts, sum, and per
+// bucket the worst exemplar.
+func TestHistogramMerge(t *testing.T) {
+	bounds := []float64{0.01, 0.1, 1}
+	whole := newHistogram(bounds)
+	parts := []*Histogram{newHistogram(bounds), newHistogram(bounds), newHistogram(bounds)}
+	for i, v := range []float64{0.005, 0.05, 0.07, 0.5, 3, 0.09, 0.004, 7} {
+		corr := uint64(i + 1)
+		whole.ObserveExemplar(v, corr)
+		parts[i%len(parts)].ObserveExemplar(v, corr)
+	}
+	var merged HistogramSnapshot
+	for _, p := range parts {
+		merged.Merge(p.Snapshot())
+	}
+	merged.Merge(HistogramSnapshot{}) // an empty part adds nothing
+	want := whole.Snapshot()
+	// The sums add in another order, so they agree to rounding only.
+	if merged.Count != want.Count || merged.Overflow != want.Overflow || math.Abs(merged.Sum-want.Sum) > 1e-12 {
+		t.Fatalf("merged count/overflow/sum %d/%d/%g, want %d/%d/%g", merged.Count, merged.Overflow, merged.Sum, want.Count, want.Overflow, want.Sum)
+	}
+	for i := range want.Counts {
+		if merged.Counts[i] != want.Counts[i] {
+			t.Fatalf("bucket %d: %d, want %d", i, merged.Counts[i], want.Counts[i])
+		}
+	}
+	for i := range want.Exemplars {
+		if merged.Exemplars[i] != want.Exemplars[i] {
+			t.Fatalf("bucket %d exemplar %+v, want %+v", i, merged.Exemplars[i], want.Exemplars[i])
+		}
+	}
+}
+
+// TestViewReplacedUnderScrape: a view may be replaced while snapshots
+// run, as a daemon's reload replaces its store's views under a scrape;
+// every snapshot reads one of the registered funcs.
+func TestViewReplacedUnderScrape(t *testing.T) {
+	reg := NewRegistry()
+	reg.CounterView("v_total", func() uint64 { return 1 })
+	var wg sync.WaitGroup
+	for g := 0; g < 2; g++ {
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				reg.CounterView("v_total", func() uint64 { return 2 })
+			}
+		}()
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				if v := reg.Snapshot().Counters["v_total"]; v != 1 && v != 2 {
+					t.Errorf("snapshot read %d", v)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }
