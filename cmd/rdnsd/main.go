@@ -203,7 +203,7 @@ func main() {
 	)
 	flag.StringVar(&o.storePath, "store", "", "history store to serve (required)")
 	flag.IntVar(&o.cacheSize, "cache", 4096, "reconstruction cache capacity in block states (0 disables)")
-	flag.IntVar(&o.hotSegments, "hot-segments", histstore.DefaultHotSegments, "sealed segments kept hot (index + fd resident); older ones load lazily and evict LRU (<=0 = unbounded)")
+	flag.IntVar(&o.hotSegments, "hot-segments", histstore.DefaultHotSegments, "sealed segment files kept open; the least recently used are closed and re-opened on demand, and every segment's index stays resident (<=0 = unbounded)")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for deterministic span correlation IDs")
 	flag.Float64Var(&o.rate, "rate", 0, "per-client sustained requests/second (0 disables rate limiting)")
 	flag.Float64Var(&o.burst, "burst", 0, "per-client burst capacity (default max(rate, 1))")

@@ -274,8 +274,6 @@ func (s *Store) Compact(ctx context.Context, opts CompactOptions) (CompactResult
 		size:      int64(len(build.data)),
 		f:         segF,
 		idx:       build.idx,
-		crc:       build.idx.crc,
-		crcKnown:  true,
 	}
 	w.segs = append(w.segs, newSeg)
 	s.noteSegmentLoaded(newSeg)

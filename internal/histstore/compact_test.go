@@ -2,11 +2,13 @@ package histstore
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
-	"sort"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -579,71 +581,151 @@ func TestReadOnlyHandleNeverCompacts(t *testing.T) {
 	verifyStore(t, ro, c, splitmix(14))
 }
 
-// TestColdSegmentCorruptionAtLoad pins the lazy-load failure mode: a
-// segment whose trailer is damaged while it sits cold on disk must fail
-// the query that reloads it — loudly, naming the segment file — while
-// queries inside the resident segment keep answering.
+// TestColdSegmentCorruptionAtLoad pins what a query checks when it
+// re-opens a segment the hot tier closed. Open validated the segment's
+// index and the handle keeps it, so damage to an evicted segment's footer
+// or trailer changes no answer: the next Open is what catches it. The
+// bytes a query still reads are checked: a damaged frame, or a file whose
+// size changed while it was closed, fails the query loudly, naming the
+// segment, while queries inside the open segment keep answering.
 func TestColdSegmentCorruptionAtLoad(t *testing.T) {
-	dir := t.TempDir() + "/hist"
-	st, err := Open(dir, WithBaseInterval(3), WithHotSegments(1))
+	c := genCampaign(7, 35)
+	pristine := filepath.Join(t.TempDir(), "hist")
+	st, err := Open(pristine, WithBaseInterval(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c := genCampaign(7, 30)
-	for i := 0; i < 15; i++ {
+	for i := range c.snaps {
 		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	for i := 15; i < 30; i++ {
-		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
-			t.Fatal(err)
+		if i < 30 && i%10 == 9 {
+			if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{}); err != nil {
+				t.Fatal(err)
+			}
 		}
-	}
-	if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{}); err != nil {
-		t.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-
-	st, err = Open(dir, WithHotSegments(1))
+	ref, err := Open(pristine, WithReadOnly())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
+	defer ref.Close()
 
+	// open opens a copy of the store with one segment file open (the
+	// newest: Open validated all three, then closed the older two) and
+	// returns its directory and segment files, oldest first.
+	open := func(t *testing.T) (*Store, string, []string) {
+		dir := filepath.Join(t.TempDir(), "hist")
+		copyStoreDir(t, pristine, dir)
+		st, err := Open(dir, WithReadOnly(), WithHotSegments(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { st.Close() })
+		var segs []string
+		for _, g := range st.w.segs {
+			segs = append(segs, g.path)
+		}
+		if len(segs) != 3 || st.Stats().HotSegments != 1 {
+			t.Fatalf("%d segments, %d open; want 3 and 1", len(segs), st.Stats().HotSegments)
+		}
+		return st, dir, segs
+	}
 	ip := dnswire.IPv4{c.blocks[0].Addr[0], c.blocks[0].Addr[1], c.blocks[0].Addr[2], 7}
-	// The hot tier holds one segment; touching the second segment leaves
-	// the first one cold (Open verified both, then evicted the older).
-	if _, _, err := st.At(ip, c.times[29]); err != nil {
-		t.Fatalf("query in resident segment: %v", err)
+	resident := func(t *testing.T, st *Store) {
+		t.Helper()
+		name, ok, err := st.At(ip, c.times[25])
+		wantName, wantOK, _ := c.bruteAt(ip, c.times[25])
+		if err != nil || name != wantName || ok != wantOK {
+			t.Fatalf("query in the open segment: (%q, %v, %v), want (%q, %v)", name, ok, err, wantName, wantOK)
+		}
 	}
 
-	// NOW damage the cold segment's trailer on disk, after Open's eager
-	// verification pass — this is the bit-rot-while-cold scenario.
-	segs, err := filepath.Glob(filepath.Join(dir, "seg-*.seg"))
-	if err != nil || len(segs) != 2 {
-		t.Fatalf("segments on disk: %v (%v)", segs, err)
-	}
-	sort.Strings(segs)
-	fi, err := os.Stat(segs[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	flipByte(t, segs[0], fi.Size()-10)
+	t.Run("footer and trailer", func(t *testing.T) {
+		st, dir, segs := open(t)
+		for _, seg := range segs {
+			b, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			size := int64(len(b))
+			footerOff := int64(binary.LittleEndian.Uint64(b[size-segTrailerLen:]))
+			flipByte(t, seg, footerOff)                        // the block count
+			flipByte(t, seg, (footerOff+size-segTrailerLen)/2) // a ref
+			flipByte(t, seg, size-segTrailerLen+8)             // the footer CRC
+			flipByte(t, seg, size-1)                           // the trailer magic
+		}
+		loads := st.Stats().TierLoads
+		sameAnswers(t, "damaged footers", st, ref)
+		samePages(t, "damaged footers", st, ref, dnswire.Prefix{Addr: dnswire.IPv4{10, 7, 0, 0}, Bits: 16})
+		samePages(t, "damaged footers", st, ref, c.blocks[2])
+		if st.Stats().TierLoads == loads {
+			t.Fatal("no query re-opened a closed segment")
+		}
+		if _, err := Open(dir, WithReadOnly()); err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) {
+			t.Fatalf("the next Open: %v, want a failure naming %s", err, filepath.Base(segs[0]))
+		}
+	})
 
-	// Queries inside the resident segment keep answering...
-	if _, _, err := st.At(ip, c.times[29]); err != nil {
-		t.Fatalf("query in resident segment after corruption: %v", err)
-	}
-	// ...but the query that must reload the damaged segment fails loudly.
-	if _, _, err := st.At(ip, c.times[2]); err == nil ||
-		!strings.Contains(err.Error(), filepath.Base(segs[0])) {
-		t.Fatalf("cold corrupted segment: err = %v, want loud failure naming the segment", err)
+	t.Run("frame", func(t *testing.T) {
+		st, _, segs := open(t)
+		p := c.blocks[0]
+		refs, err := st.w.segs[0].idx.lookup(p, nil)
+		if err != nil || len(refs) == 0 {
+			t.Fatalf("block %s in the oldest segment: %v, %v", p, refs, err)
+		}
+		r := refs[0]
+		flipByte(t, segs[0], r.off+int64(r.length)/2)
+		resident(t, st)
+		_, _, err = st.At(ip, c.times[r.snap])
+		for _, want := range []string{filepath.Base(segs[0]), p.String(), fmt.Sprintf("snapshot %d", r.snap), "CRC"} {
+			if err == nil || !strings.Contains(err.Error(), want) {
+				t.Fatalf("At over a damaged frame: %v, want a failure naming %q", err, want)
+			}
+		}
+		if _, err := st.ChurnContext(context.Background(), p, c.times[0], c.times[34]); err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) {
+			t.Fatalf("Churn over a damaged frame: %v, want a failure naming the segment", err)
+		}
+		resident(t, st)
+	})
+
+	t.Run("truncated", func(t *testing.T) {
+		st, _, segs := open(t)
+		fi, err := os.Stat(segs[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Truncate(segs[0], fi.Size()-1); err != nil {
+			t.Fatal(err)
+		}
+		resident(t, st)
+		if _, _, err := st.At(ip, c.times[2]); err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) {
+			t.Fatalf("re-opening a truncated segment: %v, want a failure naming the segment", err)
+		}
+		resident(t, st)
+	})
+}
+
+// samePages fails unless two stores page through p's whole history, a
+// few rows a page, identically.
+func samePages(t *testing.T, what string, a, b *Store, p dnswire.Prefix) {
+	t.Helper()
+	times := a.Times()
+	from, to := times[0], times[len(times)-1]
+	var curA, curB RangeCursor
+	for pages := 0; ; pages++ {
+		ra, nextA, moreA, errA := a.RangePage(context.Background(), p, from, to, curA, 7)
+		rb, nextB, moreB, errB := b.RangePage(context.Background(), p, from, to, curB, 7)
+		if errA != nil || errB != nil || !reflect.DeepEqual(ra, rb) || nextA != nextB || moreA != moreB {
+			t.Fatalf("%s: RangePage(%s) page %d differs (%v, %v)", what, p, pages, errA, errB)
+		}
+		if !moreA {
+			return
+		}
+		curA, curB = nextA, nextB
 	}
 }
 

@@ -25,9 +25,11 @@
 //     bases on a sparser cadence, redundant rebases are dropped, and the
 //     swap is crash-atomic (staged files, then one manifest rename).
 //     Query answers are bit-identical before, during, and after.
-//   - A tiering policy keeps only recently-used segments' indexes hot;
-//     older segments reload lazily from their footers and are LRU-evicted
-//     (segment.go, the hist_tier_* metrics).
+//   - Every sealed segment's index is validated once, when Open or
+//     compaction builds it, and stays resident for the handle's life. A
+//     tiering policy bounds the open segment files: it keeps recently
+//     used segments open, closes the rest LRU-first, and a query
+//     re-opens a closed one (segment.go, the hist_tier_* metrics).
 //
 // Within a file the log stores a full per-/24 base block every K
 // snapshots and compact change deltas in between, varint+prefix-
@@ -99,7 +101,7 @@ const DefaultBaseInterval = 7
 const DefaultWriter = "main"
 
 // DefaultHotSegments is the default hot-tier capacity: how many sealed
-// segments keep their index and file descriptor resident.
+// segments keep their file open. Every segment's index stays resident.
 const DefaultHotSegments = 8
 
 // openRetries bounds the reopen attempts when a concurrent compaction
@@ -177,8 +179,8 @@ type Store struct {
 	compactReclaim  atomic.Int64
 	compactGained   atomic.Uint64 // the positive reclaims alone
 	reconstructions atomic.Uint64
-	tierLoads       atomic.Uint64
-	tierEvictions   atomic.Uint64
+	tierLoads       atomic.Uint64 // segment files re-opened
+	tierEvictions   atomic.Uint64 // segment files closed by the tier
 	// What this handle's appends wrote: facts no Stats field keeps, since
 	// Stats describes the store, not one handle's writes.
 	appends, appendBytes, wroteBases, wroteDeltas atomic.Uint64
@@ -237,9 +239,10 @@ func WithReadOnly() Option {
 	return func(s *Store) { s.readOnly = true }
 }
 
-// WithHotSegments bounds the hot tier to n resident segment indexes
-// (default DefaultHotSegments); colder segments reload lazily and are
-// LRU-evicted. Zero or negative means unbounded.
+// WithHotSegments bounds the hot tier to n open segment files (default
+// DefaultHotSegments); the least recently used are closed and re-opened
+// by the next query that needs them. It does not bound the indexes,
+// which every segment keeps. Zero or negative means unbounded.
 func WithHotSegments(n int) Option {
 	return func(s *Store) { s.hotCap = n }
 }

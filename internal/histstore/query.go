@@ -338,8 +338,9 @@ type Stats struct {
 	// TailBytes and SealedBytes split Bytes.
 	TailBytes   int64 `json:"tail_bytes,omitempty"`
 	SealedBytes int64 `json:"sealed_bytes,omitempty"`
-	// Segments counts sealed segments; HotSegments how many are resident
-	// in the tier; TierLoads/TierEvictions its lifetime churn.
+	// Segments counts sealed segments; HotSegments how many have their
+	// file open in the tier; TierLoads/TierEvictions count the files it
+	// re-opened and closed. Every segment's index stays resident.
 	Segments      int    `json:"segments,omitempty"`
 	HotSegments   int    `json:"hot_segments,omitempty"`
 	TierLoads     uint64 `json:"tier_loads,omitempty"`

@@ -2,7 +2,6 @@ package histstore
 
 import (
 	"bytes"
-	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -82,38 +81,6 @@ type FeedManifest struct {
 	Writers      []FeedWriter `json:"writers"`
 }
 
-// segmentCRC returns the segment's footer CRC from its trailer, cached
-// after the first read (segments are immutable). Uses the segment's open
-// handle when the tier holds one, else opens the path briefly.
-func (g *segment) segmentCRC() (uint32, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.crcKnown {
-		return g.crc, nil
-	}
-	f := g.f
-	if f == nil {
-		var err error
-		if f, err = os.Open(g.path); err != nil {
-			return 0, fmt.Errorf("histstore: %w", err)
-		}
-		defer f.Close()
-	}
-	if g.size < segTrailerLen {
-		return 0, fmt.Errorf("histstore: segment %s: %w", g.path, corruptError("shorter than its trailer"))
-	}
-	var trailer [segTrailerLen]byte
-	if _, err := f.ReadAt(trailer[:], g.size-segTrailerLen); err != nil {
-		return 0, fmt.Errorf("histstore: segment %s trailer: %w", g.path, err)
-	}
-	if [8]byte(trailer[12:]) != segTrailerMagic {
-		return 0, fmt.Errorf("histstore: segment %s: %w", g.path, corruptError("bad trailer magic"))
-	}
-	g.crc = binary.LittleEndian.Uint32(trailer[8:12])
-	g.crcKnown = true
-	return g.crc, nil
-}
-
 // FeedManifest snapshots the store's replicable file set. The returned
 // manifest is self-consistent: it describes one committed store state,
 // taken under the store's read lock.
@@ -136,16 +103,12 @@ func (s *Store) FeedManifest() (FeedManifest, error) {
 		TailSize:  w.tailSize,
 	}
 	for _, g := range w.segs {
-		crc, err := g.segmentCRC()
-		if err != nil {
-			return FeedManifest{}, err
-		}
 		fw.Segments = append(fw.Segments, FeedSegment{
 			File:  filepath.Base(g.path),
 			First: g.firstSnap,
 			Count: g.count,
 			Size:  g.size,
-			CRC:   crc,
+			CRC:   g.idx.crc,
 		})
 		fm.TotalBytes += g.size
 	}

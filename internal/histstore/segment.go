@@ -44,10 +44,11 @@ import (
 //	    off   uvarint (first ref: absolute file offset; later: gap from previous, >= 1)
 //	    len   uvarint
 //
-// The footer lets a cold segment's index reload without replaying its
-// frames; the trailer CRC makes any truncation or bit flip of the index
-// loud. Segments are written to a temp file, fsynced, and renamed, and
-// the manifest references them only after the rename — so a referenced
+// The footer is the segment's index: Open checks it against the frames
+// and keeps it for the handle's life, and a replica checks it the same
+// way; the trailer CRC makes any truncation or bit flip of it loud.
+// Segments are written to a temp file, fsynced, and renamed, and the
+// manifest references them only after the rename — so a referenced
 // segment is always complete, and any damage to one is store corruption,
 // never a quietly truncatable tail.
 
@@ -62,41 +63,40 @@ const segTrailerLen = 8 + 4 + 8
 // maxSegFooterBytes bounds a loaded footer allocation.
 const maxSegFooterBytes = 1 << 30
 
-// segment is one sealed segment of a writer. firstSnap/count/size are
-// immutable after construction; f and idx are the tier-managed hot state.
-// mu guards them and is only ever held briefly (a load is the longest):
-// readers take a pin, copy f and idx out, and read without the lock, so
-// any number of queries share a hot segment. Unloading — eviction, Close —
-// happens only while no pin is out, so a file never closes mid-read.
+// segment is one sealed segment of a writer. firstSnap/count/size and idx
+// are immutable once Open or compaction has built the segment: the index
+// is validated once, whole, and serves the handle for its life. f is the
+// tier-managed state: the open file, which an eviction closes and the next
+// pin re-opens. mu guards it and is only ever held briefly (a re-open is
+// the longest): readers take a pin, copy f out, and read without the lock,
+// so any number of queries share an open segment. Closing — eviction,
+// Close — happens only while no pin is out, so a file never closes
+// mid-read.
 type segment struct {
 	path      string
 	writerID  string
 	firstSnap int
 	count     int
 	size      int64
+	idx       *segIndex
 
 	mu   sync.Mutex
 	f    *os.File
-	idx  *segIndex
-	pins int  // readers holding f and idx
+	pins int  // readers holding f
 	hot  bool // tracked in the tier's LRU list (guarded by the tier's mutex)
-	// crc caches the trailer's footer CRC — the replication feed's
-	// content address — after the first read (replfeed.go).
-	crc      uint32
-	crcKnown bool
 }
 
 func (g *segment) lastSnap() int { return g.firstSnap + g.count - 1 }
 
-// pin returns the segment's index and file, loading them if cold, and
-// keeps both resident until the matching unpin. The tier is notified so
+// pin returns the segment's file, re-opening it if the tier closed it,
+// and keeps it open until the matching unpin. The tier is notified so
 // occupancy and LRU order stay current.
-func (g *segment) pin(s *Store) (*segIndex, *os.File, error) {
+func (g *segment) pin(s *Store) (*os.File, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	if g.idx == nil {
-		if err := g.load(); err != nil {
-			return nil, nil, err
+	if g.f == nil {
+		if err := g.reopen(); err != nil {
+			return nil, err
 		}
 		s.tierLoads.Add(1)
 		s.noteSegmentLoaded(g)
@@ -104,7 +104,7 @@ func (g *segment) pin(s *Store) (*segIndex, *os.File, error) {
 		s.tier.touch(g)
 	}
 	g.pins++
-	return g.idx, g.f, nil
+	return g.f, nil
 }
 
 func (g *segment) unpin() {
@@ -113,57 +113,54 @@ func (g *segment) unpin() {
 	g.mu.Unlock()
 }
 
-// load opens the segment file and rebuilds its index from the footer.
-// Callers hold g.mu.
-func (g *segment) load() error {
+// reopen opens the file of a segment the tier closed. Its index was
+// validated when the handle built it; the file must still be as long as
+// it was then. Every frame read through it is checked on its own
+// (reader.readFrame). Callers hold g.mu.
+func (g *segment) reopen() error {
 	f, err := os.Open(g.path)
 	if err != nil {
 		return fmt.Errorf("histstore: %w", err)
 	}
 	fi, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("histstore: %w", err)
+	if err == nil && fi.Size() != g.size {
+		err = corruptf("file is %d bytes, was %d when validated", fi.Size(), g.size)
 	}
-	idx, _, _, err := readSegmentIndex(f, fi.Size(), g.writerID, g.firstSnap, g.count)
 	if err != nil {
 		f.Close()
 		return fmt.Errorf("histstore: segment %s: %w", g.path, err)
 	}
-	// size is set once, at Open or when compaction builds the segment, and
-	// read without the lock (FeedManifest, Stats): a reload must not write it.
-	g.f, g.idx = f, idx
+	g.f = f
 	return nil
 }
 
 // open opens the segment for a read of all of it, as Open makes: its file
-// and index become the hot state, and the sequencer over its frames is
-// returned.
+// becomes the tier's open file, its index the segment's, and the
+// sequencer over its frames is returned.
 func (g *segment) open() (*sequencer, error) {
 	f, size, seq, err := openSegmentFile(g.path, g.writerID, g.firstSnap, g.count)
 	if err != nil {
 		return nil, err
 	}
 	g.f, g.size, g.idx = f, size, seq.idx
-	g.crc, g.crcKnown = seq.idx.crc, true
 	return seq, nil
 }
 
-// unload drops the hot state. Callers hold g.mu with no pin out.
+// unload closes the file; the index stays. Callers hold g.mu with no pin
+// out.
 func (g *segment) unload() {
 	if g.f != nil {
 		g.f.Close()
 		g.f = nil
 	}
-	g.idx = nil
 }
 
 // segIndex is a sealed segment's per-block frame index, flat: the footer
 // bytes themselves — validated once, whole, when the index is built — and
 // a directory of where each block's refs start in them, sorted by /24
-// address. A reload is two allocations however many blocks the segment
-// holds; a lookup is a binary search plus a decode of that one block's
-// refs into the caller's buffer.
+// address. Building one is two allocations however many blocks the
+// segment holds; a lookup is a binary search plus a decode of that one
+// block's refs into the caller's buffer.
 type segIndex struct {
 	dir    []segDirEntry
 	footer []byte
@@ -465,9 +462,10 @@ func (ix *segIndex) blockRefs(at int, p dnswire.Prefix, dst []blockRef, collect 
 	return dst, at, nil
 }
 
-// tier is the hot-segment LRU: at most cap segments keep their index and
-// file descriptor in memory; the rest reload lazily from their footers.
-// A capacity of zero means unbounded (every segment stays hot).
+// tier is the hot-segment LRU: at most cap segments keep their file open;
+// the rest are re-opened by the next pin. Every segment keeps its index
+// whatever the tier does. A capacity of zero means unbounded (every
+// segment stays open).
 type tier struct {
 	mu  sync.Mutex
 	cap int
@@ -534,16 +532,17 @@ func (t *tier) len() int {
 	return len(t.lru)
 }
 
-// noteSegmentLoaded admits g to the tier and evicts what no longer fits.
+// noteSegmentLoaded admits g, whose file was just opened, to the tier and
+// closes the files that no longer fit.
 func (s *Store) noteSegmentLoaded(g *segment) { s.evict(s.tier.admit(g)) }
 
 // trimTier evicts what the tier holds beyond its capacity: the segments an
 // admission had to leave hot because a query still had them pinned.
 func (s *Store) trimTier() { s.evict(s.tier.admit(nil)) }
 
-// evict unloads the victims nobody is reading; a pinned (or momentarily
-// locked) victim stays hot and goes back on the LRU, to be trimmed when
-// its reader is done. Eviction never waits on a reader.
+// evict closes the files of the victims nobody is reading; a pinned (or
+// momentarily locked) victim stays hot and goes back on the LRU, to be
+// trimmed when its reader is done. Eviction never waits on a reader.
 func (s *Store) evict(victims []*segment) {
 	for _, v := range victims {
 		evicted := false

@@ -72,7 +72,7 @@ type segIdentity struct {
 	crc          uint32
 }
 
-// identity is g's identity; g's index must be loaded.
+// identity is g's identity.
 func (g *segment) identity() segIdentity {
 	return segIdentity{writer: g.writerID, first: g.firstSnap, count: g.count, size: g.size, crc: g.idx.crc}
 }

@@ -31,12 +31,12 @@ const (
 	MetricBytes = "hist_bytes"
 	// MetricCacheEntries gauges the reconstruction cache's occupancy.
 	MetricCacheEntries = "hist_cache_entries"
-	// MetricTierLoads counts cold segment indexes loaded into the hot
-	// tier (a segment's first query after open, or after an eviction).
+	// MetricTierLoads counts segment files re-opened by a query after the
+	// tier closed them. The index is not re-read: it stays resident.
 	MetricTierLoads = "hist_tier_loads_total"
-	// MetricTierEvictions counts hot segments evicted by the tier's LRU.
+	// MetricTierEvictions counts segment files the tier's LRU closed.
 	MetricTierEvictions = "hist_tier_evictions_total"
-	// MetricTierHot gauges the number of segments currently hot.
+	// MetricTierHot gauges the number of segments whose file is open.
 	MetricTierHot = "hist_tier_hot_segments"
 	// MetricSegments gauges the store's sealed segments.
 	MetricSegments = "hist_tier_segments"

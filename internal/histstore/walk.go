@@ -3,6 +3,7 @@ package histstore
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"sort"
 
 	"rdnsprivacy/internal/dnswire"
@@ -32,28 +33,27 @@ type reader struct {
 }
 
 type pinnedSegment struct {
-	g   *segment
-	idx *segIndex
-	f   *os.File
+	g *segment
+	f *os.File
 }
 
-// pin returns g's index and file, pinning the segment on first use.
-func (r *reader) pin(g *segment) (*segIndex, *os.File, error) {
-	for i := range r.pins {
-		if r.pins[i].g == g {
-			return r.pins[i].idx, r.pins[i].f, nil
+// pin returns g's file, pinning the segment on first use.
+func (r *reader) pin(g *segment) (*os.File, error) {
+	for _, pn := range r.pins {
+		if pn.g == g {
+			return pn.f, nil
 		}
 	}
-	idx, f, err := g.pin(r.s)
+	f, err := g.pin(r.s)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	r.pins = append(r.pins, pinnedSegment{g: g, idx: idx, f: f})
-	return idx, f, nil
+	r.pins = append(r.pins, pinnedSegment{g: g, f: f})
+	return f, nil
 }
 
 // release drops every pin, and with them whatever kept the hot tier from
-// evicting down to its capacity. The reader is spent afterwards.
+// closing files down to its capacity. The reader is spent afterwards.
 func (r *reader) release() {
 	if len(r.pins) == 0 {
 		return
@@ -100,8 +100,17 @@ func checkFrameIdentity(ref blockRef, p dnswire.Prefix, fsnap int, fp dnswire.Pr
 
 // apply advances st through the block frame at ref: a base replaces the
 // state, a delta patches it. For a delta it returns the decoded entries,
-// valid until the reader decodes another frame.
+// valid until the reader decodes another frame. A frame that fails its
+// checks is an error naming the file, the /24 and the snapshot.
 func (r *reader) apply(st *evolving, f *os.File, ref blockRef, p dnswire.Prefix) ([]deltaEntry, error) {
+	delta, err := r.applyFrame(st, f, ref, p)
+	if err != nil {
+		return nil, fmt.Errorf("histstore: %s: block %s at snapshot %d: %w", filepath.Base(f.Name()), p, ref.snap, err)
+	}
+	return delta, nil
+}
+
+func (r *reader) applyFrame(st *evolving, f *os.File, ref blockRef, p dnswire.Prefix) ([]deltaEntry, error) {
 	fr, err := r.readFrame(f, ref)
 	if err != nil {
 		return nil, err
@@ -207,11 +216,12 @@ func (b *writerWalk) enter(r *reader, src int) error {
 		b.refs, b.f = w.tailBlocks[b.p], w.tailF
 		return nil
 	}
-	idx, f, err := r.pin(w.segs[src])
+	g := w.segs[src]
+	f, err := r.pin(g)
 	if err != nil {
 		return err
 	}
-	b.refs, err = idx.lookup(b.p, b.refBuf)
+	b.refs, err = g.idx.lookup(b.p, b.refBuf)
 	if b.refs != nil {
 		b.refBuf = b.refs
 	}

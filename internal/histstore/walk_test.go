@@ -2,6 +2,7 @@ package histstore
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"path/filepath"
 	"reflect"
@@ -359,6 +360,127 @@ func TestSharedSegmentPins(t *testing.T) {
 	}
 	if stats.TierLoads == 0 || stats.TierEvictions == 0 {
 		t.Fatalf("the tier never churned: %+v", stats)
+	}
+}
+
+// TestEvictionsCloseFilesMidWalk runs walkers over a twelve-segment
+// history with two segment files allowed open, so the tier closes files
+// between one walker's segments while other walkers are mid-query, and
+// re-opens them for the next. Every answer must match a handle that keeps
+// every file open, nothing may race (run under -race), and no index is
+// rebuilt: the tier closes and re-opens files, never an index.
+func TestEvictionsCloseFilesMidWalk(t *testing.T) {
+	c := genCampaign(47, 60)
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := Open(dir, WithBaseInterval(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.snaps {
+		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i%5 == 4 {
+			if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{MinSeal: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st.Close()
+	all, err := Open(dir, WithReadOnly(), WithHotSegments(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer all.Close()
+	two, err := Open(dir, WithReadOnly(), WithHotSegments(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer two.Close()
+	if n := len(two.w.segs); n != 12 {
+		t.Fatalf("%d segments, want 12", n)
+	}
+	indexes := make([]*segIndex, len(two.w.segs))
+	for i, g := range two.w.segs {
+		indexes[i] = g.idx
+	}
+
+	// Windows of ten days from every seventh day, and the whole history.
+	type query struct {
+		p        dnswire.Prefix
+		from, to time.Time
+		ip       dnswire.IPv4
+	}
+	p16 := dnswire.Prefix{Addr: dnswire.IPv4{10, 47, 0, 0}, Bits: 16}
+	var queries []query
+	for from := 0; from < len(c.times); from += 7 {
+		ip := dnswire.IPv4{10, 47, byte(1 + from%2), byte(from % 40)}
+		queries = append(queries, query{p16, c.times[from], c.times[min(from+9, len(c.times)-1)], ip})
+	}
+	queries = append(queries, query{p16, c.times[0], c.times[len(c.times)-1], dnswire.IPv4{10, 47, 1, 3}},
+		query{c.blocks[2], c.times[0], c.times[len(c.times)-1], dnswire.IPv4{172, 16, 47, 5}})
+	type answer struct {
+		churn []ChurnDay
+		rows  []string
+		name  dnswire.Name
+		ok    bool
+	}
+	ask := func(st *Store, q query) (answer, error) {
+		var a answer
+		var err error
+		if a.churn, err = st.ChurnContext(context.Background(), q.p, q.from, q.to); err != nil {
+			return a, err
+		}
+		rows, err := st.Range(q.p, q.from, q.to)
+		if err != nil {
+			return a, err
+		}
+		a.rows = rowStrings(rows)
+		a.name, a.ok, err = st.At(q.ip, q.to)
+		return a, err
+	}
+	want := make([]answer, len(queries))
+	for i, q := range queries {
+		if want[i], err = ask(all, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	const walkers = 6
+	errs := make(chan error, walkers)
+	for g := 0; g < walkers; g++ {
+		go func(g int) {
+			for n := 0; n < 3*len(queries); n++ {
+				i := (5*g + n) % len(queries)
+				got, err := ask(two, queries[i])
+				if err == nil && !reflect.DeepEqual(got, want[i]) {
+					err = errors.New("the answer differs")
+				}
+				if err != nil {
+					errs <- fmt.Errorf("walker %d, query %d: %v", g, i, err)
+					return
+				}
+			}
+			errs <- nil
+		}(g)
+	}
+	for g := 0; g < walkers; g++ {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
+	}
+	stats := two.Stats()
+	t.Logf("two open files allowed: %d re-opens, %d closes", stats.TierLoads, stats.TierEvictions)
+	if stats.HotSegments > 2 || stats.TierLoads == 0 || stats.TierEvictions == 0 {
+		t.Fatalf("two open files allowed: %d open, %d re-opens, %d closes", stats.HotSegments, stats.TierLoads, stats.TierEvictions)
+	}
+	if st := all.Stats(); st.HotSegments != 12 || st.TierLoads != 0 || st.TierEvictions != 0 {
+		t.Fatalf("unbounded tier: %d open, %d re-opens, %d closes; want 12, 0, 0", st.HotSegments, st.TierLoads, st.TierEvictions)
+	}
+	for i, g := range two.w.segs {
+		if g.idx != indexes[i] {
+			t.Fatalf("segment %d's index was rebuilt", i)
+		}
 	}
 }
 

@@ -28,10 +28,12 @@
 package telemetry
 
 import (
+	"cmp"
 	"fmt"
 	"hash/fnv"
 	"io"
 	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -270,47 +272,51 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // WritePrometheus renders the registry in the Prometheus text exposition
-// format, instruments sorted by name. Metric names may carry an inline
-// label set ("scan_changes_total{kind=\"added\"}"); the base name (before
-// '{') groups the TYPE comment.
+// format. Metric names may carry an inline label set
+// ("scan_changes_total{kind=\"added\"}"): the family (the name before
+// '{') gets one TYPE comment, and its series are written together, sorted
+// by family and then labels. A labelled histogram's suffixes go on the
+// family, before its labels: base_bucket{labels,le="…"}, base_sum{labels},
+// base_count{labels}.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	if r == nil {
 		return nil
 	}
 	snap := r.Snapshot()
-	var lastBase string
-	typeLine := func(name, kind string) {
-		base := name
-		if i := strings.IndexByte(base, '{'); i >= 0 {
-			base = base[:i]
-		}
-		if base != lastBase {
-			fmt.Fprintf(w, "# TYPE %s %s\n", base, kind)
-			lastBase = base
-		}
-	}
 	names := make([]string, 0, len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms))
 	names = append(names, sortedKeys(snap.Counters)...)
 	names = append(names, sortedKeys(snap.Gauges)...)
 	names = append(names, sortedKeys(snap.Histograms)...)
-	sort.Strings(names)
+	slices.SortFunc(names, func(a, b string) int {
+		fa, la := splitLabels(a)
+		fb, lb := splitLabels(b)
+		return cmp.Or(strings.Compare(fa, fb), strings.Compare(la, lb))
+	})
+	var lastFamily string
+	typeLine := func(family, kind string) {
+		if family != lastFamily {
+			fmt.Fprintf(w, "# TYPE %s %s\n", family, kind)
+			lastFamily = family
+		}
+	}
 	for _, name := range names {
+		family, labels := splitLabels(name)
 		if v, ok := snap.Counters[name]; ok {
-			typeLine(name, "counter")
+			typeLine(family, "counter")
 			if _, err := fmt.Fprintf(w, "%s %d\n", name, v); err != nil {
 				return err
 			}
 			continue
 		}
 		if v, ok := snap.Gauges[name]; ok {
-			typeLine(name, "gauge")
+			typeLine(family, "gauge")
 			if _, err := fmt.Fprintf(w, "%s %d\n", name, v); err != nil {
 				return err
 			}
 			continue
 		}
 		h := snap.Histograms[name]
-		typeLine(name, "histogram")
+		typeLine(family, "histogram")
 		// Buckets carry OpenMetrics-style exemplars when recorded: the
 		// worst correlated observation each bucket has seen, so a scrape
 		// can name the exact query behind a tail bucket.
@@ -320,19 +326,35 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			}
 			return ""
 		}
+		// series is the label block of _sum and _count; bucket opens
+		// _bucket's, which adds le.
+		series, bucket := "", "{"
+		if labels != "" {
+			series, bucket = "{"+labels+"}", "{"+labels+","
+		}
 		cum := uint64(0)
 		for i, ub := range h.Buckets {
 			cum += h.Counts[i]
-			fmt.Fprintf(w, "%s_bucket{le=\"%g\"} %d%s\n", name, ub, cum, exemplar(i))
+			fmt.Fprintf(w, "%s_bucket%sle=\"%g\"} %d%s\n", family, bucket, ub, cum, exemplar(i))
 		}
 		cum += h.Overflow
-		fmt.Fprintf(w, "%s_bucket{le=\"+Inf\"} %d%s\n", name, cum, exemplar(len(h.Buckets)))
-		fmt.Fprintf(w, "%s_sum %g\n", name, h.Sum)
-		if _, err := fmt.Fprintf(w, "%s_count %d\n", name, h.Count); err != nil {
+		fmt.Fprintf(w, "%s_bucket%sle=\"+Inf\"} %d%s\n", family, bucket, cum, exemplar(len(h.Buckets)))
+		fmt.Fprintf(w, "%s_sum%s %g\n", family, series, h.Sum)
+		if _, err := fmt.Fprintf(w, "%s_count%s %d\n", family, series, h.Count); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// splitLabels splits an instrument name into its family and the inline
+// label set inside its braces ("" when it has none).
+func splitLabels(name string) (family, labels string) {
+	family, labels, ok := strings.Cut(name, "{")
+	if !ok {
+		return name, ""
+	}
+	return family, strings.TrimSuffix(labels, "}")
 }
 
 // WriteJSON renders the registry as a single expvar-style JSON object:

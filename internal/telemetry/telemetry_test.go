@@ -197,6 +197,45 @@ func TestWritePrometheus(t *testing.T) {
 	if n := strings.Count(out, "# TYPE scan_changes_total"); n != 1 {
 		t.Errorf("want 1 TYPE line for scan_changes_total, got %d", n)
 	}
+
+	// A labelled histogram's suffixes go on the family name, before the
+	// labels, and a family keeps its series together under one TYPE line
+	// even where a longer name sorts between its unlabelled and its
+	// labelled series: byte-wise, "x_seconds_extra_total" sorts after
+	// "x_seconds" and before "x_seconds{...}".
+	reg = NewRegistry()
+	bounds := []float64{0.1, 1}
+	reg.Histogram("x_seconds", bounds).Observe(0.5)
+	h = reg.Histogram(`x_seconds{op="a"}`, bounds)
+	h.Observe(0.05)
+	h.Observe(2)
+	reg.Histogram(`x_seconds{op="b"}`, bounds).Observe(0.5)
+	reg.Counter("x_seconds_extra_total").Add(4)
+	sb.Reset()
+	if err := reg.WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	want := "# TYPE x_seconds histogram\n" +
+		`x_seconds_bucket{le="0.1"} 0` + "\n" +
+		`x_seconds_bucket{le="1"} 1` + "\n" +
+		`x_seconds_bucket{le="+Inf"} 1` + "\n" +
+		"x_seconds_sum 0.5\n" +
+		"x_seconds_count 1\n" +
+		`x_seconds_bucket{op="a",le="0.1"} 1` + "\n" +
+		`x_seconds_bucket{op="a",le="1"} 1` + "\n" +
+		`x_seconds_bucket{op="a",le="+Inf"} 2` + "\n" +
+		`x_seconds_sum{op="a"} 2.05` + "\n" +
+		`x_seconds_count{op="a"} 2` + "\n" +
+		`x_seconds_bucket{op="b",le="0.1"} 0` + "\n" +
+		`x_seconds_bucket{op="b",le="1"} 1` + "\n" +
+		`x_seconds_bucket{op="b",le="+Inf"} 1` + "\n" +
+		`x_seconds_sum{op="b"} 0.5` + "\n" +
+		`x_seconds_count{op="b"} 1` + "\n" +
+		"# TYPE x_seconds_extra_total counter\n" +
+		"x_seconds_extra_total 4\n"
+	if got := sb.String(); got != want {
+		t.Errorf("labelled histogram exposition:\n%s\nwant:\n%s", got, want)
+	}
 }
 
 func TestWriteJSON(t *testing.T) {
