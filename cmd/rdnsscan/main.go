@@ -236,7 +236,7 @@ func main() {
 	sc := scanengine.New(dnsclient.UDPSource{Client: client},
 		append(opts, scanengine.WithResultFunc(csvPrinter(os.Stdout, os.Stderr, *onlyFound)))...)
 	fmt.Println("ip,outcome,ptr,rtt_ms")
-	snap, err := sc.Scan(ctx, scanengine.Request{Targets: targets})
+	snap, err := sc.Sweep(ctx, scanengine.Request{Targets: targets})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sweep interrupted: %v\n", err)
 	}
@@ -375,7 +375,7 @@ func printHealth(snap *scanengine.Snapshot) {
 // every sweep becomes one observability frame.
 func watchLoop(ctx context.Context, client *dnsclient.UDPClient, targets []dnswire.Prefix, interval time.Duration, opts []scanengine.Option, recorder *obs.Recorder, store *histstore.Store) {
 	sc := scanengine.New(dnsclient.UDPSource{Client: client}, opts...)
-	snap, err := sc.Scan(ctx, scanengine.Request{Targets: targets})
+	snap, err := sc.Sweep(ctx, scanengine.Request{Targets: targets})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "baseline sweep interrupted: %v\n", err)
 		os.Exit(1)
@@ -389,7 +389,7 @@ func watchLoop(ctx context.Context, client *dnsclient.UDPClient, targets []dnswi
 			return
 		case <-time.After(interval):
 		}
-		snap, err = sc.Scan(ctx, scanengine.Request{Targets: targets})
+		snap, err = sc.Sweep(ctx, scanengine.Request{Targets: targets})
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "sweep interrupted: %v\n", err)
 			return

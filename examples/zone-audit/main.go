@@ -127,7 +127,7 @@ func main() {
 	fmt.Println("\noperator: transfers closed; auditor falls back to scanning")
 
 	sc := scanengine.New(dnsclient.UDPSource{Client: client}, scanengine.WithWorkers(8))
-	snap, err := sc.Scan(context.Background(), scanengine.Request{
+	snap, err := sc.Sweep(context.Background(), scanengine.Request{
 		Targets: []dnswire.Prefix{prefix},
 	})
 	if err != nil {

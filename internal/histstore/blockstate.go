@@ -32,6 +32,19 @@ func (st blockState) lookup(octet byte) (dnswire.Name, bool) {
 	return "", false
 }
 
+// nameAt returns the name held at octet, "" for none, for a caller that
+// asks in ascending octet order: *j is its cursor into st, moved past
+// every lower octet.
+func (st blockState) nameAt(j *int, octet byte) dnswire.Name {
+	for *j < len(st) && st[*j].Octet < octet {
+		*j++
+	}
+	if *j < len(st) && st[*j].Octet == octet {
+		return st[*j].Name
+	}
+	return ""
+}
+
 // toMap copies the state into the map shape the public API hands out.
 func (st blockState) toMap() map[byte]dnswire.Name {
 	out := make(map[byte]dnswire.Name, len(st))

@@ -253,8 +253,10 @@ func appendName(dst []byte, prev, name dnswire.Name) ([]byte, dnswire.Name) {
 }
 
 // readName reads a prefix-compressed name and returns it (also the new
-// prev for the next entry).
-func readName(r *byteReader, prev dnswire.Name) (dnswire.Name, error) {
+// prev for the next entry). held is the name the block's state holds at
+// the entry's octet, "" for none: a name whose bytes equal it is returned
+// as held itself, so only a name new to the block is allocated.
+func readName(r *byteReader, prev, held dnswire.Name) (dnswire.Name, error) {
 	shared, err := r.uvarint()
 	if err != nil {
 		return "", err
@@ -272,6 +274,9 @@ func readName(r *byteReader, prev dnswire.Name) (dnswire.Name, error) {
 	suffix, err := r.bytes(int(more))
 	if err != nil {
 		return "", err
+	}
+	if uint64(len(held)) == shared+more && held[:shared] == prev[:shared] && string(held[shared:]) == string(suffix) {
+		return held, nil
 	}
 	return prev[:shared] + dnswire.Name(suffix), nil
 }
@@ -356,8 +361,11 @@ func baseFrameBound(entries []baseEntry) int {
 }
 
 // decodeBaseBody decodes a base block body. Its entries — a packed block
-// state — are built in dst's storage when that is large enough.
-func decodeBaseBody(body []byte, dst []baseEntry) (snap int, p dnswire.Prefix, entries []baseEntry, err error) {
+// state — are built in dst's storage when that is large enough, which
+// must not share memory with st. st is the block's state before the
+// frame: an entry naming what st holds at its octet takes st's string
+// (readName), so a rebase allocates only the names it changes.
+func decodeBaseBody(body []byte, st blockState, dst []baseEntry) (snap int, p dnswire.Prefix, entries []baseEntry, err error) {
 	r := &byteReader{b: body}
 	snap, p, count, err := r.blockHead()
 	if err != nil {
@@ -368,12 +376,13 @@ func decodeBaseBody(body []byte, dst []baseEntry) (snap int, p dnswire.Prefix, e
 	}
 	var prevOctet byte
 	var prevName dnswire.Name
+	j := 0 // st's cursor
 	for i := 0; i < count; i++ {
 		octet, err := readOctet(r, i == 0, prevOctet)
 		if err != nil {
 			return 0, p, nil, err
 		}
-		name, err := readName(r, prevName)
+		name, err := readName(r, prevName, st.nameAt(&j, octet))
 		if err != nil {
 			return 0, p, nil, err
 		}
@@ -411,8 +420,10 @@ func appendDeltaBody(dst []byte, snap int, p dnswire.Prefix, entries []deltaEntr
 }
 
 // decodeDeltaBody decodes a delta block body, appending its entries to
-// dst.
-func decodeDeltaBody(body []byte, dst []deltaEntry) (snap int, p dnswire.Prefix, entries []deltaEntry, err error) {
+// dst. st is the block's state before the frame: a removal's or a
+// change's old name is st's string when the bytes match (readName), so
+// only the names the delta brings in are allocated.
+func decodeDeltaBody(body []byte, st blockState, dst []deltaEntry) (snap int, p dnswire.Prefix, entries []deltaEntry, err error) {
 	r := &byteReader{b: body}
 	snap, p, count, err := r.blockHead()
 	if err != nil {
@@ -421,6 +432,7 @@ func decodeDeltaBody(body []byte, dst []deltaEntry) (snap int, p dnswire.Prefix,
 	entries = slices.Grow(dst, count)
 	var prevOctet byte
 	var prevName dnswire.Name
+	j := 0 // st's cursor
 	for i := 0; i < count; i++ {
 		kindByte, err := r.byte()
 		if err != nil {
@@ -436,14 +448,14 @@ func decodeDeltaBody(body []byte, dst []deltaEntry) (snap int, p dnswire.Prefix,
 		}
 		e := deltaEntry{kind: kind, octet: octet}
 		if kind == scanengine.RecordRemoved || kind == scanengine.RecordChanged {
-			e.old, err = readName(r, prevName)
+			e.old, err = readName(r, prevName, st.nameAt(&j, octet))
 			if err != nil {
 				return 0, p, nil, err
 			}
 			prevName = e.old
 		}
 		if kind == scanengine.RecordAdded || kind == scanengine.RecordChanged {
-			e.new, err = readName(r, prevName)
+			e.new, err = readName(r, prevName, "")
 			if err != nil {
 				return 0, p, nil, err
 			}

@@ -1,8 +1,10 @@
 package histstore
 
 import (
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/scanengine"
@@ -93,7 +95,7 @@ func TestBaseBodyRoundTrip(t *testing.T) {
 		{Octet: 255, Name: dnswire.MustName("broadcast.example.net")},
 	}
 	body := appendBaseBody(nil, 42, p, entries)
-	snap, gp, got, err := decodeBaseBody(body, nil)
+	snap, gp, got, err := decodeBaseBody(body, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func TestDeltaBodyRoundTrip(t *testing.T) {
 		{kind: scanengine.RecordRemoved, octet: 200, old: dnswire.MustName("gone.example.net")},
 	}
 	body := appendDeltaBody(nil, 7, p, entries)
-	snap, gp, got, err := decodeDeltaBody(body, nil)
+	snap, gp, got, err := decodeDeltaBody(body, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +145,7 @@ func TestDecodeBaseBodyRejects(t *testing.T) {
 		{Octet: 5, Name: dnswire.MustName("a.example.net")},
 		{Octet: 6, Name: dnswire.MustName("b.example.net")},
 	})
-	if _, _, _, err := decodeBaseBody(good, nil); err != nil {
+	if _, _, _, err := decodeBaseBody(good, nil, nil); err != nil {
 		t.Fatalf("control: %v", err)
 	}
 	cases := map[string][]byte{
@@ -156,7 +158,7 @@ func TestDecodeBaseBodyRejects(t *testing.T) {
 	huge[len(huge)-1] = 0xff // count uvarint -> would continue; malformed
 	cases["bad count varint"] = huge
 	for name, body := range cases {
-		if _, _, _, err := decodeBaseBody(body, nil); err == nil {
+		if _, _, _, err := decodeBaseBody(body, nil, nil); err == nil {
 			t.Errorf("%s: accepted", name)
 		}
 	}
@@ -169,7 +171,7 @@ func TestDecodeDeltaBodyRejectsKind(t *testing.T) {
 	})
 	// The kind byte is right after snap(1)+prefix(3)+count(1).
 	body[5] = 9
-	if _, _, _, err := decodeDeltaBody(body, nil); err == nil {
+	if _, _, _, err := decodeDeltaBody(body, nil, nil); err == nil {
 		t.Fatal("unknown change kind accepted")
 	}
 }
@@ -190,7 +192,7 @@ func TestNamePrefixCompression(t *testing.T) {
 	if len(body) > naive/2 {
 		t.Fatalf("compressed body %d bytes vs %d naive — compression ineffective", len(body), naive)
 	}
-	_, _, got, err := decodeBaseBody(body, nil)
+	_, _, got, err := decodeBaseBody(body, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,5 +226,91 @@ func TestTokensOf(t *testing.T) {
 				break
 			}
 		}
+	}
+}
+
+// TestDecodeAgainstStateReusesHeldNames requires a frame decoded against
+// the block's state before it to allocate only the names new to the
+// block: a rebase that changes nothing, and a delta's removed and changed
+// names, take the state's own strings. The decoded entries must equal the
+// body's whatever state they are decoded against, one whose names differ
+// from the body's in a byte or in length included.
+func TestDecodeAgainstStateReusesHeldNames(t *testing.T) {
+	p := dnswire.MustPrefix("192.0.2.0/24")
+	// Names of their own, as a decoded state holds them, not literals.
+	name := func(s string) dnswire.Name { return dnswire.Name(strings.Clone(s)) }
+	st := blockState{
+		{Octet: 3, Name: name("brians-iphone.lan.example.net")},
+		{Octet: 7, Name: name("brians-ipad.lan.example.net")},
+		{Octet: 9, Name: name("emmas-air.lan.example.net")},
+		{Octet: 200, Name: name("printer.example.net")},
+	}
+	same := func(a, b dnswire.Name) bool { return unsafe.StringData(string(a)) == unsafe.StringData(string(b)) }
+
+	rebase := appendBaseBody(nil, 5, p, st)
+	dst := make([]baseEntry, 0, len(st))
+	var got []baseEntry
+	if allocs := testing.AllocsPerRun(20, func() {
+		_, _, got, _ = decodeBaseBody(rebase, st, dst)
+	}); allocs != 0 {
+		t.Errorf("an unchanged rebase allocated %.1f times, want 0", allocs)
+	}
+	for i := range st {
+		if got[i] != st[i] || !same(got[i].Name, st[i].Name) {
+			t.Fatalf("rebase entry %d = %+v, not the state's own %+v", i, got[i], st[i])
+		}
+	}
+	moved := slices.Clone(st)
+	moved[2].Name = name("emmas-air.lan.example.org")
+	rebase = appendBaseBody(nil, 5, p, moved)
+	if allocs := testing.AllocsPerRun(20, func() {
+		_, _, got, _ = decodeBaseBody(rebase, st, dst)
+	}); allocs != 1 {
+		t.Errorf("a rebase changing one name allocated %.1f times, want 1", allocs)
+	}
+	if !slices.Equal(got, moved) || !same(got[3].Name, st[3].Name) {
+		t.Fatalf("rebase decoded %+v, want %+v with the state's unchanged names", got, moved)
+	}
+
+	removals := appendDeltaBody(nil, 6, p, []deltaEntry{
+		{kind: scanengine.RecordRemoved, octet: 3, old: st[0].Name},
+		{kind: scanengine.RecordRemoved, octet: 200, old: st[3].Name},
+	})
+	ents := make([]deltaEntry, 0, 4)
+	var gotD []deltaEntry
+	if allocs := testing.AllocsPerRun(20, func() {
+		_, _, gotD, _ = decodeDeltaBody(removals, st, ents)
+	}); allocs != 0 {
+		t.Errorf("a delta of removals allocated %.1f times, want 0", allocs)
+	}
+	if !same(gotD[0].old, st[0].Name) || !same(gotD[1].old, st[3].Name) {
+		t.Fatalf("removals decoded %+v, not the state's own names", gotD)
+	}
+	changes := []deltaEntry{
+		{kind: scanengine.RecordAdded, octet: 4, new: name("brians-note9.lan.example.net")},
+		{kind: scanengine.RecordChanged, octet: 7, old: st[1].Name, new: name("brians-ipad-2.lan.example.net")},
+	}
+	body := appendDeltaBody(nil, 6, p, changes)
+	if allocs := testing.AllocsPerRun(20, func() {
+		_, _, gotD, _ = decodeDeltaBody(body, st, ents)
+	}); allocs != 2 {
+		t.Errorf("a delta bringing in two names allocated %.1f times, want 2", allocs)
+	}
+	if !slices.Equal(gotD, changes) || !same(gotD[1].old, st[1].Name) {
+		t.Fatalf("delta decoded %+v, want %+v with the state's old name", gotD, changes)
+	}
+
+	// Against a state that holds other names at the same octets — one a
+	// byte off, one longer, one shorter — the body's names come out.
+	other := blockState{
+		{Octet: 3, Name: name("brians-iphone.lan.example.nex")},
+		{Octet: 7, Name: name("brians-ipad.lan.example.net.x")},
+		{Octet: 9, Name: name("emmas-air")},
+	}
+	if _, _, got, err := decodeBaseBody(appendBaseBody(nil, 5, p, st), other, nil); err != nil || !slices.Equal(got, st) {
+		t.Fatalf("rebase against another state = %+v, %v; want %+v", got, err, st)
+	}
+	if _, _, gotD, err := decodeDeltaBody(body, other, nil); err != nil || !slices.Equal(gotD, changes) {
+		t.Fatalf("delta against another state = %+v, %v; want %+v", gotD, err, changes)
 	}
 }

@@ -25,32 +25,35 @@ type frameEffect struct {
 	state   blockState
 }
 
-// decode fills in the effect of the block frame at fe.ref from its body,
-// against cur, the block states before the frame's snapshot: a base's
-// changes are its diff against the state it replaces, a delta's state is
-// the old one patched. The changes are appended to arena, which is
-// returned grown. It is the write side's one frame decoder — replay runs
-// it against a writer's live states, compaction against the states it
-// carries through the span it seals. The read walk's reader.apply stays
-// apart: it decodes into a walk's two recycled buffers and derives no
-// changes for a base, and sharing this one would cost it an allocation
-// per frame.
-func (fe *frameEffect) decode(body []byte, cur map[dnswire.Prefix]blockState, arena []deltaEntry) ([]deltaEntry, error) {
+// decode fills in the effect of the block frame fr, whose /24 the
+// sequencer has read, from its body, against cur, the block states before
+// the frame's snapshot: a base's changes are its diff against the state it
+// replaces, a delta's state is the old one patched. The body's names are
+// decoded against that old state, so only names new to the block are
+// allocated. The changes are appended to arena, which is returned grown.
+// It is the write side's one frame decoder — replay runs it against a
+// writer's live states, compaction against the states it carries through
+// the span it seals. The read walk's reader.apply stays apart: it decodes
+// into a walk's two recycled buffers and derives no changes for a base,
+// and sharing this one would cost it an allocation per frame.
+func (fe *frameEffect) decode(fr seqFrame, cur map[dnswire.Prefix]blockState, arena []deltaEntry) ([]deltaEntry, error) {
+	fe.ref = fr.ref
+	old := cur[fr.p]
 	start := len(arena)
 	if fe.ref.kind == frameBase {
-		_, p, state, err := decodeBaseBody(body, nil)
+		_, p, state, err := decodeBaseBody(fr.body, old, nil)
 		if err != nil {
 			return arena, err
 		}
 		fe.p, fe.state = p, state
-		arena = diffBlock(arena, cur[p], state)
+		arena = diffBlock(arena, old, state)
 	} else {
-		_, p, entries, err := decodeDeltaBody(body, arena)
+		_, p, entries, err := decodeDeltaBody(fr.body, old, arena)
 		if err != nil {
 			return arena, err
 		}
 		arena = entries
-		fe.p, fe.state = p, applyDelta(nil, cur[p], arena[start:])
+		fe.p, fe.state = p, applyDelta(nil, old, arena[start:])
 	}
 	fe.changes = arena[start:]
 	return arena, nil

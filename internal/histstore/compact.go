@@ -428,8 +428,8 @@ func (s *Store) buildSegment(first, cut int, cutOff int64, segK int) (*segBuild,
 			b.data = appendFrame(b.data, frameSnap, b.body)
 			continue
 		}
-		fe := frameEffect{ref: fr.ref}
-		if changes, err = fe.decode(fr.body, running, changes[:0]); err != nil {
+		var fe frameEffect
+		if changes, err = fe.decode(fr, running, changes[:0]); err != nil {
 			return nil, fmt.Errorf("histstore: sealing %s: %w", w.tailFile, err)
 		}
 		p := fe.p

@@ -83,7 +83,7 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("negative snapshot index %d accepted", snap)
 			}
 		case frameBase:
-			if _, _, entries, err := decodeBaseBody(fr.body, nil); err == nil {
+			if _, _, entries, err := decodeBaseBody(fr.body, nil, nil); err == nil {
 				checkOctetOrder(t, len(entries), func(i int) byte { return entries[i].Octet })
 				for _, e := range entries {
 					if len(e.Name) > maxNameBytes {
@@ -92,7 +92,7 @@ func FuzzDecodeBlock(f *testing.F) {
 				}
 			}
 		case frameDelta:
-			if _, _, entries, err := decodeDeltaBody(fr.body, nil); err == nil {
+			if _, _, entries, err := decodeDeltaBody(fr.body, nil, nil); err == nil {
 				checkOctetOrder(t, len(entries), func(i int) byte { return entries[i].octet })
 				for _, e := range entries {
 					if len(e.old) > maxNameBytes || len(e.new) > maxNameBytes {

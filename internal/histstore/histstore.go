@@ -611,6 +611,17 @@ func (s *Store) Times() []time.Time {
 	return append([]time.Time(nil), s.times...)
 }
 
+// Span returns the first and the last snapshot instant, ok false for an
+// empty timeline: Times' two ends, without copying the rest.
+func (s *Store) Span() (first, last time.Time, ok bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if len(s.times) == 0 {
+		return first, last, false
+	}
+	return s.times[0], s.times[len(s.times)-1], true
+}
+
 // Len returns the number of snapshots in the timeline.
 func (s *Store) Len() int {
 	s.mu.RLock()

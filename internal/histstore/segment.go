@@ -146,13 +146,15 @@ func (g *segment) open() (*sequencer, error) {
 	return seq, nil
 }
 
-// unload closes the file; the index stays. Callers hold g.mu with no pin
-// out.
-func (g *segment) unload() {
-	if g.f != nil {
-		g.f.Close()
-		g.f = nil
+// unload closes the file, reporting whether there was one; the index
+// stays. Callers hold g.mu with no pin out.
+func (g *segment) unload() bool {
+	if g.f == nil {
+		return false
 	}
+	g.f.Close()
+	g.f = nil
+	return true
 }
 
 // segIndex is a sealed segment's per-block frame index, flat: the footer
@@ -525,6 +527,17 @@ func (t *tier) admit(g *segment) []*segment {
 	return victims
 }
 
+// unlink drops g from the LRU: its file is closed.
+func (t *tier) unlink(g *segment) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !g.hot {
+		return
+	}
+	g.hot = false
+	t.lru = slices.DeleteFunc(t.lru, func(h *segment) bool { return h == g })
+}
+
 // len reports the hot-segment count.
 func (t *tier) len() int {
 	t.mu.Lock()
@@ -542,21 +555,37 @@ func (s *Store) trimTier() { s.evict(s.tier.admit(nil)) }
 
 // evict closes the files of the victims nobody is reading; a pinned (or
 // momentarily locked) victim stays hot and goes back on the LRU, to be
-// trimmed when its reader is done. Eviction never waits on a reader.
+// trimmed when its reader is done. Eviction never waits on a reader. A
+// victim whose file it closes leaves the LRU even if a pin re-linked it
+// meanwhile, and only a file it closes counts as an eviction.
 func (s *Store) evict(victims []*segment) {
 	for _, v := range victims {
-		evicted := false
-		if v.mu.TryLock() {
-			if evicted = v.pins == 0; evicted {
-				v.unload()
-			}
-			v.mu.Unlock()
-		}
-		if evicted {
-			s.tierEvictions.Add(1)
-		} else {
+		if !v.mu.TryLock() {
 			s.tier.touch(v)
+			continue
 		}
+		if v.pins > 0 {
+			s.tier.touch(v)
+		} else {
+			if v.unload() {
+				s.tierEvictions.Add(1)
+			}
+			s.tier.unlink(v)
+		}
+		v.mu.Unlock()
+	}
+}
+
+// closeCold closes the file of segment i of an opening store when the
+// segment is past the tier's bound — not among the newest cap, which
+// finishReplay admits — so Open holds no more files than the tier allows.
+// It counts no eviction: the segment was never hot.
+func (s *Store) closeCold(i int) {
+	if c := s.tier.cap; c > 0 && i < len(s.w.segs)-c {
+		g := s.w.segs[i]
+		g.mu.Lock()
+		g.unload()
+		g.mu.Unlock()
 	}
 }
 

@@ -214,9 +214,9 @@ func foldSegment(seq *sequencer, first, count int) (*segNames, error) {
 		if fr.ref.kind == frameSnap {
 			return nil
 		}
-		fe := frameEffect{ref: fr.ref}
+		var fe frameEffect
 		var err error
-		if changes, err = fe.decode(fr.body, cur, changes[:0]); err != nil {
+		if changes, err = fe.decode(fr, cur, changes[:0]); err != nil {
 			return err
 		}
 		setState(cur, fe.p, fe.state)

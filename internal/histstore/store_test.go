@@ -547,8 +547,14 @@ func TestStoreResolveAndTimes(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
+	if _, _, ok := st.Span(); ok {
+		t.Fatal("Span of an empty store reported a timeline")
+	}
 	c.append(t, st)
 
+	if first, last, ok := st.Span(); !ok || !first.Equal(c.times[0]) || !last.Equal(c.times[4]) {
+		t.Fatalf("Span = (%s, %s, %v), want (%s, %s, true)", first, last, ok, c.times[0], c.times[4])
+	}
 	times := st.Times()
 	if len(times) != 5 {
 		t.Fatalf("Times: %d, want 5", len(times))

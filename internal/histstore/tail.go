@@ -375,8 +375,8 @@ func (s *Store) replay(tailOnly bool) error {
 		if fr.ref.kind == frameDelta && !s.blocks.has(fr.p) {
 			return fmt.Errorf("histstore: writer %q: %w", w.id, corruptf("delta for unknown block %s", fr.p))
 		}
-		fe := frameEffect{ref: fr.ref}
-		if changes, err = fe.decode(fr.body, s.cur, changes); err != nil {
+		var fe frameEffect
+		if changes, err = fe.decode(fr, s.cur, changes); err != nil {
 			return fmt.Errorf("histstore: writer %q: %w", w.id, err)
 		}
 		effects = append(effects, fe)
@@ -425,9 +425,9 @@ func (s *Store) adoptSealed() error {
 			if !decode {
 				return nil
 			}
-			fe := frameEffect{ref: fr.ref}
+			var fe frameEffect
 			var err error
-			if changes, err = fe.decode(fr.body, s.cur, changes[:0]); err != nil {
+			if changes, err = fe.decode(fr, s.cur, changes[:0]); err != nil {
 				return err
 			}
 			setState(s.cur, fe.p, fe.state)
@@ -436,6 +436,7 @@ func (s *Store) adoptSealed() error {
 		if err != nil {
 			return fmt.Errorf("histstore: segment %s: %w", g.path, err)
 		}
+		s.closeCold(i)
 		for p, refs := range seq.refs {
 			blocks[p] = true
 			for _, r := range refs {
@@ -484,9 +485,18 @@ func (s *Store) adoptSealed() error {
 
 // foldSidecar rebuilds segment g's sidecar from its frames (foldSegment);
 // a writable Store also stores it, best effort — a read-only open writes
-// nothing.
+// nothing. A segment whose file Open has closed (closeCold) is read
+// through a file of the fold's own.
 func (s *Store) foldSidecar(g *segment) (*segNames, error) {
-	seq, err := openSegmentSequencer(g.f, g.size, g.writerID, g.firstSnap, g.count)
+	f := g.f
+	if f == nil {
+		var err error
+		if f, err = os.Open(g.path); err != nil {
+			return nil, fmt.Errorf("histstore: %w", err)
+		}
+		defer f.Close()
+	}
+	seq, err := openSegmentSequencer(f, g.size, g.writerID, g.firstSnap, g.count)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: segment %s: %w", g.path, err)
 	}
@@ -501,8 +511,10 @@ func (s *Store) foldSidecar(g *segment) (*segNames, error) {
 }
 
 // finishReplay settles what replay leaves open: a torn tail is truncated
-// (by the writer only), segments enter the hot tier newest-last, and the
-// byte total is recomputed from file sizes.
+// (by the writer only), the segments whose files are still open — the
+// newest within the tier's bound; a replaying open closes the rest here —
+// enter the hot tier newest-last, and the byte total is recomputed from
+// file sizes.
 func (s *Store) finishReplay() error {
 	w := s.w
 	if w.tornAt >= 0 {
@@ -514,9 +526,12 @@ func (s *Store) finishReplay() error {
 		w.tailSize = w.tornAt
 	}
 	s.bytes = w.tailSize
-	for _, g := range w.segs {
+	for i, g := range w.segs {
 		s.bytes += g.size
-		s.noteSegmentLoaded(g)
+		s.closeCold(i)
+		if g.f != nil {
+			s.noteSegmentLoaded(g)
+		}
 	}
 	return nil
 }

@@ -116,7 +116,7 @@ func (r *reader) applyFrame(st *evolving, f *os.File, ref blockRef, p dnswire.Pr
 		return nil, err
 	}
 	if fr.kind == frameBase {
-		fsnap, fp, entries, err := decodeBaseBody(fr.body, st.scratch())
+		fsnap, fp, entries, err := decodeBaseBody(fr.body, st.cur, st.scratch())
 		if err != nil {
 			return nil, err
 		}
@@ -126,7 +126,7 @@ func (r *reader) applyFrame(st *evolving, f *os.File, ref blockRef, p dnswire.Pr
 		st.replace(entries)
 		return nil, nil
 	}
-	fsnap, fp, entries, err := decodeDeltaBody(fr.body, r.ents[:0])
+	fsnap, fp, entries, err := decodeDeltaBody(fr.body, st.cur, r.ents[:0])
 	if err != nil {
 		return nil, err
 	}

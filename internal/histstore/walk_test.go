@@ -400,6 +400,10 @@ func TestEvictionsCloseFilesMidWalk(t *testing.T) {
 	if n := len(two.w.segs); n != 12 {
 		t.Fatalf("%d segments, want 12", n)
 	}
+	if st := two.Stats(); st.HotSegments != 2 || st.TierEvictions != 0 || openSegmentFiles(two) != 2 {
+		t.Fatalf("opened with two files allowed: %d hot, %d evictions, %d files open; want 2, 0, 2",
+			st.HotSegments, st.TierEvictions, openSegmentFiles(two))
+	}
 	indexes := make([]*segIndex, len(two.w.segs))
 	for i, g := range two.w.segs {
 		indexes[i] = g.idx
@@ -470,9 +474,15 @@ func TestEvictionsCloseFilesMidWalk(t *testing.T) {
 		}
 	}
 	stats := two.Stats()
-	t.Logf("two open files allowed: %d re-opens, %d closes", stats.TierLoads, stats.TierEvictions)
-	if stats.HotSegments > 2 || stats.TierLoads == 0 || stats.TierEvictions == 0 {
-		t.Fatalf("two open files allowed: %d open, %d re-opens, %d closes", stats.HotSegments, stats.TierLoads, stats.TierEvictions)
+	open := openSegmentFiles(two)
+	t.Logf("two open files allowed: %d re-opens, %d closes, %d open", stats.TierLoads, stats.TierEvictions, open)
+	if stats.HotSegments > 2 || open > 2 || stats.TierLoads == 0 || stats.TierEvictions == 0 {
+		t.Fatalf("two open files allowed: %d hot, %d open, %d re-opens, %d closes", stats.HotSegments, open, stats.TierLoads, stats.TierEvictions)
+	}
+	// Every file counted: the two Open left open and every re-open, less
+	// every close, are the files open now.
+	if got := 2 + int(stats.TierLoads) - int(stats.TierEvictions); got != open {
+		t.Fatalf("2 opened + %d re-opens - %d closes = %d, but %d files are open", stats.TierLoads, stats.TierEvictions, got, open)
 	}
 	if st := all.Stats(); st.HotSegments != 12 || st.TierLoads != 0 || st.TierEvictions != 0 {
 		t.Fatalf("unbounded tier: %d open, %d re-opens, %d closes; want 12, 0, 0", st.HotSegments, st.TierLoads, st.TierEvictions)
@@ -480,6 +490,66 @@ func TestEvictionsCloseFilesMidWalk(t *testing.T) {
 	for i, g := range two.w.segs {
 		if g.idx != indexes[i] {
 			t.Fatalf("segment %d's index was rebuilt", i)
+		}
+	}
+}
+
+// openSegmentFiles counts the sealed segments of st whose file is open.
+func openSegmentFiles(st *Store) int {
+	n := 0
+	for _, g := range st.w.segs {
+		g.mu.Lock()
+		if g.f != nil {
+			n++
+		}
+		g.mu.Unlock()
+	}
+	return n
+}
+
+// TestOpenKeepsHotSegmentsOpen requires Open of a 6-segment store with a
+// tier of two to leave exactly the two newest segments' files open, and
+// to count no eviction for the files it closed while verifying the rest:
+// a handle that has served nothing has evicted nothing. A replaying open
+// (the full-replay oracle) ends the same way.
+func TestOpenKeepsHotSegmentsOpen(t *testing.T) {
+	c := genCampaign(53, 18)
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := Open(dir, WithBaseInterval(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range c.snaps {
+		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i%3 == 2 {
+			if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{MinSeal: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, replayAll := range []bool{false, true} {
+		two, err := openStore(dir, []Option{WithReadOnly(), WithHotSegments(2)}, replayAll)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats := two.Stats()
+		if stats.Segments != 6 || stats.HotSegments != 2 || stats.TierEvictions != 0 || stats.TierLoads != 0 {
+			t.Errorf("replayAll=%v: %d segments, %d hot, %d evictions, %d loads; want 6, 2, 0, 0",
+				replayAll, stats.Segments, stats.HotSegments, stats.TierEvictions, stats.TierLoads)
+		}
+		for i, g := range two.w.segs {
+			if hot := i >= len(two.w.segs)-2; (g.f != nil) != hot || g.hot != hot {
+				t.Errorf("replayAll=%v: segment %d: file open %v, hot %v; want %v", replayAll, i, g.f != nil, g.hot, hot)
+			}
+		}
+		verifyStore(t, two, c, splitmix(3))
+		if err := two.Close(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }

@@ -184,9 +184,10 @@ type Device struct {
 	Schedule Scheduler
 }
 
-// SessionsOn exposes the device's sessions for a date.
+// SessionsOn returns the device's sessions for a date in a slice of their
+// own.
 func (d *Device) SessionsOn(date time.Time, occupancy float64) []Session {
-	return d.Schedule.SessionsOn(date, occupancy)
+	return d.Schedule.AppendSessions(nil, date, occupancy)
 }
 
 // midnight truncates t to local midnight in t's own location.

@@ -20,8 +20,8 @@ var epoch = time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
 
 func TestArchetypeSchedulerDeterminism(t *testing.T) {
 	s := NewArchetypeScheduler(Staff, 42, 7)
-	a := s.SessionsOn(epoch, 1)
-	b := s.SessionsOn(epoch, 1)
+	a := s.AppendSessions(nil, epoch, 1)
+	b := s.AppendSessions(nil, epoch, 1)
 	if len(a) != len(b) {
 		t.Fatal("same inputs, different session counts")
 	}
@@ -38,7 +38,7 @@ func TestStaffWeekdayPattern(t *testing.T) {
 	midday, night := 0, 0
 	for id := uint64(0); id < 200; id++ {
 		s := NewArchetypeScheduler(Staff, id, 1)
-		for _, sess := range s.SessionsOn(epoch, 1) {
+		for _, sess := range s.AppendSessions(nil, epoch, 1) {
 			if sess.Start <= 11*time.Hour && sess.End > 11*time.Hour {
 				midday++
 			}
@@ -60,7 +60,7 @@ func TestStaffWeekendMostlyAbsent(t *testing.T) {
 	present := 0
 	for id := uint64(0); id < 200; id++ {
 		s := NewArchetypeScheduler(Staff, id, 1)
-		if len(s.SessionsOn(saturday, 1)) > 0 {
+		if len(s.AppendSessions(nil, saturday, 1)) > 0 {
 			present++
 		}
 	}
@@ -73,10 +73,10 @@ func TestOccupancyScalesPresence(t *testing.T) {
 	full, locked := 0, 0
 	for id := uint64(0); id < 300; id++ {
 		s := NewArchetypeScheduler(Employee, id, 3)
-		if len(s.SessionsOn(epoch, 1)) > 0 {
+		if len(s.AppendSessions(nil, epoch, 1)) > 0 {
 			full++
 		}
-		if len(s.SessionsOn(epoch, 0.2)) > 0 {
+		if len(s.AppendSessions(nil, epoch, 0.2)) > 0 {
 			locked++
 		}
 	}
@@ -87,7 +87,7 @@ func TestOccupancyScalesPresence(t *testing.T) {
 
 func TestInfraIgnoresOccupancy(t *testing.T) {
 	s := NewArchetypeScheduler(Infra, 1, 1)
-	sessions := s.SessionsOn(epoch, 0)
+	sessions := s.AppendSessions(nil, epoch, 0)
 	if len(sessions) != 1 || sessions[0].Start != 0 || sessions[0].End != 24*time.Hour {
 		t.Fatalf("infra sessions = %v", sessions)
 	}
@@ -102,16 +102,16 @@ func TestScriptedScheduler(t *testing.T) {
 		Activate:    activate,
 		AbsentDates: map[time.Time]bool{activate.AddDate(0, 0, 7): true},
 	}
-	if got := s.SessionsOn(epoch, 1); got != nil {
+	if got := s.AppendSessions(nil, epoch, 1); got != nil {
 		t.Fatalf("sessions before activation: %v", got)
 	}
-	if got := s.SessionsOn(activate, 1); len(got) != 1 {
+	if got := s.AppendSessions(nil, activate, 1); len(got) != 1 {
 		t.Fatalf("sessions on activation Monday = %v", got)
 	}
-	if got := s.SessionsOn(activate.AddDate(0, 0, 1), 1); got != nil {
+	if got := s.AppendSessions(nil, activate.AddDate(0, 0, 1), 1); got != nil {
 		t.Fatalf("sessions on Tuesday = %v (no script)", got)
 	}
-	if got := s.SessionsOn(activate.AddDate(0, 0, 7), 1); got != nil {
+	if got := s.AppendSessions(nil, activate.AddDate(0, 0, 7), 1); got != nil {
 		t.Fatalf("sessions on absent date = %v", got)
 	}
 }

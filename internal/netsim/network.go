@@ -435,17 +435,19 @@ func (at *instant) occupancy(n *Network, a Archetype) (today, yesterday float64)
 // occupancy — a quirk, kept because every seeded report and golden was
 // produced with it — while the lease check reads yesterday at its own, so
 // yesterday is evaluated a second time only on the days the two
-// occupancies differ.
+// occupancies differ. Both days' sessions are drawn into arrays on the
+// stack: an archetype device's evaluation allocates nothing.
 func (at *instant) visible(n *Network, dd *dynDevice) bool {
 	d := dd.dev
 	occ, occPrev := at.occupancy(n, dd.arch)
-	today := d.Schedule.SessionsOn(at.today, occ)
+	var todayBuf, prevBuf [4]Session
+	today := appendSessions(d.Schedule, todayBuf[:0], at.today, occ)
 	for _, s := range today {
 		if at.off >= s.Start && at.off < s.End {
 			return true
 		}
 	}
-	prev := d.Schedule.SessionsOn(at.yesterday, occ)
+	prev := appendSessions(d.Schedule, prevBuf[:0], at.yesterday, occ)
 	offPrev := at.off + 24*time.Hour
 	for _, s := range prev {
 		if offPrev >= s.Start && offPrev < s.End {
@@ -461,7 +463,7 @@ func (at *instant) visible(n *Network, dd *dynDevice) bool {
 		}
 	}
 	if occPrev != occ {
-		prev = d.Schedule.SessionsOn(at.yesterday, occPrev)
+		prev = appendSessions(d.Schedule, prevBuf[:0], at.yesterday, occPrev)
 	}
 	for _, s := range prev {
 		if at.lingers(at.yesterday.Add(s.End)) {
@@ -469,6 +471,17 @@ func (at *instant) visible(n *Network, dd *dynDevice) bool {
 		}
 	}
 	return false
+}
+
+// appendSessions is sch.AppendSessions with the archetype scheduler called
+// by its concrete type: a slice passed through the interface escapes, and
+// the caller's stack array with it. Any other scheduler draws into a
+// slice of its own, copied onto dst.
+func appendSessions(sch Scheduler, dst []Session, date time.Time, occ float64) []Session {
+	if as, ok := sch.(*archetypeScheduler); ok {
+		return as.AppendSessions(dst, date, occ)
+	}
+	return append(dst, sch.AppendSessions(nil, date, occ)...)
 }
 
 // lingers reports whether a session that ended at end still holds its

@@ -17,14 +17,14 @@ import (
 func referencePresentAt(d *Device, t time.Time, occupancy float64) bool {
 	date := midnight(t)
 	off := t.Sub(date)
-	for _, s := range d.Schedule.SessionsOn(date, occupancy) {
+	for _, s := range d.SessionsOn(date, occupancy) {
 		if off >= s.Start && off < s.End {
 			return true
 		}
 	}
 	prev := date.AddDate(0, 0, -1)
 	offPrev := off + 24*time.Hour
-	for _, s := range d.Schedule.SessionsOn(prev, occupancy) {
+	for _, s := range d.SessionsOn(prev, occupancy) {
 		if offPrev >= s.Start && offPrev < s.End {
 			return true
 		}
@@ -196,5 +196,61 @@ func TestHashMoreExtendsHash64(t *testing.T) {
 	}
 	if hashMore(fnvOffset) != hash64() {
 		t.Fatal("hashMore of no parts changed the offset basis")
+	}
+}
+
+// TestVisibleAllocatesNothing requires the visibility of an archetype
+// device — today's and yesterday's sessions drawn, and yesterday's drawn
+// again where the two days' occupancies differ — to allocate nothing: the
+// draws land in arrays on visible's stack. The instants are a weekday
+// afternoon and Thanksgiving evening, when the occupancies part.
+func TestVisibleAllocatesNothing(t *testing.T) {
+	u, err := BuildStudyUniverse(UniverseConfig{
+		Seed:                  11,
+		FillerSlash24s:        1,
+		LeakyNetworks:         2,
+		NonLeakyDynamic:       1,
+		PeoplePerDynamicBlock: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	visible, redrawn := 0, 0
+	for _, when := range []time.Time{
+		time.Date(2021, time.March, 3, 14, 0, 0, 0, time.UTC),
+		time.Date(2021, time.November, 25, 20, 0, 0, 0, time.UTC),
+	} {
+		for _, n := range u.Networks {
+			var dds []*dynDevice
+			for _, block := range n.blockDev {
+				for i := range block {
+					if _, ok := block[i].dev.Schedule.(*archetypeScheduler); ok {
+						dds = append(dds, &block[i])
+					}
+				}
+			}
+			at := n.instantAt(when)
+			seen := 0
+			allocs := testing.AllocsPerRun(10, func() {
+				seen = 0
+				for _, dd := range dds {
+					if at.visible(n, dd) {
+						seen++
+					}
+				}
+			})
+			if allocs != 0 {
+				t.Errorf("%s at %v: %.1f allocations evaluating %d archetype devices, want 0", n.Name(), when, allocs, len(dds))
+			}
+			visible += seen
+			for _, dd := range dds {
+				if occ, occPrev := at.occupancy(n, dd.arch); occ != occPrev {
+					redrawn++
+				}
+			}
+		}
+	}
+	if visible == 0 || redrawn == 0 {
+		t.Fatalf("the guard missed a case: %d devices visible, %d evaluated with yesterday redrawn", visible, redrawn)
 	}
 }

@@ -59,17 +59,19 @@ type Session struct {
 // Implementations must be deterministic: the same date yields the same
 // sessions.
 type Scheduler interface {
-	// SessionsOn returns the device's presence intervals for the day
-	// containing date (which is local midnight of that day). occupancy
-	// in [0,1] scales the probability that the device shows up at all,
-	// and comes from the network's COVID timeline and calendar.
-	SessionsOn(date time.Time, occupancy float64) []Session
+	// AppendSessions appends the device's presence intervals for the day
+	// containing date (which is local midnight of that day) to dst and
+	// returns the extended slice, so a caller that evaluates many
+	// device-days can draw them into one buffer of its own. occupancy in
+	// [0,1] scales the probability that the device shows up at all, and
+	// comes from the network's COVID timeline and calendar.
+	AppendSessions(dst []Session, date time.Time, occupancy float64) []Session
 }
 
 // archetypeScheduler derives presence from an archetype plus per-device
 // jitter. Every draw hashes (seed, id, day, salt) or (seed, id, salt); the
-// scheduler keeps the FNV-1a state after (seed, id), and SessionsOn extends
-// it once by the day and then once per draw.
+// scheduler keeps the FNV-1a state after (seed, id), and AppendSessions
+// extends it once by the day and then once per draw.
 type archetypeScheduler struct {
 	arch Archetype
 	h    uint64 // hash64(seed, id)
@@ -94,7 +96,9 @@ const (
 	saltHomebody
 )
 
-func (s *archetypeScheduler) SessionsOn(date time.Time, occupancy float64) []Session {
+// AppendSessions implements Scheduler. Each archetype's day appends its
+// raw sessions to dst; the new tail is then clipped in place.
+func (s *archetypeScheduler) AppendSessions(dst []Session, date time.Time, occupancy float64) []Session {
 	dh := hashMore(s.h, dayNumber(date)) // (seed, id, day): each draw adds its salt
 	weekend := isWeekend(date)
 
@@ -105,22 +109,23 @@ func (s *archetypeScheduler) SessionsOn(date time.Time, occupancy float64) []Ses
 		p = 1 // infrastructure ignores occupancy
 	}
 	if !chance(p, hashMore(dh, saltShowUp)) {
-		return nil
+		return dst
 	}
 
+	n := len(dst)
 	switch s.arch {
 	case Infra:
-		return []Session{{0, 24 * time.Hour}}
+		return append(dst, Session{0, 24 * time.Hour})
 	case Staff, Employee:
-		return s.workday(dh, weekend)
+		dst = s.workday(dst, dh, weekend)
 	case Student:
-		return s.studentDay(dh, weekend)
+		dst = s.studentDay(dst, dh, weekend)
 	case Resident:
-		return s.residentDay(dh, weekend, occupancy)
+		dst = s.residentDay(dst, dh, weekend, occupancy)
 	case HomeUser:
-		return s.homeDay(dh, weekend)
+		dst = s.homeDay(dst, dh, weekend)
 	}
-	return nil
+	return dst[:n+len(clipDay(dst[n:]))]
 }
 
 func (s *archetypeScheduler) showUpProbability(weekend bool) float64 {
@@ -152,39 +157,39 @@ func (s *archetypeScheduler) showUpProbability(weekend bool) float64 {
 }
 
 // workday: arrive 7:30-9:30, depart 16:00-19:00, occasionally a lunch gap.
-func (s *archetypeScheduler) workday(dh uint64, weekend bool) []Session {
+func (s *archetypeScheduler) workday(dst []Session, dh uint64, weekend bool) []Session {
 	arrive := 7*time.Hour + 30*time.Minute + spread(2*time.Hour, hashMore(dh, saltArrive))
 	depart := 16*time.Hour + spread(3*time.Hour, hashMore(dh, saltDepart))
 	if weekend {
 		// A short weekend visit.
 		arrive = 10*time.Hour + spread(4*time.Hour, hashMore(dh, saltArrive))
 		depart = arrive + time.Hour + spread(3*time.Hour, hashMore(dh, saltDepart))
-		return clipDay([]Session{{arrive, depart}})
+		return append(dst, Session{arrive, depart})
 	}
 	if chance(0.3, hashMore(dh, saltLunch)) {
 		lunchAt := 12*time.Hour + spread(time.Hour, hashMore(dh, saltLunch+100))
-		return clipDay([]Session{
-			{arrive, lunchAt},
-			{lunchAt + 30*time.Minute, depart},
-		})
+		return append(dst,
+			Session{arrive, lunchAt},
+			Session{lunchAt + 30*time.Minute, depart},
+		)
 	}
-	return clipDay([]Session{{arrive, depart}})
+	return append(dst, Session{arrive, depart})
 }
 
 // studentDay: one or two lecture-block sessions between 8 and 18.
-func (s *archetypeScheduler) studentDay(dh uint64, weekend bool) []Session {
+func (s *archetypeScheduler) studentDay(dst []Session, dh uint64, weekend bool) []Session {
 	if weekend {
 		start := 11*time.Hour + spread(6*time.Hour, hashMore(dh, saltArrive))
-		return clipDay([]Session{{start, start + 30*time.Minute + spread(2*time.Hour, hashMore(dh, saltDepart))}})
+		return append(dst, Session{start, start + 30*time.Minute + spread(2*time.Hour, hashMore(dh, saltDepart))})
 	}
 	first := 8*time.Hour + spread(3*time.Hour, hashMore(dh, saltArrive))
 	length := time.Hour + spread(3*time.Hour, hashMore(dh, saltDepart))
-	sessions := []Session{{first, first + length}}
+	dst = append(dst, Session{first, first + length})
 	if chance(0.55, hashMore(dh, saltSession2)) {
 		second := first + length + 30*time.Minute + spread(2*time.Hour, hashMore(dh, saltSession2+100))
-		sessions = append(sessions, Session{second, second + time.Hour + spread(2*time.Hour, hashMore(dh, saltSession2+200))})
+		dst = append(dst, Session{second, second + time.Hour + spread(2*time.Hour, hashMore(dh, saltSession2+200))})
 	}
-	return clipDay(sessions)
+	return dst
 }
 
 // residentDay: morning before leaving, evening after return; during heavy
@@ -193,7 +198,7 @@ func (s *archetypeScheduler) studentDay(dh uint64, weekend bool) []Session {
 // smart TVs — that stay connected all day whenever their owner is around,
 // which is what keeps campus-housing subnets populated at midday even
 // outside lockdowns.
-func (s *archetypeScheduler) residentDay(dh uint64, weekend bool, occupancy float64) []Session {
+func (s *archetypeScheduler) residentDay(dst []Session, dh uint64, weekend bool, occupancy float64) []Session {
 	wake := 6*time.Hour + spread(3*time.Hour, hashMore(dh, saltWake))
 	// Students keep long and varied hours: the long tail past midnight
 	// is what makes ~6 AM the campus's quietest moment (Figure 11).
@@ -203,28 +208,29 @@ func (s *archetypeScheduler) residentDay(dh uint64, weekend bool, occupancy floa
 		// Home most of the day (weekends, homebody devices, or
 		// lockdown regimes where the timeline pushes housing
 		// occupancy above its normal level).
-		return clipDay([]Session{{wake, night}})
+		return append(dst, Session{wake, night})
 	}
 	leave := 8*time.Hour + 30*time.Minute + spread(90*time.Minute, hashMore(dh, saltArrive))
 	back := 16*time.Hour + spread(3*time.Hour, hashMore(dh, saltDepart))
 	if leave <= wake {
 		leave = wake + 15*time.Minute
 	}
-	return clipDay([]Session{{wake, leave}, {back, night}})
+	return append(dst, Session{wake, leave}, Session{back, night})
 }
 
 // homeDay: an evening block, plus a daytime block on weekends or for the
-// fraction who are home during the day.
-func (s *archetypeScheduler) homeDay(dh uint64, weekend bool) []Session {
+// fraction who are home during the day, merged where they overlap.
+func (s *archetypeScheduler) homeDay(dst []Session, dh uint64, weekend bool) []Session {
+	n := len(dst)
 	evening := 17*time.Hour + spread(3*time.Hour, hashMore(dh, saltEvening))
 	night := 21*time.Hour + spread(6*time.Hour, hashMore(dh, saltNight))
-	sessions := []Session{{evening, night}}
+	dst = append(dst, Session{evening, night})
 	daytime := weekend || chance(0.25, hashMore(dh, saltWeekend))
 	if daytime {
 		start := 9*time.Hour + spread(2*time.Hour, hashMore(dh, saltWake))
-		sessions = append(sessions, Session{start, start + 3*time.Hour + spread(5*time.Hour, hashMore(dh, saltWeekend+100))})
+		dst = append(dst, Session{start, start + 3*time.Hour + spread(5*time.Hour, hashMore(dh, saltWeekend+100))})
 	}
-	return clipDay(mergeSessions(sessions))
+	return dst[:n+len(mergeSessions(dst[n:]))]
 }
 
 // maxSessionEnd bounds how far past midnight a session may run. Sessions
@@ -232,9 +238,10 @@ func (s *archetypeScheduler) homeDay(dh uint64, weekend bool) []Session {
 // day's sessions for spill-over.
 const maxSessionEnd = 28 * time.Hour
 
-// clipDay clamps sessions to [0, maxSessionEnd) and drops empty ones.
-// Sessions may cross midnight (End > 24h): late-night device use is real
-// and shapes the diurnal activity minimum.
+// clipDay clamps sessions to [0, maxSessionEnd) and drops empty ones, in
+// place: the result is a prefix of in. Sessions may cross midnight (End >
+// 24h): late-night device use is real and shapes the diurnal activity
+// minimum.
 func clipDay(in []Session) []Session {
 	out := in[:0]
 	for _, s := range in {
@@ -254,7 +261,8 @@ func clipDay(in []Session) []Session {
 	return out
 }
 
-// mergeSessions sorts and merges overlapping sessions.
+// mergeSessions sorts and merges overlapping sessions, in place: the
+// result is a prefix of in.
 func mergeSessions(in []Session) []Session {
 	if len(in) <= 1 {
 		return in
@@ -299,20 +307,21 @@ type ScriptedScheduler struct {
 	AbsentDates map[time.Time]bool
 }
 
-// SessionsOn implements Scheduler. Scripted devices ignore occupancy: their
-// script is their truth.
-func (s *ScriptedScheduler) SessionsOn(date time.Time, _ float64) []Session {
+// AppendSessions implements Scheduler by appending the script's sessions
+// for date. Scripted devices ignore occupancy: their script is their
+// truth.
+func (s *ScriptedScheduler) AppendSessions(dst []Session, date time.Time, _ float64) []Session {
 	if !s.Activate.IsZero() && date.Before(s.Activate) {
-		return nil
+		return dst
 	}
 	if !s.Deactivate.IsZero() && !date.Before(s.Deactivate) {
-		return nil
+		return dst
 	}
 	if s.AbsentDates[date] {
-		return nil
+		return dst
 	}
 	if sessions, ok := s.Overrides[date]; ok {
-		return sessions
+		return append(dst, sessions...)
 	}
-	return s.Weekly[date.Weekday()]
+	return append(dst, s.Weekly[date.Weekday()]...)
 }

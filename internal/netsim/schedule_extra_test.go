@@ -189,14 +189,14 @@ func TestCampusBlocksCarryBuildings(t *testing.T) {
 func (d *Device) PresentAt(t time.Time, occupancy float64) bool {
 	date := midnight(t)
 	off := t.Sub(date)
-	for _, s := range d.Schedule.SessionsOn(date, occupancy) {
+	for _, s := range d.SessionsOn(date, occupancy) {
 		if off >= s.Start && off < s.End {
 			return true
 		}
 	}
 	prev := date.AddDate(0, 0, -1)
 	offPrev := off + 24*time.Hour
-	for _, s := range d.Schedule.SessionsOn(prev, occupancy) {
+	for _, s := range d.SessionsOn(prev, occupancy) {
 		if offPrev >= s.Start && offPrev < s.End {
 			return true
 		}

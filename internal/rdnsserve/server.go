@@ -292,10 +292,7 @@ func parseInstant(s string) (time.Time, error) {
 
 // window parses from/to, defaulting to all of history.
 func window(st *histstore.Store, q url.Values) (from, to time.Time, aerr *apiError) {
-	times := st.Times()
-	if len(times) > 0 {
-		from, to = times[0], times[len(times)-1]
-	}
+	from, to, _ = st.Span()
 	var err error
 	if v := q.Get("from"); v != "" {
 		if from, err = parseInstant(v); err != nil {

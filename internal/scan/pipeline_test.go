@@ -57,6 +57,9 @@ func sequentialRun(c Campaign) *Result {
 			collector.Observe(d, ip, name)
 			series.Add(ip.Slash24(), i, 1)
 		}
+		if c.OnSnapshot != nil {
+			c.OnSnapshot(i, d, snap)
+		}
 	}
 	r := &Result{Series: series, Stats: collector.Stats(), StoreErr: storeErr}
 	r.Stats.Start = c.Start
@@ -91,12 +94,16 @@ type campaignRun struct {
 	hooked    []hookCall // the OnSnapshot calls, in call order
 }
 
-// hookCall is one OnSnapshot call: the date's index, the date, and how
-// many records the set held.
+// hookCall is one OnSnapshot call: the date's index, the date, how many
+// records the set held, the snapshot's packed records and changes, and
+// whether it carried the map form too.
 type hookCall struct {
 	i       int
 	date    time.Time
 	records int
+	blocks  scanengine.Blocks
+	changes []scanengine.Change
+	mapForm bool
 }
 
 // runInto runs a 12-day, two-network campaign compacting every 3 days into
@@ -132,7 +139,7 @@ func runInto(t *testing.T, u *netsim.Universe, observed bool, run func(Campaign)
 	}
 	var hooked []hookCall
 	c.OnSnapshot = func(i int, date time.Time, snap *scanengine.Snapshot) {
-		hooked = append(hooked, hookCall{i, date, snap.Blocks.Len()})
+		hooked = append(hooked, hookCall{i, date, snap.Blocks.Len(), snap.Blocks, snap.Changes, snap.Records != nil})
 	}
 	res := run(c)
 	n := st.Len()
@@ -146,7 +153,9 @@ func runInto(t *testing.T, u *netsim.Universe, observed bool, run func(Campaign)
 // what the one-loop campaign leaves — the same store file bytes, count
 // series, statistics and obs frames — both when the sweep overlaps the
 // whole consumer stage and when an observer with telemetry makes it wait
-// for each frame. Then it fails the fourth append and requires StoreErr to
+// for each frame. The campaign sweeps in the packed form alone: its
+// snapshots carry no map form, and their blocks and changes are the
+// one-loop campaign's Scan snapshots'. Then it fails the fourth append and requires StoreErr to
 // be that failure, no later day to reach the store, and the series and
 // statistics still to cover every date.
 func TestPipelineMatchesSequentialLoop(t *testing.T) {
@@ -183,6 +192,9 @@ func TestPipelineMatchesSequentialLoop(t *testing.T) {
 		if len(got.hooked) != len(got.res.Series.Dates) {
 			t.Fatalf("observed=%v: OnSnapshot called %d times over %d dates", observed, len(got.hooked), len(got.res.Series.Dates))
 		}
+		if len(want.hooked) != len(got.hooked) {
+			t.Fatalf("observed=%v: sequential campaign hooked %d days, pipelined %d", observed, len(want.hooked), len(got.hooked))
+		}
 		for j, h := range got.hooked {
 			total := 0
 			for _, row := range got.res.Series.Counts {
@@ -190,6 +202,16 @@ func TestPipelineMatchesSequentialLoop(t *testing.T) {
 			}
 			if h.i != j || !h.date.Equal(got.res.Series.Dates[j]) || h.records != total {
 				t.Fatalf("observed=%v: call %d = %+v, want index %d, %v, %d records", observed, j, h, j, got.res.Series.Dates[j], total)
+			}
+			if h.mapForm {
+				t.Fatalf("observed=%v: day %d's snapshot carries Records: a campaign sweep builds no map form", observed, j)
+			}
+			w := want.hooked[j]
+			if !w.mapForm {
+				t.Fatalf("observed=%v: day %d's Scan snapshot carries no Records", observed, j)
+			}
+			if !reflect.DeepEqual(h.blocks, w.blocks) || !reflect.DeepEqual(h.changes, w.changes) {
+				t.Fatalf("observed=%v: day %d's blocks or changes differ from Scan's", observed, j)
 			}
 		}
 	}

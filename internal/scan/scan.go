@@ -264,7 +264,7 @@ func RunContext(ctx context.Context, c Campaign) (*Result, error) {
 	var err error
 	for i, d := range dates {
 		var snap *scanengine.Snapshot
-		if snap, err = sc.Scan(ctx, scanengine.Request{Targets: targets, At: d.Add(timeOfDay)}); err != nil {
+		if snap, err = sc.Sweep(ctx, scanengine.Request{Targets: targets, At: d.Add(timeOfDay)}); err != nil {
 			break // a cancelled sweep is partial: it goes no further
 		}
 		swept <- sweptDay{i: i, date: d, snap: snap}
@@ -336,7 +336,9 @@ func StoreStats(st *histstore.Store) obs.StoreStats {
 
 // Snapshot sweeps the campaign's coverage at one instant through the
 // engine and returns the snapshot — the input of the Section 5
-// privacy-leak analysis, which works on a single day's data.
+// privacy-leak analysis, which works on a single day's data. It is the
+// one campaign sweep through Scanner.Scan, so its snapshot carries the
+// map form (Records) that bench/ and the tests read addresses from.
 func Snapshot(ctx context.Context, c Campaign, at time.Time) (*scanengine.Snapshot, error) {
 	src := NewSource(c)
 	sc := scanengine.New(src, c.engineOptions()...)

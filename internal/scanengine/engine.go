@@ -16,7 +16,7 @@ import (
 
 // Scanner is the sharded snapshot engine. Create one with New; it is safe
 // to reuse across sweeps (successive sweeps diff against each other) but
-// runs one sweep at a time — concurrent Scan calls serialize.
+// runs one sweep at a time — concurrent sweeps serialize.
 type Scanner struct {
 	src      Source
 	shardSc  ShardSource  // non-nil when src enumerates shards in bulk
@@ -92,10 +92,10 @@ func WithClock(c simclock.Clock) Option {
 
 // WithResultFunc streams every probe result — absences, errors and
 // negative-cache hits included — to fn as the sweep runs, for consumers
-// that print per-address output. Scan calls fn from its own goroutine,
+// that print per-address output. A sweep calls fn from its own goroutine,
 // once per probed address, as each shard's /24 batches reach the merge
 // stage (a shard's results in address order); a slow fn stalls the sweep
-// (backpressure), and Scan does not return before the last call has; fn
+// (backpressure), and the sweep does not return before the last call has; fn
 // must not call back into the Scanner, which holds its sweep lock
 // meanwhile. Without it only found records cross the merge channel.
 func WithResultFunc(fn func(Result)) Option {
@@ -236,7 +236,8 @@ type Snapshot struct {
 	// Blocks is the merged record set in packed form, the one the sweep
 	// builds; the store, the campaign fold and the diff read it.
 	Blocks Blocks
-	// Records is Blocks as a map, for consumers that look addresses up.
+	// Records is Blocks as a map. Only Scan fills it; Sweep, which every
+	// production sweep calls, leaves it nil.
 	Records RecordSet
 	// Stats tallies the sweep: the sum of Shards.
 	Stats Stats
@@ -294,11 +295,11 @@ func (snap *Snapshot) add(r *ShardRow) {
 	}
 }
 
-// Scan executes one sweep and returns its snapshot. On context
-// cancellation it returns the partial snapshot alongside ctx.Err(); all
-// workers are reaped before it returns — a cancelled sweep leaks no
-// goroutines.
-func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
+// Sweep executes one sweep and returns its snapshot in the packed form
+// only: Blocks, with Records left nil. On context cancellation it returns
+// the partial snapshot alongside ctx.Err(); all workers are reaped before
+// it returns — a cancelled sweep leaks no goroutines.
+func (s *Scanner) Sweep(ctx context.Context, req Request) (*Snapshot, error) {
 	s.scanMu.Lock()
 	defer s.scanMu.Unlock()
 
@@ -363,7 +364,6 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 		}
 	}
 	snap.Blocks = joinPieces(blocks)
-	snap.Records = snap.Blocks.Records()
 	// The workers have exited, so every row is final. Folding them in
 	// plan order keeps the degraded list independent of scheduling.
 	shardsDone := 0
@@ -390,6 +390,14 @@ func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
 			shardsDone, len(shards), err)
 	}
 	return snap, nil
+}
+
+// Scan is Sweep plus the snapshot's map form, Records. It stays only for
+// bench/ and scan.Snapshot's test readers, until Snapshot.Records goes.
+func (s *Scanner) Scan(ctx context.Context, req Request) (*Snapshot, error) {
+	snap, err := s.Sweep(ctx, req)
+	snap.Records = snap.Blocks.Records()
+	return snap, err
 }
 
 // diff derives a complete sweep's changes against base in one linear

@@ -13,7 +13,7 @@
 // The public surface is the context-aware Scanner API:
 //
 //	sc := scanengine.New(src, scanengine.WithWorkers(8))
-//	snap, err := sc.Scan(ctx, scanengine.Request{Targets: prefixes})
+//	snap, err := sc.Sweep(ctx, scanengine.Request{Targets: prefixes})
 //	for _, ch := range snap.Changes { ... } // deltas vs. the previous sweep
 //
 // plus a result callback for consumers that want every probe's outcome as
