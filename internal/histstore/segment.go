@@ -560,19 +560,18 @@ func (s *Store) trimTier() { s.evict(s.tier.admit(nil)) }
 // meanwhile, and only a file it closes counts as an eviction.
 func (s *Store) evict(victims []*segment) {
 	for _, v := range victims {
-		if !v.mu.TryLock() {
-			s.tier.touch(v)
-			continue
-		}
-		if v.pins > 0 {
-			s.tier.touch(v)
-		} else {
-			if v.unload() {
-				s.tierEvictions.Add(1)
+		if v.mu.TryLock() {
+			if v.pins == 0 {
+				if v.unload() {
+					s.tierEvictions.Add(1)
+				}
+				s.tier.unlink(v)
+				v.mu.Unlock()
+				continue
 			}
-			s.tier.unlink(v)
+			v.mu.Unlock()
 		}
-		v.mu.Unlock()
+		s.tier.touch(v)
 	}
 }
 

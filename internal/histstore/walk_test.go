@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"reflect"
 	"testing"
@@ -511,7 +512,9 @@ func openSegmentFiles(st *Store) int {
 // tier of two to leave exactly the two newest segments' files open, and
 // to count no eviction for the files it closed while verifying the rest:
 // a handle that has served nothing has evicted nothing. A replaying open
-// (the full-replay oracle) ends the same way.
+// (the full-replay oracle) ends the same way, and so does an open that
+// must fold every segment's name postings, the closed ones included,
+// because their sidecars are gone.
 func TestOpenKeepsHotSegmentsOpen(t *testing.T) {
 	c := genCampaign(53, 18)
 	dir := filepath.Join(t.TempDir(), "store")
@@ -532,21 +535,37 @@ func TestOpenKeepsHotSegmentsOpen(t *testing.T) {
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, replayAll := range []bool{false, true} {
-		two, err := openStore(dir, []Option{WithReadOnly(), WithHotSegments(2)}, replayAll)
+	oracle := openReplayed(t, dir, WithReadOnly())
+	defer oracle.Close()
+	for _, tc := range []struct {
+		replayAll, noSidecars bool
+	}{{false, false}, {true, false}, {false, true}} {
+		if tc.noSidecars {
+			names, err := filepath.Glob(filepath.Join(dir, "*.names"))
+			if err != nil || len(names) != 6 {
+				t.Fatalf("%d sidecars, %v; want 6", len(names), err)
+			}
+			for _, n := range names {
+				if err := os.Remove(n); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		two, err := openStore(dir, []Option{WithReadOnly(), WithHotSegments(2)}, tc.replayAll)
 		if err != nil {
 			t.Fatal(err)
 		}
 		stats := two.Stats()
 		if stats.Segments != 6 || stats.HotSegments != 2 || stats.TierEvictions != 0 || stats.TierLoads != 0 {
-			t.Errorf("replayAll=%v: %d segments, %d hot, %d evictions, %d loads; want 6, 2, 0, 0",
-				replayAll, stats.Segments, stats.HotSegments, stats.TierEvictions, stats.TierLoads)
+			t.Errorf("%+v: %d segments, %d hot, %d evictions, %d loads; want 6, 2, 0, 0",
+				tc, stats.Segments, stats.HotSegments, stats.TierEvictions, stats.TierLoads)
 		}
 		for i, g := range two.w.segs {
 			if hot := i >= len(two.w.segs)-2; (g.f != nil) != hot || g.hot != hot {
-				t.Errorf("replayAll=%v: segment %d: file open %v, hot %v; want %v", replayAll, i, g.f != nil, g.hot, hot)
+				t.Errorf("%+v: segment %d: file open %v, hot %v; want %v", tc, i, g.f != nil, g.hot, hot)
 			}
 		}
+		sameIndex(t, fmt.Sprintf("%+v", tc), two.names, oracle.names)
 		verifyStore(t, two, c, splitmix(3))
 		if err := two.Close(); err != nil {
 			t.Fatal(err)
