@@ -979,8 +979,7 @@ func BenchmarkHistStoreAtCompacted(b *testing.B) {
 // days of 64 /24s — 40 stable hosts, eight leases that rename on a
 // four-day beat and one that rotates daily per block — sealed into a
 // segment every 10 days as a campaign does, so the history is 12 segments
-// against a hot tier of 8 and queries spread uniformly over it reload
-// segment indexes the way rdnsd's cold path does.
+// and queries spread uniformly over it walk every one of them.
 func buildCampaignStore(b *testing.B, path string) []time.Time {
 	b.Helper()
 	st, err := histstore.Open(path)
@@ -1032,7 +1031,7 @@ func openCampaignStore(b *testing.B, path string) *histstore.Store {
 
 // BenchmarkHistStoreChurn measures a 30-day churn of one /24, block and
 // window drawn uniformly from the campaign store: one walk seed plus the
-// frames of 30 days, across three or four segments of which some reload.
+// frames of 30 days, across three or four segments.
 // bench-check gates ns/op, allocs/op and B/op.
 func BenchmarkHistStoreChurn(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "campaign.hist")
@@ -1056,7 +1055,6 @@ func BenchmarkHistStoreChurn(b *testing.B) {
 	b.StopTimer()
 	after := st.Stats()
 	b.ReportMetric(float64(after.Reconstructions-before.Reconstructions)/float64(b.N), "reconstructions/op")
-	b.ReportMetric(float64(after.TierLoads-before.TierLoads)/float64(b.N), "tier-loads/op")
 }
 
 // BenchmarkHistStoreRange measures one page of a 7-day range over one
@@ -1084,5 +1082,4 @@ func BenchmarkHistStoreRange(b *testing.B) {
 	b.StopTimer()
 	after := st.Stats()
 	b.ReportMetric(float64(after.Reconstructions-before.Reconstructions)/float64(b.N), "reconstructions/op")
-	b.ReportMetric(float64(after.TierLoads-before.TierLoads)/float64(b.N), "tier-loads/op")
 }

@@ -27,7 +27,9 @@
 //   - Hot reload: SIGHUP (or POST /v1/admin/reload) reopens the store
 //     and swaps it in without dropping in-flight queries — reload after
 //     the campaign's daily append (and its compaction) lands to serve the
-//     new snapshot.
+//     new snapshot. A store handle keeps every sealed segment's file
+//     open, so the daemon holds one descriptor per segment plus its
+//     tail's, and twice that while a reload's old handle drains.
 //   - Telemetry: -metrics-addr serves Prometheus exposition with
 //     rdnsd_* query/admission metrics alongside the store's hist_*
 //     instruments. The aggregates and gauges are read at scrape time
@@ -64,7 +66,6 @@ import (
 type options struct {
 	storePath   string
 	cacheSize   int
-	hotSegments int
 	seed        int64
 	rate        float64
 	burst       float64
@@ -158,7 +159,6 @@ func openStore(o options, reg *telemetry.Registry) (*histstore.Store, error) {
 	return histstore.Open(o.storePath,
 		histstore.WithCache(o.cacheSize),
 		histstore.WithTelemetry(reg),
-		histstore.WithHotSegments(o.hotSegments),
 		histstore.WithReadOnly())
 }
 
@@ -203,7 +203,6 @@ func main() {
 	)
 	flag.StringVar(&o.storePath, "store", "", "history store to serve (required)")
 	flag.IntVar(&o.cacheSize, "cache", 4096, "reconstruction cache capacity in block states (0 disables)")
-	flag.IntVar(&o.hotSegments, "hot-segments", histstore.DefaultHotSegments, "sealed segment files kept open; the least recently used are closed and re-opened on demand, and every segment's index stays resident (<=0 = unbounded)")
 	flag.Int64Var(&o.seed, "seed", 1, "seed for deterministic span correlation IDs")
 	flag.Float64Var(&o.rate, "rate", 0, "per-client sustained requests/second (0 disables rate limiting)")
 	flag.Float64Var(&o.burst, "burst", 0, "per-client burst capacity (default max(rate, 1))")

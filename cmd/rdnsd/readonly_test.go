@@ -64,7 +64,7 @@ func TestDaemonNeverWritesItsStore(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	o := options{storePath: dir, cacheSize: 64, hotSegments: 1, seed: 1}
+	o := options{storePath: dir, cacheSize: 64, seed: 1}
 	reg := telemetry.NewRegistry()
 	st, err := openStore(o, reg)
 	if err != nil {

@@ -268,7 +268,7 @@ func dashboard(w io.Writer, cfg *monConfig, rounds []pollRound, samples []obs.Lo
 			fmt.Sprintf("%.2f", s.ErrorRate()*100),
 			fmt.Sprintf("%.2f", s.ShedRate()*100),
 			lag,
-			fmt.Sprintf("%d/%d hot", cur.Store.HotSegments, cur.Store.Segments),
+			fmt.Sprintf("%d segments", cur.Store.Segments),
 		}
 		if len(cfg.metrics) > 0 {
 			row = append(row, metricsSeries(cfg, i))

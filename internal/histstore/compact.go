@@ -276,7 +276,6 @@ func (s *Store) Compact(ctx context.Context, opts CompactOptions) (CompactResult
 		idx:       build.idx,
 	}
 	w.segs = append(w.segs, newSeg)
-	s.noteSegmentLoaded(newSeg)
 	oldKnownTail := w.tailSize
 	oldF := w.tailF
 	w.tailF = newF

@@ -332,51 +332,6 @@ func TestReadOnlyOpen(t *testing.T) {
 	}
 }
 
-// TestSegmentTiering: with a one-segment hot budget, queries across
-// three sealed segments force cold loads and LRU evictions, the
-// occupancy gauge never exceeds the budget, and every answer stays
-// bit-identical through the churn.
-func TestSegmentTiering(t *testing.T) {
-	c := genCampaign(23, 45)
-	path := filepath.Join(t.TempDir(), "hist")
-	st, err := Open(path, WithBaseInterval(4), WithHotSegments(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	for i := 0; i < 45; i++ {
-		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
-			t.Fatal(err)
-		}
-		if (i+1)%15 == 0 {
-			if res, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{}); err != nil || res.Sealed != 15 {
-				t.Fatalf("compact at day %d: %+v, %v", i, res, err)
-			}
-		}
-	}
-	stats := st.Stats()
-	if stats.Segments != 3 {
-		t.Fatalf("segments = %d, want 3", stats.Segments)
-	}
-	if stats.HotSegments > 1 {
-		t.Fatalf("hot segments = %d over a budget of 1", stats.HotSegments)
-	}
-	verifyStore(t, st, c, splitmix(13))
-	stats = st.Stats()
-	if stats.TierLoads == 0 || stats.TierEvictions == 0 {
-		t.Fatalf("tier never churned: %+v", stats)
-	}
-	if stats.HotSegments > 1 {
-		t.Fatalf("hot segments = %d over a budget of 1 after churn", stats.HotSegments)
-	}
-	// The LRU arithmetic holds: every eviction was preceded by an
-	// admission, and admissions are cold loads plus the segments born
-	// hot (at compaction or replay) without a load count.
-	if stats.TierEvictions > stats.TierLoads+uint64(stats.Segments) {
-		t.Fatalf("evictions %d exceed loads %d + segments %d", stats.TierEvictions, stats.TierLoads, stats.Segments)
-	}
-}
-
 // TestSegmentCorruption: any damage to a sealed segment — header, frame
 // bytes, footer, trailer, or truncation — fails the next Open loudly.
 // Segments are never quietly truncated the way an owned tail is.
@@ -421,6 +376,11 @@ func TestSegmentCorruption(t *testing.T) {
 		}},
 		{"empty", func(t *testing.T, seg string, size int64) {
 			if err := os.Truncate(seg, 0); err != nil {
+				t.Fatal(err)
+			}
+		}},
+		{"missing", func(t *testing.T, seg string, size int64) {
+			if err := os.Remove(seg); err != nil {
 				t.Fatal(err)
 			}
 		}},
@@ -581,13 +541,13 @@ func TestReadOnlyHandleNeverCompacts(t *testing.T) {
 	verifyStore(t, ro, c, splitmix(14))
 }
 
-// TestColdSegmentCorruptionAtLoad pins what a query checks when it
-// re-opens a segment the hot tier closed. Open validated the segment's
-// index and the handle keeps it, so damage to an evicted segment's footer
-// or trailer changes no answer: the next Open is what catches it. The
-// bytes a query still reads are checked: a damaged frame, or a file whose
-// size changed while it was closed, fails the query loudly, naming the
-// segment, while queries inside the open segment keep answering.
+// TestColdSegmentCorruptionAtLoad pins what a query checks in a segment
+// whose file changed under an open handle. Open validated the segment's
+// index and the handle keeps it, so damage to a segment's footer or
+// trailer changes no answer: the next Open is what catches it. The bytes
+// a query still reads are checked: a damaged or cut-off frame fails the
+// query loudly, naming the segment, while queries inside the other
+// segments keep answering.
 func TestColdSegmentCorruptionAtLoad(t *testing.T) {
 	c := genCampaign(7, 35)
 	pristine := filepath.Join(t.TempDir(), "hist")
@@ -614,13 +574,12 @@ func TestColdSegmentCorruptionAtLoad(t *testing.T) {
 	}
 	defer ref.Close()
 
-	// open opens a copy of the store with one segment file open (the
-	// newest: Open validated all three, then closed the older two) and
-	// returns its directory and segment files, oldest first.
+	// open opens a copy of the store and returns its directory and
+	// segment files, oldest first.
 	open := func(t *testing.T) (*Store, string, []string) {
 		dir := filepath.Join(t.TempDir(), "hist")
 		copyStoreDir(t, pristine, dir)
-		st, err := Open(dir, WithReadOnly(), WithHotSegments(1))
+		st, err := Open(dir, WithReadOnly())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -629,8 +588,8 @@ func TestColdSegmentCorruptionAtLoad(t *testing.T) {
 		for _, g := range st.w.segs {
 			segs = append(segs, g.path)
 		}
-		if len(segs) != 3 || st.Stats().HotSegments != 1 {
-			t.Fatalf("%d segments, %d open; want 3 and 1", len(segs), st.Stats().HotSegments)
+		if len(segs) != 3 {
+			t.Fatalf("%d segments, want 3", len(segs))
 		}
 		return st, dir, segs
 	}
@@ -658,13 +617,9 @@ func TestColdSegmentCorruptionAtLoad(t *testing.T) {
 			flipByte(t, seg, size-segTrailerLen+8)             // the footer CRC
 			flipByte(t, seg, size-1)                           // the trailer magic
 		}
-		loads := st.Stats().TierLoads
 		sameAnswers(t, "damaged footers", st, ref)
 		samePages(t, "damaged footers", st, ref, dnswire.Prefix{Addr: dnswire.IPv4{10, 7, 0, 0}, Bits: 16})
 		samePages(t, "damaged footers", st, ref, c.blocks[2])
-		if st.Stats().TierLoads == loads {
-			t.Fatal("no query re-opened a closed segment")
-		}
 		if _, err := Open(dir, WithReadOnly()); err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) {
 			t.Fatalf("the next Open: %v, want a failure naming %s", err, filepath.Base(segs[0]))
 		}
@@ -694,16 +649,18 @@ func TestColdSegmentCorruptionAtLoad(t *testing.T) {
 
 	t.Run("truncated", func(t *testing.T) {
 		st, _, segs := open(t)
-		fi, err := os.Stat(segs[0])
-		if err != nil {
-			t.Fatal(err)
+		p := c.blocks[0]
+		refs, err := st.w.segs[0].idx.lookup(p, nil)
+		if err != nil || len(refs) == 0 {
+			t.Fatalf("block %s in the oldest segment: %v, %v", p, refs, err)
 		}
-		if err := os.Truncate(segs[0], fi.Size()-1); err != nil {
+		r := refs[0]
+		if err := os.Truncate(segs[0], r.off+int64(r.length)/2); err != nil {
 			t.Fatal(err)
 		}
 		resident(t, st)
-		if _, _, err := st.At(ip, c.times[2]); err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) {
-			t.Fatalf("re-opening a truncated segment: %v, want a failure naming the segment", err)
+		if _, _, err := st.At(ip, c.times[r.snap]); err == nil || !strings.Contains(err.Error(), filepath.Base(segs[0])) {
+			t.Fatalf("reading a cut-off frame: %v, want a failure naming the segment", err)
 		}
 		resident(t, st)
 	})

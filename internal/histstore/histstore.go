@@ -26,10 +26,9 @@
 //     swap is crash-atomic (staged files, then one manifest rename).
 //     Query answers are bit-identical before, during, and after.
 //   - Every sealed segment's index is validated once, when Open or
-//     compaction builds it, and stays resident for the handle's life. A
-//     tiering policy bounds the open segment files: it keeps recently
-//     used segments open, closes the rest LRU-first, and a query
-//     re-opens a closed one (segment.go, the hist_tier_* metrics).
+//     compaction builds it, and the segment keeps it and its open file
+//     for the handle's life (segment.go): a handle holds one file per
+//     segment plus its tail's.
 //
 // Within a file the log stores a full per-/24 base block every K
 // snapshots and compact change deltas in between, varint+prefix-
@@ -100,8 +99,8 @@ const DefaultBaseInterval = 7
 // DefaultWriter is the writer identity used when none is configured.
 const DefaultWriter = "main"
 
-// DefaultHotSegments is the default hot-tier capacity: how many sealed
-// segments keep their file open. Every segment's index stays resident.
+// DefaultHotSegments is kept for bench/, which passes it to
+// WithHotSegments. Every sealed segment keeps its file open.
 const DefaultHotSegments = 8
 
 // openRetries bounds the reopen attempts when a concurrent compaction
@@ -155,10 +154,8 @@ type Store struct {
 	syncEach  bool
 	readOnly  bool
 	writerID  string
-	hotCap    int
 	cache     *blockCache
 	sink      telemetry.Sink
-	tier      *tier
 
 	mu     sync.RWMutex
 	closed bool
@@ -179,8 +176,6 @@ type Store struct {
 	compactReclaim  atomic.Int64
 	compactGained   atomic.Uint64 // the positive reclaims alone
 	reconstructions atomic.Uint64
-	tierLoads       atomic.Uint64 // segment files re-opened
-	tierEvictions   atomic.Uint64 // segment files closed by the tier
 	// What this handle's appends wrote: facts no Stats field keeps, since
 	// Stats describes the store, not one handle's writes.
 	appends, appendBytes, wroteBases, wroteDeltas atomic.Uint64
@@ -239,13 +234,9 @@ func WithReadOnly() Option {
 	return func(s *Store) { s.readOnly = true }
 }
 
-// WithHotSegments bounds the hot tier to n open segment files (default
-// DefaultHotSegments); the least recently used are closed and re-opened
-// by the next query that needs them. It does not bound the indexes,
-// which every segment keeps. Zero or negative means unbounded.
-func WithHotSegments(n int) Option {
-	return func(s *Store) { s.hotCap = n }
-}
+// WithHotSegments sets nothing: it is kept for bench/, which passes it.
+// Every sealed segment keeps its file open until Close.
+func WithHotSegments(int) Option { return func(*Store) {} }
 
 // Open creates or loads the history store rooted at the directory path.
 // Existing files rebuild the indexes (sealed segments verified and joined
@@ -286,14 +277,12 @@ func openStore(path string, opts []Option, replayAll bool) (s *Store, err error)
 	s = &Store{
 		dir:       path,
 		baseEvery: DefaultBaseInterval,
-		hotCap:    DefaultHotSegments,
 		cur:       make(map[dnswire.Prefix]blockState),
 		names:     newNameIndex(),
 	}
 	for _, o := range opts {
 		o(s)
 	}
-	s.tier = newTier(s.hotCap)
 	if !s.readOnly && s.writerID != "" && !validWriterID(s.writerID) {
 		return nil, fmt.Errorf("histstore: invalid writer id %q", s.writerID)
 	}
@@ -542,9 +531,10 @@ func (s *Store) closeFiles() {
 		w.tailF = nil
 	}
 	for _, g := range w.segs {
-		g.mu.Lock()
-		g.unload()
-		g.mu.Unlock()
+		if g.f != nil {
+			g.f.Close()
+			g.f = nil
+		}
 	}
 	releaseFileLock(w.lock)
 	w.lock = nil

@@ -36,7 +36,6 @@ func (s *Store) BlockAt(p dnswire.Prefix, t time.Time) (map[byte]dnswire.Name, e
 		return nil, nil
 	}
 	r := reader{s: s}
-	defer r.release()
 	b := writerWalk{w: s.w, p: p}
 	if err := b.seed(&r, i); err != nil || len(b.state.cur) == 0 {
 		return nil, err
@@ -115,7 +114,6 @@ func (s *Store) at(ip dnswire.IPv4, t time.Time) (dnswire.Name, bool, error) {
 		return "", false, ErrBeforeHistory
 	}
 	r := reader{s: s}
-	defer r.release()
 	b := writerWalk{w: s.w, p: ip.Slash24()}
 	if err := b.seed(&r, i); err != nil {
 		return "", false, err
@@ -145,7 +143,6 @@ func (s *Store) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 	}
 	blocks := s.blocks.overlapping(p)
 	r := reader{s: s}
-	defer r.release()
 	walks := make([]writerWalk, len(blocks))
 	for bi, q := range blocks {
 		walks[bi].init(&r, q)
@@ -220,7 +217,6 @@ func (s *Store) churn(ctx context.Context, p dnswire.Prefix, from, to time.Time)
 		out[i].Date = times[lo+i]
 	}
 	r := reader{s: s}
-	defer r.release()
 	var b writerWalk
 	var diff []deltaEntry
 	for _, q := range s.blocks.overlapping(p) {
@@ -338,13 +334,12 @@ type Stats struct {
 	// TailBytes and SealedBytes split Bytes.
 	TailBytes   int64 `json:"tail_bytes,omitempty"`
 	SealedBytes int64 `json:"sealed_bytes,omitempty"`
-	// Segments counts sealed segments; HotSegments how many have their
-	// file open in the tier; TierLoads/TierEvictions count the files it
-	// re-opened and closed. Every segment's index stays resident.
-	Segments      int    `json:"segments,omitempty"`
-	HotSegments   int    `json:"hot_segments,omitempty"`
-	TierLoads     uint64 `json:"tier_loads,omitempty"`
-	TierEvictions uint64 `json:"tier_evictions,omitempty"`
+	// Segments counts sealed segments; each keeps its index and its file
+	// open for the handle's life.
+	Segments int `json:"segments,omitempty"`
+	// TierLoads is always 0, so omitempty keeps it off the wire: it is
+	// kept for bench/, which reads it.
+	TierLoads uint64 `json:"tier_loads,omitempty"`
 	// Writers describes the store's writer, as a list of one: the wire's
 	// shape.
 	Writers []WriterStats `json:"writers,omitempty"`
@@ -367,9 +362,6 @@ func (s *Store) Stats() Stats {
 		CacheHits:       hits,
 		CacheMisses:     misses,
 		CacheEntries:    s.cache.len(),
-		HotSegments:     s.tier.len(),
-		TierLoads:       s.tierLoads.Load(),
-		TierEvictions:   s.tierEvictions.Load(),
 		Compaction: CompactionStats{
 			Runs:            s.compactions.Load(),
 			SealedSnapshots: s.compactSealed.Load(),

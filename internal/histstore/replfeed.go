@@ -125,39 +125,30 @@ func (s *Store) FeedManifest() (FeedManifest, error) {
 // window is stable across calls.
 func (s *Store) FeedReadSegment(name string, off int64, max int) ([]byte, int64, error) {
 	s.mu.RLock()
-	var path string
-	var size int64
+	defer s.mu.RUnlock()
 	if s.closed {
-		s.mu.RUnlock()
 		return nil, 0, ErrClosed
 	}
-	for _, g := range s.w.segs {
-		if filepath.Base(g.path) == name {
-			path, size = g.path, g.size
+	var g *segment
+	for _, h := range s.w.segs {
+		if filepath.Base(h.path) == name {
+			g = h
 		}
 	}
-	s.mu.RUnlock()
-	if path == "" {
+	if g == nil {
 		return nil, 0, fmt.Errorf("%w: segment %q", ErrFeedUnknownFile, name)
 	}
-	if off < 0 || off > size {
-		return nil, 0, fmt.Errorf("%w: segment %q offset %d not in [0, %d]", ErrFeedBadRange, name, off, size)
+	if off < 0 || off > g.size {
+		return nil, 0, fmt.Errorf("%w: segment %q offset %d not in [0, %d]", ErrFeedBadRange, name, off, g.size)
 	}
-	if max <= 0 || int64(max) > size-off {
-		max = int(size - off)
+	if max <= 0 || int64(max) > g.size-off {
+		max = int(g.size - off)
 	}
-	// Read through a fresh handle: the tier may open/close the shared one
-	// concurrently, and the file is immutable anyway.
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, 0, fmt.Errorf("histstore: %w", err)
-	}
-	defer f.Close()
 	buf := make([]byte, max)
-	if _, err := io.ReadFull(io.NewSectionReader(f, off, int64(max)), buf); err != nil {
+	if _, err := g.f.ReadAt(buf, off); err != nil {
 		return nil, 0, fmt.Errorf("histstore: reading feed segment %q: %w", name, err)
 	}
-	return buf, size, nil
+	return buf, g.size, nil
 }
 
 // FeedTailInfo identifies the writer's active tail at read time.

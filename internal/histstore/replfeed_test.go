@@ -8,6 +8,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"rdnsprivacy/internal/dnswire"
@@ -124,6 +125,15 @@ func TestFeedReadSegment(t *testing.T) {
 	}
 	if _, _, err := st.FeedReadSegment(g.File, g.Size+1, 10); !errors.Is(err, ErrFeedBadRange) {
 		t.Fatalf("offset past end: %v", err)
+	}
+
+	// Reads go through the handle's own file: one cut short under it
+	// fails the read, naming the segment.
+	if err := os.Truncate(filepath.Join(dir, g.File), g.Size/2); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := st.FeedReadSegment(g.File, 0, 0); err == nil || !strings.Contains(err.Error(), g.File) {
+		t.Fatalf("read of a truncated segment: %v, want a failure naming %s", err, g.File)
 	}
 }
 

@@ -20,7 +20,6 @@ func rebuiltSealedEnd(t *testing.T, s *Store) map[dnswire.Prefix]blockState {
 	t.Helper()
 	w := s.w
 	r := reader{s: s}
-	defer r.release()
 	out := make(map[dnswire.Prefix]blockState)
 	for _, p := range s.blocks {
 		b := writerWalk{w: w, p: p}

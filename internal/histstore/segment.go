@@ -3,13 +3,11 @@ package histstore
 import (
 	"cmp"
 	"encoding/binary"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
-	"sync"
 
 	"rdnsprivacy/internal/dnswire"
 )
@@ -63,15 +61,12 @@ const segTrailerLen = 8 + 4 + 8
 // maxSegFooterBytes bounds a loaded footer allocation.
 const maxSegFooterBytes = 1 << 30
 
-// segment is one sealed segment of a writer. firstSnap/count/size and idx
-// are immutable once Open or compaction has built the segment: the index
-// is validated once, whole, and serves the handle for its life. f is the
-// tier-managed state: the open file, which an eviction closes and the next
-// pin re-opens. mu guards it and is only ever held briefly (a re-open is
-// the longest): readers take a pin, copy f out, and read without the lock,
-// so any number of queries share an open segment. Closing — eviction,
-// Close — happens only while no pin is out, so a file never closes
-// mid-read.
+// segment is one sealed segment of a writer, an immutable value once
+// Open or compaction has built it: its path and identity, its index —
+// validated once, whole — and its open file, which stays open until
+// Store.Close. Every read holds the store's read lock and Close takes the
+// write lock, so a file never closes mid-read, and any number of queries
+// share it.
 type segment struct {
 	path      string
 	writerID  string
@@ -79,64 +74,14 @@ type segment struct {
 	count     int
 	size      int64
 	idx       *segIndex
-
-	mu   sync.Mutex
-	f    *os.File
-	pins int  // readers holding f
-	hot  bool // tracked in the tier's LRU list (guarded by the tier's mutex)
+	f         *os.File
 }
 
 func (g *segment) lastSnap() int { return g.firstSnap + g.count - 1 }
 
-// pin returns the segment's file, re-opening it if the tier closed it,
-// and keeps it open until the matching unpin. The tier is notified so
-// occupancy and LRU order stay current.
-func (g *segment) pin(s *Store) (*os.File, error) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.f == nil {
-		if err := g.reopen(); err != nil {
-			return nil, err
-		}
-		s.tierLoads.Add(1)
-		s.noteSegmentLoaded(g)
-	} else {
-		s.tier.touch(g)
-	}
-	g.pins++
-	return g.f, nil
-}
-
-func (g *segment) unpin() {
-	g.mu.Lock()
-	g.pins--
-	g.mu.Unlock()
-}
-
-// reopen opens the file of a segment the tier closed. Its index was
-// validated when the handle built it; the file must still be as long as
-// it was then. Every frame read through it is checked on its own
-// (reader.readFrame). Callers hold g.mu.
-func (g *segment) reopen() error {
-	f, err := os.Open(g.path)
-	if err != nil {
-		return fmt.Errorf("histstore: %w", err)
-	}
-	fi, err := f.Stat()
-	if err == nil && fi.Size() != g.size {
-		err = corruptf("file is %d bytes, was %d when validated", fi.Size(), g.size)
-	}
-	if err != nil {
-		f.Close()
-		return fmt.Errorf("histstore: segment %s: %w", g.path, err)
-	}
-	g.f = f
-	return nil
-}
-
 // open opens the segment for a read of all of it, as Open makes: its file
-// becomes the tier's open file, its index the segment's, and the
-// sequencer over its frames is returned.
+// and index become the segment's, and the sequencer over its frames is
+// returned.
 func (g *segment) open() (*sequencer, error) {
 	f, size, seq, err := openSegmentFile(g.path, g.writerID, g.firstSnap, g.count)
 	if err != nil {
@@ -144,17 +89,6 @@ func (g *segment) open() (*sequencer, error) {
 	}
 	g.f, g.size, g.idx = f, size, seq.idx
 	return seq, nil
-}
-
-// unload closes the file, reporting whether there was one; the index
-// stays. Callers hold g.mu with no pin out.
-func (g *segment) unload() bool {
-	if g.f == nil {
-		return false
-	}
-	g.f.Close()
-	g.f = nil
-	return true
 }
 
 // segIndex is a sealed segment's per-block frame index, flat: the footer
@@ -464,129 +398,5 @@ func (ix *segIndex) blockRefs(at int, p dnswire.Prefix, dst []blockRef, collect 
 	return dst, at, nil
 }
 
-// tier is the hot-segment LRU: at most cap segments keep their file open;
-// the rest are re-opened by the next pin. Every segment keeps its index
-// whatever the tier does. A capacity of zero means unbounded (every
-// segment stays open).
-type tier struct {
-	mu  sync.Mutex
-	cap int
-	// lru holds hot segments, most recently used last.
-	lru []*segment
-}
-
-func newTier(capacity int) *tier { return &tier{cap: capacity} }
-
-// touch moves g to the MRU position (re-linking it if an eviction
-// attempt found it busy and dropped it from the list).
-func (t *tier) touch(g *segment) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if g.hot {
-		for i, h := range t.lru {
-			if h == g {
-				copy(t.lru[i:], t.lru[i+1:])
-				t.lru[len(t.lru)-1] = g
-				break
-			}
-		}
-		return
-	}
-	g.hot = true
-	t.lru = append(t.lru, g)
-}
-
-// admit registers a just-loaded segment (nil: none, just re-check the
-// capacity) and returns any LRU victims that must be unloaded to respect
-// it. Callers hold g.mu; victims are returned rather than unloaded here so
-// the caller can TryLock them (never blocking on, or deadlocking with, a
-// concurrent pin).
-func (t *tier) admit(g *segment) []*segment {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if g != nil && !g.hot {
-		g.hot = true
-		t.lru = append(t.lru, g)
-	}
-	if t.cap <= 0 || len(t.lru) <= t.cap {
-		return nil
-	}
-	n := len(t.lru) - t.cap
-	victims := make([]*segment, 0, n)
-	for _, v := range t.lru[:n] {
-		if v != g {
-			v.hot = false
-			victims = append(victims, v)
-		}
-	}
-	kept := t.lru[n:]
-	if len(victims) < n { // g was in the victim window; keep it
-		kept = append([]*segment{g}, kept...)
-	}
-	t.lru = append([]*segment(nil), kept...)
-	return victims
-}
-
-// unlink drops g from the LRU: its file is closed.
-func (t *tier) unlink(g *segment) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if !g.hot {
-		return
-	}
-	g.hot = false
-	t.lru = slices.DeleteFunc(t.lru, func(h *segment) bool { return h == g })
-}
-
-// len reports the hot-segment count.
-func (t *tier) len() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.lru)
-}
-
-// noteSegmentLoaded admits g, whose file was just opened, to the tier and
-// closes the files that no longer fit.
-func (s *Store) noteSegmentLoaded(g *segment) { s.evict(s.tier.admit(g)) }
-
-// trimTier evicts what the tier holds beyond its capacity: the segments an
-// admission had to leave hot because a query still had them pinned.
-func (s *Store) trimTier() { s.evict(s.tier.admit(nil)) }
-
-// evict closes the files of the victims nobody is reading; a pinned (or
-// momentarily locked) victim stays hot and goes back on the LRU, to be
-// trimmed when its reader is done. Eviction never waits on a reader. A
-// victim whose file it closes leaves the LRU even if a pin re-linked it
-// meanwhile, and only a file it closes counts as an eviction.
-func (s *Store) evict(victims []*segment) {
-	for _, v := range victims {
-		if v.mu.TryLock() {
-			if v.pins == 0 {
-				if v.unload() {
-					s.tierEvictions.Add(1)
-				}
-				s.tier.unlink(v)
-				v.mu.Unlock()
-				continue
-			}
-			v.mu.Unlock()
-		}
-		s.tier.touch(v)
-	}
-}
-
-// closeCold closes the file of segment i of an opening store when the
-// segment is past the tier's bound — not among the newest cap, which
-// finishReplay admits — so Open holds no more files than the tier allows.
-// It counts no eviction: the segment was never hot.
-func (s *Store) closeCold(i int) {
-	if c := s.tier.cap; c > 0 && i < len(s.w.segs)-c {
-		g := s.w.segs[i]
-		g.mu.Lock()
-		g.unload()
-		g.mu.Unlock()
-	}
-}
-
-// segmentPath joins the store directory and a manifest file name.
+// filePath joins the store directory and a manifest file name.
 func (s *Store) filePath(name string) string { return filepath.Join(s.dir, name) }

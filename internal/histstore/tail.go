@@ -436,7 +436,6 @@ func (s *Store) adoptSealed() error {
 		if err != nil {
 			return fmt.Errorf("histstore: segment %s: %w", g.path, err)
 		}
-		s.closeCold(i)
 		for p, refs := range seq.refs {
 			blocks[p] = true
 			for _, r := range refs {
@@ -485,18 +484,9 @@ func (s *Store) adoptSealed() error {
 
 // foldSidecar rebuilds segment g's sidecar from its frames (foldSegment);
 // a writable Store also stores it, best effort — a read-only open writes
-// nothing. A segment whose file Open has closed (closeCold) is read
-// through a file of the fold's own.
+// nothing.
 func (s *Store) foldSidecar(g *segment) (*segNames, error) {
-	f := g.f
-	if f == nil {
-		var err error
-		if f, err = os.Open(g.path); err != nil {
-			return nil, fmt.Errorf("histstore: %w", err)
-		}
-		defer f.Close()
-	}
-	seq, err := openSegmentSequencer(f, g.size, g.writerID, g.firstSnap, g.count)
+	seq, err := openSegmentSequencer(g.f, g.size, g.writerID, g.firstSnap, g.count)
 	if err != nil {
 		return nil, fmt.Errorf("histstore: segment %s: %w", g.path, err)
 	}
@@ -511,10 +501,7 @@ func (s *Store) foldSidecar(g *segment) (*segNames, error) {
 }
 
 // finishReplay settles what replay leaves open: a torn tail is truncated
-// (by the writer only), the segments whose files are still open — the
-// newest within the tier's bound; a replaying open closes the rest here —
-// enter the hot tier newest-last, and the byte total is recomputed from
-// file sizes.
+// (by the writer only), and the byte total is recomputed from file sizes.
 func (s *Store) finishReplay() error {
 	w := s.w
 	if w.tornAt >= 0 {
@@ -526,12 +513,8 @@ func (s *Store) finishReplay() error {
 		w.tailSize = w.tornAt
 	}
 	s.bytes = w.tailSize
-	for i, g := range w.segs {
+	for _, g := range w.segs {
 		s.bytes += g.size
-		s.closeCold(i)
-		if g.f != nil {
-			s.noteSegmentLoaded(g)
-		}
 	}
 	return nil
 }

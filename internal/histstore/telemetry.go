@@ -31,13 +31,6 @@ const (
 	MetricBytes = "hist_bytes"
 	// MetricCacheEntries gauges the reconstruction cache's occupancy.
 	MetricCacheEntries = "hist_cache_entries"
-	// MetricTierLoads counts segment files re-opened by a query after the
-	// tier closed them. The index is not re-read: it stays resident.
-	MetricTierLoads = "hist_tier_loads_total"
-	// MetricTierEvictions counts segment files the tier's LRU closed.
-	MetricTierEvictions = "hist_tier_evictions_total"
-	// MetricTierHot gauges the number of segments whose file is open.
-	MetricTierHot = "hist_tier_hot_segments"
 	// MetricSegments gauges the store's sealed segments.
 	MetricSegments = "hist_tier_segments"
 	// MetricSealedBytes gauges the bytes held in sealed segments.
@@ -68,8 +61,6 @@ func (s *Store) publish() {
 	sink.CounterView(MetricReconstructions, s.reconstructions.Load)
 	sink.CounterView(MetricCacheHits, func() uint64 { hits, _ := s.cache.counters(); return hits })
 	sink.CounterView(MetricCacheMisses, func() uint64 { _, misses := s.cache.counters(); return misses })
-	sink.CounterView(MetricTierLoads, s.tierLoads.Load)
-	sink.CounterView(MetricTierEvictions, s.tierEvictions.Load)
 	sink.CounterView(MetricCompactions, s.compactions.Load)
 	sink.CounterView(MetricCompactSealed, s.compactSealed.Load)
 	sink.CounterView(MetricCompactReclaimed, s.compactGained.Load)
@@ -78,7 +69,6 @@ func (s *Store) publish() {
 	sink.GaugeView(MetricBlocks, stat(func(st Stats) int { return st.Blocks }))
 	sink.GaugeView(MetricBytes, func() int64 { return s.Stats().Bytes })
 	sink.GaugeView(MetricCacheEntries, stat(func(st Stats) int { return st.CacheEntries }))
-	sink.GaugeView(MetricTierHot, stat(func(st Stats) int { return st.HotSegments }))
 	sink.GaugeView(MetricSegments, stat(func(st Stats) int { return st.Segments }))
 	sink.GaugeView(MetricSealedBytes, func() int64 { return s.Stats().SealedBytes })
 }

@@ -57,8 +57,6 @@ func TestStoreTelemetry(t *testing.T) {
 		MetricCompactSealed: 12,
 		MetricCacheHits:     s.CacheHits,
 		MetricCacheMisses:   s.CacheMisses,
-		MetricTierLoads:     s.TierLoads,
-		MetricTierEvictions: s.TierEvictions,
 	}
 	for name, want := range counters {
 		if got := snap.Counters[name]; got != want {
@@ -70,7 +68,6 @@ func TestStoreTelemetry(t *testing.T) {
 		MetricBlocks:      int64(s.Blocks),
 		MetricBytes:       s.Bytes,
 		MetricSegments:    int64(s.Segments),
-		MetricTierHot:     int64(s.HotSegments),
 		MetricSealedBytes: s.SealedBytes,
 	}
 	for name, want := range gauges {

@@ -20,49 +20,15 @@ import (
 // writer's sealed history ends in, which the store holds
 // (writerState.sealedEnd): seeding there is a map read, not a walk.
 //
-// Everything a query reads goes through one reader, which pins each
-// segment it touches once and holds the pin to the end of the query, and
-// owns the buffers frames are read and decoded into.
+// Everything a query reads goes through one reader, which owns the
+// buffers frames are read and decoded into. The files it reads stay open
+// while the query holds the store's read lock.
 
 // reader is one query's I/O state.
 type reader struct {
 	s    *Store
-	pins []pinnedSegment
 	buf  []byte       // the frame being decoded
 	ents []deltaEntry // the delta being applied, or a diff being counted
-}
-
-type pinnedSegment struct {
-	g *segment
-	f *os.File
-}
-
-// pin returns g's file, pinning the segment on first use.
-func (r *reader) pin(g *segment) (*os.File, error) {
-	for _, pn := range r.pins {
-		if pn.g == g {
-			return pn.f, nil
-		}
-	}
-	f, err := g.pin(r.s)
-	if err != nil {
-		return nil, err
-	}
-	r.pins = append(r.pins, pinnedSegment{g: g, f: f})
-	return f, nil
-}
-
-// release drops every pin, and with them whatever kept the hot tier from
-// closing files down to its capacity. The reader is spent afterwards.
-func (r *reader) release() {
-	if len(r.pins) == 0 {
-		return
-	}
-	for _, pn := range r.pins {
-		pn.g.unpin()
-	}
-	r.pins = nil
-	r.s.trimTier()
 }
 
 // readFrame reads the frame ref locates into the reader's buffer,
@@ -209,7 +175,7 @@ func (b *writerWalk) init(r *reader, p dnswire.Prefix) {
 }
 
 // enter moves the walk into source src and looks the block up there.
-func (b *writerWalk) enter(r *reader, src int) error {
+func (b *writerWalk) enter(src int) error {
 	w := b.w
 	b.src, b.next = src, 0
 	if src == len(w.segs) {
@@ -217,15 +183,12 @@ func (b *writerWalk) enter(r *reader, src int) error {
 		return nil
 	}
 	g := w.segs[src]
-	f, err := r.pin(g)
-	if err != nil {
-		return err
-	}
+	var err error
 	b.refs, err = g.idx.lookup(b.p, b.refBuf)
 	if b.refs != nil {
 		b.refBuf = b.refs
 	}
-	b.f = f
+	b.f = g.f
 	return err
 }
 
@@ -239,7 +202,7 @@ func (b *writerWalk) seed(r *reader, ls int) error {
 	if ls < w.tailFirst {
 		return b.seedSealed(r, ls)
 	}
-	if err := b.enter(r, len(w.segs)); err != nil {
+	if err := b.enter(len(w.segs)); err != nil {
 		return err
 	}
 	b.at = ls
@@ -266,7 +229,7 @@ func (b *writerWalk) seedSealed(r *reader, ls int) error {
 		return nil
 	}
 	w := b.w
-	if err := b.enter(r, sort.Search(len(w.segs), func(k int) bool { return w.segs[k].firstSnap > ls })-1); err != nil {
+	if err := b.enter(sort.Search(len(w.segs), func(k int) bool { return w.segs[k].firstSnap > ls }) - 1); err != nil {
 		return err
 	}
 	i := lastRefAtOrBefore(b.refs, ls)
@@ -298,7 +261,7 @@ func (b *writerWalk) step(r *reader) (how int, prev blockState, delta []deltaEnt
 	prev = b.state.cur
 	opened := false
 	if b.src < len(w.segs) && (b.src < 0 || ls > w.segs[b.src].lastSnap()) {
-		if err := b.enter(r, b.src+1); err != nil {
+		if err := b.enter(b.src + 1); err != nil {
 			return 0, nil, nil, err
 		}
 		// A segment stands alone, for a walk as for a seed: the block

@@ -13,6 +13,7 @@ import (
 	"rdnsprivacy/internal/dataset"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/scanengine"
+	"rdnsprivacy/internal/testutil"
 )
 
 // genWalkCampaign builds seeded histories in raw form, one per writer,
@@ -79,15 +80,10 @@ type walkLayout struct {
 	compactEvery int // seal the tail every n days; 0 never
 	compactOnce  int // one compaction after this day (mid-window); 0 none
 	cache        int
-	hot          int // WithHotSegments; 0 keeps the default
 }
 
 func (l walkLayout) readOpts(extra ...Option) []Option {
-	opts := append([]Option{WithCache(l.cache)}, extra...)
-	if l.hot > 0 {
-		opts = append(opts, WithHotSegments(l.hot))
-	}
-	return opts
+	return append([]Option{WithCache(l.cache)}, extra...)
 }
 
 // build appends the campaign into dir under the layout and returns the
@@ -239,18 +235,18 @@ func verifyBlockAt(t *testing.T, what string, st *Store, o *campaign, rng func()
 // TestWalkDifferential is the block walk's acceptance test: seeded raw
 // histories of one to three writers, each in a store of its own as a
 // campaign's vantages keep them, laid out with and without compaction,
-// with no cache, a one-entry cache and a large one, and under a
-// one-segment hot tier, must answer At, Range, every RangePage
-// pagination, Churn and BlockAt exactly as a brute-force diff of the raw
-// snapshots does — on the handle that wrote them, on a reader opened
-// beside it, and again after everything is closed and reopened.
+// with no cache, a one-entry cache and a large one, must answer At,
+// Range, every RangePage pagination, Churn and BlockAt exactly as a
+// brute-force diff of the raw snapshots does — on the handle that wrote
+// them, on a reader opened beside it, and again after everything is
+// closed and reopened.
 func TestWalkDifferential(t *testing.T) {
 	layouts := []walkLayout{
 		{name: "tail-only/cache=0"},
 		{name: "tail-only/cache=4096", cache: 4096},
 		{name: "compact-every-4/cache=1", compactEvery: 4, cache: 1},
-		{name: "compact-every-4/cache=4096/hot=1", compactEvery: 4, cache: 4096, hot: 1},
-		{name: "compact-every-11/cache=0/hot=1", compactEvery: 11, hot: 1},
+		{name: "compact-every-4/cache=4096", compactEvery: 4, cache: 4096},
+		{name: "compact-every-11/cache=0", compactEvery: 11},
 		{name: "compact-mid-window/cache=1", compactOnce: 19, cache: 1},
 		{name: "compact-mid-window/cache=4096", compactOnce: 19, cache: 4096},
 	}
@@ -289,13 +285,11 @@ func TestWalkDifferential(t *testing.T) {
 	}
 }
 
-// TestSharedSegmentPins drives concurrent walkers through one segment
-// under a one-segment hot tier: every goroutine's window crosses segment 2
-// and one neighbour, so readers share a pinned segment while cold loads of
-// the neighbours keep trying to evict it. Answers must match the
-// single-threaded ones, nothing may race (run under -race), and once the
-// readers are gone the tier must be back inside its budget.
-func TestSharedSegmentPins(t *testing.T) {
+// TestConcurrentWalkersShareSegments drives concurrent walkers through
+// shared segments: every goroutine's window crosses segment 2 and one
+// neighbour, so readers walk the same segment files at once. Answers must
+// match the single-threaded ones, and nothing may race (run under -race).
+func TestConcurrentWalkersShareSegments(t *testing.T) {
 	c := genCampaign(41, 30)
 	dir := filepath.Join(t.TempDir(), "store")
 	st, err := Open(dir, WithBaseInterval(3))
@@ -313,7 +307,7 @@ func TestSharedSegmentPins(t *testing.T) {
 		}
 	}
 	st.Close()
-	if st, err = Open(dir, WithReadOnly(), WithHotSegments(1)); err != nil {
+	if st, err = Open(dir, WithReadOnly()); err != nil {
 		t.Fatal(err)
 	}
 	defer st.Close()
@@ -355,167 +349,14 @@ func TestSharedSegmentPins(t *testing.T) {
 			t.Error(err)
 		}
 	}
-	stats := st.Stats()
-	if stats.HotSegments > 1 {
-		t.Fatalf("%d segments hot after the readers left, budget 1", stats.HotSegments)
-	}
-	if stats.TierLoads == 0 || stats.TierEvictions == 0 {
-		t.Fatalf("the tier never churned: %+v", stats)
-	}
 }
 
-// TestEvictionsCloseFilesMidWalk runs walkers over a twelve-segment
-// history with two segment files allowed open, so the tier closes files
-// between one walker's segments while other walkers are mid-query, and
-// re-opens them for the next. Every answer must match a handle that keeps
-// every file open, nothing may race (run under -race), and no index is
-// rebuilt: the tier closes and re-opens files, never an index.
-func TestEvictionsCloseFilesMidWalk(t *testing.T) {
-	c := genCampaign(47, 60)
-	dir := filepath.Join(t.TempDir(), "store")
-	st, err := Open(dir, WithBaseInterval(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range c.snaps {
-		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
-			t.Fatal(err)
-		}
-		if i%5 == 4 {
-			if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{MinSeal: 1}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	st.Close()
-	all, err := Open(dir, WithReadOnly(), WithHotSegments(0))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer all.Close()
-	two, err := Open(dir, WithReadOnly(), WithHotSegments(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer two.Close()
-	if n := len(two.w.segs); n != 12 {
-		t.Fatalf("%d segments, want 12", n)
-	}
-	if st := two.Stats(); st.HotSegments != 2 || st.TierEvictions != 0 || openSegmentFiles(two) != 2 {
-		t.Fatalf("opened with two files allowed: %d hot, %d evictions, %d files open; want 2, 0, 2",
-			st.HotSegments, st.TierEvictions, openSegmentFiles(two))
-	}
-	indexes := make([]*segIndex, len(two.w.segs))
-	for i, g := range two.w.segs {
-		indexes[i] = g.idx
-	}
-
-	// Windows of ten days from every seventh day, and the whole history.
-	type query struct {
-		p        dnswire.Prefix
-		from, to time.Time
-		ip       dnswire.IPv4
-	}
-	p16 := dnswire.Prefix{Addr: dnswire.IPv4{10, 47, 0, 0}, Bits: 16}
-	var queries []query
-	for from := 0; from < len(c.times); from += 7 {
-		ip := dnswire.IPv4{10, 47, byte(1 + from%2), byte(from % 40)}
-		queries = append(queries, query{p16, c.times[from], c.times[min(from+9, len(c.times)-1)], ip})
-	}
-	queries = append(queries, query{p16, c.times[0], c.times[len(c.times)-1], dnswire.IPv4{10, 47, 1, 3}},
-		query{c.blocks[2], c.times[0], c.times[len(c.times)-1], dnswire.IPv4{172, 16, 47, 5}})
-	type answer struct {
-		churn []ChurnDay
-		rows  []string
-		name  dnswire.Name
-		ok    bool
-	}
-	ask := func(st *Store, q query) (answer, error) {
-		var a answer
-		var err error
-		if a.churn, err = st.ChurnContext(context.Background(), q.p, q.from, q.to); err != nil {
-			return a, err
-		}
-		rows, err := st.Range(q.p, q.from, q.to)
-		if err != nil {
-			return a, err
-		}
-		a.rows = rowStrings(rows)
-		a.name, a.ok, err = st.At(q.ip, q.to)
-		return a, err
-	}
-	want := make([]answer, len(queries))
-	for i, q := range queries {
-		if want[i], err = ask(all, q); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	const walkers = 6
-	errs := make(chan error, walkers)
-	for g := 0; g < walkers; g++ {
-		go func(g int) {
-			for n := 0; n < 3*len(queries); n++ {
-				i := (5*g + n) % len(queries)
-				got, err := ask(two, queries[i])
-				if err == nil && !reflect.DeepEqual(got, want[i]) {
-					err = errors.New("the answer differs")
-				}
-				if err != nil {
-					errs <- fmt.Errorf("walker %d, query %d: %v", g, i, err)
-					return
-				}
-			}
-			errs <- nil
-		}(g)
-	}
-	for g := 0; g < walkers; g++ {
-		if err := <-errs; err != nil {
-			t.Error(err)
-		}
-	}
-	stats := two.Stats()
-	open := openSegmentFiles(two)
-	t.Logf("two open files allowed: %d re-opens, %d closes, %d open", stats.TierLoads, stats.TierEvictions, open)
-	if stats.HotSegments > 2 || open > 2 || stats.TierLoads == 0 || stats.TierEvictions == 0 {
-		t.Fatalf("two open files allowed: %d hot, %d open, %d re-opens, %d closes", stats.HotSegments, open, stats.TierLoads, stats.TierEvictions)
-	}
-	// Every file counted: the two Open left open and every re-open, less
-	// every close, are the files open now.
-	if got := 2 + int(stats.TierLoads) - int(stats.TierEvictions); got != open {
-		t.Fatalf("2 opened + %d re-opens - %d closes = %d, but %d files are open", stats.TierLoads, stats.TierEvictions, got, open)
-	}
-	if st := all.Stats(); st.HotSegments != 12 || st.TierLoads != 0 || st.TierEvictions != 0 {
-		t.Fatalf("unbounded tier: %d open, %d re-opens, %d closes; want 12, 0, 0", st.HotSegments, st.TierLoads, st.TierEvictions)
-	}
-	for i, g := range two.w.segs {
-		if g.idx != indexes[i] {
-			t.Fatalf("segment %d's index was rebuilt", i)
-		}
-	}
-}
-
-// openSegmentFiles counts the sealed segments of st whose file is open.
-func openSegmentFiles(st *Store) int {
-	n := 0
-	for _, g := range st.w.segs {
-		g.mu.Lock()
-		if g.f != nil {
-			n++
-		}
-		g.mu.Unlock()
-	}
-	return n
-}
-
-// TestOpenKeepsHotSegmentsOpen requires Open of a 6-segment store with a
-// tier of two to leave exactly the two newest segments' files open, and
-// to count no eviction for the files it closed while verifying the rest:
-// a handle that has served nothing has evicted nothing. A replaying open
-// (the full-replay oracle) ends the same way, and so does an open that
-// must fold every segment's name postings, the closed ones included,
-// because their sidecars are gone.
-func TestOpenKeepsHotSegmentsOpen(t *testing.T) {
+// TestOpenOpensEverySegment requires Open of a 6-segment store to leave
+// every segment's file open, the same file the handle reads from to its
+// Close, whatever WithHotSegments asks. A replaying open (the full-replay
+// oracle) ends the same way, and so does an open that must fold every
+// segment's name postings because their sidecars are gone.
+func TestOpenOpensEverySegment(t *testing.T) {
 	c := genCampaign(53, 18)
 	dir := filepath.Join(t.TempDir(), "store")
 	st, err := Open(dir, WithBaseInterval(3))
@@ -551,30 +392,137 @@ func TestOpenKeepsHotSegmentsOpen(t *testing.T) {
 				}
 			}
 		}
-		two, err := openStore(dir, []Option{WithReadOnly(), WithHotSegments(2)}, tc.replayAll)
+		st, err := openStore(dir, []Option{WithReadOnly(), WithHotSegments(1)}, tc.replayAll)
 		if err != nil {
 			t.Fatal(err)
 		}
-		stats := two.Stats()
-		if stats.Segments != 6 || stats.HotSegments != 2 || stats.TierEvictions != 0 || stats.TierLoads != 0 {
-			t.Errorf("%+v: %d segments, %d hot, %d evictions, %d loads; want 6, 2, 0, 0",
-				tc, stats.Segments, stats.HotSegments, stats.TierEvictions, stats.TierLoads)
+		if n := st.Stats().Segments; n != 6 {
+			t.Errorf("%+v: %d segments, want 6", tc, n)
 		}
-		for i, g := range two.w.segs {
-			if hot := i >= len(two.w.segs)-2; (g.f != nil) != hot || g.hot != hot {
-				t.Errorf("%+v: segment %d: file open %v, hot %v; want %v", tc, i, g.f != nil, g.hot, hot)
+		files := make([]*os.File, len(st.w.segs))
+		for i, g := range st.w.segs {
+			if files[i] = g.f; g.f == nil || g.f.Name() != g.path {
+				t.Errorf("%+v: segment %d: file %v, want %s open", tc, i, g.f, g.path)
 			}
 		}
-		sameIndex(t, fmt.Sprintf("%+v", tc), two.names, oracle.names)
-		verifyStore(t, two, c, splitmix(3))
-		if err := two.Close(); err != nil {
+		sameIndex(t, fmt.Sprintf("%+v", tc), st.names, oracle.names)
+		verifyStore(t, st, c, splitmix(3))
+		for i, g := range st.w.segs {
+			if g.f != files[i] {
+				t.Errorf("%+v: segment %d's file changed under queries", tc, i)
+			}
+		}
+		if err := st.Close(); err != nil {
 			t.Fatal(err)
 		}
 	}
 }
 
+// openFDs counts the process's open file descriptors, skipping the test
+// where the system does not list them.
+func openFDs(t *testing.T) int {
+	t.Helper()
+	n, err := testutil.OpenFDs()
+	if err != nil {
+		t.Skipf("no descriptor listing: %v", err)
+	}
+	return n
+}
+
+// TestHandleDescriptors guards against a leaked handle, which leaks
+// every one of its segment files: a read-only Open of an N-segment store
+// holds N descriptors plus its tail's, queries open none, a writer holds
+// its tail lock besides and a compaction nets it one (the new segment's
+// file; the old tail's closes), and Close gives every one back, after
+// which queries answer ErrClosed.
+func TestHandleDescriptors(t *testing.T) {
+	c := genCampaign(59, 24)
+	dir := filepath.Join(t.TempDir(), "store")
+	st, err := Open(dir, WithBaseInterval(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+		if i%4 == 3 {
+			if _, err := st.CompactWriter(context.Background(), DefaultWriter, CompactOptions{MinSeal: 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := dnswire.MustPrefix("10.59.0.0/16")
+	ip := dnswire.IPv4{c.blocks[0].Addr[0], c.blocks[0].Addr[1], c.blocks[0].Addr[2], 7}
+
+	before := openFDs(t)
+	ro, err := Open(dir, WithReadOnly())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(ro.w.segs)
+	if n != 5 {
+		t.Fatalf("%d segments, want 5", n)
+	}
+	if got := openFDs(t) - before; got != n+1 {
+		t.Fatalf("a read-only handle on %d segments holds %d descriptors, want %d", n, got, n+1)
+	}
+	if _, err := ro.Range(p, c.times[0], c.times[19]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ro.ChurnContext(context.Background(), p, c.times[0], c.times[19]); err != nil {
+		t.Fatal(err)
+	}
+	if got := openFDs(t) - before; got != n+1 {
+		t.Fatalf("after queries the handle holds %d descriptors, want %d", got, n+1)
+	}
+
+	w, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := openFDs(t) - before; got != 2*(n+1)+1 {
+		t.Fatalf("beside the reader a writer holds %d descriptors, want %d", got-(n+1), n+2)
+	}
+	for i := 20; i < 24; i++ {
+		if err := w.Append(c.times[i], c.snaps[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := w.CompactWriter(context.Background(), DefaultWriter, CompactOptions{MinSeal: 1}); err != nil {
+		t.Fatal(err)
+	}
+	if got := openFDs(t) - before; got != 2*(n+1)+2 {
+		t.Fatalf("after a compaction the writer holds %d descriptors, want %d", got-(n+1), n+3)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := openFDs(t); got != before {
+		t.Fatalf("%d descriptors open after Close, %d before Open", got, before)
+	}
+	if _, _, err := ro.At(ip, c.times[10]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("At after Close: %v, want ErrClosed", err)
+	}
+	if _, err := ro.BlockAt(c.blocks[0], c.times[10]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("BlockAt after Close: %v, want ErrClosed", err)
+	}
+	if _, err := ro.Range(p, c.times[0], c.times[19]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Range after Close: %v, want ErrClosed", err)
+	}
+	if _, err := ro.ChurnContext(context.Background(), p, c.times[0], c.times[19]); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Churn after Close: %v, want ErrClosed", err)
+	}
+}
+
 // TestWarmChurnAllocationCeiling pins the walk's allocation budget: a
-// 30-day churn of one /24 with the seed cached and every segment hot reads
+// 30-day churn of one /24 with the seed cached and every segment open reads
 // 30 days of frames through one read buffer, one delta buffer and two
 // state buffers, so what it allocates is the decoded names and little
 // else.

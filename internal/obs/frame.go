@@ -130,11 +130,10 @@ type StoreStats struct {
 	// Bytes is the store's total on-disk size (tails plus segments).
 	Bytes int64 `json:"bytes"`
 
-	// Segment-tiering and compaction progress; zero for a store that has
+	// Segment and compaction progress; zero for a store that has
 	// never compacted.
 	Segments        int    `json:"segments,omitempty"`
 	SealedBytes     int64  `json:"sealed_bytes,omitempty"`
-	HotSegments     int    `json:"hot_segments,omitempty"`
 	Writers         int    `json:"writers,omitempty"`
 	Compactions     uint64 `json:"compactions,omitempty"`
 	SealedSnapshots uint64 `json:"sealed_snapshots,omitempty"`

@@ -22,8 +22,8 @@ import (
 // history, appends more and seals again; a reload beside the workers
 // then serves the sealed layout. All of it runs under -race (make race
 // covers this package). Every query must answer 200, and the cache and
-// tier counters in /v1/stats must agree with the hist_* metrics of the
-// handle serving them.
+// compaction counters in /v1/stats must agree with the hist_* metrics of
+// the handle serving them.
 func TestCompactionUnderLoad(t *testing.T) {
 	defer testutil.VerifyNoLeaks(t)
 	dir := t.TempDir() + "/hist"
@@ -55,7 +55,7 @@ func TestCompactionUnderLoad(t *testing.T) {
 		reg = telemetry.NewRegistry()
 		return histstore.Open(dir,
 			histstore.WithReadOnly(), histstore.WithCache(256),
-			histstore.WithTelemetry(reg), histstore.WithHotSegments(1))
+			histstore.WithTelemetry(reg))
 	}
 	serving, err := open()
 	if err != nil {
@@ -127,7 +127,7 @@ func TestCompactionUnderLoad(t *testing.T) {
 	workers.Wait()
 
 	// The stats surface and the hist_* instruments describe the same
-	// handle: cache, tier, and compaction counters must agree exactly now
+	// handle: cache and compaction counters must agree exactly now
 	// that all query traffic has stopped. The daemon's handle never
 	// compacts; it serves the writer's two segments.
 	snap := srv.StatsSnapshot().Store
@@ -141,20 +141,11 @@ func TestCompactionUnderLoad(t *testing.T) {
 	if got := hist[histstore.MetricCacheMisses]; got != snap.CacheMisses {
 		t.Fatalf("hist_cache_misses_total %d != stats %d", got, snap.CacheMisses)
 	}
-	if got := hist[histstore.MetricTierLoads]; got != snap.TierLoads {
-		t.Fatalf("hist_tier_loads_total %d != stats %d", got, snap.TierLoads)
-	}
-	if got := hist[histstore.MetricTierEvictions]; got != snap.TierEvictions {
-		t.Fatalf("hist_tier_evictions_total %d != stats %d", got, snap.TierEvictions)
-	}
 	if got := hist[histstore.MetricCompactions]; got != snap.Compaction.Runs {
 		t.Fatalf("hist_compactions_total %d != stats %d", got, snap.Compaction.Runs)
 	}
 	if got := hist[histstore.MetricCompactSealed]; got != snap.Compaction.SealedSnapshots {
 		t.Fatalf("hist_compact_sealed_snapshots_total %d != stats %d", got, snap.Compaction.SealedSnapshots)
-	}
-	if snap.HotSegments > 1 {
-		t.Fatalf("hot segments %d over a budget of 1", snap.HotSegments)
 	}
 
 	// The sealed layout answers as the tail did: w0's history is in the

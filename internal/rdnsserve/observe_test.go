@@ -225,7 +225,10 @@ func TestReloadScrapeRace(t *testing.T) {
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	// Query workers: wire-correlated requests, so the phase child spans
-	// (parse/store) churn the ring hardest.
+	// (parse/store) churn the ring hardest. Each reports its first request
+	// on served, and the reloads end only after all three have: a worker
+	// scheduled late would otherwise leave the traced path unexercised.
+	served := make(chan struct{}, 3)
 	for w := 0; w < 3; w++ {
 		w := w
 		wg.Add(1)
@@ -242,6 +245,9 @@ func TestReloadScrapeRace(t *testing.T) {
 					fmt.Sprintf("%016x", telemetry.CorrID(int64(w+1), "race", i+1)))
 				rec := httptest.NewRecorder()
 				qh.ServeHTTP(rec, req)
+				if i == 0 {
+					served <- struct{}{}
+				}
 				if rec.Code != 200 {
 					t.Errorf("query worker %d: status %d %s", w, rec.Code, rec.Body)
 					return
@@ -282,6 +288,9 @@ func TestReloadScrapeRace(t *testing.T) {
 		if _, err := srv.Reload(); err != nil {
 			t.Fatalf("reload %d: %v", i, err)
 		}
+	}
+	for w := 0; w < 3; w++ {
+		<-served
 	}
 	close(stop)
 	wg.Wait()

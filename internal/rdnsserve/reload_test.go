@@ -1,12 +1,14 @@
 package rdnsserve
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/histstore"
@@ -273,8 +275,6 @@ func TestMetricsDescribeServingHandle(t *testing.T) {
 		histstore.MetricReconstructions:  s.Reconstructions,
 		histstore.MetricCacheHits:        s.CacheHits,
 		histstore.MetricCacheMisses:      s.CacheMisses,
-		histstore.MetricTierLoads:        s.TierLoads,
-		histstore.MetricTierEvictions:    s.TierEvictions,
 		histstore.MetricCompactions:      s.Compaction.Runs,
 		histstore.MetricCompactSealed:    s.Compaction.SealedSnapshots,
 		histstore.MetricCompactReclaimed: 0,
@@ -288,7 +288,6 @@ func TestMetricsDescribeServingHandle(t *testing.T) {
 		histstore.MetricBlocks:          int64(s.Blocks),
 		histstore.MetricBytes:           s.Bytes,
 		histstore.MetricCacheEntries:    int64(s.CacheEntries),
-		histstore.MetricTierHot:         int64(s.HotSegments),
 		histstore.MetricSegments:        int64(s.Segments),
 		histstore.MetricSealedBytes:     s.SealedBytes,
 		"rdnsd_admission_inflight":      st.Admission.InFlight,
@@ -318,5 +317,101 @@ func TestMetricsDescribeServingHandle(t *testing.T) {
 	}
 	if st.Generation != 1 || snap.Counters[metricReloads] != 1 || st.Admission.Clients != 1 || st.Admission.PeakInFlight != 1 {
 		t.Fatalf("generation %d, reloads %d, admission %+v", st.Generation, snap.Counters[metricReloads], st.Admission)
+	}
+}
+
+// TestReloadReleasesDescriptors guards the reload path against leaked
+// handles: a store handle keeps every sealed segment's file open, so a
+// generation that never closed would leak all of them. Twenty reloads of
+// a four-segment store run under concurrent queries; once the old
+// handles drain, the process holds one handle's descriptors, and none
+// after Close.
+func TestReloadReleasesDescriptors(t *testing.T) {
+	defer testutil.VerifyNoLeaks(t)
+	path, writer, _ := fixture(t, 20)
+	for i := 0; i < 4; i++ {
+		if _, err := writer.Compact(context.Background(), histstore.CompactOptions{MinSeal: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if i < 3 {
+			if err := writer.Append(time.Date(2020, 3, 21+i, 0, 0, 0, 0, time.UTC), scanengine.RecordSet{
+				dnswire.MustIPv4("10.0.1.7"): dnswire.MustName("brians-iphone.lan.example.net"),
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := writer.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before, err := testutil.OpenFDs()
+	if err != nil {
+		t.Skipf("no descriptor listing: %v", err)
+	}
+	open := func() (*histstore.Store, error) {
+		return histstore.Open(path, histstore.WithCache(64), histstore.WithReadOnly())
+	}
+	serving, err := open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	segs := serving.Stats().Segments
+	if segs != 4 {
+		t.Fatalf("%d segments, want 4", segs)
+	}
+	held, _ := testutil.OpenFDs()
+	if held-before != segs+1 {
+		t.Fatalf("one handle holds %d descriptors, want %d", held-before, segs+1)
+	}
+	srv := New(serving, Config{Sink: telemetry.NewRegistry(), Reopen: open})
+	h := srv.Handler()
+
+	urls := []string{
+		"/v1/at?ip=10.0.1.7&t=2020-03-08",
+		"/v1/range?prefix=10.0.1.0/24&from=2020-03-01&to=2020-03-23&limit=100",
+		"/v1/churn?prefix=10.0.0.0/16&from=2020-03-02&to=2020-03-23",
+		"/v1/name?token=brian",
+	}
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 4; w++ {
+		w := w
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				u := urls[(w+i)%len(urls)]
+				rec := httptest.NewRecorder()
+				h.ServeHTTP(rec, httptest.NewRequest("GET", u, nil))
+				if rec.Code != 200 {
+					t.Errorf("worker %d: GET %s during reloads: %d %s", w, u, rec.Code, rec.Body)
+					return
+				}
+			}
+		}()
+	}
+	for i := 0; i < 20; i++ {
+		if _, err := srv.Reload(); err != nil {
+			t.Fatalf("reload %d: %v", i, err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	if n, _ := testutil.OpenFDs(); n != held {
+		t.Fatalf("%d descriptors after 20 reloads drained, one handle holds %d", n-before, held-before)
+	}
+	if _, _, err := serving.At(dnswire.MustIPv4("10.0.1.7"), time.Date(2020, 3, 8, 0, 0, 0, 0, time.UTC)); err != histstore.ErrClosed {
+		t.Fatalf("the first generation's store after it drained: %v, want ErrClosed", err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n, _ := testutil.OpenFDs(); n != before {
+		t.Fatalf("%d descriptors left after Close", n-before)
 	}
 }

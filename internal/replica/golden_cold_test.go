@@ -47,7 +47,7 @@ func goldenColdStore(t *testing.T, dir string) (writer *histstore.Store, open fu
 		}
 	}
 	return alpha, func() (*histstore.Store, error) {
-		return histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(64), histstore.WithHotSegments(1))
+		return histstore.Open(dir, histstore.WithReadOnly(), histstore.WithCache(64))
 	}
 }
 

@@ -326,7 +326,6 @@ func StoreStats(st *histstore.Store) obs.StoreStats {
 		Bytes:           s.Bytes,
 		Segments:        s.Segments,
 		SealedBytes:     s.SealedBytes,
-		HotSegments:     s.HotSegments,
 		Writers:         len(s.Writers),
 		Compactions:     s.Compaction.Runs,
 		SealedSnapshots: s.Compaction.SealedSnapshots,

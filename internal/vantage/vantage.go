@@ -319,7 +319,6 @@ func storeStats(stores map[string]*histstore.Store) obs.StoreStats {
 		sum.Bytes += s.Bytes
 		sum.Segments += s.Segments
 		sum.SealedBytes += s.SealedBytes
-		sum.HotSegments += s.HotSegments
 		sum.Writers += s.Writers
 		sum.Compactions += s.Compactions
 		sum.SealedSnapshots += s.SealedSnapshots
