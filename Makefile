@@ -81,7 +81,7 @@ perf:
 # deliberately changing coverage: cp COVERAGE_current.txt COVERAGE_baseline.txt
 cover:
 	$(GO) build -o /tmp/covercheck ./cmd/covercheck
-	$(GO) test -cover ./internal/... ./cmd/rdnsd ./cmd/rdnsload ./cmd/benchcheck ./cmd/rdnsmon ./cmd/metriclint \
+	$(GO) test -cover ./internal/... ./cmd/rdnsd ./cmd/rdnsload ./cmd/benchcheck ./cmd/rdnsmon ./cmd/metriclint ./cmd/dynfind ./cmd/leakfind \
 		| /tmp/covercheck -baseline COVERAGE_baseline.txt -out COVERAGE_current.txt
 
 # race checks every internal package plus the query daemon under the race

@@ -1,60 +1,94 @@
 package main
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/dynamicity"
+	"rdnsprivacy/internal/histstore"
+	"rdnsprivacy/internal/netsim"
+	"rdnsprivacy/internal/scan"
 )
 
-func TestSeriesFromCSV(t *testing.T) {
-	csv := strings.Join([]string{
-		"date,ip,ptr",
-		"2021-01-01,10.0.0.1,h.example.edu",
-		"2021-01-01,10.0.0.2,h.example.edu",
-		// Duplicate observation on the same day must count once.
-		"2021-01-01,10.0.0.2,h.example.edu",
-		"2021-01-02,10.0.0.1,h.example.edu",
-		// A different /24.
-		"2021-01-02,10.0.1.9,h.example.edu",
-	}, "\n") + "\n"
-	series, err := seriesFromCSV(strings.NewReader(csv))
+// TestSeriesFromStoreMatchesCampaign: the series dynfind reads back from a
+// campaign's store, compactions and all, counts exactly what the campaign
+// counted while it swept, and the heuristic over it finds the validation
+// campus's 40 dynamic /24s and nothing else (paper Section 4.1).
+func TestSeriesFromStoreMatchesCampaign(t *testing.T) {
+	campus, truth, err := netsim.BuildValidationCampus(7, time.UTC)
 	if err != nil {
 		t.Fatal(err)
 	}
-	day1 := time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC)
-	if len(series.Dates) != 2 || !series.Dates[0].Equal(day1) {
-		t.Fatalf("dates = %v", series.Dates)
-	}
-	p1 := dnswire.MustPrefix("10.0.0.0/24")
-	p2 := dnswire.MustPrefix("10.0.1.0/24")
-	if got := series.Counts[p1]; got[0] != 2 || got[1] != 1 {
-		t.Fatalf("p1 counts = %v", got)
-	}
-	if got := series.Counts[p2]; got[0] != 0 || got[1] != 1 {
-		t.Fatalf("p2 counts = %v", got)
-	}
-}
-
-func TestSeriesFromCSVEmpty(t *testing.T) {
-	series, err := seriesFromCSV(strings.NewReader("date,ip,ptr\n"))
+	dir := filepath.Join(t.TempDir(), "hist")
+	st, err := histstore.Open(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(series.Dates) != 0 || len(series.Counts) != 0 {
-		t.Fatalf("series = %+v", series)
+	res := scan.Run(scan.Campaign{
+		Universe:     &netsim.Universe{Networks: []*netsim.Network{campus}},
+		Start:        time.Date(2021, 1, 1, 0, 0, 0, 0, time.UTC),
+		End:          time.Date(2021, 3, 31, 0, 0, 0, 0, time.UTC),
+		Cadence:      scan.Daily,
+		Store:        st,
+		CompactEvery: 10,
+	})
+	if res.StoreErr != nil {
+		t.Fatal(res.StoreErr)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	series, err := seriesFromStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(series.Dates) != len(res.Series.Dates) {
+		t.Fatalf("the store holds %d snapshots, the campaign swept %d", len(series.Dates), len(res.Series.Dates))
+	}
+	if !reflect.DeepEqual(series.Counts, res.Series.Counts) {
+		t.Fatalf("counts over the store differ from the campaign's: %d /24s, campaign %d", len(series.Counts), len(res.Series.Counts))
+	}
+
+	verdict := dynamicity.Analyze(series, dynamicity.PaperConfig())
+	flagged := map[dnswire.Prefix]bool{}
+	for _, p := range verdict.DynamicPrefixes {
+		flagged[p] = true
+	}
+	tp, fn := 0, 0
+	for _, p := range truth["dynamic"] {
+		if flagged[p] {
+			tp++
+		} else {
+			fn++
+		}
+		delete(flagged, p)
+	}
+	if tp != 40 || fn != 0 || len(flagged) != 0 {
+		t.Fatalf("true positives %d, false negatives %d, false positives %d; want 40, 0, 0", tp, fn, len(flagged))
+	}
+
+	var out bytes.Buffer
+	report(&out, verdict)
+	if want := fmt.Sprintf("dynamic: 40\nprefix,max_daily,change_days\n%s,", verdict.DynamicPrefixes[0]); !strings.Contains(out.String(), want) {
+		t.Fatalf("report lacks %q:\n%s", want, out.String())
 	}
 }
 
-func TestSeriesFromCSVBadRow(t *testing.T) {
-	for _, in := range []string{
-		"date,ip,ptr\n2021-01-01,not-an-ip,h.example.edu\n",
-		// cmd/rdnsscan's ip,outcome,ptr,rtt_ms output is not dynfind's input.
-		"ip,outcome,ptr,rtt_ms\n192.0.2.1,found,h.example.edu,3\n",
-	} {
-		if _, err := seriesFromCSV(strings.NewReader(in)); err == nil {
-			t.Errorf("bad input accepted: %q", in)
+// TestSeriesFromNoStore: a path that holds no store is an error, not an
+// empty series that would print an empty report.
+func TestSeriesFromNoStore(t *testing.T) {
+	for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "absent")} {
+		series, err := seriesFromStore(dir)
+		if !errors.Is(err, histstore.ErrNoStore) || series != nil {
+			t.Errorf("%s: series %v, err %v; want ErrNoStore", dir, series, err)
 		}
 	}
 }

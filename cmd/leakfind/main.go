@@ -1,26 +1,20 @@
 // Command leakfind runs the Section 5 privacy-leak identification over a
-// CSV of reverse-DNS observations — external OpenINTEL-shaped date,ip,ptr
-// data, the input cmd/dynfind takes too (dataset.ScanRows): it excludes
+// longitudinal history store (the store cmd/rdnsscan -store and the
+// campaigns write and cmd/rdnsd serves; see docs/storage.md): it excludes
 // router-level records, matches given names, aggregates per hostname
 // suffix, applies the unique-name and ratio thresholds, and prints the
 // identified networks with their type breakdown.
 //
-//	leakfind -input observations.csv [-dynamic dynprefixes.txt] \
+//	leakfind -store campaign.hist [-dynamic dynprefixes.txt] \
 //	         [-min-names 18] [-min-ratio 0.03]
-//
-// With -store it reads a longitudinal history store (the append-only log
-// cmd/rdnsd serves; see docs/storage.md) instead of a CSV, replaying every
-// stored observation through the same analyzer:
-//
-//	leakfind -store campaign.hist [-dynamic dynprefixes.txt]
 //
 // The optional -dynamic file lists one /24 per line (the output of
 // cmd/dynfind); without it, every observation is treated as dynamic, which
 // matches running the tool on data already restricted to dynamic space.
 //
-// Both paths stream: CSV rows are observed as they are parsed, and a store
-// is read one bounded page of rows at a time, so memory stays constant in
-// the input size (minus the per-record dedup set).
+// The store is read one bounded page of rows at a time
+// (histstore.Store.EachRow), so memory stays constant in the store's size
+// (minus the per-record dedup set).
 package main
 
 import (
@@ -42,15 +36,14 @@ import (
 )
 
 func main() {
-	input := flag.String("input", "", "CSV of date,ip,ptr observations")
-	storePath := flag.String("store", "", "longitudinal history store to read instead of -input (see docs/storage.md)")
+	storePath := flag.String("store", "", "longitudinal history store to read (see docs/storage.md)")
 	dynFile := flag.String("dynamic", "", "file listing dynamic /24 prefixes (one per line)")
 	minNames := flag.Int("min-names", 18, "minimum unique given names per suffix")
 	minRatio := flag.Float64("min-ratio", 0.03, "minimum unique-names/records ratio")
 	flag.Parse()
 
-	if (*input == "") == (*storePath == "") {
-		fmt.Fprintln(os.Stderr, "need exactly one of -input or -store")
+	if *storePath == "" {
+		fmt.Fprintln(os.Stderr, "need -store")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -70,14 +63,7 @@ func main() {
 		MinRatio:       *minRatio,
 		GivenNames:     names.Top50,
 	})
-	observe := observer(a, dynSet)
-	var err error
-	if *storePath != "" {
-		err = observeStore(*storePath, observe)
-	} else {
-		err = observeCSV(*input, observe)
-	}
-	if err != nil {
+	if err := observeStore(*storePath, observer(a, dynSet)); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
@@ -87,9 +73,13 @@ func main() {
 // observer feeds each distinct (ip, ptr) observation to a, marked dynamic
 // when it lies in dynSet (every observation when dynSet is nil).
 func observer(a *privleak.Analyzer, dynSet map[dnswire.Prefix]bool) func(dataset.Row) error {
-	seen := map[string]bool{}
+	type record struct {
+		ip  dnswire.IPv4
+		ptr dnswire.Name
+	}
+	seen := map[record]bool{}
 	return func(r dataset.Row) error {
-		key := r.IP.String() + "|" + string(r.PTR)
+		key := record{r.IP, r.PTR}
 		if seen[key] {
 			return nil
 		}
@@ -122,49 +112,15 @@ func printReport(w io.Writer, res *privleak.Result) {
 	}
 }
 
-// observeCSV streams the date,ip,ptr CSV through fn without materializing
-// the row slice.
-func observeCSV(path string, fn func(dataset.Row) error) error {
-	f, err := os.Open(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return dataset.ScanRows(f, fn)
-}
-
-// storePageRows bounds the rows observeStore holds at once.
-const storePageRows = 1024
-
-// observeStore replays every observation of a history store through fn,
-// in date-then-address order (the stream a full-history Range query
-// serves), one bounded RangePage at a time.
+// observeStore replays every observation of the history store at path
+// through fn.
 func observeStore(path string, fn func(dataset.Row) error) error {
 	st, err := histstore.Open(path, histstore.WithReadOnly())
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	times := st.Times()
-	if len(times) == 0 {
-		return nil
-	}
-	var cur histstore.RangeCursor
-	for {
-		rows, next, more, err := st.RangePage(context.Background(), dnswire.Prefix{}, times[0], times[len(times)-1], cur, storePageRows)
-		if err != nil {
-			return err
-		}
-		for _, r := range rows {
-			if err := fn(r); err != nil {
-				return err
-			}
-		}
-		if !more {
-			return nil
-		}
-		cur = next
-	}
+	return st.EachRow(context.Background(), fn)
 }
 
 func readPrefixes(path string) (map[dnswire.Prefix]bool, error) {

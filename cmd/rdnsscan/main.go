@@ -2,9 +2,10 @@
 // queries for every address of a prefix against a name server over UDP and
 // prints the results as ip,outcome,ptr,rtt_ms CSV (the output format of the
 // paper's custom measurement tooling, Section 6.1). That is a per-probe
-// log, not the date,ip,ptr observations cmd/dynfind and cmd/leakfind read. Sweeps run through the sharded
-// snapshot engine (internal/scanengine): the prefix is split into per-/16
-// shards and fanned out over a bounded worker pool.
+// log; cmd/dynfind and cmd/leakfind read the history store -store writes.
+// Sweeps run through the sharded snapshot engine (internal/scanengine):
+// the prefix is split into per-/16 shards and fanned out over a bounded
+// worker pool.
 //
 // Point it at a server started with cmd/simnet, or at any DNS server that
 // answers in-addr.arpa queries:
@@ -58,8 +59,8 @@
 // history store (one snapshot per sweep; one per poll with -watch) and
 // seals the store's tail into a segment once it holds the store's base
 // interval of snapshots. The scanner is the store's only writer; cmd/rdnsd
-// serves it over HTTP (reload it to see new snapshots) and leakfind -store
-// analyzes it:
+// serves it over HTTP (reload it to see new snapshots) and dynfind -store
+// and leakfind -store analyze it:
 //
 //	rdnsscan -server 127.0.0.1:5353 -prefix 10.0.0.0/24 -watch -store campaign.hist
 //	rdnsd -store campaign.hist

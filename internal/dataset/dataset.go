@@ -1,18 +1,12 @@
 // Package dataset holds the measurement data model of the study: daily
-// reverse-DNS snapshots in the shape that OpenINTEL and Rapid7 publish
-// (date, IP address, PTR hostname), per-/24 daily aggregates, and the
-// summary statistics reported in the paper's Table 1 and Table 3. It also
-// reads the CSV the analysis tools (cmd/dynfind, cmd/leakfind) take as
-// input: external OpenINTEL-shaped date,ip,ptr data. Nothing in this
-// repository writes that format; cmd/rdnsscan prints its own
-// ip,outcome,ptr,rtt_ms rows.
+// reverse-DNS observations in the shape that OpenINTEL and Rapid7 publish
+// (date, IP address, PTR hostname) — the rows a history store's range
+// queries return — per-/24 daily aggregates, and the summary statistics
+// reported in the paper's Table 1 and Table 3.
 package dataset
 
 import (
-	"bufio"
-	"encoding/csv"
 	"fmt"
-	"io"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
@@ -26,45 +20,6 @@ type Row struct {
 	Date time.Time
 	IP   dnswire.IPv4
 	PTR  dnswire.Name
-}
-
-// ScanRows streams date,ip,ptr CSV (an optional "date,ip,ptr" header
-// first), calling fn for each row in file order. It never materializes the
-// file: the reader reuses one record buffer per line
-// (csv.Reader.ReuseRecord) and enforces exactly three fields per record,
-// so campaign-scale dumps stream in constant memory. fn returning an error stops the scan and returns that
-// error.
-func ScanRows(r io.Reader, fn func(Row) error) error {
-	cr := csv.NewReader(bufio.NewReader(r))
-	cr.FieldsPerRecord = 3
-	cr.ReuseRecord = true
-	for i := 0; ; i++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			return nil
-		}
-		if err != nil {
-			return fmt.Errorf("dataset: row %d: %w", i, err)
-		}
-		if i == 0 && rec[0] == "date" {
-			continue // header
-		}
-		d, err := time.Parse(DateFormat, rec[0])
-		if err != nil {
-			return fmt.Errorf("dataset: row %d: %w", i, err)
-		}
-		ip, err := dnswire.ParseIPv4(rec[1])
-		if err != nil {
-			return fmt.Errorf("dataset: row %d: %w", i, err)
-		}
-		name, err := dnswire.ParseName(rec[2])
-		if err != nil {
-			return fmt.Errorf("dataset: row %d: %w", i, err)
-		}
-		if err := fn(Row{Date: d, IP: ip, PTR: name}); err != nil {
-			return err
-		}
-	}
 }
 
 // CountSeries is the per-/24 daily unique-address counts a longitudinal

@@ -59,9 +59,6 @@ const (
 	frameDelta = byte('L')
 )
 
-// fileMagic opens every history file, followed by the format version.
-var fileMagic = [8]byte{'R', 'D', 'N', 'S', 'H', 'S', 'T', '1'}
-
 // maxBlockEntries bounds the entry count of any block frame: a /24 holds
 // 256 addresses and a snapshot carries at most one change per address.
 const maxBlockEntries = 256

@@ -476,21 +476,6 @@ func TestCompactSkipsAndGuards(t *testing.T) {
 	}
 }
 
-// TestLegacySingleFileRejected: the pre-segmentation format gets a
-// pointed migration error, not a confusing parse failure.
-func TestLegacySingleFileRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "hist.log")
-	legacy := append([]byte{}, fileMagic[:]...)
-	legacy = append(legacy, "junk"...)
-	if err := os.WriteFile(path, legacy, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err := Open(path)
-	if err == nil || !strings.Contains(err.Error(), "single-file") {
-		t.Fatalf("legacy log open: %v, want a single-file-format migration error", err)
-	}
-}
-
 // TestReadOnlyHandleNeverCompacts: only the writer compacts. Compact on
 // a WithReadOnly handle is ErrReadOnly and leaves the directory byte for
 // byte as it was, whether the writer is live or released, and

@@ -330,9 +330,7 @@ func openStore(path string, opts []Option, replayAll bool) (s *Store, err error)
 	return s, nil
 }
 
-// checkStoreDir rejects paths that exist but are not directories —
-// including the pre-segmentation single-file log format, which gets a
-// pointed message.
+// checkStoreDir rejects paths that exist but are not directories.
 func checkStoreDir(path string) error {
 	fi, err := os.Stat(path)
 	if err != nil {
@@ -343,14 +341,6 @@ func checkStoreDir(path string) error {
 	}
 	if fi.IsDir() {
 		return nil
-	}
-	var magic [8]byte
-	if f, err := os.Open(path); err == nil {
-		io.ReadFull(f, magic[:])
-		f.Close()
-	}
-	if magic == fileMagic {
-		return fmt.Errorf("histstore: %s is a legacy single-file history log; the store format is now a directory (re-append the campaign to migrate)", path)
 	}
 	return fmt.Errorf("histstore: %s is not a store directory", path)
 }

@@ -86,6 +86,37 @@ func (s *Store) RangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 	return s.rangePage(ctx, p, from, to, cur, limit)
 }
 
+// eachRowPage bounds the rows EachRow holds at once.
+const eachRowPage = 1024
+
+// EachRow streams every observation of the history through fn, in the
+// date-then-address order of a full-history Range, one bounded RangePage
+// at a time: memory stays constant in the store's size, and no read lock
+// is held between pages. fn returning an error stops the scan and returns
+// that error.
+func (s *Store) EachRow(ctx context.Context, fn func(dataset.Row) error) error {
+	first, last, ok := s.Span()
+	if !ok {
+		return nil
+	}
+	var cur RangeCursor
+	for {
+		rows, next, more, err := s.RangePage(ctx, dnswire.Prefix{}, first, last, cur, eachRowPage)
+		if err != nil {
+			return err
+		}
+		for _, r := range rows {
+			if err := fn(r); err != nil {
+				return err
+			}
+		}
+		if !more {
+			return nil
+		}
+		cur = next
+	}
+}
+
 // ChurnDay is one snapshot's record-set delta counts within a prefix.
 type ChurnDay struct {
 	Date    time.Time `json:"date"`

@@ -403,10 +403,12 @@ type instant struct {
 	occ                 [Infra + 1][2]float64
 }
 
-func (n *Network) instantAt(t time.Time) *instant {
+// instantAt resolves t for n. It returns the instant by value, so that
+// RecordsAt keeps it on its stack.
+func (n *Network) instantAt(t time.Time) instant {
 	local := t.In(n.cfg.Location)
 	today := midnight(local)
-	at := &instant{
+	at := instant{
 		t:         local,
 		today:     today,
 		yesterday: today.AddDate(0, 0, -1),
