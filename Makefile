@@ -18,12 +18,14 @@ bench:
 # not measured (delete or rename a benchmark and its baseline row together).
 # The concurrent serving benchmark additionally gates its p99-ns/op tail
 # latency, and the engine-8-workers sweep, the history-store window
-# queries (churn, range), the rdnsd /v1/at rows (plain and observed), the
-# full-page rows (range-page, name-page: end to end, and render alone) and
-# the client's decode rows their allocs/op and B/op — the probe round
+# queries (range, and churn in two rows: first-touch, where each key walks
+# and fills the churn table, and summarized, where the table answers),
+# the rdnsd /v1/at rows (plain and observed), the full-page rows
+# (range-page, name-page: end to end, and render alone) and the client's
+# decode rows their allocs/op and B/op — the probe round
 # trip's, the block walk's, the serving path's and the wire codec's
 # allocation budgets, which hold on any host; the window queries run a
-# fixed 5000 iterations so those two are exact. BenchmarkUDPSweep, one /24
+# fixed 5000 iterations so those rows are exact. BenchmarkUDPSweep, one /24
 # over a loopback socket, is held to its allocs/op, B/op and dials/op only:
 # a socket's ns/op is the host's, so the benchmark reports none. Its bytes
 # are the client's (a fresh one per iteration: one socket with its buffers

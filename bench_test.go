@@ -1030,18 +1030,18 @@ func openCampaignStore(b *testing.B, path string) *histstore.Store {
 }
 
 // BenchmarkHistStoreChurn measures a 30-day churn of one /24, block and
-// window drawn uniformly from the campaign store: one walk seed plus the
-// frames of 30 days, across three or four segments.
-// bench-check gates ns/op, allocs/op and B/op.
+// window drawn uniformly from the campaign store, in two rows.
+// first-touch: on a handle whose churn table has never seen the /24 (the
+// store is reopened, outside the timer, each time the keys come back to
+// the first block), so each op is one walk seed plus the frames of 30
+// days, across three or four segments, filling the table as it goes.
+// summarized: the same keys on a handle that has answered them all
+// already, so each op reads 30 cells of the table and walks nothing.
+// bench-check gates ns/op, allocs/op and B/op of both.
 func BenchmarkHistStoreChurn(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "campaign.hist")
 	times := buildCampaignStore(b, path)
-	st := openCampaignStore(b, path)
-	defer st.Close()
-	before := st.Stats()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
+	churn := func(b *testing.B, st *histstore.Store, i int) {
 		p := dnswire.Prefix{Addr: dnswire.IPv4{10, 62, byte(i * 7 % 64), 0}, Bits: 24}
 		from := (i * 13) % 90
 		days, err := st.ChurnContext(context.Background(), p, times[from], times[from+29])
@@ -1052,9 +1052,44 @@ func BenchmarkHistStoreChurn(b *testing.B) {
 			b.Fatalf("churn of %s from day %d: %d days, last %+v", p, from, len(days), days[len(days)-1])
 		}
 	}
-	b.StopTimer()
-	after := st.Stats()
-	b.ReportMetric(float64(after.Reconstructions-before.Reconstructions)/float64(b.N), "reconstructions/op")
+	b.Run("first-touch", func(b *testing.B) {
+		var st *histstore.Store
+		var made uint64
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if i%64 == 0 { // i*7 % 64 visits every block once in 64 ops
+				b.StopTimer()
+				if st != nil {
+					made += st.Stats().Reconstructions
+					st.Close()
+				}
+				st = openCampaignStore(b, path)
+				b.StartTimer()
+			}
+			churn(b, st, i)
+		}
+		b.StopTimer()
+		made += st.Stats().Reconstructions
+		st.Close()
+		b.ReportMetric(float64(made)/float64(b.N), "reconstructions/op")
+	})
+	b.Run("summarized", func(b *testing.B) {
+		st := openCampaignStore(b, path)
+		defer st.Close()
+		for i := 0; i < b.N; i++ {
+			churn(b, st, i)
+		}
+		before := st.Stats()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			churn(b, st, i)
+		}
+		b.StopTimer()
+		after := st.Stats()
+		b.ReportMetric(float64(after.Reconstructions-before.Reconstructions)/float64(b.N), "reconstructions/op")
+	})
 }
 
 // BenchmarkHistStoreRange measures one page of a 7-day range over one

@@ -24,23 +24,36 @@ import (
 )
 
 func main() {
-	storePath := flag.String("store", "", "longitudinal history store to read (see docs/storage.md)")
-	x := flag.Float64("x", 10, "change percentage threshold X")
-	y := flag.Int("y", 7, "minimum change days Y")
-	minAddr := flag.Int("min", 10, "minimum daily addresses to consider a /24")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command: it parses args, writes the report to stdout and
+// errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("dynfind", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	storePath := fs.String("store", "", "longitudinal history store to read (see docs/storage.md)")
+	x := fs.Float64("x", 10, "change percentage threshold X")
+	y := fs.Int("y", 7, "minimum change days Y")
+	minAddr := fs.Int("min", 10, "minimum daily addresses to consider a /24")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *storePath == "" {
-		fmt.Fprintln(os.Stderr, "need -store")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -store")
+		fs.Usage()
+		return 2
 	}
 	series, err := seriesFromStore(*storePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	report(os.Stdout, dynamicity.Analyze(series, dynamicity.Config{MinAddresses: *minAddr, ChangePercent: *x, MinChangeDays: *y}))
+	res := dynamicity.Analyze(series, dynamicity.Config{MinAddresses: *minAddr, ChangePercent: *x, MinChangeDays: *y})
+	res.WriteReport(stdout)
+	return 0
 }
 
 // seriesFromStore counts the addresses holding a record per /24 at every
@@ -65,16 +78,4 @@ func seriesFromStore(path string) (*dataset.CountSeries, error) {
 		return nil, err
 	}
 	return series, nil
-}
-
-// report writes the prefix tallies and one prefix,max_daily,change_days
-// row per dynamic /24.
-func report(w io.Writer, res *dynamicity.Result) {
-	fmt.Fprintf(w, "/24s with PTRs: %d; considered: %d; dynamic: %d\n",
-		res.TotalPrefixes, res.ConsideredPrefixes, len(res.DynamicPrefixes))
-	fmt.Fprintln(w, "prefix,max_daily,change_days")
-	for _, p := range res.DynamicPrefixes {
-		v := res.Verdicts[p]
-		fmt.Fprintf(w, "%s,%d,%d\n", p, v.MaxDaily, v.ChangeDays)
-	}
 }

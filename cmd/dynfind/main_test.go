@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -75,20 +76,44 @@ func TestSeriesFromStoreMatchesCampaign(t *testing.T) {
 		t.Fatalf("true positives %d, false negatives %d, false positives %d; want 40, 0, 0", tp, fn, len(flagged))
 	}
 
-	var out bytes.Buffer
-	report(&out, verdict)
+	// dynfind's report over the store is what leakfind -dynamic reads
+	// (dynamicity.ReadPrefixes): the 40 dynamic /24s and nothing else.
+	var out, errs bytes.Buffer
+	if code := run([]string{"-store", dir}, &out, &errs); code != 0 {
+		t.Fatalf("dynfind -store: exit %d: %s", code, errs.String())
+	}
 	if want := fmt.Sprintf("dynamic: 40\nprefix,max_daily,change_days\n%s,", verdict.DynamicPrefixes[0]); !strings.Contains(out.String(), want) {
 		t.Fatalf("report lacks %q:\n%s", want, out.String())
+	}
+	back, err := dynamicity.ReadPrefixes(&out)
+	if err != nil {
+		t.Fatalf("reading the report back: %v", err)
+	}
+	if len(back) != len(verdict.DynamicPrefixes) {
+		t.Fatalf("the report reads back as %d prefixes, want %d", len(back), len(verdict.DynamicPrefixes))
+	}
+	for _, p := range verdict.DynamicPrefixes {
+		if !back[p] {
+			t.Fatalf("the report reads back without %s", p)
+		}
 	}
 }
 
 // TestSeriesFromNoStore: a path that holds no store is an error, not an
-// empty series that would print an empty report.
+// empty series that would print an empty report, and dynfind exits 1 on
+// it (2 without -store).
 func TestSeriesFromNoStore(t *testing.T) {
 	for _, dir := range []string{t.TempDir(), filepath.Join(t.TempDir(), "absent")} {
 		series, err := seriesFromStore(dir)
 		if !errors.Is(err, histstore.ErrNoStore) || series != nil {
 			t.Errorf("%s: series %v, err %v; want ErrNoStore", dir, series, err)
 		}
+		var out, errs bytes.Buffer
+		if code := run([]string{"-store", dir}, &out, &errs); code != 1 || out.Len() != 0 {
+			t.Errorf("dynfind -store %s: exit %d, report %q; want exit 1 and no report", dir, code, out.String())
+		}
+	}
+	if code := run(nil, io.Discard, io.Discard); code != 2 {
+		t.Errorf("dynfind without -store: exit %d, want 2", code)
 	}
 }

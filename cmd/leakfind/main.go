@@ -18,17 +18,16 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"slices"
-	"strings"
 
 	"rdnsprivacy/internal/dataset"
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/dynamicity"
 	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/names"
 	"rdnsprivacy/internal/netsim"
@@ -36,25 +35,35 @@ import (
 )
 
 func main() {
-	storePath := flag.String("store", "", "longitudinal history store to read (see docs/storage.md)")
-	dynFile := flag.String("dynamic", "", "file listing dynamic /24 prefixes (one per line)")
-	minNames := flag.Int("min-names", 18, "minimum unique given names per suffix")
-	minRatio := flag.Float64("min-ratio", 0.03, "minimum unique-names/records ratio")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
+// run is the command: it parses args, writes the report to stdout and
+// errors to stderr, and returns the exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("leakfind", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	storePath := fs.String("store", "", "longitudinal history store to read (see docs/storage.md)")
+	dynFile := fs.String("dynamic", "", "file listing dynamic /24 prefixes (one per line)")
+	minNames := fs.Int("min-names", 18, "minimum unique given names per suffix")
+	minRatio := fs.Float64("min-ratio", 0.03, "minimum unique-names/records ratio")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *storePath == "" {
-		fmt.Fprintln(os.Stderr, "need -store")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -store")
+		fs.Usage()
+		return 2
 	}
 
 	var dynSet map[dnswire.Prefix]bool
 	if *dynFile != "" {
 		var err error
-		dynSet, err = readPrefixes(*dynFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+		if dynSet, err = readPrefixes(*dynFile); err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
 		}
 	}
 
@@ -64,10 +73,11 @@ func main() {
 		GivenNames:     names.Top50,
 	})
 	if err := observeStore(*storePath, observer(a, dynSet)); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
-	printReport(os.Stdout, a.Finish())
+	printReport(stdout, a.Finish())
+	return 0
 }
 
 // observer feeds each distinct (ip, ptr) observation to a, marked dynamic
@@ -123,31 +133,13 @@ func observeStore(path string, fn func(dataset.Row) error) error {
 	return st.EachRow(context.Background(), fn)
 }
 
+// readPrefixes reads the -dynamic file: cmd/dynfind's report, or one
+// prefix a line.
 func readPrefixes(path string) (map[dnswire.Prefix]bool, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	out := map[dnswire.Prefix]bool{}
-	sc := bufio.NewScanner(f)
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		// Accept the dynfind CSV shape too (prefix,max,days).
-		if i := strings.IndexByte(line, ','); i > 0 {
-			line = line[:i]
-		}
-		if line == "prefix" {
-			continue
-		}
-		p, err := dnswire.ParsePrefix(line)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", line, err)
-		}
-		out[p] = true
-	}
-	return out, sc.Err()
+	return dynamicity.ReadPrefixes(f)
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -13,6 +14,7 @@ import (
 
 	"rdnsprivacy/internal/dataset"
 	"rdnsprivacy/internal/dnswire"
+	"rdnsprivacy/internal/dynamicity"
 	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/names"
 	"rdnsprivacy/internal/privleak"
@@ -134,5 +136,37 @@ func TestObserveStorePagesThroughRange(t *testing.T) {
 	}
 	if !strings.Contains(fromStore, "identified 3 leaking networks") {
 		t.Fatalf("the seeded store should leak from all three networks:\n%s", fromStore)
+	}
+}
+
+// TestRunReadsDynfindReport: leakfind -dynamic takes the file dynfind
+// prints, tallies line and all, and counts only the /24s it lists as
+// dynamic: two of the store's three networks.
+func TestRunReadsDynfindReport(t *testing.T) {
+	dir := leakStore(t)
+	res := &dynamicity.Result{TotalPrefixes: 3, ConsideredPrefixes: 3, Verdicts: map[dnswire.Prefix]dynamicity.PrefixVerdict{}}
+	for _, s := range []string{"10.0.0.0/24", "10.0.2.0/24"} {
+		p := dnswire.MustPrefix(s)
+		res.DynamicPrefixes = append(res.DynamicPrefixes, p)
+		res.Verdicts[p] = dynamicity.PrefixVerdict{Prefix: p, Considered: true, Dynamic: true, MaxDaily: 60, ChangeDays: 19}
+	}
+	var report bytes.Buffer
+	res.WriteReport(&report)
+	path := filepath.Join(t.TempDir(), "dyn.txt")
+	if err := os.WriteFile(path, report.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out, errs bytes.Buffer
+	if code := run([]string{"-store", dir, "-dynamic", path}, &out, &errs); code != 0 {
+		t.Fatalf("leakfind -dynamic over dynfind's report %q: exit %d: %s", report.String(), code, errs.String())
+	}
+	if !strings.Contains(out.String(), "identified 2 leaking networks") || strings.Contains(out.String(), "home.example-isp.net") {
+		t.Fatalf("only the two networks listed dynamic should leak:\n%s", out.String())
+	}
+	if code := run([]string{"-store", dir, "-dynamic", filepath.Join(t.TempDir(), "absent")}, io.Discard, io.Discard); code != 1 {
+		t.Fatalf("leakfind with an unreadable -dynamic file: exit %d, want 1", code)
+	}
+	if code := run(nil, io.Discard, io.Discard); code != 2 {
+		t.Fatalf("leakfind without -store: exit %d, want 2", code)
 	}
 }

@@ -165,6 +165,9 @@ type Store struct {
 	blocks blockList // every /24 the writer has ever recorded
 	cur    map[dnswire.Prefix]blockState
 	names  *nameIndex
+	// churnCells holds each (/24, snapshot)'s churn counts once a walk
+	// has derived them (churntable.go); it has its own lock.
+	churnCells churnTable
 
 	baseFrames  int
 	deltaFrames int

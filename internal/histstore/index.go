@@ -79,7 +79,7 @@ type nameIndex struct {
 	// seen in it.
 	blocks map[uint32]map[string]*tokenPostings
 	// addrs lists, per token, the /24s it has postings in, each once, in
-	// the order the postings were made.
+	// address order: the order FindName answers in.
 	addrs   map[string]*tokenAddrs
 	scratch []string // add's and remove's token buffer
 	// touched lists every posting a segment sealed now could reach: each
@@ -149,7 +149,8 @@ func (ix *nameIndex) get(block map[string]*tokenPostings, token string, addr uin
 			ta = &tokenAddrs{token: strings.Clone(token)}
 			ix.addrs[ta.token] = ta
 		}
-		ta.addrs = append(ta.addrs, addr)
+		i, _ := slices.BinarySearch(ta.addrs, addr)
+		ta.addrs = slices.Insert(ta.addrs, i, addr)
 		tp = &tokenPostings{newest: interval{first: -1}, open: -1}
 		block[ta.token] = tp
 	}
@@ -174,6 +175,21 @@ func (ix *nameIndex) block(addr uint32) map[string]*tokenPostings {
 		ix.blocks[addr] = block
 	}
 	return block
+}
+
+// reserve makes the postings map of the /24 at addr, unless it has one,
+// with room for the distinct tokens of st: the block's opening state, so
+// a fold of a segment does not grow the map token by token.
+func (ix *nameIndex) reserve(addr uint32, st blockState) {
+	if ix.blocks[addr] != nil {
+		return
+	}
+	ix.scratch = ix.scratch[:0]
+	for _, e := range st {
+		ix.scratch = appendTokens(ix.scratch, e.Name)
+	}
+	slices.Sort(ix.scratch)
+	ix.blocks[addr] = make(map[string]*tokenPostings, len(slices.Compact(ix.scratch)))
 }
 
 // apply feeds one frame's changes — block p at snapshot snap — to the
@@ -251,19 +267,22 @@ func (tp *tokenPostings) packedAt(off int, prev int32) (interval, int) {
 	return interval{first: first, last: first + int32(uint32(length))}, off + n + m
 }
 
-// closed appends the closed intervals, oldest first, to dst.
-func (tp *tokenPostings) closed(dst []interval) []interval {
-	var last int32
-	for off := 0; off < len(tp.packed); {
-		var iv interval
-		iv, off = tp.packedAt(off, last)
-		last = iv.last
-		dst = append(dst, iv)
+// count is how many intervals the posting holds, the open one included.
+func (tp *tokenPostings) count() int {
+	n := 0
+	for _, b := range tp.packed {
+		if b < 0x80 { // the last byte of a uvarint; an interval is two
+			n++
+		}
 	}
+	n /= 2
 	if tp.newest.first >= 0 {
-		dst = append(dst, tp.newest)
+		n++
 	}
-	return dst
+	if tp.open >= 0 {
+		n++
+	}
+	return n
 }
 
 // clip appends to dst the intervals overlapping [first, last], cut to it;
@@ -324,21 +343,29 @@ func (ix *nameIndex) sealed(cut int) {
 
 // find returns the postings of a token, sorted by prefix address then
 // interval start. lastSnap closes any open interval at the store's
-// newest snapshot; times translates snapshot indices to instants.
+// newest snapshot; times translates snapshot indices to instants. The
+// postings are counted first, so the answer is allocated once.
 func (ix *nameIndex) find(token string, lastSnap int, times []time.Time) []Posting {
 	ta := ix.addrs[strings.ToLower(token)]
 	if ta == nil {
 		return nil
 	}
-	addrs := slices.Clone(ta.addrs)
-	slices.Sort(addrs)
-	var out []Posting
-	var closed []interval
-	for _, a := range addrs {
+	n := 0
+	for _, a := range ta.addrs {
+		n += ix.blocks[a][ta.token].count()
+	}
+	out := make([]Posting, 0, n)
+	for _, a := range ta.addrs {
 		tp := ix.blocks[a][ta.token]
 		p := dnswire.Prefix{Addr: dnswire.IPv4FromUint32(a), Bits: 24}
-		closed = tp.closed(closed[:0])
-		for _, iv := range closed {
+		var last int32
+		for off := 0; off < len(tp.packed); {
+			var iv interval
+			iv, off = tp.packedAt(off, last)
+			last = iv.last
+			out = append(out, Posting{Prefix: p, First: times[iv.first], Last: times[iv.last]})
+		}
+		if iv := tp.newest; iv.first >= 0 {
 			out = append(out, Posting{Prefix: p, First: times[iv.first], Last: times[iv.last]})
 		}
 		if tp.open >= 0 {

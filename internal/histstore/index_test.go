@@ -21,6 +21,22 @@ type naivePostings struct {
 	pops         int // seamless re-appearances, so the test can see it hit them
 }
 
+// closed appends the packed posting's closed intervals, oldest first, to
+// dst.
+func (tp *tokenPostings) closed(dst []interval) []interval {
+	var last int32
+	for off := 0; off < len(tp.packed); {
+		var iv interval
+		iv, off = tp.packedAt(off, last)
+		last = iv.last
+		dst = append(dst, iv)
+	}
+	if tp.newest.first >= 0 {
+		dst = append(dst, tp.newest)
+	}
+	return dst
+}
+
 func (tp *naivePostings) add(snap int) {
 	tp.active++
 	if tp.active == 1 && tp.open < 0 {
@@ -159,8 +175,12 @@ func TestPackedPostingsMatchNaiveModel(t *testing.T) {
 					want = append(want, Posting{Prefix: p, First: times[m.open], Last: times[snap]})
 				}
 			}
-			if got := ix.find(tok, snap, times); !reflect.DeepEqual(got, want) {
+			got := ix.find(tok, snap, times)
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("seed %d: find(%q) = %d postings, model %d\n got  %+v\n want %+v", seed, tok, len(got), len(want), got, want)
+			}
+			if cap(got) != len(got) {
+				t.Fatalf("seed %d: find(%q) allocated room for %d postings, returned %d", seed, tok, cap(got), len(got))
 			}
 		}
 		if pops == 0 || long == 0 || wide == 0 || midLen == 0 || midGap == 0 {

@@ -223,11 +223,11 @@ func (s *Store) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 	return rows, RangeCursor{}, false, nil
 }
 
-// churn counts each snapshot's changes within p. Every block is one
-// forward walk from the snapshot before the window: where a delta frame
-// carried the block from one snapshot to the next its entries are the
-// changes; where a base frame or a segment boundary did, the states on
-// either side are diffed.
+// churn counts each snapshot's changes within p. A /24 of a window at
+// least as wide as a /24 is answered from the churn table where its cells
+// are filled; the cells from its first empty one through its last are
+// walked (churnWalk), which fills them. A narrower window counts only its
+// own octets, so it always walks.
 func (s *Store) churn(ctx context.Context, p dnswire.Prefix, from, to time.Time) ([]ChurnDay, error) {
 	if s.closed {
 		return nil, ErrClosed
@@ -249,44 +249,84 @@ func (s *Store) churn(ctx context.Context, p dnswire.Prefix, from, to time.Time)
 	}
 	r := reader{s: s}
 	var b writerWalk
-	var diff []deltaEntry
 	for _, q := range s.blocks.overlapping(p) {
-		b.init(&r, q)
-		if err := b.seed(&r, lo-1); err != nil {
-			return nil, err
-		}
-		for i := lo; i <= hi; i++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			how, prev, changes, err := b.step(&r)
+		if p.Bits > 24 {
+			err := churnWalk(ctx, &r, &b, q, p, lo, hi, func(i int, c churnCounts) { out[i-lo].add(c) })
 			if err != nil {
 				return nil, err
 			}
-			switch how {
-			case stepNone:
-				continue
-			case stepReplaced:
-				diff = diffBlock(diff[:0], prev, b.state.cur)
-				changes = diff
+			continue
+		}
+		row := churnRow{t: &s.churnCells, addr: q.Addr.Uint32()}
+		first, last := lo, hi
+		for ; first <= hi; first++ {
+			c, ok := row.load(first)
+			if !ok {
+				break
 			}
-			day := &out[i-lo]
-			for _, ch := range changes {
-				if p.Bits > 24 && !p.Contains(dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], ch.octet}) {
-					continue
-				}
-				switch ch.kind {
-				case scanengine.RecordAdded:
-					day.Added++
-				case scanengine.RecordRemoved:
-					day.Removed++
-				case scanengine.RecordChanged:
-					day.Changed++
-				}
+			out[first-lo].add(c)
+		}
+		if first > hi {
+			continue
+		}
+		for ; last > first; last-- {
+			c, ok := row.load(last)
+			if !ok {
+				break
 			}
+			out[last-lo].add(c)
+		}
+		err := churnWalk(ctx, &r, &b, q, q, first, last, func(i int, c churnCounts) {
+			row.store(i, c)
+			out[i-lo].add(c)
+		})
+		if err != nil {
+			return nil, err
 		}
 	}
 	return out, nil
+}
+
+// churnWalk hands fn the counts of block q's changes within p at every
+// snapshot from first through last, in order: one forward walk from the
+// snapshot before first. Where a delta frame carried the block from one
+// snapshot to the next its entries are the changes; where a base frame or
+// a segment boundary did, the states on either side are diffed.
+func churnWalk(ctx context.Context, r *reader, b *writerWalk, q, p dnswire.Prefix, first, last int, fn func(int, churnCounts)) error {
+	b.init(r, q)
+	if err := b.seed(r, first-1); err != nil {
+		return err
+	}
+	for i := first; i <= last; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		how, prev, changes, err := b.step(r)
+		if err != nil {
+			return err
+		}
+		if how == stepReplaced {
+			// The frame, if any, was a base: r.ents holds no delta to keep.
+			r.ents = diffBlock(r.ents[:0], prev, b.state.cur)
+			changes = r.ents
+		}
+		var c churnCounts
+		for _, ch := range changes {
+			if p.Bits > 24 && !p.Contains(dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], ch.octet}) {
+				continue
+			}
+			switch ch.kind {
+			case scanengine.RecordAdded:
+				c.added++
+			case scanengine.RecordRemoved:
+				c.removed++
+			case scanengine.RecordChanged:
+				c.changed++
+			}
+		}
+		fn(i, c)
+	}
+	return nil
 }
 
 // FindName answers the inverted-index query: every (/24, interval) where

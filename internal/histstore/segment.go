@@ -95,8 +95,8 @@ func (g *segment) open() (*sequencer, error) {
 // bytes themselves — validated once, whole, when the index is built — and
 // a directory of where each block's refs start in them, sorted by /24
 // address. Building one is two allocations however many blocks the
-// segment holds; a lookup is a binary search plus a decode of that one
-// block's refs into the caller's buffer.
+// segment holds; a lookup is a binary search, and its refs are decoded
+// one at a time, as far as the walk reading them goes.
 type segIndex struct {
 	dir    []segDirEntry
 	footer []byte
@@ -113,24 +113,58 @@ type segDirEntry struct {
 	off  uint32
 }
 
-// block returns the i-th block of the directory and its refs in snapshot
-// order, decoded into dst's storage.
-func (ix *segIndex) block(i int, dst []blockRef) (dnswire.Prefix, []blockRef, error) {
-	p := dnswire.Prefix{Addr: dnswire.IPv4FromUint32(ix.dir[i].addr), Bits: 24}
-	refs, _, err := ix.blockRefs(int(ix.dir[i].off), p, dst[:0], true)
-	return p, refs, err
+// footerRefs is a cursor over one block's refs in a validated footer. next
+// decodes them in snapshot order and checks nothing: decodeSegmentFooter
+// checked every one when the index was built.
+type footerRefs struct {
+	b    []byte
+	at   int // where the next ref starts in b
+	left int // refs not yet decoded
+	snap int
+	off  int64
 }
 
-// lookup returns p's refs in the segment, decoded into dst's storage (nil
-// when the block has none).
-func (ix *segIndex) lookup(p dnswire.Prefix, dst []blockRef) ([]blockRef, error) {
+// next decodes the next ref; left must be positive.
+func (c *footerRefs) next() blockRef {
+	var gap, offGap, length uint64
+	gap, c.at = footerUvarint(c.b, c.at)
+	kind := c.b[c.at]
+	offGap, c.at = footerUvarint(c.b, c.at+1)
+	length, c.at = footerUvarint(c.b, c.at)
+	// A block's first ref holds its offset whole, the rest a gap: with off
+	// starting at 0 both are a sum.
+	c.snap += int(gap)
+	c.off += int64(offGap)
+	c.left--
+	return blockRef{snap: c.snap, kind: kind, off: c.off, length: int(length)}
+}
+
+// refsAt returns the cursor over the refs of the i-th block of the
+// directory.
+func (ix *segIndex) refsAt(i int) footerRefs {
+	n, at := footerUvarint(ix.footer, int(ix.dir[i].off))
+	return footerRefs{b: ix.footer, at: at, left: int(n), snap: ix.firstSnap}
+}
+
+// refs returns the cursor over p's refs in the segment, with none left
+// when the block has none.
+func (ix *segIndex) refs(p dnswire.Prefix) footerRefs {
 	addr := p.Addr.Uint32()
 	i := sort.Search(len(ix.dir), func(k int) bool { return ix.dir[k].addr >= addr })
 	if i == len(ix.dir) || ix.dir[i].addr != addr {
-		return nil, nil
+		return footerRefs{}
 	}
-	_, refs, err := ix.block(i, dst)
-	return refs, err
+	return ix.refsAt(i)
+}
+
+// block returns the i-th block of the directory and all its refs,
+// appended to dst[:0].
+func (ix *segIndex) block(i int, dst []blockRef) (dnswire.Prefix, []blockRef) {
+	dst = dst[:0]
+	for c := ix.refsAt(i); c.left > 0; {
+		dst = append(dst, c.next())
+	}
+	return dnswire.Prefix{Addr: dnswire.IPv4FromUint32(ix.dir[i].addr), Bits: 24}, dst
 }
 
 // matches reports whether the index holds exactly the refs gathered frame
@@ -141,8 +175,8 @@ func (ix *segIndex) matches(scanned map[dnswire.Prefix][]blockRef) bool {
 	}
 	var buf []blockRef
 	for i := range ix.dir {
-		p, refs, err := ix.block(i, buf)
-		if err != nil || !slices.Equal(refs, scanned[p]) {
+		p, refs := ix.block(i, buf)
+		if !slices.Equal(refs, scanned[p]) {
 			return false
 		}
 		buf = refs
@@ -326,7 +360,7 @@ func decodeSegmentFooter(footer []byte, firstSnap, count int, frameStart, footer
 		prevAddr = addr
 		ix.dir = append(ix.dir, segDirEntry{addr: addr, off: uint32(at)})
 		var err error
-		if _, at, err = ix.blockRefs(at, p, nil, false); err != nil {
+		if at, err = ix.checkRefs(at, p); err != nil {
 			return nil, err
 		}
 	}
@@ -336,19 +370,18 @@ func decodeSegmentFooter(footer []byte, firstSnap, count int, frameStart, footer
 	return ix, nil
 }
 
-// blockRefs validates block p's ref list, which starts at footer[at], and
-// returns the position after it; with collect, the refs too, appended to
-// dst.
-func (ix *segIndex) blockRefs(at int, p dnswire.Prefix, dst []blockRef, collect bool) ([]blockRef, int, error) {
+// checkRefs validates block p's ref list, which starts at footer[at], and
+// returns the position after it.
+func (ix *segIndex) checkRefs(at int, p dnswire.Prefix) (int, error) {
 	b := ix.footer
-	bad := func() ([]blockRef, int, error) { return nil, 0, corruptError("bad uvarint") }
+	bad := func() (int, error) { return 0, corruptError("bad uvarint") }
 	nRefs, at := footerUvarint(b, at)
 	if at < 0 {
 		return bad()
 	}
 	lastSnap := ix.firstSnap + ix.count - 1
 	if nRefs == 0 || nRefs > uint64(ix.count) {
-		return nil, 0, corruptf("segment footer block %s claims %d refs over %d snapshots", p, nRefs, ix.count)
+		return 0, corruptf("segment footer block %s claims %d refs over %d snapshots", p, nRefs, ix.count)
 	}
 	snap, off := ix.firstSnap, int64(0)
 	for ri := uint64(0); ri < nRefs; ri++ {
@@ -357,22 +390,22 @@ func (ix *segIndex) blockRefs(at int, p dnswire.Prefix, dst []blockRef, collect 
 			return bad()
 		}
 		if ri > 0 && gap == 0 {
-			return nil, 0, corruptf("segment footer block %s has a zero snapshot gap", p)
+			return 0, corruptf("segment footer block %s has a zero snapshot gap", p)
 		}
 		snap += int(gap)
 		if snap < ix.firstSnap || snap > lastSnap {
-			return nil, 0, corruptf("segment footer block %s ref at snapshot %d outside [%d,%d]", p, snap, ix.firstSnap, lastSnap)
+			return 0, corruptf("segment footer block %s ref at snapshot %d outside [%d,%d]", p, snap, ix.firstSnap, lastSnap)
 		}
 		if at == len(b) {
-			return nil, 0, corruptError("truncated body")
+			return 0, corruptError("truncated body")
 		}
 		kind := b[at]
 		at++
 		if kind != frameBase && kind != frameDelta {
-			return nil, 0, corruptf("segment footer block %s has frame kind 0x%02x", p, kind)
+			return 0, corruptf("segment footer block %s has frame kind 0x%02x", p, kind)
 		}
 		if ri == 0 && kind != frameBase {
-			return nil, 0, corruptf("segment block %s does not open with a base frame", p)
+			return 0, corruptf("segment block %s does not open with a base frame", p)
 		}
 		if offGap, at = footerUvarint(b, at); at < 0 {
 			return bad()
@@ -381,7 +414,7 @@ func (ix *segIndex) blockRefs(at int, p dnswire.Prefix, dst []blockRef, collect 
 			off = int64(offGap)
 		} else {
 			if offGap == 0 {
-				return nil, 0, corruptf("segment footer block %s has a zero offset gap", p)
+				return 0, corruptf("segment footer block %s has a zero offset gap", p)
 			}
 			off += int64(offGap)
 		}
@@ -389,13 +422,10 @@ func (ix *segIndex) blockRefs(at int, p dnswire.Prefix, dst []blockRef, collect 
 			return bad()
 		}
 		if off < ix.frameStart || length == 0 || length > 1<<24 || off+int64(length) > ix.footerOff {
-			return nil, 0, corruptf("segment footer block %s ref [%d,+%d) outside frame region", p, off, length)
-		}
-		if collect {
-			dst = append(dst, blockRef{snap: snap, kind: kind, off: off, length: int(length)})
+			return 0, corruptf("segment footer block %s ref [%d,+%d) outside frame region", p, off, length)
 		}
 	}
-	return dst, at, nil
+	return at, nil
 }
 
 // filePath joins the store directory and a manifest file name.

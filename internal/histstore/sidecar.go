@@ -220,6 +220,9 @@ func foldSegment(seq *sequencer, first, count int) (*segNames, error) {
 			return err
 		}
 		setState(cur, fe.p, fe.state)
+		if fe.ref.kind == frameBase {
+			ix.reserve(fe.p.Addr.Uint32(), fe.state)
+		}
 		ix.apply(fe.changes, fe.p, fr.ref.snap)
 		return nil
 	})

@@ -33,7 +33,7 @@ func openReplayed(t *testing.T, dir string, opts ...Option) *Store {
 
 // sameIndex fails unless two name indexes hold the same postings, field
 // by field, packed bytes included, and list each token under the same
-// /24s. A newest interval that was reopened (first < 0) carries no
+// /24s, in address order. A newest interval that was reopened (first < 0) carries no
 // meaning in its last and is not compared.
 func sameIndex(t *testing.T, what string, a, b *nameIndex) {
 	t.Helper()
@@ -76,6 +76,9 @@ func sameIndex(t *testing.T, what string, a, b *nameIndex) {
 		for tok, ta := range ix.addrs {
 			if ta.token != tok {
 				t.Fatalf("%s: token %q listed as %q", what, tok, ta.token)
+			}
+			if !slices.IsSorted(ta.addrs) {
+				t.Fatalf("%s: token %q lists its /24s out of address order", what, tok)
 			}
 			for _, addr := range ta.addrs {
 				if ix.blocks[addr][tok] == nil {

@@ -110,44 +110,46 @@ func lastRefAtOrBefore(refs []blockRef, ls int) int {
 	return sort.Search(len(refs), func(k int) bool { return refs[k].snap > ls }) - 1
 }
 
-// reconstruct rebuilds a block state from refs[..i] read out of f: the
-// nearest base at or before i plus the deltas in between. A tail run may
-// have no base (it continues the last segment); inTail says refs is one,
-// and the replay then starts from the held state the sealed history ends
-// in.
+// reconstruct rebuilds a block state from refs[..i] read out of f into
+// st: the nearest base at or before i plus the deltas in between. A tail
+// run may have no base (it continues the last segment); inTail says refs
+// is one, and the replay then starts from the held state the sealed
+// history ends in. The replay builds in st's own buffers, so a walk that
+// goes on from the state has one left to build its next step in.
 // Results are cached under (block, version snapshot) — the block's newest
 // frame at or before the query — so every seed between two writes of a
 // block shares one entry, and entries survive compaction because a
 // snapshot's reconstructed state is bit-identical across it.
-func (r *reader) reconstruct(p dnswire.Prefix, refs []blockRef, i int, f *os.File, inTail bool) (blockState, error) {
+func (r *reader) reconstruct(st *evolving, p dnswire.Prefix, refs []blockRef, i int, f *os.File, inTail bool) error {
 	s := r.s
 	key := cacheKey{p: p, snap: refs[i].snap}
-	if st, ok := s.cache.get(key); ok {
-		return st, nil
+	if cached, ok := s.cache.get(key); ok {
+		st.share(cached)
+		return nil
 	}
 	b := i
 	for b >= 0 && refs[b].kind != frameBase {
 		b--
 	}
-	var st evolving
 	start := b
 	if b < 0 {
 		if !inTail {
-			return nil, corruptf("block %s has no base frame", p)
+			return corruptf("block %s has no base frame", p)
 		}
 		st.share(s.w.sealedEnd[p])
 		start = 0
 	}
 	s.reconstructions.Add(1)
 	for j := start; j <= i; j++ {
-		if _, err := r.apply(&st, f, refs[j], p); err != nil {
-			return nil, err
+		if _, err := r.apply(st, f, refs[j], p); err != nil {
+			return err
 		}
 	}
 	if s.cache != nil {
 		s.cache.put(key, st.cur)
+		st.owned = false // the cache holds it now
 	}
-	return st.cur, nil
+	return nil
 }
 
 // writerWalk is one /24 moving forward through the writer's snapshots.
@@ -161,9 +163,11 @@ type writerWalk struct {
 	at     int      // the snapshot state holds at; -1 before history
 	state  evolving // shared with the cache until the first frame is applied
 	// The block's frames in the source the walk stands in: src indexes
-	// w.segs, len(w.segs) is the tail, -1 is before any source.
+	// w.segs, len(w.segs) is the tail, -1 is before any source. In a
+	// segment, refs holds the refs decoded so far and more the rest.
 	src    int
 	refs   []blockRef
+	more   footerRefs
 	next   int // refs[next] is the block's first frame after at
 	f      *os.File
 	refBuf []blockRef // storage of refs decoded out of a segment index
@@ -175,21 +179,28 @@ func (b *writerWalk) init(r *reader, p dnswire.Prefix) {
 }
 
 // enter moves the walk into source src and looks the block up there.
-func (b *writerWalk) enter(src int) error {
+func (b *writerWalk) enter(src int) {
 	w := b.w
 	b.src, b.next = src, 0
 	if src == len(w.segs) {
-		b.refs, b.f = w.tailBlocks[b.p], w.tailF
-		return nil
+		b.refs, b.more, b.f = w.tailBlocks[b.p], footerRefs{}, w.tailF
+		return
 	}
 	g := w.segs[src]
-	var err error
-	b.refs, err = g.idx.lookup(b.p, b.refBuf)
-	if b.refs != nil {
-		b.refBuf = b.refs
+	b.more, b.f = g.idx.refs(b.p), g.f
+	if cap(b.refBuf) < b.more.left {
+		b.refBuf = make([]blockRef, 0, b.more.left)
 	}
-	b.f = g.f
-	return err
+	b.refs = b.refBuf[:0]
+}
+
+// through decodes the block's segment refs up to the first one after
+// snapshot ls, so refs holds every ref a walk at ls can reach next and no
+// more.
+func (b *writerWalk) through(ls int) {
+	for b.more.left > 0 && (len(b.refs) == 0 || b.refs[len(b.refs)-1].snap <= ls) {
+		b.refs = append(b.refs, b.more.next()) // within refBuf's room
+	}
 }
 
 // seed places the walk at snapshot ls: the block's state there, and the
@@ -202,9 +213,7 @@ func (b *writerWalk) seed(r *reader, ls int) error {
 	if ls < w.tailFirst {
 		return b.seedSealed(r, ls)
 	}
-	if err := b.enter(len(w.segs)); err != nil {
-		return err
-	}
+	b.enter(len(w.segs))
 	b.at = ls
 	i := lastRefAtOrBefore(b.refs, ls)
 	b.next = i + 1
@@ -212,9 +221,7 @@ func (b *writerWalk) seed(r *reader, ls int) error {
 		b.state.share(w.sealedEnd[b.p])
 		return nil
 	}
-	st, err := r.reconstruct(b.p, b.refs, i, b.f, true)
-	b.state.share(st)
-	return err
+	return r.reconstruct(&b.state, b.p, b.refs, i, b.f, true)
 }
 
 // seedSealed is seed for a snapshot of the sealed history (or -1, before
@@ -229,18 +236,15 @@ func (b *writerWalk) seedSealed(r *reader, ls int) error {
 		return nil
 	}
 	w := b.w
-	if err := b.enter(sort.Search(len(w.segs), func(k int) bool { return w.segs[k].firstSnap > ls }) - 1); err != nil {
-		return err
-	}
+	b.enter(sort.Search(len(w.segs), func(k int) bool { return w.segs[k].firstSnap > ls }) - 1)
+	b.through(ls)
 	i := lastRefAtOrBefore(b.refs, ls)
 	b.next = i + 1
 	if i < 0 {
 		b.state.share(nil)
 		return nil
 	}
-	st, err := r.reconstruct(b.p, b.refs, i, b.f, false)
-	b.state.share(st)
-	return err
+	return r.reconstruct(&b.state, b.p, b.refs, i, b.f, false)
 }
 
 // How one step changed a walk's state.
@@ -261,15 +265,14 @@ func (b *writerWalk) step(r *reader) (how int, prev blockState, delta []deltaEnt
 	prev = b.state.cur
 	opened := false
 	if b.src < len(w.segs) && (b.src < 0 || ls > w.segs[b.src].lastSnap()) {
-		if err := b.enter(b.src + 1); err != nil {
-			return 0, nil, nil, err
-		}
+		b.enter(b.src + 1)
 		// A segment stands alone, for a walk as for a seed: the block
 		// starts it dead unless a base says otherwise (compaction writes
 		// one for every block live there). The tail, in contrast,
 		// continues whatever precedes it.
 		opened = b.src < len(w.segs)
 	}
+	b.through(ls)
 	if b.next == len(b.refs) || b.refs[b.next].snap != ls {
 		if opened && len(prev) > 0 {
 			b.state.replace(nil)

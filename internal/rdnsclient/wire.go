@@ -455,11 +455,39 @@ func (s *scanner) quoted() ([]byte, bool) {
 }
 
 func (s *scanner) str(v *string) bool {
+	return s.strLike(v, "")
+}
+
+// strLike is str for a string that may repeat prev, one the body already
+// held: then *v is prev itself, and nothing is allocated.
+func (s *scanner) strLike(v *string, prev string) bool {
 	q, ok := s.quoted()
 	if ok {
-		*v = string(q[1 : len(q)-1])
+		*v = reuse(q[1:len(q)-1], prev)
 	}
 	return ok
+}
+
+// reuse returns the text t as a string: prev itself when it holds the same
+// bytes.
+func reuse(t []byte, prev string) string {
+	if string(t) == prev {
+		return prev
+	}
+	return string(t)
+}
+
+// finalOctet keys an address's text by its last number, mod 256: the rows
+// of a /24 on one day each have their own key, and an address keeps its
+// key from one day to the next. Any text gets some key.
+func finalOctet(ip []byte) byte {
+	var o byte
+	mul := byte(1)
+	for i := len(ip) - 1; i >= 0 && '0' <= ip[i] && ip[i] <= '9'; i-- {
+		o += (ip[i] - '0') * mul
+		mul *= 10
+	}
+	return o
 }
 
 // instant reads a quoted instant through Time.UnmarshalJSON, which is what
@@ -561,12 +589,30 @@ func (s *scanner) rangePage() (r RangeResponse, ok bool) {
 		return r, false
 	}
 	r.Rows = make([]RangeRow, 0, s.room(r.Count, len(`{"date":"","ip":"","ptr":""},`)))
+	// A page runs day by day over the same addresses, most holding the same
+	// name from one day to the next: a row takes its strings from the last
+	// row at its final octet where the texts match.
+	var last [256]int32 // 1 + the index of the last row at each final octet
 	ok = s.elems(func() bool {
+		n := len(r.Rows)
 		r.Rows = append(r.Rows, RangeRow{})
-		row := &r.Rows[len(r.Rows)-1]
-		return s.lit(`{"date":`) && s.instant(&row.Date) &&
-			s.lit(`,"ip":`) && s.str(&row.IP) &&
-			s.lit(`,"ptr":`) && s.str(&row.PTR) &&
+		row := &r.Rows[n]
+		if !(s.lit(`{"date":`) && s.instant(&row.Date) && s.lit(`,"ip":`)) {
+			return false
+		}
+		q, ok := s.quoted()
+		if !ok {
+			return false
+		}
+		ip := q[1 : len(q)-1]
+		var prev RangeRow
+		k := &last[finalOctet(ip)]
+		if *k > 0 {
+			prev = r.Rows[*k-1]
+		}
+		*k = int32(n + 1)
+		row.IP = reuse(ip, prev.IP)
+		return s.lit(`,"ptr":`) && s.strLike(&row.PTR, prev.PTR) &&
 			s.lit(`}`)
 	})
 	return r, ok && s.nextCursor(&r.NextCursor) && s.end()
@@ -601,8 +647,14 @@ func (s *scanner) namePage() (r NameResponse, ok bool) {
 	r.Postings = make([]NamePosting, 0, s.room(r.Count, len(`{"prefix":"","first":"","last":""},`)))
 	ok = s.elems(func() bool {
 		r.Postings = append(r.Postings, NamePosting{})
-		p := &r.Postings[len(r.Postings)-1]
-		return s.lit(`{"prefix":`) && s.str(&p.Prefix) &&
+		n := len(r.Postings) - 1
+		p := &r.Postings[n]
+		// Postings come sorted by prefix: a repeated one is the last one's.
+		prev := ""
+		if n > 0 {
+			prev = r.Postings[n-1].Prefix
+		}
+		return s.lit(`{"prefix":`) && s.strLike(&p.Prefix, prev) &&
 			s.lit(`,"first":`) && s.instant(&p.First) &&
 			s.lit(`,"last":`) && s.instant(&p.Last) &&
 			s.lit(`}`)

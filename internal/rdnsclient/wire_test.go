@@ -318,11 +318,34 @@ func TestCodecAllocationBudget(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { buf = page.AppendJSON(buf[:0]) }); n != 0 {
 		t.Errorf("encoding a %d-row page allocates %v times, want 0", len(page.Rows), n)
 	}
+	// A week of one /24, 40 stable hosts and 10 renamed daily, and 250
+	// postings over 50 prefixes: strings a body repeats are reused.
+	day := func(d int) time.Time { return time.Date(2020, 3, 1+d, 0, 0, 0, 0, time.UTC) }
+	week := RangeResponse{Prefix: "10.0.1.0/24", From: day(0), To: day(6)}
+	for d := 0; d < 7; d++ {
+		for h := 0; h < 50; h++ {
+			ptr := fmt.Sprintf("host-%d.example.net.", h)
+			if h >= 40 {
+				ptr = fmt.Sprintf("guest-%d-%d.example.net.", h, d)
+			}
+			week.Rows = append(week.Rows, RangeRow{Date: day(d), IP: fmt.Sprintf("10.0.1.%d", h), PTR: ptr})
+		}
+	}
+	week.Count = len(week.Rows)
+	bodies["range-repeat"] = week.AppendJSON(nil)
+	spans := NameResponse{Token: "brian", Count: 250}
+	for k := 0; k < 250; k++ {
+		spans.Postings = append(spans.Postings, NamePosting{Prefix: fmt.Sprintf("10.1.%d.0/24", k/5), First: day(2 * (k % 5)), Last: day(2*(k%5) + 1)})
+	}
+	bodies["name-repeat"] = spans.AppendJSON(nil)
+
 	for name, budget := range map[string]float64{
-		"at":    3,                             // the response; ip, name
-		"range": 2*float64(len(page.Rows)) + 4, // ip and ptr a row; the response, prefix, cursor, rows
-		"churn": 3,                             // the response, prefix, days
-		"name":  750 + 3,                       // a prefix a posting; the response, token, postings
+		"at":           3,                             // the response; ip, name
+		"range":        2*float64(len(page.Rows)) + 4, // ip and ptr a row; the response, prefix, cursor, rows
+		"churn":        3,                             // the response, prefix, days
+		"name":         750 + 3,                       // a prefix a posting; the response, token, postings
+		"range-repeat": 50 + 40 + 7*10 + 3,            // the 50 ips, 40 stable names, 70 renames; the response, prefix, rows
+		"name-repeat":  50 + 3,                        // the 50 prefixes; the response, token, postings
 	} {
 		body := bodies[name]
 		n := testing.AllocsPerRun(20, func() {
@@ -331,13 +354,13 @@ func TestCodecAllocationBudget(t *testing.T) {
 			case "at":
 				var v AtResponse
 				err = decode(body, &v)
-			case "range":
+			case "range", "range-repeat":
 				var v RangeResponse
 				err = decode(body, &v)
 			case "churn":
 				var v ChurnResponse
 				err = decode(body, &v)
-			case "name":
+			case "name", "name-repeat":
 				var v NameResponse
 				err = decode(body, &v)
 			}
