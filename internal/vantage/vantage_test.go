@@ -482,38 +482,39 @@ func TestCampaignValidation(t *testing.T) {
 	}
 }
 
-// BenchmarkVantageMerge measures point queries against a single-vantage
-// campaign's store: what reading one vantage's archive costs.
-func BenchmarkVantageMerge(b *testing.B) {
+// BenchmarkVantageAnalyze measures the disagreement analysis of a seeded
+// three-vantage 10-day campaign over its reopened stores: every view read
+// back from its store and classified. The campaign runs once, before the
+// timer.
+func BenchmarkVantageAnalyze(b *testing.B) {
 	start := time.Date(2021, 3, 1, 0, 0, 0, 0, time.UTC)
-	b.Run("solo", func(b *testing.B) {
-		dir := b.TempDir()
-		_, err := vantage.Run(b.Context(), vantage.Campaign{
-			Universe: testUniverse(b, 42),
-			Start:    start, End: start.AddDate(0, 0, 9),
-			Cadence:  scan.Daily,
-			Workers:  4,
-			Vantages: []vantage.Vantage{{Name: "solo", Seed: 43}},
-			StoreDir: dir,
-		})
-		if err != nil {
-			b.Fatal(err)
-		}
-		ro, err := histstore.Open(filepath.Join(dir, "solo"), histstore.WithReadOnly(), histstore.WithCache(4096))
+	dir := b.TempDir()
+	_, err := vantage.Run(b.Context(), vantage.Campaign{
+		Universe: testUniverse(b, 42),
+		Start:    start, End: start.AddDate(0, 0, 9),
+		Cadence:      scan.Daily,
+		Workers:      4,
+		Vantages:     threeVantages(42),
+		StoreDir:     dir,
+		CompactEvery: 4,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	stores := make(map[string]*histstore.Store)
+	for _, v := range threeVantages(42) {
+		ro, err := histstore.Open(filepath.Join(dir, v.Name), histstore.WithReadOnly())
 		if err != nil {
 			b.Fatal(err)
 		}
 		defer ro.Close()
-		blocks := ro.Blocks()
-		times := ro.Times()
-		at := times[len(times)-1]
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := blocks[i%len(blocks)]
-			ip := dnswire.IPv4{p.Addr[0], p.Addr[1], p.Addr[2], byte(i % 256)}
-			if _, _, err := ro.At(ip, at); err != nil {
-				b.Fatal(err)
-			}
+		stores[v.Name] = ro
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := vantage.Analyze(stores, vantage.Config{LagWindow: 1}); err != nil {
+			b.Fatal(err)
 		}
-	})
+	}
 }
