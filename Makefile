@@ -48,6 +48,11 @@ bench:
 # store, so the row is exact) likewise, and so BenchmarkHistStoreSeal (a
 # small-scale store of two sealed segments and a 10-day tail, opened and
 # its tail sealed into a third: the seal that starts from sealed history).
+# BenchmarkVantageAnalyze (the disagreement analysis over a seeded
+# three-vantage 10-day campaign's reopened stores) and
+# BenchmarkRdnsdQuery/churn-table (one /v1/churn key asked again and
+# again, so the handle's churn table answers it) likewise: allocs/op and
+# B/op, no ns/op.
 # Every stage runs at -cpu 1:
 # go test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
@@ -83,7 +88,7 @@ perf:
 # deliberately changing coverage: cp COVERAGE_current.txt COVERAGE_baseline.txt
 cover:
 	$(GO) build -o /tmp/covercheck ./cmd/covercheck
-	$(GO) test -cover ./internal/... ./cmd/rdnsd ./cmd/rdnsload ./cmd/benchcheck ./cmd/rdnsmon ./cmd/metriclint ./cmd/dynfind ./cmd/leakfind \
+	$(GO) test -cover ./internal/... ./cmd/rdnsd ./cmd/rdnsload ./cmd/benchcheck ./cmd/covercheck ./cmd/rdnsmon ./cmd/metriclint ./cmd/dynfind ./cmd/leakfind \
 		| /tmp/covercheck -baseline COVERAGE_baseline.txt -out COVERAGE_current.txt
 
 # race checks every internal package plus the query daemon under the race

@@ -14,8 +14,8 @@
 //
 //	cp COVERAGE_current.txt COVERAGE_baseline.txt
 //
-// Failing tests fail the pipe before covercheck ever gates, so the floor
-// only ever compares green runs. Packages that appear on stdin but not in
+// A FAIL line on stdin (a failing test upstream) fails the run before any
+// floor is compared, so a pipe cannot hide a red suite. Packages that appear on stdin but not in
 // the baseline are reported as new and do not fail the run (their floor is
 // recorded once the baseline is refreshed); packages in the baseline that
 // produce no coverage line fail it, so a floor cannot silently vanish.
@@ -33,30 +33,41 @@ import (
 )
 
 func main() {
-	baselinePath := flag.String("baseline", "COVERAGE_baseline.txt", "per-package floor file")
-	outPath := flag.String("out", "", "write the observed coverage in baseline format")
-	slack := flag.Float64("slack", 0, "allowed drop below the floor, in percentage points")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdin, os.Stdout, os.Stderr))
+}
 
-	got, echoedFail, err := parseCoverage(os.Stdin, os.Stdout)
+// run is the command: it reads `go test -cover` output from stdin, echoes
+// it to stdout, reports to stderr, and returns the exit status.
+func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("covercheck", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	baselinePath := fs.String("baseline", "COVERAGE_baseline.txt", "per-package floor file")
+	outPath := fs.String("out", "", "write the observed coverage in baseline format")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	got, echoedFail, err := parseCoverage(stdin, stdout)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "covercheck:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "covercheck:", err)
+		return 1
 	}
 	if echoedFail {
-		fmt.Fprintln(os.Stderr, "covercheck: test failures upstream; not gating coverage")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "covercheck: test failures upstream; not gating coverage")
+		return 1
 	}
 	if *outPath != "" {
 		if err := writeBaseline(*outPath, got); err != nil {
-			fmt.Fprintln(os.Stderr, "covercheck:", err)
-			os.Exit(1)
+			fmt.Fprintln(stderr, "covercheck:", err)
+			return 1
 		}
 	}
 	floors, err := readBaseline(*baselinePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "covercheck:", err)
-		os.Exit(1)
+		fmt.Fprintln(stderr, "covercheck:", err)
+		return 1
 	}
 
 	failed := false
@@ -64,25 +75,26 @@ func main() {
 		floor := floors[pkg]
 		cur, ok := got[pkg]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "covercheck: FAIL %s: floor %.1f%% recorded but no coverage reported\n", pkg, floor)
+			fmt.Fprintf(stderr, "covercheck: FAIL %s: floor %.1f%% recorded but no coverage reported\n", pkg, floor)
 			failed = true
 			continue
 		}
-		if cur < floor-*slack {
-			fmt.Fprintf(os.Stderr, "covercheck: FAIL %s: coverage %.1f%% below floor %.1f%%\n", pkg, cur, floor)
+		if cur < floor {
+			fmt.Fprintf(stderr, "covercheck: FAIL %s: coverage %.1f%% below floor %.1f%%\n", pkg, cur, floor)
 			failed = true
 		}
 	}
 	for _, pkg := range sortedKeys(got) {
 		if _, ok := floors[pkg]; !ok {
-			fmt.Fprintf(os.Stderr, "covercheck: note: %s (%.1f%%) has no recorded floor\n", pkg, got[pkg])
+			fmt.Fprintf(stderr, "covercheck: note: %s (%.1f%%) has no recorded floor\n", pkg, got[pkg])
 		}
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "covercheck: coverage regressed; raise the tests or refresh the baseline deliberately")
-		os.Exit(1)
+		fmt.Fprintln(stderr, "covercheck: coverage regressed; raise the tests or refresh the baseline deliberately")
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "covercheck: %d packages at or above their floors\n", len(floors))
+	fmt.Fprintf(stderr, "covercheck: %d packages at or above their floors\n", len(floors))
+	return 0
 }
 
 // parseCoverage scans `go test -cover` output, echoing it to echo so the

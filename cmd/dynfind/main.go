@@ -5,8 +5,9 @@
 //
 //	dynfind -store campaign.hist [-x 10] [-y 7] [-min 10]
 //
-// The store is read one bounded page of rows at a time
-// (histstore.Store.EachRow); only the count series is held. The Section
+// The store is read one snapshot at a time (histstore.Store.EachSnapshot):
+// memory is bounded by one snapshot's block states and the count series.
+// The Section
 // 4.1 validation against a ground-truth campus is `experiments -exp
 // validation`.
 package main
@@ -17,10 +18,13 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"time"
 
 	"rdnsprivacy/internal/dataset"
+	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/dynamicity"
 	"rdnsprivacy/internal/histstore"
+	"rdnsprivacy/internal/scanengine"
 )
 
 func main() {
@@ -57,8 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // seriesFromStore counts the addresses holding a record per /24 at every
-// snapshot of the history store at path. A snapshot holds at most one
-// record per address, so each row counts one.
+// snapshot of the history store at path.
 func seriesFromStore(path string) (*dataset.CountSeries, error) {
 	st, err := histstore.Open(path, histstore.WithReadOnly())
 	if err != nil {
@@ -66,12 +69,13 @@ func seriesFromStore(path string) (*dataset.CountSeries, error) {
 	}
 	defer st.Close()
 	series := dataset.NewCountSeries(st.Times())
+	first, last, _ := st.Span()
 	i := 0
-	err = st.EachRow(context.Background(), func(r dataset.Row) error {
-		for !series.Dates[i].Equal(r.Date) {
-			i++ // rows arrive in date order
+	err = st.EachSnapshot(context.Background(), dnswire.Prefix{}, first, last, func(_ time.Time, snap scanengine.Blocks) error {
+		for _, b := range snap {
+			series.Add(b.Prefix, i, len(b.Entries))
 		}
-		series.Add(r.IP.Slash24(), i, 1)
+		i++
 		return nil
 	})
 	if err != nil {

@@ -12,9 +12,9 @@
 // cmd/dynfind); without it, every observation is treated as dynamic, which
 // matches running the tool on data already restricted to dynamic space.
 //
-// The store is read one bounded page of rows at a time
-// (histstore.Store.EachRow), so memory stays constant in the store's size
-// (minus the per-record dedup set).
+// The store is read one snapshot at a time (histstore.Store.EachSnapshot),
+// so memory is bounded by one snapshot's block states, plus the
+// per-record dedup set.
 package main
 
 import (
@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"slices"
+	"time"
 
 	"rdnsprivacy/internal/dataset"
 	"rdnsprivacy/internal/dnswire"
@@ -32,6 +33,7 @@ import (
 	"rdnsprivacy/internal/names"
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/privleak"
+	"rdnsprivacy/internal/scanengine"
 )
 
 func main() {
@@ -123,14 +125,25 @@ func printReport(w io.Writer, res *privleak.Result) {
 }
 
 // observeStore replays every observation of the history store at path
-// through fn.
+// through fn, by date, then address.
 func observeStore(path string, fn func(dataset.Row) error) error {
 	st, err := histstore.Open(path, histstore.WithReadOnly())
 	if err != nil {
 		return err
 	}
 	defer st.Close()
-	return st.EachRow(context.Background(), fn)
+	first, last, _ := st.Span()
+	return st.EachSnapshot(context.Background(), dnswire.Prefix{}, first, last, func(at time.Time, snap scanengine.Blocks) error {
+		for _, b := range snap {
+			for _, e := range b.Entries {
+				ip := dnswire.IPv4{b.Prefix.Addr[0], b.Prefix.Addr[1], b.Prefix.Addr[2], e.Octet}
+				if err := fn(dataset.Row{Date: at, IP: ip, PTR: e.Name}); err != nil {
+					return err
+				}
+			}
+		}
+		return nil
+	})
 }
 
 // readPrefixes reads the -dynamic file: cmd/dynfind's report, or one

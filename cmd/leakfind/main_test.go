@@ -97,9 +97,9 @@ func leakStore(t *testing.T) string {
 }
 
 // TestObserveStorePagesThroughRange: the report leakfind prints over a
-// store, streamed page by page, is byte-identical to the report over the
-// rows a full-history Range returns. That the pages concatenate to those
-// rows is histstore's TestEachRowPagesThroughRange.
+// store, streamed snapshot by snapshot, is byte-identical to the report
+// over the rows a full-history Range returns. That the snapshots flatten
+// to those rows is histstore's TestEachSnapshotMatchesRange.
 func TestObserveStorePagesThroughRange(t *testing.T) {
 	dir := leakStore(t)
 	st, err := histstore.Open(dir, histstore.WithReadOnly())

@@ -2,6 +2,7 @@ package histstore
 
 import (
 	"slices"
+	"sort"
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/scanengine"
@@ -45,13 +46,20 @@ func (st blockState) nameAt(j *int, octet byte) dnswire.Name {
 	return ""
 }
 
-// toMap copies the state into the map shape the public API hands out.
-func (st blockState) toMap() map[byte]dnswire.Name {
-	out := make(map[byte]dnswire.Name, len(st))
-	for _, e := range st {
-		out[e.Octet] = e.Name
+// within returns st's entries inside p: all of them for a /24 or wider
+// prefix, the run of octets p covers for a narrower one (none if p's
+// address has host bits set).
+func (st blockState) within(p dnswire.Prefix) blockState {
+	if p.Bits <= 24 {
+		return st
 	}
-	return out
+	host := byte(1<<(32-p.Bits) - 1)
+	i := sort.Search(len(st), func(k int) bool { return st[k].Octet >= p.Addr[3] })
+	j := i
+	for j < len(st) && st[j].Octet&^host == p.Addr[3] {
+		j++
+	}
+	return st[i:j]
 }
 
 // diffBlock appends to dst the octet-sorted changes turning old into new.

@@ -22,27 +22,6 @@ func (s *Store) At(ip dnswire.IPv4, t time.Time) (dnswire.Name, bool, error) {
 	return s.at(ip, t)
 }
 
-// BlockAt returns the full /24 state at the newest snapshot at or before
-// t — a copy, safe to hold and mutate. A nil map means the block held no
-// records then (including before history).
-func (s *Store) BlockAt(p dnswire.Prefix, t time.Time) (map[byte]dnswire.Name, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.closed {
-		return nil, ErrClosed
-	}
-	i, ok := s.snapAtOrBefore(t)
-	if !ok {
-		return nil, nil
-	}
-	r := reader{s: s}
-	b := writerWalk{w: s.w, p: p}
-	if err := b.seed(&r, i); err != nil || len(b.state.cur) == 0 {
-		return nil, err
-	}
-	return b.state.cur.toMap(), nil
-}
-
 // Range returns every observation (snapshot, address, name) within prefix
 // and [from, to], ordered by date then address — the store-backed
 // replacement for re-reading a campaign CSV.
@@ -86,35 +65,57 @@ func (s *Store) RangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 	return s.rangePage(ctx, p, from, to, cur, limit)
 }
 
-// eachRowPage bounds the rows EachRow holds at once.
-const eachRowPage = 1024
-
-// EachRow streams every observation of the history through fn, in the
-// date-then-address order of a full-history Range, one bounded RangePage
-// at a time: memory stays constant in the store's size, and no read lock
-// is held between pages. fn returning an error stops the scan and returns
-// that error.
-func (s *Store) EachRow(ctx context.Context, fn func(dataset.Row) error) error {
-	first, last, ok := s.Span()
+// EachSnapshot hands fn, for each snapshot within [from, to] in order,
+// its non-empty /24s of p in address order, in the packed form
+// AppendBlocks takes (a prefix narrower than a /24 gets the entries it
+// covers): one forward walk per /24, seeded once. The window is fixed
+// when the call starts. No lock is held while fn runs, so fn may append,
+// compact (the walks then re-seed) or query; a Close shows up as
+// ErrClosed. The blocks are valid until fn returns. An error from fn, or
+// a done ctx, stops the walk and is returned.
+func (s *Store) EachSnapshot(ctx context.Context, p dnswire.Prefix, from, to time.Time, fn func(time.Time, scanengine.Blocks) error) error {
+	s.mu.RLock()
+	times, gen, closed := s.times, s.compactions.Load(), s.closed
+	lo, hi, ok := clipRange(times, from, to)
+	r := reader{s: s}
+	var bw blocksWalk
+	bw.init(&r, slices.Clone(s.blocks.overlapping(p))) // appends insert into s.blocks in place
+	s.mu.RUnlock()
+	if closed {
+		return ErrClosed
+	}
 	if !ok {
 		return nil
 	}
-	var cur RangeCursor
-	for {
-		rows, next, more, err := s.RangePage(ctx, dnswire.Prefix{}, first, last, cur, eachRowPage)
+	var snap scanengine.Blocks
+	for i := lo; i <= hi; i++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		s.mu.RLock()
+		err := ErrClosed
+		if !s.closed {
+			if g := s.compactions.Load(); g != gen {
+				gen = g // the walks' files and refs may be gone
+				bw.init(&r, bw.blocks)
+			}
+			snap = snap[:0]
+			err = bw.step(ctx, &r, i, 0, func(q dnswire.Prefix, st blockState) bool {
+				if e := st.within(p); len(e) > 0 {
+					snap = append(snap, scanengine.Block{Prefix: q, Entries: e})
+				}
+				return true
+			})
+		}
+		s.mu.RUnlock()
 		if err != nil {
 			return err
 		}
-		for _, r := range rows {
-			if err := fn(r); err != nil {
-				return err
-			}
+		if err := fn(times[i], snap); err != nil {
+			return err
 		}
-		if !more {
-			return nil
-		}
-		cur = next
 	}
+	return nil
 }
 
 // ChurnDay is one snapshot's record-set delta counts within a prefix.
@@ -154,9 +155,7 @@ func (s *Store) at(ip dnswire.IPv4, t time.Time) (dnswire.Name, bool, error) {
 }
 
 // rangePage is the one range scan: snapshot by snapshot, block by block,
-// octet by octet from cur's position, until limit rows are out. A block's
-// walk is seeded the first time the scan visits it — a page that fills up
-// inside the first snapshot never touches the blocks behind it.
+// octet by octet from cur's position, until limit rows are out.
 func (s *Store) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.Time, cur RangeCursor, limit int) (rows []dataset.Row, next RangeCursor, more bool, err error) {
 	if s.closed {
 		return nil, cur, false, ErrClosed
@@ -172,47 +171,30 @@ func (s *Store) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 	if lo > hi {
 		return nil, cur, false, nil
 	}
-	blocks := s.blocks.overlapping(p)
 	r := reader{s: s}
-	walks := make([]writerWalk, len(blocks))
-	for bi, q := range blocks {
-		walks[bi].init(&r, q)
-	}
+	var bw blocksWalk
+	bw.init(&r, s.blocks.overlapping(p))
 	for i := lo; i <= hi; i++ {
-		for bi, q := range blocks {
+		first := 0
+		if i == cur.Snap {
+			first = bw.blocks.search(cur.Block) // the blocks below were an earlier page's
+		}
+		err := bw.step(ctx, &r, i, first, func(q dnswire.Prefix, st blockState) bool {
 			addr := q.Addr.Uint32()
-			startOctet := 0
-			if i == cur.Snap {
-				if addr < cur.Block {
-					continue // consumed by an earlier page
-				}
-				if addr == cur.Block {
-					startOctet = cur.Octet
-					if startOctet > 255 {
-						continue // block fully consumed at this snapshot
-					}
-				}
-			}
-			if err := ctx.Err(); err != nil {
-				return rows, next, false, err
-			}
-			st, err := walks[bi].to(&r, i)
-			if err != nil {
-				return rows, next, false, err
-			}
-			for _, e := range st {
-				if int(e.Octet) < startOctet {
-					continue
-				}
-				ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], e.Octet}
-				if p.Bits > 24 && !p.Contains(ip) {
+			for _, e := range st.within(p) {
+				if i == cur.Snap && addr == cur.Block && int(e.Octet) < cur.Octet {
 					continue
 				}
 				if len(rows) == limit {
-					return rows, RangeCursor{Snap: i, Block: addr, Octet: int(e.Octet)}, true, nil
+					next, more = RangeCursor{Snap: i, Block: addr, Octet: int(e.Octet)}, true
+					return false
 				}
-				rows = append(rows, dataset.Row{Date: times[i], IP: ip, PTR: e.Name})
+				rows = append(rows, dataset.Row{Date: times[i], IP: dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], e.Octet}, PTR: e.Name})
 			}
+			return true
+		})
+		if err != nil || more {
+			return rows, next, more, err
 		}
 		if i == lo && i < hi {
 			// A window's snapshots hold about as many rows each: size the
@@ -221,6 +203,41 @@ func (s *Store) rangePage(ctx context.Context, p dnswire.Prefix, from, to time.T
 		}
 	}
 	return rows, RangeCursor{}, false, nil
+}
+
+// blocksWalk moves the /24s of a prefix forward together, snapshot by
+// snapshot: the step a range page and EachSnapshot share. A block's walk
+// is seeded the first time a step reaches it, so a page that fills up
+// inside its first snapshot never touches the blocks behind it.
+type blocksWalk struct {
+	blocks blockList
+	walks  []writerWalk
+}
+
+// init readies a walk, unseeded, for each of blocks.
+func (bw *blocksWalk) init(r *reader, blocks blockList) {
+	bw.blocks, bw.walks = blocks, make([]writerWalk, len(blocks))
+	for bi, q := range blocks {
+		bw.walks[bi].init(r, q)
+	}
+}
+
+// step brings the blocks from index first on to snapshot i, in address
+// order, and hands fn each one's state there until fn returns false.
+func (bw *blocksWalk) step(ctx context.Context, r *reader, i, first int, fn func(q dnswire.Prefix, st blockState) bool) error {
+	for bi := first; bi < len(bw.blocks); bi++ {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		st, err := bw.walks[bi].to(r, i)
+		if err != nil {
+			return err
+		}
+		if !fn(bw.blocks[bi], st) {
+			return nil
+		}
+	}
+	return nil
 }
 
 // churn counts each snapshot's changes within p. A /24 of a window at

@@ -693,64 +693,6 @@ func TestRangePageStableAcrossAppends(t *testing.T) {
 	}
 }
 
-// TestEachRowPagesThroughRange: EachRow streams, over more than two pages
-// and across sealed segments and the tail, exactly the rows a
-// full-history Range returns, in order; an empty store streams none, and
-// the callback's error ends the scan.
-func TestEachRowPagesThroughRange(t *testing.T) {
-	c := genCampaign(29, 120)
-	st, err := Open(filepath.Join(t.TempDir(), "hist"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer st.Close()
-	ctx := context.Background()
-	if err := st.EachRow(ctx, func(dataset.Row) error { return errors.New("a row from an empty store") }); err != nil {
-		t.Fatal(err)
-	}
-	for i := range c.snaps {
-		if err := st.Append(c.times[i], c.snaps[i]); err != nil {
-			t.Fatal(err)
-		}
-		if i == 59 {
-			if _, err := st.Compact(ctx, CompactOptions{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	want, err := st.Range(dnswire.Prefix{}, c.times[0], c.times[len(c.times)-1])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(want) <= 2*eachRowPage {
-		t.Fatalf("the store holds %d rows: too few to page more than twice", len(want))
-	}
-	var got []dataset.Row
-	if err := st.EachRow(ctx, func(r dataset.Row) error { got = append(got, r); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("EachRow streamed %d rows, Range returns %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("row %d: streamed %+v, Range has %+v", i, got[i], want[i])
-		}
-	}
-
-	stop := errors.New("stop")
-	n := 0
-	err = st.EachRow(ctx, func(dataset.Row) error {
-		if n++; n == eachRowPage+5 {
-			return stop
-		}
-		return nil
-	})
-	if !errors.Is(err, stop) || n != eachRowPage+5 {
-		t.Fatalf("after the callback's error: err %v after %d rows, want stop after %d", err, n, eachRowPage+5)
-	}
-}
-
 // TestQueryCancellation: RangeContext, ChurnContext, and RangePage stop
 // at a canceled context instead of completing the scan.
 func TestQueryCancellation(t *testing.T) {

@@ -118,7 +118,8 @@ func rowStrings(rows []dataset.Row) []string {
 // verifyWalk checks At, Range and Churn of one surface — and, on a Store,
 // every RangePage pagination — against the oracle, for a /16, /24s and
 // sub-/24 prefixes over windows that start and end inside segments, on
-// segment boundaries, in the tail, and off the snapshot grid.
+// segment boundaries, in the tail, and off the snapshot grid; then every
+// snapshot EachSnapshot hands out.
 func verifyWalk(t *testing.T, what string, q *Store, o *campaign, rng func() uint64) {
 	t.Helper()
 	n := len(o.times)
@@ -208,26 +209,58 @@ func verifyWalk(t *testing.T, what string, q *Store, o *campaign, rng func() uin
 			}
 		}
 	}
+	verifyEachSnapshot(t, what, q, o)
 }
 
-// verifyBlockAt checks BlockAt against a brute-force replay of the raw
-// snapshots.
-func verifyBlockAt(t *testing.T, what string, st *Store, o *campaign, rng func() uint64) {
+// verifyEachSnapshot checks EachSnapshot over the whole address space
+// and over a /26 against a brute-force replay of the raw snapshots: every
+// snapshot, every /24 and every octet, in packed form, and no record
+// outside the prefix.
+func verifyEachSnapshot(t *testing.T, what string, st *Store, o *campaign) {
 	t.Helper()
-	n := len(o.times)
-	for i := 0; i < 40; i++ {
-		p := o.blocks[rng()%uint64(len(o.blocks))]
-		when := o.times[rng()%uint64(n)].Add(time.Duration(rng()%30) * time.Minute)
-		got, err := st.BlockAt(p, when)
-		if err != nil {
-			t.Fatalf("%s: BlockAt(%s, %s): %v", what, p, when, err)
-		}
-		for oct := 0; oct < 256; oct++ {
-			ip := dnswire.IPv4{p.Addr[0], p.Addr[1], p.Addr[2], byte(oct)}
-			wantName, wantOK, _ := o.bruteAt(ip, when)
-			if name, ok := got[byte(oct)]; ok != wantOK || name != wantName {
-				t.Fatalf("%s: BlockAt(%s, %s)[%d] = (%q, %v), oracle (%q, %v)", what, p, when, oct, name, ok, wantName, wantOK)
+	b0 := o.blocks[0]
+	for _, p := range []dnswire.Prefix{{}, {Addr: dnswire.IPv4{b0.Addr[0], b0.Addr[1], b0.Addr[2], 64}, Bits: 26}} {
+		i := 0
+		err := st.EachSnapshot(context.Background(), p, o.times[0].Add(-time.Hour), o.times[len(o.times)-1].Add(time.Hour), func(at time.Time, snap scanengine.Blocks) error {
+			if i == len(o.times) || !at.Equal(o.times[i]) {
+				t.Fatalf("%s: %s: snapshot %d at %s, oracle has %d snapshots", what, p, i, at, len(o.times))
 			}
+			got := make(scanengine.RecordSet)
+			for bi, b := range snap {
+				if len(b.Entries) == 0 || (bi > 0 && snap[bi-1].Prefix.Addr.Uint32() >= b.Prefix.Addr.Uint32()) {
+					t.Fatalf("%s: %s@%d: block %d (%s, %d entries) is empty or out of order", what, p, i, bi, b.Prefix, len(b.Entries))
+				}
+				for k, e := range b.Entries {
+					if k > 0 && b.Entries[k-1].Octet >= e.Octet {
+						t.Fatalf("%s: %s@%d: %s entries out of order", what, p, i, b.Prefix)
+					}
+					got[dnswire.IPv4{b.Prefix.Addr[0], b.Prefix.Addr[1], b.Prefix.Addr[2], e.Octet}] = e.Name
+				}
+			}
+			want := 0
+			for _, q := range o.blocks {
+				for oct := 0; oct < 256; oct++ {
+					ip := dnswire.IPv4{q.Addr[0], q.Addr[1], q.Addr[2], byte(oct)}
+					wantName, wantOK, _ := o.bruteAt(ip, at)
+					wantOK = wantOK && p.Contains(ip)
+					if !wantOK {
+						wantName = ""
+					} else {
+						want++
+					}
+					if name, ok := got[ip]; ok != wantOK || name != wantName {
+						t.Fatalf("%s: %s@%d: %s = (%q, %v), oracle (%q, %v)", what, p, i, ip, name, ok, wantName, wantOK)
+					}
+				}
+			}
+			if len(got) != want {
+				t.Fatalf("%s: %s@%d: %d records, oracle %d", what, p, i, len(got), want)
+			}
+			i++
+			return nil
+		})
+		if err != nil || i != len(o.times) {
+			t.Fatalf("%s: %s: EachSnapshot stopped after %d of %d snapshots: %v", what, p, i, len(o.times), err)
 		}
 	}
 }
@@ -236,7 +269,7 @@ func verifyBlockAt(t *testing.T, what string, st *Store, o *campaign, rng func()
 // histories of one to three writers, each in a store of its own as a
 // campaign's vantages keep them, laid out with and without compaction,
 // with no cache, a one-entry cache and a large one, must answer At,
-// Range, every RangePage pagination, Churn and BlockAt exactly as a
+// Range, every RangePage pagination, Churn and EachSnapshot exactly as a
 // brute-force diff of the raw snapshots does — on the handle that wrote
 // them, on a reader opened beside it, and again after everything is
 // closed and reopened.
@@ -268,7 +301,6 @@ func TestWalkDifferential(t *testing.T) {
 						t.Fatal(err)
 					}
 					verifyWalk(t, "reader", reader, c, splitmix(seed+100))
-					verifyBlockAt(t, "reader", reader, c, splitmix(seed+200))
 					reader.Close()
 					if err := st.Close(); err != nil {
 						t.Fatal(err)
@@ -510,8 +542,8 @@ func TestHandleDescriptors(t *testing.T) {
 	if _, _, err := ro.At(ip, c.times[10]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("At after Close: %v, want ErrClosed", err)
 	}
-	if _, err := ro.BlockAt(c.blocks[0], c.times[10]); !errors.Is(err, ErrClosed) {
-		t.Fatalf("BlockAt after Close: %v, want ErrClosed", err)
+	if err := ro.EachSnapshot(context.Background(), p, c.times[0], c.times[19], func(time.Time, scanengine.Blocks) error { return nil }); !errors.Is(err, ErrClosed) {
+		t.Fatalf("EachSnapshot after Close: %v, want ErrClosed", err)
 	}
 	if _, err := ro.Range(p, c.times[0], c.times[19]); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Range after Close: %v, want ErrClosed", err)

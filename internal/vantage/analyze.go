@@ -2,6 +2,7 @@ package vantage
 
 import (
 	"cmp"
+	"context"
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
@@ -12,6 +13,7 @@ import (
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/histstore"
 	"rdnsprivacy/internal/obs"
+	"rdnsprivacy/internal/scanengine"
 )
 
 // Config tunes the disagreement analyzer.
@@ -135,12 +137,23 @@ func (r *Report) Digest() string {
 	return obs.Hex16(h.Sum64())
 }
 
-// analyzer carries the vantages' stores and the day axis through a run.
+// analyzer carries the vantages' stores and the day axis through a run,
+// and one /24's views, each a packed state sorted by octet: states[k][i]
+// is vantage i's on day k, refs[k] the reference's. The views' buffers
+// carry over from block to block.
 type analyzer struct {
 	names  []string
 	stores []*histstore.Store
 	days   []time.Time
 	lag    int
+
+	states [][][]scanengine.Entry
+	refs   [][]scanengine.Entry
+	arena  []scanengine.Entry // the states' copies, then the refs
+	lists  [][]scanengine.Entry
+	heads  []int
+	held   []bool
+	at     []dnswire.Name // what each list holds at the merge's octet
 }
 
 func newAnalyzer(stores map[string]*histstore.Store, cfg Config) (*analyzer, error) {
@@ -163,6 +176,12 @@ func newAnalyzer(stores map[string]*histstore.Store, cfg Config) (*analyzer, err
 			a.days = append(a.days, t)
 		}
 	}
+	W := len(a.stores)
+	a.states, a.refs = make([][][]scanengine.Entry, len(a.days)), make([][]scanengine.Entry, len(a.days))
+	for k := range a.states {
+		a.states[k] = make([][]scanengine.Entry, W)
+	}
+	a.heads, a.held, a.at = make([]int, W+1), make([]bool, W+1), make([]dnswire.Name, W+1)
 	return a, nil
 }
 
@@ -212,163 +231,160 @@ func Analyze(stores map[string]*histstore.Store, cfg Config) (*Report, error) {
 	return rep, nil
 }
 
-// analyzeBlock folds one /24's classifications into the report.
+// read fills states for block p, walking each vantage's store once over
+// the union's days: a day sees the vantage's newest snapshot at or before
+// it (none before its first). It reports whether any view held a record.
+func (a *analyzer) read(p dnswire.Prefix) (held bool, err error) {
+	D := len(a.days)
+	a.arena = a.arena[:0]
+	for i, store := range a.stores {
+		k := 0
+		var cur []scanengine.Entry
+		err := store.EachSnapshot(context.Background(), p, a.days[0], a.days[D-1], func(t time.Time, snap scanengine.Blocks) error {
+			for ; a.days[k].Before(t); k++ {
+				a.states[k][i] = cur
+			}
+			var st []scanengine.Entry
+			if len(snap) > 0 {
+				st = snap[0].Entries
+			}
+			if !slices.Equal(st, cur) { // the walk reuses its buffers: copy
+				n := len(a.arena)
+				a.arena = append(a.arena, st...)
+				cur = a.arena[n:len(a.arena):len(a.arena)]
+				held = held || len(cur) > 0
+			}
+			return nil
+		})
+		if err != nil {
+			return false, err
+		}
+		for ; k < D; k++ {
+			a.states[k][i] = cur
+		}
+	}
+	return held, nil
+}
+
+// merge calls fn for every octet any of lists holds, in ascending order,
+// with held[i] and at[i] saying what lists[i] holds there ("" for none).
+func (a *analyzer) merge(lists [][]scanengine.Entry, fn func(oct byte)) {
+	clear(a.heads)
+	for {
+		next := 256
+		for i, l := range lists {
+			if h := a.heads[i]; h < len(l) {
+				next = min(next, int(l[h].Octet))
+			}
+		}
+		if next == 256 {
+			return
+		}
+		for i, l := range lists {
+			h := a.heads[i]
+			a.held[i], a.at[i] = h < len(l) && int(l[h].Octet) == next, ""
+			if a.held[i] {
+				a.at[i] = l[h].Name
+				a.heads[i]++
+			}
+		}
+		fn(byte(next))
+	}
+}
+
+// lookup returns the name a packed state holds at oct.
+func lookup(st []scanengine.Entry, oct byte) (dnswire.Name, bool) {
+	j, ok := slices.BinarySearchFunc(st, oct, func(e scanengine.Entry, o byte) int { return cmp.Compare(e.Octet, o) })
+	if !ok {
+		return "", false
+	}
+	return st[j].Name, true
+}
+
+// analyzeBlock folds one /24's classifications into the report. Day by
+// day, one merge of the vantages' views with the reference's day before
+// builds the day's reference, classifies every view against it, and
+// counts the reference's changes.
 func (a *analyzer) analyzeBlock(p dnswire.Prefix, rep *Report, corroSum []float64) error {
 	W, D := len(a.stores), len(a.days)
-
-	// Every vantage's block state on every day. BlockAt returns a private
-	// copy (nil for "no records"), so holding all of them is safe.
-	states := make([][]map[byte]dnswire.Name, W)
-	empty := true
-	for i, store := range a.stores {
-		states[i] = make([]map[byte]dnswire.Name, D)
-		for k, d := range a.days {
-			st, err := store.BlockAt(p, d)
-			if err != nil {
-				return err
-			}
-			states[i][k] = st
-			if len(st) > 0 {
-				empty = false
-			}
-		}
+	if held, err := a.read(p); err != nil || !held {
+		return err
 	}
-	if empty {
-		return nil
-	}
-
-	// The reference view, day by day: plurality among holders; a single
-	// holder of several vantages only carries an already-established
-	// record forward.
-	refs := make([]map[byte]dnswire.Name, D)
-	for k := 0; k < D; k++ {
-		ref := make(map[byte]dnswire.Name)
-		for o := 0; o < 256; o++ {
-			oct := byte(o)
-			count := make(map[dnswire.Name]int)
-			var solo dnswire.Name
-			holders := 0
-			for i := 0; i < W; i++ {
-				if name, ok := states[i][k][oct]; ok {
-					count[name]++
-					solo = name
-					holders++
-				}
-			}
-			switch {
-			case holders == 0:
-			case holders >= 2 || W == 1:
-				ref[oct] = plurality(count)
-			default: // one holder of several vantages
-				if k > 0 {
-					if _, established := refs[k-1][oct]; established {
-						ref[oct] = solo
-					}
-				}
-			}
-		}
-		refs[k] = ref
-	}
-
-	// refLacks reports whether the reference lacked oct at day j (days
-	// before the campaign lack everything) — the "is this record newer
-	// than the lag window" probe.
-	refLacks := func(j int, oct byte) bool {
-		if j < 0 {
-			return true
-		}
-		_, ok := refs[j][oct]
-		return !ok
-	}
-	// refHeld reports whether the reference held (oct → name) at day j.
-	refHeld := func(j int, oct byte, name dnswire.Name) bool {
-		if j < 0 {
-			return false
-		}
-		return refs[j][oct] == name
-	}
-
 	for k := 0; k < D; k++ {
 		day := &rep.Days[k]
-		ref := refs[k]
-		day.Addresses += len(ref)
-
-		// Classification: every octet any view or the reference holds.
-		for o := 0; o < 256; o++ {
-			oct := byte(o)
-			refName, inRef := ref[oct]
+		var prev []scanengine.Entry
+		if k > 0 {
+			prev = a.refs[k-1]
+		}
+		n := len(a.arena)
+		a.lists = append(append(a.lists[:0], a.states[k]...), prev)
+		a.merge(a.lists, func(oct byte) {
+			held, names := a.held[:W], a.at[:W]
+			hadOld, oldName := a.held[W], a.at[W]
+			// The reference view: plurality among holders; a single
+			// holder of several vantages only carries an
+			// already-established record forward.
+			refName, holders := plurality(names, held)
+			inRef := holders >= 2 || (holders == 1 && (W == 1 || hadOld))
 			if !inRef {
-				// Off-reference records: a lone holder of a record the
-				// reference never established (holders >= 2 would be in
-				// the reference) — or a stale leftover the window excuses.
-				for i := 0; i < W; i++ {
-					name, has := states[i][k][oct]
-					if !has {
-						continue
-					}
-					vt := &day.Vantages[i]
-					if a.excusedByLag(k, func(j int) bool { return refHeld(j, oct, name) }) {
-						day.Lagged++
-						vt.Lagged++
-					} else {
-						day.OnlyAt++
-						vt.OnlyAt++
-					}
-				}
-				continue
+				refName = ""
+			} else {
+				a.arena = append(a.arena, scanengine.Entry{Octet: oct, Name: refName})
+				day.Addresses++
 			}
-			allAgree := true
+
+			// Classification. Off the reference, a holder has a record
+			// only it saw; on it, a vantage agrees, misses or conflicts.
+			// Either deviation is lagged if the reference matched the
+			// view within the lag window.
+			allAgree := inRef
 			for i := 0; i < W; i++ {
 				vt := &day.Vantages[i]
-				name, has := states[i][k][oct]
-				switch {
-				case has && name == refName:
+				if inRef && held[i] && names[i] == refName {
 					vt.Agreements++
-				case !has:
-					allAgree = false
-					// A record the reference only just gained is excused:
-					// a lagged vantage would not have it yet.
-					if a.excusedByLag(k, func(j int) bool { return refLacks(j, oct) }) {
-						day.Lagged++
-						vt.Lagged++
-					} else {
-						day.Missed++
-						vt.Missed++
+					continue
+				}
+				if !inRef && !held[i] {
+					continue
+				}
+				allAgree = false
+				excused := false
+				for j := k - a.lag; j < k && !excused; j++ {
+					if j < 0 { // days before the campaign hold nothing
+						excused = !held[i]
+						continue
 					}
+					name, ok := lookup(a.refs[j], oct)
+					excused = ok == held[i] && name == names[i]
+				}
+				switch {
+				case excused:
+					day.Lagged++
+					vt.Lagged++
+				case !inRef:
+					day.OnlyAt++
+					vt.OnlyAt++
+				case !held[i]:
+					day.Missed++
+					vt.Missed++
 				default:
-					allAgree = false
-					// A name the reference recently held is a lagged
-					// view, not a conflicting observation.
-					if a.excusedByLag(k, func(j int) bool { return refHeld(j, oct, name) }) {
-						day.Lagged++
-						vt.Lagged++
-					} else {
-						day.Conflicts++
-						vt.Conflicts++
-					}
+					day.Conflicts++
+					vt.Conflicts++
 				}
 			}
 			if allAgree {
 				day.Agreements++
 			}
-		}
 
-		// Reference churn and per-change corroboration.
-		for o := 0; o < 256; o++ {
-			oct := byte(o)
-			var oldName dnswire.Name
-			hadOld := false
-			if k > 0 {
-				oldName, hadOld = refs[k-1][oct]
-			}
-			newName, hasNew := ref[oct]
-			if hadOld == hasNew && oldName == newName {
-				continue
+			// Reference churn; a vantage corroborates a change its view
+			// shows within the lag window.
+			if hadOld == inRef && oldName == refName {
+				return
 			}
 			switch {
 			case !hadOld:
 				day.Added++
-			case !hasNew:
+			case !inRef:
 				day.Removed++
 			default:
 				day.Changed++
@@ -376,49 +392,44 @@ func (a *analyzer) analyzeBlock(p dnswire.Prefix, rep *Report, corroSum []float6
 			day.Changes++
 			by := 0
 			for i := 0; i < W; i++ {
-				confirmed := false
-				for j := k; j <= k+a.lag && j < D; j++ {
-					name, has := states[i][j][oct]
-					if has == hasNew && name == newName {
-						confirmed = true
+				for d := k; d <= k+a.lag && d < D; d++ {
+					if name, has := lookup(a.states[d][i], oct); has == inRef && name == refName {
+						by++
+						day.Vantages[i].Corroborated++
 						break
 					}
-				}
-				if confirmed {
-					by++
-					day.Vantages[i].Corroborated++
 				}
 			}
 			corroSum[k] += float64(by) / float64(W)
 			if by == W {
 				day.FullyCorroborated++
 			}
-		}
+		})
+		a.refs[k] = a.arena[n:len(a.arena):len(a.arena)]
 	}
 	return nil
 }
 
-// excusedByLag reports whether match holds for any day in the lag window
-// [k-lag, k-1] (negative days allowed: match decides their meaning).
-func (a *analyzer) excusedByLag(k int, match func(j int) bool) bool {
-	for j := k - a.lag; j < k; j++ {
-		if match(j) {
-			return true
-		}
-	}
-	return false
-}
-
-// plurality picks the most-held name, ties to the smallest.
-func plurality(count map[dnswire.Name]int) dnswire.Name {
-	var best dnswire.Name
+// plurality picks the name most holders hold, ties to the smallest, and
+// counts the holders.
+func plurality(names []dnswire.Name, held []bool) (best dnswire.Name, holders int) {
 	bestN := 0
-	for name, n := range count {
-		if n > bestN || (n == bestN && (bestN == 0 || name < best)) {
+	for i, name := range names {
+		if !held[i] {
+			continue
+		}
+		holders++
+		n := 0
+		for j, other := range names {
+			if held[j] && other == name {
+				n++
+			}
+		}
+		if n > bestN || (n == bestN && name < best) {
 			best, bestN = name, n
 		}
 	}
-	return best
+	return best, holders
 }
 
 // finalize computes the day means and campaign totals.

@@ -220,7 +220,7 @@ func Run(ctx context.Context, c Campaign) (*Result, error) {
 		}
 	}()
 	for _, v := range c.Vantages {
-		st, err := histstore.Open(c.storeDir(v), histstore.WithReadOnly(), histstore.WithCache(4096))
+		st, err := histstore.Open(c.storeDir(v), histstore.WithReadOnly())
 		if err != nil {
 			return res, fmt.Errorf("vantage %q: %w", v.Name, err)
 		}

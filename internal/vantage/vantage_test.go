@@ -20,6 +20,7 @@ import (
 	"rdnsprivacy/internal/netsim"
 	"rdnsprivacy/internal/obs"
 	"rdnsprivacy/internal/scan"
+	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/telemetry"
 	"rdnsprivacy/internal/testutil"
 	"rdnsprivacy/internal/vantage"
@@ -292,7 +293,7 @@ func TestVantageCampaignRace(t *testing.T) {
 					return
 				}
 				for _, p := range ro.Blocks() {
-					if _, err := ro.BlockAt(p, times[len(times)-1]); err != nil {
+					if err := ro.EachSnapshot(t.Context(), p, times[0], times[len(times)-1], func(time.Time, scanengine.Blocks) error { return nil }); err != nil {
 						t.Error(err)
 						return
 					}
@@ -325,18 +326,19 @@ func storedDays(t *testing.T, dir, vantage string) map[int64]map[dnswire.Prefix]
 		t.Fatal(err)
 	}
 	defer ro.Close()
-	for _, at := range ro.Times() {
+	err = ro.EachSnapshot(t.Context(), dnswire.Prefix{}, time.Time{}, time.Unix(1<<40, 0), func(at time.Time, snap scanengine.Blocks) error {
 		day := make(map[dnswire.Prefix]map[byte]dnswire.Name)
-		for _, p := range ro.Blocks() {
-			b, err := ro.BlockAt(p, at)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if b != nil {
-				day[p] = b
+		for _, b := range snap {
+			day[b.Prefix] = make(map[byte]dnswire.Name)
+			for _, e := range b.Entries {
+				day[b.Prefix][e.Octet] = e.Name
 			}
 		}
 		out[at.Unix()] = day
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	return out
 }
