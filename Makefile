@@ -82,29 +82,36 @@ TRACE ?= 0
 perf:
 	bash bench/run.sh --workload $(W) --seed 1 --seconds 10 --trace $(TRACE)
 
-# cover gates per-package test coverage: every internal package must stay
-# at or above its floor in COVERAGE_baseline.txt. covercheck also fails on
-# upstream test failures, so the pipe cannot hide a red suite. After
-# deliberately changing coverage: cp COVERAGE_current.txt COVERAGE_baseline.txt
+# cover gates per-package test coverage: every internal package and every
+# command must stay at or above its floor in COVERAGE_baseline.txt.
+# covercheck also fails on upstream test failures, so the pipe cannot hide a
+# red suite. After deliberately changing coverage:
+# cp COVERAGE_current.txt COVERAGE_baseline.txt
 cover:
 	$(GO) build -o /tmp/covercheck ./cmd/covercheck
-	$(GO) test -cover ./internal/... ./cmd/rdnsd ./cmd/rdnsload ./cmd/benchcheck ./cmd/covercheck ./cmd/rdnsmon ./cmd/metriclint ./cmd/dynfind ./cmd/leakfind \
+	$(GO) test -cover ./internal/... ./cmd/... \
 		| /tmp/covercheck -baseline COVERAGE_baseline.txt -out COVERAGE_current.txt
 
-# race checks every internal package plus the query daemon under the race
-# detector; the concurrency-heavy ones (scanengine, dnsclient, faultsim
-# scenarios, rdnsserve's hot-reload and queries-during-append) are the
-# point, the rest are cheap.
+# race checks every internal package plus the commands that start
+# goroutines and sockets (the query daemon, the simulated network and the
+# scanner) under the race detector; the concurrency-heavy ones
+# (scanengine, dnsclient, faultsim scenarios, rdnsserve's hot-reload and
+# queries-during-append) are the point, the rest are cheap.
 race:
-	$(GO) test -race ./internal/... ./cmd/rdnsd
+	$(GO) test -race ./internal/... ./cmd/rdnsd ./cmd/simnet ./cmd/rdnsscan
 
-# loadtest is the serving-path smoke: rdnsload self-hosts a synthesized
-# history and drives 10k concurrent workers of mixed v1 queries through
-# it, failing unless the run stays within the latency/shed SLOs.
+# loadtest is the serving-path smoke: rdnsvantage writes a 30-day
+# three-vantage campaign, and rdnsload self-hosts alpha's store and drives
+# 10k concurrent workers of mixed v1 queries through it, aimed at the /24s
+# and addresses the store serves, failing unless the run stays within the
+# latency/shed SLOs.
 loadtest:
+	$(GO) build -o /tmp/rdnsvantage ./cmd/rdnsvantage
 	$(GO) build -o /tmp/rdnsload ./cmd/rdnsload
-	/tmp/rdnsload -workers 10000 -requests 30000 -days 30 -blocks 4 \
-		-rate 100 -burst 20 -slo-p95 10 -slo-p99 20 -slo-max-shed-rate 0.01
+	dir=$$(mktemp -d) && trap 'rm -rf "$$dir"' EXIT && \
+		/tmp/rdnsvantage -days 30 -store "$$dir" > /dev/null && \
+		/tmp/rdnsload -store "$$dir/alpha" -workers 10000 -requests 30000 \
+			-rate 100 -burst 20 -slo-p95 10 -slo-p99 20 -slo-max-shed-rate 0.01
 
 # fuzz gives each fuzz target a short exploratory run beyond its checked-in
 # seed corpus (plain `go test` already replays the seeds).
@@ -212,8 +219,8 @@ replicatest:
 # packages for other platforms), refuse Go files gofmt would rewrite, lint the metric names, refuse deprecation markers and
 # code no program reaches, run the full
 # test suite with the coverage floors, diff the small-scale report against
-# its committed copy, race-test the internal packages and the query
-# daemon, run the replication chaos battery, the observability e2e and the
+# its committed copy, race-test the internal packages and the commands
+# that serve sockets, run the replication chaos battery, the observability e2e and the
 # multi-vantage campaign gate, and smoke the serving path under 10k-worker
 # load.
 verify:
@@ -225,7 +232,7 @@ verify:
 	$(GO) test ./...
 	$(MAKE) cover
 	$(MAKE) reportcheck
-	$(GO) test -race ./internal/... ./cmd/rdnsd
+	$(MAKE) race
 	$(MAKE) replicatest
 	$(MAKE) monitortest
 	$(MAKE) vantagetest

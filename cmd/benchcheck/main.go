@@ -28,6 +28,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"rdnsprivacy/internal/obs"
 )
 
 // Result is one benchmark line, normalized.
@@ -77,21 +79,10 @@ func main() {
 		fatalf("reading baseline: %v", err)
 	}
 
-	failed := compare(os.Stdout, baseline, report, *maxRegress, splitUnits(*gateExtras))
+	failed := compare(os.Stdout, baseline, report, *maxRegress, obs.SplitList(*gateExtras))
 	if failed {
 		os.Exit(1)
 	}
-}
-
-// splitUnits parses the -gate-extras value into unit names ("" → none).
-func splitUnits(s string) []string {
-	var units []string
-	for _, u := range strings.Split(s, ",") {
-		if u = strings.TrimSpace(u); u != "" {
-			units = append(units, u)
-		}
-	}
-	return units
 }
 
 // parseBench extracts benchmark result lines from `go test -bench` output.

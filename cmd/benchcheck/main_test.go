@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,13 +67,6 @@ func TestCompareGatesExtras(t *testing.T) {
 	if compare(&sb, baseline, fresh, 0.15, []string{"p99-ns/op"}) {
 		t.Fatalf("one-sided extra failed the check:\n%s", sb.String())
 	}
-
-	if units := splitUnits(" p99-ns/op , queries/s ,"); len(units) != 2 || units[0] != "p99-ns/op" {
-		t.Fatalf("splitUnits: %v", units)
-	}
-	if splitUnits("") != nil {
-		t.Fatal("splitUnits(\"\") should be nil")
-	}
 }
 
 func TestCompareFailsOnGoneBaselineRow(t *testing.T) {
@@ -129,5 +125,22 @@ func TestUntimedRowsAreGatedOnExtrasOnly(t *testing.T) {
 	sb.Reset()
 	if !compare(&sb, baseline, fresh, 0.15, gated) {
 		t.Fatalf("a dial per probe slipped through:\n%s", sb.String())
+	}
+}
+
+// TestReportRoundTrip: a written report reads back as it was, and a
+// baseline that is not there reads as missing.
+func TestReportRoundTrip(t *testing.T) {
+	rep := &Report{Benchmarks: []Result{{Name: "BenchmarkX-8", Runs: 10, NsOp: 1234, Extra: map[string]float64{"allocs/op": 3}}}}
+	path := filepath.Join(t.TempDir(), "bench.json")
+	if err := writeReport(rep, path); err != nil {
+		t.Fatal(err)
+	}
+	got, err := readReport(path)
+	if err != nil || !reflect.DeepEqual(got, rep) {
+		t.Fatalf("read back %+v, %v; want %+v", got, err, rep)
+	}
+	if _, err := readReport(filepath.Join(t.TempDir(), "missing.json")); !os.IsNotExist(err) {
+		t.Fatalf("missing baseline: %v", err)
 	}
 }

@@ -34,9 +34,12 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"rdnsprivacy/internal/core"
@@ -46,37 +49,55 @@ import (
 	"rdnsprivacy/internal/telemetry"
 )
 
+// main leaves SIGINT and SIGTERM their default action, ending the
+// process: an experiment cannot stop midway (core.Study takes no context).
 func main() {
-	scale := flag.String("scale", "small", "universe scale: tiny, small, or full")
-	seed := flag.Uint64("seed", 42, "simulation seed")
-	exp := flag.String("exp", "all", "experiment to run: all, or one of "+
-		strings.Join(core.ExperimentIDs(), ", "))
-	trace := flag.String("trace", "", "summarize a span log written by `rdnsscan -trace-out` or `experiments -trace-out` instead of running experiments")
-	obsIn := flag.String("obs", "", "summarize a campaign frame dump written by `rdnsscan -obs-out` or `experiments -obs-out` instead of running experiments")
-	metricsAddr := flag.String("metrics-addr", "", "serve the study's telemetry over HTTP on this address while experiments run (see docs/observability.md)")
-	traceOut := flag.String("trace-out", "", "write the supplemental run's correlated span log to this file as JSONL")
-	obsOut := flag.String("obs-out", "", "write one observability frame per campaign snapshot to this file as JSONL")
-	flag.Parse()
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *trace != "" {
-		if err := runTraceSummary(*trace, os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+// run is the command: it parses args, writes the report to stdout and
+// errors to stderr, and returns the exit status. It has the other role
+// commands' signature; the study does not consult the context.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	scale := fs.String("scale", "small", "universe scale: tiny, small, or full")
+	seed := fs.Uint64("seed", 42, "simulation seed")
+	exp := fs.String("exp", "all", "experiment to run: all, or one of "+
+		strings.Join(core.ExperimentIDs(), ", "))
+	trace := fs.String("trace", "", "summarize a span log written by `rdnsscan -trace-out` or `experiments -trace-out` instead of running experiments")
+	obsIn := fs.String("obs", "", "summarize a campaign frame dump written by `rdnsscan -obs-out` or `experiments -obs-out` instead of running experiments")
+	metricsAddr := fs.String("metrics-addr", "", "serve the study's telemetry over HTTP on this address while experiments run (see docs/observability.md)")
+	traceOut := fs.String("trace-out", "", "write the supplemental run's correlated span log to this file as JSONL")
+	obsOut := fs.String("obs-out", "", "write one observability frame per campaign snapshot to this file as JSONL")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
-	if *obsIn != "" {
-		if err := runObsSummary(*obsIn, int64(*seed), os.Stdout); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+
+	if *trace != "" || *obsIn != "" {
+		var err error
+		if *trace != "" {
+			err = runTraceSummary(*trace, stdout)
+		} else {
+			err = runObsSummary(*obsIn, int64(*seed), stdout)
 		}
-		return
+		if err != nil {
+			fmt.Fprintln(stderr, err)
+			return 1
+		}
+		return 0
 	}
 
 	cfg, err := configForScale(*scale, *seed)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, err)
+		return 2
+	}
+	if *exp != "all" && !slices.Contains(core.ExperimentIDs(), *exp) {
+		fmt.Fprintf(stderr, "unknown experiment %q\n", *exp)
+		return 2
 	}
 
 	var tracer *telemetry.Tracer
@@ -96,76 +117,41 @@ func main() {
 			exporter := telemetry.NewExporter(reg, telemetry.WithExporterTracer(tracer))
 			addr, err := exporter.Start(*metricsAddr)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics endpoint: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "metrics endpoint: %v\n", err)
+				return 1
 			}
 			defer exporter.Close()
-			fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics\n", addr)
+			fmt.Fprintf(stderr, "telemetry: http://%s/metrics\n", addr)
 		}
 	}
 
-	fmt.Printf("Building %s-scale universe (seed %d)...\n", *scale, *seed)
+	if err := runStudy(cfg, *scale, *exp, stdout); err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
+	}
+	obs.WriteDumps(stderr, tracer, *traceOut, recorder, *obsOut)
+	return 0
+}
+
+// runStudy builds the universe cfg describes and writes the experiment exp
+// (or all of them) to w.
+func runStudy(cfg core.Config, scale, exp string, w io.Writer) error {
+	fmt.Fprintf(w, "Building %s-scale universe (seed %d)...\n", scale, cfg.Seed)
 	study, err := core.NewStudy(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("Universe: %d networks, %d filler /24s\n\n",
+	fmt.Fprintf(w, "Universe: %d networks, %d filler /24s\n\n",
 		len(study.Universe.Networks), len(study.Universe.Filler))
-
-	if *exp == "all" {
-		err = study.RunAll(os.Stdout)
-	} else {
-		var r core.Renderer
-		r, err = study.RunExperiment(*exp)
-		if err == nil {
-			r.Render(os.Stdout)
-		}
+	if exp == "all" {
+		return study.RunAll(w)
 	}
+	r, err := study.RunExperiment(exp)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+		return err
 	}
-	dumpSpans(tracer, *traceOut)
-	dumpFrames(recorder, *obsOut)
-}
-
-// dumpSpans writes the study tracer's span log as JSONL — the input of
-// `experiments -trace`.
-func dumpSpans(tracer *telemetry.Tracer, path string) {
-	if tracer == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := tracer.WriteJSONL(f); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "trace: wrote %d spans to %s\n", tracer.Len(), path)
-}
-
-// dumpFrames writes the captured campaign frames as JSONL — the input of
-// `experiments -obs`.
-func dumpFrames(rec *obs.Recorder, path string) {
-	if rec == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.Store().WriteJSONL(f); err != nil {
-		fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "obs: wrote %d frames to %s\n", rec.Store().Len(), path)
+	r.Render(w)
+	return nil
 }
 
 // configForScale maps a scale name to a study configuration.

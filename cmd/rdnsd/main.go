@@ -45,16 +45,18 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
+	"sync"
 	"syscall"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/histstore"
+	"rdnsprivacy/internal/obs"
 	"rdnsprivacy/internal/rdnsclient"
 	"rdnsprivacy/internal/rdnsserve"
 	"rdnsprivacy/internal/replica"
@@ -62,7 +64,8 @@ import (
 )
 
 // options collects the flag values; kept as a struct so buildConfig is
-// testable without flag juggling.
+// testable without flag juggling. cacheSize is storeCache in the daemon;
+// tests open with a smaller cache.
 type options struct {
 	storePath   string
 	cacheSize   int
@@ -72,24 +75,14 @@ type options struct {
 	maxInFlight int
 	aclAllow    string
 	aclDeny     string
-	replicaOf   string
-	replPoll    time.Duration
 	queryLog    int
 	slowQuery   time.Duration
-	queryLogOut string
 }
 
 // parsePrefixList parses a comma-separated IPv4 CIDR list ("" → nil).
 func parsePrefixList(s string) ([]dnswire.Prefix, error) {
-	if s == "" {
-		return nil, nil
-	}
 	var out []dnswire.Prefix
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			continue
-		}
+	for _, part := range obs.SplitList(s) {
 		p, err := dnswire.ParsePrefix(part)
 		if err != nil {
 			return nil, fmt.Errorf("%q: %w", part, err)
@@ -196,77 +189,95 @@ func buildConfig(o options, reg *telemetry.Registry, tracer *telemetry.Tracer) (
 }
 
 func main() {
-	var (
-		o           options
-		addr        = flag.String("addr", "127.0.0.1:8077", "address to serve the query API on")
-		metricsAddr = flag.String("metrics-addr", "", "serve telemetry HTTP endpoints on this address")
-	)
-	flag.StringVar(&o.storePath, "store", "", "history store to serve (required)")
-	flag.IntVar(&o.cacheSize, "cache", 4096, "reconstruction cache capacity in block states (0 disables)")
-	flag.Int64Var(&o.seed, "seed", 1, "seed for deterministic span correlation IDs")
-	flag.Float64Var(&o.rate, "rate", 0, "per-client sustained requests/second (0 disables rate limiting)")
-	flag.Float64Var(&o.burst, "burst", 0, "per-client burst capacity (default max(rate, 1))")
-	flag.IntVar(&o.maxInFlight, "max-inflight", 0, "bound on concurrent in-flight queries; excess sheds with 503 (0 = unbounded)")
-	flag.StringVar(&o.aclAllow, "acl-allow", "", "comma-separated source prefixes to allow (empty = all)")
-	flag.StringVar(&o.aclDeny, "acl-deny", "", "comma-separated source prefixes to deny (wins over allow)")
-	flag.StringVar(&o.replicaOf, "replica-of", "", "run as a read replica of the primary rdnsd at this base URL; -store names the local mirror directory (see docs/replication.md)")
-	flag.DurationVar(&o.replPoll, "repl-poll", time.Second, "replica catch-up poll interval (with -replica-of)")
-	flag.IntVar(&o.queryLog, "query-log", 0, "ring-buffer this many canonical query-log entries, served at the metrics address /querylog (0 disables; see docs/observability.md)")
-	flag.DurationVar(&o.slowQuery, "slow-query", 250*time.Millisecond, "slow-query threshold (rounded up to a latency-histogram bucket bound; with -query-log)")
-	flag.StringVar(&o.queryLogOut, "query-log-out", "", "dump the query log as JSONL to this file at shutdown (with -query-log)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// storeCache is the reconstruction cache capacity, in block states, of
+// every store handle the daemon opens.
+const storeCache = 4096
+
+// run is the daemon: it parses args, serves until ctx ends, and returns the
+// exit status. Cancelling ctx is the SIGINT/SIGTERM path: in-flight queries
+// drain, the exporter closes, and the store is closed cleanly. It logs to
+// stderr from several goroutines, the bound API and metrics addresses
+// among the first lines; it writes nothing to stdout.
+func run(ctx context.Context, args []string, _, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rdnsd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	o := options{cacheSize: storeCache}
+	addr := fs.String("addr", "127.0.0.1:8077", "address to serve the query API on")
+	metricsAddr := fs.String("metrics-addr", "", "serve telemetry HTTP endpoints on this address")
+	fs.StringVar(&o.storePath, "store", "", "history store to serve (required)")
+	fs.Int64Var(&o.seed, "seed", 1, "seed for deterministic span correlation IDs")
+	fs.Float64Var(&o.rate, "rate", 0, "per-client sustained requests/second (0 disables rate limiting)")
+	fs.Float64Var(&o.burst, "burst", 0, "per-client burst capacity (default max(rate, 1))")
+	fs.IntVar(&o.maxInFlight, "max-inflight", 0, "bound on concurrent in-flight queries; excess sheds with 503 (0 = unbounded)")
+	fs.StringVar(&o.aclAllow, "acl-allow", "", "comma-separated source prefixes to allow (empty = all)")
+	fs.StringVar(&o.aclDeny, "acl-deny", "", "comma-separated source prefixes to deny (wins over allow)")
+	replicaOf := fs.String("replica-of", "", "run as a read replica of the primary rdnsd at this base URL; -store names the local mirror directory (see docs/replication.md)")
+	replPoll := fs.Duration("repl-poll", time.Second, "replica catch-up poll interval (with -replica-of)")
+	fs.IntVar(&o.queryLog, "query-log", 0, "ring-buffer this many canonical query-log entries, served at the metrics address /querylog (0 disables; see docs/observability.md)")
+	fs.DurationVar(&o.slowQuery, "slow-query", 250*time.Millisecond, "slow-query threshold (rounded up to a latency-histogram bucket bound; with -query-log)")
+	queryLogOut := fs.String("query-log-out", "", "dump the query log as JSONL to this file at shutdown (with -query-log)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+	logf := func(format string, args ...any) {
+		fmt.Fprintf(stderr, format+"\n", args...)
+	}
 	if o.storePath == "" {
-		fmt.Fprintln(os.Stderr, "rdnsd: -store is required")
-		flag.Usage()
-		os.Exit(2)
+		logf("rdnsd: -store is required")
+		fs.Usage()
+		return 2
 	}
 
 	reg := telemetry.NewRegistry()
 	tracer := telemetry.NewTracer(o.seed, 4096)
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
+	cfg, err := buildConfig(o, reg, tracer)
+	if err != nil {
+		logf("rdnsd: %v", err)
+		return 2
 	}
 
 	// Replica mode: mirror the primary's feed into the local directory
 	// until it holds a committed generation, so the read-only open below
 	// has a store to serve. Later catch-ups happen on the poll loop.
 	var syncer *replica.Syncer
-	if o.replicaOf != "" {
-		var err error
+	if *replicaOf != "" {
 		syncer, err = replica.New(replica.Config{
-			Source: o.replicaOf,
+			Source: *replicaOf,
 			Dir:    o.storePath,
 			Tracer: tracer,
 			Seed:   o.seed,
 		})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rdnsd: %v\n", err)
-			os.Exit(2)
+			logf("rdnsd: %v", err)
+			return 2
 		}
-		if err := replicaBootstrap(ctx, syncer.Sync, o.replPoll, logf); err != nil {
-			os.Exit(1)
+		if err := replicaBootstrap(ctx, syncer.Sync, *replPoll, logf); err != nil {
+			return 1
 		}
 	}
 
 	st, err := openStore(o, reg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rdnsd: %v\n", err)
-		os.Exit(1)
-	}
-
-	cfg, err := buildConfig(o, reg, tracer)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rdnsd: %v\n", err)
-		st.Close()
-		os.Exit(2)
+		logf("rdnsd: %v", err)
+		return 1
 	}
 	srv := rdnsserve.New(st, cfg) // srv owns st from here on
-	httpSrv := newHTTPServer(*addr, srv.Handler())
+	stats := st.Stats()
 
+	ln, err := net.Listen("tcp", *addr)
+	if err != nil {
+		logf("rdnsd: %v", err)
+		srv.Close()
+		return 1
+	}
 	var exporter *telemetry.Exporter
 	if *metricsAddr != "" {
 		opts := []telemetry.ExporterOption{
@@ -280,78 +291,75 @@ func main() {
 		exporter = telemetry.NewExporter(reg, opts...)
 		bound, err := exporter.Start(*metricsAddr)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rdnsd: metrics exporter: %v\n", err)
+			logf("rdnsd: metrics exporter: %v", err)
+			ln.Close()
 			srv.Close()
-			os.Exit(1)
+			return 1
 		}
-		fmt.Fprintf(os.Stderr, "rdnsd: telemetry on http://%s/metrics\n", bound)
+		logf("rdnsd: telemetry on http://%s/metrics", bound)
 	}
-
-	ln, err := net.Listen("tcp", *addr)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "rdnsd: %v\n", err)
-		srv.Close()
-		os.Exit(1)
-	}
-	stats := st.Stats()
-	fmt.Fprintf(os.Stderr, "rdnsd: serving %d snapshots across %d blocks on http://%s\n",
+	logf("rdnsd: serving %d snapshots across %d blocks on http://%s",
 		stats.Snapshots, stats.Blocks, ln.Addr())
+
+	// The replica's catch-up loop ends with loopCtx; run waits for it
+	// before it closes the store.
+	loopCtx, stopLoop := context.WithCancel(ctx)
+	var catchup sync.WaitGroup
+	if syncer != nil {
+		srv.SetReplicaStatus(syncer.Status)
+		catchup.Add(1)
+		go func() {
+			defer catchup.Done()
+			replicaCatchup(loopCtx, syncer.Sync, srv.Reload, *replPoll, logf)
+		}()
+	}
 
 	// SIGHUP → hot reload: swap onto the reopened store without dropping
 	// in-flight queries. Fire it after the campaign's daily append lands.
 	hup := make(chan os.Signal, 1)
 	signal.Notify(hup, syscall.SIGHUP)
-	go func() {
-		for range hup {
-			resp, err := srv.Reload()
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "rdnsd: reload: %v\n", err)
-				continue
-			}
-			fmt.Fprintf(os.Stderr, "rdnsd: reloaded generation %d (%d snapshots)\n",
-				resp.Generation, resp.Snapshots)
-		}
-	}()
+	defer signal.Stop(hup)
 
-	if syncer != nil {
-		srv.SetReplicaStatus(syncer.Status)
-		go replicaCatchup(ctx, syncer.Sync, srv.Reload, o.replPoll, logf)
-	}
-
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
-
-	select {
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "rdnsd: shutting down")
-	case err := <-done:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "rdnsd: %v\n", err)
+	for serving := true; serving; {
+		select {
+		case <-ctx.Done():
+			logf("rdnsd: shutting down")
+			serving = false
+		case err := <-done:
+			if err != nil && !errors.Is(err, http.ErrServerClosed) {
+				logf("rdnsd: %v", err)
+			}
+			serving = false
+		case <-hup:
+			if resp, err := srv.Reload(); err != nil {
+				logf("rdnsd: reload: %v", err)
+			} else {
+				logf("rdnsd: reloaded generation %d (%d snapshots)", resp.Generation, resp.Snapshots)
+			}
 		}
 	}
 
 	shutCtx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	if err := httpSrv.Shutdown(shutCtx); err != nil {
-		fmt.Fprintf(os.Stderr, "rdnsd: shutdown: %v\n", err)
+		logf("rdnsd: shutdown: %v", err)
 	}
+	stopLoop()
+	catchup.Wait()
 	if exporter != nil {
 		exporter.Close()
 	}
-	if qlog := srv.QueryLog(); qlog != nil && o.queryLogOut != "" {
-		if f, err := os.Create(o.queryLogOut); err != nil {
-			fmt.Fprintf(os.Stderr, "rdnsd: query log dump: %v\n", err)
-		} else {
-			if err := qlog.WriteJSONL(f); err != nil {
-				fmt.Fprintf(os.Stderr, "rdnsd: query log dump: %v\n", err)
-			}
-			f.Close()
-		}
+	if qlog := srv.QueryLog(); qlog != nil {
+		obs.DumpJSONL(stderr, "rdnsd: query log", *queryLogOut, qlog.Len(), "entries", qlog.WriteJSONL)
 	}
 	if err := srv.Close(); err != nil {
-		fmt.Fprintf(os.Stderr, "rdnsd: closing store: %v\n", err)
-		os.Exit(1)
+		logf("rdnsd: closing store: %v", err)
+		return 1
 	}
+	return 0
 }
 
 // Bounds on what one connection to the public listener may hold open. A

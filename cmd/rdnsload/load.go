@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -21,18 +21,16 @@ import (
 	"rdnsprivacy/internal/obs"
 	"rdnsprivacy/internal/rdnsclient"
 	"rdnsprivacy/internal/rdnsserve"
-	"rdnsprivacy/internal/scanengine"
 	"rdnsprivacy/internal/telemetry"
 )
 
-// loadConfig collects the run parameters (see main for the flags).
+// loadConfig collects the run parameters (see run for the flags).
 type loadConfig struct {
-	// url is empty (self-host) or a comma-separated primary+replica
-	// target list; workers fan across the targets round-robin.
+	// url is empty (self-host storePath) or a comma-separated
+	// primary+replica target list; workers fan across the targets
+	// round-robin.
 	url         string
 	storePath   string
-	days        int
-	blocks      int
 	seed        int64
 	workers     int
 	requests    int
@@ -55,8 +53,16 @@ type loadConfig struct {
 // endpoints the mix can name, in reporting order.
 var endpointOrder = []string{"at", "range", "churn", "name", "days", "stats"}
 
-// parseMix parses "at=50,range=20,..." into per-endpoint weights.
-func parseMix(spec string) (map[string]int, error) {
+// mixPicker draws endpoints by weight from a cumulative table, in
+// O(log n) per seeded draw.
+type mixPicker struct {
+	names []string
+	cum   []int
+}
+
+// parseMix parses "at=50,range=20,..." into a picker over the endpoints
+// it weighs.
+func parseMix(spec string) (*mixPicker, error) {
 	weights := make(map[string]int)
 	for _, part := range strings.Split(spec, ",") {
 		part = strings.TrimSpace(part)
@@ -71,52 +77,28 @@ func parseMix(spec string) (map[string]int, error) {
 		if err != nil || w < 0 {
 			return nil, fmt.Errorf("mix entry %q: weight must be a non-negative integer", part)
 		}
-		known := false
-		for _, e := range endpointOrder {
-			if name == e {
-				known = true
-				break
-			}
-		}
-		if !known {
+		if !slices.Contains(endpointOrder, name) {
 			return nil, fmt.Errorf("mix entry %q: unknown endpoint (have %s)", part, strings.Join(endpointOrder, ", "))
 		}
 		weights[name] += w
 	}
-	total := 0
-	for _, w := range weights {
-		total += w
+	p, total := &mixPicker{}, 0
+	for _, name := range endpointOrder {
+		if w := weights[name]; w > 0 {
+			total += w
+			p.names = append(p.names, name)
+			p.cum = append(p.cum, total)
+		}
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("mix %q: all weights zero", spec)
 	}
-	return weights, nil
-}
-
-// mixPicker turns weights into a cumulative table for O(log n) seeded
-// draws.
-type mixPicker struct {
-	names []string
-	cum   []int
-	total int
-}
-
-func newMixPicker(weights map[string]int) *mixPicker {
-	p := &mixPicker{}
-	for _, name := range endpointOrder {
-		if w := weights[name]; w > 0 {
-			p.total += w
-			p.names = append(p.names, name)
-			p.cum = append(p.cum, p.total)
-		}
-	}
-	return p
+	return p, nil
 }
 
 func (p *mixPicker) pick(r uint64) string {
-	n := int(r % uint64(p.total))
-	i := sort.SearchInts(p.cum, n+1)
-	return p.names[i]
+	n := int(r % uint64(p.cum[len(p.cum)-1]))
+	return p.names[sort.SearchInts(p.cum, n+1)]
 }
 
 // splitmix is the workload RNG: deterministic, cheap, no shared state.
@@ -126,45 +108,6 @@ func splitmix(state *uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
-}
-
-// synthStore writes a deterministic campaign history: per /24 block,
-// eight stable devices (brians-iphone among them, the paper's privacy
-// protagonist) plus one address whose name churns daily.
-func synthStore(path string, days, blocks int, seed int64) (*histstore.Store, []dnswire.Prefix, []time.Time, error) {
-	st, err := histstore.Open(path, histstore.WithCache(4096))
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	stable := []string{
-		"brians-iphone", "brians-ipad", "alices-laptop", "printer",
-		"nas", "camera", "thermostat", "tv",
-	}
-	var prefixes []dnswire.Prefix
-	for b := 0; b < blocks; b++ {
-		prefixes = append(prefixes, dnswire.Prefix{Addr: dnswire.IPv4{10, 0, byte(b + 1), 0}, Bits: 24})
-	}
-	var times []time.Time
-	start := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
-	state := uint64(seed)
-	for day := 0; day < days; day++ {
-		recs := scanengine.RecordSet{}
-		for b, p := range prefixes {
-			for d, name := range stable {
-				ip := dnswire.IPv4{p.Addr[0], p.Addr[1], p.Addr[2], byte(10 + d)}
-				recs[ip] = dnswire.MustName(fmt.Sprintf("%s.b%d.lan.example.net", name, b))
-			}
-			churnIP := dnswire.IPv4{p.Addr[0], p.Addr[1], p.Addr[2], 200}
-			recs[churnIP] = dnswire.MustName(fmt.Sprintf("dhcp-%d-%d.dyn.example.net", day, splitmix(&state)%1000))
-		}
-		d := start.AddDate(0, 0, day)
-		if err := st.Append(d, recs); err != nil {
-			st.Close()
-			return nil, nil, nil, err
-		}
-		times = append(times, d)
-	}
-	return st, prefixes, times, nil
 }
 
 // inprocTransport drives an http.Handler without sockets: tens of
@@ -194,18 +137,16 @@ type endpointStats struct {
 	shed        atomic.Uint64
 }
 
-// runLoad executes the configured run and evaluates the SLOs.
-func runLoad(cfg *loadConfig) (*loadResult, error) {
-	weights, err := parseMix(cfg.mixSpec)
+// runLoad executes the configured run and evaluates the SLOs; it reports
+// what goes wrong after the run on stderr.
+func runLoad(ctx context.Context, cfg *loadConfig, stderr io.Writer) (*loadResult, error) {
+	picker, err := parseMix(cfg.mixSpec)
 	if err != nil {
 		return nil, err
 	}
-	picker := newMixPicker(weights)
 
-	targets := splitTargets(cfg.url)
+	targets := obs.SplitList(cfg.url)
 	hc := &http.Client{Timeout: 60 * time.Second}
-	var prefixes []dnswire.Prefix
-	var days []time.Time
 
 	// Tracing retains one client span per request; the ring is sized to
 	// the run (capped — past the cap the oldest spans fall out and a worst
@@ -219,21 +160,10 @@ func runLoad(cfg *loadConfig) (*loadResult, error) {
 	}
 
 	if len(targets) == 0 {
-		// Self-host: serve a (synthesized or existing) store in-process.
-		var st *histstore.Store
-		if cfg.storePath != "" {
-			if st, err = histstore.Open(cfg.storePath, histstore.WithCache(4096), histstore.WithReadOnly()); err != nil {
-				return nil, err
-			}
-		} else {
-			dir, err := os.MkdirTemp("", "rdnsload")
-			if err != nil {
-				return nil, err
-			}
-			defer os.RemoveAll(dir)
-			if st, prefixes, days, err = synthStore(filepath.Join(dir, "load.hist"), cfg.days, cfg.blocks, cfg.seed); err != nil {
-				return nil, err
-			}
+		// Self-host: serve the store in-process.
+		st, err := histstore.Open(cfg.storePath, histstore.WithCache(4096), histstore.WithReadOnly())
+		if err != nil {
+			return nil, err
 		}
 		srv := rdnsserve.New(st, rdnsserve.Config{
 			Sink:   telemetry.NewRegistry(),
@@ -250,22 +180,9 @@ func runLoad(cfg *loadConfig) (*loadResult, error) {
 		hc = &http.Client{Transport: inprocTransport{h: srv.Handler()}}
 	}
 
-	// Learn the served shape when it wasn't synthesized locally.
-	if len(days) == 0 {
-		probe := rdnsclient.New(targets[0], rdnsclient.WithHTTPClient(hc))
-		dr, err := probe.Days(context.Background())
-		if err != nil {
-			return nil, fmt.Errorf("probing /v1/days: %w", err)
-		}
-		days = dr.Days
-	}
-	if len(days) == 0 {
-		return nil, fmt.Errorf("daemon serves an empty history")
-	}
-	if len(prefixes) == 0 {
-		for b := 0; b < max(cfg.blocks, 1); b++ {
-			prefixes = append(prefixes, dnswire.Prefix{Addr: dnswire.IPv4{10, 0, byte(b + 1), 0}, Bits: 24})
-		}
+	shape, err := learnShape(ctx, rdnsclient.New(targets[0], rdnsclient.WithHTTPClient(hc)))
+	if err != nil {
+		return nil, err
 	}
 
 	stats := make(map[string]*endpointStats, len(endpointOrder))
@@ -328,7 +245,6 @@ func runLoad(cfg *loadConfig) (*loadResult, error) {
 			}
 			c := rdnsclient.New(targets[w%len(targets)], opts...)
 			state := uint64(cfg.seed) + uint64(w)*0x9e3779b97f4a7c15
-			ctx := context.Background()
 			for i := 0; i < n; i++ {
 				ep := picker.pick(splitmix(&state))
 				enter()
@@ -337,7 +253,7 @@ func runLoad(cfg *loadConfig) (*loadResult, error) {
 					<-start
 				}
 				t0 := time.Now()
-				err := issue(ctx, c, ep, &state, prefixes, days)
+				err := issue(ctx, c, ep, &state, shape)
 				el := time.Since(t0).Seconds()
 				inFlight.Add(-1)
 				hists[ep].ObserveExemplar(el, lastCorr)
@@ -402,10 +318,10 @@ func runLoad(cfg *loadConfig) (*loadResult, error) {
 	// After a live run, ask each replica target how far behind it ended
 	// up: /v1/stats reports the syncer's lag, and the MaxReplicaLagBytes
 	// rule judges it alongside the latency/error SLOs.
-	res.Samples = append(res.Samples, lagSamples(targets, hc)...)
+	res.Samples = append(res.Samples, lagSamples(ctx, targets, hc, stderr)...)
 	res.Report = cfg.rules.EvaluateLoad(res.Samples)
 	if cfg.trace {
-		res.ExemplarChains = exemplarChains(cfg, res.Samples, clientTracer, srvTracer)
+		res.ExemplarChains = exemplarChains(cfg, res.Samples, stderr, clientTracer, srvTracer)
 	}
 	return res, nil
 }
@@ -414,15 +330,19 @@ func runLoad(cfg *loadConfig) (*loadResult, error) {
 // stitches every traced layer's spans (the workers' client tracer, the
 // self-hosted server's tracer, and any -trace-dump sources) and renders
 // the causal chain behind each sample's p99 exemplar.
-func exemplarChains(cfg *loadConfig, samples []obs.LoadSample, tracers ...*telemetry.Tracer) []string {
-	var recs []telemetry.SpanRecord
+func exemplarChains(cfg *loadConfig, samples []obs.LoadSample, stderr io.Writer, tracers ...*telemetry.Tracer) []string {
+	// The tracers' rings go through their JSONL form, the records a
+	// /trace dump serves, so in-process tracers and scraped dumps stitch
+	// identically.
+	var buf bytes.Buffer
 	for _, t := range tracers {
-		recs = append(recs, spanRecords(t)...)
+		t.WriteJSONL(&buf)
 	}
+	recs, _ := telemetry.ReadSpans(&buf)
 	if cfg.traceDump != "" {
 		extra, err := dumpRecords(cfg.traceDump)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rdnsload: reading trace dumps: %v\n", err)
+			fmt.Fprintf(stderr, "rdnsload: reading trace dumps: %v\n", err)
 		}
 		recs = append(recs, extra...)
 	}
@@ -449,34 +369,12 @@ func exemplarChains(cfg *loadConfig, samples []obs.LoadSample, tracers ...*telem
 	return out
 }
 
-// spanRecords round-trips a tracer's ring through its JSONL form — the
-// same records a /trace dump serves, so in-process tracers and scraped
-// dumps stitch identically.
-func spanRecords(t *telemetry.Tracer) []telemetry.SpanRecord {
-	if t == nil || t.Len() == 0 {
-		return nil
-	}
-	var buf bytes.Buffer
-	if err := t.WriteJSONL(&buf); err != nil {
-		return nil
-	}
-	recs, err := telemetry.ReadSpans(&buf)
-	if err != nil {
-		return nil
-	}
-	return recs
-}
-
 // dumpRecords reads the -trace-dump sources: comma-separated JSONL file
 // paths or /trace URLs (a live daemon's metrics listener). A 204 means
 // the daemon traced nothing — not an error.
 func dumpRecords(spec string) ([]telemetry.SpanRecord, error) {
 	var out []telemetry.SpanRecord
-	for _, src := range strings.Split(spec, ",") {
-		src = strings.TrimSpace(src)
-		if src == "" {
-			continue
-		}
+	for _, src := range obs.SplitList(spec) {
 		var r io.ReadCloser
 		if strings.HasPrefix(src, "http://") || strings.HasPrefix(src, "https://") {
 			resp, err := http.Get(src)
@@ -509,30 +407,19 @@ func dumpRecords(spec string) ([]telemetry.SpanRecord, error) {
 	return out, nil
 }
 
-// splitTargets parses the -url flag's comma-separated target list.
-func splitTargets(spec string) []string {
-	var targets []string
-	for _, t := range strings.Split(spec, ",") {
-		if t = strings.TrimSpace(t); t != "" {
-			targets = append(targets, strings.TrimRight(t, "/"))
-		}
-	}
-	return targets
-}
-
 // lagSamples probes each target's /v1/stats after the run and turns
 // replica lag reports into judgeable samples. Targets without a replica
 // block (primaries, self-hosted servers) contribute nothing. A failed
 // probe must not discard the completed run's data: it is logged and
 // becomes a failing sample (one request, one error) so the error-rate
 // rule flags it in the report.
-func lagSamples(targets []string, hc *http.Client) []obs.LoadSample {
+func lagSamples(ctx context.Context, targets []string, hc *http.Client, stderr io.Writer) []obs.LoadSample {
 	var out []obs.LoadSample
 	for i, t := range targets {
 		c := rdnsclient.New(t, rdnsclient.WithHTTPClient(hc))
-		sr, err := c.Stats(context.Background())
+		sr, err := c.Stats(ctx)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "rdnsload: probing %s/v1/stats for lag: %v\n", t, err)
+			fmt.Fprintf(stderr, "rdnsload: probing %s/v1/stats for lag: %v\n", t, err)
 			out = append(out, obs.LoadSample{
 				Label:    fmt.Sprintf("lag:%d", i),
 				Requests: 1,
@@ -551,14 +438,67 @@ func lagSamples(targets []string, hc *http.Client) []obs.LoadSample {
 	return out
 }
 
+// servedShape is what the workload aims at, learned from what is served:
+// the days, and the /24s, addresses and name tokens of every record of
+// the newest day.
+type servedShape struct {
+	days     []time.Time
+	prefixes []dnswire.Prefix
+	addrs    []dnswire.IPv4
+	tokens   []string
+}
+
+// learnShape asks c what it serves, walking every /v1/range page of the
+// newest day.
+func learnShape(ctx context.Context, c *rdnsclient.Client) (servedShape, error) {
+	dr, err := c.Days(ctx)
+	if err != nil {
+		return servedShape{}, fmt.Errorf("probing /v1/days: %w", err)
+	}
+	if len(dr.Days) == 0 {
+		return servedShape{}, fmt.Errorf("daemon serves an empty history")
+	}
+	newest := dr.Days[len(dr.Days)-1]
+	shape := servedShape{days: dr.Days}
+	seen := make(map[dnswire.Prefix]bool)
+	it := c.Range(rdnsclient.RangeQuery{Prefix: "0.0.0.0/0", From: newest, To: newest, Limit: 1000})
+	for it.Next(ctx) {
+		for _, row := range it.Page().Rows {
+			ip, err := dnswire.ParseIPv4(row.IP)
+			if err != nil {
+				return servedShape{}, fmt.Errorf("probing /v1/range: %w", err)
+			}
+			shape.addrs = append(shape.addrs, ip)
+			if p := ip.Slash24(); !seen[p] {
+				seen[p] = true
+				shape.prefixes = append(shape.prefixes, p)
+			}
+			// The name index's first token of the name: the first label
+			// up to its first '-'.
+			label, _, _ := strings.Cut(strings.TrimLeft(row.PTR, "-"), ".")
+			if tok, _, _ := strings.Cut(label, "-"); tok != "" {
+				shape.tokens = append(shape.tokens, tok)
+			}
+		}
+	}
+	if err := it.Err(); err != nil {
+		return servedShape{}, fmt.Errorf("probing /v1/range: %w", err)
+	}
+	if len(shape.addrs) == 0 {
+		return servedShape{}, fmt.Errorf("the newest day, %s, holds no records", newest.Format(time.DateOnly))
+	}
+	return shape, nil
+}
+
 // issue sends one request of the given kind with seeded parameters drawn
-// from the served history's shape.
-func issue(ctx context.Context, c *rdnsclient.Client, ep string, state *uint64, prefixes []dnswire.Prefix, days []time.Time) error {
-	p := prefixes[int(splitmix(state)%uint64(len(prefixes)))]
+// from the served shape.
+func issue(ctx context.Context, c *rdnsclient.Client, ep string, state *uint64, shape servedShape) error {
+	days := shape.days
+	p := shape.prefixes[int(splitmix(state)%uint64(len(shape.prefixes)))]
 	day := days[int(splitmix(state)%uint64(len(days)))]
 	switch ep {
 	case "at":
-		ip := dnswire.IPv4{p.Addr[0], p.Addr[1], p.Addr[2], byte(10 + splitmix(state)%9)}
+		ip := shape.addrs[int(splitmix(state)%uint64(len(shape.addrs)))]
 		_, err := c.At(ctx, ip.String(), day)
 		return err
 	case "range":
@@ -575,9 +515,11 @@ func issue(ctx context.Context, c *rdnsclient.Client, ep string, state *uint64, 
 		_, err := c.Churn(ctx, p.String(), days[0], day)
 		return err
 	case "name":
-		tokens := []string{"brian", "alice", "printer", "camera"}
+		if len(shape.tokens) == 0 {
+			return fmt.Errorf("the newest day's names hold no token to search")
+		}
 		_, err := c.NamePage(ctx, rdnsclient.NameQuery{
-			Token: tokens[int(splitmix(state)%uint64(len(tokens)))], Limit: 100,
+			Token: shape.tokens[int(splitmix(state)%uint64(len(shape.tokens)))], Limit: 100,
 		}, "")
 		return err
 	case "days":

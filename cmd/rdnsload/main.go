@@ -5,16 +5,19 @@
 // scans, churn summaries, name searches — at the concurrency a public
 // deployment would see.
 //
-// By default it self-hosts: it synthesizes a seeded campaign history,
-// serves it through internal/rdnsserve in-process, and drives the handler
-// through an in-memory transport — no sockets, so 10k+ concurrent
-// clients don't exhaust file descriptors or ephemeral ports before they
-// stress the serving path. Point -url at a live daemon to generate load
-// over real HTTP instead.
+// With -store it self-hosts: it serves that store through internal/rdnsserve
+// in-process and drives the handler through an in-memory transport — no
+// sockets, so 10k+ concurrent clients don't exhaust file descriptors or
+// ephemeral ports before they stress the serving path. Point -url at a
+// live daemon to generate load over real HTTP instead.
 //
-//	rdnsload -workers 10000 -requests 30000 -mix 'at=50,range=20,churn=10,name=10,days=5,stats=5'
+//	rdnsload -store campaign/alpha -workers 10000 -requests 30000 -mix 'at=50,range=20,churn=10,name=10,days=5,stats=5'
 //	rdnsload -url http://127.0.0.1:8077 -workers 200 -requests 10000
 //	rdnsload -url http://primary:8077,http://replica:8078 -slo-max-lag-bytes -1
+//
+// Either way the workload aims at what is served: the days /v1/days
+// lists, and the /24s, addresses and name tokens of every record of the
+// newest day (all its /v1/range pages).
 //
 // -url accepts a comma-separated primary+replica set: workers fan across
 // the targets round-robin, and after the run each replica target's
@@ -36,65 +39,83 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
+	"os/signal"
+	"syscall"
 	"time"
 
 	"rdnsprivacy/internal/obs"
 )
 
 func main() {
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: it parses args, drives the run, writes the report to
+// stdout and the verdict and errors to stderr, and returns the exit status:
+// 0 within SLO, 1 out of it or on an error, 2 on a usage error.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rdnsload", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var cfg loadConfig
-	flag.StringVar(&cfg.url, "url", "", "drive live daemons at this comma-separated base URL list (a primary+replica set fans workers round-robin) instead of self-hosting")
-	flag.StringVar(&cfg.storePath, "store", "", "self-host this existing store (default: synthesize one)")
-	flag.IntVar(&cfg.days, "days", 30, "synthesized history length in daily snapshots")
-	flag.IntVar(&cfg.blocks, "blocks", 4, "synthesized /24 block count")
-	flag.Int64Var(&cfg.seed, "seed", 1, "workload and synthesis seed")
-	flag.IntVar(&cfg.workers, "workers", 10000, "concurrent client workers")
-	flag.IntVar(&cfg.requests, "requests", 30000, "total requests across all workers")
-	flag.StringVar(&cfg.mixSpec, "mix", "at=50,range=20,churn=10,name=10,days=5,stats=5",
+	fs.StringVar(&cfg.url, "url", "", "drive live daemons at this comma-separated base URL list (a primary+replica set fans workers round-robin) instead of self-hosting")
+	fs.StringVar(&cfg.storePath, "store", "", "self-host this store (required without -url)")
+	fs.Int64Var(&cfg.seed, "seed", 1, "workload seed")
+	fs.IntVar(&cfg.workers, "workers", 10000, "concurrent client workers")
+	fs.IntVar(&cfg.requests, "requests", 30000, "total requests across all workers")
+	fs.StringVar(&cfg.mixSpec, "mix", "at=50,range=20,churn=10,name=10,days=5,stats=5",
 		"endpoint mix as comma-separated endpoint=weight pairs")
-	flag.Float64Var(&cfg.rate, "rate", 0, "self-hosted per-client rate limit (requests/second, 0 = off)")
-	flag.Float64Var(&cfg.burst, "burst", 0, "self-hosted per-client burst capacity")
-	flag.IntVar(&cfg.maxInFlight, "max-inflight", 0, "self-hosted in-flight bound (0 = unbounded)")
-	flag.Float64Var(&cfg.rules.MaxErrorRate, "slo-max-error-rate", 0, "SLO: max hard-error rate (0 = none allowed)")
-	flag.Float64Var(&cfg.rules.MaxShedRate, "slo-max-shed-rate", 0.01, "SLO: max 429+503 pushback rate")
-	flag.Float64Var(&cfg.rules.MaxP95Seconds, "slo-p95", 1.0, "SLO: max p95 latency in seconds (negative disables)")
-	flag.Float64Var(&cfg.rules.MaxP99Seconds, "slo-p99", 2.5, "SLO: max p99 latency in seconds (negative disables)")
-	flag.Int64Var(&cfg.rules.MaxReplicaLagBytes, "slo-max-lag-bytes", 0, "SLO: max replica lag in feed bytes after the run (negative = must be caught up, 0 disables)")
-	flag.BoolVar(&cfg.trace, "trace", false, "propagate correlation IDs and report the exemplar chains behind the worst latencies")
-	flag.StringVar(&cfg.traceDump, "trace-dump", "", "comma-separated extra span sources to stitch: JSONL files or live daemons' /trace URLs")
-	jsonOut := flag.Bool("json", false, "emit the full report as JSON")
-	flag.Parse()
+	fs.Float64Var(&cfg.rate, "rate", 0, "self-hosted per-client rate limit (requests/second, 0 = off)")
+	fs.Float64Var(&cfg.burst, "burst", 0, "self-hosted per-client burst capacity")
+	fs.IntVar(&cfg.maxInFlight, "max-inflight", 0, "self-hosted in-flight bound (0 = unbounded)")
+	cfg.rules.RegisterFlags(fs)
+	fs.BoolVar(&cfg.trace, "trace", false, "propagate correlation IDs and report the exemplar chains behind the worst latencies")
+	fs.StringVar(&cfg.traceDump, "trace-dump", "", "comma-separated extra span sources to stitch: JSONL files or live daemons' /trace URLs")
+	jsonOut := fs.Bool("json", false, "emit the full report as JSON")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	if cfg.workers < 1 || cfg.requests < cfg.workers {
-		fmt.Fprintln(os.Stderr, "rdnsload: need -workers >= 1 and -requests >= -workers")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "rdnsload: need -workers >= 1 and -requests >= -workers")
+		return 2
+	}
+	if cfg.url == "" && cfg.storePath == "" {
+		fmt.Fprintln(stderr, "rdnsload: need -store or -url")
+		return 2
 	}
 	start := time.Now()
-	res, err := runLoad(&cfg)
+	res, err := runLoad(ctx, &cfg, stderr)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "rdnsload: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "rdnsload: %v\n", err)
+		return 1
 	}
 	res.Elapsed = time.Since(start).Seconds()
 
 	if *jsonOut {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		enc.Encode(res)
 	} else {
-		printReport(os.Stdout, res)
+		printReport(stdout, res)
 	}
 	if !res.Report.OK {
-		fmt.Fprintf(os.Stderr, "rdnsload: OUT OF SLO (%d/%d samples violating)\n",
+		fmt.Fprintf(stderr, "rdnsload: OUT OF SLO (%d/%d samples violating)\n",
 			res.Report.ViolatingSamples, len(res.Report.Verdicts))
-		os.Exit(1)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "rdnsload: within SLO (%d samples)\n", len(res.Report.Verdicts))
+	fmt.Fprintf(stderr, "rdnsload: within SLO (%d samples)\n", len(res.Report.Verdicts))
+	return 0
 }
 
 func printReport(w io.Writer, res *loadResult) {
@@ -109,13 +130,6 @@ func printReport(w io.Writer, res *loadResult) {
 	}
 	for _, c := range res.ExemplarChains {
 		fmt.Fprintln(w, c)
-	}
-	for _, v := range res.Report.Verdicts {
-		if !v.OK {
-			for _, viol := range v.Violations {
-				fmt.Fprintf(w, "VIOLATION %s: %s = %g (limit %g)\n", v.Label, viol.Rule, viol.Value, viol.Limit)
-			}
-		}
 	}
 	fmt.Fprintln(w, res.Report.Summary())
 }

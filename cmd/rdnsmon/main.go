@@ -19,8 +19,9 @@ package main
 import (
 	"flag"
 	"os"
-	"strings"
 	"time"
+
+	"rdnsprivacy/internal/obs"
 )
 
 func main() {
@@ -30,26 +31,11 @@ func main() {
 	flag.StringVar(&metrics, "metrics", "", "optional comma-separated Prometheus text URLs, one per target")
 	flag.IntVar(&cfg.rounds, "rounds", 3, "poll rounds (deltas between first and last become rates)")
 	flag.DurationVar(&cfg.interval, "interval", 2*time.Second, "delay between poll rounds")
-	flag.Float64Var(&cfg.rules.MaxErrorRate, "slo-max-error-rate", 0, "SLO: max hard-error rate over the window (0 = none allowed)")
-	flag.Float64Var(&cfg.rules.MaxShedRate, "slo-max-shed-rate", 0.01, "SLO: max 429+503 pushback rate over the window")
-	flag.Float64Var(&cfg.rules.MaxP95Seconds, "slo-p95", 1.0, "SLO: max p95 latency in seconds (negative disables)")
-	flag.Float64Var(&cfg.rules.MaxP99Seconds, "slo-p99", 2.5, "SLO: max p99 latency in seconds (negative disables)")
-	flag.Int64Var(&cfg.rules.MaxReplicaLagBytes, "slo-max-lag-bytes", 0, "SLO: max replica lag in feed bytes (negative = must be caught up, 0 disables)")
+	cfg.rules.RegisterFlags(flag.CommandLine)
 	flag.BoolVar(&cfg.jsonOut, "json", false, "emit the samples and report as JSON instead of the dashboard")
 	flag.Parse()
 
-	cfg.targets = splitList(targets)
-	cfg.metrics = splitList(metrics)
+	cfg.targets = obs.SplitList(targets)
+	cfg.metrics = obs.SplitList(metrics)
 	os.Exit(run(&cfg, os.Stdout, os.Stderr))
-}
-
-// splitList parses a comma-separated flag into trimmed non-empty items.
-func splitList(spec string) []string {
-	var out []string
-	for _, s := range strings.Split(spec, ",") {
-		if s = strings.TrimSpace(s); s != "" {
-			out = append(out, strings.TrimRight(s, "/"))
-		}
-	}
-	return out
 }

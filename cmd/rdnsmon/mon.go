@@ -32,11 +32,11 @@ type monConfig struct {
 	hc *http.Client
 }
 
-// pollRound is one round's scrape of every target.
+// pollRound is one round's scrape of every target; errs[i] is nil when
+// target i answered.
 type pollRound struct {
 	at    time.Time
 	stats []rdnsclient.StatsResponse
-	ok    []bool
 	errs  []error
 }
 
@@ -84,16 +84,10 @@ func run(cfg *monConfig, stdout, stderr io.Writer) int {
 		pr := pollRound{
 			at:    time.Now(),
 			stats: make([]rdnsclient.StatsResponse, len(clients)),
-			ok:    make([]bool, len(clients)),
 			errs:  make([]error, len(clients)),
 		}
 		for i, c := range clients {
-			sr, err := c.Stats(context.Background())
-			if err != nil {
-				pr.errs[i] = err
-				continue
-			}
-			pr.stats[i], pr.ok[i] = sr, true
+			pr.stats[i], pr.errs[i] = c.Stats(context.Background())
 		}
 		rounds = append(rounds, pr)
 	}
@@ -119,7 +113,7 @@ func run(cfg *monConfig, stdout, stderr io.Writer) int {
 
 	last := rounds[len(rounds)-1]
 	for i := range cfg.targets {
-		if !last.ok[i] {
+		if last.errs[i] != nil {
 			fmt.Fprintf(stderr, "rdnsmon: %s unreachable: %v\n", cfg.targets[i], last.errs[i])
 		}
 	}
@@ -160,7 +154,7 @@ func fleetSamples(cfg *monConfig, rounds []pollRound) []obs.LoadSample {
 	fleet.Label = "fleet"
 	for i := range cfg.targets {
 		label := fmt.Sprintf("d%d", i)
-		if !last.ok[i] {
+		if last.errs[i] != nil {
 			out = append(out, obs.LoadSample{Label: label, Requests: 1, Errors: 1})
 			fleet.Requests++
 			fleet.Errors++
@@ -175,7 +169,7 @@ func fleetSamples(cfg *monConfig, rounds []pollRound) []obs.LoadSample {
 		}
 		s.Requests, s.Errors = req, errs
 		s.RateLimited, s.Shed = adm.RateLimited, adm.Shed
-		if first.ok[i] && len(rounds) > 1 {
+		if first.errs[i] == nil && len(rounds) > 1 {
 			base := first.stats[i]
 			breq, berrs, _ := outcomeTotals(base)
 			if !hasOutcomes {
@@ -234,7 +228,7 @@ func dashboard(w io.Writer, cfg *monConfig, rounds []pollRound, samples []obs.Lo
 	var bars []textplot.BarItem
 	for i := range cfg.targets {
 		label := fmt.Sprintf("d%d", i)
-		if !last.ok[i] {
+		if last.errs[i] != nil {
 			row := []string{label, "-", "-", "-", "-", "-", "-", "-", "-", "-", "unreachable"}
 			if len(cfg.metrics) > 0 {
 				row = append(row, "-")
@@ -289,7 +283,7 @@ func dashboard(w io.Writer, cfg *monConfig, rounds []pollRound, samples []obs.Lo
 		for i := range cfg.targets {
 			row := []string{fmt.Sprintf("d%d", i)}
 			for _, pr := range rounds {
-				if pr.ok[i] {
+				if pr.errs[i] == nil {
 					row = append(row, fmt.Sprintf("%.2f", pr.stats[i].Latency.P99*1e3))
 				} else {
 					row = append(row, "-")

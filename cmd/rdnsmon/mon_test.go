@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
-	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -74,7 +73,7 @@ func lenientRules() obs.LoadRules {
 }
 
 func TestRunUsageErrors(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	cases := []monConfig{
 		{rounds: 1},
 		{targets: []string{"http://a"}, metrics: []string{"http://m1", "http://m2"}, rounds: 1},
@@ -88,22 +87,10 @@ func TestRunUsageErrors(t *testing.T) {
 	}
 }
 
-// TestSplitList: the -targets/-metrics flags tolerate spaces, empty items
-// and trailing slashes (a target is joined with "/v1/..." later).
-func TestSplitList(t *testing.T) {
-	got := splitList(" http://a:8077/ ,,http://b:8078 , ")
-	if want := []string{"http://a:8077", "http://b:8078"}; !slices.Equal(got, want) {
-		t.Fatalf("splitList = %q, want %q", got, want)
-	}
-	if got := splitList(""); got != nil {
-		t.Fatalf("splitList of nothing = %q", got)
-	}
-}
-
 // TestMonitorUnreachable: a dead daemon becomes a failing sample, shows
 // as unreachable on the dashboard, and trips the error-rate gate.
 func TestMonitorUnreachable(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	dead := httptest.NewServer(nil)
 	dead.Close()
 	cfg := &monConfig{targets: []string{dead.URL}, rounds: 1, rules: lenientRules()}
@@ -119,7 +106,7 @@ func TestMonitorUnreachable(t *testing.T) {
 // TestMonitorMetricsColumn: with -metrics URLs the dashboard scrapes the
 // Prometheus pages and reports a per-daemon series count.
 func TestMonitorMetricsColumn(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir()
 	st, err := histstore.Open(filepath.Join(dir, "s"), histstore.WithCache(64))
 	if err != nil {
@@ -320,7 +307,7 @@ func runFleetScenario(t *testing.T, seed int64) fleetResult {
 // resolution, rdnsmon verdicts, and replay determinism — the same seed
 // reproduces the same correlation IDs and the same query-log digest.
 func TestMonitorE2E(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	r1 := runFleetScenario(t, 7)
 	r2 := runFleetScenario(t, 7)
 	if r1.qlogDigest != r2.qlogDigest {

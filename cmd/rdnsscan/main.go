@@ -52,8 +52,8 @@
 //	rdnsscan -server 127.0.0.1:5353 -prefix 10.0.0.0/24 -watch -obs-out frames.jsonl
 //	experiments -obs frames.jsonl
 //
-// See docs/observability.md for metric names and the trace schema, and
-// docs/observability.md for the frame schema.
+// See docs/observability.md for metric names and the trace and frame
+// schemas.
 //
 // -store appends each sweep's merged record set to a longitudinal
 // history store (one snapshot per sweep; one per poll with -watch) and
@@ -79,6 +79,7 @@ import (
 	"os"
 	"os/signal"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"rdnsprivacy/internal/dnsclient"
@@ -90,36 +91,48 @@ import (
 	"rdnsprivacy/internal/telemetry"
 )
 
-// lastHealth holds the most recent sweep's HealthReport for the /health
-// endpoint (nil until a resilient sweep completes).
-var lastHealth atomic.Pointer[scanengine.HealthReport]
-
 func main() {
-	server := flag.String("server", "127.0.0.1:5353", "name server host:port")
-	prefix := flag.String("prefix", "", "CIDR prefix to scan (e.g. 10.0.0.0/24)")
-	single := flag.String("ip", "", "single address to look up")
-	timeout := flag.Duration("timeout", 2*time.Second, "per-query timeout")
-	retries := flag.Int("retries", 1, "retransmissions after timeout")
-	rate := flag.Int("rate", 0, "max queries per second (0 = unlimited)")
-	workers := flag.Int("workers", 8, "resolver worker pool size")
-	negTTL := flag.Duration("neg-ttl", 0, "negative-cache TTL for repeated sweeps (0 = off)")
-	onlyFound := flag.Bool("only-found", false, "print only NOERROR results")
-	resilient := flag.Bool("resilient", false, "enable the resilience layer: scan-level retries with jittered backoff, per-shard circuit breakers, graceful degradation (see docs/resilience.md)")
-	maxAttempts := flag.Int("max-attempts", 3, "total lookups per address with -resilient")
-	backoff := flag.Duration("backoff", 100*time.Millisecond, "base retry backoff with -resilient (full jitter, doubling per attempt)")
-	hedge := flag.Duration("hedge", 0, "hedged-lookup delay: race a second query after this long (0 = off, implies -resilient)")
-	breakerThreshold := flag.Int("breaker-threshold", 5, "consecutive faults that open a shard's circuit breaker with -resilient (0 = breaker off)")
-	breakerOpen := flag.Duration("breaker-open", time.Second, "how long an open breaker waits before probing half-open")
-	throttleDelay := flag.Duration("throttle-delay", 0, "initial adaptive pacing delay on REFUSED answers (0 = off)")
-	seed := flag.Int64("seed", 1, "jitter seed; the same seed replays the same backoff schedule")
-	axfr := flag.String("axfr", "", "attempt an AXFR of the given zone over TCP instead of scanning")
-	watch := flag.Bool("watch", false, "poll the prefix and print record-set changes")
-	interval := flag.Duration("interval", 30*time.Second, "polling interval for -watch")
-	metricsAddr := flag.String("metrics-addr", "", "serve telemetry over HTTP on this address: /metrics (Prometheus), /debug/vars (JSON), /debug/pprof/, /health, /trace (see docs/observability.md)")
-	traceOut := flag.String("trace-out", "", "write the sweep span log to this file as JSONL for `experiments -trace`")
-	obsOut := flag.String("obs-out", "", "write one observability frame per sweep to this file as JSONL for `experiments -obs` (see docs/observability.md)")
-	storeOut := flag.String("store", "", "append each sweep's record set to this longitudinal history store, queryable with cmd/rdnsd (see docs/storage.md)")
-	flag.Parse()
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
+}
+
+// run is the command: it parses args, writes results to stdout and
+// progress and errors to stderr, and returns the exit status. Cancelling
+// ctx interrupts the sweep (or ends -watch).
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rdnsscan", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	server := fs.String("server", "127.0.0.1:5353", "name server host:port")
+	prefix := fs.String("prefix", "", "CIDR prefix to scan (e.g. 10.0.0.0/24)")
+	single := fs.String("ip", "", "single address to look up")
+	timeout := fs.Duration("timeout", 2*time.Second, "per-query timeout")
+	retries := fs.Int("retries", 1, "retransmissions after timeout")
+	rate := fs.Int("rate", 0, "max queries per second (0 = unlimited)")
+	workers := fs.Int("workers", 8, "resolver worker pool size")
+	negTTL := fs.Duration("neg-ttl", 0, "negative-cache TTL for repeated sweeps (0 = off)")
+	onlyFound := fs.Bool("only-found", false, "print only NOERROR results")
+	resilient := fs.Bool("resilient", false, "enable the resilience layer: scan-level retries with jittered backoff, per-shard circuit breakers, graceful degradation (see docs/resilience.md)")
+	maxAttempts := fs.Int("max-attempts", 3, "total lookups per address with -resilient")
+	backoff := fs.Duration("backoff", 100*time.Millisecond, "base retry backoff with -resilient (full jitter, doubling per attempt)")
+	hedge := fs.Duration("hedge", 0, "hedged-lookup delay: race a second query after this long (0 = off, implies -resilient)")
+	breakerThreshold := fs.Int("breaker-threshold", 5, "consecutive faults that open a shard's circuit breaker with -resilient (0 = breaker off)")
+	breakerOpen := fs.Duration("breaker-open", time.Second, "how long an open breaker waits before probing half-open")
+	throttleDelay := fs.Duration("throttle-delay", 0, "initial adaptive pacing delay on REFUSED answers (0 = off)")
+	seed := fs.Int64("seed", 1, "jitter seed; the same seed replays the same backoff schedule")
+	axfr := fs.String("axfr", "", "attempt an AXFR of the given zone over TCP instead of scanning")
+	watch := fs.Bool("watch", false, "poll the prefix and print record-set changes")
+	interval := fs.Duration("interval", 30*time.Second, "polling interval for -watch")
+	metricsAddr := fs.String("metrics-addr", "", "serve telemetry over HTTP on this address: /metrics (Prometheus), /debug/vars (JSON), /debug/pprof/, /health, /trace (see docs/observability.md)")
+	traceOut := fs.String("trace-out", "", "write the sweep span log to this file as JSONL for `experiments -trace`")
+	obsOut := fs.String("obs-out", "", "write one observability frame per sweep to this file as JSONL for `experiments -obs` (see docs/observability.md)")
+	storeOut := fs.String("store", "", "append each sweep's record set to this longitudinal history store, queryable with cmd/rdnsd (see docs/storage.md)")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	client := &dnsclient.UDPClient{Server: *server, Timeout: *timeout, Retries: *retries}
 	defer client.Close()
@@ -127,46 +140,47 @@ func main() {
 	if *axfr != "" {
 		zone, err := dnswire.ParseName(*axfr)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		records, err := client.TransferZone(zone)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "transfer failed: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "transfer failed: %v\n", err)
+			return 1
 		}
-		fmt.Println("name,type,data")
+		fmt.Fprintln(stdout, "name,type,data")
 		for _, rr := range records {
-			fmt.Printf("%s,%s,%s\n", rr.Name, rr.Type, rr.Data)
+			fmt.Fprintf(stdout, "%s,%s,%s\n", rr.Name, rr.Type, rr.Data)
 		}
-		fmt.Fprintf(os.Stderr, "transferred %d records in one query\n", len(records))
-		return
+		fmt.Fprintf(stderr, "transferred %d records in one query\n", len(records))
+		return 0
 	}
 
+	if *watch && *prefix == "" {
+		fmt.Fprintln(stderr, "-watch needs -prefix")
+		return 2
+	}
 	var targets []dnswire.Prefix
 	switch {
 	case *single != "":
 		ip, err := dnswire.ParseIPv4(*single)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		targets = []dnswire.Prefix{{Addr: ip, Bits: 32}}
 	case *prefix != "":
 		p, err := dnswire.ParsePrefix(*prefix)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			fmt.Fprintln(stderr, err)
+			return 2
 		}
 		targets = []dnswire.Prefix{p}
 	default:
-		fmt.Fprintln(os.Stderr, "need -prefix or -ip")
-		flag.Usage()
-		os.Exit(2)
+		fmt.Fprintln(stderr, "need -prefix or -ip")
+		fs.Usage()
+		return 2
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
 
 	opts := []scanengine.Option{scanengine.WithWorkers(*workers)}
 	if *rate > 0 {
@@ -191,24 +205,31 @@ func main() {
 		}))
 	}
 
-	var tracer *telemetry.Tracer
-	var recorder *obs.Recorder
 	var store *histstore.Store
 	if *storeOut != "" {
 		var err error
 		store, err = histstore.Open(*storeOut)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "store: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "store: %v\n", err)
+			return 1
 		}
 		defer store.Close()
 	}
+	// lastHealth holds the most recent sweep's HealthReport for the
+	// /health endpoint (nil until a resilient sweep completes).
+	var lastHealth atomic.Pointer[scanengine.HealthReport]
+	var tracer *telemetry.Tracer
+	var recorder *obs.Recorder
 	if *metricsAddr != "" || *traceOut != "" || *obsOut != "" {
 		reg := telemetry.NewRegistry()
 		tracer = telemetry.NewTracer(*seed, 0)
 		opts = append(opts, scanengine.WithTelemetry(reg), scanengine.WithTracer(tracer))
 		if *obsOut != "" {
-			recorder = newRecorder(reg, store)
+			// With -store the frames also carry the store's state.
+			recorder = obs.NewRecorder(reg)
+			if store != nil {
+				recorder.SetStoreStats(func() obs.StoreStats { return scan.StoreStats(store) })
+			}
 		}
 		if *metricsAddr != "" {
 			exp := telemetry.NewExporter(reg,
@@ -216,46 +237,45 @@ func main() {
 				telemetry.WithExporterHealth(func() any { return lastHealth.Load() }))
 			addr, err := exp.Start(*metricsAddr)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "metrics endpoint: %v\n", err)
-				os.Exit(1)
+				fmt.Fprintf(stderr, "metrics endpoint: %v\n", err)
+				return 1
 			}
 			defer exp.Close()
-			fmt.Fprintf(os.Stderr, "telemetry: http://%s/metrics\n", addr)
+			fmt.Fprintf(stderr, "telemetry: http://%s/metrics\n", addr)
 		}
 	}
-	if *watch {
-		if *prefix == "" {
-			fmt.Fprintln(os.Stderr, "-watch needs -prefix")
-			os.Exit(2)
-		}
-		watchLoop(ctx, client, targets, *interval, opts, recorder, store)
-		dumpTrace(tracer, *traceOut)
-		dumpFrames(recorder, *obsOut)
-		return
-	}
-
-	sc := scanengine.New(dnsclient.UDPSource{Client: client},
-		append(opts, scanengine.WithResultFunc(csvPrinter(os.Stdout, os.Stderr, *onlyFound)))...)
-	fmt.Println("ip,outcome,ptr,rtt_ms")
-	snap, err := sc.Sweep(ctx, scanengine.Request{Targets: targets})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "sweep interrupted: %v\n", err)
-	}
-	if snap != nil {
-		fmt.Fprintf(os.Stderr, "scanned %d addresses: %d records, %d errors\n",
-			snap.Stats.Probes, snap.Stats.Found, snap.Stats.Errors)
+	// record takes every sweep that ran to its end: it keeps the health
+	// report, archives the snapshot and captures its frame.
+	record := func(i int, snap *scanengine.Snapshot) {
 		if snap.Health != nil {
 			lastHealth.Store(snap.Health)
 		}
-		appendStore(store, snap)
-		recorder.CaptureFrame(0, time.Now().UTC(), snap)
+		appendStore(store, snap, stderr)
+		recorder.CaptureFrame(i, time.Now().UTC(), snap)
 	}
-	printHealth(snap)
-	dumpTrace(tracer, *traceOut)
-	dumpFrames(recorder, *obsOut)
-	if err != nil {
-		os.Exit(1)
+
+	code := 0
+	if *watch {
+		sc := scanengine.New(dnsclient.UDPSource{Client: client}, opts...)
+		code = watchLoop(ctx, sc, targets, *interval, record, stdout, stderr)
+	} else {
+		sc := scanengine.New(dnsclient.UDPSource{Client: client},
+			append(opts, scanengine.WithResultFunc(csvPrinter(stdout, stderr, *onlyFound)))...)
+		fmt.Fprintln(stdout, "ip,outcome,ptr,rtt_ms")
+		snap, err := sc.Sweep(ctx, scanengine.Request{Targets: targets})
+		if err != nil {
+			fmt.Fprintf(stderr, "sweep interrupted: %v\n", err)
+			code = 1
+		}
+		if snap != nil {
+			fmt.Fprintf(stderr, "scanned %d addresses: %d records, %d errors\n",
+				snap.Stats.Probes, snap.Stats.Found, snap.Stats.Errors)
+			record(0, snap)
+			printHealth(stderr, snap.Health)
+		}
 	}
+	obs.WriteDumps(stderr, tracer, *traceOut, recorder, *obsOut)
+	return code
 }
 
 // csvPrinter is the sweep's result func: it writes one CSV row per answered
@@ -277,16 +297,6 @@ func csvPrinter(out, errOut io.Writer, onlyFound bool) func(scanengine.Result) {
 	}
 }
 
-// newRecorder is the -obs-out frame recorder over the sweep's registry;
-// with -store its frames also carry the store's state.
-func newRecorder(reg *telemetry.Registry, store *histstore.Store) *obs.Recorder {
-	rec := obs.NewRecorder(reg)
-	if store != nil {
-		rec.SetStoreStats(func() obs.StoreStats { return scan.StoreStats(store) })
-	}
-	return rec
-}
-
 // appendStore persists one sweep's record set as a history-store
 // snapshot stamped with the wall clock. No-op without -store; a failed
 // append (e.g. two polls within the store's one-second granularity) is
@@ -297,118 +307,74 @@ func newRecorder(reg *telemetry.Registry, store *histstore.Store) *obs.Recorder 
 // into a segment once the tail holds the store's base interval of
 // snapshots, so a store a -watch run keeps growing is compacted without
 // anyone else writing it.
-func appendStore(store *histstore.Store, snap *scanengine.Snapshot) {
-	if store == nil || snap == nil {
+func appendStore(store *histstore.Store, snap *scanengine.Snapshot, stderr io.Writer) {
+	if store == nil {
 		return
 	}
 	if snap.Partial {
-		fmt.Fprintln(os.Stderr, "store: sweep incomplete, not archived")
+		fmt.Fprintln(stderr, "store: sweep incomplete, not archived")
 		return
 	}
 	if err := store.AppendBlocks(time.Now().UTC(), snap.Blocks); err != nil {
-		fmt.Fprintf(os.Stderr, "store: %v\n", err)
+		fmt.Fprintf(stderr, "store: %v\n", err)
 		return
 	}
 	res, err := store.Compact(context.Background(), histstore.CompactOptions{})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "store: compact: %v\n", err)
+		fmt.Fprintf(stderr, "store: compact: %v\n", err)
 	} else if res.Skipped == "" {
-		fmt.Fprintf(os.Stderr, "store: sealed %d snapshots into %s, %d B -> %d B\n",
+		fmt.Fprintf(stderr, "store: sealed %d snapshots into %s, %d B -> %d B\n",
 			res.Sealed, res.Segment, res.TailBytes, res.SegmentBytes)
 	}
 }
 
-// dumpFrames writes the captured sweep frames as JSONL, the input format
-// of `experiments -obs`. No-ops when frame capture is off or no path was
-// given.
-func dumpFrames(rec *obs.Recorder, path string) {
-	if rec == nil || path == "" {
+// printHealth summarizes the resilience layer's HealthReport on w (only
+// present when the layer is enabled).
+func printHealth(w io.Writer, h *scanengine.HealthReport) {
+	if h == nil {
 		return
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := rec.Store().WriteJSONL(f); err != nil {
-		fmt.Fprintf(os.Stderr, "obs: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "obs: wrote %d frames to %s\n", rec.Store().Len(), path)
-}
-
-// dumpTrace writes the tracer's span log as JSONL, the input format of
-// `experiments -trace`. No-ops when tracing is off or no path was given.
-func dumpTrace(tracer *telemetry.Tracer, path string) {
-	if tracer == nil || path == "" {
-		return
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		return
-	}
-	defer f.Close()
-	if err := tracer.WriteJSONL(f); err != nil {
-		fmt.Fprintf(os.Stderr, "trace: %v\n", err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "trace: wrote %d spans to %s\n", tracer.Len(), path)
-}
-
-// printHealth summarizes the resilience layer's HealthReport on stderr
-// (only present when the layer is enabled).
-func printHealth(snap *scanengine.Snapshot) {
-	if snap == nil || snap.Health == nil {
-		return
-	}
-	t := snap.Health.Totals
-	fmt.Fprintf(os.Stderr, "health: %d attempts, %d retries, %d throttled, %d hedges (%d won), %d breaker opens, %d skipped\n",
+	t := h.Totals
+	fmt.Fprintf(w, "health: %d attempts, %d retries, %d throttled, %d hedges (%d won), %d breaker opens, %d skipped\n",
 		t.Attempts, t.Retries, t.Throttled, t.Hedges, t.HedgeWins, t.BreakerOpens, t.Skipped)
-	for _, p := range snap.Health.Degraded {
-		fmt.Fprintf(os.Stderr, "health: DEGRADED %s — breaker budget exhausted, range incompletely scanned\n", p)
+	for _, p := range h.Degraded {
+		fmt.Fprintf(w, "health: DEGRADED %s — breaker budget exhausted, range incompletely scanned\n", p)
 	}
 }
 
-// watchLoop re-sweeps the targets through the engine and prints the deltas
-// each snapshot carries against its predecessor. With frame capture on,
-// every sweep becomes one observability frame.
-func watchLoop(ctx context.Context, client *dnsclient.UDPClient, targets []dnswire.Prefix, interval time.Duration, opts []scanengine.Option, recorder *obs.Recorder, store *histstore.Store) {
-	sc := scanengine.New(dnsclient.UDPSource{Client: client}, opts...)
+// watchLoop re-sweeps the targets every interval until ctx ends and prints
+// the deltas each snapshot carries against its predecessor; record takes
+// every sweep that ran to its end. It returns the exit status: 1 when the
+// baseline sweep was interrupted, else 0.
+func watchLoop(ctx context.Context, sc *scanengine.Scanner, targets []dnswire.Prefix, interval time.Duration, record func(int, *scanengine.Snapshot), stdout, stderr io.Writer) int {
 	snap, err := sc.Sweep(ctx, scanengine.Request{Targets: targets})
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "baseline sweep interrupted: %v\n", err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "baseline sweep interrupted: %v\n", err)
+		return 1
 	}
-	appendStore(store, snap)
-	recorder.CaptureFrame(0, time.Now().UTC(), snap)
-	fmt.Fprintf(os.Stderr, "baseline: %d records; watching every %s\n", snap.Blocks.Len(), interval)
+	record(0, snap)
+	fmt.Fprintf(stderr, "baseline: %d records; watching every %s\n", snap.Blocks.Len(), interval)
 	for sweep := 1; ; sweep++ {
 		select {
 		case <-ctx.Done():
-			return
+			return 0
 		case <-time.After(interval):
 		}
 		snap, err = sc.Sweep(ctx, scanengine.Request{Targets: targets})
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "sweep interrupted: %v\n", err)
-			return
+			fmt.Fprintf(stderr, "sweep interrupted: %v\n", err)
+			return 0
 		}
-		if snap.Health != nil {
-			lastHealth.Store(snap.Health)
-		}
-		appendStore(store, snap)
-		recorder.CaptureFrame(sweep, time.Now().UTC(), snap)
+		record(sweep, snap)
 		now := time.Now().Format("15:04:05")
 		for _, ch := range snap.Changes {
 			switch ch.Kind {
 			case scanengine.RecordAdded:
-				fmt.Printf("%s  + %-16s %s\n", now, ch.IP, ch.New)
+				fmt.Fprintf(stdout, "%s  + %-16s %s\n", now, ch.IP, ch.New)
 			case scanengine.RecordRemoved:
-				fmt.Printf("%s  - %-16s %s\n", now, ch.IP, ch.Old)
+				fmt.Fprintf(stdout, "%s  - %-16s %s\n", now, ch.IP, ch.Old)
 			case scanengine.RecordChanged:
-				fmt.Printf("%s  ~ %-16s %s -> %s\n", now, ch.IP, ch.Old, ch.New)
+				fmt.Fprintf(stdout, "%s  ~ %-16s %s -> %s\n", now, ch.IP, ch.Old, ch.New)
 			}
 		}
 	}

@@ -5,14 +5,17 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"rdnsprivacy/internal/dnsclient"
 	"rdnsprivacy/internal/dnswire"
 	"rdnsprivacy/internal/histstore"
+	"rdnsprivacy/internal/obs"
 	"rdnsprivacy/internal/scanengine"
-	"rdnsprivacy/internal/telemetry"
 )
 
 // TestPartialSweepIsNotArchived pins that -store keeps a cancelled sweep
@@ -27,12 +30,12 @@ func TestPartialSweepIsNotArchived(t *testing.T) {
 	defer store.Close()
 	recs := scanengine.RecordSet{dnswire.IPv4{10, 0, 0, 1}: dnswire.MustName("h1.example.org")}
 	snap := &scanengine.Snapshot{Blocks: scanengine.Pack(recs), Records: recs, Partial: true}
-	appendStore(store, snap)
+	appendStore(store, snap, io.Discard)
 	if store.Len() != 0 {
 		t.Fatalf("a partial sweep was archived: store holds %d snapshots", store.Len())
 	}
 	snap.Partial = false
-	appendStore(store, snap)
+	appendStore(store, snap, io.Discard)
 	if store.Len() != 1 {
 		t.Fatalf("a complete sweep was not archived: store holds %d snapshots", store.Len())
 	}
@@ -68,7 +71,7 @@ func TestStoreSealsAtTheBaseInterval(t *testing.T) {
 		if st, err = histstore.Open(dir); err != nil {
 			t.Fatal(err)
 		}
-		appendStore(st, snap)
+		appendStore(st, snap, io.Discard)
 		stats := st.Stats()
 		if err := st.Close(); err != nil {
 			t.Fatal(err)
@@ -81,36 +84,58 @@ func TestStoreSealsAtTheBaseInterval(t *testing.T) {
 }
 
 // TestObsFramesCarryCompactedStoreState pins the -store -obs-out wiring:
-// a frame captured over a store that has compacted reports its segments,
-// writers and compaction runs — the whole of scan.StoreStats, not a
-// subset of its fields.
+// a frame captured over a store that run's own append has compacted
+// reports its segments, writers and compaction runs (the whole of
+// scan.StoreStats, not a subset of its fields), and a frame without
+// -store reports no store.
 func TestObsFramesCarryCompactedStoreState(t *testing.T) {
-	store, err := histstore.Open(t.TempDir())
+	addr, _ := serveZone(t)
+	dir := t.TempDir()
+	storeDir := filepath.Join(dir, "hist")
+	// Three snapshots at a base interval of 4: the sweep's append is the
+	// one that reaches it, so run's compaction seals the tail.
+	store, err := histstore.Open(storeDir, histstore.WithBaseInterval(4))
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer store.Close()
 	day := time.Date(2021, 11, 1, 0, 0, 0, 0, time.UTC)
-	snap := &scanengine.Snapshot{Records: scanengine.RecordSet{}}
-	for i := 0; i < 12; i++ {
-		snap.Records[dnswire.IPv4{10, 0, 0, byte(i)}] = dnswire.MustName(fmt.Sprintf("h%d.example.org", i))
-		if err := store.Append(day.AddDate(0, 0, i), snap.Records); err != nil {
+	recs := scanengine.RecordSet{}
+	for i := 0; i < 3; i++ {
+		recs[dnswire.IPv4{10, 0, 0, byte(i)}] = dnswire.MustName(fmt.Sprintf("h%d.example.org", i))
+		if err := store.Append(day.AddDate(0, 0, i), recs); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := store.CompactWriter(context.Background(), histstore.DefaultWriter, histstore.CompactOptions{MinSeal: 4}); err != nil {
+	if err := store.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	rec := newRecorder(telemetry.NewRegistry(), store)
-	st := rec.CaptureFrame(0, day, snap).Store
+	frame := func(args ...string) obs.Frame {
+		t.Helper()
+		path := filepath.Join(dir, "frames.jsonl")
+		var stderr bytes.Buffer
+		if code := run(context.Background(), append([]string{"-server", addr, "-prefix", "10.0.0.0/24", "-obs-out", path}, args...), io.Discard, &stderr); code != 0 {
+			t.Fatalf("exit %d:\n%s", code, stderr.String())
+		}
+		f, err := os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer f.Close()
+		frames, err := obs.ReadFrames(f)
+		if err != nil || len(frames) != 1 {
+			t.Fatalf("frames %+v, %v; want one", frames, err)
+		}
+		return frames[0]
+	}
+	st := frame("-store", storeDir).Store
 	if st == nil {
 		t.Fatal("frame over a store carries no store state")
 	}
-	if st.Snapshots != 12 || st.Segments == 0 || st.SealedBytes == 0 || st.Writers != 1 || st.Compactions != 1 || st.SealedSnapshots == 0 {
-		t.Fatalf("store state in the frame = %+v, want 12 snapshots, one writer, one compaction and its segments", *st)
+	if st.Snapshots != 4 || st.Segments != 1 || st.SealedBytes == 0 || st.Writers != 1 || st.Compactions != 1 || st.SealedSnapshots == 0 {
+		t.Fatalf("store state in the frame = %+v, want 4 snapshots, one writer, one compaction and its segment", *st)
 	}
-	if f := newRecorder(telemetry.NewRegistry(), nil).CaptureFrame(0, day, snap); f.Store != nil {
+	if f := frame(); f.Store != nil {
 		t.Fatalf("frame without -store carries store state %+v", *f.Store)
 	}
 }

@@ -35,6 +35,7 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
+	"syscall"
 	"time"
 
 	"rdnsprivacy/internal/dnswire"
@@ -47,68 +48,62 @@ import (
 )
 
 func main() {
-	seed := flag.Int64("seed", 42, "universe and vantage seed; same seed, same campaign")
-	days := flag.Int("days", 10, "campaign length in days")
-	loss := flag.Float64("loss", 0.05, "bravo's per-query loss rate")
-	servfail := flag.Float64("servfail", 0.02, "bravo's per-query SERVFAIL rate")
-	retries := flag.Int("retries", 2, "bravo's total lookups per address (retries re-roll faults)")
-	lagRate := flag.Float64("lag", 0.3, "fraction of charlie's answers served from a stale view")
-	lagDays := flag.Int("lag-days", 1, "how stale charlie's lagged answers are, in days")
-	lagWindow := flag.Int("lag-window", 1, "analyzer agreement window in snapshots")
-	filler := flag.Int("filler", 30, "filler /24s in the simulated universe")
-	workers := flag.Int("workers", 4, "snapshot engine workers per vantage")
-	storeDir := flag.String("store", "", "directory of the vantages' history stores, one per vantage in <dir>/<vantage> (default: a temp dir, removed on exit); serve a kept vantage's store with rdnsd")
-	compactEvery := flag.Int("compact-every", 4, "seal each vantage's tail every N appends (0 = never)")
-	minCorro := flag.Float64("min-corroboration", 0, "SLO floor for each day's mean corroboration (0 = rule off)")
-	budget := flag.Float64("budget", 0, "fraction of days allowed to violate the SLO")
-	jsonOut := flag.Bool("json", false, "print the report as JSON instead of the dashboard")
-	flag.Parse()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
-	defer stop()
-	if err := run(ctx, os.Stdout, campaignFlags{
-		seed: *seed, days: *days, loss: *loss, servfail: *servfail,
-		retries: *retries, lagRate: *lagRate, lagDays: *lagDays,
-		lagWindow: *lagWindow, filler: *filler, workers: *workers,
-		storeDir: *storeDir, compactEvery: *compactEvery,
-		minCorro: *minCorro, budget: *budget, jsonOut: *jsonOut,
-	}); err != nil {
-		fmt.Fprintln(os.Stderr, "rdnsvantage:", err)
-		os.Exit(1)
-	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	code := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	os.Exit(code)
 }
 
-type campaignFlags struct {
-	seed                       int64
-	days, retries, lagDays     int
-	lagWindow, filler, workers int
-	compactEvery               int
-	loss, servfail, lagRate    float64
-	minCorro, budget           float64
-	storeDir                   string
-	jsonOut                    bool
-}
-
-// run runs the campaign the flags describe and writes its report to w.
-func run(ctx context.Context, w io.Writer, f campaignFlags) error {
-	if f.days < 1 {
-		return fmt.Errorf("-days must be at least 1")
+// run is the command: it parses args, runs the campaign they describe
+// until it ends or ctx does, writes the report to stdout and errors to
+// stderr, and returns the exit status.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("rdnsvantage", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	seed := fs.Int64("seed", 42, "universe and vantage seed; same seed, same campaign")
+	days := fs.Int("days", 10, "campaign length in days")
+	loss := fs.Float64("loss", 0.05, "bravo's per-query loss rate")
+	servfail := fs.Float64("servfail", 0.02, "bravo's per-query SERVFAIL rate")
+	retries := fs.Int("retries", 2, "bravo's total lookups per address (retries re-roll faults)")
+	lagRate := fs.Float64("lag", 0.3, "fraction of charlie's answers served from a stale view")
+	lagDays := fs.Int("lag-days", 1, "how stale charlie's lagged answers are, in days")
+	lagWindow := fs.Int("lag-window", 1, "analyzer agreement window in snapshots")
+	filler := fs.Int("filler", 30, "filler /24s in the simulated universe")
+	workers := fs.Int("workers", 4, "snapshot engine workers per vantage")
+	storeDir := fs.String("store", "", "directory of the vantages' history stores, one per vantage in <dir>/<vantage> (default: a temp dir, removed on exit); serve a kept vantage's store with rdnsd")
+	compactEvery := fs.Int("compact-every", 4, "seal each vantage's tail every N appends (0 = never)")
+	minCorro := fs.Float64("min-corroboration", 0, "SLO floor for each day's mean corroboration (0 = rule off)")
+	budget := fs.Float64("budget", 0, "fraction of days allowed to violate the SLO")
+	jsonOut := fs.Bool("json", false, "print the report as JSON instead of the dashboard")
+	if err := fs.Parse(args); err == flag.ErrHelp {
+		return 0
+	} else if err != nil {
+		return 2
 	}
+	if *days < 1 {
+		fmt.Fprintln(stderr, "rdnsvantage: -days must be at least 1")
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "rdnsvantage:", err)
+		return 1
+	}
+
 	u, err := netsim.BuildStudyUniverse(netsim.UniverseConfig{
-		Seed:                  uint64(f.seed),
-		FillerSlash24s:        f.filler,
+		Seed:                  uint64(*seed),
+		FillerSlash24s:        *filler,
 		LeakyNetworks:         4,
 		NonLeakyDynamic:       1,
 		PeoplePerDynamicBlock: 6,
 	})
 	if err != nil {
-		return err
+		return fail(err)
 	}
-	dir := f.storeDir
+	dir := *storeDir
 	if dir == "" {
 		tmp, err := os.MkdirTemp("", "rdnsvantage-*")
 		if err != nil {
-			return err
+			return fail(err)
 		}
 		defer os.RemoveAll(tmp)
 		dir = tmp
@@ -120,62 +115,65 @@ func run(ctx context.Context, w io.Writer, f campaignFlags) error {
 	res, err := vantage.Run(ctx, vantage.Campaign{
 		Universe: u,
 		Start:    start,
-		End:      start.AddDate(0, 0, f.days-1),
+		End:      start.AddDate(0, 0, *days-1),
 		Cadence:  scan.Daily,
-		Workers:  f.workers,
+		Workers:  *workers,
 		Vantages: []vantage.Vantage{
-			{Name: "alpha", Seed: f.seed + 1},
+			{Name: "alpha", Seed: *seed + 1},
 			{
-				Name: "bravo", Seed: f.seed + 2,
+				Name: "bravo", Seed: *seed + 2,
 				Faults: []faultsim.Profile{{
 					Prefix: dnswire.Prefix{}, // everywhere
-					Loss:   f.loss, ServFailRate: f.servfail,
+					Loss:   *loss, ServFailRate: *servfail,
 				}},
-				Attempts: f.retries,
+				Attempts: *retries,
 			},
-			{Name: "charlie", Seed: f.seed + 3, LagRate: f.lagRate, LagDays: f.lagDays},
+			{Name: "charlie", Seed: *seed + 3, LagRate: *lagRate, LagDays: *lagDays},
 		},
 		StoreDir:     dir,
-		CompactEvery: f.compactEvery,
-		LagWindow:    f.lagWindow,
+		CompactEvery: *compactEvery,
+		LagWindow:    *lagWindow,
 		Telemetry:    reg,
 		Observer:     rec,
 	})
 	if err != nil {
-		return err
+		return fail(err)
 	}
 	for _, vr := range res.Vantages {
 		if vr.Err != nil {
-			return fmt.Errorf("vantage %s: %w", vr.Name, vr.Err)
+			return fail(fmt.Errorf("vantage %s: %w", vr.Name, vr.Err))
 		}
 	}
 
-	if f.jsonOut {
-		enc := json.NewEncoder(w)
+	if *jsonOut {
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
-		return enc.Encode(res.Report)
+		if err := enc.Encode(res.Report); err != nil {
+			return fail(err)
+		}
+		return 0
 	}
-	res.Report.Render(w)
-	if f.storeDir != "" {
-		fmt.Fprintf(w, "\nstores kept at %s/{alpha,bravo,charlie} (serve one with: rdnsd -store %s)\n", dir, filepath.Join(dir, "alpha"))
+	res.Report.Render(stdout)
+	if *storeDir != "" {
+		fmt.Fprintf(stdout, "\nstores kept at %s/{alpha,bravo,charlie} (serve one with: rdnsd -store %s)\n", dir, filepath.Join(dir, "alpha"))
 	}
 
-	if f.minCorro > 0 {
+	if *minCorro > 0 {
 		rules := obs.Rules{
 			// Only the corroboration rule: injected faults are the
 			// experiment here, not an operational error to flag.
 			MaxErrorRate:     -1,
 			MaxBreakerOpens:  -1,
 			MaxRetryRate:     -1,
-			MinCorroboration: f.minCorro,
-			ErrorBudget:      f.budget,
+			MinCorroboration: *minCorro,
+			ErrorBudget:      *budget,
 		}
 		slo := rules.Evaluate(rec.Frames())
-		fmt.Fprintf(w, "\nSLO: min corroboration %.2f, budget %.0f%%\n%s",
-			f.minCorro, f.budget*100, slo.Summary())
+		fmt.Fprintf(stdout, "\nSLO: min corroboration %.2f, budget %.0f%%\n%s",
+			*minCorro, *budget*100, slo.Summary())
 		if !slo.BudgetOK {
-			return fmt.Errorf("corroboration SLO budget exceeded")
+			return fail(fmt.Errorf("corroboration SLO budget exceeded"))
 		}
 	}
-	return nil
+	return 0
 }

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 )
@@ -158,4 +159,27 @@ func (rep LoadReport) Summary() string {
 	}
 	fmt.Fprintf(&b, "%d/%d samples violating (%s)\n", rep.ViolatingSamples, len(rep.Verdicts), verdict)
 	return b.String()
+}
+
+// RegisterFlags binds the rules to the -slo-* flags that rdnsload and
+// rdnsmon share, at their shared defaults.
+func (r *LoadRules) RegisterFlags(fs *flag.FlagSet) {
+	fs.Float64Var(&r.MaxErrorRate, "slo-max-error-rate", 0, "SLO: max hard-error rate (0 = none allowed)")
+	fs.Float64Var(&r.MaxShedRate, "slo-max-shed-rate", 0.01, "SLO: max 429+503 pushback rate")
+	fs.Float64Var(&r.MaxP95Seconds, "slo-p95", 1.0, "SLO: max p95 latency in seconds (negative disables)")
+	fs.Float64Var(&r.MaxP99Seconds, "slo-p99", 2.5, "SLO: max p99 latency in seconds (negative disables)")
+	fs.Int64Var(&r.MaxReplicaLagBytes, "slo-max-lag-bytes", 0, "SLO: max replica lag in feed bytes (negative = must be caught up, 0 disables)")
+}
+
+// SplitList parses a comma-separated flag value (a fleet's base URLs, a
+// list of span sources) into its trimmed, non-empty items, each without a
+// trailing slash.
+func SplitList(spec string) []string {
+	var out []string
+	for _, s := range strings.Split(spec, ",") {
+		if s = strings.TrimSpace(s); s != "" {
+			out = append(out, strings.TrimRight(s, "/"))
+		}
+	}
+	return out
 }

@@ -3,10 +3,14 @@ package obs
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"io"
+	"os"
 	"sync"
+
+	"rdnsprivacy/internal/telemetry"
 )
 
 // Hex16 renders a 64-bit digest the way the telemetry JSONL does.
@@ -97,4 +101,34 @@ func FramesDigest(frames []Frame) (uint64, error) {
 		return 0, err
 	}
 	return f.Sum64(), nil
+}
+
+// WriteDumps writes a run's span log to tracePath and its frame series to
+// framesPath, the inputs of `experiments -trace` and `experiments -obs`.
+// A nil source or an empty path skips that dump.
+func WriteDumps(w io.Writer, tracer *telemetry.Tracer, tracePath string, rec *Recorder, framesPath string) {
+	if tracer != nil {
+		DumpJSONL(w, "trace", tracePath, tracer.Len(), "spans", tracer.WriteJSONL)
+	}
+	if rec != nil {
+		DumpJSONL(w, "obs", framesPath, rec.Store().Len(), "frames", rec.Store().WriteJSONL)
+	}
+}
+
+// DumpJSONL writes n items as JSONL to path through write and reports on w
+// under tag what it wrote, or why it could not; a failed dump stops
+// nothing else. An empty path skips it.
+func DumpJSONL(w io.Writer, tag, path string, n int, unit string, write func(io.Writer) error) {
+	if path == "" {
+		return
+	}
+	f, err := os.Create(path)
+	if err == nil {
+		err = errors.Join(write(f), f.Close())
+	}
+	if err != nil {
+		fmt.Fprintf(w, "%s: %v\n", tag, err)
+	} else {
+		fmt.Fprintf(w, "%s: wrote %d %s to %s\n", tag, n, unit, path)
+	}
 }
