@@ -53,6 +53,9 @@ bench:
 # BenchmarkRdnsdQuery/churn-table (one /v1/churn key asked again and
 # again, so the handle's churn table answers it) likewise: allocs/op and
 # B/op, no ns/op.
+# BenchmarkHandleQuery/{absent,found} (the server's half of one probe: a
+# PTR query answered NXDOMAIN with the zone's SOA, or with its record)
+# likewise: the reply is its one allocation.
 # Every stage runs at -cpu 1:
 # go test names a row by its GOMAXPROCS, and the baseline's rows are
 # GOMAXPROCS=1 rows.
@@ -70,7 +73,8 @@ bench-check:
 		&& $(GO) test -run '^$$' -bench 'BenchmarkClientDecode' -cpu 1 -count=1 ./internal/rdnsclient \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkReplicaCatchup|BenchmarkReplicaQuery' -cpu 1 -count=4 ./internal/replica \
 		&& $(GO) test -run '^$$' -bench 'BenchmarkVantageAnalyze' -cpu 1 -count=1 ./internal/vantage \
-		&& $(GO) test -run '^$$' -bench 'BenchmarkSimclockChurn|BenchmarkProberSweep' -cpu 1 -count=1 ./internal/simclock ./internal/icmp ; } \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkSimclockChurn|BenchmarkProberSweep' -cpu 1 -count=1 ./internal/simclock ./internal/icmp \
+		&& $(GO) test -run '^$$' -bench 'BenchmarkHandleQuery' -cpu 1 -count=1 ./internal/dnsserver ; } \
 		| /tmp/benchcheck -baseline BENCH_baseline.json -out BENCH_scan.json -gate-extras p99-ns/op,allocs/op,B/op,dials/op,events/op,frames/op
 
 # perf runs one workload of the end-to-end harness (bench/README.md) the way
@@ -119,6 +123,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzUnmarshal -fuzztime=30s ./internal/dnswire
 	$(GO) test -fuzz=FuzzDecodeName -fuzztime=30s ./internal/dnswire
 	$(GO) test -fuzz=FuzzReadFramed -fuzztime=30s ./internal/dnswire
+	$(GO) test -fuzz=FuzzNameWalk -fuzztime=30s ./internal/dnswire
 	$(GO) test -fuzz=FuzzParseOptions -fuzztime=30s ./internal/dhcpwire
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/icmp
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/histstore
@@ -127,6 +132,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeSidecar -fuzztime=30s ./internal/histstore
 	$(GO) test -fuzz=FuzzHandleUpdate -fuzztime=30s ./internal/dnsserver
 	$(GO) test -fuzz=FuzzHandleTCP -fuzztime=30s ./internal/dnsserver
+	$(GO) test -fuzz=FuzzHandleQuery -fuzztime=30s ./internal/dnsserver
 	$(GO) test -fuzz=FuzzReplManifest -fuzztime=30s ./internal/replica
 	$(GO) test -fuzz=FuzzSegmentFetch -fuzztime=30s ./internal/replica
 	$(GO) test -fuzz=FuzzWireDecode -fuzztime=30s ./internal/rdnsclient

@@ -404,18 +404,15 @@ func (r *Resolver) handleResponse(dg fabric.Datagram) {
 }
 
 // classify maps a parsed reply onto the paper's outcome taxonomy, reading
-// it in place: nothing is decoded into a Name except, for a found PTR
-// answer, the target that outlives the reply. name is the question asked, in
-// canonical presentation form — a Name, or the bytes a probe formatted on
-// its stack. It is shared by the fabric resolver, the synchronous UDP and
-// TCP clients, and the in-process ServerSource.
-func classify[S ~string | ~[]byte](reply *dnswire.View, name S, qtype dnswire.Type) (Outcome, dnswire.Name) {
-	var nb [dnswire.MaxNameLen + 1]byte
+// it in place: the echoed question and each answer's owner are compared
+// with the asked name in the reply's bytes, and nothing is decoded into a
+// Name except, for a found PTR answer, the target that outlives the reply.
+// name is the question asked, in canonical presentation form. It is shared
+// by the fabric resolver, the synchronous UDP and TCP clients, and the
+// in-process ServerSource.
+func classify(reply *dnswire.View, name []byte, qtype dnswire.Type) (Outcome, dnswire.Name) {
 	// The response must echo our question.
-	if reply.Count(dnswire.SectionQuestion) != 1 {
-		return OutcomeMalformed, ""
-	}
-	if asked, t, _ := reply.Question(nb[:0]); string(asked) != string(name) || t != qtype {
+	if reply.Count(dnswire.SectionQuestion) != 1 || !reply.QuestionIs(name, qtype) {
 		return OutcomeMalformed, ""
 	}
 	switch reply.Header.RCode {
@@ -425,10 +422,11 @@ func classify[S ~string | ~[]byte](reply *dnswire.View, name S, qtype dnswire.Ty
 			if !ok {
 				return OutcomeNoData, ""
 			}
-			if rr.Type != qtype || string(rr.Owner(nb[:0])) != string(name) {
+			if rr.Type != qtype || !rr.OwnerIs(name) {
 				continue
 			}
 			if rr.Type == dnswire.TypePTR {
+				var nb [dnswire.MaxNameLen + 1]byte
 				if target, ok := rr.Target(nb[:0]); ok {
 					return OutcomeSuccess, dnswire.Name(target)
 				}
@@ -449,7 +447,8 @@ func classify[S ~string | ~[]byte](reply *dnswire.View, name S, qtype dnswire.Ty
 // responseFrom is classify for callers that report every lookup as a
 // Response.
 func responseFrom(q dnswire.Question, reply *dnswire.View, attempts int, rtt time.Duration, when time.Time) Response {
-	outcome, ptr := classify(reply, q.Name, q.Type)
+	var nb [dnswire.MaxNameLen + 1]byte
+	outcome, ptr := classify(reply, append(nb[:0], q.Name...), q.Type)
 	return Response{
 		Question: q,
 		Outcome:  outcome,

@@ -139,8 +139,7 @@ func (s *ServerSource) LookupPTR(ctx context.Context, ip dnswire.IPv4) scanengin
 	id := uint16(s.nextID.Add(1))
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
-	var b dnswire.Builder
-	wire, err := b.Finish(b.Question(b.Begin(sc.query[:0]), name, dnswire.TypePTR, dnswire.ClassIN), dnswire.Header{ID: id})
+	wire, err := dnswire.AppendQuery(sc.query[:0], id, name, dnswire.TypePTR)
 	if err != nil {
 		return scanengine.Result{IP: ip, Err: &Error{Kind: KindMalformed, Question: question(), wrapped: err}}
 	}

@@ -76,3 +76,43 @@ func TestServeAllocatesOnlyTheReply(t *testing.T) {
 		t.Errorf("a datagram through Serve allocates %.1f objects, budget 1 (the reply)", got)
 	}
 }
+
+// BenchmarkHandleQuery is the server's half of one probe: a PTR query
+// answered NXDOMAIN with the zone's SOA (absent, nearly every probe of a
+// sweep) or with its record (found). make bench-check holds it to allocs/op
+// and B/op — the reply the caller keeps, and nothing else; its time is the
+// sweep workloads' to measure, so it reports no ns/op.
+func BenchmarkHandleQuery(b *testing.B) {
+	s := NewServer()
+	z := NewZone(ZoneConfig{
+		Origin:    dnswire.MustName("2.0.192.in-addr.arpa"),
+		PrimaryNS: dnswire.MustName("ns1.example.edu"),
+		Mbox:      dnswire.MustName("hostmaster.example.edu"),
+	})
+	s.AddZone(z)
+	found := dnswire.MustIPv4("192.0.2.10")
+	if err := z.SetPTR(dnswire.ReverseName(found), dnswire.MustName("brians-iphone.dyn.example.edu")); err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		ip    dnswire.IPv4
+		rcode dnswire.RCode
+	}{{"absent", dnswire.MustIPv4("192.0.2.99"), dnswire.RCodeNXDomain}, {"found", found, dnswire.RCodeNoError}} {
+		b.Run(tc.name, func(b *testing.B) {
+			query, err := dnswire.AppendQuery(nil, 7, dnswire.ReverseName(tc.ip), dnswire.TypePTR)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if v, err := dnswire.Parse(s.HandleQuery(query)); err != nil || v.Header.RCode != tc.rcode {
+				b.Fatalf("reply: %v, rcode %v, want %v", err, v.Header.RCode, tc.rcode)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.HandleQuery(query)
+			}
+			b.ReportMetric(0, "ns/op")
+		})
+	}
+}

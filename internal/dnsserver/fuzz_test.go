@@ -1,6 +1,7 @@
 package dnsserver
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -72,4 +73,90 @@ func FuzzHandleTCP(f *testing.F) {
 			checkReply(t, query, reply)
 		}
 	})
+}
+
+// FuzzHandleQuery holds the responder's in-place paths — the echoed
+// question, the per-zone negative answer — to an oracle built on the
+// materialized codec: the reply to any query bytes, against zones whose
+// SOA names lie outside, around and inside them and the root zone, must be
+// the bytes dnswire.Message.Marshal writes for the query's decoded
+// question and what the answering zone holds, records exactly as stored.
+func FuzzHandleQuery(f *testing.F) {
+	fuzzSeeds(f)
+	_, _, steps := negativeSteps(f)
+	for _, st := range steps {
+		f.Add(st.query)
+	}
+	f.Fuzz(func(t *testing.T, query []byte) {
+		srv, rootSrv, _ := negativeSteps(t)
+		for _, s := range []*Server{srv, rootSrv} {
+			reply := s.HandleQuery(query)
+			want, ok := referenceReply(s, query)
+			if ok && !bytes.Equal(reply, want) {
+				t.Fatalf("query %x\nreply %x\n want %x", query, reply, want)
+			}
+		}
+	})
+}
+
+// referenceReply is what the responder owes query, worked out from the
+// decoded query and the zones' stored records and written by Marshal: no
+// reply to what does not parse or is a response, otherwise the query's
+// questions echoed and, for one question of a standard query, the zone's
+// answer. It reports false for an UPDATE, which changes the zone and is
+// FuzzHandleUpdate's.
+func referenceReply(s *Server, query []byte) ([]byte, bool) {
+	q, err := dnswire.Unmarshal(query)
+	if err != nil || q.Header.Response {
+		return nil, true
+	}
+	m := &dnswire.Message{Header: dnswire.Header{ID: q.Header.ID, Response: true, OpCode: q.Header.OpCode,
+		RecursionDesired: q.Header.RecursionDesired}, Questions: q.Questions}
+	switch {
+	case q.Header.OpCode == dnswire.OpUpdate:
+		return nil, false
+	case q.Header.OpCode != dnswire.OpQuery:
+		m.Header.RCode = dnswire.RCodeNotImp
+	case len(q.Questions) != 1:
+		m.Header.RCode = dnswire.RCodeFormErr
+	default:
+		question := q.Questions[0]
+		z := s.findZone([]byte(question.Name))
+		if z == nil {
+			m.Header.RCode = dnswire.RCodeRefused
+			break
+		}
+		m.Header.Authoritative = true
+		z.mu.RLock()
+		soa := z.soaRR
+		rrs, exists := z.records[question.Name]
+		for _, rr := range rrs {
+			if question.Type == dnswire.TypeANY || rr.Type == question.Type {
+				m.Answers = append(m.Answers, rr)
+			}
+		}
+		z.mu.RUnlock()
+		switch {
+		case question.Name == z.origin:
+			m.Answers = nil
+			switch question.Type {
+			case dnswire.TypeSOA, dnswire.TypeANY:
+				m.Answers = []dnswire.Record{soa}
+			case dnswire.TypeNS:
+				m.Answers = z.ns
+			default:
+				m.Authorities = []dnswire.Record{soa}
+			}
+		case !exists:
+			m.Header.RCode = dnswire.RCodeNXDomain
+			m.Authorities = []dnswire.Record{soa}
+		case len(m.Answers) == 0:
+			m.Authorities = []dnswire.Record{soa}
+		}
+	}
+	wire, err := m.Marshal()
+	if err != nil {
+		return nil, true // a decoded name that does not re-encode: no reply
+	}
+	return wire, true
 }

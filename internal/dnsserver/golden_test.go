@@ -18,8 +18,9 @@ import (
 // this tree has. The checked-in file was recorded from the responder that
 // built, boxed and marshalled a dnswire.Message per reply, so a plain
 // `go test` proves the answer-into-buffer responder emits the same bytes:
-// the seeded reports and the live-reactive digest hang on that.
-var updateGolden = flag.Bool("update-golden", false, "re-record testdata/golden_replies.txt")
+// the seeded reports and the live-reactive digest hang on that. It also
+// re-records testdata/golden_negative.txt (TestGoldenNegativeAnswers).
+var updateGolden = flag.Bool("update-golden", false, "re-record the golden files under testdata/ of the tests that run")
 
 // goldenStep is one query against the golden server, in order: later
 // steps see the zone state (and SOA serial) earlier UPDATEs left behind.

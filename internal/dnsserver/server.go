@@ -206,10 +206,9 @@ func (s *Server) respond(dst, query []byte, sp *telemetry.Span, udp bool) ([]byt
 	var nb [dnswire.MaxNameLen + 1]byte
 	var qname []byte
 	var qtype dnswire.Type
-	var qclass dnswire.Class
 	questions := v.Count(dnswire.SectionQuestion)
 	if questions > 0 {
-		qname, qtype, qclass = v.Question(nb[:0])
+		qname, qtype, _ = v.Question(nb[:0]) // the one decode of the name
 	}
 	axfrOverUDP := udp && questions == 1 && qtype == dnswire.TypeAXFR
 	if v.Header.Response && !axfrOverUDP {
@@ -249,12 +248,7 @@ func (s *Server) respond(dst, query []byte, sp *telemetry.Span, udp bool) ([]byt
 		}
 	} else {
 		var b dnswire.Builder
-		buf := b.Begin(scratch[:0])
-		if questions == 1 {
-			buf = b.Question(buf, qname, qtype, qclass) // already decoded
-		} else {
-			buf = b.Questions(buf, &v)
-		}
+		buf := b.Questions(b.Begin(scratch[:0]), &v)
 		authoritative := false
 		switch {
 		case axfrOverUDP:

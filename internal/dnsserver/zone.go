@@ -19,6 +19,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"rdnsprivacy/internal/dnswire"
 )
@@ -37,6 +38,9 @@ type Zone struct {
 	// soaRR is the SOA as the record replies carry, its data boxed once per
 	// change of serial rather than once per negative answer.
 	soaRR dnswire.Record
+	// soaWire is soaRR encoded for negative answers, built by the first
+	// one after a change of serial (see absent) and cleared by the change.
+	soaWire atomic.Pointer[dnswire.PackedRecord]
 }
 
 // ZoneConfig configures a new zone.
@@ -96,6 +100,7 @@ func (z *Zone) bumpSerial() {
 		TTL:   z.ttl,
 		Data:  z.soa,
 	}
+	z.soaWire.Store(nil)
 }
 
 // Origin returns the zone apex.
@@ -244,13 +249,13 @@ func (z *Zone) answer(b *dnswire.Builder, buf, name []byte, qtype dnswire.Type) 
 				buf = b.Record(buf, dnswire.SectionAnswer, rr)
 			}
 		default:
-			buf = b.Record(buf, dnswire.SectionAuthority, z.soaRR)
+			buf = z.absent(b, buf)
 		}
 		return buf, dnswire.RCodeNoError
 	}
 	rrs, ok := z.records[dnswire.Name(name)]
 	if !ok {
-		return b.Record(buf, dnswire.SectionAuthority, z.soaRR), dnswire.RCodeNXDomain
+		return z.absent(b, buf), dnswire.RCodeNXDomain
 	}
 	matched := false
 	for _, rr := range rrs {
@@ -261,7 +266,28 @@ func (z *Zone) answer(b *dnswire.Builder, buf, name []byte, qtype dnswire.Type) 
 	}
 	if !matched {
 		// Name exists but not with this type: NODATA.
-		buf = b.Record(buf, dnswire.SectionAuthority, z.soaRR)
+		buf = z.absent(b, buf)
 	}
 	return buf, dnswire.RCodeNoError
+}
+
+// absent appends the SOA that a negative answer (NXDOMAIN or NODATA)
+// carries in its authority section. The record is encoded once per serial,
+// by the first negative answer after a change — not by the change, so
+// loading a zone name by name encodes nothing — and each reply copies it
+// and moves its pointers to where its question puts the origin. A zone
+// whose SOA names lie inside it, and a question the copy cannot follow,
+// are written through Record. Callers hold at least z.mu's read lock: a
+// change of serial, under the write lock, clears the encoding, so every
+// reader that builds one builds it from the same soaRR.
+func (z *Zone) absent(b *dnswire.Builder, buf []byte) []byte {
+	p := z.soaWire.Load()
+	if p == nil {
+		p = dnswire.PackRecord(z.soaRR)
+		z.soaWire.Store(p)
+	}
+	if out, ok := b.Packed(buf, dnswire.SectionAuthority, p); ok {
+		return out
+	}
+	return b.Record(buf, dnswire.SectionAuthority, z.soaRR)
 }

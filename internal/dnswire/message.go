@@ -347,10 +347,16 @@ func Unmarshal(msg []byte) (*Message, error) {
 
 // AppendQuery encodes a single-question IN query into buf's storage: the
 // bytes NewQuery(id, name, qtype).Marshal() produces, without the Message.
-func AppendQuery(buf []byte, id uint16, name Name, qtype Type) ([]byte, error) {
-	var b Builder
-	buf = addQuestion(&b, b.Begin(buf), name, qtype, ClassIN)
-	return b.Finish(buf, Header{ID: id})
+// name is in presentation form, a Name or the bytes AppendReverseName
+// wrote. A lone question has nothing before it to compress against, so
+// its name is written as it stands, with no compression table.
+func AppendQuery[S ~string | ~[]byte](buf []byte, id uint16, name S, qtype Type) ([]byte, error) {
+	buf = append(buf[:0], byte(id>>8), byte(id), 0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+	buf, err := appendUncompressedName(buf, name)
+	if err != nil {
+		return nil, err
+	}
+	return append(buf, byte(qtype>>8), byte(qtype), byte(ClassIN>>8), byte(ClassIN)), nil
 }
 
 // NewQuery builds a single-question query message.

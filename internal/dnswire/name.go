@@ -274,17 +274,57 @@ func appendCompressedName[S nameText](buf []byte, s S, cmap *compressionMap) ([]
 	return append(buf, 0), nil
 }
 
-// appendNameAt is the one name reader: it walks the possibly-compressed name
-// in msg at off, enforcing the label, name, pointer-direction and hop limits,
-// and appends its canonical presentation form — labels each followed by a
-// dot, lowercased, the root as a lone dot — to dst. It returns the extended
-// dst and the offset just past the name's encoding at its original position
-// (pointers do not advance the outer offset past their two octets).
+// appendUncompressedName appends s, in presentation form, uncompressed:
+// the bytes appendCompressedName writes for it when nothing before it
+// compresses, with the same errors. It copies the text behind a spare
+// octet in one move, then turns each dot into the length of the label
+// after it — the spare octet taking the first label's, the trailing dot
+// becoming the root.
+func appendUncompressedName[S nameText](buf []byte, s S) ([]byte, error) {
+	if len(s) == 0 || (len(s) == 1 && s[0] == '.') {
+		return append(buf, 0), nil
+	}
+	full := presentationLen(s)
+	if full+1 > MaxNameLen {
+		return nil, ErrNameTooLong
+	}
+	lenAt := len(buf)
+	buf = append(append(buf, 0), s...)
+	if full > len(s) {
+		buf = append(buf, '.')
+	}
+	for i := lenAt + 1; i < len(buf); i++ {
+		if buf[i] != '.' {
+			continue
+		}
+		switch n := i - lenAt - 1; {
+		case n == 0:
+			return nil, ErrEmptyLabel
+		case n > MaxLabelLen:
+			return nil, ErrLabelTooLong
+		default:
+			buf[lenAt] = byte(n)
+		}
+		lenAt = i
+	}
+	buf[lenAt] = 0
+	return buf, nil
+}
+
+// walkName is the one name reader: it walks the possibly-compressed name in
+// msg at off, enforcing the label, name, pointer-direction and hop limits,
+// and returns the offset just past the name's encoding at its original
+// position (pointers do not advance the outer offset past their two
+// octets). It has two modes that share those checks. With decode set it
+// appends the name's canonical presentation form — labels each followed by
+// a dot, lowercased, the root as a lone dot — to dst and returns the
+// extended dst; without, it only validates, touching no label octet, and
+// returns dst as given.
 //
 // A name is at most MaxNameLen octets of labels and dots, so a dst with that
 // much room (a [MaxNameLen+1]byte on the caller's stack) is never outgrown
 // by a name of ASCII labels, and reading one allocates nothing.
-func appendNameAt(dst, msg []byte, off int) ([]byte, int, error) {
+func walkName(dst, msg []byte, off int, decode bool) ([]byte, int, error) {
 	mark := len(dst)
 	ptrBudget := maxPointerHops
 	pos := off
@@ -300,6 +340,9 @@ func appendNameAt(dst, msg []byte, off int) ([]byte, int, error) {
 		case b == 0:
 			if end < 0 {
 				end = pos + 1
+			}
+			if !decode {
+				return dst, end, nil
 			}
 			if len(dst) == mark {
 				return append(dst, '.'), end, nil
@@ -337,16 +380,95 @@ func appendNameAt(dst, msg []byte, off int) ([]byte, int, error) {
 			if total > MaxNameLen {
 				return dst, 0, ErrNameTooLong
 			}
-			at := len(dst)
-			dst = append(append(dst, msg[pos+1:pos+1+length]...), '.')
-			label := dst[at : at+length]
-			for i, c := range label {
-				high |= c
-				if 'A' <= c && c <= 'Z' {
-					label[i] = c + ('a' - 'A')
+			if decode {
+				at := len(dst)
+				dst = append(append(dst, msg[pos+1:pos+1+length]...), '.')
+				label := dst[at : at+length]
+				for i, c := range label {
+					high |= c
+					if 'A' <= c && c <= 'Z' {
+						label[i] = c + ('a' - 'A')
+					}
 				}
 			}
 			pos += 1 + length
+		}
+	}
+}
+
+// plainName reports whether the name at msg[off:], which Parse validated,
+// is written the way appendCompressedName writes a name that nothing
+// before it compresses: no pointer, every label ASCII with no upper case
+// and no dot, at most MaxNameLen octets in all. Such a name's wire bytes
+// are what writing its canonical presentation form produces. It returns
+// the offset just past the name.
+func plainName(msg []byte, off int) (int, bool) {
+	pos := off
+	for {
+		n := int(msg[pos])
+		if n == 0 {
+			return pos + 1, pos+1-off <= MaxNameLen
+		}
+		if n >= 0xC0 {
+			return 0, false
+		}
+		for _, c := range msg[pos+1 : pos+1+n] {
+			if c >= 0x80 || c == '.' || ('A' <= c && c <= 'Z') {
+				return 0, false
+			}
+		}
+		pos += 1 + n
+	}
+}
+
+// decodedIs is nameIs by decoding: the name at msg[off:] through walkName,
+// compared with s.
+func decodedIs(msg []byte, off int, s []byte) bool {
+	var nb [MaxNameLen + 1]byte
+	name, _, _ := walkName(nb[:0], msg, off, true)
+	return string(name) == string(s)
+}
+
+// nameIs reports whether the name at msg[off:], which Parse validated,
+// decodes to s — what comparing walkName's output with s would say, read
+// in place: ASCII upper case folds and pointers are followed. Where a name
+// holds an octet of 0x80 or more, its decoded form goes through
+// strings.ToLower, which may change its length, so once one is met the
+// name is decoded and compared. Up to that octet the decoded form is the
+// folded wire bytes, position for position, so a difference found before
+// it stands.
+func nameIs(msg []byte, off int, s []byte) bool {
+	start := off
+	pos := 0
+	for {
+		b := int(msg[off])
+		switch {
+		case b == 0:
+			if pos == 0 {
+				return string(s) == "."
+			}
+			return pos == len(s)
+		case b >= 0xC0:
+			off = (b&0x3F)<<8 | int(msg[off+1])
+		default:
+			label := msg[off+1 : off+1+b]
+			end := pos + b
+			if end >= len(s) || s[end] != '.' {
+				return decodedIs(msg, start, s) // a rare miss: the label may not be ASCII
+			}
+			for i, c := range label {
+				if c >= 0x80 {
+					return decodedIs(msg, start, s)
+				}
+				if 'A' <= c && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				if c != s[pos+i] {
+					return false
+				}
+			}
+			off += 1 + b
+			pos = end + 1
 		}
 	}
 }

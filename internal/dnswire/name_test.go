@@ -225,7 +225,7 @@ func TestCompressedNameReuse(t *testing.T) {
 // decodeName materializes the name in msg at off.
 func decodeName(msg []byte, off int) (Name, int, error) {
 	var nb [MaxNameLen + 1]byte
-	name, end, err := appendNameAt(nb[:0], msg, off)
+	name, end, err := walkName(nb[:0], msg, off, true)
 	if err != nil {
 		return "", 0, err
 	}

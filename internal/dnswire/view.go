@@ -32,11 +32,14 @@ type View struct {
 	start  [4]int // where each section begins
 }
 
-// Parse validates msg and returns a View of it.
+// Parse validates msg and returns a View of it. It decodes no name: the
+// walk that checks them is the one Unmarshal decodes with, in its
+// validating mode.
 func Parse(msg []byte) (View, error) { return parse(msg, nil) }
 
 // parse is the one message reader. It walks msg once, checking everything
-// Unmarshal has ever checked, and fills m on the way when m is not nil.
+// Unmarshal has ever checked, and fills m on the way when m is not nil;
+// only then are names decoded.
 func parse(msg []byte, m *Message) (View, error) {
 	if len(msg) < headerLen {
 		return View{}, ErrShortMessage
@@ -56,11 +59,14 @@ func parse(msg []byte, m *Message) (View, error) {
 		m.Header = v.Header
 	}
 
-	var nb [MaxNameLen + 1]byte
+	var nb []byte // where names are decoded, when they are
+	if m != nil {
+		nb = make([]byte, 0, MaxNameLen+1)
+	}
 	off := headerLen
 	v.start[SectionQuestion] = off
 	for i := 0; i < v.counts[SectionQuestion]; i++ {
-		name, next, err := appendNameAt(nb[:0], msg, off)
+		name, next, err := walkName(nb, msg, off, m != nil)
 		if err != nil {
 			return View{}, fmt.Errorf("question %d: %w", i, err)
 		}
@@ -115,11 +121,16 @@ type RecordView struct {
 // readRecord is the one record reader: it checks the record in msg at off —
 // owner name, fixed part, RDATA length and the RDATA's own structure for
 // the types this codec knows — and returns it in place with the offset of
-// what follows. When rr is not nil it is filled with the decoded record.
+// what follows. When rr is not nil it is filled with the decoded record;
+// otherwise no name is decoded.
 func readRecord(msg []byte, off int, rr *Record) (RecordView, int, error) {
-	var nb [MaxNameLen + 1]byte
+	decode := rr != nil
+	var nb []byte // where names are decoded, when they are
+	if decode {
+		nb = make([]byte, 0, MaxNameLen+1)
+	}
 	rv := RecordView{msg: msg, nameOff: off}
-	name, off, err := appendNameAt(nb[:0], msg, off)
+	name, off, err := walkName(nb, msg, off, decode)
 	if err != nil {
 		return rv, 0, err
 	}
@@ -150,7 +161,7 @@ func readRecord(msg []byte, off int, rr *Record) (RecordView, int, error) {
 	}
 	switch rv.Type {
 	case TypePTR, TypeNS, TypeCNAME:
-		target, n, err := appendNameAt(nb[:0], msg, off)
+		target, n, err := walkName(nb, msg, off, decode)
 		if err != nil {
 			return rv, 0, err
 		}
@@ -175,7 +186,7 @@ func readRecord(msg []byte, off int, rr *Record) (RecordView, int, error) {
 			rr.Data = AData{Addr: [4]byte(rdata)}
 		}
 	case TypeSOA:
-		mname, pos, err := appendNameAt(nb[:0], msg, off)
+		mname, pos, err := walkName(nb, msg, off, decode)
 		if err != nil {
 			return rv, 0, err
 		}
@@ -183,7 +194,7 @@ func readRecord(msg []byte, off int, rr *Record) (RecordView, int, error) {
 		if rr != nil {
 			d.MName = Name(mname)
 		}
-		rname, pos, err := appendNameAt(nb[:0], msg, pos)
+		rname, pos, err := walkName(nb, msg, pos, decode)
 		if err != nil {
 			return rv, 0, err
 		}
@@ -234,8 +245,17 @@ func (v *View) Count(s Section) int { return v.counts[s] }
 // dst with room for MaxNameLen+1 octets is never outgrown by a name of
 // ASCII labels. Call it only when Count(SectionQuestion) > 0.
 func (v *View) Question(dst []byte) (name []byte, t Type, c Class) {
-	name, next, _ := appendNameAt(dst, v.msg, headerLen) // validated by Parse
+	name, next, _ := walkName(dst, v.msg, headerLen, true) // validated by Parse
 	return name, Type(binary.BigEndian.Uint16(v.msg[next:])), Class(binary.BigEndian.Uint16(v.msg[next+2:]))
+}
+
+// QuestionIs reports whether the first question asks for name, in
+// canonical presentation form, with type t: whether Question's name would
+// equal name, compared in place without decoding. Call it only when
+// Count(SectionQuestion) > 0.
+func (v *View) QuestionIs(name []byte, t Type) bool {
+	_, end, _ := walkName(nil, v.msg, headerLen, false) // validated by Parse
+	return Type(binary.BigEndian.Uint16(v.msg[end:])) == t && nameIs(v.msg, headerLen, name)
 }
 
 // Records iterates over the records of section s (not SectionQuestion).
@@ -261,11 +281,9 @@ func (it *Records) Next() (RecordView, bool) {
 	return rv, true
 }
 
-// Owner appends the record's owner name, in canonical presentation form.
-func (r RecordView) Owner(dst []byte) []byte {
-	name, _, _ := appendNameAt(dst, r.msg, r.nameOff)
-	return name
-}
+// OwnerIs reports whether the record's owner name is name, in canonical
+// presentation form: whether the owner decodes to name, compared in place.
+func (r RecordView) OwnerIs(name []byte) bool { return nameIs(r.msg, r.nameOff, name) }
 
 // Target appends the name a PTR, NS or CNAME record's RDATA holds. It
 // reports false for other types and for the empty RDATA of an UPDATE
@@ -274,6 +292,6 @@ func (r RecordView) Target(dst []byte) ([]byte, bool) {
 	if r.dataLen == 0 || (r.Type != TypePTR && r.Type != TypeNS && r.Type != TypeCNAME) {
 		return dst, false
 	}
-	name, _, _ := appendNameAt(dst, r.msg, r.dataOff)
+	name, _, _ := walkName(dst, r.msg, r.dataOff, true)
 	return name, true
 }

@@ -20,7 +20,7 @@ import (
 // handed to the replica short as if it were whole. Declared (the length is
 // refused unread) and undeclared (the stream is cut at the cap).
 func TestOversizedBodyIsAnError(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	pad := bytes.Repeat([]byte(" "), 1<<20)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("declare") != "" || strings.HasSuffix(r.URL.Path, "/declared.seg") {

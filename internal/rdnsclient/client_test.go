@@ -24,7 +24,7 @@ func writeEnvelope(w http.ResponseWriter, status int, code, msg string) {
 // The client must sleep what the server asked (observed via the injected
 // sleeper) and succeed on the third attempt.
 func TestRetryOn429HonorsRetryAfter(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	var calls atomic.Int64
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.Header.Get("X-API-Key") != "brian" {
@@ -68,7 +68,7 @@ func TestRetryOn429HonorsRetryAfter(t *testing.T) {
 // TestRetriesExhausted: with retries disabled every 429 surfaces
 // immediately as a typed APIError.
 func TestRetriesExhausted(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "7")
 		writeEnvelope(w, http.StatusTooManyRequests, CodeRateLimited, "bucket empty")
@@ -91,7 +91,7 @@ func TestRetriesExhausted(t *testing.T) {
 // TestErrorEnvelopeAndFallback: envelope bodies decode into code/message;
 // non-envelope bodies (a proxy's plain text) still produce a usable error.
 func TestErrorEnvelopeAndFallback(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		switch r.URL.Path {
 		case "/v1/at":
@@ -115,7 +115,7 @@ func TestErrorEnvelopeAndFallback(t *testing.T) {
 // TestRangeIterPagination: the iterator follows next_cursor to the end,
 // including an empty final page, and RangeAll concatenates exactly.
 func TestRangeIterPagination(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	day := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
 	total := 7 // pages of 3: [3, 3, 1]
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
@@ -176,7 +176,7 @@ func TestRangeIterPagination(t *testing.T) {
 
 // TestNameIterPagination mirrors the range iterator over postings.
 func TestNameIterPagination(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	day := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := 0
@@ -203,7 +203,7 @@ func TestNameIterPagination(t *testing.T) {
 // TestContextCancellationStopsRetry: a canceled context aborts the retry
 // sleep rather than burning the full Retry-After.
 func TestContextCancellationStopsRetry(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Retry-After", "30")
 		writeEnvelope(w, http.StatusServiceUnavailable, CodeOverloaded, "shedding")

@@ -54,7 +54,7 @@ func pagedRangeServer(total, pageSize int, pushback map[int]int) *httptest.Serve
 // iterator neither drops nor duplicates a row, and the injected sleeper
 // observes exactly the two Retry-After waits.
 func TestRangeIterRetriesMidIteration(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	ts := pagedRangeServer(10, 3, map[int]int{
 		1: http.StatusTooManyRequests,
 		2: http.StatusServiceUnavailable,
@@ -88,7 +88,7 @@ func TestRangeIterRetriesMidIteration(t *testing.T) {
 // budget the iterator stops at the failing page, surfaces the typed
 // error, and stays stopped.
 func TestRangeIterRetriesExhausted(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	day := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Query().Get("cursor") != "" { // every page after the first sheds
@@ -129,7 +129,7 @@ func TestRangeIterRetriesExhausted(t *testing.T) {
 // TestNameIterRetriesMidIteration mirrors the range test over postings:
 // a mid-scan 429 with Retry-After is invisible to the consumer.
 func TestNameIterRetriesMidIteration(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	day := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
 	const total, pageSize = 5, 2
 	fired := false
@@ -182,7 +182,7 @@ func TestNameIterRetriesMidIteration(t *testing.T) {
 // TestNameIterErrorStops: a hard mid-scan failure (400, not retryable)
 // stops the name iterator with the typed error.
 func TestNameIterErrorStops(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		writeEnvelope(w, http.StatusBadRequest, CodeBadParam, "missing token parameter")
 	}))

@@ -14,7 +14,7 @@ import (
 // TestClientMethodWiring: the thin endpoint wrappers put their
 // parameters on the wire and decode the documented response shapes.
 func TestClientMethodWiring(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	day := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		q := r.URL.Query()
@@ -82,7 +82,7 @@ func TestAPIErrorString(t *testing.T) {
 // TestSleepCtx: the default sleeper waits the asked duration and aborts
 // immediately on a dead context.
 func TestSleepCtx(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	start := time.Now()
 	if err := sleepCtx(context.Background(), 10*time.Millisecond); err != nil {
 		t.Fatal(err)

@@ -88,7 +88,7 @@ func (f *fakeFeed) handler() http.Handler {
 // contract — manifest JSON, X-Repl-Size, the tail identity headers — and
 // chunked windows return exactly the requested bytes.
 func TestReplClientRoundTrip(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	feed := newFakeFeed()
 	ts := httptest.NewServer(feed.handler())
 	defer ts.Close()
@@ -127,7 +127,7 @@ func TestReplClientRoundTrip(t *testing.T) {
 // typed APIError carrying CodeReplChanged — the signal Sync uses to
 // refetch the manifest.
 func TestReplClientTailChanged(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	ts := httptest.NewServer(newFakeFeed().handler())
 	defer ts.Close()
 	_, _, err := New(ts.URL).ReplTail(context.Background(), "main", "tail-main-0.log", 0, 0)
@@ -140,7 +140,7 @@ func TestReplClientTailChanged(t *testing.T) {
 // TestReplClientRetries: the binary fetch path shares the 429/503
 // Retry-After loop with the JSON path.
 func TestReplClientRetries(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	feed := newFakeFeed()
 	ts := httptest.NewServer(feed.handler())
 	defer ts.Close()
@@ -171,7 +171,7 @@ func TestReplClientRetries(t *testing.T) {
 // TestReplClientBadHeaders: mangled identity headers are loud decode
 // errors, not zero values a replica would happily commit.
 func TestReplClientBadHeaders(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		// 200 with no X-Repl-* headers at all.
 		w.Write([]byte("junk"))

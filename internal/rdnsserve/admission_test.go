@@ -42,7 +42,7 @@ func envelopeCode(t *testing.T, rec *httptest.ResponseRecorder) string {
 // is configured, and denials are 403 forbidden (every route sits behind it:
 // TestRouteTableContract).
 func TestACL(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, _ := newTestServer(t, 4, Config{
 		Sink: reg,
@@ -71,7 +71,7 @@ func TestACL(t *testing.T) {
 // TestRateLimit: the token bucket admits the burst, rejects with 429 +
 // Retry-After, refills with the (injected) clock, and buckets per API key.
 func TestRateLimit(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	var mu sync.Mutex
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
@@ -151,7 +151,7 @@ func rdnsclientStats(h http.Handler) (rdnsclient.StatsResponse, error) {
 // TestLoadShedding: beyond MaxInFlight the daemon sheds with 503 +
 // Retry-After instead of queueing without bound.
 func TestLoadShedding(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, _ := newTestServer(t, 4, Config{
 		Sink:      reg,
@@ -190,7 +190,7 @@ func TestLoadShedding(t *testing.T) {
 // TestBucketEviction: the bucket table stays bounded under a churn of
 // distinct client keys.
 func TestBucketEviction(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
 	var mu sync.Mutex
 	clock := func() time.Time { mu.Lock(); defer mu.Unlock(); return now }
@@ -216,7 +216,7 @@ func TestBucketEviction(t *testing.T) {
 // TestRateLimitDisabledByDefault: the zero AdmissionConfig admits an
 // arbitrary burst with no limiting headers.
 func TestRateLimitDisabledByDefault(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, _ := newTestServer(t, 4, Config{})
 	h := srv.Handler()
 	for i := 0; i < 200; i++ {

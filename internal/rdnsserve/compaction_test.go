@@ -25,7 +25,7 @@ import (
 // compaction counters in /v1/stats must agree with the hist_* metrics of
 // the handle serving them.
 func TestCompactionUnderLoad(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir() + "/hist"
 	start := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
 	day := func(d int) scanengine.RecordSet {
@@ -173,7 +173,7 @@ func TestCompactionUnderLoad(t *testing.T) {
 // possibly mid-rename, which the open retry absorbs — and no query or
 // reload may fail.
 func TestHotReloadDuringCompaction(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	dir := t.TempDir() + "/hist"
 	start := time.Date(2020, 3, 1, 0, 0, 0, 0, time.UTC)
 	writer, err := histstore.Open(dir, histstore.WithBaseInterval(3))

@@ -194,7 +194,7 @@ func TestOutcomeCountersConsistency(t *testing.T) {
 // unsynchronized access trips the detector. Every query must be 200 and
 // every scrape 200 or 204 (empty ring before the first traced request).
 func TestReloadScrapeRace(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	path, writer, times := fixture(t, 10)
 	defer writer.Close()
 

@@ -29,7 +29,7 @@ import (
 // writer's view. Queries race the swap freely; that is the property
 // under test.
 func TestHotReloadNoDroppedQueries(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	path, writer, times := fixture(t, 10)
 	defer writer.Close()
 
@@ -141,7 +141,7 @@ func TestHotReloadNoDroppedQueries(t *testing.T) {
 // TestReloadViaAdminEndpoint: POST /v1/admin/reload swaps generations and
 // reports the fresh store's size.
 func TestReloadViaAdminEndpoint(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	path, writer, times := fixture(t, 5)
 	defer writer.Close()
 	serving, err := histstore.Open(path, histstore.WithReadOnly())
@@ -189,7 +189,7 @@ func TestReloadViaAdminEndpoint(t *testing.T) {
 // TestServerClose: a closed server answers 503 without panicking, Close
 // is idempotent, and Reload after Close fails cleanly.
 func TestServerClose(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	path, st, _ := fixture(t, 3)
 	srv := New(st, Config{
 		Reopen: func() (*histstore.Store, error) { return histstore.Open(path) },
@@ -327,7 +327,7 @@ func TestMetricsDescribeServingHandle(t *testing.T) {
 // handles drain, the process holds one handle's descriptors, and none
 // after Close.
 func TestReloadReleasesDescriptors(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	path, writer, _ := fixture(t, 20)
 	for i := 0; i < 4; i++ {
 		if _, err := writer.Compact(context.Background(), histstore.CompactOptions{MinSeal: 1}); err != nil {

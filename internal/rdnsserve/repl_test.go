@@ -67,7 +67,7 @@ func replManifestOf(t *testing.T, h http.Handler) rdnsclient.ReplManifest {
 // TestReplManifestEndpoint: the manifest reflects the served store's file
 // set and the daemon's generation.
 func TestReplManifestEndpoint(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, st := replFixture(t, Config{})
 	fm := replManifestOf(t, srv.Handler())
 
@@ -96,7 +96,7 @@ func TestReplManifestEndpoint(t *testing.T) {
 // TestReplSegmentEndpoint: chunked fetches carry X-Repl-Size and
 // reassemble to exactly the bytes the store itself serves.
 func TestReplSegmentEndpoint(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, st := replFixture(t, Config{})
 	h := srv.Handler()
 	fm := replManifestOf(t, h)
@@ -134,7 +134,7 @@ func TestReplSegmentEndpoint(t *testing.T) {
 // caught-up read is an empty 200, and a pinned stale file is a 409
 // repl_changed whose headers name the successor.
 func TestReplTailEndpoint(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, st := replFixture(t, Config{})
 	h := srv.Handler()
 	fm := replManifestOf(t, h)
@@ -184,7 +184,7 @@ func TestReplTailEndpoint(t *testing.T) {
 // TestReplEndpointErrors: the feed's failure modes map onto the
 // documented envelope vocabulary.
 func TestReplEndpointErrors(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, _ := replFixture(t, Config{Sink: reg})
 	h := srv.Handler()
@@ -238,7 +238,7 @@ func TestReplEndpointErrors(t *testing.T) {
 // (a replica must catch up on a primary shedding query load). That it stays
 // behind the ACL like everything else is TestRouteTableContract's.
 func TestReplAdmission(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, _ := replFixture(t, Config{Sink: reg, Admission: AdmissionConfig{
 		RatePerSec: 1, Burst: 2,
@@ -268,7 +268,7 @@ func TestReplAdmission(t *testing.T) {
 
 // TestReplBytesMetric: served feed bytes are accounted.
 func TestReplBytesMetric(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, _ := replFixture(t, Config{Sink: reg})
 	h := srv.Handler()
@@ -290,7 +290,7 @@ func TestReplBytesMetric(t *testing.T) {
 // TestReplStatsReplicaField: a replica daemon's lag report rides
 // /v1/stats; primaries (no SetReplicaStatus) omit the field.
 func TestReplStatsReplicaField(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, _ := replFixture(t, Config{})
 	h := srv.Handler()
 
@@ -316,7 +316,7 @@ func TestReplStatsReplicaField(t *testing.T) {
 // clamped to it, not refused, while a malformed window or writer id is a
 // 400 bad_param before the store is read.
 func TestReplWindowBounds(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, _ := replFixture(t, Config{})
 	h := srv.Handler()
 	g := replManifestOf(t, h).Writers[0].Segments[0]

@@ -78,7 +78,7 @@ func getJSON(t *testing.T, url string, out any) *http.Response {
 // same consumer cmd/rdnsload uses — so the wire contract is exercised end
 // to end.
 func TestV1Endpoints(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, times := newTestServer(t, 6, Config{Sink: reg, Tracer: telemetry.NewTracer(1, 256), Seed: 1})
 	ts := httptest.NewServer(srv.Handler())
@@ -168,7 +168,7 @@ func TestV1Endpoints(t *testing.T) {
 // TestErrorEnvelope: every failure mode returns the documented
 // {"error":{"code","message"}} envelope with the documented status.
 func TestErrorEnvelope(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, _ := newTestServer(t, 6, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -229,7 +229,7 @@ func TestErrorEnvelope(t *testing.T) {
 // by an empty final page, cursors are bound to their query, and windows
 // entirely before history yield a clean empty page.
 func TestV1Pagination(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, times := newTestServer(t, 6, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -345,7 +345,7 @@ func TestV1Pagination(t *testing.T) {
 // TestV1RangeConcatProperty: for several page sizes, the concatenation of
 // paginated /v1/range pages must equal the one-shot answer row for row.
 func TestV1RangeConcatProperty(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, _ := newTestServer(t, 9, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -379,7 +379,7 @@ func TestV1RangeConcatProperty(t *testing.T) {
 // with nothing announcing a deprecation window, and is not a request as
 // far as any view is concerned.
 func TestUnroutedPathsAnswerNotFoundUncounted(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, _ := newTestServer(t, 6, Config{Sink: reg})
 	ts := httptest.NewServer(srv.Handler())
@@ -413,7 +413,7 @@ func TestUnroutedPathsAnswerNotFoundUncounted(t *testing.T) {
 // TestStatsCacheConsistency: repeated identical queries must ride the
 // reconstruction cache, visible through /v1/stats.
 func TestStatsCacheConsistency(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	srv, _ := newTestServer(t, 8, Config{})
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
@@ -451,7 +451,7 @@ func TestStatsCacheConsistency(t *testing.T) {
 // (the client hung up) is abandoned as 499/canceled and counted apart
 // from real errors.
 func TestContextCancellation(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	reg := telemetry.NewRegistry()
 	srv, _ := newTestServer(t, 6, Config{Sink: reg})
 	h := srv.Handler()
@@ -491,7 +491,7 @@ func TestContextCancellation(t *testing.T) {
 // live-campaign serving scenario. Run under -race (make race covers this
 // package).
 func TestConcurrentQueriesDuringAppend(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	_, st, times := fixture(t, 10)
 	reg := telemetry.NewRegistry()
 	srv := New(st, Config{Sink: reg, Tracer: telemetry.NewTracer(7, 1024), Seed: 7})
@@ -579,7 +579,7 @@ func TestConcurrentQueriesDuringAppend(t *testing.T) {
 // even with a defaulted (full-history) window — the cursor pins the
 // upper bound.
 func TestPaginationStableDuringAppends(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	_, st, times := fixture(t, 6)
 	srv := New(st, Config{})
 	t.Cleanup(func() { srv.Close() })

@@ -26,7 +26,7 @@ func get(t *testing.T, url string) (int, string) {
 }
 
 func TestExporterEndpoints(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 
 	reg := telemetry.NewRegistry()
 	reg.Counter("scan_queries_total").Add(123)
@@ -77,7 +77,7 @@ func TestExporterEndpoints(t *testing.T) {
 }
 
 func TestExporterWithoutOptional(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	exp := telemetry.NewExporter(telemetry.NewRegistry())
 	addr, err := exp.Start("127.0.0.1:0")
 	if err != nil {
@@ -94,7 +94,7 @@ func TestExporterWithoutOptional(t *testing.T) {
 }
 
 func TestExporterNotReady(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 
 	type report struct{ OK bool }
 	var last *report // typed nil until the first sweep completes
@@ -131,7 +131,7 @@ func TestExporterNotReady(t *testing.T) {
 }
 
 func TestExporterDoubleStartAndClose(t *testing.T) {
-	defer testutil.VerifyNoLeaks(t)
+	testutil.VerifyNoLeaks(t)
 	exp := telemetry.NewExporter(telemetry.NewRegistry())
 	if _, err := exp.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)

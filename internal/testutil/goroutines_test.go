@@ -1,6 +1,13 @@
 package testutil
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 )
@@ -60,4 +67,59 @@ func TestVerifyNoLeaksCatchesParkedGoroutine(t *testing.T) {
 		t.Fatal("parked goroutine not reported")
 	}
 	close(release)
+}
+
+// TestNoDeferredLeakChecks: a deferred VerifyNoLeaks takes its baseline as
+// the test returns, after everything the test started, so it can never
+// see a leak. Every _test.go of the module must call it undeferred.
+func TestNoDeferredLeakChecks(t *testing.T) {
+	root := filepath.Join("..", "..")
+	if _, err := os.Stat(filepath.Join(root, "go.mod")); err != nil {
+		t.Fatalf("module root not at %s: %v", root, err)
+	}
+	fset := token.NewFileSet()
+	files := 0
+	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != root && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		files++
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			if d, ok := n.(*ast.DeferStmt); ok && calls(d.Call, "VerifyNoLeaks") {
+				t.Errorf("%s: defer VerifyNoLeaks checks nothing; call it as the test's first statement", fset.Position(d.Pos()))
+			}
+			return true
+		})
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if files < 100 {
+		t.Fatalf("walked only %d test files from %s", files, root)
+	}
+}
+
+// calls reports whether call invokes a function or method named name.
+func calls(call *ast.CallExpr, name string) bool {
+	switch fn := call.Fun.(type) {
+	case *ast.Ident:
+		return fn.Name == name
+	case *ast.SelectorExpr:
+		return fn.Sel.Name == name
+	}
+	return false
 }
